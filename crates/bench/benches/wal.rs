@@ -6,7 +6,9 @@
 //! * what does durability cost the service? — the banking workload runs
 //!   through `serve_durable` once per [`FsyncPolicy`] (plus a no-WAL
 //!   baseline), all on in-memory storage so the numbers isolate the
-//!   framing/checksum/barrier work from disk variance;
+//!   framing/checksum/barrier work from disk variance; next to each
+//!   overhead ratio the barriers and storage writes per record one run
+//!   issued (group commit: one of each per drained batch under `Always`);
 //! * what does a crash cost at restart? — serial logs of increasing
 //!   record counts are recovered (scan + replay + Theorem 1
 //!   re-certification) to show recovery stays linear-ish in log length;
@@ -25,7 +27,9 @@ use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_server::recovery::{recover, recover_segments, recover_with_certifier, Certifier};
-use relser_server::{serve_durable, serve_report, FaultPlan, RunOutcome, ServerConfig};
+use relser_server::{
+    serve_durable, serve_report, FaultPlan, RunOutcome, ServeReport, ServerConfig,
+};
 use relser_wal::{
     Checkpoint, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemStorage,
     SegmentedWal, WalRecord, WalWriter,
@@ -57,6 +61,31 @@ fn server_cfg() -> ServerConfig {
     }
 }
 
+const POLICIES: [(&str, FsyncPolicy); 4] = [
+    ("always", FsyncPolicy::Always),
+    ("every8", FsyncPolicy::EveryN(8)),
+    ("every64", FsyncPolicy::EveryN(64)),
+    ("never", FsyncPolicy::Never),
+];
+
+/// One durable run of the banking workload under `policy`.
+fn durable_run(sc: &BankingScenario, cfg: &ServerConfig, policy: FsyncPolicy) -> ServeReport {
+    let (mem, _handle) = MemStorage::new();
+    let mut wal = WalWriter::new(Box::new(mem), policy).unwrap();
+    let stream = RequestStream::shuffled(&sc.txns, ARRIVAL_SEED);
+    let scheduler = RsgSgt::new(&sc.txns, &sc.spec);
+    let report = serve_durable(
+        &sc.txns,
+        &stream,
+        Box::new(scheduler),
+        cfg,
+        &FaultPlan::default(),
+        &mut wal,
+    );
+    assert_eq!(report.outcome, RunOutcome::Completed);
+    report
+}
+
 /// Throughput per fsync policy, with a no-WAL baseline.
 fn bench_policies(h: &mut Harness, sc: &BankingScenario) {
     let cfg = server_cfg();
@@ -79,30 +108,9 @@ fn bench_policies(h: &mut Harness, sc: &BankingScenario) {
         })
     });
 
-    let policies: [(&str, FsyncPolicy); 4] = [
-        ("always", FsyncPolicy::Always),
-        ("every8", FsyncPolicy::EveryN(8)),
-        ("every64", FsyncPolicy::EveryN(64)),
-        ("never", FsyncPolicy::Never),
-    ];
-    for (name, policy) in policies {
+    for (name, policy) in POLICIES {
         group.bench_with_input(BenchmarkId::new("policy", name), &(), |b, _| {
-            b.iter(|| {
-                let (mem, _handle) = MemStorage::new();
-                let mut wal = WalWriter::new(Box::new(mem), policy).unwrap();
-                let stream = RequestStream::shuffled(&sc.txns, ARRIVAL_SEED);
-                let scheduler = RsgSgt::new(&sc.txns, &sc.spec);
-                let report = serve_durable(
-                    &sc.txns,
-                    &stream,
-                    Box::new(scheduler),
-                    &cfg,
-                    &FaultPlan::default(),
-                    &mut wal,
-                );
-                assert_eq!(report.outcome, RunOutcome::Completed);
-                black_box(report.metrics.wal.syncs)
-            })
+            b.iter(|| black_box(durable_run(sc, &cfg, policy).metrics.wal.syncs))
         });
     }
     group.finish();
@@ -379,6 +387,24 @@ fn main() {
         .collect();
     h.set_meta("always_overhead_vs_none", format!("{:.3}", always / none));
     h.set_meta("never_overhead_vs_none", format!("{:.3}", never / none));
+    // Where the overhead comes from: barriers and storage writes per
+    // record, and achieved batching, from one untimed run per policy.
+    for (name, policy) in POLICIES {
+        let m = durable_run(&sc, &server_cfg(), policy).metrics;
+        let records = m.wal.records as f64;
+        h.set_meta(
+            &format!("{name}_syncs_per_record"),
+            format!("{:.3}", m.wal.syncs as f64 / records),
+        );
+        h.set_meta(
+            &format!("{name}_storage_appends_per_record"),
+            format!("{:.3}", m.wal.appends as f64 / records),
+        );
+        h.set_meta(
+            &format!("{name}_commands_per_batch"),
+            format!("{:.2}", m.commands as f64 / m.batches as f64),
+        );
+    }
     for (records, ns, ckpt_ns) in recovery {
         h.set_meta(
             &format!("recovery_ns_per_record_{records}"),

@@ -25,6 +25,10 @@
 //! * [`faults`] — fault-injection sweeps against the real server
 //!   (`relser-server`): injected aborts, admission-core crashes, queue
 //!   shedding, and block-timeout storms, each run validated end to end;
+//! * [`preload`] — re-drives a recorded run from a pre-loaded queue in
+//!   exact multi-command batches, so the storage and shard sweeps cut
+//!   the group-commit window (records appended, barrier pending, acks
+//!   held) that live one-command-at-a-time sessions never open;
 //! * [`shard_faults`] — crash-at-k sweeps over the sharded service's
 //!   two-phase admit window: live core crashes and admit rejects on a
 //!   durable N-shard run, full-log and skewed-cut recoveries, the
@@ -50,6 +54,7 @@
 pub mod explore;
 pub mod faults;
 pub mod oracle;
+pub mod preload;
 pub mod project;
 pub mod shard_faults;
 pub mod shrink;

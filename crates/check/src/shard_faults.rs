@@ -17,7 +17,17 @@
 //!    per-shard synced logs via
 //!    [`recover_sharded`](relser_server::recover_sharded), which applies
 //!    the all-owners commit rule and re-certifies the merged history.
-//! 3. **Skewed-cut recovery** — the logs are additionally cut at
+//! 3. **Pre-loaded re-drive** — live sessions hand a core mostly one
+//!    command at a time, so a live crash almost never lands inside a
+//!    multi-command batch. Every faultless cell's per-shard traces are
+//!    therefore re-driven from pre-loaded queues
+//!    ([`crate::preload::redrive_preloaded`]) in exact batches of
+//!    [`PRELOAD_BATCH_MAX`](crate::preload::PRELOAD_BATCH_MAX) commands,
+//!    once per crash ordinal: the crash cuts a batch whose earlier
+//!    records are appended, whose barrier is pending and whose
+//!    acknowledgments are held. A transaction counts as acknowledged
+//!    only if *every* owner's commit reply came back `Granted`.
+//! 4. **Skewed-cut recovery** — the logs are additionally cut at
 //!    deterministic per-shard fractions (shards crashing at *different*
 //!    instants — in particular between one owner's `CommitAt` and
 //!    another's), and each cut set must still recover.
@@ -28,18 +38,21 @@
 //! merged committed history — independently of the certification
 //! `recover_sharded` already performs internally.
 
+use crate::preload::redrive_preloaded;
 use relser_core::ids::TxnId;
 use relser_core::rsg::Rsg;
+use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::Scheduler;
 use relser_server::{
-    recover_sharded, serve_sharded_report, FaultPlan, RunOutcome, ServerConfig, ShardedRecovery,
-    ShardedReport,
+    recover_sharded, serve_sharded_report, FaultPlan, RunOutcome, ServerConfig, ShardCoreCtx,
+    ShardedRecovery, ShardedReport,
 };
-use relser_wal::{CommitLog, FsyncPolicy, MemStorage, WalWriter};
+use relser_wal::{CommitLog, FsyncPolicy, MemHandle, MemStorage, WalWriter};
 use relser_workload::stream::RequestStream;
+use std::sync::atomic::AtomicU64;
 
 /// The sweep grid. Every combination of seed × crash shard × crash
 /// ordinal runs once; `reject_admits` (when non-empty) additionally
@@ -89,6 +102,10 @@ impl Default for ShardSweepConfig {
 pub struct ShardSweepReport {
     /// Live runs driven (crashed and faultless).
     pub runs: u64,
+    /// Pre-loaded multi-command-batch re-drives of faultless runs.
+    pub preloaded_runs: u64,
+    /// Re-drives whose crash shard fail-stopped (the interesting ones).
+    pub preloaded_crashes: u64,
     /// Runs that ended in a core crash (the interesting cells).
     pub crashed_runs: u64,
     /// Cross-shard admits the router recorded across all runs.
@@ -146,19 +163,12 @@ pub fn shard_admit_sweep(
 
                 let server_cfg = ServerConfig {
                     workers: cfg.workers,
+                    record_trace: true,
                     seed,
                     ..ServerConfig::default()
                 };
                 let stream = RequestStream::shuffled(txns, seed);
-                let mut handles = Vec::new();
-                let mut wals: Vec<WalWriter> = (0..cfg.shards)
-                    .map(|_| {
-                        let (mem, handle) = MemStorage::new();
-                        handles.push(handle);
-                        WalWriter::new(Box::new(mem), FsyncPolicy::Always)
-                            .expect("MemStorage never fails")
-                    })
-                    .collect();
+                let (mut wals, handles) = shard_wals(cfg.shards);
                 let run = serve_sharded_report(
                     txns,
                     &stream,
@@ -186,6 +196,15 @@ pub fn shard_admit_sweep(
                     check_invariants(txns, spec, &rec, &mut report);
                 }
 
+                // The faultless cell's traces, re-driven in multi-command
+                // batches with the crash inside one of them.
+                if crash_at.is_none() && run.outcome == RunOutcome::Completed {
+                    for &k in cfg.crash_commands.iter().flatten() {
+                        faults[crash_shard as usize].crash_at_command = Some(k);
+                        redrive_cell(txns, spec, &run, &faults, &mut report);
+                    }
+                }
+
                 // Skewed cuts: shards lose different log suffixes.
                 for fractions in &cfg.cut_permille {
                     let cut: Vec<Vec<u8>> = logs
@@ -204,6 +223,73 @@ pub fn shard_admit_sweep(
         }
     }
     report
+}
+
+/// One fresh `Always` log on `MemStorage` per shard, with read handles.
+fn shard_wals(shards: usize) -> (Vec<WalWriter>, Vec<MemHandle>) {
+    (0..shards)
+        .map(|_| {
+            let (mem, handle) = MemStorage::new();
+            let wal =
+                WalWriter::new(Box::new(mem), FsyncPolicy::Always).expect("MemStorage never fails");
+            (wal, handle)
+        })
+        .unzip()
+}
+
+/// Re-drives every shard of the faultless `run` from a pre-loaded queue
+/// under `faults`, recovers from the logs the re-drive left, and holds
+/// the result to the same zero-acked-loss and no-half-admitted checks as
+/// a live cell. Acknowledged = every owning shard's commit reply came
+/// back `Granted` (the router's all-owners rule, seen from the replies).
+fn redrive_cell(
+    txns: &TxnSet,
+    spec: &AtomicitySpec,
+    run: &ShardedReport,
+    faults: &[FaultPlan],
+    report: &mut ShardSweepReport,
+) {
+    let shards = run.shards.len();
+    let (mut wals, handles) = shard_wals(shards);
+    let seq = AtomicU64::new(0);
+    let epochs: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
+    let mut acked_on: Vec<Vec<u32>> = vec![Vec::new(); txns.len()];
+    report.preloaded_runs += 1;
+    for (shard, live) in run.shards.iter().enumerate() {
+        let redrive = redrive_preloaded(
+            Box::new(RsgSgt::new(txns, spec)),
+            &live.trace,
+            &live.commit_stamps,
+            &faults[shard],
+            &mut wals[shard],
+            Some(ShardCoreCtx {
+                shard: shard as u32,
+                seq: &seq,
+                epochs: &epochs,
+                sessions: None,
+                recovered_committed: Vec::new(),
+                recovered_events: Vec::new(),
+            }),
+        );
+        report.preloaded_crashes += u64::from(redrive.out.crashed);
+        for t in redrive.acked {
+            acked_on[t.index()].push(shard as u32);
+        }
+    }
+    let map = ShardMap::new(shards as u32);
+    let logs: Vec<Vec<u8>> = handles.iter().map(|h| h.bytes()).collect();
+    if let Some(rec) = try_recover(txns, spec, &logs, report) {
+        for t in txns.txn_ids() {
+            let owners = map.shards_of_txn(txns, t);
+            if owners.iter().all(|s| acked_on[t.index()].contains(s)) {
+                report.acked_commits_checked += 1;
+                if !rec.committed.contains(&t) {
+                    report.lost_commits += 1;
+                }
+            }
+        }
+        check_invariants(txns, spec, &rec, report);
+    }
 }
 
 fn shard_schedulers<'a>(
@@ -316,6 +402,10 @@ mod tests {
         let report = shard_admit_sweep(&txns, &spec, &ShardSweepConfig::default());
         assert!(report.clean(), "{report:?}");
         assert!(report.crashed_runs > 0, "the grid must hit live crashes");
+        assert!(
+            report.preloaded_crashes > 0,
+            "the pre-loaded re-drives must crash inside multi-command batches: {report:?}"
+        );
         assert!(
             report.cross_shard_admits > 0,
             "the universe must exercise the two-phase admit window"

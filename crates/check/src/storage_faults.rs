@@ -12,9 +12,14 @@
 //!   server to completion, then crashes it *everywhere*: the log is cut
 //!   at every byte offset (covering every record boundary and every torn
 //!   tail), bit-flipped at every byte, and re-run live against `FaultFs`
-//!   failures. Every recovery must succeed, pass the full offline oracle
-//!   suite of [`crate::oracle::check_execution`], and — under
-//!   [`FsyncPolicy::Always`] — preserve every acknowledged commit.
+//!   failures — once driven by live sessions and once re-driven from a
+//!   pre-loaded queue in multi-command batches
+//!   ([`crate::preload::redrive_preloaded`]), so the failing write or
+//!   barrier lands inside the group-commit window (records appended,
+//!   barrier pending, acks held). Every recovery must succeed, pass the
+//!   full offline oracle suite of [`crate::oracle::check_execution`], and
+//!   — under [`FsyncPolicy::Always`] — preserve every acknowledged
+//!   commit.
 //!
 //! The invariant this buys on top of the fault sweeps in
 //! [`crate::faults`]: **no storage failure can lose an acknowledged
@@ -28,6 +33,8 @@
 //! from the surviving checkpoint without losing an acknowledged commit.
 
 use crate::oracle::{check_execution, Divergence, ExecutionRecord};
+use crate::preload::redrive_preloaded;
+use relser_core::ids::TxnId;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::SchedulerKind;
@@ -46,15 +53,18 @@ use std::sync::{Arc, Mutex};
 /// disables that fault.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultFsConfig {
-    /// This append call fails. The writer (and so the core) fail-stops.
+    /// This append call (call 0 is the file header, then one per batch)
+    /// fails. The writer (and so the core) fail-stops.
     pub fail_append_at: Option<u64>,
     /// How many bytes of the failing append still reach the buffer
-    /// before the error — the torn tail a real crash leaves behind.
+    /// before the error — the torn tail a real crash leaves behind; it
+    /// may hold whole valid frames of the batch that was never synced.
     pub torn_bytes: usize,
     /// Silently flip bit `b` of global byte offset `o` as it is written
     /// (bit rot / a misdirected write the writer never notices).
     pub bit_flip: Option<(u64, u8)>,
-    /// This sync call fails (call 0 is the header sync under `Always`).
+    /// This sync call fails (call 0 is the header sync under `Always`,
+    /// then one per batch that logged anything).
     pub fail_sync_at: Option<u64>,
 }
 
@@ -199,6 +209,10 @@ pub struct CrashSweepReport {
     pub acked_commits_checked: u64,
     /// Acknowledged commits a recovery failed to produce (must be 0).
     pub lost_commits: u64,
+    /// Pre-loaded re-drives whose core reported a committed list other
+    /// than the commits its clients were acknowledged (must be 0: after a
+    /// fail-stop `CoreOutput::committed` holds acknowledged commits only).
+    pub report_ack_mismatches: u64,
     /// Recoveries that errored (must be 0 — every cut/flip/fault leaves
     /// a recoverable log).
     pub failed_recoveries: u64,
@@ -222,6 +236,7 @@ impl CrashSweepReport {
     pub fn clean(&self) -> bool {
         self.divergence_count == 0
             && self.lost_commits == 0
+            && self.report_ack_mismatches == 0
             && self.failed_recoveries == 0
             && self.monotonicity_violations == 0
     }
@@ -277,7 +292,7 @@ pub fn crash_point_sweep(
                 }
             }
             // The full log must recover the full run.
-            check_acked_commits(&run, &bytes, txns, spec, kind, &mut report);
+            check_acked_commits(&run.committed, &bytes, txns, spec, kind, &mut report);
 
             // Pass 2: flip one bit in every byte — recovery must survive
             // (truncating at the damage), never panic, never forge state.
@@ -308,28 +323,47 @@ pub fn crash_point_sweep(
                 });
             }
             for fs_cfg in live {
-                report.live_faults += 1;
-                let (fs, fs_handle) = FaultFs::new(fs_cfg);
-                let mut wal = match WalWriter::new(Box::new(fs), FsyncPolicy::Always) {
-                    Ok(w) => w,
-                    // Header append/sync already failed: nothing was ever
-                    // acknowledged, and the empty synced prefix recovers
-                    // to the empty state below.
-                    Err(_) => {
-                        let durable = fs_handle.synced_bytes();
-                        let _ = try_recover(txns, spec, kind, &durable, &mut report);
-                        continue;
-                    }
-                };
-                let crashed = serve_one(txns, spec, kind, &server_cfg, &mut wal);
-                check_acked_commits(
-                    &crashed,
-                    &fs_handle.synced_bytes(),
-                    txns,
-                    spec,
-                    kind,
-                    &mut report,
-                );
+                for preloaded in [false, true] {
+                    report.live_faults += 1;
+                    let (fs, fs_handle) = FaultFs::new(fs_cfg);
+                    let mut wal = match WalWriter::new(Box::new(fs), FsyncPolicy::Always) {
+                        Ok(w) => w,
+                        // Header append/sync already failed: nothing was
+                        // ever acknowledged, and the empty synced prefix
+                        // recovers to the empty state below.
+                        Err(_) => {
+                            let durable = fs_handle.synced_bytes();
+                            let _ = try_recover(txns, spec, kind, &durable, &mut report);
+                            continue;
+                        }
+                    };
+                    let acked = if preloaded {
+                        // The clean run again, in exact batches of
+                        // `PRELOAD_BATCH_MAX` commands, so the fault cuts
+                        // a batch with appended records and held acks.
+                        let redrive = redrive_preloaded(
+                            kind.make(txns, spec),
+                            &run.trace,
+                            &[],
+                            &FaultPlan::default(),
+                            &mut wal,
+                            None,
+                        );
+                        report.report_ack_mismatches +=
+                            u64::from(redrive.out.committed != redrive.acked);
+                        redrive.acked
+                    } else {
+                        serve_one(txns, spec, kind, &server_cfg, &mut wal).committed
+                    };
+                    check_acked_commits(
+                        &acked,
+                        &fs_handle.synced_bytes(),
+                        txns,
+                        spec,
+                        kind,
+                        &mut report,
+                    );
+                }
             }
         }
     }
@@ -422,7 +456,7 @@ pub fn checkpoint_crash_sweep(
             let (last_seq, last_bytes) = segments.last().cloned().expect("segment 0 always exists");
 
             // The full durable set recovers the full run, nothing lost.
-            check_acked_segments(&run, &segments, txns, spec, kind, &mut report);
+            check_acked_segments(&run.committed, &segments, txns, spec, kind, &mut report);
 
             // Pass 1: cut the newest segment at every byte.
             let prior: Vec<(u64, Vec<u8>)> = segments[..segments.len() - 1].to_vec();
@@ -465,39 +499,60 @@ pub fn checkpoint_crash_sweep(
                     last_seq + 1,
                     last_bytes[..torn_len.min(last_bytes.len())].to_vec(),
                 ));
-                check_acked_segments(&run, &segs, txns, spec, kind, &mut report);
+                check_acked_segments(&run.committed, &segs, txns, spec, kind, &mut report);
             }
 
-            // Pass 4: live core crashes mid-run; the durable segment
-            // prefixes must still hold every commit the crashed run
-            // acknowledged.
+            // Pass 4: live core crashes mid-run — driven by live sessions
+            // and re-driven from a pre-loaded queue in multi-command
+            // batches, where the crash command sits *inside* a batch whose
+            // earlier records are appended and whose acks are held. The
+            // durable segment prefixes must still hold every commit the
+            // crashed run acknowledged.
             for &at in &cfg.crash_commands {
-                report.live_faults += 1;
-                let (store, handle) = MemSegmentStore::new();
-                let mut wal = SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt_policy)
-                    .expect("MemSegmentStore never fails");
-                let faults = FaultPlan {
-                    crash_at_command: Some(at),
-                    ..FaultPlan::default()
-                };
-                let stream = RequestStream::shuffled(txns, seed);
-                let crashed = serve_durable_log(
-                    txns,
-                    &stream,
-                    kind.make(txns, spec),
-                    &server_cfg,
-                    &faults,
-                    &mut wal,
-                );
-                report.checkpoints += crashed.checkpoints;
-                check_acked_segments(
-                    &crashed,
-                    &handle.synced_segments(),
-                    txns,
-                    spec,
-                    kind,
-                    &mut report,
-                );
+                for preloaded in [false, true] {
+                    report.live_faults += 1;
+                    let (store, handle) = MemSegmentStore::new();
+                    let mut wal =
+                        SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt_policy)
+                            .expect("MemSegmentStore never fails");
+                    let faults = FaultPlan {
+                        crash_at_command: Some(at),
+                        ..FaultPlan::default()
+                    };
+                    let (acked, checkpoints) = if preloaded {
+                        let redrive = redrive_preloaded(
+                            kind.make(txns, spec),
+                            &run.trace,
+                            &[],
+                            &faults,
+                            &mut wal,
+                            None,
+                        );
+                        report.report_ack_mismatches +=
+                            u64::from(redrive.out.committed != redrive.acked);
+                        (redrive.acked, redrive.out.checkpoints)
+                    } else {
+                        let stream = RequestStream::shuffled(txns, seed);
+                        let crashed = serve_durable_log(
+                            txns,
+                            &stream,
+                            kind.make(txns, spec),
+                            &server_cfg,
+                            &faults,
+                            &mut wal,
+                        );
+                        (crashed.committed, crashed.checkpoints)
+                    };
+                    report.checkpoints += checkpoints;
+                    check_acked_segments(
+                        &acked,
+                        &handle.synced_segments(),
+                        txns,
+                        spec,
+                        kind,
+                        &mut report,
+                    );
+                }
             }
         }
     }
@@ -524,7 +579,7 @@ fn try_recover_segments(
 
 /// Segment-set flavor of [`check_acked_commits`].
 fn check_acked_segments(
-    run: &ServeReport,
+    acked: &[TxnId],
     segments: &[(u64, Vec<u8>)],
     txns: &TxnSet,
     spec: &AtomicitySpec,
@@ -532,11 +587,11 @@ fn check_acked_segments(
     report: &mut CrashSweepReport,
 ) {
     let Some((_, rec)) = try_recover_segments(txns, spec, kind, segments, report) else {
-        report.lost_commits += run.committed.len() as u64;
+        report.lost_commits += acked.len() as u64;
         return;
     };
     report.seeded_recoveries += u64::from(rec.seeded_events > 0);
-    for t in &run.committed {
+    for t in acked {
         report.acked_commits_checked += 1;
         if !rec.committed.contains(t) {
             report.lost_commits += 1;
@@ -583,10 +638,10 @@ fn try_recover(
 }
 
 /// The zero-acknowledged-commit-loss check: every commit the (possibly
-/// crashed) run reported must come back from recovering `durable_bytes`,
-/// and the recovered state must pass the oracle suite.
+/// crashed) run acknowledged must come back from recovering
+/// `durable_bytes`, and the recovered state must pass the oracle suite.
 fn check_acked_commits(
-    run: &ServeReport,
+    acked: &[TxnId],
     durable_bytes: &[u8],
     txns: &TxnSet,
     spec: &AtomicitySpec,
@@ -594,10 +649,10 @@ fn check_acked_commits(
     report: &mut CrashSweepReport,
 ) {
     let Some(rec) = try_recover(txns, spec, kind, durable_bytes, report) else {
-        report.lost_commits += run.committed.len() as u64;
+        report.lost_commits += acked.len() as u64;
         return;
     };
-    for t in &run.committed {
+    for t in acked {
         report.acked_commits_checked += 1;
         if !rec.committed.contains(t) {
             report.lost_commits += 1;

@@ -166,6 +166,74 @@ fn shard_core_crash_recovers_in_place_without_losing_acks() {
     cross_check(&txns, &spec, &stores, &report);
 }
 
+/// Regression (acked-commit loss at the final merge): under
+/// `CheckpointPolicy::default()` a live shard core's checkpoint used to
+/// prune the events of retired committed transactions, and sharded
+/// recovery's completeness rule then demoted every such commit to
+/// `partial` — 0 of 1 024 acknowledged commits came back. A shard core's
+/// checkpoint must keep the events of everything it committed: with
+/// enough single-record transactions for several rotations, every acked
+/// commit is in the recovered committed set — on one shard, on two, and
+/// on two when a core crashes after its first rotation and the resumed
+/// incarnation rotates again.
+#[test]
+fn checkpoint_rotation_keeps_every_acked_commit_through_the_final_merge() {
+    let (txns, spec) = single_object_universe(1_100, 64);
+    let stream_seed = 5;
+    for (shards, crash_at) in [(1, None), (2, None), (2, Some(1_500))] {
+        let stream = RequestStream::shuffled(&txns, stream_seed);
+        let cfg = NetConfig::default();
+        let sup = SuperviseNetConfig {
+            shards,
+            ..SuperviseNetConfig::default()
+        };
+        assert_eq!(sup.ckpt, relser_wal::CheckpointPolicy::default());
+        let stores = stores_for(shards);
+        let mut faults = vec![FaultPlan::default(); shards];
+        faults[0].crash_at_command = crash_at;
+        let (report, stats) = serve_net_supervised_in(
+            &txns,
+            &spec,
+            |_| Box::new(RsgSgt::new(&txns, &spec)),
+            &cfg,
+            &sup,
+            &faults,
+            &stores,
+            |addr| {
+                drive_resilient(
+                    addr,
+                    &txns,
+                    &stream,
+                    &ResilientConfig::default(),
+                    &ChaosPlan::quiet(),
+                )
+            },
+        )
+        .expect("serve_net_supervised");
+        let case = format!("shards={shards} crash_at={crash_at:?}");
+
+        assert!(stats.lost.is_empty(), "{case}: lost {:?}", stats.lost);
+        assert_eq!(stats.committed.len(), txns.len(), "{case}");
+        assert_eq!(
+            report.runs[0].restarts,
+            u64::from(crash_at.is_some()),
+            "{case}"
+        );
+        let checkpoints: u64 = report.runs.iter().map(|r| r.output.checkpoints).sum();
+        let deleted: u64 = stores.iter().map(|s| s.deleted()).sum();
+        assert!(checkpoints >= 1, "{case}: the log must rotate");
+        assert!(deleted >= checkpoints, "{case}: rotation deletes segments");
+        assert_eq!(report.recovery.partial, vec![], "{case}: nothing demoted");
+        for (txn, _) in &stats.committed {
+            assert!(
+                report.recovery.committed.contains(txn),
+                "{case}: acked commit {txn:?} lost at the final merge"
+            );
+        }
+        assert_eq!(report.recovery.committed.len(), txns.len(), "{case}");
+    }
+}
+
 /// One request/response exchange on a blocking socket (no pipelining).
 fn call(sock: &mut TcpStream, req: Request) -> Response {
     let mut out = Vec::new();

@@ -11,10 +11,13 @@
 //!
 //! The core drains commands in batches (up to `batch_max` per queue lock
 //! acquisition) so queue traffic is amortized under load, and it answers
-//! each operation request through a one-shot [`Reply`] cell. After every
-//! batch with a state *change* (grant, abort, commit — not a mere block)
-//! it bumps the shared [`Progress`] epoch with the set of transactions
-//! that changed, waking only the sessions blocked on one of them.
+//! each operation request through a one-shot [`Reply`] cell. The batch is
+//! also the unit of durability: the replies of a batch are held until its
+//! one write-ahead-log barrier has returned, then released in core order
+//! (see [`run_core_durable`]). After every batch with a state *change*
+//! (grant, abort, commit — not a mere block) it bumps the shared
+//! [`Progress`] epoch with the set of transactions that changed, waking
+//! only the sessions blocked on one of them.
 
 use crate::queue::{BoundedQueue, PopWait};
 use crate::supervisor::SessionTable;
@@ -410,17 +413,18 @@ pub enum Command {
     /// The transaction commits (all operations were granted).
     Commit(TxnId),
     /// [`Command::Commit`] with an acknowledgment: the reply is filled
-    /// only after the commit record is appended to the write-ahead log —
-    /// so under `FsyncPolicy::Always` the acknowledgment is durable. The
-    /// wire front-end uses this for its `Committed` response: the fsync
-    /// is *inside* the wire-to-wire latency, not after it.
+    /// only after the batch's durability barrier has covered the commit
+    /// record — so under `FsyncPolicy::Always` the acknowledgment is
+    /// durable. The wire front-end uses this for its `Committed`
+    /// response: the fsync is *inside* the wire-to-wire latency, not
+    /// after it.
     CommitAck {
         /// The committing transaction.
         txn: TxnId,
         /// When the submitter enqueued the command (queue-wait stage
         /// measurement).
         enqueued: Instant,
-        /// Filled `Granted` once the commit is durable and applied.
+        /// Filled `Granted` once the commit is applied and durable.
         reply: Reply,
         /// Sharded front-ends set the global commit stamp here, making
         /// this an acknowledged [`Command::CommitAt`] (the stamp totally
@@ -480,6 +484,9 @@ pub struct FaultPlan {
     /// index (counted over all commands). The core stops applying
     /// commands, closes the queue, and drains everything still enqueued,
     /// answering `Aborted(Injected)` so no session hangs on a reply.
+    /// Commands of the *same batch* applied before it die with it: their
+    /// records never reached a barrier, so their held acknowledgments are
+    /// unwound the same way (acked ⇒ durable, never the converse).
     pub crash_at_command: Option<u64>,
     /// Admit commands (0-based, counted over `Command::Admit` only)
     /// answered `Aborted(Injected)` without touching the scheduler —
@@ -514,7 +521,9 @@ pub struct CoreOutput {
     pub log: Vec<OpId>,
     /// Transactions committed, in commit order. `log` filtered to this
     /// set is the committed history even when the run did not complete
-    /// (crash faults, session failures).
+    /// (crash faults, session failures). After a crash this holds only
+    /// *acknowledged* commits: the ones of the batch the core died in are
+    /// cut off, because no barrier covered them.
     pub committed: Vec<TxnId>,
     /// The core crashed: at the planned command index (see [`FaultPlan`])
     /// or because the write-ahead log failed (see
@@ -588,6 +597,10 @@ pub struct CoreOutput {
     /// committed set — the original verdict re-sent, nothing re-applied
     /// or re-logged.
     pub duplicate_commit_acks: u64,
+    /// Retried requests for an operation the live incarnation was already
+    /// granted, answered `Granted` again without consulting the scheduler
+    /// or logging a second grant.
+    pub duplicate_grants: u64,
 }
 
 /// Runs the admission core until the queue is closed and drained.
@@ -654,6 +667,11 @@ pub struct ShardCoreCtx<'a> {
     /// commits stay idempotent and stale aborts of durably-committed
     /// transactions are refused across a supervised restart.
     pub recovered_committed: Vec<TxnId>,
+    /// The condensed begin/grant/commit stream of `recovered_committed`
+    /// (what the resumed log's head checkpoint holds). Seeds the
+    /// checkpoint event stream, so the next checkpoint this incarnation
+    /// cuts still carries the recovered commits' complete op sets.
+    pub recovered_events: Vec<CheckpointEvent>,
 }
 
 /// Per-shard mutable state derived from [`ShardCoreCtx`] for one run.
@@ -693,28 +711,85 @@ pub fn run_core_sharded(
     )
 }
 
-/// Why one command's application stopped the core.
+/// Why the core stopped mid-batch. Either way the batch is not
+/// acknowledged: every reply it holds is unwound.
 enum Halt {
     /// Planned crash ([`FaultPlan::crash_at_command`]); the command was
-    /// not applied and its reply (if any) must be unwound.
-    PlannedCrash(Option<Reply>),
-    /// The write-ahead log failed; fail-stop with the storage error. The
-    /// command's effects are not acknowledged.
-    WalBroken(String, Option<Reply>),
+    /// not applied.
+    PlannedCrash,
+    /// The write-ahead log failed; fail-stop with the storage error.
+    WalBroken(String),
+}
+
+/// The acknowledgments of the batch being applied, in core order. Nothing
+/// in here is visible outside the core until the batch's durability
+/// barrier ([`CommitLog::batch_end`]) has returned: then they are
+/// released; if the core halts first they are unwound instead, because
+/// the records they stand for may not be durable.
+#[derive(Default)]
+struct HeldAcks {
+    replies: Vec<(Reply, Decision)>,
+    /// `(session, req_id, txn)` retry-table entries of sessionful commits.
+    sessions: Vec<(u64, u64, TxnId)>,
+}
+
+impl HeldAcks {
+    /// The barrier covers the batch: publish the retry-table entries
+    /// (first, so a reply's receiver can already see its entry), then
+    /// fill the replies in core order.
+    fn release(&mut self, table: Option<&SessionTable>) {
+        for (session, req_id, txn) in self.sessions.drain(..) {
+            if let Some(table) = table {
+                table.record(session, req_id, txn);
+            }
+        }
+        for (reply, decision) in self.replies.drain(..) {
+            reply.fill(decision);
+        }
+    }
+
+    /// The batch died before its barrier: none of it was acknowledged.
+    fn unwind(&mut self) {
+        self.sessions.clear();
+        for (reply, _) in self.replies.drain(..) {
+            reply.fill(Decision::Aborted(AbortReason::Injected));
+        }
+    }
 }
 
 /// [`run_core_faulty`] with an optional durable commit log.
 ///
-/// When `wal` is given, the core follows the WAL discipline: every
-/// state-*changing* event (begin, grant, commit, abort — blocks change
-/// nothing and are not logged) is appended **before** it is applied and
-/// acknowledged, in core order, which is the run's serialization point.
-/// Under `FsyncPolicy::Always` the append also syncs, so an acknowledged
-/// decision or an applied commit is durable by the time anyone can
-/// observe it. Deferred policies get their group-commit barrier once per
-/// drained queue batch ([`CommitLog::batch_end`]) *and* an idle tick
-/// ([`CommitLog::maybe_sync`]) while the queue is empty, so an `Interval`
-/// policy cannot strand acknowledged records unsynced forever.
+/// The durability contract is **ack-after-barrier**. Per drained queue
+/// batch the core
+///
+/// 1. applies the commands in core order — the run's serialization
+///    point — appending the record of every state-*changing* event
+///    (begin, grant, commit, abort; blocks change nothing and are not
+///    logged) to the log's batch **before** applying it, and *holding*
+///    every acknowledgment it would give: each [`Reply`], each
+///    [`SessionTable`] entry of a sessionful commit;
+/// 2. ends the batch once ([`CommitLog::batch_end`]): one storage write
+///    and, under `FsyncPolicy::Always`, one barrier whenever the batch
+///    logged anything (deferred policies: only when their threshold is
+///    due — the bounded loss window they buy throughput with);
+/// 3. releases the held acknowledgments in core order, then bumps
+///    [`Progress`].
+///
+/// So under `Always` nothing anyone can observe — a granted operation, a
+/// `Committed` response, a retry-table entry, a commit in
+/// [`CoreOutput::committed`] — precedes a barrier that covers its record,
+/// and a batch of b commands costs one write and one barrier, not b.
+/// While the queue is idle the core calls `batch_end` on a tick, so an
+/// `Interval` policy cannot strand written records unsynced forever.
+///
+/// A halt inside a batch — a planned crash fault, a failed append, a
+/// failed barrier — acknowledges **none** of it: the held replies are
+/// unwound `Aborted(Injected)`, the held retry-table entries dropped, and
+/// the batch's commits cut from [`CoreOutput::committed`], because its
+/// records may not be durable. The core then fail-stops (queue closed,
+/// backlog unwound), a storage error is reported in
+/// [`CoreOutput::wal_error`], and recovery truncates the log at the
+/// damage: acked ⇒ durable, never the converse.
 ///
 /// A checkpointing log ([`CommitLog::wants_checkpoints`]) additionally
 /// gets a live-state snapshot whenever it reports one due: the core
@@ -722,12 +797,6 @@ enum Halt {
 /// transactions and hands it over at a batch boundary (a core-order
 /// point), letting the log rotate segments and delete history the
 /// checkpoint covers.
-///
-/// A WAL append/sync failure is fatal by design: the core cannot
-/// acknowledge work it cannot make durable, so it crashes exactly like a
-/// planned crash fault (queue closed, in-flight replies unwound) and the
-/// storage error is reported in [`CoreOutput::wal_error`]. Recovery then
-/// truncates the log at the damage.
 pub fn run_core_durable(
     scheduler: Box<dyn Scheduler + Send + '_>,
     queue: &BoundedQueue<Command>,
@@ -775,29 +844,34 @@ fn run_core_inner(
         _ => None,
     });
     let track_live = wal.as_ref().is_some_and(|w| w.wants_checkpoints());
-    let mut live_events: Vec<CheckpointEvent> = Vec::new();
     // Commit supremacy: the set of transactions this core (or, via the
     // seed, a previous incarnation of it) durably committed, and the set
-    // currently live. Commands that would contradict a durable commit —
+    // currently live (with how many of its operations were granted, in
+    // program order). Commands that would contradict a durable commit —
     // a stale abort from orphan cleanup, a retried begin — are no-ops,
     // and operations of retired incarnations are refused with a typed
     // retryable verdict instead of silently corrupting the history.
-    let mut live: HashSet<TxnId> = HashSet::new();
-    let mut committed: HashSet<TxnId> = shard
-        .as_ref()
-        .map(|s| s.ctx.recovered_committed.iter().copied().collect())
-        .unwrap_or_default();
-    // The recovered commits also join the committed *list*: the next
-    // checkpoint this incarnation cuts must cover them, or rotation
-    // would delete the only segments that record them.
-    if let Some(s) = shard.as_ref() {
-        out.committed
-            .extend(s.ctx.recovered_committed.iter().copied());
+    let mut live: HashMap<TxnId, u32> = HashMap::new();
+    let mut committed: HashSet<TxnId> = HashSet::new();
+    let mut live_events: Vec<CheckpointEvent> = Vec::new();
+    // The recovered commits also join the committed *list* and the
+    // checkpoint event stream: the next checkpoint this incarnation cuts
+    // must cover them, or rotation would delete the only segments that
+    // record them.
+    if let Some(s) = shard.as_mut() {
+        committed.extend(s.ctx.recovered_committed.iter().copied());
+        out.committed.append(&mut s.ctx.recovered_committed);
+        live_events.append(&mut s.ctx.recovered_events);
     }
     // Transactions whose state changed in the current batch — the wakeup
     // target set handed to `Progress::bump_txns`. Reused across batches.
     let mut changed: Vec<TxnId> = Vec::new();
-    'serve: loop {
+    // The current batch's acknowledgments, and how much of the commit
+    // lists the last successful barrier covered (what a halt keeps).
+    let mut held = HeldAcks::default();
+    let mut acked_commits = out.committed.len();
+    let mut acked_stamps = 0;
+    loop {
         let popped = match idle_tick {
             Some(tick) => queue.pop_batch_timeout(batch_max, &mut batch, tick),
             None => {
@@ -808,31 +882,20 @@ fn run_core_inner(
                 }
             }
         };
+        // An idle tick is an empty batch: nothing to apply or release,
+        // only the deferred policy's barrier opportunity.
         match popped {
-            PopWait::Closed => break 'serve,
-            PopWait::Idle => {
-                // Queue idle: the deferred policy's barrier opportunity. A
-                // failed barrier fail-stops like a batch-end failure.
-                if let Some(w) = wal.as_mut() {
-                    if let Err(e) = w.maybe_sync() {
-                        out.crashed = true;
-                        out.wal_error = Some(e.to_string());
-                        queue.close();
-                        drain_after_crash(Vec::new(), queue, batch_max);
-                        progress.bump();
-                        break 'serve;
-                    }
-                }
-                continue 'serve;
+            PopWait::Closed => break,
+            PopWait::Idle => {}
+            PopWait::Batch => {
+                out.batches += 1;
+                out.max_batch = out.max_batch.max(batch.len());
             }
-            PopWait::Batch => {}
         }
-        out.batches += 1;
-        out.max_batch = out.max_batch.max(batch.len());
         changed.clear();
         let mut pending = batch.drain(..);
-        while let Some(cmd) = pending.next() {
-            let halt: Halt = match apply_command(
+        let mut applied = pending.by_ref().try_for_each(|cmd| {
+            apply_command(
                 cmd,
                 &mut *scheduler,
                 &mut out,
@@ -842,91 +905,63 @@ fn run_core_inner(
                 faults,
                 &mut wal,
                 &mut changed,
+                &mut held,
                 track_live,
                 &mut live_events,
                 &mut shard,
                 &mut live,
                 &mut committed,
-            ) {
-                Ok(()) => continue,
-                Err(h) => h,
-            };
-            // Crash path — planned fault or broken WAL. Stop applying
-            // commands and close the queue so sessions stop submitting,
-            // then unwind everything still in flight (the dying command's
-            // reply, this batch's remainder, and the backlog) so no
-            // session hangs on an unfilled reply cell.
-            out.crashed = true;
-            let dying_reply = match halt {
-                Halt::PlannedCrash(r) => r,
-                Halt::WalBroken(err, r) => {
-                    out.wal_error = Some(err);
-                    r
-                }
-            };
-            queue.close();
-            if let Some(reply) = dying_reply {
-                reply.fill(Decision::Aborted(AbortReason::Injected));
-            }
-            let rest: Vec<Command> = pending.by_ref().collect();
-            drain_after_crash(rest, queue, batch_max);
-            progress.bump();
-            break 'serve;
-        }
-        // Group commit: one durability barrier per drained batch for the
-        // deferred fsync policies. A failed barrier fail-stops like any
-        // other WAL error (there is no command to unwind — its effects
-        // were acknowledged under a deferred policy, which is exactly the
-        // bounded loss window that policy buys throughput with).
-        if let Some(w) = wal.as_mut() {
-            if let Err(e) = w.batch_end() {
-                out.crashed = true;
-                out.wal_error = Some(e.to_string());
-                queue.close();
-                drain_after_crash(Vec::new(), queue, batch_max);
-                progress.bump();
-                break 'serve;
-            }
-        }
-        // Checkpoint: the batch boundary is a core-order point, so the
-        // snapshot below is exactly the state the replayed log would have
-        // here. Retired transactions are purged first — their arcs can no
-        // longer matter, which is what keeps the snapshot (and therefore
-        // every segment) bounded by live state.
-        if track_live {
+            )
+        });
+        // Group commit: one write and one durability barrier for the
+        // whole batch, *before* any of its acknowledgments is released.
+        if applied.is_ok() {
             if let Some(w) = wal.as_mut() {
-                if w.checkpoint_due() {
-                    live_events.retain(|e| !scheduler.retired(event_txn(e)));
-                    // Session entries ride in the checkpoint so the
-                    // retry table survives segment rotation; filtered to
-                    // this shard's committed set, which is exactly the
-                    // filter recovery re-applies when rebuilding it.
-                    let sessions = shard
-                        .as_ref()
-                        .and_then(|s| s.ctx.sessions)
-                        .map(|t| {
-                            let mut snap = t.snapshot();
-                            snap.retain(|e| committed.contains(&e.txn));
-                            snap
-                        })
-                        .unwrap_or_default();
-                    let cp = Checkpoint {
-                        shard: shard.as_ref().map_or(0, |s| s.ctx.shard),
-                        committed: out.committed.clone(),
-                        events: live_events.clone(),
-                        sessions,
-                    };
-                    if let Err(e) = w.install_checkpoint(cp) {
-                        out.crashed = true;
-                        out.wal_error = Some(e.to_string());
-                        queue.close();
-                        drain_after_crash(Vec::new(), queue, batch_max);
-                        progress.bump();
-                        break 'serve;
-                    }
-                    out.checkpoints += 1;
-                }
+                applied = w.batch_end().map_err(|e| Halt::WalBroken(e.to_string()));
             }
+        }
+        let sessions = shard.as_ref().and_then(|s| s.ctx.sessions);
+        if applied.is_ok() {
+            acked_commits = out.committed.len();
+            acked_stamps = out.commit_stamps.len();
+            held.release(sessions);
+            // Checkpoint: the batch boundary is a core-order point, so
+            // the snapshot is exactly the state the replayed log would
+            // have here.
+            if track_live && wal.as_ref().is_some_and(|w| w.checkpoint_due()) {
+                let cp = snapshot(
+                    &*scheduler,
+                    &out,
+                    &mut live_events,
+                    shard.as_ref(),
+                    &committed,
+                );
+                applied = wal
+                    .as_mut()
+                    .expect("a checkpointing log")
+                    .install_checkpoint(cp)
+                    .map_err(|e| Halt::WalBroken(e.to_string()));
+                out.checkpoints += u64::from(applied.is_ok());
+            }
+        }
+        if let Err(halt) = applied {
+            // Crash path — planned fault or broken WAL. Nothing of this
+            // batch was acknowledged: cut its commits, unwind its held
+            // replies, close the queue so sessions stop submitting, and
+            // unwind everything still in flight (this batch's remainder
+            // and the backlog) so no session hangs on an unfilled cell.
+            out.crashed = true;
+            if let Halt::WalBroken(err) = halt {
+                out.wal_error = Some(err);
+            }
+            out.commits -= (out.committed.len() - acked_commits) as u64;
+            out.committed.truncate(acked_commits);
+            out.commit_stamps.truncate(acked_stamps);
+            queue.close();
+            held.unwind();
+            drain_after_crash(pending.collect(), queue, batch_max);
+            progress.bump();
+            break;
         }
         // One bump per batch, not per command: waking blocked sessions is
         // only useful after the batch's state changes are all applied.
@@ -950,17 +985,58 @@ fn run_core_inner(
     out
 }
 
+/// The live-state snapshot a due checkpoint installs. Retired
+/// transactions are purged from the event stream first — their arcs can
+/// no longer matter, which is what keeps the snapshot (and therefore
+/// every segment) bounded by live state. A shard core keeps the events of
+/// its **committed** transactions all the same: sharded recovery demotes
+/// a committed transaction whose complete op set is missing from the
+/// shard logs to `partial`, so pruning them would turn a rotation into
+/// acknowledged-commit loss at the final merge (the same rule the
+/// supervisor applies to the head checkpoint of a resumed log).
+fn snapshot(
+    scheduler: &(dyn Scheduler + Send + '_),
+    out: &CoreOutput,
+    live_events: &mut Vec<CheckpointEvent>,
+    shard: Option<&ShardState<'_>>,
+    committed: &HashSet<TxnId>,
+) -> Checkpoint {
+    live_events.retain(|e| {
+        let txn = event_txn(e);
+        (shard.is_some() && committed.contains(&txn)) || !scheduler.retired(txn)
+    });
+    // Session entries ride in the checkpoint so the retry table survives
+    // segment rotation; filtered to this shard's committed set, which is
+    // exactly the filter recovery re-applies when rebuilding it.
+    let sessions = shard
+        .and_then(|s| s.ctx.sessions)
+        .map(|t| {
+            let mut snap = t.snapshot();
+            snap.retain(|e| committed.contains(&e.txn));
+            snap
+        })
+        .unwrap_or_default();
+    Checkpoint {
+        shard: shard.map_or(0, |s| s.ctx.shard),
+        committed: out.committed.clone(),
+        events: live_events.clone(),
+        sessions,
+    }
+}
+
 /// The transaction a checkpoint event concerns.
-fn event_txn(e: &CheckpointEvent) -> TxnId {
+pub(crate) fn event_txn(e: &CheckpointEvent) -> TxnId {
     match e {
         CheckpointEvent::Begin(t) | CheckpointEvent::Commit(t) => *t,
         CheckpointEvent::Grant(op) => op.txn,
     }
 }
 
-/// Applies one command inside [`run_core_durable`]'s batch loop.
+/// Applies one command inside [`run_core_durable`]'s batch loop. Every
+/// acknowledgment goes into `held`, never straight to its receiver: the
+/// caller releases the batch's acks after its durability barrier.
 /// `Err(halt)` means the core must crash without acknowledging the
-/// command. Separated out so the WAL-before-apply ordering is auditable
+/// batch. Separated out so the WAL-before-apply ordering is auditable
 /// per command kind.
 #[allow(clippy::too_many_arguments)]
 fn apply_command(
@@ -973,20 +1049,22 @@ fn apply_command(
     faults: &FaultPlan,
     wal: &mut Option<&mut (dyn CommitLog + '_)>,
     changed: &mut Vec<TxnId>,
+    held: &mut HeldAcks,
     track_live: bool,
     live_events: &mut Vec<CheckpointEvent>,
     shard: &mut Option<ShardState<'_>>,
-    live: &mut HashSet<TxnId>,
+    live: &mut HashMap<TxnId, u32>,
     committed: &mut HashSet<TxnId>,
 ) -> Result<(), Halt> {
     if faults.crash_at_command == Some(out.commands) {
-        let reply = match cmd {
-            Command::Request { reply, .. }
-            | Command::Admit { reply, .. }
-            | Command::CommitAck { reply, .. } => Some(reply),
-            _ => None,
-        };
-        return Err(Halt::PlannedCrash(reply));
+        if let Command::Request { reply, .. }
+        | Command::Admit { reply, .. }
+        | Command::CommitAck { reply, .. } = cmd
+        {
+            held.replies
+                .push((reply, Decision::Aborted(AbortReason::Injected)));
+        }
+        return Err(Halt::PlannedCrash);
     }
     let mut wal_append = |rec: WalRecord| -> Result<(), String> {
         match wal.as_mut() {
@@ -1002,16 +1080,16 @@ fn apply_command(
             // racing orphan cleanup) is a no-op: beginning it again
             // would double-register it with the scheduler. The retrying
             // client's next operation gets a typed verdict instead.
-            if committed.contains(&txn) || live.contains(&txn) {
+            if committed.contains(&txn) || live.contains_key(&txn) {
                 out.retired_refusals += 1;
                 return Ok(());
             }
             if let Err(e) = wal_append(WalRecord::Begin(txn)) {
                 out.commands -= 1;
-                return Err(Halt::WalBroken(e, None));
+                return Err(Halt::WalBroken(e));
             }
             scheduler.begin(txn);
-            live.insert(txn);
+            live.insert(txn, 0);
             if track_live {
                 live_events.push(CheckpointEvent::Begin(txn));
             }
@@ -1032,11 +1110,15 @@ fn apply_command(
             // scheduler — granting it would resurrect purged state. The
             // typed `Retired` verdict tells the client to restart (or,
             // if it was mid-retry of a commit, to re-send the commit).
-            if committed.contains(&op.txn) || !live.contains(&op.txn) {
-                out.retired_refusals += 1;
-                reply.fill(Decision::Aborted(AbortReason::Retired));
-                return Ok(());
-            }
+            let granted = match live.get(&op.txn) {
+                Some(&granted) if !committed.contains(&op.txn) => granted,
+                _ => {
+                    out.retired_refusals += 1;
+                    held.replies
+                        .push((reply, Decision::Aborted(AbortReason::Retired)));
+                    return Ok(());
+                }
+            };
             if faults.drop_replies.contains(&request_index) {
                 // Injected reply loss: the cell is dropped unfilled — the
                 // submitter's watchdog turns the silence into `ReplyLost`.
@@ -1055,7 +1137,9 @@ fn apply_command(
                 if let Err(e) = wal_append(WalRecord::Abort(op.txn)) {
                     out.commands -= 1;
                     *requests_seen -= 1;
-                    return Err(Halt::WalBroken(e, Some(reply)));
+                    held.replies
+                        .push((reply, Decision::Aborted(AbortReason::Injected)));
+                    return Err(Halt::WalBroken(e));
                 }
                 out.injected_aborts += 1;
                 scheduler.abort(op.txn);
@@ -1069,7 +1153,19 @@ fn apply_command(
                 if record_trace {
                     out.trace.push(TraceEvent::Abort(op.txn));
                 }
-                reply.fill(Decision::Aborted(AbortReason::Injected));
+                held.replies
+                    .push((reply, Decision::Aborted(AbortReason::Injected)));
+                return Ok(());
+            }
+            // Exactly-once for operations: a request for an operation this
+            // incarnation was already granted (a client resending after a
+            // lost response) gets the original verdict back. Asking the
+            // scheduler again would log the grant twice, and recovery
+            // refuses to certify a committed transaction whose op set
+            // does not match its program.
+            if op.index < granted {
+                out.duplicate_grants += 1;
+                held.replies.push((reply, Decision::Granted));
                 return Ok(());
             }
             out.queue_wait.record(enqueued.elapsed().as_nanos() as u64);
@@ -1090,12 +1186,15 @@ fn apply_command(
             if let Err(e) = wal_res {
                 out.commands -= 1;
                 *requests_seen -= 1;
-                return Err(Halt::WalBroken(e, Some(reply)));
+                held.replies
+                    .push((reply, Decision::Aborted(AbortReason::Injected)));
+                return Err(Halt::WalBroken(e));
             }
             match &decision {
                 Decision::Granted => {
                     out.grants += 1;
                     out.log.push(op);
+                    live.insert(op.txn, op.index + 1);
                     if let Some(s) = shard.as_ref() {
                         out.seq_log
                             .push((s.ctx.seq.fetch_add(1, Ordering::SeqCst), op));
@@ -1129,7 +1228,7 @@ fn apply_command(
             if record_trace {
                 out.trace.push(TraceEvent::Decision(op, decision.clone()));
             }
-            reply.fill(decision);
+            held.replies.push((reply, decision));
         }
         Command::Commit(txn) => {
             // Idempotence / supremacy: a duplicate commit is a no-op, a
@@ -1138,7 +1237,7 @@ fn apply_command(
             if committed.contains(&txn) {
                 return Ok(());
             }
-            if !live.contains(&txn) {
+            if !live.contains_key(&txn) {
                 out.retired_refusals += 1;
                 return Ok(());
             }
@@ -1147,7 +1246,7 @@ fn apply_command(
             // never be lost, an unlogged one is never acknowledged.
             if let Err(e) = wal_append(WalRecord::Commit(txn)) {
                 out.commands -= 1;
-                return Err(Halt::WalBroken(e, None));
+                return Err(Halt::WalBroken(e));
             }
             scheduler.commit(txn);
             out.commits += 1;
@@ -1175,22 +1274,21 @@ fn apply_command(
                 // transaction re-sends the original verdict. The session
                 // table is refreshed so the connection fast-path catches
                 // the next retry without reaching the core at all.
-                if let (Some((sess, req)), Some(s)) = (session, shard.as_ref()) {
-                    if let Some(table) = s.ctx.sessions {
-                        table.record(sess, req, txn);
-                    }
+                if let Some((sess, req)) = session {
+                    held.sessions.push((sess, req, txn));
                 }
                 out.duplicate_commit_acks += 1;
-                reply.fill(Decision::Granted);
+                held.replies.push((reply, Decision::Granted));
                 return Ok(());
             }
-            if !live.contains(&txn) {
+            if !live.contains_key(&txn) {
                 // The incarnation was rolled back (crash recovery or
                 // orphan cleanup) — its grants are gone, so committing
                 // now would acknowledge a hole. `Retired` tells the
                 // client to restart the transaction from its begin.
                 out.retired_refusals += 1;
-                reply.fill(Decision::Aborted(AbortReason::Retired));
+                held.replies
+                    .push((reply, Decision::Aborted(AbortReason::Retired)));
                 return Ok(());
             }
             // Same WAL-before-ack discipline as `Commit`, with the
@@ -1211,7 +1309,9 @@ fn apply_command(
             };
             if let Err(e) = wal_append(rec) {
                 out.commands -= 1;
-                return Err(Halt::WalBroken(e, Some(reply)));
+                held.replies
+                    .push((reply, Decision::Aborted(AbortReason::Injected)));
+                return Err(Halt::WalBroken(e));
             }
             scheduler.commit(txn);
             out.commits += 1;
@@ -1227,10 +1327,8 @@ fn apply_command(
                     s.ctx.epochs[s.ctx.shard as usize].fetch_add(1, Ordering::SeqCst);
                 }
             }
-            if let (Some((sess, req)), Some(s)) = (session, shard.as_ref()) {
-                if let Some(table) = s.ctx.sessions {
-                    table.record(sess, req, txn);
-                }
+            if let Some((sess, req)) = session {
+                held.sessions.push((sess, req, txn));
             }
             if track_live {
                 live_events.push(CheckpointEvent::Commit(txn));
@@ -1243,7 +1341,7 @@ fn apply_command(
             if record_trace {
                 out.trace.push(TraceEvent::Commit(txn));
             }
-            reply.fill(Decision::Granted);
+            held.replies.push((reply, Decision::Granted));
         }
         Command::Abort(txn) => {
             // A stale abort of a committed transaction (orphan cleanup
@@ -1254,12 +1352,12 @@ fn apply_command(
                 out.retired_refusals += 1;
                 return Ok(());
             }
-            if !live.contains(&txn) {
+            if !live.contains_key(&txn) {
                 return Ok(());
             }
             if let Err(e) = wal_append(WalRecord::Abort(txn)) {
                 out.commands -= 1;
-                return Err(Halt::WalBroken(e, None));
+                return Err(Halt::WalBroken(e));
             }
             scheduler.abort(txn);
             live.remove(&txn);
@@ -1293,7 +1391,8 @@ fn apply_command(
                         granted: false,
                     });
                 }
-                reply.fill(Decision::Aborted(AbortReason::Injected));
+                held.replies
+                    .push((reply, Decision::Aborted(AbortReason::Injected)));
                 return Ok(());
             }
             // WAL-before-ack, exactly like a Begin: this shard's grant of
@@ -1301,10 +1400,12 @@ fn apply_command(
             if let Err(e) = wal_append(WalRecord::Begin(txn)) {
                 out.commands -= 1;
                 *admits_seen -= 1;
-                return Err(Halt::WalBroken(e, Some(reply)));
+                held.replies
+                    .push((reply, Decision::Aborted(AbortReason::Injected)));
+                return Err(Halt::WalBroken(e));
             }
             scheduler.begin(txn);
-            live.insert(txn);
+            live.insert(txn, 0);
             if let Some(s) = shard.as_mut() {
                 s.clock.observe(&exchange);
             }
@@ -1315,19 +1416,19 @@ fn apply_command(
             if record_trace {
                 out.trace.push(TraceEvent::Admit { txn, granted: true });
             }
-            reply.fill(Decision::Granted);
+            held.replies.push((reply, Decision::Granted));
         }
         Command::CommitAt { txn, stamp } => {
             if committed.contains(&txn) {
                 return Ok(());
             }
-            if !live.contains(&txn) {
+            if !live.contains_key(&txn) {
                 out.retired_refusals += 1;
                 return Ok(());
             }
             if let Err(e) = wal_append(WalRecord::CommitAt { txn, stamp }) {
                 out.commands -= 1;
-                return Err(Halt::WalBroken(e, None));
+                return Err(Halt::WalBroken(e));
             }
             scheduler.commit(txn);
             out.commits += 1;
@@ -1355,7 +1456,7 @@ fn apply_command(
                 out.retired_refusals += 1;
                 return Ok(());
             }
-            if !live.contains(&txn) {
+            if !live.contains_key(&txn) {
                 return Ok(());
             }
             // WAL-before-apply like any abort: the unwind must be durable
@@ -1363,7 +1464,7 @@ fn apply_command(
             // crash here would recover a half-admitted transaction.
             if let Err(e) = wal_append(WalRecord::Abort(txn)) {
                 out.commands -= 1;
-                return Err(Halt::WalBroken(e, None));
+                return Err(Halt::WalBroken(e));
             }
             scheduler.abort(txn);
             live.remove(&txn);
@@ -1423,6 +1524,65 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         r.fill(Decision::Granted);
         assert_eq!(h.join().unwrap(), Ok(Decision::Granted));
+    }
+
+    /// A resent request for an already-granted operation (the client lost
+    /// the response) is answered `Granted` again, but granted, logged and
+    /// counted once: the log stays a schedule recovery can certify.
+    #[test]
+    fn duplicate_request_is_acknowledged_again_but_granted_once() {
+        use relser_core::spec::AtomicitySpec;
+        use relser_core::txn::TxnSet;
+        use relser_protocols::rsg_sgt::RsgSgt;
+        use relser_wal::{scan, MemStorage, WalWriter};
+
+        let txns = TxnSet::parse(&["r1[x] w1[x]"]).unwrap();
+        let spec = AtomicitySpec::absolute(&txns);
+        let t = TxnId(0);
+        let queue: BoundedQueue<Command> = BoundedQueue::new(8);
+        let mut replies = Vec::new();
+        let mut request = |index| {
+            let reply = Reply::new();
+            replies.push(reply.clone());
+            Command::Request {
+                op: OpId { txn: t, index },
+                enqueued: Instant::now(),
+                reply,
+            }
+        };
+        let commands = [
+            Command::Begin(t),
+            request(0),
+            request(0),
+            request(1),
+            Command::Commit(t),
+        ];
+        for cmd in commands {
+            assert!(queue.push_wait(cmd).is_ok());
+        }
+        queue.close();
+        let (mem, handle) = MemStorage::new();
+        let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+        let out = run_core_durable(
+            Box::new(RsgSgt::new(&txns, &spec)),
+            &queue,
+            &Progress::new(),
+            8,
+            false,
+            &FaultPlan::default(),
+            Some(&mut wal),
+        );
+        for reply in &replies {
+            assert_eq!(reply.try_take(), Some(Decision::Granted));
+        }
+        assert_eq!((out.grants, out.duplicate_grants), (2, 1));
+        assert_eq!(out.log.len(), 2, "each operation is in the log once");
+        let grants = scan(&handle.bytes())
+            .records
+            .iter()
+            .filter(|r| matches!(r, WalRecord::Grant(_)))
+            .count();
+        assert_eq!(grants, 2, "and in the write-ahead log once");
     }
 
     #[test]

@@ -286,6 +286,7 @@ pub fn serve_sharded_report<'a>(
                             epochs,
                             sessions: None,
                             recovered_committed: Vec::new(),
+                            recovered_events: Vec::new(),
                         },
                     )
                 }));

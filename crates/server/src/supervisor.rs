@@ -28,11 +28,11 @@
 //! retry or stale abort can never contradict an acknowledged commit.
 
 use crate::core::{
-    drain_after_crash, run_core_sharded, Command, CoreOutput, FaultPlan, Progress, ShardCoreCtx,
-    TraceEvent,
+    drain_after_crash, event_txn, run_core_sharded, Command, CoreOutput, FaultPlan, Progress,
+    ShardCoreCtx, TraceEvent,
 };
 use crate::queue::BoundedQueue;
-use crate::recovery::{recover_segments_with_certifier, Certifier, Recovery};
+use crate::recovery::{recover_segments_with_certifier, Certifier};
 use relser_core::ids::TxnId;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
@@ -41,7 +41,7 @@ use relser_wal::{
     Checkpoint, CheckpointEvent, CheckpointPolicy, FsyncPolicy, MemSegmentsHandle, SegmentedWal,
     SessionEntry,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -219,13 +219,14 @@ pub struct SupervisedRun {
 /// of every committed transaction (so a future recovery rebuilds their
 /// complete op sets — sharded merge demotes a committed transaction
 /// whose ops went missing), and the rebuilt client-session retry table.
-/// Returns the resumed log plus the recovery.
+/// Returns the resumed log plus that head: it is exactly the state the
+/// next incarnation starts from.
 fn recover_and_resume(
     scheduler: &mut dyn Scheduler,
     store: &MemSegmentsHandle,
     shard: u32,
     cfg: &SupervisorCfg<'_>,
-) -> Result<(SegmentedWal, Recovery), ()> {
+) -> Result<(SegmentedWal, Checkpoint), ()> {
     let segments = store.segments();
     let (_, rec) =
         recover_segments_with_certifier(cfg.txns, cfg.spec, scheduler, &segments, cfg.certifier)
@@ -236,27 +237,26 @@ fn recover_and_resume(
     // when its complete op set is missing from the shard logs, so
     // pruning retired commits here would turn a resume into
     // acknowledged-commit loss at the final merge.
-    let keep: Vec<TxnId> = rec.committed.clone();
+    // An incarnation the log later aborted is not part of that stream —
+    // a transaction that restarted before it committed contributes its
+    // committing incarnation only.
     let mut events: Vec<CheckpointEvent> = Vec::new();
     for ev in &rec.trace {
         match ev {
-            TraceEvent::Begin(t) if keep.contains(t) => {
-                events.push(CheckpointEvent::Begin(*t));
-            }
-            TraceEvent::Decision(op, Decision::Granted) if keep.contains(&op.txn) => {
-                events.push(CheckpointEvent::Grant(*op));
-            }
-            TraceEvent::Commit(t) if keep.contains(t) => {
-                events.push(CheckpointEvent::Commit(*t));
-            }
+            TraceEvent::Begin(t) => events.push(CheckpointEvent::Begin(*t)),
+            TraceEvent::Decision(op, Decision::Granted) => events.push(CheckpointEvent::Grant(*op)),
+            TraceEvent::Commit(t) => events.push(CheckpointEvent::Commit(*t)),
+            TraceEvent::Abort(t) => events.retain(|e| event_txn(e) != *t),
             _ => {}
         }
     }
+    let keep: HashSet<TxnId> = rec.committed.iter().copied().collect();
+    events.retain(|e| keep.contains(&event_txn(e)));
     let head = Checkpoint {
         shard,
-        committed: rec.committed.clone(),
+        committed: rec.committed,
         events,
-        sessions: rec.sessions.clone(),
+        sessions: rec.sessions,
     };
     let prior: Vec<u64> = segments.iter().map(|&(s, _)| s).collect();
     let next_seq = prior.iter().copied().max().map_or(0, |s| s + 1);
@@ -264,12 +264,12 @@ fn recover_and_resume(
         Box::new(store.store()),
         cfg.fsync,
         cfg.ckpt,
-        head,
+        head.clone(),
         next_seq,
         &prior,
     )
     .map_err(|_| ())?;
-    Ok((wal, rec))
+    Ok((wal, head))
 }
 
 /// Runs one shard core under the supervisor's restart loop. Returns when
@@ -308,7 +308,7 @@ where
     let mut restarts: u64 = 0;
     let mut panics: u64 = 0;
     let mut scheduler = make_scheduler();
-    let mut recovered_committed: Vec<TxnId> = Vec::new();
+    let mut recovered = Checkpoint::default();
     let mut wal = if store.segments().is_empty() {
         // A fresh log still opens with a checkpoint head, and that head
         // must carry *this* shard's id — sharded recovery refuses a
@@ -324,9 +324,9 @@ where
         // acknowledged commits (and the retry table) survive a whole-
         // service restart, then resume logging where it left off.
         match recover_and_resume(&mut *scheduler, store, shard, cfg) {
-            Ok((w, rec)) => {
-                sessions.seed(&rec.sessions);
-                recovered_committed = rec.committed;
+            Ok((w, head)) => {
+                sessions.seed(&head.sessions);
+                recovered = head;
                 w
             }
             Err(()) => {
@@ -355,7 +355,8 @@ where
             seq,
             epochs,
             sessions: Some(sessions),
-            recovered_committed: std::mem::take(&mut recovered_committed),
+            recovered_committed: std::mem::take(&mut recovered.committed),
+            recovered_events: std::mem::take(&mut recovered.events),
         };
         let result = catch_unwind(AssertUnwindSafe(|| {
             run_core_sharded(
@@ -424,10 +425,10 @@ where
         // scheduler. A recovery failure is terminal — the log itself is
         // inconsistent, and restarting cannot fix that.
         let mut fresh = make_scheduler();
-        let rec = match recover_and_resume(&mut *fresh, store, shard, cfg) {
-            Ok((w, rec)) => {
+        recovered = match recover_and_resume(&mut *fresh, store, shard, cfg) {
+            Ok((w, head)) => {
                 wal = w;
-                rec
+                head
             }
             Err(()) => {
                 health.set(STATUS_FAILED);
@@ -439,9 +440,8 @@ where
                 };
             }
         };
-        sessions.seed(&rec.sessions);
+        sessions.seed(&recovered.sessions);
         scheduler = fresh;
-        recovered_committed = rec.committed;
         restarts += 1;
         health.restarts.fetch_add(1, Ordering::Relaxed);
         // Ready: readmit traffic. Producers fenced on the closed queue

@@ -126,6 +126,8 @@ fn reopen_truncates_the_torn_tail_before_resuming() {
     let mut wal = WalWriter::resume(Box::new(storage), FsyncPolicy::Always);
     wal.append(&WalRecord::Begin(TxnId(1))).unwrap();
     wal.append(&WalRecord::Abort(TxnId(1))).unwrap();
+    // Outside the core the caller ends the batch: one write, one barrier.
+    wal.batch_end().unwrap();
 
     // Every record — old and new — must scan back cleanly.
     let reread = std::fs::read(&path).unwrap();

@@ -3,10 +3,10 @@
 //! ([`crate::WalWriter`]) or a checkpointed, segment-compacting one
 //! ([`crate::SegmentedWal`]).
 //!
-//! The core drives the log with exactly five verbs — append a record
-//! (WAL-before-ack), end a batch (group-commit barrier), tick while idle
-//! (deferred-policy flush), close cleanly, read counters — plus the
-//! checkpoint protocol: the *log* decides when a checkpoint is due
+//! The core drives the log with exactly four verbs — append a record
+//! (buffered, WAL-before-ack), end a batch (one write + the policy's
+//! barrier; acknowledgments are released only after it), close cleanly,
+//! read counters — plus the checkpoint protocol: the *log* decides when a checkpoint is due
 //! (`checkpoint_due`), the *core* supplies the state snapshot
 //! (`install_checkpoint`), because only the core knows its live state and
 //! only the log knows its segment sizes.
@@ -17,18 +17,23 @@ use std::io;
 
 /// A durable commit log, from the admission core's point of view.
 pub trait CommitLog: Send {
-    /// Appends one record under the log's fsync policy; on `Ok` under
-    /// [`FsyncPolicy::Always`] the record is durable. Any error means the
+    /// Adds one record to the current batch. The record is **not**
+    /// durable — not even written — when this returns, under any policy:
+    /// the caller must hold the acknowledgment it stands for until
+    /// [`CommitLog::batch_end`] has returned `Ok`. Any error means the
     /// caller must fail-stop.
     fn append(&mut self, rec: &WalRecord) -> io::Result<()>;
 
-    /// Group-commit barrier, once per drained queue batch.
+    /// Ends the batch: one storage write of everything appended since the
+    /// last call, then the policy's durability barrier (under
+    /// [`FsyncPolicy::Always`]: one barrier whenever anything is unsynced,
+    /// so on `Ok` every appended record is durable and its acknowledgment
+    /// may be released). Called once per drained queue batch, and again
+    /// while the queue is idle so an `Interval` policy cannot strand
+    /// written records unsynced forever; an empty batch costs nothing.
+    /// Any error means the batch may not be durable: fail-stop without
+    /// acknowledging it.
     fn batch_end(&mut self) -> io::Result<()>;
-
-    /// Deferred-policy flush opportunity, called while the queue is idle
-    /// so an `Interval` policy cannot strand acknowledged records in the
-    /// unsynced window forever.
-    fn maybe_sync(&mut self) -> io::Result<()>;
 
     /// Clean shutdown: a final durability barrier.
     fn close(&mut self) -> io::Result<()>;
@@ -74,10 +79,6 @@ impl CommitLog for WalWriter {
 
     fn batch_end(&mut self) -> io::Result<()> {
         WalWriter::batch_end(self)
-    }
-
-    fn maybe_sync(&mut self) -> io::Result<()> {
-        WalWriter::maybe_sync(self)
     }
 
     fn close(&mut self) -> io::Result<()> {

@@ -13,9 +13,9 @@
 //!   CRC-32-checksummed frame format;
 //! * [`storage`] — the [`Storage`] trait plus the real-file and
 //!   in-memory backends (the model checker adds a fault-injecting one);
-//! * [`writer`] — [`WalWriter`]: appends frames under a configurable
-//!   [`FsyncPolicy`] with group-commit batching aligned to the core's
-//!   queue batches;
+//! * [`writer`] — [`WalWriter`]: buffers a batch of frames and writes
+//!   and syncs it once, under a configurable [`FsyncPolicy`], at the
+//!   core's queue-batch boundaries (group commit);
 //! * [`reader`] — [`scan`]: the torn-write-tolerant scanner that
 //!   recovers the longest valid record prefix from arbitrary bytes;
 //! * [`commit_log`] — the [`CommitLog`] trait the admission core drives,
@@ -29,14 +29,23 @@
 //! stays a pure log so it can be hammered byte-level by the storage
 //! fault injector in `relser-check`.
 //!
-//! ## Durability contract
+//! ## Durability contract: ack-after-barrier
 //!
-//! Under [`FsyncPolicy::Always`] every record is durable before the core
-//! acknowledges the command that produced it, so a crash at *any* point
-//! loses no acknowledged commit. Deferred policies (`EveryN`,
-//! `Interval`, `Never`) trade a bounded window of recent acknowledgments
-//! for throughput; the scanner's truncate-at-first-damage rule keeps the
-//! recovered prefix consistent in every case.
+//! [`CommitLog::append`] only adds a record to the writer's current
+//! batch; [`CommitLog::batch_end`] hands the whole batch to [`Storage`]
+//! in **one** `append` and — under [`FsyncPolicy::Always`], whenever
+//! anything is unsynced — issues **one** [`Storage::sync`]. The contract
+//! of `Always` is therefore *no acknowledgment leaves the core before a
+//! barrier that covers its record*, not *one barrier per record*: the
+//! admission core holds every reply (and every other externally visible
+//! acknowledgment) of a drained queue batch until `batch_end` returns,
+//! and unwinds them un-acknowledged if it fails. A crash at *any* point
+//! loses no acknowledged commit, and a batch of b commands costs one
+//! write and one barrier instead of b of each. Deferred policies
+//! (`EveryN`, `Interval`, `Never`) go through the same hold-then-release
+//! loop with a conditional barrier, trading a bounded window of recent
+//! acknowledgments for throughput; the scanner's truncate-at-first-damage
+//! rule keeps the recovered prefix consistent in every case.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,7 +10,8 @@
 //!
 //! The rotation order is what makes crashes safe at every point:
 //!
-//! 1. force-sync the current segment (its acknowledged tail is durable);
+//! 1. end the current segment's batch with a forced sync (its
+//!    acknowledged tail is durable);
 //! 2. create segment `seq+1`, write header + checkpoint, **force sync**;
 //! 3. only now delete segments `< seq+1`.
 //!
@@ -20,7 +21,7 @@
 //! exactly the new segment, whose checkpoint is durable by step 2.
 
 use crate::commit_log::CommitLog;
-use crate::record::{Checkpoint, WalRecord};
+use crate::record::{Checkpoint, WalRecord, FRAME_OVERHEAD, MAX_PAYLOAD};
 use crate::storage::{FileStorage, MemHandle, MemStorage, Storage};
 use crate::writer::{FsyncPolicy, WalStats, WalWriter};
 use std::collections::BTreeMap;
@@ -341,10 +342,10 @@ impl SegmentedWal {
         }
     }
 
-    /// Rotates to a fresh segment headed by `cp`, then deletes every
-    /// older segment. See the module docs for why this order is safe at
-    /// every crash point.
-    fn rotate(&mut self, cp: Checkpoint) -> io::Result<()> {
+    /// Rotates to a fresh segment headed by the checkpoint record `head`,
+    /// then deletes every older segment. See the module docs for why this
+    /// order is safe at every crash point.
+    fn rotate(&mut self, head: &WalRecord) -> io::Result<()> {
         self.check_broken()?;
         // 1. Seal the outgoing segment: its acknowledged tail is durable.
         self.writer.sync()?;
@@ -354,7 +355,7 @@ impl SegmentedWal {
         let result = (|| -> io::Result<WalWriter> {
             let storage = self.store.create(new_seq)?;
             let mut w = WalWriter::new(storage, self.policy)?;
-            w.append(&WalRecord::Checkpoint(cp))?;
+            w.append(head)?;
             w.sync()?;
             Ok(w)
         })();
@@ -370,6 +371,7 @@ impl SegmentedWal {
         self.sealed.records += old_stats.records;
         self.sealed.bytes += old_stats.bytes;
         self.sealed.syncs += old_stats.syncs;
+        self.sealed.appends += old_stats.appends;
         self.sealed_sync_ns.append(&mut old.take_sync_ns());
         self.seq = new_seq;
         // 3. The checkpoint is durable: everything before it is garbage.
@@ -403,11 +405,6 @@ impl CommitLog for SegmentedWal {
         self.writer.batch_end()
     }
 
-    fn maybe_sync(&mut self) -> io::Result<()> {
-        self.check_broken()?;
-        self.writer.maybe_sync()
-    }
-
     fn close(&mut self) -> io::Result<()> {
         self.check_broken()?;
         self.writer.close()
@@ -419,6 +416,7 @@ impl CommitLog for SegmentedWal {
             records: self.sealed.records + cur.records,
             bytes: self.sealed.bytes + cur.bytes,
             syncs: self.sealed.syncs + cur.syncs,
+            appends: self.sealed.appends + cur.appends,
         }
     }
 
@@ -443,7 +441,17 @@ impl CommitLog for SegmentedWal {
     }
 
     fn install_checkpoint(&mut self, cp: Checkpoint) -> io::Result<()> {
-        self.rotate(cp)
+        // A snapshot too large to frame cannot head a segment. Skip the
+        // rotation — the log keeps its whole history, which is correct,
+        // just not compacted — and restart the cadence so the core does
+        // not rebuild the same oversized snapshot after every batch.
+        let head = WalRecord::Checkpoint(cp);
+        if head.frame_len() - FRAME_OVERHEAD > MAX_PAYLOAD as usize {
+            self.since_records = 0;
+            self.since_bytes = 0;
+            return Ok(());
+        }
+        self.rotate(&head)
     }
 }
 
@@ -526,6 +534,33 @@ mod tests {
         wal.install_checkpoint(Checkpoint::default()).unwrap();
         assert!(!wal.checkpoint_due(), "rotation resets the suffix counters");
         assert_eq!(wal.segment_stats().checkpoints, 1);
+    }
+
+    #[test]
+    fn unframeable_checkpoint_skips_the_rotation_and_restarts_the_cadence() {
+        let (mut wal, handle) = seg(CheckpointPolicy {
+            every_records: 1,
+            every_bytes: u64::MAX,
+        });
+        wal.append(&WalRecord::Begin(TxnId(0))).unwrap();
+        wal.batch_end().unwrap();
+        assert!(wal.checkpoint_due());
+        wal.install_checkpoint(Checkpoint {
+            committed: (0..=(MAX_PAYLOAD / 4)).map(TxnId).collect(),
+            ..Checkpoint::default()
+        })
+        .unwrap();
+        assert!(!wal.checkpoint_due(), "cadence restarted");
+        assert_eq!(wal.segment_stats().checkpoints, 0, "no rotation happened");
+        wal.append(&WalRecord::Commit(TxnId(0))).unwrap();
+        wal.close().unwrap();
+        let segs = handle.synced_segments();
+        assert_eq!(segs.len(), 1);
+        assert_eq!(
+            scan(&segs[0].1).records.len(),
+            3,
+            "the log kept its history"
+        );
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Log storage backends.
 //!
 //! The writer talks to storage through the [`Storage`] trait — one
-//! `append` call per encoded record frame plus explicit `sync` barriers —
-//! so the same [`crate::WalWriter`] runs against a real file
+//! `append` call per batch of encoded record frames plus explicit `sync`
+//! barriers — so the same [`crate::WalWriter`] runs against a real file
 //! ([`FileStorage`]), an in-memory buffer ([`MemStorage`], used by tests
 //! and the crash-point sweep), or a fault-injecting shim (the model
-//! checker's `FaultFs`). The per-record granularity is what makes
-//! crash-at-record-k fault plans exact.
+//! checker's `FaultFs`, which fails or tears the k-th batch write or the
+//! k-th barrier).
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -18,7 +18,8 @@ use std::sync::{Arc, Mutex};
 // size; an `is_empty` would have no caller and no meaning here.
 #[allow(clippy::len_without_is_empty)]
 pub trait Storage: Send {
-    /// Appends `bytes` (one record frame, or the file header) to the log.
+    /// Appends `bytes` (one batch of record frames, or the file header) to
+    /// the log.
     /// An error means the bytes must be assumed lost; the writer treats
     /// the log as broken from this point on.
     fn append(&mut self, bytes: &[u8]) -> io::Result<()>;

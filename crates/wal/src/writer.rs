@@ -1,14 +1,25 @@
 //! The append side: [`WalWriter`] frames records onto a [`Storage`]
 //! backend under a configurable [`FsyncPolicy`].
 //!
-//! Group commit falls out of the admission core's existing batching: the
-//! core calls [`WalWriter::append`] per state-changing command and
-//! [`WalWriter::batch_end`] once per drained queue batch, so deferred
-//! policies (`EveryN`, `Interval`) amortize one durability barrier over a
-//! whole batch of commits — the classic group-commit trade of latency for
-//! throughput. `Always` syncs inside `append`, *before* the core
-//! acknowledges the command, which is what makes "zero acknowledged
-//! commits lost" provable in the crash-point sweep.
+//! The writer's contract is **ack-after-barrier**, not barrier-per-record.
+//! [`WalWriter::append`] only encodes the record into the writer's batch
+//! buffer — it touches no storage and makes nothing durable.
+//! [`WalWriter::batch_end`] hands the buffered frames to [`Storage`] in
+//! **one** `append` and then issues the policy's durability barrier: under
+//! `Always` one [`Storage::sync`] whenever anything is unsynced, under the
+//! deferred policies (`EveryN`, `Interval`) only once their threshold is
+//! due, under `Never` none. The admission core calls `append` per
+//! state-changing command and `batch_end` once per drained queue batch,
+//! holding every acknowledgment of the batch until `batch_end` returns —
+//! classic group commit: a batch of b commands costs one write and one
+//! barrier instead of b of each, and under `Always` no acknowledgment
+//! ever leaves the core before a barrier that covers its record, which is
+//! what makes "zero acknowledged commits lost" provable in the
+//! crash-point sweep.
+//!
+//! Callers outside the core that want a record on storage must end the
+//! batch themselves: [`WalWriter::batch_end`] (policy barrier),
+//! [`WalWriter::sync`] or [`WalWriter::close`] (forced barrier).
 
 use crate::record::{WalRecord, MAGIC};
 use crate::storage::Storage;
@@ -16,16 +27,18 @@ use std::io;
 use std::time::{Duration, Instant};
 
 /// When the writer issues a durability barrier ([`Storage::sync`]).
+/// Every policy is checked at batch boundaries ([`WalWriter::batch_end`])
+/// only — never inside [`WalWriter::append`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Sync after every record, before the record is acknowledged. No
-    /// acknowledged work is ever lost; slowest.
+    /// One barrier per batch that appended anything, issued before any
+    /// acknowledgment of that batch is released. No acknowledged work is
+    /// ever lost.
     Always,
     /// Sync once at least `n` records have accumulated since the last
-    /// barrier (checked per append and at batch boundaries).
+    /// barrier.
     EveryN(u64),
-    /// Sync when at least this long has passed since the last barrier
-    /// (checked at batch boundaries — aligned with group commit).
+    /// Sync when at least this long has passed since the last barrier.
     Interval(Duration),
     /// Never sync mid-run; only a clean [`WalWriter::close`] syncs. A
     /// crash may lose everything since the start of the run.
@@ -41,13 +54,18 @@ pub struct WalStats {
     pub bytes: u64,
     /// Durability barriers issued.
     pub syncs: u64,
+    /// [`Storage::append`] calls issued (the file header plus one per
+    /// non-empty batch).
+    pub appends: u64,
 }
 
 /// Frames [`WalRecord`]s onto a storage backend; see the module docs.
 pub struct WalWriter {
     storage: Box<dyn Storage>,
     policy: FsyncPolicy,
-    scratch: Vec<u8>,
+    /// The current batch's encoded frames, not yet handed to storage.
+    batch: Vec<u8>,
+    /// Records appended since the last barrier (buffered or written).
     unsynced: u64,
     last_sync: Instant,
     stats: WalStats,
@@ -60,20 +78,9 @@ impl WalWriter {
     /// [`FsyncPolicy::Always`], makes it durable immediately).
     pub fn new(mut storage: Box<dyn Storage>, policy: FsyncPolicy) -> io::Result<WalWriter> {
         storage.append(MAGIC)?;
-        let mut w = WalWriter {
-            storage,
-            policy,
-            scratch: Vec::with_capacity(64),
-            unsynced: 0,
-            last_sync: Instant::now(),
-            stats: WalStats {
-                records: 0,
-                bytes: MAGIC.len() as u64,
-                syncs: 0,
-            },
-            sync_ns: Vec::new(),
-            broken: false,
-        };
+        let mut w = WalWriter::resume(storage, policy);
+        w.stats.bytes = MAGIC.len() as u64;
+        w.stats.appends = 1;
         if policy == FsyncPolicy::Always {
             w.sync_now()?;
         }
@@ -89,13 +96,12 @@ impl WalWriter {
         WalWriter {
             storage,
             policy,
-            scratch: Vec::with_capacity(64),
+            batch: Vec::with_capacity(4096),
             unsynced: 0,
             last_sync: Instant::now(),
             stats: WalStats {
-                records: 0,
                 bytes,
-                syncs: 0,
+                ..WalStats::default()
             },
             sync_ns: Vec::new(),
             broken: false,
@@ -107,60 +113,44 @@ impl WalWriter {
         self.policy
     }
 
-    /// Appends one record and applies the per-record policy. On `Ok`
-    /// under [`FsyncPolicy::Always`], the record is durable.
+    /// Encodes one record into the current batch. Nothing reaches storage
+    /// and nothing is durable until the batch ends ([`WalWriter::batch_end`],
+    /// [`WalWriter::sync`] or [`WalWriter::close`]) — under every policy.
+    ///
+    /// An unencodable record is a logic error upstream, but the log itself
+    /// is still intact: nothing was buffered, and the record is refused
+    /// without poisoning the writer.
+    pub fn append(&mut self, rec: &WalRecord) -> io::Result<()> {
+        self.check_broken()?;
+        let before = self.batch.len();
+        rec.encode_into(&mut self.batch)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        self.stats.records += 1;
+        self.stats.bytes += (self.batch.len() - before) as u64;
+        self.unsynced += 1;
+        Ok(())
+    }
+
+    /// Ends the batch: hands the buffered frames to storage in one
+    /// [`Storage::append`], then issues one barrier if the policy says one
+    /// is due. A batch that appended nothing (and owes no deferred
+    /// barrier) costs nothing. On `Ok` under [`FsyncPolicy::Always`],
+    /// every record appended so far is durable.
+    ///
+    /// The admission core calls this once per drained queue batch *and*
+    /// on its idle tick, so an `Interval` policy cannot strand written
+    /// records unsynced while the queue sits empty.
     ///
     /// Any error marks the writer broken: the log tail is in an unknown
     /// state, so the caller must fail-stop (crash the core) and let
     /// recovery truncate at the damage.
-    pub fn append(&mut self, rec: &WalRecord) -> io::Result<()> {
-        self.check_broken()?;
-        self.scratch.clear();
-        if let Err(e) = rec.encode_into(&mut self.scratch) {
-            // An unencodable record is a logic error upstream, but the log
-            // itself is still intact: nothing was appended. Refuse the
-            // record without poisoning the writer.
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, e));
-        }
-        if let Err(e) = self.storage.append(&self.scratch) {
-            self.broken = true;
-            return Err(e);
-        }
-        self.stats.records += 1;
-        self.stats.bytes += self.scratch.len() as u64;
-        self.unsynced += 1;
-        match self.policy {
-            FsyncPolicy::Always => self.sync_now(),
-            FsyncPolicy::EveryN(n) => {
-                if self.unsynced >= n.max(1) {
-                    self.sync_now()
-                } else {
-                    Ok(())
-                }
-            }
-            FsyncPolicy::Interval(_) | FsyncPolicy::Never => Ok(()),
-        }
-    }
-
-    /// Group-commit barrier, called once per drained queue batch. A no-op
-    /// unless the policy's deferred threshold is due.
     pub fn batch_end(&mut self) -> io::Result<()> {
-        self.maybe_sync()
-    }
-
-    /// Syncs if the policy's deferred threshold is due; otherwise a no-op.
-    ///
-    /// Called from batch boundaries *and* from the core's idle tick: an
-    /// `Interval` policy whose due-check only ran after a drained batch
-    /// would never sync while the queue sits idle, leaving acknowledged
-    /// records in the unsynced window indefinitely. The idle tick closes
-    /// that hole.
-    pub fn maybe_sync(&mut self) -> io::Result<()> {
-        self.check_broken()?;
+        self.flush()?;
         let due = match self.policy {
-            FsyncPolicy::Always | FsyncPolicy::Never => false,
+            FsyncPolicy::Always => self.unsynced > 0,
             FsyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
             FsyncPolicy::Interval(d) => self.unsynced > 0 && self.last_sync.elapsed() >= d,
+            FsyncPolicy::Never => false,
         };
         if due {
             self.sync_now()?;
@@ -168,25 +158,21 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Forced durability barrier, regardless of policy. Segment rotation
-    /// uses this: a checkpoint must be durable before the segments it
-    /// replaces may be deleted.
+    /// Ends the batch with a forced durability barrier, regardless of
+    /// policy. Segment rotation uses this: a checkpoint must be durable
+    /// before the segments it replaces may be deleted.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.check_broken()?;
+        self.flush()?;
         if self.unsynced > 0 || self.stats.syncs == 0 {
             self.sync_now()?;
         }
         Ok(())
     }
 
-    /// Clean shutdown: a final durability barrier regardless of policy.
-    /// (A crash is modelled by *not* calling this.)
+    /// Clean shutdown: a final forced barrier. (A crash is modelled by
+    /// *not* calling this.)
     pub fn close(&mut self) -> io::Result<()> {
-        self.check_broken()?;
-        if self.unsynced > 0 || self.stats.syncs == 0 {
-            self.sync_now()?;
-        }
-        Ok(())
+        self.sync()
     }
 
     /// Append-side counters so far.
@@ -207,6 +193,21 @@ impl WalWriter {
         } else {
             Ok(())
         }
+    }
+
+    /// Hands the buffered batch to storage in one append.
+    fn flush(&mut self) -> io::Result<()> {
+        self.check_broken()?;
+        if self.batch.is_empty() {
+            return Ok(());
+        }
+        let written = self.storage.append(&self.batch);
+        self.batch.clear();
+        self.stats.appends += 1;
+        if written.is_err() {
+            self.broken = true;
+        }
+        written
     }
 
     fn sync_now(&mut self) -> io::Result<()> {
@@ -238,18 +239,62 @@ mod tests {
     use relser_core::ids::TxnId;
 
     #[test]
-    fn always_policy_syncs_every_record() {
+    fn always_policy_pays_one_write_and_one_barrier_per_batch() {
         let (mem, handle) = MemStorage::new();
         let mut w = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
-        w.append(&WalRecord::Begin(TxnId(0))).unwrap();
-        w.append(&WalRecord::Commit(TxnId(0))).unwrap();
-        assert_eq!(w.stats().records, 2);
-        assert_eq!(w.stats().syncs, 3, "header + one per record");
+        let after_header = w.stats();
+        assert_eq!((after_header.syncs, after_header.appends), (1, 1));
+        for t in 0..5 {
+            w.append(&WalRecord::Begin(TxnId(t))).unwrap();
+        }
+        w.batch_end().unwrap();
+        let s = w.stats();
+        assert_eq!(s.records, 5);
+        assert_eq!(s.syncs - after_header.syncs, 1, "one barrier per batch");
+        assert_eq!(s.appends - after_header.appends, 1, "one storage append");
+        assert_eq!(s.bytes as usize, handle.bytes().len());
         assert_eq!(
             handle.synced_len(),
             handle.bytes().len(),
-            "everything appended is durable"
+            "everything appended is durable once the batch ended"
         );
+    }
+
+    #[test]
+    fn append_alone_reaches_neither_storage_nor_durability() {
+        let (mem, handle) = MemStorage::new();
+        let mut w = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+        let header = handle.bytes().len();
+        w.append(&WalRecord::Begin(TxnId(0))).unwrap();
+        w.append(&WalRecord::Commit(TxnId(0))).unwrap();
+        assert_eq!(w.unsynced, 2, "appended records await their barrier");
+        assert_eq!(handle.bytes().len(), header, "frames are still buffered");
+        assert_eq!(w.stats().syncs, 1, "only the header barrier so far");
+    }
+
+    #[test]
+    fn empty_batch_costs_nothing() {
+        let (mem, _handle) = MemStorage::new();
+        let mut w = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+        let before = w.stats();
+        w.batch_end().unwrap();
+        w.batch_end().unwrap();
+        assert_eq!(w.stats(), before, "no append, no barrier");
+    }
+
+    #[test]
+    fn close_and_sync_force_a_barrier_under_every_policy() {
+        for policy in [FsyncPolicy::Always, FsyncPolicy::Never] {
+            let (mem, handle) = MemStorage::new();
+            let mut w = WalWriter::new(Box::new(mem), policy).unwrap();
+            w.append(&WalRecord::Begin(TxnId(0))).unwrap();
+            w.sync().unwrap();
+            assert_eq!(handle.synced_len(), handle.bytes().len(), "{policy:?}");
+            w.append(&WalRecord::Commit(TxnId(0))).unwrap();
+            w.close().unwrap();
+            assert_eq!(handle.synced_len(), handle.bytes().len(), "{policy:?}");
+            assert_eq!(crate::scan(&handle.synced_bytes()).records.len(), 2);
+        }
     }
 
     #[test]
@@ -258,8 +303,15 @@ mod tests {
         let mut w = WalWriter::new(Box::new(mem), FsyncPolicy::EveryN(3)).unwrap();
         w.append(&WalRecord::Begin(TxnId(0))).unwrap();
         w.append(&WalRecord::Begin(TxnId(1))).unwrap();
+        w.batch_end().unwrap();
         assert_eq!(handle.synced_len(), 0, "below threshold: nothing durable");
         w.append(&WalRecord::Begin(TxnId(2))).unwrap();
+        assert_eq!(
+            handle.synced_len(),
+            0,
+            "the threshold is checked at batch end"
+        );
+        w.batch_end().unwrap();
         assert_eq!(handle.synced_len(), handle.bytes().len(), "threshold hit");
     }
 
@@ -275,13 +327,21 @@ mod tests {
     }
 
     #[test]
-    fn interval_policy_syncs_on_idle_tick_without_a_batch() {
+    fn interval_policy_syncs_on_an_idle_batch_end_once_due() {
         let (mem, handle) = MemStorage::new();
-        let mut w = WalWriter::new(Box::new(mem), FsyncPolicy::Interval(Duration::ZERO)).unwrap();
+        let mut w = WalWriter::new(
+            Box::new(mem),
+            FsyncPolicy::Interval(Duration::from_millis(5)),
+        )
+        .unwrap();
         w.append(&WalRecord::Begin(TxnId(0))).unwrap();
-        assert_eq!(handle.synced_len(), 0, "append alone defers");
-        // No batch boundary — the idle tick alone must flush a due interval.
-        w.maybe_sync().unwrap();
+        w.batch_end().unwrap();
+        assert_eq!(handle.synced_len(), 0, "written, interval not yet due");
+        assert!(handle.bytes().len() > MAGIC.len(), "the batch was written");
+        std::thread::sleep(Duration::from_millis(6));
+        // No new records — the core's idle tick alone must flush a due
+        // interval.
+        w.batch_end().unwrap();
         assert_eq!(handle.synced_len(), handle.bytes().len());
     }
 
@@ -296,6 +356,7 @@ mod tests {
         mem2.append(&before).unwrap();
         let mut w2 = WalWriter::resume(Box::new(mem2), FsyncPolicy::Always);
         w2.append(&WalRecord::Commit(TxnId(0))).unwrap();
+        w2.batch_end().unwrap();
         let bytes = handle2.bytes();
         let scan = crate::scan(&bytes);
         assert_eq!(scan.truncation, None);
@@ -306,12 +367,28 @@ mod tests {
     }
 
     #[test]
-    fn interval_policy_syncs_at_batch_end_once_due() {
-        let (mem, handle) = MemStorage::new();
-        let mut w = WalWriter::new(Box::new(mem), FsyncPolicy::Interval(Duration::ZERO)).unwrap();
+    fn failed_write_poisons_the_writer() {
+        struct FailingAppend(u32);
+        impl Storage for FailingAppend {
+            fn append(&mut self, _: &[u8]) -> io::Result<()> {
+                self.0 += 1;
+                if self.0 > 1 {
+                    return Err(io::Error::other("disk gone"));
+                }
+                Ok(())
+            }
+            fn sync(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+            fn len(&self) -> u64 {
+                0
+            }
+        }
+        let mut w = WalWriter::new(Box::new(FailingAppend(0)), FsyncPolicy::Always).unwrap();
         w.append(&WalRecord::Begin(TxnId(0))).unwrap();
-        assert_eq!(handle.synced_len(), 0, "interval checks only at batch end");
-        w.batch_end().unwrap();
-        assert_eq!(handle.synced_len(), handle.bytes().len());
+        assert!(w.batch_end().is_err());
+        assert!(w.is_broken());
+        assert!(w.append(&WalRecord::Begin(TxnId(1))).is_err());
+        assert!(w.sync().is_err(), "a broken log refuses every later verb");
     }
 }

@@ -35,7 +35,8 @@ fn main() {
         sc.txns.total_ops()
     );
 
-    // Phase 1: a durable run against a real file, fsync-per-record.
+    // Phase 1: a durable run against a real file: one write and one fsync
+    // per drained batch, every ack released only after its batch's fsync.
     let path = std::env::temp_dir().join(format!("relser_wal_demo_{}.wal", std::process::id()));
     let storage = FileStorage::create(&path).expect("create log file");
     let mut wal = WalWriter::new(Box::new(storage), FsyncPolicy::Always).expect("write log header");
@@ -56,10 +57,11 @@ fn main() {
     );
     assert_eq!(report.outcome, RunOutcome::Completed);
     println!(
-        "durable run: {} commits, wal: {} records / {} bytes / {} fsyncs -> {}",
+        "durable run: {} commits, wal: {} records / {} bytes / {} writes / {} fsyncs -> {}",
         report.committed.len(),
         report.metrics.wal.records,
         report.metrics.wal.bytes,
+        report.metrics.wal.appends,
         report.metrics.wal.syncs,
         path.display()
     );

@@ -180,6 +180,7 @@ fn wal_log_scans_and_recovers() {
         }
         wal.append(&WalRecord::Commit(TxnId(t))).unwrap();
     }
+    wal.batch_end().unwrap();
     let bytes = handle.bytes();
     let scanned = scan(&bytes);
     assert_eq!(scanned.records.len(), 8, "2 x (begin + 2 grants + commit)");
