@@ -17,12 +17,12 @@ use relser_bench::harness::{git_commit, BenchmarkId, Harness};
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_net::{
-    drive, drive_resilient, serve_net, serve_net_supervised, ChaosPlan, LoadConfig, NetConfig,
+    drive, drive_resilient, serve_net, serve_net_supervised_in, ChaosPlan, LoadConfig, NetConfig,
     NetReport, ResilientConfig, ResilientStats, SuperviseNetConfig, SupervisedNetReport,
 };
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_server::core::FaultPlan;
-use relser_wal::{FsyncPolicy, MemStorage, WalWriter};
+use relser_wal::{FsyncPolicy, MemSegmentStore, MemSegmentsHandle, MemStorage, WalWriter};
 use relser_workload::banking::{banking, BankingConfig};
 use relser_workload::random::random_spec;
 use relser_workload::stream::RequestStream;
@@ -121,16 +121,19 @@ fn run_supervised(
         streams: STREAMS,
         ..ResilientConfig::default()
     };
-    let (report, stats) = serve_net_supervised(
+    let stores: Vec<MemSegmentsHandle> =
+        (0..sup.shards).map(|_| MemSegmentStore::new().1).collect();
+    let (report, stats) = serve_net_supervised_in(
         txns,
         spec,
         |_| Box::new(RsgSgt::new(txns, spec)),
         cfg,
         &sup,
         faults,
+        &stores,
         |addr| drive_resilient(addr, txns, &stream, &rcfg, &ChaosPlan::quiet()),
     )
-    .expect("serve_net_supervised");
+    .expect("serve_net_supervised_in");
     assert_eq!(
         stats.committed.len(),
         txns.len(),

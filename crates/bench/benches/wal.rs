@@ -4,7 +4,7 @@
 //! Run with `cargo bench -p relser-bench --bench wal`. Two questions:
 //!
 //! * what does durability cost the service? — the banking workload runs
-//!   through `serve_durable` once per [`FsyncPolicy`] (plus a no-WAL
+//!   through `serve` once per [`FsyncPolicy`] (plus a no-WAL
 //!   baseline), all on in-memory storage so the numbers isolate the
 //!   framing/checksum/barrier work from disk variance; next to each
 //!   overhead ratio the barriers and storage writes per record one run
@@ -26,10 +26,8 @@ use relser_core::op::AccessMode;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
-use relser_server::recovery::{recover, recover_segments, recover_with_certifier, Certifier};
-use relser_server::{
-    serve_durable, serve_report, FaultPlan, RunOutcome, ServeReport, ServerConfig,
-};
+use relser_server::recovery::{recover, recover_segments_with_certifier, Certifier};
+use relser_server::{serve, FaultPlan, RunOutcome, ServeReport, ServerConfig};
 use relser_wal::{
     Checkpoint, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemStorage,
     SegmentedWal, WalRecord, WalWriter,
@@ -74,13 +72,13 @@ fn durable_run(sc: &BankingScenario, cfg: &ServerConfig, policy: FsyncPolicy) ->
     let mut wal = WalWriter::new(Box::new(mem), policy).unwrap();
     let stream = RequestStream::shuffled(&sc.txns, ARRIVAL_SEED);
     let scheduler = RsgSgt::new(&sc.txns, &sc.spec);
-    let report = serve_durable(
+    let report = serve(
         &sc.txns,
         &stream,
         Box::new(scheduler),
         cfg,
         &FaultPlan::default(),
-        &mut wal,
+        Some(&mut wal),
     );
     assert_eq!(report.outcome, RunOutcome::Completed);
     report
@@ -96,12 +94,13 @@ fn bench_policies(h: &mut Harness, sc: &BankingScenario) {
         b.iter(|| {
             let stream = RequestStream::shuffled(&sc.txns, ARRIVAL_SEED);
             let scheduler = RsgSgt::new(&sc.txns, &sc.spec);
-            let report = serve_report(
+            let report = serve(
                 &sc.txns,
                 &stream,
                 Box::new(scheduler),
                 &cfg,
                 &FaultPlan::default(),
+                None,
             );
             assert_eq!(report.outcome, RunOutcome::Completed);
             black_box(report.committed.len())
@@ -212,7 +211,7 @@ fn bench_recovery(h: &mut Harness) {
         group.bench_with_input(BenchmarkId::new("records", records), records, |b, _| {
             b.iter(|| {
                 let mut fresh = RsgSgt::new(txns, spec);
-                let rec = recover(txns, spec, &mut fresh, bytes).unwrap();
+                let rec = recover(txns, spec, &mut fresh, bytes, Certifier::VClock).unwrap();
                 assert_eq!(rec.records, *records);
                 black_box(rec.committed.len())
             })
@@ -282,8 +281,7 @@ fn bench_recovery_certifiers(h: &mut Harness) {
             group.bench_with_input(BenchmarkId::new(name, ops), ops, |b, _| {
                 b.iter(|| {
                     let mut fresh = RsgSgt::new(txns, spec);
-                    let rec =
-                        recover_with_certifier(txns, spec, &mut fresh, bytes, certifier).unwrap();
+                    let rec = recover(txns, spec, &mut fresh, bytes, certifier).unwrap();
                     assert_eq!(rec.committed.len(), CERTIFIER_K);
                     black_box(rec.history.len())
                 })
@@ -326,7 +324,14 @@ fn bench_recovery_checkpointed(h: &mut Harness) {
             |b, _| {
                 b.iter(|| {
                     let mut fresh = RsgSgt::new(txns, spec);
-                    let (_, rec) = recover_segments(txns, spec, &mut fresh, segments).unwrap();
+                    let (_, rec) = recover_segments_with_certifier(
+                        txns,
+                        spec,
+                        &mut fresh,
+                        segments,
+                        Certifier::VClock,
+                    )
+                    .unwrap();
                     assert!(rec.replayed as u64 <= CHECKPOINT_EVERY + OPS_PER_TXN as u64 + 2);
                     black_box(rec.committed.len())
                 })

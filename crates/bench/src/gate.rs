@@ -28,8 +28,9 @@ use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgtOracle;
 use relser_protocols::Scheduler;
-use relser_server::{serve_sharded, ServerConfig};
+use relser_server::{serve_sharded, RunOutcome, ServerConfig};
 use relser_workload::random::random_spec;
+use relser_workload::stream::RequestStream;
 use relser_workload::zipf::Zipf;
 
 /// Zipf workload shape shared by the server bench and the gate. These
@@ -97,9 +98,15 @@ pub fn shards_ns_per_decision(
         seed: arrival_seed,
         ..ServerConfig::default()
     };
-    let run = serve_sharded(txns, shard_schedulers(txns, spec, shards), &cfg)
-        .expect("sharded serve completes");
-    run.report.metrics.decision.mean_ns
+    let stream = RequestStream::shuffled(txns, cfg.seed);
+    let schedulers = shard_schedulers(txns, spec, shards);
+    let report = serve_sharded(txns, &stream, schedulers, &cfg, &[], Vec::new());
+    assert_eq!(
+        report.outcome,
+        RunOutcome::Completed,
+        "sharded serve completes"
+    );
+    report.metrics.decision.mean_ns
 }
 
 /// Reads one `"key": "value"` meta row out of a harness-written JSON

@@ -25,7 +25,7 @@ use crate::oracle::{check_execution, Divergence, ExecutionRecord};
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::SchedulerKind;
-use relser_server::{serve_report, FaultPlan, OverloadPolicy, RunOutcome, ServerConfig};
+use relser_server::{serve, FaultPlan, OverloadPolicy, RunOutcome, ServerConfig};
 use relser_workload::stream::RequestStream;
 use std::time::Duration;
 
@@ -165,7 +165,14 @@ fn run_one(
     report: &mut FaultSweepReport,
 ) {
     let stream = RequestStream::shuffled(txns, server_cfg.seed);
-    let run = serve_report(txns, &stream, kind.make(txns, spec), server_cfg, faults);
+    let run = serve(
+        txns,
+        &stream,
+        kind.make(txns, spec),
+        server_cfg,
+        faults,
+        None,
+    );
     report.runs += 1;
     match run.outcome {
         RunOutcome::Completed => {}

@@ -21,9 +21,7 @@ use relser_core::ids::TxnId;
 use relser_core::shard::ArcExchange;
 use relser_protocols::{Decision, Scheduler};
 use relser_server::core::{Command, CoreOutput, Progress, Reply};
-use relser_server::{
-    run_core_durable, run_core_sharded, BoundedQueue, FaultPlan, ShardCoreCtx, TraceEvent,
-};
+use relser_server::{run_core, BoundedQueue, CoreCfg, FaultPlan, ShardCoreCtx, TraceEvent};
 use relser_wal::CommitLog;
 use std::time::Instant;
 
@@ -44,8 +42,8 @@ pub struct PreloadedRun {
 /// Re-drives `trace` through a fresh core from a pre-loaded, closed
 /// queue; see the module docs. `stamps` supplies the global commit
 /// stamps of a shard core's trace (the `k`-th commit event takes the
-/// `k`-th entry; empty for an unsharded run), and `shard` selects
-/// [`run_core_sharded`] over [`run_core_durable`].
+/// `k`-th entry; empty for an unsharded run), and `shard` is handed to
+/// [`run_core`] as is.
 pub fn redrive_preloaded(
     scheduler: Box<dyn Scheduler + Send + '_>,
     trace: &[TraceEvent],
@@ -93,28 +91,18 @@ pub fn redrive_preloaded(
         assert!(queue.push_wait(cmd).is_ok(), "queue sized for the trace");
     }
     queue.close();
-    let progress = Progress::new();
-    let out = match shard {
-        Some(ctx) => run_core_sharded(
-            scheduler,
-            &queue,
-            &progress,
-            PRELOAD_BATCH_MAX,
-            true,
-            faults,
-            Some(wal),
-            ctx,
-        ),
-        None => run_core_durable(
-            scheduler,
-            &queue,
-            &progress,
-            PRELOAD_BATCH_MAX,
-            true,
-            faults,
-            Some(wal),
-        ),
-    };
+    let out = run_core(
+        scheduler,
+        &queue,
+        &Progress::new(),
+        CoreCfg {
+            batch_max: PRELOAD_BATCH_MAX,
+            record_trace: true,
+        },
+        faults,
+        Some(wal),
+        shard,
+    );
     let acked = commit_replies
         .into_iter()
         .filter(|(_, reply)| reply.try_take() == Some(Decision::Granted))
@@ -128,8 +116,8 @@ mod tests {
     use super::*;
     use relser_core::paper::Figure1;
     use relser_protocols::SchedulerKind;
-    use relser_server::recovery::recover;
-    use relser_server::{serve_durable, RunOutcome, ServerConfig};
+    use relser_server::recovery::{recover, Certifier};
+    use relser_server::{serve, RunOutcome, ServerConfig};
     use relser_wal::{FsyncPolicy, MemStorage, WalWriter};
     use relser_workload::stream::RequestStream;
 
@@ -142,13 +130,13 @@ mod tests {
             seed: 1,
             ..ServerConfig::default()
         };
-        let run = serve_durable(
+        let run = serve(
             &fig.txns,
             &RequestStream::shuffled(&fig.txns, cfg.seed),
             SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec),
             &cfg,
             &FaultPlan::default(),
-            &mut wal,
+            Some(&mut wal),
         );
         assert_eq!(run.outcome, RunOutcome::Completed);
         (run.trace, run.committed)
@@ -180,7 +168,14 @@ mod tests {
         assert!(redrive.out.wal.appends <= redrive.out.batches + 1);
         assert!(redrive.out.wal.syncs <= redrive.out.batches + 1);
         let mut fresh = SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec);
-        let rec = recover(&fig.txns, &fig.spec, &mut *fresh, &handle.synced_bytes()).unwrap();
+        let rec = recover(
+            &fig.txns,
+            &fig.spec,
+            &mut *fresh,
+            &handle.synced_bytes(),
+            Certifier::VClock,
+        )
+        .unwrap();
         assert_eq!(rec.committed, committed);
     }
 
@@ -221,7 +216,14 @@ mod tests {
         assert_eq!(redrive.acked, vec![], "the batch's commit was never acked");
         assert_eq!(redrive.out.committed, vec![]);
         let mut fresh = SchedulerKind::RsgSgt.make(&txns, &spec);
-        let rec = recover(&txns, &spec, &mut *fresh, &handle.bytes()).unwrap();
+        let rec = recover(
+            &txns,
+            &spec,
+            &mut *fresh,
+            &handle.bytes(),
+            Certifier::VClock,
+        )
+        .unwrap();
         assert_eq!(rec.committed, vec![], "and never reached storage");
     }
 }

@@ -14,9 +14,9 @@
 //!    range, crashes land before, between, and after the grants of the
 //!    two-phase window.
 //! 2. **Recovery** — every run (crashed or clean) is recovered from its
-//!    per-shard synced logs via
-//!    [`recover_sharded`](relser_server::recover_sharded), which applies
-//!    the all-owners commit rule and re-certifies the merged history.
+//!    per-shard synced logs (each a one-segment stream) via
+//!    [`recover_sharded_segments_with_certifier`], which applies the
+//!    all-owners commit rule and re-certifies the merged history.
 //! 3. **Pre-loaded re-drive** — live sessions hand a core mostly one
 //!    command at a time, so a live crash almost never lands inside a
 //!    multi-command batch. Every faultless cell's per-shard traces are
@@ -36,7 +36,7 @@
 //! partial = ∅, committed op sets complete in the merged history, no
 //! partial op present) plus the Theorem 1 oracle re-run *whole* over the
 //! merged committed history — independently of the certification
-//! `recover_sharded` already performs internally.
+//! sharded recovery already performs internally.
 
 use crate::preload::redrive_preloaded;
 use relser_core::ids::TxnId;
@@ -47,8 +47,8 @@ use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::Scheduler;
 use relser_server::{
-    recover_sharded, serve_sharded_report, FaultPlan, RunOutcome, ServerConfig, ShardCoreCtx,
-    ShardedRecovery, ShardedReport,
+    recover_sharded_segments_with_certifier, serve_sharded, Certifier, FaultPlan, RunOutcome,
+    ServerConfig, ShardCoreCtx, ShardedRecovery, ShardedReport,
 };
 use relser_wal::{CommitLog, FsyncPolicy, MemHandle, MemStorage, WalWriter};
 use relser_workload::stream::RequestStream;
@@ -121,7 +121,7 @@ pub struct ShardSweepReport {
     /// Acknowledged commits a full-log recovery lost (must be 0).
     pub lost_commits: u64,
     /// Recoveries that errored — including an internal certification
-    /// failure inside `recover_sharded` (must be 0).
+    /// failure inside sharded recovery (must be 0).
     pub failed_recoveries: u64,
     /// Transactions violating the no-half-admitted invariant: committed
     /// with an incomplete op set, a partial transaction's op in the
@@ -169,7 +169,7 @@ pub fn shard_admit_sweep(
                 };
                 let stream = RequestStream::shuffled(txns, seed);
                 let (mut wals, handles) = shard_wals(cfg.shards);
-                let run = serve_sharded_report(
+                let run = serve_sharded(
                     txns,
                     &stream,
                     shard_schedulers(txns, spec, cfg.shards),
@@ -314,11 +314,13 @@ fn try_recover(
     report: &mut ShardSweepReport,
 ) -> Option<ShardedRecovery> {
     report.recoveries += 1;
-    match recover_sharded(
+    let streams: Vec<Vec<(u64, Vec<u8>)>> = logs.iter().map(|b| vec![(0, b.clone())]).collect();
+    match recover_sharded_segments_with_certifier(
         txns,
         spec,
         |_| Box::new(RsgSgt::new(txns, spec)) as Box<dyn Scheduler + '_>,
-        logs,
+        &streams,
+        Certifier::VClock,
     ) {
         Ok(rec) => Some(rec),
         Err(_) => {

@@ -38,10 +38,8 @@ use relser_core::ids::TxnId;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::SchedulerKind;
-use relser_server::recovery::{recover, recover_segments, Recovery};
-use relser_server::{
-    serve_durable, serve_durable_log, FaultPlan, RunOutcome, ServeReport, ServerConfig,
-};
+use relser_server::recovery::{recover, recover_segments_with_certifier, Certifier, Recovery};
+use relser_server::{serve, FaultPlan, RunOutcome, ServeReport, ServerConfig};
 use relser_wal::{
     CheckpointPolicy, FsyncPolicy, MemSegmentStore, MemStorage, SegmentedWal, Storage, WalWriter,
 };
@@ -437,13 +435,13 @@ pub fn checkpoint_crash_sweep(
             let mut wal = SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt_policy)
                 .expect("MemSegmentStore never fails");
             let stream = RequestStream::shuffled(txns, seed);
-            let run = serve_durable_log(
+            let run = serve(
                 txns,
                 &stream,
                 kind.make(txns, spec),
                 &server_cfg,
                 &FaultPlan::default(),
-                &mut wal,
+                Some(&mut wal),
             );
             if run.outcome != RunOutcome::Completed {
                 continue;
@@ -533,13 +531,13 @@ pub fn checkpoint_crash_sweep(
                         (redrive.acked, redrive.out.checkpoints)
                     } else {
                         let stream = RequestStream::shuffled(txns, seed);
-                        let crashed = serve_durable_log(
+                        let crashed = serve(
                             txns,
                             &stream,
                             kind.make(txns, spec),
                             &server_cfg,
                             &faults,
-                            &mut wal,
+                            Some(&mut wal),
                         );
                         (crashed.committed, crashed.checkpoints)
                     };
@@ -568,7 +566,7 @@ fn try_recover_segments(
     report: &mut CrashSweepReport,
 ) -> Option<(u64, Recovery)> {
     let mut fresh = kind.make(txns, spec);
-    match recover_segments(txns, spec, &mut *fresh, segments) {
+    match recover_segments_with_certifier(txns, spec, &mut *fresh, segments, Certifier::VClock) {
         Ok(out) => Some(out),
         Err(_) => {
             report.failed_recoveries += 1;
@@ -609,13 +607,13 @@ fn serve_one(
     wal: &mut WalWriter,
 ) -> ServeReport {
     let stream = RequestStream::shuffled(txns, server_cfg.seed);
-    serve_durable(
+    serve(
         txns,
         &stream,
         kind.make(txns, spec),
         server_cfg,
         &FaultPlan::default(),
-        wal,
+        Some(wal),
     )
 }
 
@@ -628,7 +626,7 @@ fn try_recover(
     report: &mut CrashSweepReport,
 ) -> Option<Recovery> {
     let mut fresh = kind.make(txns, spec);
-    match recover(txns, spec, &mut *fresh, bytes) {
+    match recover(txns, spec, &mut *fresh, bytes, Certifier::VClock) {
         Ok(rec) => Some(rec),
         Err(_) => {
             report.failed_recoveries += 1;

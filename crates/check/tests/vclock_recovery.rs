@@ -17,12 +17,10 @@ use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{Scheduler, SchedulerKind};
 use relser_server::recovery::{
-    recover_segments_with_certifier, recover_sharded_with_certifier, recover_with_certifier,
-    Certifier, Recovery, RecoveryError,
+    recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
+    Recovery, RecoveryError,
 };
-use relser_server::{
-    serve_durable, serve_durable_log, serve_sharded_report, FaultPlan, RunOutcome, ServerConfig,
-};
+use relser_server::{serve, serve_sharded, FaultPlan, RunOutcome, ServerConfig};
 use relser_wal::{
     CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemStorage, SegmentedWal, WalWriter,
 };
@@ -42,8 +40,8 @@ fn recover_both(
     let mut a = RsgSgt::new(txns, spec);
     let mut b = RsgSgt::new(txns, spec);
     (
-        recover_with_certifier(txns, spec, &mut a, bytes, Certifier::VClock),
-        recover_with_certifier(txns, spec, &mut b, bytes, Certifier::Theorem1Rsg),
+        recover(txns, spec, &mut a, bytes, Certifier::VClock),
+        recover(txns, spec, &mut b, bytes, Certifier::Theorem1Rsg),
     )
 }
 
@@ -64,7 +62,14 @@ fn wal_bytes(
         ..ServerConfig::default()
     };
     let stream = RequestStream::shuffled(txns, seed);
-    serve_durable(txns, &stream, kind.make(txns, spec), &cfg, faults, &mut wal);
+    serve(
+        txns,
+        &stream,
+        kind.make(txns, spec),
+        &cfg,
+        faults,
+        Some(&mut wal),
+    );
     handle.bytes()
 }
 
@@ -142,13 +147,13 @@ fn certifier_choice_is_invisible_across_segment_rotation() {
             ..ServerConfig::default()
         };
         let stream = RequestStream::shuffled(&fig.txns, seed);
-        let report = serve_durable_log(
+        let report = serve(
             &fig.txns,
             &stream,
             SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec),
             &cfg,
             &FaultPlan::default(),
-            &mut wal,
+            Some(&mut wal),
         );
         assert_eq!(report.outcome, RunOutcome::Completed, "seed {seed}");
         let segments = handle.synced_segments();
@@ -206,7 +211,7 @@ fn certifier_choice_is_invisible_for_sharded_recovery() {
     let schedulers: Vec<Box<dyn Scheduler + Send + '_>> = (0..shards)
         .map(|_| Box::new(RsgSgt::new(&txns, &spec)) as Box<dyn Scheduler + Send + '_>)
         .collect();
-    let report = serve_sharded_report(
+    let report = serve_sharded(
         &txns,
         &stream,
         schedulers,
@@ -231,19 +236,20 @@ fn certifier_choice_is_invisible_for_sharded_recovery() {
     }
     let mut committed_seen = false;
     for cuts in &cut_grid {
-        let logs: Vec<Vec<u8>> = full
+        // Each flat shard log is a one-segment stream.
+        let logs: Vec<Vec<(u64, Vec<u8>)>> = full
             .iter()
             .zip(cuts)
-            .map(|(b, &c)| b[..c].to_vec())
+            .map(|(b, &c)| vec![(0, b[..c].to_vec())])
             .collect();
-        let vc = recover_sharded_with_certifier(
+        let vc = recover_sharded_segments_with_certifier(
             &txns,
             &spec,
             |_| Box::new(RsgSgt::new(&txns, &spec)) as Box<dyn Scheduler + '_>,
             &logs,
             Certifier::VClock,
         );
-        let thm = recover_sharded_with_certifier(
+        let thm = recover_sharded_segments_with_certifier(
             &txns,
             &spec,
             |_| Box::new(RsgSgt::new(&txns, &spec)) as Box<dyn Scheduler + '_>,

@@ -16,8 +16,8 @@ use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{AbortReason, Decision, Scheduler, SchedulerKind};
-use relser_server::recovery::{recover, recover_segments};
-use relser_server::{serve_durable, serve_durable_log, FaultPlan, RunOutcome, ServerConfig};
+use relser_server::recovery::{recover, recover_segments_with_certifier, Certifier};
+use relser_server::{serve, FaultPlan, RunOutcome, ServerConfig};
 use relser_wal::{
     CheckpointPolicy, FsyncPolicy, MemHandle, MemSegmentStore, MemStorage, SegmentedWal, WalWriter,
 };
@@ -41,7 +41,14 @@ fn durable_run(
         ..ServerConfig::default()
     };
     let stream = RequestStream::shuffled(txns, seed);
-    let report = serve_durable(txns, &stream, kind.make(txns, spec), &cfg, faults, &mut wal);
+    let report = serve(
+        txns,
+        &stream,
+        kind.make(txns, spec),
+        &cfg,
+        faults,
+        Some(&mut wal),
+    );
     (report.outcome, report.committed, handle)
 }
 
@@ -53,7 +60,8 @@ fn recover_and_check(
     handle: &MemHandle,
 ) -> ExecutionRecord {
     let mut fresh = kind.make(txns, spec);
-    let rec = recover(txns, spec, &mut *fresh, &handle.bytes()).expect("recovery succeeds");
+    let rec = recover(txns, spec, &mut *fresh, &handle.bytes(), Certifier::VClock)
+        .expect("recovery succeeds");
     let exec = ExecutionRecord {
         path: Vec::new(),
         committed: rec.committed,
@@ -130,21 +138,27 @@ fn checkpointed_runs_recover_from_the_suffix_not_the_history() {
             ..ServerConfig::default()
         };
         let stream = RequestStream::shuffled(&fig.txns, seed);
-        let report = serve_durable_log(
+        let report = serve(
             &fig.txns,
             &stream,
             SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec),
             &cfg,
             &FaultPlan::default(),
-            &mut wal,
+            Some(&mut wal),
         );
         assert_eq!(report.outcome, RunOutcome::Completed, "seed {seed}");
         assert!(report.checkpoints >= 1, "cadence 3 must checkpoint");
 
         let segments = handle.synced_segments();
         let mut fresh = SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec);
-        let (seq, rec) =
-            recover_segments(&fig.txns, &fig.spec, &mut *fresh, &segments).expect("recovers");
+        let (seq, rec) = recover_segments_with_certifier(
+            &fig.txns,
+            &fig.spec,
+            &mut *fresh,
+            &segments,
+            Certifier::VClock,
+        )
+        .expect("recovers");
         assert_eq!(seq, segments.last().unwrap().0, "newest segment chosen");
         // Seeding happened: the suffix replayed is strictly shorter than
         // the scanned record count (the head checkpoint covers the rest).

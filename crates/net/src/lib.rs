@@ -87,7 +87,6 @@ pub use client::{
 };
 pub use metrics::{NetMetrics, NetReport};
 pub use server::{
-    serve_net, serve_net_supervised, serve_net_supervised_in, NetConfig, SuperviseNetConfig,
-    SupervisedNetReport,
+    serve_net, serve_net_supervised_in, NetConfig, SuperviseNetConfig, SupervisedNetReport,
 };
 pub use wire::{ErrorCode, ReqId, Request, Response, WireError};

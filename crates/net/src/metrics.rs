@@ -180,17 +180,6 @@ impl fmt::Display for NetReport {
     }
 }
 
-/// Folds raw nanosecond samples into a histogram (mirror of the server
-/// crate's internal helper; the WAL and core keep raw samples so they
-/// stay free of metrics dependencies).
-pub(crate) fn histogram_of(samples: &[u64]) -> LatencyHistogram {
-    let mut h = LatencyHistogram::new();
-    for &ns in samples {
-        h.record(ns);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

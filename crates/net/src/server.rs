@@ -2,25 +2,26 @@
 //! single-writer admission core, wired under one `thread::scope`.
 
 use crate::conn::{ReactorCtx, ShardRoute};
-use crate::metrics::{histogram_of, NetMetrics, NetReport};
+use crate::metrics::{NetMetrics, NetReport};
 use crate::reactor::{accept_loop, run_reactor};
 use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::Scheduler;
-use relser_server::core::{run_core_durable, Command, FaultPlan, Progress};
+use relser_server::core::{run_core, Command, CoreCfg, FaultPlan, Progress};
+use relser_server::metrics::histogram_of;
 use relser_server::queue::BoundedQueue;
 use relser_server::recovery::{recover_sharded_segments_with_certifier, ShardedRecovery};
 use relser_server::supervisor::{
     supervise_shard, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg,
 };
 use relser_server::{Certifier, OverloadPolicy, ServerMetrics};
-use relser_simdb::metrics::DecisionLatency;
-use relser_wal::{CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemSegmentsHandle};
+use relser_wal::{CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentsHandle};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Tunables for one [`serve_net`] run.
@@ -98,7 +99,87 @@ impl NetConfig {
     }
 }
 
-/// Serves the transaction set over real TCP on a loopback address.
+/// The loopback listener both entry points bind: `127.0.0.1:0`,
+/// nonblocking (the acceptor polls it).
+fn bind_loopback() -> io::Result<(TcpListener, SocketAddr)> {
+    let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    Ok((listener, addr))
+}
+
+impl NetConfig {
+    /// The reactors' view of this config over the given back-end:
+    /// `queue`/`progress` are the (first) core's, `route` and `sessions`
+    /// are set by the supervised sharded back-end only.
+    fn reactor_ctx<'a>(
+        &self,
+        txns: &'a TxnSet,
+        queue: &'a BoundedQueue<Command>,
+        progress: &'a Progress,
+        route: Option<ShardRoute<'a>>,
+        sessions: Option<&'a SessionTable>,
+    ) -> ReactorCtx<'a> {
+        ReactorCtx {
+            queue,
+            progress,
+            txns,
+            policy: self.policy,
+            max_inflight: self.max_inflight,
+            block_timeout: self.block_timeout,
+            retry_slice: self.retry_slice,
+            reply_timeout: self.reply_timeout,
+            route,
+            sessions,
+        }
+    }
+
+    fn core(&self) -> CoreCfg {
+        CoreCfg {
+            batch_max: self.batch_max,
+            record_trace: self.record_trace,
+        }
+    }
+}
+
+/// The TCP front-end's life inside the server's `thread::scope`, after
+/// the core(s) are spawned: starts `cfg.reactors` reactor threads and the
+/// acceptor, runs `client` against the bound address on the current
+/// thread, and — when it returns — raises `stop`, joins the acceptor and
+/// merges the reactors' metrics as they drain and close every connection
+/// (aborting whatever the client left live). The caller then closes its
+/// queue(s) and joins its core(s).
+fn run_front_end<'scope, R>(
+    s: &'scope Scope<'scope, '_>,
+    cfg: &'scope NetConfig,
+    listener: &'scope TcpListener,
+    addr: SocketAddr,
+    ctx: &'scope ReactorCtx<'scope>,
+    stop: &'scope AtomicBool,
+    client: impl FnOnce(SocketAddr) -> R,
+) -> (NetMetrics, R) {
+    let mut senders = Vec::with_capacity(cfg.reactors);
+    let mut reactors = Vec::with_capacity(cfg.reactors);
+    for _ in 0..cfg.reactors {
+        let (tx, rx) = mpsc::channel();
+        senders.push(tx);
+        reactors.push(s.spawn(move || run_reactor(ctx, rx, stop, cfg.poll_quantum)));
+    }
+    let acceptor = s.spawn(move || accept_loop(listener, senders, stop, cfg.poll_quantum));
+
+    let client_out = client(addr);
+
+    stop.store(true, Ordering::Release);
+    acceptor.join().expect("acceptor thread panicked");
+    let mut net = NetMetrics::default();
+    for r in reactors {
+        net.merge(&r.join().expect("reactor thread panicked"));
+    }
+    (net, client_out)
+}
+
+/// Serves the transaction set over real TCP on a loopback address, on
+/// one unsupervised admission core.
 ///
 /// Binds `127.0.0.1:0`, spawns the admission core, `cfg.reactors`
 /// reactor threads and an acceptor, then calls `client` with the bound
@@ -107,7 +188,9 @@ impl NetConfig {
 /// the acceptor stops, the reactors drain and close every connection
 /// (aborting whatever the client left live), the queue closes, and the
 /// core exits. Returns the combined [`NetReport`] plus the closure's
-/// own result.
+/// own result. A log written through `wal` is recovered with
+/// [`relser_server::recover`] (flat) or
+/// [`relser_server::recover_segments_with_certifier`] (segmented).
 ///
 /// The scheduler may borrow `txns` (e.g. `RsgSgt::new(&txns, &spec)`),
 /// which is why the server runs under `thread::scope` behind a closure
@@ -121,99 +204,29 @@ pub fn serve_net<R>(
     client: impl FnOnce(SocketAddr) -> R,
 ) -> io::Result<(NetReport, R)> {
     assert!(cfg.reactors >= 1, "need at least one reactor");
-    let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-
+    let (listener, addr) = bind_loopback()?;
     let queue: BoundedQueue<Command> = BoundedQueue::new(cfg.queue_capacity);
     let progress = Progress::new();
     let stop = AtomicBool::new(false);
-    let ctx = ReactorCtx {
-        queue: &queue,
-        progress: &progress,
-        txns,
-        policy: cfg.policy,
-        max_inflight: cfg.max_inflight,
-        block_timeout: cfg.block_timeout,
-        retry_slice: cfg.retry_slice,
-        reply_timeout: cfg.reply_timeout,
-        route: None,
-        sessions: None,
-    };
+    let ctx = cfg.reactor_ctx(txns, &queue, &progress, None, None);
     let t0 = Instant::now();
 
     let (core_out, net, client_out) = std::thread::scope(|s| {
-        let queue_ref = &queue;
-        let progress_ref = &progress;
-        let stop_ref = &stop;
-        let ctx_ref = &ctx;
-        let listener_ref = &listener;
-        let core = s.spawn(move || {
-            run_core_durable(
-                scheduler,
-                queue_ref,
-                progress_ref,
-                cfg.batch_max,
-                cfg.record_trace,
-                faults,
-                wal,
-            )
-        });
-        let mut senders = Vec::with_capacity(cfg.reactors);
-        let mut reactors = Vec::with_capacity(cfg.reactors);
-        for _ in 0..cfg.reactors {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            reactors.push(s.spawn(move || run_reactor(ctx_ref, rx, stop_ref, cfg.poll_quantum)));
-        }
-        let acceptor =
-            s.spawn(move || accept_loop(listener_ref, senders, stop_ref, cfg.poll_quantum));
-
-        let client_out = client(addr);
-
-        stop.store(true, Ordering::Release);
-        acceptor.join().expect("acceptor thread panicked");
-        let mut net = NetMetrics::default();
-        for r in reactors {
-            net.merge(&r.join().expect("reactor thread panicked"));
-        }
+        let (queue, progress) = (&queue, &progress);
+        let core =
+            s.spawn(move || run_core(scheduler, queue, progress, cfg.core(), faults, wal, None));
+        let (net, client_out) = run_front_end(s, cfg, &listener, addr, &ctx, &stop, client);
         queue.close();
         let core_out = core.join().expect("admission core panicked");
         (core_out, net, client_out)
     });
     let elapsed = t0.elapsed();
 
-    let committed_ops = core_out
-        .log
-        .iter()
-        .filter(|o| core_out.committed.contains(&o.txn))
-        .count() as u64;
     let metrics = ServerMetrics {
         workers: net.connections as usize,
-        commits: core_out.commits,
-        aborts: core_out.aborts,
-        timeout_aborts: core_out.timeout_aborts,
         sheds: net.sheds,
-        requests: core_out.grants + core_out.blocked + core_out.aborts,
-        grants: core_out.grants,
-        blocked: core_out.blocked,
-        commands: core_out.commands,
-        batches: core_out.batches,
-        max_batch: core_out.max_batch,
-        queue: queue.stats(),
-        decision: DecisionLatency::from_samples(&core_out.decision_ns),
-        admission: core_out.admission,
-        queue_wait: core_out.queue_wait,
-        wal_sync: histogram_of(&core_out.wal_sync_ns),
-        elapsed,
-        committed_ops,
-        backoff_ns: 0,
-        max_txn_attempts: 0,
-        wal: core_out.wal,
-        wal_error: core_out.wal_error.clone(),
-        supervisor_restarts: 0,
-        supervisor_panics: 0,
-        failed_shards: 0,
+        committed_ops: core_out.committed_ops(),
+        ..ServerMetrics::from_core(&core_out, queue.stats(), elapsed)
     };
     let admit = histogram_of(&core_out.decision_ns);
 
@@ -231,7 +244,7 @@ pub fn serve_net<R>(
     ))
 }
 
-/// Supervision tunables for one [`serve_net_supervised`] run.
+/// Supervision tunables for one [`serve_net_supervised_in`] run.
 #[derive(Clone, Debug)]
 pub struct SuperviseNetConfig {
     /// Shard cores (the object space is partitioned across them).
@@ -279,9 +292,13 @@ pub struct SupervisedNetReport {
 /// [`serve_net`] with the supervised sharded back-end: `sup.shards`
 /// shard cores, each under [`supervise_shard`]'s panic/fail-stop
 /// boundary, a durable client-session retry table for exactly-once
-/// commit retries, and per-shard segmented WALs recovered **in place**
-/// when a core dies — the process, the listener, and every other shard
-/// keep serving.
+/// commit retries, and per-shard segmented WALs — one caller-owned
+/// segment store per shard — recovered **in place** when a core dies:
+/// the process, the listener, and every other shard keep serving.
+/// Non-empty stores are recovered and resumed, so a second call with the
+/// same stores models a whole-service restart: every commit the first
+/// life acknowledged is served (and re-certified) by the second. For a
+/// fresh service pass fresh stores (`MemSegmentStore::new().1` each).
 ///
 /// `make_scheduler(shard)` must return a fresh scheduler each call (the
 /// supervisor also calls it on every restart). `faults` is one
@@ -290,33 +307,6 @@ pub struct SupervisedNetReport {
 ///
 /// Only single-shard transactions are admissible over the wire; the
 /// cross-shard two-phase admit remains an in-process protocol.
-pub fn serve_net_supervised<'e, R>(
-    txns: &'e TxnSet,
-    spec: &'e AtomicitySpec,
-    make_scheduler: impl Fn(u32) -> Box<dyn Scheduler + Send + 'e> + Sync,
-    cfg: &NetConfig,
-    sup: &SuperviseNetConfig,
-    faults: &[FaultPlan],
-    client: impl FnOnce(SocketAddr) -> R,
-) -> io::Result<(SupervisedNetReport, R)> {
-    let stores: Vec<MemSegmentsHandle> =
-        (0..sup.shards).map(|_| MemSegmentStore::new().1).collect();
-    serve_net_supervised_in(
-        txns,
-        spec,
-        make_scheduler,
-        cfg,
-        sup,
-        faults,
-        &stores,
-        client,
-    )
-}
-
-/// [`serve_net_supervised`] over caller-owned segment stores — non-empty
-/// stores are recovered and resumed, so a second call with the same
-/// stores models a whole-service restart: every commit the first life
-/// acknowledged is served (and re-certified) by the second.
 #[allow(clippy::too_many_arguments)]
 pub fn serve_net_supervised_in<'e, R>(
     txns: &'e TxnSet,
@@ -336,9 +326,7 @@ pub fn serve_net_supervised_in<'e, R>(
     );
     assert!(stores.len() == sup.shards, "one segment store per shard");
     let shards = sup.shards;
-    let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let (listener, addr) = bind_loopback()?;
 
     let queues: Vec<BoundedQueue<Command>> = (0..shards)
         .map(|_| BoundedQueue::new(cfg.queue_capacity))
@@ -351,23 +339,13 @@ pub fn serve_net_supervised_in<'e, R>(
     let epochs: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
     let default_faults = FaultPlan::default();
 
-    let ctx = ReactorCtx {
-        queue: &queues[0],
-        progress: &progress,
-        txns,
-        policy: cfg.policy,
-        max_inflight: cfg.max_inflight,
-        block_timeout: cfg.block_timeout,
-        retry_slice: cfg.retry_slice,
-        reply_timeout: cfg.reply_timeout,
-        route: Some(ShardRoute {
-            queues: &queues,
-            healths: &healths,
-            map: ShardMap::new(shards as u32),
-            seq: &seq,
-        }),
-        sessions: Some(&sessions),
+    let route = ShardRoute {
+        queues: &queues,
+        healths: &healths,
+        map: ShardMap::new(shards as u32),
+        seq: &seq,
     };
+    let ctx = cfg.reactor_ctx(txns, &queues[0], &progress, Some(route), Some(&sessions));
     let sup_cfg = SupervisorCfg {
         txns,
         spec,
@@ -382,24 +360,15 @@ pub fn serve_net_supervised_in<'e, R>(
 
     let (runs, net, client_out) = std::thread::scope(|s| {
         let make_scheduler = &make_scheduler;
-        let sup_cfg = &sup_cfg;
-        let stop_ref = &stop;
-        let ctx_ref = &ctx;
-        let listener_ref = &listener;
+        let (sup_cfg, stop, sessions, progress, seq) =
+            (&sup_cfg, &stop, &sessions, &progress, &seq);
         let mut cores = Vec::with_capacity(shards);
         for shard in 0..shards {
             let queue = &queues[shard];
             let health = &healths[shard];
             let store = &stores[shard];
-            let sessions = &sessions;
-            let progress = &progress;
-            let seq = &seq;
             let epochs = &epochs[..];
-            let plan = if faults.is_empty() {
-                &default_faults
-            } else {
-                &faults[shard]
-            };
+            let plan = faults.get(shard).unwrap_or(&default_faults);
             cores.push(s.spawn(move || {
                 supervise_shard(
                     || make_scheduler(shard as u32),
@@ -409,7 +378,7 @@ pub fn serve_net_supervised_in<'e, R>(
                     store,
                     health,
                     sessions,
-                    stop_ref,
+                    stop,
                     shard as u32,
                     seq,
                     epochs,
@@ -417,24 +386,7 @@ pub fn serve_net_supervised_in<'e, R>(
                 )
             }));
         }
-        let mut senders = Vec::with_capacity(cfg.reactors);
-        let mut reactors = Vec::with_capacity(cfg.reactors);
-        for _ in 0..cfg.reactors {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            reactors.push(s.spawn(move || run_reactor(ctx_ref, rx, stop_ref, cfg.poll_quantum)));
-        }
-        let acceptor =
-            s.spawn(move || accept_loop(listener_ref, senders, stop_ref, cfg.poll_quantum));
-
-        let client_out = client(addr);
-
-        stop.store(true, Ordering::Release);
-        acceptor.join().expect("acceptor thread panicked");
-        let mut net = NetMetrics::default();
-        for r in reactors {
-            net.merge(&r.join().expect("reactor thread panicked"));
-        }
+        let (net, client_out) = run_front_end(s, cfg, &listener, addr, &ctx, stop, client);
         // A supervisor mid-recovery reopens its queue after we close it,
         // so keep fencing until every shard loop has actually exited.
         loop {
@@ -467,39 +419,20 @@ pub fn serve_net_supervised_in<'e, R>(
     )
     .map_err(|e| io::Error::other(format!("final WAL merge failed: {e}")))?;
 
-    let mut metrics: Option<ServerMetrics> = None;
-    for (shard, run) in runs.iter().enumerate() {
-        let out = &run.output;
-        let m = ServerMetrics {
-            workers: net.connections as usize,
-            commits: out.commits,
-            aborts: out.aborts,
-            timeout_aborts: out.timeout_aborts,
-            requests: out.grants + out.blocked + out.aborts,
-            grants: out.grants,
-            blocked: out.blocked,
-            commands: out.commands,
-            batches: out.batches,
-            max_batch: out.max_batch,
-            queue: queues[shard].stats(),
-            decision: DecisionLatency::from_samples(&out.decision_ns),
-            admission: out.admission.clone(),
-            queue_wait: out.queue_wait.clone(),
-            wal_sync: histogram_of(&out.wal_sync_ns),
-            elapsed,
-            wal: out.wal,
-            wal_error: out.wal_error.clone(),
+    let mut metrics = runs
+        .iter()
+        .zip(&queues)
+        .map(|(run, queue)| ServerMetrics {
             supervisor_restarts: run.restarts,
             supervisor_panics: run.panics,
             failed_shards: run.gave_up as u64,
-            ..ServerMetrics::default()
-        };
-        match metrics.as_mut() {
-            Some(agg) => agg.merge(&m),
-            None => metrics = Some(m),
-        }
-    }
-    let mut metrics = metrics.expect("at least one shard");
+            ..ServerMetrics::from_core(&run.output, queue.stats(), elapsed)
+        })
+        .reduce(|mut agg, m| {
+            agg.merge(&m);
+            agg
+        })
+        .expect("at least one shard");
     metrics.workers = net.connections as usize;
     metrics.sheds = net.sheds;
     // Whole-service truth from the offline merge, not the final

@@ -145,7 +145,7 @@ fn shard_core_crash_recovers_in_place_without_losing_acks() {
         &stores,
         |addr| drive_resilient(addr, &txns, &stream, &rcfg, &ChaosPlan::quiet()),
     )
-    .expect("serve_net_supervised");
+    .expect("serve_net_supervised_in");
 
     assert!(stats.lost.is_empty(), "nothing lost: {:?}", stats.lost);
     assert_eq!(stats.committed.len(), total, "every transaction committed");
@@ -209,7 +209,7 @@ fn checkpoint_rotation_keeps_every_acked_commit_through_the_final_merge() {
                 )
             },
         )
-        .expect("serve_net_supervised");
+        .expect("serve_net_supervised_in");
         let case = format!("shards={shards} crash_at={crash_at:?}");
 
         assert!(stats.lost.is_empty(), "{case}: lost {:?}", stats.lost);

@@ -9,12 +9,18 @@
 //! therefore enough to replay any concurrent run deterministically on a
 //! single thread — see [`crate::replay`].
 //!
+//! [`run_core`] is the one entry: every front-end (threads or TCP,
+//! unsharded or sharded, supervised or not, durable or not) runs this
+//! loop, differing only in the optional commit log and the optional
+//! [`ShardCoreCtx`] it hands in. The per-run state lives in one private
+//! `Core` value whose methods apply the commands.
+//!
 //! The core drains commands in batches (up to `batch_max` per queue lock
 //! acquisition) so queue traffic is amortized under load, and it answers
 //! each operation request through a one-shot [`Reply`] cell. The batch is
 //! also the unit of durability: the replies of a batch are held until its
 //! one write-ahead-log barrier has returned, then released in core order
-//! (see [`run_core_durable`]). After every batch with a state *change*
+//! (see [`run_core`]). After every batch with a state *change*
 //! (grant, abort, commit — not a mere block) it bumps the shared
 //! [`Progress`] epoch with the set of transactions that changed, waking
 //! only the sessions blocked on one of them.
@@ -603,46 +609,15 @@ pub struct CoreOutput {
     pub duplicate_grants: u64,
 }
 
-/// Runs the admission core until the queue is closed and drained.
-/// `scheduler` is owned by this call — the single-writer discipline is
-/// enforced by construction, which is why [`Scheduler`] needs `Send` but
-/// never `Sync`.
-pub fn run_core(
-    scheduler: Box<dyn Scheduler + Send + '_>,
-    queue: &BoundedQueue<Command>,
-    progress: &Progress,
-    batch_max: usize,
-    record_trace: bool,
-) -> CoreOutput {
-    run_core_faulty(
-        scheduler,
-        queue,
-        progress,
-        batch_max,
-        record_trace,
-        &FaultPlan::default(),
-    )
-}
-
-/// [`run_core`] with a deterministic [`FaultPlan`]. With an empty plan
-/// the behaviour is identical to `run_core`.
-pub fn run_core_faulty(
-    scheduler: Box<dyn Scheduler + Send + '_>,
-    queue: &BoundedQueue<Command>,
-    progress: &Progress,
-    batch_max: usize,
-    record_trace: bool,
-    faults: &FaultPlan,
-) -> CoreOutput {
-    run_core_durable(
-        scheduler,
-        queue,
-        progress,
-        batch_max,
-        record_trace,
-        faults,
-        None,
-    )
+/// How the core drains its queue and what it records — the two values
+/// every front-end config (`ServerConfig`, `NetConfig`, `SupervisorCfg`)
+/// carries for it.
+#[derive(Clone, Copy, Debug)]
+pub struct CoreCfg {
+    /// Max commands drained per queue lock acquisition (≥ 1).
+    pub batch_max: usize,
+    /// Record a [`TraceEvent`] log for deterministic replay.
+    pub record_trace: bool,
 }
 
 /// What a shard core shares with its siblings: its identity, the global
@@ -680,35 +655,6 @@ struct ShardState<'a> {
     /// The shard's observed cross-shard clock: its own commits plus every
     /// exchange summary folded in from incoming admits.
     clock: ArcExchange,
-}
-
-/// [`run_core_durable`] for one shard core of a sharded service: grants
-/// additionally draw from the global grant sequencer, commits arrive as
-/// [`Command::CommitAt`] and bump this shard's epoch counter, and
-/// [`Command::Admit`]/[`Command::Rollback`] implement the receiving side
-/// of the router's two-phase cross-shard admit.
-#[allow(clippy::too_many_arguments)]
-pub fn run_core_sharded(
-    scheduler: Box<dyn Scheduler + Send + '_>,
-    queue: &BoundedQueue<Command>,
-    progress: &Progress,
-    batch_max: usize,
-    record_trace: bool,
-    faults: &FaultPlan,
-    wal: Option<&mut (dyn CommitLog + '_)>,
-    ctx: ShardCoreCtx<'_>,
-) -> CoreOutput {
-    let clock = ArcExchange::new(ctx.shard, ctx.epochs.len() as u32);
-    run_core_inner(
-        scheduler,
-        queue,
-        progress,
-        batch_max,
-        record_trace,
-        faults,
-        wal,
-        Some(ShardState { ctx, clock }),
-    )
 }
 
 /// Why the core stopped mid-batch. Either way the batch is not
@@ -757,7 +703,30 @@ impl HeldAcks {
     }
 }
 
-/// [`run_core_faulty`] with an optional durable commit log.
+impl CoreOutput {
+    /// Operations of [`CoreOutput::log`] whose transaction committed: the
+    /// length of this core's committed history.
+    pub fn committed_ops(&self) -> u64 {
+        let committed: HashSet<TxnId> = self.committed.iter().copied().collect();
+        self.log
+            .iter()
+            .filter(|o| committed.contains(&o.txn))
+            .count() as u64
+    }
+}
+
+/// Runs the admission core until the queue is closed and drained.
+/// `scheduler` is owned by this call — the single-writer discipline is
+/// enforced by construction, which is why [`Scheduler`] needs `Send` but
+/// never `Sync`.
+///
+/// `wal` is the optional durable commit log; `shard` makes this one shard
+/// core of a sharded service: grants additionally draw from the global
+/// grant sequencer, stamped commits bump this shard's epoch counter, and
+/// [`Command::Admit`]/[`Command::Rollback`] implement the receiving side
+/// of the router's two-phase cross-shard admit. With an empty
+/// [`FaultPlan`], no log and no shard context this is the plain
+/// in-memory core.
 ///
 /// The durability contract is **ack-after-barrier**. Per drained queue
 /// batch the core
@@ -797,230 +766,581 @@ impl HeldAcks {
 /// transactions and hands it over at a batch boundary (a core-order
 /// point), letting the log rotate segments and delete history the
 /// checkpoint covers.
-pub fn run_core_durable(
+pub fn run_core(
     scheduler: Box<dyn Scheduler + Send + '_>,
     queue: &BoundedQueue<Command>,
     progress: &Progress,
-    batch_max: usize,
-    record_trace: bool,
+    cfg: CoreCfg,
     faults: &FaultPlan,
-    wal: Option<&mut (dyn CommitLog + '_)>,
+    wal: Option<&mut dyn CommitLog>,
+    shard: Option<ShardCoreCtx<'_>>,
 ) -> CoreOutput {
-    run_core_inner(
+    let mut core = Core {
+        track_live: wal.as_ref().is_some_and(|w| w.wants_checkpoints()),
         scheduler,
-        queue,
-        progress,
-        batch_max,
-        record_trace,
-        faults,
         wal,
-        None,
-    )
-}
-
-/// The shared core loop behind [`run_core_durable`] (unsharded) and
-/// [`run_core_sharded`] (one shard of N).
-#[allow(clippy::too_many_arguments)]
-fn run_core_inner(
-    mut scheduler: Box<dyn Scheduler + Send + '_>,
-    queue: &BoundedQueue<Command>,
-    progress: &Progress,
-    batch_max: usize,
-    record_trace: bool,
-    faults: &FaultPlan,
-    mut wal: Option<&mut (dyn CommitLog + '_)>,
-    mut shard: Option<ShardState<'_>>,
-) -> CoreOutput {
-    let mut out = CoreOutput::default();
-    let mut batch: Vec<Command> = Vec::with_capacity(batch_max);
-    let mut requests_seen: u64 = 0;
-    let mut admits_seen: u64 = 0;
-    // An `Interval` policy needs flush opportunities even when the queue
-    // is idle; wake at a fraction of the interval (clamped sane) to check.
-    let idle_tick: Option<Duration> = wal.as_ref().and_then(|w| match w.policy() {
-        FsyncPolicy::Interval(d) => {
-            Some(d.clamp(Duration::from_millis(1), Duration::from_millis(100)))
-        }
-        _ => None,
-    });
-    let track_live = wal.as_ref().is_some_and(|w| w.wants_checkpoints());
-    // Commit supremacy: the set of transactions this core (or, via the
-    // seed, a previous incarnation of it) durably committed, and the set
-    // currently live (with how many of its operations were granted, in
-    // program order). Commands that would contradict a durable commit —
-    // a stale abort from orphan cleanup, a retried begin — are no-ops,
-    // and operations of retired incarnations are refused with a typed
-    // retryable verdict instead of silently corrupting the history.
-    let mut live: HashMap<TxnId, u32> = HashMap::new();
-    let mut committed: HashSet<TxnId> = HashSet::new();
-    let mut live_events: Vec<CheckpointEvent> = Vec::new();
+        shard: shard.map(|ctx| ShardState {
+            clock: ArcExchange::new(ctx.shard, ctx.epochs.len() as u32),
+            ctx,
+        }),
+        faults,
+        record_trace: cfg.record_trace,
+        out: CoreOutput::default(),
+        requests_seen: 0,
+        admits_seen: 0,
+        live: HashMap::new(),
+        committed: HashSet::new(),
+        live_events: Vec::new(),
+        changed: Vec::new(),
+        held: HeldAcks::default(),
+    };
     // The recovered commits also join the committed *list* and the
     // checkpoint event stream: the next checkpoint this incarnation cuts
     // must cover them, or rotation would delete the only segments that
     // record them.
-    if let Some(s) = shard.as_mut() {
-        committed.extend(s.ctx.recovered_committed.iter().copied());
-        out.committed.append(&mut s.ctx.recovered_committed);
-        live_events.append(&mut s.ctx.recovered_events);
+    if let Some(s) = core.shard.as_mut() {
+        core.committed
+            .extend(s.ctx.recovered_committed.iter().copied());
+        core.out.committed.append(&mut s.ctx.recovered_committed);
+        core.live_events.append(&mut s.ctx.recovered_events);
     }
-    // Transactions whose state changed in the current batch — the wakeup
-    // target set handed to `Progress::bump_txns`. Reused across batches.
-    let mut changed: Vec<TxnId> = Vec::new();
-    // The current batch's acknowledgments, and how much of the commit
-    // lists the last successful barrier covered (what a halt keeps).
-    let mut held = HeldAcks::default();
-    let mut acked_commits = out.committed.len();
-    let mut acked_stamps = 0;
-    loop {
-        let popped = match idle_tick {
-            Some(tick) => queue.pop_batch_timeout(batch_max, &mut batch, tick),
-            None => {
-                if queue.pop_batch(batch_max, &mut batch) {
-                    PopWait::Batch
-                } else {
-                    PopWait::Closed
-                }
-            }
-        };
-        // An idle tick is an empty batch: nothing to apply or release,
-        // only the deferred policy's barrier opportunity.
-        match popped {
-            PopWait::Closed => break,
-            PopWait::Idle => {}
-            PopWait::Batch => {
-                out.batches += 1;
-                out.max_batch = out.max_batch.max(batch.len());
-            }
-        }
-        changed.clear();
-        let mut pending = batch.drain(..);
-        let mut applied = pending.by_ref().try_for_each(|cmd| {
-            apply_command(
-                cmd,
-                &mut *scheduler,
-                &mut out,
-                &mut requests_seen,
-                &mut admits_seen,
-                record_trace,
-                faults,
-                &mut wal,
-                &mut changed,
-                &mut held,
-                track_live,
-                &mut live_events,
-                &mut shard,
-                &mut live,
-                &mut committed,
-            )
-        });
-        // Group commit: one write and one durability barrier for the
-        // whole batch, *before* any of its acknowledgments is released.
-        if applied.is_ok() {
-            if let Some(w) = wal.as_mut() {
-                applied = w.batch_end().map_err(|e| Halt::WalBroken(e.to_string()));
-            }
-        }
-        let sessions = shard.as_ref().and_then(|s| s.ctx.sessions);
-        if applied.is_ok() {
-            acked_commits = out.committed.len();
-            acked_stamps = out.commit_stamps.len();
-            held.release(sessions);
-            // Checkpoint: the batch boundary is a core-order point, so
-            // the snapshot is exactly the state the replayed log would
-            // have here.
-            if track_live && wal.as_ref().is_some_and(|w| w.checkpoint_due()) {
-                let cp = snapshot(
-                    &*scheduler,
-                    &out,
-                    &mut live_events,
-                    shard.as_ref(),
-                    &committed,
-                );
-                applied = wal
-                    .as_mut()
-                    .expect("a checkpointing log")
-                    .install_checkpoint(cp)
-                    .map_err(|e| Halt::WalBroken(e.to_string()));
-                out.checkpoints += u64::from(applied.is_ok());
-            }
-        }
-        if let Err(halt) = applied {
-            // Crash path — planned fault or broken WAL. Nothing of this
-            // batch was acknowledged: cut its commits, unwind its held
-            // replies, close the queue so sessions stop submitting, and
-            // unwind everything still in flight (this batch's remainder
-            // and the backlog) so no session hangs on an unfilled cell.
-            out.crashed = true;
-            if let Halt::WalBroken(err) = halt {
-                out.wal_error = Some(err);
-            }
-            out.commits -= (out.committed.len() - acked_commits) as u64;
-            out.committed.truncate(acked_commits);
-            out.commit_stamps.truncate(acked_stamps);
-            queue.close();
-            held.unwind();
-            drain_after_crash(pending.collect(), queue, batch_max);
-            progress.bump();
-            break;
-        }
-        // One bump per batch, not per command: waking blocked sessions is
-        // only useful after the batch's state changes are all applied.
-        // The bump carries the batch's changed-transaction set so only
-        // sessions actually waiting on one of them are woken.
-        if !changed.is_empty() {
-            progress.bump_txns(&changed);
-        }
-    }
-    if let Some(w) = wal {
-        // Clean shutdown gets a final barrier; a crashed core died before
-        // reaching it (that is what the crash-point sweep recovers from).
-        if !out.crashed {
-            if let Err(e) = w.close() {
-                out.wal_error = Some(e.to_string());
-            }
-        }
-        out.wal = w.stats();
-        out.wal_sync_ns = w.take_sync_ns();
-    }
-    out
+    core.run(queue, progress, cfg.batch_max)
 }
 
-/// The live-state snapshot a due checkpoint installs. Retired
-/// transactions are purged from the event stream first — their arcs can
-/// no longer matter, which is what keeps the snapshot (and therefore
-/// every segment) bounded by live state. A shard core keeps the events of
-/// its **committed** transactions all the same: sharded recovery demotes
-/// a committed transaction whose complete op set is missing from the
-/// shard logs to `partial`, so pruning them would turn a rotation into
-/// acknowledged-commit loss at the final merge (the same rule the
-/// supervisor applies to the head checkpoint of a resumed log).
-fn snapshot(
-    scheduler: &(dyn Scheduler + Send + '_),
-    out: &CoreOutput,
-    live_events: &mut Vec<CheckpointEvent>,
-    shard: Option<&ShardState<'_>>,
-    committed: &HashSet<TxnId>,
-) -> Checkpoint {
-    live_events.retain(|e| {
-        let txn = event_txn(e);
-        (shard.is_some() && committed.contains(&txn)) || !scheduler.retired(txn)
-    });
-    // Session entries ride in the checkpoint so the retry table survives
-    // segment rotation; filtered to this shard's committed set, which is
-    // exactly the filter recovery re-applies when rebuilding it.
-    let sessions = shard
-        .and_then(|s| s.ctx.sessions)
-        .map(|t| {
-            let mut snap = t.snapshot();
-            snap.retain(|e| committed.contains(&e.txn));
-            snap
+/// The per-run state of one admission core; see [`run_core`].
+struct Core<'s, 'w, 'a> {
+    scheduler: Box<dyn Scheduler + Send + 's>,
+    wal: Option<&'w mut dyn CommitLog>,
+    shard: Option<ShardState<'a>>,
+    faults: &'a FaultPlan,
+    record_trace: bool,
+    /// The log checkpoints, so the condensed live event stream is kept.
+    track_live: bool,
+    out: CoreOutput,
+    /// `Command::Request`s seen (the index [`FaultPlan`] keys on).
+    requests_seen: u64,
+    /// `Command::Admit`s seen (likewise).
+    admits_seen: u64,
+    /// Commit supremacy: the transactions currently live (with how many
+    /// of their operations were granted, in program order) and the set
+    /// this core (or, via the seed, a previous incarnation of it) durably
+    /// committed. Commands that would contradict a durable commit — a
+    /// stale abort from orphan cleanup, a retried begin — are no-ops, and
+    /// operations of retired incarnations are refused with a typed
+    /// retryable verdict instead of silently corrupting the history.
+    live: HashMap<TxnId, u32>,
+    committed: HashSet<TxnId>,
+    /// Condensed begin/grant/commit stream of non-retired transactions
+    /// (kept only under `track_live`): what a due checkpoint snapshots.
+    live_events: Vec<CheckpointEvent>,
+    /// Transactions whose state changed in the current batch — the wakeup
+    /// target set handed to [`Progress::bump_txns`].
+    changed: Vec<TxnId>,
+    /// The current batch's acknowledgments.
+    held: HeldAcks,
+}
+
+impl Core<'_, '_, '_> {
+    fn run(
+        mut self,
+        queue: &BoundedQueue<Command>,
+        progress: &Progress,
+        batch_max: usize,
+    ) -> CoreOutput {
+        let mut batch: Vec<Command> = Vec::with_capacity(batch_max);
+        // An `Interval` policy needs flush opportunities even when the
+        // queue is idle; wake at a fraction of the interval (clamped
+        // sane) to check.
+        let idle_tick: Option<Duration> = self.wal.as_ref().and_then(|w| match w.policy() {
+            FsyncPolicy::Interval(d) => {
+                Some(d.clamp(Duration::from_millis(1), Duration::from_millis(100)))
+            }
+            _ => None,
+        });
+        // How much of the commit lists the last successful barrier
+        // covered (what a halt keeps).
+        let mut acked_commits = self.out.committed.len();
+        let mut acked_stamps = 0;
+        loop {
+            let popped = match idle_tick {
+                Some(tick) => queue.pop_batch_timeout(batch_max, &mut batch, tick),
+                None if queue.pop_batch(batch_max, &mut batch) => PopWait::Batch,
+                None => PopWait::Closed,
+            };
+            // An idle tick is an empty batch: nothing to apply or release,
+            // only the deferred policy's barrier opportunity.
+            match popped {
+                PopWait::Closed => break,
+                PopWait::Idle => {}
+                PopWait::Batch => {
+                    self.out.batches += 1;
+                    self.out.max_batch = self.out.max_batch.max(batch.len());
+                }
+            }
+            self.changed.clear();
+            let mut pending = batch.drain(..);
+            let mut applied = pending.by_ref().try_for_each(|cmd| self.apply(cmd));
+            // Group commit: one write and one durability barrier for the
+            // whole batch, *before* any of its acknowledgments is released.
+            if applied.is_ok() {
+                if let Some(w) = self.wal.as_mut() {
+                    applied = w.batch_end().map_err(|e| Halt::WalBroken(e.to_string()));
+                }
+            }
+            if applied.is_ok() {
+                acked_commits = self.out.committed.len();
+                acked_stamps = self.out.commit_stamps.len();
+                let sessions = self.shard.as_ref().and_then(|s| s.ctx.sessions);
+                self.held.release(sessions);
+                // Checkpoint: the batch boundary is a core-order point, so
+                // the snapshot is exactly the state the replayed log would
+                // have here.
+                if self.track_live && self.wal.as_ref().is_some_and(|w| w.checkpoint_due()) {
+                    let cp = self.snapshot();
+                    applied = self
+                        .wal
+                        .as_mut()
+                        .expect("a checkpointing log")
+                        .install_checkpoint(cp)
+                        .map_err(|e| Halt::WalBroken(e.to_string()));
+                    self.out.checkpoints += u64::from(applied.is_ok());
+                }
+            }
+            if let Err(halt) = applied {
+                // Crash path — planned fault or broken WAL. Nothing of this
+                // batch was acknowledged: cut its commits, unwind its held
+                // replies, close the queue so sessions stop submitting, and
+                // unwind everything still in flight (this batch's remainder
+                // and the backlog) so no session hangs on an unfilled cell.
+                self.out.crashed = true;
+                if let Halt::WalBroken(err) = halt {
+                    self.out.wal_error = Some(err);
+                }
+                self.out.commits -= (self.out.committed.len() - acked_commits) as u64;
+                self.out.committed.truncate(acked_commits);
+                self.out.commit_stamps.truncate(acked_stamps);
+                queue.close();
+                self.held.unwind();
+                drain_after_crash(pending.collect(), queue, batch_max);
+                progress.bump();
+                break;
+            }
+            // One bump per batch, not per command: waking blocked sessions
+            // is only useful after the batch's state changes are all
+            // applied. The bump carries the batch's changed-transaction set
+            // so only sessions actually waiting on one of them are woken.
+            if !self.changed.is_empty() {
+                progress.bump_txns(&self.changed);
+            }
+        }
+        if let Some(w) = self.wal {
+            // Clean shutdown gets a final barrier; a crashed core died
+            // before reaching it (that is what the crash-point sweep
+            // recovers from).
+            if !self.out.crashed {
+                if let Err(e) = w.close() {
+                    self.out.wal_error = Some(e.to_string());
+                }
+            }
+            self.out.wal = w.stats();
+            self.out.wal_sync_ns = w.take_sync_ns();
+        }
+        self.out
+    }
+
+    /// The live-state snapshot a due checkpoint installs. Retired
+    /// transactions are purged from the event stream first — their arcs
+    /// can no longer matter, which is what keeps the snapshot (and
+    /// therefore every segment) bounded by live state. A shard core keeps
+    /// the events of its **committed** transactions all the same: sharded
+    /// recovery demotes a committed transaction whose complete op set is
+    /// missing from the shard logs to `partial`, so pruning them would
+    /// turn a rotation into acknowledged-commit loss at the final merge
+    /// (the same rule the supervisor applies to the head checkpoint of a
+    /// resumed log).
+    fn snapshot(&mut self) -> Checkpoint {
+        let (scheduler, committed) = (&self.scheduler, &self.committed);
+        let sharded = self.shard.is_some();
+        self.live_events.retain(|e| {
+            let txn = event_txn(e);
+            (sharded && committed.contains(&txn)) || !scheduler.retired(txn)
+        });
+        // Session entries ride in the checkpoint so the retry table
+        // survives segment rotation; filtered to this shard's committed
+        // set, which is exactly the filter recovery re-applies when
+        // rebuilding it.
+        let sessions = self
+            .shard
+            .as_ref()
+            .and_then(|s| s.ctx.sessions)
+            .map(|t| {
+                let mut snap = t.snapshot();
+                snap.retain(|e| committed.contains(&e.txn));
+                snap
+            })
+            .unwrap_or_default();
+        Checkpoint {
+            shard: self.shard.as_ref().map_or(0, |s| s.ctx.shard),
+            committed: self.out.committed.clone(),
+            events: self.live_events.clone(),
+            sessions,
+        }
+    }
+
+    /// Applies one command of the batch. Every acknowledgment goes into
+    /// `held`, never straight to its receiver: [`Core::run`] releases the
+    /// batch's acks after its durability barrier. `Err(halt)` means the
+    /// core must crash without acknowledging the batch; the halting
+    /// command is not counted in [`CoreOutput::commands`].
+    fn apply(&mut self, cmd: Command) -> Result<(), Halt> {
+        if self.faults.crash_at_command == Some(self.out.commands) {
+            if let Command::Request { reply, .. }
+            | Command::Admit { reply, .. }
+            | Command::CommitAck { reply, .. } = cmd
+            {
+                self.refuse(reply, AbortReason::Injected);
+            }
+            return Err(Halt::PlannedCrash);
+        }
+        self.dispatch(cmd)?;
+        self.out.commands += 1;
+        Ok(())
+    }
+
+    /// Holds `Aborted(reason)` for `reply`.
+    fn refuse(&mut self, reply: Reply, reason: AbortReason) {
+        self.held.replies.push((reply, Decision::Aborted(reason)));
+    }
+
+    /// WAL-before-apply: appends `rec` to the log's batch (a no-op
+    /// without a log). On failure the event is *not* applied or
+    /// acknowledged — `reply`, if the command carries one, is held
+    /// `Aborted(Injected)` — and the state change dies with the core, so
+    /// recovery never sees an unlogged event.
+    fn log(&mut self, rec: WalRecord, reply: Option<&Reply>) -> Result<(), Halt> {
+        let Some(w) = self.wal.as_mut() else {
+            return Ok(());
+        };
+        w.append(&rec).map_err(|e| {
+            if let Some(reply) = reply {
+                self.held
+                    .replies
+                    .push((reply.clone(), Decision::Aborted(AbortReason::Injected)));
+            }
+            Halt::WalBroken(e.to_string())
         })
-        .unwrap_or_default();
-    Checkpoint {
-        shard: shard.map_or(0, |s| s.ctx.shard),
-        committed: out.committed.clone(),
-        events: live_events.clone(),
-        sessions,
+    }
+
+    fn trace(&mut self, event: TraceEvent) {
+        if self.record_trace {
+            self.out.trace.push(event);
+        }
+    }
+
+    /// Starts `txn`'s incarnation (a `Begin`, or a granted `Admit`).
+    fn begin(&mut self, txn: TxnId) {
+        self.scheduler.begin(txn);
+        self.live.insert(txn, 0);
+        if self.track_live {
+            self.live_events.push(CheckpointEvent::Begin(txn));
+        }
+    }
+
+    /// Rolls `txn`'s live incarnation back. The scheduler state
+    /// transition and the log purge happen here, inside the core, so they
+    /// are atomic w.r.t. other commands.
+    fn abort(&mut self, txn: TxnId) {
+        self.scheduler.abort(txn);
+        self.live.remove(&txn);
+        self.out.log.retain(|o| o.txn != txn);
+        self.out.seq_log.retain(|&(_, o)| o.txn != txn);
+        if self.track_live {
+            self.live_events.retain(|e| event_txn(e) != txn);
+        }
+        self.changed.push(txn);
+    }
+
+    /// Applies a session- or router-initiated abort of `txn`; `false`
+    /// when there was nothing to undo. A stale abort of a committed
+    /// transaction (orphan cleanup racing a reconnecting client's ack)
+    /// must NOT purge durable state; an abort of an already-retired
+    /// incarnation has nothing left to undo. Both are no-ops.
+    fn abort_on_demand(&mut self, txn: TxnId) -> Result<bool, Halt> {
+        if self.committed.contains(&txn) {
+            self.out.retired_refusals += 1;
+            return Ok(false);
+        }
+        if !self.live.contains_key(&txn) {
+            return Ok(false);
+        }
+        // The unwind must be logged before sibling shards can observe
+        // this shard as clean, or a crash here would recover a
+        // half-admitted transaction.
+        self.log(WalRecord::Abort(txn), None)?;
+        self.abort(txn);
+        self.trace(TraceEvent::Abort(txn));
+        Ok(true)
+    }
+
+    /// Logs and applies the commit of live `txn`. `stamp` is its place in
+    /// the global commit order (sharded front-ends); `session` the
+    /// `(session, req_id)` of an exactly-once commit, which rides in the
+    /// same indivisible [`WalRecord::CommitSession`] frame as the verdict
+    /// — one durability point for both is what makes the retry
+    /// exactly-once. The commit record is in the batch before the commit
+    /// is applied and counted: an acknowledged commit can never be lost,
+    /// an unlogged one is never acknowledged.
+    fn commit(
+        &mut self,
+        txn: TxnId,
+        stamp: Option<u64>,
+        session: Option<(u64, u64)>,
+        reply: Option<&Reply>,
+    ) -> Result<(), Halt> {
+        let rec = match (session, stamp) {
+            (Some((session, req_id)), st) => WalRecord::CommitSession {
+                txn,
+                stamp: st.unwrap_or(0),
+                session,
+                req_id,
+            },
+            (None, Some(stamp)) => WalRecord::CommitAt { txn, stamp },
+            (None, None) => WalRecord::Commit(txn),
+        };
+        self.log(rec, reply)?;
+        self.scheduler.commit(txn);
+        self.out.commits += 1;
+        self.out.committed.push(txn);
+        self.live.remove(&txn);
+        self.committed.insert(txn);
+        if let Some(stamp) = stamp {
+            self.out.commit_stamps.push((txn, stamp));
+            if let Some(s) = self.shard.as_mut() {
+                s.clock.tick();
+                s.ctx.epochs[s.ctx.shard as usize].fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        if let Some((session, req_id)) = session {
+            self.held.sessions.push((session, req_id, txn));
+        }
+        if self.track_live {
+            self.live_events.push(CheckpointEvent::Commit(txn));
+        }
+        self.changed.push(txn);
+        // An acknowledged commit is traced as a plain `Commit` too: replay
+        // applies it via fire-and-forget `commit` — the ack is a liveness
+        // detail, not a state transition.
+        self.trace(TraceEvent::Commit(txn));
+        Ok(())
+    }
+
+    /// A fire-and-forget commit (`Commit`, `CommitAt`). Idempotence /
+    /// supremacy: a duplicate is a no-op, a commit of a rolled-back
+    /// incarnation is refused (its grants were purged; committing would
+    /// certify a hole).
+    fn commit_unacked(&mut self, txn: TxnId, stamp: Option<u64>) -> Result<(), Halt> {
+        if self.committed.contains(&txn) {
+            return Ok(());
+        }
+        if !self.live.contains_key(&txn) {
+            self.out.retired_refusals += 1;
+            return Ok(());
+        }
+        self.commit(txn, stamp, None, None)
+    }
+
+    fn dispatch(&mut self, cmd: Command) -> Result<(), Halt> {
+        match cmd {
+            Command::Begin(txn) => {
+                // A begin for a transaction that already committed (client
+                // retry racing its own ack) or is still live (reconnect
+                // racing orphan cleanup) is a no-op: beginning it again
+                // would double-register it with the scheduler. The retrying
+                // client's next operation gets a typed verdict instead.
+                if self.committed.contains(&txn) || self.live.contains_key(&txn) {
+                    self.out.retired_refusals += 1;
+                    return Ok(());
+                }
+                self.log(WalRecord::Begin(txn), None)?;
+                self.begin(txn);
+                self.trace(TraceEvent::Begin(txn));
+            }
+            Command::Request {
+                op,
+                enqueued,
+                reply,
+            } => self.request(op, enqueued, reply)?,
+            Command::Commit(txn) => self.commit_unacked(txn, None)?,
+            Command::CommitAt { txn, stamp } => self.commit_unacked(txn, Some(stamp))?,
+            Command::CommitAck {
+                txn,
+                enqueued,
+                reply,
+                stamp,
+                session,
+            } => {
+                self.out
+                    .queue_wait
+                    .record(enqueued.elapsed().as_nanos() as u64);
+                if self.committed.contains(&txn) {
+                    // Exactly-once: a retried commit of an already-durable
+                    // transaction re-sends the original verdict. The
+                    // session table is refreshed so the connection
+                    // fast-path catches the next retry without reaching
+                    // the core at all.
+                    if let Some((session, req_id)) = session {
+                        self.held.sessions.push((session, req_id, txn));
+                    }
+                    self.out.duplicate_commit_acks += 1;
+                } else if self.live.contains_key(&txn) {
+                    self.commit(txn, stamp, session, Some(&reply))?;
+                } else {
+                    // The incarnation was rolled back (crash recovery or
+                    // orphan cleanup) — its grants are gone, so committing
+                    // now would acknowledge a hole. `Retired` tells the
+                    // client to restart the transaction from its begin.
+                    self.out.retired_refusals += 1;
+                    self.refuse(reply, AbortReason::Retired);
+                    return Ok(());
+                }
+                self.held.replies.push((reply, Decision::Granted));
+            }
+            Command::Abort(txn) => {
+                if self.abort_on_demand(txn)? {
+                    self.out.timeout_aborts += 1;
+                }
+            }
+            Command::Rollback(txn) => {
+                if self.abort_on_demand(txn)? {
+                    self.out.rollbacks += 1;
+                }
+            }
+            Command::Admit {
+                txn,
+                exchange,
+                reply,
+            } => {
+                let admit_index = self.admits_seen;
+                self.admits_seen += 1;
+                if self.faults.reject_admits.contains(&admit_index) {
+                    // Injected reject: the scheduler is never consulted and
+                    // no state changes, so nothing is logged — recovery must
+                    // see this shard as if the transaction never arrived.
+                    // The router unwinds the sibling shards that already
+                    // granted.
+                    self.out.admit_rejects += 1;
+                    self.trace(TraceEvent::Admit {
+                        txn,
+                        granted: false,
+                    });
+                    self.refuse(reply, AbortReason::Injected);
+                    return Ok(());
+                }
+                // Logged exactly like a Begin: this shard's grant of the
+                // admit is acknowledged only once durable.
+                self.log(WalRecord::Begin(txn), Some(&reply))?;
+                self.begin(txn);
+                if let Some(s) = self.shard.as_mut() {
+                    s.clock.observe(&exchange);
+                }
+                self.out.admits += 1;
+                self.trace(TraceEvent::Admit { txn, granted: true });
+                self.held.replies.push((reply, Decision::Granted));
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies one operation request.
+    fn request(&mut self, op: OpId, enqueued: Instant, reply: Reply) -> Result<(), Halt> {
+        let request_index = self.requests_seen;
+        self.requests_seen += 1;
+        // Commit supremacy: an operation for a transaction that already
+        // committed, or whose incarnation was rolled back (crash recovery,
+        // orphan cleanup), must not touch the scheduler — granting it
+        // would resurrect purged state. The typed `Retired` verdict tells
+        // the client to restart (or, if it was mid-retry of a commit, to
+        // re-send the commit).
+        let granted = match self.live.get(&op.txn) {
+            Some(&granted) if !self.committed.contains(&op.txn) => granted,
+            _ => {
+                self.out.retired_refusals += 1;
+                self.refuse(reply, AbortReason::Retired);
+                return Ok(());
+            }
+        };
+        if self.faults.drop_replies.contains(&request_index) {
+            // Injected reply loss: the cell is dropped unfilled — the
+            // submitter's watchdog turns the silence into `ReplyLost`. No
+            // state change, no log, no trace: to recovery and replay this
+            // request never happened.
+            self.out.dropped_replies += 1;
+            return Ok(());
+        }
+        if self.faults.abort_requests.contains(&request_index) {
+            // Injected abort: the scheduler is never asked; the abort is
+            // applied exactly like a scheduler-initiated one. The trace
+            // records a plain `Abort` (not a `Decision`) so replay does
+            // not expect a real scheduler to answer `Aborted` here.
+            self.log(WalRecord::Abort(op.txn), Some(&reply))?;
+            self.out.injected_aborts += 1;
+            self.abort(op.txn);
+            self.trace(TraceEvent::Abort(op.txn));
+            self.refuse(reply, AbortReason::Injected);
+            return Ok(());
+        }
+        // Exactly-once for operations: a request for an operation this
+        // incarnation was already granted (a client resending after a
+        // lost response) gets the original verdict back. Asking the
+        // scheduler again would log the grant twice, and recovery refuses
+        // to certify a committed transaction whose op set does not match
+        // its program.
+        if op.index < granted {
+            self.out.duplicate_grants += 1;
+            self.held.replies.push((reply, Decision::Granted));
+            return Ok(());
+        }
+        self.out
+            .queue_wait
+            .record(enqueued.elapsed().as_nanos() as u64);
+        let t0 = Instant::now();
+        let decision = self.scheduler.request(op);
+        self.out.decision_ns.push(t0.elapsed().as_nanos() as u64);
+        self.out
+            .admission
+            .record(enqueued.elapsed().as_nanos() as u64);
+        match &decision {
+            Decision::Granted => {
+                self.log(WalRecord::Grant(op), Some(&reply))?;
+                self.out.grants += 1;
+                self.out.log.push(op);
+                self.live.insert(op.txn, op.index + 1);
+                if let Some(s) = self.shard.as_ref() {
+                    let ticket = s.ctx.seq.fetch_add(1, Ordering::SeqCst);
+                    self.out.seq_log.push((ticket, op));
+                }
+                if self.track_live {
+                    self.live_events.push(CheckpointEvent::Grant(op));
+                }
+                // A grant is a state change other waiters may care about
+                // (altruistic donation, unit exits): the granted
+                // transaction's waits-for observers re-check.
+                self.changed.push(op.txn);
+            }
+            Decision::Blocked { .. } => self.out.blocked += 1,
+            Decision::Aborted(_) => {
+                self.log(WalRecord::Abort(op.txn), Some(&reply))?;
+                self.out.aborts += 1;
+                self.abort(op.txn);
+            }
+        }
+        if self.record_trace {
+            self.out
+                .trace
+                .push(TraceEvent::Decision(op, decision.clone()));
+        }
+        self.held.replies.push((reply, decision));
+        Ok(())
     }
 }
 
@@ -1030,457 +1350,6 @@ pub(crate) fn event_txn(e: &CheckpointEvent) -> TxnId {
         CheckpointEvent::Begin(t) | CheckpointEvent::Commit(t) => *t,
         CheckpointEvent::Grant(op) => op.txn,
     }
-}
-
-/// Applies one command inside [`run_core_durable`]'s batch loop. Every
-/// acknowledgment goes into `held`, never straight to its receiver: the
-/// caller releases the batch's acks after its durability barrier.
-/// `Err(halt)` means the core must crash without acknowledging the
-/// batch. Separated out so the WAL-before-apply ordering is auditable
-/// per command kind.
-#[allow(clippy::too_many_arguments)]
-fn apply_command(
-    cmd: Command,
-    scheduler: &mut (dyn Scheduler + Send + '_),
-    out: &mut CoreOutput,
-    requests_seen: &mut u64,
-    admits_seen: &mut u64,
-    record_trace: bool,
-    faults: &FaultPlan,
-    wal: &mut Option<&mut (dyn CommitLog + '_)>,
-    changed: &mut Vec<TxnId>,
-    held: &mut HeldAcks,
-    track_live: bool,
-    live_events: &mut Vec<CheckpointEvent>,
-    shard: &mut Option<ShardState<'_>>,
-    live: &mut HashMap<TxnId, u32>,
-    committed: &mut HashSet<TxnId>,
-) -> Result<(), Halt> {
-    if faults.crash_at_command == Some(out.commands) {
-        if let Command::Request { reply, .. }
-        | Command::Admit { reply, .. }
-        | Command::CommitAck { reply, .. } = cmd
-        {
-            held.replies
-                .push((reply, Decision::Aborted(AbortReason::Injected)));
-        }
-        return Err(Halt::PlannedCrash);
-    }
-    let mut wal_append = |rec: WalRecord| -> Result<(), String> {
-        match wal.as_mut() {
-            Some(w) => w.append(&rec).map_err(|e| e.to_string()),
-            None => Ok(()),
-        }
-    };
-    out.commands += 1;
-    match cmd {
-        Command::Begin(txn) => {
-            // A begin for a transaction that already committed (client
-            // retry racing its own ack) or is still live (reconnect
-            // racing orphan cleanup) is a no-op: beginning it again
-            // would double-register it with the scheduler. The retrying
-            // client's next operation gets a typed verdict instead.
-            if committed.contains(&txn) || live.contains_key(&txn) {
-                out.retired_refusals += 1;
-                return Ok(());
-            }
-            if let Err(e) = wal_append(WalRecord::Begin(txn)) {
-                out.commands -= 1;
-                return Err(Halt::WalBroken(e));
-            }
-            scheduler.begin(txn);
-            live.insert(txn, 0);
-            if track_live {
-                live_events.push(CheckpointEvent::Begin(txn));
-            }
-            if record_trace {
-                out.trace.push(TraceEvent::Begin(txn));
-            }
-        }
-        Command::Request {
-            op,
-            enqueued,
-            reply,
-        } => {
-            let request_index = *requests_seen;
-            *requests_seen += 1;
-            // Commit supremacy: an operation for a transaction that
-            // already committed, or whose incarnation was rolled back
-            // (crash recovery, orphan cleanup), must not touch the
-            // scheduler — granting it would resurrect purged state. The
-            // typed `Retired` verdict tells the client to restart (or,
-            // if it was mid-retry of a commit, to re-send the commit).
-            let granted = match live.get(&op.txn) {
-                Some(&granted) if !committed.contains(&op.txn) => granted,
-                _ => {
-                    out.retired_refusals += 1;
-                    held.replies
-                        .push((reply, Decision::Aborted(AbortReason::Retired)));
-                    return Ok(());
-                }
-            };
-            if faults.drop_replies.contains(&request_index) {
-                // Injected reply loss: the cell is dropped unfilled — the
-                // submitter's watchdog turns the silence into `ReplyLost`.
-                // No state change, no log, no trace: to recovery and
-                // replay this request never happened.
-                out.dropped_replies += 1;
-                drop(reply);
-                return Ok(());
-            }
-            if faults.abort_requests.contains(&request_index) {
-                // Injected abort: the scheduler is never asked; the abort
-                // is applied exactly like a scheduler-initiated one. The
-                // trace records a plain `Abort` (not a `Decision`) so
-                // replay does not expect a real scheduler to answer
-                // `Aborted` here.
-                if let Err(e) = wal_append(WalRecord::Abort(op.txn)) {
-                    out.commands -= 1;
-                    *requests_seen -= 1;
-                    held.replies
-                        .push((reply, Decision::Aborted(AbortReason::Injected)));
-                    return Err(Halt::WalBroken(e));
-                }
-                out.injected_aborts += 1;
-                scheduler.abort(op.txn);
-                live.remove(&op.txn);
-                out.log.retain(|o| o.txn != op.txn);
-                out.seq_log.retain(|&(_, o)| o.txn != op.txn);
-                if track_live {
-                    live_events.retain(|e| event_txn(e) != op.txn);
-                }
-                changed.push(op.txn);
-                if record_trace {
-                    out.trace.push(TraceEvent::Abort(op.txn));
-                }
-                held.replies
-                    .push((reply, Decision::Aborted(AbortReason::Injected)));
-                return Ok(());
-            }
-            // Exactly-once for operations: a request for an operation this
-            // incarnation was already granted (a client resending after a
-            // lost response) gets the original verdict back. Asking the
-            // scheduler again would log the grant twice, and recovery
-            // refuses to certify a committed transaction whose op set
-            // does not match its program.
-            if op.index < granted {
-                out.duplicate_grants += 1;
-                held.replies.push((reply, Decision::Granted));
-                return Ok(());
-            }
-            out.queue_wait.record(enqueued.elapsed().as_nanos() as u64);
-            let t0 = Instant::now();
-            let decision = scheduler.request(op);
-            out.decision_ns.push(t0.elapsed().as_nanos() as u64);
-            out.admission.record(enqueued.elapsed().as_nanos() as u64);
-            // WAL-before-ack: the record for a state-changing decision
-            // must be appended (and, under `Always`, synced) before the
-            // reply is filled. On failure the decision is *not*
-            // acknowledged — the scheduler state change dies with the
-            // core, and recovery never sees the unlogged grant.
-            let wal_res = match &decision {
-                Decision::Granted => wal_append(WalRecord::Grant(op)),
-                Decision::Aborted(_) => wal_append(WalRecord::Abort(op.txn)),
-                Decision::Blocked { .. } => Ok(()),
-            };
-            if let Err(e) = wal_res {
-                out.commands -= 1;
-                *requests_seen -= 1;
-                held.replies
-                    .push((reply, Decision::Aborted(AbortReason::Injected)));
-                return Err(Halt::WalBroken(e));
-            }
-            match &decision {
-                Decision::Granted => {
-                    out.grants += 1;
-                    out.log.push(op);
-                    live.insert(op.txn, op.index + 1);
-                    if let Some(s) = shard.as_ref() {
-                        out.seq_log
-                            .push((s.ctx.seq.fetch_add(1, Ordering::SeqCst), op));
-                    }
-                    if track_live {
-                        live_events.push(CheckpointEvent::Grant(op));
-                    }
-                    // A grant is a state change other waiters may care
-                    // about (altruistic donation, unit exits): the
-                    // granted transaction's waits-for observers re-check.
-                    changed.push(op.txn);
-                }
-                Decision::Blocked { .. } => {
-                    out.blocked += 1;
-                }
-                Decision::Aborted(_) => {
-                    // The abort is applied here, inside the core, so the
-                    // scheduler state transition and the log purge are
-                    // atomic w.r.t. other commands.
-                    out.aborts += 1;
-                    scheduler.abort(op.txn);
-                    live.remove(&op.txn);
-                    out.log.retain(|o| o.txn != op.txn);
-                    out.seq_log.retain(|&(_, o)| o.txn != op.txn);
-                    if track_live {
-                        live_events.retain(|e| event_txn(e) != op.txn);
-                    }
-                    changed.push(op.txn);
-                }
-            }
-            if record_trace {
-                out.trace.push(TraceEvent::Decision(op, decision.clone()));
-            }
-            held.replies.push((reply, decision));
-        }
-        Command::Commit(txn) => {
-            // Idempotence / supremacy: a duplicate commit is a no-op, a
-            // commit of a rolled-back incarnation is refused (its grants
-            // were purged; committing would certify a hole).
-            if committed.contains(&txn) {
-                return Ok(());
-            }
-            if !live.contains_key(&txn) {
-                out.retired_refusals += 1;
-                return Ok(());
-            }
-            // The commit record is durable (under `Always`) before the
-            // commit is applied and counted: an acknowledged commit can
-            // never be lost, an unlogged one is never acknowledged.
-            if let Err(e) = wal_append(WalRecord::Commit(txn)) {
-                out.commands -= 1;
-                return Err(Halt::WalBroken(e));
-            }
-            scheduler.commit(txn);
-            out.commits += 1;
-            out.committed.push(txn);
-            live.remove(&txn);
-            committed.insert(txn);
-            if track_live {
-                live_events.push(CheckpointEvent::Commit(txn));
-            }
-            changed.push(txn);
-            if record_trace {
-                out.trace.push(TraceEvent::Commit(txn));
-            }
-        }
-        Command::CommitAck {
-            txn,
-            enqueued,
-            reply,
-            stamp,
-            session,
-        } => {
-            out.queue_wait.record(enqueued.elapsed().as_nanos() as u64);
-            if committed.contains(&txn) {
-                // Exactly-once: a retried commit of an already-durable
-                // transaction re-sends the original verdict. The session
-                // table is refreshed so the connection fast-path catches
-                // the next retry without reaching the core at all.
-                if let Some((sess, req)) = session {
-                    held.sessions.push((sess, req, txn));
-                }
-                out.duplicate_commit_acks += 1;
-                held.replies.push((reply, Decision::Granted));
-                return Ok(());
-            }
-            if !live.contains_key(&txn) {
-                // The incarnation was rolled back (crash recovery or
-                // orphan cleanup) — its grants are gone, so committing
-                // now would acknowledge a hole. `Retired` tells the
-                // client to restart the transaction from its begin.
-                out.retired_refusals += 1;
-                held.replies
-                    .push((reply, Decision::Aborted(AbortReason::Retired)));
-                return Ok(());
-            }
-            // Same WAL-before-ack discipline as `Commit`, with the
-            // acknowledgment made explicit: the reply is filled only
-            // after the append (and, under `Always`, its fsync) succeeds.
-            // A sessionful commit uses the indivisible `CommitSession`
-            // frame — verdict and retry-table entry share one durability
-            // point, which is what makes the retry exactly-once.
-            let rec = match (session, stamp) {
-                (Some((sess, req)), st) => WalRecord::CommitSession {
-                    txn,
-                    stamp: st.unwrap_or(0),
-                    session: sess,
-                    req_id: req,
-                },
-                (None, Some(st)) => WalRecord::CommitAt { txn, stamp: st },
-                (None, None) => WalRecord::Commit(txn),
-            };
-            if let Err(e) = wal_append(rec) {
-                out.commands -= 1;
-                held.replies
-                    .push((reply, Decision::Aborted(AbortReason::Injected)));
-                return Err(Halt::WalBroken(e));
-            }
-            scheduler.commit(txn);
-            out.commits += 1;
-            out.committed.push(txn);
-            live.remove(&txn);
-            committed.insert(txn);
-            if let Some(st) = stamp {
-                out.commit_stamps.push((txn, st));
-            }
-            if let Some(s) = shard.as_mut() {
-                if stamp.is_some() {
-                    s.clock.tick();
-                    s.ctx.epochs[s.ctx.shard as usize].fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            if let Some((sess, req)) = session {
-                held.sessions.push((sess, req, txn));
-            }
-            if track_live {
-                live_events.push(CheckpointEvent::Commit(txn));
-            }
-            changed.push(txn);
-            // The trace records a plain `Commit`: replay applies it via
-            // fire-and-forget `commit`, indistinguishable from
-            // `Command::Commit` — the ack is a liveness detail, not a
-            // state transition.
-            if record_trace {
-                out.trace.push(TraceEvent::Commit(txn));
-            }
-            held.replies.push((reply, Decision::Granted));
-        }
-        Command::Abort(txn) => {
-            // A stale abort of a committed transaction (orphan cleanup
-            // racing a reconnecting client's ack) must NOT purge durable
-            // state; an abort of an already-retired incarnation has
-            // nothing left to undo. Both are no-ops.
-            if committed.contains(&txn) {
-                out.retired_refusals += 1;
-                return Ok(());
-            }
-            if !live.contains_key(&txn) {
-                return Ok(());
-            }
-            if let Err(e) = wal_append(WalRecord::Abort(txn)) {
-                out.commands -= 1;
-                return Err(Halt::WalBroken(e));
-            }
-            scheduler.abort(txn);
-            live.remove(&txn);
-            out.log.retain(|o| o.txn != txn);
-            out.seq_log.retain(|&(_, o)| o.txn != txn);
-            if track_live {
-                live_events.retain(|e| event_txn(e) != txn);
-            }
-            out.timeout_aborts += 1;
-            changed.push(txn);
-            if record_trace {
-                out.trace.push(TraceEvent::Abort(txn));
-            }
-        }
-        Command::Admit {
-            txn,
-            exchange,
-            reply,
-        } => {
-            let admit_index = *admits_seen;
-            *admits_seen += 1;
-            if faults.reject_admits.contains(&admit_index) {
-                // Injected reject: the scheduler is never consulted and no
-                // state changes, so nothing is logged — recovery must see
-                // this shard as if the transaction never arrived. The
-                // router unwinds the sibling shards that already granted.
-                out.admit_rejects += 1;
-                if record_trace {
-                    out.trace.push(TraceEvent::Admit {
-                        txn,
-                        granted: false,
-                    });
-                }
-                held.replies
-                    .push((reply, Decision::Aborted(AbortReason::Injected)));
-                return Ok(());
-            }
-            // WAL-before-ack, exactly like a Begin: this shard's grant of
-            // the admit is acknowledged only once durable.
-            if let Err(e) = wal_append(WalRecord::Begin(txn)) {
-                out.commands -= 1;
-                *admits_seen -= 1;
-                held.replies
-                    .push((reply, Decision::Aborted(AbortReason::Injected)));
-                return Err(Halt::WalBroken(e));
-            }
-            scheduler.begin(txn);
-            live.insert(txn, 0);
-            if let Some(s) = shard.as_mut() {
-                s.clock.observe(&exchange);
-            }
-            out.admits += 1;
-            if track_live {
-                live_events.push(CheckpointEvent::Begin(txn));
-            }
-            if record_trace {
-                out.trace.push(TraceEvent::Admit { txn, granted: true });
-            }
-            held.replies.push((reply, Decision::Granted));
-        }
-        Command::CommitAt { txn, stamp } => {
-            if committed.contains(&txn) {
-                return Ok(());
-            }
-            if !live.contains_key(&txn) {
-                out.retired_refusals += 1;
-                return Ok(());
-            }
-            if let Err(e) = wal_append(WalRecord::CommitAt { txn, stamp }) {
-                out.commands -= 1;
-                return Err(Halt::WalBroken(e));
-            }
-            scheduler.commit(txn);
-            out.commits += 1;
-            out.committed.push(txn);
-            live.remove(&txn);
-            committed.insert(txn);
-            out.commit_stamps.push((txn, stamp));
-            if let Some(s) = shard.as_mut() {
-                s.clock.tick();
-                s.ctx.epochs[s.ctx.shard as usize].fetch_add(1, Ordering::SeqCst);
-            }
-            if track_live {
-                live_events.push(CheckpointEvent::Commit(txn));
-            }
-            changed.push(txn);
-            if record_trace {
-                out.trace.push(TraceEvent::Commit(txn));
-            }
-        }
-        Command::Rollback(txn) => {
-            // Same supremacy guards as `Abort`: a rollback must never
-            // undo a durable commit, and unwinding an already-gone
-            // incarnation is a no-op.
-            if committed.contains(&txn) {
-                out.retired_refusals += 1;
-                return Ok(());
-            }
-            if !live.contains_key(&txn) {
-                return Ok(());
-            }
-            // WAL-before-apply like any abort: the unwind must be durable
-            // before sibling shards can observe this shard as clean, or a
-            // crash here would recover a half-admitted transaction.
-            if let Err(e) = wal_append(WalRecord::Abort(txn)) {
-                out.commands -= 1;
-                return Err(Halt::WalBroken(e));
-            }
-            scheduler.abort(txn);
-            live.remove(&txn);
-            out.log.retain(|o| o.txn != txn);
-            out.seq_log.retain(|&(_, o)| o.txn != txn);
-            if track_live {
-                live_events.retain(|e| event_txn(e) != txn);
-            }
-            out.rollbacks += 1;
-            changed.push(txn);
-            if record_trace {
-                out.trace.push(TraceEvent::Abort(txn));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Unwinds every command still in flight after a crash: request replies
@@ -1563,14 +1432,17 @@ mod tests {
         queue.close();
         let (mem, handle) = MemStorage::new();
         let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
-        let out = run_core_durable(
+        let out = run_core(
             Box::new(RsgSgt::new(&txns, &spec)),
             &queue,
             &Progress::new(),
-            8,
-            false,
+            CoreCfg {
+                batch_max: 8,
+                record_trace: false,
+            },
             &FaultPlan::default(),
             Some(&mut wal),
+            None,
         );
         for reply in &replies {
             assert_eq!(reply.try_take(), Some(Decision::Granted));

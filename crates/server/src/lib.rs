@@ -14,24 +14,32 @@
 //! * [`queue`] — bounded MPSC command queue with backpressure
 //!   ([`OverloadPolicy::Wait`]) or load-shedding ([`OverloadPolicy::Shed`])
 //!   and batch draining on the consumer side;
-//! * [`core`] — the admission loop: applies commands in queue order
-//!   (the run's serialization point), answers requests through one-shot
-//!   [`core::Reply`] cells, bumps a [`core::Progress`] epoch after every
-//!   state change, and optionally records a [`TraceEvent`] log;
+//! * [`core`] — [`run_core`], the one admission loop: applies commands
+//!   in queue order (the run's serialization point), answers requests
+//!   through one-shot [`core::Reply`] cells, bumps a [`core::Progress`]
+//!   epoch after every state change, optionally records a [`TraceEvent`]
+//!   log, optionally appends every state change to a commit log
+//!   (`relser_wal::CommitLog`) before acknowledging it, and optionally
+//!   runs as one shard of N ([`ShardCoreCtx`]);
 //! * [`session`] — the client protocol: program-order requests,
 //!   block/retry on progress epochs, waits-for-based abort timeouts, and
 //!   restart-on-abort, exactly mirroring the single-threaded driver
 //!   discipline;
-//! * [`server`] — [`serve`] wires it all together with `thread::scope`
-//!   and returns the committed history as a validated
-//!   [`Schedule`](relser_core::schedule::Schedule) plus [`ServerMetrics`];
-//!   [`serve_durable`] adds a write-ahead commit log
-//!   ([`relser_wal::WalWriter`]) so every acknowledged decision survives
-//!   a crash; [`replay`] re-executes a recorded trace deterministically
-//!   on one thread;
-//! * [`recovery`] — [`recover`] rebuilds a fresh scheduler from a WAL's
-//!   longest valid prefix and re-certifies the committed history against
-//!   the Theorem 1 oracle before accepting it;
+//! * [`server`] — [`serve`] wires one core and N session threads together
+//!   with `thread::scope` and returns a [`ServeReport`] (partial runs
+//!   included; [`ServeReport::into_run`] is the committed history as a
+//!   validated [`Schedule`](relser_core::schedule::Schedule) plus
+//!   [`ServerMetrics`]); [`replay`] re-executes a recorded trace
+//!   deterministically on one thread;
+//! * [`shard`] — [`serve_sharded`], the same front-end over N shard
+//!   cores behind an object-space router;
+//! * [`supervisor`] — [`supervise_shard`], the restart loop the TCP
+//!   front-end (`relser-net`) runs each shard core under;
+//! * [`recovery`] — one function per log shape, each rebuilding a fresh
+//!   scheduler from the log's longest valid prefix and re-certifying the
+//!   committed history before accepting it: [`recover`] (one log's
+//!   bytes), [`recover_segments_with_certifier`] (one segmented log),
+//!   [`recover_sharded_segments_with_certifier`] (N per-shard streams);
 //! * [`baseline`] — the single-thread yardstick for throughput speedups.
 //!
 //! ## The headline invariant
@@ -45,13 +53,24 @@
 //! ```
 //! use relser_core::rsg::Rsg;
 //! use relser_protocols::rsg_sgt::RsgSgt;
-//! use relser_server::{serve, ServerConfig};
+//! use relser_server::{serve, FaultPlan, ServerConfig};
 //! use relser_workload::banking::{banking, BankingConfig};
+//! use relser_workload::stream::RequestStream;
 //!
 //! let scenario = banking(&BankingConfig::default(), 42);
 //! let scheduler = RsgSgt::new(&scenario.txns, &scenario.spec);
-//! let cfg = ServerConfig { workers: 4, seed: 7, ..ServerConfig::default() };
-//! let run = serve(&scenario.txns, Box::new(scheduler), &cfg).unwrap();
+//! let cfg = ServerConfig { workers: 4, ..ServerConfig::default() };
+//! let stream = RequestStream::shuffled(&scenario.txns, 7);
+//! // No faults, no commit log: the plain in-memory service.
+//! let report = serve(
+//!     &scenario.txns,
+//!     &stream,
+//!     Box::new(scheduler),
+//!     &cfg,
+//!     &FaultPlan::default(),
+//!     None,
+//! );
+//! let run = report.into_run(&scenario.txns).unwrap();
 //! let rsg = Rsg::build(&scenario.txns, &run.history, &scenario.spec);
 //! assert!(rsg.is_acyclic(), "committed history is relatively serializable");
 //! ```
@@ -64,7 +83,6 @@ pub mod core;
 pub mod metrics;
 pub mod queue;
 pub mod recovery;
-pub mod ring;
 pub mod server;
 pub mod session;
 pub mod shard;
@@ -72,24 +90,17 @@ pub mod supervisor;
 
 pub use baseline::{run_baseline, BaselineRun};
 pub use core::{
-    run_core_durable, run_core_sharded, FaultPlan, Progress, ReplyLost, ShardCoreCtx, TraceEvent,
-    WakeStats,
+    run_core, CoreCfg, FaultPlan, Progress, ReplyLost, ShardCoreCtx, TraceEvent, WakeStats,
 };
 pub use metrics::ServerMetrics;
-pub use queue::{BoundedQueue, PopWait, PushError, QueueBackend, QueueStats};
+pub use queue::{BoundedQueue, PopWait, PushError, QueueStats};
 pub use recovery::{
-    recover, recover_segments, recover_segments_with_certifier, recover_sharded,
-    recover_sharded_segments, recover_sharded_segments_with_certifier,
-    recover_sharded_with_certifier, recover_with_certifier, Certifier, Recovery, RecoveryError,
-    ShardedRecovery,
+    recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
+    Recovery, RecoveryError, ShardedRecovery,
 };
 pub use server::{
-    replay, serve, serve_durable, serve_durable_log, serve_report, serve_stream, ReplayMismatch,
-    RunOutcome, ServeReport, ServerConfig, ServerError, ServerRun,
+    replay, serve, ReplayMismatch, RunOutcome, ServeReport, ServerConfig, ServerError, ServerRun,
 };
 pub use session::{restart_backoff, OverloadPolicy, SessionError, SessionStats};
-pub use shard::{
-    replay_sharded, serve_sharded, serve_sharded_report, serve_sharded_stream, AdmitRecord,
-    ShardedReport, ShardedRun,
-};
+pub use shard::{replay_sharded, serve_sharded, AdmitRecord, ShardedReport, ShardedRun};
 pub use supervisor::{supervise_shard, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg};

@@ -1,6 +1,8 @@
 //! Aggregated service metrics for one [`crate::serve`] run.
 
+use crate::core::CoreOutput;
 use crate::queue::QueueStats;
+use crate::session::{SessionError, SessionStats};
 use relser_simdb::metrics::{DecisionLatency, LatencyHistogram};
 use relser_wal::WalStats;
 use std::fmt;
@@ -68,6 +70,49 @@ pub struct ServerMetrics {
 }
 
 impl ServerMetrics {
+    /// The metrics one core's output determines: its counters, its
+    /// queue's statistics, its latency samples folded into summaries, and
+    /// its WAL counters. What the front-end alone knows (`workers`,
+    /// `sheds`, `committed_ops`, backoff, supervision) is left at its
+    /// default for the caller to fill in.
+    pub fn from_core(out: &CoreOutput, queue: QueueStats, elapsed: Duration) -> ServerMetrics {
+        ServerMetrics {
+            commits: out.commits,
+            aborts: out.aborts,
+            timeout_aborts: out.timeout_aborts,
+            requests: out.grants + out.blocked + out.aborts,
+            grants: out.grants,
+            blocked: out.blocked,
+            commands: out.commands,
+            batches: out.batches,
+            max_batch: out.max_batch,
+            queue,
+            decision: DecisionLatency::from_samples(&out.decision_ns),
+            admission: out.admission.clone(),
+            queue_wait: out.queue_wait.clone(),
+            wal_sync: histogram_of(&out.wal_sync_ns),
+            elapsed,
+            wal: out.wal,
+            wal_error: out.wal_error.clone(),
+            ..ServerMetrics::default()
+        }
+    }
+
+    /// Folds in the session threads' restart accounting: backoff slept
+    /// (summed) and the largest incarnation count any transaction needed.
+    pub(crate) fn with_sessions(
+        mut self,
+        sessions: &[(SessionStats, Option<SessionError>)],
+    ) -> ServerMetrics {
+        self.backoff_ns = sessions.iter().map(|(s, _)| s.backoff_ns).sum();
+        self.max_txn_attempts = sessions
+            .iter()
+            .map(|(s, _)| s.max_txn_attempts)
+            .max()
+            .unwrap_or(0);
+        self
+    }
+
     /// Committed operations per wall-clock second.
     pub fn ops_per_sec(&self) -> f64 {
         per_sec(self.committed_ops, self.elapsed)
@@ -133,6 +178,16 @@ impl ServerMetrics {
         self.supervisor_panics += other.supervisor_panics;
         self.failed_shards += other.failed_shards;
     }
+}
+
+/// Folds raw latency samples into a histogram (the WAL and the core keep
+/// raw ns so they stay free of metrics dependencies).
+pub fn histogram_of(samples: &[u64]) -> LatencyHistogram {
+    let mut h = LatencyHistogram::new();
+    for &ns in samples {
+        h.record(ns);
+    }
+    h
 }
 
 fn per_sec(n: u64, elapsed: Duration) -> f64 {

@@ -16,29 +16,9 @@
 //! everyone: pending items are still delivered, further pushes fail with
 //! [`PushError::Closed`].
 
-use crate::ring::RingQueue;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Which implementation backs a [`BoundedQueue`].
-///
-/// Both backends share semantics (FIFO per producer, shed/backpressure
-/// split, proportional producer wakes, close/reopen, batch drains) and
-/// pass the same edge-case suite; they differ in *how* producers and
-/// the consumer coordinate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// One mutex guards the buffer; producers and the consumer park on
-    /// condvars. Simple, fair, and the reference implementation.
-    #[default]
-    Condvar,
-    /// Disruptor-style ring (see [`crate::ring`]): producers claim slots
-    /// with a CAS and publish via per-slot sequence numbers; the
-    /// consumer drains without taking any shared lock. Opt-in via
-    /// [`crate::ServerConfig::queue_backend`].
-    Ring,
-}
 
 /// How a [`BoundedQueue::pop_batch_timeout`] wait ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,114 +69,19 @@ struct State<T> {
     spurious_producer_wakeups: u64,
 }
 
-/// The bounded MPSC queue; see the module docs. A thin facade over the
-/// selected [`QueueBackend`] so every call site — core, sessions,
-/// supervisor, shard router — is backend-agnostic.
+/// The bounded MPSC queue; see the module docs.
 pub struct BoundedQueue<T> {
-    backend: Backend<T>,
-}
-
-enum Backend<T> {
-    Condvar(CondvarQueue<T>),
-    Ring(RingQueue<T>),
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items (`capacity` ≥ 1), on the
-    /// default mutex+condvar backend.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_backend(capacity, QueueBackend::Condvar)
-    }
-
-    /// A queue holding at most `capacity` items on the given backend.
-    pub fn with_backend(capacity: usize, backend: QueueBackend) -> Self {
-        BoundedQueue {
-            backend: match backend {
-                QueueBackend::Condvar => Backend::Condvar(CondvarQueue::new(capacity)),
-                QueueBackend::Ring => Backend::Ring(RingQueue::new(capacity)),
-            },
-        }
-    }
-
-    /// Enqueues `item`, blocking while the queue is full (backpressure).
-    /// Fails only when the queue is closed.
-    pub fn push_wait(&self, item: T) -> Result<(), PushError<T>> {
-        match &self.backend {
-            Backend::Condvar(q) => q.push_wait(item),
-            Backend::Ring(q) => q.push_wait(item),
-        }
-    }
-
-    /// Enqueues `item` only if there is room right now (shed policy).
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        match &self.backend {
-            Backend::Condvar(q) => q.try_push(item),
-            Backend::Ring(q) => q.try_push(item),
-        }
-    }
-
-    /// Blocks until at least one item is available (or the queue is closed
-    /// and drained), then moves up to `max` items into `out`. Returns
-    /// `false` when the queue is closed and empty — the consumer's
-    /// shutdown signal.
-    pub fn pop_batch(&self, max: usize, out: &mut Vec<T>) -> bool {
-        match &self.backend {
-            Backend::Condvar(q) => q.pop_batch(max, out),
-            Backend::Ring(q) => q.pop_batch(max, out),
-        }
-    }
-
-    /// [`BoundedQueue::pop_batch`] with a bounded wait: returns
-    /// [`PopWait::Idle`] if `timeout` elapses with nothing enqueued, so
-    /// the consumer can run periodic housekeeping (e.g. a deferred-fsync
-    /// tick) instead of blocking forever on an idle queue.
-    pub fn pop_batch_timeout(&self, max: usize, out: &mut Vec<T>, timeout: Duration) -> PopWait {
-        match &self.backend {
-            Backend::Condvar(q) => q.pop_batch_timeout(max, out, timeout),
-            Backend::Ring(q) => q.pop_batch_timeout(max, out, timeout),
-        }
-    }
-
-    /// Closes the queue: wakes all blocked producers and the consumer.
-    /// Items already enqueued are still delivered by `pop_batch`.
-    pub fn close(&self) {
-        match &self.backend {
-            Backend::Condvar(q) => q.close(),
-            Backend::Ring(q) => q.close(),
-        }
-    }
-
-    /// Reopens a closed queue for a new consumer incarnation (crash
-    /// recovery; see the condvar backend's docs).
-    pub fn reopen(&self) {
-        match &self.backend {
-            Backend::Condvar(q) => q.reopen(),
-            Backend::Ring(q) => q.reopen(),
-        }
-    }
-
-    /// Depth and wakeup statistics observed so far.
-    pub fn stats(&self) -> QueueStats {
-        match &self.backend {
-            Backend::Condvar(q) => q.stats(),
-            Backend::Ring(q) => q.stats(),
-        }
-    }
-}
-
-/// The mutex+condvar backend (the default); see the module docs.
-struct CondvarQueue<T> {
     capacity: usize,
     state: Mutex<State<T>>,
     not_empty: Condvar,
     not_full: Condvar,
 }
 
-impl<T> CondvarQueue<T> {
+impl<T> BoundedQueue<T> {
     /// A queue holding at most `capacity` items (`capacity` ≥ 1).
-    fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "queue capacity must be at least 1");
-        CondvarQueue {
+        BoundedQueue {
             capacity,
             state: Mutex::new(State {
                 buf: VecDeque::with_capacity(capacity),
@@ -222,7 +107,7 @@ impl<T> CondvarQueue<T> {
 
     /// Enqueues `item`, blocking while the queue is full (backpressure).
     /// Fails only when the queue is closed.
-    fn push_wait(&self, item: T) -> Result<(), PushError<T>> {
+    pub fn push_wait(&self, item: T) -> Result<(), PushError<T>> {
         let mut state = self.state.lock().expect("queue lock");
         let mut woken = false;
         loop {
@@ -249,7 +134,7 @@ impl<T> CondvarQueue<T> {
     }
 
     /// Enqueues `item` only if there is room right now (shed policy).
-    fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut state = self.state.lock().expect("queue lock");
         if state.closed {
             return Err(PushError::Closed(item));
@@ -264,24 +149,29 @@ impl<T> CondvarQueue<T> {
         Ok(())
     }
 
+    /// Moves up to `max` items into `out`, then wakes exactly as many
+    /// blocked producers as can use the slots that opened up — not the
+    /// whole herd.
+    fn drain(&self, mut state: MutexGuard<'_, State<T>>, max: usize, out: &mut Vec<T>) {
+        let take = state.buf.len().min(max);
+        out.extend(state.buf.drain(..take));
+        let wake = take.min(state.blocked_producers);
+        drop(state);
+        for _ in 0..wake {
+            self.not_full.notify_one();
+        }
+    }
+
     /// Blocks until at least one item is available (or the queue is closed
     /// and drained), then moves up to `max` items into `out`. Returns
     /// `false` when the queue is closed and empty — the consumer's
     /// shutdown signal.
-    fn pop_batch(&self, max: usize, out: &mut Vec<T>) -> bool {
+    pub fn pop_batch(&self, max: usize, out: &mut Vec<T>) -> bool {
         debug_assert!(max >= 1);
         let mut state = self.state.lock().expect("queue lock");
         loop {
             if !state.buf.is_empty() {
-                let take = state.buf.len().min(max);
-                out.extend(state.buf.drain(..take));
-                let wake = take.min(state.blocked_producers);
-                drop(state);
-                // `take` slots opened up: wake exactly as many producers
-                // as can use them, not the whole herd.
-                for _ in 0..wake {
-                    self.not_full.notify_one();
-                }
+                self.drain(state, max, out);
                 return true;
             }
             if state.closed {
@@ -295,19 +185,13 @@ impl<T> CondvarQueue<T> {
     /// [`PopWait::Idle`] if `timeout` elapses with nothing enqueued, so
     /// the consumer can run periodic housekeeping (e.g. a deferred-fsync
     /// tick) instead of blocking forever on an idle queue.
-    fn pop_batch_timeout(&self, max: usize, out: &mut Vec<T>, timeout: Duration) -> PopWait {
+    pub fn pop_batch_timeout(&self, max: usize, out: &mut Vec<T>, timeout: Duration) -> PopWait {
         debug_assert!(max >= 1);
         let deadline = Instant::now() + timeout;
         let mut state = self.state.lock().expect("queue lock");
         loop {
             if !state.buf.is_empty() {
-                let take = state.buf.len().min(max);
-                out.extend(state.buf.drain(..take));
-                let wake = take.min(state.blocked_producers);
-                drop(state);
-                for _ in 0..wake {
-                    self.not_full.notify_one();
-                }
+                self.drain(state, max, out);
                 return PopWait::Batch;
             }
             if state.closed {
@@ -327,7 +211,7 @@ impl<T> CondvarQueue<T> {
 
     /// Closes the queue: wakes all blocked producers and the consumer.
     /// Items already enqueued are still delivered by `pop_batch`.
-    fn close(&self) {
+    pub fn close(&self) {
         let mut state = self.state.lock().expect("queue lock");
         state.closed = true;
         drop(state);
@@ -340,7 +224,7 @@ impl<T> CondvarQueue<T> {
     /// shard core recovers, drains what was in flight, and reopens once
     /// the recovered core is ready to consume again. Depth statistics
     /// carry across incarnations.
-    fn reopen(&self) {
+    pub fn reopen(&self) {
         let mut state = self.state.lock().expect("queue lock");
         state.closed = false;
         drop(state);
@@ -348,7 +232,7 @@ impl<T> CondvarQueue<T> {
     }
 
     /// Depth statistics observed so far.
-    fn stats(&self) -> QueueStats {
+    pub fn stats(&self) -> QueueStats {
         let state = self.state.lock().expect("queue lock");
         QueueStats {
             max_depth: state.max_depth,

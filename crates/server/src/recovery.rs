@@ -1,7 +1,12 @@
 //! Crash recovery: rebuild scheduler state from a write-ahead log.
 //!
-//! [`recover`] is the other half of the durability contract started by
-//! [`crate::serve_durable`]. The core logged every state-changing
+//! Recovery is the other half of the durability contract started by
+//! serving with a commit log ([`crate::serve`], [`crate::run_core`]), one
+//! function per log shape, each taking its step-4 [`Certifier`]
+//! explicitly: [`recover`] for one log's bytes,
+//! [`recover_segments_with_certifier`] for one segmented log,
+//! [`recover_sharded_segments_with_certifier`] for N per-shard segment
+//! streams. The core logged every state-changing
 //! admission event in core order — the run's serialization point — so
 //! replaying the log's longest valid prefix through a **fresh** scheduler
 //! reconstructs exactly the state the crashed core had acknowledged:
@@ -21,10 +26,9 @@
 //!    re-submission).
 //! 4. **Re-certify.** The committed history is projected onto the
 //!    committed sub-universe ([`Projection::subset`]) and re-certified.
-//!    The default engine is the linear-time vector-clock certifier
+//!    [`Certifier::VClock`] is the linear-time vector-clock certifier
 //!    (`relser_core::vclock`, O(n·K) in history length n and transaction
-//!    count K) — recovery no longer re-runs the full Theorem 1 graph
-//!    closure. The explicit `Rsg::build(..).is_acyclic()` path is kept
+//!    count K); the explicit `Rsg::build(..).is_acyclic()` path is kept
 //!    selectable via [`Certifier::Theorem1Rsg`] and the regression suite
 //!    asserts both paths recover byte-identical state at every crash
 //!    point. A rejected history means the log was forged or the service
@@ -44,7 +48,7 @@ use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_core::vclock;
 use relser_protocols::{Decision, Scheduler};
-use relser_wal::{scan, CheckpointEvent, SessionEntry, Truncation, WalRecord};
+use relser_wal::{scan, CheckpointEvent, ScanResult, SessionEntry, Truncation, WalRecord};
 use std::fmt;
 
 /// What [`recover`] rebuilt from the log's valid prefix.
@@ -68,7 +72,7 @@ pub struct Recovery {
     /// merges the per-shard commit orders by these stamps.
     pub commit_stamps: Vec<(u64, TxnId)>,
     /// The shard id stamped in the seeding checkpoint (`None` when the
-    /// log has no checkpoint). [`recover_sharded`] uses it to refuse a
+    /// log has no checkpoint). Sharded recovery uses it to refuse a
     /// segment stream routed to the wrong shard's recovery.
     pub shard: Option<u32>,
     /// Granted operations of committed *and* still-live incarnations at
@@ -232,61 +236,114 @@ fn recertify(
     Ok(())
 }
 
-/// Recovers from `bytes` (the contents of a write-ahead log) into
+/// Recovers from `bytes` (the contents of one write-ahead log) into
 /// `scheduler`, which must be fresh and built over the same `txns` /
 /// `spec` universe the crashed service ran. See the module docs for the
-/// four steps; step 4 uses the default linear-time vector-clock
-/// certifier. On success the scheduler holds exactly the committed
-/// state, ready to admit new work.
+/// four steps; step 4 re-certifies with `certifier` (the regression suite
+/// runs both [`Certifier`]s over every crash point and asserts
+/// byte-identical recovered state). On success the scheduler holds
+/// exactly the committed state, ready to admit new work.
 pub fn recover(
-    txns: &TxnSet,
-    spec: &AtomicitySpec,
-    scheduler: &mut dyn Scheduler,
-    bytes: &[u8],
-) -> Result<Recovery, RecoveryError> {
-    recover_with_certifier(txns, spec, scheduler, bytes, Certifier::default())
-}
-
-/// [`recover`] with an explicit step-4 engine — the regression suite runs
-/// both [`Certifier`]s over every crash point and asserts byte-identical
-/// recovered state.
-pub fn recover_with_certifier(
     txns: &TxnSet,
     spec: &AtomicitySpec,
     scheduler: &mut dyn Scheduler,
     bytes: &[u8],
     certifier: Certifier,
 ) -> Result<Recovery, RecoveryError> {
-    let scanned = scan(bytes);
-    let records = &scanned.records;
+    replay_scan(txns, spec, scheduler, scan(bytes), certifier)
+}
 
-    let mut log: Vec<OpId> = Vec::new();
+/// Step 2's state: the scheduler being rebuilt and the core bookkeeping
+/// mirrored record for record. Checkpoint events and log records replay
+/// through the same four transitions; `at`/`record` name the log record
+/// being replayed, for error reports.
+struct Replay<'a> {
+    txns: &'a TxnSet,
+    scheduler: &'a mut dyn Scheduler,
+    log: Vec<OpId>,
+    live: Vec<TxnId>,
+    trace: Vec<TraceEvent>,
+}
+
+impl Replay<'_> {
+    fn check_txn(&self, t: TxnId, at: usize, record: &WalRecord) -> Result<(), RecoveryError> {
+        if t.index() < self.txns.len() {
+            return Ok(());
+        }
+        Err(RecoveryError::ForeignRecord {
+            at,
+            record: record.clone(),
+        })
+    }
+
+    fn begin(&mut self, t: TxnId, at: usize, record: &WalRecord) -> Result<(), RecoveryError> {
+        self.check_txn(t, at, record)?;
+        self.scheduler.begin(t);
+        if !self.live.contains(&t) {
+            self.live.push(t);
+        }
+        self.trace.push(TraceEvent::Begin(t));
+        Ok(())
+    }
+
+    fn grant(&mut self, op: OpId, at: usize, record: &WalRecord) -> Result<(), RecoveryError> {
+        self.check_txn(op.txn, at, record)?;
+        if op.index >= self.txns.txn(op.txn).len() as u32 {
+            return Err(RecoveryError::ForeignRecord {
+                at,
+                record: record.clone(),
+            });
+        }
+        let got = self.scheduler.request(op);
+        if got != Decision::Granted {
+            return Err(RecoveryError::ReplayDivergence {
+                at,
+                record: record.clone(),
+                got,
+            });
+        }
+        self.log.push(op);
+        self.trace.push(TraceEvent::Decision(op, Decision::Granted));
+        Ok(())
+    }
+
+    fn commit(&mut self, t: TxnId, at: usize, record: &WalRecord) -> Result<(), RecoveryError> {
+        self.check_txn(t, at, record)?;
+        self.scheduler.commit(t);
+        self.live.retain(|&u| u != t);
+        self.trace.push(TraceEvent::Commit(t));
+        Ok(())
+    }
+
+    fn abort(&mut self, t: TxnId, at: usize, record: &WalRecord) -> Result<(), RecoveryError> {
+        self.check_txn(t, at, record)?;
+        self.scheduler.abort(t);
+        self.log.retain(|o| o.txn != t);
+        self.live.retain(|&u| u != t);
+        self.trace.push(TraceEvent::Abort(t));
+        Ok(())
+    }
+}
+
+/// [`recover`] over an already-scanned log.
+fn replay_scan(
+    txns: &TxnSet,
+    spec: &AtomicitySpec,
+    scheduler: &mut dyn Scheduler,
+    scanned: ScanResult,
+    certifier: Certifier,
+) -> Result<Recovery, RecoveryError> {
+    let records = &scanned.records;
+    let mut replay = Replay {
+        txns,
+        scheduler,
+        log: Vec::new(),
+        live: Vec::new(),
+        trace: Vec::with_capacity(records.len()),
+    };
     let mut committed: Vec<TxnId> = Vec::new();
     let mut commit_stamps: Vec<(u64, TxnId)> = Vec::new();
-    let mut trace: Vec<TraceEvent> = Vec::with_capacity(records.len());
-    let mut live: Vec<TxnId> = Vec::new();
     let mut sessions: Vec<SessionEntry> = Vec::new();
-    let check_txn = |t: TxnId, at: usize| -> Result<(), RecoveryError> {
-        if t.index() >= txns.len() {
-            Err(RecoveryError::ForeignRecord {
-                at,
-                record: records[at].clone(),
-            })
-        } else {
-            Ok(())
-        }
-    };
-    let check_op = |op: OpId, at: usize| -> Result<(), RecoveryError> {
-        check_txn(op.txn, at)?;
-        if op.index >= txns.txn(op.txn).len() as u32 {
-            Err(RecoveryError::ForeignRecord {
-                at,
-                record: records[at].clone(),
-            })
-        } else {
-            Ok(())
-        }
-    };
 
     // Step 2a: seed from the *newest* checkpoint, if any. Its `events`
     // stream is the condensed, retirement-pruned replay of the live state
@@ -299,48 +356,26 @@ pub fn recover_with_certifier(
     let mut shard: Option<u32> = None;
     let start = match seed_at {
         Some(k) => {
-            let WalRecord::Checkpoint(cp) = &records[k] else {
+            let record = &records[k];
+            let WalRecord::Checkpoint(cp) = record else {
                 unreachable!("rposition matched a checkpoint");
             };
-            for &t in &cp.committed {
-                check_txn(t, k)?;
+            for &t in cp
+                .committed
+                .iter()
+                .chain(cp.sessions.iter().map(|e| &e.txn))
+            {
+                replay.check_txn(t, k, record)?;
             }
             shard = Some(cp.shard);
             committed = cp.committed.clone();
-            for e in &cp.sessions {
-                check_txn(e.txn, k)?;
-            }
             sessions = cp.sessions.clone();
             seeded_events = cp.events.len();
             for ev in &cp.events {
                 match *ev {
-                    CheckpointEvent::Begin(t) => {
-                        check_txn(t, k)?;
-                        scheduler.begin(t);
-                        if !live.contains(&t) {
-                            live.push(t);
-                        }
-                        trace.push(TraceEvent::Begin(t));
-                    }
-                    CheckpointEvent::Grant(op) => {
-                        check_op(op, k)?;
-                        let got = scheduler.request(op);
-                        if got != Decision::Granted {
-                            return Err(RecoveryError::ReplayDivergence {
-                                at: k,
-                                record: records[k].clone(),
-                                got,
-                            });
-                        }
-                        log.push(op);
-                        trace.push(TraceEvent::Decision(op, Decision::Granted));
-                    }
-                    CheckpointEvent::Commit(t) => {
-                        check_txn(t, k)?;
-                        scheduler.commit(t);
-                        live.retain(|&u| u != t);
-                        trace.push(TraceEvent::Commit(t));
-                    }
+                    CheckpointEvent::Begin(t) => replay.begin(t, k, record)?,
+                    CheckpointEvent::Grant(op) => replay.grant(op, k, record)?,
+                    CheckpointEvent::Commit(t) => replay.commit(t, k, record)?,
                 }
             }
             k + 1
@@ -353,41 +388,16 @@ pub fn recover_with_certifier(
     let replayed = records.len() - start;
     for (at, record) in records.iter().enumerate().skip(start) {
         match *record {
-            WalRecord::Begin(txn) => {
-                check_txn(txn, at)?;
-                scheduler.begin(txn);
-                if !live.contains(&txn) {
-                    live.push(txn);
-                }
-                trace.push(TraceEvent::Begin(txn));
-            }
-            WalRecord::Grant(op) => {
-                check_op(op, at)?;
-                let got = scheduler.request(op);
-                if got != Decision::Granted {
-                    return Err(RecoveryError::ReplayDivergence {
-                        at,
-                        record: record.clone(),
-                        got,
-                    });
-                }
-                log.push(op);
-                trace.push(TraceEvent::Decision(op, Decision::Granted));
-            }
+            WalRecord::Begin(txn) => replay.begin(txn, at, record)?,
+            WalRecord::Grant(op) => replay.grant(op, at, record)?,
             WalRecord::Commit(txn) => {
-                check_txn(txn, at)?;
-                scheduler.commit(txn);
+                replay.commit(txn, at, record)?;
                 committed.push(txn);
-                live.retain(|&t| t != txn);
-                trace.push(TraceEvent::Commit(txn));
             }
             WalRecord::CommitAt { txn, stamp } => {
-                check_txn(txn, at)?;
-                scheduler.commit(txn);
+                replay.commit(txn, at, record)?;
                 committed.push(txn);
                 commit_stamps.push((stamp, txn));
-                live.retain(|&t| t != txn);
-                trace.push(TraceEvent::Commit(txn));
             }
             WalRecord::CommitSession {
                 txn,
@@ -397,52 +407,50 @@ pub fn recover_with_certifier(
             } => {
                 // A sessionful commit: exactly a `CommitAt` plus the
                 // retry-table entry that was made durable with it.
-                check_txn(txn, at)?;
-                scheduler.commit(txn);
+                replay.commit(txn, at, record)?;
                 committed.push(txn);
                 commit_stamps.push((stamp, txn));
-                live.retain(|&t| t != txn);
                 sessions.push(SessionEntry {
                     session,
                     req_id,
                     txn,
                 });
-                trace.push(TraceEvent::Commit(txn));
             }
-            WalRecord::Abort(txn) => {
-                check_txn(txn, at)?;
-                scheduler.abort(txn);
-                log.retain(|o| o.txn != txn);
-                live.retain(|&t| t != txn);
-                trace.push(TraceEvent::Abort(txn));
-            }
+            WalRecord::Abort(txn) => replay.abort(txn, at, record)?,
             WalRecord::Checkpoint(_) => {
                 unreachable!("the newest checkpoint seeds; none can follow it")
             }
         }
     }
+    let Replay {
+        scheduler,
+        log,
+        live,
+        trace,
+        ..
+    } = replay;
 
     // The committed transactions whose complete operation sets survived
-    // into this log (all of them, absent compaction), the pre-rollback
-    // log, and the re-certifiable history.
+    // into this log (all of them, absent compaction) and the
+    // re-certifiable history.
+    let complete = complete_txns(txns, &committed, [&log[..]]);
     let certified: Vec<TxnId> = committed
         .iter()
         .copied()
-        .filter(|&t| log.iter().filter(|o| o.txn == t).count() == txns.txn(t).len())
+        .filter(|t| complete[t.index()])
         .collect();
     let history: Vec<OpId> = log
         .iter()
         .copied()
-        .filter(|o| certified.contains(&o.txn))
+        .filter(|o| complete[o.txn.index()])
         .collect();
-    let pre_rollback_log = log.clone();
 
     // Step 3: roll back crash-orphaned incarnations.
     for &txn in &live {
         scheduler.abort(txn);
     }
 
-    // Step 4: re-certify the certified history (vclock by default).
+    // Step 4: re-certify the certified history.
     recertify(txns, spec, &certified, &history, certifier)?;
 
     // Finalize the retry table: only entries whose commit this log
@@ -459,7 +467,7 @@ pub fn recover_with_certifier(
         commit_stamps,
         shard,
         certified,
-        log: pre_rollback_log,
+        log,
         history,
         seeded_events,
         replayed,
@@ -467,6 +475,30 @@ pub fn recover_with_certifier(
         live_aborted: live,
         sessions,
     })
+}
+
+/// The one completeness rule: flags (indexed by transaction) the members
+/// of `committed` whose **complete** operation set is present across
+/// `logs` — what may be certified; a commit with operations missing
+/// (compacted away, or on a shard log a crash cut) is certified on no
+/// fragment.
+fn complete_txns<'a>(
+    txns: &TxnSet,
+    committed: &[TxnId],
+    logs: impl IntoIterator<Item = &'a [OpId]>,
+) -> Vec<bool> {
+    let mut in_committed = vec![false; txns.len()];
+    for &t in committed {
+        in_committed[t.index()] = true;
+    }
+    let mut op_counts = vec![0usize; txns.len()];
+    for o in logs.into_iter().flatten() {
+        op_counts[o.txn.index()] += 1;
+    }
+    for t in txns.txn_ids() {
+        in_committed[t.index()] &= op_counts[t.index()] == txns.txn(t).len();
+    }
+    in_committed
 }
 
 /// Collapses session entries to one per session id, keeping the newest
@@ -493,22 +525,14 @@ fn dedupe_sessions(entries: Vec<SessionEntry>) -> Vec<SessionEntry> {
 /// checkpoint frame is intact (rotation forces it durable before older
 /// segments may be deleted, so if a crash tore the newest segment's head
 /// the previous segment is still on disk and wholly covers the
-/// acknowledged state), then runs [`recover`] on that segment's bytes.
+/// acknowledged state), then replays that segment like [`recover`]. Each
+/// candidate is scanned once; the chosen one's scan is what gets replayed.
 /// Returns the chosen segment's sequence number alongside the recovery.
 ///
 /// `segments` is `(seq, bytes)` ascending — from
 /// [`relser_wal::DirSegmentStore::list`] plus `std::fs::read`, or from
-/// [`relser_wal::MemSegmentsHandle::segments`] in tests.
-pub fn recover_segments(
-    txns: &TxnSet,
-    spec: &AtomicitySpec,
-    scheduler: &mut dyn Scheduler,
-    segments: &[(u64, Vec<u8>)],
-) -> Result<(u64, Recovery), RecoveryError> {
-    recover_segments_with_certifier(txns, spec, scheduler, segments, Certifier::default())
-}
-
-/// [`recover_segments`] with an explicit step-4 engine.
+/// [`relser_wal::MemSegmentsHandle::segments`] in tests. A flat
+/// (unsegmented) log is the one-segment stream `[(0, bytes)]`.
 pub fn recover_segments_with_certifier(
     txns: &TxnSet,
     spec: &AtomicitySpec,
@@ -516,24 +540,25 @@ pub fn recover_segments_with_certifier(
     segments: &[(u64, Vec<u8>)],
     certifier: Certifier,
 ) -> Result<(u64, Recovery), RecoveryError> {
-    let chosen = segments
-        .iter()
-        .rev()
-        .find(|(_, bytes)| matches!(scan(bytes).records.first(), Some(WalRecord::Checkpoint(_))))
-        .or_else(|| segments.last());
-    match chosen {
-        Some((seq, bytes)) => Ok((
-            *seq,
-            recover_with_certifier(txns, spec, scheduler, bytes, certifier)?,
-        )),
-        None => Ok((
-            0,
-            recover_with_certifier(txns, spec, scheduler, &[], certifier)?,
-        )),
+    // Newest first; the newest segment itself is the fallback when no
+    // head checkpoint is intact.
+    let mut pick: Option<(u64, ScanResult)> = None;
+    for (seq, bytes) in segments.iter().rev() {
+        let scanned = scan(bytes);
+        let intact = matches!(scanned.records.first(), Some(WalRecord::Checkpoint(_)));
+        if intact || pick.is_none() {
+            pick = Some((*seq, scanned));
+        }
+        if intact {
+            break;
+        }
     }
+    let (seq, scanned) = pick.unwrap_or_else(|| (0, scan(&[])));
+    Ok((seq, replay_scan(txns, spec, scheduler, scanned, certifier)?))
 }
 
-/// What [`recover_sharded`] rebuilt from N per-shard logs.
+/// What [`recover_sharded_segments_with_certifier`] rebuilt from N
+/// per-shard logs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardedRecovery {
     /// The per-shard recoveries, index = shard id.
@@ -561,84 +586,24 @@ pub struct ShardedRecovery {
     pub sessions: Vec<SessionEntry>,
 }
 
-/// Recovers a sharded service from its N per-shard write-ahead logs
-/// (`logs[s]` = shard `s`'s bytes; the shard count is `logs.len()`).
-///
-/// Each shard's log is recovered independently via [`recover`] — with a
-/// fresh scheduler from `make_scheduler(shard)` — then the per-shard
-/// views are merged under the two-phase commit rule: a transaction is
-/// committed iff **every** shard it touches logged its commit (the same
-/// `(txn, stamp)` pair, durable before acknowledgement on each shard).
-/// A transaction committed on a strict subset of its shards was caught
-/// mid-crash; it is excluded and reported in
-/// [`ShardedRecovery::partial`], so no half-admitted transaction ever
-/// survives recovery. Finally the merged history is re-certified whole
-/// (vclock by default) — per-shard acyclicity is *not* trusted to
-/// compose.
-pub fn recover_sharded<'a, F>(
-    txns: &TxnSet,
-    spec: &AtomicitySpec,
-    make_scheduler: F,
-    logs: &[Vec<u8>],
-) -> Result<ShardedRecovery, RecoveryError>
-where
-    F: FnMut(u32) -> Box<dyn Scheduler + 'a>,
-{
-    recover_sharded_with_certifier(txns, spec, make_scheduler, logs, Certifier::default())
-}
-
-/// [`recover_sharded`] with an explicit re-certification engine, applied
-/// both per shard and to the merged history.
-pub fn recover_sharded_with_certifier<'a, F>(
-    txns: &TxnSet,
-    spec: &AtomicitySpec,
-    mut make_scheduler: F,
-    logs: &[Vec<u8>],
-    certifier: Certifier,
-) -> Result<ShardedRecovery, RecoveryError>
-where
-    F: FnMut(u32) -> Box<dyn Scheduler + 'a>,
-{
-    assert!(!logs.is_empty(), "need at least one shard log");
-    let mut shards: Vec<Recovery> = Vec::with_capacity(logs.len());
-    for (s, bytes) in logs.iter().enumerate() {
-        let mut scheduler = make_scheduler(s as u32);
-        let rec = recover_with_certifier(txns, spec, &mut *scheduler, bytes, certifier)?;
-        if let Some(found) = rec.shard {
-            if found != s as u32 {
-                return Err(RecoveryError::ShardMismatch {
-                    expected: s as u32,
-                    found,
-                });
-            }
-        }
-        shards.push(rec);
-    }
-    merge_sharded_recoveries(txns, spec, shards, certifier)
-}
-
 /// Recovers a sharded service from its per-shard *segment* streams —
-/// `segments[s]` is shard `s`'s retained `(seq, bytes)` list, ascending.
-/// Per shard this picks the newest segment whose head checkpoint scans
-/// valid (the [`recover_segments`] rule), then merges the per-shard
-/// views exactly like [`recover_sharded`]. This is how the supervised
-/// service computes its authoritative end-of-run committed history, and
-/// how a chaos run proves zero acknowledged-commit loss.
-pub fn recover_sharded_segments<'a, F>(
-    txns: &TxnSet,
-    spec: &AtomicitySpec,
-    make_scheduler: F,
-    segments: &[Vec<(u64, Vec<u8>)>],
-) -> Result<ShardedRecovery, RecoveryError>
-where
-    F: FnMut(u32) -> Box<dyn Scheduler + 'a>,
-{
-    recover_sharded_segments_with_certifier(txns, spec, make_scheduler, segments, {
-        Certifier::default()
-    })
-}
-
-/// [`recover_sharded_segments`] with an explicit re-certification engine.
+/// `segments[s]` is shard `s`'s retained `(seq, bytes)` list, ascending
+/// (a flat per-shard log is the one-segment stream `[(0, bytes)]`); the
+/// shard count is `segments.len()`.
+///
+/// Each shard's stream is recovered independently via
+/// [`recover_segments_with_certifier`] — with a fresh scheduler from
+/// `make_scheduler(shard)` — then the per-shard views are merged under
+/// the two-phase commit rule: a transaction is committed iff **every**
+/// shard it touches logged its commit (the same `(txn, stamp)` pair,
+/// durable before acknowledgement on each shard). A transaction committed
+/// on a strict subset of its shards was caught mid-crash; it is excluded
+/// and reported in [`ShardedRecovery::partial`], so no half-admitted
+/// transaction ever survives recovery. Finally the merged history is
+/// re-certified whole with `certifier` — per-shard acyclicity is *not*
+/// trusted to compose. This is how the supervised service computes its
+/// authoritative end-of-run committed history, and how a chaos run proves
+/// zero acknowledged-commit loss.
 pub fn recover_sharded_segments_with_certifier<'a, F>(
     txns: &TxnSet,
     spec: &AtomicitySpec,
@@ -709,23 +674,12 @@ fn merge_sharded_recoveries(
     // be present across the shard logs (guaranteed by WAL-before-ack plus
     // append order within each log; checked anyway — an incomplete one is
     // demoted to partial rather than certified on a fragment).
-    let mut in_committed = vec![false; txns.len()];
-    for &t in &committed {
-        in_committed[t.index()] = true;
-    }
-    let mut op_counts = vec![0usize; txns.len()];
-    for rec in &shards {
-        for o in rec.log.iter().filter(|o| in_committed[o.txn.index()]) {
-            op_counts[o.txn.index()] += 1;
-        }
-    }
+    let in_committed = complete_txns(txns, &committed, shards.iter().map(|rec| &rec.log[..]));
     committed.retain(|&t| {
-        let complete = op_counts[t.index()] == txns.txn(t).len();
-        if !complete {
-            in_committed[t.index()] = false;
+        if !in_committed[t.index()] {
             partial.push(t);
         }
-        complete
+        in_committed[t.index()]
     });
 
     // Global commit order: stamped commits by stamp; unstamped ones (the
@@ -775,7 +729,7 @@ fn merge_sharded_recoveries(
 mod tests {
     use super::*;
     use crate::core::FaultPlan;
-    use crate::server::{serve_durable, RunOutcome, ServerConfig};
+    use crate::server::{serve, RunOutcome, ServerConfig};
     use relser_protocols::rsg_sgt::RsgSgt;
     use relser_wal::{FsyncPolicy, MemStorage, WalWriter, MAGIC};
     use relser_workload::stream::RequestStream;
@@ -799,18 +753,18 @@ mod tests {
         };
         let stream = RequestStream::shuffled(&txns, cfg.seed);
         let scheduler = RsgSgt::new(&txns, &spec);
-        let report = serve_durable(
+        let report = serve(
             &txns,
             &stream,
             Box::new(scheduler),
             &cfg,
             &FaultPlan::default(),
-            &mut wal,
+            Some(&mut wal),
         );
         assert_eq!(report.outcome, RunOutcome::Completed);
 
         let mut fresh = RsgSgt::new(&txns, &spec);
-        let rec = recover(&txns, &spec, &mut fresh, &handle.bytes()).unwrap();
+        let rec = recover(&txns, &spec, &mut fresh, &handle.bytes(), Certifier::VClock).unwrap();
         assert_eq!(rec.truncation, None);
         assert_eq!(rec.committed, report.committed);
         assert_eq!(rec.log, report.log);
@@ -835,20 +789,20 @@ mod tests {
         };
         let stream = RequestStream::shuffled(&txns, cfg.seed);
         let scheduler = RsgSgt::new(&txns, &spec);
-        let report = serve_durable(
+        let report = serve(
             &txns,
             &stream,
             Box::new(scheduler),
             &cfg,
             &FaultPlan::default(),
-            &mut wal,
+            Some(&mut wal),
         );
         assert_eq!(report.outcome, RunOutcome::Completed);
         let bytes = handle.bytes();
         let mut last_committed = 0;
         for cut in 0..=bytes.len() {
             let mut fresh = RsgSgt::new(&txns, &spec);
-            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut]).unwrap();
+            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut], Certifier::VClock).unwrap();
             // Commit monotonicity across crash points: later crashes never
             // recover fewer committed transactions.
             assert!(rec.committed.len() >= last_committed, "cut at {cut}");
@@ -868,7 +822,7 @@ mod tests {
         let mut bytes = MAGIC.to_vec();
         WalRecord::Begin(TxnId(99)).encode_into(&mut bytes).unwrap();
         let mut fresh = RsgSgt::new(&txns, &spec);
-        let err = recover(&txns, &spec, &mut fresh, &bytes).unwrap_err();
+        let err = recover(&txns, &spec, &mut fresh, &bytes, Certifier::VClock).unwrap_err();
         assert!(matches!(err, RecoveryError::ForeignRecord { at: 0, .. }));
     }
 
@@ -877,7 +831,7 @@ mod tests {
     fn garbage_recovers_to_empty_state() {
         let (txns, spec) = universe();
         let mut fresh = RsgSgt::new(&txns, &spec);
-        let rec = recover(&txns, &spec, &mut fresh, &[0xAB; 64]).unwrap();
+        let rec = recover(&txns, &spec, &mut fresh, &[0xAB; 64], Certifier::VClock).unwrap();
         assert_eq!(rec.records, 0);
         assert_eq!(rec.truncation, Some(Truncation::BadMagic));
         assert!(rec.committed.is_empty());

@@ -2,16 +2,17 @@
 //! core thread, and N session threads together; return the committed
 //! history plus metrics (and optionally a deterministic-replay trace).
 
-use crate::core::{run_core_durable, Command, CoreOutput, FaultPlan, Progress, TraceEvent};
+use crate::core::{run_core, Command, CoreCfg, CoreOutput, FaultPlan, Progress, TraceEvent};
 use crate::metrics::ServerMetrics;
-use crate::queue::{BoundedQueue, QueueBackend};
-use crate::session::{run_txn, OverloadPolicy, SessionCtx, SessionError, SessionStats};
+use crate::queue::BoundedQueue;
+use crate::session::{
+    run_session, run_txn, OverloadPolicy, SessionCtx, SessionError, SessionStats,
+};
 use relser_core::ids::{OpId, TxnId};
 use relser_core::schedule::Schedule;
 use relser_core::txn::TxnSet;
 use relser_protocols::{Decision, Scheduler};
-use relser_simdb::metrics::{DecisionLatency, LatencyHistogram};
-use relser_wal::{CommitLog, WalWriter};
+use relser_wal::CommitLog;
 use relser_workload::stream::RequestStream;
 use std::fmt;
 use std::sync::atomic::AtomicU64;
@@ -53,11 +54,19 @@ pub struct ServerConfig {
     pub max_attempts: u32,
     /// Record a [`TraceEvent`] log for deterministic replay.
     pub record_trace: bool,
-    /// Seed for the arrival order (see [`RequestStream::shuffled`]).
+    /// Seed for the arrival order: what callers hand
+    /// [`RequestStream::shuffled`] to build the stream they serve.
     pub seed: u64,
-    /// Which [`BoundedQueue`] implementation carries commands between
-    /// sessions and the admission core (see [`QueueBackend`]).
-    pub queue_backend: QueueBackend,
+}
+
+impl ServerConfig {
+    /// The admission core's share of this config.
+    pub(crate) fn core(&self) -> CoreCfg {
+        CoreCfg {
+            batch_max: self.batch_max,
+            record_trace: self.record_trace,
+        }
+    }
 }
 
 impl Default for ServerConfig {
@@ -77,7 +86,6 @@ impl Default for ServerConfig {
             max_attempts: 10_000,
             record_trace: false,
             seed: 0,
-            queue_backend: QueueBackend::Condvar,
         }
     }
 }
@@ -127,46 +135,7 @@ pub struct ServerRun {
     pub trace: Vec<TraceEvent>,
 }
 
-/// Serves a transaction set to completion with a seeded-shuffle arrival
-/// order. See [`serve_stream`] for the general form.
-pub fn serve(
-    txns: &TxnSet,
-    scheduler: Box<dyn Scheduler + Send + '_>,
-    cfg: &ServerConfig,
-) -> Result<ServerRun, ServerError> {
-    let stream = RequestStream::shuffled(txns, cfg.seed);
-    serve_stream(txns, &stream, scheduler, cfg)
-}
-
-/// Serves every transaction in `stream` to commit.
-///
-/// `cfg.workers` session threads claim arrivals from the stream and run
-/// the client protocol ([`run_txn`]); one admission core thread owns the
-/// scheduler and applies commands in queue order ([`run_core`]). The
-/// function returns when every transaction has committed (or the first
-/// session gives up, which closes the queue and unwinds the rest).
-pub fn serve_stream(
-    txns: &TxnSet,
-    stream: &RequestStream,
-    scheduler: Box<dyn Scheduler + Send + '_>,
-    cfg: &ServerConfig,
-) -> Result<ServerRun, ServerError> {
-    let report = serve_report(txns, stream, scheduler, cfg, &FaultPlan::default());
-    match report.outcome {
-        RunOutcome::Completed => {}
-        RunOutcome::Crashed => unreachable!("empty fault plan never crashes"),
-        RunOutcome::Failed(e) => return Err(e),
-    }
-    let history =
-        Schedule::new(txns, report.log).map_err(|e| ServerError::InvalidHistory(e.to_string()))?;
-    Ok(ServerRun {
-        history,
-        metrics: report.metrics,
-        trace: report.trace,
-    })
-}
-
-/// How a [`serve_report`] run ended.
+/// How a [`serve`] run ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
     /// Every transaction committed.
@@ -197,62 +166,88 @@ pub struct ServeReport {
     /// Injected (fault-plan) aborts the core applied.
     pub injected_aborts: u64,
     /// Checkpoints the core cut into the commit log (zero without a
-    /// checkpointing log — see [`serve_durable_log`]).
+    /// checkpointing log).
     pub checkpoints: u64,
 }
 
-/// [`serve_stream`] with a deterministic [`FaultPlan`], returning a
-/// [`ServeReport`] instead of failing on partial runs. The headline
-/// invariant harnesses check on top: whatever the faults, the committed
-/// transactions' history must still be relatively serializable.
-pub fn serve_report(
-    txns: &TxnSet,
-    stream: &RequestStream,
-    scheduler: Box<dyn Scheduler + Send + '_>,
-    cfg: &ServerConfig,
-    faults: &FaultPlan,
-) -> ServeReport {
-    serve_with(txns, stream, scheduler, cfg, faults, None)
+impl RunOutcome {
+    /// Surfaces the most informative failure of a run: a core crash
+    /// explains every downstream shutdown; a livelock names its culprit.
+    pub(crate) fn of(crashed: bool, sessions: &[(SessionStats, Option<SessionError>)]) -> Self {
+        if crashed {
+            return RunOutcome::Crashed;
+        }
+        let mut outcome = RunOutcome::Completed;
+        for (_, err) in sessions {
+            match err {
+                Some(SessionError::Livelock(t)) => {
+                    return RunOutcome::Failed(ServerError::Livelock(*t));
+                }
+                Some(SessionError::ReplyLost(t)) if outcome == RunOutcome::Completed => {
+                    outcome = RunOutcome::Failed(ServerError::ReplyLost(*t));
+                }
+                Some(SessionError::Shutdown) if outcome == RunOutcome::Completed => {
+                    outcome = RunOutcome::Failed(ServerError::Shutdown);
+                }
+                _ => {}
+            }
+        }
+        outcome
+    }
+
+    /// `Ok` for a completed run, else the error that names why not (a
+    /// crashed core is a [`ServerError::Shutdown`]).
+    pub(crate) fn completed(&self) -> Result<(), ServerError> {
+        match self {
+            RunOutcome::Completed => Ok(()),
+            RunOutcome::Crashed => Err(ServerError::Shutdown),
+            RunOutcome::Failed(e) => Err(e.clone()),
+        }
+    }
 }
 
-/// [`serve_report`] with a durable commit log: every state-changing
-/// admission decision is appended to `wal` **before** it is acknowledged,
-/// so after any crash [`crate::recovery::recover`] rebuilds exactly the
-/// state the core had acknowledged (and, under
-/// [`relser_wal::FsyncPolicy::Always`], no acknowledged commit is ever
-/// lost). A crash is modelled by dropping the writer without a clean
-/// close; a storage error mid-run fail-stops the core (see
-/// [`ServeReport::metrics`]'s `wal_error`).
-pub fn serve_durable(
-    txns: &TxnSet,
-    stream: &RequestStream,
-    scheduler: Box<dyn Scheduler + Send + '_>,
-    cfg: &ServerConfig,
-    faults: &FaultPlan,
-    wal: &mut WalWriter,
-) -> ServeReport {
-    serve_with(txns, stream, scheduler, cfg, faults, Some(wal))
+impl ServeReport {
+    /// The completed run — every transaction committed, the log validated
+    /// as a [`Schedule`] — or the error that says why there is none.
+    pub fn into_run(self, txns: &TxnSet) -> Result<ServerRun, ServerError> {
+        self.outcome.completed()?;
+        let history = Schedule::new(txns, self.log)
+            .map_err(|e| ServerError::InvalidHistory(e.to_string()))?;
+        Ok(ServerRun {
+            history,
+            metrics: self.metrics,
+            trace: self.trace,
+        })
+    }
 }
 
-/// [`serve_durable`] over any [`CommitLog`] — in particular the
-/// checkpointing, segment-compacting [`relser_wal::SegmentedWal`]: when
-/// the log reports a checkpoint due, the core snapshots its live state
-/// into it at a batch boundary and the log rotates, keeping retained
-/// bytes (and recovery time) bounded by live state instead of history
-/// length. The caller keeps ownership of the log and can inspect its
-/// segment counters after the run.
-pub fn serve_durable_log(
-    txns: &TxnSet,
-    stream: &RequestStream,
-    scheduler: Box<dyn Scheduler + Send + '_>,
-    cfg: &ServerConfig,
-    faults: &FaultPlan,
-    wal: &mut dyn CommitLog,
-) -> ServeReport {
-    serve_with(txns, stream, scheduler, cfg, faults, Some(wal))
-}
-
-fn serve_with(
+/// Serves every transaction in `stream` to commit — the in-process
+/// front-end over one admission core.
+///
+/// `cfg.workers` session threads claim arrivals from the stream and run
+/// the client protocol ([`run_txn`]); one admission core thread owns the
+/// scheduler and applies commands in queue order ([`run_core`]). The
+/// function returns when every transaction has committed (or the first
+/// session gives up, which closes the queue and unwinds the rest), and
+/// reports even a partial run, so harnesses can check the committed
+/// prefix against the offline oracles: whatever `faults` injects, the
+/// committed transactions' history must still be relatively serializable.
+/// [`ServeReport::into_run`] turns a completed run into its validated
+/// history.
+///
+/// With a commit log, every state-changing admission decision is appended
+/// to `wal` **before** it is acknowledged, so after any crash
+/// [`crate::recovery::recover`] rebuilds exactly the state the core had
+/// acknowledged (and, under [`relser_wal::FsyncPolicy::Always`], no
+/// acknowledged commit is ever lost). A crash is modelled by dropping the
+/// log without a clean close; a storage error mid-run fail-stops the core
+/// (see [`ServeReport::metrics`]'s `wal_error`). A checkpointing log such
+/// as [`relser_wal::SegmentedWal`] gets the core's live state at a batch
+/// boundary whenever it reports a checkpoint due, and rotates — keeping
+/// retained bytes (and recovery time) bounded by live state instead of
+/// history length. The caller keeps ownership of the log and can inspect
+/// its counters after the run.
+pub fn serve(
     txns: &TxnSet,
     stream: &RequestStream,
     scheduler: Box<dyn Scheduler + Send + '_>,
@@ -261,8 +256,7 @@ fn serve_with(
     wal: Option<&mut dyn CommitLog>,
 ) -> ServeReport {
     assert!(cfg.workers >= 1, "need at least one worker");
-    let queue: BoundedQueue<Command> =
-        BoundedQueue::with_backend(cfg.queue_capacity, cfg.queue_backend);
+    let queue: BoundedQueue<Command> = BoundedQueue::new(cfg.queue_capacity);
     let progress = Progress::new();
     let sheds = AtomicU64::new(0);
     let t0 = Instant::now();
@@ -272,17 +266,8 @@ fn serve_with(
             let queue = &queue;
             let progress = &progress;
             let sheds = &sheds;
-            let core = s.spawn(move || {
-                run_core_durable(
-                    scheduler,
-                    queue,
-                    progress,
-                    cfg.batch_max,
-                    cfg.record_trace,
-                    faults,
-                    wal,
-                )
-            });
+            let core = s
+                .spawn(move || run_core(scheduler, queue, progress, cfg.core(), faults, wal, None));
             let mut workers = Vec::with_capacity(cfg.workers);
             for _ in 0..cfg.workers {
                 workers.push(s.spawn(move || {
@@ -301,25 +286,11 @@ fn serve_with(
                         max_attempts: cfg.max_attempts,
                         sheds,
                     };
-                    let mut stats = SessionStats::default();
-                    let mut failure = None;
-                    while let Some(txn) = stream.next() {
-                        if let Err(e) = run_txn(&ctx, txn, &mut stats) {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                    match failure {
-                        // A lost reply degrades only this session: its
-                        // transaction is gone, but the queue stays open so
-                        // the other sessions keep committing.
-                        Some(SessionError::ReplyLost(_)) | None => {}
-                        // Livelock/shutdown are run-wide: wake every blocked
-                        // session and the core so the run unwinds instead of
-                        // hanging.
-                        Some(_) => queue.close(),
-                    }
-                    (stats, failure)
+                    run_session(
+                        stream,
+                        |txn, stats| run_txn(&ctx, txn, stats),
+                        || queue.close(),
+                    )
                 }));
             }
             let sessions: Vec<(SessionStats, Option<SessionError>)> = workers
@@ -332,70 +303,16 @@ fn serve_with(
         });
     let elapsed = t0.elapsed();
 
-    // Surface the most informative failure: a planned crash explains
-    // every downstream shutdown; a livelock names its culprit.
-    let mut outcome = RunOutcome::Completed;
-    if core_out.crashed {
-        outcome = RunOutcome::Crashed;
-    } else {
-        for (_, err) in &sessions {
-            match err {
-                Some(SessionError::Livelock(t)) => {
-                    outcome = RunOutcome::Failed(ServerError::Livelock(*t));
-                    break;
-                }
-                Some(SessionError::ReplyLost(t)) if outcome == RunOutcome::Completed => {
-                    outcome = RunOutcome::Failed(ServerError::ReplyLost(*t));
-                }
-                Some(SessionError::Shutdown) if outcome == RunOutcome::Completed => {
-                    outcome = RunOutcome::Failed(ServerError::Shutdown);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    let committed_ops = core_out
-        .log
-        .iter()
-        .filter(|o| core_out.committed.contains(&o.txn))
-        .count() as u64;
-    let backoff_ns = sessions.iter().map(|(s, _)| s.backoff_ns).sum();
-    let max_txn_attempts = sessions
-        .iter()
-        .map(|(s, _)| s.max_txn_attempts)
-        .max()
-        .unwrap_or(0);
     let metrics = ServerMetrics {
         workers: cfg.workers,
-        commits: core_out.commits,
-        aborts: core_out.aborts,
-        timeout_aborts: core_out.timeout_aborts,
         sheds: sheds.into_inner(),
-        requests: core_out.grants + core_out.blocked + core_out.aborts,
-        grants: core_out.grants,
-        blocked: core_out.blocked,
-        commands: core_out.commands,
-        batches: core_out.batches,
-        max_batch: core_out.max_batch,
-        queue: queue.stats(),
-        decision: DecisionLatency::from_samples(&core_out.decision_ns),
-        admission: core_out.admission,
-        queue_wait: core_out.queue_wait,
-        wal_sync: histogram_of(&core_out.wal_sync_ns),
-        elapsed,
-        committed_ops,
-        backoff_ns,
-        max_txn_attempts,
-        wal: core_out.wal,
-        wal_error: core_out.wal_error.clone(),
-        supervisor_restarts: 0,
-        supervisor_panics: 0,
-        failed_shards: 0,
-    };
+        committed_ops: core_out.committed_ops(),
+        ..ServerMetrics::from_core(&core_out, queue.stats(), elapsed)
+    }
+    .with_sessions(&sessions);
 
     ServeReport {
-        outcome,
+        outcome: RunOutcome::of(core_out.crashed, &sessions),
         committed: core_out.committed,
         log: core_out.log,
         trace: core_out.trace,
@@ -403,16 +320,6 @@ fn serve_with(
         injected_aborts: core_out.injected_aborts,
         checkpoints: core_out.checkpoints,
     }
-}
-
-/// Folds raw latency samples into a histogram (the WAL keeps raw ns so
-/// it stays free of metrics dependencies; the server owns the fold).
-pub(crate) fn histogram_of(samples: &[u64]) -> LatencyHistogram {
-    let mut h = LatencyHistogram::new();
-    for &ns in samples {
-        h.record(ns);
-    }
-    h
 }
 
 /// A replay diverged from its trace: the scheduler answered differently

@@ -31,6 +31,7 @@ use rand::{Rng, SeedableRng};
 use relser_core::ids::{OpId, TxnId};
 use relser_core::txn::TxnSet;
 use relser_protocols::Decision;
+use relser_workload::stream::RequestStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -202,6 +203,31 @@ pub fn restart_backoff(
     let mut rng = StdRng::seed_from_u64(seed ^ (txn.0 as u64).rotate_left(32) ^ attempt as u64);
     let ns = ceiling.as_nanos().min(u128::from(u64::MAX)) as u64;
     Duration::from_nanos(rng.random_range(ns / 2..=ns))
+}
+
+/// One session thread's life: claims arrivals from `stream` and runs each
+/// to commit through `run_one` until the stream is dry or a transaction
+/// fails. A lost reply degrades only this session — its transaction is
+/// gone, but the queues stay open so the other sessions keep committing.
+/// Livelock and shutdown are run-wide: `close_queues` wakes every blocked
+/// session and the core(s) so the run unwinds instead of hanging.
+pub(crate) fn run_session(
+    stream: &RequestStream,
+    mut run_one: impl FnMut(TxnId, &mut SessionStats) -> Result<(), SessionError>,
+    close_queues: impl FnOnce(),
+) -> (SessionStats, Option<SessionError>) {
+    let mut stats = SessionStats::default();
+    let mut failure = None;
+    while let Some(txn) = stream.next() {
+        if let Err(e) = run_one(txn, &mut stats) {
+            failure = Some(e);
+            break;
+        }
+    }
+    if !matches!(failure, Some(SessionError::ReplyLost(_)) | None) {
+        close_queues();
+    }
+    (stats, failure)
 }
 
 /// Runs one transaction to commit (restarting across aborts).

@@ -29,7 +29,8 @@
 //!    owning shard), the router draws one global commit stamp and sends
 //!    [`Command::CommitAt`] to every owner. A transaction *counts as
 //!    committed only if every owning shard applied its `CommitAt`* — the
-//!    same all-owners rule [`crate::recovery::recover_sharded`] applies
+//!    same all-owners rule
+//!    [`crate::recovery::recover_sharded_segments_with_certifier`] applies
 //!    to the per-shard WAL streams after a crash.
 //!
 //! ## Why the lease makes per-shard admission sound
@@ -45,8 +46,8 @@
 //! follows history order, so the hop chain would need the windows to
 //! precede each other cyclically. Contradiction. The offline oracle
 //! re-certifies every committed multi-shard history whole regardless —
-//! the stress tests and [`crate::recovery::recover_sharded`] both insist
-//! on it — so the lease argument is enforced, not assumed.
+//! the stress tests and sharded recovery both insist on it — so the lease
+//! argument is enforced, not assumed.
 //!
 //! ## Determinism
 //!
@@ -59,12 +60,12 @@
 //! as [`AdmitRecord`]s while the lease is held.
 
 use crate::core::{
-    run_core_sharded, Command, CoreOutput, FaultPlan, Progress, Reply, ShardCoreCtx, TraceEvent,
+    run_core, Command, CoreOutput, FaultPlan, Progress, Reply, ShardCoreCtx, TraceEvent,
 };
 use crate::metrics::ServerMetrics;
 use crate::queue::{BoundedQueue, PushError};
 use crate::server::{replay, ReplayMismatch, RunOutcome, ServerConfig, ServerError};
-use crate::session::{restart_backoff, OverloadPolicy, SessionError, SessionStats};
+use crate::session::{restart_backoff, run_session, OverloadPolicy, SessionError, SessionStats};
 use relser_core::ids::{OpId, TxnId};
 use relser_core::schedule::Schedule;
 use relser_core::shard::{ArcExchange, ShardMap};
@@ -183,47 +184,35 @@ pub struct ShardedRun {
     pub report: ShardedReport,
 }
 
-/// Serves every transaction in a seeded arrival order over `schedulers.len()`
-/// shard cores. One scheduler per shard; each must be built over the full
-/// transaction set and spec (a shard sees only its shard's operations, but
-/// needs the whole I-skeleton to judge them).
-pub fn serve_sharded(
-    txns: &TxnSet,
-    schedulers: Vec<Box<dyn Scheduler + Send + '_>>,
-    cfg: &ServerConfig,
-) -> Result<ShardedRun, ServerError> {
-    let stream = RequestStream::shuffled(txns, cfg.seed);
-    serve_sharded_stream(txns, &stream, schedulers, cfg)
-}
-
-/// [`serve_sharded`] over an explicit arrival stream.
-pub fn serve_sharded_stream(
-    txns: &TxnSet,
-    stream: &RequestStream,
-    schedulers: Vec<Box<dyn Scheduler + Send + '_>>,
-    cfg: &ServerConfig,
-) -> Result<ShardedRun, ServerError> {
-    let report = serve_sharded_report(txns, stream, schedulers, cfg, &[], Vec::new());
-    match report.outcome {
-        RunOutcome::Completed => {}
-        RunOutcome::Crashed => unreachable!("empty fault plans never crash"),
-        RunOutcome::Failed(e) => return Err(e),
+impl ShardedReport {
+    /// The completed run — every transaction committed, the merged
+    /// history validated as a [`Schedule`] — or the error that says why
+    /// there is none.
+    pub fn into_run(self, txns: &TxnSet) -> Result<ShardedRun, ServerError> {
+        self.outcome.completed()?;
+        let history = Schedule::new(txns, self.history.clone())
+            .map_err(|e| ServerError::InvalidHistory(e.to_string()))?;
+        Ok(ShardedRun {
+            history,
+            report: self,
+        })
     }
-    let history = Schedule::new(txns, report.history.clone())
-        .map_err(|e| ServerError::InvalidHistory(e.to_string()))?;
-    Ok(ShardedRun { history, report })
 }
 
-/// [`serve_sharded_stream`] with per-shard fault plans and optional
-/// per-shard durable commit logs, returning a [`ShardedReport`] instead
-/// of failing on partial runs.
+/// Serves every transaction in `stream` over `schedulers.len()` shard
+/// cores — the in-process front-end of the sharded service. One scheduler
+/// per shard; each must be built over the full transaction set and spec
+/// (a shard sees only its shard's operations, but needs the whole
+/// I-skeleton to judge them). Reports even a partial run;
+/// [`ShardedReport::into_run`] turns a completed one into its validated
+/// merged history.
 ///
 /// `faults` is either empty (no faults) or one plan per shard; `wals` is
 /// either empty (non-durable) or one log per shard. Shard `i`'s WAL
 /// stream carries shard id `i` in its checkpoints, and
-/// [`crate::recovery::recover_sharded`] rebuilds the merged committed
-/// history from exactly these streams after a crash.
-pub fn serve_sharded_report<'a>(
+/// [`crate::recovery::recover_sharded_segments_with_certifier`] rebuilds
+/// the merged committed history from exactly these streams after a crash.
+pub fn serve_sharded<'a>(
     txns: &TxnSet,
     stream: &RequestStream,
     schedulers: Vec<Box<dyn Scheduler + Send + 'a>>,
@@ -244,7 +233,7 @@ pub fn serve_sharded_report<'a>(
     );
     let map = ShardMap::new(shards as u32);
     let queues: Vec<BoundedQueue<Command>> = (0..shards)
-        .map(|_| BoundedQueue::with_backend(cfg.queue_capacity, cfg.queue_backend))
+        .map(|_| BoundedQueue::new(cfg.queue_capacity))
         .collect();
     let progresses: Vec<Progress> = (0..shards).map(|_| Progress::new()).collect();
     let epochs: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
@@ -272,22 +261,21 @@ pub fn serve_sharded_report<'a>(
                 };
                 let wal = wal_iter.next();
                 cores.push(s.spawn(move || {
-                    run_core_sharded(
+                    run_core(
                         scheduler,
                         &queues[shard_id],
                         &progresses[shard_id],
-                        cfg.batch_max,
-                        cfg.record_trace,
+                        cfg.core(),
                         fault,
                         wal,
-                        ShardCoreCtx {
+                        Some(ShardCoreCtx {
                             shard: shard_id as u32,
                             seq,
                             epochs,
                             sessions: None,
                             recovered_committed: Vec::new(),
                             recovered_events: Vec::new(),
-                        },
+                        }),
                     )
                 }));
             }
@@ -306,35 +294,18 @@ pub fn serve_sharded_report<'a>(
                     shard_sheds: &shard_sheds,
                 };
                 workers.push(s.spawn(move || {
-                    let mut stats = SessionStats::default();
-                    let mut failure = None;
-                    while let Some(txn) = stream.next() {
-                        if let Err(e) = run_txn_sharded(&router, txn, &mut stats) {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                    match failure {
-                        // A lost reply degrades only this session.
-                        Some(SessionError::ReplyLost(_)) | None => {}
-                        // Livelock/shutdown are run-wide: close every shard
-                        // queue so the whole service unwinds.
-                        Some(_) => {
-                            for q in queues.iter() {
-                                q.close();
-                            }
-                        }
-                    }
-                    (stats, failure)
+                    run_session(
+                        stream,
+                        |txn, stats| run_txn_sharded(&router, txn, stats),
+                        || queues.iter().for_each(BoundedQueue::close),
+                    )
                 }));
             }
             let sessions: Vec<(SessionStats, Option<SessionError>)> = workers
                 .into_iter()
                 .map(|h| h.join().expect("session thread panicked"))
                 .collect();
-            for q in queues.iter() {
-                q.close();
-            }
+            queues.iter().for_each(BoundedQueue::close);
             let outputs: Vec<CoreOutput> = cores
                 .into_iter()
                 .map(|h| h.join().expect("shard core panicked"))
@@ -343,26 +314,7 @@ pub fn serve_sharded_report<'a>(
         });
     let elapsed = t0.elapsed();
 
-    let mut outcome = RunOutcome::Completed;
-    if outputs.iter().any(|o| o.crashed) {
-        outcome = RunOutcome::Crashed;
-    } else {
-        for (_, err) in &sessions {
-            match err {
-                Some(SessionError::Livelock(t)) => {
-                    outcome = RunOutcome::Failed(ServerError::Livelock(*t));
-                    break;
-                }
-                Some(SessionError::ReplyLost(t)) if outcome == RunOutcome::Completed => {
-                    outcome = RunOutcome::Failed(ServerError::ReplyLost(*t));
-                }
-                Some(SessionError::Shutdown) if outcome == RunOutcome::Completed => {
-                    outcome = RunOutcome::Failed(ServerError::Shutdown);
-                }
-                _ => {}
-            }
-        }
-    }
+    let outcome = RunOutcome::of(outputs.iter().any(|o| o.crashed), &sessions);
 
     // Committed = the all-owners rule over the live `CommitAt` applications,
     // ordered by global commit stamp.
@@ -406,56 +358,25 @@ pub fn serve_sharded_report<'a>(
     // Aggregate metrics: merge the per-shard views, then rebuild the
     // decision summary exactly from the concatenated samples (merge alone
     // is conservative on p95) and fold in the session-side counters.
-    let mut decision_samples: Vec<u64> = Vec::new();
-    let mut metrics: Option<ServerMetrics> = None;
-    for (shard_id, out) in outputs.iter().enumerate() {
-        decision_samples.extend_from_slice(&out.decision_ns);
-        let shard_committed_ops = out
-            .log
-            .iter()
-            .filter(|o| is_committed[o.txn.index()])
-            .count() as u64;
-        let m = ServerMetrics {
-            workers: cfg.workers,
-            commits: out.commits,
-            aborts: out.aborts,
-            timeout_aborts: out.timeout_aborts,
-            sheds: shard_sheds[shard_id].load(Ordering::Relaxed),
-            requests: out.grants + out.blocked + out.aborts,
-            grants: out.grants,
-            blocked: out.blocked,
-            commands: out.commands,
-            batches: out.batches,
-            max_batch: out.max_batch,
-            queue: queues[shard_id].stats(),
-            decision: DecisionLatency::from_samples(&out.decision_ns),
-            admission: out.admission.clone(),
-            queue_wait: out.queue_wait.clone(),
-            wal_sync: crate::server::histogram_of(&out.wal_sync_ns),
-            elapsed,
-            committed_ops: shard_committed_ops,
-            backoff_ns: 0,
-            max_txn_attempts: 0,
-            wal: out.wal,
-            wal_error: out.wal_error.clone(),
-            supervisor_restarts: 0,
-            supervisor_panics: 0,
-            failed_shards: 0,
-        };
-        match metrics.as_mut() {
-            Some(agg) => agg.merge(&m),
-            None => metrics = Some(m),
-        }
-    }
-    let mut metrics = metrics.expect("at least one shard");
-    metrics.workers = cfg.workers;
-    metrics.decision = DecisionLatency::from_samples(&decision_samples);
-    metrics.backoff_ns = sessions.iter().map(|(s, _)| s.backoff_ns).sum();
-    metrics.max_txn_attempts = sessions
+    let mut metrics = outputs
         .iter()
-        .map(|(s, _)| s.max_txn_attempts)
-        .max()
-        .unwrap_or(0);
+        .enumerate()
+        .map(|(shard_id, out)| ServerMetrics {
+            sheds: shard_sheds[shard_id].load(Ordering::Relaxed),
+            ..ServerMetrics::from_core(out, queues[shard_id].stats(), elapsed)
+        })
+        .reduce(|mut agg, m| {
+            agg.merge(&m);
+            agg
+        })
+        .expect("at least one shard")
+        .with_sessions(&sessions);
+    metrics.workers = cfg.workers;
+    let decision_samples: Vec<u64> = outputs
+        .iter()
+        .flat_map(|o| o.decision_ns.iter().copied())
+        .collect();
+    metrics.decision = DecisionLatency::from_samples(&decision_samples);
     // `commits` counted one per (shard, CommitAt); report whole transactions.
     metrics.commits = committed.len() as u64;
     metrics.committed_ops = history.len() as u64;

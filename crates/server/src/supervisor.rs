@@ -12,8 +12,9 @@
 //! 2. fences producers (the queue is closed) and unwinds every command
 //!    still in flight so no session hangs on a reply;
 //! 3. replays the shard's WAL segment stream through the standard
-//!    recovery machinery ([`crate::recovery::recover_segments`]),
-//!    re-certifying the committed history (vector clocks by default) —
+//!    recovery machinery
+//!    ([`crate::recovery::recover_segments_with_certifier`]),
+//!    re-certifying the committed history —
 //!    the recovered scheduler *is* the next incarnation's scheduler;
 //! 4. re-seeds the client-session retry table ([`SessionTable`]) from
 //!    the recovered entries, so exactly-once commit retries survive the
@@ -28,7 +29,7 @@
 //! retry or stale abort can never contradict an acknowledged commit.
 
 use crate::core::{
-    drain_after_crash, event_txn, run_core_sharded, Command, CoreOutput, FaultPlan, Progress,
+    drain_after_crash, event_txn, run_core, Command, CoreCfg, CoreOutput, FaultPlan, Progress,
     ShardCoreCtx, TraceEvent,
 };
 use crate::queue::BoundedQueue;
@@ -203,7 +204,7 @@ pub struct SupervisedRun {
     /// The final incarnation's output. If that incarnation panicked, a
     /// synthesized `crashed` output (the WAL, not this struct, is the
     /// authoritative record — merge the segment stream through
-    /// [`crate::recovery::recover_sharded_segments`]).
+    /// [`crate::recovery::recover_sharded_segments_with_certifier`]).
     pub output: CoreOutput,
     /// Restarts performed (0 = the first incarnation ran to completion).
     pub restarts: u64,
@@ -344,7 +345,7 @@ where
         }
     };
     let default_faults = FaultPlan::default();
-    loop {
+    let (output, gave_up) = loop {
         let plan = if restarts == 0 {
             faults
         } else {
@@ -359,15 +360,17 @@ where
             recovered_events: std::mem::take(&mut recovered.events),
         };
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_core_sharded(
+            run_core(
                 scheduler,
                 queue,
                 progress,
-                cfg.batch_max,
-                cfg.record_trace,
+                CoreCfg {
+                    batch_max: cfg.batch_max,
+                    record_trace: cfg.record_trace,
+                },
                 plan,
                 Some(&mut wal),
-                ctx,
+                Some(ctx),
             )
         }));
         let output = match result {
@@ -375,12 +378,7 @@ where
                 if !out.crashed {
                     // Clean shutdown: the server closed the queue and the
                     // core drained it. Nothing to supervise.
-                    return SupervisedRun {
-                        output: out,
-                        restarts,
-                        panics,
-                        gave_up: false,
-                    };
+                    break (out, false);
                 }
                 out
             }
@@ -403,21 +401,11 @@ where
         health.set(STATUS_RECOVERING);
         if stop.load(Ordering::Acquire) {
             // The server is shutting down anyway; don't resurrect.
-            return SupervisedRun {
-                output,
-                restarts,
-                panics,
-                gave_up: false,
-            };
+            break (output, false);
         }
         if restarts >= cfg.max_restarts {
             health.set(STATUS_FAILED);
-            return SupervisedRun {
-                output,
-                restarts,
-                panics,
-                gave_up: true,
-            };
+            break (output, true);
         }
         // Replay the shard's retained segment stream into a fresh
         // scheduler; the replayed instance (orphans rolled back,
@@ -432,12 +420,7 @@ where
             }
             Err(()) => {
                 health.set(STATUS_FAILED);
-                return SupervisedRun {
-                    output,
-                    restarts,
-                    panics,
-                    gave_up: true,
-                };
+                break (output, true);
             }
         };
         sessions.seed(&recovered.sessions);
@@ -449,6 +432,12 @@ where
         queue.reopen();
         health.set(STATUS_LIVE);
         progress.bump();
+    };
+    SupervisedRun {
+        output,
+        restarts,
+        panics,
+        gave_up,
     }
 }
 

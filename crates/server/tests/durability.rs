@@ -12,8 +12,8 @@ use relser_core::ids::TxnId;
 use relser_core::paper::Figure1;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_server::core::{Command, Progress};
-use relser_server::recovery::recover;
-use relser_server::{run_core_durable, BoundedQueue, FaultPlan, ServerConfig};
+use relser_server::recovery::{recover, Certifier};
+use relser_server::{run_core, BoundedQueue, CoreCfg, FaultPlan, ServerConfig};
 use relser_wal::{scan, FileStorage, FsyncPolicy, MemStorage, WalRecord, WalWriter};
 use relser_workload::stream::RequestStream;
 use std::time::{Duration, Instant};
@@ -33,14 +33,17 @@ fn interval_policy_flushes_on_the_idle_tick() {
     std::thread::scope(|s| {
         let core = s.spawn(|| {
             let scheduler = RsgSgt::new(&fig.txns, &fig.spec);
-            run_core_durable(
+            run_core(
                 Box::new(scheduler),
                 &queue,
                 &progress,
-                16,
-                false,
+                CoreCfg {
+                    batch_max: 16,
+                    record_trace: false,
+                },
                 &FaultPlan::default(),
                 Some(&mut wal),
+                None,
             )
         });
 
@@ -94,13 +97,13 @@ fn reopen_truncates_the_torn_tail_before_resuming() {
     };
     let stream = RequestStream::shuffled(&fig.txns, cfg.seed);
     let scheduler = RsgSgt::new(&fig.txns, &fig.spec);
-    let report = relser_server::serve_durable(
+    let report = relser_server::serve(
         &fig.txns,
         &stream,
         Box::new(scheduler),
         &cfg,
         &FaultPlan::default(),
-        &mut wal,
+        Some(&mut wal),
     );
     assert!(!report.committed.is_empty());
 
@@ -117,7 +120,8 @@ fn reopen_truncates_the_torn_tail_before_resuming() {
     // Recovery finds the valid prefix; the reopen path truncates there.
     let bytes = std::fs::read(&path).unwrap();
     let mut fresh = RsgSgt::new(&fig.txns, &fig.spec);
-    let rec = recover(&fig.txns, &fig.spec, &mut fresh, &bytes).expect("recovers");
+    let rec =
+        recover(&fig.txns, &fig.spec, &mut fresh, &bytes, Certifier::VClock).expect("recovers");
     assert!(rec.truncation.is_some(), "the torn tail must be detected");
     assert_eq!(rec.committed, report.committed);
 

@@ -14,9 +14,9 @@ use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{AbortReason, Decision};
 use relser_server::core::{Command, CoreOutput, Progress, Reply};
-use relser_server::recovery::recover;
+use relser_server::recovery::{recover, Certifier};
 use relser_server::supervisor::SessionTable;
-use relser_server::{run_core_sharded, BoundedQueue, FaultPlan, ShardCoreCtx};
+use relser_server::{run_core, BoundedQueue, CoreCfg, FaultPlan, ShardCoreCtx};
 use relser_wal::{scan, FsyncPolicy, Storage, WalRecord, WalWriter, MAGIC};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -303,22 +303,24 @@ fn run(
                 std::hint::spin_loop();
             }
         });
-        let out = run_core_sharded(
+        let out = run_core(
             Box::new(RsgSgt::new(&txns, &spec)),
             &queue,
             &progress,
-            batch_max,
-            false,
+            CoreCfg {
+                batch_max,
+                record_trace: false,
+            },
             faults,
             Some(&mut wal),
-            ShardCoreCtx {
+            Some(ShardCoreCtx {
                 shard: 0,
                 seq: &seq,
                 epochs: &epochs,
                 sessions: Some(&table),
                 recovered_committed: Vec::new(),
                 recovered_events: Vec::new(),
-            },
+            }),
         );
         done.store(true, Ordering::Release);
         observer.join().unwrap();
@@ -474,7 +476,8 @@ fn assert_failed_batch_unacked(sc: &Scenario, o: &Outcome, batch_max: usize, dea
     // acknowledged grant.
     let (txns, spec) = universe(sc.sessions.len());
     let mut fresh = RsgSgt::new(&txns, &spec);
-    let rec = recover(&txns, &spec, &mut fresh, &o.synced).expect("synced prefix recovers");
+    let rec = recover(&txns, &spec, &mut fresh, &o.synced, Certifier::VClock)
+        .expect("synced prefix recovers");
     assert_eq!(rec.committed, acked_commits);
     let durable_grants: Vec<OpId> = scan(&o.synced)
         .records

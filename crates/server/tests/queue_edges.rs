@@ -5,15 +5,10 @@
 //! queues), batch boundaries at capacity 1, and close-time delivery
 //! guarantees.
 
-use relser_server::{BoundedQueue, PushError, QueueBackend};
+use relser_server::{BoundedQueue, PushError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Every test below runs against both queue backends: the mutex+condvar
-/// reference and the Disruptor-style ring. Identical edge-case behavior
-/// is the acceptance bar for the opt-in ring backend.
-const BACKENDS: [QueueBackend; 2] = [QueueBackend::Condvar, QueueBackend::Ring];
 
 /// Several producers spam `try_push` against a capacity-2 queue while a
 /// deliberately slow consumer drains: every attempt is either delivered
@@ -21,15 +16,9 @@ const BACKENDS: [QueueBackend; 2] = [QueueBackend::Condvar, QueueBackend::Ring];
 /// count, and nothing is delivered twice.
 #[test]
 fn shed_accounting_under_full_queue_from_multiple_producers() {
-    for backend in BACKENDS {
-        shed_accounting_under_full_queue_from_multiple_producers_on(backend);
-    }
-}
-
-fn shed_accounting_under_full_queue_from_multiple_producers_on(backend: QueueBackend) {
     const PRODUCERS: u64 = 4;
     const ATTEMPTS: u64 = 500;
-    let q: Arc<BoundedQueue<u64>> = Arc::new(BoundedQueue::with_backend(2, backend));
+    let q: Arc<BoundedQueue<u64>> = Arc::new(BoundedQueue::new(2));
     let shed = Arc::new(AtomicU64::new(0));
 
     let mut producers = Vec::new();
@@ -86,15 +75,9 @@ fn shed_accounting_under_full_queue_from_multiple_producers_on(backend: QueueBac
 /// item delivered in per-producer FIFO order is the assertion.
 #[test]
 fn wait_backpressure_loses_no_wakeups_and_keeps_producer_fifo() {
-    for backend in BACKENDS {
-        wait_backpressure_loses_no_wakeups_and_keeps_producer_fifo_on(backend);
-    }
-}
-
-fn wait_backpressure_loses_no_wakeups_and_keeps_producer_fifo_on(backend: QueueBackend) {
     const PRODUCERS: u64 = 4;
     const ITEMS: u64 = 200;
-    let q: Arc<BoundedQueue<u64>> = Arc::new(BoundedQueue::with_backend(1, backend));
+    let q: Arc<BoundedQueue<u64>> = Arc::new(BoundedQueue::new(1));
 
     let mut producers = Vec::new();
     for p in 0..PRODUCERS {
@@ -147,15 +130,9 @@ fn wait_backpressure_loses_no_wakeups_and_keeps_producer_fifo_on(backend: QueueB
 /// one per delivered item.
 #[test]
 fn proportional_wakes_keep_spurious_producer_wakeups_low() {
-    for backend in BACKENDS {
-        proportional_wakes_keep_spurious_producer_wakeups_low_on(backend);
-    }
-}
-
-fn proportional_wakes_keep_spurious_producer_wakeups_low_on(backend: QueueBackend) {
     const PRODUCERS: u64 = 8;
     const ITEMS: u64 = 100;
-    let q: Arc<BoundedQueue<u64>> = Arc::new(BoundedQueue::with_backend(1, backend));
+    let q: Arc<BoundedQueue<u64>> = Arc::new(BoundedQueue::new(1));
 
     let mut producers = Vec::new();
     for p in 0..PRODUCERS {
@@ -205,13 +182,7 @@ fn proportional_wakes_keep_spurious_producer_wakeups_low_on(backend: QueueBacken
 /// the consumer asks for — the drain boundary is the queue, not `max`.
 #[test]
 fn capacity_one_bounds_every_batch_to_a_singleton() {
-    for backend in BACKENDS {
-        capacity_one_bounds_every_batch_to_a_singleton_on(backend);
-    }
-}
-
-fn capacity_one_bounds_every_batch_to_a_singleton_on(backend: QueueBackend) {
-    let q: BoundedQueue<u32> = BoundedQueue::with_backend(1, backend);
+    let q: BoundedQueue<u32> = BoundedQueue::new(1);
     let mut out = Vec::new();
     for i in 0..5 {
         q.push_wait(i).unwrap();
@@ -229,20 +200,11 @@ fn capacity_one_bounds_every_batch_to_a_singleton_on(backend: QueueBackend) {
 /// aggregate = Σ per-shard, and per shard delivered + shed = routed.
 #[test]
 fn per_shard_shed_counters_reconcile_with_the_aggregate() {
-    for backend in BACKENDS {
-        per_shard_shed_counters_reconcile_with_the_aggregate_on(backend);
-    }
-}
-
-fn per_shard_shed_counters_reconcile_with_the_aggregate_on(backend: QueueBackend) {
     const SHARDS: usize = 4;
     const PRODUCERS: u64 = 4;
     const ATTEMPTS: u64 = 400;
-    let queues: Arc<Vec<BoundedQueue<u64>>> = Arc::new(
-        (0..SHARDS)
-            .map(|_| BoundedQueue::with_backend(2, backend))
-            .collect(),
-    );
+    let queues: Arc<Vec<BoundedQueue<u64>>> =
+        Arc::new((0..SHARDS).map(|_| BoundedQueue::new(2)).collect());
     let shard_sheds: Arc<Vec<AtomicU64>> =
         Arc::new((0..SHARDS).map(|_| AtomicU64::new(0)).collect());
     let total_sheds = Arc::new(AtomicU64::new(0));
@@ -323,20 +285,11 @@ fn per_shard_shed_counters_reconcile_with_the_aggregate_on(backend: QueueBackend
 /// is the assertion.
 #[test]
 fn sharded_wait_backpressure_loses_no_wakeups_across_queues() {
-    for backend in BACKENDS {
-        sharded_wait_backpressure_loses_no_wakeups_across_queues_on(backend);
-    }
-}
-
-fn sharded_wait_backpressure_loses_no_wakeups_across_queues_on(backend: QueueBackend) {
     const SHARDS: usize = 3;
     const PRODUCERS: u64 = 4;
     const ITEMS: u64 = 150;
-    let queues: Arc<Vec<BoundedQueue<u64>>> = Arc::new(
-        (0..SHARDS)
-            .map(|_| BoundedQueue::with_backend(1, backend))
-            .collect(),
-    );
+    let queues: Arc<Vec<BoundedQueue<u64>>> =
+        Arc::new((0..SHARDS).map(|_| BoundedQueue::new(1)).collect());
 
     let mut producers = Vec::new();
     for p in 0..PRODUCERS {
@@ -393,13 +346,7 @@ fn sharded_wait_backpressure_loses_no_wakeups_across_queues_on(backend: QueueBac
 /// entire backlog before seeing the shutdown signal.
 #[test]
 fn close_wakes_blocked_producers_and_delivers_backlog() {
-    for backend in BACKENDS {
-        close_wakes_blocked_producers_and_delivers_backlog_on(backend);
-    }
-}
-
-fn close_wakes_blocked_producers_and_delivers_backlog_on(backend: QueueBackend) {
-    let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::with_backend(1, backend));
+    let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
     q.push_wait(1).unwrap();
 
     let qp = Arc::clone(&q);

@@ -16,8 +16,8 @@ use relser_core::ids::{OpId, TxnId};
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
-use relser_server::recovery::recover;
-use relser_server::{replay, serve_durable, FaultPlan, RunOutcome, ServerConfig};
+use relser_server::recovery::{recover, Certifier};
+use relser_server::{replay, serve, FaultPlan, RunOutcome, ServerConfig};
 use relser_wal::{scan, FsyncPolicy, MemStorage, WalRecord, WalWriter};
 use relser_workload::stream::RequestStream;
 use relser_workload::{random_spec, random_txns, RandomConfig};
@@ -49,7 +49,7 @@ fn fold_prefix(records: &[WalRecord]) -> (Vec<TxnId>, Vec<OpId>) {
             | WalRecord::CommitAt { txn: t, .. }
             | WalRecord::CommitSession { txn: t, .. } => committed.push(t),
             WalRecord::Abort(t) => log.retain(|o| o.txn != t),
-            // Plain `serve_durable` over a `WalWriter` never checkpoints.
+            // A `WalWriter` never checkpoints.
             WalRecord::Checkpoint(_) => unreachable!("unsegmented log"),
         }
     }
@@ -80,9 +80,7 @@ proptest! {
         };
         let stream = RequestStream::shuffled(&txns, cfg.seed);
         let scheduler = RsgSgt::new(&txns, &spec);
-        let report = serve_durable(
-            &txns, &stream, Box::new(scheduler), &cfg, &FaultPlan::default(), &mut wal,
-        );
+        let report = serve(&txns, &stream, Box::new(scheduler), &cfg, &FaultPlan::default(), Some(&mut wal));
         prop_assert_eq!(&report.outcome, &RunOutcome::Completed);
 
         let bytes = handle.bytes();
@@ -92,7 +90,7 @@ proptest! {
         for k in 0..=full.records.len() {
             let cut = full.boundaries[k];
             let mut fresh = RsgSgt::new(&txns, &spec);
-            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut])
+            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut], Certifier::VClock)
                 .expect("every record prefix recovers");
             prop_assert_eq!(rec.records, k, "crash index {}", k);
 
@@ -118,7 +116,7 @@ proptest! {
 
         // The full log recovers the full run.
         let mut fresh = RsgSgt::new(&txns, &spec);
-        let rec = recover(&txns, &spec, &mut fresh, &bytes).unwrap();
+        let rec = recover(&txns, &spec, &mut fresh, &bytes, Certifier::VClock).unwrap();
         prop_assert_eq!(&rec.committed, &report.committed);
         prop_assert_eq!(&rec.log, &report.log);
         prop_assert!(rec.live_aborted.is_empty());
@@ -141,16 +139,14 @@ proptest! {
         };
         let stream = RequestStream::shuffled(&txns, cfg.seed);
         let scheduler = RsgSgt::new(&txns, &spec);
-        let report = serve_durable(
-            &txns, &stream, Box::new(scheduler), &cfg, &FaultPlan::default(), &mut wal,
-        );
+        let report = serve(&txns, &stream, Box::new(scheduler), &cfg, &FaultPlan::default(), Some(&mut wal));
         prop_assert_eq!(&report.outcome, &RunOutcome::Completed);
 
         let bytes = handle.bytes();
         let mut prev = 0usize;
         for cut in 0..=bytes.len() {
             let mut fresh = RsgSgt::new(&txns, &spec);
-            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut])
+            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut], Certifier::VClock)
                 .expect("byte cuts never make recovery fail");
             prop_assert!(rec.committed.len() >= prev, "cut {}", cut);
             prev = rec.committed.len();

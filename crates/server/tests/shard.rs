@@ -13,13 +13,50 @@ use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::Scheduler;
 use relser_server::{
-    recover_sharded, replay_sharded, serve_sharded, serve_sharded_report, FaultPlan, RunOutcome,
-    ServerConfig, ShardedReport, ShardedRun,
+    recover_sharded_segments_with_certifier, replay_sharded, serve_sharded, Certifier, FaultPlan,
+    RunOutcome, ServerConfig, ShardedRecovery, ShardedReport, ShardedRun,
 };
 use relser_wal::{CommitLog, FsyncPolicy, MemStorage, WalWriter};
 use relser_workload::banking::{banking, BankingConfig, BankingScenario};
 use relser_workload::random::{random_spec, random_txns, RandomConfig};
 use relser_workload::stream::RequestStream;
+
+/// The plain sharded service — no faults, no commit logs — over the
+/// arrival order seeded by `cfg.seed`, run to completion.
+fn serve_to_completion(
+    txns: &TxnSet,
+    spec: &AtomicitySpec,
+    shards: usize,
+    cfg: &ServerConfig,
+) -> ShardedRun {
+    let stream = RequestStream::shuffled(txns, cfg.seed);
+    serve_sharded(
+        txns,
+        &stream,
+        schedulers(txns, spec, shards),
+        cfg,
+        &[],
+        Vec::new(),
+    )
+    .into_run(txns)
+    .expect("sharded run completes")
+}
+
+/// Sharded recovery of flat per-shard logs, each a one-segment stream.
+fn recover_flat(
+    txns: &TxnSet,
+    spec: &AtomicitySpec,
+    logs: Vec<Vec<u8>>,
+) -> Result<ShardedRecovery, relser_server::RecoveryError> {
+    let streams: Vec<Vec<(u64, Vec<u8>)>> = logs.into_iter().map(|b| vec![(0, b)]).collect();
+    recover_sharded_segments_with_certifier(
+        txns,
+        spec,
+        |_| Box::new(RsgSgt::new(txns, spec)) as Box<dyn Scheduler + '_>,
+        &streams,
+        Certifier::VClock,
+    )
+}
 
 fn schedulers<'a>(
     txns: &'a TxnSet,
@@ -114,12 +151,7 @@ fn sharded_banking_histories_are_relatively_serializable() {
                 seed,
                 ..ServerConfig::default()
             };
-            let run = serve_sharded(
-                &scenario.txns,
-                schedulers(&scenario.txns, &scenario.spec, shards),
-                &cfg,
-            )
-            .expect("sharded banking run completes");
+            let run = serve_to_completion(&scenario.txns, &scenario.spec, shards, &cfg);
             assert_complete_run_valid(&scenario.txns, &scenario.spec, &run);
 
             // Determinism per shard: each core's trace replays exactly.
@@ -159,8 +191,7 @@ fn sharded_random_zipf_histories_are_relatively_serializable() {
                 seed,
                 ..ServerConfig::default()
             };
-            let run = serve_sharded(&txns, schedulers(&txns, &spec, shards), &cfg)
-                .expect("sharded zipf run completes");
+            let run = serve_to_completion(&txns, &spec, shards, &cfg);
             assert_complete_run_valid(&txns, &spec, &run);
         }
     }
@@ -185,7 +216,7 @@ fn rejected_admits_roll_back_lifo_and_the_run_still_completes() {
         ..ServerConfig::default()
     };
     let stream = RequestStream::shuffled(&scenario.txns, cfg.seed);
-    let report = serve_sharded_report(
+    let report = serve_sharded(
         &scenario.txns,
         &stream,
         schedulers(&scenario.txns, &scenario.spec, shards),
@@ -219,7 +250,7 @@ fn crash_on_one_shard_leaves_a_certifiable_all_owners_prefix() {
             ..ServerConfig::default()
         };
         let stream = RequestStream::shuffled(&scenario.txns, cfg.seed);
-        let report = serve_sharded_report(
+        let report = serve_sharded(
             &scenario.txns,
             &stream,
             schedulers(&scenario.txns, &scenario.spec, shards),
@@ -258,7 +289,7 @@ fn durable_sharded_run_recovers_to_the_same_committed_state() {
             WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap()
         })
         .collect();
-    let report = serve_sharded_report(
+    let report = serve_sharded(
         &scenario.txns,
         &stream,
         schedulers(&scenario.txns, &scenario.spec, shards),
@@ -270,13 +301,8 @@ fn durable_sharded_run_recovers_to_the_same_committed_state() {
     );
     assert_eq!(report.outcome, RunOutcome::Completed);
     let logs: Vec<Vec<u8>> = handles.iter().map(|h| h.bytes()).collect();
-    let rec = recover_sharded(
-        &scenario.txns,
-        &scenario.spec,
-        |_| Box::new(RsgSgt::new(&scenario.txns, &scenario.spec)) as Box<dyn Scheduler + '_>,
-        &logs,
-    )
-    .expect("clean sharded logs recover");
+    let rec =
+        recover_flat(&scenario.txns, &scenario.spec, logs).expect("clean sharded logs recover");
     assert!(rec.partial.is_empty(), "clean run has no partial commits");
     assert_eq!(rec.committed, report.committed, "same commits, same order");
     let mut recovered = rec.history.clone();
@@ -297,7 +323,7 @@ proptest! {
     /// the committed and partial sets are disjoint, every committed
     /// transaction's op set is complete in the merged history, no partial
     /// transaction contributes an op to it, and the history re-certified
-    /// against the Theorem 1 oracle (recover_sharded fails otherwise).
+    /// against the Theorem 1 oracle (sharded recovery fails otherwise).
     #[test]
     fn crash_or_reject_between_shard_grants_always_rolls_back_cleanly(
         wl_seed in 0u64..50_000,
@@ -337,14 +363,7 @@ proptest! {
                 WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap()
             })
             .collect();
-        let report = serve_sharded_report(
-            &txns,
-            &stream,
-            schedulers(&txns, &spec, shards),
-            &cfg,
-            &faults,
-            wals.iter_mut().map(|w| w as &mut dyn CommitLog).collect::<Vec<_>>(),
-        );
+        let report = serve_sharded(&txns, &stream, schedulers(&txns, &spec, shards), &cfg, &faults, wals.iter_mut().map(|w| w as &mut dyn CommitLog).collect::<Vec<_>>());
         // The run may complete (crash index past the command count) or
         // crash; either way the live report obeys the all-owners rule.
         for &t in &report.committed {
@@ -365,13 +384,8 @@ proptest! {
                 bytes[..cut].to_vec()
             })
             .collect();
-        let rec = recover_sharded(
-            &txns,
-            &spec,
-            |_| Box::new(RsgSgt::new(&txns, &spec)) as Box<dyn Scheduler + '_>,
-            &logs,
-        )
-        .expect("byte cuts never make sharded recovery fail");
+        let rec = recover_flat(&txns, &spec, logs)
+            .expect("byte cuts never make sharded recovery fail");
 
         for t in &rec.partial {
             prop_assert!(

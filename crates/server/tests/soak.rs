@@ -12,8 +12,8 @@
 use relser_core::incremental::CompactionPolicy;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{Decision, Scheduler, SchedulerKind};
-use relser_server::recovery::recover_segments;
-use relser_server::{serve_durable_log, FaultPlan, RunOutcome, ServerConfig};
+use relser_server::recovery::{recover_segments_with_certifier, Certifier};
+use relser_server::{serve, FaultPlan, RunOutcome, ServerConfig};
 use relser_wal::{CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, SegmentedWal};
 use relser_workload::stream::RequestStream;
 use relser_workload::{random_spec, random_txns, RandomConfig};
@@ -108,13 +108,13 @@ fn wal_bytes_stay_bounded_and_recovery_replays_only_the_suffix() {
     };
     let stream = RequestStream::shuffled(&txns, server_cfg.seed);
     let scheduler = RsgSgt::with_policy(&txns, &spec, CompactionPolicy::aggressive());
-    let report = serve_durable_log(
+    let report = serve(
         &txns,
         &stream,
         Box::new(scheduler),
         &server_cfg,
         &FaultPlan::default(),
-        &mut wal,
+        Some(&mut wal),
     );
     assert_eq!(report.outcome, RunOutcome::Completed);
     assert!(
@@ -139,7 +139,9 @@ fn wal_bytes_stay_bounded_and_recovery_replays_only_the_suffix() {
     // records cut after it — bounded by the cadence, not the history.
     let segments = handle.synced_segments();
     let mut fresh = SchedulerKind::RsgSgt.make(&txns, &spec);
-    let (_, rec) = recover_segments(&txns, &spec, &mut *fresh, &segments).expect("recovers");
+    let (_, rec) =
+        recover_segments_with_certifier(&txns, &spec, &mut *fresh, &segments, Certifier::VClock)
+            .expect("recovers");
     assert!(
         rec.replayed < rec.records,
         "recovery must seed from a checkpoint, not replay the history"

@@ -14,11 +14,26 @@ use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::two_pl::TwoPhaseLocking;
-use relser_server::{replay, serve, OverloadPolicy, ServerConfig, ServerRun};
+use relser_protocols::Scheduler;
+use relser_server::{
+    replay, serve, FaultPlan, OverloadPolicy, ServerConfig, ServerError, ServerRun,
+};
 use relser_workload::banking::{banking, BankingConfig, BankingScenario};
+use relser_workload::stream::RequestStream;
 use std::time::Duration;
 
 const WORKERS: usize = 8;
+
+/// The plain service — no faults, no commit log — over the arrival order
+/// seeded by `cfg.seed`, run to completion.
+fn serve_to_completion(
+    txns: &TxnSet,
+    scheduler: Box<dyn Scheduler + Send + '_>,
+    cfg: &ServerConfig,
+) -> Result<ServerRun, ServerError> {
+    let stream = RequestStream::shuffled(txns, cfg.seed);
+    serve(txns, &stream, scheduler, cfg, &FaultPlan::default(), None).into_run(txns)
+}
 
 /// 4 families × 16 customers + 4 credit audits = 68 transactions ≥ 64.
 fn big_banking(seed: u64) -> BankingScenario {
@@ -77,7 +92,7 @@ fn rsg_sgt_stress_histories_are_relatively_serializable() {
             seed,
             ..ServerConfig::default()
         };
-        let run = serve(&scenario.txns, Box::new(scheduler), &cfg)
+        let run = serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_run_valid(&scenario, &run, &scenario.spec);
 
@@ -108,7 +123,7 @@ fn two_pl_stress_commits_conflict_serializable_histories() {
             seed,
             ..ServerConfig::default()
         };
-        let run = serve(&scenario.txns, Box::new(scheduler), &cfg)
+        let run = serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_run_valid(&scenario, &run, &absolute);
     }
@@ -130,7 +145,8 @@ fn shed_policy_with_tiny_queue_completes() {
         seed: 6,
         ..ServerConfig::default()
     };
-    let run = serve(&scenario.txns, Box::new(scheduler), &cfg).expect("shed run completes");
+    let run =
+        serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg).expect("shed run completes");
     assert_run_valid(&scenario, &run, &scenario.spec);
 }
 
@@ -148,7 +164,8 @@ fn backpressure_policy_with_tiny_queue_completes() {
         seed: 7,
         ..ServerConfig::default()
     };
-    let run = serve(&scenario.txns, Box::new(scheduler), &cfg).expect("wait run completes");
+    let run =
+        serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg).expect("wait run completes");
     assert_eq!(run.metrics.sheds, 0);
     assert_run_valid(&scenario, &run, &scenario.spec);
 }
@@ -165,7 +182,8 @@ fn single_worker_degenerates_to_serial_service() {
         seed: 8,
         ..ServerConfig::default()
     };
-    let run = serve(&scenario.txns, Box::new(scheduler), &cfg).expect("serial service run");
+    let run =
+        serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg).expect("serial service run");
     assert_eq!(run.metrics.aborts, 0, "serial service never conflicts");
     assert_eq!(run.metrics.blocked, 0);
     assert_run_valid(&scenario, &run, &scenario.spec);

@@ -23,7 +23,7 @@ use relative_serializability::core::txn::TxnSet;
 use relative_serializability::protocols::rsg_sgt::RsgSgt;
 use relative_serializability::protocols::Scheduler;
 use relative_serializability::server::{
-    replay, replay_sharded, run_baseline, serve_sharded, serve_stream, ServerConfig,
+    replay, replay_sharded, run_baseline, serve, serve_sharded, FaultPlan, ServerConfig,
 };
 use relative_serializability::workload::banking::{banking, BankingConfig};
 use relative_serializability::workload::stream::RequestStream;
@@ -132,9 +132,18 @@ fn main() {
     }
 
     let scheduler = RsgSgt::new(&sc.txns, &sc.spec);
-    let stream = RequestStream::shuffled(&sc.txns, 7);
-    let run = serve_stream(&sc.txns, &stream, Box::new(scheduler), &server_cfg)
-        .expect("all transactions commit");
+    let stream = RequestStream::shuffled(&sc.txns, server_cfg.seed);
+    // No faults, no commit log: the plain in-memory service.
+    let run = serve(
+        &sc.txns,
+        &stream,
+        Box::new(scheduler),
+        &server_cfg,
+        &FaultPlan::default(),
+        None,
+    )
+    .into_run(&sc.txns)
+    .expect("all transactions commit");
     println!(
         "service  (8 threads): {:.1?}, {:.0} ops/s  ->  {:.2}x\n",
         run.metrics.elapsed,
@@ -174,7 +183,10 @@ fn serve_sharded_demo(
     shards: usize,
     base: &relative_serializability::server::BaselineRun,
 ) {
-    let run = serve_sharded(txns, shard_schedulers(txns, spec, shards), server_cfg)
+    let stream = RequestStream::shuffled(txns, server_cfg.seed);
+    let schedulers = shard_schedulers(txns, spec, shards);
+    let run = serve_sharded(txns, &stream, schedulers, server_cfg, &[], Vec::new())
+        .into_run(txns)
         .expect("all transactions commit");
     let m = &run.report.metrics;
     println!(

@@ -11,8 +11,8 @@
 //! ```
 
 use relative_serializability::protocols::rsg_sgt::RsgSgt;
-use relative_serializability::server::recovery::recover;
-use relative_serializability::server::{serve_durable, FaultPlan, RunOutcome, ServerConfig};
+use relative_serializability::server::recovery::{recover, Certifier};
+use relative_serializability::server::{serve, FaultPlan, RunOutcome, ServerConfig};
 use relative_serializability::wal::{scan, FileStorage, FsyncPolicy, WalWriter};
 use relative_serializability::workload::banking::{banking, BankingConfig};
 use relative_serializability::workload::stream::RequestStream;
@@ -47,13 +47,13 @@ fn main() {
     };
     let stream = RequestStream::shuffled(&sc.txns, server_cfg.seed);
     let scheduler = RsgSgt::new(&sc.txns, &sc.spec);
-    let report = serve_durable(
+    let report = serve(
         &sc.txns,
         &stream,
         Box::new(scheduler),
         &server_cfg,
         &FaultPlan::default(),
-        &mut wal,
+        Some(&mut wal),
     );
     assert_eq!(report.outcome, RunOutcome::Completed);
     println!(
@@ -85,7 +85,8 @@ fn main() {
     // fresh scheduler, and the committed history is re-certified
     // (Rsg::build(..).is_acyclic()) before the state is accepted.
     let mut fresh = RsgSgt::new(&sc.txns, &sc.spec);
-    let rec = recover(&sc.txns, &sc.spec, &mut fresh, &bytes).expect("recovery succeeds");
+    let rec = recover(&sc.txns, &sc.spec, &mut fresh, &bytes, Certifier::VClock)
+        .expect("recovery succeeds");
     println!(
         "recovery: {} records replayed ({} valid bytes, truncated: {}), \
          {} committed, {} live incarnations rolled back",

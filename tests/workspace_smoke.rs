@@ -26,11 +26,12 @@ use relative_serializability::net::{Request, Response};
 use relative_serializability::prelude::*;
 use relative_serializability::protocols::driver::{run, RunConfig};
 use relative_serializability::protocols::SchedulerKind;
-use relative_serializability::server::recovery::recover;
-use relative_serializability::server::{serve, ServerConfig};
+use relative_serializability::server::recovery::{recover, Certifier};
+use relative_serializability::server::{serve, FaultPlan, ServerConfig};
 use relative_serializability::simdb::{execute, simulate, SimConfig};
 use relative_serializability::wal::{scan, FsyncPolicy, MemStorage, WalRecord, WalWriter};
 use relative_serializability::workload::banking::{banking, BankingConfig};
+use relative_serializability::workload::stream::RequestStream;
 use relative_serializability::workload::{random_schedule, random_spec, random_txns, RandomConfig};
 
 /// `digraph`: build, cycle-check, topologically sort.
@@ -153,7 +154,10 @@ fn server_serves_figure2() {
         ..ServerConfig::default()
     };
     let sched = SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec);
-    let run = serve(&fig.txns, sched, &cfg).expect("serves");
+    let stream = RequestStream::shuffled(&fig.txns, cfg.seed);
+    let run = serve(&fig.txns, &stream, sched, &cfg, &FaultPlan::default(), None)
+        .into_run(&fig.txns)
+        .expect("serves");
     assert_eq!(run.history.len(), fig.txns.total_ops());
     assert!(
         vclock::certify(&fig.txns, &run.history, &fig.spec).is_acyclic(),
@@ -162,7 +166,7 @@ fn server_serves_figure2() {
 }
 
 /// `wal` + `server::recovery`: a hand-written serial log scans back and
-/// recovers (step 4 is the vector-clock certifier by default).
+/// recovers (step 4 with the vector-clock certifier).
 #[test]
 fn wal_log_scans_and_recovers() {
     let txns = TxnSet::parse(&["r1[x] w1[x]", "r2[x] w2[x]"]).unwrap();
@@ -186,7 +190,7 @@ fn wal_log_scans_and_recovers() {
     assert_eq!(scanned.records.len(), 8, "2 x (begin + 2 grants + commit)");
     assert!(scanned.truncation.is_none());
     let mut sched = SchedulerKind::RsgSgt.make(&txns, &spec);
-    let rec = recover(&txns, &spec, sched.as_mut(), &bytes).expect("recovers");
+    let rec = recover(&txns, &spec, sched.as_mut(), &bytes, Certifier::VClock).expect("recovers");
     assert_eq!(rec.committed, vec![TxnId(0), TxnId(1)]);
     assert_eq!(rec.certified, rec.committed, "no checkpoint: all re-proved");
 }
