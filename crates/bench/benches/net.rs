@@ -17,8 +17,8 @@ use relser_bench::harness::{git_commit, BenchmarkId, Harness};
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_net::{
-    drive, drive_resilient, serve_net, serve_net_supervised_in, ChaosPlan, LoadConfig, NetConfig,
-    NetReport, ResilientConfig, ResilientStats, SuperviseNetConfig, SupervisedNetReport,
+    drive_resilient, serve_net, serve_net_supervised_in, ChaosPlan, NetConfig, NetReport,
+    ResilientConfig, ResilientStats, SuperviseNetConfig, SupervisedNetReport,
 };
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_server::core::FaultPlan;
@@ -78,14 +78,14 @@ fn run_once(txns: &TxnSet, spec: &AtomicitySpec, connections: usize, durable: bo
         reactors: 4,
         ..NetConfig::default()
     };
-    let load = LoadConfig {
+    let load = ResilientConfig {
         connections,
         streams: STREAMS,
-        ..LoadConfig::default()
+        ..ResilientConfig::default()
     };
     let run = |wal: Option<&mut dyn relser_wal::CommitLog>| {
         serve_net(txns, scheduler, &cfg, &FaultPlan::default(), wal, |addr| {
-            drive(addr, txns, &stream, &load)
+            drive_resilient(addr, txns, &stream, &load, &ChaosPlan::quiet())
         })
         .expect("serve_net")
     };
@@ -97,7 +97,7 @@ fn run_once(txns: &TxnSet, spec: &AtomicitySpec, connections: usize, durable: bo
         run(None)
     };
     assert_eq!(
-        stats.committed as usize,
+        stats.committed.len(),
         txns.len(),
         "benchmarked runs must commit everything"
     );

@@ -55,7 +55,6 @@ fn bench_service(h: &mut Harness, sc: &BankingScenario) {
         let cfg = ServerConfig {
             workers,
             op_work_ns: OP_WORK_NS,
-            seed: ARRIVAL_SEED,
             ..ServerConfig::default()
         };
         group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
@@ -89,9 +88,6 @@ fn bench_service(h: &mut Harness, sc: &BankingScenario) {
 // plain multi-core parallelism — not measurable on a single-CPU bench
 // runner; the prefix-shrinking win is.) Cross-shard two-phase-admit
 // costs are exercised (and certified) by the shard test suite instead.
-//
-// The workload builder and its parameters live in relser_bench::gate so
-// this bench and the CI bench_gate binary measure the identical thing.
 
 fn bench_shards(h: &mut Harness, txns: &TxnSet, spec: &AtomicitySpec) {
     let ops = txns.total_ops();
@@ -101,12 +97,11 @@ fn bench_shards(h: &mut Harness, txns: &TxnSet, spec: &AtomicitySpec) {
         let cfg = ServerConfig {
             workers: SHARD_WORKERS,
             op_work_ns: 0,
-            seed: ARRIVAL_SEED,
             ..ServerConfig::default()
         };
         group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, _| {
             b.iter(|| {
-                let stream = RequestStream::shuffled(txns, cfg.seed);
+                let stream = RequestStream::shuffled(txns, ARRIVAL_SEED);
                 let schedulers = shard_schedulers(txns, spec, shards);
                 black_box(
                     serve_sharded(txns, &stream, schedulers, &cfg, &[], Vec::new())
@@ -127,10 +122,9 @@ fn bench_shards(h: &mut Harness, txns: &TxnSet, spec: &AtomicitySpec) {
         let cfg = ServerConfig {
             workers: SHARD_WORKERS,
             op_work_ns: 0,
-            seed: ARRIVAL_SEED,
             ..ServerConfig::default()
         };
-        let stream = RequestStream::shuffled(txns, cfg.seed);
+        let stream = RequestStream::shuffled(txns, ARRIVAL_SEED);
         let schedulers = shard_schedulers(txns, spec, shards);
         let report = serve_sharded(txns, &stream, schedulers, &cfg, &[], Vec::new());
         let d = &report.metrics.decision;

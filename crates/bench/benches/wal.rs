@@ -54,7 +54,6 @@ const OPS_PER_TXN: usize = 4;
 fn server_cfg() -> ServerConfig {
     ServerConfig {
         workers: WORKERS,
-        seed: ARRIVAL_SEED,
         ..ServerConfig::default()
     }
 }

@@ -6,10 +6,6 @@
 //!   paper-tables -- <e1..e12|all>`) prints every experiment of
 //!   `EXPERIMENTS.md` — the executable counterpart of each figure and
 //!   claim in the PODS'94 paper;
-//! * the **`bench_gate` binary** (`cargo run --release -p relser-bench
-//!   --bin bench_gate`) re-measures the hot-path ns/decision rows and
-//!   fails on a >20% regression against the committed
-//!   `BENCH_server.json` — the CI regression gate (see [`gate`]);
 //! * the **benches** (`cargo bench -p relser-bench`) measure the
 //!   complexity claims (polynomial RSG test vs exponential Farrag–Özsu
 //!   search) and the protocol suite on the dependency-free [`harness`]

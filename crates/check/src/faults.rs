@@ -103,7 +103,6 @@ pub fn fault_sweep(
             let base = ServerConfig {
                 workers: cfg.workers,
                 record_trace: true,
-                seed,
                 ..ServerConfig::default()
             };
             // Faultless baseline: the service itself must converge.
@@ -148,7 +147,7 @@ pub fn fault_sweep(
                 ));
             }
             for (server_cfg, faults) in grid {
-                run_one(txns, spec, kind, &server_cfg, &faults, &mut report);
+                run_one(txns, spec, kind, &server_cfg, seed, &faults, &mut report);
             }
         }
     }
@@ -161,10 +160,11 @@ fn run_one(
     spec: &AtomicitySpec,
     kind: SchedulerKind,
     server_cfg: &ServerConfig,
+    seed: u64,
     faults: &FaultPlan,
     report: &mut FaultSweepReport,
 ) {
-    let stream = RequestStream::shuffled(txns, server_cfg.seed);
+    let stream = RequestStream::shuffled(txns, seed);
     let run = serve(
         txns,
         &stream,

@@ -18,8 +18,6 @@
 //! * [`oracle`] — the cross-validation suite: Theorem 1 RSG acyclicity,
 //!   Figure 5 lattice containments, conflict-serializability claims,
 //!   lockstep shadow schedulers, and exact trace replay;
-//! * [`project`] — universe projection (transaction subsets, truncated
-//!   program suffixes) shared by the oracles and the shrinker;
 //! * [`shrink`] — greedy delta-debugging of a failing universe plus the
 //!   human-readable counterexample report;
 //! * [`faults`] — fault-injection sweeps against the real server
@@ -55,7 +53,6 @@ pub mod explore;
 pub mod faults;
 pub mod oracle;
 pub mod preload;
-pub mod project;
 pub mod shard_faults;
 pub mod shrink;
 #[cfg(feature = "fault-fs")]
@@ -64,7 +61,7 @@ pub mod storage_faults;
 pub use explore::{ExploreConfig, ExploreReport, ExploreStats, Mode, ScheduleExplorer};
 pub use faults::{fault_sweep, FaultSweepConfig, FaultSweepReport};
 pub use oracle::{check_execution, Divergence, DivergenceKind, ExecutionRecord};
-pub use project::Projection;
+pub use relser_core::project::Projection;
 pub use shard_faults::{shard_admit_sweep, ShardSweepConfig, ShardSweepReport};
 pub use shrink::{shrink, shrink_universe, Counterexample};
 #[cfg(feature = "fault-fs")]

@@ -10,9 +10,9 @@
 //! machinery — four independent ways an execution can disagree with the
 //! paper, each reported as a typed [`Divergence`].
 
-use crate::project::Projection;
 use relser_core::classes::classify;
 use relser_core::ids::{OpId, TxnId};
+use relser_core::project::Projection;
 use relser_core::rsg::Rsg;
 use relser_core::sg::is_conflict_serializable;
 use relser_core::spec::AtomicitySpec;

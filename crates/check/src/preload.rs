@@ -127,12 +127,11 @@ mod tests {
         let cfg = ServerConfig {
             workers: 3,
             record_trace: true,
-            seed: 1,
             ..ServerConfig::default()
         };
         let run = serve(
             &fig.txns,
-            &RequestStream::shuffled(&fig.txns, cfg.seed),
+            &RequestStream::shuffled(&fig.txns, 1),
             SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec),
             &cfg,
             &FaultPlan::default(),

@@ -164,7 +164,6 @@ pub fn shard_admit_sweep(
                 let server_cfg = ServerConfig {
                     workers: cfg.workers,
                     record_trace: true,
-                    seed,
                     ..ServerConfig::default()
                 };
                 let stream = RequestStream::shuffled(txns, seed);

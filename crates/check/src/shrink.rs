@@ -17,8 +17,8 @@
 
 use crate::explore::{ExploreConfig, ExploreStats, ScheduleExplorer};
 use crate::oracle::Divergence;
-use crate::project::Projection;
 use relser_core::ids::TxnId;
+use relser_core::project::Projection;
 use relser_core::rsg::Rsg;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;

@@ -254,14 +254,13 @@ pub fn crash_point_sweep(
             let server_cfg = ServerConfig {
                 workers: cfg.workers,
                 record_trace: true,
-                seed,
                 ..ServerConfig::default()
             };
             // One clean durable run produces the log the offline passes cut up.
             let (mem, handle) = MemStorage::new();
             let mut wal =
                 WalWriter::new(Box::new(mem), FsyncPolicy::Always).expect("MemStorage never fails");
-            let run = serve_one(txns, spec, kind, &server_cfg, &mut wal);
+            let run = serve_one(txns, spec, kind, &server_cfg, seed, &mut wal);
             if run.outcome != RunOutcome::Completed {
                 // A failed faultless run is a server bug the plain fault
                 // sweep reports; the storage sweep just skips the log.
@@ -351,7 +350,7 @@ pub fn crash_point_sweep(
                             u64::from(redrive.out.committed != redrive.acked);
                         redrive.acked
                     } else {
-                        serve_one(txns, spec, kind, &server_cfg, &mut wal).committed
+                        serve_one(txns, spec, kind, &server_cfg, seed, &mut wal).committed
                     };
                     check_acked_commits(
                         &acked,
@@ -428,7 +427,6 @@ pub fn checkpoint_crash_sweep(
             let server_cfg = ServerConfig {
                 workers: cfg.workers,
                 record_trace: true,
-                seed,
                 ..ServerConfig::default()
             };
             let (store, handle) = MemSegmentStore::new();
@@ -604,9 +602,10 @@ fn serve_one(
     spec: &AtomicitySpec,
     kind: SchedulerKind,
     server_cfg: &ServerConfig,
+    seed: u64,
     wal: &mut WalWriter,
 ) -> ServeReport {
-    let stream = RequestStream::shuffled(txns, server_cfg.seed);
+    let stream = RequestStream::shuffled(txns, seed);
     serve(
         txns,
         &stream,

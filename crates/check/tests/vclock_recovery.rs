@@ -58,7 +58,6 @@ fn wal_bytes(
     let cfg = ServerConfig {
         workers: 3,
         record_trace: true,
-        seed,
         ..ServerConfig::default()
     };
     let stream = RequestStream::shuffled(txns, seed);
@@ -143,7 +142,6 @@ fn certifier_choice_is_invisible_across_segment_rotation() {
         let cfg = ServerConfig {
             workers: 3,
             record_trace: true,
-            seed,
             ..ServerConfig::default()
         };
         let stream = RequestStream::shuffled(&fig.txns, seed);
@@ -196,7 +194,6 @@ fn certifier_choice_is_invisible_for_sharded_recovery() {
     let shards = 3usize;
     let cfg = ServerConfig {
         workers: 3,
-        seed: 7,
         ..ServerConfig::default()
     };
     let mut handles = Vec::new();
@@ -207,7 +204,7 @@ fn certifier_choice_is_invisible_for_sharded_recovery() {
             WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap()
         })
         .collect();
-    let stream = RequestStream::shuffled(&txns, cfg.seed);
+    let stream = RequestStream::shuffled(&txns, 7);
     let schedulers: Vec<Box<dyn Scheduler + Send + '_>> = (0..shards)
         .map(|_| Box::new(RsgSgt::new(&txns, &spec)) as Box<dyn Scheduler + Send + '_>)
         .collect();

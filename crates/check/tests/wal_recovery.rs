@@ -37,7 +37,6 @@ fn durable_run(
     let cfg = ServerConfig {
         workers: 3,
         record_trace: true,
-        seed,
         ..ServerConfig::default()
     };
     let stream = RequestStream::shuffled(txns, seed);
@@ -134,7 +133,6 @@ fn checkpointed_runs_recover_from_the_suffix_not_the_history() {
         let cfg = ServerConfig {
             workers: 3,
             record_trace: true,
-            seed,
             ..ServerConfig::default()
         };
         let stream = RequestStream::shuffled(&fig.txns, seed);

@@ -1,5 +1,7 @@
-//! The loopback load driver: N real TCP connections, each pipelining K
-//! concurrent transaction streams against [`serve_net`](crate::serve_net).
+//! The loopback client: N real TCP connections, each a session
+//! pipelining K concurrent transaction streams against
+//! [`serve_net`](crate::serve_net) or
+//! [`serve_net_supervised_in`](crate::serve_net_supervised_in).
 //!
 //! Each connection runs `streams` independent transaction state machines
 //! over one socket. Program order holds *within* a stream (the next
@@ -9,12 +11,19 @@
 //! the wire protocol exists for: decisions come back in whatever order
 //! the core produces them.
 //!
-//! The driver speaks the full client protocol the in-process sessions
-//! do: restart an incarnation on `Aborted` (with capped deterministic
-//! backoff), retry the same operation on `Shed`, and treat a server
-//! `Error` — or a dead socket — as the loss of *this connection only*,
-//! recording its in-flight transactions as lost while the other
-//! connections keep going.
+//! [`drive_resilient`] is the one client, and it speaks the full client
+//! protocol the in-process sessions do: restart an incarnation on
+//! `Aborted` (with capped seeded-jitter backoff), retry the same
+//! operation on `Shed` or `Recovering`. A dead socket, a server `Error`
+//! or a request past its deadline costs a reconnect: the connection
+//! re-opens its session (`Hello`), retries any in-flight commit under
+//! its pinned request id and restarts everything else — up to
+//! [`ResilientConfig::max_reconnects`] consecutive failures, after which
+//! the loss is *this connection's only*: its unfinished transactions are
+//! recorded as lost while the other connections keep going. With
+//! `max_reconnects: 0` a lost connection is final. A
+//! [`ChaosPlan`](crate::ChaosPlan) injects client-side wire faults;
+//! [`ChaosPlan::quiet`](crate::ChaosPlan::quiet) injects none.
 
 use crate::wire::{ReqId, Request, Response};
 use relser_core::ids::{OpId, TxnId};
@@ -28,64 +37,6 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Tunables for one [`drive`] run.
-#[derive(Clone, Debug)]
-pub struct LoadConfig {
-    /// TCP connections (one thread each).
-    pub connections: usize,
-    /// Concurrent transaction streams pipelined per connection.
-    pub streams: usize,
-    /// Give up on a connection whose in-flight requests get no response
-    /// for this long.
-    pub reply_timeout: Duration,
-    /// Give up on a transaction after this many incarnations.
-    pub max_attempts: u32,
-    /// Base restart/shed backoff; grows linearly with the attempt count.
-    pub backoff: Duration,
-    /// Cap on the backoff.
-    pub backoff_max: Duration,
-}
-
-impl Default for LoadConfig {
-    fn default() -> Self {
-        LoadConfig {
-            connections: 8,
-            streams: 4,
-            reply_timeout: Duration::from_secs(30),
-            max_attempts: 10_000,
-            backoff: Duration::from_micros(200),
-            backoff_max: Duration::from_millis(20),
-        }
-    }
-}
-
-/// What the whole driver observed, summed over connections.
-#[derive(Clone, Debug, Default)]
-pub struct ClientStats {
-    /// Transactions acknowledged `Committed`.
-    pub committed: u64,
-    /// Incarnations restarted after an `Aborted` response.
-    pub restarts: u64,
-    /// `Shed` responses (each retried).
-    pub sheds: u64,
-    /// Connections that died (server error response, socket failure, or
-    /// response timeout).
-    pub failed_connections: u64,
-    /// Transactions lost with their connection (in flight when it died)
-    /// or abandoned at the attempt budget.
-    pub lost: Vec<TxnId>,
-}
-
-impl ClientStats {
-    fn absorb(&mut self, other: ClientStats) {
-        self.committed += other.committed;
-        self.restarts += other.restarts;
-        self.sheds += other.sheds;
-        self.failed_connections += other.failed_connections;
-        self.lost.extend(other.lost);
-    }
-}
-
 /// What a transaction stream sends next.
 #[derive(Clone, Copy)]
 enum Phase {
@@ -95,287 +46,6 @@ enum Phase {
     /// The arrival stream is exhausted; this slot is finished.
     Done,
 }
-
-/// One transaction stream's state machine.
-struct Slot {
-    txn: TxnId,
-    n_ops: u32,
-    phase: Phase,
-    attempts: u32,
-    /// Set while a request is in flight (its id).
-    waiting: Option<ReqId>,
-    /// Do not send before this (restart/shed backoff).
-    ready_at: Instant,
-}
-
-impl Slot {
-    fn done(&self) -> bool {
-        matches!(self.phase, Phase::Done)
-    }
-}
-
-/// Drives every transaction in `stream` to commit over `cfg.connections`
-/// real sockets. Blocks until the stream is exhausted and every claimed
-/// transaction finished (committed, lost, or abandoned with its
-/// connection).
-pub fn drive(
-    addr: SocketAddr,
-    txns: &TxnSet,
-    stream: &RequestStream,
-    cfg: &LoadConfig,
-) -> ClientStats {
-    assert!(cfg.connections >= 1 && cfg.streams >= 1);
-    let total = Mutex::new(ClientStats::default());
-    std::thread::scope(|s| {
-        for _ in 0..cfg.connections {
-            s.spawn(|| {
-                let stats = run_connection(addr, txns, stream, cfg);
-                total.lock().expect("stats lock").absorb(stats);
-            });
-        }
-    });
-    total.into_inner().expect("stats lock")
-}
-
-fn run_connection(
-    addr: SocketAddr,
-    txns: &TxnSet,
-    stream: &RequestStream,
-    cfg: &LoadConfig,
-) -> ClientStats {
-    let mut stats = ClientStats::default();
-    let mut sock = match TcpStream::connect(addr) {
-        Ok(s) => s,
-        Err(_) => {
-            stats.failed_connections += 1;
-            return stats;
-        }
-    };
-    let _ = sock.set_nodelay(true);
-    let _ = sock.set_read_timeout(Some(Duration::from_micros(500)));
-
-    let mut slots: Vec<Slot> = Vec::new();
-    let mut by_req: HashMap<ReqId, usize> = HashMap::new();
-    let mut next_req: ReqId = 1;
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut out: Vec<u8> = Vec::new();
-    let mut last_response = Instant::now();
-
-    for _ in 0..cfg.streams {
-        match stream.next() {
-            Some(txn) => slots.push(new_slot(txns, txn)),
-            None => break,
-        }
-    }
-
-    loop {
-        if slots.iter().all(|s| s.done()) {
-            return stats; // stream exhausted, everything settled
-        }
-
-        // Send every stream that is ready.
-        out.clear();
-        let now = Instant::now();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.done() || slot.waiting.is_some() || now < slot.ready_at {
-                continue;
-            }
-            let req_id = next_req;
-            next_req += 1;
-            let req = match slot.phase {
-                Phase::Begin => Request::Begin {
-                    req_id,
-                    txn: slot.txn,
-                },
-                Phase::Op(index) => {
-                    let op = OpId {
-                        txn: slot.txn,
-                        index,
-                    };
-                    let operation = txns.op(op).expect("client knows the workload");
-                    match operation.mode {
-                        AccessMode::Read => Request::Read {
-                            req_id,
-                            op,
-                            object: operation.object,
-                        },
-                        AccessMode::Write => Request::Write {
-                            req_id,
-                            op,
-                            object: operation.object,
-                        },
-                    }
-                }
-                Phase::Commit => Request::Commit {
-                    req_id,
-                    txn: slot.txn,
-                },
-                Phase::Done => unreachable!(),
-            };
-            req.encode_into(&mut out);
-            slot.waiting = Some(req_id);
-            by_req.insert(req_id, i);
-        }
-        if !out.is_empty() {
-            if sock.write_all(&out).is_err() {
-                return die(stats, slots);
-            }
-            last_response = Instant::now();
-        }
-
-        // Read and dispatch whatever responses arrived.
-        let mut tmp = [0u8; 4096];
-        match sock.read(&mut tmp) {
-            Ok(0) => return die(stats, slots),
-            Ok(n) => rbuf.extend_from_slice(&tmp[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return die(stats, slots),
-        }
-        let mut at = 0;
-        let mut dead = false;
-        while at < rbuf.len() {
-            match Response::decode(&rbuf[at..]) {
-                Ok((resp, n)) => {
-                    at += n;
-                    last_response = Instant::now();
-                    if dispatch(resp, txns, stream, cfg, &mut slots, &mut by_req, &mut stats)
-                        .is_err()
-                    {
-                        dead = true;
-                        break;
-                    }
-                }
-                Err(e) if e.is_incomplete() => break,
-                Err(_) => {
-                    // The server sent garbage; the stream is unusable.
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if dead {
-            return die(stats, slots);
-        }
-        if at > 0 {
-            rbuf.drain(..at);
-        }
-
-        // A connection whose in-flight requests get no answer for the
-        // whole timeout is dead (the server closed it, or worse).
-        let waiting = slots.iter().any(|s| s.waiting.is_some());
-        if waiting && last_response.elapsed() >= cfg.reply_timeout {
-            return die(stats, slots);
-        }
-    }
-}
-
-fn new_slot(txns: &TxnSet, txn: TxnId) -> Slot {
-    Slot {
-        txn,
-        n_ops: txns.txn(txn).len() as u32,
-        phase: Phase::Begin,
-        attempts: 1,
-        waiting: None,
-        ready_at: Instant::now(),
-    }
-}
-
-/// The connection is gone: every unfinished stream's transaction is lost.
-fn die(mut stats: ClientStats, slots: Vec<Slot>) -> ClientStats {
-    stats.failed_connections += 1;
-    stats
-        .lost
-        .extend(slots.into_iter().filter(|s| !s.done()).map(|s| s.txn));
-    stats
-}
-
-fn backoff(cfg: &LoadConfig, attempts: u32) -> Duration {
-    cfg.backoff
-        .saturating_mul(attempts.min(64))
-        .min(cfg.backoff_max)
-}
-
-/// Applies one response to its stream. `Err(())` means the connection
-/// must be abandoned (server-reported error or protocol violation).
-fn dispatch(
-    resp: Response,
-    txns: &TxnSet,
-    stream: &RequestStream,
-    cfg: &LoadConfig,
-    slots: &mut [Slot],
-    by_req: &mut HashMap<ReqId, usize>,
-    stats: &mut ClientStats,
-) -> Result<(), ()> {
-    if let Response::Error { .. } | Response::Closing { .. } = resp {
-        // The server is closing this connection (bad request, lost
-        // reply, shutdown) or draining for a graceful shutdown; nothing
-        // in flight will be answered.
-        return Err(());
-    }
-    let Some(i) = by_req.remove(&resp.req_id()) else {
-        return Err(()); // response to a request we never sent
-    };
-    let slot = &mut slots[i];
-    if slot.waiting != Some(resp.req_id()) {
-        return Err(());
-    }
-    slot.waiting = None;
-    match resp {
-        Response::Granted { .. } => {
-            slot.phase = match slot.phase {
-                Phase::Begin if slot.n_ops == 0 => Phase::Commit,
-                Phase::Begin => Phase::Op(0),
-                Phase::Op(i) if i + 1 < slot.n_ops => Phase::Op(i + 1),
-                Phase::Op(_) => Phase::Commit,
-                // Commits answer `Committed`, done slots ask nothing.
-                Phase::Commit | Phase::Done => return Err(()),
-            };
-        }
-        Response::Committed { .. } => {
-            stats.committed += 1;
-            refill(txns, stream, slot);
-        }
-        Response::Aborted { .. } => {
-            // The incarnation is dead server-side; restart from the
-            // first operation (or give up at the attempt budget).
-            slot.attempts += 1;
-            if slot.attempts > cfg.max_attempts {
-                stats.lost.push(slot.txn);
-                refill(txns, stream, slot);
-            } else {
-                stats.restarts += 1;
-                slot.phase = Phase::Begin;
-                slot.ready_at = Instant::now() + backoff(cfg, slot.attempts);
-            }
-        }
-        Response::Shed { .. } | Response::Recovering { .. } => {
-            // Nothing was enqueued (full queue, or the shard core is
-            // mid-recovery); retry the same request after a backoff
-            // (the phase is unchanged).
-            stats.sheds += 1;
-            slot.ready_at = Instant::now() + backoff(cfg, slot.attempts);
-        }
-        // This driver never sends `Hello`, so a `Welcome` is a protocol
-        // violation.
-        Response::Welcome { .. } => return Err(()),
-        Response::Error { .. } | Response::Closing { .. } => unreachable!("handled above"),
-    }
-    Ok(())
-}
-
-/// Points the slot at the next transaction from the arrival stream, or
-/// marks it done when the stream is exhausted.
-fn refill(txns: &TxnSet, stream: &RequestStream, slot: &mut Slot) {
-    match stream.next() {
-        Some(txn) => *slot = new_slot(txns, txn),
-        None => slot.phase = Phase::Done,
-    }
-}
-
-// ---------------------------------------------------------------------
-// The resilient, sessionful driver.
-// ---------------------------------------------------------------------
 
 /// Tunables for one [`drive_resilient`] run.
 #[derive(Clone, Debug)]
@@ -399,7 +69,9 @@ pub struct ResilientConfig {
     /// Give up on a transaction after this many incarnations.
     pub max_attempts: u32,
     /// Give up on a connection after this many *consecutive* failed
-    /// reconnect attempts (its unfinished transactions are lost).
+    /// reconnect attempts (its unfinished transactions are lost). The
+    /// first connect is not a reconnect, so `0` means a lost connection
+    /// is final.
     pub max_reconnects: u32,
 }
 
@@ -418,7 +90,7 @@ impl Default for ResilientConfig {
     }
 }
 
-/// What the resilient driver observed, summed over connections.
+/// What the driver observed, summed over connections.
 #[derive(Clone, Debug, Default)]
 pub struct ResilientStats {
     /// Every commit acknowledgment received, `(txn, req_id)` in ack
@@ -443,7 +115,7 @@ pub struct ResilientStats {
     /// Transactions abandoned (attempt budget, or lost with a
     /// connection that exhausted its reconnect budget).
     pub lost: Vec<TxnId>,
-    /// Connections that exhausted `max_reconnects`.
+    /// Connections given up on (`max_reconnects` exhausted).
     pub dead_connections: u64,
 }
 
@@ -462,8 +134,8 @@ impl ResilientStats {
     }
 }
 
-/// One transaction stream under the resilient protocol.
-struct RSlot {
+/// One transaction stream's state machine.
+struct Slot {
     txn: TxnId,
     n_ops: u32,
     phase: Phase,
@@ -479,9 +151,9 @@ struct RSlot {
     ready_at: Instant,
 }
 
-impl RSlot {
-    fn new(txns: &TxnSet, txn: TxnId) -> RSlot {
-        RSlot {
+impl Slot {
+    fn new(txns: &TxnSet, txn: TxnId) -> Slot {
+        Slot {
             txn,
             n_ops: txns.txn(txn).len() as u32,
             phase: Phase::Begin,
@@ -498,7 +170,7 @@ impl RSlot {
 
     fn refill(&mut self, txns: &TxnSet, stream: &RequestStream) {
         match stream.next() {
-            Some(txn) => *self = RSlot::new(txns, txn),
+            Some(txn) => *self = Slot::new(txns, txn),
             None => self.phase = Phase::Done,
         }
     }
@@ -524,11 +196,22 @@ pub fn drive_resilient(
 ) -> ResilientStats {
     assert!(cfg.connections >= 1 && cfg.streams >= 1);
     let total = Mutex::new(ResilientStats::default());
+    // Every connection's first transactions are claimed before any
+    // connection runs: however late a thread starts, it has its share of
+    // the arrival order and opens its socket.
+    let shares: Vec<Vec<Slot>> = (0..cfg.connections)
+        .map(|_| {
+            (0..cfg.streams)
+                .map_while(|_| stream.next())
+                .map(|txn| Slot::new(txns, txn))
+                .collect()
+        })
+        .collect();
     std::thread::scope(|s| {
-        for conn_id in 0..cfg.connections as u64 {
+        for (conn_id, slots) in (0u64..).zip(shares) {
             let total = &total;
             s.spawn(move || {
-                let stats = run_resilient(addr, txns, stream, cfg, chaos, conn_id);
+                let stats = run_resilient(addr, txns, stream, cfg, chaos, conn_id, slots);
                 total.lock().expect("stats lock").absorb(stats);
             });
         }
@@ -562,18 +245,11 @@ fn run_resilient(
     cfg: &ResilientConfig,
     chaos: &crate::ChaosPlan,
     conn_id: u64,
+    mut slots: Vec<Slot>,
 ) -> ResilientStats {
     let mut stats = ResilientStats::default();
     let session = cfg.seed.rotate_left(24) ^ (conn_id + 1);
     let mut dice = chaos.dice(conn_id);
-
-    let mut slots: Vec<RSlot> = Vec::new();
-    for _ in 0..cfg.streams {
-        match stream.next() {
-            Some(txn) => slots.push(RSlot::new(txns, txn)),
-            None => break,
-        }
-    }
 
     let mut next_req: ReqId = 1;
     let mut by_req: HashMap<ReqId, usize> = HashMap::new();
@@ -582,6 +258,7 @@ fn run_resilient(
     let mut out: Vec<u8> = Vec::new();
     let mut wire: Option<Wire> = None;
     let mut reconnects_in_a_row: u32 = 0;
+    let mut connected_before = false;
 
     loop {
         if slots.iter().all(|s| s.done()) {
@@ -592,23 +269,29 @@ fn run_resilient(
         let w = match wire.as_mut() {
             Some(w) => w,
             None => {
-                if reconnects_in_a_row >= cfg.max_reconnects {
-                    stats.dead_connections += 1;
-                    stats
-                        .lost
-                        .extend(slots.iter().filter(|s| !s.done()).map(|s| s.txn));
-                    return stats;
+                // The first connect is not a reconnect: it is neither
+                // counted as one nor charged to the budget.
+                let reconnect = connected_before;
+                connected_before = true;
+                if reconnect {
+                    if reconnects_in_a_row >= cfg.max_reconnects {
+                        stats.dead_connections += 1;
+                        stats
+                            .lost
+                            .extend(slots.iter().filter(|s| !s.done()).map(|s| s.txn));
+                        return stats;
+                    }
+                    if reconnects_in_a_row > 0 {
+                        std::thread::sleep(restart_backoff(
+                            cfg.backoff,
+                            cfg.backoff_max,
+                            cfg.seed ^ 0xC0AC,
+                            TxnId(conn_id as u32),
+                            reconnects_in_a_row + 1,
+                        ));
+                    }
+                    reconnects_in_a_row += 1;
                 }
-                if reconnects_in_a_row > 0 {
-                    std::thread::sleep(restart_backoff(
-                        cfg.backoff,
-                        cfg.backoff_max,
-                        cfg.seed ^ 0xC0AC,
-                        TxnId(conn_id as u32),
-                        reconnects_in_a_row + 1,
-                    ));
-                }
-                reconnects_in_a_row += 1;
                 let Some(mut fresh) = Wire::connect(addr) else {
                     continue;
                 };
@@ -649,7 +332,7 @@ fn run_resilient(
                     };
                     slot.ready_at = Instant::now();
                 }
-                stats.reconnects += 1;
+                stats.reconnects += u64::from(reconnect);
                 wire = Some(fresh);
                 wire.as_mut().expect("just set")
             }
@@ -839,7 +522,7 @@ fn resilient_dispatch(
     txns: &TxnSet,
     stream: &RequestStream,
     cfg: &ResilientConfig,
-    slots: &mut [RSlot],
+    slots: &mut [Slot],
     by_req: &mut HashMap<ReqId, usize>,
     hello_req: &mut Option<ReqId>,
     last_acked: &mut u64,
@@ -936,4 +619,45 @@ fn resilient_dispatch(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{serve_net, ChaosPlan, NetConfig};
+    use relser_protocols::rsg_sgt::RsgSgt;
+    use relser_server::core::FaultPlan;
+    use relser_workload::banking::{banking, BankingConfig};
+
+    /// The first connect is not charged to the reconnect budget: with no
+    /// budget at all a healthy run still opens its sockets and commits
+    /// everything, and reports no reconnect.
+    #[test]
+    fn first_connect_is_not_a_reconnect() {
+        let sc = banking(&BankingConfig::default(), 3);
+        let stream = RequestStream::shuffled(&sc.txns, 5);
+        let cfg = ResilientConfig {
+            connections: 2,
+            streams: 2,
+            max_reconnects: 0,
+            ..ResilientConfig::default()
+        };
+        let (_, stats) = serve_net(
+            &sc.txns,
+            Box::new(RsgSgt::new(&sc.txns, &sc.spec)),
+            &NetConfig::default(),
+            &FaultPlan::default(),
+            None,
+            |addr| drive_resilient(addr, &sc.txns, &stream, &cfg, &ChaosPlan::quiet()),
+        )
+        .expect("serve_net");
+        assert_eq!(
+            stats.committed.len(),
+            sc.txns.len(),
+            "lost {:?}",
+            stats.lost
+        );
+        assert_eq!(stats.reconnects, 0);
+        assert_eq!(stats.dead_connections, 0);
+    }
 }

@@ -24,8 +24,10 @@
 //!   reactor, sockets handed over by an acceptor thread;
 //! * [`server`] — [`serve_net`] wires listener, reactors, and the
 //!   admission core under one `thread::scope`;
-//! * [`client`] — [`drive`], the loopback load driver: N connections ×
-//!   K pipelined transaction streams speaking the full restart protocol;
+//! * [`client`] — [`drive_resilient`], the one loopback client: N
+//!   sessionful connections × K pipelined transaction streams speaking
+//!   the full restart protocol, reconnecting and resuming on a lost
+//!   socket, with seeded wire faults from a [`ChaosPlan`];
 //! * [`metrics`] — **wire-to-wire latency accounting**: every request is
 //!   timed per stage (decode → queue wait → admit → WAL fsync → reply)
 //!   plus end-to-end, all as mergeable [`LatencyHistogram`]s reported as
@@ -44,7 +46,7 @@
 //! use relser_core::rsg::Rsg;
 //! use relser_core::schedule::Schedule;
 //! use relser_protocols::rsg_sgt::RsgSgt;
-//! use relser_net::{drive, serve_net, LoadConfig, NetConfig};
+//! use relser_net::{drive_resilient, serve_net, ChaosPlan, NetConfig, ResilientConfig};
 //! use relser_server::core::FaultPlan;
 //! use relser_workload::banking::{banking, BankingConfig};
 //! use relser_workload::stream::RequestStream;
@@ -52,16 +54,17 @@
 //! let sc = banking(&BankingConfig::default(), 42);
 //! let scheduler = Box::new(RsgSgt::new(&sc.txns, &sc.spec));
 //! let stream = RequestStream::shuffled(&sc.txns, 7);
+//! let load = ResilientConfig::default();
 //! let (report, stats) = serve_net(
 //!     &sc.txns,
 //!     scheduler,
 //!     &NetConfig::default(),
 //!     &FaultPlan::default(),
 //!     None,
-//!     |addr| drive(addr, &sc.txns, &stream, &LoadConfig::default()),
+//!     |addr| drive_resilient(addr, &sc.txns, &stream, &load, &ChaosPlan::quiet()),
 //! )
 //! .unwrap();
-//! assert_eq!(stats.committed as usize, sc.txns.len());
+//! assert_eq!(stats.committed.len(), sc.txns.len());
 //! let history = Schedule::new(&sc.txns, report.log).unwrap();
 //! assert!(Rsg::build(&sc.txns, &history, &sc.spec).is_acyclic());
 //! ```
@@ -82,9 +85,7 @@ pub mod server;
 pub mod wire;
 
 pub use chaos::{ChaosDice, ChaosPlan, WireFault};
-pub use client::{
-    drive, drive_resilient, ClientStats, LoadConfig, ResilientConfig, ResilientStats,
-};
+pub use client::{drive_resilient, ResilientConfig, ResilientStats};
 pub use metrics::{NetMetrics, NetReport};
 pub use server::{
     serve_net, serve_net_supervised_in, NetConfig, SuperviseNetConfig, SupervisedNetReport,

@@ -15,7 +15,9 @@ use relser_core::rsg::Rsg;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_net::wire::{ErrorCode, Response};
-use relser_net::{drive, serve_net, ClientStats, LoadConfig, NetConfig, NetReport};
+use relser_net::{
+    drive_resilient, serve_net, ChaosPlan, NetConfig, NetReport, ResilientConfig, ResilientStats,
+};
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::two_pl::TwoPhaseLocking;
 use relser_server::core::FaultPlan;
@@ -64,12 +66,30 @@ fn recertify(txns: &TxnSet, spec: &AtomicitySpec, report: &NetReport) {
     );
 }
 
+/// The one client as these contracts need it: no wire faults, and no
+/// reconnect budget — a lost connection is final, so a connection the
+/// server degrades shows up as `dead_connections`, its in-flight
+/// transactions as `lost`. The deadline is wide enough that only the
+/// server's own watchdog ever closes a connection.
+fn final_loss(connections: usize, streams: usize) -> ResilientConfig {
+    ResilientConfig {
+        connections,
+        streams,
+        deadline: Duration::from_secs(30),
+        max_reconnects: 0,
+        ..ResilientConfig::default()
+    }
+}
+
 /// Every transaction the client says committed, the server committed —
 /// and vice versa.
-fn reconcile(report: &NetReport, stats: &ClientStats, total: usize) {
-    assert_eq!(stats.committed as usize, report.committed.len());
+fn reconcile(report: &NetReport, stats: &ResilientStats, total: usize) {
+    assert_eq!(stats.committed.len(), report.committed.len());
+    for (txn, _) in &stats.committed {
+        assert!(report.committed.contains(txn), "acked {txn:?} is committed");
+    }
     assert_eq!(
-        stats.committed as usize + stats.lost.len(),
+        stats.committed.len() + stats.lost.len(),
         total,
         "every transaction settled: committed or accounted lost"
     );
@@ -94,23 +114,19 @@ fn banking_over_64_pipelined_connections_is_recertified() {
         reactors: 4,
         ..NetConfig::default()
     };
-    let load = LoadConfig {
-        connections: 64,
-        streams: 4,
-        ..LoadConfig::default()
-    };
+    let load = final_loss(64, 4);
     let (report, stats) = serve_net(
         &sc.txns,
         scheduler,
         &cfg,
         &FaultPlan::default(),
         None,
-        |addr| drive(addr, &sc.txns, &stream, &load),
+        |addr| drive_resilient(addr, &sc.txns, &stream, &load, &ChaosPlan::quiet()),
     )
     .expect("serve_net");
 
-    assert_eq!(stats.failed_connections, 0, "no connection may die");
-    assert_eq!(stats.committed as usize, total, "every transaction commits");
+    assert_eq!(stats.dead_connections, 0, "no connection may die");
+    assert_eq!(stats.committed.len(), total, "every transaction commits");
     assert!(stats.lost.is_empty());
     assert_eq!(report.net.connections, 64);
     reconcile(&report, &stats, total);
@@ -136,22 +152,18 @@ fn durable_commits_time_the_fsync_stage() {
     let stream = RequestStream::shuffled(&sc.txns, 5);
     let (mem, _handle) = MemStorage::new();
     let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).expect("wal");
-    let load = LoadConfig {
-        connections: 4,
-        streams: 2,
-        ..LoadConfig::default()
-    };
+    let load = final_loss(4, 2);
     let (report, stats) = serve_net(
         &sc.txns,
         scheduler,
         &NetConfig::default(),
         &FaultPlan::default(),
         Some(&mut wal),
-        |addr| drive(addr, &sc.txns, &stream, &load),
+        |addr| drive_resilient(addr, &sc.txns, &stream, &load, &ChaosPlan::quiet()),
     )
     .expect("serve_net");
 
-    assert_eq!(stats.committed as usize, total);
+    assert_eq!(stats.committed.len(), total);
     assert!(
         report.metrics.wal_sync.count() > 0,
         "fsyncs inside the commit path must be timed"
@@ -181,11 +193,9 @@ fn shed_policy_answers_shed_on_the_wire() {
         ..NetConfig::default()
     }
     .with_reply_timeout(Duration::from_secs(60));
-    let load = LoadConfig {
-        connections: 16,
-        streams: 8,
-        reply_timeout: Duration::from_secs(120),
-        ..LoadConfig::default()
+    let load = ResilientConfig {
+        deadline: Duration::from_secs(120),
+        ..final_loss(16, 8)
     };
     let (report, stats) = serve_net(
         &sc.txns,
@@ -193,16 +203,17 @@ fn shed_policy_answers_shed_on_the_wire() {
         &cfg,
         &FaultPlan::default(),
         None,
-        |addr| drive(addr, &sc.txns, &stream, &load),
+        |addr| drive_resilient(addr, &sc.txns, &stream, &load, &ChaosPlan::quiet()),
     )
     .expect("serve_net");
 
     assert_eq!(
-        stats.failed_connections, 0,
+        stats.dead_connections, 0,
         "no connection may die under pure shed backpressure: {stats:?}"
     );
     assert_eq!(
-        stats.committed as usize, total,
+        stats.committed.len(),
+        total,
         "sheds are retried, not lost: {stats:?}"
     );
     assert_eq!(
@@ -232,22 +243,18 @@ fn two_pl_blocks_and_restarts_over_the_wire() {
         block_timeout: Duration::from_millis(50),
         ..NetConfig::default()
     };
-    let load = LoadConfig {
-        connections: 4,
-        streams: 2,
-        ..LoadConfig::default()
-    };
+    let load = final_loss(4, 2);
     let (report, stats) = serve_net(
         &sc.txns,
         scheduler,
         &cfg,
         &FaultPlan::default(),
         None,
-        |addr| drive(addr, &sc.txns, &stream, &load),
+        |addr| drive_resilient(addr, &sc.txns, &stream, &load, &ChaosPlan::quiet()),
     )
     .expect("serve_net");
 
-    assert_eq!(stats.committed as usize, total, "restarts retry to commit");
+    assert_eq!(stats.committed.len(), total, "restarts retry to commit");
     recertify(&sc.txns, &absolute, &report);
 }
 
@@ -260,11 +267,7 @@ fn corrupt_frames_close_one_connection_not_the_server() {
     let total = sc.txns.len();
     let scheduler = Box::new(RsgSgt::new(&sc.txns, &sc.spec));
     let stream = RequestStream::shuffled(&sc.txns, 43);
-    let load = LoadConfig {
-        connections: 4,
-        streams: 2,
-        ..LoadConfig::default()
-    };
+    let load = final_loss(4, 2);
     let (report, (stats, vandal_reply)) = serve_net(
         &sc.txns,
         scheduler,
@@ -278,7 +281,7 @@ fn corrupt_frames_close_one_connection_not_the_server() {
             garbage.extend_from_slice(&[0xde; 16]);
             vandal.write_all(&garbage).expect("write garbage");
             // Honest load on other connections, concurrently.
-            let stats = drive(addr, &sc.txns, &stream, &load);
+            let stats = drive_resilient(addr, &sc.txns, &stream, &load, &ChaosPlan::quiet());
             // The vandal got a typed error, then EOF — nothing else.
             let mut buf = Vec::new();
             vandal.read_to_end(&mut buf).expect("read to eof");
@@ -300,8 +303,8 @@ fn corrupt_frames_close_one_connection_not_the_server() {
         "got {resp:?}"
     );
     assert_eq!(report.net.bad_frame_closes, 1);
-    assert_eq!(stats.failed_connections, 0, "honest connections unharmed");
-    assert_eq!(stats.committed as usize, total);
+    assert_eq!(stats.dead_connections, 0, "honest connections unharmed");
+    assert_eq!(stats.committed.len(), total);
     recertify(&sc.txns, &sc.spec, &report);
 }
 
@@ -327,25 +330,21 @@ fn lost_reply_degrades_only_its_connection() {
         reply_timeout: Duration::from_secs(2),
         ..NetConfig::default()
     };
-    let load = LoadConfig {
-        connections: 8,
-        streams: 4,
-        ..LoadConfig::default()
-    };
+    let load = final_loss(8, 4);
     let (report, stats) = serve_net(&sc.txns, scheduler, &cfg, &faults, None, |addr| {
-        drive(addr, &sc.txns, &stream, &load)
+        drive_resilient(addr, &sc.txns, &stream, &load, &ChaosPlan::quiet())
     })
     .expect("serve_net");
 
     assert_eq!(report.net.reply_lost_closes, 1, "exactly one victim");
-    assert_eq!(stats.failed_connections, 1);
+    assert_eq!(stats.dead_connections, 1);
     assert!(
         !stats.lost.is_empty() && stats.lost.len() <= load.streams,
         "the victim loses at most its in-flight streams, lost {}",
         stats.lost.len()
     );
     assert!(
-        stats.committed as usize >= total - load.streams,
+        stats.committed.len() >= total - load.streams,
         "everyone else keeps committing"
     );
     reconcile(&report, &stats, total);
@@ -361,22 +360,18 @@ fn single_connection_pipelines_multiple_streams() {
     let total = sc.txns.len();
     let scheduler = Box::new(RsgSgt::new(&sc.txns, &sc.spec));
     let stream = RequestStream::in_order(&sc.txns);
-    let load = LoadConfig {
-        connections: 1,
-        streams: 4,
-        ..LoadConfig::default()
-    };
+    let load = final_loss(1, 4);
     let (report, stats) = serve_net(
         &sc.txns,
         scheduler,
         &NetConfig::default(),
         &FaultPlan::default(),
         None,
-        |addr| drive(addr, &sc.txns, &stream, &load),
+        |addr| drive_resilient(addr, &sc.txns, &stream, &load, &ChaosPlan::quiet()),
     )
     .expect("serve_net");
 
-    assert_eq!(stats.committed as usize, total);
+    assert_eq!(stats.committed.len(), total);
     assert_eq!(report.net.connections, 1);
     // Program order per transaction, straight from the granted log.
     let mut last: std::collections::HashMap<TxnId, u32> = std::collections::HashMap::new();

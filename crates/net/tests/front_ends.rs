@@ -10,8 +10,8 @@ use relser_core::ids::{OpId, TxnId};
 use relser_core::schedule::Schedule;
 use relser_core::vclock;
 use relser_net::{
-    drive, drive_resilient, serve_net, serve_net_supervised_in, ChaosPlan, LoadConfig, NetConfig,
-    ResilientConfig, SuperviseNetConfig,
+    drive_resilient, serve_net, serve_net_supervised_in, ChaosPlan, NetConfig, ResilientConfig,
+    SuperviseNetConfig,
 };
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::Scheduler;
@@ -59,6 +59,16 @@ fn four_front_ends_one_verdict() {
     let (txns, spec) = (&sc.txns, &sc.spec);
     let fresh = || RsgSgt::new(txns, spec);
     let stream = || RequestStream::shuffled(txns, ARRIVAL_SEED);
+    // Both TCP front-ends are driven by the one client.
+    let drive = |addr, stream: &RequestStream| {
+        drive_resilient(
+            addr,
+            txns,
+            stream,
+            &ResilientConfig::default(),
+            &ChaosPlan::quiet(),
+        )
+    };
     let cfg = ServerConfig {
         workers: 4,
         ..ServerConfig::default()
@@ -148,10 +158,10 @@ fn four_front_ends_one_verdict() {
             &NetConfig::default(),
             &FaultPlan::default(),
             Some(&mut wal),
-            |addr| drive(addr, txns, &stream(), &LoadConfig::default()),
+            |addr| drive(addr, &stream()),
         )
         .expect("serve_net");
-        assert_eq!(stats.committed as usize, txns.len());
+        assert_eq!(stats.committed.len(), txns.len());
         let (_, rec) = recover_segments_with_certifier(
             txns,
             spec,
@@ -186,15 +196,7 @@ fn four_front_ends_one_verdict() {
             &sup,
             &[],
             &stores,
-            |addr| {
-                drive_resilient(
-                    addr,
-                    txns,
-                    &stream(),
-                    &ResilientConfig::default(),
-                    &ChaosPlan::quiet(),
-                )
-            },
+            |addr| drive(addr, &stream()),
         )
         .expect("serve_net_supervised_in");
         let acked: Vec<TxnId> = stats.committed.iter().map(|&(t, _)| t).collect();

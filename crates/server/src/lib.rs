@@ -21,18 +21,22 @@
 //!   log, optionally appends every state change to a commit log
 //!   (`relser_wal::CommitLog`) before acknowledging it, and optionally
 //!   runs as one shard of N ([`ShardCoreCtx`]);
-//! * [`session`] — the client protocol: program-order requests,
-//!   block/retry on progress epochs, waits-for-based abort timeouts, and
-//!   restart-on-abort, exactly mirroring the single-threaded driver
-//!   discipline;
-//! * [`server`] — [`serve`] wires one core and N session threads together
-//!   with `thread::scope` and returns a [`ServeReport`] (partial runs
-//!   included; [`ServeReport::into_run`] is the committed history as a
-//!   validated [`Schedule`](relser_core::schedule::Schedule) plus
-//!   [`ServerMetrics`]); [`replay`] re-executes a recorded trace
-//!   deterministically on one thread;
-//! * [`shard`] — [`serve_sharded`], the same front-end over N shard
-//!   cores behind an object-space router;
+//! * [`session`] — the client protocol, written once: program-order
+//!   requests routed to the core owning each object, block/retry on
+//!   progress epochs, waits-for-based abort timeouts, restart-on-abort
+//!   with backoff, and the two-phase admit of a cross-shard transaction —
+//!   exactly mirroring the single-threaded driver discipline;
+//! * [`server`] — [`serve`] runs that session over one queue and one
+//!   plain core (the N = 1 row) and returns a [`ServeReport`] (partial
+//!   runs included; [`ServeReport::into_run`] is the committed history as
+//!   a validated [`Schedule`](relser_core::schedule::Schedule) plus
+//!   [`ServerMetrics`]); the `thread::scope` scaffolding (spawn cores,
+//!   spawn sessions, join, close) is shared with [`serve_sharded`];
+//!   [`replay`] re-executes a recorded trace deterministically on one
+//!   thread;
+//! * [`shard`] — [`serve_sharded`], the same session over N shard cores
+//!   (global grant sequencer, stamped commits), the shard-set leases and
+//!   the merged report;
 //! * [`supervisor`] — [`supervise_shard`], the restart loop the TCP
 //!   front-end (`relser-net`) runs each shard core under;
 //! * [`recovery`] — one function per log shape, each rebuilding a fresh

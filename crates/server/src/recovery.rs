@@ -748,10 +748,9 @@ mod tests {
         let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
         let cfg = ServerConfig {
             workers: 2,
-            seed: 5,
             ..ServerConfig::default()
         };
-        let stream = RequestStream::shuffled(&txns, cfg.seed);
+        let stream = RequestStream::shuffled(&txns, 5);
         let scheduler = RsgSgt::new(&txns, &spec);
         let report = serve(
             &txns,
@@ -784,10 +783,9 @@ mod tests {
         let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
         let cfg = ServerConfig {
             workers: 2,
-            seed: 11,
             ..ServerConfig::default()
         };
-        let stream = RequestStream::shuffled(&txns, cfg.seed);
+        let stream = RequestStream::shuffled(&txns, 11);
         let scheduler = RsgSgt::new(&txns, &spec);
         let report = serve(
             &txns,

@@ -1,21 +1,26 @@
-//! Run orchestration: wire a scheduler, a command queue, an admission
-//! core thread, and N session threads together; return the committed
-//! history plus metrics (and optionally a deterministic-replay trace).
+//! Run orchestration: wire schedulers, command queues, admission core
+//! threads, and N session threads together (`run_front_end`, shared by
+//! [`serve`] and [`crate::serve_sharded`]); return the committed history
+//! plus metrics (and optionally a deterministic-replay trace).
 
-use crate::core::{run_core, Command, CoreCfg, CoreOutput, FaultPlan, Progress, TraceEvent};
+use crate::core::{
+    run_core, Command, CoreCfg, CoreOutput, FaultPlan, Progress, ShardCoreCtx, TraceEvent,
+};
 use crate::metrics::ServerMetrics;
 use crate::queue::BoundedQueue;
-use crate::session::{
-    run_session, run_txn, OverloadPolicy, SessionCtx, SessionError, SessionStats,
-};
+use crate::session::{run_session, OverloadPolicy, Session, SessionError, SessionStats};
+use crate::shard::{AdmitRecord, LeaseTable};
 use relser_core::ids::{OpId, TxnId};
 use relser_core::schedule::Schedule;
+use relser_core::shard::ShardMap;
 use relser_core::txn::TxnSet;
 use relser_protocols::{Decision, Scheduler};
+use relser_simdb::metrics::DecisionLatency;
 use relser_wal::CommitLog;
 use relser_workload::stream::RequestStream;
 use std::fmt;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Tunables for one [`serve`] run.
@@ -54,9 +59,6 @@ pub struct ServerConfig {
     pub max_attempts: u32,
     /// Record a [`TraceEvent`] log for deterministic replay.
     pub record_trace: bool,
-    /// Seed for the arrival order: what callers hand
-    /// [`RequestStream::shuffled`] to build the stream they serve.
-    pub seed: u64,
 }
 
 impl ServerConfig {
@@ -85,7 +87,6 @@ impl Default for ServerConfig {
             op_work_ns: 0,
             max_attempts: 10_000,
             record_trace: false,
-            seed: 0,
         }
     }
 }
@@ -221,17 +222,180 @@ impl ServeReport {
     }
 }
 
+/// What one in-process run leaves behind, before [`serve`] or
+/// [`crate::serve_sharded`] cuts its report shape from it.
+pub(crate) struct FrontEndRun {
+    pub(crate) outcome: RunOutcome,
+    /// One per core, in shard order.
+    pub(crate) outputs: Vec<CoreOutput>,
+    /// The cores' metrics merged, session counters folded in. What only
+    /// the report shape knows is left for the caller: `committed_ops`,
+    /// and a sharded run's whole-transaction `commits`.
+    pub(crate) metrics: ServerMetrics,
+    /// Requests shed per core queue.
+    pub(crate) sheds: Vec<u64>,
+    /// Cross-shard admits in lease order.
+    pub(crate) admits: Vec<AdmitRecord>,
+    pub(crate) map: ShardMap,
+}
+
+/// The scaffolding both in-process front-ends share: one queue, progress
+/// epoch and core thread per scheduler, `cfg.workers` session threads
+/// running the one session discipline ([`Session::run_txn`]) over all of
+/// them; join the sessions, close the queues, join the cores.
+///
+/// `faults` and `wals` are empty or one per core. `sharded` says which
+/// core the schedulers run under — shard cores ([`ShardCoreCtx`]: global
+/// grant sequencer, commit epochs, stamped `CommitAt`) or the plain core
+/// (stamp-less `Commit`) — and is the only thing the two front-ends tell
+/// this function apart by.
+pub(crate) fn run_front_end<'a>(
+    txns: &TxnSet,
+    stream: &RequestStream,
+    schedulers: Vec<Box<dyn Scheduler + Send + 'a>>,
+    cfg: &ServerConfig,
+    faults: &[FaultPlan],
+    wals: Vec<&mut dyn CommitLog>,
+    sharded: bool,
+) -> FrontEndRun {
+    let cores = schedulers.len();
+    assert!(cores >= 1, "need at least one shard");
+    assert!(cfg.workers >= 1, "need at least one worker");
+    assert!(
+        faults.is_empty() || faults.len() == cores,
+        "fault plans must be absent or one per shard"
+    );
+    assert!(
+        wals.is_empty() || wals.len() == cores,
+        "commit logs must be absent or one per shard"
+    );
+    let map = ShardMap::new(cores as u32);
+    let queues: Vec<BoundedQueue<Command>> = (0..cores)
+        .map(|_| BoundedQueue::new(cfg.queue_capacity))
+        .collect();
+    let progresses: Vec<Progress> = (0..cores).map(|_| Progress::new()).collect();
+    let epochs: Vec<AtomicU64> = (0..cores).map(|_| AtomicU64::new(0)).collect();
+    let sheds: Vec<AtomicU64> = (0..cores).map(|_| AtomicU64::new(0)).collect();
+    let seq = AtomicU64::new(0);
+    let stamps = AtomicU64::new(0);
+    let leases = LeaseTable::new(cores);
+    let admits: Mutex<Vec<AdmitRecord>> = Mutex::new(Vec::new());
+    let default_fault = FaultPlan::default();
+    let session = Session {
+        txns,
+        cfg,
+        map,
+        queues: &queues,
+        progresses: &progresses,
+        sheds: &sheds,
+        epochs: &epochs,
+        stamps: sharded.then_some(&stamps),
+        leases: &leases,
+        admits: &admits,
+    };
+    let t0 = Instant::now();
+
+    let (outputs, sessions): (Vec<CoreOutput>, Vec<(SessionStats, Option<SessionError>)>) =
+        std::thread::scope(|s| {
+            let (queues, progresses, epochs, seq) = (&queues, &progresses, &epochs, &seq);
+            let session = &session;
+            let mut wals = wals.into_iter();
+            let core_threads: Vec<_> = schedulers
+                .into_iter()
+                .enumerate()
+                .map(|(shard, scheduler)| {
+                    let fault = faults.get(shard).unwrap_or(&default_fault);
+                    let wal = wals.next();
+                    let ctx = sharded.then(|| ShardCoreCtx {
+                        shard: shard as u32,
+                        seq,
+                        epochs,
+                        sessions: None,
+                        recovered_committed: Vec::new(),
+                        recovered_events: Vec::new(),
+                    });
+                    s.spawn(move || {
+                        run_core(
+                            scheduler,
+                            &queues[shard],
+                            &progresses[shard],
+                            cfg.core(),
+                            fault,
+                            wal,
+                            ctx,
+                        )
+                    })
+                })
+                .collect();
+            let workers: Vec<_> = (0..cfg.workers)
+                .map(|_| {
+                    s.spawn(move || {
+                        run_session(
+                            stream,
+                            |txn, stats| session.run_txn(txn, stats),
+                            || queues.iter().for_each(BoundedQueue::close),
+                        )
+                    })
+                })
+                .collect();
+            let sessions = workers
+                .into_iter()
+                .map(|h| h.join().expect("session thread panicked"))
+                .collect();
+            queues.iter().for_each(BoundedQueue::close);
+            let outputs = core_threads
+                .into_iter()
+                .map(|h| h.join().expect("admission core panicked"))
+                .collect();
+            (outputs, sessions)
+        });
+    let elapsed = t0.elapsed();
+
+    // Merge the per-core views, then rebuild the decision summary exactly
+    // from the concatenated samples (merge alone is conservative on p95)
+    // and fold in the session-side counters.
+    let mut metrics = outputs
+        .iter()
+        .enumerate()
+        .map(|(shard, out)| ServerMetrics {
+            sheds: sheds[shard].load(Ordering::Relaxed),
+            ..ServerMetrics::from_core(out, queues[shard].stats(), elapsed)
+        })
+        .reduce(|mut agg, m| {
+            agg.merge(&m);
+            agg
+        })
+        .expect("at least one core")
+        .with_sessions(&sessions);
+    metrics.workers = cfg.workers;
+    let decision_samples: Vec<u64> = outputs
+        .iter()
+        .flat_map(|o| o.decision_ns.iter().copied())
+        .collect();
+    metrics.decision = DecisionLatency::from_samples(&decision_samples);
+
+    FrontEndRun {
+        outcome: RunOutcome::of(outputs.iter().any(|o| o.crashed), &sessions),
+        outputs,
+        metrics,
+        sheds: sheds.into_iter().map(AtomicU64::into_inner).collect(),
+        admits: admits.into_inner().expect("admit log lock"),
+        map,
+    }
+}
+
 /// Serves every transaction in `stream` to commit — the in-process
 /// front-end over one admission core.
 ///
 /// `cfg.workers` session threads claim arrivals from the stream and run
-/// the client protocol ([`run_txn`]); one admission core thread owns the
-/// scheduler and applies commands in queue order ([`run_core`]). The
-/// function returns when every transaction has committed (or the first
-/// session gives up, which closes the queue and unwinds the rest), and
-/// reports even a partial run, so harnesses can check the committed
-/// prefix against the offline oracles: whatever `faults` injects, the
-/// committed transactions' history must still be relatively serializable.
+/// the session discipline of [`crate::session`] over the one queue; one
+/// admission core thread owns the scheduler and applies commands in queue
+/// order ([`run_core`]). The function returns when every transaction has
+/// committed (or the first session gives up, which closes the queue and
+/// unwinds the rest), and reports even a partial run, so harnesses can
+/// check the committed prefix against the offline oracles: whatever
+/// `faults` injects, the committed transactions' history must still be
+/// relatively serializable.
 /// [`ServeReport::into_run`] turns a completed run into its validated
 /// history.
 ///
@@ -255,68 +419,25 @@ pub fn serve(
     faults: &FaultPlan,
     wal: Option<&mut dyn CommitLog>,
 ) -> ServeReport {
-    assert!(cfg.workers >= 1, "need at least one worker");
-    let queue: BoundedQueue<Command> = BoundedQueue::new(cfg.queue_capacity);
-    let progress = Progress::new();
-    let sheds = AtomicU64::new(0);
-    let t0 = Instant::now();
-
-    let (core_out, sessions): (CoreOutput, Vec<(SessionStats, Option<SessionError>)>) =
-        std::thread::scope(|s| {
-            let queue = &queue;
-            let progress = &progress;
-            let sheds = &sheds;
-            let core = s
-                .spawn(move || run_core(scheduler, queue, progress, cfg.core(), faults, wal, None));
-            let mut workers = Vec::with_capacity(cfg.workers);
-            for _ in 0..cfg.workers {
-                workers.push(s.spawn(move || {
-                    let ctx = SessionCtx {
-                        queue,
-                        progress,
-                        txns,
-                        policy: cfg.policy,
-                        block_timeout: cfg.block_timeout,
-                        retry_slice: cfg.retry_slice,
-                        restart_backoff: cfg.restart_backoff,
-                        restart_backoff_max: cfg.restart_backoff_max,
-                        backoff_seed: cfg.backoff_seed,
-                        reply_timeout: cfg.reply_timeout,
-                        op_work_ns: cfg.op_work_ns,
-                        max_attempts: cfg.max_attempts,
-                        sheds,
-                    };
-                    run_session(
-                        stream,
-                        |txn, stats| run_txn(&ctx, txn, stats),
-                        || queue.close(),
-                    )
-                }));
-            }
-            let sessions: Vec<(SessionStats, Option<SessionError>)> = workers
-                .into_iter()
-                .map(|h| h.join().expect("session thread panicked"))
-                .collect();
-            queue.close();
-            let core_out = core.join().expect("admission core panicked");
-            (core_out, sessions)
-        });
-    let elapsed = t0.elapsed();
-
-    let metrics = ServerMetrics {
-        workers: cfg.workers,
-        sheds: sheds.into_inner(),
-        committed_ops: core_out.committed_ops(),
-        ..ServerMetrics::from_core(&core_out, queue.stats(), elapsed)
-    }
-    .with_sessions(&sessions);
-
+    let mut run = run_front_end(
+        txns,
+        stream,
+        vec![scheduler],
+        cfg,
+        std::slice::from_ref(faults),
+        wal.into_iter().collect(),
+        false,
+    );
+    let core_out = run.outputs.pop().expect("one core");
     ServeReport {
-        outcome: RunOutcome::of(core_out.crashed, &sessions),
+        outcome: run.outcome,
+        metrics: ServerMetrics {
+            committed_ops: core_out.committed_ops(),
+            ..run.metrics
+        },
         committed: core_out.committed,
         log: core_out.log,
         trace: core_out.trace,
-        metrics,
         injected_aborts: core_out.injected_aborts,
         checkpoints: core_out.checkpoints,
     }

@@ -1,20 +1,35 @@
 //! Client sessions: the worker-thread side of the service protocol.
 //!
-//! A session runs one transaction at a time through the full driver
-//! discipline the rest of the repo assumes: `begin`, then every operation
-//! in **program order**, then `commit` — restarting the whole incarnation
-//! from its first operation whenever the scheduler aborts it. Sessions
-//! never touch the scheduler; they only enqueue [`Command`]s and wait on
-//! [`Reply`] cells, so any number of them can run concurrently against
-//! the single-writer core.
+//! There is **one** session discipline, and every in-process front-end
+//! runs it: `Session::run_txn` drives one transaction at a time through
+//! `begin`, then every operation in **program order**, then `commit` —
+//! restarting the whole incarnation from its first operation whenever a
+//! scheduler aborts it. Sessions never touch a scheduler; they only
+//! enqueue [`Command`]s and wait on [`Reply`] cells, so any number of them
+//! can run concurrently against single-writer cores.
+//!
+//! A session is *routed*: it holds one queue (and progress epoch, shed
+//! counter, commit epoch) per admission core and sends each operation to
+//! the core that owns its object. [`crate::serve`] is the N = 1 row of
+//! that table — one queue, every transaction single-owner, so the lease
+//! and two-phase admit below never run — and [`crate::serve_sharded`] the
+//! N-shard row. What differs between the rows is data, not code: whether
+//! the cores are shard cores, in which case commits carry a global stamp
+//! ([`Command::CommitAt`]), or the plain core, which takes the stamp-less
+//! [`Command::Commit`] (`Session::stamps`).
+//!
+//! A **cross-shard** transaction (several owners) takes a shard-set lease
+//! and fans a two-phase admit out before its first operation; the
+//! protocol and why it is sound are in [`crate::shard`].
 //!
 //! Two liveness mechanisms live here:
 //!
 //! * **Block/retry with progress epochs.** A `Blocked` decision does not
 //!   park the session on a lock queue (the scheduler has none the session
-//!   can see); instead the session sleeps until the core's progress epoch
-//!   advances — i.e. until *some* grant, commit, or abort changed the
-//!   state — then re-submits the same operation.
+//!   can see); instead the session sleeps until the owning core's
+//!   progress epoch advances for a transaction it waits on — i.e. until a
+//!   grant, commit, or abort changed *their* state — then re-submits the
+//!   same operation.
 //! * **Waits-for-based timeout.** The session tracks *which* transactions
 //!   it has been waiting on (the `on` set of the `Blocked` decision). The
 //!   abort timer starts only when that set stabilizes and resets whenever
@@ -26,13 +41,17 @@
 
 use crate::core::{Command, Progress, Reply};
 use crate::queue::{BoundedQueue, PushError};
+use crate::server::ServerConfig;
+use crate::shard::{AdmitRecord, LeaseTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relser_core::ids::{OpId, TxnId};
+use relser_core::shard::{ArcExchange, ShardMap};
 use relser_core::txn::TxnSet;
 use relser_protocols::Decision;
 use relser_workload::stream::RequestStream;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What a worker does when the command queue is full.
@@ -83,52 +102,50 @@ pub struct SessionStats {
     pub max_txn_attempts: u32,
 }
 
-/// Everything a session needs, shared across all workers of one run.
-pub struct SessionCtx<'a> {
-    /// The command queue into the admission core.
-    pub queue: &'a BoundedQueue<Command>,
-    /// The core's progress epoch (block/retry wakeups).
-    pub progress: &'a Progress,
-    /// The transaction set (program order source).
-    pub txns: &'a TxnSet,
-    /// Overload policy for operation requests.
-    pub policy: OverloadPolicy,
-    /// Abort after waiting on an unchanged waits-for set this long.
-    pub block_timeout: Duration,
-    /// Upper bound on one epoch-wait slice while blocked.
-    pub retry_slice: Duration,
-    /// Base sleep before re-beginning an aborted incarnation; doubles per
-    /// consecutive restart up to [`SessionCtx::restart_backoff_max`].
-    pub restart_backoff: Duration,
-    /// Cap on the exponential restart backoff.
-    pub restart_backoff_max: Duration,
-    /// Seed for the deterministic backoff jitter (combined with the
-    /// transaction id and attempt number, so each restart of each
-    /// transaction gets its own reproducible jitter draw).
-    pub backoff_seed: u64,
-    /// Give up on an unanswered reply after this long (the core died).
-    pub reply_timeout: Duration,
-    /// Simulated record-access latency per granted operation (slept,
-    /// not spun — see [`SessionCtx::do_op_work`]).
-    pub op_work_ns: u64,
-    /// Give up on a transaction after this many incarnations.
-    pub max_attempts: u32,
-    /// Shared shed counter (all sessions of the run).
-    pub sheds: &'a AtomicU64,
+/// Everything a session needs, shared across all workers of one run: the
+/// universe, the config, and one queue / progress epoch / shed counter /
+/// commit epoch per admission core. [`crate::serve`] hands in one-element
+/// slices, [`crate::serve_sharded`] one element per shard.
+pub(crate) struct Session<'a> {
+    pub(crate) txns: &'a TxnSet,
+    pub(crate) cfg: &'a ServerConfig,
+    pub(crate) map: ShardMap,
+    pub(crate) queues: &'a [BoundedQueue<Command>],
+    pub(crate) progresses: &'a [Progress],
+    pub(crate) sheds: &'a [AtomicU64],
+    pub(crate) epochs: &'a [AtomicU64],
+    /// The global commit-stamp counter when the cores are shard cores
+    /// ([`crate::ShardCoreCtx`]): commits go out as `CommitAt`. `None`
+    /// over the plain core, which takes the stamp-less `Commit`.
+    pub(crate) stamps: Option<&'a AtomicU64>,
+    pub(crate) leases: &'a LeaseTable,
+    pub(crate) admits: &'a Mutex<Vec<AdmitRecord>>,
 }
 
-impl SessionCtx<'_> {
+/// How one incarnation ended (leases released, owners clean either way).
+enum Incarnation {
+    Committed,
+    /// A core aborted it, or an owner rejected its admit.
+    Aborted,
+    /// The session aborted it: blocked on an unchanged waits-for set for
+    /// a full `block_timeout`.
+    TimedOut,
+}
+
+impl Session<'_> {
     /// Enqueues a command that must not be lost (begin/commit/abort —
     /// and requests under the `Wait` policy).
-    fn send(&self, cmd: Command) -> Result<(), SessionError> {
-        self.queue
+    fn send(&self, shard: u32, cmd: Command) -> Result<(), SessionError> {
+        self.queues[shard as usize]
             .push_wait(cmd)
             .map_err(|_| SessionError::Shutdown)
     }
 
-    /// Enqueues an operation request under the configured policy.
+    /// Enqueues an operation request on its owning core under the
+    /// configured overload policy, counting sheds per core.
     fn send_request(
         &self,
+        shard: u32,
         op: OpId,
         reply: Reply,
         stats: &mut SessionStats,
@@ -139,15 +156,15 @@ impl SessionCtx<'_> {
             reply,
         };
         loop {
-            match self.policy {
-                OverloadPolicy::Wait => return self.send(cmd),
-                OverloadPolicy::Shed => match self.queue.try_push(cmd) {
+            match self.cfg.policy {
+                OverloadPolicy::Wait => return self.send(shard, cmd),
+                OverloadPolicy::Shed => match self.queues[shard as usize].try_push(cmd) {
                     Ok(()) => return Ok(()),
                     Err(PushError::Closed(_)) => return Err(SessionError::Shutdown),
                     Err(PushError::Full(back)) => {
                         stats.sheds += 1;
-                        self.sheds.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(self.retry_slice);
+                        self.sheds[shard as usize].fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(self.cfg.retry_slice);
                         // Refresh the enqueue timestamp: the shed-and-retry
                         // delay is client-side, not admission latency.
                         cmd = match back {
@@ -164,16 +181,211 @@ impl SessionCtx<'_> {
         }
     }
 
-    /// Simulates executing the granted operation: sleeps for
-    /// `op_work_ns`, modelling I/O-bound record access. Sleeping (not
-    /// spinning) is what makes the work overlappable across sessions —
-    /// like real record I/O, it occupies the session but not a CPU, so
-    /// the service parallelizes it even on a single hardware thread.
-    fn do_op_work(&self) {
-        if self.op_work_ns == 0 {
-            return;
+    /// Best-effort LIFO rollback on shards that already granted an admit
+    /// or still hold a begun incarnation. Send failures are swallowed: a
+    /// closed queue means that core crashed or the run is unwinding, and
+    /// recovery's all-owners rule makes the half-admitted state harmless.
+    fn rollback_lifo(&self, txn: TxnId, shards: impl DoubleEndedIterator<Item = u32>) {
+        for s in shards.rev() {
+            let _ = self.send(s, Command::Rollback(txn));
         }
-        std::thread::sleep(Duration::from_nanos(self.op_work_ns));
+    }
+
+    /// Runs one transaction to commit, restarting across aborts, rejected
+    /// admits and waits-for timeouts.
+    pub(crate) fn run_txn(&self, txn: TxnId, stats: &mut SessionStats) -> Result<(), SessionError> {
+        let owners = self.map.shards_of_txn(self.txns, txn);
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            stats.max_txn_attempts = stats.max_txn_attempts.max(attempts);
+            if attempts > self.cfg.max_attempts {
+                return Err(SessionError::Livelock(txn));
+            }
+            if attempts > 1 {
+                stats.restarts += 1;
+                let pause = restart_backoff(
+                    self.cfg.restart_backoff,
+                    self.cfg.restart_backoff_max,
+                    self.cfg.backoff_seed,
+                    txn,
+                    attempts,
+                );
+                if !pause.is_zero() {
+                    stats.backoff_ns += pause.as_nanos() as u64;
+                    std::thread::sleep(pause);
+                }
+            }
+            // Strict 2PL at shard granularity for cross-shard transactions
+            // only: hold the whole shard set from before the first admit
+            // until after the last CommitAt (or the rollback), so
+            // overlapping cross-shard transactions never interleave.
+            let cross_shard = owners.len() > 1;
+            if cross_shard {
+                self.leases.acquire(&owners);
+            }
+            let outcome = self.incarnation(txn, &owners, stats);
+            if cross_shard {
+                self.leases.release(&owners);
+            }
+            match outcome? {
+                Incarnation::Committed => {
+                    stats.commits += 1;
+                    return Ok(());
+                }
+                Incarnation::Aborted => {}
+                Incarnation::TimedOut => stats.timeout_aborts += 1,
+            }
+        }
+    }
+
+    /// One incarnation: begin (on the one owner) or two-phase admit (on
+    /// several), every operation in program order on its owning core, then
+    /// the commit on every owner.
+    fn incarnation(
+        &self,
+        txn: TxnId,
+        owners: &[u32],
+        stats: &mut SessionStats,
+    ) -> Result<Incarnation, SessionError> {
+        if let [owner] = owners {
+            self.send(*owner, Command::Begin(txn))?;
+        } else if !self.admit(txn, owners)? {
+            return Ok(Incarnation::Aborted);
+        }
+        for index in 0..self.txns.txn(txn).len() {
+            let op = OpId {
+                txn,
+                index: index as u32,
+            };
+            let shard = self
+                .map
+                .shard_of_op(self.txns, op)
+                .expect("op of a parsed txn");
+            let progress = &self.progresses[shard as usize];
+            let others = owners.iter().copied().filter(|&s| s != shard);
+            // Waits-for timeout state for this operation.
+            let mut waited_on: Vec<TxnId> = Vec::new();
+            let mut blocked_since = Instant::now();
+            let mut ever_blocked = false;
+            loop {
+                let reply = Reply::new();
+                let seen = progress.current();
+                self.send_request(shard, op, reply.clone(), stats)?;
+                let decision = reply
+                    .wait_for(self.cfg.reply_timeout)
+                    .map_err(|_| SessionError::ReplyLost(txn))?;
+                match decision {
+                    Decision::Granted => {
+                        // Simulated record access: slept, not spun, so it
+                        // occupies the session but not a CPU and overlaps
+                        // across sessions like real I/O.
+                        if self.cfg.op_work_ns > 0 {
+                            std::thread::sleep(Duration::from_nanos(self.cfg.op_work_ns));
+                        }
+                        stats.ops_executed += 1;
+                        break; // next operation in program order
+                    }
+                    Decision::Aborted(_) => {
+                        // This core already applied the abort; unwind the
+                        // other owners before restarting from the first
+                        // operation.
+                        self.rollback_lifo(txn, others);
+                        return Ok(Incarnation::Aborted);
+                    }
+                    Decision::Blocked { mut on } => {
+                        on.sort_unstable();
+                        on.dedup();
+                        let now = Instant::now();
+                        if !ever_blocked || on != waited_on {
+                            // First block, or the waits-for set moved:
+                            // (re)start the timeout clock.
+                            ever_blocked = true;
+                            waited_on = on;
+                            blocked_since = now;
+                        } else if now.duration_since(blocked_since) >= self.cfg.block_timeout {
+                            // Stuck behind the same transactions too long:
+                            // abort on the blocking core (counted there as
+                            // a timeout abort), roll the rest back, restart.
+                            self.send(shard, Command::Abort(txn))?;
+                            self.rollback_lifo(txn, others);
+                            return Ok(Incarnation::TimedOut);
+                        }
+                        // Sleep until a transaction we wait on changes
+                        // (or a slice elapses), then re-submit the same
+                        // operation. Unrelated commits do not wake us.
+                        progress.wait_on(seen, &waited_on, self.cfg.retry_slice);
+                    }
+                }
+            }
+        }
+        // Fire-and-forget: per-queue FIFO guarantees each owner applies the
+        // commit before anything a later lease holder enqueues.
+        match self.stamps {
+            None => self.send(owners[0], Command::Commit(txn))?,
+            Some(stamps) => {
+                // One global stamp on every owner: the commit lands on the
+                // merged commit order.
+                let stamp = stamps.fetch_add(1, Ordering::SeqCst);
+                for &s in owners {
+                    self.send(s, Command::CommitAt { txn, stamp })?;
+                }
+            }
+        }
+        Ok(Incarnation::Committed)
+    }
+
+    /// Phase one of a cross-shard incarnation (the caller holds the
+    /// shard-set lease): fans [`Command::Admit`] out in ascending shard
+    /// order, each message carrying the commit-epoch snapshot (the D-arc
+    /// summary). `false` when an owner rejected; the owners that had
+    /// already granted are rolled back.
+    fn admit(&self, txn: TxnId, owners: &[u32]) -> Result<bool, SessionError> {
+        let snapshot: Vec<u64> = self
+            .epochs
+            .iter()
+            .map(|e| e.load(Ordering::SeqCst))
+            .collect();
+        let mut granted: Vec<u32> = Vec::new();
+        let mut rejected = false;
+        for &s in owners {
+            let reply = Reply::new();
+            let mut exchange = ArcExchange::new(s, self.epochs.len() as u32);
+            exchange.epochs.copy_from_slice(&snapshot);
+            let cmd = Command::Admit {
+                txn,
+                exchange,
+                reply: reply.clone(),
+            };
+            if let Err(e) = self.send(s, cmd) {
+                self.rollback_lifo(txn, granted.iter().copied());
+                return Err(e);
+            }
+            match reply.wait_for(self.cfg.reply_timeout) {
+                Ok(Decision::Granted) => granted.push(s),
+                Ok(_) => {
+                    rejected = true;
+                    break;
+                }
+                Err(_) => {
+                    self.rollback_lifo(txn, granted.iter().copied());
+                    return Err(SessionError::ReplyLost(txn));
+                }
+            }
+        }
+        self.admits
+            .lock()
+            .expect("admit log lock")
+            .push(AdmitRecord {
+                txn,
+                shards: owners.to_vec(),
+                epochs: snapshot,
+                granted: !rejected,
+            });
+        if rejected {
+            self.rollback_lifo(txn, granted.iter().copied());
+        }
+        Ok(!rejected)
     }
 }
 
@@ -230,93 +442,6 @@ pub(crate) fn run_session(
     (stats, failure)
 }
 
-/// Runs one transaction to commit (restarting across aborts).
-pub fn run_txn(
-    ctx: &SessionCtx<'_>,
-    txn: TxnId,
-    stats: &mut SessionStats,
-) -> Result<(), SessionError> {
-    let n_ops = ctx.txns.txn(txn).len();
-    let mut attempts = 0u32;
-    'incarnation: loop {
-        attempts += 1;
-        stats.max_txn_attempts = stats.max_txn_attempts.max(attempts);
-        if attempts > ctx.max_attempts {
-            return Err(SessionError::Livelock(txn));
-        }
-        if attempts > 1 {
-            stats.restarts += 1;
-            let pause = restart_backoff(
-                ctx.restart_backoff,
-                ctx.restart_backoff_max,
-                ctx.backoff_seed,
-                txn,
-                attempts,
-            );
-            if !pause.is_zero() {
-                stats.backoff_ns += pause.as_nanos() as u64;
-                std::thread::sleep(pause);
-            }
-        }
-        ctx.send(Command::Begin(txn))?;
-        for index in 0..n_ops {
-            let op = OpId {
-                txn,
-                index: index as u32,
-            };
-            // Waits-for timeout state for this operation.
-            let mut waited_on: Vec<TxnId> = Vec::new();
-            let mut blocked_since = Instant::now();
-            let mut ever_blocked = false;
-            loop {
-                let reply = Reply::new();
-                let seen = ctx.progress.current();
-                ctx.send_request(op, reply.clone(), stats)?;
-                let decision = reply
-                    .wait_for(ctx.reply_timeout)
-                    .map_err(|_| SessionError::ReplyLost(txn))?;
-                match decision {
-                    Decision::Granted => {
-                        ctx.do_op_work();
-                        stats.ops_executed += 1;
-                        break; // next operation in program order
-                    }
-                    Decision::Aborted(_) => {
-                        // The core already applied the abort; restart the
-                        // incarnation from its first operation.
-                        continue 'incarnation;
-                    }
-                    Decision::Blocked { mut on } => {
-                        on.sort_unstable();
-                        on.dedup();
-                        let now = Instant::now();
-                        if !ever_blocked || on != waited_on {
-                            // First block, or the waits-for set moved:
-                            // (re)start the timeout clock.
-                            ever_blocked = true;
-                            waited_on = on;
-                            blocked_since = now;
-                        } else if now.duration_since(blocked_since) >= ctx.block_timeout {
-                            // Stuck behind the same transactions too long:
-                            // abort ourselves and restart.
-                            ctx.send(Command::Abort(txn))?;
-                            stats.timeout_aborts += 1;
-                            continue 'incarnation;
-                        }
-                        // Sleep until a transaction we wait on changes
-                        // (or a slice elapses), then re-submit the same
-                        // operation. Unrelated commits no longer wake us.
-                        ctx.progress.wait_on(seen, &waited_on, ctx.retry_slice);
-                    }
-                }
-            }
-        }
-        ctx.send(Command::Commit(txn))?;
-        stats.commits += 1;
-        return Ok(());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,26 +492,25 @@ mod tests {
         // enqueued but its reply is never filled, so the session's reply
         // watchdog must fire and surface a typed per-session error.
         let txns = TxnSet::parse(&["r1[x]"]).unwrap();
-        let queue: BoundedQueue<Command> = BoundedQueue::new(8);
-        let progress = Progress::new();
-        let sheds = AtomicU64::new(0);
-        let ctx = SessionCtx {
-            queue: &queue,
-            progress: &progress,
-            txns: &txns,
-            policy: OverloadPolicy::Wait,
-            block_timeout: Duration::from_millis(50),
-            retry_slice: Duration::from_millis(1),
-            restart_backoff: Duration::ZERO,
-            restart_backoff_max: Duration::ZERO,
-            backoff_seed: 0,
+        let cfg = ServerConfig {
             reply_timeout: Duration::from_millis(15),
-            op_work_ns: 0,
-            max_attempts: 10,
-            sheds: &sheds,
+            ..ServerConfig::default()
+        };
+        let queue: BoundedQueue<Command> = BoundedQueue::new(8);
+        let session = Session {
+            txns: &txns,
+            cfg: &cfg,
+            map: ShardMap::new(1),
+            queues: std::slice::from_ref(&queue),
+            progresses: &[Progress::new()],
+            sheds: &[AtomicU64::new(0)],
+            epochs: &[AtomicU64::new(0)],
+            stamps: None,
+            leases: &LeaseTable::new(1),
+            admits: &Mutex::new(Vec::new()),
         };
         let mut stats = SessionStats::default();
-        let err = run_txn(&ctx, TxnId(0), &mut stats).unwrap_err();
+        let err = session.run_txn(TxnId(0), &mut stats).unwrap_err();
         assert_eq!(err, SessionError::ReplyLost(TxnId(0)));
         // The failure is the session's own: the queue is still open for
         // everyone else.

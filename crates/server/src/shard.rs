@@ -4,9 +4,12 @@
 //! one thread; at some throughput that thread is the wall. This module
 //! partitions the object space over N shard cores — each owns its shard's
 //! scheduler, progress epoch, and (optionally) WAL segment stream — and
-//! puts a [`ShardMap`]-driven router in front. The one correctness story
-//! is unchanged: whatever the shards interleave, the committed history,
-//! merged whole, must pass the offline Theorem 1 oracle.
+//! routes by [`ShardMap`]: the router is the session itself
+//! ([`crate::session`], the same code [`crate::serve`] runs over one
+//! queue), which sends each operation to the core owning its object. The
+//! one correctness story is unchanged: whatever the shards interleave,
+//! the committed history, merged whole, must pass the offline Theorem 1
+//! oracle.
 //!
 //! ## Routing
 //!
@@ -59,36 +62,32 @@
 //! core's queue order; cross-shard admits are recorded in fan-out order
 //! as [`AdmitRecord`]s while the lease is held.
 
-use crate::core::{
-    run_core, Command, CoreOutput, FaultPlan, Progress, Reply, ShardCoreCtx, TraceEvent,
-};
+use crate::core::{CoreOutput, FaultPlan, TraceEvent};
 use crate::metrics::ServerMetrics;
-use crate::queue::{BoundedQueue, PushError};
-use crate::server::{replay, ReplayMismatch, RunOutcome, ServerConfig, ServerError};
-use crate::session::{restart_backoff, run_session, OverloadPolicy, SessionError, SessionStats};
+use crate::server::{
+    replay, run_front_end, FrontEndRun, ReplayMismatch, RunOutcome, ServerConfig, ServerError,
+};
 use relser_core::ids::{OpId, TxnId};
 use relser_core::schedule::Schedule;
-use relser_core::shard::{ArcExchange, ShardMap};
+use relser_core::shard::ShardMap;
 use relser_core::txn::TxnSet;
-use relser_protocols::{Decision, Scheduler};
-use relser_simdb::metrics::DecisionLatency;
+use relser_protocols::Scheduler;
 use relser_wal::CommitLog;
 use relser_workload::stream::RequestStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Shard-set leases: strict two-phase locking at shard granularity for
 /// cross-shard transactions only. `acquire` takes every requested shard
 /// atomically or waits — no incremental hold-and-wait, so lease waiters
 /// cannot deadlock each other.
-struct LeaseTable {
+pub(crate) struct LeaseTable {
     held: Mutex<Vec<bool>>,
     cv: Condvar,
 }
 
 impl LeaseTable {
-    fn new(shards: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         LeaseTable {
             held: Mutex::new(vec![false; shards]),
             cv: Condvar::new(),
@@ -96,7 +95,7 @@ impl LeaseTable {
     }
 
     /// Blocks until every shard in `shards` is free, then takes them all.
-    fn acquire(&self, shards: &[u32]) {
+    pub(crate) fn acquire(&self, shards: &[u32]) {
         let mut held = self.held.lock().expect("lease lock");
         loop {
             if shards.iter().all(|&s| !held[s as usize]) {
@@ -115,7 +114,7 @@ impl LeaseTable {
         }
     }
 
-    fn release(&self, shards: &[u32]) {
+    pub(crate) fn release(&self, shards: &[u32]) {
         let mut held = self.held.lock().expect("lease lock");
         for &s in shards {
             held[s as usize] = false;
@@ -220,101 +219,14 @@ pub fn serve_sharded<'a>(
     faults: &[FaultPlan],
     wals: Vec<&mut dyn CommitLog>,
 ) -> ShardedReport {
-    let shards = schedulers.len();
-    assert!(shards >= 1, "need at least one shard");
-    assert!(cfg.workers >= 1, "need at least one worker");
-    assert!(
-        faults.is_empty() || faults.len() == shards,
-        "fault plans must be absent or one per shard"
-    );
-    assert!(
-        wals.is_empty() || wals.len() == shards,
-        "commit logs must be absent or one per shard"
-    );
-    let map = ShardMap::new(shards as u32);
-    let queues: Vec<BoundedQueue<Command>> = (0..shards)
-        .map(|_| BoundedQueue::new(cfg.queue_capacity))
-        .collect();
-    let progresses: Vec<Progress> = (0..shards).map(|_| Progress::new()).collect();
-    let epochs: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
-    let shard_sheds: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
-    let seq = AtomicU64::new(0);
-    let stamps = AtomicU64::new(0);
-    let leases = LeaseTable::new(shards);
-    let admits: Mutex<Vec<AdmitRecord>> = Mutex::new(Vec::new());
-    let default_fault = FaultPlan::default();
-    let t0 = Instant::now();
-
-    let (outputs, sessions): (Vec<CoreOutput>, Vec<(SessionStats, Option<SessionError>)>) =
-        std::thread::scope(|s| {
-            let queues = &queues;
-            let progresses = &progresses;
-            let epochs = &epochs;
-            let seq = &seq;
-            let mut cores = Vec::with_capacity(shards);
-            let mut wal_iter = wals.into_iter();
-            for (shard_id, scheduler) in schedulers.into_iter().enumerate() {
-                let fault = if faults.is_empty() {
-                    &default_fault
-                } else {
-                    &faults[shard_id]
-                };
-                let wal = wal_iter.next();
-                cores.push(s.spawn(move || {
-                    run_core(
-                        scheduler,
-                        &queues[shard_id],
-                        &progresses[shard_id],
-                        cfg.core(),
-                        fault,
-                        wal,
-                        Some(ShardCoreCtx {
-                            shard: shard_id as u32,
-                            seq,
-                            epochs,
-                            sessions: None,
-                            recovered_committed: Vec::new(),
-                            recovered_events: Vec::new(),
-                        }),
-                    )
-                }));
-            }
-            let mut workers = Vec::with_capacity(cfg.workers);
-            for _ in 0..cfg.workers {
-                let router = RouterCtx {
-                    map,
-                    txns,
-                    cfg,
-                    queues,
-                    progresses,
-                    epochs,
-                    stamps: &stamps,
-                    leases: &leases,
-                    admits: &admits,
-                    shard_sheds: &shard_sheds,
-                };
-                workers.push(s.spawn(move || {
-                    run_session(
-                        stream,
-                        |txn, stats| run_txn_sharded(&router, txn, stats),
-                        || queues.iter().for_each(BoundedQueue::close),
-                    )
-                }));
-            }
-            let sessions: Vec<(SessionStats, Option<SessionError>)> = workers
-                .into_iter()
-                .map(|h| h.join().expect("session thread panicked"))
-                .collect();
-            queues.iter().for_each(BoundedQueue::close);
-            let outputs: Vec<CoreOutput> = cores
-                .into_iter()
-                .map(|h| h.join().expect("shard core panicked"))
-                .collect();
-            (outputs, sessions)
-        });
-    let elapsed = t0.elapsed();
-
-    let outcome = RunOutcome::of(outputs.iter().any(|o| o.crashed), &sessions);
+    let FrontEndRun {
+        outcome,
+        outputs,
+        mut metrics,
+        sheds: shard_sheds,
+        admits,
+        map,
+    } = run_front_end(txns, stream, schedulers, cfg, faults, wals, true);
 
     // Committed = the all-owners rule over the live `CommitAt` applications,
     // ordered by global commit stamp.
@@ -355,28 +267,6 @@ pub fn serve_sharded<'a>(
         .filter(|o| is_committed[o.txn.index()])
         .collect();
 
-    // Aggregate metrics: merge the per-shard views, then rebuild the
-    // decision summary exactly from the concatenated samples (merge alone
-    // is conservative on p95) and fold in the session-side counters.
-    let mut metrics = outputs
-        .iter()
-        .enumerate()
-        .map(|(shard_id, out)| ServerMetrics {
-            sheds: shard_sheds[shard_id].load(Ordering::Relaxed),
-            ..ServerMetrics::from_core(out, queues[shard_id].stats(), elapsed)
-        })
-        .reduce(|mut agg, m| {
-            agg.merge(&m);
-            agg
-        })
-        .expect("at least one shard")
-        .with_sessions(&sessions);
-    metrics.workers = cfg.workers;
-    let decision_samples: Vec<u64> = outputs
-        .iter()
-        .flat_map(|o| o.decision_ns.iter().copied())
-        .collect();
-    metrics.decision = DecisionLatency::from_samples(&decision_samples);
     // `commits` counted one per (shard, CommitAt); report whole transactions.
     metrics.commits = committed.len() as u64;
     metrics.committed_ops = history.len() as u64;
@@ -388,327 +278,10 @@ pub fn serve_sharded<'a>(
         history,
         shards: outputs,
         metrics,
-        shard_sheds: shard_sheds.into_iter().map(|s| s.into_inner()).collect(),
-        admits: admits.into_inner().expect("admit log lock"),
+        shard_sheds,
+        admits,
         map,
     }
-}
-
-/// Everything one router session needs, shared across all workers.
-struct RouterCtx<'a> {
-    map: ShardMap,
-    txns: &'a TxnSet,
-    cfg: &'a ServerConfig,
-    queues: &'a [BoundedQueue<Command>],
-    progresses: &'a [Progress],
-    epochs: &'a [AtomicU64],
-    stamps: &'a AtomicU64,
-    leases: &'a LeaseTable,
-    admits: &'a Mutex<Vec<AdmitRecord>>,
-    shard_sheds: &'a [AtomicU64],
-}
-
-/// How one cross-shard incarnation ended (lease released either way).
-enum Incarnation {
-    Committed,
-    Retry,
-    TimeoutRetry,
-}
-
-impl RouterCtx<'_> {
-    fn send(&self, shard: u32, cmd: Command) -> Result<(), SessionError> {
-        self.queues[shard as usize]
-            .push_wait(cmd)
-            .map_err(|_| SessionError::Shutdown)
-    }
-
-    /// Enqueues an operation request on its owning shard under the
-    /// configured overload policy, counting sheds per shard.
-    fn send_request(
-        &self,
-        shard: u32,
-        op: OpId,
-        reply: Reply,
-        stats: &mut SessionStats,
-    ) -> Result<(), SessionError> {
-        let mut cmd = Command::Request {
-            op,
-            enqueued: Instant::now(),
-            reply,
-        };
-        loop {
-            match self.cfg.policy {
-                OverloadPolicy::Wait => return self.send(shard, cmd),
-                OverloadPolicy::Shed => match self.queues[shard as usize].try_push(cmd) {
-                    Ok(()) => return Ok(()),
-                    Err(PushError::Closed(_)) => return Err(SessionError::Shutdown),
-                    Err(PushError::Full(back)) => {
-                        stats.sheds += 1;
-                        self.shard_sheds[shard as usize].fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(self.cfg.retry_slice);
-                        cmd = match back {
-                            Command::Request { op, reply, .. } => Command::Request {
-                                op,
-                                enqueued: Instant::now(),
-                                reply,
-                            },
-                            other => other,
-                        };
-                    }
-                },
-            }
-        }
-    }
-
-    fn do_op_work(&self) {
-        if self.cfg.op_work_ns == 0 {
-            return;
-        }
-        std::thread::sleep(Duration::from_nanos(self.cfg.op_work_ns));
-    }
-
-    /// The current cross-shard D-arc summary, addressed to `dest`.
-    fn snapshot_exchange(&self, dest: u32) -> ArcExchange {
-        let mut ex = ArcExchange::new(dest, self.epochs.len() as u32);
-        for (i, e) in self.epochs.iter().enumerate() {
-            ex.epochs[i] = e.load(Ordering::SeqCst);
-        }
-        ex
-    }
-
-    /// Best-effort LIFO rollback on shards that already granted an admit
-    /// or still hold a begun incarnation. Send failures are swallowed: a
-    /// closed queue means that core crashed or the run is unwinding, and
-    /// recovery's all-owners rule makes the half-admitted state harmless.
-    fn rollback_lifo(&self, txn: TxnId, shards: &[u32]) {
-        for &s in shards.iter().rev() {
-            let _ = self.send(s, Command::Rollback(txn));
-        }
-    }
-}
-
-/// Runs one transaction to commit through the shard router (restarting
-/// across aborts and rejected admits).
-fn run_txn_sharded(
-    ctx: &RouterCtx<'_>,
-    txn: TxnId,
-    stats: &mut SessionStats,
-) -> Result<(), SessionError> {
-    let owners = ctx.map.shards_of_txn(ctx.txns, txn);
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        stats.max_txn_attempts = stats.max_txn_attempts.max(attempts);
-        if attempts > ctx.cfg.max_attempts {
-            return Err(SessionError::Livelock(txn));
-        }
-        if attempts > 1 {
-            stats.restarts += 1;
-            let pause = restart_backoff(
-                ctx.cfg.restart_backoff,
-                ctx.cfg.restart_backoff_max,
-                ctx.cfg.backoff_seed,
-                txn,
-                attempts,
-            );
-            if !pause.is_zero() {
-                stats.backoff_ns += pause.as_nanos() as u64;
-                std::thread::sleep(pause);
-            }
-        }
-        let outcome = if owners.len() == 1 {
-            single_shard_incarnation(ctx, txn, owners[0], stats)
-        } else {
-            // Strict 2PL at shard granularity: hold the whole shard set
-            // from before the first admit until after the last CommitAt
-            // (or the rollback), so overlapping cross-shard transactions
-            // never interleave.
-            ctx.leases.acquire(&owners);
-            let outcome = multi_shard_incarnation(ctx, txn, &owners, stats);
-            ctx.leases.release(&owners);
-            outcome
-        };
-        match outcome? {
-            Incarnation::Committed => {
-                stats.commits += 1;
-                return Ok(());
-            }
-            Incarnation::Retry => {}
-            Incarnation::TimeoutRetry => {
-                stats.timeout_aborts += 1;
-            }
-        }
-    }
-}
-
-/// One incarnation of a single-shard transaction: the ordinary session
-/// protocol against one shard's queue, with the commit drawn from the
-/// global stamp counter so it lands on the merged commit order.
-fn single_shard_incarnation(
-    ctx: &RouterCtx<'_>,
-    txn: TxnId,
-    shard: u32,
-    stats: &mut SessionStats,
-) -> Result<Incarnation, SessionError> {
-    ctx.send(shard, Command::Begin(txn))?;
-    match run_ops(ctx, txn, &[shard], stats)? {
-        OpsOutcome::Done => {}
-        OpsOutcome::Aborted => return Ok(Incarnation::Retry),
-        OpsOutcome::TimedOut => return Ok(Incarnation::TimeoutRetry),
-    }
-    let stamp = ctx.stamps.fetch_add(1, Ordering::SeqCst);
-    ctx.send(shard, Command::CommitAt { txn, stamp })?;
-    Ok(Incarnation::Committed)
-}
-
-/// One incarnation of a cross-shard transaction. The caller holds the
-/// shard-set lease for the whole call.
-fn multi_shard_incarnation(
-    ctx: &RouterCtx<'_>,
-    txn: TxnId,
-    owners: &[u32],
-    stats: &mut SessionStats,
-) -> Result<Incarnation, SessionError> {
-    // Phase 1: fan the admit out in ascending shard order, each message
-    // carrying the epoch snapshot (the D-arc summary).
-    let epochs_snapshot = ctx.snapshot_exchange(0).epochs;
-    let mut granted: Vec<u32> = Vec::new();
-    let mut rejected = false;
-    for &s in owners {
-        let reply = Reply::new();
-        let mut exchange = ArcExchange::new(s, ctx.epochs.len() as u32);
-        exchange.epochs.copy_from_slice(&epochs_snapshot);
-        let cmd = Command::Admit {
-            txn,
-            exchange,
-            reply: reply.clone(),
-        };
-        if let Err(e) = ctx.send(s, cmd) {
-            ctx.rollback_lifo(txn, &granted);
-            return Err(e);
-        }
-        match reply.wait_for(ctx.cfg.reply_timeout) {
-            Ok(Decision::Granted) => granted.push(s),
-            Ok(_) => {
-                rejected = true;
-                break;
-            }
-            Err(_) => {
-                ctx.rollback_lifo(txn, &granted);
-                return Err(SessionError::ReplyLost(txn));
-            }
-        }
-    }
-    ctx.admits
-        .lock()
-        .expect("admit log lock")
-        .push(AdmitRecord {
-            txn,
-            shards: owners.to_vec(),
-            epochs: epochs_snapshot,
-            granted: !rejected,
-        });
-    if rejected {
-        ctx.rollback_lifo(txn, &granted);
-        return Ok(Incarnation::Retry);
-    }
-
-    // Phase 2: every operation in program order, each routed to its shard.
-    match run_ops(ctx, txn, owners, stats)? {
-        OpsOutcome::Done => {}
-        OpsOutcome::Aborted => return Ok(Incarnation::Retry),
-        OpsOutcome::TimedOut => return Ok(Incarnation::TimeoutRetry),
-    }
-
-    // Commit everywhere under one global stamp. Fire-and-forget like the
-    // single-core protocol: per-queue FIFO guarantees each owner applies
-    // this CommitAt before anything a later lease holder enqueues.
-    let stamp = ctx.stamps.fetch_add(1, Ordering::SeqCst);
-    for &s in owners {
-        ctx.send(s, Command::CommitAt { txn, stamp })?;
-    }
-    Ok(Incarnation::Committed)
-}
-
-enum OpsOutcome {
-    Done,
-    /// Some shard aborted the transaction; the *other* owners were rolled
-    /// back LIFO and the incarnation must restart.
-    Aborted,
-    /// The session timed itself out while blocked; every owner was
-    /// cleaned up and the incarnation must restart.
-    TimedOut,
-}
-
-/// Submits every operation of `txn` in program order, each to its owning
-/// shard, with the single-core block/retry and waits-for-timeout
-/// discipline applied per shard.
-fn run_ops(
-    ctx: &RouterCtx<'_>,
-    txn: TxnId,
-    owners: &[u32],
-    stats: &mut SessionStats,
-) -> Result<OpsOutcome, SessionError> {
-    let n_ops = ctx.txns.txn(txn).len();
-    for index in 0..n_ops {
-        let op = OpId {
-            txn,
-            index: index as u32,
-        };
-        let shard = ctx
-            .map
-            .shard_of_op(ctx.txns, op)
-            .expect("op of a parsed txn");
-        let progress = &ctx.progresses[shard as usize];
-        let mut waited_on: Vec<TxnId> = Vec::new();
-        let mut blocked_since = Instant::now();
-        let mut ever_blocked = false;
-        loop {
-            let reply = Reply::new();
-            let seen = progress.current();
-            ctx.send_request(shard, op, reply.clone(), stats)?;
-            let decision = reply
-                .wait_for(ctx.cfg.reply_timeout)
-                .map_err(|_| SessionError::ReplyLost(txn))?;
-            match decision {
-                Decision::Granted => {
-                    ctx.do_op_work();
-                    stats.ops_executed += 1;
-                    break;
-                }
-                Decision::Aborted(_) => {
-                    // This shard already applied the abort; unwind the
-                    // other owners LIFO before restarting.
-                    let others: Vec<u32> = owners.iter().copied().filter(|&s| s != shard).collect();
-                    ctx.rollback_lifo(txn, &others);
-                    return Ok(OpsOutcome::Aborted);
-                }
-                Decision::Blocked { mut on } => {
-                    on.sort_unstable();
-                    on.dedup();
-                    let now = Instant::now();
-                    if !ever_blocked || on != waited_on {
-                        ever_blocked = true;
-                        waited_on = on;
-                        blocked_since = now;
-                    } else if now.duration_since(blocked_since) >= ctx.cfg.block_timeout {
-                        // Stuck behind the same transactions too long:
-                        // abort on the blocking shard (counted there as a
-                        // timeout abort), roll the rest back, restart.
-                        ctx.send(shard, Command::Abort(txn))?;
-                        let others: Vec<u32> =
-                            owners.iter().copied().filter(|&s| s != shard).collect();
-                        ctx.rollback_lifo(txn, &others);
-                        return Ok(OpsOutcome::TimedOut);
-                    }
-                    // Targeted wait: only changes to the transactions in
-                    // this shard's waits-for answer wake us.
-                    progress.wait_on(seen, &waited_on, ctx.cfg.retry_slice);
-                }
-            }
-        }
-    }
-    Ok(OpsOutcome::Done)
 }
 
 /// Replays each shard's recorded trace against a fresh scheduler on one

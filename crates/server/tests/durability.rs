@@ -92,10 +92,9 @@ fn reopen_truncates_the_torn_tail_before_resuming() {
     let mut wal = WalWriter::new(Box::new(storage), FsyncPolicy::Always).unwrap();
     let cfg = ServerConfig {
         workers: 3,
-        seed: 5,
         ..ServerConfig::default()
     };
-    let stream = RequestStream::shuffled(&fig.txns, cfg.seed);
+    let stream = RequestStream::shuffled(&fig.txns, 5);
     let scheduler = RsgSgt::new(&fig.txns, &fig.spec);
     let report = relser_server::serve(
         &fig.txns,

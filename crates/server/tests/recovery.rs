@@ -75,10 +75,9 @@ proptest! {
         let cfg = ServerConfig {
             workers,
             record_trace: true,
-            seed: arrival_seed,
             ..ServerConfig::default()
         };
-        let stream = RequestStream::shuffled(&txns, cfg.seed);
+        let stream = RequestStream::shuffled(&txns, arrival_seed);
         let scheduler = RsgSgt::new(&txns, &spec);
         let report = serve(&txns, &stream, Box::new(scheduler), &cfg, &FaultPlan::default(), Some(&mut wal));
         prop_assert_eq!(&report.outcome, &RunOutcome::Completed);
@@ -134,10 +133,9 @@ proptest! {
         let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
         let cfg = ServerConfig {
             workers: 2,
-            seed: arrival_seed,
             ..ServerConfig::default()
         };
-        let stream = RequestStream::shuffled(&txns, cfg.seed);
+        let stream = RequestStream::shuffled(&txns, arrival_seed);
         let scheduler = RsgSgt::new(&txns, &spec);
         let report = serve(&txns, &stream, Box::new(scheduler), &cfg, &FaultPlan::default(), Some(&mut wal));
         prop_assert_eq!(&report.outcome, &RunOutcome::Completed);

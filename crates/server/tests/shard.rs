@@ -6,30 +6,33 @@
 //! never lets a half-admitted transaction survive, live or recovered.
 
 use proptest::prelude::*;
-use relser_core::ids::OpId;
+use relser_core::ids::{OpId, TxnId};
 use relser_core::rsg::Rsg;
+use relser_core::schedule::Schedule;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
+use relser_core::vclock;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::Scheduler;
 use relser_server::{
-    recover_sharded_segments_with_certifier, replay_sharded, serve_sharded, Certifier, FaultPlan,
-    RunOutcome, ServerConfig, ShardedRecovery, ShardedReport, ShardedRun,
+    recover_sharded_segments_with_certifier, replay, replay_sharded, serve, serve_sharded,
+    Certifier, FaultPlan, RunOutcome, ServerConfig, ShardedRecovery, ShardedReport, ShardedRun,
 };
-use relser_wal::{CommitLog, FsyncPolicy, MemStorage, WalWriter};
+use relser_wal::{scan, CommitLog, FsyncPolicy, MemStorage, WalRecord, WalWriter};
 use relser_workload::banking::{banking, BankingConfig, BankingScenario};
 use relser_workload::random::{random_spec, random_txns, RandomConfig};
 use relser_workload::stream::RequestStream;
 
 /// The plain sharded service — no faults, no commit logs — over the
-/// arrival order seeded by `cfg.seed`, run to completion.
+/// arrival order seeded by `seed`, run to completion.
 fn serve_to_completion(
     txns: &TxnSet,
     spec: &AtomicitySpec,
     shards: usize,
     cfg: &ServerConfig,
+    seed: u64,
 ) -> ShardedRun {
-    let stream = RequestStream::shuffled(txns, cfg.seed);
+    let stream = RequestStream::shuffled(txns, seed);
     serve_sharded(
         txns,
         &stream,
@@ -148,10 +151,9 @@ fn sharded_banking_histories_are_relatively_serializable() {
             let cfg = ServerConfig {
                 workers: 8,
                 record_trace: true,
-                seed,
                 ..ServerConfig::default()
             };
-            let run = serve_to_completion(&scenario.txns, &scenario.spec, shards, &cfg);
+            let run = serve_to_completion(&scenario.txns, &scenario.spec, shards, &cfg, seed);
             assert_complete_run_valid(&scenario.txns, &scenario.spec, &run);
 
             // Determinism per shard: each core's trace replays exactly.
@@ -188,13 +190,95 @@ fn sharded_random_zipf_histories_are_relatively_serializable() {
             let spec = random_spec(&txns, 0.4, seed ^ 0x5eed);
             let cfg = ServerConfig {
                 workers: 6,
-                seed,
                 ..ServerConfig::default()
             };
-            let run = serve_to_completion(&txns, &spec, shards, &cfg);
+            let run = serve_to_completion(&txns, &spec, shards, &cfg, seed);
             assert_complete_run_valid(&txns, &spec, &run);
         }
     }
+}
+
+/// `serve` is the N = 1 row of the one session discipline: the same
+/// universe and arrival order through `serve` and through `serve_sharded`
+/// over one scheduler commit the same transactions, both replay and
+/// certify clean — and the only thing that tells the two logs apart is
+/// the commit record (stamp-less `Commit` from the plain core, `CommitAt`
+/// from a shard core).
+#[test]
+fn serve_and_one_shard_serve_sharded_differ_only_in_the_commit_record() {
+    let scenario = big_banking(3);
+    let (txns, spec) = (&scenario.txns, &scenario.spec);
+    let cfg = ServerConfig {
+        workers: 8,
+        record_trace: true,
+        ..ServerConfig::default()
+    };
+    let durable = || {
+        let (mem, handle) = MemStorage::new();
+        let wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+        (wal, handle)
+    };
+
+    let (mut flat_wal, flat_log) = durable();
+    let flat = serve(
+        txns,
+        &RequestStream::shuffled(txns, 3),
+        Box::new(RsgSgt::new(txns, spec)),
+        &cfg,
+        &FaultPlan::default(),
+        Some(&mut flat_wal),
+    );
+    let (mut shard_wal, shard_log) = durable();
+    let sharded = serve_sharded(
+        txns,
+        &RequestStream::shuffled(txns, 3),
+        schedulers(txns, spec, 1),
+        &cfg,
+        &[],
+        vec![&mut shard_wal as &mut dyn CommitLog],
+    );
+    assert_eq!(flat.outcome, RunOutcome::Completed);
+    assert_eq!(sharded.outcome, RunOutcome::Completed);
+    assert!(
+        sharded.admits.is_empty(),
+        "one shard: nothing is cross-shard"
+    );
+
+    let sorted = |mut v: Vec<TxnId>| {
+        v.sort_unstable();
+        v
+    };
+    assert_eq!(
+        sorted(flat.committed.clone()),
+        sorted(sharded.committed.clone()),
+        "same committed transaction set"
+    );
+
+    let replayed = replay(&mut RsgSgt::new(txns, spec), &flat.trace).expect("serve replays");
+    assert_eq!(replayed, flat.log);
+    let replayed = replay_sharded(
+        vec![Box::new(RsgSgt::new(txns, spec))],
+        &[sharded.shards[0].trace.clone()],
+    )
+    .expect("serve_sharded replays");
+    assert_eq!(replayed[0], sharded.shards[0].log);
+
+    for history in [flat.log.clone(), sharded.history.clone()] {
+        let schedule = Schedule::new(txns, history).expect("committed history is a schedule");
+        assert!(vclock::certify(txns, &schedule, spec).is_acyclic());
+    }
+
+    // (stamp-less commits, stamped commits) in a log.
+    let commit_records = |bytes: Vec<u8>| {
+        let records = scan(&bytes).records;
+        let plain = records.iter().filter(|r| matches!(r, WalRecord::Commit(_)));
+        let stamped = records
+            .iter()
+            .filter(|r| matches!(r, WalRecord::CommitAt { .. }));
+        (plain.count(), stamped.count())
+    };
+    assert_eq!(commit_records(flat_log.bytes()), (txns.len(), 0));
+    assert_eq!(commit_records(shard_log.bytes()), (0, txns.len()));
 }
 
 #[test]
@@ -212,10 +296,9 @@ fn rejected_admits_roll_back_lifo_and_the_run_still_completes() {
     let cfg = ServerConfig {
         workers: 8,
         record_trace: true,
-        seed: 5,
         ..ServerConfig::default()
     };
-    let stream = RequestStream::shuffled(&scenario.txns, cfg.seed);
+    let stream = RequestStream::shuffled(&scenario.txns, 5);
     let report = serve_sharded(
         &scenario.txns,
         &stream,
@@ -246,10 +329,9 @@ fn crash_on_one_shard_leaves_a_certifiable_all_owners_prefix() {
         faults[0].crash_at_command = Some(crash_at);
         let cfg = ServerConfig {
             workers: 8,
-            seed: 7,
             ..ServerConfig::default()
         };
-        let stream = RequestStream::shuffled(&scenario.txns, cfg.seed);
+        let stream = RequestStream::shuffled(&scenario.txns, 7);
         let report = serve_sharded(
             &scenario.txns,
             &stream,
@@ -277,10 +359,9 @@ fn durable_sharded_run_recovers_to_the_same_committed_state() {
     let shards = 4usize;
     let cfg = ServerConfig {
         workers: 8,
-        seed: 9,
         ..ServerConfig::default()
     };
-    let stream = RequestStream::shuffled(&scenario.txns, cfg.seed);
+    let stream = RequestStream::shuffled(&scenario.txns, 9);
     let mut handles = Vec::new();
     let mut wals: Vec<WalWriter> = (0..shards)
         .map(|_| {
@@ -346,7 +427,6 @@ proptest! {
         let spec = random_spec(&txns, 0.5, spec_seed);
         let cfg = ServerConfig {
             workers: 3,
-            seed: arrival_seed,
             ..ServerConfig::default()
         };
         let mut faults = vec![FaultPlan::default(); shards];
@@ -354,7 +434,7 @@ proptest! {
         if reject == 1 {
             faults[(crash_shard + 1) % shards].reject_admits = vec![0];
         }
-        let stream = RequestStream::shuffled(&txns, cfg.seed);
+        let stream = RequestStream::shuffled(&txns, arrival_seed);
         let mut handles = Vec::new();
         let mut wals: Vec<WalWriter> = (0..shards)
             .map(|_| {

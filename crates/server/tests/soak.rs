@@ -103,10 +103,9 @@ fn wal_bytes_stay_bounded_and_recovery_replays_only_the_suffix() {
     let server_cfg = ServerConfig {
         workers: 4,
         record_trace: true,
-        seed: 23,
         ..ServerConfig::default()
     };
-    let stream = RequestStream::shuffled(&txns, server_cfg.seed);
+    let stream = RequestStream::shuffled(&txns, 23);
     let scheduler = RsgSgt::with_policy(&txns, &spec, CompactionPolicy::aggressive());
     let report = serve(
         &txns,

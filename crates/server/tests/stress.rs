@@ -25,13 +25,14 @@ use std::time::Duration;
 const WORKERS: usize = 8;
 
 /// The plain service — no faults, no commit log — over the arrival order
-/// seeded by `cfg.seed`, run to completion.
+/// seeded by `seed`, run to completion.
 fn serve_to_completion(
     txns: &TxnSet,
     scheduler: Box<dyn Scheduler + Send + '_>,
     cfg: &ServerConfig,
+    seed: u64,
 ) -> Result<ServerRun, ServerError> {
-    let stream = RequestStream::shuffled(txns, cfg.seed);
+    let stream = RequestStream::shuffled(txns, seed);
     serve(txns, &stream, scheduler, cfg, &FaultPlan::default(), None).into_run(txns)
 }
 
@@ -89,10 +90,9 @@ fn rsg_sgt_stress_histories_are_relatively_serializable() {
         let cfg = ServerConfig {
             workers: WORKERS,
             record_trace: true,
-            seed,
             ..ServerConfig::default()
         };
-        let run = serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg)
+        let run = serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg, seed)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_run_valid(&scenario, &run, &scenario.spec);
 
@@ -120,10 +120,9 @@ fn two_pl_stress_commits_conflict_serializable_histories() {
             workers: WORKERS,
             block_timeout: Duration::from_millis(50),
             retry_slice: Duration::from_micros(500),
-            seed,
             ..ServerConfig::default()
         };
-        let run = serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg)
+        let run = serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg, seed)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_run_valid(&scenario, &run, &absolute);
     }
@@ -142,11 +141,10 @@ fn shed_policy_with_tiny_queue_completes() {
         batch_max: 2,
         policy: OverloadPolicy::Shed,
         retry_slice: Duration::from_micros(200),
-        seed: 6,
         ..ServerConfig::default()
     };
-    let run =
-        serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg).expect("shed run completes");
+    let run = serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg, 6)
+        .expect("shed run completes");
     assert_run_valid(&scenario, &run, &scenario.spec);
 }
 
@@ -161,11 +159,10 @@ fn backpressure_policy_with_tiny_queue_completes() {
         queue_capacity: 2,
         batch_max: 2,
         policy: OverloadPolicy::Wait,
-        seed: 7,
         ..ServerConfig::default()
     };
-    let run =
-        serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg).expect("wait run completes");
+    let run = serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg, 7)
+        .expect("wait run completes");
     assert_eq!(run.metrics.sheds, 0);
     assert_run_valid(&scenario, &run, &scenario.spec);
 }
@@ -179,11 +176,10 @@ fn single_worker_degenerates_to_serial_service() {
     let scheduler = RsgSgt::new(&scenario.txns, &scenario.spec);
     let cfg = ServerConfig {
         workers: 1,
-        seed: 8,
         ..ServerConfig::default()
     };
-    let run =
-        serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg).expect("serial service run");
+    let run = serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg, 8)
+        .expect("serial service run");
     assert_eq!(run.metrics.aborts, 0, "serial service never conflicts");
     assert_eq!(run.metrics.blocked, 0);
     assert_run_valid(&scenario, &run, &scenario.spec);

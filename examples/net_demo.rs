@@ -1,5 +1,6 @@
 //! The TCP front-end, end to end: the banking workload driven over real
-//! loopback sockets — N client connections, each pipelining several
+//! loopback sockets — N connections of the one client
+//! (`drive_resilient`, no wire faults), each pipelining several
 //! transaction streams — into the single-writer admission core running
 //! the paper's RSG-SGT scheduler, with a durable WAL (`FsyncPolicy::
 //! Always`) inside the commit path. Every request is timed wire-to-wire,
@@ -20,7 +21,9 @@
 
 use relative_serializability::core::project::Projection;
 use relative_serializability::core::rsg::Rsg;
-use relative_serializability::net::{drive, serve_net, ClientStats, LoadConfig, NetConfig};
+use relative_serializability::net::{
+    drive_resilient, serve_net, ChaosPlan, NetConfig, ResilientConfig, ResilientStats,
+};
 use relative_serializability::protocols::rsg_sgt::RsgSgt;
 use relative_serializability::server::{recover, Certifier, FaultPlan};
 use relative_serializability::wal::{FsyncPolicy, MemStorage, WalWriter};
@@ -91,10 +94,14 @@ fn main() {
         reactors: if smoke { 2 } else { 4 },
         ..NetConfig::default()
     };
-    let load = &*Box::leak(Box::new(LoadConfig {
+    // No reconnect budget: the server's `Closing` farewell is final, so
+    // an interrupt ends the client with the server instead of leaving it
+    // redialling a closed port.
+    let load = &*Box::leak(Box::new(ResilientConfig {
         connections,
         streams,
-        ..LoadConfig::default()
+        max_reconnects: 0,
+        ..ResilientConfig::default()
     }));
 
     let (report, client) = serve_net(
@@ -105,7 +112,9 @@ fn main() {
         Some(&mut wal),
         |addr| {
             println!("serving on {addr}  (Ctrl-C drains, fsyncs, and answers Closing)\n");
-            let driver = std::thread::spawn(move || drive(addr, &sc.txns, stream, load));
+            let driver = std::thread::spawn(move || {
+                drive_resilient(addr, &sc.txns, stream, load, &ChaosPlan::quiet())
+            });
             while !driver.is_finished() && !sig::stopped() {
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -118,25 +127,29 @@ fn main() {
     )
     .expect("serve_net");
     let interrupted = sig::stopped();
-    let stats: ClientStats = client.join().expect("client driver panicked");
+    let stats: ResilientStats = client.join().expect("client driver panicked");
 
     if interrupted {
         println!(
             "interrupted: drained the queue, answered Closing on {} connections, \
              {} commits acknowledged (all durable)\n",
-            report.net.closing_replies, stats.committed
+            report.net.closing_replies,
+            stats.committed.len()
         );
     } else {
         assert_eq!(
-            stats.committed as usize,
+            stats.committed.len(),
             sc.txns.len(),
             "every transaction commits"
         );
-        assert_eq!(stats.failed_connections, 0, "no connection degraded");
+        assert_eq!(stats.dead_connections, 0, "no connection degraded");
     }
     println!(
         "client: {} committed, {} restarts, {} sheds over {} connections",
-        stats.committed, stats.restarts, stats.sheds, connections
+        stats.committed.len(),
+        stats.restarts,
+        stats.sheds,
+        connections
     );
     println!(
         "server: {:.1?} wall clock, {} commands in {} batches\n",

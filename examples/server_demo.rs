@@ -4,11 +4,11 @@
 //! committed history is re-validated offline (RSG acyclicity) and the
 //! recorded trace is replayed deterministically on one thread.
 //!
-//! With `--shards N` (N > 1) the sessions instead route through N shard
-//! cores behind the shard router: single-shard transactions stay
-//! entirely local, cross-shard ones go through the two-phase admit, and
-//! the merged history gets the same offline certification plus a
-//! per-shard deterministic replay.
+//! With `--shards N` (N > 1) the same sessions — one session discipline,
+//! `serve` being its one-queue row — route over N shard cores:
+//! single-shard transactions stay entirely local, cross-shard ones go
+//! through the two-phase admit, and the merged history gets the same
+//! offline certification plus a per-shard deterministic replay.
 //!
 //! ```text
 //! cargo run --release --example server_demo                        # full demo
@@ -122,17 +122,16 @@ fn main() {
         workers: 8,
         op_work_ns,
         record_trace: true,
-        seed: 7,
         ..ServerConfig::default()
     };
+    let stream = RequestStream::shuffled(&sc.txns, 7);
 
     if shards > 1 {
-        serve_sharded_demo(&sc.txns, &sc.spec, &server_cfg, shards, &base);
+        serve_sharded_demo(&sc.txns, &sc.spec, &stream, &server_cfg, shards, &base);
         return;
     }
 
     let scheduler = RsgSgt::new(&sc.txns, &sc.spec);
-    let stream = RequestStream::shuffled(&sc.txns, server_cfg.seed);
     // No faults, no commit log: the plain in-memory service.
     let run = serve(
         &sc.txns,
@@ -179,13 +178,13 @@ fn main() {
 fn serve_sharded_demo(
     txns: &TxnSet,
     spec: &AtomicitySpec,
+    stream: &RequestStream,
     server_cfg: &ServerConfig,
     shards: usize,
     base: &relative_serializability::server::BaselineRun,
 ) {
-    let stream = RequestStream::shuffled(txns, server_cfg.seed);
     let schedulers = shard_schedulers(txns, spec, shards);
-    let run = serve_sharded(txns, &stream, schedulers, server_cfg, &[], Vec::new())
+    let run = serve_sharded(txns, stream, schedulers, server_cfg, &[], Vec::new())
         .into_run(txns)
         .expect("all transactions commit");
     let m = &run.report.metrics;

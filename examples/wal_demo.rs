@@ -42,10 +42,9 @@ fn main() {
     let mut wal = WalWriter::new(Box::new(storage), FsyncPolicy::Always).expect("write log header");
     let server_cfg = ServerConfig {
         workers: 4,
-        seed: 7,
         ..ServerConfig::default()
     };
-    let stream = RequestStream::shuffled(&sc.txns, server_cfg.seed);
+    let stream = RequestStream::shuffled(&sc.txns, 7);
     let scheduler = RsgSgt::new(&sc.txns, &sc.spec);
     let report = serve(
         &sc.txns,

@@ -150,11 +150,10 @@ fn server_serves_figure2() {
     let cfg = ServerConfig {
         workers: 2,
         record_trace: true,
-        seed: 5,
         ..ServerConfig::default()
     };
     let sched = SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec);
-    let stream = RequestStream::shuffled(&fig.txns, cfg.seed);
+    let stream = RequestStream::shuffled(&fig.txns, 5);
     let run = serve(&fig.txns, &stream, sched, &cfg, &FaultPlan::default(), None)
         .into_run(&fig.txns)
         .expect("serves");
