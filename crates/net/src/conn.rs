@@ -26,6 +26,7 @@ use crate::wire::{ErrorCode, ReqId, Request, Response};
 use relser_core::ids::{OpId, TxnId};
 use relser_core::shard::ShardMap;
 use relser_core::txn::TxnSet;
+use relser_poll::{Doorbell, PollFd, POLLIN, POLLOUT};
 use relser_protocols::{AbortReason, Decision};
 use relser_server::core::{Command, Progress, Reply};
 use relser_server::queue::{BoundedQueue, PushError};
@@ -34,7 +35,9 @@ use relser_server::OverloadPolicy;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The sharded, supervised back-end: one queue and one health slot per
@@ -57,6 +60,9 @@ pub(crate) struct ShardRoute<'a> {
 /// Everything a connection needs from the server, shared by all
 /// connections of one run.
 pub(crate) struct ReactorCtx<'a> {
+    /// One doorbell per reactor thread (index = reactor), each attached
+    /// to `progress`.
+    pub bells: Vec<Arc<Doorbell>>,
     /// The command queue into the single-writer admission core (shard 0's
     /// queue when `route` is set — use [`ReactorCtx::queue_of`]).
     pub queue: &'a BoundedQueue<Command>,
@@ -174,6 +180,9 @@ const RBUF_MAX: usize = 1 << 20;
 
 pub(crate) struct Conn {
     stream: TcpStream,
+    /// The owning reactor's doorbell: every reply cell this connection
+    /// submits carries it, so the core's batch release wakes the reactor.
+    bell: Arc<Doorbell>,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     /// Consumed prefix of `wbuf`.
@@ -205,11 +214,12 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream) -> std::io::Result<Conn> {
+    pub(crate) fn new(stream: TcpStream, bell: Arc<Doorbell>) -> std::io::Result<Conn> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         Ok(Conn {
             stream,
+            bell,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
@@ -228,20 +238,76 @@ impl Conn {
         })
     }
 
-    /// One reactor tick for this connection. Returns `true` if any
-    /// progress was made (the reactor skips its idle sleep).
+    /// Reads pause under backpressure — at the in-flight cap, behind
+    /// deferred commands, or with a big unparsed backlog — and for good
+    /// once the peer is gone or the connection is closing. The kernel
+    /// buffer then the client's TCP window absorb the rest.
+    fn reads_paused(&self, ctx: &ReactorCtx<'_>) -> bool {
+        self.eof
+            || self.closing
+            || self.pending.len() >= ctx.max_inflight
+            || !self.deferred.is_empty()
+            || self.rbuf.len() >= RBUF_MAX
+    }
+
+    /// This connection's entry in the reactor's wait set: readable unless
+    /// its reads are paused (a level-triggered wait on a socket nobody
+    /// will read would return at once, forever), writable only while
+    /// output is waiting for room. `None` when neither — whatever the
+    /// connection waits for then arrives by doorbell or by deadline.
+    pub(crate) fn poll_fd(&self, ctx: &ReactorCtx<'_>) -> Option<PollFd> {
+        let mut events = 0;
+        if !self.reads_paused(ctx) {
+            events |= POLLIN;
+        }
+        if self.wpos < self.wbuf.len() {
+            events |= POLLOUT;
+        }
+        (events != 0).then(|| PollFd::new(self.stream.as_raw_fd(), events))
+    }
+
+    /// The earliest instant this connection needs a pass that no socket
+    /// event and no doorbell will announce: a watchdog or a retry slice
+    /// running out, or — one `quantum` from `now` — another try at a
+    /// command queue that was full. `None`: nothing is timed.
+    pub(crate) fn deadline(
+        &self,
+        ctx: &ReactorCtx<'_>,
+        quantum: Duration,
+        now: Instant,
+    ) -> Option<Instant> {
+        let retry_tick = now.checked_add(quantum);
+        let mut first: Option<Instant> = None;
+        let mut at = |t: Option<Instant>| first = [first, t].into_iter().flatten().min();
+        if !self.deferred.is_empty() {
+            at(retry_tick);
+        }
+        if self.closing {
+            return first; // in-flight replies are abandoned at the close
+        }
+        for p in &self.pending {
+            if p.resubmit {
+                at(p.blocked_since.checked_add(ctx.block_timeout));
+                if !self.queue_closed {
+                    // A slice that already ran out means the resubmit
+                    // found the queue full: try again a quantum later.
+                    at(p.submitted.checked_add(ctx.retry_slice).max(retry_tick));
+                }
+            } else {
+                at(p.submitted.checked_add(ctx.reply_timeout));
+            }
+        }
+        first
+    }
+
+    /// One reactor pass over this connection. Returns `true` if any
+    /// progress was made (the reactor passes again before it waits).
     pub(crate) fn tick(&mut self, ctx: &ReactorCtx<'_>, m: &mut NetMetrics) -> bool {
         if self.closed {
             return false;
         }
         let mut busy = false;
-        // Reads pause under backpressure: at the in-flight cap, behind
-        // deferred commands, or with a big unparsed backlog. The kernel
-        // buffer then the client's TCP window absorb the rest.
-        let paused = self.pending.len() >= ctx.max_inflight
-            || !self.deferred.is_empty()
-            || self.rbuf.len() >= RBUF_MAX;
-        if !self.eof && !self.closing && !paused {
+        if !self.reads_paused(ctx) {
             busy |= self.read_some();
         }
         busy |= self.parse_requests(ctx, m);
@@ -528,7 +594,7 @@ impl Conn {
                 shard,
                 t0,
             } => {
-                let reply = Reply::new();
+                let reply = Reply::with_doorbell(Arc::clone(&self.bell));
                 let seen = ctx.progress.current();
                 let now = Instant::now();
                 let cmd = Command::Request {
@@ -578,7 +644,7 @@ impl Conn {
                 shard,
                 t0,
             } => {
-                let reply = Reply::new();
+                let reply = Reply::with_doorbell(Arc::clone(&self.bell));
                 let now = Instant::now();
                 let cmd = Command::CommitAck {
                     txn,
@@ -751,7 +817,7 @@ impl Conn {
                         PendingKind::Op(op) => op,
                         PendingKind::Commit(_) => unreachable!("commits never block"),
                     };
-                    let reply = Reply::new();
+                    let reply = Reply::with_doorbell(Arc::clone(&self.bell));
                     let seen = ctx.progress.current();
                     let cmd = Command::Request {
                         op,
@@ -839,7 +905,8 @@ impl Conn {
 
     /// Writes as much of the buffered output as the socket accepts and
     /// records the reply/wire stage latency of every response whose last
-    /// byte left.
+    /// byte left. Once the peer is gone the rest never leaves: those
+    /// responses are counted undelivered, not timed.
     fn flush(&mut self, m: &mut NetMetrics) -> bool {
         let mut busy = false;
         while self.wpos < self.wbuf.len() {
@@ -867,7 +934,7 @@ impl Conn {
         }
         let now = Instant::now();
         while let Some(mark) = self.resp_marks.front() {
-            if mark.end > self.sent_total && !self.eof {
+            if mark.end > self.sent_total {
                 break;
             }
             m.reply
@@ -877,6 +944,10 @@ impl Conn {
             }
             self.resp_marks.pop_front();
         }
+        if self.eof {
+            m.undelivered_responses += self.resp_marks.len() as u64;
+            self.resp_marks.clear();
+        }
         busy
     }
 }
@@ -885,5 +956,53 @@ fn txn_of(kind: &PendingKind) -> TxnId {
     match kind {
         PendingKind::Op(op) => op.txn,
         PendingKind::Commit(txn) => *txn,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A connected pair over loopback: the server side as a [`Conn`].
+    fn pair() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let bell = Arc::new(Doorbell::new().unwrap());
+        (Conn::new(server, bell).unwrap(), client)
+    }
+
+    /// Responses whose bytes never left — the socket died before the
+    /// flush — are counted undelivered and add no sample to the `reply`
+    /// and `wire` stages; the ones that did leave are timed as ever.
+    #[test]
+    fn responses_to_a_dead_peer_are_counted_not_timed() {
+        let mut m = NetMetrics::default();
+        let (mut conn, client) = pair();
+        conn.respond(
+            Response::Granted { req_id: 1 },
+            Some(Instant::now()),
+            &mut m,
+        );
+        assert!(conn.flush(&mut m));
+        assert_eq!((m.reply.count(), m.wire.count()), (1, 1), "delivered");
+
+        // The peer closes with the first response unread (a reset), and
+        // our write half is shut for good measure: every later write fails.
+        drop(client);
+        let _ = conn.stream.shutdown(Shutdown::Write);
+        for req_id in 2..5 {
+            conn.respond(Response::Granted { req_id }, Some(Instant::now()), &mut m);
+        }
+        conn.flush(&mut m);
+        assert!(conn.eof, "the write failed: the peer is gone");
+        assert_eq!(
+            (m.reply.count(), m.wire.count()),
+            (1, 1),
+            "no latency recorded for responses nobody received"
+        );
+        assert_eq!(m.undelivered_responses, 3);
+        assert!(conn.resp_marks.is_empty());
     }
 }

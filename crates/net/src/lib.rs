@@ -15,13 +15,17 @@
 //!   the shared [`relser_frame`] codec (the same framing the WAL uses on
 //!   disk), with client-chosen request ids for **pipelining**;
 //! * `conn` (internal) — the per-connection state machine: validate
-//!   requests against the transaction set, submit commands, poll reply
-//!   cells, run the blocked-retry/waits-for-timeout protocol, and map
+//!   requests against the transaction set, submit commands, take filled
+//!   reply cells, run the blocked-retry/waits-for-timeout protocol, and map
 //!   queue overload onto the socket ([`OverloadPolicy::Wait`] pauses
 //!   reads → TCP backpressure; `Shed` answers an explicit
 //!   [`wire::Response::Shed`]);
-//! * `reactor` (internal) — nonblocking readiness loop, one thread per
-//!   reactor, sockets handed over by an acceptor thread;
+//! * `reactor` (internal) — the readiness loop, one thread per reactor,
+//!   sockets handed over by an acceptor thread: passes over its
+//!   nonblocking connections while any has work, then blocks in
+//!   `poll(2)` ([`relser_poll`]) on the sockets, on the doorbell the
+//!   admission core rings once per released batch, and on the nearest
+//!   real deadline — an idle server makes no wake-ups;
 //! * [`server`] — [`serve_net`] wires listener, reactors, and the
 //!   admission core under one `thread::scope`;
 //! * [`client`] — [`drive_resilient`], the one loopback client: N

@@ -63,6 +63,19 @@ pub struct NetMetrics {
     /// [`Closing`](crate::wire::Response::Closing) notices sent
     /// (graceful-shutdown broadcasts plus per-request refusals).
     pub closing_replies: u64,
+    /// Responses encoded for a connection whose peer was gone before
+    /// their bytes left. They reached no client, so they are counted here
+    /// and kept out of the `reply` and `wire` histograms.
+    pub undelivered_responses: u64,
+    /// Times a reactor blocked in `poll(2)` — one per wake-up. An idle
+    /// server stops counting; a reactor spinning on a socket it will not
+    /// read would count without bound.
+    pub reactor_waits: u64,
+    /// Of those waits, the ones a doorbell ended (the core released a
+    /// batch or bumped the progress epoch, the acceptor handed over a
+    /// socket, the server stopped) — the rest were socket events and
+    /// deadlines.
+    pub doorbell_wakes: u64,
     /// Frame decode + request parse latency.
     pub decode: LatencyHistogram,
     /// Decision-taken → response-bytes-on-the-socket latency.
@@ -88,6 +101,9 @@ impl NetMetrics {
         self.recovering_replies += other.recovering_replies;
         self.dup_commit_fast += other.dup_commit_fast;
         self.closing_replies += other.closing_replies;
+        self.undelivered_responses += other.undelivered_responses;
+        self.reactor_waits += other.reactor_waits;
+        self.doorbell_wakes += other.doorbell_wakes;
         self.decode.merge(&other.decode);
         self.reply.merge(&other.reply);
         self.wire.merge(&other.wire);
@@ -108,8 +124,16 @@ impl fmt::Display for NetMetrics {
         )?;
         writeln!(
             f,
-            "net closes: bad_frame={} reply_lost={} timeout_aborts={}",
-            self.bad_frame_closes, self.reply_lost_closes, self.timeout_aborts
+            "net closes: bad_frame={} reply_lost={} timeout_aborts={} undelivered={}",
+            self.bad_frame_closes,
+            self.reply_lost_closes,
+            self.timeout_aborts,
+            self.undelivered_responses
+        )?;
+        writeln!(
+            f,
+            "net reactor: waits={} doorbell_wakes={}",
+            self.reactor_waits, self.doorbell_wakes
         )?;
         write!(
             f,

@@ -7,6 +7,7 @@ use crate::reactor::{accept_loop, run_reactor};
 use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
+use relser_poll::Doorbell;
 use relser_protocols::Scheduler;
 use relser_server::core::{run_core, Command, CoreCfg, FaultPlan, Progress};
 use relser_server::metrics::histogram_of;
@@ -18,9 +19,9 @@ use relser_server::supervisor::{
 use relser_server::{Certifier, OverloadPolicy, ServerMetrics};
 use relser_wal::{CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentsHandle};
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
@@ -48,7 +49,12 @@ pub struct NetConfig {
     /// Close a connection whose request the core never answers within
     /// this (the degrade-don't-die path).
     pub reply_timeout: Duration,
-    /// Reactor/acceptor idle sleep.
+    /// The reactor's retry tick while a command it could not enqueue
+    /// waits for room in a full queue (and the acceptor's back-off after
+    /// a failed `accept`). Nothing else is timed by it: the reactor
+    /// blocks in `poll(2)` on its sockets, its doorbell and its real
+    /// deadlines, and an idle server does not tick at all. `poll(2)`
+    /// counts in milliseconds, so a shorter quantum waits one.
     pub poll_quantum: Duration,
     /// Record a replayable core trace.
     pub record_trace: bool,
@@ -86,7 +92,7 @@ impl NetConfig {
         self
     }
 
-    /// Sets the reactor/acceptor idle poll quantum.
+    /// Sets the full-queue retry tick (see [`NetConfig::poll_quantum`]).
     pub fn with_poll_quantum(mut self, t: Duration) -> NetConfig {
         self.poll_quantum = t;
         self
@@ -100,18 +106,19 @@ impl NetConfig {
 }
 
 /// The loopback listener both entry points bind: `127.0.0.1:0`,
-/// nonblocking (the acceptor polls it).
+/// blocking (the acceptor sleeps in `accept()`).
 fn bind_loopback() -> io::Result<(TcpListener, SocketAddr)> {
     let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     Ok((listener, addr))
 }
 
 impl NetConfig {
     /// The reactors' view of this config over the given back-end:
     /// `queue`/`progress` are the (first) core's, `route` and `sessions`
-    /// are set by the supervised sharded back-end only.
+    /// are set by the supervised sharded back-end only. Makes one
+    /// doorbell per reactor and attaches each to `progress`, so every
+    /// epoch bump rings them.
     fn reactor_ctx<'a>(
         &self,
         txns: &'a TxnSet,
@@ -119,8 +126,15 @@ impl NetConfig {
         progress: &'a Progress,
         route: Option<ShardRoute<'a>>,
         sessions: Option<&'a SessionTable>,
-    ) -> ReactorCtx<'a> {
-        ReactorCtx {
+    ) -> io::Result<ReactorCtx<'a>> {
+        let bells = (0..self.reactors)
+            .map(|_| Doorbell::new().map(Arc::new))
+            .collect::<io::Result<Vec<_>>>()?;
+        for bell in &bells {
+            progress.attach(Arc::clone(bell));
+        }
+        Ok(ReactorCtx {
+            bells,
             queue,
             progress,
             txns,
@@ -131,7 +145,7 @@ impl NetConfig {
             reply_timeout: self.reply_timeout,
             route,
             sessions,
-        }
+        })
     }
 
     fn core(&self) -> CoreCfg {
@@ -145,10 +159,10 @@ impl NetConfig {
 /// The TCP front-end's life inside the server's `thread::scope`, after
 /// the core(s) are spawned: starts `cfg.reactors` reactor threads and the
 /// acceptor, runs `client` against the bound address on the current
-/// thread, and — when it returns — raises `stop`, joins the acceptor and
-/// merges the reactors' metrics as they drain and close every connection
-/// (aborting whatever the client left live). The caller then closes its
-/// queue(s) and joins its core(s).
+/// thread, and — when it returns — raises `stop`, wakes and joins the
+/// acceptor, rings every reactor and merges their metrics as they drain
+/// and close every connection (aborting whatever the client left live).
+/// The caller then closes its queue(s) and joins its core(s).
 fn run_front_end<'scope, R>(
     s: &'scope Scope<'scope, '_>,
     cfg: &'scope NetConfig,
@@ -158,19 +172,29 @@ fn run_front_end<'scope, R>(
     stop: &'scope AtomicBool,
     client: impl FnOnce(SocketAddr) -> R,
 ) -> (NetMetrics, R) {
-    let mut senders = Vec::with_capacity(cfg.reactors);
+    let mut handoffs = Vec::with_capacity(cfg.reactors);
     let mut reactors = Vec::with_capacity(cfg.reactors);
-    for _ in 0..cfg.reactors {
+    for bell in &ctx.bells {
         let (tx, rx) = mpsc::channel();
-        senders.push(tx);
-        reactors.push(s.spawn(move || run_reactor(ctx, rx, stop, cfg.poll_quantum)));
+        handoffs.push((tx, Arc::clone(bell)));
+        reactors.push(s.spawn(move || run_reactor(ctx, rx, bell, stop, cfg.poll_quantum)));
     }
-    let acceptor = s.spawn(move || accept_loop(listener, senders, stop, cfg.poll_quantum));
+    let acceptor = s.spawn(move || accept_loop(listener, handoffs, stop, cfg.poll_quantum));
 
     let client_out = client(addr);
 
     stop.store(true, Ordering::Release);
+    // The acceptor sleeps in `accept()`: a throwaway connection makes it
+    // look at `stop` (one that connected is enough — it is accepted sooner
+    // or later). The acceptor's exit drops the hand-off channels, which is
+    // what lets a reactor finish, so the reactors are rung only after it.
+    while !acceptor.is_finished() && TcpStream::connect(addr).is_err() {
+        std::thread::yield_now();
+    }
     acceptor.join().expect("acceptor thread panicked");
+    for bell in &ctx.bells {
+        bell.ring();
+    }
     let mut net = NetMetrics::default();
     for r in reactors {
         net.merge(&r.join().expect("reactor thread panicked"));
@@ -208,7 +232,7 @@ pub fn serve_net<R>(
     let queue: BoundedQueue<Command> = BoundedQueue::new(cfg.queue_capacity);
     let progress = Progress::new();
     let stop = AtomicBool::new(false);
-    let ctx = cfg.reactor_ctx(txns, &queue, &progress, None, None);
+    let ctx = cfg.reactor_ctx(txns, &queue, &progress, None, None)?;
     let t0 = Instant::now();
 
     let (core_out, net, client_out) = std::thread::scope(|s| {
@@ -345,7 +369,7 @@ pub fn serve_net_supervised_in<'e, R>(
         map: ShardMap::new(shards as u32),
         seq: &seq,
     };
-    let ctx = cfg.reactor_ctx(txns, &queues[0], &progress, Some(route), Some(&sessions));
+    let ctx = cfg.reactor_ctx(txns, &queues[0], &progress, Some(route), Some(&sessions))?;
     let sup_cfg = SupervisorCfg {
         txns,
         spec,

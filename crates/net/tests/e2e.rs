@@ -9,12 +9,13 @@
 //! `Rsg::build(&txns, &history, &spec).is_acyclic()` — the network layer
 //! must never be able to commit a history the paper's oracle rejects.
 
-use relser_core::ids::TxnId;
+use relser_core::ids::{OpId, TxnId};
+use relser_core::op::AccessMode;
 use relser_core::project::Projection;
 use relser_core::rsg::Rsg;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
-use relser_net::wire::{ErrorCode, Response};
+use relser_net::wire::{ErrorCode, Request, Response};
 use relser_net::{
     drive_resilient, serve_net, ChaosPlan, NetConfig, NetReport, ResilientConfig, ResilientStats,
 };
@@ -26,8 +27,8 @@ use relser_wal::{FsyncPolicy, MemStorage, WalWriter};
 use relser_workload::banking::{banking, BankingConfig, BankingScenario};
 use relser_workload::stream::RequestStream;
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 /// A banking universe big enough to keep 64 connections busy at once.
 fn big_banking(seed: u64) -> BankingScenario {
@@ -381,4 +382,290 @@ fn single_connection_pipelines_multiple_streams() {
         }
     }
     recertify(&sc.txns, &sc.spec, &report);
+}
+
+/// A bare wire client for the readiness contracts below: requests go out
+/// one frame at a time, responses come back as they are.
+struct RawClient {
+    stream: TcpStream,
+    rbuf: Vec<u8>,
+    next_id: u64,
+}
+
+impl RawClient {
+    fn connect(addr: SocketAddr) -> RawClient {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        RawClient {
+            stream,
+            rbuf: Vec::new(),
+            next_id: 0,
+        }
+    }
+
+    /// Sends what `make(req_id)` builds.
+    fn send(&mut self, make: impl FnOnce(u64) -> Request) {
+        self.next_id += 1;
+        let mut frame = Vec::new();
+        make(self.next_id).encode_into(&mut frame);
+        self.stream.write_all(&frame).expect("send");
+    }
+
+    /// The next response, or `None` once the server closed the connection.
+    fn recv(&mut self) -> Option<Response> {
+        loop {
+            if let Ok((resp, n)) = Response::decode(&self.rbuf) {
+                self.rbuf.drain(..n);
+                return Some(resp);
+            }
+            let mut tmp = [0u8; 256];
+            match self.stream.read(&mut tmp).expect("recv") {
+                0 => return None,
+                n => self.rbuf.extend_from_slice(&tmp[..n]),
+            }
+        }
+    }
+
+    fn call(&mut self, make: impl FnOnce(u64) -> Request) -> Response {
+        self.send(make);
+        self.recv().expect("a response, not EOF")
+    }
+}
+
+/// The request for operation `index` of `txn` (mode and object from
+/// `txns`), once given its id.
+fn op_request(txns: &TxnSet, txn: TxnId, index: u32) -> impl FnOnce(u64) -> Request {
+    let op = OpId { txn, index };
+    let real = txns.op(op).expect("op of the set");
+    move |req_id| match real.mode {
+        AccessMode::Read => Request::Read {
+            req_id,
+            op,
+            object: real.object,
+        },
+        AccessMode::Write => Request::Write {
+            req_id,
+            op,
+            object: real.object,
+        },
+    }
+}
+
+/// [`RawClient::call`], with the round trip's duration pushed to `rtts`.
+fn timed_call(
+    client: &mut RawClient,
+    rtts: &mut Vec<Duration>,
+    make: impl FnOnce(u64) -> Request,
+) -> Response {
+    let t0 = Instant::now();
+    let resp = client.call(make);
+    rtts.push(t0.elapsed());
+    resp
+}
+
+/// The reactor waits for readiness; it does not sleep a quantum and look.
+/// A ticking reactor pays about two quanta per one-in-flight round trip
+/// (one before it reads the request, one before it notices the reply),
+/// whatever the quantum is. Here the quantum is raised to 10 ms — so that
+/// no scheduling noise of a shared runner can be mistaken for it — and
+/// the median of 2 000 strictly one-in-flight round trips (500
+/// conflict-free transactions: begin, read, write, commit) stays below
+/// one quantum, because nothing on the path waits for it any more.
+#[test]
+fn one_in_flight_round_trips_beat_the_poll_quantum() {
+    let mut txns = TxnSet::new();
+    for i in 0..500 {
+        let record = format!("r{i}");
+        txns.add(&[(AccessMode::Read, &record), (AccessMode::Write, &record)])
+            .expect("transaction");
+    }
+    let spec = AtomicitySpec::absolute(&txns);
+    let cfg = NetConfig::default()
+        .with_reactors(1)
+        .with_poll_quantum(Duration::from_millis(10));
+    let (report, mut rtts) = serve_net(
+        &txns,
+        Box::new(RsgSgt::new(&txns, &spec)),
+        &cfg,
+        &FaultPlan::default(),
+        None,
+        |addr| {
+            let mut client = RawClient::connect(addr);
+            let mut rtts = Vec::with_capacity(4 * txns.len());
+            for txn in txns.txn_ids() {
+                let begin = |req_id| Request::Begin { req_id, txn };
+                let resp = timed_call(&mut client, &mut rtts, begin);
+                assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
+                for index in 0..2 {
+                    let resp = timed_call(&mut client, &mut rtts, op_request(&txns, txn, index));
+                    assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
+                }
+                let commit = |req_id| Request::Commit { req_id, txn };
+                let resp = timed_call(&mut client, &mut rtts, commit);
+                assert!(matches!(resp, Response::Committed { .. }), "{resp:?}");
+            }
+            rtts
+        },
+    )
+    .expect("serve_net");
+
+    assert_eq!(report.committed.len(), txns.len());
+    rtts.sort_unstable();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < cfg.poll_quantum,
+        "median round trip {median:?} over {} samples is not below poll_quantum {:?}",
+        rtts.len(),
+        cfg.poll_quantum
+    );
+}
+
+/// An idle server is asleep: one open connection and 300 ms without
+/// traffic cost the reactor its start-up wait, the wait after it adopted
+/// the connection, and nothing else until the server stops.
+#[test]
+fn an_idle_server_does_not_wake_up() {
+    let sc = banking(&BankingConfig::default(), 67);
+    let (report, ()) = serve_net(
+        &sc.txns,
+        Box::new(RsgSgt::new(&sc.txns, &sc.spec)),
+        &NetConfig::default().with_reactors(1),
+        &FaultPlan::default(),
+        None,
+        |addr| {
+            let _idle = RawClient::connect(addr);
+            std::thread::sleep(Duration::from_millis(300));
+        },
+    )
+    .expect("serve_net");
+
+    assert_eq!(report.net.connections, 1);
+    assert!(
+        report.net.reactor_waits <= 3,
+        "an idle reactor must block, not tick: {} waits",
+        report.net.reactor_waits
+    );
+    assert!(report.net.doorbell_wakes <= report.net.reactor_waits);
+}
+
+/// A connection paused at `max_inflight` leaves its socket out of the
+/// wait set: with the core silent on its one in-flight request (injected
+/// reply loss) and unread bytes sitting in the socket, the reactor sleeps
+/// until the reply watchdog is due instead of spinning on a level-
+/// triggered "readable" it is not going to read.
+#[test]
+fn a_paused_connection_with_unread_bytes_does_not_spin_the_reactor() {
+    let sc = banking(&BankingConfig::default(), 71);
+    let cfg = NetConfig {
+        max_inflight: 1,
+        reply_timeout: Duration::from_millis(300),
+        ..NetConfig::default().with_reactors(1)
+    };
+    let faults = FaultPlan {
+        drop_replies: vec![0],
+        ..FaultPlan::default()
+    };
+    let mut ids = sc.txns.txn_ids();
+    let (first, second) = (ids.next().unwrap(), ids.next().unwrap());
+    let (report, (answer, then)) = serve_net(
+        &sc.txns,
+        Box::new(RsgSgt::new(&sc.txns, &sc.spec)),
+        &cfg,
+        &faults,
+        None,
+        |addr| {
+            let mut client = RawClient::connect(addr);
+            let resp = client.call(|req_id| Request::Begin { req_id, txn: first });
+            assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
+            // The request whose reply the core drops: in flight for good.
+            client.send(op_request(&sc.txns, first, 0));
+            // Let the reactor read and submit it, so that what follows
+            // arrives at a paused socket and stays in it.
+            std::thread::sleep(Duration::from_millis(50));
+            client.send(|req_id| Request::Begin {
+                req_id,
+                txn: second,
+            });
+            (client.recv(), client.recv())
+        },
+    )
+    .expect("serve_net");
+
+    assert!(
+        matches!(
+            answer,
+            Some(Response::Error {
+                code: ErrorCode::ReplyLost,
+                ..
+            })
+        ),
+        "the watchdog still fires with the reactor parked: {answer:?}"
+    );
+    assert_eq!(then, None, "then the connection closes");
+    assert_eq!(report.net.reply_lost_closes, 1);
+    assert!(
+        report.net.reactor_waits <= 16,
+        "{} waits in a 300 ms stall: the reactor spun on the paused socket",
+        report.net.reactor_waits
+    );
+}
+
+/// A blocked operation is resubmitted on the wake-up of the progress bump
+/// that unblocks it — not when its retry slice runs out. Strict 2PL: T1's
+/// write waits for T0's lock; T0's commit bumps the epoch, which rings
+/// the reactor holding T1's request. The retry slice is 10 s, so a grant
+/// that only came with the slice would take that long.
+#[test]
+fn a_blocked_operation_is_resubmitted_on_the_bump_not_the_retry_slice() {
+    let txns = TxnSet::parse(&["w1[x]", "w2[x]"]).expect("two conflicting writers");
+    let (holder, waiter) = (TxnId(0), TxnId(1));
+    let cfg = NetConfig {
+        retry_slice: Duration::from_secs(10),
+        block_timeout: Duration::from_secs(30),
+        ..NetConfig::default()
+    };
+    let (report, unblocked_after) = serve_net(
+        &txns,
+        Box::new(TwoPhaseLocking::new(&txns)),
+        &cfg,
+        &FaultPlan::default(),
+        None,
+        |addr| {
+            let (mut a, mut b) = (RawClient::connect(addr), RawClient::connect(addr));
+            for (client, txn) in [(&mut a, holder), (&mut b, waiter)] {
+                let resp = client.call(|req_id| Request::Begin { req_id, txn });
+                assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
+            }
+            a.send(op_request(&txns, holder, 0));
+            let resp = a.recv().expect("grant");
+            assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
+            // Blocks server-side: no response crosses the wire. Give the
+            // core time to decide it and the reactor to go back to sleep.
+            b.send(op_request(&txns, waiter, 0));
+            std::thread::sleep(Duration::from_millis(200));
+            let t0 = Instant::now();
+            let resp = a.call(|req_id| Request::Commit {
+                req_id,
+                txn: holder,
+            });
+            assert!(matches!(resp, Response::Committed { .. }), "{resp:?}");
+            let resp = b.recv().expect("grant after the holder committed");
+            let unblocked_after = t0.elapsed();
+            assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
+            let resp = b.call(|req_id| Request::Commit {
+                req_id,
+                txn: waiter,
+            });
+            assert!(matches!(resp, Response::Committed { .. }), "{resp:?}");
+            unblocked_after
+        },
+    )
+    .expect("serve_net");
+
+    assert_eq!(report.committed, vec![holder, waiter]);
+    assert!(report.net.retries >= 1, "the waiter did block");
+    assert!(
+        unblocked_after < Duration::from_secs(2),
+        "unblocked after {unblocked_after:?}: that is the retry slice, not the bump"
+    );
 }

@@ -29,6 +29,7 @@ use crate::queue::{BoundedQueue, PopWait};
 use crate::supervisor::SessionTable;
 use relser_core::ids::{OpId, TxnId};
 use relser_core::shard::ArcExchange;
+use relser_poll::Doorbell;
 use relser_protocols::{AbortReason, Decision, Scheduler};
 use relser_simdb::metrics::LatencyHistogram;
 use relser_wal::{Checkpoint, CheckpointEvent, CommitLog, FsyncPolicy, WalRecord, WalStats};
@@ -69,25 +70,49 @@ pub enum TraceEvent {
 /// A one-shot reply cell: the core fills it once, the session waits on it.
 #[derive(Clone)]
 pub struct Reply {
-    cell: Arc<(Mutex<Option<Decision>>, Condvar)>,
+    cell: Arc<ReplyCell>,
+}
+
+struct ReplyCell {
+    slot: Mutex<Option<Decision>>,
+    cv: Condvar,
+    /// The doorbell of the reactor that polls this cell instead of
+    /// parking a thread in [`Reply::wait`]; the core rings it once per
+    /// released batch, after the batch's last fill.
+    bell: Option<Arc<Doorbell>>,
 }
 
 impl Reply {
-    /// An empty cell.
+    /// An empty cell whose receiver parks in [`Reply::wait`].
     pub fn new() -> Self {
+        Self::with_bell(None)
+    }
+
+    /// An empty cell whose receiver is a reactor parked behind `bell`: it
+    /// takes the decision with [`Reply::try_take`] once the core has rung.
+    pub fn with_doorbell(bell: Arc<Doorbell>) -> Self {
+        Self::with_bell(Some(bell))
+    }
+
+    fn with_bell(bell: Option<Arc<Doorbell>>) -> Self {
         Reply {
-            cell: Arc::new((Mutex::new(None), Condvar::new())),
+            cell: Arc::new(ReplyCell {
+                slot: Mutex::new(None),
+                cv: Condvar::new(),
+                bell,
+            }),
         }
     }
 
-    /// Fills the cell and wakes the waiter. Must be called exactly once.
+    /// Fills the cell and wakes a waiter parked in [`Reply::wait`]. Must
+    /// be called exactly once. Does not ring the cell's doorbell: whoever
+    /// fills a batch of cells rings each distinct bell once, afterwards.
     pub fn fill(&self, decision: Decision) {
-        let (slot, cv) = &*self.cell;
-        let mut guard = slot.lock().expect("reply lock");
+        let mut guard = self.cell.slot.lock().expect("reply lock");
         debug_assert!(guard.is_none(), "reply filled twice");
         *guard = Some(decision);
         drop(guard);
-        cv.notify_all();
+        self.cell.cv.notify_all();
     }
 
     /// Blocks until the cell is filled, with a generous 60 s watchdog. A
@@ -100,18 +125,18 @@ impl Reply {
     }
 
     /// Non-blocking poll: takes the decision if the core has filled the
-    /// cell, `None` otherwise. The reactor front-end (`relser-net`) polls
-    /// its in-flight replies with this on every tick instead of parking a
-    /// thread per request the way [`Reply::wait`] does.
+    /// cell, `None` otherwise. The reactor front-end (`relser-net`) looks
+    /// at its in-flight replies with this after its doorbell woke it,
+    /// instead of parking a thread per request the way [`Reply::wait`]
+    /// does.
     pub fn try_take(&self) -> Option<Decision> {
-        let (slot, _) = &*self.cell;
-        slot.lock().expect("reply lock").take()
+        self.cell.slot.lock().expect("reply lock").take()
     }
 
     /// [`Reply::wait`] with an explicit watchdog duration (tests and
     /// latency-sensitive deployments shorten it).
     pub fn wait_for(&self, watchdog: Duration) -> Result<Decision, ReplyLost> {
-        let (slot, cv) = &*self.cell;
+        let (slot, cv) = (&self.cell.slot, &self.cell.cv);
         let mut guard = slot.lock().expect("reply lock");
         let deadline = Instant::now() + watchdog;
         loop {
@@ -174,6 +199,11 @@ impl Default for Reply {
 ///   that will just block again.
 pub struct Progress {
     inner: Mutex<ProgressInner>,
+    /// Mirror of `inner.epoch`, stored (Release) under the lock on every
+    /// bump and loaded (Acquire) by [`Progress::current`]: a submitter
+    /// snapshots the epoch once per operation and must not contend with
+    /// the core's bump for that.
+    epoch: AtomicU64,
     /// Broadcast condvar for `wait_past` waiters; targeted waiters sleep
     /// on their own per-wait cell instead.
     cv: Condvar,
@@ -190,6 +220,11 @@ struct ProgressInner {
     /// Registered targeted waiters (slab: `free` holds the holes).
     slots: Vec<Option<RegisteredWaiter>>,
     free: Vec<usize>,
+    /// Reactors parked in `poll(2)` rather than in a wait of this type:
+    /// every bump rings them (a ring of an unparked reactor is one atomic
+    /// swap), so their blocked operations are resubmitted on the bump
+    /// that unblocks them and a crash-path bump reaches them too.
+    bells: Vec<Arc<Doorbell>>,
     targeted_wakeups: u64,
     suppressed_wakeups: u64,
     broadcast_wakeups: u64,
@@ -232,18 +267,25 @@ impl Progress {
                 last_change: HashMap::new(),
                 slots: Vec::new(),
                 free: Vec::new(),
+                bells: Vec::new(),
                 targeted_wakeups: 0,
                 suppressed_wakeups: 0,
                 broadcast_wakeups: 0,
                 immediate_returns: 0,
             }),
+            epoch: AtomicU64::new(0),
             cv: Condvar::new(),
         }
     }
 
     /// The current epoch.
     pub fn current(&self) -> u64 {
-        self.inner.lock().expect("progress lock").epoch
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Adds a reactor's doorbell to the set every bump rings.
+    pub fn attach(&self, bell: Arc<Doorbell>) {
+        self.inner.lock().expect("progress lock").bells.push(bell);
     }
 
     /// Wakeup-targeting counters observed so far.
@@ -264,6 +306,7 @@ impl Progress {
     pub fn bump(&self) {
         let mut inner = self.inner.lock().expect("progress lock");
         inner.epoch += 1;
+        self.epoch.store(inner.epoch, Ordering::Release);
         let mut woken = 0u64;
         for w in inner.slots.iter().flatten() {
             *w.cell.signaled.lock().expect("wait cell lock") = true;
@@ -271,6 +314,7 @@ impl Progress {
             woken += 1;
         }
         inner.broadcast_wakeups += woken;
+        inner.bells.iter().for_each(|b| b.ring());
         drop(inner);
         self.cv.notify_all();
     }
@@ -283,6 +327,7 @@ impl Progress {
         let mut inner = self.inner.lock().expect("progress lock");
         inner.epoch += 1;
         let epoch = inner.epoch;
+        self.epoch.store(epoch, Ordering::Release);
         for &t in changed {
             inner.last_change.insert(t, epoch);
         }
@@ -305,6 +350,7 @@ impl Progress {
         }
         inner.targeted_wakeups += targeted;
         inner.suppressed_wakeups += suppressed;
+        inner.bells.iter().for_each(|b| b.ring());
         drop(inner);
         self.cv.notify_all();
     }
@@ -677,6 +723,8 @@ struct HeldAcks {
     replies: Vec<(Reply, Decision)>,
     /// `(session, req_id, txn)` retry-table entries of sessionful commits.
     sessions: Vec<(u64, u64, TxnId)>,
+    /// Scratch: the distinct doorbells of the cells being filled.
+    bells: Vec<Arc<Doorbell>>,
 }
 
 impl HeldAcks {
@@ -689,17 +737,28 @@ impl HeldAcks {
                 table.record(session, req_id, txn);
             }
         }
-        for (reply, decision) in self.replies.drain(..) {
-            reply.fill(decision);
-        }
+        self.fill_all(|decision| decision);
     }
 
     /// The batch died before its barrier: none of it was acknowledged.
     fn unwind(&mut self) {
         self.sessions.clear();
-        for (reply, _) in self.replies.drain(..) {
-            reply.fill(Decision::Aborted(AbortReason::Injected));
+        self.fill_all(|_| Decision::Aborted(AbortReason::Injected));
+    }
+
+    /// Fills every held cell in core order, then rings each reactor that
+    /// owns one of them — once, after the last fill, so a reactor wakes
+    /// to the whole batch and not to its first reply.
+    fn fill_all(&mut self, verdict: impl Fn(Decision) -> Decision) {
+        for (reply, decision) in self.replies.drain(..) {
+            reply.fill(verdict(decision));
+            if let Some(bell) = &reply.cell.bell {
+                if !self.bells.iter().any(|b| Arc::ptr_eq(b, bell)) {
+                    self.bells.push(Arc::clone(bell));
+                }
+            }
         }
+        self.bells.drain(..).for_each(|b| b.ring());
     }
 }
 
@@ -742,7 +801,11 @@ impl CoreOutput {
 ///    logged anything (deferred policies: only when their threshold is
 ///    due — the bounded loss window they buy throughput with);
 /// 3. releases the held acknowledgments in core order, then bumps
-///    [`Progress`].
+///    [`Progress`]. A reactor front-end parked in `poll(2)` learns of both
+///    through its doorbell ([`Reply::with_doorbell`],
+///    [`Progress::attach`]): rung once after the batch's last fill and
+///    once with the bump, never per reply — a ring of a reactor that is
+///    not parked is one atomic swap.
 ///
 /// So under `Always` nothing anyone can observe — a granted operation, a
 /// `Committed` response, a retry-table entry, a commit in
@@ -1355,7 +1418,9 @@ pub(crate) fn event_txn(e: &CheckpointEvent) -> TxnId {
 /// Unwinds every command still in flight after a crash: request replies
 /// are filled with `Aborted(Injected)` so no session hangs, everything
 /// else is dropped (the scheduler is gone). The queue is already closed,
-/// so this terminates once the backlog is drained.
+/// so this terminates once the backlog is drained. Callers follow it with
+/// [`Progress::bump`], which is also what rings the reactors whose cells
+/// were just filled.
 pub(crate) fn drain_after_crash(
     rest: Vec<Command>,
     queue: &BoundedQueue<Command>,

@@ -64,25 +64,37 @@ impl DecisionLatency {
     }
 }
 
-/// A log2-bucketed latency histogram (nanoseconds).
+/// A log-linear latency histogram (nanoseconds): every power-of-two
+/// octave is split into [`SUB_BUCKETS`] equal sub-buckets.
 ///
-/// Bucket `k` counts samples in `[2^(k-1), 2^k)` ns (bucket 0 counts the
-/// value 0). Shared between the simulator and `relser-server`: recording
-/// is O(1) and branch-free, merging is element-wise, and quantiles are
-/// answered with bucket-upper-bound precision — good enough for p50/p95/
-/// p99 reporting without retaining per-sample vectors on the hot path.
+/// Samples below `SUB_BUCKETS` get a bucket each (exact). From there a
+/// sample with highest set bit `e` lands in octave `e`, in the sub-bucket
+/// named by its next three bits, which spans `2^(e-3)` values — so a
+/// bucket's bounds are within 12.5 % of every sample in it. Shared
+/// between the simulator and `relser-server`: recording is O(1),
+/// branch-light and allocation-free, merging is element-wise, and
+/// quantiles are answered with bucket-upper-bound precision — tight
+/// enough that differences of stage medians (the benchmark's
+/// `net.outside_us`, `net.unattributed_us`) keep their sign, without
+/// retaining per-sample vectors on the hot path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    buckets: [u64; 65],
+    buckets: [u64; BUCKETS],
     count: u64,
     total_ns: u64,
     max_ns: u64,
 }
 
+/// Linear sub-buckets per octave (a power of two).
+const SUB_BUCKETS: usize = 8;
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+/// `SUB_BUCKETS` exact buckets, then one row per octave 3..=63.
+const BUCKETS: usize = SUB_BUCKETS * (64 - SUB_BITS as usize + 1);
+
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
-            buckets: [0; 65],
+            buckets: [0; BUCKETS],
             count: 0,
             total_ns: 0,
             max_ns: 0,
@@ -99,8 +111,7 @@ impl LatencyHistogram {
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, ns: u64) {
-        let bucket = (64 - ns.leading_zeros()) as usize;
-        self.buckets[bucket] += 1;
+        self.buckets[Self::bucket_of(ns)] += 1;
         self.count += 1;
         self.total_ns = self.total_ns.saturating_add(ns);
         self.max_ns = self.max_ns.max(ns);
@@ -141,7 +152,8 @@ impl LatencyHistogram {
     }
 
     /// Upper bound of the bucket containing the `q`-quantile sample
-    /// (`q` in `[0, 1]`; 0 if empty). The true sample lies within 2x.
+    /// (`q` in `[0, 1]`; 0 if empty). The true sample is at most 12.5 %
+    /// below it.
     pub fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -174,14 +186,26 @@ impl LatencyHistogram {
         self.quantile_ns(0.999)
     }
 
-    /// Upper bound of bucket `k` in nanoseconds.
+    /// The bucket counting `ns`.
+    #[inline]
+    fn bucket_of(ns: u64) -> usize {
+        if ns < SUB_BUCKETS as u64 {
+            return ns as usize;
+        }
+        let octave = 63 - ns.leading_zeros();
+        let sub = (ns >> (octave - SUB_BITS)) as usize & (SUB_BUCKETS - 1);
+        (((octave - SUB_BITS + 1) as usize) << SUB_BITS) | sub
+    }
+
+    /// The largest sample bucket `k` counts, ns.
     #[inline]
     fn bucket_upper(k: usize) -> u64 {
-        match k {
-            0 => 0,
-            64 => u64::MAX,
-            _ => 1u64 << k,
+        if k < SUB_BUCKETS {
+            return k as u64;
         }
+        let shift = (k >> SUB_BITS) as u32 - 1;
+        let lower = ((SUB_BUCKETS + (k & (SUB_BUCKETS - 1))) as u64) << shift;
+        lower + ((1u64 << shift) - 1)
     }
 
     /// Non-empty buckets as `(upper_bound_ns, count)` pairs, ascending.
@@ -199,7 +223,7 @@ impl std::fmt::Display for LatencyHistogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "n={} mean={:.0}ns p50<{}ns p95<{}ns p99<{}ns max={}ns",
+            "n={} mean={:.0}ns p50<={}ns p95<={}ns p99<={}ns max={}ns",
             self.count,
             self.mean_ns(),
             self.quantile_ns(0.50),
@@ -408,10 +432,10 @@ mod tests {
         assert_eq!(h.count(), 6);
         assert_eq!(h.total_ns(), 51_201);
         assert_eq!(h.max_ns(), 50_000);
-        // The p50 sample is 100 → bucket upper bound 128.
-        assert_eq!(h.quantile_ns(0.50), 128);
-        // The max sample 50_000 → bucket upper bound 65536.
-        assert_eq!(h.quantile_ns(1.0), 65_536);
+        // The p50 sample is 100 → sub-bucket [96, 103] of octave 64..127.
+        assert_eq!(h.quantile_ns(0.50), 103);
+        // The max sample 50_000 → sub-bucket [49152, 53247].
+        assert_eq!(h.quantile_ns(1.0), 53_247);
         assert_eq!(h.quantile_ns(0.0), 0);
         let display = h.to_string();
         assert!(display.contains("n=6"), "{display}");
@@ -440,17 +464,47 @@ mod tests {
     }
 
     #[test]
+    fn histogram_buckets_tile_the_range_within_an_eighth() {
+        // Every sample's bucket bound is ≥ the sample and at most 12.5 %
+        // above it, at every octave edge and in between; buckets are
+        // contiguous (a bucket starts where the previous one ended).
+        let mut probes = vec![0u64, 1, 7, 8, 9, 15, 16, 17, u64::MAX - 1, u64::MAX];
+        for shift in 4..64 {
+            let base = 1u64 << shift;
+            probes.extend([base - 1, base, base + 1, base + base / 3, base + (base - 1)]);
+        }
+        for v in probes {
+            let mut h = LatencyHistogram::new();
+            h.record(v);
+            let upper = h.quantile_ns(1.0);
+            assert!(upper >= v, "bound {upper} below sample {v}");
+            assert!(upper - v <= v / 8, "bound {upper} over 12.5 % above {v}");
+        }
+        for k in 1..BUCKETS {
+            let start = LatencyHistogram::bucket_upper(k - 1) + 1;
+            assert_eq!(LatencyHistogram::bucket_of(start), k);
+            assert_eq!(
+                LatencyHistogram::bucket_of(LatencyHistogram::bucket_upper(k)),
+                k
+            );
+        }
+    }
+
+    #[test]
     fn histogram_named_quantiles_track_the_samples() {
         // 1000 samples 1..=1000: the pXX accessors must bracket the exact
-        // rank statistic within one log2 bucket (upper bound ≥ exact,
-        // and < 2x above it).
+        // rank statistic within one sub-bucket (upper bound ≥ exact, and
+        // at most an eighth above it).
         let mut h = LatencyHistogram::new();
         for ns in 1..=1000u64 {
             h.record(ns);
         }
         for (got, exact) in [(h.p50_ns(), 500u64), (h.p99_ns(), 990), (h.p999_ns(), 999)] {
             assert!(got >= exact, "upper bound {got} below exact {exact}");
-            assert!(got < exact * 2, "upper bound {got} over 2x exact {exact}");
+            assert!(
+                got <= exact + exact / 8,
+                "upper bound {got} over 12.5 % above exact {exact}"
+            );
         }
         // Ordering between the named quantiles always holds.
         assert!(h.p50_ns() <= h.p99_ns());
@@ -487,7 +541,7 @@ mod tests {
         assert_eq!(merged.p50_ns(), whole.p50_ns());
         assert_eq!(merged.p99_ns(), whole.p99_ns());
         assert_eq!(merged.p999_ns(), whole.p999_ns());
-        assert!(merged.p999_ns() >= 1 << 20, "tail samples drive p999");
+        assert!(merged.p999_ns() >= 1_000_000, "tail samples drive p999");
         assert!(merged.p50_ns() <= 256, "bulk samples drive p50");
         // Empty histograms answer 0 for every named quantile.
         let empty = LatencyHistogram::new();
