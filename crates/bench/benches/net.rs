@@ -202,11 +202,11 @@ fn bench_supervised(h: &mut Harness, txns: &TxnSet, spec: &AtomicitySpec) {
     let (degraded, dstats) = run_supervised(txns, spec, &kill, &cfg);
     h.set_meta(
         "degraded_supervisor_restarts",
-        degraded.metrics.supervisor_restarts,
+        degraded.report.metrics.supervisor_restarts,
     );
     h.set_meta(
         "degraded_recovering_replies",
-        degraded.net.recovering_replies,
+        degraded.report.net.recovering_replies,
     );
     h.set_meta("degraded_client_reconnects", dstats.reconnects);
     let (_, rstats) = run_supervised(txns, spec, &drops, &retry_cfg);

@@ -897,7 +897,7 @@ pub fn a2() -> String {
 /// formulation of RSG-SGT vs the incremental maintenance engine
 /// (identical decisions, different cost). Both run under the simulator,
 /// which times every `Scheduler::request` call, so the columns are the
-/// *per-decision* wall-clock means/p95s from [`relser_simdb::Metrics`].
+/// *per-decision* wall-clock means/p95s from [`relser_simdb::metrics::Metrics`].
 /// The last row crosses 1,000 operations, where the rebuild's quadratic
 /// per-request term dominates.
 pub fn a3() -> String {

@@ -18,7 +18,7 @@
 //! * [`oracle`] — the cross-validation suite: Theorem 1 RSG acyclicity,
 //!   Figure 5 lattice containments, conflict-serializability claims,
 //!   lockstep shadow schedulers, and exact trace replay;
-//! * [`shrink`] — greedy delta-debugging of a failing universe plus the
+//! * [`mod@shrink`] — greedy delta-debugging of a failing universe plus the
 //!   human-readable counterexample report;
 //! * [`faults`] — fault-injection sweeps against the real server
 //!   (`relser-server`): injected aborts, admission-core crashes, queue
@@ -32,7 +32,7 @@
 //!   durable N-shard run, full-log and skewed-cut recoveries, the
 //!   no-half-admitted invariant, and the Theorem 1 oracle re-run whole
 //!   over every merged committed history;
-//! * [`storage_faults`] (feature `fault-fs`) — storage fault injection
+//! * `storage_faults` (feature `fault-fs`) — storage fault injection
 //!   against the durable server: a fault-injecting WAL backend plus the
 //!   crash-point sweep that cuts, flips, and live-fails the commit log at
 //!   every offset and demands oracle-clean recovery with zero

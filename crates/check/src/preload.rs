@@ -12,7 +12,7 @@
 //! `[i * batch_max, (i + 1) * batch_max)` — under whatever core or
 //! storage fault the sweep injects.
 //!
-//! Every commit travels as an acknowledged [`Command::CommitAck`], so the
+//! Every commit travels as a [`Command::Commit`] asking for its [`Ack`], so the
 //! sweep checks the contract from the client's side of the reply:
 //! a transaction counts as acknowledged only if its reply came back
 //! `Granted`, and **acked ⇒ durable** is asserted against that set.
@@ -20,7 +20,7 @@
 use relser_core::ids::TxnId;
 use relser_core::shard::ArcExchange;
 use relser_protocols::{Decision, Scheduler};
-use relser_server::core::{Command, CoreOutput, Progress, Reply};
+use relser_server::core::{Ack, Command, CoreOutput, Progress, Reply};
 use relser_server::{run_core, BoundedQueue, CoreCfg, FaultPlan, ShardCoreCtx, TraceEvent};
 use relser_wal::CommitLog;
 use std::time::Instant;
@@ -66,12 +66,14 @@ pub fn redrive_preloaded(
             TraceEvent::Commit(txn) => {
                 let reply = Reply::new();
                 commit_replies.push((*txn, reply.clone()));
-                Command::CommitAck {
+                Command::Commit {
                     txn: *txn,
-                    enqueued: Instant::now(),
-                    reply,
                     stamp: stamps.next().map(|&(_, stamp)| stamp),
-                    session: None,
+                    ack: Some(Ack {
+                        enqueued: Instant::now(),
+                        reply,
+                        session: None,
+                    }),
                 }
             }
             TraceEvent::Abort(txn) => Command::Abort(*txn),

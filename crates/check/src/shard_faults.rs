@@ -2,7 +2,7 @@
 //!
 //! The sharded router admits a cross-shard transaction in two phases
 //! (admit fan-out with D-arc epoch exchange, then operations, then a
-//! `CommitAt` fan-out under one global stamp), and the correctness story
+//! commit fan-out under one global stamp), and the correctness story
 //! says a crash or reject *anywhere* in that window never produces a
 //! half-admitted or half-committed transaction — live or recovered.
 //! [`shard_admit_sweep`] pins that down mechanically:
@@ -29,7 +29,7 @@
 //!    only if *every* owner's commit reply came back `Granted`.
 //! 4. **Skewed-cut recovery** — the logs are additionally cut at
 //!    deterministic per-shard fractions (shards crashing at *different*
-//!    instants — in particular between one owner's `CommitAt` and
+//!    instants — in particular between one owner's commit and
 //!    another's), and each cut set must still recover.
 //!
 //! Every recovery is held to the no-half-admitted invariant (committed ∩

@@ -71,8 +71,8 @@
 //! [`CycleWitness`]: the operation sequence plus the arc kinds of each hop
 //! (`I`, or `F`/`B` merged with `D` when the hop coincides with the direct
 //! dependency arc). Since skeleton arcs are RSG arcs with those exact
-//! kinds, the witness replays under [`Rsg::arc_between`]
-//! (crate::rsg::Rsg::arc_between) — the negative-path tests assert this.
+//! kinds, the witness replays under
+//! [`Rsg::arc_between`](crate::rsg::Rsg::arc_between) — the negative-path tests assert this.
 //!
 //! Partial histories are supported the way `IncrementalRsg` supports them:
 //! operations may be observed for only a prefix of each transaction, and

@@ -1,6 +1,14 @@
 //! Per-connection state machine: decode buffer, pipelined in-flight
 //! request table, write buffer, and the degrade/close discipline.
 //!
+//! What happens to one command between its submit and its verdict —
+//! resubmit on `Blocked`, the waits-for timeout, the reply watchdog — is
+//! not written here: each in-flight request holds a [`Flight`], the
+//! state machine of `relser_server::flight`, and the connection is its
+//! *reactor* driver ([`Flight::poll`] on every pass, [`Flight::deadline`]
+//! for the reactor's wait). Which core a command goes to is the server's
+//! [`Route`], the same value the in-process sessions route by.
+//!
 //! A connection fails alone. Every terminal condition — corrupt frame,
 //! malformed request, lost reply, socket error — marks *this* connection
 //! closing: its live transactions are aborted through the normal command
@@ -24,145 +32,74 @@
 use crate::metrics::NetMetrics;
 use crate::wire::{ErrorCode, ReqId, Request, Response};
 use relser_core::ids::{OpId, TxnId};
-use relser_core::shard::ShardMap;
-use relser_core::txn::TxnSet;
 use relser_poll::{Doorbell, PollFd, POLLIN, POLLOUT};
-use relser_protocols::{AbortReason, Decision};
-use relser_server::core::{Command, Progress, Reply};
+use relser_protocols::AbortReason;
+use relser_server::core::{Command, Reply};
 use relser_server::queue::{BoundedQueue, PushError};
-use relser_server::supervisor::{SessionTable, ShardHealth};
-use relser_server::OverloadPolicy;
+use relser_server::supervisor::SessionTable;
+use relser_server::{Flight, OverloadPolicy, Route, Step, Timeouts, Work};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The sharded, supervised back-end: one queue and one health slot per
-/// shard core, plus the object→shard map the reactor routes with and the
-/// global commit-stamp counter. Only single-shard transactions are
-/// admitted over the wire — the router's two-phase cross-shard admit
-/// stays an in-process protocol.
-pub(crate) struct ShardRoute<'a> {
-    /// One command queue per shard core.
-    pub queues: &'a [BoundedQueue<Command>],
-    /// One liveness slot per shard core (supervised restarts flip it).
-    pub healths: &'a [ShardHealth],
-    /// The object→shard partition.
-    pub map: ShardMap,
-    /// The global commit-stamp counter; one draw per commit merges the
-    /// per-shard commit orders into a single timeline.
-    pub seq: &'a AtomicU64,
-}
 
 /// Everything a connection needs from the server, shared by all
 /// connections of one run.
 pub(crate) struct ReactorCtx<'a> {
     /// One doorbell per reactor thread (index = reactor), each attached
-    /// to `progress`.
+    /// to every core's progress epoch.
     pub bells: Vec<Arc<Doorbell>>,
-    /// The command queue into the single-writer admission core (shard 0's
-    /// queue when `route` is set — use [`ReactorCtx::queue_of`]).
-    pub queue: &'a BoundedQueue<Command>,
-    /// The core's progress epoch (blocked-operation retry wakeups).
-    pub progress: &'a Progress,
-    /// The transaction set requests are validated against.
-    pub txns: &'a TxnSet,
+    /// The admission cores: [`crate::serve_net`] hands in the N = 1 row,
+    /// the supervised service one element per shard core. Only
+    /// single-shard transactions are admitted over the wire — the
+    /// two-phase cross-shard admit stays an in-process protocol.
+    pub route: Route<'a>,
+    /// The durable client-session retry table (only a supervised core
+    /// ever writes it; empty otherwise).
+    pub sessions: &'a SessionTable,
     /// What to do with operation requests when the queue is full.
     pub policy: OverloadPolicy,
     /// Cap on in-flight (submitted, unanswered) commands per connection;
     /// reads pause at the cap, so a pipelining client is throttled by
     /// TCP backpressure rather than unbounded server memory.
     pub max_inflight: usize,
-    /// Abort a transaction blocked on an unchanged waits-for set this long.
-    pub block_timeout: Duration,
-    /// Re-submit a blocked operation at least this often even without a
-    /// progress epoch advance.
-    pub retry_slice: Duration,
-    /// Close the connection if the core never answers within this.
-    pub reply_timeout: Duration,
-    /// Sharded supervised service only; `None` = one unsharded core.
-    pub route: Option<ShardRoute<'a>>,
-    /// The durable client-session retry table (supervised service only).
-    pub sessions: Option<&'a SessionTable>,
+    /// The waits-for timeout, retry slice and reply watchdog of every
+    /// in-flight command ([`Flight`]).
+    pub timeouts: Timeouts,
 }
 
-impl<'a> ReactorCtx<'a> {
-    /// The queue commands for `shard` go to.
-    fn queue_of(&self, shard: u32) -> &'a BoundedQueue<Command> {
-        match &self.route {
-            Some(r) => &r.queues[shard as usize],
-            None => self.queue,
-        }
-    }
-
-    /// The shard's health slot, when supervised.
-    fn health_of(&self, shard: u32) -> Option<&'a ShardHealth> {
-        self.route.as_ref().map(|r| &r.healths[shard as usize])
-    }
-}
-
-/// A decoded request waiting for room in the command queue. `shard` is
-/// the owning shard core (always 0 for an unsharded service).
-enum Action {
-    Begin {
-        req_id: ReqId,
-        txn: TxnId,
-        shard: u32,
-        t0: Instant,
-    },
-    Op {
-        req_id: ReqId,
-        op: OpId,
-        shard: u32,
-        t0: Instant,
-    },
-    Commit {
-        req_id: ReqId,
-        txn: TxnId,
-        shard: u32,
-        t0: Instant,
-    },
-    Abort {
-        req_id: ReqId,
-        txn: TxnId,
-        shard: u32,
-        t0: Instant,
-    },
-    /// Degrade-path abort of a live transaction (EOF, lost reply, bad
-    /// frame): no response, but the abort must still reach the core.
-    /// The owning shard is resolved at submit time.
-    Cleanup { txn: TxnId },
-}
-
-/// What a submitted command is waiting for.
-enum PendingKind {
+/// What a decoded request asks of the core.
+#[derive(Clone, Copy)]
+enum ActionKind {
+    Begin,
     Op(OpId),
-    Commit(TxnId),
+    Commit,
+    Abort,
+    /// Degrade-path abort of a live transaction (EOF, lost reply, bad
+    /// frame, waits-for timeout): no response, but the abort must still
+    /// reach the core.
+    Cleanup,
 }
 
-/// One in-flight command: its reply cell plus the blocked-retry state
-/// mirroring the in-process session discipline.
-struct Pending {
+/// A decoded request waiting for room in the command queue of the core
+/// owning `txn`.
+struct Action {
+    kind: ActionKind,
     req_id: ReqId,
-    kind: PendingKind,
-    /// The shard core the command went to (resubmits go back there).
-    shard: u32,
-    reply: Reply,
+    txn: TxnId,
     /// Wire-to-wire start: when the request's bytes were read.
     t0: Instant,
-    /// When the current command instance was enqueued (reply watchdog).
-    submitted: Instant,
-    /// Progress epoch observed just before the submit (blocked retry).
-    seen: u64,
-    /// Blocked and waiting for the epoch to pass `seen` before resubmit.
-    resubmit: bool,
-    /// Waits-for timeout state (ops only).
-    ever_blocked: bool,
-    waited_on: Vec<TxnId>,
-    blocked_since: Instant,
+}
+
+/// One in-flight command: the request it answers and the [`Flight`] —
+/// the per-operation state machine the in-process sessions drive too —
+/// that waits for its verdict.
+struct InFlight {
+    req_id: ReqId,
+    t0: Instant,
+    flight: Flight,
 }
 
 /// A response encoded into the write buffer, waiting to hit the socket;
@@ -191,7 +128,7 @@ pub(crate) struct Conn {
     enc_total: u64,
     sent_total: u64,
     resp_marks: VecDeque<RespMark>,
-    pending: Vec<Pending>,
+    flights: Vec<InFlight>,
     deferred: VecDeque<Action>,
     /// Transactions begun on this connection and not yet finished.
     live: Vec<TxnId>,
@@ -226,7 +163,7 @@ impl Conn {
             enc_total: 0,
             sent_total: 0,
             resp_marks: VecDeque::new(),
-            pending: Vec::new(),
+            flights: Vec::new(),
             deferred: VecDeque::new(),
             live: Vec::new(),
             session: None,
@@ -245,7 +182,7 @@ impl Conn {
     fn reads_paused(&self, ctx: &ReactorCtx<'_>) -> bool {
         self.eof
             || self.closing
-            || self.pending.len() >= ctx.max_inflight
+            || self.flights.len() >= ctx.max_inflight
             || !self.deferred.is_empty()
             || self.rbuf.len() >= RBUF_MAX
     }
@@ -285,17 +222,11 @@ impl Conn {
         if self.closing {
             return first; // in-flight replies are abandoned at the close
         }
-        for p in &self.pending {
-            if p.resubmit {
-                at(p.blocked_since.checked_add(ctx.block_timeout));
-                if !self.queue_closed {
-                    // A slice that already ran out means the resubmit
-                    // found the queue full: try again a quantum later.
-                    at(p.submitted.checked_add(ctx.retry_slice).max(retry_tick));
-                }
-            } else {
-                at(p.submitted.checked_add(ctx.reply_timeout));
-            }
+        for f in &self.flights {
+            // A deadline already past is a resubmit that found the queue
+            // full: try again a quantum later.
+            let due = f.flight.deadline(&ctx.timeouts);
+            at(due.and_then(|d| if d <= now { retry_tick } else { Some(d) }));
         }
         first
     }
@@ -312,7 +243,7 @@ impl Conn {
         }
         busy |= self.parse_requests(ctx, m);
         busy |= self.drain_deferred(ctx, m);
-        busy |= self.poll_pending(ctx, m);
+        busy |= self.poll_flights(ctx, m);
         busy |= self.flush(m);
         if self.eof && !self.closing {
             // Clean disconnect: abort whatever the client left live.
@@ -320,7 +251,7 @@ impl Conn {
         }
         if self.closing && self.deferred.is_empty() && (self.wpos == self.wbuf.len() || self.eof) {
             let _ = self.stream.shutdown(Shutdown::Both);
-            self.pending.clear();
+            self.flights.clear();
             self.closed = true;
             busy = true;
         }
@@ -345,7 +276,7 @@ impl Conn {
         self.closing = true;
         if !self.queue_closed {
             for txn in std::mem::take(&mut self.live) {
-                self.deferred.push_back(Action::Cleanup { txn });
+                self.deferred.push_back(Action::cleanup(txn));
             }
         } else {
             self.deferred.clear();
@@ -438,7 +369,10 @@ impl Conn {
         // the core's commit-supremacy rules answer retries of retired or
         // committed incarnations with their typed verdicts.
         let resumed = self.session.is_some();
-        let action = match req {
+        let begun = |conn: &Conn, txn| {
+            conn.live.contains(&txn) || (resumed && ctx.route.txns.get(txn).is_some())
+        };
+        let (kind, txn, valid) = match req {
             Request::Hello { session, .. } => {
                 self.session = Some(session);
                 m.hellos += 1;
@@ -446,80 +380,39 @@ impl Conn {
                 return;
             }
             Request::Begin { txn, .. } => {
-                if ctx.txns.get(txn).is_none() || self.live.contains(&txn) {
-                    return self.fail(req_id, ErrorCode::BadRequest, m);
-                }
-                let Some(shard) = self.shard_of(ctx, txn) else {
-                    return self.fail(req_id, ErrorCode::BadRequest, m);
-                };
-                Action::Begin {
-                    req_id,
-                    txn,
-                    shard,
-                    t0,
-                }
+                let fresh = ctx.route.txns.get(txn).is_some() && !self.live.contains(&txn);
+                (ActionKind::Begin, txn, fresh)
             }
             Request::Read { op, object, .. } | Request::Write { op, object, .. } => {
-                let known = match ctx.txns.op(op) {
+                let known = match ctx.route.txns.op(op) {
                     Ok(real) => real.mode == req.mode().unwrap() && real.object == object,
                     Err(_) => false,
                 };
-                if !known || !(resumed || self.live.contains(&op.txn)) {
-                    return self.fail(req_id, ErrorCode::BadRequest, m);
-                }
-                let Some(shard) = self.shard_of(ctx, op.txn) else {
-                    return self.fail(req_id, ErrorCode::BadRequest, m);
-                };
-                Action::Op {
-                    req_id,
-                    op,
-                    shard,
-                    t0,
-                }
+                let valid = known && (resumed || self.live.contains(&op.txn));
+                (ActionKind::Op(op), op.txn, valid)
             }
             Request::Commit { txn, .. } => {
                 // Exactly-once fast path: a retried commit whose original
                 // ack is in the session table gets the original verdict
                 // back without touching the admission core at all.
-                if let (Some(table), Some(sess)) = (ctx.sessions, self.session) {
-                    if let Some((acked, acked_txn)) = table.lookup(sess) {
-                        if req_id == acked && txn == acked_txn {
-                            m.dup_commit_fast += 1;
-                            self.live.retain(|&t| t != txn);
-                            self.respond(Response::Committed { req_id }, Some(t0), m);
-                            return;
-                        }
-                    }
+                if self.session.and_then(|s| ctx.sessions.lookup(s)) == Some((req_id, txn)) {
+                    m.dup_commit_fast += 1;
+                    self.live.retain(|&t| t != txn);
+                    self.respond(Response::Committed { req_id }, Some(t0), m);
+                    return;
                 }
-                let known = self.live.contains(&txn) || (resumed && ctx.txns.get(txn).is_some());
-                if !known {
-                    return self.fail(req_id, ErrorCode::BadRequest, m);
-                }
-                let Some(shard) = self.shard_of(ctx, txn) else {
-                    return self.fail(req_id, ErrorCode::BadRequest, m);
-                };
-                Action::Commit {
-                    req_id,
-                    txn,
-                    shard,
-                    t0,
-                }
+                (ActionKind::Commit, txn, begun(self, txn))
             }
-            Request::Abort { txn, .. } => {
-                let known = self.live.contains(&txn) || (resumed && ctx.txns.get(txn).is_some());
-                if !known {
-                    return self.fail(req_id, ErrorCode::BadRequest, m);
-                }
-                let Some(shard) = self.shard_of(ctx, txn) else {
-                    return self.fail(req_id, ErrorCode::BadRequest, m);
-                };
-                Action::Abort {
-                    req_id,
-                    txn,
-                    shard,
-                    t0,
-                }
-            }
+            Request::Abort { txn, .. } => (ActionKind::Abort, txn, begun(self, txn)),
+        };
+        if !valid {
+            return self.fail(req_id, ErrorCode::BadRequest, m);
+        }
+        let action = Action {
+            kind,
+            req_id,
+            txn,
+            t0,
         };
         // Per-connection FIFO: nothing may overtake an already-deferred
         // command, or program order could invert inside the queue.
@@ -549,183 +442,75 @@ impl Conn {
         busy
     }
 
-    /// Attempts to enqueue one action's command. Returns the action back
-    /// when the queue is full and the action must wait (backpressure).
+    /// Attempts to enqueue one action's command on the core owning its
+    /// transaction. Returns the action back when the queue is full and
+    /// the action must wait (backpressure).
     fn try_action(
         &mut self,
-        action: Action,
+        a: Action,
         ctx: &ReactorCtx<'_>,
         m: &mut NetMetrics,
     ) -> Option<Action> {
         if self.queue_closed {
             return None; // shutting down; drop silently
         }
-        match action {
-            Action::Begin {
-                req_id,
-                txn,
-                shard,
-                t0,
-            } => {
-                match ctx.queue_of(shard).try_push(Command::Begin(txn)) {
-                    Ok(()) => {
-                        // FIFO queue order applies the begin before any
-                        // later command of this connection, so the ack
-                        // can ride on the enqueue itself.
-                        self.live.push(txn);
-                        self.respond(Response::Granted { req_id }, Some(t0), m);
-                        None
-                    }
-                    Err(PushError::Full(_)) => Some(Action::Begin {
-                        req_id,
-                        txn,
-                        shard,
-                        t0,
-                    }),
-                    Err(PushError::Closed(_)) => {
-                        self.on_closed(shard, req_id, ctx, m);
-                        None
-                    }
+        // A cross-shard transaction is not admissible over the wire.
+        let Some(shard) = ctx.route.owner(a.txn) else {
+            self.fail(a.req_id, ErrorCode::BadRequest, m);
+            return None;
+        };
+        let queue = &ctx.route.queues[shard as usize];
+        let submit = |work| {
+            let reply = Reply::with_doorbell(Arc::clone(&self.bell));
+            let push = BoundedQueue::try_push;
+            Flight::submit(&ctx.route, shard, work, reply, Instant::now(), push)
+        };
+        let pushed = match a.kind {
+            ActionKind::Begin => queue.try_push(Command::Begin(a.txn)).map(|()| None),
+            ActionKind::Abort | ActionKind::Cleanup => {
+                queue.try_push(Command::Abort(a.txn)).map(|()| None)
+            }
+            ActionKind::Op(op) => submit(Work::Op(op)).map(Some),
+            // The `(session, req_id)` pair the commit is recorded under in
+            // the retry table (`None` on a sessionless connection).
+            ActionKind::Commit => {
+                submit(Work::Commit(a.txn, self.session.map(|s| (s, a.req_id)))).map(Some)
+            }
+        };
+        match (pushed, a.kind) {
+            (Ok(Some(flight)), _) => self.flights.push(InFlight {
+                req_id: a.req_id,
+                t0: a.t0,
+                flight,
+            }),
+            // FIFO queue order applies a begin or an abort before any
+            // later command of this connection, so the ack can ride on
+            // the enqueue itself.
+            (Ok(None), ActionKind::Begin) => {
+                self.live.push(a.txn);
+                self.respond(Response::Granted { req_id: a.req_id }, Some(a.t0), m);
+            }
+            (Ok(None), ActionKind::Abort) => {
+                self.live.retain(|&t| t != a.txn);
+                self.respond(Response::Granted { req_id: a.req_id }, Some(a.t0), m);
+            }
+            (Ok(None), _) => {}
+            (Err(PushError::Full(_)), ActionKind::Op(_)) if ctx.policy == OverloadPolicy::Shed => {
+                m.sheds += 1;
+                self.respond(Response::Shed { req_id: a.req_id }, Some(a.t0), m);
+            }
+            (Err(PushError::Full(_)), _) => return Some(a),
+            // A cleanup for a shard mid-recovery has nothing to clean up:
+            // recovery itself rolls the orphan back.
+            (Err(PushError::Closed(_)), ActionKind::Cleanup) => {
+                if !ctx.route.recovering(shard) {
+                    self.queue_closed = true;
+                    self.deferred.clear();
                 }
             }
-            Action::Op {
-                req_id,
-                op,
-                shard,
-                t0,
-            } => {
-                let reply = Reply::with_doorbell(Arc::clone(&self.bell));
-                let seen = ctx.progress.current();
-                let now = Instant::now();
-                let cmd = Command::Request {
-                    op,
-                    enqueued: now,
-                    reply: reply.clone(),
-                };
-                match ctx.queue_of(shard).try_push(cmd) {
-                    Ok(()) => {
-                        self.pending.push(Pending {
-                            req_id,
-                            kind: PendingKind::Op(op),
-                            shard,
-                            reply,
-                            t0,
-                            submitted: now,
-                            seen,
-                            resubmit: false,
-                            ever_blocked: false,
-                            waited_on: Vec::new(),
-                            blocked_since: now,
-                        });
-                        None
-                    }
-                    Err(PushError::Full(_)) => match ctx.policy {
-                        OverloadPolicy::Shed => {
-                            m.sheds += 1;
-                            self.respond(Response::Shed { req_id }, Some(t0), m);
-                            None
-                        }
-                        OverloadPolicy::Wait => Some(Action::Op {
-                            req_id,
-                            op,
-                            shard,
-                            t0,
-                        }),
-                    },
-                    Err(PushError::Closed(_)) => {
-                        self.on_closed(shard, req_id, ctx, m);
-                        None
-                    }
-                }
-            }
-            Action::Commit {
-                req_id,
-                txn,
-                shard,
-                t0,
-            } => {
-                let reply = Reply::with_doorbell(Arc::clone(&self.bell));
-                let now = Instant::now();
-                let cmd = Command::CommitAck {
-                    txn,
-                    enqueued: now,
-                    reply: reply.clone(),
-                    stamp: self.commit_stamp(ctx),
-                    session: self.session_entry(req_id),
-                };
-                match ctx.queue_of(shard).try_push(cmd) {
-                    Ok(()) => {
-                        self.pending.push(Pending {
-                            req_id,
-                            kind: PendingKind::Commit(txn),
-                            shard,
-                            reply,
-                            t0,
-                            submitted: now,
-                            seen: 0,
-                            resubmit: false,
-                            ever_blocked: false,
-                            waited_on: Vec::new(),
-                            blocked_since: now,
-                        });
-                        None
-                    }
-                    Err(PushError::Full(_)) => Some(Action::Commit {
-                        req_id,
-                        txn,
-                        shard,
-                        t0,
-                    }),
-                    Err(PushError::Closed(_)) => {
-                        self.on_closed(shard, req_id, ctx, m);
-                        None
-                    }
-                }
-            }
-            Action::Abort {
-                req_id,
-                txn,
-                shard,
-                t0,
-            } => match ctx.queue_of(shard).try_push(Command::Abort(txn)) {
-                Ok(()) => {
-                    self.live.retain(|&t| t != txn);
-                    self.respond(Response::Granted { req_id }, Some(t0), m);
-                    None
-                }
-                Err(PushError::Full(_)) => Some(Action::Abort {
-                    req_id,
-                    txn,
-                    shard,
-                    t0,
-                }),
-                Err(PushError::Closed(_)) => {
-                    self.on_closed(shard, req_id, ctx, m);
-                    None
-                }
-            },
-            Action::Cleanup { txn } => {
-                let shard = self.shard_of(ctx, txn).unwrap_or(0);
-                match ctx.queue_of(shard).try_push(Command::Abort(txn)) {
-                    Ok(()) => None,
-                    Err(PushError::Full(_)) => Some(Action::Cleanup { txn }),
-                    Err(PushError::Closed(_)) => {
-                        match ctx.health_of(shard) {
-                            Some(h) if !h.is_failed() => {
-                                // Shard mid-recovery: the orphan will be
-                                // rolled back by recovery itself; nothing
-                                // to clean up.
-                            }
-                            _ => {
-                                self.queue_closed = true;
-                                self.deferred.clear();
-                            }
-                        }
-                        None
-                    }
-                }
-            }
+            (Err(PushError::Closed(_)), _) => self.on_closed(shard, a.req_id, ctx, m),
         }
+        None
     }
 
     fn shutdown_error(&mut self, req_id: ReqId, m: &mut NetMetrics) {
@@ -743,146 +528,69 @@ impl Conn {
     /// retry table still deduplicates it. Without supervision (or once
     /// the restart budget is exhausted) a closed queue is terminal.
     fn on_closed(&mut self, shard: u32, req_id: ReqId, ctx: &ReactorCtx<'_>, m: &mut NetMetrics) {
-        match ctx.health_of(shard) {
-            Some(h) if !h.is_failed() => {
-                m.recovering_replies += 1;
-                self.respond(Response::Recovering { req_id }, None, m);
-            }
-            _ => self.shutdown_error(req_id, m),
+        if ctx.route.recovering(shard) {
+            m.recovering_replies += 1;
+            self.respond(Response::Recovering { req_id }, None, m);
+        } else {
+            self.shutdown_error(req_id, m);
         }
     }
 
-    /// The global commit stamp a sharded commit carries (`None` for an
-    /// unsharded core, which orders commits by its own queue order).
-    fn commit_stamp(&self, ctx: &ReactorCtx<'_>) -> Option<u64> {
-        ctx.route
-            .as_ref()
-            .map(|r| r.seq.fetch_add(1, Ordering::SeqCst))
-    }
-
-    /// The `(session, req_id)` pair a commit is recorded under in the
-    /// retry table (`None` on a sessionless connection).
-    fn session_entry(&self, req_id: ReqId) -> Option<(u64, u64)> {
-        self.session.map(|s| (s, req_id))
-    }
-
-    /// The shard core owning `txn`, or `None` for a cross-shard
-    /// transaction — those are not admissible over the wire.
-    fn shard_of(&self, ctx: &ReactorCtx<'_>, txn: TxnId) -> Option<u32> {
-        let Some(r) = &ctx.route else { return Some(0) };
-        match r.map.shards_of_txn(ctx.txns, txn).as_slice() {
-            &[s] => Some(s),
-            // Zero ops shares a fate with cross-shard: nothing to route by.
-            _ => None,
-        }
-    }
-
-    /// Polls every in-flight reply cell; applies decisions, runs the
-    /// blocked-retry protocol and both watchdogs.
-    fn poll_pending(&mut self, ctx: &ReactorCtx<'_>, m: &mut NetMetrics) -> bool {
+    /// Polls every in-flight command ([`Flight::poll`] runs the
+    /// blocked-retry protocol and the watchdogs) and answers the ones
+    /// that reached a verdict.
+    fn poll_flights(&mut self, ctx: &ReactorCtx<'_>, m: &mut NetMetrics) -> bool {
         let mut busy = false;
         let mut i = 0;
-        while i < self.pending.len() {
-            if self.closing {
-                break;
-            }
-            let now = Instant::now();
-            let p = &mut self.pending[i];
-            if p.resubmit {
-                // Blocked: waiting for the core to make progress. Same
-                // discipline as the in-process session — waits-for
-                // timeout on an unchanged set, otherwise retry once the
-                // epoch moves (or a retry slice elapses).
-                if p.ever_blocked && now.duration_since(p.blocked_since) >= ctx.block_timeout {
-                    let (req_id, txn) = (p.req_id, txn_of(&p.kind));
-                    self.pending.remove(i);
-                    self.live.retain(|&t| t != txn);
-                    self.deferred.push_back(Action::Cleanup { txn });
-                    m.timeout_aborts += 1;
-                    self.respond(
-                        Response::Aborted {
-                            req_id,
-                            reason: AbortReason::Deadlock,
-                        },
-                        None,
-                        m,
-                    );
-                    busy = true;
-                    continue;
-                }
-                let moved = ctx.progress.current() > p.seen
-                    || now.duration_since(p.submitted) >= ctx.retry_slice;
-                if moved && !self.queue_closed {
-                    let op = match p.kind {
-                        PendingKind::Op(op) => op,
-                        PendingKind::Commit(_) => unreachable!("commits never block"),
-                    };
-                    let reply = Reply::with_doorbell(Arc::clone(&self.bell));
-                    let seen = ctx.progress.current();
-                    let cmd = Command::Request {
-                        op,
-                        enqueued: now,
-                        reply: reply.clone(),
-                    };
-                    if ctx.queue_of(p.shard).try_push(cmd).is_ok() {
-                        p.reply = reply;
-                        p.submitted = now;
-                        p.seen = seen;
-                        p.resubmit = false;
-                        m.retries += 1;
-                        busy = true;
-                    }
-                    // Full or closed: stay in resubmit state, retry next
-                    // tick (closed resolves via the watchdog below).
-                }
+        while i < self.flights.len() && !self.closing {
+            let step = self.flights[i]
+                .flight
+                .poll(&ctx.route, &ctx.timeouts, Instant::now());
+            if step == Step::InFlight {
                 i += 1;
                 continue;
             }
-            match p.reply.try_take() {
-                None => {
-                    if now.duration_since(p.submitted) >= ctx.reply_timeout {
-                        // The core went silent on this request: degrade
-                        // this connection, leave the rest of the server
-                        // alone.
-                        let req_id = p.req_id;
-                        self.fail(req_id, ErrorCode::ReplyLost, m);
-                        busy = true;
-                        break;
-                    }
-                    i += 1;
-                }
-                Some(Decision::Granted) => {
-                    let (req_id, t0) = (p.req_id, p.t0);
-                    let resp = match p.kind {
-                        PendingKind::Op(_) => Response::Granted { req_id },
-                        PendingKind::Commit(txn) => {
-                            self.live.retain(|&t| t != txn);
-                            Response::Committed { req_id }
-                        }
+            let InFlight { req_id, t0, flight } = self.flights.remove(i);
+            let (work, txn) = (flight.work(), flight.work().txn());
+            m.retries += flight.resubmits();
+            busy = true;
+            // The transaction is over once it committed or aborted; a lost
+            // reply or a closed queue leaves it live for the cleanup.
+            let over = match step {
+                Step::InFlight => unreachable!("left in the table above"),
+                Step::Granted => {
+                    let committed = matches!(work, Work::Commit(..));
+                    let resp = match committed {
+                        false => Response::Granted { req_id },
+                        true => Response::Committed { req_id },
                     };
-                    self.pending.remove(i);
                     self.respond(resp, Some(t0), m);
-                    busy = true;
+                    committed
                 }
-                Some(Decision::Aborted(reason)) => {
-                    let (req_id, t0, txn) = (p.req_id, p.t0, txn_of(&p.kind));
-                    self.pending.remove(i);
-                    self.live.retain(|&t| t != txn);
+                Step::Aborted(reason) => {
                     self.respond(Response::Aborted { req_id, reason }, Some(t0), m);
-                    busy = true;
+                    true
                 }
-                Some(Decision::Blocked { mut on }) => {
-                    on.sort_unstable();
-                    on.dedup();
-                    if !p.ever_blocked || on != p.waited_on {
-                        p.ever_blocked = true;
-                        p.waited_on = on;
-                        p.blocked_since = now;
-                    }
-                    p.resubmit = true;
-                    busy = true;
-                    i += 1;
+                Step::TimedOut => {
+                    self.deferred.push_back(Action::cleanup(txn));
+                    m.timeout_aborts += 1;
+                    let reason = AbortReason::Deadlock;
+                    self.respond(Response::Aborted { req_id, reason }, None, m);
+                    true
                 }
+                // The core went silent on this request: degrade this
+                // connection, leave the rest of the server alone.
+                Step::ReplyLost => {
+                    self.fail(req_id, ErrorCode::ReplyLost, m);
+                    false
+                }
+                Step::Closed => {
+                    self.on_closed(flight.shard(), req_id, ctx, m);
+                    false
+                }
+            };
+            if over {
+                self.live.retain(|&t| t != txn);
             }
         }
         busy
@@ -952,10 +660,16 @@ impl Conn {
     }
 }
 
-fn txn_of(kind: &PendingKind) -> TxnId {
-    match kind {
-        PendingKind::Op(op) => op.txn,
-        PendingKind::Commit(txn) => *txn,
+impl Action {
+    /// The abort a live transaction is owed when its connection (or its
+    /// blocked operation) gives up; answers nobody.
+    fn cleanup(txn: TxnId) -> Action {
+        Action {
+            kind: ActionKind::Cleanup,
+            req_id: 0,
+            txn,
+            t0: Instant::now(),
+        }
     }
 }
 

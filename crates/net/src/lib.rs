@@ -15,8 +15,10 @@
 //!   the shared [`relser_frame`] codec (the same framing the WAL uses on
 //!   disk), with client-chosen request ids for **pipelining**;
 //! * `conn` (internal) — the per-connection state machine: validate
-//!   requests against the transaction set, submit commands, take filled
-//!   reply cells, run the blocked-retry/waits-for-timeout protocol, and map
+//!   requests against the transaction set, submit commands, drive each
+//!   one's [`relser_server::Flight`] (the per-operation state machine the
+//!   in-process sessions drive too: blocked-retry, waits-for timeout,
+//!   reply watchdog) to its verdict, and map
 //!   queue overload onto the socket ([`OverloadPolicy::Wait`] pauses
 //!   reads → TCP backpressure; `Shed` answers an explicit
 //!   [`wire::Response::Shed`]);

@@ -1,7 +1,7 @@
 //! Server orchestration: listener + acceptor + reactors + the
 //! single-writer admission core, wired under one `thread::scope`.
 
-use crate::conn::{ReactorCtx, ShardRoute};
+use crate::conn::ReactorCtx;
 use crate::metrics::{NetMetrics, NetReport};
 use crate::reactor::{accept_loop, run_reactor};
 use relser_core::shard::ShardMap;
@@ -16,7 +16,7 @@ use relser_server::recovery::{recover_sharded_segments_with_certifier, ShardedRe
 use relser_server::supervisor::{
     supervise_shard, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg,
 };
-use relser_server::{Certifier, OverloadPolicy, ServerMetrics};
+use relser_server::{Certifier, OverloadPolicy, Route, ServerMetrics, Timeouts};
 use relser_wal::{CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentsHandle};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,7 +42,9 @@ pub struct NetConfig {
     /// server is willing to buffer before pausing reads).
     pub max_inflight: usize,
     /// Abort a transaction blocked on an unchanged waits-for set this
-    /// long (deadlock resolution, mirroring the in-process sessions).
+    /// long (deadlock resolution). This and the next two are the
+    /// [`Timeouts`] of every in-flight command — the same rule, from the
+    /// same code, as the in-process sessions'.
     pub block_timeout: Duration,
     /// Re-submit a blocked operation at least this often.
     pub retry_slice: Duration,
@@ -114,37 +116,34 @@ fn bind_loopback() -> io::Result<(TcpListener, SocketAddr)> {
 }
 
 impl NetConfig {
-    /// The reactors' view of this config over the given back-end:
-    /// `queue`/`progress` are the (first) core's, `route` and `sessions`
-    /// are set by the supervised sharded back-end only. Makes one
-    /// doorbell per reactor and attaches each to `progress`, so every
-    /// epoch bump rings them.
+    /// The reactors' view of this config over the back-end `route`;
+    /// `sessions` is written by supervised cores only. Makes one doorbell
+    /// per reactor and attaches each to every core's progress epoch, so
+    /// every bump rings them.
     fn reactor_ctx<'a>(
         &self,
-        txns: &'a TxnSet,
-        queue: &'a BoundedQueue<Command>,
-        progress: &'a Progress,
-        route: Option<ShardRoute<'a>>,
-        sessions: Option<&'a SessionTable>,
+        route: Route<'a>,
+        sessions: &'a SessionTable,
     ) -> io::Result<ReactorCtx<'a>> {
         let bells = (0..self.reactors)
             .map(|_| Doorbell::new().map(Arc::new))
             .collect::<io::Result<Vec<_>>>()?;
-        for bell in &bells {
-            progress.attach(Arc::clone(bell));
+        for progress in route.progresses {
+            for bell in &bells {
+                progress.attach(Arc::clone(bell));
+            }
         }
         Ok(ReactorCtx {
             bells,
-            queue,
-            progress,
-            txns,
-            policy: self.policy,
-            max_inflight: self.max_inflight,
-            block_timeout: self.block_timeout,
-            retry_slice: self.retry_slice,
-            reply_timeout: self.reply_timeout,
             route,
             sessions,
+            policy: self.policy,
+            max_inflight: self.max_inflight,
+            timeouts: Timeouts {
+                block_timeout: self.block_timeout,
+                retry_slice: self.retry_slice,
+                reply_timeout: self.reply_timeout,
+            },
         })
     }
 
@@ -229,10 +228,20 @@ pub fn serve_net<R>(
 ) -> io::Result<(NetReport, R)> {
     assert!(cfg.reactors >= 1, "need at least one reactor");
     let (listener, addr) = bind_loopback()?;
+    // The N = 1 row: one plain core, stamp-less commits, no supervisor.
     let queue: BoundedQueue<Command> = BoundedQueue::new(cfg.queue_capacity);
     let progress = Progress::new();
+    let sessions = SessionTable::new();
     let stop = AtomicBool::new(false);
-    let ctx = cfg.reactor_ctx(txns, &queue, &progress, None, None)?;
+    let route = Route {
+        txns,
+        map: ShardMap::new(1),
+        queues: std::slice::from_ref(&queue),
+        progresses: std::slice::from_ref(&progress),
+        stamps: None,
+        healths: None,
+    };
+    let ctx = cfg.reactor_ctx(route, &sessions)?;
     let t0 = Instant::now();
 
     let (core_out, net, client_out) = std::thread::scope(|s| {
@@ -273,8 +282,6 @@ pub fn serve_net<R>(
 pub struct SuperviseNetConfig {
     /// Shard cores (the object space is partitioned across them).
     pub shards: usize,
-    /// The engine recovery re-certifies committed history with.
-    pub certifier: Certifier,
     /// Fsync policy of every shard core's segmented log.
     pub fsync: FsyncPolicy,
     /// Checkpoint/rotation policy of every shard core's log.
@@ -287,7 +294,6 @@ impl Default for SuperviseNetConfig {
     fn default() -> Self {
         SuperviseNetConfig {
             shards: 2,
-            certifier: Certifier::default(),
             fsync: FsyncPolicy::Always,
             ckpt: CheckpointPolicy::default(),
             max_restarts: 8,
@@ -297,19 +303,17 @@ impl Default for SuperviseNetConfig {
 
 /// What one supervised sharded run produced. The WAL segment streams are
 /// the source of truth: `recovery` is their offline merge through
-/// [`recover_sharded_segments_with_certifier`] — the committed set and
-/// history it reports are what a post-crash service would serve, which
-/// is exactly the set acknowledged commits must be a subset of.
+/// [`recover_sharded_segments_with_certifier`] (certified with
+/// [`Certifier::VClock`]) — the committed set and history it reports are
+/// what a post-crash service would serve, which is exactly the set
+/// acknowledged commits must be a subset of.
 pub struct SupervisedNetReport {
     /// The offline merge of every shard's retained segment stream.
     pub recovery: ShardedRecovery,
     /// Per-shard supervisor outcomes (index = shard id).
     pub runs: Vec<SupervisedRun>,
-    /// Merged core metrics (supervisor counters included).
-    pub metrics: ServerMetrics,
-    /// Merged reactor metrics.
-    pub net: NetMetrics,
-    /// Per-reactor-stage latency report.
+    /// The merged core metrics (supervisor counters included), the merged
+    /// reactor metrics and the per-stage latency report.
     pub report: NetReport,
 }
 
@@ -357,23 +361,25 @@ pub fn serve_net_supervised_in<'e, R>(
         .collect();
     let healths: Vec<ShardHealth> = (0..shards).map(|_| ShardHealth::new()).collect();
     let sessions = SessionTable::new();
-    let progress = Progress::new();
+    let progresses: Vec<Progress> = (0..shards).map(|_| Progress::new()).collect();
     let stop = AtomicBool::new(false);
+    // One counter draws both the grant tickets and the commit stamps.
     let seq = AtomicU64::new(0);
     let epochs: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
     let default_faults = FaultPlan::default();
 
-    let route = ShardRoute {
-        queues: &queues,
-        healths: &healths,
+    let route = Route {
+        txns,
         map: ShardMap::new(shards as u32),
-        seq: &seq,
+        queues: &queues,
+        progresses: &progresses,
+        stamps: Some(&seq),
+        healths: Some(&healths),
     };
-    let ctx = cfg.reactor_ctx(txns, &queues[0], &progress, Some(route), Some(&sessions))?;
+    let ctx = cfg.reactor_ctx(route, &sessions)?;
     let sup_cfg = SupervisorCfg {
         txns,
         spec,
-        certifier: sup.certifier,
         fsync: sup.fsync,
         ckpt: sup.ckpt,
         batch_max: cfg.batch_max,
@@ -384,11 +390,11 @@ pub fn serve_net_supervised_in<'e, R>(
 
     let (runs, net, client_out) = std::thread::scope(|s| {
         let make_scheduler = &make_scheduler;
-        let (sup_cfg, stop, sessions, progress, seq) =
-            (&sup_cfg, &stop, &sessions, &progress, &seq);
+        let (sup_cfg, stop, sessions, seq) = (&sup_cfg, &stop, &sessions, &seq);
         let mut cores = Vec::with_capacity(shards);
         for shard in 0..shards {
             let queue = &queues[shard];
+            let progress = &progresses[shard];
             let health = &healths[shard];
             let store = &stores[shard];
             let epochs = &epochs[..];
@@ -439,7 +445,7 @@ pub fn serve_net_supervised_in<'e, R>(
         spec,
         |shard| make_scheduler(shard),
         &segment_streams,
-        sup.certifier,
+        Certifier::VClock,
     )
     .map_err(|e| io::Error::other(format!("final WAL merge failed: {e}")))?;
 
@@ -465,23 +471,20 @@ pub fn serve_net_supervised_in<'e, R>(
     metrics.committed_ops = recovery.history.len() as u64;
     metrics.elapsed = elapsed;
 
-    let admit = metrics.admission.clone();
     let report = NetReport {
         committed: recovery.committed.clone(),
         log: recovery.history.clone(),
         trace: Vec::new(),
         crashed: runs.iter().any(|r| r.gave_up),
-        metrics: metrics.clone(),
-        net: net.clone(),
-        admit,
+        admit: metrics.admission.clone(),
+        metrics,
+        net,
     };
 
     Ok((
         SupervisedNetReport {
             recovery,
             runs,
-            metrics,
-            net,
             report,
         },
         client_out,

@@ -5,6 +5,12 @@
 //! the front-end, every transaction commits exactly once, recovery
 //! rebuilds exactly the committed set the live run acknowledged, and the
 //! recovered history is relatively serializable (`vclock::certify`).
+//!
+//! The universe runs twice: under RSG-SGT, which never answers `Blocked`,
+//! and under strict 2PL, the one scheduler here that does — so every
+//! front-end also drives blocked → parked → resubmitted through the one
+//! per-operation state machine (`relser_server::Flight`) on its way to
+//! the same verdict.
 
 use relser_core::ids::{OpId, TxnId};
 use relser_core::schedule::Schedule;
@@ -14,6 +20,7 @@ use relser_net::{
     SuperviseNetConfig,
 };
 use relser_protocols::rsg_sgt::RsgSgt;
+use relser_protocols::two_pl::TwoPhaseLocking;
 use relser_protocols::Scheduler;
 use relser_server::{
     recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, serve,
@@ -55,10 +62,36 @@ fn assert_verdict(
 
 #[test]
 fn four_front_ends_one_verdict() {
-    let sc = banking(&BankingConfig::default(), 42);
+    // Big enough that, sharded two ways, single-shard transfers run into
+    // the locks of the cross-shard audits (which serialize each other).
+    let universe = BankingConfig {
+        families: 4,
+        customers_per_family: 4,
+        ..BankingConfig::default()
+    };
+    let sc = banking(&universe, 42);
+    four_front_ends(&sc, &|| Box::new(RsgSgt::new(&sc.txns, &sc.spec)), false);
+    // Conflict-serializable histories are relatively serializable under
+    // every spec, so 2PL is held to the same certificate.
+    four_front_ends(&sc, &|| Box::new(TwoPhaseLocking::new(&sc.txns)), true);
+}
+
+/// Serves `sc` through each of the four entry points on schedulers made
+/// by `fresh`. `blocking`: the scheduler answers `Blocked` under
+/// contention, and every front-end must have seen it do so.
+fn four_front_ends<'a>(
+    sc: &BankingScenario,
+    fresh: &(dyn Fn() -> Box<dyn Scheduler + Send + 'a> + Sync),
+    blocking: bool,
+) {
     let (txns, spec) = (&sc.txns, &sc.spec);
-    let fresh = || RsgSgt::new(txns, spec);
     let stream = || RequestStream::shuffled(txns, ARRIVAL_SEED);
+    let assert_blocked = |front_end: &str, blocked: u64| {
+        assert!(
+            !blocking || blocked >= 1,
+            "{front_end}: no operation ever blocked, parked and was resubmitted"
+        );
+    };
     // Both TCP front-ends are driven by the one client.
     let drive = |addr, stream: &RequestStream| {
         drive_resilient(
@@ -70,7 +103,10 @@ fn four_front_ends_one_verdict() {
         )
     };
     let cfg = ServerConfig {
-        workers: 4,
+        workers: 8,
+        // Granted operations take a while, so locks are held across
+        // other sessions' requests.
+        op_work_ns: 200_000,
         ..ServerConfig::default()
     };
 
@@ -81,21 +117,22 @@ fn four_front_ends_one_verdict() {
         let report = serve(
             txns,
             &stream(),
-            Box::new(fresh()),
+            fresh(),
             &cfg,
             &FaultPlan::default(),
             Some(&mut wal),
         );
         assert_eq!(report.outcome, RunOutcome::Completed);
+        assert_blocked("serve", report.metrics.blocked);
         let rec = recover(
             txns,
             spec,
-            &mut fresh(),
+            &mut *fresh(),
             &handle.synced_bytes(),
             Certifier::VClock,
         )
         .expect("flat log recovers");
-        assert_verdict("serve", &sc, report.committed, rec.committed, rec.history);
+        assert_verdict("serve", sc, report.committed, rec.committed, rec.history);
     }
 
     // `serve_sharded` (N = 2) over one flat log per shard, recovered by
@@ -108,9 +145,7 @@ fn four_front_ends_one_verdict() {
                 (wal, handle)
             })
             .unzip();
-        let schedulers = (0..2)
-            .map(|_| Box::new(fresh()) as Box<dyn Scheduler + Send + '_>)
-            .collect();
+        let schedulers = (0..2).map(|_| fresh()).collect();
         let report = serve_sharded(
             txns,
             &stream(),
@@ -120,6 +155,7 @@ fn four_front_ends_one_verdict() {
             wals.iter_mut().map(|w| w as &mut dyn CommitLog).collect(),
         );
         assert_eq!(report.outcome, RunOutcome::Completed);
+        assert_blocked("serve_sharded", report.metrics.blocked);
         let streams: Vec<Vec<(u64, Vec<u8>)>> = handles
             .iter()
             .map(|h| vec![(0, h.synced_bytes())])
@@ -127,7 +163,7 @@ fn four_front_ends_one_verdict() {
         let rec = recover_sharded_segments_with_certifier(
             txns,
             spec,
-            |_| Box::new(fresh()) as Box<dyn Scheduler + '_>,
+            |_| fresh() as Box<dyn Scheduler + '_>,
             &streams,
             Certifier::VClock,
         )
@@ -135,7 +171,7 @@ fn four_front_ends_one_verdict() {
         assert!(rec.partial.is_empty());
         assert_verdict(
             "serve_sharded",
-            &sc,
+            sc,
             report.committed,
             rec.committed,
             rec.history,
@@ -154,7 +190,7 @@ fn four_front_ends_one_verdict() {
         .unwrap();
         let (report, stats) = serve_net(
             txns,
-            Box::new(fresh()),
+            fresh(),
             &NetConfig::default(),
             &FaultPlan::default(),
             Some(&mut wal),
@@ -162,17 +198,18 @@ fn four_front_ends_one_verdict() {
         )
         .expect("serve_net");
         assert_eq!(stats.committed.len(), txns.len());
+        assert_blocked("serve_net", report.metrics.blocked);
         let (_, rec) = recover_segments_with_certifier(
             txns,
             spec,
-            &mut fresh(),
+            &mut *fresh(),
             &handle.synced_segments(),
             Certifier::VClock,
         )
         .expect("segmented log recovers");
         assert_verdict(
             "serve_net",
-            &sc,
+            sc,
             report.committed,
             rec.committed,
             rec.history,
@@ -188,10 +225,10 @@ fn four_front_ends_one_verdict() {
             ..SuperviseNetConfig::default()
         };
         let stores = [MemSegmentStore::new().1];
-        let (_, stats) = serve_net_supervised_in(
+        let (report, stats) = serve_net_supervised_in(
             txns,
             spec,
-            |_| Box::new(fresh()) as Box<dyn Scheduler + Send>,
+            |_| fresh(),
             &NetConfig::default(),
             &sup,
             &[],
@@ -199,11 +236,12 @@ fn four_front_ends_one_verdict() {
             |addr| drive(addr, &stream()),
         )
         .expect("serve_net_supervised_in");
+        assert_blocked("serve_net_supervised_in", report.report.metrics.blocked);
         let acked: Vec<TxnId> = stats.committed.iter().map(|&(t, _)| t).collect();
         let rec = recover_sharded_segments_with_certifier(
             txns,
             spec,
-            |_| Box::new(fresh()) as Box<dyn Scheduler + '_>,
+            |_| fresh() as Box<dyn Scheduler + '_>,
             &[stores[0].synced_segments()],
             Certifier::VClock,
         )
@@ -211,7 +249,7 @@ fn four_front_ends_one_verdict() {
         assert!(rec.partial.is_empty());
         assert_verdict(
             "serve_net_supervised_in",
-            &sc,
+            sc,
             acked,
             rec.committed,
             rec.history,

@@ -159,7 +159,7 @@ fn shard_core_crash_recovers_in_place_without_losing_acks() {
         "the non-degraded shard kept committing"
     );
     assert!(
-        report.metrics.supervisor_restarts >= 1,
+        report.report.metrics.supervisor_restarts >= 1,
         "supervisor restarts surface in the merged metrics"
     );
     audit(&txns, &spec, &report, &stats);
@@ -352,7 +352,7 @@ fn graceful_shutdown_then_restart_keeps_acked_commits_exactly_once() {
         matches!(farewell, Some(Response::Closing { .. })),
         "graceful shutdown announces itself: {farewell:?}"
     );
-    assert!(report1.net.closing_replies >= 1);
+    assert!(report1.report.net.closing_replies >= 1);
     assert!(report1.recovery.committed.contains(&TxnId(0)));
     assert!(
         !report1.recovery.committed.contains(&TxnId(1)),
@@ -399,7 +399,7 @@ fn graceful_shutdown_then_restart_keeps_acked_commits_exactly_once() {
     .expect("life 2");
 
     assert!(
-        report2.net.dup_commit_fast >= 1,
+        report2.report.net.dup_commit_fast >= 1,
         "the retry was answered from the durable session table"
     );
     let n = report2

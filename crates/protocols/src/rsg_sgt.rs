@@ -130,7 +130,7 @@ impl Scheduler for RsgSgt {
 /// reference the incremental [`RsgSgt`] is tested against.
 ///
 /// The rebuild itself runs on reusable scratch: per-position closure
-/// [`BitSet`] rows instead of `HashSet`s, a packed sorted edge list
+/// [`BitSet`](relser_digraph::bitset::BitSet) rows instead of `HashSet`s, a packed sorted edge list
 /// instead of a hash-set edge collection, and a CSR Kahn topological
 /// check instead of a per-call graph rebuild. The *decisions* are
 /// identical — only the constants changed (this path is what the

@@ -22,8 +22,7 @@
 //! one write-ahead-log barrier has returned, then released in core order
 //! (see [`run_core`]). After every batch with a state *change*
 //! (grant, abort, commit — not a mere block) it bumps the shared
-//! [`Progress`] epoch with the set of transactions that changed, waking
-//! only the sessions blocked on one of them.
+//! [`Progress`] epoch, waking the blocked operations to be resubmitted.
 
 use crate::queue::{BoundedQueue, PopWait};
 use crate::supervisor::SessionTable;
@@ -52,7 +51,7 @@ pub enum TraceEvent {
     Decision(OpId, Decision),
     /// `commit(txn)` was applied.
     Commit(TxnId),
-    /// A session-initiated `abort(txn)` was applied (waits-for timeout).
+    /// A front-end-initiated `abort(txn)` was applied ([`Command::Abort`]).
     Abort(TxnId),
     /// A cross-shard two-phase admit reached this shard core (sharded
     /// service only). `granted: true` implies the core applied
@@ -77,13 +76,13 @@ struct ReplyCell {
     slot: Mutex<Option<Decision>>,
     cv: Condvar,
     /// The doorbell of the reactor that polls this cell instead of
-    /// parking a thread in [`Reply::wait`]; the core rings it once per
-    /// released batch, after the batch's last fill.
+    /// parking a thread in [`Reply::wait_filled`]; the core rings it once
+    /// per released batch, after the batch's last fill.
     bell: Option<Arc<Doorbell>>,
 }
 
 impl Reply {
-    /// An empty cell whose receiver parks in [`Reply::wait`].
+    /// An empty cell whose receiver parks in [`Reply::wait_filled`].
     pub fn new() -> Self {
         Self::with_bell(None)
     }
@@ -92,6 +91,12 @@ impl Reply {
     /// takes the decision with [`Reply::try_take`] once the core has rung.
     pub fn with_doorbell(bell: Arc<Doorbell>) -> Self {
         Self::with_bell(Some(bell))
+    }
+
+    /// A new empty cell for the same receiver (the same doorbell, if
+    /// any): what a resubmitted command carries.
+    pub fn fresh(&self) -> Self {
+        Self::with_bell(self.cell.bell.clone())
     }
 
     fn with_bell(bell: Option<Arc<Doorbell>>) -> Self {
@@ -104,7 +109,7 @@ impl Reply {
         }
     }
 
-    /// Fills the cell and wakes a waiter parked in [`Reply::wait`]. Must
+    /// Fills the cell and wakes a waiter parked in [`Reply::wait_filled`]. Must
     /// be called exactly once. Does not ring the cell's doorbell: whoever
     /// fills a batch of cells rings each distinct bell once, afterwards.
     pub fn fill(&self, decision: Decision) {
@@ -115,41 +120,41 @@ impl Reply {
         self.cell.cv.notify_all();
     }
 
-    /// Blocks until the cell is filled, with a generous 60 s watchdog. A
-    /// reply can only go missing if the admission core died (or dropped
-    /// the cell); the watchdog turns that hang into a typed
-    /// [`ReplyLost`] the session can degrade on — one session fails, the
-    /// rest of the service keeps running.
-    pub fn wait(&self) -> Result<Decision, ReplyLost> {
-        self.wait_for(Duration::from_secs(60))
-    }
-
     /// Non-blocking poll: takes the decision if the core has filled the
-    /// cell, `None` otherwise. The reactor front-end (`relser-net`) looks
-    /// at its in-flight replies with this after its doorbell woke it,
-    /// instead of parking a thread per request the way [`Reply::wait`]
-    /// does.
+    /// cell, `None` otherwise. A reactor looks at its in-flight replies
+    /// with this after its doorbell woke it; a thread looks after
+    /// [`Reply::wait_filled`] returned.
     pub fn try_take(&self) -> Option<Decision> {
         self.cell.slot.lock().expect("reply lock").take()
     }
 
-    /// [`Reply::wait`] with an explicit watchdog duration (tests and
-    /// latency-sensitive deployments shorten it).
-    pub fn wait_for(&self, watchdog: Duration) -> Result<Decision, ReplyLost> {
+    /// Blocks until the cell is filled or `timeout` elapses, without
+    /// taking the decision; `true` when it is there to take.
+    pub fn wait_filled(&self, timeout: Duration) -> bool {
         let (slot, cv) = (&self.cell.slot, &self.cell.cv);
+        let deadline = Instant::now() + timeout;
         let mut guard = slot.lock().expect("reply lock");
-        let deadline = Instant::now() + watchdog;
-        loop {
-            if let Some(d) = guard.take() {
-                return Ok(d);
-            }
+        while guard.is_none() {
             let now = Instant::now();
             if now >= deadline {
-                return Err(ReplyLost { waited: watchdog });
+                return false;
             }
-            let (g, _) = cv.wait_timeout(guard, deadline - now).expect("reply lock");
-            guard = g;
+            guard = cv
+                .wait_timeout(guard, deadline - now)
+                .expect("reply lock")
+                .0;
         }
+        true
+    }
+
+    /// Blocks until the cell is filled and takes the decision. A reply
+    /// can only go missing if the admission core died (or dropped the
+    /// cell); the `watchdog` turns that hang into a typed [`ReplyLost`]
+    /// the session can degrade on — one session fails, the rest of the
+    /// service keeps running.
+    pub fn wait_for(&self, watchdog: Duration) -> Result<Decision, ReplyLost> {
+        self.wait_filled(watchdog);
+        self.try_take().ok_or(ReplyLost { waited: watchdog })
     }
 }
 
@@ -181,22 +186,13 @@ impl Default for Reply {
     }
 }
 
-/// A monotone epoch counter sessions wait on: the core bumps it after
-/// every scheduler state change, waking blocked sessions to retry their
-/// request (wait/wake bookkeeping without per-lock wait queues).
-///
-/// Two wait disciplines coexist:
-///
-/// * [`Progress::wait_past`] — the legacy broadcast discipline: any
-///   state change wakes every waiter. Retained for crash paths (where
-///   *everyone* must re-examine the world) and as the fallback when a
-///   waiter has no specific interest.
-/// * [`Progress::wait_on`] — the targeted discipline: a blocked session
-///   registers the waits-for set from its `Blocked { on }` decision, and
-///   [`Progress::bump_txns`] wakes it only when one of *those*
-///   transactions changes. A commit of an unrelated transaction no
-///   longer stampedes every parked session into re-submitting a request
-///   that will just block again.
+/// A monotone epoch counter blocked operations wait on: the core bumps it
+/// after every batch that changed scheduler state, and every bump wakes
+/// every waiter — the session threads parked in [`Progress::wait_past`]
+/// and the reactors parked in `poll(2)` — to resubmit (wait/wake
+/// bookkeeping without per-lock wait queues). Which transactions changed
+/// is not recorded: waking only the waiters whose waits-for set a bump
+/// touches saved futile resubmits but no time (EXPERIMENTS.md A9).
 pub struct Progress {
     inner: Mutex<ProgressInner>,
     /// Mirror of `inner.epoch`, stored (Release) under the lock on every
@@ -204,75 +200,23 @@ pub struct Progress {
     /// snapshots the epoch once per operation and must not contend with
     /// the core's bump for that.
     epoch: AtomicU64,
-    /// Broadcast condvar for `wait_past` waiters; targeted waiters sleep
-    /// on their own per-wait cell instead.
     cv: Condvar,
 }
 
+#[derive(Default)]
 struct ProgressInner {
     epoch: u64,
-    /// Epoch at which each transaction last changed (granted, committed,
-    /// aborted, rolled back). Lets `wait_on` return immediately when an
-    /// interesting change raced the waiter's registration. Pruned by
-    /// horizon so it tracks recent activity, not the whole history —
-    /// a pruned miss costs one retry slice, never a lost wakeup.
-    last_change: HashMap<TxnId, u64>,
-    /// Registered targeted waiters (slab: `free` holds the holes).
-    slots: Vec<Option<RegisteredWaiter>>,
-    free: Vec<usize>,
-    /// Reactors parked in `poll(2)` rather than in a wait of this type:
+    /// Reactors parked in `poll(2)` rather than in [`Progress::wait_past`]:
     /// every bump rings them (a ring of an unparked reactor is one atomic
-    /// swap), so their blocked operations are resubmitted on the bump
-    /// that unblocks them and a crash-path bump reaches them too.
+    /// swap).
     bells: Vec<Arc<Doorbell>>,
-    targeted_wakeups: u64,
-    suppressed_wakeups: u64,
-    broadcast_wakeups: u64,
-    immediate_returns: u64,
-}
-
-struct RegisteredWaiter {
-    interest: Vec<TxnId>,
-    cell: Arc<WaitCell>,
-}
-
-struct WaitCell {
-    signaled: Mutex<bool>,
-    cv: Condvar,
-}
-
-/// Wakeup-targeting counters (observability for the wakeup policy).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WakeStats {
-    /// Targeted waiters woken because a transaction they wait on changed.
-    pub targeted_wakeups: u64,
-    /// Targeted waiters left asleep through a bump that did not touch
-    /// their waits-for set — each one a spurious wakeup the old
-    /// broadcast discipline would have issued.
-    pub suppressed_wakeups: u64,
-    /// Waiters woken indiscriminately by [`Progress::bump`] (crash and
-    /// shutdown paths).
-    pub broadcast_wakeups: u64,
-    /// `wait_on` calls that returned without sleeping because an
-    /// interesting change raced the registration.
-    pub immediate_returns: u64,
 }
 
 impl Progress {
     /// Epoch 0.
     pub fn new() -> Self {
         Progress {
-            inner: Mutex::new(ProgressInner {
-                epoch: 0,
-                last_change: HashMap::new(),
-                slots: Vec::new(),
-                free: Vec::new(),
-                bells: Vec::new(),
-                targeted_wakeups: 0,
-                suppressed_wakeups: 0,
-                broadcast_wakeups: 0,
-                immediate_returns: 0,
-            }),
+            inner: Mutex::default(),
             epoch: AtomicU64::new(0),
             cv: Condvar::new(),
         }
@@ -288,76 +232,20 @@ impl Progress {
         self.inner.lock().expect("progress lock").bells.push(bell);
     }
 
-    /// Wakeup-targeting counters observed so far.
-    pub fn wake_stats(&self) -> WakeStats {
-        let inner = self.inner.lock().expect("progress lock");
-        WakeStats {
-            targeted_wakeups: inner.targeted_wakeups,
-            suppressed_wakeups: inner.suppressed_wakeups,
-            broadcast_wakeups: inner.broadcast_wakeups,
-            immediate_returns: inner.immediate_returns,
-        }
-    }
-
-    /// Advances the epoch and wakes **all** waiters — targeted ones
-    /// included, interest ignored. The crash/shutdown path: the queue
-    /// just closed or a core died, and every parked session must come
-    /// back and observe that, whatever it was waiting on.
+    /// Advances the epoch and wakes every waiter. Also the crash/shutdown
+    /// path: the queue just closed or a core died, and every parked
+    /// session must come back and observe that.
     pub fn bump(&self) {
         let mut inner = self.inner.lock().expect("progress lock");
         inner.epoch += 1;
         self.epoch.store(inner.epoch, Ordering::Release);
-        let mut woken = 0u64;
-        for w in inner.slots.iter().flatten() {
-            *w.cell.signaled.lock().expect("wait cell lock") = true;
-            w.cell.cv.notify_one();
-            woken += 1;
-        }
-        inner.broadcast_wakeups += woken;
-        inner.bells.iter().for_each(|b| b.ring());
-        drop(inner);
-        self.cv.notify_all();
-    }
-
-    /// Advances the epoch recording *which* transactions changed, and
-    /// wakes only the targeted waiters whose waits-for set intersects
-    /// `changed` (plus any legacy `wait_past` waiters, which opted into
-    /// every change). `changed` may contain duplicates.
-    pub fn bump_txns(&self, changed: &[TxnId]) {
-        let mut inner = self.inner.lock().expect("progress lock");
-        inner.epoch += 1;
-        let epoch = inner.epoch;
-        self.epoch.store(epoch, Ordering::Release);
-        for &t in changed {
-            inner.last_change.insert(t, epoch);
-        }
-        // Horizon prune: entries old enough that every races they could
-        // settle are long decided. A pruned entry can only cost a
-        // too-cautious sleep bounded by the retry slice.
-        if inner.last_change.len() > 8192 {
-            let cutoff = epoch.saturating_sub(1024);
-            inner.last_change.retain(|_, e| *e >= cutoff);
-        }
-        let (mut targeted, mut suppressed) = (0u64, 0u64);
-        for w in inner.slots.iter().flatten() {
-            if w.interest.iter().any(|t| changed.contains(t)) {
-                *w.cell.signaled.lock().expect("wait cell lock") = true;
-                w.cell.cv.notify_one();
-                targeted += 1;
-            } else {
-                suppressed += 1;
-            }
-        }
-        inner.targeted_wakeups += targeted;
-        inner.suppressed_wakeups += suppressed;
         inner.bells.iter().for_each(|b| b.ring());
         drop(inner);
         self.cv.notify_all();
     }
 
     /// Waits until the epoch exceeds `seen` or `timeout` elapses;
-    /// returns the epoch observed on exit. Woken by **every** bump —
-    /// the broadcast discipline.
+    /// returns the epoch observed on exit.
     pub fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
         let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock().expect("progress lock");
@@ -372,72 +260,6 @@ impl Progress {
                 .expect("progress lock");
             inner = g;
         }
-        inner.epoch
-    }
-
-    /// Waits until one of the transactions in `interest` changes (seen
-    /// from epoch `seen`), a crash-path [`Progress::bump`] fires, or
-    /// `timeout` elapses; returns the epoch observed on exit. With an
-    /// empty `interest` this degrades to [`Progress::wait_past`].
-    ///
-    /// The timeout doubles as the liveness backstop: even if a relevant
-    /// change is never recorded (pruned history, unforeseen wake gap),
-    /// the caller retries after one slice exactly as it always did.
-    pub fn wait_on(&self, seen: u64, interest: &[TxnId], timeout: Duration) -> u64 {
-        if interest.is_empty() {
-            return self.wait_past(seen, timeout);
-        }
-        let (cell, slot) = {
-            let mut inner = self.inner.lock().expect("progress lock");
-            // An interesting change may have raced between the caller's
-            // `current()` snapshot and this registration — don't sleep
-            // on news that already arrived.
-            if inner.epoch > seen
-                && interest
-                    .iter()
-                    .any(|t| inner.last_change.get(t).is_some_and(|&e| e > seen))
-            {
-                inner.immediate_returns += 1;
-                return inner.epoch;
-            }
-            let cell = Arc::new(WaitCell {
-                signaled: Mutex::new(false),
-                cv: Condvar::new(),
-            });
-            let waiter = RegisteredWaiter {
-                interest: interest.to_vec(),
-                cell: Arc::clone(&cell),
-            };
-            let slot = match inner.free.pop() {
-                Some(i) => {
-                    inner.slots[i] = Some(waiter);
-                    i
-                }
-                None => {
-                    inner.slots.push(Some(waiter));
-                    inner.slots.len() - 1
-                }
-            };
-            (cell, slot)
-        };
-        let deadline = Instant::now() + timeout;
-        {
-            let mut signaled = cell.signaled.lock().expect("wait cell lock");
-            while !*signaled {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (g, _) = cell
-                    .cv
-                    .wait_timeout(signaled, deadline - now)
-                    .expect("wait cell lock");
-                signaled = g;
-            }
-        }
-        let mut inner = self.inner.lock().expect("progress lock");
-        inner.slots[slot] = None;
-        inner.free.push(slot);
         inner.epoch
     }
 }
@@ -462,33 +284,25 @@ pub enum Command {
         /// Where the decision is delivered.
         reply: Reply,
     },
-    /// The transaction commits (all operations were granted).
-    Commit(TxnId),
-    /// [`Command::Commit`] with an acknowledgment: the reply is filled
-    /// only after the batch's durability barrier has covered the commit
-    /// record — so under `FsyncPolicy::Always` the acknowledgment is
-    /// durable. The wire front-end uses this for its `Committed`
-    /// response: the fsync is *inside* the wire-to-wire latency, not
-    /// after it.
-    CommitAck {
+    /// The transaction commits (all operations were granted) — the one
+    /// commit command of every front-end. A duplicate is answered with
+    /// the original verdict and re-applies nothing; a commit of a
+    /// rolled-back incarnation is refused `Aborted(Retired)`.
+    Commit {
         /// The committing transaction.
         txn: TxnId,
-        /// When the submitter enqueued the command (queue-wait stage
-        /// measurement).
-        enqueued: Instant,
-        /// Filled `Granted` once the commit is applied and durable.
-        reply: Reply,
-        /// Sharded front-ends set the global commit stamp here, making
-        /// this an acknowledged [`Command::CommitAt`] (the stamp totally
-        /// orders commits across shards for recovery's merge).
+        /// Its place in the global commit order, set by the front-ends of
+        /// shard cores: the stamp totally orders commits across shards so
+        /// recovery can merge the per-shard segment streams. `None` over
+        /// the plain core, which orders commits by its own queue order.
         stamp: Option<u64>,
-        /// Exactly-once retries: `(session, req_id)` recorded in the
-        /// same WAL frame as the commit ([`WalRecord::CommitSession`])
-        /// and in the shard's [`SessionTable`], so a retried commit is
-        /// answered with the original verdict instead of re-executing.
-        session: Option<(u64, u64)>,
+        /// `None` is fire-and-forget (the in-process sessions: per-queue
+        /// FIFO is all they need); `Some` asks for the verdict back.
+        ack: Option<Ack>,
     },
-    /// Session-initiated abort (waits-for timeout fired while blocked).
+    /// Front-end-initiated abort: the waits-for timeout of a blocked
+    /// operation fired, or — over TCP — the client asked for it or its
+    /// connection is being cleaned up.
     Abort(TxnId),
     /// Phase one of a cross-shard admit (sharded service only): begin the
     /// transaction on this shard and fold the router's cross-shard D-arc
@@ -504,19 +318,39 @@ pub enum Command {
         /// Where the admit verdict is delivered.
         reply: Reply,
     },
-    /// The transaction commits at a global commit stamp (sharded service
-    /// only) — the stamp totally orders commits across shards so recovery
-    /// can merge per-shard segment streams into one commit order.
-    CommitAt {
-        /// The committing transaction.
-        txn: TxnId,
-        /// Its position in the global commit order.
-        stamp: u64,
-    },
     /// Router-initiated unwind of a partially-admitted cross-shard
     /// transaction (a sibling shard rejected, or an operation aborted
     /// mid-flight). Applied like an abort, counted separately.
     Rollback(TxnId),
+}
+
+/// The acknowledgment a [`Command::Commit`] asks for. The reply is filled
+/// only after the batch's durability barrier has covered the commit
+/// record — so under `FsyncPolicy::Always` the acknowledgment is durable,
+/// and the fsync is *inside* the wire front-end's wire-to-wire latency,
+/// not after it.
+pub struct Ack {
+    /// When the submitter enqueued the command (queue-wait stage
+    /// measurement).
+    pub enqueued: Instant,
+    /// Filled `Granted` once the commit is applied and durable.
+    pub reply: Reply,
+    /// Exactly-once retries: `(session, req_id)` recorded in the same WAL
+    /// frame as the commit ([`WalRecord::CommitSession`]) and in the
+    /// shard's [`SessionTable`], so a retried commit is answered with the
+    /// original verdict instead of re-executing.
+    pub session: Option<(u64, u64)>,
+}
+
+impl Command {
+    /// The reply cell somebody waits on, if the command carries one.
+    fn into_reply(self) -> Option<Reply> {
+        match self {
+            Command::Request { reply, .. } | Command::Admit { reply, .. } => Some(reply),
+            Command::Commit { ack, .. } => ack.map(|a| a.reply),
+            Command::Begin(_) | Command::Abort(_) | Command::Rollback(_) => None,
+        }
+    }
 }
 
 /// Deterministic fault injection for the admission core.
@@ -607,7 +441,8 @@ pub struct CoreOutput {
     pub blocked: u64,
     /// Scheduler-initiated aborts (`Decision::Aborted`).
     pub aborts: u64,
-    /// Session-initiated aborts (waits-for timeouts).
+    /// [`Command::Abort`]s applied: waits-for timeouts, and a TCP
+    /// front-end's client aborts and disconnect cleanup.
     pub timeout_aborts: u64,
     /// Commits applied.
     pub commits: u64,
@@ -617,7 +452,7 @@ pub struct CoreOutput {
     pub admission: LatencyHistogram,
     /// Pure queue-wait latency: enqueue→dequeue, measured just before the
     /// scheduler is consulted (the admission histogram minus the decision
-    /// itself). One sample per `Request` and per `CommitAck`.
+    /// itself). One sample per `Request` and per acknowledged commit.
     pub queue_wait: LatencyHistogram,
     /// Wall-clock nanoseconds of each WAL fsync the commit log performed,
     /// harvested via [`CommitLog::take_sync_ns`] (empty without a log).
@@ -630,7 +465,7 @@ pub struct CoreOutput {
     /// order consistent with every shard's local order (purged on abort
     /// in lockstep with [`CoreOutput::log`]).
     pub seq_log: Vec<(u64, OpId)>,
-    /// Sharded cores only: `(txn, stamp)` per `CommitAt`, in local commit
+    /// Sharded cores only: `(txn, stamp)` per stamped commit, in local commit
     /// order; stamps merge the per-shard commit orders into one.
     pub commit_stamps: Vec<(TxnId, u64)>,
     /// Cross-shard admits granted.
@@ -854,7 +689,7 @@ pub fn run_core(
         live: HashMap::new(),
         committed: HashSet::new(),
         live_events: Vec::new(),
-        changed: Vec::new(),
+        changed: false,
         held: HeldAcks::default(),
     };
     // The recovered commits also join the committed *list* and the
@@ -896,9 +731,8 @@ struct Core<'s, 'w, 'a> {
     /// Condensed begin/grant/commit stream of non-retired transactions
     /// (kept only under `track_live`): what a due checkpoint snapshots.
     live_events: Vec<CheckpointEvent>,
-    /// Transactions whose state changed in the current batch — the wakeup
-    /// target set handed to [`Progress::bump_txns`].
-    changed: Vec<TxnId>,
+    /// Scheduler state changed in the current batch: bump [`Progress`].
+    changed: bool,
     /// The current batch's acknowledgments.
     held: HeldAcks,
 }
@@ -940,7 +774,7 @@ impl Core<'_, '_, '_> {
                     self.out.max_batch = self.out.max_batch.max(batch.len());
                 }
             }
-            self.changed.clear();
+            self.changed = false;
             let mut pending = batch.drain(..);
             let mut applied = pending.by_ref().try_for_each(|cmd| self.apply(cmd));
             // Group commit: one write and one durability barrier for the
@@ -990,10 +824,9 @@ impl Core<'_, '_, '_> {
             }
             // One bump per batch, not per command: waking blocked sessions
             // is only useful after the batch's state changes are all
-            // applied. The bump carries the batch's changed-transaction set
-            // so only sessions actually waiting on one of them are woken.
-            if !self.changed.is_empty() {
-                progress.bump_txns(&self.changed);
+            // applied.
+            if self.changed {
+                progress.bump();
             }
         }
         if let Some(w) = self.wal {
@@ -1057,10 +890,7 @@ impl Core<'_, '_, '_> {
     /// command is not counted in [`CoreOutput::commands`].
     fn apply(&mut self, cmd: Command) -> Result<(), Halt> {
         if self.faults.crash_at_command == Some(self.out.commands) {
-            if let Command::Request { reply, .. }
-            | Command::Admit { reply, .. }
-            | Command::CommitAck { reply, .. } = cmd
-            {
+            if let Some(reply) = cmd.into_reply() {
                 self.refuse(reply, AbortReason::Injected);
             }
             return Err(Halt::PlannedCrash);
@@ -1120,7 +950,7 @@ impl Core<'_, '_, '_> {
         if self.track_live {
             self.live_events.retain(|e| event_txn(e) != txn);
         }
-        self.changed.push(txn);
+        self.changed = true;
     }
 
     /// Applies a session- or router-initiated abort of `txn`; `false`
@@ -1189,7 +1019,7 @@ impl Core<'_, '_, '_> {
         if self.track_live {
             self.live_events.push(CheckpointEvent::Commit(txn));
         }
-        self.changed.push(txn);
+        self.changed = true;
         // An acknowledged commit is traced as a plain `Commit` too: replay
         // applies it via fire-and-forget `commit` — the ack is a liveness
         // detail, not a state transition.
@@ -1197,19 +1027,49 @@ impl Core<'_, '_, '_> {
         Ok(())
     }
 
-    /// A fire-and-forget commit (`Commit`, `CommitAt`). Idempotence /
-    /// supremacy: a duplicate is a no-op, a commit of a rolled-back
-    /// incarnation is refused (its grants were purged; committing would
-    /// certify a hole).
-    fn commit_unacked(&mut self, txn: TxnId, stamp: Option<u64>) -> Result<(), Halt> {
-        if self.committed.contains(&txn) {
-            return Ok(());
-        }
-        if !self.live.contains_key(&txn) {
+    /// Applies a [`Command::Commit`] under commit supremacy; the verdict
+    /// is held for `ack`'s reply when one was asked for.
+    fn commit_on_demand(
+        &mut self,
+        txn: TxnId,
+        stamp: Option<u64>,
+        ack: Option<Ack>,
+    ) -> Result<(), Halt> {
+        let (reply, session) = match ack {
+            Some(ack) => {
+                self.out
+                    .queue_wait
+                    .record(ack.enqueued.elapsed().as_nanos() as u64);
+                (Some(ack.reply), ack.session)
+            }
+            None => (None, None),
+        };
+        let verdict = if self.committed.contains(&txn) {
+            // Exactly-once: a retried commit of an already-durable
+            // transaction re-sends the original verdict and re-applies
+            // nothing. The session table is refreshed so the connection
+            // fast-path catches the next retry without reaching the core
+            // at all.
+            if let Some((session, req_id)) = session {
+                self.held.sessions.push((session, req_id, txn));
+            }
+            self.out.duplicate_commit_acks += u64::from(reply.is_some());
+            Decision::Granted
+        } else if self.live.contains_key(&txn) {
+            self.commit(txn, stamp, session, reply.as_ref())?;
+            Decision::Granted
+        } else {
+            // The incarnation was rolled back (crash recovery or orphan
+            // cleanup) — its grants are gone, so committing now would
+            // certify a hole. `Retired` tells the client to restart the
+            // transaction from its begin.
             self.out.retired_refusals += 1;
-            return Ok(());
+            Decision::Aborted(AbortReason::Retired)
+        };
+        if let Some(reply) = reply {
+            self.held.replies.push((reply, verdict));
         }
-        self.commit(txn, stamp, None, None)
+        Ok(())
     }
 
     fn dispatch(&mut self, cmd: Command) -> Result<(), Halt> {
@@ -1233,41 +1093,7 @@ impl Core<'_, '_, '_> {
                 enqueued,
                 reply,
             } => self.request(op, enqueued, reply)?,
-            Command::Commit(txn) => self.commit_unacked(txn, None)?,
-            Command::CommitAt { txn, stamp } => self.commit_unacked(txn, Some(stamp))?,
-            Command::CommitAck {
-                txn,
-                enqueued,
-                reply,
-                stamp,
-                session,
-            } => {
-                self.out
-                    .queue_wait
-                    .record(enqueued.elapsed().as_nanos() as u64);
-                if self.committed.contains(&txn) {
-                    // Exactly-once: a retried commit of an already-durable
-                    // transaction re-sends the original verdict. The
-                    // session table is refreshed so the connection
-                    // fast-path catches the next retry without reaching
-                    // the core at all.
-                    if let Some((session, req_id)) = session {
-                        self.held.sessions.push((session, req_id, txn));
-                    }
-                    self.out.duplicate_commit_acks += 1;
-                } else if self.live.contains_key(&txn) {
-                    self.commit(txn, stamp, session, Some(&reply))?;
-                } else {
-                    // The incarnation was rolled back (crash recovery or
-                    // orphan cleanup) — its grants are gone, so committing
-                    // now would acknowledge a hole. `Retired` tells the
-                    // client to restart the transaction from its begin.
-                    self.out.retired_refusals += 1;
-                    self.refuse(reply, AbortReason::Retired);
-                    return Ok(());
-                }
-                self.held.replies.push((reply, Decision::Granted));
-            }
+            Command::Commit { txn, stamp, ack } => self.commit_on_demand(txn, stamp, ack)?,
             Command::Abort(txn) => {
                 if self.abort_on_demand(txn)? {
                     self.out.timeout_aborts += 1;
@@ -1388,7 +1214,7 @@ impl Core<'_, '_, '_> {
                 // A grant is a state change other waiters may care about
                 // (altruistic donation, unit exits): the granted
                 // transaction's waits-for observers re-check.
-                self.changed.push(op.txn);
+                self.changed = true;
             }
             Decision::Blocked { .. } => self.out.blocked += 1,
             Decision::Aborted(_) => {
@@ -1427,10 +1253,7 @@ pub(crate) fn drain_after_crash(
     batch_max: usize,
 ) {
     let unwind = |cmd: Command| {
-        if let Command::Request { reply, .. }
-        | Command::Admit { reply, .. }
-        | Command::CommitAck { reply, .. } = cmd
-        {
+        if let Some(reply) = cmd.into_reply() {
             reply.fill(Decision::Aborted(AbortReason::Injected));
         }
     };
@@ -1454,7 +1277,7 @@ mod tests {
     fn reply_roundtrip() {
         let r = Reply::new();
         let waiter = r.clone();
-        let h = std::thread::spawn(move || waiter.wait());
+        let h = std::thread::spawn(move || waiter.wait_for(Duration::from_secs(10)));
         std::thread::sleep(Duration::from_millis(5));
         r.fill(Decision::Granted);
         assert_eq!(h.join().unwrap(), Ok(Decision::Granted));
@@ -1489,7 +1312,11 @@ mod tests {
             request(0),
             request(0),
             request(1),
-            Command::Commit(t),
+            Command::Commit {
+                txn: t,
+                stamp: None,
+                ack: None,
+            },
         ];
         for cmd in commands {
             assert!(queue.push_wait(cmd).is_ok());
@@ -1549,81 +1376,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         p.bump();
         assert_eq!(h.join().unwrap(), 1);
-    }
-
-    #[test]
-    fn targeted_wait_wakes_only_interested_waiters() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let p = std::sync::Arc::new(Progress::new());
-        let done_b = std::sync::Arc::new(AtomicBool::new(false));
-
-        let pa = std::sync::Arc::clone(&p);
-        let a = std::thread::spawn(move || pa.wait_on(0, &[TxnId(1)], Duration::from_secs(10)));
-        let (pb, db) = (std::sync::Arc::clone(&p), std::sync::Arc::clone(&done_b));
-        let b = std::thread::spawn(move || {
-            let e = pb.wait_on(0, &[TxnId(2)], Duration::from_secs(10));
-            db.store(true, Ordering::SeqCst);
-            e
-        });
-        // Let both waiters register before bumping.
-        std::thread::sleep(Duration::from_millis(20));
-
-        p.bump_txns(&[TxnId(1)]);
-        assert_eq!(a.join().unwrap(), 1, "interested waiter released");
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(
-            !done_b.load(Ordering::SeqCst),
-            "waiter on TxnId(2) stays asleep through an unrelated bump"
-        );
-        let s = p.wake_stats();
-        assert_eq!(s.targeted_wakeups, 1);
-        assert!(s.suppressed_wakeups >= 1, "B's skipped wake is counted");
-
-        p.bump_txns(&[TxnId(2)]);
-        assert_eq!(b.join().unwrap(), 2);
-        assert_eq!(p.wake_stats().targeted_wakeups, 2);
-    }
-
-    #[test]
-    fn targeted_wait_returns_immediately_on_raced_change() {
-        let p = Progress::new();
-        p.bump_txns(&[TxnId(7)]);
-        // The change landed after our (stale) snapshot of epoch 0: no sleep.
-        let t0 = Instant::now();
-        let e = p.wait_on(0, &[TxnId(7), TxnId(8)], Duration::from_secs(10));
-        assert_eq!(e, 1);
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "returned without waiting"
-        );
-        assert_eq!(p.wake_stats().immediate_returns, 1);
-        // Seen from the *current* epoch the change is old news: time out.
-        let e = p.wait_on(1, &[TxnId(7)], Duration::from_millis(5));
-        assert_eq!(e, 1, "no new change: timeout returns the old epoch");
-    }
-
-    #[test]
-    fn crash_path_bump_wakes_targeted_waiters_regardless_of_interest() {
-        let p = std::sync::Arc::new(Progress::new());
-        let pw = std::sync::Arc::clone(&p);
-        let h = std::thread::spawn(move || pw.wait_on(0, &[TxnId(9)], Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(20));
-        p.bump();
-        assert_eq!(h.join().unwrap(), 1, "broadcast reaches targeted waiters");
-        assert_eq!(p.wake_stats().broadcast_wakeups, 1);
-    }
-
-    #[test]
-    fn empty_interest_degrades_to_broadcast_wait() {
-        let p = std::sync::Arc::new(Progress::new());
-        let pw = std::sync::Arc::clone(&p);
-        let h = std::thread::spawn(move || pw.wait_on(0, &[], Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(20));
-        p.bump_txns(&[TxnId(3)]);
-        assert_eq!(
-            h.join().unwrap(),
-            1,
-            "any change wakes an interest-free waiter"
-        );
     }
 }

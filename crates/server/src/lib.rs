@@ -21,11 +21,19 @@
 //!   log, optionally appends every state change to a commit log
 //!   (`relser_wal::CommitLog`) before acknowledging it, and optionally
 //!   runs as one shard of N ([`ShardCoreCtx`]);
+//! * [`route`] — [`Route`], the back-end described once for both
+//!   front-ends: which core owns a transaction, which queue reaches it,
+//!   what a commit to it carries (unsharded = its N = 1 row);
+//! * [`flight`] — [`Flight`], the one per-operation state machine: from
+//!   "command submitted" to "verdict delivered" — resubmit on `Blocked`
+//!   when the progress epoch moves, waits-for-based abort timeout, reply
+//!   watchdog — driven with an injected `now` by the session threads
+//!   here and by the reactors of `relser-net`;
 //! * [`session`] — the client protocol, written once: program-order
-//!   requests routed to the core owning each object, block/retry on
-//!   progress epochs, waits-for-based abort timeouts, restart-on-abort
-//!   with backoff, and the two-phase admit of a cross-shard transaction —
-//!   exactly mirroring the single-threaded driver discipline;
+//!   requests routed to the core owning each object (each one a
+//!   [`Flight`] the session parks on), restart-on-abort with backoff, and
+//!   the two-phase admit of a cross-shard transaction — exactly mirroring
+//!   the single-threaded driver discipline;
 //! * [`server`] — [`serve`] runs that session over one queue and one
 //!   plain core (the N = 1 row) and returns a [`ServeReport`] (partial
 //!   runs included; [`ServeReport::into_run`] is the committed history as
@@ -84,24 +92,26 @@
 
 pub mod baseline;
 pub mod core;
+pub mod flight;
 pub mod metrics;
 pub mod queue;
 pub mod recovery;
+pub mod route;
 pub mod server;
 pub mod session;
 pub mod shard;
 pub mod supervisor;
 
 pub use baseline::{run_baseline, BaselineRun};
-pub use core::{
-    run_core, CoreCfg, FaultPlan, Progress, ReplyLost, ShardCoreCtx, TraceEvent, WakeStats,
-};
+pub use core::{run_core, CoreCfg, FaultPlan, Progress, ReplyLost, ShardCoreCtx, TraceEvent};
+pub use flight::{Flight, Step, Timeouts, Work};
 pub use metrics::ServerMetrics;
 pub use queue::{BoundedQueue, PopWait, PushError, QueueStats};
 pub use recovery::{
     recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
     Recovery, RecoveryError, ShardedRecovery,
 };
+pub use route::Route;
 pub use server::{
     replay, serve, ReplayMismatch, RunOutcome, ServeReport, ServerConfig, ServerError, ServerRun,
 };

@@ -19,7 +19,11 @@ pub struct ServerMetrics {
     pub commits: u64,
     /// Scheduler-initiated aborts (each restarted the incarnation).
     pub aborts: u64,
-    /// Session-initiated aborts (waits-for timeout while blocked).
+    /// Every [`Command::Abort`](crate::core::Command::Abort) the cores
+    /// applied: the waits-for timeouts of blocked operations, and — over
+    /// TCP — clients' own `Abort` requests and the cleanup of whatever a
+    /// closing connection left live. (The timeout-only figure of a TCP
+    /// run is `NetMetrics::timeout_aborts`.)
     pub timeout_aborts: u64,
     /// Requests shed by the overload policy (each retried later).
     pub sheds: u64,

@@ -6,8 +6,10 @@
 use crate::core::{
     run_core, Command, CoreCfg, CoreOutput, FaultPlan, Progress, ShardCoreCtx, TraceEvent,
 };
+use crate::flight::Timeouts;
 use crate::metrics::ServerMetrics;
 use crate::queue::BoundedQueue;
+use crate::route::Route;
 use crate::session::{run_session, OverloadPolicy, Session, SessionError, SessionStats};
 use crate::shard::{AdmitRecord, LeaseTable};
 use relser_core::ids::{OpId, TxnId};
@@ -67,6 +69,15 @@ impl ServerConfig {
         CoreCfg {
             batch_max: self.batch_max,
             record_trace: self.record_trace,
+        }
+    }
+
+    /// The per-operation timeouts of this config.
+    pub(crate) fn timeouts(&self) -> Timeouts {
+        Timeouts {
+            block_timeout: self.block_timeout,
+            retry_slice: self.retry_slice,
+            reply_timeout: self.reply_timeout,
         }
     }
 }
@@ -246,8 +257,8 @@ pub(crate) struct FrontEndRun {
 ///
 /// `faults` and `wals` are empty or one per core. `sharded` says which
 /// core the schedulers run under — shard cores ([`ShardCoreCtx`]: global
-/// grant sequencer, commit epochs, stamped `CommitAt`) or the plain core
-/// (stamp-less `Commit`) — and is the only thing the two front-ends tell
+/// grant sequencer, commit epochs, stamped commits) or the plain core
+/// (stamp-less commits) — and is the only thing the two front-ends tell
 /// this function apart by.
 pub(crate) fn run_front_end<'a>(
     txns: &TxnSet,
@@ -282,14 +293,17 @@ pub(crate) fn run_front_end<'a>(
     let admits: Mutex<Vec<AdmitRecord>> = Mutex::new(Vec::new());
     let default_fault = FaultPlan::default();
     let session = Session {
-        txns,
+        route: Route {
+            txns,
+            map,
+            queues: &queues,
+            progresses: &progresses,
+            stamps: sharded.then_some(&stamps),
+            healths: None,
+        },
         cfg,
-        map,
-        queues: &queues,
-        progresses: &progresses,
         sheds: &sheds,
         epochs: &epochs,
-        stamps: sharded.then_some(&stamps),
         leases: &leases,
         admits: &admits,
     };

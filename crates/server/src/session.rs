@@ -5,49 +5,38 @@
 //! `begin`, then every operation in **program order**, then `commit` —
 //! restarting the whole incarnation from its first operation whenever a
 //! scheduler aborts it. Sessions never touch a scheduler; they only
-//! enqueue [`Command`]s and wait on [`Reply`] cells, so any number of them
-//! can run concurrently against single-writer cores.
+//! enqueue [`Command`]s and wait for verdicts, so any number of them can
+//! run concurrently against single-writer cores.
 //!
-//! A session is *routed*: it holds one queue (and progress epoch, shed
-//! counter, commit epoch) per admission core and sends each operation to
-//! the core that owns its object. [`crate::serve`] is the N = 1 row of
-//! that table — one queue, every transaction single-owner, so the lease
-//! and two-phase admit below never run — and [`crate::serve_sharded`] the
-//! N-shard row. What differs between the rows is data, not code: whether
-//! the cores are shard cores, in which case commits carry a global stamp
-//! ([`Command::CommitAt`]), or the plain core, which takes the stamp-less
-//! [`Command::Commit`] (`Session::stamps`).
+//! There is also **one per-operation state machine**, and it is not
+//! here: what happens between an operation's submit and its verdict —
+//! resubmit on `Blocked` when the owning core's progress epoch moves,
+//! self-abort on an unchanged waits-for set, give up on a silent core —
+//! is [`crate::flight::Flight`], the same value the TCP reactors drive.
+//! The session is its *thread* driver: it polls the flight and, in
+//! between, parks on the flight's reply cell or on the progress epoch
+//! until the flight's deadline.
+//!
+//! A session is *routed* ([`Route`]): each operation goes to the core
+//! that owns its object. [`crate::serve`] is the N = 1 row of that table —
+//! one queue, every transaction single-owner, so the lease and two-phase
+//! admit below never run — and [`crate::serve_sharded`] the N-shard row;
+//! what differs between the rows is data, not code.
 //!
 //! A **cross-shard** transaction (several owners) takes a shard-set lease
 //! and fans a two-phase admit out before its first operation; the
 //! protocol and why it is sound are in [`crate::shard`].
-//!
-//! Two liveness mechanisms live here:
-//!
-//! * **Block/retry with progress epochs.** A `Blocked` decision does not
-//!   park the session on a lock queue (the scheduler has none the session
-//!   can see); instead the session sleeps until the owning core's
-//!   progress epoch advances for a transaction it waits on — i.e. until a
-//!   grant, commit, or abort changed *their* state — then re-submits the
-//!   same operation.
-//! * **Waits-for-based timeout.** The session tracks *which* transactions
-//!   it has been waiting on (the `on` set of the `Blocked` decision). The
-//!   abort timer starts only when that set stabilizes and resets whenever
-//!   it changes, so a transaction making slow-but-real progress behind a
-//!   busy peer is not shot down; one stuck behind the *same* peers for a
-//!   full `block_timeout` aborts itself and restarts. This is deadlock
-//!   resolution for blocking schedulers (2PL) that the RSG protocols
-//!   never need (they abort instead of blocking).
 
-use crate::core::{Command, Progress, Reply};
+use crate::core::{Command, Reply};
+use crate::flight::{Flight, Push, Step, Work};
 use crate::queue::{BoundedQueue, PushError};
+use crate::route::Route;
 use crate::server::ServerConfig;
 use crate::shard::{AdmitRecord, LeaseTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relser_core::ids::{OpId, TxnId};
-use relser_core::shard::{ArcExchange, ShardMap};
-use relser_core::txn::TxnSet;
+use relser_core::shard::ArcExchange;
 use relser_protocols::Decision;
 use relser_workload::stream::RequestStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,21 +92,14 @@ pub struct SessionStats {
 }
 
 /// Everything a session needs, shared across all workers of one run: the
-/// universe, the config, and one queue / progress epoch / shed counter /
-/// commit epoch per admission core. [`crate::serve`] hands in one-element
-/// slices, [`crate::serve_sharded`] one element per shard.
+/// back-end ([`Route`]), the config, and one shed counter / commit epoch
+/// per admission core. [`crate::serve`] hands in one-element slices,
+/// [`crate::serve_sharded`] one element per shard.
 pub(crate) struct Session<'a> {
-    pub(crate) txns: &'a TxnSet,
+    pub(crate) route: Route<'a>,
     pub(crate) cfg: &'a ServerConfig,
-    pub(crate) map: ShardMap,
-    pub(crate) queues: &'a [BoundedQueue<Command>],
-    pub(crate) progresses: &'a [Progress],
     pub(crate) sheds: &'a [AtomicU64],
     pub(crate) epochs: &'a [AtomicU64],
-    /// The global commit-stamp counter when the cores are shard cores
-    /// ([`crate::ShardCoreCtx`]): commits go out as `CommitAt`. `None`
-    /// over the plain core, which takes the stamp-less `Commit`.
-    pub(crate) stamps: Option<&'a AtomicU64>,
     pub(crate) leases: &'a LeaseTable,
     pub(crate) admits: &'a Mutex<Vec<AdmitRecord>>,
 }
@@ -133,52 +115,46 @@ enum Incarnation {
 }
 
 impl Session<'_> {
-    /// Enqueues a command that must not be lost (begin/commit/abort —
-    /// and requests under the `Wait` policy).
+    /// Enqueues a command that must not be lost (begin/commit/abort).
     fn send(&self, shard: u32, cmd: Command) -> Result<(), SessionError> {
-        self.queues[shard as usize]
+        self.route.queues[shard as usize]
             .push_wait(cmd)
             .map_err(|_| SessionError::Shutdown)
     }
 
-    /// Enqueues an operation request on its owning core under the
-    /// configured overload policy, counting sheds per core.
-    fn send_request(
+    /// Submits an operation request to its owning core under the
+    /// configured overload policy — `Wait` blocks for room, `Shed` backs
+    /// off and tries again.
+    fn submit(
         &self,
         shard: u32,
         op: OpId,
-        reply: Reply,
         stats: &mut SessionStats,
-    ) -> Result<(), SessionError> {
-        let mut cmd = Command::Request {
-            op,
-            enqueued: Instant::now(),
-            reply,
+    ) -> Result<Flight, SessionError> {
+        let push: Push = match self.cfg.policy {
+            OverloadPolicy::Wait => BoundedQueue::push_wait,
+            OverloadPolicy::Shed => BoundedQueue::try_push,
         };
         loop {
-            match self.cfg.policy {
-                OverloadPolicy::Wait => return self.send(shard, cmd),
-                OverloadPolicy::Shed => match self.queues[shard as usize].try_push(cmd) {
-                    Ok(()) => return Ok(()),
-                    Err(PushError::Closed(_)) => return Err(SessionError::Shutdown),
-                    Err(PushError::Full(back)) => {
-                        stats.sheds += 1;
-                        self.sheds[shard as usize].fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(self.cfg.retry_slice);
-                        // Refresh the enqueue timestamp: the shed-and-retry
-                        // delay is client-side, not admission latency.
-                        cmd = match back {
-                            Command::Request { op, reply, .. } => Command::Request {
-                                op,
-                                enqueued: Instant::now(),
-                                reply,
-                            },
-                            other => other,
-                        };
-                    }
-                },
+            // Every try stamps its own enqueue time: the shed-and-retry
+            // delay is client-side, not admission latency.
+            let (reply, now) = (Reply::new(), Instant::now());
+            match Flight::submit(&self.route, shard, Work::Op(op), reply, now, push) {
+                Ok(flight) => return Ok(flight),
+                Err(PushError::Closed(_)) => return Err(SessionError::Shutdown),
+                Err(PushError::Full(_)) => self.back_off(shard, stats),
             }
         }
+    }
+
+    /// A request found core `shard`'s queue full and could not wait for
+    /// room: back off a slice (a shed, under that policy).
+    fn back_off(&self, shard: u32, stats: &mut SessionStats) {
+        if self.cfg.policy == OverloadPolicy::Shed {
+            stats.sheds += 1;
+            self.sheds[shard as usize].fetch_add(1, Ordering::Relaxed);
+        }
+        std::thread::sleep(self.cfg.retry_slice);
     }
 
     /// Best-effort LIFO rollback on shards that already granted an admit
@@ -194,7 +170,7 @@ impl Session<'_> {
     /// Runs one transaction to commit, restarting across aborts, rejected
     /// admits and waits-for timeouts.
     pub(crate) fn run_txn(&self, txn: TxnId, stats: &mut SessionStats) -> Result<(), SessionError> {
-        let owners = self.map.shards_of_txn(self.txns, txn);
+        let owners = self.route.owners(txn);
         let mut attempts = 0u32;
         loop {
             attempts += 1;
@@ -218,7 +194,7 @@ impl Session<'_> {
             }
             // Strict 2PL at shard granularity for cross-shard transactions
             // only: hold the whole shard set from before the first admit
-            // until after the last CommitAt (or the rollback), so
+            // until after the last commit (or the rollback), so
             // overlapping cross-shard transactions never interleave.
             let cross_shard = owners.len() > 1;
             if cross_shard {
@@ -253,84 +229,74 @@ impl Session<'_> {
         } else if !self.admit(txn, owners)? {
             return Ok(Incarnation::Aborted);
         }
-        for index in 0..self.txns.txn(txn).len() {
+        let timeouts = self.cfg.timeouts();
+        for index in 0..self.route.txns.txn(txn).len() {
             let op = OpId {
                 txn,
                 index: index as u32,
             };
-            let shard = self
-                .map
-                .shard_of_op(self.txns, op)
-                .expect("op of a parsed txn");
-            let progress = &self.progresses[shard as usize];
+            let shard = self.route.core_of(op);
             let others = owners.iter().copied().filter(|&s| s != shard);
-            // Waits-for timeout state for this operation.
-            let mut waited_on: Vec<TxnId> = Vec::new();
-            let mut blocked_since = Instant::now();
-            let mut ever_blocked = false;
+            let mut flight = self.submit(shard, op, stats)?;
+            // Drive the flight to its verdict, parked between polls on
+            // whatever it is waiting for.
             loop {
-                let reply = Reply::new();
-                let seen = progress.current();
-                self.send_request(shard, op, reply.clone(), stats)?;
-                let decision = reply
-                    .wait_for(self.cfg.reply_timeout)
-                    .map_err(|_| SessionError::ReplyLost(txn))?;
-                match decision {
-                    Decision::Granted => {
-                        // Simulated record access: slept, not spun, so it
-                        // occupies the session but not a CPU and overlaps
-                        // across sessions like real I/O.
-                        if self.cfg.op_work_ns > 0 {
-                            std::thread::sleep(Duration::from_nanos(self.cfg.op_work_ns));
-                        }
-                        stats.ops_executed += 1;
-                        break; // next operation in program order
-                    }
-                    Decision::Aborted(_) => {
+                let now = Instant::now();
+                match flight.poll(&self.route, &timeouts, now) {
+                    Step::Granted => break, // next operation in program order
+                    Step::Aborted(_) => {
                         // This core already applied the abort; unwind the
                         // other owners before restarting from the first
                         // operation.
                         self.rollback_lifo(txn, others);
                         return Ok(Incarnation::Aborted);
                     }
-                    Decision::Blocked { mut on } => {
-                        on.sort_unstable();
-                        on.dedup();
-                        let now = Instant::now();
-                        if !ever_blocked || on != waited_on {
-                            // First block, or the waits-for set moved:
-                            // (re)start the timeout clock.
-                            ever_blocked = true;
-                            waited_on = on;
-                            blocked_since = now;
-                        } else if now.duration_since(blocked_since) >= self.cfg.block_timeout {
-                            // Stuck behind the same transactions too long:
-                            // abort on the blocking core (counted there as
-                            // a timeout abort), roll the rest back, restart.
-                            self.send(shard, Command::Abort(txn))?;
-                            self.rollback_lifo(txn, others);
-                            return Ok(Incarnation::TimedOut);
-                        }
-                        // Sleep until a transaction we wait on changes
-                        // (or a slice elapses), then re-submit the same
-                        // operation. Unrelated commits do not wake us.
-                        progress.wait_on(seen, &waited_on, self.cfg.retry_slice);
+                    Step::TimedOut => {
+                        // Stuck behind the same transactions too long:
+                        // abort on the blocking core, roll the rest back,
+                        // restart.
+                        self.send(shard, Command::Abort(txn))?;
+                        self.rollback_lifo(txn, others);
+                        return Ok(Incarnation::TimedOut);
+                    }
+                    Step::ReplyLost => return Err(SessionError::ReplyLost(txn)),
+                    Step::Closed => return Err(SessionError::Shutdown),
+                    Step::InFlight => {}
+                }
+                // (No deadline = timeouts too long to represent: look
+                // again a slice later.)
+                let wait = flight
+                    .deadline(&timeouts)
+                    .map_or(self.cfg.retry_slice, |at| at.saturating_duration_since(now));
+                match flight.parked_at() {
+                    None => {
+                        flight.reply().wait_filled(wait);
+                    }
+                    // The resubmit found the queue full (see
+                    // `Flight::deadline`).
+                    Some(_) if wait.is_zero() => self.back_off(shard, stats),
+                    // Until the owning core changes something — any bump
+                    // wakes every parked session — or the deadline.
+                    Some(seen) => {
+                        self.route.progresses[shard as usize].wait_past(seen, wait);
                     }
                 }
             }
+            // Simulated record access: slept, not spun, so it occupies
+            // the session but not a CPU and overlaps across sessions like
+            // real I/O.
+            if self.cfg.op_work_ns > 0 {
+                std::thread::sleep(Duration::from_nanos(self.cfg.op_work_ns));
+            }
+            stats.ops_executed += 1;
         }
         // Fire-and-forget: per-queue FIFO guarantees each owner applies the
-        // commit before anything a later lease holder enqueues.
-        match self.stamps {
-            None => self.send(owners[0], Command::Commit(txn))?,
-            Some(stamps) => {
-                // One global stamp on every owner: the commit lands on the
-                // merged commit order.
-                let stamp = stamps.fetch_add(1, Ordering::SeqCst);
-                for &s in owners {
-                    self.send(s, Command::CommitAt { txn, stamp })?;
-                }
-            }
+        // commit before anything a later lease holder enqueues. One stamp
+        // on every owner: the commit lands once on the merged commit order.
+        let stamp = self.route.next_stamp();
+        for &s in owners {
+            let ack = None; // nobody waits for the verdict
+            self.send(s, Command::Commit { txn, stamp, ack })?;
         }
         Ok(Incarnation::Committed)
     }
@@ -445,6 +411,9 @@ pub(crate) fn run_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::Progress;
+    use relser_core::shard::ShardMap;
+    use relser_core::txn::TxnSet;
 
     #[test]
     fn backoff_is_deterministic_and_jittered() {
@@ -498,14 +467,17 @@ mod tests {
         };
         let queue: BoundedQueue<Command> = BoundedQueue::new(8);
         let session = Session {
-            txns: &txns,
+            route: Route {
+                txns: &txns,
+                map: ShardMap::new(1),
+                queues: std::slice::from_ref(&queue),
+                progresses: &[Progress::new()],
+                stamps: None,
+                healths: None,
+            },
             cfg: &cfg,
-            map: ShardMap::new(1),
-            queues: std::slice::from_ref(&queue),
-            progresses: &[Progress::new()],
             sheds: &[AtomicU64::new(0)],
             epochs: &[AtomicU64::new(0)],
-            stamps: None,
             leases: &LeaseTable::new(1),
             admits: &Mutex::new(Vec::new()),
         };

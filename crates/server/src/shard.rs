@@ -30,9 +30,9 @@
 //!    order, releases the lease, and retries with backoff.
 //! 2. **Commit.** After every operation is granted (each routed to its
 //!    owning shard), the router draws one global commit stamp and sends
-//!    [`Command::CommitAt`] to every owner. A transaction *counts as
-//!    committed only if every owning shard applied its `CommitAt`* — the
-//!    same all-owners rule
+//!    the stamped [`Command::Commit`] to every owner. A transaction
+//!    *counts as committed only if every owning shard applied its
+//!    commit* — the same all-owners rule
 //!    [`crate::recovery::recover_sharded_segments_with_certifier`] applies
 //!    to the per-shard WAL streams after a crash.
 //!
@@ -61,6 +61,11 @@
 //! logs onto a single timeline consistent with program order and every
 //! core's queue order; cross-shard admits are recorded in fan-out order
 //! as [`AdmitRecord`]s while the lease is held.
+//!
+//! [`Command::Admit`]: crate::core::Command::Admit
+//! [`Command::Rollback`]: crate::core::Command::Rollback
+//! [`Command::Commit`]: crate::core::Command::Commit
+//! [`ArcExchange`]: relser_core::shard::ArcExchange
 
 use crate::core::{CoreOutput, FaultPlan, TraceEvent};
 use crate::metrics::ServerMetrics;
@@ -149,8 +154,8 @@ pub struct ShardedReport {
     /// How the run ended (a crash on *any* shard reports `Crashed`).
     pub outcome: RunOutcome,
     /// Transactions committed on **all** their owning shards, in global
-    /// commit-stamp order. A transaction a crash caught between
-    /// `CommitAt`s (durable on some owners, not all) is excluded — the
+    /// commit-stamp order. A transaction a crash caught between its
+    /// owners' commits (durable on some, not all) is excluded — the
     /// same all-owners rule recovery applies.
     pub committed: Vec<TxnId>,
     /// All shards' granted operations merged onto the global grant
@@ -228,7 +233,7 @@ pub fn serve_sharded<'a>(
         map,
     } = run_front_end(txns, stream, schedulers, cfg, faults, wals, true);
 
-    // Committed = the all-owners rule over the live `CommitAt` applications,
+    // Committed = the all-owners rule over the live stamped-commit applications,
     // ordered by global commit stamp.
     let mut acked: Vec<Vec<u32>> = vec![Vec::new(); txns.len()];
     let mut stamp_of: Vec<Option<u64>> = vec![None; txns.len()];
@@ -267,7 +272,7 @@ pub fn serve_sharded<'a>(
         .filter(|o| is_committed[o.txn.index()])
         .collect();
 
-    // `commits` counted one per (shard, CommitAt); report whole transactions.
+    // `commits` counted one per (shard, commit); report whole transactions.
     metrics.commits = committed.len() as u64;
     metrics.committed_ops = history.len() as u64;
 

@@ -181,10 +181,9 @@ impl ShardHealth {
 pub struct SupervisorCfg<'a> {
     /// The transaction universe (recovery replays against it).
     pub txns: &'a TxnSet,
-    /// The atomicity spec (recovery re-certifies against it).
+    /// The atomicity spec (recovery re-certifies against it, with
+    /// [`Certifier::VClock`]).
     pub spec: &'a AtomicitySpec,
-    /// Which engine re-certifies recovered history.
-    pub certifier: Certifier,
     /// Fsync policy for every incarnation's log.
     pub fsync: FsyncPolicy,
     /// Checkpoint/rotation policy for every incarnation's log.
@@ -229,9 +228,14 @@ fn recover_and_resume(
     cfg: &SupervisorCfg<'_>,
 ) -> Result<(SegmentedWal, Checkpoint), ()> {
     let segments = store.segments();
-    let (_, rec) =
-        recover_segments_with_certifier(cfg.txns, cfg.spec, scheduler, &segments, cfg.certifier)
-            .map_err(|_| ())?;
+    let (_, rec) = recover_segments_with_certifier(
+        cfg.txns,
+        cfg.spec,
+        scheduler,
+        &segments,
+        Certifier::VClock,
+    )
+    .map_err(|_| ())?;
     // The head must condense the full Begin/Grant/Commit stream of
     // *every* committed transaction — not just the unretired ones.
     // Sharded recovery demotes a committed transaction to `partial`

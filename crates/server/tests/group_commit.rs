@@ -13,7 +13,7 @@ use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{AbortReason, Decision};
-use relser_server::core::{Command, CoreOutput, Progress, Reply};
+use relser_server::core::{self, Command, CoreOutput, Progress, Reply};
 use relser_server::recovery::{recover, Certifier};
 use relser_server::supervisor::SessionTable;
 use relser_server::{run_core, BoundedQueue, CoreCfg, FaultPlan, ShardCoreCtx};
@@ -197,12 +197,14 @@ fn scenario(n: usize) -> Scenario {
         }
         let reply = Reply::new();
         let session = 100 + t as u64;
-        sc.commands.push(Command::CommitAck {
+        sc.commands.push(Command::Commit {
             txn,
-            enqueued: Instant::now(),
-            reply: reply.clone(),
             stamp: Some(t as u64),
-            session: Some((session, 1)),
+            ack: Some(core::Ack {
+                enqueued: Instant::now(),
+                reply: reply.clone(),
+                session: Some((session, 1)),
+            }),
         });
         sc.replies.push(reply);
         sc.acks.push(Ack::Commit(txn));
@@ -546,4 +548,84 @@ fn planned_crash_mid_batch_unwinds_the_batch_held_acks() {
     assert_eq!(o.out.commands, 21);
     assert_eq!(o.bytes, o.synced, "the dead batch never reached storage");
     assert_failed_batch_unacked(&sc, &o, batch_max, 2);
+}
+
+/// The one `Command::Commit` still writes the three commit records it
+/// replaced three commands for: which one is chosen from `(stamp,
+/// session)` alone — the ack asked for or not — and the log is, byte for
+/// byte, the one those records make.
+#[test]
+fn the_one_commit_command_writes_the_same_three_records() {
+    use relser_wal::MemStorage;
+
+    let (txns, spec) = universe(4);
+    let ack = |session| {
+        Some(core::Ack {
+            enqueued: Instant::now(),
+            reply: Reply::new(),
+            session,
+        })
+    };
+    // (stamp, ack) per transaction, and the record each must produce.
+    let commits = [
+        (None, None),
+        (Some(11), None),
+        (Some(12), ack(Some((7, 3)))),
+        (None, ack(Some((8, 5)))),
+    ];
+    let mut expected = Vec::new();
+    let queue: BoundedQueue<Command> = BoundedQueue::new(32);
+    for (t, (stamp, ack)) in commits.into_iter().enumerate() {
+        let txn = TxnId(t as u32);
+        expected.push(WalRecord::Begin(txn));
+        assert!(queue.push_wait(Command::Begin(txn)).is_ok());
+        for index in 0..2 {
+            let op = OpId { txn, index };
+            expected.push(WalRecord::Grant(op));
+            let (enqueued, reply) = (Instant::now(), Reply::new());
+            let request = Command::Request {
+                op,
+                enqueued,
+                reply,
+            };
+            assert!(queue.push_wait(request).is_ok());
+        }
+        expected.push(match (stamp, ack.as_ref().and_then(|a| a.session)) {
+            (None, None) => WalRecord::Commit(txn),
+            (Some(stamp), None) => WalRecord::CommitAt { txn, stamp },
+            (stamp, Some((session, req_id))) => WalRecord::CommitSession {
+                txn,
+                stamp: stamp.unwrap_or(0),
+                session,
+                req_id,
+            },
+        });
+        assert!(queue.push_wait(Command::Commit { txn, stamp, ack }).is_ok());
+    }
+    queue.close();
+
+    let (mem, handle) = MemStorage::new();
+    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+    let out = run_core(
+        Box::new(RsgSgt::new(&txns, &spec)),
+        &queue,
+        &Progress::new(),
+        CoreCfg {
+            batch_max: 4,
+            record_trace: false,
+        },
+        &FaultPlan::default(),
+        Some(&mut wal),
+        None,
+    );
+    assert_eq!(out.commits, 4);
+    assert_eq!(scan(&handle.bytes()).records, expected);
+
+    let (mem, by_hand) = MemStorage::new();
+    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+    for rec in &expected {
+        wal.append(rec).unwrap();
+    }
+    wal.close().unwrap();
+    assert_eq!(handle.bytes(), by_hand.bytes(), "byte for byte");
 }

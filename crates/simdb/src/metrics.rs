@@ -65,7 +65,7 @@ impl DecisionLatency {
 }
 
 /// A log-linear latency histogram (nanoseconds): every power-of-two
-/// octave is split into [`SUB_BUCKETS`] equal sub-buckets.
+/// octave is split into `SUB_BUCKETS` (8) equal sub-buckets.
 ///
 /// Samples below `SUB_BUCKETS` get a bucket each (exact). From there a
 /// sample with highest set bit `e` lands in octave `e`, in the sub-bucket
