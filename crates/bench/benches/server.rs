@@ -9,15 +9,9 @@
 //! commit, workload parameters, and the achieved 8-worker speedup) go to
 //! `BENCH_server.json`.
 
-use relser_bench::gate::{
-    shard_schedulers, zipf_rmw_txns, zipf_spec, SHARD_COUNTS, SHARD_WORKERS, ZIPF_BREAKPOINT_PROB,
-    ZIPF_OBJECTS, ZIPF_THETA, ZIPF_TXNS,
-};
 use relser_bench::harness::{git_commit, BenchmarkId, Harness};
-use relser_core::spec::AtomicitySpec;
-use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
-use relser_server::{run_baseline, serve, serve_sharded, FaultPlan, ServerConfig};
+use relser_server::{run_baseline, serve, FaultPlan, ServerConfig};
 use relser_workload::banking::{banking, BankingConfig, BankingScenario};
 use relser_workload::stream::RequestStream;
 use std::hint::black_box;
@@ -74,76 +68,6 @@ fn bench_service(h: &mut Harness, sc: &BankingScenario) {
     group.finish();
 }
 
-// Low-contention Zipf universe for the shard-scaling sweep: each
-// transaction is a read-modify-write on one Zipf-sampled record, so
-// every transaction is single-shard at every shard count (the traffic a
-// partitioned admission tier is deployed for) and the router keeps the
-// whole admission entirely local. Mild skew keeps cross-transaction
-// conflicts rare, and zero per-op work means the sweep measures the
-// admission path itself — which is exactly what sharding improves: the
-// scheduler is the O(P²)-per-decision rebuild formulation
-// (`RsgSgtOracle`), whose cost grows with the certified prefix, and
-// partitioning keeps each core's prefix at 1/N of the stream. (The
-// incremental engine flattens per-decision cost, so its shard win is
-// plain multi-core parallelism — not measurable on a single-CPU bench
-// runner; the prefix-shrinking win is.) Cross-shard two-phase-admit
-// costs are exercised (and certified) by the shard test suite instead.
-
-fn bench_shards(h: &mut Harness, txns: &TxnSet, spec: &AtomicitySpec) {
-    let ops = txns.total_ops();
-    let mut group = h.group("zipf_shards");
-    group.sample_size(5);
-    for &shards in &SHARD_COUNTS {
-        let cfg = ServerConfig {
-            workers: SHARD_WORKERS,
-            op_work_ns: 0,
-            ..ServerConfig::default()
-        };
-        group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, _| {
-            b.iter(|| {
-                let stream = RequestStream::shuffled(txns, ARRIVAL_SEED);
-                let schedulers = shard_schedulers(txns, spec, shards);
-                black_box(
-                    serve_sharded(txns, &stream, schedulers, &cfg, &[], Vec::new())
-                        .into_run(txns)
-                        .expect("sharded serve completes")
-                        .history,
-                )
-            })
-        });
-    }
-    group.finish();
-
-    // One representative run per shard count for the decision-latency
-    // rows: ns/decision (mean) and the exact p99, recomputed from the
-    // pooled raw samples of every shard core, plus the per-run shard
-    // count so the JSON rows are self-describing.
-    for &shards in &SHARD_COUNTS {
-        let cfg = ServerConfig {
-            workers: SHARD_WORKERS,
-            op_work_ns: 0,
-            ..ServerConfig::default()
-        };
-        let stream = RequestStream::shuffled(txns, ARRIVAL_SEED);
-        let schedulers = shard_schedulers(txns, spec, shards);
-        let report = serve_sharded(txns, &stream, schedulers, &cfg, &[], Vec::new());
-        let d = &report.metrics.decision;
-        h.set_meta(
-            format!("shards{shards}_ns_per_decision").as_str(),
-            format!("{:.0}", d.mean_ns),
-        );
-        h.set_meta(format!("shards{shards}_decision_p99_ns").as_str(), d.p99_ns);
-        println!(
-            "shards={shards}: {} decisions, mean {:.0} ns, p99 {} ns ({} committed)",
-            d.decisions,
-            d.mean_ns,
-            d.p99_ns,
-            report.committed.len()
-        );
-    }
-    let _ = ops;
-}
-
 fn main() {
     let sc = banking(&WORKLOAD, WORKLOAD_SEED);
     let ops = sc.txns.total_ops();
@@ -173,37 +97,11 @@ fn main() {
 
     bench_service(&mut h, &sc);
 
-    let zipf_txns = zipf_rmw_txns(WORKLOAD_SEED);
-    let zipf_spec = zipf_spec(&zipf_txns, WORKLOAD_SEED);
-    h.set_meta("zipf_txns", zipf_txns.len());
-    h.set_meta("zipf_total_ops", zipf_txns.total_ops());
-    h.set_meta(
-        "zipf_config",
-        format!(
-            "single-record RMW, txns={ZIPF_TXNS} objects={ZIPF_OBJECTS} theta={ZIPF_THETA} \
-             breakpoint_prob={ZIPF_BREAKPOINT_PROB}"
-        ),
-    );
-    h.set_meta(
-        "shard_counts",
-        SHARD_COUNTS
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    h.set_meta("shard_workers", SHARD_WORKERS);
-    h.set_meta("zipf_scheduler", "RSG-SGT (rebuild formulation)");
-    // Pre-hot-path-PR baselines, recorded on this machine immediately
-    // before the first optimization landed (same workload, same seeds;
-    // see EXPERIMENTS.md "Hot-path pathologies"). Kept as static meta so
-    // the committed JSON always carries before/after side by side; the
-    // live shards{N}_* rows below are the "after".
-    h.set_meta("hotpath_before_shards1_ns_per_decision", 188_211u64);
-    h.set_meta("hotpath_before_shards2_ns_per_decision", 118_172u64);
-    h.set_meta("hotpath_before_shards4_ns_per_decision", 94_198u64);
+    // Pre-hot-path-PR baseline, recorded on this machine immediately
+    // before the first optimization landed (see EXPERIMENTS.md "Hot-path
+    // pathologies"). Kept as static meta so the committed JSON carries
+    // the before beside the after.
     h.set_meta("hotpath_before_e11_rsg_sgt_ns_per_decision", 1_864u64);
-    bench_shards(&mut h, &zipf_txns, &zipf_spec);
 
     // The last head-to-head of the two queue implementations, on this
     // machine (8 producers x 25,000 items, capacity 1024, batches of 64).
@@ -224,8 +122,6 @@ fn main() {
     };
     let base = median(&format!("baseline/{ops}"));
     let w8 = median("workers/8");
-    let s1 = median("shards/1");
-    let s4 = median("shards/4");
     let ops_per_sec = |ns: f64| ops as f64 * 1e9 / ns;
     h.set_meta("baseline_ops_per_sec", format!("{:.0}", ops_per_sec(base)));
     h.set_meta("workers8_ops_per_sec", format!("{:.0}", ops_per_sec(w8)));
@@ -235,14 +131,6 @@ fn main() {
         ops_per_sec(base),
         ops_per_sec(w8),
         base / w8
-    );
-
-    h.set_meta("shards_speedup_4v1", format!("{:.2}", s1 / s4));
-    println!(
-        "zipf shards: 1 shard {:.2} ms, 4 shards {:.2} ms -> speedup {:.2}x",
-        s1 / 1e6,
-        s4 / 1e6,
-        s1 / s4
     );
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");

@@ -20,6 +20,5 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod gate;
 pub mod harness;
 pub mod table;

@@ -27,11 +27,12 @@
 //!   exact multi-command batches, so the storage and shard sweeps cut
 //!   the group-commit window (records appended, barrier pending, acks
 //!   held) that live one-command-at-a-time sessions never open;
-//! * [`shard_faults`] — crash-at-k sweeps over the sharded service's
-//!   two-phase admit window: live core crashes and admit rejects on a
-//!   durable N-shard run, full-log and skewed-cut recoveries, the
-//!   no-half-admitted invariant, and the Theorem 1 oracle re-run whole
-//!   over every merged committed history;
+//! * [`shard_faults`] — crash-at-k sweeps over the sharded service, whose
+//!   shards share nothing: live core crashes on a durable N-shard run of
+//!   a shard-local universe, full-log and skewed-cut recoveries, every
+//!   shard keeping the commits it acknowledged whatever the others lost,
+//!   and the Theorem 1 oracle re-run whole over every merged committed
+//!   history;
 //! * `storage_faults` (feature `fault-fs`) — storage fault injection
 //!   against the durable server: a fault-injecting WAL backend plus the
 //!   crash-point sweep that cuts, flips, and live-fails the commit log at
@@ -62,7 +63,7 @@ pub use explore::{ExploreConfig, ExploreReport, ExploreStats, Mode, ScheduleExpl
 pub use faults::{fault_sweep, FaultSweepConfig, FaultSweepReport};
 pub use oracle::{check_execution, Divergence, DivergenceKind, ExecutionRecord};
 pub use relser_core::project::Projection;
-pub use shard_faults::{shard_admit_sweep, ShardSweepConfig, ShardSweepReport};
+pub use shard_faults::{shard_crash_sweep, ShardSweepConfig, ShardSweepReport};
 pub use shrink::{shrink, shrink_universe, Counterexample};
 #[cfg(feature = "fault-fs")]
 pub use storage_faults::{

@@ -18,7 +18,6 @@
 //! `Granted`, and **acked ⇒ durable** is asserted against that set.
 
 use relser_core::ids::TxnId;
-use relser_core::shard::ArcExchange;
 use relser_protocols::{Decision, Scheduler};
 use relser_server::core::{Ack, Command, CoreOutput, Progress, Reply};
 use relser_server::{run_core, BoundedQueue, CoreCfg, FaultPlan, ShardCoreCtx, TraceEvent};
@@ -77,18 +76,9 @@ pub fn redrive_preloaded(
                 }
             }
             TraceEvent::Abort(txn) => Command::Abort(*txn),
-            // Granted or rejected, the admit is re-sent: the same
-            // `reject_admits` plan refuses the same ordinals again.
-            TraceEvent::Admit { txn, .. } => {
-                let (me, shards) = shard
-                    .as_ref()
-                    .map_or((0, 1), |s| (s.shard, s.epochs.len() as u32));
-                Command::Admit {
-                    txn: *txn,
-                    exchange: ArcExchange::new(me, shards),
-                    reply: Reply::new(),
-                }
-            }
+            // Never constructed (see the variant's docs); named only
+            // because the match is exhaustive.
+            TraceEvent::Admit { .. } => continue,
         };
         assert!(queue.push_wait(cmd).is_ok(), "queue sized for the trace");
     }

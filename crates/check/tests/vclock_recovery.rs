@@ -12,6 +12,7 @@
 //! error.
 
 use relser_core::paper::{Figure1, Figure2};
+use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
@@ -25,7 +26,7 @@ use relser_wal::{
     CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemStorage, SegmentedWal, WalWriter,
 };
 use relser_workload::stream::RequestStream;
-use relser_workload::{random_spec, random_txns, RandomConfig};
+use relser_workload::{random_spec, shard_local_txns, RandomConfig};
 
 /// Recovers `bytes` once per certifier (fresh scheduler each) and
 /// returns both results for comparison.
@@ -177,21 +178,21 @@ fn certifier_choice_is_invisible_across_segment_rotation() {
     }
 }
 
-/// Sharded logs cut at independent byte offsets (shards crash at
-/// different instants): the merged all-owners recovery is identical
-/// under both certifiers, including the partial-commit exclusions.
+/// Sharded logs of a shard-local universe cut at independent byte offsets
+/// (shards crash at different instants): the merged recovery is identical
+/// under both certifiers.
 #[test]
 fn certifier_choice_is_invisible_for_sharded_recovery() {
     let cfg_wl = RandomConfig {
-        txns: 5,
+        txns: 8,
         ops_per_txn: (1, 4),
-        objects: 3,
+        objects: 6,
         theta: 0.6,
         write_ratio: 0.5,
     };
-    let txns = random_txns(&cfg_wl, 41);
-    let spec = random_spec(&txns, 0.5, 42);
     let shards = 3usize;
+    let txns = shard_local_txns(&cfg_wl, &ShardMap::new(shards as u32), 41);
+    let spec = random_spec(&txns, 0.5, 42);
     let cfg = ServerConfig {
         workers: 3,
         ..ServerConfig::default()

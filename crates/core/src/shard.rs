@@ -1,20 +1,22 @@
 //! Object-space sharding: partition the object universe across N
-//! admission cores while keeping one correctness story.
+//! admission cores that share nothing.
 //!
-//! The paper defines relative serializability per *history* over the RSG,
-//! so a sharded service is sound as long as (a) every conflict is decided
-//! by exactly one shard — guaranteed here because conflicts are
-//! same-object and [`ShardMap`] assigns each object to exactly one shard —
-//! and (b) the committed multi-shard history can be merged back into one
-//! schedule for the offline Theorem 1 oracle. This module holds the three
-//! pure pieces the server builds on:
+//! The paper defines relative serializability per *history* over one
+//! `RSG(S)`. A sharded service stays inside that definition by one rule:
+//! **a transaction is owned by exactly one shard** — every object it
+//! touches hashes to the same core ([`ShardMap::owner_of_txn`]). Conflicts
+//! are same-object, so every conflict, hence every D-arc, hence every F/B
+//! arc lies between transactions of one shard, and the RSG of the merged
+//! history is the disjoint union of the per-shard RSGs: acyclic iff each
+//! of them is, whatever scheduler each core runs. Transactions spanning
+//! shards are refused, not coordinated — per-shard serialization-graph
+//! testing does not compose across shards (the four-transaction history
+//! in `crates/server/tests/shard.rs` is granted operation by operation by
+//! two shard-local schedulers and merges to a cycle). This module holds
+//! the two pure pieces the server builds on:
 //!
-//! * [`ShardMap`] — the deterministic object → shard hash and the derived
-//!   per-transaction shard sets;
-//! * [`ArcExchange`] — the cross-shard D-arc summary: a vector of
-//!   per-shard commit-epoch counters piggybacked on two-phase admit
-//!   messages, so each shard records which committed frontier an incoming
-//!   cross-shard transaction could have observed elsewhere;
+//! * [`ShardMap`] — the deterministic object → shard hash and the one
+//!   ownership function derived from it;
 //! * [`merge_program_order`] — the recovery-side merge of per-shard grant
 //!   logs into one global schedule consistent with every shard's local
 //!   order and every transaction's program order.
@@ -62,17 +64,15 @@ impl ShardMap {
         Ok(self.shard_of(txns.op(op)?.object))
     }
 
-    /// The set of shards a transaction touches, ascending and deduplicated.
-    pub fn shards_of_txn(&self, txns: &TxnSet, txn: TxnId) -> Vec<u32> {
-        let mut shards: Vec<u32> = txns
-            .txn(txn)
-            .ops()
-            .iter()
-            .map(|o| self.shard_of(o.object))
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
+    /// The one shard owning every object `txn` touches, or `None` for a
+    /// transaction that spans shards. This is *the* ownership function:
+    /// the front-ends refuse a transaction it answers `None` for, and
+    /// sharded recovery refuses a log in which a shard committed a
+    /// transaction it does not own.
+    pub fn owner_of_txn(&self, txns: &TxnSet, txn: TxnId) -> Option<u32> {
+        let mut shards = txns.txn(txn).ops().iter().map(|o| self.shard_of(o.object));
+        let first = shards.next()?;
+        shards.all(|s| s == first).then_some(first)
     }
 
     /// Projects an operation sequence onto one shard: the sub-history of
@@ -85,67 +85,6 @@ impl ShardMap {
             }
         }
         Ok(kept)
-    }
-}
-
-/// A cross-shard D-arc summary: one commit-epoch counter per shard,
-/// exchanged on two-phase admit messages (vector-clock style, after
-/// Mathur & Viswanathan's clock-based atomicity checking).
-///
-/// Shard `s` bumps `epochs[s]` on every commit it applies. When the
-/// router fans a cross-shard admit out, it snapshots the current vector
-/// and sends it along; each receiving shard folds the snapshot into its
-/// own observed clock ([`ArcExchange::observe`]). The resulting per-shard
-/// clocks record exactly which committed frontier every cross-shard
-/// admission could depend on — the information the offline oracle's
-/// whole-history re-certification makes rigorous.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ArcExchange {
-    /// The shard this summary belongs to (the sender of an admit message,
-    /// or the owner of an observed clock).
-    pub source: u32,
-    /// One commit-epoch counter per shard.
-    pub epochs: Vec<u64>,
-}
-
-impl ArcExchange {
-    /// A zeroed clock for `source` over `shards` shards.
-    pub fn new(source: u32, shards: u32) -> Self {
-        ArcExchange {
-            source,
-            epochs: vec![0; shards as usize],
-        }
-    }
-
-    /// Folds another summary in: element-wise maximum (the union of the
-    /// two observed commit frontiers).
-    pub fn observe(&mut self, other: &ArcExchange) {
-        if self.epochs.len() < other.epochs.len() {
-            self.epochs.resize(other.epochs.len(), 0);
-        }
-        for (mine, theirs) in self.epochs.iter_mut().zip(&other.epochs) {
-            *mine = (*mine).max(*theirs);
-        }
-    }
-
-    /// Advances this shard's own epoch (one commit applied locally).
-    pub fn tick(&mut self) {
-        let s = self.source as usize;
-        if self.epochs.len() <= s {
-            self.epochs.resize(s + 1, 0);
-        }
-        self.epochs[s] += 1;
-    }
-
-    /// Does this clock dominate `other` (≥ in every component)? A
-    /// dominated admit summary carries no frontier information the shard
-    /// has not already observed.
-    pub fn dominates(&self, other: &ArcExchange) -> bool {
-        other
-            .epochs
-            .iter()
-            .enumerate()
-            .all(|(s, &e)| self.epochs.get(s).copied().unwrap_or(0) >= e)
     }
 }
 
@@ -248,16 +187,19 @@ mod tests {
     }
 
     #[test]
-    fn txn_shard_sets_are_sorted_and_deduped() {
+    fn a_transaction_has_one_owner_or_none() {
         let txns = universe();
         let map = ShardMap::new(8);
+        let (x, y) = (ObjectId(0), ObjectId(1));
+        assert_ne!(map.shard_of(x), map.shard_of(y), "x and y are apart");
+        // T1 and T2 touch x and y: no single owner. T3 touches only x.
+        assert_eq!(map.owner_of_txn(&txns, TxnId(0)), None);
+        assert_eq!(map.owner_of_txn(&txns, TxnId(1)), None);
+        assert_eq!(map.owner_of_txn(&txns, TxnId(2)), Some(map.shard_of(x)));
+        // One shard owns everything.
         for t in txns.txn_ids() {
-            let shards = map.shards_of_txn(&txns, t);
-            assert!(!shards.is_empty());
-            assert!(shards.windows(2).all(|w| w[0] < w[1]), "{shards:?}");
+            assert_eq!(ShardMap::new(1).owner_of_txn(&txns, t), Some(0));
         }
-        // T3 touches only x: exactly one shard.
-        assert_eq!(map.shards_of_txn(&txns, TxnId(2)).len(), 1);
     }
 
     #[test]
@@ -276,26 +218,6 @@ mod tests {
                 assert_eq!(map.shard_of_op(&txns, op).unwrap(), s as u32);
             }
         }
-    }
-
-    #[test]
-    fn arc_exchange_observe_is_elementwise_max() {
-        let mut a = ArcExchange::new(0, 3);
-        a.epochs = vec![5, 0, 2];
-        let mut b = ArcExchange::new(1, 3);
-        b.epochs = vec![1, 7, 2];
-        a.observe(&b);
-        assert_eq!(a.epochs, vec![5, 7, 2]);
-        assert!(a.dominates(&b));
-        assert!(!b.dominates(&a));
-    }
-
-    #[test]
-    fn arc_exchange_tick_bumps_own_component() {
-        let mut a = ArcExchange::new(2, 4);
-        a.tick();
-        a.tick();
-        assert_eq!(a.epochs, vec![0, 0, 2, 0]);
     }
 
     #[test]

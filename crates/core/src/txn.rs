@@ -7,7 +7,7 @@
 //! 0-based [`TxnId`]s.
 
 use crate::error::{Error, Result};
-use crate::ids::{ObjectTable, OpId, TxnId};
+use crate::ids::{ObjectId, ObjectTable, OpId, TxnId};
 use crate::op::{AccessMode, Operation};
 use crate::schedule::Schedule;
 
@@ -74,6 +74,14 @@ impl TxnSet {
     /// An empty set (populate with [`TxnSet::add`]).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Interns `name` ahead of any transaction that uses it. Object ids
+    /// are handed out in interning order, so a generator that must know
+    /// an object's id before it writes a transaction over it (placement
+    /// by [`crate::shard::ShardMap`]) interns its names first.
+    pub fn intern_object(&mut self, name: &str) -> ObjectId {
+        self.objects.intern(name)
     }
 
     /// Adds a transaction built from `(mode, object-name)` pairs and returns

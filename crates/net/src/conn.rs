@@ -52,9 +52,9 @@ pub(crate) struct ReactorCtx<'a> {
     /// to every core's progress epoch.
     pub bells: Vec<Arc<Doorbell>>,
     /// The admission cores: [`crate::serve_net`] hands in the N = 1 row,
-    /// the supervised service one element per shard core. Only
-    /// single-shard transactions are admitted over the wire — the
-    /// two-phase cross-shard admit stays an in-process protocol.
+    /// the supervised service one element per shard core. A transaction
+    /// is owned by exactly one of them; one spanning shards is answered
+    /// `BadRequest`.
     pub route: Route<'a>,
     /// The durable client-session retry table (only a supervised core
     /// ever writes it; empty otherwise).
@@ -454,8 +454,8 @@ impl Conn {
         if self.queue_closed {
             return None; // shutting down; drop silently
         }
-        // A cross-shard transaction is not admissible over the wire.
-        let Some(shard) = ctx.route.owner(a.txn) else {
+        // A transaction spanning shards has no owner: refused.
+        let Some(shard) = ctx.route.map.owner_of_txn(ctx.route.txns, a.txn) else {
             self.fail(a.req_id, ErrorCode::BadRequest, m);
             return None;
         };

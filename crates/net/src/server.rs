@@ -333,8 +333,8 @@ pub struct SupervisedNetReport {
 /// [`FaultPlan`] per shard (empty = no faults anywhere), applied to each
 /// shard's *first* incarnation only.
 ///
-/// Only single-shard transactions are admissible over the wire; the
-/// cross-shard two-phase admit remains an in-process protocol.
+/// A transaction is owned by exactly one shard; one whose objects span
+/// shards is answered `BadRequest` (see `relser_server::shard`).
 #[allow(clippy::too_many_arguments)]
 pub fn serve_net_supervised_in<'e, R>(
     txns: &'e TxnSet,
@@ -365,7 +365,6 @@ pub fn serve_net_supervised_in<'e, R>(
     let stop = AtomicBool::new(false);
     // One counter draws both the grant tickets and the commit stamps.
     let seq = AtomicU64::new(0);
-    let epochs: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
     let default_faults = FaultPlan::default();
 
     let route = Route {
@@ -397,7 +396,6 @@ pub fn serve_net_supervised_in<'e, R>(
             let progress = &progresses[shard];
             let health = &healths[shard];
             let store = &stores[shard];
-            let epochs = &epochs[..];
             let plan = faults.get(shard).unwrap_or(&default_faults);
             cores.push(s.spawn(move || {
                 supervise_shard(
@@ -411,7 +409,6 @@ pub fn serve_net_supervised_in<'e, R>(
                     stop,
                     shard as u32,
                     seq,
-                    epochs,
                     sup_cfg,
                 )
             }));

@@ -1,4 +1,5 @@
-//! Four front-ends, one verdict: the same banking universe served
+//! Four front-ends, one verdict: the same shard-local universe (every
+//! transaction owned by one shard of the two-way partition) served
 //! durably through each entry point of the service — `serve`,
 //! `serve_sharded`, `serve_net`, `serve_net_supervised_in` — and each log
 //! recovered by the recovery function that pairs with its shape. Whatever
@@ -14,6 +15,9 @@
 
 use relser_core::ids::{OpId, TxnId};
 use relser_core::schedule::Schedule;
+use relser_core::shard::ShardMap;
+use relser_core::spec::AtomicitySpec;
+use relser_core::txn::TxnSet;
 use relser_core::vclock;
 use relser_net::{
     drive_resilient, serve_net, serve_net_supervised_in, ChaosPlan, NetConfig, ResilientConfig,
@@ -29,7 +33,7 @@ use relser_server::{
 use relser_wal::{
     CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemStorage, SegmentedWal, WalWriter,
 };
-use relser_workload::banking::{banking, BankingConfig, BankingScenario};
+use relser_workload::random::{random_spec, shard_local_txns, RandomConfig};
 use relser_workload::stream::RequestStream;
 
 const ARRIVAL_SEED: u64 = 7;
@@ -39,52 +43,56 @@ const ARRIVAL_SEED: u64 = 7;
 /// `history` is a schedule of the whole universe that certifies.
 fn assert_verdict(
     front_end: &str,
-    sc: &BankingScenario,
+    (txns, spec): (&TxnSet, &AtomicitySpec),
     mut live: Vec<TxnId>,
     mut recovered: Vec<TxnId>,
     history: Vec<OpId>,
 ) {
     recovered.sort_unstable();
-    let all: Vec<TxnId> = sc.txns.txn_ids().collect();
+    let all: Vec<TxnId> = txns.txn_ids().collect();
     assert_eq!(
         recovered, all,
         "{front_end}: every transaction recovered committed, exactly once"
     );
     live.sort_unstable();
     assert_eq!(live, recovered, "{front_end}: recovered == live committed");
-    let schedule = Schedule::new(&sc.txns, history)
+    let schedule = Schedule::new(txns, history)
         .unwrap_or_else(|e| panic!("{front_end}: recovered history is not a schedule: {e}"));
     assert!(
-        vclock::certify(&sc.txns, &schedule, &sc.spec).is_acyclic(),
+        vclock::certify(txns, &schedule, spec).is_acyclic(),
         "{front_end}: recovered history is relatively serializable"
     );
 }
 
 #[test]
 fn four_front_ends_one_verdict() {
-    // Big enough that, sharded two ways, single-shard transfers run into
-    // the locks of the cross-shard audits (which serialize each other).
-    let universe = BankingConfig {
-        families: 4,
-        customers_per_family: 4,
-        ..BankingConfig::default()
+    // Few, Zipf-hot objects per shard, so multi-object transactions run
+    // into each other's locks on every shard and through every front-end.
+    let universe = RandomConfig {
+        txns: 48,
+        ops_per_txn: (2, 5),
+        objects: 8,
+        theta: 0.8,
+        write_ratio: 0.5,
     };
-    let sc = banking(&universe, 42);
-    four_front_ends(&sc, &|| Box::new(RsgSgt::new(&sc.txns, &sc.spec)), false);
+    let txns = shard_local_txns(&universe, &ShardMap::new(2), 42);
+    let spec = random_spec(&txns, 0.4, 42);
+    let sc = (&txns, &spec);
+    four_front_ends(sc, &|| Box::new(RsgSgt::new(&txns, &spec)), false);
     // Conflict-serializable histories are relatively serializable under
     // every spec, so 2PL is held to the same certificate.
-    four_front_ends(&sc, &|| Box::new(TwoPhaseLocking::new(&sc.txns)), true);
+    four_front_ends(sc, &|| Box::new(TwoPhaseLocking::new(&txns)), true);
 }
 
 /// Serves `sc` through each of the four entry points on schedulers made
 /// by `fresh`. `blocking`: the scheduler answers `Blocked` under
 /// contention, and every front-end must have seen it do so.
 fn four_front_ends<'a>(
-    sc: &BankingScenario,
+    sc: (&TxnSet, &AtomicitySpec),
     fresh: &(dyn Fn() -> Box<dyn Scheduler + Send + 'a> + Sync),
     blocking: bool,
 ) {
-    let (txns, spec) = (&sc.txns, &sc.spec);
+    let (txns, spec) = sc;
     let stream = || RequestStream::shuffled(txns, ARRIVAL_SEED);
     let assert_blocked = |front_end: &str, blocked: u64| {
         assert!(

@@ -7,10 +7,11 @@
 //! oracle re-certifies (`Rsg::build(..).is_acyclic()` on the committed
 //! projection), cross-checked against the vector-clock certifier.
 
-use relser_core::ids::{OpId, TxnId};
+use relser_core::ids::TxnId;
 use relser_core::op::AccessMode;
 use relser_core::project::Projection;
 use relser_core::rsg::Rsg;
+use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_net::wire::{Request, Response};
@@ -23,28 +24,30 @@ use relser_server::core::FaultPlan;
 use relser_server::recovery::recover_sharded_segments_with_certifier;
 use relser_server::Certifier;
 use relser_wal::{MemSegmentStore, MemSegmentsHandle};
+use relser_workload::random::{shard_local_txns, RandomConfig};
 use relser_workload::stream::RequestStream;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// A universe of single-object transactions (every transaction is
-/// single-shard under any partition, so all of them are admissible over
-/// the wire) with real conflicts: `n_txns` transactions contend on
-/// `n_objects` objects.
-fn single_object_universe(n_txns: usize, n_objects: usize) -> (TxnSet, AtomicitySpec) {
-    let mut txns = TxnSet::new();
-    for k in 0..n_txns {
-        let name = format!("o{}", k % n_objects);
-        if k % 3 == 0 {
-            txns.add(&[(AccessMode::Write, name.as_str())]).unwrap();
-        } else {
-            txns.add(&[
-                (AccessMode::Read, name.as_str()),
-                (AccessMode::Write, name.as_str()),
-            ])
-            .unwrap();
-        }
+/// A shard-local universe with real conflicts: `n_txns` multi-object,
+/// multi-operation transactions contend, Zipf-skewed, on `n_objects`
+/// objects, each owned by exactly one shard of the two-way partition (and
+/// so of the one-way partition too) — all of them admissible over the
+/// wire, and both shards own work.
+fn local_universe(n_txns: usize, n_objects: usize) -> (TxnSet, AtomicitySpec) {
+    let cfg = RandomConfig {
+        txns: n_txns,
+        ops_per_txn: (1, 4),
+        objects: n_objects,
+        theta: 0.6,
+        write_ratio: 0.5,
+    };
+    let map = ShardMap::new(2);
+    let txns = shard_local_txns(&cfg, &map, 0x5AD);
+    for shard in 0..2 {
+        let owns = |t| map.owner_of_txn(&txns, t) == Some(shard);
+        assert!(txns.txn_ids().any(owns), "shard {shard} owns work");
     }
     let spec = AtomicitySpec::absolute(&txns);
     (txns, spec)
@@ -121,7 +124,7 @@ fn cross_check(
 /// with no acked loss and no duplicates.
 #[test]
 fn shard_core_crash_recovers_in_place_without_losing_acks() {
-    let (txns, spec) = single_object_universe(120, 8);
+    let (txns, spec) = local_universe(120, 8);
     let total = txns.len();
     let stream = RequestStream::shuffled(&txns, 3);
     let cfg = NetConfig::default();
@@ -172,13 +175,13 @@ fn shard_core_crash_recovers_in_place_without_losing_acks() {
 /// recovery's completeness rule then demoted every such commit to
 /// `partial` — 0 of 1 024 acknowledged commits came back. A shard core's
 /// checkpoint must keep the events of everything it committed: with
-/// enough single-record transactions for several rotations, every acked
+/// enough transactions for several rotations, every acked
 /// commit is in the recovered committed set — on one shard, on two, and
 /// on two when a core crashes after its first rotation and the resumed
 /// incarnation rotates again.
 #[test]
 fn checkpoint_rotation_keeps_every_acked_commit_through_the_final_merge() {
-    let (txns, spec) = single_object_universe(1_100, 64);
+    let (txns, spec) = local_universe(1_100, 64);
     let stream_seed = 5;
     for (shards, crash_at) in [(1, None), (2, None), (2, Some(1_500))] {
         let stream = RequestStream::shuffled(&txns, stream_seed);
@@ -274,12 +277,15 @@ fn read_response(sock: &mut TcpStream) -> Option<Response> {
 ///   and the unfinished `T1` must not have committed.
 #[test]
 fn graceful_shutdown_then_restart_keeps_acked_commits_exactly_once() {
-    let (txns, spec) = single_object_universe(8, 4);
+    let (txns, spec) = local_universe(8, 4);
     let cfg = NetConfig::default();
     let sup = SuperviseNetConfig::default();
     let stores = stores_for(sup.shards);
     let session = 0xCAFE;
-    let commit_req = 4;
+    // Life 1's requests: hello 1, begin 2, T0's operations from 3 on,
+    // then the commit.
+    let t0 = TxnId(0);
+    let commit_req = 3 + txns.txn(t0).len() as u64;
 
     let (report1, mut sock) = serve_net_supervised_in(
         &txns,
@@ -302,44 +308,39 @@ fn graceful_shutdown_then_restart_keeps_acked_commits_exactly_once() {
                 },
             );
             assert!(matches!(hello, Response::Welcome { req_id: 1 }));
-            let t0 = TxnId(0);
             assert!(matches!(
                 call(&mut sock, Request::Begin { req_id: 2, txn: t0 }),
                 Response::Granted { req_id: 2 }
             ));
-            let op = OpId { txn: t0, index: 0 };
-            let object = txns.op(op).unwrap().object;
+            for (req_id, op) in (3..).zip(txns.txn(t0).op_ids()) {
+                let access = txns.op(op).unwrap();
+                let object = access.object;
+                let request = match access.mode {
+                    AccessMode::Read => Request::Read { req_id, op, object },
+                    AccessMode::Write => Request::Write { req_id, op, object },
+                };
+                let granted = call(&mut sock, request);
+                assert!(
+                    matches!(granted, Response::Granted { req_id: id } if id == req_id),
+                    "{granted:?}"
+                );
+            }
+            let commit = Request::Commit {
+                req_id: commit_req,
+                txn: t0,
+            };
             assert!(matches!(
-                call(
-                    &mut sock,
-                    Request::Write {
-                        req_id: 3,
-                        op,
-                        object
-                    }
-                ),
-                Response::Granted { req_id: 3 }
-            ));
-            assert!(matches!(
-                call(
-                    &mut sock,
-                    Request::Commit {
-                        req_id: commit_req,
-                        txn: t0
-                    }
-                ),
-                Response::Committed { req_id: 4 }
+                call(&mut sock, commit),
+                Response::Committed { req_id } if req_id == commit_req
             ));
             // Leave T1 live across the shutdown.
+            let begin = Request::Begin {
+                req_id: commit_req + 1,
+                txn: TxnId(1),
+            };
             assert!(matches!(
-                call(
-                    &mut sock,
-                    Request::Begin {
-                        req_id: 5,
-                        txn: TxnId(1)
-                    }
-                ),
-                Response::Granted { req_id: 5 }
+                call(&mut sock, begin),
+                Response::Granted { req_id } if req_id == commit_req + 1
             ));
             sock // keep the socket open through the shutdown
         },
@@ -375,12 +376,12 @@ fn graceful_shutdown_then_restart_keeps_acked_commits_exactly_once() {
             let hello = call(
                 &mut sock,
                 Request::Hello {
-                    req_id: 6,
+                    req_id: commit_req + 2,
                     session,
                     resume_from: commit_req,
                 },
             );
-            assert!(matches!(hello, Response::Welcome { req_id: 6 }));
+            assert!(matches!(hello, Response::Welcome { .. }));
             // The original verdict, again, under the original req_id.
             let retry = call(
                 &mut sock,
@@ -390,7 +391,7 @@ fn graceful_shutdown_then_restart_keeps_acked_commits_exactly_once() {
                 },
             );
             assert!(
-                matches!(retry, Response::Committed { req_id: 4 }),
+                matches!(retry, Response::Committed { req_id } if req_id == commit_req),
                 "a retried commit gets its original verdict across a \
                  whole-service restart: {retry:?}"
             );
@@ -418,7 +419,7 @@ fn graceful_shutdown_then_restart_keeps_acked_commits_exactly_once() {
 /// the merged history re-certified by both certifiers.
 #[test]
 fn chaos_sweep_commits_exactly_once_under_wire_and_core_faults() {
-    let (txns, spec) = single_object_universe(160, 10);
+    let (txns, spec) = local_universe(160, 10);
     let total = txns.len();
     let stream = RequestStream::shuffled(&txns, 13);
     // Tight watchdogs (builder-configured) so lost replies resolve fast.

@@ -133,8 +133,7 @@ impl Scheduler for RsgSgt {
 /// [`BitSet`](relser_digraph::bitset::BitSet) rows instead of `HashSet`s, a packed sorted edge list
 /// instead of a hash-set edge collection, and a CSR Kahn topological
 /// check instead of a per-call graph rebuild. The *decisions* are
-/// identical — only the constants changed (this path is what the
-/// `zipf_shards` ns/decision benchmark measures).
+/// identical — only the constants changed.
 #[cfg(feature = "oracle")]
 pub struct RsgSgtOracle {
     txns: TxnSet,

@@ -27,13 +27,11 @@
 use crate::queue::{BoundedQueue, PopWait};
 use crate::supervisor::SessionTable;
 use relser_core::ids::{OpId, TxnId};
-use relser_core::shard::ArcExchange;
 use relser_poll::Doorbell;
 use relser_protocols::{AbortReason, Decision, Scheduler};
 use relser_simdb::metrics::LatencyHistogram;
 use relser_wal::{Checkpoint, CheckpointEvent, CommitLog, FsyncPolicy, WalRecord, WalStats};
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -53,15 +51,16 @@ pub enum TraceEvent {
     Commit(TxnId),
     /// A front-end-initiated `abort(txn)` was applied ([`Command::Abort`]).
     Abort(TxnId),
-    /// A cross-shard two-phase admit reached this shard core (sharded
-    /// service only). `granted: true` implies the core applied
-    /// `begin(txn)`; `false` means the admit was refused (fault injection)
-    /// and no state changed. Recording admits in the trace keeps sharded
-    /// runs replayable per shard, cross-shard ordering included.
+    /// **Never constructed.** The trace of the cross-shard two-phase
+    /// admit, which no longer exists: a transaction is owned by exactly
+    /// one shard and transactions spanning shards are refused. The
+    /// variant stays only because `benchmark/src/sut.rs` matches
+    /// `TraceEvent` exhaustively and nothing under `benchmark/` changes in
+    /// a simplicity PR; its removal is on ROADMAP "Benchmark upkeep".
     Admit {
-        /// The transaction being admitted.
+        /// The transaction that was being admitted.
         txn: TxnId,
-        /// Whether this shard granted the admit.
+        /// Whether the shard granted the admit.
         granted: bool,
     },
 }
@@ -146,39 +145,7 @@ impl Reply {
         }
         true
     }
-
-    /// Blocks until the cell is filled and takes the decision. A reply
-    /// can only go missing if the admission core died (or dropped the
-    /// cell); the `watchdog` turns that hang into a typed [`ReplyLost`]
-    /// the session can degrade on — one session fails, the rest of the
-    /// service keeps running.
-    pub fn wait_for(&self, watchdog: Duration) -> Result<Decision, ReplyLost> {
-        self.wait_filled(watchdog);
-        self.try_take().ok_or(ReplyLost { waited: watchdog })
-    }
 }
-
-/// The admission core never answered within the watchdog — it died, or
-/// the command (and its reply cell) was lost. The waiting session treats
-/// this as its own failure, not the service's: it gives up on its
-/// transaction without tearing the whole run down.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReplyLost {
-    /// How long the session waited before giving up.
-    pub waited: Duration,
-}
-
-impl fmt::Display for ReplyLost {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "no reply from the admission core within {:?} (core died?)",
-            self.waited
-        )
-    }
-}
-
-impl std::error::Error for ReplyLost {}
 
 impl Default for Reply {
     fn default() -> Self {
@@ -304,24 +271,6 @@ pub enum Command {
     /// operation fired, or — over TCP — the client asked for it or its
     /// connection is being cleaned up.
     Abort(TxnId),
-    /// Phase one of a cross-shard admit (sharded service only): begin the
-    /// transaction on this shard and fold the router's cross-shard D-arc
-    /// summary into the shard's clock. Answered `Granted` or, under fault
-    /// injection, `Aborted(Injected)` — in which case the router unwinds
-    /// the shards that already granted (LIFO) with [`Command::Rollback`].
-    Admit {
-        /// The transaction being admitted.
-        txn: TxnId,
-        /// Cross-shard D-arc summary: the commit epochs of every shard as
-        /// snapshotted by the router when it fanned this admit out.
-        exchange: ArcExchange,
-        /// Where the admit verdict is delivered.
-        reply: Reply,
-    },
-    /// Router-initiated unwind of a partially-admitted cross-shard
-    /// transaction (a sibling shard rejected, or an operation aborted
-    /// mid-flight). Applied like an abort, counted separately.
-    Rollback(TxnId),
 }
 
 /// The acknowledgment a [`Command::Commit`] asks for. The reply is filled
@@ -346,9 +295,9 @@ impl Command {
     /// The reply cell somebody waits on, if the command carries one.
     fn into_reply(self) -> Option<Reply> {
         match self {
-            Command::Request { reply, .. } | Command::Admit { reply, .. } => Some(reply),
+            Command::Request { reply, .. } => Some(reply),
             Command::Commit { ack, .. } => ack.map(|a| a.reply),
-            Command::Begin(_) | Command::Abort(_) | Command::Rollback(_) => None,
+            Command::Begin(_) | Command::Abort(_) => None,
         }
     }
 }
@@ -374,17 +323,12 @@ pub struct FaultPlan {
     /// records never reached a barrier, so their held acknowledgments are
     /// unwound the same way (acked ⇒ durable, never the converse).
     pub crash_at_command: Option<u64>,
-    /// Admit commands (0-based, counted over `Command::Admit` only)
-    /// answered `Aborted(Injected)` without touching the scheduler —
-    /// exercises the two-phase admit's reject path: the router must LIFO-
-    /// rollback every shard that already granted.
-    pub reject_admits: Vec<u64>,
     /// Request commands (0-based, counted over `Command::Request` only)
     /// whose reply cell is silently dropped: the scheduler is never
     /// consulted, no state changes, nothing is logged or traced — the
-    /// submitter's watchdog fires [`ReplyLost`]. Exercises the degrade
-    /// path: one session (or one wire connection) fails, the service
-    /// keeps running.
+    /// submitter's watchdog fires ([`crate::Step::ReplyLost`]). Exercises
+    /// the degrade path: one session (or one wire connection) fails, the
+    /// service keeps running.
     pub drop_replies: Vec<u64>,
 }
 
@@ -393,7 +337,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.abort_requests.is_empty()
             && self.crash_at_command.is_none()
-            && self.reject_admits.is_empty()
             && self.drop_replies.is_empty()
     }
 }
@@ -468,12 +411,6 @@ pub struct CoreOutput {
     /// Sharded cores only: `(txn, stamp)` per stamped commit, in local commit
     /// order; stamps merge the per-shard commit orders into one.
     pub commit_stamps: Vec<(TxnId, u64)>,
-    /// Cross-shard admits granted.
-    pub admits: u64,
-    /// Cross-shard admits refused by fault injection.
-    pub admit_rejects: u64,
-    /// Router-initiated rollbacks applied (two-phase admit unwinds).
-    pub rollbacks: u64,
     /// Commands refused under commit supremacy: operations and commits
     /// of retired (rolled-back) incarnations answered
     /// `Aborted(Retired)`, and stale aborts of already-committed
@@ -501,19 +438,16 @@ pub struct CoreCfg {
     pub record_trace: bool,
 }
 
-/// What a shard core shares with its siblings: its identity, the global
-/// grant sequencer, and the per-shard commit-epoch counters every other
-/// shard publishes into (the source of the [`ArcExchange`] snapshots the
-/// router piggybacks on cross-shard admits).
+/// What makes a core one shard core of a sharded service: its identity,
+/// the global grant sequencer, and what a supervised restart hands its
+/// next incarnation. Shard cores share no admission state — every
+/// transaction is owned by exactly one of them.
 pub struct ShardCoreCtx<'a> {
     /// This core's shard id (stamped into its WAL checkpoints).
     pub shard: u32,
     /// Global grant sequencer: one `fetch_add` per grant orders all
     /// shards' grants on a single timeline (see [`CoreOutput::seq_log`]).
     pub seq: &'a AtomicU64,
-    /// One commit-epoch counter per shard; this core bumps its own on
-    /// every commit it applies.
-    pub epochs: &'a [AtomicU64],
     /// The shared client-session retry table ([`SessionTable`]), updated
     /// on every sessionful commit and snapshotted into checkpoints.
     /// `None` for sessionless services (the pre-supervision paths).
@@ -528,14 +462,6 @@ pub struct ShardCoreCtx<'a> {
     /// checkpoint event stream, so the next checkpoint this incarnation
     /// cuts still carries the recovered commits' complete op sets.
     pub recovered_events: Vec<CheckpointEvent>,
-}
-
-/// Per-shard mutable state derived from [`ShardCoreCtx`] for one run.
-struct ShardState<'a> {
-    ctx: ShardCoreCtx<'a>,
-    /// The shard's observed cross-shard clock: its own commits plus every
-    /// exchange summary folded in from incoming admits.
-    clock: ArcExchange,
 }
 
 /// Why the core stopped mid-batch. Either way the batch is not
@@ -616,11 +542,10 @@ impl CoreOutput {
 ///
 /// `wal` is the optional durable commit log; `shard` makes this one shard
 /// core of a sharded service: grants additionally draw from the global
-/// grant sequencer, stamped commits bump this shard's epoch counter, and
-/// [`Command::Admit`]/[`Command::Rollback`] implement the receiving side
-/// of the router's two-phase cross-shard admit. With an empty
-/// [`FaultPlan`], no log and no shard context this is the plain
-/// in-memory core.
+/// grant sequencer and commits carry their global stamp, which is all it
+/// takes to merge the shards' histories — no command crosses from one
+/// shard core to another. With an empty [`FaultPlan`], no log and no shard
+/// context this is the plain in-memory core.
 ///
 /// The durability contract is **ack-after-barrier**. Per drained queue
 /// batch the core
@@ -677,15 +602,11 @@ pub fn run_core(
         track_live: wal.as_ref().is_some_and(|w| w.wants_checkpoints()),
         scheduler,
         wal,
-        shard: shard.map(|ctx| ShardState {
-            clock: ArcExchange::new(ctx.shard, ctx.epochs.len() as u32),
-            ctx,
-        }),
+        shard,
         faults,
         record_trace: cfg.record_trace,
         out: CoreOutput::default(),
         requests_seen: 0,
-        admits_seen: 0,
         live: HashMap::new(),
         committed: HashSet::new(),
         live_events: Vec::new(),
@@ -697,10 +618,9 @@ pub fn run_core(
     // must cover them, or rotation would delete the only segments that
     // record them.
     if let Some(s) = core.shard.as_mut() {
-        core.committed
-            .extend(s.ctx.recovered_committed.iter().copied());
-        core.out.committed.append(&mut s.ctx.recovered_committed);
-        core.live_events.append(&mut s.ctx.recovered_events);
+        core.committed.extend(s.recovered_committed.iter().copied());
+        core.out.committed.append(&mut s.recovered_committed);
+        core.live_events.append(&mut s.recovered_events);
     }
     core.run(queue, progress, cfg.batch_max)
 }
@@ -709,7 +629,7 @@ pub fn run_core(
 struct Core<'s, 'w, 'a> {
     scheduler: Box<dyn Scheduler + Send + 's>,
     wal: Option<&'w mut dyn CommitLog>,
-    shard: Option<ShardState<'a>>,
+    shard: Option<ShardCoreCtx<'a>>,
     faults: &'a FaultPlan,
     record_trace: bool,
     /// The log checkpoints, so the condensed live event stream is kept.
@@ -717,8 +637,6 @@ struct Core<'s, 'w, 'a> {
     out: CoreOutput,
     /// `Command::Request`s seen (the index [`FaultPlan`] keys on).
     requests_seen: u64,
-    /// `Command::Admit`s seen (likewise).
-    admits_seen: u64,
     /// Commit supremacy: the transactions currently live (with how many
     /// of their operations were granted, in program order) and the set
     /// this core (or, via the seed, a previous incarnation of it) durably
@@ -787,7 +705,7 @@ impl Core<'_, '_, '_> {
             if applied.is_ok() {
                 acked_commits = self.out.committed.len();
                 acked_stamps = self.out.commit_stamps.len();
-                let sessions = self.shard.as_ref().and_then(|s| s.ctx.sessions);
+                let sessions = self.shard.as_ref().and_then(|s| s.sessions);
                 self.held.release(sessions);
                 // Checkpoint: the batch boundary is a core-order point, so
                 // the snapshot is exactly the state the replayed log would
@@ -868,7 +786,7 @@ impl Core<'_, '_, '_> {
         let sessions = self
             .shard
             .as_ref()
-            .and_then(|s| s.ctx.sessions)
+            .and_then(|s| s.sessions)
             .map(|t| {
                 let mut snap = t.snapshot();
                 snap.retain(|e| committed.contains(&e.txn));
@@ -876,7 +794,7 @@ impl Core<'_, '_, '_> {
             })
             .unwrap_or_default();
         Checkpoint {
-            shard: self.shard.as_ref().map_or(0, |s| s.ctx.shard),
+            shard: self.shard.as_ref().map_or(0, |s| s.shard),
             committed: self.out.committed.clone(),
             events: self.live_events.clone(),
             sessions,
@@ -930,7 +848,7 @@ impl Core<'_, '_, '_> {
         }
     }
 
-    /// Starts `txn`'s incarnation (a `Begin`, or a granted `Admit`).
+    /// Starts `txn`'s incarnation.
     fn begin(&mut self, txn: TxnId) {
         self.scheduler.begin(txn);
         self.live.insert(txn, 0);
@@ -953,26 +871,23 @@ impl Core<'_, '_, '_> {
         self.changed = true;
     }
 
-    /// Applies a session- or router-initiated abort of `txn`; `false`
-    /// when there was nothing to undo. A stale abort of a committed
+    /// Applies a [`Command::Abort`]. A stale abort of a committed
     /// transaction (orphan cleanup racing a reconnecting client's ack)
     /// must NOT purge durable state; an abort of an already-retired
     /// incarnation has nothing left to undo. Both are no-ops.
-    fn abort_on_demand(&mut self, txn: TxnId) -> Result<bool, Halt> {
+    fn abort_on_demand(&mut self, txn: TxnId) -> Result<(), Halt> {
         if self.committed.contains(&txn) {
             self.out.retired_refusals += 1;
-            return Ok(false);
+            return Ok(());
         }
         if !self.live.contains_key(&txn) {
-            return Ok(false);
+            return Ok(());
         }
-        // The unwind must be logged before sibling shards can observe
-        // this shard as clean, or a crash here would recover a
-        // half-admitted transaction.
         self.log(WalRecord::Abort(txn), None)?;
         self.abort(txn);
         self.trace(TraceEvent::Abort(txn));
-        Ok(true)
+        self.out.timeout_aborts += 1;
+        Ok(())
     }
 
     /// Logs and applies the commit of live `txn`. `stamp` is its place in
@@ -1008,10 +923,6 @@ impl Core<'_, '_, '_> {
         self.committed.insert(txn);
         if let Some(stamp) = stamp {
             self.out.commit_stamps.push((txn, stamp));
-            if let Some(s) = self.shard.as_mut() {
-                s.clock.tick();
-                s.ctx.epochs[s.ctx.shard as usize].fetch_add(1, Ordering::SeqCst);
-            }
         }
         if let Some((session, req_id)) = session {
             self.held.sessions.push((session, req_id, txn));
@@ -1094,48 +1005,7 @@ impl Core<'_, '_, '_> {
                 reply,
             } => self.request(op, enqueued, reply)?,
             Command::Commit { txn, stamp, ack } => self.commit_on_demand(txn, stamp, ack)?,
-            Command::Abort(txn) => {
-                if self.abort_on_demand(txn)? {
-                    self.out.timeout_aborts += 1;
-                }
-            }
-            Command::Rollback(txn) => {
-                if self.abort_on_demand(txn)? {
-                    self.out.rollbacks += 1;
-                }
-            }
-            Command::Admit {
-                txn,
-                exchange,
-                reply,
-            } => {
-                let admit_index = self.admits_seen;
-                self.admits_seen += 1;
-                if self.faults.reject_admits.contains(&admit_index) {
-                    // Injected reject: the scheduler is never consulted and
-                    // no state changes, so nothing is logged — recovery must
-                    // see this shard as if the transaction never arrived.
-                    // The router unwinds the sibling shards that already
-                    // granted.
-                    self.out.admit_rejects += 1;
-                    self.trace(TraceEvent::Admit {
-                        txn,
-                        granted: false,
-                    });
-                    self.refuse(reply, AbortReason::Injected);
-                    return Ok(());
-                }
-                // Logged exactly like a Begin: this shard's grant of the
-                // admit is acknowledged only once durable.
-                self.log(WalRecord::Begin(txn), Some(&reply))?;
-                self.begin(txn);
-                if let Some(s) = self.shard.as_mut() {
-                    s.clock.observe(&exchange);
-                }
-                self.out.admits += 1;
-                self.trace(TraceEvent::Admit { txn, granted: true });
-                self.held.replies.push((reply, Decision::Granted));
-            }
+            Command::Abort(txn) => self.abort_on_demand(txn)?,
         }
         Ok(())
     }
@@ -1205,7 +1075,7 @@ impl Core<'_, '_, '_> {
                 self.out.log.push(op);
                 self.live.insert(op.txn, op.index + 1);
                 if let Some(s) = self.shard.as_ref() {
-                    let ticket = s.ctx.seq.fetch_add(1, Ordering::SeqCst);
+                    let ticket = s.seq.fetch_add(1, Ordering::SeqCst);
                     self.out.seq_log.push((ticket, op));
                 }
                 if self.track_live {
@@ -1277,10 +1147,13 @@ mod tests {
     fn reply_roundtrip() {
         let r = Reply::new();
         let waiter = r.clone();
-        let h = std::thread::spawn(move || waiter.wait_for(Duration::from_secs(10)));
+        let h = std::thread::spawn(move || {
+            waiter.wait_filled(Duration::from_secs(10));
+            waiter.try_take()
+        });
         std::thread::sleep(Duration::from_millis(5));
         r.fill(Decision::Granted);
-        assert_eq!(h.join().unwrap(), Ok(Decision::Granted));
+        assert_eq!(h.join().unwrap(), Some(Decision::Granted));
     }
 
     /// A resent request for an already-granted operation (the client lost
@@ -1350,13 +1223,15 @@ mod tests {
     }
 
     #[test]
-    fn unfilled_reply_times_out_with_typed_error() {
+    fn unfilled_reply_wait_times_out() {
         let r = Reply::new();
         let watchdog = Duration::from_millis(10);
-        assert_eq!(r.wait_for(watchdog), Err(ReplyLost { waited: watchdog }));
+        assert!(!r.wait_filled(watchdog));
+        assert_eq!(r.try_take(), None);
         // The cell still works afterwards: a late fill is delivered.
         r.fill(Decision::Granted);
-        assert_eq!(r.wait_for(watchdog), Ok(Decision::Granted));
+        assert!(r.wait_filled(watchdog));
+        assert_eq!(r.try_take(), Some(Decision::Granted));
     }
 
     #[test]

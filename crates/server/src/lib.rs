@@ -29,11 +29,10 @@
 //!   when the progress epoch moves, waits-for-based abort timeout, reply
 //!   watchdog — driven with an injected `now` by the session threads
 //!   here and by the reactors of `relser-net`;
-//! * [`session`] — the client protocol, written once: program-order
-//!   requests routed to the core owning each object (each one a
-//!   [`Flight`] the session parks on), restart-on-abort with backoff, and
-//!   the two-phase admit of a cross-shard transaction — exactly mirroring
-//!   the single-threaded driver discipline;
+//! * [`session`] — the client protocol, written once: begin, program-order
+//!   requests (each one a [`Flight`] the session parks on) and commit, all
+//!   routed to the one core owning the transaction, restart-on-abort with
+//!   backoff — exactly mirroring the single-threaded driver discipline;
 //! * [`server`] — [`serve`] runs that session over one queue and one
 //!   plain core (the N = 1 row) and returns a [`ServeReport`] (partial
 //!   runs included; [`ServeReport::into_run`] is the committed history as
@@ -43,8 +42,9 @@
 //!   [`replay`] re-executes a recorded trace deterministically on one
 //!   thread;
 //! * [`shard`] — [`serve_sharded`], the same session over N shard cores
-//!   (global grant sequencer, stamped commits), the shard-set leases and
-//!   the merged report;
+//!   that share nothing (global grant sequencer and commit stamps only
+//!   order the merged report): a transaction is owned by exactly one
+//!   shard, and one spanning shards is refused;
 //! * [`supervisor`] — [`supervise_shard`], the restart loop the TCP
 //!   front-end (`relser-net`) runs each shard core under;
 //! * [`recovery`] — one function per log shape, each rebuilding a fresh
@@ -103,7 +103,7 @@ pub mod shard;
 pub mod supervisor;
 
 pub use baseline::{run_baseline, BaselineRun};
-pub use core::{run_core, CoreCfg, FaultPlan, Progress, ReplyLost, ShardCoreCtx, TraceEvent};
+pub use core::{run_core, CoreCfg, FaultPlan, Progress, ShardCoreCtx, TraceEvent};
 pub use flight::{Flight, Step, Timeouts, Work};
 pub use metrics::ServerMetrics;
 pub use queue::{BoundedQueue, PopWait, PushError, QueueStats};
@@ -116,5 +116,5 @@ pub use server::{
     replay, serve, ReplayMismatch, RunOutcome, ServeReport, ServerConfig, ServerError, ServerRun,
 };
 pub use session::{restart_backoff, OverloadPolicy, SessionError, SessionStats};
-pub use shard::{replay_sharded, serve_sharded, AdmitRecord, ShardedReport, ShardedRun};
+pub use shard::{replay_sharded, serve_sharded, ShardedReport, ShardedRun};
 pub use supervisor::{supervise_shard, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg};

@@ -155,6 +155,17 @@ pub enum RecoveryError {
         /// The shard id found in the log's checkpoint.
         found: u32,
     },
+    /// A shard's log holds a commit for a transaction that shard does not
+    /// wholly own ([`ShardMap::owner_of_txn`]). The service never writes
+    /// such a log — a transaction spanning shards is refused before
+    /// anything is enqueued — so the log is forged or belongs to another
+    /// partition, and per-shard certification says nothing about it.
+    NotOwner {
+        /// The shard whose log holds the commit.
+        shard: u32,
+        /// The committed transaction.
+        txn: TxnId,
+    },
 }
 
 impl fmt::Display for RecoveryError {
@@ -182,6 +193,10 @@ impl fmt::Display for RecoveryError {
             RecoveryError::ShardMismatch { expected, found } => write!(
                 f,
                 "log for shard {expected} carries a checkpoint stamped shard {found}"
+            ),
+            RecoveryError::NotOwner { shard, txn } => write!(
+                f,
+                "shard {shard}'s log commits {txn:?}, which that shard does not wholly own"
             ),
         }
     }
@@ -480,8 +495,7 @@ fn replay_scan(
 /// The one completeness rule: flags (indexed by transaction) the members
 /// of `committed` whose **complete** operation set is present across
 /// `logs` — what may be certified; a commit with operations missing
-/// (compacted away, or on a shard log a crash cut) is certified on no
-/// fragment.
+/// (compacted away) is certified on no fragment.
 fn complete_txns<'a>(
     txns: &TxnSet,
     committed: &[TxnId],
@@ -563,22 +577,24 @@ pub fn recover_segments_with_certifier(
 pub struct ShardedRecovery {
     /// The per-shard recoveries, index = shard id.
     pub shards: Vec<Recovery>,
-    /// Transactions committed on **every** shard they touch, in global
-    /// commit order (by `CommitAt` stamp; checkpoint-covered commits,
-    /// which lost their stamps to compaction, order first). This is the
-    /// acknowledged-commit set of the sharded service.
+    /// Transactions their owning shard committed, in global commit order
+    /// (by `CommitAt` stamp; checkpoint-covered commits, which lost their
+    /// stamps to compaction, order first). This is the acknowledged-commit
+    /// set of the sharded service.
     pub committed: Vec<TxnId>,
-    /// Transactions with a commit record on some owning shards but not
-    /// all — crash-interrupted cross-shard commits. They are *excluded*
-    /// from the committed set and their scheduler state was rolled back:
-    /// the no-half-admitted-transaction invariant. A resumed service
-    /// re-submits them like any crash-orphaned incarnation.
+    /// Commits whose operation set is incomplete in their shard's log —
+    /// *excluded* from the committed set rather than certified on a
+    /// fragment. WAL-before-ack and a shard core's checkpoints (which keep
+    /// the events of everything it committed) make this empty on every
+    /// log the service writes; it is the detector of a checkpoint that
+    /// pruned a committed transaction's operations.
     pub partial: Vec<TxnId>,
     /// The merged committed history: every shard's recovered grant log
     /// filtered to [`ShardedRecovery::committed`] and re-woven into one
-    /// program-order-consistent schedule (conflicts are same-shard, so
-    /// the weave is conflict-equivalent to the real execution). This is
-    /// what the Theorem 1 oracle re-certified whole.
+    /// program-order-consistent schedule (a transaction lives on one
+    /// shard and conflicts are same-shard, so the weave is
+    /// conflict-equivalent to the real execution). This is what the
+    /// Theorem 1 oracle re-certified whole.
     pub history: Vec<OpId>,
     /// The merged client-session retry table: every shard's rebuilt
     /// entries, filtered to the merged committed set and collapsed to
@@ -594,16 +610,16 @@ pub struct ShardedRecovery {
 /// Each shard's stream is recovered independently via
 /// [`recover_segments_with_certifier`] — with a fresh scheduler from
 /// `make_scheduler(shard)` — then the per-shard views are merged under
-/// the two-phase commit rule: a transaction is committed iff **every**
-/// shard it touches logged its commit (the same `(txn, stamp)` pair,
-/// durable before acknowledgement on each shard). A transaction committed
-/// on a strict subset of its shards was caught mid-crash; it is excluded
-/// and reported in [`ShardedRecovery::partial`], so no half-admitted
-/// transaction ever survives recovery. Finally the merged history is
-/// re-certified whole with `certifier` — per-shard acyclicity is *not*
-/// trusted to compose. This is how the supervised service computes its
-/// authoritative end-of-run committed history, and how a chaos run proves
-/// zero acknowledged-commit loss.
+/// the ownership rule: a shard commits only transactions it wholly owns
+/// ([`ShardMap::owner_of_txn`]). A log is outside input, so the rule is
+/// checked, and a log that breaks it is refused
+/// ([`RecoveryError::NotOwner`]) — with single-owner transactions the
+/// merged RSG is the disjoint union of the per-shard RSGs, and without
+/// them per-shard certification does not compose. The merged history is
+/// re-certified whole with `certifier` all the same: the offline oracle
+/// stays the final arbiter. This is how the supervised service computes
+/// its authoritative end-of-run committed history, and how a chaos run
+/// proves zero acknowledged-commit loss.
 pub fn recover_sharded_segments_with_certifier<'a, F>(
     txns: &TxnSet,
     spec: &AtomicitySpec,
@@ -633,8 +649,8 @@ where
     merge_sharded_recoveries(txns, spec, shards, certifier)
 }
 
-/// The shared second half of sharded recovery: all-owners commit rule,
-/// completeness demotion, global stamp order, program-order merge, whole
+/// The second half of sharded recovery: ownership check, completeness
+/// demotion, global stamp order, program-order merge, whole
 /// re-certification, session-table union.
 fn merge_sharded_recoveries(
     txns: &TxnSet,
@@ -644,37 +660,31 @@ fn merge_sharded_recoveries(
 ) -> Result<ShardedRecovery, RecoveryError> {
     let map = ShardMap::new(shards.len() as u32);
 
-    // All-owners commit rule: which shards acknowledged each transaction,
-    // and the global stamp where one survived compaction.
+    // Every commit is its owner's, and carries the global stamp where one
+    // survived compaction.
     let mut stamp: Vec<Option<u64>> = vec![None; txns.len()];
-    let mut acked: Vec<Vec<u32>> = vec![Vec::new(); txns.len()];
+    let mut committed: Vec<TxnId> = Vec::new();
     for (s, rec) in shards.iter().enumerate() {
-        for &t in &rec.committed {
-            acked[t.index()].push(s as u32);
+        let shard = s as u32;
+        if let Some(&txn) = rec
+            .committed
+            .iter()
+            .find(|&&t| map.owner_of_txn(txns, t) != Some(shard))
+        {
+            return Err(RecoveryError::NotOwner { shard, txn });
         }
+        committed.extend(&rec.committed);
         for &(st, t) in &rec.commit_stamps {
             stamp[t.index()] = Some(st);
         }
     }
-    let mut committed: Vec<TxnId> = Vec::new();
-    let mut partial: Vec<TxnId> = Vec::new();
-    for t in txns.txn_ids() {
-        if acked[t.index()].is_empty() {
-            continue;
-        }
-        let owners = map.shards_of_txn(txns, t);
-        if owners.iter().all(|s| acked[t.index()].contains(s)) {
-            committed.push(t);
-        } else {
-            partial.push(t);
-        }
-    }
 
     // Defensive completeness: a committed transaction's full op set must
-    // be present across the shard logs (guaranteed by WAL-before-ack plus
+    // be present in the shard logs (guaranteed by WAL-before-ack plus
     // append order within each log; checked anyway — an incomplete one is
     // demoted to partial rather than certified on a fragment).
     let in_committed = complete_txns(txns, &committed, shards.iter().map(|rec| &rec.log[..]));
+    let mut partial: Vec<TxnId> = Vec::new();
     committed.retain(|&t| {
         if !in_committed[t.index()] {
             partial.push(t);

@@ -3,7 +3,9 @@
 //!
 //! Both front-ends — the session threads of [`crate::serve`] /
 //! [`crate::serve_sharded`] and the reactors of `relser-net` — submit
-//! through one [`Route`]. An unsharded service is its N = 1 row: one
+//! through one [`Route`]. A transaction has exactly one owning core and
+//! everything it does goes to that core's queue; the cores share nothing
+//! (see [`crate::shard`]). An unsharded service is the N = 1 row: one
 //! queue, one progress epoch, every transaction owned by core 0. What
 //! differs between the rows is data: whether the cores are shard cores, in
 //! which case commits carry a global stamp ([`Route::stamps`]), and
@@ -12,7 +14,6 @@
 use crate::core::{Command, Progress};
 use crate::queue::BoundedQueue;
 use crate::supervisor::ShardHealth;
-use relser_core::ids::{OpId, TxnId};
 use relser_core::shard::ShardMap;
 use relser_core::txn::TxnSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct Route<'a> {
     /// The transaction universe.
     pub txns: &'a TxnSet,
-    /// The object → core partition.
+    /// The object → core partition. [`ShardMap::owner_of_txn`] over
+    /// [`Route::txns`] names the one core a transaction runs on; `None`
+    /// is a transaction spanning shards, which no front-end admits.
     pub map: ShardMap,
     /// One command queue per core.
     pub queues: &'a [BoundedQueue<Command>],
@@ -39,31 +42,8 @@ pub struct Route<'a> {
 }
 
 impl Route<'_> {
-    /// The cores `txn` touches, ascending.
-    pub fn owners(&self, txn: TxnId) -> Vec<u32> {
-        self.map.shards_of_txn(self.txns, txn)
-    }
-
-    /// The one core owning every operation of `txn`; `None` for a
-    /// cross-shard transaction (not admissible over the wire).
-    pub fn owner(&self, txn: TxnId) -> Option<u32> {
-        let mut cores = self.txns.txn(txn).ops().iter();
-        let first = self.map.shard_of(cores.next()?.object);
-        cores
-            .all(|o| self.map.shard_of(o.object) == first)
-            .then_some(first)
-    }
-
-    /// The core owning `op`'s object.
-    pub fn core_of(&self, op: OpId) -> u32 {
-        self.map
-            .shard_of_op(self.txns, op)
-            .expect("op of the universe")
-    }
-
     /// The stamp the next commit carries: one draw from the global
-    /// counter per commit (a cross-shard commit sends the same draw to
-    /// every owner), `None` over the plain core.
+    /// counter per commit, `None` over the plain core.
     pub fn next_stamp(&self) -> Option<u64> {
         self.stamps.map(|s| s.fetch_add(1, Ordering::SeqCst))
     }

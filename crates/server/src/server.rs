@@ -11,7 +11,6 @@ use crate::metrics::ServerMetrics;
 use crate::queue::BoundedQueue;
 use crate::route::Route;
 use crate::session::{run_session, OverloadPolicy, Session, SessionError, SessionStats};
-use crate::shard::{AdmitRecord, LeaseTable};
 use relser_core::ids::{OpId, TxnId};
 use relser_core::schedule::Schedule;
 use relser_core::shard::ShardMap;
@@ -22,7 +21,6 @@ use relser_wal::CommitLog;
 use relser_workload::stream::RequestStream;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Tunables for one [`serve`] run.
@@ -114,6 +112,11 @@ pub enum ServerError {
     /// answering, so that session's transaction was lost. Other sessions
     /// keep running — this error names the degraded transaction.
     ReplyLost(TxnId),
+    /// The stream holds a transaction whose objects span shards. A
+    /// transaction is owned by exactly one shard core; the run is refused
+    /// whole, before any thread starts or any command is enqueued (see
+    /// [`crate::shard`]).
+    CrossShard(TxnId),
     /// The committed log is not a valid schedule — a service bug, never
     /// expected; carried instead of panicking so tests report it nicely.
     InvalidHistory(String),
@@ -126,6 +129,9 @@ impl fmt::Display for ServerError {
             ServerError::Shutdown => write!(f, "service shut down before completion"),
             ServerError::ReplyLost(t) => {
                 write!(f, "lost the reply for {t:?} (admission core unresponsive)")
+            }
+            ServerError::CrossShard(t) => {
+                write!(f, "transaction {t:?} spans shards; cross-shard is refused")
             }
             ServerError::InvalidHistory(m) => write!(f, "committed log is not a schedule: {m}"),
         }
@@ -245,8 +251,6 @@ pub(crate) struct FrontEndRun {
     pub(crate) metrics: ServerMetrics,
     /// Requests shed per core queue.
     pub(crate) sheds: Vec<u64>,
-    /// Cross-shard admits in lease order.
-    pub(crate) admits: Vec<AdmitRecord>,
     pub(crate) map: ShardMap,
 }
 
@@ -257,9 +261,14 @@ pub(crate) struct FrontEndRun {
 ///
 /// `faults` and `wals` are empty or one per core. `sharded` says which
 /// core the schedulers run under — shard cores ([`ShardCoreCtx`]: global
-/// grant sequencer, commit epochs, stamped commits) or the plain core
-/// (stamp-less commits) — and is the only thing the two front-ends tell
-/// this function apart by.
+/// grant sequencer, stamped commits) or the plain core (stamp-less
+/// commits) — and is the only thing the two front-ends tell this function
+/// apart by.
+///
+/// The whole stream is checked against the one ownership function first:
+/// a transaction spanning cores fails the run with
+/// [`ServerError::CrossShard`] before a thread starts or a command is
+/// enqueued.
 pub(crate) fn run_front_end<'a>(
     txns: &TxnSet,
     stream: &RequestStream,
@@ -281,16 +290,26 @@ pub(crate) fn run_front_end<'a>(
         "commit logs must be absent or one per shard"
     );
     let map = ShardMap::new(cores as u32);
+    if let Some(&txn) = stream
+        .order()
+        .iter()
+        .find(|&&t| map.owner_of_txn(txns, t).is_none())
+    {
+        return FrontEndRun {
+            outcome: RunOutcome::Failed(ServerError::CrossShard(txn)),
+            outputs: (0..cores).map(|_| CoreOutput::default()).collect(),
+            metrics: ServerMetrics::default(),
+            sheds: vec![0; cores],
+            map,
+        };
+    }
     let queues: Vec<BoundedQueue<Command>> = (0..cores)
         .map(|_| BoundedQueue::new(cfg.queue_capacity))
         .collect();
     let progresses: Vec<Progress> = (0..cores).map(|_| Progress::new()).collect();
-    let epochs: Vec<AtomicU64> = (0..cores).map(|_| AtomicU64::new(0)).collect();
     let sheds: Vec<AtomicU64> = (0..cores).map(|_| AtomicU64::new(0)).collect();
     let seq = AtomicU64::new(0);
     let stamps = AtomicU64::new(0);
-    let leases = LeaseTable::new(cores);
-    let admits: Mutex<Vec<AdmitRecord>> = Mutex::new(Vec::new());
     let default_fault = FaultPlan::default();
     let session = Session {
         route: Route {
@@ -303,15 +322,12 @@ pub(crate) fn run_front_end<'a>(
         },
         cfg,
         sheds: &sheds,
-        epochs: &epochs,
-        leases: &leases,
-        admits: &admits,
     };
     let t0 = Instant::now();
 
     let (outputs, sessions): (Vec<CoreOutput>, Vec<(SessionStats, Option<SessionError>)>) =
         std::thread::scope(|s| {
-            let (queues, progresses, epochs, seq) = (&queues, &progresses, &epochs, &seq);
+            let (queues, progresses, seq) = (&queues, &progresses, &seq);
             let session = &session;
             let mut wals = wals.into_iter();
             let core_threads: Vec<_> = schedulers
@@ -323,7 +339,6 @@ pub(crate) fn run_front_end<'a>(
                     let ctx = sharded.then(|| ShardCoreCtx {
                         shard: shard as u32,
                         seq,
-                        epochs,
                         sessions: None,
                         recovered_committed: Vec::new(),
                         recovered_events: Vec::new(),
@@ -393,7 +408,6 @@ pub(crate) fn run_front_end<'a>(
         outputs,
         metrics,
         sheds: sheds.into_iter().map(AtomicU64::into_inner).collect(),
-        admits: admits.into_inner().expect("admit log lock"),
         map,
     }
 }
@@ -520,14 +534,9 @@ pub fn replay(
                 scheduler.abort(*txn);
                 log.retain(|o| o.txn != *txn);
             }
-            TraceEvent::Admit { txn, granted } => {
-                // A granted cross-shard admit applied `begin` on this
-                // shard; a rejected one changed nothing (the reject
-                // happened before the scheduler was consulted).
-                if *granted {
-                    scheduler.begin(*txn);
-                }
-            }
+            // Never constructed (see the variant's docs); named only
+            // because the match is exhaustive.
+            TraceEvent::Admit { .. } => {}
         }
     }
     Ok(log)

@@ -17,30 +17,24 @@
 //! between, parks on the flight's reply cell or on the progress epoch
 //! until the flight's deadline.
 //!
-//! A session is *routed* ([`Route`]): each operation goes to the core
-//! that owns its object. [`crate::serve`] is the N = 1 row of that table —
-//! one queue, every transaction single-owner, so the lease and two-phase
-//! admit below never run — and [`crate::serve_sharded`] the N-shard row;
-//! what differs between the rows is data, not code.
-//!
-//! A **cross-shard** transaction (several owners) takes a shard-set lease
-//! and fans a two-phase admit out before its first operation; the
-//! protocol and why it is sound are in [`crate::shard`].
+//! A session is *routed* ([`Route`]): a transaction has exactly one
+//! owning core, and its begin, every operation and its commit go to that
+//! core's queue — the cores share nothing ([`crate::shard`] says why, and
+//! why a transaction spanning shards is refused before any session
+//! starts). [`crate::serve`] is the N = 1 row of that table and
+//! [`crate::serve_sharded`] the N-shard row; what differs between the rows
+//! is data, not code.
 
 use crate::core::{Command, Reply};
 use crate::flight::{Flight, Push, Step, Work};
 use crate::queue::{BoundedQueue, PushError};
 use crate::route::Route;
 use crate::server::ServerConfig;
-use crate::shard::{AdmitRecord, LeaseTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relser_core::ids::{OpId, TxnId};
-use relser_core::shard::ArcExchange;
-use relser_protocols::Decision;
 use relser_workload::stream::RequestStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What a worker does when the command queue is full.
@@ -68,7 +62,7 @@ pub enum SessionError {
     /// A transaction exceeded the per-transaction attempt budget.
     Livelock(TxnId),
     /// The admission core never answered a request for this transaction
-    /// within the reply watchdog (see [`crate::core::ReplyLost`]).
+    /// within the reply watchdog ([`crate::Step::ReplyLost`]).
     ReplyLost(TxnId),
 }
 
@@ -92,22 +86,19 @@ pub struct SessionStats {
 }
 
 /// Everything a session needs, shared across all workers of one run: the
-/// back-end ([`Route`]), the config, and one shed counter / commit epoch
-/// per admission core. [`crate::serve`] hands in one-element slices,
+/// back-end ([`Route`]), the config, and one shed counter per admission
+/// core. [`crate::serve`] hands in one-element slices,
 /// [`crate::serve_sharded`] one element per shard.
 pub(crate) struct Session<'a> {
     pub(crate) route: Route<'a>,
     pub(crate) cfg: &'a ServerConfig,
     pub(crate) sheds: &'a [AtomicU64],
-    pub(crate) epochs: &'a [AtomicU64],
-    pub(crate) leases: &'a LeaseTable,
-    pub(crate) admits: &'a Mutex<Vec<AdmitRecord>>,
 }
 
-/// How one incarnation ended (leases released, owners clean either way).
+/// How one incarnation ended (its owner is clean either way).
 enum Incarnation {
     Committed,
-    /// A core aborted it, or an owner rejected its admit.
+    /// The core aborted it.
     Aborted,
     /// The session aborted it: blocked on an unchanged waits-for set for
     /// a full `block_timeout`.
@@ -157,20 +148,13 @@ impl Session<'_> {
         std::thread::sleep(self.cfg.retry_slice);
     }
 
-    /// Best-effort LIFO rollback on shards that already granted an admit
-    /// or still hold a begun incarnation. Send failures are swallowed: a
-    /// closed queue means that core crashed or the run is unwinding, and
-    /// recovery's all-owners rule makes the half-admitted state harmless.
-    fn rollback_lifo(&self, txn: TxnId, shards: impl DoubleEndedIterator<Item = u32>) {
-        for s in shards.rev() {
-            let _ = self.send(s, Command::Rollback(txn));
-        }
-    }
-
-    /// Runs one transaction to commit, restarting across aborts, rejected
-    /// admits and waits-for timeouts.
+    /// Runs one transaction to commit, restarting across aborts and
+    /// waits-for timeouts.
     pub(crate) fn run_txn(&self, txn: TxnId, stats: &mut SessionStats) -> Result<(), SessionError> {
-        let owners = self.route.owners(txn);
+        let Route { map, txns, .. } = self.route;
+        let owner = map
+            .owner_of_txn(txns, txn)
+            .expect("cross-shard transactions are refused before any session starts");
         let mut attempts = 0u32;
         loop {
             attempts += 1;
@@ -192,19 +176,7 @@ impl Session<'_> {
                     std::thread::sleep(pause);
                 }
             }
-            // Strict 2PL at shard granularity for cross-shard transactions
-            // only: hold the whole shard set from before the first admit
-            // until after the last commit (or the rollback), so
-            // overlapping cross-shard transactions never interleave.
-            let cross_shard = owners.len() > 1;
-            if cross_shard {
-                self.leases.acquire(&owners);
-            }
-            let outcome = self.incarnation(txn, &owners, stats);
-            if cross_shard {
-                self.leases.release(&owners);
-            }
-            match outcome? {
+            match self.incarnation(txn, owner, stats)? {
                 Incarnation::Committed => {
                     stats.commits += 1;
                     return Ok(());
@@ -215,28 +187,21 @@ impl Session<'_> {
         }
     }
 
-    /// One incarnation: begin (on the one owner) or two-phase admit (on
-    /// several), every operation in program order on its owning core, then
-    /// the commit on every owner.
+    /// One incarnation, all of it on the owning core `shard`: begin,
+    /// every operation in program order, one stamped commit.
     fn incarnation(
         &self,
         txn: TxnId,
-        owners: &[u32],
+        shard: u32,
         stats: &mut SessionStats,
     ) -> Result<Incarnation, SessionError> {
-        if let [owner] = owners {
-            self.send(*owner, Command::Begin(txn))?;
-        } else if !self.admit(txn, owners)? {
-            return Ok(Incarnation::Aborted);
-        }
+        self.send(shard, Command::Begin(txn))?;
         let timeouts = self.cfg.timeouts();
         for index in 0..self.route.txns.txn(txn).len() {
             let op = OpId {
                 txn,
                 index: index as u32,
             };
-            let shard = self.route.core_of(op);
-            let others = owners.iter().copied().filter(|&s| s != shard);
             let mut flight = self.submit(shard, op, stats)?;
             // Drive the flight to its verdict, parked between polls on
             // whatever it is waiting for.
@@ -244,19 +209,13 @@ impl Session<'_> {
                 let now = Instant::now();
                 match flight.poll(&self.route, &timeouts, now) {
                     Step::Granted => break, // next operation in program order
-                    Step::Aborted(_) => {
-                        // This core already applied the abort; unwind the
-                        // other owners before restarting from the first
-                        // operation.
-                        self.rollback_lifo(txn, others);
-                        return Ok(Incarnation::Aborted);
-                    }
+                    // The core already applied the abort: restart from
+                    // the first operation.
+                    Step::Aborted(_) => return Ok(Incarnation::Aborted),
                     Step::TimedOut => {
                         // Stuck behind the same transactions too long:
-                        // abort on the blocking core, roll the rest back,
-                        // restart.
+                        // abort and restart.
                         self.send(shard, Command::Abort(txn))?;
-                        self.rollback_lifo(txn, others);
                         return Ok(Incarnation::TimedOut);
                     }
                     Step::ReplyLost => return Err(SessionError::ReplyLost(txn)),
@@ -290,68 +249,11 @@ impl Session<'_> {
             }
             stats.ops_executed += 1;
         }
-        // Fire-and-forget: per-queue FIFO guarantees each owner applies the
-        // commit before anything a later lease holder enqueues. One stamp
-        // on every owner: the commit lands once on the merged commit order.
-        let stamp = self.route.next_stamp();
-        for &s in owners {
-            let ack = None; // nobody waits for the verdict
-            self.send(s, Command::Commit { txn, stamp, ack })?;
-        }
+        // Fire-and-forget: nobody waits for the verdict, and per-queue
+        // FIFO puts the commit ahead of anything this session sends next.
+        let (stamp, ack) = (self.route.next_stamp(), None);
+        self.send(shard, Command::Commit { txn, stamp, ack })?;
         Ok(Incarnation::Committed)
-    }
-
-    /// Phase one of a cross-shard incarnation (the caller holds the
-    /// shard-set lease): fans [`Command::Admit`] out in ascending shard
-    /// order, each message carrying the commit-epoch snapshot (the D-arc
-    /// summary). `false` when an owner rejected; the owners that had
-    /// already granted are rolled back.
-    fn admit(&self, txn: TxnId, owners: &[u32]) -> Result<bool, SessionError> {
-        let snapshot: Vec<u64> = self
-            .epochs
-            .iter()
-            .map(|e| e.load(Ordering::SeqCst))
-            .collect();
-        let mut granted: Vec<u32> = Vec::new();
-        let mut rejected = false;
-        for &s in owners {
-            let reply = Reply::new();
-            let mut exchange = ArcExchange::new(s, self.epochs.len() as u32);
-            exchange.epochs.copy_from_slice(&snapshot);
-            let cmd = Command::Admit {
-                txn,
-                exchange,
-                reply: reply.clone(),
-            };
-            if let Err(e) = self.send(s, cmd) {
-                self.rollback_lifo(txn, granted.iter().copied());
-                return Err(e);
-            }
-            match reply.wait_for(self.cfg.reply_timeout) {
-                Ok(Decision::Granted) => granted.push(s),
-                Ok(_) => {
-                    rejected = true;
-                    break;
-                }
-                Err(_) => {
-                    self.rollback_lifo(txn, granted.iter().copied());
-                    return Err(SessionError::ReplyLost(txn));
-                }
-            }
-        }
-        self.admits
-            .lock()
-            .expect("admit log lock")
-            .push(AdmitRecord {
-                txn,
-                shards: owners.to_vec(),
-                epochs: snapshot,
-                granted: !rejected,
-            });
-        if rejected {
-            self.rollback_lifo(txn, granted.iter().copied());
-        }
-        Ok(!rejected)
     }
 }
 
@@ -477,9 +379,6 @@ mod tests {
             },
             cfg: &cfg,
             sheds: &[AtomicU64::new(0)],
-            epochs: &[AtomicU64::new(0)],
-            leases: &LeaseTable::new(1),
-            admits: &Mutex::new(Vec::new()),
         };
         let mut stats = SessionStats::default();
         let err = session.run_txn(TxnId(0), &mut stats).unwrap_err();

@@ -1,4 +1,5 @@
-//! Sharded admission: N single-writer cores behind one object-space router.
+//! Sharded admission: N single-writer cores that share nothing, behind
+//! one object-space router.
 //!
 //! The single-core service serializes *every* admission decision through
 //! one thread; at some throughput that thread is the wall. This module
@@ -6,66 +7,55 @@
 //! scheduler, progress epoch, and (optionally) WAL segment stream — and
 //! routes by [`ShardMap`]: the router is the session itself
 //! ([`crate::session`], the same code [`crate::serve`] runs over one
-//! queue), which sends each operation to the core owning its object. The
-//! one correctness story is unchanged: whatever the shards interleave,
-//! the committed history, merged whole, must pass the offline Theorem 1
-//! oracle.
+//! queue), which sends a transaction's begin, operations and commit to the
+//! one core that owns it.
 //!
-//! ## Routing
+//! ## The rule: one owner per transaction
 //!
-//! A transaction whose objects all hash to one shard runs the ordinary
-//! session protocol entirely against that shard's queue — no coordination,
-//! no extra messages; this is the common case sharding exists to scale.
+//! A transaction is admissible iff every object it touches hashes to the
+//! same shard ([`ShardMap::owner_of_txn`]). One whose objects span shards
+//! is **refused**: [`serve_sharded`] checks the whole stream before it
+//! starts a thread and fails the run with
+//! [`ServerError::CrossShard`], nothing enqueued, nothing logged; the TCP
+//! front-end answers such a request `BadRequest`; sharded recovery refuses
+//! a log in which a shard committed a transaction it does not own
+//! ([`crate::RecoveryError::NotOwner`]).
 //!
-//! A **cross-shard** transaction runs a lightweight two-phase admit:
+//! ## Why that is sound, for every scheduler
 //!
-//! 1. **Admit.** The router takes a *shard-set lease* on every owning
-//!    shard (all-or-wait, so overlapping cross-shard transactions never
-//!    interleave their admit→commit windows), then fans
-//!    [`Command::Admit`] out to the owners in ascending shard order. Each
-//!    admit carries an [`ArcExchange`] snapshot of every shard's commit
-//!    epoch — the cross-shard D-arc summary each core folds into its
-//!    clock. Any shard's reject aborts the whole admit: the router sends
-//!    [`Command::Rollback`] to the shards that already granted, in LIFO
-//!    order, releases the lease, and retries with backoff.
-//! 2. **Commit.** After every operation is granted (each routed to its
-//!    owning shard), the router draws one global commit stamp and sends
-//!    the stamped [`Command::Commit`] to every owner. A transaction
-//!    *counts as committed only if every owning shard applied its
-//!    commit* — the same all-owners rule
-//!    [`crate::recovery::recover_sharded_segments_with_certifier`] applies
-//!    to the per-shard WAL streams after a crash.
+//! Theorem 1 certifies a history by one `RSG(S)`. Conflicts are
+//! per-object and an object lives on exactly one shard, so with
+//! single-owner transactions two transactions of different shards share
+//! no object: no conflict, hence no D-arc, hence no F- or B-arc joins
+//! them, and I-arcs stay inside a transaction. The RSG of the merged
+//! history is therefore the **disjoint union** of the per-shard RSGs —
+//! acyclic iff each shard's is — and each shard's scheduler certifies its
+//! own, seeing every operation of every transaction it owns.
 //!
-//! ## Why the lease makes per-shard admission sound
+//! ## Why cross-shard transactions are refused, not coordinated
 //!
-//! Conflicts are per-object, and an object lives on exactly one shard, so
-//! every conflict arc of the merged history is visible to some shard.
-//! Each shard's scheduler holds the full static transaction set and spec
-//! (the whole I-skeleton), so any cycle whose conflict anchors all live
-//! on one shard is caught locally. A cycle spanning shards must hop
-//! between them through cross-shard transactions with pairwise-overlapping
-//! shard sets — exactly the pairs the lease serializes: their
-//! admit→commit windows are disjoint, every conflict chain between them
-//! follows history order, so the hop chain would need the windows to
-//! precede each other cyclically. Contradiction. The offline oracle
-//! re-certifies every committed multi-shard history whole regardless —
-//! the stress tests and sharded recovery both insist on it — so the lease
-//! argument is enforced, not assumed.
+//! Per-shard serialization-graph testing does not compose. Four
+//! transactions over two shards (`a, b` on one, `c, f` on the other;
+//! `X1 = r[a] w[c]`, `L = w[a] r[b]`, `S = r[c] w[f]`, `X2 = r[f] w[b]`)
+//! can run so that the two cross-shard ones never overlap, every request
+//! is granted by its shard's `RsgSgt`, one shard sees only
+//! `L → X1, X2 → L` and the other only `X1 → S → X2` — and the merged
+//! history is the cycle `L → X1 → S → X2 → L`. The single-shard `S` and
+//! `L` carry the order from one shard to the other, so no protocol that
+//! coordinates only the cross-shard transactions (leases, two-phase
+//! admit) closes it; that takes a global serialization graph, which this
+//! service does not have. `crates/server/tests/shard.rs` pins the history.
+//! The offline whole-history oracle still re-certifies every merged
+//! history — in the tests and in sharded recovery.
 //!
 //! ## Determinism
 //!
-//! Each core's trace is still a total order of *its* decisions, so
+//! Each core's trace is a total order of *its* decisions, so
 //! [`replay_sharded`] re-runs every shard single-threaded and checks each
 //! against its trace. Across shards, every grant draws a ticket from one
-//! global sequencer ([`CoreOutput::seq_log`]), which merges the per-shard
-//! logs onto a single timeline consistent with program order and every
-//! core's queue order; cross-shard admits are recorded in fan-out order
-//! as [`AdmitRecord`]s while the lease is held.
-//!
-//! [`Command::Admit`]: crate::core::Command::Admit
-//! [`Command::Rollback`]: crate::core::Command::Rollback
-//! [`Command::Commit`]: crate::core::Command::Commit
-//! [`ArcExchange`]: relser_core::shard::ArcExchange
+//! global sequencer ([`CoreOutput::seq_log`]) and every commit one global
+//! stamp, which merge the per-shard logs onto a single timeline consistent
+//! with program order and every core's queue order.
 
 use crate::core::{CoreOutput, FaultPlan, TraceEvent};
 use crate::metrics::ServerMetrics;
@@ -79,72 +69,6 @@ use relser_core::txn::TxnSet;
 use relser_protocols::Scheduler;
 use relser_wal::CommitLog;
 use relser_workload::stream::RequestStream;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
-
-/// Shard-set leases: strict two-phase locking at shard granularity for
-/// cross-shard transactions only. `acquire` takes every requested shard
-/// atomically or waits — no incremental hold-and-wait, so lease waiters
-/// cannot deadlock each other.
-pub(crate) struct LeaseTable {
-    held: Mutex<Vec<bool>>,
-    cv: Condvar,
-}
-
-impl LeaseTable {
-    pub(crate) fn new(shards: usize) -> Self {
-        LeaseTable {
-            held: Mutex::new(vec![false; shards]),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until every shard in `shards` is free, then takes them all.
-    pub(crate) fn acquire(&self, shards: &[u32]) {
-        let mut held = self.held.lock().expect("lease lock");
-        loop {
-            if shards.iter().all(|&s| !held[s as usize]) {
-                for &s in shards {
-                    held[s as usize] = true;
-                }
-                return;
-            }
-            // Timed wait as a lost-wakeup backstop: release paths always
-            // notify, but a bounded re-check keeps a bug from hanging a run.
-            let (guard, _) = self
-                .cv
-                .wait_timeout(held, Duration::from_millis(10))
-                .expect("lease lock");
-            held = guard;
-        }
-    }
-
-    pub(crate) fn release(&self, shards: &[u32]) {
-        let mut held = self.held.lock().expect("lease lock");
-        for &s in shards {
-            held[s as usize] = false;
-        }
-        drop(held);
-        self.cv.notify_all();
-    }
-}
-
-/// One cross-shard admit as the router issued it, recorded while the
-/// shard-set lease was held — so the order of these records *is* the
-/// serialization order of overlapping cross-shard transactions.
-#[derive(Clone, Debug)]
-pub struct AdmitRecord {
-    /// The admitted transaction.
-    pub txn: TxnId,
-    /// Its owning shards, ascending (the fan-out order).
-    pub shards: Vec<u32>,
-    /// The commit-epoch snapshot piggybacked on the admit messages (the
-    /// cross-shard D-arc summary each owner folded into its clock).
-    pub epochs: Vec<u64>,
-    /// Whether every owner granted (false = some shard rejected and the
-    /// grants were rolled back LIFO).
-    pub granted: bool,
-}
 
 /// The full observable result of a sharded run — returned even when the
 /// run crashed or failed, so harnesses can check the committed prefix
@@ -153,10 +77,8 @@ pub struct AdmitRecord {
 pub struct ShardedReport {
     /// How the run ended (a crash on *any* shard reports `Crashed`).
     pub outcome: RunOutcome,
-    /// Transactions committed on **all** their owning shards, in global
-    /// commit-stamp order. A transaction a crash caught between its
-    /// owners' commits (durable on some, not all) is excluded — the
-    /// same all-owners rule recovery applies.
+    /// Transactions whose owning shard acknowledged their commit, in
+    /// global commit-stamp order.
     pub committed: Vec<TxnId>,
     /// All shards' granted operations merged onto the global grant
     /// sequencer timeline (live/committed incarnations only).
@@ -172,8 +94,6 @@ pub struct ShardedReport {
     pub metrics: ServerMetrics,
     /// Requests shed per shard queue (aggregate is in `metrics.sheds`).
     pub shard_sheds: Vec<u64>,
-    /// Cross-shard admits in lease order.
-    pub admits: Vec<AdmitRecord>,
     /// The object-space partition the run used.
     pub map: ShardMap,
 }
@@ -184,7 +104,7 @@ pub struct ShardedReport {
 pub struct ShardedRun {
     /// The merged committed history, in global grant order.
     pub history: Schedule,
-    /// The full report (per-shard traces, metrics, admit records).
+    /// The full report (per-shard traces, metrics).
     pub report: ShardedReport,
 }
 
@@ -205,9 +125,11 @@ impl ShardedReport {
 
 /// Serves every transaction in `stream` over `schedulers.len()` shard
 /// cores — the in-process front-end of the sharded service. One scheduler
-/// per shard; each must be built over the full transaction set and spec
-/// (a shard sees only its shard's operations, but needs the whole
-/// I-skeleton to judge them). Reports even a partial run;
+/// per shard, each built over the full transaction set and spec (ids are
+/// global; a shard only ever hears about the transactions it owns). A
+/// stream holding a transaction that spans shards is refused whole:
+/// [`RunOutcome::Failed`]`(`[`ServerError::CrossShard`]`)`, nothing
+/// enqueued. Reports even a partial run;
 /// [`ShardedReport::into_run`] turns a completed one into its validated
 /// merged history.
 ///
@@ -229,31 +151,16 @@ pub fn serve_sharded<'a>(
         outputs,
         mut metrics,
         sheds: shard_sheds,
-        admits,
         map,
     } = run_front_end(txns, stream, schedulers, cfg, faults, wals, true);
 
-    // Committed = the all-owners rule over the live stamped-commit applications,
-    // ordered by global commit stamp.
-    let mut acked: Vec<Vec<u32>> = vec![Vec::new(); txns.len()];
-    let mut stamp_of: Vec<Option<u64>> = vec![None; txns.len()];
-    for (shard_id, out) in outputs.iter().enumerate() {
-        for &(t, stamp) in &out.commit_stamps {
-            acked[t.index()].push(shard_id as u32);
-            stamp_of[t.index()] = Some(stamp);
-        }
-    }
-    let mut committed: Vec<TxnId> = txns
-        .txn_ids()
-        .filter(|t| {
-            !acked[t.index()].is_empty()
-                && map
-                    .shards_of_txn(txns, *t)
-                    .iter()
-                    .all(|s| acked[t.index()].contains(s))
-        })
+    // Committed = every shard's acknowledged commits, by global stamp.
+    let mut stamped: Vec<(u64, TxnId)> = outputs
+        .iter()
+        .flat_map(|o| o.commit_stamps.iter().map(|&(t, stamp)| (stamp, t)))
         .collect();
-    committed.sort_by_key(|t| stamp_of[t.index()].expect("committed txn has a stamp"));
+    stamped.sort_unstable();
+    let committed: Vec<TxnId> = stamped.into_iter().map(|(_, t)| t).collect();
 
     // Merge every shard's grants onto the global sequencer timeline.
     let mut seq_entries: Vec<(u64, OpId)> = outputs
@@ -272,8 +179,6 @@ pub fn serve_sharded<'a>(
         .filter(|o| is_committed[o.txn.index()])
         .collect();
 
-    // `commits` counted one per (shard, commit); report whole transactions.
-    metrics.commits = committed.len() as u64;
     metrics.committed_ops = history.len() as u64;
 
     ShardedReport {
@@ -284,7 +189,6 @@ pub fn serve_sharded<'a>(
         shards: outputs,
         metrics,
         shard_sheds,
-        admits,
         map,
     }
 }

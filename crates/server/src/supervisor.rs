@@ -304,7 +304,6 @@ pub fn supervise_shard<'a, F>(
     stop: &AtomicBool,
     shard: u32,
     seq: &AtomicU64,
-    epochs: &[AtomicU64],
     cfg: &SupervisorCfg<'_>,
 ) -> SupervisedRun
 where
@@ -358,7 +357,6 @@ where
         let ctx = ShardCoreCtx {
             shard,
             seq,
-            epochs,
             sessions: Some(sessions),
             recovered_committed: std::mem::take(&mut recovered.committed),
             recovered_events: std::mem::take(&mut recovered.events),

@@ -279,7 +279,6 @@ fn run(
     queue.close();
     let progress = Progress::new();
     let seq = AtomicU64::new(0);
-    let epochs = [AtomicU64::new(0)];
     let done = AtomicBool::new(false);
 
     let out = std::thread::scope(|s| {
@@ -318,7 +317,6 @@ fn run(
             Some(ShardCoreCtx {
                 shard: 0,
                 seq: &seq,
-                epochs: &epochs,
                 sessions: Some(&table),
                 recovered_committed: Vec::new(),
                 recovered_events: Vec::new(),

@@ -3,9 +3,10 @@
 //! Seeded, reproducible generators for the universes the reproduction's
 //! tests, examples, and benchmarks run on:
 //!
-//! * [`random`] — random transaction sets, relative atomicity
-//!   specifications, schedules, and conflict-equivalent shuffles, with
-//!   uniform or Zipf object popularity ([`zipf`]);
+//! * [`random`] — random transaction sets (whole-universe, or shard-local
+//!   for a sharded service: one owning shard per transaction), relative
+//!   atomicity specifications, schedules, and conflict-equivalent
+//!   shuffles, with uniform or Zipf object popularity ([`zipf`]);
 //! * [`banking`] — the banking scenario the paper (after Lynch \[Lyn83\])
 //!   uses to motivate relative atomicity: customers grouped into families
 //!   sharing accounts, family-scoped *credit audits*, and a global *bank
@@ -34,5 +35,6 @@ pub mod stream;
 pub mod zipf;
 
 pub use random::{
-    conflict_equivalent_shuffle, random_schedule, random_spec, random_txns, RandomConfig,
+    conflict_equivalent_shuffle, random_schedule, random_spec, random_txns, shard_local_txns,
+    RandomConfig,
 };

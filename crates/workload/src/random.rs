@@ -6,6 +6,7 @@ use rand::{Rng, SeedableRng};
 use relser_core::ids::{OpId, TxnId};
 use relser_core::op::AccessMode;
 use relser_core::schedule::Schedule;
+use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 
@@ -39,26 +40,75 @@ impl Default for RandomConfig {
 /// Generates a random transaction set.
 pub fn random_txns(cfg: &RandomConfig, seed: u64) -> TxnSet {
     assert!(cfg.txns > 0 && cfg.objects > 0);
-    assert!(cfg.ops_per_txn.0 >= 1 && cfg.ops_per_txn.0 <= cfg.ops_per_txn.1);
     let mut rng = StdRng::seed_from_u64(seed);
     let zipf = Zipf::new(cfg.objects, cfg.theta);
-    let names: Vec<String> = (0..cfg.objects).map(|i| format!("o{i}")).collect();
+    let names = object_names(cfg);
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
     let mut set = TxnSet::new();
     for _ in 0..cfg.txns {
-        let len = rng.random_range(cfg.ops_per_txn.0..=cfg.ops_per_txn.1);
-        let ops: Vec<(AccessMode, &str)> = (0..len)
-            .map(|_| {
-                let mode = if rng.random_bool(cfg.write_ratio) {
-                    AccessMode::Write
-                } else {
-                    AccessMode::Read
-                };
-                (mode, names[zipf.sample(&mut rng)].as_str())
-            })
-            .collect();
+        let ops = random_ops(cfg, &mut rng, &names, &zipf);
         set.add(&ops).expect("non-empty random transaction");
     }
     set
+}
+
+/// Generates a random **shard-local** transaction set: every transaction
+/// is owned by exactly one shard of `map` ([`ShardMap::owner_of_txn`]) —
+/// the only kind a sharded service admits. The `cfg.objects` objects are
+/// interned up front, so each one's shard is known before any transaction
+/// is written; a transaction then picks its owner first (uniformly among
+/// the shards that own an object) and draws every object, Zipf-skewed,
+/// from that shard's pool. Multi-object and multi-operation as `cfg`
+/// says; the contention is inside each shard.
+pub fn shard_local_txns(cfg: &RandomConfig, map: &ShardMap, seed: u64) -> TxnSet {
+    assert!(cfg.txns > 0 && cfg.objects > 0);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let names = object_names(cfg);
+    let mut set = TxnSet::new();
+    let mut pools: Vec<Vec<&str>> = vec![Vec::new(); map.shards() as usize];
+    for name in &names {
+        pools[map.shard_of(set.intern_object(name)) as usize].push(name);
+    }
+    let pools: Vec<(Vec<&str>, Zipf)> = pools
+        .into_iter()
+        .filter(|pool| !pool.is_empty())
+        .map(|pool| {
+            let zipf = Zipf::new(pool.len(), cfg.theta);
+            (pool, zipf)
+        })
+        .collect();
+    for _ in 0..cfg.txns {
+        let (pool, zipf) = &pools[rng.random_range(0..pools.len())];
+        let ops = random_ops(cfg, &mut rng, pool, zipf);
+        set.add(&ops).expect("non-empty random transaction");
+    }
+    set
+}
+
+fn object_names(cfg: &RandomConfig) -> Vec<String> {
+    (0..cfg.objects).map(|i| format!("o{i}")).collect()
+}
+
+/// One transaction's operations: a length in `cfg.ops_per_txn`, then per
+/// operation a mode and a Zipf-ranked object of `names`.
+fn random_ops<'n>(
+    cfg: &RandomConfig,
+    rng: &mut StdRng,
+    names: &[&'n str],
+    zipf: &Zipf,
+) -> Vec<(AccessMode, &'n str)> {
+    assert!(cfg.ops_per_txn.0 >= 1 && cfg.ops_per_txn.0 <= cfg.ops_per_txn.1);
+    let len = rng.random_range(cfg.ops_per_txn.0..=cfg.ops_per_txn.1);
+    (0..len)
+        .map(|_| {
+            let mode = if rng.random_bool(cfg.write_ratio) {
+                AccessMode::Write
+            } else {
+                AccessMode::Read
+            };
+            (mode, names[zipf.sample(rng)])
+        })
+        .collect()
 }
 
 /// Generates a random relative atomicity specification: each ordered pair
@@ -164,6 +214,33 @@ mod tests {
         assert_eq!(t.len(), 10);
         assert!(t.txns().iter().all(|x| x.len() == 3));
         assert!(t.objects().len() <= 2);
+    }
+
+    #[test]
+    fn shard_local_txns_have_one_owner_and_cover_the_shards() {
+        let cfg = RandomConfig {
+            txns: 40,
+            ops_per_txn: (2, 5),
+            objects: 16,
+            theta: 0.6,
+            ..Default::default()
+        };
+        for shards in [1u32, 2, 4] {
+            let map = ShardMap::new(shards);
+            let t = shard_local_txns(&cfg, &map, 3);
+            assert_eq!(t, shard_local_txns(&cfg, &map, 3), "deterministic per seed");
+            assert_eq!(t.len(), 40);
+            let owners: std::collections::HashSet<u32> = t
+                .txn_ids()
+                .map(|id| map.owner_of_txn(&t, id).expect("exactly one owner"))
+                .collect();
+            assert_eq!(owners.len(), shards as usize, "every shard owns work");
+            let multi_object = t.txns().iter().any(|x| {
+                let first = x.ops()[0].object;
+                x.ops().iter().any(|o| o.object != first)
+            });
+            assert!(multi_object, "not a single-object universe");
+        }
     }
 
     #[test]

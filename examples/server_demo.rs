@@ -5,10 +5,11 @@
 //! recorded trace is replayed deterministically on one thread.
 //!
 //! With `--shards N` (N > 1) the same sessions — one session discipline,
-//! `serve` being its one-queue row — route over N shard cores:
-//! single-shard transactions stay entirely local, cross-shard ones go
-//! through the two-phase admit, and the merged history gets the same
-//! offline certification plus a per-shard deterministic replay.
+//! `serve` being its one-queue row — route a shard-local universe over N
+//! shard cores that share nothing: every transaction is owned by one
+//! shard (one spanning shards would be refused), and the merged history
+//! gets the same offline certification plus a per-shard deterministic
+//! replay.
 //!
 //! ```text
 //! cargo run --release --example server_demo                        # full demo
@@ -18,6 +19,7 @@
 
 use relative_serializability::core::rsg::Rsg;
 use relative_serializability::core::schedule::Schedule;
+use relative_serializability::core::shard::ShardMap;
 use relative_serializability::core::spec::AtomicitySpec;
 use relative_serializability::core::txn::TxnSet;
 use relative_serializability::protocols::rsg_sgt::RsgSgt;
@@ -26,6 +28,7 @@ use relative_serializability::server::{
     replay, replay_sharded, run_baseline, serve, serve_sharded, FaultPlan, ServerConfig,
 };
 use relative_serializability::workload::banking::{banking, BankingConfig};
+use relative_serializability::workload::random::{random_spec, shard_local_txns, RandomConfig};
 use relative_serializability::workload::stream::RequestStream;
 
 fn shard_schedulers<'a>(
@@ -80,32 +83,49 @@ fn main() {
         .map(|n| n.parse().expect("--shards takes a number"))
         .unwrap_or(1);
 
-    // 4 families x 16 customers + 4 credit audits = 68 transactions.
-    let cfg = BankingConfig {
-        families: 4,
-        accounts_per_family: 4,
-        customers_per_family: if smoke { 4 } else { 16 },
-        transfers_per_customer: 2,
-        credit_audits: true,
-        bank_audit: false,
+    let (workload, txns, spec) = if shards > 1 {
+        // Banking transfers span accounts, hence shards. A sharded service
+        // runs transactions owned by one shard each: 68 (smoke: 20)
+        // multi-object ones, Zipf-skewed inside each shard's pool.
+        let cfg = RandomConfig {
+            txns: if smoke { 20 } else { 68 },
+            ops_per_txn: (2, 6),
+            objects: 8 * shards,
+            theta: 0.6,
+            write_ratio: 0.5,
+        };
+        let txns = shard_local_txns(&cfg, &ShardMap::new(shards as u32), 11);
+        let spec = random_spec(&txns, 0.4, 11);
+        ("shard-local", txns, spec)
+    } else {
+        // 4 families x 16 customers + 4 credit audits = 68 transactions.
+        let cfg = BankingConfig {
+            families: 4,
+            accounts_per_family: 4,
+            customers_per_family: if smoke { 4 } else { 16 },
+            transfers_per_customer: 2,
+            credit_audits: true,
+            bank_audit: false,
+        };
+        let sc = banking(&cfg, 11);
+        ("banking", sc.txns, sc.spec)
     };
-    let sc = banking(&cfg, 11);
     // Per-op simulated record-access latency: slept, so sessions overlap
     // it — the concurrency the service exists to exploit. The smoke
     // variant drops it to keep CI in the sub-second range.
     let op_work_ns: u64 = if smoke { 20_000 } else { 500_000 };
     println!(
-        "banking workload: {} transactions, {} operations, {}us simulated record access\n",
-        sc.txns.len(),
-        sc.txns.total_ops(),
+        "{workload} workload: {} transactions, {} operations, {}us simulated record access\n",
+        txns.len(),
+        txns.total_ops(),
         op_work_ns / 1000,
     );
 
     // Single-thread driver-style baseline: same arrival order, same
     // scheduler, same per-op latency — minus the concurrency.
-    let mut serial = RsgSgt::new(&sc.txns, &sc.spec);
-    let stream = RequestStream::shuffled(&sc.txns, 7);
-    let base = run_baseline(&sc.txns, &mut serial, &stream, op_work_ns);
+    let mut serial = RsgSgt::new(&txns, &spec);
+    let stream = RequestStream::shuffled(&txns, 7);
+    let base = run_baseline(&txns, &mut serial, &stream, op_work_ns);
     println!(
         "baseline (1 thread): {:.1?}, {:.0} ops/s",
         base.elapsed,
@@ -124,24 +144,24 @@ fn main() {
         record_trace: true,
         ..ServerConfig::default()
     };
-    let stream = RequestStream::shuffled(&sc.txns, 7);
+    let stream = RequestStream::shuffled(&txns, 7);
 
     if shards > 1 {
-        serve_sharded_demo(&sc.txns, &sc.spec, &stream, &server_cfg, shards, &base);
+        serve_sharded_demo(&txns, &spec, &stream, &server_cfg, shards, &base);
         return;
     }
 
-    let scheduler = RsgSgt::new(&sc.txns, &sc.spec);
+    let scheduler = RsgSgt::new(&txns, &spec);
     // No faults, no commit log: the plain in-memory service.
     let run = serve(
-        &sc.txns,
+        &txns,
         &stream,
         Box::new(scheduler),
         &server_cfg,
         &FaultPlan::default(),
         None,
     )
-    .into_run(&sc.txns)
+    .into_run(&txns)
     .expect("all transactions commit");
     println!(
         "service  (8 threads): {:.1?}, {:.0} ops/s  ->  {:.2}x\n",
@@ -153,7 +173,7 @@ fn main() {
 
     // Offline re-validation: whatever interleaving the 9 threads
     // produced, the committed history must be relatively serializable.
-    let rsg = Rsg::build(&sc.txns, &run.history, &sc.spec);
+    let rsg = Rsg::build(&txns, &run.history, &spec);
     assert!(rsg.is_acyclic(), "committed history failed the RSG test");
     println!("\noffline check: RSG acyclic -> history is relatively serializable");
 
@@ -163,9 +183,9 @@ fn main() {
     }
 
     // Deterministic replay: the trace reproduces the run on one thread.
-    let mut fresh = RsgSgt::new(&sc.txns, &sc.spec);
+    let mut fresh = RsgSgt::new(&txns, &spec);
     let log = replay(&mut fresh, &run.trace).expect("replay agrees with the recorded decisions");
-    let replayed = Schedule::new(&sc.txns, log).expect("replayed log is a schedule");
+    let replayed = Schedule::new(&txns, log).expect("replayed log is a schedule");
     assert_eq!(replayed, run.history);
     println!(
         "replay: {} trace events reproduce the committed history exactly",
@@ -196,19 +216,14 @@ fn serve_sharded_demo(
         m.ops_per_sec() / base.ops_per_sec().max(1.0)
     );
     println!("{m}");
-    let multi = run
+    let owned: Vec<usize> = run
         .report
-        .admits
+        .shards
         .iter()
-        .map(|a| a.txn)
-        .collect::<std::collections::HashSet<_>>();
+        .map(|s| s.committed.len())
+        .collect();
     println!(
-        "\nrouting: {} single-shard transactions stayed local, {} cross-shard \
-         went through the two-phase admit ({} admit rounds, {} rejected)",
-        txns.len() - multi.len(),
-        multi.len(),
-        run.report.admits.len(),
-        run.report.admits.iter().filter(|a| !a.granted).count()
+        "\nrouting: every transaction ran on the one shard that owns it — {owned:?} per shard"
     );
 
     // Offline re-validation: the merged history, certified whole.
