@@ -3,10 +3,9 @@
 //!
 //! Run with `cargo bench -p relser-bench --bench incremental`. Besides
 //! printing the comparison, this writes the scaling measurements to
-//! `BENCH_rsg_sgt.json` (in the working directory) so the perf trajectory
-//! of the incremental engine is tracked from PR to PR.
+//! `BENCH_rsg_sgt.json` at the repository root (EXPERIMENTS.md A3).
 
-use relser_bench::harness::{git_commit, BenchmarkId, Harness};
+use relser_bench::harness::{git_commit, Harness};
 use relser_core::depends::DependsOn;
 use relser_protocols::driver::{run, RunConfig};
 use relser_protocols::rsg_sgt::{RsgSgt, RsgSgtOracle};
@@ -37,7 +36,7 @@ fn bench_incremental(h: &mut Harness) {
             max_steps: 10_000_000,
         };
         let ops = sc.txns.total_ops();
-        group.bench_with_input(BenchmarkId::new("rebuild", ops), &ops, |b, _| {
+        group.bench_function(format!("rebuild/{ops}"), |b| {
             b.iter(|| {
                 black_box(
                     run(&sc.txns, &mut RsgSgtOracle::new(&sc.txns, &sc.spec), &cfg)
@@ -46,7 +45,7 @@ fn bench_incremental(h: &mut Harness) {
                 )
             })
         });
-        group.bench_with_input(BenchmarkId::new("incremental", ops), &ops, |b, _| {
+        group.bench_function(format!("incremental/{ops}"), |b| {
             b.iter(|| {
                 black_box(
                     run(&sc.txns, &mut RsgSgt::new(&sc.txns, &sc.spec), &cfg)
@@ -56,7 +55,6 @@ fn bench_incremental(h: &mut Harness) {
             })
         });
     }
-    group.finish();
 }
 
 fn bench_depends_on(h: &mut Harness) {
@@ -74,11 +72,10 @@ fn bench_depends_on(h: &mut Harness) {
         );
         let s = random_schedule(&sc.txns, 1);
         let ops = s.len();
-        group.bench_with_input(BenchmarkId::new("transitive", ops), &ops, |b, _| {
+        group.bench_function(format!("transitive/{ops}"), |b| {
             b.iter(|| black_box(DependsOn::compute(&sc.txns, &s).pair_count()))
         });
     }
-    group.finish();
 }
 
 fn main() {

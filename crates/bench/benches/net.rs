@@ -6,14 +6,15 @@
 //! numbers go to `BENCH_net.json`:
 //!
 //! * **throughput** — median wall clock of a full drive (connect,
-//!   pipeline, commit everything) per workload and connection count;
+//!   pipeline, commit everything) per workload and connection count,
+//!   with the interquartile range of its `SAMPLES` samples beside it;
 //! * **per-stage latency** — from one representative durable run per
 //!   workload (WAL under `FsyncPolicy::Always`, so the fsync sits inside
 //!   the commit path), the p50/p99/p999 of every accounted stage:
 //!   decode, queue wait, admit, WAL fsync, reply serialization, and the
 //!   wire-to-wire round trip.
 
-use relser_bench::harness::{git_commit, BenchmarkId, Harness};
+use relser_bench::harness::{git_commit, Harness};
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_net::{
@@ -43,9 +44,12 @@ const WORKLOAD_SEED: u64 = 11;
 const ARRIVAL_SEED: u64 = 7;
 const CONNECTIONS: [usize; 3] = [8, 32, 64];
 const STREAMS: usize = 4;
+/// Timed samples per row: enough for a median and quartiles that a
+/// before/after comparison (ROADMAP item 9(a)) can be read against.
+const SAMPLES: usize = 10;
 
 /// Zipf-sampled single-record read-modify-write transactions — the
-/// low-contention admission-path traffic (mirrors the shard bench).
+/// low-contention admission-path traffic.
 const ZIPF_TXNS: usize = 384;
 const ZIPF_OBJECTS: usize = 2048;
 const ZIPF_THETA: f64 = 0.4;
@@ -157,9 +161,9 @@ fn bench_supervised(h: &mut Harness, txns: &TxnSet, spec: &AtomicitySpec) {
     // the retry-path number measures the retry, not a 5s default wait.
     let retry_cfg = NetConfig {
         reactors: 4,
+        reply_timeout: Duration::from_millis(200),
         ..NetConfig::default()
-    }
-    .with_reply_timeout(Duration::from_millis(200));
+    };
     let kill = vec![
         FaultPlan {
             crash_at_command: Some(40),
@@ -179,14 +183,14 @@ fn bench_supervised(h: &mut Harness, txns: &TxnSet, spec: &AtomicitySpec) {
     ];
 
     let mut group = h.group("supervised_net");
-    group.sample_size(3);
-    group.bench_with_input(BenchmarkId::new("shards", "healthy"), &(), |b, _| {
+    group.sample_size(SAMPLES);
+    group.bench_function("shards/healthy", |b| {
         b.iter(|| black_box(run_supervised(txns, spec, &[], &cfg).1.committed.len()))
     });
-    group.bench_with_input(BenchmarkId::new("shards", "degraded"), &(), |b, _| {
+    group.bench_function("shards/degraded", |b| {
         b.iter(|| black_box(run_supervised(txns, spec, &kill, &cfg).1.committed.len()))
     });
-    group.bench_with_input(BenchmarkId::new("shards", "retry_path"), &(), |b, _| {
+    group.bench_function("shards/retry_path", |b| {
         b.iter(|| {
             black_box(
                 run_supervised(txns, spec, &drops, &retry_cfg)
@@ -196,7 +200,6 @@ fn bench_supervised(h: &mut Harness, txns: &TxnSet, spec: &AtomicitySpec) {
             )
         })
     });
-    group.finish();
 
     // One representative run per mode for the robustness counters.
     let (degraded, dstats) = run_supervised(txns, spec, &kill, &cfg);
@@ -216,15 +219,12 @@ fn bench_supervised(h: &mut Harness, txns: &TxnSet, spec: &AtomicitySpec) {
 
 fn bench_workload(h: &mut Harness, name: &str, txns: &TxnSet, spec: &AtomicitySpec) {
     let mut group = h.group(name);
-    group.sample_size(5);
+    group.sample_size(SAMPLES);
     for &connections in &CONNECTIONS {
-        group.bench_with_input(
-            BenchmarkId::new("connections", connections),
-            &connections,
-            |b, _| b.iter(|| black_box(run_once(txns, spec, connections, false).committed)),
-        );
+        group.bench_function(format!("connections/{connections}"), |b| {
+            b.iter(|| black_box(run_once(txns, spec, connections, false).committed))
+        });
     }
-    group.finish();
 }
 
 /// One representative durable run: every stage's p50/p99/p999 into the

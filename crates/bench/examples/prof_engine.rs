@@ -1,13 +1,23 @@
 //! Crude hot-path cost split for the incremental RSG engine, for use when
-//! no system profiler is available (see benches/PROFILING.md).
+//! no system profiler is available (this container has no `perf`).
 //!
 //! Wraps `RsgSgt`'s engine in a timing adapter that measures, per
 //! request, the delta computation (`propose`) and the full admission
 //! (`try_admit`, which recomputes the delta in scratch and applies it to
 //! the dag), plus rollback time in `abort`. `try_admit − propose` then
-//! approximates the dag batch-application share.
+//! approximates the dag batch-application share; extend the adapter with
+//! more `Instant` spans when a finer split is needed (that is how the
+//! per-head batch DFS and the scratch-buffer reuse wins were found).
 //!
-//! Run: `cargo run --release -p relser-bench --example prof_engine`
+//! Run on an idle machine (a concurrent build inflates every row), at
+//! least twice, and read the minimum — outside load only ever inflates:
+//!
+//! ```text
+//! cargo run --release -p relser-bench --example prof_engine
+//! ```
+//!
+//! The service's own per-layer costs (queue transfer, decision time,
+//! WAL barrier) are the repo benchmark's `--trace 1` rows, not this.
 
 use relser_core::ids::{OpId, TxnId};
 use relser_core::incremental::{AdmitError, IncrementalRsg};

@@ -1,12 +1,11 @@
-//! A small, dependency-free benchmark harness with a criterion-flavoured
-//! API (`group` / `sample_size` / `bench_function` / `iter`).
+//! A small, dependency-free benchmark harness (`group` / `sample_size` /
+//! `bench_function` / `iter`) for the crate's two `[[bench]]` targets.
 //!
-//! The build environment has no crates.io access, so the workspace's
-//! `[[bench]]` targets run on this harness instead of Criterion. It does
-//! auto-calibrated timed sampling (median-of-samples reporting, so a GC
-//! pause or scheduler hiccup in one sample doesn't skew the figure) and
-//! can serialise all measurements of a run to a JSON file for perf
-//! tracking (see [`Harness::write_json`]).
+//! It does auto-calibrated timed sampling — median-of-samples reporting
+//! with the interquartile range beside it, so one scheduler hiccup
+//! neither skews a figure nor hides how much the samples spread — and
+//! serialises all measurements of a run to a JSON file stamped with the
+//! commit that produced it (see [`Harness::write_json`], [`git_commit`]).
 
 use std::fmt::Display;
 use std::hint::black_box;
@@ -23,6 +22,10 @@ pub struct Measurement {
     pub median_ns: f64,
     /// Mean per-iteration time across samples, in nanoseconds.
     pub mean_ns: f64,
+    /// First quartile of the per-iteration sample times, in nanoseconds.
+    pub q1_ns: f64,
+    /// Third quartile of the per-iteration sample times, in nanoseconds.
+    pub q3_ns: f64,
     /// Number of timed samples.
     pub samples: usize,
     /// Iterations per timed sample (chosen by calibration).
@@ -104,8 +107,9 @@ impl Harness {
             };
             out.push_str(&format!(
                 "    {{\"group\": \"{}\", \"id\": \"{}\", \"median_ns\": {:.1}, \
-                 \"mean_ns\": {:.1}, \"samples\": {}, \"iters\": {}}}{}\n",
-                m.group, m.id, m.median_ns, m.mean_ns, m.samples, m.iters, sep
+                 \"q1_ns\": {:.1}, \"q3_ns\": {:.1}, \"mean_ns\": {:.1}, \
+                 \"samples\": {}, \"iters\": {}}}{}\n",
+                m.group, m.id, m.median_ns, m.q1_ns, m.q3_ns, m.mean_ns, m.samples, m.iters, sep
             ));
         }
         out.push_str("  ]\n}\n");
@@ -124,7 +128,7 @@ pub struct Group<'a> {
 }
 
 impl Group<'_> {
-    /// Sets the number of timed samples (criterion-compatible spelling).
+    /// Sets the number of timed samples (at least 3).
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.samples = n.max(3);
         self
@@ -138,59 +142,23 @@ impl Group<'_> {
             result: None,
         };
         f(&mut b);
-        let (median_ns, mean_ns, iters) = b.result.expect("bench_function body must call iter()");
+        let m = b.result.expect("bench_function body must call iter()");
         let m = Measurement {
             group: self.name.clone(),
             id: id.to_string(),
-            median_ns,
-            mean_ns,
-            samples: self.samples,
-            iters,
+            ..m
         };
         println!(
-            "{:<28} {:<24} {:>14}  ({} samples x {} iters)",
+            "{:<28} {:<24} {:>14}  [{} .. {}]  ({} samples x {} iters)",
             m.group,
             m.id,
             fmt_ns(m.median_ns),
+            fmt_ns(m.q1_ns),
+            fmt_ns(m.q3_ns),
             m.samples,
             m.iters
         );
         self.harness.measurements.push(m);
-    }
-
-    /// Like [`Group::bench_function`] but with a `BenchmarkId`-style
-    /// two-part id and an input reference, for criterion-compatible call
-    /// sites.
-    pub fn bench_with_input<I>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) {
-        self.bench_function(id, |b| f(b, input));
-    }
-
-    /// Group teardown (no-op; criterion-compatible spelling).
-    pub fn finish(&mut self) {}
-}
-
-/// A two-part benchmark id, `function/parameter`.
-pub struct BenchmarkId {
-    label: String,
-}
-
-impl BenchmarkId {
-    /// An id rendered as `function/parameter`.
-    pub fn new(function: impl Display, parameter: impl Display) -> Self {
-        BenchmarkId {
-            label: format!("{function}/{parameter}"),
-        }
-    }
-}
-
-impl Display for BenchmarkId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.label)
     }
 }
 
@@ -199,7 +167,7 @@ impl Display for BenchmarkId {
 pub struct Bencher {
     samples: usize,
     target_sample: Duration,
-    result: Option<(f64, f64, u64)>,
+    result: Option<Measurement>,
 }
 
 impl Bencher {
@@ -236,14 +204,23 @@ impl Bencher {
             })
             .collect();
         per_iter.sort_by(|a, b| a.total_cmp(b));
-        let median = per_iter[per_iter.len() / 2];
-        let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
-        self.result = Some((median, mean, iters));
+        let n = per_iter.len();
+        self.result = Some(Measurement {
+            group: String::new(),
+            id: String::new(),
+            median_ns: per_iter[n / 2],
+            mean_ns: per_iter.iter().sum::<f64>() / n as f64,
+            q1_ns: per_iter[n / 4],
+            q3_ns: per_iter[3 * n / 4],
+            samples: n,
+            iters,
+        });
     }
 }
 
 /// The current git commit (short hash, `-dirty` suffixed when the tree
-/// has uncommitted changes), or `"unknown"` outside a git checkout —
+/// has uncommitted changes that could alter a figure — see
+/// [`porcelain_is_dirty`]), or `"unknown"` outside a git checkout —
 /// recorded into bench JSON so every figure is traceable to the code
 /// that produced it.
 pub fn git_commit() -> String {
@@ -257,7 +234,7 @@ pub fn git_commit() -> String {
     };
     match run(&["rev-parse", "--short", "HEAD"]) {
         Some(hash) if !hash.is_empty() => {
-            let dirty = run(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty());
+            let dirty = run(&["status", "--porcelain"]).is_some_and(|s| porcelain_is_dirty(&s));
             if dirty {
                 format!("{hash}-dirty")
             } else {
@@ -266,6 +243,25 @@ pub fn git_commit() -> String {
         }
         _ => "unknown".to_string(),
     }
+}
+
+/// Does `git status --porcelain` text show a change that could alter a
+/// bench figure? Untracked (`??`) paths cannot — nothing builds them —
+/// and neither can the harness's own outputs, the `BENCH_*.json` files at
+/// the repository root, which the first of two bench runs rewrites
+/// before the second one stamps its commit.
+pub fn porcelain_is_dirty(porcelain: &str) -> bool {
+    porcelain.lines().any(|line| {
+        let Some((status, path)) = line.trim_start().split_once(' ') else {
+            return false;
+        };
+        // A rename reads `old -> new`; the new path is the one in the tree.
+        let path = path.trim_start().rsplit(" -> ").next().unwrap_or_default();
+        let path = path.trim_matches('"');
+        let bench_output =
+            !path.contains('/') && path.starts_with("BENCH_") && path.ends_with(".json");
+        status != "??" && !bench_output
+    })
 }
 
 fn escape_json(s: &str) -> String {
@@ -308,19 +304,22 @@ mod tests {
         g.bench_function("spin", |b| {
             b.iter(|| (0..100u64).map(black_box).sum::<u64>())
         });
-        g.bench_with_input(BenchmarkId::new("param", 7), &7u32, |b, &x| {
-            b.iter(|| x * 2)
-        });
-        g.finish();
+        let x = 7u32;
+        g.bench_function(format!("param/{x}"), |b| b.iter(|| x * 2));
         assert_eq!(h.measurements().len(), 2);
         assert_eq!(h.measurements()[1].id, "param/7");
         assert!(h.measurements().iter().all(|m| m.median_ns > 0.0));
+        assert!(h
+            .measurements()
+            .iter()
+            .all(|m| m.q1_ns <= m.median_ns && m.median_ns <= m.q3_ns));
 
         let path = std::env::temp_dir().join("relser_bench_selftest.json");
         h.write_json(path.to_str().unwrap()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"id\": \"param/7\""));
         assert!(text.contains("\"bench\": \"selftest\""));
+        assert!(text.contains("\"q1_ns\": ") && text.contains("\"q3_ns\": "));
         std::fs::remove_file(path).ok();
     }
 
@@ -334,7 +333,6 @@ mod tests {
         let mut g = h.group("g");
         g.sample_size(3);
         g.bench_function("noop", |b| b.iter(|| 1u32));
-        g.finish();
 
         let path = std::env::temp_dir().join("relser_bench_metatest.json");
         h.write_json(path.to_str().unwrap()).unwrap();
@@ -351,5 +349,21 @@ mod tests {
     fn git_commit_reports_something() {
         let c = git_commit();
         assert!(!c.is_empty());
+    }
+
+    #[test]
+    fn only_tracked_source_changes_make_a_stamp_dirty() {
+        assert!(porcelain_is_dirty(" M crates/x/src/y.rs"));
+        assert!(porcelain_is_dirty("M  crates/x/src/y.rs"));
+        assert!(porcelain_is_dirty("R  a.rs -> crates/x/src/y.rs"));
+        assert!(porcelain_is_dirty(" M BENCH_net.json\n M Cargo.toml"));
+        assert!(porcelain_is_dirty(" M crates/bench/BENCH_net.json"));
+        assert!(!porcelain_is_dirty(""));
+        assert!(!porcelain_is_dirty(" M BENCH_net.json"));
+        assert!(!porcelain_is_dirty("M  BENCH_rsg_sgt.json"));
+        assert!(!porcelain_is_dirty("?? scratch/"));
+        assert!(!porcelain_is_dirty(
+            "?? crates/x/src/new.rs\n M BENCH_net.json"
+        ));
     }
 }

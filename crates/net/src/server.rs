@@ -17,7 +17,7 @@ use relser_server::supervisor::{
     supervise_shard, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg,
 };
 use relser_server::{Certifier, OverloadPolicy, Route, ServerMetrics, Timeouts};
-use relser_wal::{CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentsHandle};
+use relser_wal::{CheckpointPolicy, CommitLog, MemSegmentsHandle};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,34 +76,6 @@ impl Default for NetConfig {
             poll_quantum: Duration::from_micros(100),
             record_trace: false,
         }
-    }
-}
-
-impl NetConfig {
-    /// Sets the reactor's reply watchdog: how long the core may stay
-    /// silent on a submitted request before the connection is degraded
-    /// with [`crate::wire::ErrorCode::ReplyLost`].
-    pub fn with_reply_timeout(mut self, t: Duration) -> NetConfig {
-        self.reply_timeout = t;
-        self
-    }
-
-    /// Sets the waits-for block timeout (deadlock resolution).
-    pub fn with_block_timeout(mut self, t: Duration) -> NetConfig {
-        self.block_timeout = t;
-        self
-    }
-
-    /// Sets the full-queue retry tick (see [`NetConfig::poll_quantum`]).
-    pub fn with_poll_quantum(mut self, t: Duration) -> NetConfig {
-        self.poll_quantum = t;
-        self
-    }
-
-    /// Sets the reactor thread count.
-    pub fn with_reactors(mut self, n: usize) -> NetConfig {
-        self.reactors = n;
-        self
     }
 }
 
@@ -277,13 +249,13 @@ pub fn serve_net<R>(
     ))
 }
 
-/// Supervision tunables for one [`serve_net_supervised_in`] run.
+/// Supervision tunables for one [`serve_net_supervised_in`] run. Every
+/// shard core's log syncs under `FsyncPolicy::Always`: no acknowledgment
+/// leaves a core before the barrier that covers it.
 #[derive(Clone, Debug)]
 pub struct SuperviseNetConfig {
     /// Shard cores (the object space is partitioned across them).
     pub shards: usize,
-    /// Fsync policy of every shard core's segmented log.
-    pub fsync: FsyncPolicy,
     /// Checkpoint/rotation policy of every shard core's log.
     pub ckpt: CheckpointPolicy,
     /// Per-shard supervisor restart budget.
@@ -294,7 +266,6 @@ impl Default for SuperviseNetConfig {
     fn default() -> Self {
         SuperviseNetConfig {
             shards: 2,
-            fsync: FsyncPolicy::Always,
             ckpt: CheckpointPolicy::default(),
             max_restarts: 8,
         }
@@ -379,7 +350,6 @@ pub fn serve_net_supervised_in<'e, R>(
     let sup_cfg = SupervisorCfg {
         txns,
         spec,
-        fsync: sup.fsync,
         ckpt: sup.ckpt,
         batch_max: cfg.batch_max,
         record_trace: cfg.record_trace,

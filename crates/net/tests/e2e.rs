@@ -191,9 +191,9 @@ fn shed_policy_answers_shed_on_the_wire() {
         queue_capacity: 1,
         batch_max: 1,
         policy: OverloadPolicy::Shed,
+        reply_timeout: Duration::from_secs(60),
         ..NetConfig::default()
-    }
-    .with_reply_timeout(Duration::from_secs(60));
+    };
     let load = ResilientConfig {
         deadline: Duration::from_secs(120),
         ..final_loss(16, 8)
@@ -480,9 +480,11 @@ fn one_in_flight_round_trips_beat_the_poll_quantum() {
             .expect("transaction");
     }
     let spec = AtomicitySpec::absolute(&txns);
-    let cfg = NetConfig::default()
-        .with_reactors(1)
-        .with_poll_quantum(Duration::from_millis(10));
+    let cfg = NetConfig {
+        reactors: 1,
+        poll_quantum: Duration::from_millis(10),
+        ..NetConfig::default()
+    };
     let (report, mut rtts) = serve_net(
         &txns,
         Box::new(RsgSgt::new(&txns, &spec)),
@@ -529,7 +531,10 @@ fn an_idle_server_does_not_wake_up() {
     let (report, ()) = serve_net(
         &sc.txns,
         Box::new(RsgSgt::new(&sc.txns, &sc.spec)),
-        &NetConfig::default().with_reactors(1),
+        &NetConfig {
+            reactors: 1,
+            ..NetConfig::default()
+        },
         &FaultPlan::default(),
         None,
         |addr| {
@@ -559,7 +564,8 @@ fn a_paused_connection_with_unread_bytes_does_not_spin_the_reactor() {
     let cfg = NetConfig {
         max_inflight: 1,
         reply_timeout: Duration::from_millis(300),
-        ..NetConfig::default().with_reactors(1)
+        reactors: 1,
+        ..NetConfig::default()
     };
     let faults = FaultPlan {
         drop_replies: vec![0],

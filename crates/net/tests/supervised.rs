@@ -422,8 +422,11 @@ fn chaos_sweep_commits_exactly_once_under_wire_and_core_faults() {
     let (txns, spec) = local_universe(160, 10);
     let total = txns.len();
     let stream = RequestStream::shuffled(&txns, 13);
-    // Tight watchdogs (builder-configured) so lost replies resolve fast.
-    let cfg = NetConfig::default().with_reply_timeout(Duration::from_millis(300));
+    // A tight watchdog so lost replies resolve fast.
+    let cfg = NetConfig {
+        reply_timeout: Duration::from_millis(300),
+        ..NetConfig::default()
+    };
     let sup = SuperviseNetConfig::default();
     let stores = stores_for(sup.shards);
     let faults = vec![
@@ -474,22 +477,12 @@ fn chaos_sweep_commits_exactly_once_under_wire_and_core_faults() {
     cross_check(&txns, &spec, &stores, &report);
 }
 
-/// Satellite: the watchdog/deadline knobs exist, have sane defaults, and
-/// the builders override them.
+/// Satellite: the watchdog/deadline knobs exist and have sane defaults.
 #[test]
-fn timeout_defaults_and_builders() {
+fn timeout_defaults() {
     let d = NetConfig::default();
     assert_eq!(d.reply_timeout, Duration::from_secs(5));
     assert_eq!(d.block_timeout, Duration::from_millis(100));
-    let tuned = NetConfig::default()
-        .with_reply_timeout(Duration::from_millis(250))
-        .with_block_timeout(Duration::from_millis(40))
-        .with_poll_quantum(Duration::from_micros(50))
-        .with_reactors(3);
-    assert_eq!(tuned.reply_timeout, Duration::from_millis(250));
-    assert_eq!(tuned.block_timeout, Duration::from_millis(40));
-    assert_eq!(tuned.poll_quantum, Duration::from_micros(50));
-    assert_eq!(tuned.reactors, 3);
 
     let r = ResilientConfig::default();
     assert_eq!(r.deadline, Duration::from_secs(2));

@@ -24,13 +24,13 @@
 //! (grant, abort, commit — not a mere block) it bumps the shared
 //! [`Progress`] epoch, waking the blocked operations to be resubmitted.
 
-use crate::queue::{BoundedQueue, PopWait};
+use crate::queue::BoundedQueue;
 use crate::supervisor::SessionTable;
 use relser_core::ids::{OpId, TxnId};
 use relser_poll::Doorbell;
 use relser_protocols::{AbortReason, Decision, Scheduler};
 use relser_simdb::metrics::LatencyHistogram;
-use relser_wal::{Checkpoint, CheckpointEvent, CommitLog, FsyncPolicy, WalRecord, WalStats};
+use relser_wal::{Checkpoint, CheckpointEvent, CommitLog, WalRecord, WalStats};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -558,8 +558,7 @@ impl CoreOutput {
 ///    [`SessionTable`] entry of a sessionful commit;
 /// 2. ends the batch once ([`CommitLog::batch_end`]): one storage write
 ///    and, under `FsyncPolicy::Always`, one barrier whenever the batch
-///    logged anything (deferred policies: only when their threshold is
-///    due — the bounded loss window they buy throughput with);
+///    logged anything;
 /// 3. releases the held acknowledgments in core order, then bumps
 ///    [`Progress`]. A reactor front-end parked in `poll(2)` learns of both
 ///    through its doorbell ([`Reply::with_doorbell`],
@@ -571,8 +570,6 @@ impl CoreOutput {
 /// `Committed` response, a retry-table entry, a commit in
 /// [`CoreOutput::committed`] — precedes a barrier that covers its record,
 /// and a batch of b commands costs one write and one barrier, not b.
-/// While the queue is idle the core calls `batch_end` on a tick, so an
-/// `Interval` policy cannot strand written records unsynced forever.
 ///
 /// A halt inside a batch — a planned crash fault, a failed append, a
 /// failed barrier — acknowledges **none** of it: the held replies are
@@ -663,35 +660,13 @@ impl Core<'_, '_, '_> {
         batch_max: usize,
     ) -> CoreOutput {
         let mut batch: Vec<Command> = Vec::with_capacity(batch_max);
-        // An `Interval` policy needs flush opportunities even when the
-        // queue is idle; wake at a fraction of the interval (clamped
-        // sane) to check.
-        let idle_tick: Option<Duration> = self.wal.as_ref().and_then(|w| match w.policy() {
-            FsyncPolicy::Interval(d) => {
-                Some(d.clamp(Duration::from_millis(1), Duration::from_millis(100)))
-            }
-            _ => None,
-        });
         // How much of the commit lists the last successful barrier
         // covered (what a halt keeps).
         let mut acked_commits = self.out.committed.len();
         let mut acked_stamps = 0;
-        loop {
-            let popped = match idle_tick {
-                Some(tick) => queue.pop_batch_timeout(batch_max, &mut batch, tick),
-                None if queue.pop_batch(batch_max, &mut batch) => PopWait::Batch,
-                None => PopWait::Closed,
-            };
-            // An idle tick is an empty batch: nothing to apply or release,
-            // only the deferred policy's barrier opportunity.
-            match popped {
-                PopWait::Closed => break,
-                PopWait::Idle => {}
-                PopWait::Batch => {
-                    self.out.batches += 1;
-                    self.out.max_batch = self.out.max_batch.max(batch.len());
-                }
-            }
+        while queue.pop_batch(batch_max, &mut batch) {
+            self.out.batches += 1;
+            self.out.max_batch = self.out.max_batch.max(batch.len());
             self.changed = false;
             let mut pending = batch.drain(..);
             let mut applied = pending.by_ref().try_for_each(|cmd| self.apply(cmd));
@@ -1164,7 +1139,7 @@ mod tests {
         use relser_core::spec::AtomicitySpec;
         use relser_core::txn::TxnSet;
         use relser_protocols::rsg_sgt::RsgSgt;
-        use relser_wal::{scan, MemStorage, WalWriter};
+        use relser_wal::{scan, FsyncPolicy, MemStorage, WalWriter};
 
         let txns = TxnSet::parse(&["r1[x] w1[x]"]).unwrap();
         let spec = AtomicitySpec::absolute(&txns);

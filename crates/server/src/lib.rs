@@ -51,8 +51,7 @@
 //!   scheduler from the log's longest valid prefix and re-certifying the
 //!   committed history before accepting it: [`recover`] (one log's
 //!   bytes), [`recover_segments_with_certifier`] (one segmented log),
-//!   [`recover_sharded_segments_with_certifier`] (N per-shard streams);
-//! * [`baseline`] — the single-thread yardstick for throughput speedups.
+//!   [`recover_sharded_segments_with_certifier`] (N per-shard streams).
 //!
 //! ## The headline invariant
 //!
@@ -90,7 +89,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod core;
 pub mod flight;
 pub mod metrics;
@@ -102,11 +100,10 @@ pub mod session;
 pub mod shard;
 pub mod supervisor;
 
-pub use baseline::{run_baseline, BaselineRun};
 pub use core::{run_core, CoreCfg, FaultPlan, Progress, ShardCoreCtx, TraceEvent};
 pub use flight::{Flight, Step, Timeouts, Work};
 pub use metrics::ServerMetrics;
-pub use queue::{BoundedQueue, PopWait, PushError, QueueStats};
+pub use queue::{BoundedQueue, PushError, QueueStats};
 pub use recovery::{
     recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
     Recovery, RecoveryError, ShardedRecovery,

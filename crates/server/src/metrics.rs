@@ -9,8 +9,7 @@ use std::fmt;
 use std::time::Duration;
 
 /// Everything measured during one server run: throughput, queue
-/// behaviour, admission latency, and abort/shed accounting. Serialized
-/// into `BENCH_server.json` by the bench harness.
+/// behaviour, admission latency, and abort/shed accounting.
 #[derive(Clone, Debug, Default)]
 pub struct ServerMetrics {
     /// Worker (session) threads.

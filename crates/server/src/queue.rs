@@ -18,19 +18,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
-
-/// How a [`BoundedQueue::pop_batch_timeout`] wait ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PopWait {
-    /// At least one item was moved into `out`.
-    Batch,
-    /// The timeout elapsed with the queue empty and open — the consumer's
-    /// chance to do idle housekeeping (the durable core's fsync tick).
-    Idle,
-    /// The queue is closed and drained; the consumer should stop.
-    Closed,
-}
 
 /// Why a push did not enqueue; the item is handed back in both cases.
 #[derive(Debug)]
@@ -181,34 +168,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// [`BoundedQueue::pop_batch`] with a bounded wait: returns
-    /// [`PopWait::Idle`] if `timeout` elapses with nothing enqueued, so
-    /// the consumer can run periodic housekeeping (e.g. a deferred-fsync
-    /// tick) instead of blocking forever on an idle queue.
-    pub fn pop_batch_timeout(&self, max: usize, out: &mut Vec<T>, timeout: Duration) -> PopWait {
-        debug_assert!(max >= 1);
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if !state.buf.is_empty() {
-                self.drain(state, max, out);
-                return PopWait::Batch;
-            }
-            if state.closed {
-                return PopWait::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return PopWait::Idle;
-            }
-            let (g, _) = self
-                .not_empty
-                .wait_timeout(state, deadline - now)
-                .expect("queue lock");
-            state = g;
-        }
-    }
-
     /// Closes the queue: wakes all blocked producers and the consumer.
     /// Items already enqueued are still delivered by `pop_batch`.
     pub fn close(&self) {
@@ -315,28 +274,6 @@ mod tests {
         out.clear();
         q.pop_batch(4, &mut out);
         assert_eq!(out, vec![4, 5]);
-    }
-
-    #[test]
-    fn pop_batch_timeout_distinguishes_idle_from_closed() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        let mut out = Vec::new();
-        assert_eq!(
-            q.pop_batch_timeout(4, &mut out, Duration::from_millis(1)),
-            PopWait::Idle
-        );
-        q.push_wait(9).unwrap();
-        assert_eq!(
-            q.pop_batch_timeout(4, &mut out, Duration::from_millis(1)),
-            PopWait::Batch
-        );
-        assert_eq!(out, vec![9]);
-        out.clear();
-        q.close();
-        assert_eq!(
-            q.pop_batch_timeout(4, &mut out, Duration::from_millis(1)),
-            PopWait::Closed
-        );
     }
 
     #[test]

@@ -178,14 +178,13 @@ impl ShardHealth {
 }
 
 /// Everything [`supervise_shard`] needs beyond the core's own arguments.
+/// Every incarnation's log syncs under [`FsyncPolicy::Always`].
 pub struct SupervisorCfg<'a> {
     /// The transaction universe (recovery replays against it).
     pub txns: &'a TxnSet,
     /// The atomicity spec (recovery re-certifies against it, with
     /// [`Certifier::VClock`]).
     pub spec: &'a AtomicitySpec,
-    /// Fsync policy for every incarnation's log.
-    pub fsync: FsyncPolicy,
     /// Checkpoint/rotation policy for every incarnation's log.
     pub ckpt: CheckpointPolicy,
     /// Batch size for the core loop.
@@ -267,7 +266,7 @@ fn recover_and_resume(
     let next_seq = prior.iter().copied().max().map_or(0, |s| s + 1);
     let wal = SegmentedWal::resume(
         Box::new(store.store()),
-        cfg.fsync,
+        FsyncPolicy::Always,
         cfg.ckpt,
         head.clone(),
         next_seq,
@@ -321,8 +320,15 @@ where
             shard,
             ..Checkpoint::default()
         };
-        SegmentedWal::resume(Box::new(store.store()), cfg.fsync, cfg.ckpt, head, 0, &[])
-            .expect("in-memory segment store cannot fail to open")
+        SegmentedWal::resume(
+            Box::new(store.store()),
+            FsyncPolicy::Always,
+            cfg.ckpt,
+            head,
+            0,
+            &[],
+        )
+        .expect("in-memory segment store cannot fail to open")
     } else {
         // A previous service life wrote this store: recover it so
         // acknowledged commits (and the retry table) survive a whole-

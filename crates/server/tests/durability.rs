@@ -1,80 +1,16 @@
-//! End-to-end durability regressions for the two crash-adjacent paths
-//! the unit tests cannot cover alone:
-//!
-//! * the **idle fsync tick** — an `Interval` policy must make appended
-//!   records durable while the command queue sits idle, not only at the
-//!   next batch;
-//! * the **reopen-after-recovery path** — resuming a file-backed log
-//!   whose tail was torn must truncate at the scanner's `valid_bytes`
-//!   *before* appending, or the torn bytes corrupt the first new record.
+//! End-to-end durability regression for the crash-adjacent path the
+//! unit tests cannot cover alone: the **reopen-after-recovery path** —
+//! resuming a file-backed log whose tail was torn must truncate at the
+//! scanner's `valid_bytes` *before* appending, or the torn bytes corrupt
+//! the first new record.
 
 use relser_core::ids::TxnId;
 use relser_core::paper::Figure1;
 use relser_protocols::rsg_sgt::RsgSgt;
-use relser_server::core::{Command, Progress};
 use relser_server::recovery::{recover, Certifier};
-use relser_server::{run_core, BoundedQueue, CoreCfg, FaultPlan, ServerConfig};
-use relser_wal::{scan, FileStorage, FsyncPolicy, MemStorage, WalRecord, WalWriter};
+use relser_server::{FaultPlan, ServerConfig};
+use relser_wal::{scan, FileStorage, FsyncPolicy, WalRecord, WalWriter};
 use relser_workload::stream::RequestStream;
-use std::time::{Duration, Instant};
-
-/// Satellite regression: under `FsyncPolicy::Interval`, records appended
-/// by a batch must become durable while the queue is *idle* — via the
-/// core's idle tick — without waiting for the next batch to arrive.
-#[test]
-fn interval_policy_flushes_on_the_idle_tick() {
-    let fig = Figure1::new();
-    let interval = Duration::from_millis(50);
-    let (mem, handle) = MemStorage::new();
-    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Interval(interval)).unwrap();
-    let queue: BoundedQueue<Command> = BoundedQueue::new(16);
-    let progress = Progress::new();
-
-    std::thread::scope(|s| {
-        let core = s.spawn(|| {
-            let scheduler = RsgSgt::new(&fig.txns, &fig.spec);
-            run_core(
-                Box::new(scheduler),
-                &queue,
-                &progress,
-                CoreCfg {
-                    batch_max: 16,
-                    record_trace: false,
-                },
-                &FaultPlan::default(),
-                Some(&mut wal),
-                None,
-            )
-        });
-
-        // One batch, then silence. `Interval(50ms)` does not sync at the
-        // batch boundary (the interval has not elapsed), so durability
-        // can only come from the idle tick.
-        assert!(queue.push_wait(Command::Begin(TxnId(0))).is_ok());
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let all_synced = loop {
-            let written = handle.bytes().len();
-            let synced = handle.synced_bytes().len();
-            if written > relser_wal::MAGIC.len() && synced == written {
-                break true;
-            }
-            if Instant::now() > deadline {
-                break false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        assert!(
-            all_synced,
-            "idle tick never flushed: {} of {} bytes durable",
-            handle.synced_bytes().len(),
-            handle.bytes().len()
-        );
-
-        queue.close();
-        let out = core.join().unwrap();
-        assert!(!out.crashed, "wal error: {:?}", out.wal_error);
-    });
-}
 
 /// Satellite regression: reopening a torn log must truncate the file at
 /// recovery's `valid_bytes` before resuming appends. Without the

@@ -66,11 +66,14 @@ impl Rig {
             .unwrap_or_else(|_| panic!("the queue has room"))
     }
 
-    /// Everything enqueued so far, taken off the queue.
+    /// Everything enqueued so far, taken off the queue: closed, a closed
+    /// queue's `pop_batch` delivers what is pending without waiting, then
+    /// reopened for the next submit.
     fn drain(&self) -> Vec<Command> {
         let mut out = Vec::new();
-        self.queue
-            .pop_batch_timeout(usize::MAX, &mut out, Duration::ZERO);
+        self.queue.close();
+        while self.queue.pop_batch(usize::MAX, &mut out) {}
+        self.queue.reopen();
         out
     }
 

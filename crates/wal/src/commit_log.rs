@@ -12,7 +12,7 @@
 //! only the log knows its segment sizes.
 
 use crate::record::{Checkpoint, WalRecord};
-use crate::writer::{FsyncPolicy, WalStats, WalWriter};
+use crate::writer::{WalStats, WalWriter};
 use std::io;
 
 /// A durable commit log, from the admission core's point of view.
@@ -26,11 +26,10 @@ pub trait CommitLog: Send {
 
     /// Ends the batch: one storage write of everything appended since the
     /// last call, then the policy's durability barrier (under
-    /// [`FsyncPolicy::Always`]: one barrier whenever anything is unsynced,
+    /// [`crate::FsyncPolicy::Always`]: one barrier whenever anything is unsynced,
     /// so on `Ok` every appended record is durable and its acknowledgment
-    /// may be released). Called once per drained queue batch, and again
-    /// while the queue is idle so an `Interval` policy cannot strand
-    /// written records unsynced forever; an empty batch costs nothing.
+    /// may be released). Called once per drained queue batch; an empty
+    /// batch costs nothing.
     /// Any error means the batch may not be durable: fail-stop without
     /// acknowledging it.
     fn batch_end(&mut self) -> io::Result<()>;
@@ -40,10 +39,6 @@ pub trait CommitLog: Send {
 
     /// Append-side counters so far (across all segments, if any).
     fn stats(&self) -> WalStats;
-
-    /// The log's fsync policy (the core derives its idle-tick cadence
-    /// from an `Interval` policy).
-    fn policy(&self) -> FsyncPolicy;
 
     /// Drains the wall-clock duration (ns) of every durability barrier
     /// since the last call — the fsync stage of the per-stage latency
@@ -87,10 +82,6 @@ impl CommitLog for WalWriter {
 
     fn stats(&self) -> WalStats {
         WalWriter::stats(self)
-    }
-
-    fn policy(&self) -> FsyncPolicy {
-        WalWriter::policy(self)
     }
 
     fn take_sync_ns(&mut self) -> Vec<u64> {

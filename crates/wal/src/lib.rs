@@ -41,11 +41,11 @@
 //! acknowledgment) of a drained queue batch until `batch_end` returns,
 //! and unwinds them un-acknowledged if it fails. A crash at *any* point
 //! loses no acknowledged commit, and a batch of b commands costs one
-//! write and one barrier instead of b of each. Deferred policies
-//! (`EveryN`, `Interval`, `Never`) go through the same hold-then-release
-//! loop with a conditional barrier, trading a bounded window of recent
-//! acknowledgments for throughput; the scanner's truncate-at-first-damage
-//! rule keeps the recovered prefix consistent in every case.
+//! write and one barrier instead of b of each. `Never` (tests and the
+//! benchmark's append probe) goes through the same hold-then-release loop
+//! with no barrier but the clean close's; the scanner's
+//! truncate-at-first-damage rule keeps the recovered prefix consistent in
+//! every case.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

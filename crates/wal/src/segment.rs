@@ -420,10 +420,6 @@ impl CommitLog for SegmentedWal {
         }
     }
 
-    fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
-
     fn take_sync_ns(&mut self) -> Vec<u64> {
         let mut all = std::mem::take(&mut self.sealed_sync_ns);
         all.append(&mut self.writer.take_sync_ns());

@@ -6,9 +6,8 @@
 //! buffer — it touches no storage and makes nothing durable.
 //! [`WalWriter::batch_end`] hands the buffered frames to [`Storage`] in
 //! **one** `append` and then issues the policy's durability barrier: under
-//! `Always` one [`Storage::sync`] whenever anything is unsynced, under the
-//! deferred policies (`EveryN`, `Interval`) only once their threshold is
-//! due, under `Never` none. The admission core calls `append` per
+//! `Always` one [`Storage::sync`] whenever anything is unsynced, under
+//! `Never` none. The admission core calls `append` per
 //! state-changing command and `batch_end` once per drained queue batch,
 //! holding every acknowledgment of the batch until `batch_end` returns —
 //! classic group commit: a batch of b commands costs one write and one
@@ -24,7 +23,7 @@
 use crate::record::{WalRecord, MAGIC};
 use crate::storage::Storage;
 use std::io;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// When the writer issues a durability barrier ([`Storage::sync`]).
 /// Every policy is checked at batch boundaries ([`WalWriter::batch_end`])
@@ -35,11 +34,6 @@ pub enum FsyncPolicy {
     /// acknowledgment of that batch is released. No acknowledged work is
     /// ever lost.
     Always,
-    /// Sync once at least `n` records have accumulated since the last
-    /// barrier.
-    EveryN(u64),
-    /// Sync when at least this long has passed since the last barrier.
-    Interval(Duration),
     /// Never sync mid-run; only a clean [`WalWriter::close`] syncs. A
     /// crash may lose everything since the start of the run.
     Never,
@@ -67,7 +61,6 @@ pub struct WalWriter {
     batch: Vec<u8>,
     /// Records appended since the last barrier (buffered or written).
     unsynced: u64,
-    last_sync: Instant,
     stats: WalStats,
     sync_ns: Vec<u64>,
     broken: bool,
@@ -98,7 +91,6 @@ impl WalWriter {
             policy,
             batch: Vec::with_capacity(4096),
             unsynced: 0,
-            last_sync: Instant::now(),
             stats: WalStats {
                 bytes,
                 ..WalStats::default()
@@ -106,11 +98,6 @@ impl WalWriter {
             sync_ns: Vec::new(),
             broken: false,
         }
-    }
-
-    /// The writer's fsync policy.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
     }
 
     /// Encodes one record into the current batch. Nothing reaches storage
@@ -132,27 +119,17 @@ impl WalWriter {
     }
 
     /// Ends the batch: hands the buffered frames to storage in one
-    /// [`Storage::append`], then issues one barrier if the policy says one
-    /// is due. A batch that appended nothing (and owes no deferred
-    /// barrier) costs nothing. On `Ok` under [`FsyncPolicy::Always`],
-    /// every record appended so far is durable.
-    ///
-    /// The admission core calls this once per drained queue batch *and*
-    /// on its idle tick, so an `Interval` policy cannot strand written
-    /// records unsynced while the queue sits empty.
+    /// [`Storage::append`], then, under [`FsyncPolicy::Always`], one
+    /// barrier if anything is unsynced — so on `Ok` every record appended
+    /// so far is durable. A batch that appended nothing costs nothing.
+    /// The admission core calls this once per drained queue batch.
     ///
     /// Any error marks the writer broken: the log tail is in an unknown
     /// state, so the caller must fail-stop (crash the core) and let
     /// recovery truncate at the damage.
     pub fn batch_end(&mut self) -> io::Result<()> {
         self.flush()?;
-        let due = match self.policy {
-            FsyncPolicy::Always => self.unsynced > 0,
-            FsyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
-            FsyncPolicy::Interval(d) => self.unsynced > 0 && self.last_sync.elapsed() >= d,
-            FsyncPolicy::Never => false,
-        };
-        if due {
+        if self.policy == FsyncPolicy::Always && self.unsynced > 0 {
             self.sync_now()?;
         }
         Ok(())
@@ -219,7 +196,6 @@ impl WalWriter {
         self.sync_ns.push(t0.elapsed().as_nanos() as u64);
         self.stats.syncs += 1;
         self.unsynced = 0;
-        self.last_sync = Instant::now();
         Ok(())
     }
 
@@ -298,24 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn every_n_defers_to_the_threshold() {
-        let (mem, handle) = MemStorage::new();
-        let mut w = WalWriter::new(Box::new(mem), FsyncPolicy::EveryN(3)).unwrap();
-        w.append(&WalRecord::Begin(TxnId(0))).unwrap();
-        w.append(&WalRecord::Begin(TxnId(1))).unwrap();
-        w.batch_end().unwrap();
-        assert_eq!(handle.synced_len(), 0, "below threshold: nothing durable");
-        w.append(&WalRecord::Begin(TxnId(2))).unwrap();
-        assert_eq!(
-            handle.synced_len(),
-            0,
-            "the threshold is checked at batch end"
-        );
-        w.batch_end().unwrap();
-        assert_eq!(handle.synced_len(), handle.bytes().len(), "threshold hit");
-    }
-
-    #[test]
     fn never_policy_only_syncs_on_close() {
         let (mem, handle) = MemStorage::new();
         let mut w = WalWriter::new(Box::new(mem), FsyncPolicy::Never).unwrap();
@@ -323,25 +281,6 @@ mod tests {
         w.batch_end().unwrap();
         assert_eq!(handle.synced_len(), 0);
         w.close().unwrap();
-        assert_eq!(handle.synced_len(), handle.bytes().len());
-    }
-
-    #[test]
-    fn interval_policy_syncs_on_an_idle_batch_end_once_due() {
-        let (mem, handle) = MemStorage::new();
-        let mut w = WalWriter::new(
-            Box::new(mem),
-            FsyncPolicy::Interval(Duration::from_millis(5)),
-        )
-        .unwrap();
-        w.append(&WalRecord::Begin(TxnId(0))).unwrap();
-        w.batch_end().unwrap();
-        assert_eq!(handle.synced_len(), 0, "written, interval not yet due");
-        assert!(handle.bytes().len() > MAGIC.len(), "the batch was written");
-        std::thread::sleep(Duration::from_millis(6));
-        // No new records — the core's idle tick alone must flush a due
-        // interval.
-        w.batch_end().unwrap();
         assert_eq!(handle.synced_len(), handle.bytes().len());
     }
 

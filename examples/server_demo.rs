@@ -25,7 +25,7 @@ use relative_serializability::core::txn::TxnSet;
 use relative_serializability::protocols::rsg_sgt::RsgSgt;
 use relative_serializability::protocols::Scheduler;
 use relative_serializability::server::{
-    replay, replay_sharded, run_baseline, serve, serve_sharded, FaultPlan, ServerConfig,
+    replay, replay_sharded, serve, serve_sharded, FaultPlan, ServerConfig,
 };
 use relative_serializability::workload::banking::{banking, BankingConfig};
 use relative_serializability::workload::random::{random_spec, shard_local_txns, RandomConfig};
@@ -121,22 +121,6 @@ fn main() {
         op_work_ns / 1000,
     );
 
-    // Single-thread driver-style baseline: same arrival order, same
-    // scheduler, same per-op latency — minus the concurrency.
-    let mut serial = RsgSgt::new(&txns, &spec);
-    let stream = RequestStream::shuffled(&txns, 7);
-    let base = run_baseline(&txns, &mut serial, &stream, op_work_ns);
-    println!(
-        "baseline (1 thread): {:.1?}, {:.0} ops/s",
-        base.elapsed,
-        base.ops_per_sec()
-    );
-
-    if sig::stopped() {
-        println!("\ninterrupted after the baseline phase: exiting cleanly");
-        return;
-    }
-
     // The service: 8 sessions, bounded queue, single-writer core.
     let server_cfg = ServerConfig {
         workers: 8,
@@ -147,7 +131,7 @@ fn main() {
     let stream = RequestStream::shuffled(&txns, 7);
 
     if shards > 1 {
-        serve_sharded_demo(&txns, &spec, &stream, &server_cfg, shards, &base);
+        serve_sharded_demo(&txns, &spec, &stream, &server_cfg, shards);
         return;
     }
 
@@ -164,10 +148,9 @@ fn main() {
     .into_run(&txns)
     .expect("all transactions commit");
     println!(
-        "service  (8 threads): {:.1?}, {:.0} ops/s  ->  {:.2}x\n",
+        "service  (8 threads): {:.1?}, {:.0} ops/s\n",
         run.metrics.elapsed,
         run.metrics.ops_per_sec(),
-        run.metrics.ops_per_sec() / base.ops_per_sec().max(1.0)
     );
     println!("{}", run.metrics);
 
@@ -201,7 +184,6 @@ fn serve_sharded_demo(
     stream: &RequestStream,
     server_cfg: &ServerConfig,
     shards: usize,
-    base: &relative_serializability::server::BaselineRun,
 ) {
     let schedulers = shard_schedulers(txns, spec, shards);
     let run = serve_sharded(txns, stream, schedulers, server_cfg, &[], Vec::new())
@@ -209,11 +191,10 @@ fn serve_sharded_demo(
         .expect("all transactions commit");
     let m = &run.report.metrics;
     println!(
-        "service  ({} sessions x {shards} shard cores): {:.1?}, {:.0} ops/s  ->  {:.2}x\n",
+        "service  ({} sessions x {shards} shard cores): {:.1?}, {:.0} ops/s\n",
         server_cfg.workers,
         m.elapsed,
         m.ops_per_sec(),
-        m.ops_per_sec() / base.ops_per_sec().max(1.0)
     );
     println!("{m}");
     let owned: Vec<usize> = run
