@@ -266,11 +266,16 @@ impl IncrementalRsg {
     /// Creates the engine with the default [`CompactionPolicy`]; nodes and
     /// the I-arc skeleton are installed up front from the transaction
     /// programs.
+    ///
+    /// Construction is O(operations), not O(n²) in the transaction count:
+    /// the engine shares `spec`'s breakpoint matrix (an O(1)
+    /// [`AtomicitySpec`] clone) instead of copying it.
     pub fn new(txns: &TxnSet, spec: &AtomicitySpec) -> Self {
         Self::with_policy(txns, spec, CompactionPolicy::default())
     }
 
-    /// Creates the engine with an explicit [`CompactionPolicy`].
+    /// Creates the engine with an explicit [`CompactionPolicy`]; same cost
+    /// as [`IncrementalRsg::new`].
     pub fn with_policy(txns: &TxnSet, spec: &AtomicitySpec, policy: CompactionPolicy) -> Self {
         let mut offset = Vec::with_capacity(txns.len());
         let mut owner = Vec::with_capacity(txns.total_ops());

@@ -20,16 +20,22 @@ use crate::error::{Error, Result};
 use crate::ids::{OpId, TxnId};
 use crate::txn::TxnSet;
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 /// The relative atomicity specification for a whole transaction set: one
 /// breakpoint set per *ordered* pair of distinct transactions.
+///
+/// The spec is a shared, copy-on-write value: `clone` is O(1) (two
+/// reference-count bumps), and the first edit of a shared spec copies the
+/// n × n breakpoint matrix once. Equality compares content, never identity.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AtomicitySpec {
-    /// Lengths of the transactions, indexed by `TxnId`.
-    lens: Vec<u32>,
+    /// Lengths of the transactions, indexed by `TxnId`. Fixed at
+    /// construction.
+    lens: Arc<[u32]>,
     /// `breaks[i * n + j]` = breakpoints of `Atomicity(T_i, T_j)`,
     /// strictly increasing, each in `1..lens[i]`. Diagonal entries unused.
-    breaks: Vec<Vec<u32>>,
+    breaks: Arc<Vec<Vec<u32>>>,
 }
 
 impl AtomicitySpec {
@@ -40,7 +46,7 @@ impl AtomicitySpec {
         let n = txns.len();
         AtomicitySpec {
             lens: txns.txns().iter().map(|t| t.len() as u32).collect(),
-            breaks: vec![Vec::new(); n * n],
+            breaks: Arc::new(vec![Vec::new(); n * n]),
         }
     }
 
@@ -49,13 +55,11 @@ impl AtomicitySpec {
     /// interleaved" compatibility within a set).
     pub fn free(txns: &TxnSet) -> Self {
         let mut spec = Self::absolute(txns);
-        for i in txns.txn_ids() {
-            for j in txns.txn_ids() {
-                if i != j {
-                    let all: Vec<u32> = (1..spec.lens[i.index()]).collect();
-                    let slot = spec.slot(i, j);
-                    spec.breaks[slot] = all;
-                }
+        let n = spec.lens.len();
+        let breaks = Arc::make_mut(&mut spec.breaks);
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                breaks[i * n + j] = (1..spec.lens[i]).collect();
             }
         }
         spec
@@ -108,7 +112,7 @@ impl AtomicitySpec {
             }
         }
         let slot = self.slot(i, j);
-        self.breaks[slot] = breakpoints.to_vec();
+        Arc::make_mut(&mut self.breaks)[slot] = breakpoints.to_vec();
         Ok(())
     }
 
@@ -416,6 +420,48 @@ mod tests {
         assert!(spec
             .set_units_str(&t, 0, 1, "r1[x] w1[x] w1[z] r1[y] r1[y]")
             .is_err());
+    }
+
+    #[test]
+    fn editing_a_clone_leaves_the_original_unchanged() {
+        let t = fig1();
+        let original = fig1_spec(&t);
+        let mut copy = original.clone();
+        copy.set_breakpoints(T1, T2, &[1, 2, 3]).unwrap();
+        copy.set_unit_sizes(T3, T1, &[3]).unwrap();
+        assert_eq!(original.breakpoints(T1, T2), &[2]);
+        assert_eq!(original.unit_count(T3, T1), 2);
+        assert_eq!(copy.breakpoints(T1, T2), &[1, 2, 3]);
+        assert_eq!(copy.unit_count(T3, T1), 1);
+    }
+
+    #[test]
+    fn editing_the_original_leaves_a_clone_unchanged() {
+        let t = fig1();
+        let mut original = fig1_spec(&t);
+        let copy = original.clone();
+        original.set_breakpoints(T1, T2, &[]).unwrap();
+        original.set_unit_sizes(T2, T3, &[1, 1, 1]).unwrap();
+        assert_eq!(copy.breakpoints(T1, T2), &[2]);
+        assert_eq!(copy.unit_count(T2, T3), 2);
+        assert_eq!(original.breakpoints(T1, T2), &[] as &[u32]);
+        assert_eq!(original.unit_count(T2, T3), 3);
+    }
+
+    #[test]
+    fn equality_compares_content_not_sharing() {
+        let t = fig1();
+        // Built separately: no storage in common, same content.
+        assert_eq!(fig1_spec(&t), fig1_spec(&t));
+        assert_eq!(AtomicitySpec::free(&t), AtomicitySpec::free(&t));
+        let original = fig1_spec(&t);
+        let mut copy = original.clone();
+        assert_eq!(copy, original);
+        // Rewriting a pair with its current value keeps equality.
+        copy.set_breakpoints(T1, T2, &[2]).unwrap();
+        assert_eq!(copy, original);
+        copy.set_breakpoints(T1, T2, &[1]).unwrap();
+        assert_ne!(copy, original);
     }
 
     #[test]

@@ -66,6 +66,10 @@ pub struct RsgSgt {
 impl RsgSgt {
     /// Creates a scheduler over a fixed transaction set and specification,
     /// with the engine's default [`CompactionPolicy`].
+    ///
+    /// Construction is O(operations), not O(n²) in the transaction count:
+    /// the scheduler shares `spec`'s breakpoint matrix rather than copying
+    /// it, so building one per shard, restart or recovery is cheap.
     pub fn new(txns: &TxnSet, spec: &AtomicitySpec) -> Self {
         RsgSgt {
             engine: IncrementalRsg::new(txns, spec),

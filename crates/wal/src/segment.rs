@@ -12,8 +12,10 @@
 //!
 //! 1. end the current segment's batch with a forced sync (its
 //!    acknowledged tail is durable);
-//! 2. create segment `seq+1`, write header + checkpoint, **force sync**;
-//! 3. only now delete segments `< seq+1`.
+//! 2. create segment `seq+1` and sync the directory (its entry is now
+//!    durable), write header + checkpoint, **force sync**;
+//! 3. only now delete segments `< seq+1`, syncing the directory after
+//!    each unlink.
 //!
 //! A crash before step 3 leaves both generations on disk; recovery picks
 //! the highest-numbered segment whose head checkpoint scans valid and
@@ -54,6 +56,12 @@ impl DirSegmentStore {
         })
     }
 
+    /// Makes the directory's entries durable: a segment created or removed
+    /// since the last call survives a crash only after this.
+    fn sync_dir(&self) -> io::Result<()> {
+        std::fs::File::open(&self.dir)?.sync_all()
+    }
+
     /// The file path of segment `seq` under `dir`.
     pub fn segment_path(dir: &Path, seq: u64) -> PathBuf {
         dir.join(format!("wal-{seq:08}.log"))
@@ -84,13 +92,14 @@ impl DirSegmentStore {
 
 impl SegmentStore for DirSegmentStore {
     fn create(&mut self, seq: u64) -> io::Result<Box<dyn Storage>> {
-        Ok(Box::new(FileStorage::create(&Self::segment_path(
-            &self.dir, seq,
-        ))?))
+        let storage = FileStorage::create(&Self::segment_path(&self.dir, seq))?;
+        self.sync_dir()?;
+        Ok(Box::new(storage))
     }
 
     fn delete(&mut self, seq: u64) -> io::Result<()> {
-        std::fs::remove_file(Self::segment_path(&self.dir, seq))
+        std::fs::remove_file(Self::segment_path(&self.dir, seq))?;
+        self.sync_dir()
     }
 }
 
