@@ -53,23 +53,15 @@ impl Projection {
                 .collect();
             sub.add(&pairs)?;
         }
-        let mut sub_spec = AtomicitySpec::absolute(&sub);
-        for (new_i, &old_i) in keep.iter().enumerate() {
-            for (new_j, &old_j) in keep.iter().enumerate() {
-                if new_i == new_j {
-                    continue;
-                }
-                // Original unit structure of T_i as seen by T_j, with
-                // breakpoints beyond the truncated length dropped.
-                let bps: Vec<u32> = spec
-                    .breakpoints(old_i, old_j)
-                    .iter()
-                    .copied()
-                    .filter(|&b| b < lens[new_i])
-                    .collect();
-                sub_spec.set_breakpoints(TxnId(new_i as u32), TxnId(new_j as u32), &bps)?;
-            }
-        }
+        // Original unit structure of T_i as seen by T_j, with breakpoints
+        // beyond the truncated length dropped.
+        let sub_spec = AtomicitySpec::from_pairs(&sub, |i, j| {
+            spec.breakpoints(keep[i.index()], keep[j.index()])
+                .iter()
+                .copied()
+                .filter(|&b| b < lens[i.index()])
+                .collect()
+        })?;
         Ok(Projection {
             txns: sub,
             spec: sub_spec,

@@ -54,15 +54,28 @@ impl AtomicitySpec {
     /// respect to every other transaction (Garcia-Molina's "arbitrarily
     /// interleaved" compatibility within a set).
     pub fn free(txns: &TxnSet) -> Self {
+        Self::from_pairs(txns, |i, _| (1..txns.txn(i).len() as u32).collect())
+            .expect("every interior breakpoint is valid")
+    }
+
+    /// Builds a spec whose `Atomicity(T_i, T_j)` is `pair(i, j)`, each
+    /// checked as [`AtomicitySpec::set_breakpoints`] does. A bulk build
+    /// pays neither a per-pair copy-on-write check nor a per-pair copy.
+    pub(crate) fn from_pairs(
+        txns: &TxnSet,
+        mut pair: impl FnMut(TxnId, TxnId) -> Vec<u32>,
+    ) -> Result<Self> {
         let mut spec = Self::absolute(txns);
         let n = spec.lens.len();
         let breaks = Arc::make_mut(&mut spec.breaks);
-        for i in 0..n {
-            for j in (0..n).filter(|&j| j != i) {
-                breaks[i * n + j] = (1..spec.lens[i]).collect();
+        for i in txns.txn_ids() {
+            for j in txns.txn_ids().filter(|&j| j != i) {
+                let bps = pair(i, j);
+                check_breakpoints(&spec.lens, i, j, &bps)?;
+                breaks[i.index() * n + j.index()] = bps;
             }
         }
-        spec
+        Ok(spec)
     }
 
     /// Number of transactions covered.
@@ -85,32 +98,7 @@ impl AtomicitySpec {
     /// `breakpoints` must be strictly increasing with every value in
     /// `1..len(T_i)`.
     pub fn set_breakpoints(&mut self, i: TxnId, j: TxnId, breakpoints: &[u32]) -> Result<()> {
-        if i.index() >= self.lens.len() {
-            return Err(Error::UnknownTxn(i));
-        }
-        if j.index() >= self.lens.len() {
-            return Err(Error::UnknownTxn(j));
-        }
-        if i == j {
-            return Err(Error::BadSpec(format!(
-                "Atomicity({i}, {i}) is undefined: a transaction has no atomicity relative to itself"
-            )));
-        }
-        let len = self.lens[i.index()];
-        for w in breakpoints.windows(2) {
-            if w[0] >= w[1] {
-                return Err(Error::BadSpec(format!(
-                    "breakpoints must be strictly increasing, got {breakpoints:?}"
-                )));
-            }
-        }
-        if let (Some(&first), Some(&last)) = (breakpoints.first(), breakpoints.last()) {
-            if first == 0 || last >= len {
-                return Err(Error::BadSpec(format!(
-                    "breakpoints of Atomicity({i}, {j}) must lie in 1..{len}, got {breakpoints:?}"
-                )));
-            }
-        }
+        check_breakpoints(&self.lens, i, j, breakpoints)?;
         let slot = self.slot(i, j);
         Arc::make_mut(&mut self.breaks)[slot] = breakpoints.to_vec();
         Ok(())
@@ -274,6 +262,39 @@ impl AtomicitySpec {
         }
         parts.join(" ")
     }
+}
+
+/// Checks that `breakpoints` is a valid `Atomicity(T_i, T_j)` for
+/// transactions of lengths `lens`: strictly increasing, each in
+/// `1..len(T_i)`, with `i != j`.
+fn check_breakpoints(lens: &[u32], i: TxnId, j: TxnId, breakpoints: &[u32]) -> Result<()> {
+    if i.index() >= lens.len() {
+        return Err(Error::UnknownTxn(i));
+    }
+    if j.index() >= lens.len() {
+        return Err(Error::UnknownTxn(j));
+    }
+    if i == j {
+        return Err(Error::BadSpec(format!(
+            "Atomicity({i}, {i}) is undefined: a transaction has no atomicity relative to itself"
+        )));
+    }
+    let len = lens[i.index()];
+    for w in breakpoints.windows(2) {
+        if w[0] >= w[1] {
+            return Err(Error::BadSpec(format!(
+                "breakpoints must be strictly increasing, got {breakpoints:?}"
+            )));
+        }
+    }
+    if let (Some(&first), Some(&last)) = (breakpoints.first(), breakpoints.last()) {
+        if first == 0 || last >= len {
+            return Err(Error::BadSpec(format!(
+                "breakpoints of Atomicity({i}, {j}) must lie in 1..{len}, got {breakpoints:?}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
