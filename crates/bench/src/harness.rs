@@ -174,15 +174,24 @@ impl Bencher {
     /// Runs `f` repeatedly: calibrates an iteration count so one sample
     /// takes roughly the target duration, then times `samples` samples.
     pub fn iter<O>(&mut self, mut f: impl FnMut() -> O) {
-        // Warm-up + calibration: grow the iteration count until one
-        // sample is long enough to time reliably.
-        let mut iters: u64 = 1;
-        loop {
+        self.iter_custom(|iters| {
             let start = Instant::now();
             for _ in 0..iters {
                 black_box(f());
             }
-            let elapsed = start.elapsed();
+            start.elapsed()
+        });
+    }
+
+    /// Like [`Bencher::iter`], but `f(iters)` runs `iters` iterations
+    /// itself and returns the time they took, so the routine chooses what
+    /// is timed: setup between iterations stays outside the measurement.
+    pub fn iter_custom(&mut self, mut f: impl FnMut(u64) -> Duration) {
+        // Warm-up + calibration: grow the iteration count until one
+        // sample is long enough to time reliably.
+        let mut iters: u64 = 1;
+        loop {
+            let elapsed = f(iters);
             if elapsed >= self.target_sample || iters >= 1 << 20 {
                 break;
             }
@@ -195,13 +204,7 @@ impl Bencher {
         }
 
         let mut per_iter: Vec<f64> = (0..self.samples)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..iters {
-                    black_box(f());
-                }
-                start.elapsed().as_nanos() as f64 / iters as f64
-            })
+            .map(|_| f(iters).as_nanos() as f64 / iters as f64)
             .collect();
         per_iter.sort_by(|a, b| a.total_cmp(b));
         let n = per_iter.len();

@@ -51,6 +51,27 @@
 //! the requester's own nodes — a committed transaction never gains new
 //! incoming arcs — so no future cycle can enter the retired region.
 //!
+//! The retirement sweep works on what changed, not on all n
+//! transactions. A committed transaction's in-arcs are the arcs its own
+//! admissions added, so it can only become retirable when it commits,
+//! when the source of one of its in-arcs retires, or when an abort
+//! rebuilds its admissions without the aborted transaction's. Those are
+//! exactly the transactions queued on a reusable worklist: `commit(t)`
+//! queues `t`, retiring `t` queues the committed owners of `t`'s
+//! successor nodes, and an abort queues the committed survivors it
+//! replayed. The retirement rule is monotone in the retired set, so
+//! popping candidates until the list is empty reaches the same fixpoint
+//! as rescanning every transaction until nothing changes.
+//!
+//! A retired-prefix *floor* bounds the scans over grant history: every
+//! admission below it belongs to a retired transaction, and it advances
+//! after each sweep. An aborted or retiring transaction was live, so its
+//! admissions lie at or above the floor; the abort's search for the
+//! rollback point, retirement's journal blanking and compaction's journal
+//! remap all start there. Abort replay re-enters a retired survivor's
+//! operations with blank journals without recomputing their (empty)
+//! deltas.
+//!
 //! ## Reclamation and compaction
 //!
 //! Masking alone leaves memory O(total history): retired nodes keep their
@@ -221,6 +242,17 @@ pub struct IncrementalRsg {
     accesses: Vec<Vec<(u32, bool)>>,
     committed: Vec<bool>,
     retired: Vec<bool>,
+    /// Retirement candidates of the running sweep: committed, unretired
+    /// transactions whose in-arcs may have lost their last live source.
+    /// Drained by every sweep and reused, so it never reallocates in
+    /// steady state.
+    worklist: Vec<u32>,
+    /// `queued[t]` ⟺ `t` is on `worklist` (no duplicate candidates).
+    queued: Vec<bool>,
+    /// Retired-prefix floor: every admission below `admitted[floor]`
+    /// belongs to a retired transaction, so scans for a live
+    /// transaction's admissions start here.
+    floor: usize,
     /// Running count of retired transactions (O(1) `retired_count`).
     retired_txns: usize,
     /// Running count of retired operation nodes still in the arena.
@@ -313,6 +345,9 @@ impl IncrementalRsg {
             accesses: Vec::new(),
             committed: vec![false; txns.len()],
             retired: vec![false; txns.len()],
+            worklist: Vec::new(),
+            queued: vec![false; txns.len()],
+            floor: 0,
             retired_txns: 0,
             retired_ops: 0,
             policy,
@@ -667,21 +702,41 @@ impl IncrementalRsg {
     /// Replay cannot fail — the replayed graph is a subgraph of the
     /// previously acyclic graph.
     pub fn abort(&mut self, txn: TxnId) {
-        let Some(k) = self.admitted.iter().position(|o| o.txn == txn) else {
+        // A live transaction's admissions all lie at or above the floor.
+        let start = if self.retired[txn.index()] {
+            0
+        } else {
+            self.floor
+        };
+        let Some(k) = self.admitted[start..].iter().position(|o| o.txn == txn) else {
             return; // nothing of txn was admitted
         };
+        let k = start + k;
+        self.floor = self.floor.min(k);
         let mut suffix = std::mem::take(&mut self.scratch.suffix);
         suffix.clear();
         suffix.extend_from_slice(&self.admitted[k..]);
         while self.admitted.len() > k {
             self.pop_admission();
         }
+        self.enqueue(txn.index());
         for &op in &suffix {
             if op.txn == txn {
                 continue;
             }
+            if self.retired[op.txn.index()] {
+                // Every D/F/B arc has an endpoint in the requester's
+                // transaction, so a retired survivor's delta is empty:
+                // it re-enters the prefix with a blank journal.
+                let blank = self.journal_pool.pop().unwrap_or_default();
+                self.admitted.push(op);
+                self.journals.push(blank);
+                continue;
+            }
             self.admit_inner(op, true)
                 .expect("replaying a subgraph of an acyclic graph cannot cycle");
+            // Its in-arcs were rebuilt without the aborted transaction.
+            self.enqueue(op.txn.index());
         }
         suffix.clear();
         self.scratch.suffix = suffix;
@@ -692,39 +747,65 @@ impl IncrementalRsg {
     /// information can no longer participate in a cycle.
     pub fn commit(&mut self, txn: TxnId) {
         self.committed[txn.index()] = true;
+        self.enqueue(txn.index());
         self.sweep_retirement();
     }
 
-    /// Retires committed transactions whose every incoming arc originates
-    /// from retired nodes or their own, iterating to a fixpoint (retiring
-    /// one transaction may unblock another), then prunes the retired
-    /// state and compacts the arena if the policy says so.
+    /// Queues `t` as a retirement candidate if it is committed, unretired
+    /// and not queued already.
+    fn enqueue(&mut self, t: usize) {
+        if self.committed[t] && !self.retired[t] && !self.queued[t] {
+            self.queued[t] = true;
+            self.worklist.push(t as u32);
+        }
+    }
+
+    /// Retires queued candidates whose every incoming arc originates from
+    /// retired nodes or their own. Retiring one transaction may unblock
+    /// the committed owners of its successors, which are queued in turn;
+    /// the sweep ends at the same fixpoint a scan of all transactions
+    /// would reach (see the module docs). Then advances the retired-prefix
+    /// floor and compacts the arena if the policy says so.
     fn sweep_retirement(&mut self) {
-        loop {
-            let mut changed = false;
-            'txns: for t in 0..self.txns.len() {
-                if !self.committed[t] || self.retired[t] {
-                    continue;
-                }
-                let base = self.offset[t];
-                let len = self.txns.txns()[t].len() as u32;
-                for g in base..base + len {
-                    let node = self.nodes[g as usize].expect("unretired txn is uncompacted");
-                    for p in self.dag.graph().predecessors(node) {
-                        let src = self.owner[self.node_global[p.index()] as usize];
-                        if src.index() != t && !self.retired[src.index()] {
-                            continue 'txns; // a live arc still points in
-                        }
+        while let Some(t) = self.worklist.pop() {
+            let t = t as usize;
+            self.queued[t] = false;
+            if self.retired[t] || self.pinned(t) {
+                continue;
+            }
+            self.retire_txn(t);
+            let base = self.offset[t];
+            for g in base..base + self.txns.txns()[t].len() as u32 {
+                let node = self.nodes[g as usize].expect("retired this sweep: uncompacted");
+                for s in self.dag.graph().successors(node) {
+                    let st = self.owner[self.node_global[s.index()] as usize].index();
+                    if self.committed[st] && !self.retired[st] && !self.queued[st] {
+                        self.queued[st] = true;
+                        self.worklist.push(st as u32);
                     }
                 }
-                self.retire_txn(t);
-                changed = true;
-            }
-            if !changed {
-                break;
             }
         }
+        while self
+            .admitted
+            .get(self.floor)
+            .is_some_and(|op| self.retired[op.txn.index()])
+        {
+            self.floor += 1;
+        }
         self.maybe_compact();
+    }
+
+    /// Does an arc from another unretired transaction point into `t`?
+    fn pinned(&self, t: usize) -> bool {
+        let base = self.offset[t];
+        (base..base + self.txns.txns()[t].len() as u32).any(|g| {
+            let node = self.nodes[g as usize].expect("unretired txn is uncompacted");
+            self.dag.graph().predecessors(node).any(|p| {
+                let src = self.owner[self.node_global[p.index()] as usize].index();
+                src != t && !self.retired[src]
+            })
+        })
     }
 
     /// Masks `t`'s nodes and reclaims its per-operation state; see the
@@ -744,8 +825,9 @@ impl IncrementalRsg {
                 accesses.retain(|&(u, _)| !(base..base + len).contains(&u));
             }
         }
-        for (i, op) in self.admitted.iter().enumerate() {
-            if op.txn.index() == t {
+        // `t` was live until now, so its admissions lie at or above the floor.
+        for i in self.floor..self.admitted.len() {
+            if self.admitted[i].txn.index() == t {
                 self.journals[i].clear();
             }
         }
@@ -782,7 +864,9 @@ impl IncrementalRsg {
             }
         }
         self.node_global = node_global;
-        for j in self.journals.iter_mut() {
+        // Journals below the floor belong to retired transactions and
+        // were blanked at retirement: nothing in them to translate.
+        for j in self.journals[self.floor..].iter_mut() {
             let old = std::mem::take(j);
             *j = map.remap_undo(old);
         }
@@ -964,6 +1048,43 @@ mod tests {
         engine.commit(TxnId(1));
         assert!(engine.is_retired(TxnId(0)), "fixpoint retires both");
         assert!(engine.is_retired(TxnId(1)));
+    }
+
+    #[test]
+    fn retirement_chain_unwinds_in_one_sweep() {
+        // T3 depends on S's w2[b] and S on R's r1[a]: T is pinned by S,
+        // S by the live R. Committing R retires R, which queues S, whose
+        // retirement queues T — all three in R's commit.
+        let txns = TxnSet::parse(&["r1[a] w1[c]", "w2[a] w2[b]", "w3[b]"]).unwrap();
+        let spec = AtomicitySpec::free(&txns);
+        let mut engine = IncrementalRsg::new(&txns, &spec);
+        for o in [op(0, 0), op(1, 0), op(1, 1), op(2, 0)] {
+            engine.try_admit(o).unwrap();
+        }
+        engine.commit(TxnId(2));
+        engine.commit(TxnId(1));
+        assert_eq!(engine.retired_count(), 0, "T pinned by S, S by live R");
+        engine.try_admit(op(0, 1)).unwrap();
+        engine.commit(TxnId(0));
+        assert_eq!(engine.retired_count(), 3, "one sweep retires the chain");
+        assert_eq!(engine.floor, engine.admitted().len());
+    }
+
+    #[test]
+    fn abort_unpins_committed_survivors() {
+        // S commits pinned by the live R's r1[a]; aborting R removes the
+        // arc, so S retires in the abort's sweep.
+        let txns = TxnSet::parse(&["r1[a] w1[c]", "w2[a]"]).unwrap();
+        let spec = AtomicitySpec::free(&txns);
+        let mut engine = IncrementalRsg::new(&txns, &spec);
+        engine.try_admit(op(0, 0)).unwrap();
+        engine.try_admit(op(1, 0)).unwrap();
+        engine.commit(TxnId(1));
+        assert!(!engine.is_retired(TxnId(1)));
+        engine.abort(TxnId(0));
+        assert!(engine.is_retired(TxnId(1)));
+        assert_eq!(engine.admitted(), &[op(1, 0)]);
+        assert_eq!(engine.floor, 1);
     }
 
     #[test]

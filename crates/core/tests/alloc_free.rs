@@ -1,12 +1,17 @@
 //! Counting-allocator proof that the steady-state admit/rollback path of
-//! [`IncrementalRsg`] performs **zero** heap allocations.
+//! [`IncrementalRsg`], and commits that retire transactions, perform
+//! **zero** heap allocations.
 //!
 //! The engine is warmed up through several admit-everything /
 //! abort-everything rounds so every reusable buffer (scratch closure
 //! bitset, arc merge buffer, recycled ancestor rows, recycled journals,
 //! dag edge storage and DFS scratch, access rows) reaches its steady
 //! capacity; allocation counting is then enabled and further rounds —
-//! including full rollback-with-replay — must allocate nothing.
+//! including full rollback-with-replay — must allocate nothing. A second
+//! engine then commits transactions for good: each commit retires, and an
+//! abort unpins a committed transaction so its sweep retires it too. The
+//! retirement worklist is reused across sweeps, so counted commits
+//! allocate nothing either.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a sibling test allocating concurrently would
@@ -72,8 +77,27 @@ fn round(engine: &mut IncrementalRsg, txns: &TxnSet) {
     assert!(engine.admitted().is_empty());
 }
 
+/// One pair of single-record read-modify-write transactions `a`, `b` on
+/// `x`: `b` commits while `a`'s read pins it, `a` aborts (its sweep
+/// retires the replayed `b`), restarts and commits (and retires).
+fn pinned_pair(engine: &mut IncrementalRsg, a: u32) {
+    let (a, b) = (TxnId(a), TxnId(a + 1));
+    for op in [OpId::new(a, 0), OpId::new(b, 0), OpId::new(b, 1)] {
+        assert!(engine.try_admit(op).is_ok());
+    }
+    engine.commit(b);
+    assert!(!engine.is_retired(b), "a's read pins b");
+    engine.abort(a);
+    assert!(engine.is_retired(b), "the abort's sweep retires b");
+    for op in [OpId::new(a, 0), OpId::new(a, 1)] {
+        assert!(engine.try_admit(op).is_ok());
+    }
+    engine.commit(a);
+    assert!(engine.is_retired(a));
+}
+
 #[test]
-fn steady_state_admit_and_rollback_allocate_nothing() {
+fn steady_state_admit_rollback_and_retiring_commit_allocate_nothing() {
     let txns = TxnSet::parse(&[
         "r1[x] w1[x] w1[z] r1[y]",
         "r2[y] w2[y] r2[x]",
@@ -100,5 +124,37 @@ fn steady_state_admit_and_rollback_allocate_nothing() {
     assert_eq!(
         allocs, 0,
         "steady-state admit/rollback performed {allocs} heap allocations"
+    );
+
+    // Retiring commits. Commits are final, so warm-up and the counted
+    // phase use disjoint pairs of one transaction set. One admit-all /
+    // abort-all round first grows the prefix, journal pool, access row and
+    // every node's adjacency past what the pairs need.
+    const PAIRS: u32 = 48;
+    const WARM_PAIRS: u32 = 8;
+    let programs: Vec<String> = (1..=2 * PAIRS)
+        .map(|i| format!("r{i}[x] w{i}[x]"))
+        .collect();
+    let programs: Vec<&str> = programs.iter().map(String::as_str).collect();
+    let txns = TxnSet::parse(&programs).unwrap();
+    let spec = AtomicitySpec::absolute(&txns);
+    let mut engine = IncrementalRsg::with_policy(&txns, &spec, CompactionPolicy::never());
+    round(&mut engine, &txns);
+    for pair in 0..WARM_PAIRS {
+        pinned_pair(&mut engine, 2 * pair);
+    }
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    for pair in WARM_PAIRS..PAIRS {
+        pinned_pair(&mut engine, 2 * pair);
+    }
+    COUNTING.store(false, Ordering::SeqCst);
+
+    assert_eq!(engine.retired_count(), txns.len());
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        allocs, 0,
+        "steady-state retiring commits performed {allocs} heap allocations"
     );
 }
