@@ -22,6 +22,7 @@ use relser_protocols::{Decision, Scheduler};
 use relser_server::core::{Ack, Command, CoreOutput, Progress, Reply};
 use relser_server::{run_core, BoundedQueue, CoreCfg, FaultPlan, ShardCoreCtx, TraceEvent};
 use relser_wal::CommitLog;
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// The batch size of every pre-loaded re-drive: small enough that a run
@@ -54,19 +55,28 @@ pub fn redrive_preloaded(
     let queue: BoundedQueue<Command> = BoundedQueue::new(trace.len().max(1));
     let mut commit_replies: Vec<(TxnId, Reply)> = Vec::new();
     let mut stamps = stamps.iter();
+    // The trace commits complete incarnations: a commit's operation count
+    // is one past the index of its transaction's latest grant.
+    let mut ops: HashMap<TxnId, u32> = HashMap::new();
     for event in trace {
         let cmd = match event {
             TraceEvent::Begin(txn) => Command::Begin(*txn),
-            TraceEvent::Decision(op, _) => Command::Request {
-                op: *op,
-                enqueued: Instant::now(),
-                reply: Reply::new(),
-            },
+            TraceEvent::Decision(op, decision) => {
+                if *decision == Decision::Granted {
+                    ops.insert(op.txn, op.index + 1);
+                }
+                Command::Request {
+                    op: *op,
+                    enqueued: Instant::now(),
+                    reply: Reply::new(),
+                }
+            }
             TraceEvent::Commit(txn) => {
                 let reply = Reply::new();
                 commit_replies.push((*txn, reply.clone()));
                 Command::Commit {
                     txn: *txn,
+                    ops: ops.get(txn).copied().unwrap_or(0),
                     stamp: stamps.next().map(|&(_, stamp)| stamp),
                     ack: Some(Ack {
                         enqueued: Instant::now(),

@@ -7,7 +7,7 @@
 //! oracle re-certifies (`Rsg::build(..).is_acyclic()` on the committed
 //! projection), cross-checked against the vector-clock certifier.
 
-use relser_core::ids::TxnId;
+use relser_core::ids::{OpId, TxnId};
 use relser_core::op::AccessMode;
 use relser_core::project::Projection;
 use relser_core::rsg::Rsg;
@@ -20,6 +20,7 @@ use relser_net::{
     ResilientStats, SuperviseNetConfig, SupervisedNetReport,
 };
 use relser_protocols::rsg_sgt::RsgSgt;
+use relser_protocols::AbortReason;
 use relser_server::core::FaultPlan;
 use relser_server::recovery::recover_sharded_segments_with_certifier;
 use relser_server::Certifier;
@@ -264,6 +265,88 @@ fn read_response(sock: &mut TcpStream) -> Option<Response> {
             Err(_) => return None,
         }
     }
+}
+
+/// The wire request for operation `op` of the universe.
+fn op_request(txns: &TxnSet, req_id: u64, op: OpId) -> Request {
+    let access = txns.op(op).unwrap();
+    let object = access.object;
+    match access.mode {
+        AccessMode::Read => Request::Read { req_id, op, object },
+        AccessMode::Write => Request::Write { req_id, op, object },
+    }
+}
+
+/// Regression (acknowledged commits lost at the final merge): the core
+/// grants operations only in program order and commits only complete
+/// transactions. A client that sends `op 1` before `op 0`, or commits
+/// after one of two operations, used to be answered `Committed` for a
+/// transaction whose log held a hole — and the final merge then demoted
+/// the acknowledged commit to `partial`. Both are refused with
+/// `Aborted(Retired)` before the scheduler or the log sees them.
+#[test]
+fn out_of_order_and_incomplete_transactions_never_commit() {
+    let (txns, spec) = local_universe(8, 4);
+    let mut multi = txns.txn_ids().filter(|&t| txns.txn(t).len() >= 2);
+    let (skips, stops) = (multi.next().unwrap(), multi.next().unwrap());
+    let (report, replies) = serve_net_supervised_in(
+        &txns,
+        &spec,
+        |_| Box::new(RsgSgt::new(&txns, &spec)),
+        &NetConfig::default(),
+        &SuperviseNetConfig::default(),
+        &[],
+        &stores_for(2),
+        |addr| {
+            let mut sock = TcpStream::connect(addr).expect("connect");
+            sock.set_read_timeout(Some(Duration::from_millis(2)))
+                .unwrap();
+            let session = 0x0DD;
+            let hello = Request::Hello {
+                req_id: 1,
+                session,
+                resume_from: 0,
+            };
+            assert!(matches!(call(&mut sock, hello), Response::Welcome { .. }));
+            let begin = |req_id, txn| Request::Begin { req_id, txn };
+            let commit = |req_id, txn| Request::Commit { req_id, txn };
+            [
+                (skips, begin(2, skips)),
+                (skips, op_request(&txns, 3, OpId::new(skips, 1))),
+                (skips, op_request(&txns, 4, OpId::new(skips, 0))),
+                (skips, commit(5, skips)),
+                (stops, begin(6, stops)),
+                (stops, op_request(&txns, 7, OpId::new(stops, 0))),
+                (stops, commit(8, stops)),
+            ]
+            .map(|(txn, req)| (txn, call(&mut sock, req)))
+        },
+    )
+    .expect("serve_net_supervised_in");
+
+    for (at, (txn, resp)) in replies.iter().enumerate() {
+        if matches!(resp, Response::Committed { .. }) {
+            assert!(
+                report.recovery.committed.contains(txn),
+                "request {at}: acked commit {txn:?} lost at the final merge"
+            );
+        }
+    }
+    assert_eq!(report.recovery.partial, vec![], "nothing demoted");
+    for at in [1, 3, 6] {
+        assert!(
+            matches!(
+                replies[at].1,
+                Response::Aborted {
+                    reason: AbortReason::Retired,
+                    ..
+                }
+            ),
+            "request {at} is refused: {:?}",
+            replies[at].1
+        );
+    }
+    assert!(report.recovery.committed.is_empty());
 }
 
 /// Graceful shutdown and whole-service restart:

@@ -254,10 +254,14 @@ pub enum Command {
     /// The transaction commits (all operations were granted) — the one
     /// commit command of every front-end. A duplicate is answered with
     /// the original verdict and re-applies nothing; a commit of a
-    /// rolled-back incarnation is refused `Aborted(Retired)`.
+    /// rolled-back incarnation, or of one granted fewer than `ops`
+    /// operations, is refused `Aborted(Retired)`.
     Commit {
         /// The committing transaction.
         txn: TxnId,
+        /// Its operation count, from the front-end's `TxnSet` (the core
+        /// has none): only a complete transaction may commit.
+        ops: u32,
         /// Its place in the global commit order, set by the front-ends of
         /// shard cores: the stamp totally orders commits across shards so
         /// recovery can merge the per-shard segment streams. `None` over
@@ -415,7 +419,9 @@ pub struct CoreOutput {
     /// of retired (rolled-back) incarnations answered
     /// `Aborted(Retired)`, and stale aborts of already-committed
     /// transactions ignored. These protect acknowledged commits from
-    /// client retries racing orphan cleanup.
+    /// client retries racing orphan cleanup. Program order is refused the
+    /// same way: an operation past the next one of its incarnation, and a
+    /// commit of an incarnation with operations still ungranted.
     pub retired_refusals: u64,
     /// Retried commit acknowledgments answered idempotently from the
     /// committed set — the original verdict re-sent, nothing re-applied
@@ -918,6 +924,7 @@ impl Core<'_, '_, '_> {
     fn commit_on_demand(
         &mut self,
         txn: TxnId,
+        ops: u32,
         stamp: Option<u64>,
         ack: Option<Ack>,
     ) -> Result<(), Halt> {
@@ -941,14 +948,15 @@ impl Core<'_, '_, '_> {
             }
             self.out.duplicate_commit_acks += u64::from(reply.is_some());
             Decision::Granted
-        } else if self.live.contains_key(&txn) {
+        } else if self.live.get(&txn).is_some_and(|&granted| granted >= ops) {
             self.commit(txn, stamp, session, reply.as_ref())?;
             Decision::Granted
         } else {
             // The incarnation was rolled back (crash recovery or orphan
-            // cleanup) — its grants are gone, so committing now would
-            // certify a hole. `Retired` tells the client to restart the
-            // transaction from its begin.
+            // cleanup) — its grants are gone — or it still lacks some of
+            // its operations: committing now would certify a hole.
+            // `Retired` tells the client to restart the transaction from
+            // its begin.
             self.out.retired_refusals += 1;
             Decision::Aborted(AbortReason::Retired)
         };
@@ -979,7 +987,12 @@ impl Core<'_, '_, '_> {
                 enqueued,
                 reply,
             } => self.request(op, enqueued, reply)?,
-            Command::Commit { txn, stamp, ack } => self.commit_on_demand(txn, stamp, ack)?,
+            Command::Commit {
+                txn,
+                ops,
+                stamp,
+                ack,
+            } => self.commit_on_demand(txn, ops, stamp, ack)?,
             Command::Abort(txn) => self.abort_on_demand(txn)?,
         }
         Ok(())
@@ -994,9 +1007,11 @@ impl Core<'_, '_, '_> {
         // orphan cleanup), must not touch the scheduler — granting it
         // would resurrect purged state. The typed `Retired` verdict tells
         // the client to restart (or, if it was mid-retry of a commit, to
-        // re-send the commit).
+        // re-send the commit). Program order is checked here too: an
+        // operation past its incarnation's next one would be certified
+        // and logged with a hole before it.
         let granted = match self.live.get(&op.txn) {
-            Some(&granted) if !self.committed.contains(&op.txn) => granted,
+            Some(&granted) if !self.committed.contains(&op.txn) && op.index <= granted => granted,
             _ => {
                 self.out.retired_refusals += 1;
                 self.refuse(reply, AbortReason::Retired);
@@ -1162,6 +1177,7 @@ mod tests {
             request(1),
             Command::Commit {
                 txn: t,
+                ops: 2,
                 stamp: None,
                 ack: None,
             },

@@ -252,7 +252,16 @@ impl Session<'_> {
         // Fire-and-forget: nobody waits for the verdict, and per-queue
         // FIFO puts the commit ahead of anything this session sends next.
         let (stamp, ack) = (self.route.next_stamp(), None);
-        self.send(shard, Command::Commit { txn, stamp, ack })?;
+        let ops = self.route.txns.txn(txn).len() as u32;
+        self.send(
+            shard,
+            Command::Commit {
+                txn,
+                ops,
+                stamp,
+                ack,
+            },
+        )?;
         Ok(Incarnation::Committed)
     }
 }

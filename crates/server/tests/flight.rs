@@ -147,13 +147,24 @@ fn a_commit_flight_asks_for_its_ack() {
     let mut flight = rig.submit(work, t0);
     assert_eq!((flight.work(), flight.work().txn()), (work, TxnId(1)));
     let mut cmds = rig.drain();
-    let Some(Command::Commit { txn, stamp, ack }) = cmds.pop() else {
+    let Some(Command::Commit {
+        txn,
+        ops,
+        stamp,
+        ack,
+    }) = cmds.pop()
+    else {
         panic!("expected a commit");
     };
     let ack = ack.expect("an ack is asked for");
     assert_eq!(
         (txn, stamp, ack.session, ack.enqueued),
         (TxnId(1), Some(7), Some((9, 3)), t0)
+    );
+    assert_eq!(
+        ops,
+        rig.txns.txn(txn).len() as u32,
+        "the program length rides along"
     );
     ack.reply.fill(Decision::Granted);
     assert_eq!(rig.poll(&mut flight, t0 + NS), Step::Granted);

@@ -199,6 +199,7 @@ fn scenario(n: usize) -> Scenario {
         let session = 100 + t as u64;
         sc.commands.push(Command::Commit {
             txn,
+            ops: 2,
             stamp: Some(t as u64),
             ack: Some(core::Ack {
                 enqueued: Instant::now(),
@@ -598,7 +599,13 @@ fn the_one_commit_command_writes_the_same_three_records() {
                 req_id,
             },
         });
-        assert!(queue.push_wait(Command::Commit { txn, stamp, ack }).is_ok());
+        let commit = Command::Commit {
+            txn,
+            ops: 2,
+            stamp,
+            ack,
+        };
+        assert!(queue.push_wait(commit).is_ok());
     }
     queue.close();
 
