@@ -10,13 +10,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relser_bench::harness::{git_commit, Harness};
+use relser_check::RsgSgtOracle;
 use relser_core::depends::DependsOn;
 use relser_core::ids::{OpId, TxnId};
 use relser_core::op::AccessMode;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::driver::{run, RunConfig};
-use relser_protocols::rsg_sgt::{RsgSgt, RsgSgtOracle};
+use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{Decision, Scheduler};
 use relser_workload::longlived::{long_lived, LongLivedConfig};
 use relser_workload::zipf::Zipf;

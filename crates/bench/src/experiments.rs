@@ -901,7 +901,7 @@ pub fn a2() -> String {
 /// The last row crosses 1,000 operations, where the rebuild's quadratic
 /// per-request term dominates.
 pub fn a3() -> String {
-    use relser_protocols::rsg_sgt::RsgSgtOracle;
+    use relser_check::RsgSgtOracle;
     let mut out = String::new();
     let _ = writeln!(
         out,

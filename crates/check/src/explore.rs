@@ -35,6 +35,7 @@
 //! exact choice sequence that reproduces them.
 
 use crate::oracle::{check_execution, Divergence, ExecutionRecord};
+use crate::rebuild::RsgSgtOracle;
 use relser_core::ids::{OpId, TxnId};
 use relser_core::op::Operation;
 use relser_core::spec::AtomicitySpec;
@@ -71,9 +72,9 @@ pub struct ExploreConfig {
     pub max_steps: Option<u32>,
     /// Stop after this many recorded paths (budget guard).
     pub max_paths: u64,
-    /// Run a second scheduler in lockstep and flag any decision mismatch
-    /// (e.g. `RsgSgt` against `RsgSgtOracle`).
-    pub shadow: Option<SchedulerKind>,
+    /// Run the full-rebuild [`RsgSgtOracle`] in lockstep and flag any
+    /// decision mismatch (meaningful for the RSG-SGT protocol).
+    pub shadow: bool,
 }
 
 impl Default for ExploreConfig {
@@ -83,7 +84,7 @@ impl Default for ExploreConfig {
             max_incarnations: 2,
             max_steps: None,
             max_paths: 1_000_000,
-            shadow: None,
+            shadow: false,
         }
     }
 }
@@ -162,7 +163,7 @@ struct StepInfo {
 struct PathState<'a> {
     txns: &'a TxnSet,
     scheduler: Box<dyn Scheduler + Send>,
-    shadow: Option<Box<dyn Scheduler + Send>>,
+    shadow: Option<RsgSgtOracle>,
     cursor: Vec<u32>,
     started: Vec<bool>,
     done: Vec<bool>,
@@ -182,13 +183,13 @@ impl<'a> PathState<'a> {
         txns: &'a TxnSet,
         spec: &AtomicitySpec,
         kind: SchedulerKind,
-        shadow: Option<SchedulerKind>,
+        shadow: bool,
         max_incarnations: u32,
     ) -> Self {
         PathState {
             txns,
             scheduler: kind.make(txns, spec),
-            shadow: shadow.map(|k| k.make(txns, spec)),
+            shadow: shadow.then(|| RsgSgtOracle::new(txns, spec)),
             cursor: vec![0; txns.len()],
             started: vec![false; txns.len()],
             done: vec![false; txns.len()],
@@ -567,7 +568,7 @@ mod tests {
     fn shadow_lockstep_agrees_on_figure2() {
         let fig = Figure2::new();
         let cfg = ExploreConfig {
-            shadow: Some(SchedulerKind::RsgSgtOracle),
+            shadow: true,
             ..ExploreConfig::default()
         };
         let report =

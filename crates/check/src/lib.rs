@@ -23,6 +23,10 @@
 //! * [`faults`] — fault-injection sweeps against the real server
 //!   (`relser-server`): injected aborts, admission-core crashes, queue
 //!   shedding, and block-timeout storms, each run validated end to end;
+//! * [`rebuild`] — [`RsgSgtOracle`], the O(P²) full-rebuild RSG-SGT the
+//!   incremental engine is tested against (lockstep suites, the
+//!   explorer's `shadow` mode, ablation A3); test and dev code, never
+//!   on the service's path;
 //! * [`preload`] — re-drives a recorded run from a pre-loaded queue in
 //!   exact multi-command batches, so the storage and shard sweeps cut
 //!   the group-commit window (records appended, barrier pending, acks
@@ -54,6 +58,7 @@ pub mod explore;
 pub mod faults;
 pub mod oracle;
 pub mod preload;
+pub mod rebuild;
 pub mod shard_faults;
 pub mod shrink;
 #[cfg(feature = "fault-fs")]
@@ -62,6 +67,7 @@ pub mod storage_faults;
 pub use explore::{ExploreConfig, ExploreReport, ExploreStats, Mode, ScheduleExplorer};
 pub use faults::{fault_sweep, FaultSweepConfig, FaultSweepReport};
 pub use oracle::{check_execution, Divergence, DivergenceKind, ExecutionRecord};
+pub use rebuild::RsgSgtOracle;
 pub use relser_core::project::Projection;
 pub use shard_faults::{shard_crash_sweep, ShardSweepConfig, ShardSweepReport};
 pub use shrink::{shrink, shrink_universe, Counterexample};

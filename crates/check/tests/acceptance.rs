@@ -62,7 +62,7 @@ fn figure1_shadow_oracle_agrees_with_the_incremental_engine() {
     let fig = Figure1::new();
     let cfg = ExploreConfig {
         mode: Mode::PrunedDfs,
-        shadow: Some(SchedulerKind::RsgSgtOracle),
+        shadow: true,
         ..ExploreConfig::default()
     };
     let report = ScheduleExplorer::new(&fig.txns, &fig.spec, SchedulerKind::RsgSgt, cfg).explore();

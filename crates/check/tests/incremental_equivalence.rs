@@ -7,16 +7,20 @@
 //! `Rsg::build(..).is_acyclic()` checker (Theorem 1). A second property
 //! pins retirement: after every commit and abort, the engine's worklist
 //! sweep has retired exactly the transactions a full-scan fixpoint over
-//! the admitted prefix retires.
-#![cfg(feature = "oracle")]
+//! the admitted prefix retires. A third pair runs both formulations end
+//! to end through the protocols crate's driver: the oracle's histories
+//! are relatively serializable, and both commit the same history.
 
 use proptest::prelude::*;
+use relser_check::RsgSgtOracle;
+use relser_core::classes::is_relatively_serializable;
 use relser_core::ids::{OpId, TxnId};
 use relser_core::op::Operation;
 use relser_core::rsg::Rsg;
 use relser_core::schedule::Schedule;
 use relser_core::txn::TxnSet;
-use relser_protocols::rsg_sgt::{RsgSgt, RsgSgtOracle};
+use relser_protocols::driver::{run, RunConfig};
+use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{Decision, Scheduler};
 use relser_workload::{random_spec, random_txns, RandomConfig};
 
@@ -255,5 +259,61 @@ proptest! {
             }
         }
         prop_assert!(committed.iter().all(|c| *c), "lockstep feed livelocked");
+    }
+}
+
+/// Runs `scheduler` to completion over `txns` with the protocols crate's
+/// seeded driver and returns the committed history.
+fn drive(txns: &TxnSet, scheduler: &mut dyn Scheduler, seed: u64) -> Schedule {
+    let cfg = RunConfig {
+        seed,
+        max_steps: 2_000_000,
+    };
+    run(txns, scheduler, &cfg)
+        .unwrap_or_else(|e| panic!("{} livelocked: {e}", scheduler.name()))
+        .history
+}
+
+fn workload(seed: u64) -> TxnSet {
+    let cfg = RandomConfig {
+        txns: 5,
+        ops_per_txn: (2, 4),
+        objects: 4,
+        theta: 0.6,
+        write_ratio: 0.5,
+    };
+    random_txns(&cfg, seed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// The full-rebuild oracle is itself safe: it is the reference the
+    /// incremental engine is compared against.
+    #[test]
+    fn rsg_sgt_oracle_histories_are_relatively_serializable(
+        wl_seed in 0u64..1000, spec_seed in 0u64..1000, run_seed in 0u64..1000
+    ) {
+        let txns = workload(wl_seed);
+        let spec = random_spec(&txns, 0.5, spec_seed);
+        let h = drive(&txns, &mut RsgSgtOracle::new(&txns, &spec), run_seed);
+        prop_assert!(
+            is_relatively_serializable(&txns, &h, &spec),
+            "{}", h.display(&txns)
+        );
+    }
+
+    /// Incremental and rebuild formulations produce the *same committed
+    /// history* under the same driver seed (decision-for-decision
+    /// equivalence, end to end).
+    #[test]
+    fn rsg_sgt_formulations_agree_end_to_end(
+        wl_seed in 0u64..1000, spec_seed in 0u64..1000, run_seed in 0u64..1000
+    ) {
+        let txns = workload(wl_seed);
+        let spec = random_spec(&txns, 0.5, spec_seed);
+        let a = drive(&txns, &mut RsgSgt::new(&txns, &spec), run_seed);
+        let b = drive(&txns, &mut RsgSgtOracle::new(&txns, &spec), run_seed);
+        prop_assert_eq!(a.ops(), b.ops());
     }
 }

@@ -7,13 +7,14 @@
 //! against **both** retained engines on ≥ 1,000 generated histories:
 //!
 //! * [`Rsg::build`] — the offline Definition 3 graph (ground truth);
-//! * [`RsgSgt`]/[`RsgSgtOracle`] — the online incremental engine and its
-//!   full-rebuild oracle, in lockstep, with arena compactions forced at
-//!   pseudo-random points and a fresh certifier re-deciding every single
-//!   grant/reject;
-//! * [`IncrementalRsg`] gap feeds — object-projected histories where
-//!   transactions are observed with leading/internal index gaps, the
-//!   sharded admission regime;
+//! * [`RsgSgt`] — the online incremental engine, in lockstep, with arena
+//!   compactions forced at pseudo-random points and a fresh certifier
+//!   re-deciding every single grant/reject (the engine itself is held to
+//!   the full-rebuild `RsgSgtOracle` by `incremental_equivalence.rs`);
+//! * gapped feeds — object-projected histories where transactions show
+//!   leading or internal index gaps, which the certifier refuses index by
+//!   index (program order is checked where outside input enters, so no
+//!   kernel admits a gap);
 //! * all five production protocols through the [`ScheduleExplorer`],
 //!   whose oracle suite now cross-checks the certifier on every
 //!   committed history (`DivergenceKind::CertifierMismatch`).
@@ -27,14 +28,14 @@
 
 use proptest::prelude::*;
 use relser_check::{shrink_universe, ExploreConfig, Mode, Projection, ScheduleExplorer};
+use relser_core::error::Error;
 use relser_core::ids::{OpId, TxnId};
-use relser_core::incremental::IncrementalRsg;
 use relser_core::rsg::Rsg;
 use relser_core::schedule::Schedule;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_core::vclock::{self, CycleWitness, VClockCertifier};
-use relser_protocols::rsg_sgt::{RsgSgt, RsgSgtOracle};
+use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{Decision, Scheduler, SchedulerKind};
 use relser_workload::{random_schedule, random_spec, random_txns, RandomConfig};
 
@@ -153,10 +154,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Three-way lockstep: the incremental engine, its full-rebuild
-    /// oracle, and a fresh vector-clock certifier re-deciding every
-    /// grant/reject — with arena compactions forced at pseudo-random
-    /// points, which must not change any answer.
+    /// Lockstep: the incremental engine and a fresh vector-clock
+    /// certifier re-deciding every grant/reject — with arena compactions
+    /// forced at pseudo-random points, which must not change any answer.
     #[test]
     fn lockstep_decisions_match_a_fresh_certifier(
         wl_seed in 0u64..100_000,
@@ -185,13 +185,11 @@ proptest! {
             c.seal().is_acyclic()
         };
 
-        let mut oracle = RsgSgtOracle::new(&txns, &spec);
         let mut inc = RsgSgt::new(&txns, &spec);
         let n = txns.len();
         let mut cursor = vec![0u32; n];
         let mut done = vec![false; n];
         for t in 0..n as u32 {
-            oracle.begin(TxnId(t));
             inc.begin(TxnId(t));
         }
         let mut state = feed_seed | 1;
@@ -212,10 +210,7 @@ proptest! {
                 t = (t + 1) % n;
             }
             let op = OpId::new(TxnId(t as u32), cursor[t]);
-            let a = oracle.request(op);
-            let b = inc.request(op);
-            prop_assert_eq!(&a, &b, "engine divergence at {:?}", op);
-            match a {
+            match inc.request(op) {
                 Decision::Granted => {
                     // The certifier must accept exactly what the engine
                     // just admitted (the op is the admitted suffix).
@@ -226,7 +221,6 @@ proptest! {
                     );
                     cursor[t] += 1;
                     if cursor[t] as usize == txns.txn(TxnId(t as u32)).len() {
-                        oracle.commit(TxnId(t as u32));
                         inc.commit(TxnId(t as u32));
                         done[t] = true;
                     }
@@ -243,24 +237,23 @@ proptest! {
                         "engine rejected {:?} but certifier accepts the extension",
                         op
                     );
-                    oracle.abort(TxnId(t as u32));
                     inc.abort(TxnId(t as u32));
                     cursor[t] = 0;
-                    oracle.begin(TxnId(t as u32));
                     inc.begin(TxnId(t as u32));
                 }
                 Decision::Blocked { .. } => unreachable!("RSG-SGT never blocks"),
             }
-            prop_assert_eq!(oracle.admitted(), inc.admitted(), "prefix divergence");
         }
         prop_assert!(done.iter().all(|d| *d), "lockstep feed livelocked");
     }
 
-    /// Gap admission: object-projected feeds (the sharded regime) where
-    /// transactions appear with leading and internal index gaps. Per-op
-    /// engine decisions and fresh-certifier verdicts must agree.
+    /// Gapped feeds are refused: on an object-projected schedule, where
+    /// transactions show leading and internal index gaps, `observe`
+    /// accepts exactly the operations that are the next of their
+    /// transaction and answers every skipped index with
+    /// `ProgramOrderViolated`, leaving the certifier unchanged.
     #[test]
-    fn gap_feeds_agree_with_the_incremental_engine(
+    fn gapped_feeds_are_refused_index_by_index(
         wl_seed in 0u64..100_000,
         spec_seed in 0u64..100_000,
         sched_seed in 0u64..100_000,
@@ -278,34 +271,25 @@ proptest! {
         let txns = random_txns(&cfg, wl_seed);
         let spec = random_spec(&txns, 0.5, spec_seed);
         let s = random_schedule(&txns, sched_seed);
-        // Project the schedule onto a nonempty object subset: the
-        // surviving per-transaction index sequences have gaps.
-        let keep: Vec<OpId> = s
-            .ops()
-            .iter()
-            .copied()
-            .filter(|&op| keep_mask & (1 << (txns.op(op).unwrap().object.0 as usize % 5)) != 0)
-            .collect();
-
-        let mut engine = IncrementalRsg::new(&txns, &spec);
-        let mut admitted: Vec<OpId> = Vec::new();
-        for &op in &keep {
-            let engine_ok = engine.try_admit(op).is_ok();
-            let mut c = VClockCertifier::new(&txns, &spec);
-            for &prev in admitted.iter().chain([&op]) {
-                c.observe(prev).expect("projected feeds are in program order");
+        let mut c = VClockCertifier::new(&txns, &spec);
+        let mut next = vec![0u32; txns.len()];
+        for &op in s.ops() {
+            if keep_mask & (1 << (txns.op(op).unwrap().object.0 as usize % 5)) == 0 {
+                continue;
             }
-            prop_assert_eq!(
-                c.seal().is_acyclic(),
-                engine_ok,
-                "gap-feed divergence at {:?} (prefix of {} ops)",
-                op,
-                admitted.len()
-            );
-            if engine_ok {
-                admitted.push(op);
+            let in_order = op.index == next[op.txn.index()];
+            match c.observe(op) {
+                Ok(()) => {
+                    prop_assert!(in_order, "{:?} skips an index but was observed", op);
+                    next[op.txn.index()] += 1;
+                }
+                Err(e) => {
+                    prop_assert!(!in_order, "{:?} is next but was refused: {}", op, e);
+                    prop_assert!(matches!(e, Error::ProgramOrderViolated { .. }));
+                }
             }
         }
+        prop_assert_eq!(c.observed() as u32, next.iter().sum::<u32>());
     }
 }
 

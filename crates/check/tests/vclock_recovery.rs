@@ -1,17 +1,20 @@
-//! Recovery re-certification regression (ISSUE satellite 3).
+//! Recovery re-certification: the Theorem 1 cross-check, in test code.
 //!
-//! `server::recovery` step 4 now re-certifies the committed history with
-//! the linear-time vector-clock certifier by default, keeping the
-//! Theorem 1 `Rsg::build` path selectable via
-//! [`Certifier::Theorem1Rsg`]. The certifier choice must be an
-//! *invisible implementation detail*: at every byte-level crash point,
-//! under every single-bit log corruption, across segment rotation, and
-//! across sharded logs cut at independent instants, the two paths must
-//! return **identical** results — the same `Recovery` struct field by
-//! field (`Recovery` derives `Eq` for exactly this), or the same typed
-//! error.
+//! `server::recovery` step 4 re-certifies the committed history with the
+//! linear-time vector-clock certifier, and with nothing else. This suite
+//! keeps the explicit Theorem 1 test beside it: at every byte-level crash
+//! point, under every single-bit log corruption, across segment rotation,
+//! and across sharded logs cut at independent instants, every recovery
+//! must hand back a `history` that `Rsg::build` finds acyclic over
+//! `Projection::subset(certified)`. No recovery in these sweeps fails —
+//! none did while the two certifiers ran side by side either (a single
+//! bit flip never survives the CRC, so it truncates) — so an error here
+//! is a regression whatever its type.
 
+use relser_core::ids::{OpId, TxnId};
 use relser_core::paper::{Figure1, Figure2};
+use relser_core::project::Projection;
+use relser_core::rsg::Rsg;
 use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
@@ -19,7 +22,6 @@ use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{Scheduler, SchedulerKind};
 use relser_server::recovery::{
     recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
-    Recovery, RecoveryError,
 };
 use relser_server::{serve, serve_sharded, FaultPlan, RunOutcome, ServerConfig};
 use relser_wal::{
@@ -28,22 +30,35 @@ use relser_wal::{
 use relser_workload::stream::RequestStream;
 use relser_workload::{random_spec, shard_local_txns, RandomConfig};
 
-/// Recovers `bytes` once per certifier (fresh scheduler each) and
-/// returns both results for comparison.
-fn recover_both(
+/// The Theorem 1 cross-check of one recovered history: `Rsg::build` over
+/// the projection onto `certified` finds it acyclic.
+fn assert_rsg_acyclic(
     txns: &TxnSet,
     spec: &AtomicitySpec,
-    bytes: &[u8],
-) -> (
-    Result<Recovery, RecoveryError>,
-    Result<Recovery, RecoveryError>,
+    certified: &[TxnId],
+    history: &[OpId],
+    case: &str,
 ) {
-    let mut a = RsgSgt::new(txns, spec);
-    let mut b = RsgSgt::new(txns, spec);
-    (
-        recover(txns, spec, &mut a, bytes, Certifier::VClock),
-        recover(txns, spec, &mut b, bytes, Certifier::Theorem1Rsg),
-    )
+    if certified.is_empty() {
+        assert!(history.is_empty(), "{case}: history without commits");
+        return;
+    }
+    let p = Projection::subset(txns, spec, certified).expect("certified projection");
+    let s = p.schedule(history).expect("history is a schedule");
+    assert!(
+        Rsg::build(&p.txns, &s, &p.spec).is_acyclic(),
+        "{case}: recovery certified a history whose RSG has a cycle"
+    );
+}
+
+/// Recovers one flat log into a fresh scheduler and cross-checks the
+/// result; returns whether it certified a non-empty history.
+fn recover_and_check(txns: &TxnSet, spec: &AtomicitySpec, bytes: &[u8], case: &str) -> bool {
+    let mut fresh = RsgSgt::new(txns, spec);
+    let rec = recover(txns, spec, &mut fresh, bytes, Certifier::VClock)
+        .unwrap_or_else(|e| panic!("{case}: {e}"));
+    assert_rsg_acyclic(txns, spec, &rec.certified, &rec.history, case);
+    !rec.certified.is_empty()
 }
 
 /// One clean-or-crashed durable run's WAL bytes.
@@ -73,11 +88,11 @@ fn wal_bytes(
     handle.bytes()
 }
 
-/// Every byte-level crash point of clean and crashed runs: identical
-/// recoveries under both certifiers, and the vclock path actually
-/// recertifies non-trivial histories (some cut recovers ≥ 1 commit).
+/// Every byte-level crash point of clean and crashed runs recovers a
+/// history `Rsg::build` accepts; some cut recovers ≥ 1 commit, so the
+/// check is not vacuous.
 #[test]
-fn certifier_choice_is_invisible_at_every_crash_point() {
+fn every_crash_point_recovers_a_history_rsg_accepts() {
     let fig = Figure1::new();
     let mut nontrivial = 0u64;
     for (seed, crash) in [(1u64, None), (2, None), (1, Some(7u64)), (2, Some(12))] {
@@ -88,11 +103,9 @@ fn certifier_choice_is_invisible_at_every_crash_point() {
         let bytes = wal_bytes(&fig.txns, &fig.spec, SchedulerKind::RsgSgt, seed, &faults);
         assert!(!bytes.is_empty());
         for cut in 0..=bytes.len() {
-            let (vc, thm) = recover_both(&fig.txns, &fig.spec, &bytes[..cut]);
-            assert_eq!(vc, thm, "seed {seed} crash {crash:?} cut {cut}");
-            if vc.as_ref().is_ok_and(|r| !r.certified.is_empty()) {
-                nontrivial += 1;
-            }
+            let case = format!("seed {seed} crash {crash:?} cut {cut}");
+            let certified = recover_and_check(&fig.txns, &fig.spec, &bytes[..cut], &case);
+            nontrivial += u64::from(certified);
         }
     }
     assert!(
@@ -102,10 +115,10 @@ fn certifier_choice_is_invisible_at_every_crash_point() {
 }
 
 /// Every single-bit corruption of a full log (both a low and a high bit
-/// per byte): the scan/recovery outcome — usually a CRC-truncated
-/// prefix — is identical under both certifiers.
+/// per byte) recovers a CRC-truncated prefix whose history `Rsg::build`
+/// accepts.
 #[test]
-fn certifier_choice_is_invisible_under_bit_flips() {
+fn bit_flips_recover_a_history_rsg_accepts() {
     let fig = Figure2::new();
     let bytes = wal_bytes(
         &fig.txns,
@@ -118,16 +131,16 @@ fn certifier_choice_is_invisible_under_bit_flips() {
         for mask in [0x01u8, 0x80] {
             let mut flipped = bytes.clone();
             flipped[i] ^= mask;
-            let (vc, thm) = recover_both(&fig.txns, &fig.spec, &flipped);
-            assert_eq!(vc, thm, "bit flip at byte {i} mask {mask:#x}");
+            let case = format!("bit flip at byte {i} mask {mask:#x}");
+            recover_and_check(&fig.txns, &fig.spec, &flipped, &case);
         }
     }
 }
 
 /// Segment-rotated logs (checkpoint seeding + suffix replay): the chosen
-/// segment and the full `Recovery` agree across certifiers.
+/// segment recovers a history `Rsg::build` accepts.
 #[test]
-fn certifier_choice_is_invisible_across_segment_rotation() {
+fn segment_rotation_recovers_a_history_rsg_accepts() {
     let fig = Figure1::new();
     for seed in [1u64, 2, 3] {
         let (store, handle) = MemSegmentStore::new();
@@ -156,33 +169,26 @@ fn certifier_choice_is_invisible_across_segment_rotation() {
         );
         assert_eq!(report.outcome, RunOutcome::Completed, "seed {seed}");
         let segments = handle.synced_segments();
-        let mut a = RsgSgt::new(&fig.txns, &fig.spec);
-        let mut b = RsgSgt::new(&fig.txns, &fig.spec);
-        let vc = recover_segments_with_certifier(
+        let mut fresh = RsgSgt::new(&fig.txns, &fig.spec);
+        let (_, rec) = recover_segments_with_certifier(
             &fig.txns,
             &fig.spec,
-            &mut a,
+            &mut fresh,
             &segments,
             Certifier::VClock,
-        );
-        let thm = recover_segments_with_certifier(
-            &fig.txns,
-            &fig.spec,
-            &mut b,
-            &segments,
-            Certifier::Theorem1Rsg,
-        );
-        assert_eq!(vc, thm, "seed {seed}");
-        let (_, rec) = vc.expect("clean segmented log recovers");
+        )
+        .expect("clean segmented log recovers");
         assert!(rec.replayed < rec.records, "seed {seed}: seeding happened");
+        let case = format!("seed {seed}");
+        assert_rsg_acyclic(&fig.txns, &fig.spec, &rec.certified, &rec.history, &case);
     }
 }
 
 /// Sharded logs of a shard-local universe cut at independent byte offsets
-/// (shards crash at different instants): the merged recovery is identical
-/// under both certifiers.
+/// (shards crash at different instants): every merged recovery succeeds
+/// and its merged history passes `Rsg::build` whole.
 #[test]
-fn certifier_choice_is_invisible_for_sharded_recovery() {
+fn sharded_cuts_recover_a_merged_history_rsg_accepts() {
     let cfg_wl = RandomConfig {
         txns: 8,
         ops_per_txn: (1, 4),
@@ -240,24 +246,17 @@ fn certifier_choice_is_invisible_for_sharded_recovery() {
             .zip(cuts)
             .map(|(b, &c)| vec![(0, b[..c].to_vec())])
             .collect();
-        let vc = recover_sharded_segments_with_certifier(
+        let rec = recover_sharded_segments_with_certifier(
             &txns,
             &spec,
             |_| Box::new(RsgSgt::new(&txns, &spec)) as Box<dyn Scheduler + '_>,
             &logs,
             Certifier::VClock,
-        );
-        let thm = recover_sharded_segments_with_certifier(
-            &txns,
-            &spec,
-            |_| Box::new(RsgSgt::new(&txns, &spec)) as Box<dyn Scheduler + '_>,
-            &logs,
-            Certifier::Theorem1Rsg,
-        );
-        assert_eq!(vc, thm, "cuts {cuts:?}");
-        if let Ok(rec) = vc {
-            committed_seen |= !rec.committed.is_empty();
-        }
+        )
+        .unwrap_or_else(|e| panic!("cuts {cuts:?}: {e}"));
+        let case = format!("cuts {cuts:?}");
+        assert_rsg_acyclic(&txns, &spec, &rec.committed, &rec.history, &case);
+        committed_seen |= !rec.committed.is_empty();
     }
     assert!(committed_seen, "no cut recovered any commit");
 }

@@ -453,19 +453,18 @@ impl IncrementalRsg {
 
         // Direct predecessors: program order + earlier conflicting
         // accesses; ancestors = union of their closures plus themselves.
-        // The program-order predecessor is the *nearest admitted* earlier
-        // operation of the transaction: a single-core feed admits in
-        // program order (so that is `op.index - 1`), while a shard core
-        // sees only its shard's projection of a cross-shard transaction —
-        // the skipped operations live on other shards, their closures are
-        // foreign, and their nodes still participate in cycle searches
-        // through the static I-skeleton.
+        // Operations are admitted in program order (every caller feeds
+        // whole transactions: the core refuses an operation past its
+        // incarnation's next one, and recovery a grant that skips one),
+        // so the program-order predecessor is `g - 1`.
         ancestors.clear();
         let base = self.offset[op.txn.index()];
-        if let Some(prev) = (base..g)
-            .rev()
-            .find(|&p| self.ancestors[p as usize].is_some())
-        {
+        if g > base {
+            let prev = g - 1;
+            debug_assert!(
+                self.ancestors[prev as usize].is_some() || self.retired[op.txn.index()],
+                "{op:?} admitted before its program-order predecessor"
+            );
             if let Some(prev_anc) = &self.ancestors[prev as usize] {
                 ancestors.union_with(prev_anc);
             }

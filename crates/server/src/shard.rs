@@ -45,8 +45,9 @@
 //! coordinates only the cross-shard transactions (leases, two-phase
 //! admit) closes it; that takes a global serialization graph, which this
 //! service does not have. `crates/server/tests/shard.rs` pins the history.
-//! The offline whole-history oracle still re-certifies every merged
-//! history — in the tests and in sharded recovery.
+//! Every merged history is still re-certified whole: by the
+//! vector-clock certifier in sharded recovery, and by the offline
+//! `Rsg::build` in the tests.
 //!
 //! ## Determinism
 //!

@@ -219,30 +219,51 @@ fn per_shard_sgt_does_not_compose_across_shards() {
         (x2, vec![op(x2, 0), op(x2, 1)], true),
         (l, vec![op(l, 1)], true),
     ];
-    let shards_of = |t: TxnId| -> Vec<usize> {
-        let mut on: Vec<usize> = txns
-            .txn(t)
-            .ops()
+    // Each shard's scheduler runs over its view of the universe: every
+    // transaction's operations on the shard's objects, in program order,
+    // so each shard sees whole transactions. `local[sh][t]` is `t`'s id
+    // in shard `sh`'s view, if it has operations there.
+    let mut views = [TxnSet::new(), TxnSet::new()];
+    let mut local: [Vec<Option<TxnId>>; 2] = [Vec::new(), Vec::new()];
+    for t in txns.txn_ids() {
+        for sh in 0..2 {
+            let on: Vec<_> = txns
+                .txn(t)
+                .ops()
+                .iter()
+                .filter(|o| map.shard_of(o.object) == sh as u32)
+                .map(|o| (o.mode, txns.objects().name(o.object)))
+                .collect();
+            local[sh].push((!on.is_empty()).then(|| views[sh].add(&on).unwrap()));
+        }
+    }
+    // An operation's shard and its id in that shard's view.
+    let on_shard = |o: OpId| {
+        let sh = map.shard_of_op(&txns, o).unwrap() as usize;
+        let before = txns.txn(o.txn).ops()[..o.index as usize]
             .iter()
-            .map(|o| map.shard_of(o.object) as usize)
-            .collect();
-        on.dedup();
-        on
+            .filter(|p| map.shard_of(p.object) == sh as u32)
+            .count();
+        (
+            sh,
+            OpId::new(local[sh][o.txn.index()].unwrap(), before as u32),
+        )
     };
-
-    // Each scheduler is fed its shard's begin/request/commit projection.
-    let mut sgt = [RsgSgt::new(&txns, &spec), RsgSgt::new(&txns, &spec)];
+    let mut sgt = views
+        .each_ref()
+        .map(|v| RsgSgt::new(v, &AtomicitySpec::absolute(v)));
     let mut merged: Vec<OpId> = Vec::new();
     for (txn, ops, commits) in &execution {
+        let seen_on: Vec<(usize, TxnId)> = (0..2)
+            .filter_map(|sh| Some((sh, local[sh][txn.index()]?)))
+            .collect();
         if ops[0].index == 0 {
-            shards_of(*txn)
-                .into_iter()
-                .for_each(|sh| sgt[sh].begin(*txn));
+            seen_on.iter().for_each(|&(sh, t)| sgt[sh].begin(t));
         }
         for &o in ops {
-            let shard = map.shard_of_op(&txns, o).unwrap() as usize;
+            let (shard, seen) = on_shard(o);
             assert_eq!(
-                sgt[shard].request(o),
+                sgt[shard].request(seen),
                 Decision::Granted,
                 "{} on shard {shard}",
                 txns.display_op(o)
@@ -250,17 +271,14 @@ fn per_shard_sgt_does_not_compose_across_shards() {
             merged.push(o);
         }
         if *commits {
-            shards_of(*txn)
-                .into_iter()
-                .for_each(|sh| sgt[sh].commit(*txn));
+            seen_on.iter().for_each(|&(sh, t)| sgt[sh].commit(t));
         }
     }
     assert_eq!(merged.len(), 8, "all eight requests were granted");
 
-    // Each shard's own projection certifies; the merged history does not.
-    for shard in 0..2 {
-        let seen = map.shard_schedule(&txns, &merged, shard).unwrap();
-        assert_eq!(seen.len(), 4, "shard {shard} decided half the history");
+    // Each shard's own view certifies; the merged history does not.
+    for (shard, sgt) in sgt.iter().enumerate() {
+        assert_eq!(sgt.admitted().len(), 4, "shard {shard} granted half");
     }
     let history = Schedule::new(&txns, merged).expect("a complete schedule");
     assert!(!Rsg::build(&txns, &history, &spec).is_acyclic());
