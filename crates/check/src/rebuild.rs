@@ -5,25 +5,24 @@
 //! scheduler — rebuild the RSG of `prefix + requested op` from scratch per
 //! request — whose correctness argument is one sentence long. No
 //! deployment runs it: the service admits through
-//! [`RsgSgt`] and re-certifies at
+//! [`RsgSgt`](relser_protocols::rsg_sgt::RsgSgt) and re-certifies at
 //! recovery with `relser_core::vclock`. It exists to be compared against:
-//! the lockstep suites in this crate's `tests/` (`incremental_equivalence`,
-//! `vclock_differential`) and the explorer's `shadow` mode drive both
-//! through identical request sequences, aborts and restarts included, and
-//! assert identical decisions; ablation A3 and the `incremental` bench
-//! measure the speedup.
+//! the lockstep suite `tests/incremental_equivalence.rs` and the
+//! explorer's `shadow` mode drive both through identical request
+//! sequences, aborts and restarts included, and assert identical
+//! decisions; ablation A3 and the `incremental` bench measure the
+//! speedup.
 
 use relser_core::ids::{OpId, TxnId};
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
-#[cfg(doc)]
-use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{AbortReason, Decision, Scheduler};
 
 /// The original full-rebuild formulation, kept as a differential oracle:
 /// per request it recomputes the depends-on closure of the whole prefix
 /// and rebuilds the RSG from scratch — O(P²), obviously correct, and the
-/// reference the incremental [`RsgSgt`] is tested against.
+/// reference the incremental
+/// [`RsgSgt`](relser_protocols::rsg_sgt::RsgSgt) is tested against.
 ///
 /// The rebuild itself runs on reusable scratch: per-position closure
 /// [`BitSet`](relser_digraph::bitset::BitSet) rows instead of `HashSet`s, a packed sorted edge list

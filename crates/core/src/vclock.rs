@@ -211,8 +211,8 @@ pub struct VClockCertifier<'a> {
     /// Global node id of `o_{t,0}` in the static skeleton.
     offsets: Vec<u32>,
     total_static: usize,
-    /// Per transaction, the program index it must observe next.
-    next: Vec<u32>,
+    /// `txn_clock[t][t]` is the number of `T_t`'s operations observed,
+    /// hence the program index it must observe next.
     txn_clock: Vec<Clock>,
     write_clock: Vec<Clock>,
     read_clock: Vec<Clock>,
@@ -239,7 +239,6 @@ impl<'a> VClockCertifier<'a> {
             spec,
             offsets,
             total_static: total as usize,
-            next: vec![0; k],
             txn_clock: vec![vec![0; k]; k],
             write_clock: vec![vec![0; k]; objects],
             read_clock: vec![vec![0; k]; objects],
@@ -265,7 +264,7 @@ impl<'a> VClockCertifier<'a> {
     pub fn observe(&mut self, op: OpId) -> Result<()> {
         let operation = self.txns.op(op)?;
         let t = op.txn.index();
-        if op.index != self.next[t] {
+        if op.index != self.txn_clock[t][t] {
             return Err(Error::ProgramOrderViolated { txn: op.txn, op });
         }
 
@@ -314,7 +313,6 @@ impl<'a> VClockCertifier<'a> {
             join(&mut self.read_clock[x], &self.scratch);
         }
         self.txn_clock[t].copy_from_slice(&self.scratch);
-        self.next[t] += 1;
         self.observed += 1;
         Ok(())
     }
