@@ -56,7 +56,7 @@ impl Scheduler for Split {
         match r {
             Ok(_) => Decision::Granted,
             Err(AdmitError::Cycle(_)) => Decision::Aborted(AbortReason::CycleRejected),
-            Err(AdmitError::Retired(_)) => Decision::Aborted(AbortReason::Retired),
+            Err(_) => Decision::Aborted(AbortReason::Retired), // retired or out of order
         }
     }
 

@@ -7,10 +7,10 @@
 //! against **both** retained engines on ≥ 1,000 generated histories:
 //!
 //! * [`Rsg::build`] — the offline Definition 3 graph (ground truth);
-//! * [`RsgSgt`] — the online incremental engine, in lockstep, with arena
-//!   compactions forced at pseudo-random points and a fresh certifier
-//!   re-deciding every single grant/reject (the engine itself is held to
-//!   the full-rebuild `RsgSgtOracle` by `incremental_equivalence.rs`);
+//! * [`RsgSgt`]/[`RsgSgtOracle`] — the online incremental engine and its
+//!   full-rebuild oracle, in lockstep, with arena compactions forced at
+//!   pseudo-random points and a fresh certifier re-deciding every single
+//!   grant/reject;
 //! * gapped feeds — object-projected histories where transactions show
 //!   leading or internal index gaps, which the certifier refuses index by
 //!   index (program order is checked where outside input enters, so no
@@ -27,6 +27,7 @@
 //! though the two certification backends never actually diverge.
 
 use proptest::prelude::*;
+use relser_check::RsgSgtOracle;
 use relser_check::{shrink_universe, ExploreConfig, Mode, Projection, ScheduleExplorer};
 use relser_core::error::Error;
 use relser_core::ids::{OpId, TxnId};
@@ -154,9 +155,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Lockstep: the incremental engine and a fresh vector-clock
-    /// certifier re-deciding every grant/reject — with arena compactions
-    /// forced at pseudo-random points, which must not change any answer.
+    /// Three-way lockstep: the incremental engine, its full-rebuild
+    /// oracle, and a fresh vector-clock certifier re-deciding every
+    /// grant/reject — with arena compactions forced at pseudo-random
+    /// points, which must not change any answer.
     #[test]
     fn lockstep_decisions_match_a_fresh_certifier(
         wl_seed in 0u64..100_000,
@@ -185,11 +187,13 @@ proptest! {
             c.seal().is_acyclic()
         };
 
+        let mut oracle = RsgSgtOracle::new(&txns, &spec);
         let mut inc = RsgSgt::new(&txns, &spec);
         let n = txns.len();
         let mut cursor = vec![0u32; n];
         let mut done = vec![false; n];
         for t in 0..n as u32 {
+            oracle.begin(TxnId(t));
             inc.begin(TxnId(t));
         }
         let mut state = feed_seed | 1;
@@ -210,7 +214,10 @@ proptest! {
                 t = (t + 1) % n;
             }
             let op = OpId::new(TxnId(t as u32), cursor[t]);
-            match inc.request(op) {
+            let a = oracle.request(op);
+            let b = inc.request(op);
+            prop_assert_eq!(&a, &b, "engine divergence at {:?}", op);
+            match a {
                 Decision::Granted => {
                     // The certifier must accept exactly what the engine
                     // just admitted (the op is the admitted suffix).
@@ -221,6 +228,7 @@ proptest! {
                     );
                     cursor[t] += 1;
                     if cursor[t] as usize == txns.txn(TxnId(t as u32)).len() {
+                        oracle.commit(TxnId(t as u32));
                         inc.commit(TxnId(t as u32));
                         done[t] = true;
                     }
@@ -237,12 +245,15 @@ proptest! {
                         "engine rejected {:?} but certifier accepts the extension",
                         op
                     );
+                    oracle.abort(TxnId(t as u32));
                     inc.abort(TxnId(t as u32));
                     cursor[t] = 0;
+                    oracle.begin(TxnId(t as u32));
                     inc.begin(TxnId(t as u32));
                 }
                 Decision::Blocked { .. } => unreachable!("RSG-SGT never blocks"),
             }
+            prop_assert_eq!(oracle.admitted(), inc.admitted(), "prefix divergence");
         }
         prop_assert!(done.iter().all(|d| *d), "lockstep feed livelocked");
     }

@@ -157,6 +157,8 @@ pub enum AdmitError {
     /// information was reclaimed. The engine is unchanged; the caller
     /// should fail that request, not the scheduler.
     Retired(TxnId),
+    /// The operation's program-order predecessor is not admitted (engine unchanged).
+    ProgramOrder(OpId),
 }
 
 /// When [`IncrementalRsg`] rebuilds its arena to drop retired state.
@@ -453,18 +455,13 @@ impl IncrementalRsg {
 
         // Direct predecessors: program order + earlier conflicting
         // accesses; ancestors = union of their closures plus themselves.
-        // Operations are admitted in program order (every caller feeds
-        // whole transactions: the core refuses an operation past its
-        // incarnation's next one, and recovery a grant that skips one),
-        // so the program-order predecessor is `g - 1`.
+        // Operations are admitted in program order (`try_admit` refuses
+        // one whose predecessor is not admitted), so the program-order
+        // predecessor is `g - 1`.
         ancestors.clear();
         let base = self.offset[op.txn.index()];
         if g > base {
             let prev = g - 1;
-            debug_assert!(
-                self.ancestors[prev as usize].is_some() || self.retired[op.txn.index()],
-                "{op:?} admitted before its program-order predecessor"
-            );
             if let Some(prev_anc) = &self.ancestors[prev as usize] {
                 ancestors.union_with(prev_anc);
             }
@@ -574,8 +571,8 @@ impl IncrementalRsg {
     /// Attempts to admit `op`: applies its delta atomically. On success a
     /// `Copy` [`AdmitSummary`] is returned and the admission is
     /// journalled; on failure graph and engine state are **unchanged**
-    /// and the error names either the offending arc and cycle, or the
-    /// retired transaction a late request arrived for.
+    /// and the error names the offending arc and cycle, the retired
+    /// transaction of a late request, or an out-of-order operation.
     ///
     /// The steady grant path is allocation-free: the delta is computed in
     /// reusable scratch, the ancestor row comes from a recycled pool, and
@@ -583,6 +580,9 @@ impl IncrementalRsg {
     pub fn try_admit(&mut self, op: OpId) -> Result<AdmitSummary, AdmitError> {
         if self.retired[op.txn.index()] {
             return Err(AdmitError::Retired(op.txn));
+        }
+        if op.index > 0 && self.ancestors[self.global(op) as usize - 1].is_none() {
+            return Err(AdmitError::ProgramOrder(op));
         }
         self.admit_inner(op, false)
     }
@@ -1124,6 +1124,19 @@ mod tests {
         assert_eq!(engine.admitted().len(), before);
         // Live transactions are unaffected.
         engine.try_admit(op(1, 0)).unwrap();
+    }
+
+    #[test]
+    fn an_operation_before_its_predecessor_is_a_typed_error() {
+        let txns = TxnSet::parse(&["r1[x] w1[x]", "r2[y]"]).unwrap();
+        let spec = AtomicitySpec::absolute(&txns);
+        let mut engine = IncrementalRsg::new(&txns, &spec);
+        let refused = engine.try_admit(op(0, 1));
+        assert_eq!(refused, Err(AdmitError::ProgramOrder(op(0, 1))));
+        assert!(engine.admitted().is_empty());
+        engine.try_admit(op(0, 0)).unwrap();
+        engine.try_admit(op(0, 1)).unwrap();
+        assert_eq!(engine.admitted(), &[op(0, 0), op(0, 1)]);
     }
 
     #[test]

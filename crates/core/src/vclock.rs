@@ -568,7 +568,7 @@ mod tests {
                 let engine_ok = match engine.try_admit(op) {
                     Ok(_) => true,
                     Err(AdmitError::Cycle(_)) => false,
-                    Err(AdmitError::Retired(_)) => unreachable!("nothing retires here"),
+                    Err(e) => unreachable!("nothing retires, feeds are in order: {e:?}"),
                 };
                 // Replay the same feed (prefix + op) through a fresh
                 // certifier.

@@ -57,6 +57,8 @@ pub enum AbortReason {
     /// The request arrived for a transaction whose information the
     /// scheduler has already retired (committed and reclaimed). A stale
     /// or duplicate request — the session degrades, the core is fine.
+    /// Also the answer to a request that breaks program order, which
+    /// leaves the incarnation as it was.
     Retired,
 }
 

@@ -111,7 +111,7 @@ impl Scheduler for RsgSgt {
         match self.engine.try_admit(op) {
             Ok(_) => Decision::Granted,
             Err(AdmitError::Cycle(_)) => Decision::Aborted(AbortReason::CycleRejected),
-            Err(AdmitError::Retired(_)) => Decision::Aborted(AbortReason::Retired),
+            Err(_) => Decision::Aborted(AbortReason::Retired), // retired or out of order
         }
     }
 

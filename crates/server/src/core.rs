@@ -255,7 +255,9 @@ pub enum Command {
     /// commit command of every front-end. A duplicate is answered with
     /// the original verdict and re-applies nothing; a commit of a
     /// rolled-back incarnation, or of one granted fewer than `ops`
-    /// operations, is refused `Aborted(Retired)`.
+    /// operations, is refused `Aborted(Retired)`. Refusing an incomplete
+    /// incarnation changes no state: it stays live, so a restart resumes
+    /// it (`Begin` is a no-op, resent operations are duplicates).
     Commit {
         /// The committing transaction.
         txn: TxnId,

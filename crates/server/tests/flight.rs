@@ -164,7 +164,7 @@ fn a_commit_flight_asks_for_its_ack() {
     assert_eq!(
         ops,
         rig.txns.txn(txn).len() as u32,
-        "the program length rides along"
+        "the length rides along"
     );
     ack.reply.fill(Decision::Granted);
     assert_eq!(rig.poll(&mut flight, t0 + NS), Step::Granted);
