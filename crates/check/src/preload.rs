@@ -40,21 +40,16 @@ pub struct PreloadedRun {
 }
 
 /// Re-drives `trace` through a fresh core from a pre-loaded, closed
-/// queue; see the module docs. `stamps` supplies the global commit
-/// stamps of a shard core's trace (the `k`-th commit event takes the
-/// `k`-th entry; empty for an unsharded run), and `shard` is handed to
-/// [`run_core`] as is.
+/// queue; see the module docs. `shard` is handed to [`run_core`] as is.
 pub fn redrive_preloaded(
     scheduler: Box<dyn Scheduler + Send + '_>,
     trace: &[TraceEvent],
-    stamps: &[(TxnId, u64)],
     faults: &FaultPlan,
     wal: &mut dyn CommitLog,
     shard: Option<ShardCoreCtx<'_>>,
 ) -> PreloadedRun {
     let queue: BoundedQueue<Command> = BoundedQueue::new(trace.len().max(1));
     let mut commit_replies: Vec<(TxnId, Reply)> = Vec::new();
-    let mut stamps = stamps.iter();
     // The trace commits complete incarnations: a commit's operation count
     // is one past the index of its transaction's latest grant.
     let mut ops: HashMap<TxnId, u32> = HashMap::new();
@@ -77,7 +72,6 @@ pub fn redrive_preloaded(
                 Command::Commit {
                     txn: *txn,
                     ops: ops.get(txn).copied().unwrap_or(0),
-                    stamp: stamps.next().map(|&(_, stamp)| stamp),
                     ack: Some(Ack {
                         enqueued: Instant::now(),
                         reply,
@@ -118,7 +112,7 @@ mod tests {
     use super::*;
     use relser_core::paper::Figure1;
     use relser_protocols::SchedulerKind;
-    use relser_server::recovery::{recover, Certifier};
+    use relser_server::recovery::recover;
     use relser_server::{serve, RunOutcome, ServerConfig};
     use relser_wal::{FsyncPolicy, MemStorage, WalWriter};
     use relser_workload::stream::RequestStream;
@@ -152,7 +146,6 @@ mod tests {
         let redrive = redrive_preloaded(
             SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec),
             &trace,
-            &[],
             &FaultPlan::default(),
             &mut wal,
             None,
@@ -169,14 +162,7 @@ mod tests {
         assert!(redrive.out.wal.appends <= redrive.out.batches + 1);
         assert!(redrive.out.wal.syncs <= redrive.out.batches + 1);
         let mut fresh = SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec);
-        let rec = recover(
-            &fig.txns,
-            &fig.spec,
-            &mut *fresh,
-            &handle.synced_bytes(),
-            Certifier::VClock,
-        )
-        .unwrap();
+        let rec = recover(&fig.txns, &fig.spec, &mut *fresh, &handle.synced_bytes()).unwrap();
         assert_eq!(rec.committed, committed);
     }
 
@@ -204,7 +190,6 @@ mod tests {
         let redrive = redrive_preloaded(
             SchedulerKind::RsgSgt.make(&txns, &spec),
             &trace,
-            &[],
             &FaultPlan {
                 crash_at_command: Some(3),
                 ..FaultPlan::default()
@@ -217,14 +202,7 @@ mod tests {
         assert_eq!(redrive.acked, vec![], "the batch's commit was never acked");
         assert_eq!(redrive.out.committed, vec![]);
         let mut fresh = SchedulerKind::RsgSgt.make(&txns, &spec);
-        let rec = recover(
-            &txns,
-            &spec,
-            &mut *fresh,
-            &handle.bytes(),
-            Certifier::VClock,
-        )
-        .unwrap();
+        let rec = recover(&txns, &spec, &mut *fresh, &handle.bytes()).unwrap();
         assert_eq!(rec.committed, vec![], "and never reached storage");
     }
 }

@@ -53,7 +53,6 @@ use relser_server::{
 };
 use relser_wal::{CommitLog, FsyncPolicy, MemHandle, MemStorage, WalWriter};
 use relser_workload::stream::RequestStream;
-use std::sync::atomic::AtomicU64;
 
 /// The sweep grid. Every combination of seed × crash shard × crash
 /// ordinal runs once.
@@ -180,13 +179,10 @@ pub fn shard_crash_sweep(
                 );
                 report.runs += 1;
                 report.crashed_runs += u64::from(run.outcome == RunOutcome::Crashed);
-                // What each shard acknowledged live: its stamped commits
-                // up to the last released batch.
-                let acked: Vec<Vec<TxnId>> = run
-                    .shards
-                    .iter()
-                    .map(|o| o.commit_stamps.iter().map(|&(t, _)| t).collect())
-                    .collect();
+                // What each shard acknowledged live: its commits up to the
+                // last released batch.
+                let acked: Vec<Vec<TxnId>> =
+                    run.shards.iter().map(|o| o.committed.clone()).collect();
 
                 // Full-log recovery: every shard hands back every commit
                 // it acknowledged, nothing by halves.
@@ -251,19 +247,16 @@ fn redrive_cell(
 ) {
     let shards = run.shards.len();
     let (mut wals, handles) = shard_wals(shards);
-    let seq = AtomicU64::new(0);
     let mut acked: Vec<Vec<TxnId>> = Vec::with_capacity(shards);
     report.preloaded_runs += 1;
     for (shard, live) in run.shards.iter().enumerate() {
         let redrive = redrive_preloaded(
             Box::new(RsgSgt::new(txns, spec)),
             &live.trace,
-            &live.commit_stamps,
             &faults[shard],
             &mut wals[shard],
             Some(ShardCoreCtx {
                 shard: shard as u32,
-                seq: &seq,
                 sessions: None,
                 recovered_committed: Vec::new(),
                 recovered_events: Vec::new(),

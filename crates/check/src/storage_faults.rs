@@ -341,7 +341,6 @@ pub fn crash_point_sweep(
                         let redrive = redrive_preloaded(
                             kind.make(txns, spec),
                             &run.trace,
-                            &[],
                             &FaultPlan::default(),
                             &mut wal,
                             None,
@@ -519,7 +518,6 @@ pub fn checkpoint_crash_sweep(
                         let redrive = redrive_preloaded(
                             kind.make(txns, spec),
                             &run.trace,
-                            &[],
                             &faults,
                             &mut wal,
                             None,
@@ -625,7 +623,7 @@ fn try_recover(
     report: &mut CrashSweepReport,
 ) -> Option<Recovery> {
     let mut fresh = kind.make(txns, spec);
-    match recover(txns, spec, &mut *fresh, bytes, Certifier::VClock) {
+    match recover(txns, spec, &mut *fresh, bytes) {
         Ok(rec) => Some(rec),
         Err(_) => {
             report.failed_recoveries += 1;

@@ -55,8 +55,7 @@ fn assert_rsg_acyclic(
 /// result; returns whether it certified a non-empty history.
 fn recover_and_check(txns: &TxnSet, spec: &AtomicitySpec, bytes: &[u8], case: &str) -> bool {
     let mut fresh = RsgSgt::new(txns, spec);
-    let rec = recover(txns, spec, &mut fresh, bytes, Certifier::VClock)
-        .unwrap_or_else(|e| panic!("{case}: {e}"));
+    let rec = recover(txns, spec, &mut fresh, bytes).unwrap_or_else(|e| panic!("{case}: {e}"));
     assert_rsg_acyclic(txns, spec, &rec.certified, &rec.history, case);
     !rec.certified.is_empty()
 }

@@ -59,8 +59,7 @@ fn recover_and_check(
     handle: &MemHandle,
 ) -> ExecutionRecord {
     let mut fresh = kind.make(txns, spec);
-    let rec = recover(txns, spec, &mut *fresh, &handle.bytes(), Certifier::VClock)
-        .expect("recovery succeeds");
+    let rec = recover(txns, spec, &mut *fresh, &handle.bytes()).expect("recovery succeeds");
     let exec = ExecutionRecord {
         path: Vec::new(),
         committed: rec.committed,

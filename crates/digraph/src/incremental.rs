@@ -11,10 +11,11 @@
 //! * **edge labels** — each edge carries an [`EdgeLabel`] (RSG-SGT stores
 //!   the I/D/F/B arc-kind set); re-adding an existing edge merges labels
 //!   instead of creating a parallel edge;
-//! * `try_add_batch` — insert a group of labelled edges atomically: either
-//!   all go in (returning a [`BatchUndo`] journal) or none do. RSG-SGT
-//!   uses one batch per granted operation, and replays journals backwards
-//!   via [`IncrementalDag::undo_batch`] when a transaction aborts;
+//! * `try_add_batch_into` — insert a group of labelled edges atomically:
+//!   either all go in (journalled into a caller-owned [`BatchUndo`]) or
+//!   none do. RSG-SGT uses one batch per granted operation, and replays
+//!   journals backwards via [`IncrementalDag::undo_batch_into`] when a
+//!   transaction aborts;
 //! * `retire_node` — mask a node (a committed transaction whose
 //!   information is no longer needed) so its edges stop participating in
 //!   searches;
@@ -86,8 +87,8 @@ pub enum AddEdge {
     RetiredEndpoint(NodeIdx),
 }
 
-/// Journal of one applied [`IncrementalDag::try_add_batch`], consumed by
-/// [`IncrementalDag::undo_batch`] to reverse it exactly.
+/// Journal of one applied [`IncrementalDag::try_add_batch_into`], consumed
+/// by [`IncrementalDag::undo_batch_into`] to reverse it exactly.
 ///
 /// Journals from successive batches must be undone in reverse application
 /// order (the newest batch first), as RSG-SGT does when rolling a
@@ -131,8 +132,8 @@ pub enum ArcRejection {
     RetiredEndpoint(NodeIdx),
 }
 
-/// Rejection report of a failed [`IncrementalDag::try_add_batch`]: the
-/// graph has been restored to its pre-batch state.
+/// Rejection report of a failed [`IncrementalDag::try_add_batch_into`]:
+/// the graph has been restored to its pre-batch state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchRejected {
     /// Index (into the submitted arc slice) of the offending arc.
@@ -307,26 +308,16 @@ impl<L: EdgeLabel> IncrementalDag<L> {
         }
     }
 
-    /// Attempts to insert all of `arcs` as one atomic group.
+    /// Attempts to insert all of `arcs` as one atomic group, journalling
+    /// into a caller-owned (typically recycled) `undo`, so the steady
+    /// admission path performs no journal allocation.
     ///
-    /// On success every arc is in the graph (new edges inserted, existing
-    /// edges label-merged) and the returned [`BatchUndo`] reverses exactly
-    /// this batch. On failure the graph is **unchanged** and the rejection
-    /// identifies the offending arc plus the cause (the cycle-closing
-    /// path, or the retired endpoint).
-    pub fn try_add_batch(
-        &mut self,
-        arcs: &[(NodeIdx, NodeIdx, L)],
-    ) -> Result<BatchUndo<L>, BatchRejected> {
-        let mut undo = BatchUndo { ops: Vec::new() };
-        self.try_add_batch_into(arcs, &mut undo).map(|()| undo)
-    }
-
-    /// [`IncrementalDag::try_add_batch`] journalling into a caller-owned
-    /// (typically recycled) `undo`, so the steady admission path performs
-    /// no journal allocation. `undo` must be empty on entry; on success it
-    /// holds the reversing journal, on failure it is left empty (the batch
-    /// was rolled back) with its capacity intact.
+    /// `undo` must be empty on entry. On success every arc is in the graph
+    /// (new edges inserted, existing edges label-merged) and `undo` holds
+    /// the journal that reverses exactly this batch. On failure the graph
+    /// is **unchanged**, `undo` is left empty with its capacity intact, and
+    /// the rejection identifies the offending arc plus the cause (the
+    /// cycle-closing path, or the retired endpoint).
     ///
     /// The accepting path checks the whole batch with **one reachability
     /// sweep per distinct arc head** rather than one DFS per arc. This is
@@ -492,16 +483,12 @@ impl<L: EdgeLabel> IncrementalDag<L> {
         Ok(())
     }
 
-    /// Reverses one applied batch. Journals must be undone newest-first
-    /// across batches; liveness is *not* required (a batch may be undone
-    /// after one of its endpoints retired).
-    pub fn undo_batch(&mut self, mut undo: BatchUndo<L>) {
-        self.undo_batch_into(&mut undo);
-    }
-
-    /// [`IncrementalDag::undo_batch`] draining a caller-owned journal in
-    /// place: on return `undo` is empty but keeps its allocation, ready to
-    /// be recycled through [`IncrementalDag::try_add_batch_into`].
+    /// Reverses one applied batch, draining its journal in place: on
+    /// return `undo` is empty but keeps its allocation, ready to be
+    /// recycled through [`IncrementalDag::try_add_batch_into`]. Journals
+    /// must be undone newest-first across batches; liveness is *not*
+    /// required (a batch may be undone after one of its endpoints
+    /// retired).
     pub fn undo_batch_into(&mut self, undo: &mut BatchUndo<L>) {
         while let Some(op) = undo.ops.pop() {
             match op {
@@ -750,13 +737,18 @@ mod tests {
         d.try_add_labeled_edge(a, b, Mask(1));
         // Batch: one fresh arc, one label merge, then a cycle-closer. All
         // three must be rolled back.
+        let mut undo = BatchUndo::default();
         let rejected = d
-            .try_add_batch(&[
-                (b, c, Mask(1)),
-                (a, b, Mask(2)),
-                (c, a, Mask(1)), // closes c -> a -> b -> c? no: a~>c exists after (b,c): a->b->c
-            ])
+            .try_add_batch_into(
+                &[
+                    (b, c, Mask(1)),
+                    (a, b, Mask(2)),
+                    (c, a, Mask(1)), // closes c -> a -> b -> c? no: a~>c exists after (b,c): a->b->c
+                ],
+                &mut undo,
+            )
             .unwrap_err();
+        assert!(undo.is_noop(), "a rolled-back batch leaves no journal");
         assert_eq!(rejected.arc, 2);
         assert_eq!(rejected.cause, ArcRejection::WouldCycle(vec![a, b, c]));
         assert!(!d.has_edge(b, c), "fresh arc rolled back");
@@ -775,13 +767,17 @@ mod tests {
         let b = d.add_node();
         let c = d.add_node();
         d.try_add_labeled_edge(a, b, Mask(1));
-        let undo = d
-            .try_add_batch(&[(b, c, Mask(4)), (a, b, Mask(2)), (a, c, Mask(1))])
-            .unwrap();
+        let mut undo = BatchUndo::default();
+        d.try_add_batch_into(
+            &[(b, c, Mask(4)), (a, b, Mask(2)), (a, c, Mask(1))],
+            &mut undo,
+        )
+        .unwrap();
         assert!(!undo.is_noop());
         assert_eq!(d.graph().edge_count(), 3);
         assert_eq!(d.edge_label(a, b), Some(&Mask(3)));
-        d.undo_batch(undo);
+        d.undo_batch_into(&mut undo);
+        assert!(undo.is_noop(), "the journal is drained");
         assert_eq!(d.graph().edge_count(), 1);
         assert_eq!(d.edge_label(a, b), Some(&Mask(1)));
         assert!(!d.has_edge(b, c) && !d.has_edge(a, c));
@@ -794,7 +790,8 @@ mod tests {
         let b = d.add_node();
         d.try_add_labeled_edge(a, b, Mask(3));
         // Re-adding a subset label changes nothing and journals nothing.
-        let undo = d.try_add_batch(&[(a, b, Mask(1))]).unwrap();
+        let mut undo = BatchUndo::default();
+        d.try_add_batch_into(&[(a, b, Mask(1))], &mut undo).unwrap();
         assert!(undo.is_noop());
         assert_eq!(d.edge_label(a, b), Some(&Mask(3)));
     }
@@ -804,9 +801,10 @@ mod tests {
         let mut d = IncrementalDag::<Mask>::new();
         let a = d.add_node();
         let b = d.add_node();
-        let undo = d.try_add_batch(&[(a, b, Mask(1))]).unwrap();
+        let mut undo = BatchUndo::default();
+        d.try_add_batch_into(&[(a, b, Mask(1))], &mut undo).unwrap();
         d.retire_node(a);
-        d.undo_batch(undo);
+        d.undo_batch_into(&mut undo);
         assert_eq!(d.graph().edge_count(), 0);
     }
 
@@ -816,14 +814,14 @@ mod tests {
         let a = d.add_node();
         let b = d.add_node();
         let c = d.add_node();
-        let u1 = d.try_add_batch(&[(a, b, Mask(1))]).unwrap();
-        let u2 = d
-            .try_add_batch(&[(a, b, Mask(2)), (b, c, Mask(1))])
+        let (mut u1, mut u2) = (BatchUndo::default(), BatchUndo::default());
+        d.try_add_batch_into(&[(a, b, Mask(1))], &mut u1).unwrap();
+        d.try_add_batch_into(&[(a, b, Mask(2)), (b, c, Mask(1))], &mut u2)
             .unwrap();
-        d.undo_batch(u2);
+        d.undo_batch_into(&mut u2);
         assert_eq!(d.edge_label(a, b), Some(&Mask(1)));
         assert!(!d.has_edge(b, c));
-        d.undo_batch(u1);
+        d.undo_batch_into(&mut u1);
         assert_eq!(d.graph().edge_count(), 0);
     }
 
@@ -861,9 +859,11 @@ mod tests {
         let b = d.add_node();
         let c = d.add_node();
         d.retire_node(c);
+        let mut undo = BatchUndo::default();
         let rejected = d
-            .try_add_batch(&[(a, b, Mask(1)), (b, c, Mask(1))])
+            .try_add_batch_into(&[(a, b, Mask(1)), (b, c, Mask(1))], &mut undo)
             .unwrap_err();
+        assert!(undo.is_noop(), "a rolled-back batch leaves no journal");
         assert_eq!(rejected.arc, 1);
         assert_eq!(rejected.cause, ArcRejection::RetiredEndpoint(c));
         assert!(!d.has_edge(a, b), "earlier arcs rolled back");
@@ -913,13 +913,13 @@ mod tests {
         d.try_add_labeled_edge(a, b, Mask(1));
         // A live batch: one label merge on a live edge, one fresh edge to a
         // node that will retire before the undo runs.
-        let undo = d
-            .try_add_batch(&[(a, b, Mask(2)), (a, r, Mask(1))])
+        let mut undo = BatchUndo::default();
+        d.try_add_batch_into(&[(a, b, Mask(2)), (a, r, Mask(1))], &mut undo)
             .unwrap();
         d.retire_node(r);
         let map = d.compact();
-        let undo = map.remap_undo(undo);
-        d.undo_batch(undo);
+        let mut undo = map.remap_undo(undo);
+        d.undo_batch_into(&mut undo);
         let (na, nb) = (map.node(a).unwrap(), map.node(b).unwrap());
         assert_eq!(
             d.edge_label(na, nb),
@@ -1009,7 +1009,7 @@ mod tests {
         let n = 20usize;
         let mut d = IncrementalDag::<Mask>::new();
         let nodes: Vec<NodeIdx> = (0..n).map(|_| d.add_node()).collect();
-        let mut journals = Vec::new();
+        let mut journals: Vec<BatchUndo<Mask>> = Vec::new();
         for round in 0..200 {
             let arcs: Vec<(NodeIdx, NodeIdx, Mask)> = (0..(next() % 4 + 1))
                 .map(|_| {
@@ -1020,12 +1020,13 @@ mod tests {
                     )
                 })
                 .collect();
-            if let Ok(u) = d.try_add_batch(&arcs) {
-                journals.push(u);
+            let mut undo = BatchUndo::default();
+            if d.try_add_batch_into(&arcs, &mut undo).is_ok() {
+                journals.push(undo);
             }
             if round % 7 == 0 {
-                if let Some(u) = journals.pop() {
-                    d.undo_batch(u);
+                if let Some(mut undo) = journals.pop() {
+                    d.undo_batch_into(&mut undo);
                 }
             }
             let edges: Vec<(u32, u32)> =

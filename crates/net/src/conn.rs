@@ -135,7 +135,7 @@ pub(crate) struct Conn {
     /// The session id a [`Request::Hello`] bound to this connection;
     /// relaxes the live-transaction validation (a resumed session may
     /// legitimately commit a transaction it began on a dead connection)
-    /// and stamps every commit into the retry table.
+    /// and records every commit in the retry table.
     session: Option<u64>,
     /// Timestamp of the latest socket read (wire-to-wire start for the
     /// requests it delivered).

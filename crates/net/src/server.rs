@@ -20,7 +20,7 @@ use relser_server::{Certifier, OverloadPolicy, Route, ServerMetrics, Timeouts};
 use relser_wal::{CheckpointPolicy, CommitLog, MemSegmentsHandle};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
@@ -200,7 +200,7 @@ pub fn serve_net<R>(
 ) -> io::Result<(NetReport, R)> {
     assert!(cfg.reactors >= 1, "need at least one reactor");
     let (listener, addr) = bind_loopback()?;
-    // The N = 1 row: one plain core, stamp-less commits, no supervisor.
+    // The N = 1 row: one plain core, no supervisor.
     let queue: BoundedQueue<Command> = BoundedQueue::new(cfg.queue_capacity);
     let progress = Progress::new();
     let sessions = SessionTable::new();
@@ -210,7 +210,6 @@ pub fn serve_net<R>(
         map: ShardMap::new(1),
         queues: std::slice::from_ref(&queue),
         progresses: std::slice::from_ref(&progress),
-        stamps: None,
         healths: None,
     };
     let ctx = cfg.reactor_ctx(route, &sessions)?;
@@ -334,8 +333,6 @@ pub fn serve_net_supervised_in<'e, R>(
     let sessions = SessionTable::new();
     let progresses: Vec<Progress> = (0..shards).map(|_| Progress::new()).collect();
     let stop = AtomicBool::new(false);
-    // One counter draws both the grant tickets and the commit stamps.
-    let seq = AtomicU64::new(0);
     let default_faults = FaultPlan::default();
 
     let route = Route {
@@ -343,7 +340,6 @@ pub fn serve_net_supervised_in<'e, R>(
         map: ShardMap::new(shards as u32),
         queues: &queues,
         progresses: &progresses,
-        stamps: Some(&seq),
         healths: Some(&healths),
     };
     let ctx = cfg.reactor_ctx(route, &sessions)?;
@@ -359,7 +355,7 @@ pub fn serve_net_supervised_in<'e, R>(
 
     let (runs, net, client_out) = std::thread::scope(|s| {
         let make_scheduler = &make_scheduler;
-        let (sup_cfg, stop, sessions, seq) = (&sup_cfg, &stop, &sessions, &seq);
+        let (sup_cfg, stop, sessions) = (&sup_cfg, &stop, &sessions);
         let mut cores = Vec::with_capacity(shards);
         for shard in 0..shards {
             let queue = &queues[shard];
@@ -378,7 +374,6 @@ pub fn serve_net_supervised_in<'e, R>(
                     sessions,
                     stop,
                     shard as u32,
-                    seq,
                     sup_cfg,
                 )
             }));

@@ -12,13 +12,20 @@
 //! front-end also drives blocked → parked → resubmitted through the one
 //! per-operation state machine (`relser_server::Flight`) on its way to
 //! the same verdict.
+//!
+//! Both TCP entry points also write the same commit record: a sessionless
+//! client's commit is a plain `Commit` on the plain core and on a shard
+//! core alike, because nothing orders one shard's commits against
+//! another's.
 
 use relser_core::ids::{OpId, TxnId};
+use relser_core::op::AccessMode;
 use relser_core::schedule::Schedule;
 use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_core::vclock;
+use relser_net::wire::{Request, Response};
 use relser_net::{
     drive_resilient, serve_net, serve_net_supervised_in, ChaosPlan, NetConfig, ResilientConfig,
     SuperviseNetConfig,
@@ -31,10 +38,14 @@ use relser_server::{
     serve_sharded, Certifier, FaultPlan, RunOutcome, ServerConfig,
 };
 use relser_wal::{
-    CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemStorage, SegmentedWal, WalWriter,
+    scan, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemStorage, SegmentedWal,
+    WalRecord, WalWriter,
 };
 use relser_workload::random::{random_spec, shard_local_txns, RandomConfig};
 use relser_workload::stream::RequestStream;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 const ARRIVAL_SEED: u64 = 7;
 
@@ -64,10 +75,9 @@ fn assert_verdict(
     );
 }
 
-#[test]
-fn four_front_ends_one_verdict() {
-    // Few, Zipf-hot objects per shard, so multi-object transactions run
-    // into each other's locks on every shard and through every front-end.
+/// Few, Zipf-hot objects per shard, so multi-object transactions run
+/// into each other's locks on every shard and through every front-end.
+fn universe() -> (TxnSet, AtomicitySpec) {
     let universe = RandomConfig {
         txns: 48,
         ops_per_txn: (2, 5),
@@ -77,6 +87,12 @@ fn four_front_ends_one_verdict() {
     };
     let txns = shard_local_txns(&universe, &ShardMap::new(2), 42);
     let spec = random_spec(&txns, 0.4, 42);
+    (txns, spec)
+}
+
+#[test]
+fn four_front_ends_one_verdict() {
+    let (txns, spec) = universe();
     let sc = (&txns, &spec);
     four_front_ends(sc, &|| Box::new(RsgSgt::new(&txns, &spec)), false);
     // Conflict-serializable histories are relatively serializable under
@@ -132,14 +148,8 @@ fn four_front_ends<'a>(
         );
         assert_eq!(report.outcome, RunOutcome::Completed);
         assert_blocked("serve", report.metrics.blocked);
-        let rec = recover(
-            txns,
-            spec,
-            &mut *fresh(),
-            &handle.synced_bytes(),
-            Certifier::VClock,
-        )
-        .expect("flat log recovers");
+        let rec =
+            recover(txns, spec, &mut *fresh(), &handle.synced_bytes()).expect("flat log recovers");
         assert_verdict("serve", sc, report.committed, rec.committed, rec.history);
     }
 
@@ -263,4 +273,124 @@ fn four_front_ends<'a>(
             rec.history,
         );
     }
+}
+
+/// One sessionless client (no `Hello`) runs every transaction serially —
+/// begin, operations in program order, commit — on one blocking socket.
+fn run_serially(addr: SocketAddr, txns: &TxnSet) {
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    // A missing reply fails the test instead of hanging it.
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut call = |req: Request| {
+        let mut out = Vec::new();
+        req.encode_into(&mut out);
+        sock.write_all(&out).expect("request write");
+        let mut buf = Vec::new();
+        let mut tmp = [0u8; 256];
+        loop {
+            if let Ok((resp, _)) = Response::decode(&buf) {
+                return resp;
+            }
+            let n = sock.read(&mut tmp).expect("response read");
+            assert!(n > 0, "the server closed the connection");
+            buf.extend_from_slice(&tmp[..n]);
+        }
+    };
+    let mut req_id = 0;
+    let mut next = || {
+        req_id += 1;
+        req_id
+    };
+    for txn in txns.txn_ids() {
+        let resp = call(Request::Begin {
+            req_id: next(),
+            txn,
+        });
+        assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
+        for op in txns.txn(txn).op_ids() {
+            let (req_id, object) = (next(), txns.op(op).unwrap().object);
+            let resp = call(match txns.op(op).unwrap().mode {
+                AccessMode::Read => Request::Read { req_id, op, object },
+                AccessMode::Write => Request::Write { req_id, op, object },
+            });
+            assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
+        }
+        let resp = call(Request::Commit {
+            req_id: next(),
+            txn,
+        });
+        assert!(matches!(resp, Response::Committed { .. }), "{resp:?}");
+    }
+}
+
+/// `(plain Commit records, every other kind of commit record)` in a log.
+fn commit_kinds(records: &[WalRecord]) -> (usize, usize) {
+    let mut kinds = (0, 0);
+    for record in records {
+        match record {
+            WalRecord::Commit(_) => kinds.0 += 1,
+            WalRecord::Begin(_)
+            | WalRecord::Grant(_)
+            | WalRecord::Abort(_)
+            | WalRecord::Checkpoint(_) => {}
+            _ => kinds.1 += 1,
+        }
+    }
+    kinds
+}
+
+/// A sessionless commit is a plain `Commit` record whichever TCP entry
+/// point serves it: `serve_net`'s plain core and a one-shard
+/// `serve_net_supervised_in`'s shard core write the same record, and no
+/// other commit kind.
+#[test]
+fn sessionless_commits_are_plain_commit_records_on_both_tcp_entry_points() {
+    let (txns, spec) = universe();
+    let cfg = NetConfig::default();
+
+    let (mem, handle) = MemStorage::new();
+    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+    let (report, ()) = serve_net(
+        &txns,
+        Box::new(RsgSgt::new(&txns, &spec)),
+        &cfg,
+        &FaultPlan::default(),
+        Some(&mut wal),
+        |addr| run_serially(addr, &txns),
+    )
+    .expect("serve_net");
+    assert_eq!(report.committed.len(), txns.len());
+    let plain = scan(&handle.bytes()).records;
+    assert_eq!(commit_kinds(&plain), (txns.len(), 0), "serve_net");
+
+    // Never compacted, so every commit record stays in the store.
+    let sup = SuperviseNetConfig {
+        shards: 1,
+        ckpt: CheckpointPolicy::never(),
+        ..SuperviseNetConfig::default()
+    };
+    let stores = [MemSegmentStore::new().1];
+    let (report, ()) = serve_net_supervised_in(
+        &txns,
+        &spec,
+        |_| Box::new(RsgSgt::new(&txns, &spec)),
+        &cfg,
+        &sup,
+        &[],
+        &stores,
+        |addr| run_serially(addr, &txns),
+    )
+    .expect("serve_net_supervised_in");
+    assert_eq!(report.recovery.committed.len(), txns.len());
+    let sharded: Vec<WalRecord> = stores[0]
+        .segments()
+        .iter()
+        .flat_map(|(_, bytes)| scan(bytes).records)
+        .collect();
+    assert_eq!(
+        commit_kinds(&sharded),
+        (txns.len(), 0),
+        "serve_net_supervised_in"
+    );
 }

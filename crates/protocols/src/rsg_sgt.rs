@@ -20,7 +20,7 @@
 //!   proportional to the operation's dependency set plus one bounded
 //!   cycle search, not O(P²) like a rebuild.
 //! * The delta is applied as one **atomic batch**
-//!   ([`relser_digraph::IncrementalDag::try_add_batch`]): a request is
+//!   ([`relser_digraph::IncrementalDag::try_add_batch_into`]): a request is
 //!   granted iff the batch keeps the graph acyclic; a rejected batch
 //!   leaves graph and engine bit-for-bit unchanged.
 //!

@@ -264,11 +264,6 @@ pub enum Command {
         /// Its operation count, from the front-end's `TxnSet` (the core
         /// has none): only a complete transaction may commit.
         ops: u32,
-        /// Its place in the global commit order, set by the front-ends of
-        /// shard cores: the stamp totally orders commits across shards so
-        /// recovery can merge the per-shard segment streams. `None` over
-        /// the plain core, which orders commits by its own queue order.
-        stamp: Option<u64>,
         /// `None` is fire-and-forget (the in-process sessions: per-queue
         /// FIFO is all they need); `Some` asks for the verdict back.
         ack: Option<Ack>,
@@ -408,15 +403,6 @@ pub struct CoreOutput {
     pub wal_sync_ns: Vec<u64>,
     /// Replies dropped by [`FaultPlan::drop_replies`].
     pub dropped_replies: u64,
-    /// Sharded cores only: each grant paired with its draw from the
-    /// global grant sequencer, in this shard's grant order. Merging all
-    /// shards' `seq_log`s by stamp reconstructs one global operation
-    /// order consistent with every shard's local order (purged on abort
-    /// in lockstep with [`CoreOutput::log`]).
-    pub seq_log: Vec<(u64, OpId)>,
-    /// Sharded cores only: `(txn, stamp)` per stamped commit, in local commit
-    /// order; stamps merge the per-shard commit orders into one.
-    pub commit_stamps: Vec<(TxnId, u64)>,
     /// Commands refused under commit supremacy: operations and commits
     /// of retired (rolled-back) incarnations answered
     /// `Aborted(Retired)`, and stale aborts of already-committed
@@ -446,16 +432,14 @@ pub struct CoreCfg {
     pub record_trace: bool,
 }
 
-/// What makes a core one shard core of a sharded service: its identity,
-/// the global grant sequencer, and what a supervised restart hands its
-/// next incarnation. Shard cores share no admission state — every
-/// transaction is owned by exactly one of them.
+/// What makes a core one shard core of a sharded service: its identity
+/// and what a supervised restart hands its next incarnation. Shard cores
+/// share no admission state and no order — every transaction is owned by
+/// exactly one of them, and a merged report or recovery lists the shards
+/// in shard order, each in its own core order (see [`crate::shard`]).
 pub struct ShardCoreCtx<'a> {
-    /// This core's shard id (stamped into its WAL checkpoints).
+    /// This core's shard id (written into its WAL checkpoints).
     pub shard: u32,
-    /// Global grant sequencer: one `fetch_add` per grant orders all
-    /// shards' grants on a single timeline (see [`CoreOutput::seq_log`]).
-    pub seq: &'a AtomicU64,
     /// The shared client-session retry table ([`SessionTable`]), updated
     /// on every sessionful commit and snapshotted into checkpoints.
     /// `None` for sessionless services (the pre-supervision paths).
@@ -549,11 +533,12 @@ impl CoreOutput {
 /// never `Sync`.
 ///
 /// `wal` is the optional durable commit log; `shard` makes this one shard
-/// core of a sharded service: grants additionally draw from the global
-/// grant sequencer and commits carry their global stamp, which is all it
-/// takes to merge the shards' histories — no command crosses from one
-/// shard core to another. With an empty [`FaultPlan`], no log and no shard
-/// context this is the plain in-memory core.
+/// core of a sharded service: its checkpoints carry its shard id and keep
+/// its committed transactions' events, and a supervised restart seeds it
+/// with the recovered commits. Nothing else differs — a shard core writes
+/// the same records as the plain core, and no command or counter crosses
+/// from one shard core to another. With an empty [`FaultPlan`], no log
+/// and no shard context this is the plain in-memory core.
 ///
 /// The durability contract is **ack-after-barrier**. Per drained queue
 /// batch the core
@@ -668,10 +653,9 @@ impl Core<'_, '_, '_> {
         batch_max: usize,
     ) -> CoreOutput {
         let mut batch: Vec<Command> = Vec::with_capacity(batch_max);
-        // How much of the commit lists the last successful barrier
-        // covered (what a halt keeps).
+        // How much of the commit list the last successful barrier covered
+        // (what a halt keeps).
         let mut acked_commits = self.out.committed.len();
-        let mut acked_stamps = 0;
         while queue.pop_batch(batch_max, &mut batch) {
             self.out.batches += 1;
             self.out.max_batch = self.out.max_batch.max(batch.len());
@@ -687,7 +671,6 @@ impl Core<'_, '_, '_> {
             }
             if applied.is_ok() {
                 acked_commits = self.out.committed.len();
-                acked_stamps = self.out.commit_stamps.len();
                 let sessions = self.shard.as_ref().and_then(|s| s.sessions);
                 self.held.release(sessions);
                 // Checkpoint: the batch boundary is a core-order point, so
@@ -716,7 +699,6 @@ impl Core<'_, '_, '_> {
                 }
                 self.out.commits -= (self.out.committed.len() - acked_commits) as u64;
                 self.out.committed.truncate(acked_commits);
-                self.out.commit_stamps.truncate(acked_stamps);
                 queue.close();
                 self.held.unwind();
                 drain_after_crash(pending.collect(), queue, batch_max);
@@ -847,7 +829,6 @@ impl Core<'_, '_, '_> {
         self.scheduler.abort(txn);
         self.live.remove(&txn);
         self.out.log.retain(|o| o.txn != txn);
-        self.out.seq_log.retain(|&(_, o)| o.txn != txn);
         if self.track_live {
             self.live_events.retain(|e| event_txn(e) != txn);
         }
@@ -873,30 +854,27 @@ impl Core<'_, '_, '_> {
         Ok(())
     }
 
-    /// Logs and applies the commit of live `txn`. `stamp` is its place in
-    /// the global commit order (sharded front-ends); `session` the
+    /// Logs and applies the commit of live `txn`. `session` is the
     /// `(session, req_id)` of an exactly-once commit, which rides in the
     /// same indivisible [`WalRecord::CommitSession`] frame as the verdict
     /// — one durability point for both is what makes the retry
-    /// exactly-once. The commit record is in the batch before the commit
-    /// is applied and counted: an acknowledged commit can never be lost,
-    /// an unlogged one is never acknowledged.
+    /// exactly-once; a sessionless commit logs a plain
+    /// [`WalRecord::Commit`]. The commit record is in the batch before the
+    /// commit is applied and counted: an acknowledged commit can never be
+    /// lost, an unlogged one is never acknowledged.
     fn commit(
         &mut self,
         txn: TxnId,
-        stamp: Option<u64>,
         session: Option<(u64, u64)>,
         reply: Option<&Reply>,
     ) -> Result<(), Halt> {
-        let rec = match (session, stamp) {
-            (Some((session, req_id)), st) => WalRecord::CommitSession {
+        let rec = match session {
+            Some((session, req_id)) => WalRecord::CommitSession {
                 txn,
-                stamp: st.unwrap_or(0),
                 session,
                 req_id,
             },
-            (None, Some(stamp)) => WalRecord::CommitAt { txn, stamp },
-            (None, None) => WalRecord::Commit(txn),
+            None => WalRecord::Commit(txn),
         };
         self.log(rec, reply)?;
         self.scheduler.commit(txn);
@@ -904,9 +882,6 @@ impl Core<'_, '_, '_> {
         self.out.committed.push(txn);
         self.live.remove(&txn);
         self.committed.insert(txn);
-        if let Some(stamp) = stamp {
-            self.out.commit_stamps.push((txn, stamp));
-        }
         if let Some((session, req_id)) = session {
             self.held.sessions.push((session, req_id, txn));
         }
@@ -923,13 +898,7 @@ impl Core<'_, '_, '_> {
 
     /// Applies a [`Command::Commit`] under commit supremacy; the verdict
     /// is held for `ack`'s reply when one was asked for.
-    fn commit_on_demand(
-        &mut self,
-        txn: TxnId,
-        ops: u32,
-        stamp: Option<u64>,
-        ack: Option<Ack>,
-    ) -> Result<(), Halt> {
+    fn commit_on_demand(&mut self, txn: TxnId, ops: u32, ack: Option<Ack>) -> Result<(), Halt> {
         let (reply, session) = match ack {
             Some(ack) => {
                 self.out
@@ -951,7 +920,7 @@ impl Core<'_, '_, '_> {
             self.out.duplicate_commit_acks += u64::from(reply.is_some());
             Decision::Granted
         } else if self.live.get(&txn).is_some_and(|&granted| granted >= ops) {
-            self.commit(txn, stamp, session, reply.as_ref())?;
+            self.commit(txn, session, reply.as_ref())?;
             Decision::Granted
         } else {
             // The incarnation was rolled back (crash recovery or orphan
@@ -989,12 +958,7 @@ impl Core<'_, '_, '_> {
                 enqueued,
                 reply,
             } => self.request(op, enqueued, reply)?,
-            Command::Commit {
-                txn,
-                ops,
-                stamp,
-                ack,
-            } => self.commit_on_demand(txn, ops, stamp, ack)?,
+            Command::Commit { txn, ops, ack } => self.commit_on_demand(txn, ops, ack)?,
             Command::Abort(txn) => self.abort_on_demand(txn)?,
         }
         Ok(())
@@ -1066,10 +1030,6 @@ impl Core<'_, '_, '_> {
                 self.out.grants += 1;
                 self.out.log.push(op);
                 self.live.insert(op.txn, op.index + 1);
-                if let Some(s) = self.shard.as_ref() {
-                    let ticket = s.seq.fetch_add(1, Ordering::SeqCst);
-                    self.out.seq_log.push((ticket, op));
-                }
                 if self.track_live {
                     self.live_events.push(CheckpointEvent::Grant(op));
                 }
@@ -1180,7 +1140,6 @@ mod tests {
             Command::Commit {
                 txn: t,
                 ops: 2,
-                stamp: None,
                 ack: None,
             },
         ];

@@ -265,7 +265,6 @@ fn enqueue(
         Work::Commit(txn, session) => Command::Commit {
             txn,
             ops: route.txns.txn(txn).len() as u32,
-            stamp: route.next_stamp(),
             ack: Some(Ack {
                 enqueued,
                 reply,

@@ -42,9 +42,9 @@
 //!   [`replay`] re-executes a recorded trace deterministically on one
 //!   thread;
 //! * [`shard`] — [`serve_sharded`], the same session over N shard cores
-//!   that share nothing (global grant sequencer and commit stamps only
-//!   order the merged report): a transaction is owned by exactly one
-//!   shard, and one spanning shards is refused;
+//!   that share nothing, not even an order: a transaction is owned by
+//!   exactly one shard, one spanning shards is refused, and a merged
+//!   report or recovery lists the shards in shard order;
 //! * [`supervisor`] — [`supervise_shard`], the restart loop the TCP
 //!   front-end (`relser-net`) runs each shard core under;
 //! * [`recovery`] — one function per log shape, each rebuilding a fresh

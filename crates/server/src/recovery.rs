@@ -17,11 +17,13 @@
 //!    `begin`, `Grant` → `request` (which must come back `Granted` —
 //!    anything else is a [`RecoveryError::ReplayDivergence`], since the
 //!    log fully determines a deterministic scheduler's answer), `Commit`
-//!    → `commit`, `Abort` → `abort` plus a log purge, mirroring the core.
-//!    A log is outside input, so program order is checked before the
-//!    scheduler sees a grant: a `Grant` that skips or repeats an index of
-//!    its transaction's incarnation is a [`RecoveryError::ForeignRecord`]
-//!    (the core grants in program order and logs each grant once).
+//!    and `CommitSession` → `commit` (the latter also rebuilds a
+//!    retry-table entry), `Abort` → `abort` plus a log purge, mirroring
+//!    the core. A log is outside input, so program order is checked
+//!    before the scheduler sees a grant: a `Grant` that skips or repeats
+//!    an index of its transaction's incarnation is a
+//!    [`RecoveryError::ForeignRecord`] (the core grants in program order
+//!    and logs each grant once).
 //! 3. **Roll back survivors.** Transactions that began but neither
 //!    committed nor aborted before the crash lost their sessions; they
 //!    are aborted so the recovered scheduler resumes from a clean state
@@ -37,12 +39,17 @@
 //!    history with it). A rejected history means the log was forged or
 //!    the service is broken — recovery refuses to bless it.
 //!
+//! Sharded recovery runs these steps on each shard's log, then merges the
+//! shards by the one rule of [`crate::shard`] — shard after shard, each in
+//! its own commit and grant order — and re-certifies the merge whole.
+//!
 //! The headline invariant, exercised by the crash-point sweep in
 //! `relser-check`: under [`relser_wal::FsyncPolicy::Always`], for a crash
 //! at *any* byte of the log, `recover` succeeds and its committed set
 //! contains every commit the core ever acknowledged.
 
 use crate::core::TraceEvent;
+use crate::shard::{merge_shards, Merged};
 use relser_core::ids::{OpId, TxnId};
 use relser_core::project::Projection;
 use relser_core::shard::ShardMap;
@@ -68,11 +75,7 @@ pub struct Recovery {
     pub truncation: Option<Truncation>,
     /// Transactions committed before the crash, in commit order.
     pub committed: Vec<TxnId>,
-    /// Global commit stamps seen in `CommitAt` records, `(stamp, txn)` in
-    /// local commit order (empty for an unsharded log). Sharded recovery
-    /// merges the per-shard commit orders by these stamps.
-    pub commit_stamps: Vec<(u64, TxnId)>,
-    /// The shard id stamped in the seeding checkpoint (`None` when the
+    /// The shard id written in the seeding checkpoint (`None` when the
     /// log has no checkpoint). Sharded recovery uses it to refuse a
     /// segment stream routed to the wrong shard's recovery.
     pub shard: Option<u32>,
@@ -173,12 +176,11 @@ pub enum RecoveryError {
 impl fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RecoveryError::ForeignRecord { at, record } => {
-                write!(
-                    f,
-                    "record {at} ({record:?}) references an unknown transaction"
-                )
-            }
+            RecoveryError::ForeignRecord { at, record } => write!(
+                f,
+                "record {at} ({record:?}) references an operation outside the \
+                 universe or grants one out of program order"
+            ),
             RecoveryError::ReplayDivergence { at, record, got } => write!(
                 f,
                 "replay diverged at record {at} ({record:?}): expected Granted, got {got:?}"
@@ -252,7 +254,6 @@ pub fn recover(
     spec: &AtomicitySpec,
     scheduler: &mut dyn Scheduler,
     bytes: &[u8],
-    _certifier: Certifier,
 ) -> Result<Recovery, RecoveryError> {
     replay_scan(txns, spec, scheduler, scan(bytes))
 }
@@ -351,7 +352,6 @@ fn replay_scan(
         trace: Vec::with_capacity(records.len()),
     };
     let mut committed: Vec<TxnId> = Vec::new();
-    let mut commit_stamps: Vec<(u64, TxnId)> = Vec::new();
     let mut sessions: Vec<SessionEntry> = Vec::new();
 
     // Step 2a: seed from the *newest* checkpoint, if any. Its `events`
@@ -403,22 +403,15 @@ fn replay_scan(
                 replay.commit(txn, at, record)?;
                 committed.push(txn);
             }
-            WalRecord::CommitAt { txn, stamp } => {
-                replay.commit(txn, at, record)?;
-                committed.push(txn);
-                commit_stamps.push((stamp, txn));
-            }
             WalRecord::CommitSession {
                 txn,
-                stamp,
                 session,
                 req_id,
             } => {
-                // A sessionful commit: exactly a `CommitAt` plus the
+                // A sessionful commit: exactly a `Commit` plus the
                 // retry-table entry that was made durable with it.
                 replay.commit(txn, at, record)?;
                 committed.push(txn);
-                commit_stamps.push((stamp, txn));
                 sessions.push(SessionEntry {
                     session,
                     req_id,
@@ -442,7 +435,7 @@ fn replay_scan(
     // The committed transactions whose complete operation sets survived
     // into this log (all of them, absent compaction) and the
     // re-certifiable history.
-    let complete = complete_txns(txns, &committed, [&log[..]]);
+    let complete = complete_txns(txns, &committed, &log);
     let certified: Vec<TxnId> = committed
         .iter()
         .copied()
@@ -473,7 +466,6 @@ fn replay_scan(
         valid_bytes: scanned.valid_bytes,
         truncation: scanned.truncation,
         committed,
-        commit_stamps,
         shard,
         certified,
         log,
@@ -487,20 +479,16 @@ fn replay_scan(
 }
 
 /// The one completeness rule: flags (indexed by transaction) the members
-/// of `committed` whose **complete** operation set is present across
-/// `logs` — what may be certified; a commit with operations missing
-/// (compacted away) is certified on no fragment.
-fn complete_txns<'a>(
-    txns: &TxnSet,
-    committed: &[TxnId],
-    logs: impl IntoIterator<Item = &'a [OpId]>,
-) -> Vec<bool> {
+/// of `committed` whose **complete** operation set is present in `log` —
+/// what may be certified; a commit with operations missing (compacted
+/// away) is certified on no fragment.
+pub(crate) fn complete_txns(txns: &TxnSet, committed: &[TxnId], log: &[OpId]) -> Vec<bool> {
     let mut in_committed = vec![false; txns.len()];
     for &t in committed {
         in_committed[t.index()] = true;
     }
     let mut op_counts = vec![0usize; txns.len()];
-    for o in logs.into_iter().flatten() {
+    for o in log {
         op_counts[o.txn.index()] += 1;
     }
     for t in txns.txn_ids() {
@@ -571,9 +559,9 @@ pub fn recover_segments_with_certifier(
 pub struct ShardedRecovery {
     /// The per-shard recoveries, index = shard id.
     pub shards: Vec<Recovery>,
-    /// Transactions their owning shard committed, in global commit order
-    /// (by `CommitAt` stamp; checkpoint-covered commits, which lost their
-    /// stamps to compaction, order first). This is the acknowledged-commit
+    /// Transactions their owning shard committed, shard after shard, each
+    /// shard's in its commit order (the one merge rule, shared with
+    /// [`crate::serve_sharded`]'s report). This is the acknowledged-commit
     /// set of the sharded service.
     pub committed: Vec<TxnId>,
     /// Commits whose operation set is incomplete in their shard's log —
@@ -583,8 +571,8 @@ pub struct ShardedRecovery {
     /// log the service writes; it is the detector of a checkpoint that
     /// pruned a committed transaction's operations.
     pub partial: Vec<TxnId>,
-    /// The merged committed history: every shard's recovered grant log
-    /// filtered to [`ShardedRecovery::committed`], shard after shard (a
+    /// The merged committed history: every shard's recovered grant log,
+    /// shard after shard, filtered to [`ShardedRecovery::committed`] (a
     /// committed transaction lives wholly on its owner's log and
     /// conflicts are same-shard, so the concatenation is
     /// conflict-equivalent to the real execution). This is what step 4
@@ -642,8 +630,8 @@ where
     merge_sharded_recoveries(txns, spec, shards)
 }
 
-/// The second half of sharded recovery: ownership check, completeness
-/// demotion, global stamp order, history merge, whole re-certification,
+/// The second half of sharded recovery: ownership check, the shard-order
+/// merge with its completeness demotion, whole re-certification,
 /// session-table union.
 fn merge_sharded_recoveries(
     txns: &TxnSet,
@@ -652,10 +640,7 @@ fn merge_sharded_recoveries(
 ) -> Result<ShardedRecovery, RecoveryError> {
     let map = ShardMap::new(shards.len() as u32);
 
-    // Every commit is its owner's, and carries the global stamp where one
-    // survived compaction.
-    let mut stamp: Vec<Option<u64>> = vec![None; txns.len()];
-    let mut committed: Vec<TxnId> = Vec::new();
+    // Every commit is its owner's.
     for (s, rec) in shards.iter().enumerate() {
         let shard = s as u32;
         if let Some(&txn) = rec
@@ -665,52 +650,38 @@ fn merge_sharded_recoveries(
         {
             return Err(RecoveryError::NotOwner { shard, txn });
         }
-        committed.extend(&rec.committed);
-        for &(st, t) in &rec.commit_stamps {
-            stamp[t.index()] = Some(st);
-        }
     }
 
     // Defensive completeness: a committed transaction's full op set must
     // be present in the shard logs (guaranteed by WAL-before-ack plus
     // append order within each log; checked anyway — an incomplete one is
-    // demoted to partial rather than certified on a fragment).
-    let in_committed = complete_txns(txns, &committed, shards.iter().map(|rec| &rec.log[..]));
-    let mut partial: Vec<TxnId> = Vec::new();
-    committed.retain(|&t| {
-        if !in_committed[t.index()] {
-            partial.push(t);
-        }
-        in_committed[t.index()]
-    });
-
-    // Global commit order: stamped commits by stamp; unstamped ones (the
-    // rare checkpoint-compacted case) first, in id order — they predate
-    // every stamped commit on their own shards.
-    committed.sort_by_key(|&t| match stamp[t.index()] {
-        Some(s) => (1u8, s),
-        None => (0u8, t.0 as u64),
-    });
-
-    // The committed set's grant logs, shard after shard, re-certified
-    // whole. Each committed transaction is its owner's, so no weave is
-    // needed; a forged log that splits one across shards fails program
-    // order in `recertify` (`InvalidHistory`).
-    let history: Vec<OpId> = shards
-        .iter()
-        .flat_map(|rec| rec.log.iter().copied())
-        .filter(|o| in_committed[o.txn.index()])
-        .collect();
+    // demoted to partial rather than certified on a fragment). The merged
+    // history is re-certified whole; a forged log that splits a
+    // transaction across shards fails program order in `recertify`
+    // (`InvalidHistory`).
+    let Merged {
+        committed,
+        partial,
+        history,
+        ..
+    } = merge_shards(
+        txns,
+        shards.iter().map(|rec| (&rec.committed[..], &rec.log[..])),
+    );
     recertify(txns, spec, &committed, &history)?;
 
     // Union the per-shard retry tables, restricted to the merged
     // committed set (a demoted-to-partial commit must not promise a
     // verdict the merged history does not contain).
-    let mut sessions: Vec<SessionEntry> = shards
+    let mut in_committed = vec![false; txns.len()];
+    for t in &committed {
+        in_committed[t.index()] = true;
+    }
+    let sessions: Vec<SessionEntry> = shards
         .iter()
         .flat_map(|rec| rec.sessions.iter().copied())
+        .filter(|e| in_committed[e.txn.index()])
         .collect();
-    sessions.retain(|e| in_committed[e.txn.index()]);
     let sessions = dedupe_sessions(sessions);
 
     Ok(ShardedRecovery {
@@ -760,7 +731,7 @@ mod tests {
         assert_eq!(report.outcome, RunOutcome::Completed);
 
         let mut fresh = RsgSgt::new(&txns, &spec);
-        let rec = recover(&txns, &spec, &mut fresh, &handle.bytes(), Certifier::VClock).unwrap();
+        let rec = recover(&txns, &spec, &mut fresh, &handle.bytes()).unwrap();
         assert_eq!(rec.truncation, None);
         assert_eq!(rec.committed, report.committed);
         assert_eq!(rec.log, report.log);
@@ -797,7 +768,7 @@ mod tests {
         let mut last_committed = 0;
         for cut in 0..=bytes.len() {
             let mut fresh = RsgSgt::new(&txns, &spec);
-            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut], Certifier::VClock).unwrap();
+            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut]).unwrap();
             // Commit monotonicity across crash points: later crashes never
             // recover fewer committed transactions.
             assert!(rec.committed.len() >= last_committed, "cut at {cut}");
@@ -817,7 +788,7 @@ mod tests {
         let mut bytes = MAGIC.to_vec();
         WalRecord::Begin(TxnId(99)).encode_into(&mut bytes).unwrap();
         let mut fresh = RsgSgt::new(&txns, &spec);
-        let err = recover(&txns, &spec, &mut fresh, &bytes, Certifier::VClock).unwrap_err();
+        let err = recover(&txns, &spec, &mut fresh, &bytes).unwrap_err();
         assert!(matches!(err, RecoveryError::ForeignRecord { at: 0, .. }));
     }
 
@@ -840,9 +811,13 @@ mod tests {
                 r.encode_into(&mut bytes).unwrap();
             }
             let mut fresh = RsgSgt::new(&txns, &spec);
-            let err = recover(&txns, &spec, &mut fresh, &bytes, Certifier::VClock).unwrap_err();
+            let err = recover(&txns, &spec, &mut fresh, &bytes).unwrap_err();
             let (at, record) = (records.len() - 1, records[records.len() - 1].clone());
             assert_eq!(err, RecoveryError::ForeignRecord { at, record });
+            assert!(
+                err.to_string().contains("program order"),
+                "the message names the cause: {err}"
+            );
             // The scheduler saw the in-order grants (records 1..at) only.
             assert_eq!(fresh.admitted().len(), at - 1);
         }
@@ -853,7 +828,7 @@ mod tests {
     fn garbage_recovers_to_empty_state() {
         let (txns, spec) = universe();
         let mut fresh = RsgSgt::new(&txns, &spec);
-        let rec = recover(&txns, &spec, &mut fresh, &[0xAB; 64], Certifier::VClock).unwrap();
+        let rec = recover(&txns, &spec, &mut fresh, &[0xAB; 64]).unwrap();
         assert_eq!(rec.records, 0);
         assert_eq!(rec.truncation, Some(Truncation::BadMagic));
         assert!(rec.committed.is_empty());

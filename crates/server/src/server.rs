@@ -260,10 +260,10 @@ pub(crate) struct FrontEndRun {
 /// them; join the sessions, close the queues, join the cores.
 ///
 /// `faults` and `wals` are empty or one per core. `sharded` says which
-/// core the schedulers run under — shard cores ([`ShardCoreCtx`]: global
-/// grant sequencer, stamped commits) or the plain core (stamp-less
-/// commits) — and is the only thing the two front-ends tell this function
-/// apart by.
+/// core the schedulers run under — shard cores ([`ShardCoreCtx`]: the
+/// shard id in each checkpoint) or the plain core — and is the only thing
+/// the two front-ends tell this function apart by. Both write the same
+/// commit records.
 ///
 /// The whole stream is checked against the one ownership function first:
 /// a transaction spanning cores fails the run with
@@ -308,8 +308,6 @@ pub(crate) fn run_front_end<'a>(
         .collect();
     let progresses: Vec<Progress> = (0..cores).map(|_| Progress::new()).collect();
     let sheds: Vec<AtomicU64> = (0..cores).map(|_| AtomicU64::new(0)).collect();
-    let seq = AtomicU64::new(0);
-    let stamps = AtomicU64::new(0);
     let default_fault = FaultPlan::default();
     let session = Session {
         route: Route {
@@ -317,7 +315,6 @@ pub(crate) fn run_front_end<'a>(
             map,
             queues: &queues,
             progresses: &progresses,
-            stamps: sharded.then_some(&stamps),
             healths: None,
         },
         cfg,
@@ -327,7 +324,7 @@ pub(crate) fn run_front_end<'a>(
 
     let (outputs, sessions): (Vec<CoreOutput>, Vec<(SessionStats, Option<SessionError>)>) =
         std::thread::scope(|s| {
-            let (queues, progresses, seq) = (&queues, &progresses, &seq);
+            let (queues, progresses) = (&queues, &progresses);
             let session = &session;
             let mut wals = wals.into_iter();
             let core_threads: Vec<_> = schedulers
@@ -338,7 +335,6 @@ pub(crate) fn run_front_end<'a>(
                     let wal = wals.next();
                     let ctx = sharded.then(|| ShardCoreCtx {
                         shard: shard as u32,
-                        seq,
                         sessions: None,
                         recovered_committed: Vec::new(),
                         recovered_events: Vec::new(),

@@ -188,7 +188,7 @@ impl Session<'_> {
     }
 
     /// One incarnation, all of it on the owning core `shard`: begin,
-    /// every operation in program order, one stamped commit.
+    /// every operation in program order, one commit.
     fn incarnation(
         &self,
         txn: TxnId,
@@ -251,15 +251,13 @@ impl Session<'_> {
         }
         // Fire-and-forget: nobody waits for the verdict, and per-queue
         // FIFO puts the commit ahead of anything this session sends next.
-        let (stamp, ack) = (self.route.next_stamp(), None);
         let ops = self.route.txns.txn(txn).len() as u32;
         self.send(
             shard,
             Command::Commit {
                 txn,
                 ops,
-                stamp,
-                ack,
+                ack: None,
             },
         )?;
         Ok(Incarnation::Committed)
@@ -383,7 +381,6 @@ mod tests {
                 map: ShardMap::new(1),
                 queues: std::slice::from_ref(&queue),
                 progresses: &[Progress::new()],
-                stamps: None,
                 healths: None,
             },
             cfg: &cfg,

@@ -49,17 +49,21 @@
 //! vector-clock certifier in sharded recovery, and by the offline
 //! `Rsg::build` in the tests.
 //!
-//! ## Determinism
+//! ## Determinism and the merge rule
 //!
 //! Each core's trace is a total order of *its* decisions, so
 //! [`replay_sharded`] re-runs every shard single-threaded and checks each
-//! against its trace. Across shards, every grant draws a ticket from one
-//! global sequencer ([`CoreOutput::seq_log`]) and every commit one global
-//! stamp, which merge the per-shard logs onto a single timeline consistent
-//! with program order and every core's queue order.
+//! against its trace. Across shards there is no order to record: the
+//! cores share no counter, and no RSG arc joins two shards, so any
+//! interleaving of their histories is conflict-equivalent to any other.
+//! A merged result therefore lists the shards **in shard order, each in
+//! its own core order** — one rule, `merge_shards` below, which both
+//! [`serve_sharded`]'s report and sharded recovery
+//! ([`crate::recovery::recover_sharded_segments_with_certifier`]) call.
 
 use crate::core::{CoreOutput, FaultPlan, TraceEvent};
 use crate::metrics::ServerMetrics;
+use crate::recovery::complete_txns;
 use crate::server::{
     replay, run_front_end, FrontEndRun, ReplayMismatch, RunOutcome, ServerConfig, ServerError,
 };
@@ -78,11 +82,11 @@ use relser_workload::stream::RequestStream;
 pub struct ShardedReport {
     /// How the run ended (a crash on *any* shard reports `Crashed`).
     pub outcome: RunOutcome,
-    /// Transactions whose owning shard acknowledged their commit, in
-    /// global commit-stamp order.
+    /// Transactions whose owning shard acknowledged their commit, shard
+    /// after shard, each shard's in its commit order.
     pub committed: Vec<TxnId>,
-    /// All shards' granted operations merged onto the global grant
-    /// sequencer timeline (live/committed incarnations only).
+    /// All shards' granted operations (live/committed incarnations
+    /// only), shard after shard, each shard's in its grant order.
     pub log: Vec<OpId>,
     /// [`ShardedReport::log`] filtered to [`ShardedReport::committed`]:
     /// the merged committed history to hand the offline oracle.
@@ -103,7 +107,7 @@ pub struct ShardedReport {
 /// history validated as a [`Schedule`].
 #[derive(Debug)]
 pub struct ShardedRun {
-    /// The merged committed history, in global grant order.
+    /// The merged committed history, shard after shard.
     pub history: Schedule,
     /// The full report (per-shard traces, metrics).
     pub report: ShardedReport,
@@ -155,42 +159,67 @@ pub fn serve_sharded<'a>(
         map,
     } = run_front_end(txns, stream, schedulers, cfg, faults, wals, true);
 
-    // Committed = every shard's acknowledged commits, by global stamp.
-    let mut stamped: Vec<(u64, TxnId)> = outputs
-        .iter()
-        .flat_map(|o| o.commit_stamps.iter().map(|&(t, stamp)| (stamp, t)))
-        .collect();
-    stamped.sort_unstable();
-    let committed: Vec<TxnId> = stamped.into_iter().map(|(_, t)| t).collect();
-
-    // Merge every shard's grants onto the global sequencer timeline.
-    let mut seq_entries: Vec<(u64, OpId)> = outputs
-        .iter()
-        .flat_map(|o| o.seq_log.iter().copied())
-        .collect();
-    seq_entries.sort_by_key(|&(ticket, _)| ticket);
-    let log: Vec<OpId> = seq_entries.into_iter().map(|(_, op)| op).collect();
-    let mut is_committed = vec![false; txns.len()];
-    for t in &committed {
-        is_committed[t.index()] = true;
-    }
-    let history: Vec<OpId> = log
-        .iter()
-        .copied()
-        .filter(|o| is_committed[o.txn.index()])
-        .collect();
-
-    metrics.committed_ops = history.len() as u64;
+    let merged = merge_shards(txns, outputs.iter().map(|o| (&o.committed[..], &o.log[..])));
+    // A live core commits only complete incarnations.
+    debug_assert!(merged.partial.is_empty());
+    metrics.committed_ops = merged.history.len() as u64;
 
     ShardedReport {
         outcome,
-        committed,
-        log,
-        history,
+        committed: merged.committed,
+        log: merged.log,
+        history: merged.history,
         shards: outputs,
         metrics,
         shard_sheds,
         map,
+    }
+}
+
+/// Per-shard results merged by [`merge_shards`].
+pub(crate) struct Merged {
+    /// Every shard's committed transactions whose complete operation set
+    /// is in the merged log, shard after shard.
+    pub(crate) committed: Vec<TxnId>,
+    /// Committed transactions with operations missing from the merged
+    /// log, in the same order: certified on no fragment.
+    pub(crate) partial: Vec<TxnId>,
+    /// Every shard's grant log, shard after shard.
+    pub(crate) log: Vec<OpId>,
+    /// [`Merged::log`] filtered to [`Merged::committed`]: the merged
+    /// committed history.
+    pub(crate) history: Vec<OpId>,
+}
+
+/// The one merge rule of the sharded service: `shards` yields each
+/// shard's `(committed, grant log)` in shard order, and the merge lists
+/// them shard after shard, each in its own core order. No stamp or
+/// sequence number is needed, because nothing orders two shards: every
+/// transaction has one owner, so no RSG arc crosses shards and the
+/// concatenation is conflict-equivalent to any interleaving the cores
+/// actually ran. A committed transaction whose operations are not all in
+/// the logs is set apart as partial rather than certified on a fragment.
+pub(crate) fn merge_shards<'a>(
+    txns: &TxnSet,
+    shards: impl IntoIterator<Item = (&'a [TxnId], &'a [OpId])>,
+) -> Merged {
+    let (mut committed, mut log) = (Vec::new(), Vec::new());
+    for (c, l) in shards {
+        committed.extend_from_slice(c);
+        log.extend_from_slice(l);
+    }
+    let complete = complete_txns(txns, &committed, &log);
+    let (committed, partial) = committed.into_iter().partition(|t| complete[t.index()]);
+    let history = log
+        .iter()
+        .copied()
+        .filter(|o| complete[o.txn.index()])
+        .collect();
+    Merged {
+        committed,
+        partial,
+        log,
+        history,
     }
 }
 

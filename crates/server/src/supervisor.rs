@@ -302,7 +302,6 @@ pub fn supervise_shard<'a, F>(
     sessions: &SessionTable,
     stop: &AtomicBool,
     shard: u32,
-    seq: &AtomicU64,
     cfg: &SupervisorCfg<'_>,
 ) -> SupervisedRun
 where
@@ -362,7 +361,6 @@ where
         };
         let ctx = ShardCoreCtx {
             shard,
-            seq,
             sessions: Some(sessions),
             recovered_committed: std::mem::take(&mut recovered.committed),
             recovered_events: std::mem::take(&mut recovered.events),

@@ -7,7 +7,7 @@
 use relser_core::ids::TxnId;
 use relser_core::paper::Figure1;
 use relser_protocols::rsg_sgt::RsgSgt;
-use relser_server::recovery::{recover, Certifier};
+use relser_server::recovery::recover;
 use relser_server::{FaultPlan, ServerConfig};
 use relser_wal::{scan, FileStorage, FsyncPolicy, WalRecord, WalWriter};
 use relser_workload::stream::RequestStream;
@@ -55,8 +55,7 @@ fn reopen_truncates_the_torn_tail_before_resuming() {
     // Recovery finds the valid prefix; the reopen path truncates there.
     let bytes = std::fs::read(&path).unwrap();
     let mut fresh = RsgSgt::new(&fig.txns, &fig.spec);
-    let rec =
-        recover(&fig.txns, &fig.spec, &mut fresh, &bytes, Certifier::VClock).expect("recovers");
+    let rec = recover(&fig.txns, &fig.spec, &mut fresh, &bytes).expect("recovers");
     assert!(rec.truncation.is_some(), "the torn tail must be detected");
     assert_eq!(rec.committed, report.committed);
 

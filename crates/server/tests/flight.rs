@@ -10,7 +10,6 @@ use relser_core::txn::TxnSet;
 use relser_protocols::{AbortReason, Decision};
 use relser_server::core::{Command, Progress, Reply};
 use relser_server::{BoundedQueue, Flight, Route, Step, Timeouts, Work};
-use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
 const NS: Duration = Duration::from_nanos(1);
@@ -36,7 +35,6 @@ struct Rig {
     txns: TxnSet,
     queue: BoundedQueue<Command>,
     progress: Progress,
-    stamps: AtomicU64,
 }
 
 impl Rig {
@@ -45,7 +43,6 @@ impl Rig {
             txns: TxnSet::parse(&["w1[x]", "w2[x]", "w3[x]"]).unwrap(),
             queue: BoundedQueue::new(capacity),
             progress: Progress::new(),
-            stamps: AtomicU64::new(7),
         }
     }
 
@@ -55,7 +52,6 @@ impl Rig {
             map: ShardMap::new(1),
             queues: std::slice::from_ref(&self.queue),
             progresses: std::slice::from_ref(&self.progress),
-            stamps: Some(&self.stamps),
             healths: None,
         }
     }
@@ -137,8 +133,8 @@ fn the_verdict_of_the_core_is_the_verdict_of_the_flight() {
     );
 }
 
-/// An acknowledged commit goes out as the one `Command::Commit`, stamped
-/// from the route's counter, carrying its session entry and a reply.
+/// An acknowledged commit goes out as the one `Command::Commit`, carrying
+/// its session entry and a reply.
 #[test]
 fn a_commit_flight_asks_for_its_ack() {
     let rig = Rig::new(8);
@@ -147,19 +143,13 @@ fn a_commit_flight_asks_for_its_ack() {
     let mut flight = rig.submit(work, t0);
     assert_eq!((flight.work(), flight.work().txn()), (work, TxnId(1)));
     let mut cmds = rig.drain();
-    let Some(Command::Commit {
-        txn,
-        ops,
-        stamp,
-        ack,
-    }) = cmds.pop()
-    else {
+    let Some(Command::Commit { txn, ops, ack }) = cmds.pop() else {
         panic!("expected a commit");
     };
     let ack = ack.expect("an ack is asked for");
     assert_eq!(
-        (txn, stamp, ack.session, ack.enqueued),
-        (TxnId(1), Some(7), Some((9, 3)), t0)
+        (txn, ack.session, ack.enqueued),
+        (TxnId(1), Some((9, 3)), t0)
     );
     assert_eq!(
         ops,

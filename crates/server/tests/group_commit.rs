@@ -14,12 +14,12 @@ use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{AbortReason, Decision};
 use relser_server::core::{self, Command, CoreOutput, Progress, Reply};
-use relser_server::recovery::{recover, Certifier};
+use relser_server::recovery::recover;
 use relser_server::supervisor::SessionTable;
 use relser_server::{run_core, BoundedQueue, CoreCfg, FaultPlan, ShardCoreCtx};
 use relser_wal::{scan, FsyncPolicy, Storage, WalRecord, WalWriter, MAGIC};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -200,7 +200,6 @@ fn scenario(n: usize) -> Scenario {
         sc.commands.push(Command::Commit {
             txn,
             ops: 2,
-            stamp: Some(t as u64),
             ack: Some(core::Ack {
                 enqueued: Instant::now(),
                 reply: reply.clone(),
@@ -279,7 +278,6 @@ fn run(
     }
     queue.close();
     let progress = Progress::new();
-    let seq = AtomicU64::new(0);
     let done = AtomicBool::new(false);
 
     let out = std::thread::scope(|s| {
@@ -317,7 +315,6 @@ fn run(
             Some(&mut wal),
             Some(ShardCoreCtx {
                 shard: 0,
-                seq: &seq,
                 sessions: Some(&table),
                 recovered_committed: Vec::new(),
                 recovered_events: Vec::new(),
@@ -466,7 +463,6 @@ fn assert_failed_batch_unacked(sc: &Scenario, o: &Outcome, batch_max: usize, dea
     assert!(!acked_commits.is_empty(), "the fault must land mid-run");
     assert!(acked_commits.len() < sc.sessions.len());
     assert_eq!(o.out.committed, acked_commits, "the core reports acks only");
-    assert_eq!(o.out.commit_stamps.len(), acked_commits.len());
     for (t, &s) in sc.sessions.iter().enumerate() {
         let acked = acked_commits.contains(&TxnId(t as u32));
         assert_eq!(o.table.lookup(s).is_some(), acked, "session {s}");
@@ -477,8 +473,7 @@ fn assert_failed_batch_unacked(sc: &Scenario, o: &Outcome, batch_max: usize, dea
     // acknowledged grant.
     let (txns, spec) = universe(sc.sessions.len());
     let mut fresh = RsgSgt::new(&txns, &spec);
-    let rec = recover(&txns, &spec, &mut fresh, &o.synced, Certifier::VClock)
-        .expect("synced prefix recovers");
+    let rec = recover(&txns, &spec, &mut fresh, &o.synced).expect("synced prefix recovers");
     assert_eq!(rec.committed, acked_commits);
     let durable_grants: Vec<OpId> = scan(&o.synced)
         .records
@@ -549,12 +544,12 @@ fn planned_crash_mid_batch_unwinds_the_batch_held_acks() {
     assert_failed_batch_unacked(&sc, &o, batch_max, 2);
 }
 
-/// The one `Command::Commit` still writes the three commit records it
-/// replaced three commands for: which one is chosen from `(stamp,
-/// session)` alone — the ack asked for or not — and the log is, byte for
-/// byte, the one those records make.
+/// The one `Command::Commit` picks its commit record from the session
+/// alone — `Commit` without one, `CommitSession` with one, the ack asked
+/// for or not — and the log is, byte for byte, the one those records
+/// make.
 #[test]
-fn the_one_commit_command_writes_the_same_three_records() {
+fn the_one_commit_command_picks_its_record_from_the_session_alone() {
     use relser_wal::MemStorage;
 
     let (txns, spec) = universe(4);
@@ -565,16 +560,11 @@ fn the_one_commit_command_writes_the_same_three_records() {
             session,
         })
     };
-    // (stamp, ack) per transaction, and the record each must produce.
-    let commits = [
-        (None, None),
-        (Some(11), None),
-        (Some(12), ack(Some((7, 3)))),
-        (None, ack(Some((8, 5)))),
-    ];
+    // The ack per transaction, and the record each must produce.
+    let commits = [None, ack(None), ack(Some((7, 3))), ack(Some((8, 5)))];
     let mut expected = Vec::new();
     let queue: BoundedQueue<Command> = BoundedQueue::new(32);
-    for (t, (stamp, ack)) in commits.into_iter().enumerate() {
+    for (t, ack) in commits.into_iter().enumerate() {
         let txn = TxnId(t as u32);
         expected.push(WalRecord::Begin(txn));
         assert!(queue.push_wait(Command::Begin(txn)).is_ok());
@@ -589,22 +579,15 @@ fn the_one_commit_command_writes_the_same_three_records() {
             };
             assert!(queue.push_wait(request).is_ok());
         }
-        expected.push(match (stamp, ack.as_ref().and_then(|a| a.session)) {
-            (None, None) => WalRecord::Commit(txn),
-            (Some(stamp), None) => WalRecord::CommitAt { txn, stamp },
-            (stamp, Some((session, req_id))) => WalRecord::CommitSession {
+        expected.push(match ack.as_ref().and_then(|a| a.session) {
+            None => WalRecord::Commit(txn),
+            Some((session, req_id)) => WalRecord::CommitSession {
                 txn,
-                stamp: stamp.unwrap_or(0),
                 session,
                 req_id,
             },
         });
-        let commit = Command::Commit {
-            txn,
-            ops: 2,
-            stamp,
-            ack,
-        };
+        let commit = Command::Commit { txn, ops: 2, ack };
         assert!(queue.push_wait(commit).is_ok());
     }
     queue.close();

@@ -327,7 +327,7 @@ fn sharded_wait_backpressure_loses_no_wakeups_across_queues() {
     let total: usize = per_shard.iter().map(|g| g.len()).sum();
     assert_eq!(total, (PRODUCERS * ITEMS) as usize, "nothing lost");
     // Each producer's items within one shard arrive in increasing order
-    // (the router's per-queue FIFO guarantee the CommitAt fan-out relies on).
+    // (the per-queue FIFO a session's fire-and-forget commit relies on).
     for got in &per_shard {
         let mut last = vec![None::<u64>; PRODUCERS as usize];
         for &item in got {

@@ -16,7 +16,7 @@ use relser_core::ids::{OpId, TxnId};
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
-use relser_server::recovery::{recover, Certifier};
+use relser_server::recovery::recover;
 use relser_server::{replay, serve, FaultPlan, RunOutcome, ServerConfig};
 use relser_wal::{scan, FsyncPolicy, MemStorage, WalRecord, WalWriter};
 use relser_workload::stream::RequestStream;
@@ -45,9 +45,7 @@ fn fold_prefix(records: &[WalRecord]) -> (Vec<TxnId>, Vec<OpId>) {
         match *r {
             WalRecord::Begin(_) => {}
             WalRecord::Grant(op) => log.push(op),
-            WalRecord::Commit(t)
-            | WalRecord::CommitAt { txn: t, .. }
-            | WalRecord::CommitSession { txn: t, .. } => committed.push(t),
+            WalRecord::Commit(t) | WalRecord::CommitSession { txn: t, .. } => committed.push(t),
             WalRecord::Abort(t) => log.retain(|o| o.txn != t),
             // A `WalWriter` never checkpoints.
             WalRecord::Checkpoint(_) => unreachable!("unsegmented log"),
@@ -89,7 +87,7 @@ proptest! {
         for k in 0..=full.records.len() {
             let cut = full.boundaries[k];
             let mut fresh = RsgSgt::new(&txns, &spec);
-            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut], Certifier::VClock)
+            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut])
                 .expect("every record prefix recovers");
             prop_assert_eq!(rec.records, k, "crash index {}", k);
 
@@ -115,7 +113,7 @@ proptest! {
 
         // The full log recovers the full run.
         let mut fresh = RsgSgt::new(&txns, &spec);
-        let rec = recover(&txns, &spec, &mut fresh, &bytes, Certifier::VClock).unwrap();
+        let rec = recover(&txns, &spec, &mut fresh, &bytes).unwrap();
         prop_assert_eq!(&rec.committed, &report.committed);
         prop_assert_eq!(&rec.log, &report.log);
         prop_assert!(rec.live_aborted.is_empty());
@@ -144,7 +142,7 @@ proptest! {
         let mut prev = 0usize;
         for cut in 0..=bytes.len() {
             let mut fresh = RsgSgt::new(&txns, &spec);
-            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut], Certifier::VClock)
+            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut])
                 .expect("byte cuts never make recovery fail");
             prop_assert!(rec.committed.len() >= prev, "cut {}", cut);
             prev = rec.committed.len();

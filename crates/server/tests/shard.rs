@@ -346,7 +346,7 @@ fn recovery_refuses_a_commit_the_shard_does_not_own() {
         let mut bytes = MAGIC.to_vec();
         let mut records = vec![WalRecord::Begin(t)];
         records.extend(txns.txn(t).op_ids().map(WalRecord::Grant));
-        records.push(WalRecord::CommitAt { txn: t, stamp: 0 });
+        records.push(WalRecord::Commit(t));
         for r in records {
             r.encode_into(&mut bytes).unwrap();
         }
@@ -423,11 +423,10 @@ fn sharded_random_zipf_histories_are_relatively_serializable() {
 /// `serve` is the N = 1 row of the one session discipline: the same
 /// universe and arrival order through `serve` and through `serve_sharded`
 /// over one scheduler commit the same transactions, both replay and
-/// certify clean — and the only thing that tells the two logs apart is
-/// the commit record (stamp-less `Commit` from the plain core, `CommitAt`
-/// from a shard core).
+/// certify clean — and both write the same commit record, a plain
+/// `Commit` per transaction: a shard core stamps nothing.
 #[test]
-fn serve_and_one_shard_serve_sharded_differ_only_in_the_commit_record() {
+fn serve_and_one_shard_serve_sharded_write_the_same_commit_records() {
     // One shard owns everything, banking's multi-account transfers too.
     let scenario = banking(
         &BankingConfig {
@@ -497,17 +496,17 @@ fn serve_and_one_shard_serve_sharded_differ_only_in_the_commit_record() {
         assert!(vclock::certify(txns, &schedule, spec).is_acyclic());
     }
 
-    // (stamp-less commits, stamped commits) in a log.
+    // (plain commits, sessionful commits) in a log.
     let commit_records = |bytes: Vec<u8>| {
         let records = scan(&bytes).records;
         let plain = records.iter().filter(|r| matches!(r, WalRecord::Commit(_)));
-        let stamped = records
+        let sessionful = records
             .iter()
-            .filter(|r| matches!(r, WalRecord::CommitAt { .. }));
-        (plain.count(), stamped.count())
+            .filter(|r| matches!(r, WalRecord::CommitSession { .. }));
+        (plain.count(), sessionful.count())
     };
     assert_eq!(commit_records(flat_log.bytes()), (txns.len(), 0));
-    assert_eq!(commit_records(shard_log.bytes()), (0, txns.len()));
+    assert_eq!(commit_records(shard_log.bytes()), (txns.len(), 0));
 }
 
 #[test]

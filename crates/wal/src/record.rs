@@ -16,8 +16,7 @@
 //! | len: u32LE | crc: u32LE| payload (len B)  |
 //! +------------+-----------+------------------+
 //! payload = tag: u8, txn: u32LE [, index: u32LE for Grant]
-//!                               [, stamp: u64LE for CommitAt]
-//!                               [, stamp/session/req_id: u64LE ×3
+//!                               [, session/req_id: u64LE ×2
 //!                                  for CommitSession]
 //! checkpoint payload = tag: u8, shard: u32LE,
 //!                      committed count: u32LE, committed txns: u32LE…,
@@ -26,6 +25,12 @@
 //!                      session count: u32LE,
 //!                      sessions: session u64LE, req_id u64LE, txn u32LE…
 //! ```
+//!
+//! Tags: 1 `Begin`, 2 `Grant`, 3 `Commit`, 4 `Abort`, 5 `Checkpoint`,
+//! 7 `CommitSession`. Tag 6 is retired (it carried a global commit stamp
+//! that ordered commits across shards; shards share nothing, so nothing
+//! orders them) and is never reused: a log that holds it is refused, not
+//! misread.
 //!
 //! `crc` is the CRC-32 of the payload. A record is accepted only if the
 //! whole frame is present, `len` is sane, the checksum matches, and the
@@ -39,7 +44,7 @@ use std::fmt;
 /// File magic: identifies a relser WAL and pins the format version.
 pub const MAGIC: &[u8; 8] = b"RSWAL01\n";
 
-/// Upper bound on a sane payload length. Event records are ≤ 9 bytes;
+/// Upper bound on a sane payload length. Event records are ≤ 21 bytes;
 /// checkpoint payloads scale with the number of live (non-retired)
 /// transactions, so the bound is generous — but still a bound: a length
 /// prefix beyond it means the frame header itself is corrupt, and an
@@ -56,7 +61,7 @@ const TAG_GRANT: u8 = 2;
 const TAG_COMMIT: u8 = 3;
 const TAG_ABORT: u8 = 4;
 const TAG_CHECKPOINT: u8 = 5;
-const TAG_COMMIT_AT: u8 = 6;
+// Tag 6 is retired; see the module docs.
 const TAG_COMMIT_SESSION: u8 = 7;
 
 const EV_BEGIN: u8 = 1;
@@ -168,19 +173,7 @@ pub enum WalRecord {
     /// The transaction (incarnation) aborted — scheduler-initiated,
     /// session timeout, or injected; recovery treats them all alike.
     Abort(TxnId),
-    /// The transaction committed at a global commit stamp. Written by
-    /// shard cores: the stamp totally orders commits *across* per-shard
-    /// segment streams, so sharded recovery can rebuild one commit order.
-    /// A multi-shard transaction writes the same `(txn, stamp)` pair into
-    /// every owning shard's log; it counts as committed only if the
-    /// record is present on *all* of them.
-    CommitAt {
-        /// The committing transaction.
-        txn: TxnId,
-        /// Its position in the global commit order.
-        stamp: u64,
-    },
-    /// [`WalRecord::CommitAt`] fused with a client-session acknowledgment
+    /// [`WalRecord::Commit`] fused with a client-session acknowledgment
     /// in **one** frame: the commit and the fact that session `session`
     /// was answered for request `req_id` become durable atomically. Two
     /// separate records would open a torn window (commit durable, session
@@ -189,8 +182,6 @@ pub enum WalRecord {
     CommitSession {
         /// The committing transaction.
         txn: TxnId,
-        /// Its position in the global commit order.
-        stamp: u64,
         /// The client session the commit was acknowledged to.
         session: u64,
         /// The client's request id for the commit.
@@ -207,7 +198,7 @@ impl WalRecord {
     pub fn txn(&self) -> Option<TxnId> {
         match self {
             WalRecord::Begin(t) | WalRecord::Commit(t) | WalRecord::Abort(t) => Some(*t),
-            WalRecord::CommitAt { txn, .. } | WalRecord::CommitSession { txn, .. } => Some(*txn),
+            WalRecord::CommitSession { txn, .. } => Some(*txn),
             WalRecord::Grant(op) => Some(op.txn),
             WalRecord::Checkpoint(_) => None,
         }
@@ -233,20 +224,13 @@ impl WalRecord {
                 buf.push(TAG_ABORT);
                 buf.extend_from_slice(&t.0.to_le_bytes());
             }
-            WalRecord::CommitAt { txn, stamp } => {
-                buf.push(TAG_COMMIT_AT);
-                buf.extend_from_slice(&txn.0.to_le_bytes());
-                buf.extend_from_slice(&stamp.to_le_bytes());
-            }
             WalRecord::CommitSession {
                 txn,
-                stamp,
                 session,
                 req_id,
             } => {
                 buf.push(TAG_COMMIT_SESSION);
                 buf.extend_from_slice(&txn.0.to_le_bytes());
-                buf.extend_from_slice(&stamp.to_le_bytes());
                 buf.extend_from_slice(&session.to_le_bytes());
                 buf.extend_from_slice(&req_id.to_le_bytes());
             }
@@ -313,15 +297,10 @@ impl WalRecord {
                 txn: TxnId(u32_at(rest, 0)?),
                 index: u32_at(rest, 4)?,
             })),
-            TAG_COMMIT_AT if rest.len() == 12 => Some(WalRecord::CommitAt {
+            TAG_COMMIT_SESSION if rest.len() == 20 => Some(WalRecord::CommitSession {
                 txn: TxnId(u32_at(rest, 0)?),
-                stamp: u64::from_le_bytes(rest.get(4..12)?.try_into().unwrap()),
-            }),
-            TAG_COMMIT_SESSION if rest.len() == 28 => Some(WalRecord::CommitSession {
-                txn: TxnId(u32_at(rest, 0)?),
-                stamp: u64::from_le_bytes(rest.get(4..12)?.try_into().unwrap()),
-                session: u64::from_le_bytes(rest.get(12..20)?.try_into().unwrap()),
-                req_id: u64::from_le_bytes(rest.get(20..28)?.try_into().unwrap()),
+                session: u64::from_le_bytes(rest.get(4..12)?.try_into().unwrap()),
+                req_id: u64::from_le_bytes(rest.get(12..20)?.try_into().unwrap()),
             }),
             TAG_CHECKPOINT => Self::decode_checkpoint(rest).map(WalRecord::Checkpoint),
             _ => None,
@@ -402,8 +381,7 @@ impl WalRecord {
         FRAME_OVERHEAD
             + match self {
                 WalRecord::Grant(_) => 9,
-                WalRecord::CommitAt { .. } => 13,
-                WalRecord::CommitSession { .. } => 29,
+                WalRecord::CommitSession { .. } => 21,
                 WalRecord::Checkpoint(cp) => {
                     1 + 4
                         + 4
@@ -440,13 +418,8 @@ mod tests {
         roundtrip(WalRecord::Grant(OpId::new(TxnId(3), 17)));
         roundtrip(WalRecord::Commit(TxnId(u32::MAX)));
         roundtrip(WalRecord::Abort(TxnId(42)));
-        roundtrip(WalRecord::CommitAt {
-            txn: TxnId(9),
-            stamp: u64::MAX - 1,
-        });
         roundtrip(WalRecord::CommitSession {
             txn: TxnId(5),
-            stamp: 17,
             session: u64::MAX,
             req_id: 0x1234_5678_9ABC_DEF0,
         });
@@ -534,13 +507,15 @@ mod tests {
             "trailing garbage"
         );
         assert_eq!(WalRecord::decode_payload(&[TAG_GRANT, 1, 0, 0, 0]), None);
+        let mut retired = vec![6];
+        retired.extend_from_slice(&[0u8; 12]);
         assert_eq!(
-            WalRecord::decode_payload(&[TAG_COMMIT_AT, 1, 0, 0, 0]),
+            WalRecord::decode_payload(&retired),
             None,
-            "commit-at missing its stamp"
+            "tag 6 is retired"
         );
         let mut short = vec![TAG_COMMIT_SESSION];
-        short.extend_from_slice(&[0u8; 27]);
+        short.extend_from_slice(&[0u8; 19]);
         assert_eq!(
             WalRecord::decode_payload(&short),
             None,

@@ -25,7 +25,7 @@ use relative_serializability::net::{
     drive_resilient, serve_net, ChaosPlan, NetConfig, ResilientConfig, ResilientStats,
 };
 use relative_serializability::protocols::rsg_sgt::RsgSgt;
-use relative_serializability::server::{recover, Certifier, FaultPlan};
+use relative_serializability::server::{recover, FaultPlan};
 use relative_serializability::wal::{FsyncPolicy, MemStorage, WalWriter};
 use relative_serializability::workload::banking::{banking, BankingConfig};
 use relative_serializability::workload::stream::RequestStream;
@@ -171,14 +171,8 @@ fn main() {
     // The recovery that pairs with `serve_net` over a flat log: `recover`
     // rebuilds exactly the acknowledged commits from the synced bytes.
     let mut fresh = RsgSgt::new(&sc.txns, &sc.spec);
-    let rec = recover(
-        &sc.txns,
-        &sc.spec,
-        &mut fresh,
-        &handle.synced_bytes(),
-        Certifier::VClock,
-    )
-    .expect("the log recovers");
+    let rec =
+        recover(&sc.txns, &sc.spec, &mut fresh, &handle.synced_bytes()).expect("the log recovers");
     assert_eq!(rec.committed, report.committed, "recovered == acknowledged");
     println!(
         "recovery: {} records replayed -> the same {} commits, re-certified",

@@ -11,7 +11,7 @@
 //! ```
 
 use relative_serializability::protocols::rsg_sgt::RsgSgt;
-use relative_serializability::server::recovery::{recover, Certifier};
+use relative_serializability::server::recovery::recover;
 use relative_serializability::server::{serve, FaultPlan, RunOutcome, ServerConfig};
 use relative_serializability::wal::{scan, FileStorage, FsyncPolicy, WalWriter};
 use relative_serializability::workload::banking::{banking, BankingConfig};
@@ -84,8 +84,7 @@ fn main() {
     // fresh scheduler, and the committed history is re-certified
     // (Rsg::build(..).is_acyclic()) before the state is accepted.
     let mut fresh = RsgSgt::new(&sc.txns, &sc.spec);
-    let rec = recover(&sc.txns, &sc.spec, &mut fresh, &bytes, Certifier::VClock)
-        .expect("recovery succeeds");
+    let rec = recover(&sc.txns, &sc.spec, &mut fresh, &bytes).expect("recovery succeeds");
     println!(
         "recovery: {} records replayed ({} valid bytes, truncated: {}), \
          {} committed, {} live incarnations rolled back",

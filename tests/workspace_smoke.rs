@@ -26,7 +26,7 @@ use relative_serializability::net::{Request, Response};
 use relative_serializability::prelude::*;
 use relative_serializability::protocols::driver::{run, RunConfig};
 use relative_serializability::protocols::SchedulerKind;
-use relative_serializability::server::recovery::{recover, Certifier};
+use relative_serializability::server::recovery::recover;
 use relative_serializability::server::{serve, FaultPlan, ServerConfig};
 use relative_serializability::simdb::{execute, simulate, SimConfig};
 use relative_serializability::wal::{scan, FsyncPolicy, MemStorage, WalRecord, WalWriter};
@@ -189,7 +189,7 @@ fn wal_log_scans_and_recovers() {
     assert_eq!(scanned.records.len(), 8, "2 x (begin + 2 grants + commit)");
     assert!(scanned.truncation.is_none());
     let mut sched = SchedulerKind::RsgSgt.make(&txns, &spec);
-    let rec = recover(&txns, &spec, sched.as_mut(), &bytes, Certifier::VClock).expect("recovers");
+    let rec = recover(&txns, &spec, sched.as_mut(), &bytes).expect("recovers");
     assert_eq!(rec.committed, vec![TxnId(0), TxnId(1)]);
     assert_eq!(rec.certified, rec.committed, "no checkpoint: all re-proved");
 }
