@@ -11,6 +11,10 @@
 //!   full-rebuild oracle, in lockstep, with arena compactions forced at
 //!   pseudo-random points and a fresh certifier re-deciding every single
 //!   grant/reject;
+//! * sub-universe feeds — the operations of a random transaction subset,
+//!   fed to a certifier over the *whole* universe (as recovery feeds a
+//!   committed history), decide as [`Rsg::build`] over
+//!   [`Projection::subset`] does, witness hops included;
 //! * gapped feeds — object-projected histories where transactions show
 //!   leading or internal index gaps, which the certifier refuses index by
 //!   index (program order is checked where outside input enters, so no
@@ -301,6 +305,77 @@ proptest! {
             }
         }
         prop_assert_eq!(c.observed() as u32, next.iter().sum::<u32>());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// Certifying on the universe equals certifying the projection: the
+    /// operations of a random transaction subset, in schedule order, fed
+    /// to `VClockCertifier::new` over the whole universe, get the verdict
+    /// of `Rsg::build` over `Projection::subset`, and every witness hop,
+    /// mapped into the projection, is an arc of that RSG with the kinds
+    /// claimed.
+    #[test]
+    fn certifying_on_the_universe_equals_certifying_the_projection(
+        wl_seed in 0u64..100_000,
+        spec_seed in 0u64..100_000,
+        sched_seed in 0u64..100_000,
+        n_txns in 2usize..7,
+        objects in 2usize..5,
+        keep_mask in 1u32..64,
+        breakpoints in 0u32..=100,
+    ) {
+        let cfg = RandomConfig {
+            txns: n_txns,
+            ops_per_txn: (1, 4),
+            objects,
+            theta: 0.5,
+            write_ratio: 0.5,
+        };
+        let txns = random_txns(&cfg, wl_seed);
+        let spec = random_spec(&txns, breakpoints as f64 / 100.0, spec_seed);
+        let s = random_schedule(&txns, sched_seed);
+        let mut keep: Vec<TxnId> = txns
+            .txn_ids()
+            .filter(|t| keep_mask & (1 << t.index()) != 0)
+            .collect();
+        if keep.is_empty() {
+            keep.push(TxnId(0));
+        }
+        let feed: Vec<OpId> = s.ops().iter().copied().filter(|o| keep.contains(&o.txn)).collect();
+
+        let mut c = VClockCertifier::new(&txns, &spec);
+        for &op in &feed {
+            c.observe(op).expect("a subset of a schedule is in program order");
+        }
+        let verdict = c.seal();
+        let p = Projection::subset(&txns, &spec, &keep).expect("a subset projects");
+        let projected = p.schedule(&feed).expect("complete transactions form a schedule");
+        let rsg = Rsg::build(&p.txns, &projected, &p.spec);
+        prop_assert_eq!(
+            verdict.is_acyclic(),
+            rsg.is_acyclic(),
+            "universe feed `{}` of {:?}",
+            projected.display(&p.txns),
+            keep
+        );
+        if let Some(w) = verdict.witness() {
+            for (k, &from) in w.ops.iter().enumerate() {
+                let to = w.ops[(k + 1) % w.ops.len()];
+                let (a, b) = (p.from_original(from), p.from_original(to));
+                prop_assert!(a.is_some() && b.is_some(), "hop {:?} -> {:?} leaves the subset", from, to);
+                let kinds = rsg.arc_between(a.unwrap(), b.unwrap());
+                prop_assert!(
+                    kinds.is_some_and(|kinds| kinds.contains(w.kinds[k])),
+                    "hop {:?} -> {:?} ({}) is not an arc of the projection's RSG",
+                    from,
+                    to,
+                    w.kinds[k]
+                );
+            }
+        }
     }
 }
 

@@ -65,6 +65,29 @@
 //! and because every skeleton arc is a genuine RSG arc, any skeleton cycle
 //! is verbatim an RSG cycle.
 //!
+//! ## Only a moved maximum needs arcs
+//!
+//! The skeleton can be thinner still. Let `p = o_{t,j-1}` be the
+//! program-order predecessor of `o = o_{t,j}`, so when `o` is observed
+//! `txn_clock[t]` holds `D(p) ⊔ {p}`, whose entry for every `i ≠ t` is
+//! `D(p)[i]`. If `D(o)[i] = D(p)[i]`, the maximal
+//! dependency `o_{i,a}` of `o` on `T_i` is the one `p` already had, and
+//! `observe` adds no arc for `T_i`:
+//!
+//! * the F-arc `PushForward(o_{i,a}, T_t) → o` is implied by `p`'s F-arc
+//!   `PushForward(o_{i,a}, T_t) → p` followed by the I-arc `p → o`;
+//! * the B-arc `o_{i,a} → PullBackward(o, T_i)` is implied by `p`'s B-arc
+//!   `o_{i,a} → PullBackward(p, T_i)` followed by the I-chain from
+//!   `PullBackward(p, T_i)` to `PullBackward(o, T_i)` (`PullBackward` is
+//!   monotone in the operation index).
+//!
+//! `p`'s own arcs are retained or, by induction down `T_t`'s program
+//! order, implied the same way. Only a transaction whose maximum moved
+//! (`D(o)[i] > D(p)[i]`) gets new arcs, so the sandwich
+//! *skeleton ⊆ RSG ⊆ closure(skeleton)* still holds. A transaction's
+//! first operation has `D(p) = 0`, so every dependency of it counts as
+//! moved.
+//!
 //! ## Witness extraction
 //!
 //! On violation the certifier returns the skeleton cycle as a
@@ -74,11 +97,22 @@
 //! kinds, the witness replays under
 //! [`Rsg::arc_between`](crate::rsg::Rsg::arc_between) — the negative-path tests assert this.
 //!
+//! ## Partial histories
+//!
 //! Partial histories are supported the way `IncrementalRsg` supports them:
 //! operations may be observed for only a prefix of each transaction, and
 //! the verdict then matches the incremental engine's graph over the same
 //! feed. Each transaction's operations must arrive in program order with
 //! no gaps: [`VClockCertifier::observe`] accepts only the next index.
+//!
+//! A transaction of which nothing is observed adds only its own static
+//! I-chain: every cross arc has an observed operation at one end and, by
+//! `PushForward`/`PullBackward`, an operation of an observed transaction at
+//! the other. An I-chain alone lies on no cycle, so certifying a set of
+//! *complete* transactions on the whole universe gives the verdict of
+//! certifying them on their projection (`Projection::subset`), with
+//! witness operations under their original ids. Recovery certifies this
+//! way.
 
 use crate::error::{Error, Result};
 use crate::ids::{OpId, TxnId};
@@ -220,6 +254,9 @@ pub struct VClockCertifier<'a> {
     arcs: HashMap<(u32, u32), ArcKinds>,
     observed: usize,
     scratch: Clock,
+    /// The transactions whose maximum moved at the operation being
+    /// observed (a buffer reused across operations).
+    moved: Vec<usize>,
 }
 
 impl<'a> VClockCertifier<'a> {
@@ -245,6 +282,7 @@ impl<'a> VClockCertifier<'a> {
             arcs: HashMap::new(),
             observed: 0,
             scratch: vec![0; k],
+            moved: Vec::new(),
         }
     }
 
@@ -276,12 +314,22 @@ impl<'a> VClockCertifier<'a> {
             join(&mut self.scratch, &self.read_clock[x]);
         }
 
-        // Skeleton arcs from the per-transaction maximal dependencies.
+        // Skeleton arcs from the per-transaction maximal dependencies,
+        // for the transactions whose maximum moved past the predecessor's
+        // (an unmoved one's arcs are implied: see the module docs). `T_t`
+        // itself never moves: no clock counts an unobserved operation.
+        let mut moved = std::mem::take(&mut self.moved);
+        moved.clear();
+        moved.extend(
+            self.scratch
+                .iter()
+                .zip(&self.txn_clock[t])
+                .enumerate()
+                .filter_map(|(i, (d, p))| (d != p).then_some(i)),
+        );
+        debug_assert!(!moved.contains(&t));
         let to = self.gid(op);
-        for i in 0..self.scratch.len() {
-            if i == t || self.scratch[i] == 0 {
-                continue;
-            }
+        for &i in &moved {
             let src = OpId::new(TxnId(i as u32), self.scratch[i] - 1);
             // F-arc: PushForward(src, T_t) → op; it is also the D-arc when
             // the unit end *is* the maximal dependency itself.
@@ -302,6 +350,7 @@ impl<'a> VClockCertifier<'a> {
             let (from, to_b) = (self.gid(src), self.gid(pb));
             self.add_arc(from, to_b, kinds);
         }
+        self.moved = moved;
 
         // Fold the operation itself in and refresh the summaries (its
         // transaction's entry was `op.index`: program order, no gaps).
@@ -637,6 +686,23 @@ mod tests {
         assert_eq!(stats.nodes, 10);
         assert!(stats.cross_arcs <= 2 * stats.ops * (stats.width - 1));
         assert_eq!(stats.edges, stats.cross_arcs + 7);
+    }
+
+    /// `r2[y]` depends on `w1[x]` only through `r2[x]`, whose maximal
+    /// dependency on `T1` is the same `w1[x]`: the maximum did not move,
+    /// so `r2[y]` adds no arc. The one cross arc is `w1[x] → r2[x]`
+    /// (F, B and D merged); without the cut `w1[x] → r2[y]` (F) is a
+    /// second.
+    #[test]
+    fn an_unmoved_maximum_adds_no_arcs() {
+        let txns = TxnSet::parse(&["w1[x]", "r2[x] r2[y]"]).unwrap();
+        for spec in [AtomicitySpec::absolute(&txns), AtomicitySpec::free(&txns)] {
+            let s = txns.parse_schedule("w1[x] r2[x] r2[y]").unwrap();
+            assert!(agree(&txns, &s, &spec));
+            let stats = *certify(&txns, &s, &spec).stats();
+            assert_eq!(stats.cross_arcs, 1);
+            assert_eq!(stats.edges, 2, "the cross arc and T2's I-arc");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use relser_server::metrics::histogram_of;
 use relser_server::queue::BoundedQueue;
 use relser_server::recovery::{recover_sharded_segments_with_certifier, ShardedRecovery};
 use relser_server::supervisor::{
-    supervise_shard, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg,
+    fence_resumed_shard, supervise_shard, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg,
 };
 use relser_server::{Certifier, OverloadPolicy, Route, ServerMetrics, Timeouts};
 use relser_wal::{CheckpointPolicy, CommitLog, MemSegmentsHandle};
@@ -330,6 +330,10 @@ pub fn serve_net_supervised_in<'e, R>(
         .map(|_| BoundedQueue::new(cfg.queue_capacity))
         .collect();
     let healths: Vec<ShardHealth> = (0..shards).map(|_| ShardHealth::new()).collect();
+    // A resumed store serves nothing until its retry table is seeded.
+    for ((store, queue), health) in stores.iter().zip(&queues).zip(&healths) {
+        fence_resumed_shard(store, queue, health);
+    }
     let sessions = SessionTable::new();
     let progresses: Vec<Progress> = (0..shards).map(|_| Progress::new()).collect();
     let stop = AtomicBool::new(false);

@@ -221,6 +221,18 @@ fn call(sock: &mut TcpStream, req: Request) -> Response {
     read_response(sock).expect("a response before EOF")
 }
 
+/// [`call`], re-sent while the shard answers `Recovering`, as
+/// `drive_resilient` does: a resumed store is fenced until its retry
+/// table is seeded.
+fn call_until_served(sock: &mut TcpStream, req: Request) -> Response {
+    loop {
+        match call(sock, req) {
+            Response::Recovering { .. } => std::thread::sleep(Duration::from_millis(1)),
+            resp => return resp,
+        }
+    }
+}
+
 fn read_response(sock: &mut TcpStream) -> Option<Response> {
     let mut buf = Vec::new();
     let mut tmp = [0u8; 256];
@@ -332,7 +344,9 @@ fn out_of_order_and_incomplete_transactions_never_commit() {
 /// * life 2 (same segment stores) resumes the session and **retries the
 ///   same commit under its original request id** — the durable retry
 ///   table must answer `Committed` again (exactly-once across restart),
-///   and the unfinished `T1` must not have committed.
+///   and the unfinished `T1` must not have committed. The resumed shards
+///   answer `Recovering` until their table is seeded, so the retry is
+///   re-sent until it is served, and then always from the table.
 #[test]
 fn graceful_shutdown_then_restart_keeps_acked_commits_exactly_once() {
     let (txns, spec) = local_universe(8, 4);
@@ -434,8 +448,9 @@ fn graceful_shutdown_then_restart_keeps_acked_commits_exactly_once() {
                 },
             );
             assert!(matches!(hello, Response::Welcome { .. }));
-            // The original verdict, again, under the original req_id.
-            let retry = call(
+            // The original verdict, again, under the original req_id —
+            // from the seeded table, never from the core.
+            let retry = call_until_served(
                 &mut sock,
                 Request::Commit {
                     req_id: commit_req,

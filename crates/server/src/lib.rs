@@ -114,4 +114,6 @@ pub use server::{
 };
 pub use session::{restart_backoff, OverloadPolicy, SessionError, SessionStats};
 pub use shard::{replay_sharded, serve_sharded, ShardedReport, ShardedRun};
-pub use supervisor::{supervise_shard, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg};
+pub use supervisor::{
+    fence_resumed_shard, supervise_shard, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg,
+};

@@ -29,19 +29,26 @@
 //!    are aborted so the recovered scheduler resumes from a clean state
 //!    (their ids are reported in [`Recovery::live_aborted`] for
 //!    re-submission).
-//! 4. **Re-certify.** The committed history is projected onto the
-//!    committed sub-universe ([`Projection::subset`]) and re-certified by
-//!    the linear-time vector-clock certifier (`relser_core::vclock`,
-//!    O(n·K) in history length n and transaction count K), which decides
-//!    Theorem 1 on the RSG's clock skeleton. The explicit
+//! 4. **Re-certify.** The committed history ([`Recovery::history`]) is
+//!    fed, in log order, to the linear-time vector-clock certifier
+//!    ([`VClockCertifier`], O(n·K) in history length n and transaction
+//!    count K) over the universe recovery was handed, which decides
+//!    Theorem 1 on the RSG's clock skeleton. Nothing is projected: a
+//!    transaction with no operation in the history adds only its static
+//!    I-chain to the skeleton, and an I-chain lies on no cycle, so the
+//!    verdict is the verdict on the committed sub-universe. The explicit
 //!    `Rsg::build(..).is_acyclic()` cross-check lives in test code
 //!    (`relser-check`'s `vclock_recovery` suite certifies every recovered
 //!    history with it). A rejected history means the log was forged or
-//!    the service is broken — recovery refuses to bless it.
+//!    the service is broken — recovery refuses to bless it
+//!    ([`RecoveryError::NotRelativelySerializable`]).
 //!
-//! Sharded recovery runs these steps on each shard's log, then merges the
+//! Sharded recovery runs steps 1–3 on each shard's log, merges the
 //! shards by the one rule of [`crate::shard`] — shard after shard, each in
-//! its own commit and grant order — and re-certifies the merge whole.
+//! its own commit and grant order — and runs step 4 once, on the merge:
+//! certified once, merged. With single-owner transactions the merged RSG
+//! is the disjoint union of the per-shard RSGs (DESIGN §13), so a
+//! per-shard pass would prove nothing the merged pass does not.
 //!
 //! The headline invariant, exercised by the crash-point sweep in
 //! `relser-check`: under [`relser_wal::FsyncPolicy::Always`], for a crash
@@ -51,11 +58,10 @@
 use crate::core::TraceEvent;
 use crate::shard::{merge_shards, Merged};
 use relser_core::ids::{OpId, TxnId};
-use relser_core::project::Projection;
 use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
-use relser_core::vclock;
+use relser_core::vclock::VClockCertifier;
 use relser_protocols::{Decision, Scheduler};
 use relser_wal::{scan, CheckpointEvent, ScanResult, SessionEntry, Truncation, WalRecord};
 use std::fmt;
@@ -85,7 +91,7 @@ pub struct Recovery {
     /// rollback so oracle replays can compare against a crashed run.
     pub log: Vec<OpId>,
     /// The committed transactions whose *complete* operation sets are in
-    /// the recovered log — what step 4 can re-certify.
+    /// the recovered log — the transactions step 4 certifies.
     /// Without a checkpoint this equals [`Recovery::committed`]; with
     /// one, transactions the checkpoint already retired keep their place
     /// in `committed` (zero acknowledged-commit loss) but their
@@ -93,7 +99,9 @@ pub struct Recovery {
     /// checkpoint that certified them at rotation time, not re-proved.
     pub certified: Vec<TxnId>,
     /// The committed history: [`Recovery::log`] filtered to
-    /// [`Recovery::certified`]. This is what gets re-certified.
+    /// [`Recovery::certified`]. This is what step 4 certifies: on its own
+    /// by [`recover`] and [`recover_segments_with_certifier`], as part of
+    /// the merged history by sharded recovery.
     pub history: Vec<OpId>,
     /// Checkpoint events replayed to seed the scheduler (0 when the log
     /// has no checkpoint).
@@ -148,7 +156,7 @@ pub enum RecoveryError {
     /// never have produced.
     NotRelativelySerializable,
     /// The committed history could not even be interpreted as a schedule
-    /// over the committed sub-universe (a malformed projection — carries
+    /// (an operation out of its transaction's program order — carries
     /// the underlying error text).
     InvalidHistory(String),
     /// A sharded recovery was handed a log whose checkpoint is stamped
@@ -222,23 +230,20 @@ pub enum Certifier {
     VClock,
 }
 
-/// Step 4 for both flat and sharded recovery: project the certified
-/// history and re-certify it.
-fn recertify(
-    txns: &TxnSet,
-    spec: &AtomicitySpec,
-    certified: &[TxnId],
-    history: &[OpId],
-) -> Result<(), RecoveryError> {
-    if certified.is_empty() {
+/// Step 4, once per recovery: certifies `history` — complete committed
+/// transactions, in log order — on the whole universe (see the module
+/// docs for why nothing is projected).
+fn recertify(txns: &TxnSet, spec: &AtomicitySpec, history: &[OpId]) -> Result<(), RecoveryError> {
+    if history.is_empty() {
         return Ok(());
     }
-    let projection = Projection::subset(txns, spec, certified)
-        .map_err(|e| RecoveryError::InvalidHistory(e.to_string()))?;
-    let schedule = projection
-        .schedule(history)
-        .map_err(|e| RecoveryError::InvalidHistory(e.to_string()))?;
-    if !vclock::certify(&projection.txns, &schedule, &projection.spec).is_acyclic() {
+    let mut certifier = VClockCertifier::new(txns, spec);
+    for &op in history {
+        certifier
+            .observe(op)
+            .map_err(|e| RecoveryError::InvalidHistory(e.to_string()))?;
+    }
+    if !certifier.seal().is_acyclic() {
         return Err(RecoveryError::NotRelativelySerializable);
     }
     Ok(())
@@ -255,7 +260,9 @@ pub fn recover(
     scheduler: &mut dyn Scheduler,
     bytes: &[u8],
 ) -> Result<Recovery, RecoveryError> {
-    replay_scan(txns, spec, scheduler, scan(bytes))
+    let rec = replay_scan(txns, scheduler, scan(bytes))?;
+    recertify(txns, spec, &rec.history)?;
+    Ok(rec)
 }
 
 /// Step 2's state: the scheduler being rebuilt and the core bookkeeping
@@ -335,10 +342,10 @@ impl Replay<'_> {
     }
 }
 
-/// [`recover`] over an already-scanned log.
+/// Steps 2 and 3 of [`recover`] over an already-scanned log; the caller
+/// runs step 4.
 fn replay_scan(
     txns: &TxnSet,
-    spec: &AtomicitySpec,
     scheduler: &mut dyn Scheduler,
     scanned: ScanResult,
 ) -> Result<Recovery, RecoveryError> {
@@ -452,9 +459,6 @@ fn replay_scan(
         scheduler.abort(txn);
     }
 
-    // Step 4: re-certify the certified history.
-    recertify(txns, spec, &certified, &history)?;
-
     // Finalize the retry table: only entries whose commit this log
     // proves (a checkpoint entry can outrun its commit record across a
     // torn rotation under deferred fsync), newest req_id per session.
@@ -521,9 +525,10 @@ fn dedupe_sessions(entries: Vec<SessionEntry>) -> Vec<SessionEntry> {
 /// checkpoint frame is intact (rotation forces it durable before older
 /// segments may be deleted, so if a crash tore the newest segment's head
 /// the previous segment is still on disk and wholly covers the
-/// acknowledged state), then replays that segment like [`recover`]. Each
-/// candidate is scanned once; the chosen one's scan is what gets replayed.
-/// Returns the chosen segment's sequence number alongside the recovery.
+/// acknowledged state), then recovers that segment like [`recover`],
+/// certifying its committed history once. Each candidate is scanned once;
+/// the chosen one's scan is what gets replayed. Returns the chosen
+/// segment's sequence number alongside the recovery.
 ///
 /// `segments` is `(seq, bytes)` ascending — from
 /// [`relser_wal::DirSegmentStore::list`] plus `std::fs::read`, or from
@@ -535,6 +540,18 @@ pub fn recover_segments_with_certifier(
     scheduler: &mut dyn Scheduler,
     segments: &[(u64, Vec<u8>)],
     _certifier: Certifier,
+) -> Result<(u64, Recovery), RecoveryError> {
+    let (seq, rec) = replay_segments(txns, scheduler, segments)?;
+    recertify(txns, spec, &rec.history)?;
+    Ok((seq, rec))
+}
+
+/// Steps 1–3 of [`recover_segments_with_certifier`]: the segment pick and
+/// the replay, without step 4.
+fn replay_segments(
+    txns: &TxnSet,
+    scheduler: &mut dyn Scheduler,
+    segments: &[(u64, Vec<u8>)],
 ) -> Result<(u64, Recovery), RecoveryError> {
     // Newest first; the newest segment itself is the fallback when no
     // head checkpoint is intact.
@@ -550,14 +567,16 @@ pub fn recover_segments_with_certifier(
         }
     }
     let (seq, scanned) = pick.unwrap_or_else(|| (0, scan(&[])));
-    Ok((seq, replay_scan(txns, spec, scheduler, scanned)?))
+    Ok((seq, replay_scan(txns, scheduler, scanned)?))
 }
 
 /// What [`recover_sharded_segments_with_certifier`] rebuilt from N
 /// per-shard logs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardedRecovery {
-    /// The per-shard recoveries, index = shard id.
+    /// The per-shard recoveries, index = shard id. Each is replayed but
+    /// not certified on its own: its history is certified as part of
+    /// [`ShardedRecovery::history`].
     pub shards: Vec<Recovery>,
     /// Transactions their owning shard committed, shard after shard, each
     /// shard's in its commit order (the one merge rule, shared with
@@ -576,7 +595,7 @@ pub struct ShardedRecovery {
     /// committed transaction lives wholly on its owner's log and
     /// conflicts are same-shard, so the concatenation is
     /// conflict-equivalent to the real execution). This is what step 4
-    /// re-certifies whole.
+    /// certifies, once for the whole recovery.
     pub history: Vec<OpId>,
     /// The merged client-session retry table: every shard's rebuilt
     /// entries, filtered to the merged committed set and collapsed to
@@ -589,16 +608,16 @@ pub struct ShardedRecovery {
 /// (a flat per-shard log is the one-segment stream `[(0, bytes)]`); the
 /// shard count is `segments.len()`.
 ///
-/// Each shard's stream is recovered independently via
-/// [`recover_segments_with_certifier`] — with a fresh scheduler from
-/// `make_scheduler(shard)` — then the per-shard views are merged under
-/// the ownership rule: a shard commits only transactions it wholly owns
-/// ([`ShardMap::owner_of_txn`]). A log is outside input, so the rule is
-/// checked, and a log that breaks it is refused
-/// ([`RecoveryError::NotOwner`]) — with single-owner transactions the
-/// merged RSG is the disjoint union of the per-shard RSGs, and without
-/// them per-shard certification does not compose. The merged history is
-/// re-certified whole all the same. This is how the supervised service
+/// Each shard's stream is replayed independently, like
+/// [`recover_segments_with_certifier`] but without its step 4, into a
+/// fresh scheduler from `make_scheduler(shard)`. The per-shard views are
+/// then merged under the ownership rule: a shard commits only
+/// transactions it wholly owns ([`ShardMap::owner_of_txn`]). A log is
+/// outside input, so the rule is checked, and a log that breaks it is
+/// refused ([`RecoveryError::NotOwner`]). With single-owner transactions
+/// the merged RSG is the disjoint union of the per-shard RSGs, so the
+/// merged history is certified **once** and that one pass covers every
+/// shard: certified once, merged. This is how the supervised service
 /// computes its authoritative end-of-run committed history, and how a
 /// chaos run proves zero acknowledged-commit loss.
 pub fn recover_sharded_segments_with_certifier<'a, F>(
@@ -606,7 +625,7 @@ pub fn recover_sharded_segments_with_certifier<'a, F>(
     spec: &AtomicitySpec,
     mut make_scheduler: F,
     segments: &[Vec<(u64, Vec<u8>)>],
-    certifier: Certifier,
+    _certifier: Certifier,
 ) -> Result<ShardedRecovery, RecoveryError>
 where
     F: FnMut(u32) -> Box<dyn Scheduler + 'a>,
@@ -615,8 +634,7 @@ where
     let mut shards: Vec<Recovery> = Vec::with_capacity(segments.len());
     for (s, segs) in segments.iter().enumerate() {
         let mut scheduler = make_scheduler(s as u32);
-        let (_, rec) =
-            recover_segments_with_certifier(txns, spec, &mut *scheduler, segs, certifier)?;
+        let (_, rec) = replay_segments(txns, &mut *scheduler, segs)?;
         if let Some(found) = rec.shard {
             if found != s as u32 {
                 return Err(RecoveryError::ShardMismatch {
@@ -631,7 +649,7 @@ where
 }
 
 /// The second half of sharded recovery: ownership check, the shard-order
-/// merge with its completeness demotion, whole re-certification,
+/// merge with its completeness demotion, step 4 on the merge,
 /// session-table union.
 fn merge_sharded_recoveries(
     txns: &TxnSet,
@@ -655,8 +673,8 @@ fn merge_sharded_recoveries(
     // Defensive completeness: a committed transaction's full op set must
     // be present in the shard logs (guaranteed by WAL-before-ack plus
     // append order within each log; checked anyway — an incomplete one is
-    // demoted to partial rather than certified on a fragment). The merged
-    // history is re-certified whole; a forged log that splits a
+    // demoted to partial rather than certified on a fragment). Step 4
+    // runs here, once, on the merged history; a forged log that splits a
     // transaction across shards fails program order in `recertify`
     // (`InvalidHistory`).
     let Merged {
@@ -668,7 +686,7 @@ fn merge_sharded_recoveries(
         txns,
         shards.iter().map(|rec| (&rec.committed[..], &rec.log[..])),
     );
-    recertify(txns, spec, &committed, &history)?;
+    recertify(txns, spec, &history)?;
 
     // Union the per-shard retry tables, restricted to the merged
     // committed set (a demoted-to-partial commit must not promise a

@@ -46,7 +46,8 @@
 //! admit) closes it; that takes a global serialization graph, which this
 //! service does not have. `crates/server/tests/shard.rs` pins the history.
 //! Every merged history is still re-certified whole: by the
-//! vector-clock certifier in sharded recovery, and by the offline
+//! vector-clock certifier in sharded recovery (once, on the merge, which
+//! by the disjoint union covers every shard), and by the offline
 //! `Rsg::build` in the tests.
 //!
 //! ## Determinism and the merge rule

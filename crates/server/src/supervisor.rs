@@ -177,6 +177,24 @@ impl ShardHealth {
     }
 }
 
+/// Fences a shard whose `store` a previous service life wrote, before
+/// any front end serves it: `queue` is closed and `health` reads
+/// recovering until [`supervise_shard`] has recovered the store and
+/// seeded the retry table, so requests routed here are answered
+/// `Recovering` and retried, as during an in-place restart. Unfenced, a
+/// retried commit can reach the core before its entry is seeded and
+/// miss the exactly-once fast path. An empty store needs no fence.
+pub fn fence_resumed_shard(
+    store: &MemSegmentsHandle,
+    queue: &BoundedQueue<Command>,
+    health: &ShardHealth,
+) {
+    if store.segment_count() > 0 {
+        queue.close();
+        health.set(STATUS_RECOVERING);
+    }
+}
+
 /// Everything [`supervise_shard`] needs beyond the core's own arguments.
 /// Every incarnation's log syncs under [`FsyncPolicy::Always`].
 pub struct SupervisorCfg<'a> {
@@ -284,7 +302,9 @@ fn recover_and_resume(
 /// A non-empty segment store is **resumed**, not truncated: the first
 /// incarnation recovers whatever a previous service life durably
 /// committed (acknowledged commits survive a whole-service restart, not
-/// just a shard-core crash).
+/// just a shard-core crash). The caller fences such a shard with
+/// [`fence_resumed_shard`] before its front end starts; the supervisor
+/// lifts the fence once the retry table is seeded.
 ///
 /// `make_scheduler` must produce a *fresh* scheduler over the same
 /// universe each time it is called; recovery replays the WAL into it and
@@ -311,7 +331,7 @@ where
     let mut panics: u64 = 0;
     let mut scheduler = make_scheduler();
     let mut recovered = Checkpoint::default();
-    let mut wal = if store.segments().is_empty() {
+    let mut wal = if store.segment_count() == 0 {
         // A fresh log still opens with a checkpoint head, and that head
         // must carry *this* shard's id — sharded recovery refuses a
         // segment stream whose checkpoint is stamped for another shard.
@@ -336,6 +356,10 @@ where
             Ok((w, head)) => {
                 sessions.seed(&head.sessions);
                 recovered = head;
+                // Seeded: lift `fence_resumed_shard`'s fence.
+                queue.reopen();
+                health.set(STATUS_LIVE);
+                progress.bump();
                 w
             }
             Err(()) => {

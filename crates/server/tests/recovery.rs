@@ -13,12 +13,17 @@
 
 use proptest::prelude::*;
 use relser_core::ids::{OpId, TxnId};
+use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
-use relser_server::recovery::recover;
+use relser_protocols::{Decision, Scheduler};
+use relser_server::recovery::{
+    recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
+    Recovery, RecoveryError, ShardedRecovery,
+};
 use relser_server::{replay, serve, FaultPlan, RunOutcome, ServerConfig};
-use relser_wal::{scan, FsyncPolicy, MemStorage, WalRecord, WalWriter};
+use relser_wal::{scan, FsyncPolicy, MemStorage, WalRecord, WalWriter, MAGIC};
 use relser_workload::stream::RequestStream;
 use relser_workload::{random_spec, random_txns, RandomConfig};
 
@@ -148,5 +153,156 @@ proptest! {
             prev = rec.committed.len();
         }
         prop_assert_eq!(prev, report.committed.len());
+    }
+}
+
+/// Grants every request. Replay then never diverges, so a forged log
+/// reaches step 4; RSG-SGT would refuse the cycle-closing grant first.
+struct GrantAll;
+
+impl Scheduler for GrantAll {
+    fn name(&self) -> &'static str {
+        "grant-all"
+    }
+    fn begin(&mut self, _: TxnId) {}
+    fn request(&mut self, _: OpId) -> Decision {
+        Decision::Granted
+    }
+    fn commit(&mut self, _: TxnId) {}
+    fn abort(&mut self, _: TxnId) {}
+}
+
+/// `T1 = r1[x] w1[x]`, `T2 = r2[x] w2[x]` under the absolute spec, plus
+/// one single-write transaction per object `y3..y10`, so that at two
+/// shards some of them live on the shard that does not own `x`.
+fn lost_update_universe() -> (TxnSet, AtomicitySpec) {
+    let mut sources = vec!["r1[x] w1[x]".to_string(), "r2[x] w2[x]".to_string()];
+    sources.extend((3..=10).map(|k| format!("w{k}[y{k}]")));
+    let sources: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let txns = TxnSet::parse(&sources).unwrap();
+    let spec = AtomicitySpec::absolute(&txns);
+    (txns, spec)
+}
+
+fn encode(records: &[WalRecord]) -> Vec<u8> {
+    let mut bytes = MAGIC.to_vec();
+    for r in records {
+        r.encode_into(&mut bytes).unwrap();
+    }
+    bytes
+}
+
+/// The lost update `r1[x] r2[x] w1[x] w2[x]`, both committed when
+/// `commit_t2`; otherwise `T2` is still live at the crash.
+fn lost_update_log(commit_t2: bool) -> Vec<WalRecord> {
+    let (t1, t2) = (TxnId(0), TxnId(1));
+    let mut log = vec![
+        WalRecord::Begin(t1),
+        WalRecord::Begin(t2),
+        WalRecord::Grant(OpId::new(t1, 0)),
+        WalRecord::Grant(OpId::new(t2, 0)),
+        WalRecord::Grant(OpId::new(t1, 1)),
+        WalRecord::Grant(OpId::new(t2, 1)),
+        WalRecord::Commit(t1),
+    ];
+    if commit_t2 {
+        log.push(WalRecord::Commit(t2));
+    }
+    log
+}
+
+/// Sharded recovery of the lost-update log on `x`'s owner, every other
+/// transaction that shard owns left out, and every transaction another
+/// shard owns committed cleanly there.
+fn recover_sharded_lost_update(
+    shards: u32,
+    commit_t2: bool,
+) -> Result<ShardedRecovery, RecoveryError> {
+    let (txns, spec) = lost_update_universe();
+    let map = ShardMap::new(shards);
+    let home = map.owner_of_txn(&txns, TxnId(0)).unwrap();
+    let streams: Vec<Vec<(u64, Vec<u8>)>> = (0..shards)
+        .map(|s| {
+            let records = if s == home {
+                lost_update_log(commit_t2)
+            } else {
+                txns.txn_ids()
+                    .filter(|&t| map.owner_of_txn(&txns, t) == Some(s))
+                    .flat_map(|t| {
+                        [
+                            WalRecord::Begin(t),
+                            WalRecord::Grant(OpId::new(t, 0)),
+                            WalRecord::Commit(t),
+                        ]
+                    })
+                    .collect()
+            };
+            vec![(0, encode(&records))]
+        })
+        .collect();
+    if shards > 1 {
+        assert!(
+            streams.iter().all(|s| s[0].1.len() > MAGIC.len()),
+            "every shard's log holds commits"
+        );
+    }
+    recover_sharded_segments_with_certifier(
+        &txns,
+        &spec,
+        |_| Box::new(GrantAll),
+        &streams,
+        Certifier::VClock,
+    )
+}
+
+/// The log-shaped entry points, one after the other, on one log.
+fn recover_both_ways(records: &[WalRecord]) -> [Result<Recovery, RecoveryError>; 2] {
+    let (txns, spec) = lost_update_universe();
+    let bytes = encode(records);
+    let flat = recover(&txns, &spec, &mut GrantAll, &bytes);
+    let segmented = recover_segments_with_certifier(
+        &txns,
+        &spec,
+        &mut GrantAll,
+        &[(0, bytes)],
+        Certifier::VClock,
+    )
+    .map(|(_, rec)| rec);
+    [flat, segmented]
+}
+
+/// Step 4 refuses a committed history whose RSG has a cycle, whichever
+/// entry point recovers it.
+#[test]
+fn every_recovery_refuses_a_committed_lost_update() {
+    for got in recover_both_ways(&lost_update_log(true)) {
+        assert_eq!(got, Err(RecoveryError::NotRelativelySerializable));
+    }
+    for shards in [1, 2] {
+        assert_eq!(
+            recover_sharded_lost_update(shards, true),
+            Err(RecoveryError::NotRelativelySerializable),
+            "{shards} shard(s)"
+        );
+    }
+}
+
+/// The same log with the cycle-closing transaction uncommitted recovers:
+/// `T2` is rolled back, and the history left is `T1` alone.
+#[test]
+fn an_uncommitted_cycle_closer_is_rolled_back_not_refused() {
+    for got in recover_both_ways(&lost_update_log(false)) {
+        let rec = got.unwrap();
+        assert_eq!(rec.committed, vec![TxnId(0)]);
+        assert_eq!(rec.live_aborted, vec![TxnId(1)]);
+    }
+    for shards in [1, 2] {
+        let rec = recover_sharded_lost_update(shards, false).unwrap();
+        assert!(rec.committed.contains(&TxnId(0)), "{shards} shard(s)");
+        assert!(!rec.committed.contains(&TxnId(1)), "{shards} shard(s)");
+        assert!(
+            rec.shards.iter().any(|s| s.live_aborted == vec![TxnId(1)]),
+            "{shards} shard(s)"
+        );
     }
 }
