@@ -32,12 +32,11 @@
 //!    whose log was left whole keeping all of its acknowledged commits,
 //!    whatever the others lost.
 //!
-//! Every recovery is held to the share-nothing invariant (committed ∩
-//! partial = ∅, committed op sets complete in the merged history, no
-//! partial op present, no committed transaction with an operation in a
-//! log other than its owner's) plus the Theorem 1 oracle re-run *whole*
-//! over the merged committed history — independently of the
-//! certification sharded recovery already performs internally.
+//! Every recovery is held to the share-nothing invariant (committed op
+//! sets complete in the merged history, no committed transaction with an
+//! operation in a log other than its owner's) plus the Theorem 1 oracle
+//! re-run *whole* over the merged committed history — independently of
+//! the certification sharded recovery already performs internally.
 
 use crate::preload::redrive_preloaded;
 use relser_core::ids::{OpId, TxnId};
@@ -117,8 +116,7 @@ pub struct ShardSweepReport {
     /// failure inside sharded recovery (must be 0).
     pub failed_recoveries: u64,
     /// Transactions recovered by halves: committed with an incomplete op
-    /// set, a partial transaction's op in the merged history, or
-    /// committed ∩ partial ≠ ∅ (must be 0).
+    /// set in the merged history (must be 0).
     pub half_committed: u64,
     /// Committed transactions with an operation in a shard log other than
     /// their owner's (must be 0: shards share nothing).
@@ -335,9 +333,6 @@ fn check_invariants(
 ) {
     let map = ShardMap::new(rec.shards.len() as u32);
     for t in &rec.committed {
-        if rec.partial.contains(t) {
-            report.half_committed += 1;
-        }
         let present = rec.history.iter().filter(|o| o.txn == *t).count();
         if present != txns.txn(*t).len() {
             report.half_committed += 1;
@@ -349,11 +344,6 @@ fn check_invariants(
             .enumerate()
             .any(|(s, shard)| Some(s as u32) != owner && shard.log.iter().any(|o| o.txn == *t));
         report.foreign_ops += u64::from(foreign);
-    }
-    for t in &rec.partial {
-        if rec.history.iter().any(|o| o.txn == *t) {
-            report.half_committed += 1;
-        }
     }
     if rec.committed.is_empty() {
         return;

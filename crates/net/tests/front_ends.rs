@@ -186,7 +186,7 @@ fn four_front_ends<'a>(
             Certifier::VClock,
         )
         .expect("per-shard logs recover");
-        assert!(rec.partial.is_empty());
+        assert_eq!(rec.certified, rec.committed, "no checkpoint: all certified");
         assert_verdict(
             "serve_sharded",
             sc,
@@ -264,7 +264,7 @@ fn four_front_ends<'a>(
             Certifier::VClock,
         )
         .expect("segment stream recovers");
-        assert!(rec.partial.is_empty());
+        assert_eq!(rec.certified, rec.committed, "no checkpoint: all certified");
         assert_verdict(
             "serve_net_supervised_in",
             sc,

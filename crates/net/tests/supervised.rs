@@ -23,7 +23,8 @@ use relser_net::{
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::AbortReason;
 use relser_server::core::FaultPlan;
-use relser_wal::{MemSegmentStore, MemSegmentsHandle};
+use relser_server::recovery::ShardedRecovery;
+use relser_wal::{scan, CheckpointPolicy, MemSegmentStore, MemSegmentsHandle, WalRecord};
 use relser_workload::random::{shard_local_txns, RandomConfig};
 use relser_workload::stream::RequestStream;
 use std::io::{ErrorKind, Read, Write};
@@ -85,10 +86,10 @@ fn audit(
     assert_eq!(recovered.len(), total, "no duplicate commits in recovery");
 
     let p =
-        Projection::subset(txns, spec, &report.recovery.committed).expect("committed projection");
+        Projection::subset(txns, spec, &report.recovery.certified).expect("certified projection");
     let history = p
         .schedule(&report.recovery.history)
-        .expect("merged history is a schedule of the committed sub-universe");
+        .expect("merged history is a schedule of the certified sub-universe");
     assert!(
         Rsg::build(&p.txns, &history, &p.spec).is_acyclic(),
         "merged committed history must re-certify (RSG acyclic)"
@@ -146,15 +147,14 @@ fn shard_core_crash_recovers_in_place_without_losing_acks() {
 }
 
 /// Regression (acked-commit loss at the final merge): under
-/// `CheckpointPolicy::default()` a live shard core's checkpoint used to
-/// prune the events of retired committed transactions, and sharded
-/// recovery's completeness rule then demoted every such commit to
-/// `partial` — 0 of 1 024 acknowledged commits came back. A shard core's
-/// checkpoint must keep the events of everything it committed: with
-/// enough transactions for several rotations, every acked
-/// commit is in the recovered committed set — on one shard, on two, and
-/// on two when a core crashes after its first rotation and the resumed
-/// incarnation rotates again.
+/// `CheckpointPolicy::default()` a live shard core's checkpoint prunes
+/// the events of retired committed transactions, and sharded recovery
+/// once demoted every such commit to `partial` — 0 of 1 024 acknowledged
+/// commits came back. Recovery now counts a commit the newest checkpoint
+/// lists as committed, on the checkpoint's word: with enough transactions
+/// for several rotations, every acked commit is in the recovered
+/// committed set — on one shard, on two, and on two when a core crashes
+/// after its first rotation and the resumed incarnation rotates again.
 #[test]
 fn checkpoint_rotation_keeps_every_acked_commit_through_the_final_merge() {
     let (txns, spec) = local_universe(1_100, 64);
@@ -202,7 +202,17 @@ fn checkpoint_rotation_keeps_every_acked_commit_through_the_final_merge() {
         let deleted: u64 = stores.iter().map(|s| s.deleted()).sum();
         assert!(checkpoints >= 1, "{case}: the log must rotate");
         assert!(deleted >= checkpoints, "{case}: rotation deletes segments");
-        assert_eq!(report.recovery.partial, vec![], "{case}: nothing demoted");
+        let certified_ops: usize = report
+            .recovery
+            .certified
+            .iter()
+            .map(|&t| txns.txn(t).len())
+            .sum();
+        assert_eq!(
+            report.recovery.history.len(),
+            certified_ops,
+            "{case}: certified commits are whole"
+        );
         for (txn, _) in &stats.committed {
             assert!(
                 report.recovery.committed.contains(txn),
@@ -210,6 +220,124 @@ fn checkpoint_rotation_keeps_every_acked_commit_through_the_final_merge() {
             );
         }
         assert_eq!(report.recovery.committed.len(), txns.len(), "{case}");
+    }
+}
+
+/// A shard's log stays bounded: a shard core's checkpoint and a resumed
+/// log's head drop the events of retired commits, as a flat core's
+/// checkpoint does. One shard, 1 024 eight-operation transactions, the
+/// default policy, with and without a crash after the first rotation,
+/// then a whole-service restart with no traffic: every acked commit comes
+/// back, every head checkpoint in the store stays under 8 KiB, the final
+/// recovery replays at most two checkpoint intervals, and the resumed head
+/// of the quiescent log holds the committed list and no events. A shard
+/// core that kept every commit's events filled the 64 KiB frame at 740
+/// commits and stopped rotating.
+#[test]
+fn a_shard_log_stays_bounded_under_the_default_policy() {
+    let wl = RandomConfig {
+        txns: 1_024,
+        ops_per_txn: (8, 8),
+        objects: 64,
+        theta: 0.6,
+        write_ratio: 0.5,
+    };
+    let txns = shard_local_txns(&wl, &ShardMap::new(1), 0xB0B);
+    let spec = AtomicitySpec::absolute(&txns);
+    let policy = CheckpointPolicy::default();
+    let sup = SuperviseNetConfig {
+        shards: 1,
+        ..SuperviseNetConfig::default()
+    };
+    assert_eq!(sup.ckpt, policy);
+    let bounded = |case: &str, store: &MemSegmentsHandle, rec: &ShardedRecovery| {
+        for (seq, bytes) in store.segments() {
+            let head = scan(&bytes).records.into_iter().next();
+            assert!(
+                matches!(head, Some(WalRecord::Checkpoint(_))),
+                "{case}: {seq}"
+            );
+            let len = head.map_or(0, |h| h.frame_len());
+            assert!(len <= 8 * 1024, "{case}: segment {seq}'s head is {len} B");
+        }
+        let records = rec.shards[0].records;
+        assert!(
+            records as u64 <= 2 * policy.every_records,
+            "{case}: the final recovery replayed {records} records"
+        );
+    };
+    for crash_at in [None, Some(2_000)] {
+        let stream = RequestStream::shuffled(&txns, 7);
+        let stores = stores_for(1);
+        let faults = [FaultPlan {
+            crash_at_command: crash_at,
+            ..FaultPlan::default()
+        }];
+        let (report, stats) = serve_net_supervised_in(
+            &txns,
+            &spec,
+            |_| Box::new(RsgSgt::new(&txns, &spec)),
+            &NetConfig::default(),
+            &sup,
+            &faults,
+            &stores,
+            |addr| {
+                drive_resilient(
+                    addr,
+                    &txns,
+                    &stream,
+                    &ResilientConfig::default(),
+                    &ChaosPlan::quiet(),
+                )
+            },
+        )
+        .expect("serve_net_supervised_in");
+        let case = format!("crash_at={crash_at:?}");
+
+        assert!(stats.lost.is_empty(), "{case}: lost {:?}", stats.lost);
+        assert_eq!(stats.committed.len(), txns.len(), "{case}");
+        assert_eq!(
+            report.runs[0].restarts,
+            u64::from(crash_at.is_some()),
+            "{case}"
+        );
+        for (txn, _) in &stats.committed {
+            assert!(
+                report.recovery.committed.contains(txn),
+                "{case}: acked commit {txn:?} lost at the final merge"
+            );
+        }
+        assert!(stores[0].deleted() >= 2, "{case}: the log rotated");
+        if crash_at.is_none() {
+            let rotations = report.runs[0].output.checkpoints;
+            assert_eq!(
+                rotations,
+                stores[0].deleted(),
+                "{case}: each rotation counted"
+            );
+        }
+        bounded(&case, &stores[0], &report.recovery);
+
+        // A whole-service restart with no traffic: the resumed head is
+        // the store's newest checkpoint, and every commit has retired.
+        let (again, ()) = serve_net_supervised_in(
+            &txns,
+            &spec,
+            |_| Box::new(RsgSgt::new(&txns, &spec)),
+            &NetConfig::default(),
+            &sup,
+            &[],
+            &stores,
+            |_| (),
+        )
+        .expect("restart");
+        let case = format!("{case}, restarted");
+        assert_eq!(
+            again.recovery.committed, report.recovery.committed,
+            "{case}"
+        );
+        assert_eq!(again.recovery.shards[0].seeded_events, 0, "{case}");
+        bounded(&case, &stores[0], &again.recovery);
     }
 }
 
@@ -319,7 +447,7 @@ fn out_of_order_and_incomplete_transactions_never_commit() {
             );
         }
     }
-    assert_eq!(report.recovery.partial, vec![], "nothing demoted");
+    assert_eq!(report.recovery.certified, report.recovery.committed);
     for at in [1, 3, 6] {
         assert!(
             matches!(

@@ -368,8 +368,9 @@ pub struct CoreOutput {
     pub wal_error: Option<String>,
     /// Injected (fault-plan) aborts applied.
     pub injected_aborts: u64,
-    /// Checkpoints the core cut into the commit log (always zero for a
-    /// log without checkpoints).
+    /// Checkpoints the core cut into the commit log: rotations that
+    /// happened, not snapshots the log skipped (always zero for a log
+    /// without checkpoints).
     pub checkpoints: u64,
     /// The replayable event trace (empty unless trace recording is on).
     pub trace: Vec<TraceEvent>,
@@ -449,10 +450,10 @@ pub struct ShardCoreCtx<'a> {
     /// commits stay idempotent and stale aborts of durably-committed
     /// transactions are refused across a supervised restart.
     pub recovered_committed: Vec<TxnId>,
-    /// The condensed begin/grant/commit stream of `recovered_committed`
-    /// (what the resumed log's head checkpoint holds). Seeds the
-    /// checkpoint event stream, so the next checkpoint this incarnation
-    /// cuts still carries the recovered commits' complete op sets.
+    /// The condensed begin/grant/commit stream of the recovered commits
+    /// the scheduler has not retired (what the resumed log's head
+    /// checkpoint holds). Seeds the checkpoint event stream, so the next
+    /// checkpoint this incarnation cuts carries them until they retire.
     pub recovered_events: Vec<CheckpointEvent>,
 }
 
@@ -577,8 +578,11 @@ impl CoreOutput {
 /// gets a live-state snapshot whenever it reports one due: the core
 /// tracks the condensed begin/grant/commit stream of non-retired
 /// transactions and hands it over at a batch boundary (a core-order
-/// point), letting the log rotate segments and delete history the
-/// checkpoint covers.
+/// point), with the whole committed list, letting the log rotate segments
+/// and delete history the checkpoint covers. Every core, sharded or not,
+/// prunes by the same rule: a retired commit's events go, and recovery
+/// counts it committed on the checkpoint's word ([`crate::recovery`]).
+/// [`CoreOutput::checkpoints`] counts only the rotations that happened.
 pub fn run_core(
     scheduler: Box<dyn Scheduler + Send + '_>,
     queue: &BoundedQueue<Command>,
@@ -678,13 +682,15 @@ impl Core<'_, '_, '_> {
                 // have here.
                 if self.track_live && self.wal.as_ref().is_some_and(|w| w.checkpoint_due()) {
                     let cp = self.snapshot();
-                    applied = self
+                    match self
                         .wal
                         .as_mut()
                         .expect("a checkpointing log")
                         .install_checkpoint(cp)
-                        .map_err(|e| Halt::WalBroken(e.to_string()));
-                    self.out.checkpoints += u64::from(applied.is_ok());
+                    {
+                        Ok(rotated) => self.out.checkpoints += u64::from(rotated),
+                        Err(e) => applied = Err(Halt::WalBroken(e.to_string())),
+                    }
                 }
             }
             if let Err(halt) = applied {
@@ -728,22 +734,13 @@ impl Core<'_, '_, '_> {
     }
 
     /// The live-state snapshot a due checkpoint installs. Retired
-    /// transactions are purged from the event stream first — their arcs
-    /// can no longer matter, which is what keeps the snapshot (and
-    /// therefore every segment) bounded by live state. A shard core keeps
-    /// the events of its **committed** transactions all the same: sharded
-    /// recovery demotes a committed transaction whose complete op set is
-    /// missing from the shard logs to `partial`, so pruning them would
-    /// turn a rotation into acknowledged-commit loss at the final merge
-    /// (the same rule the supervisor applies to the head checkpoint of a
-    /// resumed log).
+    /// transactions are purged from the event stream first
+    /// ([`prune_retired`]): their arcs can no longer matter, which is what
+    /// keeps the snapshot (and therefore every segment) bounded by live
+    /// state. A retired commit stays in the `committed` list, and the
+    /// checkpoint vouches for it in recovery ([`crate::recovery`]).
     fn snapshot(&mut self) -> Checkpoint {
-        let (scheduler, committed) = (&self.scheduler, &self.committed);
-        let sharded = self.shard.is_some();
-        self.live_events.retain(|e| {
-            let txn = event_txn(e);
-            (sharded && committed.contains(&txn)) || !scheduler.retired(txn)
-        });
+        prune_retired(&mut self.live_events, &*self.scheduler);
         // Session entries ride in the checkpoint so the retry table
         // survives segment rotation; filtered to this shard's committed
         // set, which is exactly the filter recovery re-applies when
@@ -754,7 +751,7 @@ impl Core<'_, '_, '_> {
             .and_then(|s| s.sessions)
             .map(|t| {
                 let mut snap = t.snapshot();
-                snap.retain(|e| committed.contains(&e.txn));
+                snap.retain(|e| self.committed.contains(&e.txn));
                 snap
             })
             .unwrap_or_default();
@@ -1053,6 +1050,14 @@ impl Core<'_, '_, '_> {
         self.held.replies.push((reply, decision));
         Ok(())
     }
+}
+
+/// Drops the events of every transaction `scheduler` has retired: a
+/// retired commit can close no RSG cycle, so a checkpoint need not replay
+/// it. The one pruning rule for a live core's checkpoint and a resumed
+/// log's head.
+pub(crate) fn prune_retired(events: &mut Vec<CheckpointEvent>, scheduler: &dyn Scheduler) {
+    events.retain(|e| !scheduler.retired(event_txn(e)));
 }
 
 /// The transaction a checkpoint event concerns.

@@ -19,11 +19,23 @@
 //!    log fully determines a deterministic scheduler's answer), `Commit`
 //!    and `CommitSession` → `commit` (the latter also rebuilds a
 //!    retry-table entry), `Abort` → `abort` plus a log purge, mirroring
-//!    the core. A log is outside input, so program order is checked
-//!    before the scheduler sees a grant: a `Grant` that skips or repeats
-//!    an index of its transaction's incarnation is a
-//!    [`RecoveryError::ForeignRecord`] (the core grants in program order
-//!    and logs each grant once).
+//!    the core. A log is outside input, so a record is accepted only in a
+//!    transaction state in which the core itself logs it; anything else
+//!    is a [`RecoveryError::ForeignRecord`]:
+//!
+//!    | record | the transaction must be |
+//!    |---|---|
+//!    | `Begin` | neither live nor committed |
+//!    | `Grant` | live, the grant at its incarnation's next index |
+//!    | `Commit`, `CommitSession` | live, every operation granted |
+//!    | `Abort` | live |
+//!
+//!    The newest checkpoint's events replay by the same rules, and each
+//!    entry of its `committed` list must be committed by them or left not
+//!    live. A commit is then *certified* (its commit replayed, so all its
+//!    operations are in the log) or *vouched* (only the checkpoint lists
+//!    it: the core retired it, so it can close no cycle, and dropped its
+//!    events). Flat and sharded logs are read by this one rule.
 //! 3. **Roll back survivors.** Transactions that began but neither
 //!    committed nor aborted before the crash lost their sessions; they
 //!    are aborted so the recovered scheduler resumes from a clean state
@@ -79,7 +91,8 @@ pub struct Recovery {
     pub valid_bytes: usize,
     /// Why the scan stopped early (`None`: the log ended cleanly).
     pub truncation: Option<Truncation>,
-    /// Transactions committed before the crash, in commit order.
+    /// Transactions committed before the crash, in commit order: each
+    /// certified or vouched (step 2).
     pub committed: Vec<TxnId>,
     /// The shard id written in the seeding checkpoint (`None` when the
     /// log has no checkpoint). Sharded recovery uses it to refuse a
@@ -90,13 +103,10 @@ pub struct Recovery {
     /// [`crate::core::CoreOutput::log`], captured before step 3's
     /// rollback so oracle replays can compare against a crashed run.
     pub log: Vec<OpId>,
-    /// The committed transactions whose *complete* operation sets are in
-    /// the recovered log — the transactions step 4 certifies.
-    /// Without a checkpoint this equals [`Recovery::committed`]; with
-    /// one, transactions the checkpoint already retired keep their place
-    /// in `committed` (zero acknowledged-commit loss) but their
-    /// operations were compacted away, so they are vouched for by the
-    /// checkpoint that certified them at rotation time, not re-proved.
+    /// The certified commits, in commit order: their commit replayed, so
+    /// their operations are in [`Recovery::history`] and step 4 proves
+    /// them. The rest of [`Recovery::committed`] the seeding checkpoint
+    /// vouches for. Without a checkpoint this equals `committed`.
     pub certified: Vec<TxnId>,
     /// The committed history: [`Recovery::log`] filtered to
     /// [`Recovery::certified`]. This is what step 4 certifies: on its own
@@ -118,21 +128,23 @@ pub struct Recovery {
     /// transactions a resumed service would re-submit).
     pub live_aborted: Vec<TxnId>,
     /// The client-session retry table rebuilt from `CommitSession`
-    /// records and checkpoint session entries, filtered to transactions
-    /// in [`Recovery::committed`] (an entry can outlive its commit
-    /// record only across a torn rotation; the filter refuses to
-    /// promise a verdict the log no longer proves). One entry per
-    /// session id, carrying the newest acknowledged `req_id`.
+    /// records and checkpoint session entries, each answering a
+    /// transaction in [`Recovery::committed`] (step 2 refuses a checkpoint
+    /// entry for a commit its list does not name). One entry per session
+    /// id, carrying the newest acknowledged `req_id`.
     pub sessions: Vec<SessionEntry>,
 }
 
 /// Why [`recover`] refused the log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecoveryError {
-    /// A CRC-valid record references a transaction or operation that does
-    /// not exist in the universe — the log belongs to a different
-    /// transaction set — or grants an operation out of its transaction's
-    /// program order, which the service never logs.
+    /// A CRC-valid record the service never logs: it references a
+    /// transaction or operation outside the universe (the log belongs to a
+    /// different transaction set), grants an operation out of its
+    /// transaction's program order, or comes in a transaction state in
+    /// which the core does not log it (step 2's rule table: a begin of a
+    /// live or committed transaction, a commit of an incomplete one, a
+    /// checkpoint listing one its events leave live, ...).
     ForeignRecord {
         /// Record index in the valid prefix.
         at: usize,
@@ -187,7 +199,8 @@ impl fmt::Display for RecoveryError {
             RecoveryError::ForeignRecord { at, record } => write!(
                 f,
                 "record {at} ({record:?}) references an operation outside the \
-                 universe or grants one out of program order"
+                 universe, grants one out of program order, or comes in a \
+                 transaction state in which the service never logs it"
             ),
             RecoveryError::ReplayDivergence { at, record, got } => write!(
                 f,
@@ -265,6 +278,21 @@ pub fn recover(
     Ok(rec)
 }
 
+/// Where step 2 has a transaction. A record is accepted only in the
+/// state in which the core itself logs it (the module docs' rule table).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum TxnState {
+    /// Never begun, or its last incarnation aborted.
+    Idle,
+    /// Begun; the index its incarnation's next grant must have.
+    Live(u32),
+    /// Its commit replayed, so every one of its operations is in the log.
+    Certified,
+    /// Named only by the seeding checkpoint's `committed` list: retired
+    /// before the rotation, which dropped its events.
+    Vouched,
+}
+
 /// Step 2's state: the scheduler being rebuilt and the core bookkeeping
 /// mirrored record for record. Checkpoint events and log records replay
 /// through the same four transitions; `at`/`record` name the log record
@@ -272,44 +300,43 @@ pub fn recover(
 struct Replay<'a> {
     txns: &'a TxnSet,
     scheduler: &'a mut dyn Scheduler,
-    /// Per transaction, the index its incarnation's next grant must have.
-    next: Vec<u32>,
+    state: Vec<TxnState>,
     log: Vec<OpId>,
-    live: Vec<TxnId>,
     trace: Vec<TraceEvent>,
 }
 
+fn foreign(at: usize, record: &WalRecord) -> RecoveryError {
+    RecoveryError::ForeignRecord {
+        at,
+        record: record.clone(),
+    }
+}
+
 impl Replay<'_> {
-    fn check_txn(&self, t: TxnId, at: usize, record: &WalRecord) -> Result<(), RecoveryError> {
-        if t.index() < self.txns.len() {
-            return Ok(());
-        }
-        Err(RecoveryError::ForeignRecord {
-            at,
-            record: record.clone(),
-        })
+    /// `t`'s state; a record naming a transaction outside the universe is
+    /// foreign.
+    fn state_of(&self, t: TxnId, at: usize, record: &WalRecord) -> Result<TxnState, RecoveryError> {
+        let state = self.state.get(t.index()).copied();
+        state.ok_or_else(|| foreign(at, record))
     }
 
     fn begin(&mut self, t: TxnId, at: usize, record: &WalRecord) -> Result<(), RecoveryError> {
-        self.check_txn(t, at, record)?;
-        self.scheduler.begin(t);
-        if !self.live.contains(&t) {
-            self.live.push(t);
+        if self.state_of(t, at, record)? != TxnState::Idle {
+            return Err(foreign(at, record));
         }
+        self.state[t.index()] = TxnState::Live(0);
+        self.scheduler.begin(t);
         self.trace.push(TraceEvent::Begin(t));
         Ok(())
     }
 
     fn grant(&mut self, op: OpId, at: usize, record: &WalRecord) -> Result<(), RecoveryError> {
-        self.check_txn(op.txn, at, record)?;
-        let next = &mut self.next[op.txn.index()];
-        if op.index != *next || op.index >= self.txns.txn(op.txn).len() as u32 {
-            return Err(RecoveryError::ForeignRecord {
-                at,
-                record: record.clone(),
-            });
+        match self.state_of(op.txn, at, record)? {
+            TxnState::Live(next)
+                if op.index == next && next < self.txns.txn(op.txn).len() as u32 => {}
+            _ => return Err(foreign(at, record)),
         }
-        *next += 1;
+        self.state[op.txn.index()] = TxnState::Live(op.index + 1);
         let got = self.scheduler.request(op);
         if got != Decision::Granted {
             return Err(RecoveryError::ReplayDivergence {
@@ -324,19 +351,22 @@ impl Replay<'_> {
     }
 
     fn commit(&mut self, t: TxnId, at: usize, record: &WalRecord) -> Result<(), RecoveryError> {
-        self.check_txn(t, at, record)?;
+        if self.state_of(t, at, record)? != TxnState::Live(self.txns.txn(t).len() as u32) {
+            return Err(foreign(at, record));
+        }
+        self.state[t.index()] = TxnState::Certified;
         self.scheduler.commit(t);
-        self.live.retain(|&u| u != t);
         self.trace.push(TraceEvent::Commit(t));
         Ok(())
     }
 
     fn abort(&mut self, t: TxnId, at: usize, record: &WalRecord) -> Result<(), RecoveryError> {
-        self.check_txn(t, at, record)?;
+        if !matches!(self.state_of(t, at, record)?, TxnState::Live(_)) {
+            return Err(foreign(at, record));
+        }
+        self.state[t.index()] = TxnState::Idle;
         self.scheduler.abort(t);
-        self.next[t.index()] = 0;
         self.log.retain(|o| o.txn != t);
-        self.live.retain(|&u| u != t);
         self.trace.push(TraceEvent::Abort(t));
         Ok(())
     }
@@ -353,9 +383,8 @@ fn replay_scan(
     let mut replay = Replay {
         txns,
         scheduler,
-        next: vec![0; txns.len()],
+        state: vec![TxnState::Idle; txns.len()],
         log: Vec::new(),
-        live: Vec::new(),
         trace: Vec::with_capacity(records.len()),
     };
     let mut committed: Vec<TxnId> = Vec::new();
@@ -376,16 +405,7 @@ fn replay_scan(
             let WalRecord::Checkpoint(cp) = record else {
                 unreachable!("rposition matched a checkpoint");
             };
-            for &t in cp
-                .committed
-                .iter()
-                .chain(cp.sessions.iter().map(|e| &e.txn))
-            {
-                replay.check_txn(t, k, record)?;
-            }
             shard = Some(cp.shard);
-            committed = cp.committed.clone();
-            sessions = cp.sessions.clone();
             seeded_events = cp.events.len();
             for ev in &cp.events {
                 match *ev {
@@ -394,6 +414,30 @@ fn replay_scan(
                     CheckpointEvent::Commit(t) => replay.commit(t, k, record)?,
                 }
             }
+            // Its list names each commit of the events once and vouches
+            // for the retired commits they left idle; a transaction they
+            // leave live is not committed. Its retry-table entries answer
+            // listed commits.
+            let mut listed = vec![false; txns.len()];
+            for &t in &cp.committed {
+                let state = replay.state_of(t, k, record)?;
+                if matches!(state, TxnState::Live(_))
+                    || std::mem::replace(&mut listed[t.index()], true)
+                {
+                    return Err(foreign(k, record));
+                }
+                if state == TxnState::Idle {
+                    replay.state[t.index()] = TxnState::Vouched;
+                }
+            }
+            let certified = replay.state.iter().map(|&s| s == TxnState::Certified);
+            if certified.zip(&listed).any(|(c, &l)| c && !l)
+                || (cp.sessions.iter()).any(|e| listed.get(e.txn.index()) != Some(&true))
+            {
+                return Err(foreign(k, record));
+            }
+            committed = cp.committed.clone();
+            sessions = cp.sessions.clone();
             k + 1
         }
         None => 0,
@@ -433,37 +477,34 @@ fn replay_scan(
     }
     let Replay {
         scheduler,
+        state,
         log,
-        live,
         trace,
         ..
     } = replay;
 
-    // The committed transactions whose complete operation sets survived
-    // into this log (all of them, absent compaction) and the
-    // re-certifiable history.
-    let complete = complete_txns(txns, &committed, &log);
-    let certified: Vec<TxnId> = committed
-        .iter()
-        .copied()
-        .filter(|t| complete[t.index()])
-        .collect();
+    // The certified commits and their history: everything committed but
+    // what the checkpoint vouches for.
+    let is_certified = |t: TxnId| state[t.index()] == TxnState::Certified;
     let history: Vec<OpId> = log
         .iter()
         .copied()
-        .filter(|o| complete[o.txn.index()])
+        .filter(|o| is_certified(o.txn))
+        .collect();
+    let certified: Vec<TxnId> = committed
+        .iter()
+        .copied()
+        .filter(|&t| is_certified(t))
         .collect();
 
     // Step 3: roll back crash-orphaned incarnations.
+    let live: Vec<TxnId> = txns
+        .txn_ids()
+        .filter(|t| matches!(state[t.index()], TxnState::Live(_)))
+        .collect();
     for &txn in &live {
         scheduler.abort(txn);
     }
-
-    // Finalize the retry table: only entries whose commit this log
-    // proves (a checkpoint entry can outrun its commit record across a
-    // torn rotation under deferred fsync), newest req_id per session.
-    sessions.retain(|e| committed.contains(&e.txn));
-    let sessions = dedupe_sessions(sessions);
 
     Ok(Recovery {
         records: records.len(),
@@ -478,27 +519,8 @@ fn replay_scan(
         replayed,
         trace,
         live_aborted: live,
-        sessions,
+        sessions: dedupe_sessions(sessions),
     })
-}
-
-/// The one completeness rule: flags (indexed by transaction) the members
-/// of `committed` whose **complete** operation set is present in `log` —
-/// what may be certified; a commit with operations missing (compacted
-/// away) is certified on no fragment.
-pub(crate) fn complete_txns(txns: &TxnSet, committed: &[TxnId], log: &[OpId]) -> Vec<bool> {
-    let mut in_committed = vec![false; txns.len()];
-    for &t in committed {
-        in_committed[t.index()] = true;
-    }
-    let mut op_counts = vec![0usize; txns.len()];
-    for o in log {
-        op_counts[o.txn.index()] += 1;
-    }
-    for t in txns.txn_ids() {
-        in_committed[t.index()] &= op_counts[t.index()] == txns.txn(t).len();
-    }
-    in_committed
 }
 
 /// Collapses session entries to one per session id, keeping the newest
@@ -583,13 +605,11 @@ pub struct ShardedRecovery {
     /// [`crate::serve_sharded`]'s report). This is the acknowledged-commit
     /// set of the sharded service.
     pub committed: Vec<TxnId>,
-    /// Commits whose operation set is incomplete in their shard's log —
-    /// *excluded* from the committed set rather than certified on a
-    /// fragment. WAL-before-ack and a shard core's checkpoints (which keep
-    /// the events of everything it committed) make this empty on every
-    /// log the service writes; it is the detector of a checkpoint that
-    /// pruned a committed transaction's operations.
-    pub partial: Vec<TxnId>,
+    /// [`Recovery::certified`], shard after shard: the commits whose
+    /// every operation is in [`ShardedRecovery::history`]. The rest of
+    /// [`ShardedRecovery::committed`] is vouched for by its shard's newest
+    /// checkpoint, as in [`Recovery::certified`].
+    pub certified: Vec<TxnId>,
     /// The merged committed history: every shard's recovered grant log,
     /// shard after shard, filtered to [`ShardedRecovery::committed`] (a
     /// committed transaction lives wholly on its owner's log and
@@ -649,8 +669,7 @@ where
 }
 
 /// The second half of sharded recovery: ownership check, the shard-order
-/// merge with its completeness demotion, step 4 on the merge,
-/// session-table union.
+/// merge, step 4 on the merge, session-table union.
 fn merge_sharded_recoveries(
     txns: &TxnSet,
     spec: &AtomicitySpec,
@@ -670,44 +689,26 @@ fn merge_sharded_recoveries(
         }
     }
 
-    // Defensive completeness: a committed transaction's full op set must
-    // be present in the shard logs (guaranteed by WAL-before-ack plus
-    // append order within each log; checked anyway — an incomplete one is
-    // demoted to partial rather than certified on a fragment). Step 4
-    // runs here, once, on the merged history; a forged log that splits a
-    // transaction across shards fails program order in `recertify`
-    // (`InvalidHistory`).
+    // Step 4 runs here, once, on the merged history; a forged log that
+    // splits a transaction across shards fails program order in
+    // `recertify` (`InvalidHistory`).
     let Merged {
-        committed,
-        partial,
-        history,
-        ..
+        committed, history, ..
     } = merge_shards(
         txns,
         shards.iter().map(|rec| (&rec.committed[..], &rec.log[..])),
     );
     recertify(txns, spec, &history)?;
 
-    // Union the per-shard retry tables, restricted to the merged
-    // committed set (a demoted-to-partial commit must not promise a
-    // verdict the merged history does not contain).
-    let mut in_committed = vec![false; txns.len()];
-    for t in &committed {
-        in_committed[t.index()] = true;
-    }
-    let sessions: Vec<SessionEntry> = shards
-        .iter()
-        .flat_map(|rec| rec.sessions.iter().copied())
-        .filter(|e| in_committed[e.txn.index()])
-        .collect();
-    let sessions = dedupe_sessions(sessions);
-
+    // Each shard's retry table is already restricted to its own commits.
+    let certified = shards.iter().flat_map(|rec| rec.certified.iter().copied());
+    let sessions = shards.iter().flat_map(|rec| rec.sessions.iter().copied());
     Ok(ShardedRecovery {
+        certified: certified.collect(),
+        sessions: dedupe_sessions(sessions.collect()),
         shards,
         committed,
-        partial,
         history,
-        sessions,
     })
 }
 

@@ -64,7 +64,6 @@
 
 use crate::core::{CoreOutput, FaultPlan, TraceEvent};
 use crate::metrics::ServerMetrics;
-use crate::recovery::complete_txns;
 use crate::server::{
     replay, run_front_end, FrontEndRun, ReplayMismatch, RunOutcome, ServerConfig, ServerError,
 };
@@ -161,8 +160,6 @@ pub fn serve_sharded<'a>(
     } = run_front_end(txns, stream, schedulers, cfg, faults, wals, true);
 
     let merged = merge_shards(txns, outputs.iter().map(|o| (&o.committed[..], &o.log[..])));
-    // A live core commits only complete incarnations.
-    debug_assert!(merged.partial.is_empty());
     metrics.committed_ops = merged.history.len() as u64;
 
     ShardedReport {
@@ -179,12 +176,8 @@ pub fn serve_sharded<'a>(
 
 /// Per-shard results merged by [`merge_shards`].
 pub(crate) struct Merged {
-    /// Every shard's committed transactions whose complete operation set
-    /// is in the merged log, shard after shard.
+    /// Every shard's committed transactions, shard after shard.
     pub(crate) committed: Vec<TxnId>,
-    /// Committed transactions with operations missing from the merged
-    /// log, in the same order: certified on no fragment.
-    pub(crate) partial: Vec<TxnId>,
     /// Every shard's grant log, shard after shard.
     pub(crate) log: Vec<OpId>,
     /// [`Merged::log`] filtered to [`Merged::committed`]: the merged
@@ -198,8 +191,7 @@ pub(crate) struct Merged {
 /// sequence number is needed, because nothing orders two shards: every
 /// transaction has one owner, so no RSG arc crosses shards and the
 /// concatenation is conflict-equivalent to any interleaving the cores
-/// actually ran. A committed transaction whose operations are not all in
-/// the logs is set apart as partial rather than certified on a fragment.
+/// actually ran.
 pub(crate) fn merge_shards<'a>(
     txns: &TxnSet,
     shards: impl IntoIterator<Item = (&'a [TxnId], &'a [OpId])>,
@@ -209,16 +201,17 @@ pub(crate) fn merge_shards<'a>(
         committed.extend_from_slice(c);
         log.extend_from_slice(l);
     }
-    let complete = complete_txns(txns, &committed, &log);
-    let (committed, partial) = committed.into_iter().partition(|t| complete[t.index()]);
+    let mut in_committed = vec![false; txns.len()];
+    for t in &committed {
+        in_committed[t.index()] = true;
+    }
     let history = log
         .iter()
         .copied()
-        .filter(|o| complete[o.txn.index()])
+        .filter(|o| in_committed[o.txn.index()])
         .collect();
     Merged {
         committed,
-        partial,
         log,
         history,
     }

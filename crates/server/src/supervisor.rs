@@ -29,8 +29,8 @@
 //! retry or stale abort can never contradict an acknowledged commit.
 
 use crate::core::{
-    drain_after_crash, event_txn, run_core, Command, CoreCfg, CoreOutput, FaultPlan, Progress,
-    ShardCoreCtx, TraceEvent,
+    drain_after_crash, event_txn, prune_retired, run_core, Command, CoreCfg, CoreOutput, FaultPlan,
+    Progress, ShardCoreCtx, TraceEvent,
 };
 use crate::queue::BoundedQueue;
 use crate::recovery::{recover_segments_with_certifier, Certifier};
@@ -233,11 +233,11 @@ pub struct SupervisedRun {
 /// Replays `store`'s retained segment stream into `scheduler` and
 /// resumes the segmented log on top of it: the head checkpoint carries
 /// the recovered committed set, the condensed Begin/Grant/Commit events
-/// of every committed transaction (so a future recovery rebuilds their
-/// complete op sets — sharded merge demotes a committed transaction
-/// whose ops went missing), and the rebuilt client-session retry table.
-/// Returns the resumed log plus that head: it is exactly the state the
-/// next incarnation starts from.
+/// of the recovered commits the scheduler has not retired (pruned by the
+/// live core's rule, [`prune_retired`]: the head vouches for the rest),
+/// and the rebuilt client-session retry table. Returns the resumed log
+/// plus that head: it is exactly the state the next incarnation starts
+/// from.
 fn recover_and_resume(
     scheduler: &mut dyn Scheduler,
     store: &MemSegmentsHandle,
@@ -253,15 +253,10 @@ fn recover_and_resume(
         Certifier::VClock,
     )
     .map_err(|_| ())?;
-    // The head must condense the full Begin/Grant/Commit stream of
-    // *every* committed transaction — not just the unretired ones.
-    // Sharded recovery demotes a committed transaction to `partial`
-    // when its complete op set is missing from the shard logs, so
-    // pruning retired commits here would turn a resume into
-    // acknowledged-commit loss at the final merge.
-    // An incarnation the log later aborted is not part of that stream —
-    // a transaction that restarted before it committed contributes its
-    // committing incarnation only.
+    // The head condenses the Begin/Grant/Commit stream of the committed
+    // transactions. An incarnation the log later aborted is not part of
+    // it — a transaction that restarted before it committed contributes
+    // its committing incarnation only — nor is one step 3 rolled back.
     let mut events: Vec<CheckpointEvent> = Vec::new();
     for ev in &rec.trace {
         match ev {
@@ -274,6 +269,7 @@ fn recover_and_resume(
     }
     let keep: HashSet<TxnId> = rec.committed.iter().copied().collect();
     events.retain(|e| keep.contains(&event_txn(e)));
+    prune_retired(&mut events, scheduler);
     let head = Checkpoint {
         shard,
         committed: rec.committed,

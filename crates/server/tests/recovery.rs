@@ -18,14 +18,21 @@ use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{Decision, Scheduler};
+use relser_server::core::{Command, Reply};
 use relser_server::recovery::{
     recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
     Recovery, RecoveryError, ShardedRecovery,
 };
-use relser_server::{replay, serve, FaultPlan, RunOutcome, ServerConfig};
-use relser_wal::{scan, FsyncPolicy, MemStorage, WalRecord, WalWriter, MAGIC};
+use relser_server::{
+    replay, run_core, serve, BoundedQueue, CoreCfg, FaultPlan, Progress, RunOutcome, ServerConfig,
+};
+use relser_wal::{
+    scan, Checkpoint, CheckpointEvent, CheckpointPolicy, FsyncPolicy, MemSegmentStore, MemStorage,
+    SegmentedWal, WalRecord, WalWriter, MAGIC,
+};
 use relser_workload::stream::RequestStream;
 use relser_workload::{random_spec, random_txns, RandomConfig};
+use std::time::Instant;
 
 fn universe(wl_seed: u64, spec_seed: u64) -> (TxnSet, AtomicitySpec) {
     let cfg = RandomConfig {
@@ -211,20 +218,24 @@ fn lost_update_log(commit_t2: bool) -> Vec<WalRecord> {
     log
 }
 
-/// Sharded recovery of the lost-update log on `x`'s owner, every other
-/// transaction that shard owns left out, and every transaction another
-/// shard owns committed cleanly there.
-fn recover_sharded_lost_update(
-    shards: u32,
-    commit_t2: bool,
-) -> Result<ShardedRecovery, RecoveryError> {
+/// Sharded recovery of `records` on the owner of `x` (so of `T1`), every
+/// other transaction that shard owns left out, and every transaction
+/// another shard owns committed cleanly there. A checkpoint in `records`
+/// is stamped with the owner's shard id.
+fn recover_sharded(shards: u32, records: &[WalRecord]) -> Result<ShardedRecovery, RecoveryError> {
     let (txns, spec) = lost_update_universe();
     let map = ShardMap::new(shards);
     let home = map.owner_of_txn(&txns, TxnId(0)).unwrap();
     let streams: Vec<Vec<(u64, Vec<u8>)>> = (0..shards)
         .map(|s| {
             let records = if s == home {
-                lost_update_log(commit_t2)
+                let mut records = records.to_vec();
+                for r in &mut records {
+                    if let WalRecord::Checkpoint(cp) = r {
+                        cp.shard = home;
+                    }
+                }
+                records
             } else {
                 txns.txn_ids()
                     .filter(|&t| map.owner_of_txn(&txns, t) == Some(s))
@@ -271,18 +282,33 @@ fn recover_both_ways(records: &[WalRecord]) -> [Result<Recovery, RecoveryError>;
     [flat, segmented]
 }
 
+/// One entry point's committed and certified transactions, or its refusal.
+type Answer = Result<(Vec<TxnId>, Vec<TxnId>), RecoveryError>;
+
+/// Every entry point on one log, named: the two log-shaped ones, then
+/// sharded recovery at one and two shards.
+fn recover_every_way(records: &[WalRecord]) -> Vec<(&'static str, Answer)> {
+    let [flat, segmented] = recover_both_ways(records);
+    let flat_answer =
+        |got: Result<Recovery, RecoveryError>| got.map(|r| (r.committed, r.certified));
+    let sharded = |n| recover_sharded(n, records).map(|r| (r.committed, r.certified));
+    vec![
+        ("recover", flat_answer(flat)),
+        ("recover_segments", flat_answer(segmented)),
+        ("sharded, 1 shard", sharded(1)),
+        ("sharded, 2 shards", sharded(2)),
+    ]
+}
+
 /// Step 4 refuses a committed history whose RSG has a cycle, whichever
 /// entry point recovers it.
 #[test]
 fn every_recovery_refuses_a_committed_lost_update() {
-    for got in recover_both_ways(&lost_update_log(true)) {
-        assert_eq!(got, Err(RecoveryError::NotRelativelySerializable));
-    }
-    for shards in [1, 2] {
+    for (entry, got) in recover_every_way(&lost_update_log(true)) {
         assert_eq!(
-            recover_sharded_lost_update(shards, true),
+            got,
             Err(RecoveryError::NotRelativelySerializable),
-            "{shards} shard(s)"
+            "{entry}"
         );
     }
 }
@@ -297,7 +323,7 @@ fn an_uncommitted_cycle_closer_is_rolled_back_not_refused() {
         assert_eq!(rec.live_aborted, vec![TxnId(1)]);
     }
     for shards in [1, 2] {
-        let rec = recover_sharded_lost_update(shards, false).unwrap();
+        let rec = recover_sharded(shards, &lost_update_log(false)).unwrap();
         assert!(rec.committed.contains(&TxnId(0)), "{shards} shard(s)");
         assert!(!rec.committed.contains(&TxnId(1)), "{shards} shard(s)");
         assert!(
@@ -305,4 +331,189 @@ fn an_uncommitted_cycle_closer_is_rolled_back_not_refused() {
             "{shards} shard(s)"
         );
     }
+}
+
+fn checkpoint(committed: Vec<TxnId>, events: Vec<CheckpointEvent>) -> WalRecord {
+    WalRecord::Checkpoint(Checkpoint {
+        committed,
+        events,
+        ..Checkpoint::default()
+    })
+}
+
+/// A forged log gets one answer from every entry point: a record the
+/// core would not have logged in its transaction's state is refused as a
+/// `ForeignRecord`, at that record. `T1 = r1[x] w1[x]` has two
+/// operations. Flat recovery used to return an incomplete commit as
+/// committed (sharded recovery as `partial`), a double commit twice, a
+/// commit then an abort as committed with its operations purged, and a
+/// commit then a begin as both committed and rolled back.
+#[test]
+fn every_recovery_refuses_a_record_the_core_never_logs() {
+    use CheckpointEvent as E;
+    use WalRecord::{Abort, Begin, Commit, Grant};
+    let t1 = TxnId(0);
+    let whole = [
+        Begin(t1),
+        Grant(OpId::new(t1, 0)),
+        Grant(OpId::new(t1, 1)),
+        Commit(t1),
+    ];
+    let after_whole = |r: WalRecord| [&whole[..], &[r]].concat();
+    let shapes = [
+        (
+            "an incomplete commit",
+            vec![Begin(t1), Grant(OpId::new(t1, 0)), Commit(t1)],
+        ),
+        ("a double commit", after_whole(Commit(t1))),
+        ("a commit, then an abort", after_whole(Abort(t1))),
+        ("a commit, then a begin", after_whole(Begin(t1))),
+        (
+            "a checkpoint listing a transaction it leaves live",
+            vec![checkpoint(
+                vec![t1],
+                vec![E::Begin(t1), E::Grant(OpId::new(t1, 0))],
+            )],
+        ),
+        (
+            "a checkpoint committing a transaction it does not list",
+            vec![checkpoint(
+                vec![],
+                vec![
+                    E::Begin(t1),
+                    E::Grant(OpId::new(t1, 0)),
+                    E::Grant(OpId::new(t1, 1)),
+                    E::Commit(t1),
+                ],
+            )],
+        ),
+        (
+            "a checkpoint listing a transaction twice",
+            vec![checkpoint(vec![t1, t1], vec![])],
+        ),
+    ];
+    for (shape, records) in shapes {
+        let at = records.len() - 1;
+        let want = RecoveryError::ForeignRecord {
+            at,
+            record: records[at].clone(),
+        };
+        for (entry, got) in recover_every_way(&records) {
+            let got = got.map_err(|mut e| {
+                assert!(e.to_string().contains("state"), "names the cause: {e}");
+                // `recover_sharded` stamped the checkpoint with its shard.
+                if let RecoveryError::ForeignRecord {
+                    record: WalRecord::Checkpoint(cp),
+                    ..
+                } = &mut e
+                {
+                    cp.shard = 0;
+                }
+                e
+            });
+            assert_eq!(got, Err(want.clone()), "{shape}, {entry}");
+        }
+    }
+}
+
+/// The positive side of the rule: a head checkpoint that lists `T1` with
+/// no events vouches for it. `T1` is committed, and not certified, on
+/// every entry point.
+#[test]
+fn a_checkpoint_vouches_for_a_commit_whose_events_it_dropped() {
+    let t1 = TxnId(0);
+    for (entry, got) in recover_every_way(&[checkpoint(vec![t1], vec![])]) {
+        let (committed, certified) = got.unwrap_or_else(|e| panic!("{entry}: {e}"));
+        assert!(committed.contains(&t1), "{entry}: committed");
+        assert!(!certified.contains(&t1), "{entry}: vouched, not certified");
+    }
+}
+
+/// What a checkpoint keeps: the events of every transaction that can
+/// still close a cycle, and nothing else. `L = r1[x] w1[z]` reads `x`
+/// and stays live; `T2 = w2[x]` then writes `x` and commits, pinned by
+/// the arc `L → T2`; `T3 = w3[q]` commits with no arc into it and
+/// retires. The core checkpoints after every command, so the newest head
+/// carries `L` and `T2` and lists `T3` only. Recovery certifies `T2`,
+/// vouches for `T3` and rolls `L` back.
+#[test]
+fn a_checkpoint_keeps_what_a_live_transaction_pins_and_drops_what_retired() {
+    let txns = TxnSet::parse(&["r1[x] w1[z]", "w2[x]", "w3[q]"]).unwrap();
+    let spec = AtomicitySpec::absolute(&txns);
+    let (l, t2, t3) = (TxnId(0), TxnId(1), TxnId(2));
+    let request = |txn, index| Command::Request {
+        op: OpId::new(txn, index),
+        enqueued: Instant::now(),
+        reply: Reply::new(),
+    };
+    let commit = |txn| Command::Commit {
+        txn,
+        ops: 1,
+        ack: None,
+    };
+    let queue: BoundedQueue<Command> = BoundedQueue::new(16);
+    let commands = [
+        Command::Begin(l),
+        request(l, 0),
+        Command::Begin(t2),
+        request(t2, 0),
+        commit(t2),
+        Command::Begin(t3),
+        request(t3, 0),
+        commit(t3),
+    ];
+    for cmd in commands {
+        assert!(queue.push_wait(cmd).is_ok());
+    }
+    queue.close();
+    let (store, handle) = MemSegmentStore::new();
+    let every_command = CheckpointPolicy {
+        every_records: 1,
+        every_bytes: u64::MAX,
+    };
+    let mut wal = SegmentedWal::new(Box::new(store), FsyncPolicy::Always, every_command).unwrap();
+    let out = run_core(
+        Box::new(RsgSgt::new(&txns, &spec)),
+        &queue,
+        &Progress::new(),
+        CoreCfg {
+            batch_max: 1,
+            record_trace: false,
+        },
+        &FaultPlan::default(),
+        Some(&mut wal),
+        None,
+    );
+    assert_eq!(out.committed, vec![t2, t3]);
+    assert_eq!(out.checkpoints, 8, "one rotation per command");
+
+    let segments = handle.synced_segments();
+    let head = scan(&segments.last().unwrap().1).records.into_iter().next();
+    let Some(WalRecord::Checkpoint(cp)) = head else {
+        panic!("the newest segment opens with its head checkpoint");
+    };
+    assert_eq!(cp.committed, vec![t2, t3]);
+    let mut kept: Vec<TxnId> = cp
+        .events
+        .iter()
+        .map(|e| match *e {
+            CheckpointEvent::Begin(t) | CheckpointEvent::Commit(t) => t,
+            CheckpointEvent::Grant(op) => op.txn,
+        })
+        .collect();
+    kept.dedup();
+    assert_eq!(
+        kept,
+        vec![l, t2],
+        "the pinned commit stays, the retired one goes"
+    );
+
+    let mut fresh = RsgSgt::new(&txns, &spec);
+    let (_, rec) =
+        recover_segments_with_certifier(&txns, &spec, &mut fresh, &segments, Certifier::VClock)
+            .unwrap();
+    assert_eq!(rec.committed, vec![t2, t3]);
+    assert_eq!(rec.certified, vec![t2]);
+    assert_eq!(rec.history, vec![OpId::new(t2, 0)]);
+    assert_eq!(rec.live_aborted, vec![l]);
 }

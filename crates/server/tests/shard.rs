@@ -338,7 +338,7 @@ fn cross_shard_transactions_are_refused_before_anything_is_enqueued() {
 /// A log is outside input, so sharded recovery checks ownership too: a
 /// shard's log that commits a transaction the shard does not wholly own —
 /// another shard's, or one spanning shards — is refused with a typed
-/// error, not demoted and not certified shard by shard.
+/// error, not certified shard by shard.
 #[test]
 fn recovery_refuses_a_commit_the_shard_does_not_own() {
     let (txns, spec, [x1, l, _, _]) = counter_example();
@@ -566,7 +566,7 @@ fn durable_sharded_run_recovers_to_the_same_committed_state() {
     assert_eq!(report.outcome, RunOutcome::Completed);
     let logs: Vec<Vec<u8>> = handles.iter().map(|h| h.bytes()).collect();
     let rec = recover_flat(&txns, &spec, logs).expect("clean sharded logs recover");
-    assert!(rec.partial.is_empty(), "clean run has no partial commits");
+    assert_eq!(rec.certified, rec.committed, "no checkpoint: all certified");
     assert_eq!(rec.committed, report.committed, "same commits, same order");
     let mut recovered = rec.history.clone();
     let mut live = report.history.clone();
@@ -580,8 +580,8 @@ proptest! {
     /// durable sharded service over a shard-local universe with a random
     /// crash point on a random shard, then cut every shard's log at a
     /// random byte (modelling shards crashing at different instants) and
-    /// recover. Whatever the cuts: recovery succeeds, nothing is demoted
-    /// to partial, every committed transaction's op set is complete in
+    /// recover. Whatever the cuts: recovery succeeds, every commit is
+    /// certified, every committed transaction's op set is complete in
     /// the merged history and present in no log but its owner's, and the
     /// history re-certified against the Theorem 1 oracle (sharded
     /// recovery fails otherwise).
@@ -637,9 +637,9 @@ proptest! {
         let rec = recover_flat(&txns, &spec, logs)
             .expect("byte cuts never make sharded recovery fail");
 
-        prop_assert!(
-            rec.partial.is_empty(),
-            "a byte cut never splits a commit from its ops: {:?}", rec.partial
+        prop_assert_eq!(
+            &rec.certified, &rec.committed,
+            "no checkpoint: a byte cut leaves every commit certified"
         );
         for &t in &rec.committed {
             prop_assert_eq!(

@@ -60,10 +60,11 @@ pub trait CommitLog: Send {
     }
 
     /// Installs a checkpoint snapshot (rotating / compacting as the
-    /// implementation sees fit). The default is a no-op for logs without
-    /// checkpoints.
-    fn install_checkpoint(&mut self, _cp: Checkpoint) -> io::Result<()> {
-        Ok(())
+    /// implementation sees fit). `Ok(true)` means the log rotated onto
+    /// it, `Ok(false)` that it skipped the snapshot. The default skips
+    /// every one: a log without checkpoints never rotates.
+    fn install_checkpoint(&mut self, _cp: Checkpoint) -> io::Result<bool> {
+        Ok(false)
     }
 }
 

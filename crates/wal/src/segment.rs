@@ -445,7 +445,7 @@ impl CommitLog for SegmentedWal {
                 || self.since_bytes >= self.ckpt.every_bytes)
     }
 
-    fn install_checkpoint(&mut self, cp: Checkpoint) -> io::Result<()> {
+    fn install_checkpoint(&mut self, cp: Checkpoint) -> io::Result<bool> {
         // A snapshot too large to frame cannot head a segment. Skip the
         // rotation — the log keeps its whole history, which is correct,
         // just not compacted — and restart the cadence so the core does
@@ -454,9 +454,9 @@ impl CommitLog for SegmentedWal {
         if head.frame_len() - FRAME_OVERHEAD > MAX_PAYLOAD as usize {
             self.since_records = 0;
             self.since_bytes = 0;
-            return Ok(());
+            return Ok(false);
         }
-        self.rotate(&head)
+        self.rotate(&head).map(|()| true)
     }
 }
 
@@ -536,7 +536,7 @@ mod tests {
             wal.append(&WalRecord::Begin(TxnId(t))).unwrap();
         }
         assert!(wal.checkpoint_due());
-        wal.install_checkpoint(Checkpoint::default()).unwrap();
+        assert!(wal.install_checkpoint(Checkpoint::default()).unwrap());
         assert!(!wal.checkpoint_due(), "rotation resets the suffix counters");
         assert_eq!(wal.segment_stats().checkpoints, 1);
     }
@@ -550,11 +550,13 @@ mod tests {
         wal.append(&WalRecord::Begin(TxnId(0))).unwrap();
         wal.batch_end().unwrap();
         assert!(wal.checkpoint_due());
-        wal.install_checkpoint(Checkpoint {
-            committed: (0..=(MAX_PAYLOAD / 4)).map(TxnId).collect(),
-            ..Checkpoint::default()
-        })
-        .unwrap();
+        let rotated = wal
+            .install_checkpoint(Checkpoint {
+                committed: (0..=(MAX_PAYLOAD / 4)).map(TxnId).collect(),
+                ..Checkpoint::default()
+            })
+            .unwrap();
+        assert!(!rotated, "the skip is reported");
         assert!(!wal.checkpoint_due(), "cadence restarted");
         assert_eq!(wal.segment_stats().checkpoints, 0, "no rotation happened");
         wal.append(&WalRecord::Commit(TxnId(0))).unwrap();
