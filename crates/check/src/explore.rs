@@ -15,7 +15,8 @@
 //! lowest-id one (the model-checking analogue of the server's waits-for
 //! timeout). Each transaction gets a bounded number of incarnations; one
 //! that exhausts the budget *gives up* (aborts for good), mirroring the
-//! server's `max_attempts`, which keeps the choice tree finite.
+//! server sessions' livelock guard (`MAX_ATTEMPTS` in
+//! `relser_server::session`), which keeps the choice tree finite.
 //!
 //! ## Strategies
 //!

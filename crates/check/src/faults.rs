@@ -25,7 +25,7 @@ use crate::oracle::{check_execution, Divergence, ExecutionRecord};
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::SchedulerKind;
-use relser_server::{serve, FaultPlan, OverloadPolicy, RunOutcome, ServerConfig};
+use relser_server::{serve_sharded, FaultPlan, OverloadPolicy, RunOutcome, ServerConfig};
 use relser_workload::stream::RequestStream;
 use std::time::Duration;
 
@@ -165,27 +165,28 @@ fn run_one(
     report: &mut FaultSweepReport,
 ) {
     let stream = RequestStream::shuffled(txns, seed);
-    let run = serve(
+    let mut run = serve_sharded(
         txns,
         &stream,
-        kind.make(txns, spec),
+        vec![kind.make(txns, spec)],
         server_cfg,
-        faults,
-        None,
+        std::slice::from_ref(faults),
+        Vec::new(),
     );
+    let core = run.shards.pop().expect("one core");
     report.runs += 1;
     match run.outcome {
         RunOutcome::Completed => {}
         RunOutcome::Crashed => report.crashed += 1,
         RunOutcome::Failed(_) => report.failed += 1,
     }
-    report.injected_aborts += run.injected_aborts;
+    report.injected_aborts += core.injected_aborts;
     report.committed_txns += run.committed.len() as u64;
     let exec = ExecutionRecord {
         path: Vec::new(),
         committed: run.committed,
         log: run.log,
-        trace: run.trace,
+        trace: core.trace,
         shadow_mismatch: None,
     };
     let found = check_execution(txns, spec, kind, &exec);

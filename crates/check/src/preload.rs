@@ -46,7 +46,7 @@ pub fn redrive_preloaded(
     trace: &[TraceEvent],
     faults: &FaultPlan,
     wal: &mut dyn CommitLog,
-    shard: Option<ShardCoreCtx<'_>>,
+    shard: ShardCoreCtx<'_>,
 ) -> PreloadedRun {
     let queue: BoundedQueue<Command> = BoundedQueue::new(trace.len().max(1));
     let mut commit_replies: Vec<(TxnId, Reply)> = Vec::new();
@@ -113,7 +113,7 @@ mod tests {
     use relser_core::paper::Figure1;
     use relser_protocols::SchedulerKind;
     use relser_server::recovery::recover;
-    use relser_server::{serve, RunOutcome, ServerConfig};
+    use relser_server::{serve_sharded, RunOutcome, ServerConfig};
     use relser_wal::{FsyncPolicy, MemStorage, WalWriter};
     use relser_workload::stream::RequestStream;
 
@@ -125,16 +125,16 @@ mod tests {
             record_trace: true,
             ..ServerConfig::default()
         };
-        let run = serve(
+        let mut run = serve_sharded(
             &fig.txns,
             &RequestStream::shuffled(&fig.txns, 1),
-            SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec),
+            vec![SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec)],
             &cfg,
-            &FaultPlan::default(),
-            Some(&mut wal),
+            &[],
+            vec![&mut wal],
         );
         assert_eq!(run.outcome, RunOutcome::Completed);
-        (run.trace, run.committed)
+        (std::mem::take(&mut run.shards[0].trace), run.committed)
     }
 
     #[test]
@@ -148,7 +148,7 @@ mod tests {
             &trace,
             &FaultPlan::default(),
             &mut wal,
-            None,
+            ShardCoreCtx::default(),
         );
         assert!(!redrive.out.crashed);
         assert_eq!(redrive.out.trace, trace, "same decisions in the same order");
@@ -195,7 +195,7 @@ mod tests {
                 ..FaultPlan::default()
             },
             &mut wal,
-            None,
+            ShardCoreCtx::default(),
         );
         assert!(redrive.out.crashed);
         assert_eq!(redrive.out.commands, 3, "T0 ran to its commit");

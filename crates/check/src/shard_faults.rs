@@ -253,12 +253,10 @@ fn redrive_cell(
             &live.trace,
             &faults[shard],
             &mut wals[shard],
-            Some(ShardCoreCtx {
+            ShardCoreCtx {
                 shard: shard as u32,
-                sessions: None,
-                recovered_committed: Vec::new(),
-                recovered_events: Vec::new(),
-            }),
+                ..ShardCoreCtx::default()
+            },
         );
         report.preloaded_crashes += u64::from(redrive.out.crashed);
         acked.push(redrive.acked);

@@ -39,9 +39,12 @@ use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::SchedulerKind;
 use relser_server::recovery::{recover, recover_segments_with_certifier, Certifier, Recovery};
-use relser_server::{serve, FaultPlan, RunOutcome, ServeReport, ServerConfig};
+use relser_server::{
+    serve_sharded, FaultPlan, RunOutcome, ServerConfig, ShardCoreCtx, ShardedReport,
+};
 use relser_wal::{
-    CheckpointPolicy, FsyncPolicy, MemSegmentStore, MemStorage, SegmentedWal, Storage, WalWriter,
+    CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemStorage, SegmentedWal, Storage,
+    WalWriter,
 };
 use relser_workload::stream::RequestStream;
 use std::io;
@@ -340,10 +343,10 @@ pub fn crash_point_sweep(
                         // a batch with appended records and held acks.
                         let redrive = redrive_preloaded(
                             kind.make(txns, spec),
-                            &run.trace,
+                            &run.shards[0].trace,
                             &FaultPlan::default(),
                             &mut wal,
-                            None,
+                            ShardCoreCtx::default(),
                         );
                         report.report_ack_mismatches +=
                             u64::from(redrive.out.committed != redrive.acked);
@@ -432,19 +435,19 @@ pub fn checkpoint_crash_sweep(
             let mut wal = SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt_policy)
                 .expect("MemSegmentStore never fails");
             let stream = RequestStream::shuffled(txns, seed);
-            let run = serve(
+            let run = serve_sharded(
                 txns,
                 &stream,
-                kind.make(txns, spec),
+                vec![kind.make(txns, spec)],
                 &server_cfg,
-                &FaultPlan::default(),
-                Some(&mut wal),
+                &[],
+                vec![&mut wal as &mut dyn CommitLog],
             );
             if run.outcome != RunOutcome::Completed {
                 continue;
             }
             report.runs += 1;
-            report.checkpoints += run.checkpoints;
+            report.checkpoints += run.shards[0].checkpoints;
             let segments = handle.synced_segments();
             // Rotation deletes covered segments, so the durable set is
             // the newest segment (plus, mid-rotation, its predecessor).
@@ -517,25 +520,25 @@ pub fn checkpoint_crash_sweep(
                     let (acked, checkpoints) = if preloaded {
                         let redrive = redrive_preloaded(
                             kind.make(txns, spec),
-                            &run.trace,
+                            &run.shards[0].trace,
                             &faults,
                             &mut wal,
-                            None,
+                            ShardCoreCtx::default(),
                         );
                         report.report_ack_mismatches +=
                             u64::from(redrive.out.committed != redrive.acked);
                         (redrive.acked, redrive.out.checkpoints)
                     } else {
                         let stream = RequestStream::shuffled(txns, seed);
-                        let crashed = serve(
+                        let crashed = serve_sharded(
                             txns,
                             &stream,
-                            kind.make(txns, spec),
+                            vec![kind.make(txns, spec)],
                             &server_cfg,
-                            &faults,
-                            Some(&mut wal),
+                            std::slice::from_ref(&faults),
+                            vec![&mut wal as &mut dyn CommitLog],
                         );
-                        (crashed.committed, crashed.checkpoints)
+                        (crashed.committed, crashed.shards[0].checkpoints)
                     };
                     report.checkpoints += checkpoints;
                     check_acked_segments(
@@ -602,15 +605,15 @@ fn serve_one(
     server_cfg: &ServerConfig,
     seed: u64,
     wal: &mut WalWriter,
-) -> ServeReport {
+) -> ShardedReport {
     let stream = RequestStream::shuffled(txns, seed);
-    serve(
+    serve_sharded(
         txns,
         &stream,
-        kind.make(txns, spec),
+        vec![kind.make(txns, spec)],
         server_cfg,
-        &FaultPlan::default(),
-        Some(wal),
+        &[],
+        vec![wal as &mut dyn CommitLog],
     )
 }
 

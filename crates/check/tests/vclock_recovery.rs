@@ -23,7 +23,7 @@ use relser_protocols::{Scheduler, SchedulerKind};
 use relser_server::recovery::{
     recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
 };
-use relser_server::{serve, serve_sharded, FaultPlan, RunOutcome, ServerConfig};
+use relser_server::{serve_sharded, FaultPlan, RunOutcome, ServerConfig};
 use relser_wal::{
     CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemStorage, SegmentedWal, WalWriter,
 };
@@ -76,13 +76,13 @@ fn wal_bytes(
         ..ServerConfig::default()
     };
     let stream = RequestStream::shuffled(txns, seed);
-    serve(
+    serve_sharded(
         txns,
         &stream,
-        kind.make(txns, spec),
+        vec![kind.make(txns, spec)],
         &cfg,
-        faults,
-        Some(&mut wal),
+        std::slice::from_ref(faults),
+        vec![&mut wal],
     );
     handle.bytes()
 }
@@ -158,13 +158,13 @@ fn segment_rotation_recovers_a_history_rsg_accepts() {
             ..ServerConfig::default()
         };
         let stream = RequestStream::shuffled(&fig.txns, seed);
-        let report = serve(
+        let report = serve_sharded(
             &fig.txns,
             &stream,
-            SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec),
+            vec![SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec)],
             &cfg,
-            &FaultPlan::default(),
-            Some(&mut wal),
+            &[],
+            vec![&mut wal],
         );
         assert_eq!(report.outcome, RunOutcome::Completed, "seed {seed}");
         let segments = handle.synced_segments();

@@ -17,7 +17,7 @@ use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{AbortReason, Decision, Scheduler, SchedulerKind};
 use relser_server::recovery::{recover, recover_segments_with_certifier, Certifier};
-use relser_server::{serve, FaultPlan, RunOutcome, ServerConfig};
+use relser_server::{serve_sharded, FaultPlan, RunOutcome, ServerConfig};
 use relser_wal::{
     CheckpointPolicy, FsyncPolicy, MemHandle, MemSegmentStore, MemStorage, SegmentedWal, WalWriter,
 };
@@ -40,13 +40,13 @@ fn durable_run(
         ..ServerConfig::default()
     };
     let stream = RequestStream::shuffled(txns, seed);
-    let report = serve(
+    let report = serve_sharded(
         txns,
         &stream,
-        kind.make(txns, spec),
+        vec![kind.make(txns, spec)],
         &cfg,
-        faults,
-        Some(&mut wal),
+        std::slice::from_ref(faults),
+        vec![&mut wal],
     );
     (report.outcome, report.committed, handle)
 }
@@ -135,16 +135,19 @@ fn checkpointed_runs_recover_from_the_suffix_not_the_history() {
             ..ServerConfig::default()
         };
         let stream = RequestStream::shuffled(&fig.txns, seed);
-        let report = serve(
+        let report = serve_sharded(
             &fig.txns,
             &stream,
-            SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec),
+            vec![SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec)],
             &cfg,
-            &FaultPlan::default(),
-            Some(&mut wal),
+            &[],
+            vec![&mut wal],
         );
         assert_eq!(report.outcome, RunOutcome::Completed, "seed {seed}");
-        assert!(report.checkpoints >= 1, "cadence 3 must checkpoint");
+        assert!(
+            report.shards[0].checkpoints >= 1,
+            "cadence 3 must checkpoint"
+        );
 
         let segments = handle.synced_segments();
         let mut fresh = SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec);

@@ -9,7 +9,7 @@ use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_poll::Doorbell;
 use relser_protocols::Scheduler;
-use relser_server::core::{run_core, Command, CoreCfg, FaultPlan, Progress};
+use relser_server::core::{run_core, Command, CoreCfg, FaultPlan, Progress, ShardCoreCtx};
 use relser_server::metrics::histogram_of;
 use relser_server::queue::BoundedQueue;
 use relser_server::recovery::{recover_sharded_segments_with_certifier, ShardedRecovery};
@@ -89,9 +89,9 @@ fn bind_loopback() -> io::Result<(TcpListener, SocketAddr)> {
 
 impl NetConfig {
     /// The reactors' view of this config over the back-end `route`;
-    /// `sessions` is written by supervised cores only. Makes one doorbell
-    /// per reactor and attaches each to every core's progress epoch, so
-    /// every bump rings them.
+    /// `sessions` is the retry table the run's cores write. Makes one
+    /// doorbell per reactor and attaches each to every core's progress
+    /// epoch, so every bump rings them.
     fn reactor_ctx<'a>(
         &self,
         route: Route<'a>,
@@ -174,7 +174,8 @@ fn run_front_end<'scope, R>(
 }
 
 /// Serves the transaction set over real TCP on a loopback address, on
-/// one unsupervised admission core.
+/// one unsupervised admission core (shard 0 of one, writing the retry
+/// table the reactors answer retried commits from).
 ///
 /// Binds `127.0.0.1:0`, spawns the admission core, `cfg.reactors`
 /// reactor threads and an acceptor, then calls `client` with the bound
@@ -200,7 +201,8 @@ pub fn serve_net<R>(
 ) -> io::Result<(NetReport, R)> {
     assert!(cfg.reactors >= 1, "need at least one reactor");
     let (listener, addr) = bind_loopback()?;
-    // The N = 1 row: one plain core, no supervisor.
+    // The N = 1 row: shard 0 of one, no supervisor. Its core publishes
+    // sessionful commits to the retry table the reactors read.
     let queue: BoundedQueue<Command> = BoundedQueue::new(cfg.queue_capacity);
     let progress = Progress::new();
     let sessions = SessionTable::new();
@@ -217,8 +219,12 @@ pub fn serve_net<R>(
 
     let (core_out, net, client_out) = std::thread::scope(|s| {
         let (queue, progress) = (&queue, &progress);
+        let shard = ShardCoreCtx {
+            sessions: Some(&sessions),
+            ..ShardCoreCtx::default()
+        };
         let core =
-            s.spawn(move || run_core(scheduler, queue, progress, cfg.core(), faults, wal, None));
+            s.spawn(move || run_core(scheduler, queue, progress, cfg.core(), faults, wal, shard));
         let (net, client_out) = run_front_end(s, cfg, &listener, addr, &ctx, &stop, client);
         queue.close();
         let core_out = core.join().expect("admission core panicked");
@@ -250,15 +256,14 @@ pub fn serve_net<R>(
 
 /// Supervision tunables for one [`serve_net_supervised_in`] run. Every
 /// shard core's log syncs under `FsyncPolicy::Always`: no acknowledgment
-/// leaves a core before the barrier that covers it.
+/// leaves a core before the barrier that covers it. Every shard restarts
+/// at most [`relser_server::MAX_RESTARTS`] times.
 #[derive(Clone, Debug)]
 pub struct SuperviseNetConfig {
     /// Shard cores (the object space is partitioned across them).
     pub shards: usize,
     /// Checkpoint/rotation policy of every shard core's log.
     pub ckpt: CheckpointPolicy,
-    /// Per-shard supervisor restart budget.
-    pub max_restarts: u64,
 }
 
 impl Default for SuperviseNetConfig {
@@ -266,7 +271,6 @@ impl Default for SuperviseNetConfig {
         SuperviseNetConfig {
             shards: 2,
             ckpt: CheckpointPolicy::default(),
-            max_restarts: 8,
         }
     }
 }
@@ -353,7 +357,6 @@ pub fn serve_net_supervised_in<'e, R>(
         ckpt: sup.ckpt,
         batch_max: cfg.batch_max,
         record_trace: cfg.record_trace,
-        max_restarts: sup.max_restarts,
     };
     let t0 = Instant::now();
 

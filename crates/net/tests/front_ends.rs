@@ -1,8 +1,9 @@
 //! Four front-ends, one verdict: the same shard-local universe (every
 //! transaction owned by one shard of the two-way partition) served
-//! durably through each entry point of the service — `serve`,
-//! `serve_sharded`, `serve_net`, `serve_net_supervised_in` — and each log
-//! recovered by the recovery function that pairs with its shape. Whatever
+//! durably through each entry point of the service — `serve_sharded` over
+//! one scheduler and over two, `serve_net`, `serve_net_supervised_in` —
+//! and each log recovered by the recovery function that pairs with its
+//! shape. Whatever
 //! the front-end, every transaction commits exactly once, recovery
 //! rebuilds exactly the committed set the live run acknowledged, and the
 //! recovered history is relatively serializable (`vclock::certify`).
@@ -13,10 +14,11 @@
 //! per-operation state machine (`relser_server::Flight`) on its way to
 //! the same verdict.
 //!
-//! Both TCP entry points also write the same commit record: a sessionless
-//! client's commit is a plain `Commit` on the plain core and on a shard
-//! core alike, because nothing orders one shard's commits against
-//! another's.
+//! Both TCP entry points also write the same commit record — a
+//! sessionless client's commit is a plain `Commit` on either, because
+//! nothing orders one shard's commits against another's — and answer a
+//! retried sessionful commit the same way: from the retry table their
+//! cores write, without reaching a core again.
 
 use relser_core::ids::{OpId, TxnId};
 use relser_core::op::AccessMode;
@@ -34,7 +36,7 @@ use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::two_pl::TwoPhaseLocking;
 use relser_protocols::Scheduler;
 use relser_server::{
-    recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, serve,
+    recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier,
     serve_sharded, Certifier, FaultPlan, RunOutcome, ServerConfig,
 };
 use relser_wal::{
@@ -134,23 +136,22 @@ fn four_front_ends<'a>(
         ..ServerConfig::default()
     };
 
-    // `serve` over a flat log, recovered by `recover`.
+    // `serve_sharded` (N = 1) over a flat log, recovered by `recover`.
     {
         let (mem, handle) = MemStorage::new();
         let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
-        let report = serve(
-            txns,
-            &stream(),
-            fresh(),
-            &cfg,
-            &FaultPlan::default(),
-            Some(&mut wal),
-        );
+        let report = serve_sharded(txns, &stream(), vec![fresh()], &cfg, &[], vec![&mut wal]);
         assert_eq!(report.outcome, RunOutcome::Completed);
-        assert_blocked("serve", report.metrics.blocked);
+        assert_blocked("serve_sharded (N = 1)", report.metrics.blocked);
         let rec =
             recover(txns, spec, &mut *fresh(), &handle.synced_bytes()).expect("flat log recovers");
-        assert_verdict("serve", sc, report.committed, rec.committed, rec.history);
+        assert_verdict(
+            "serve_sharded (N = 1)",
+            sc,
+            report.committed,
+            rec.committed,
+            rec.history,
+        );
     }
 
     // `serve_sharded` (N = 2) over one flat log per shard, recovered by
@@ -173,7 +174,7 @@ fn four_front_ends<'a>(
             wals.iter_mut().map(|w| w as &mut dyn CommitLog).collect(),
         );
         assert_eq!(report.outcome, RunOutcome::Completed);
-        assert_blocked("serve_sharded", report.metrics.blocked);
+        assert_blocked("serve_sharded (N = 2)", report.metrics.blocked);
         let streams: Vec<Vec<(u64, Vec<u8>)>> = handles
             .iter()
             .map(|h| vec![(0, h.synced_bytes())])
@@ -188,7 +189,7 @@ fn four_front_ends<'a>(
         .expect("per-shard logs recover");
         assert_eq!(rec.certified, rec.committed, "no checkpoint: all certified");
         assert_verdict(
-            "serve_sharded",
+            "serve_sharded (N = 2)",
             sc,
             report.committed,
             rec.committed,
@@ -275,14 +276,13 @@ fn four_front_ends<'a>(
     }
 }
 
-/// One sessionless client (no `Hello`) runs every transaction serially —
-/// begin, operations in program order, commit — on one blocking socket.
-fn run_serially(addr: SocketAddr, txns: &TxnSet) {
+/// A blocking connection to `addr`: send one request, read its response.
+fn connect(addr: SocketAddr) -> impl FnMut(Request) -> Response {
     let mut sock = TcpStream::connect(addr).expect("connect");
     // A missing reply fails the test instead of hanging it.
     sock.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
-    let mut call = |req: Request| {
+    move |req: Request| {
         let mut out = Vec::new();
         req.encode_into(&mut out);
         sock.write_all(&out).expect("request write");
@@ -296,32 +296,127 @@ fn run_serially(addr: SocketAddr, txns: &TxnSet) {
             assert!(n > 0, "the server closed the connection");
             buf.extend_from_slice(&tmp[..n]);
         }
-    };
+    }
+}
+
+/// Runs `txn` from its begin through every operation in program order,
+/// each granted, on `call`'s connection; request ids come from `next`.
+fn run_txn(
+    call: &mut impl FnMut(Request) -> Response,
+    next: &mut impl FnMut() -> u64,
+    txns: &TxnSet,
+    txn: TxnId,
+) {
+    let resp = call(Request::Begin {
+        req_id: next(),
+        txn,
+    });
+    assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
+    for op in txns.txn(txn).op_ids() {
+        let (req_id, object) = (next(), txns.op(op).unwrap().object);
+        let resp = call(match txns.op(op).unwrap().mode {
+            AccessMode::Read => Request::Read { req_id, op, object },
+            AccessMode::Write => Request::Write { req_id, op, object },
+        });
+        assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
+    }
+}
+
+/// One sessionless client (no `Hello`) runs every transaction serially —
+/// begin, operations in program order, commit — on one blocking socket.
+fn run_serially(addr: SocketAddr, txns: &TxnSet) {
+    let mut call = connect(addr);
     let mut req_id = 0;
     let mut next = || {
         req_id += 1;
         req_id
     };
     for txn in txns.txn_ids() {
-        let resp = call(Request::Begin {
-            req_id: next(),
-            txn,
-        });
-        assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
-        for op in txns.txn(txn).op_ids() {
-            let (req_id, object) = (next(), txns.op(op).unwrap().object);
-            let resp = call(match txns.op(op).unwrap().mode {
-                AccessMode::Read => Request::Read { req_id, op, object },
-                AccessMode::Write => Request::Write { req_id, op, object },
-            });
-            assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
-        }
+        run_txn(&mut call, &mut next, txns, txn);
         let resp = call(Request::Commit {
             req_id: next(),
             txn,
         });
         assert!(matches!(resp, Response::Committed { .. }), "{resp:?}");
     }
+}
+
+/// One session (`Hello`) runs `txn` and commits it, then sends the same
+/// `Commit` again, as a client does that never saw the first answer:
+/// both are answered `Committed`.
+fn commit_twice(addr: SocketAddr, txns: &TxnSet, txn: TxnId) {
+    let mut call = connect(addr);
+    let mut req_id = 0;
+    let mut next = || {
+        req_id += 1;
+        req_id
+    };
+    let resp = call(Request::Hello {
+        req_id: next(),
+        session: 7,
+        resume_from: 0,
+    });
+    assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
+    run_txn(&mut call, &mut next, txns, txn);
+    let commit = Request::Commit {
+        req_id: next(),
+        txn,
+    };
+    for _ in 0..2 {
+        let resp = call(commit);
+        assert!(matches!(resp, Response::Committed { .. }), "{resp:?}");
+    }
+}
+
+/// A retried sessionful commit is answered from the retry table on both
+/// TCP entry points, without reaching the core: `serve_net`'s core writes
+/// the table its reactors read, as every supervised shard core does. The
+/// core sees the begin, the operations and one commit, nothing more.
+#[test]
+fn a_retried_commit_takes_the_fast_path_on_both_tcp_entry_points() {
+    let (txns, spec) = universe();
+    let txn = TxnId(0);
+    let commands = txns.txn(txn).len() as u64 + 2;
+
+    let (report, ()) = serve_net(
+        &txns,
+        Box::new(RsgSgt::new(&txns, &spec)),
+        &NetConfig::default(),
+        &FaultPlan::default(),
+        None,
+        |addr| commit_twice(addr, &txns, txn),
+    )
+    .expect("serve_net");
+    assert_eq!(
+        (report.net.dup_commit_fast, report.metrics.commands),
+        (1, commands),
+        "serve_net"
+    );
+
+    let sup = SuperviseNetConfig {
+        shards: 1,
+        ..SuperviseNetConfig::default()
+    };
+    let stores = [MemSegmentStore::new().1];
+    let (report, ()) = serve_net_supervised_in(
+        &txns,
+        &spec,
+        |_| Box::new(RsgSgt::new(&txns, &spec)),
+        &NetConfig::default(),
+        &sup,
+        &[],
+        &stores,
+        |addr| commit_twice(addr, &txns, txn),
+    )
+    .expect("serve_net_supervised_in");
+    assert_eq!(
+        (
+            report.report.net.dup_commit_fast,
+            report.report.metrics.commands
+        ),
+        (1, commands),
+        "serve_net_supervised_in"
+    );
 }
 
 /// `(plain Commit records, every other kind of commit record)` in a log.
@@ -341,9 +436,9 @@ fn commit_kinds(records: &[WalRecord]) -> (usize, usize) {
 }
 
 /// A sessionless commit is a plain `Commit` record whichever TCP entry
-/// point serves it: `serve_net`'s plain core and a one-shard
-/// `serve_net_supervised_in`'s shard core write the same record, and no
-/// other commit kind.
+/// point serves it: `serve_net`'s core and a one-shard
+/// `serve_net_supervised_in`'s core write the same record, and no other
+/// commit kind.
 #[test]
 fn sessionless_commits_are_plain_commit_records_on_both_tcp_entry_points() {
     let (txns, spec) = universe();
@@ -368,7 +463,6 @@ fn sessionless_commits_are_plain_commit_records_on_both_tcp_entry_points() {
     let sup = SuperviseNetConfig {
         shards: 1,
         ckpt: CheckpointPolicy::never(),
-        ..SuperviseNetConfig::default()
     };
     let stores = [MemSegmentStore::new().1];
     let (report, ()) = serve_net_supervised_in(

@@ -9,11 +9,12 @@
 //! therefore enough to replay any concurrent run deterministically on a
 //! single thread — see [`crate::replay`].
 //!
-//! [`run_core`] is the one entry: every front-end (threads or TCP,
-//! unsharded or sharded, supervised or not, durable or not) runs this
-//! loop, differing only in the optional commit log and the optional
-//! [`ShardCoreCtx`] it hands in. The per-run state lives in one private
-//! `Core` value whose methods apply the commands.
+//! [`run_core`] is the one entry: every front-end (threads or TCP, one
+//! shard or N, supervised or not, durable or not) runs this loop as a
+//! shard core, differing only in the optional commit log and the
+//! [`ShardCoreCtx`] it hands in (an unsharded service is the N = 1 row:
+//! shard 0, [`ShardCoreCtx::default`]). The per-run state lives in one
+//! private `Core` value whose methods apply the commands.
 //!
 //! The core drains commands in batches (up to `batch_max` per queue lock
 //! acquisition) so queue traffic is amortized under load, and it answers
@@ -433,17 +434,22 @@ pub struct CoreCfg {
     pub record_trace: bool,
 }
 
-/// What makes a core one shard core of a sharded service: its identity
-/// and what a supervised restart hands its next incarnation. Shard cores
-/// share no admission state and no order — every transaction is owned by
-/// exactly one of them, and a merged report or recovery lists the shards
-/// in shard order, each in its own core order (see [`crate::shard`]).
+/// What every core is told about its place in the service: its shard id,
+/// its retry table, and what a supervised restart hands its next
+/// incarnation. Every core is a shard core; an unsharded service is the
+/// N = 1 row, whose one core is the [`Default`]: shard 0, sessionless,
+/// nothing recovered. Shard cores share no admission state and no order —
+/// every transaction is owned by exactly one of them, and a merged report
+/// or recovery lists the shards in shard order, each in its own core
+/// order (see [`crate::shard`]).
+#[derive(Default)]
 pub struct ShardCoreCtx<'a> {
     /// This core's shard id (written into its WAL checkpoints).
     pub shard: u32,
     /// The shared client-session retry table ([`SessionTable`]), updated
     /// on every sessionful commit and snapshotted into checkpoints.
-    /// `None` for sessionless services (the pre-supervision paths).
+    /// `None` for a service whose front-end reads no retry table (the
+    /// in-process sessions).
     pub sessions: Option<&'a SessionTable>,
     /// Transactions recovered as committed by a previous incarnation of
     /// this shard core. Seeds the commit-supremacy set so retried
@@ -533,13 +539,14 @@ impl CoreOutput {
 /// enforced by construction, which is why [`Scheduler`] needs `Send` but
 /// never `Sync`.
 ///
-/// `wal` is the optional durable commit log; `shard` makes this one shard
-/// core of a sharded service: its checkpoints carry its shard id and keep
-/// its committed transactions' events, and a supervised restart seeds it
-/// with the recovered commits. Nothing else differs — a shard core writes
-/// the same records as the plain core, and no command or counter crosses
-/// from one shard core to another. With an empty [`FaultPlan`], no log
-/// and no shard context this is the plain in-memory core.
+/// `wal` is the optional durable commit log; `shard` places the core in
+/// its service: its checkpoints carry its shard id, its sessionful
+/// commits are published to the retry table it names, and a supervised
+/// restart seeds it with the recovered commits. Every front-end runs a
+/// shard core — an unsharded one runs shard 0 of one
+/// ([`ShardCoreCtx::default`]) — and no command or counter crosses from
+/// one shard core to another. With an empty [`FaultPlan`], no log and the
+/// default context this is the in-memory core.
 ///
 /// The durability contract is **ack-after-barrier**. Per drained queue
 /// batch the core
@@ -590,7 +597,7 @@ pub fn run_core(
     cfg: CoreCfg,
     faults: &FaultPlan,
     wal: Option<&mut dyn CommitLog>,
-    shard: Option<ShardCoreCtx<'_>>,
+    shard: ShardCoreCtx<'_>,
 ) -> CoreOutput {
     let mut core = Core {
         track_live: wal.as_ref().is_some_and(|w| w.wants_checkpoints()),
@@ -611,11 +618,10 @@ pub fn run_core(
     // checkpoint event stream: the next checkpoint this incarnation cuts
     // must cover them, or rotation would delete the only segments that
     // record them.
-    if let Some(s) = core.shard.as_mut() {
-        core.committed.extend(s.recovered_committed.iter().copied());
-        core.out.committed.append(&mut s.recovered_committed);
-        core.live_events.append(&mut s.recovered_events);
-    }
+    let s = &mut core.shard;
+    core.committed.extend(s.recovered_committed.iter().copied());
+    core.out.committed.append(&mut s.recovered_committed);
+    core.live_events.append(&mut s.recovered_events);
     core.run(queue, progress, cfg.batch_max)
 }
 
@@ -623,7 +629,7 @@ pub fn run_core(
 struct Core<'s, 'w, 'a> {
     scheduler: Box<dyn Scheduler + Send + 's>,
     wal: Option<&'w mut dyn CommitLog>,
-    shard: Option<ShardCoreCtx<'a>>,
+    shard: ShardCoreCtx<'a>,
     faults: &'a FaultPlan,
     record_trace: bool,
     /// The log checkpoints, so the condensed live event stream is kept.
@@ -675,8 +681,7 @@ impl Core<'_, '_, '_> {
             }
             if applied.is_ok() {
                 acked_commits = self.out.committed.len();
-                let sessions = self.shard.as_ref().and_then(|s| s.sessions);
-                self.held.release(sessions);
+                self.held.release(self.shard.sessions);
                 // Checkpoint: the batch boundary is a core-order point, so
                 // the snapshot is exactly the state the replayed log would
                 // have here.
@@ -745,18 +750,14 @@ impl Core<'_, '_, '_> {
         // survives segment rotation; filtered to this shard's committed
         // set, which is exactly the filter recovery re-applies when
         // rebuilding it.
-        let sessions = self
+        let mut sessions = self
             .shard
-            .as_ref()
-            .and_then(|s| s.sessions)
-            .map(|t| {
-                let mut snap = t.snapshot();
-                snap.retain(|e| self.committed.contains(&e.txn));
-                snap
-            })
+            .sessions
+            .map(SessionTable::snapshot)
             .unwrap_or_default();
+        sessions.retain(|e| self.committed.contains(&e.txn));
         Checkpoint {
-            shard: self.shard.as_ref().map_or(0, |s| s.shard),
+            shard: self.shard.shard,
             committed: self.out.committed.clone(),
             events: self.live_events.clone(),
             sessions,
@@ -1164,7 +1165,7 @@ mod tests {
             },
             &FaultPlan::default(),
             Some(&mut wal),
-            None,
+            ShardCoreCtx::default(),
         );
         for reply in &replies {
             assert_eq!(reply.try_take(), Some(Decision::Granted));

@@ -19,8 +19,8 @@
 //!   through one-shot [`core::Reply`] cells, bumps a [`core::Progress`]
 //!   epoch after every state change, optionally records a [`TraceEvent`]
 //!   log, optionally appends every state change to a commit log
-//!   (`relser_wal::CommitLog`) before acknowledging it, and optionally
-//!   runs as one shard of N ([`ShardCoreCtx`]);
+//!   (`relser_wal::CommitLog`) before acknowledging it, and always runs
+//!   as one shard of N ([`ShardCoreCtx`]; unsharded is shard 0 of 1);
 //! * [`route`] — [`Route`], the back-end described once for both
 //!   front-ends: which core owns a transaction, which queue reaches it,
 //!   what a commit to it carries (unsharded = its N = 1 row);
@@ -33,18 +33,17 @@
 //!   requests (each one a [`Flight`] the session parks on) and commit, all
 //!   routed to the one core owning the transaction, restart-on-abort with
 //!   backoff — exactly mirroring the single-threaded driver discipline;
-//! * [`server`] — [`serve`] runs that session over one queue and one
-//!   plain core (the N = 1 row) and returns a [`ServeReport`] (partial
-//!   runs included; [`ServeReport::into_run`] is the committed history as
-//!   a validated [`Schedule`](relser_core::schedule::Schedule) plus
-//!   [`ServerMetrics`]); the `thread::scope` scaffolding (spawn cores,
-//!   spawn sessions, join, close) is shared with [`serve_sharded`];
-//!   [`replay`] re-executes a recorded trace deterministically on one
-//!   thread;
-//! * [`shard`] — [`serve_sharded`], the same session over N shard cores
-//!   that share nothing, not even an order: a transaction is owned by
-//!   exactly one shard, one spanning shards is refused, and a merged
-//!   report or recovery lists the shards in shard order;
+//! * [`shard`] — [`serve_sharded`], the one in-process front-end: that
+//!   session over N shard cores that share nothing, not even an order (a
+//!   transaction is owned by exactly one shard; one spanning shards is
+//!   refused). One scheduler is the unsharded service, its N = 1 row. It
+//!   returns a [`ShardedReport`], partial runs included, whose
+//!   [`ShardedReport::into_run`] is the merged committed history as a
+//!   validated [`Schedule`](relser_core::schedule::Schedule) plus
+//!   [`ServerMetrics`];
+//! * [`server`] — the run's [`ServerConfig`] and [`RunOutcome`], and
+//!   [`replay`], which re-executes a recorded core trace
+//!   deterministically on one thread;
 //! * [`supervisor`] — [`supervise_shard`], the restart loop the TCP
 //!   front-end (`relser-net`) runs each shard core under;
 //! * [`recovery`] — one function per log shape, each rebuilding a fresh
@@ -64,7 +63,7 @@
 //! ```
 //! use relser_core::rsg::Rsg;
 //! use relser_protocols::rsg_sgt::RsgSgt;
-//! use relser_server::{serve, FaultPlan, ServerConfig};
+//! use relser_server::{serve_sharded, ServerConfig};
 //! use relser_workload::banking::{banking, BankingConfig};
 //! use relser_workload::stream::RequestStream;
 //!
@@ -72,14 +71,14 @@
 //! let scheduler = RsgSgt::new(&scenario.txns, &scenario.spec);
 //! let cfg = ServerConfig { workers: 4, ..ServerConfig::default() };
 //! let stream = RequestStream::shuffled(&scenario.txns, 7);
-//! // No faults, no commit log: the plain in-memory service.
-//! let report = serve(
+//! // One shard, no faults, no commit log: the in-memory service.
+//! let report = serve_sharded(
 //!     &scenario.txns,
 //!     &stream,
-//!     Box::new(scheduler),
+//!     vec![Box::new(scheduler)],
 //!     &cfg,
-//!     &FaultPlan::default(),
-//!     None,
+//!     &[],
+//!     Vec::new(),
 //! );
 //! let run = report.into_run(&scenario.txns).unwrap();
 //! let rsg = Rsg::build(&scenario.txns, &run.history, &scenario.spec);
@@ -109,11 +108,10 @@ pub use recovery::{
     Recovery, RecoveryError, ShardedRecovery,
 };
 pub use route::Route;
-pub use server::{
-    replay, serve, ReplayMismatch, RunOutcome, ServeReport, ServerConfig, ServerError, ServerRun,
-};
+pub use server::{replay, ReplayMismatch, RunOutcome, ServerConfig, ServerError};
 pub use session::{restart_backoff, OverloadPolicy, SessionError, SessionStats};
 pub use shard::{replay_sharded, serve_sharded, ShardedReport, ShardedRun};
 pub use supervisor::{
     fence_resumed_shard, supervise_shard, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg,
+    MAX_RESTARTS,
 };

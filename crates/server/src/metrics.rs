@@ -1,4 +1,4 @@
-//! Aggregated service metrics for one [`crate::serve`] run.
+//! Aggregated service metrics for one [`crate::serve_sharded`] run.
 
 use crate::core::CoreOutput;
 use crate::queue::QueueStats;

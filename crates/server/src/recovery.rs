@@ -1,7 +1,7 @@
 //! Crash recovery: rebuild scheduler state from a write-ahead log.
 //!
 //! Recovery is the other half of the durability contract started by
-//! serving with a commit log ([`crate::serve`], [`crate::run_core`]), one
+//! serving with a commit log ([`crate::serve_sharded`], [`crate::run_core`]), one
 //! function per log shape: [`recover`] for one log's bytes,
 //! [`recover_segments_with_certifier`] for one segmented log,
 //! [`recover_sharded_segments_with_certifier`] for N per-shard segment
@@ -715,8 +715,8 @@ fn merge_sharded_recoveries(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::FaultPlan;
-    use crate::server::{serve, RunOutcome, ServerConfig};
+    use crate::server::{RunOutcome, ServerConfig};
+    use crate::shard::serve_sharded;
     use relser_protocols::rsg_sgt::RsgSgt;
     use relser_wal::{FsyncPolicy, MemStorage, WalWriter, MAGIC};
     use relser_workload::stream::RequestStream;
@@ -739,13 +739,13 @@ mod tests {
         };
         let stream = RequestStream::shuffled(&txns, 5);
         let scheduler = RsgSgt::new(&txns, &spec);
-        let report = serve(
+        let report = serve_sharded(
             &txns,
             &stream,
-            Box::new(scheduler),
+            vec![Box::new(scheduler)],
             &cfg,
-            &FaultPlan::default(),
-            Some(&mut wal),
+            &[],
+            vec![&mut wal],
         );
         assert_eq!(report.outcome, RunOutcome::Completed);
 
@@ -774,13 +774,13 @@ mod tests {
         };
         let stream = RequestStream::shuffled(&txns, 11);
         let scheduler = RsgSgt::new(&txns, &spec);
-        let report = serve(
+        let report = serve_sharded(
             &txns,
             &stream,
-            Box::new(scheduler),
+            vec![Box::new(scheduler)],
             &cfg,
-            &FaultPlan::default(),
-            Some(&mut wal),
+            &[],
+            vec![&mut wal],
         );
         assert_eq!(report.outcome, RunOutcome::Completed);
         let bytes = handle.bytes();

@@ -1,8 +1,8 @@
 //! The back-end, described once: which core owns a transaction, which
 //! queue reaches that core, and what a commit to it carries.
 //!
-//! Both front-ends — the session threads of [`crate::serve`] /
-//! [`crate::serve_sharded`] and the reactors of `relser-net` — submit
+//! Both front-ends — the session threads of [`crate::serve_sharded`] and
+//! the reactors of `relser-net` — submit
 //! through one [`Route`]. A transaction has exactly one owning core and
 //! everything it does goes to that core's queue; the cores share nothing
 //! (see [`crate::shard`]). An unsharded service is the N = 1 row: one

@@ -1,29 +1,18 @@
-//! Run orchestration: wire schedulers, command queues, admission core
-//! threads, and N session threads together (`run_front_end`, shared by
-//! [`serve`] and [`crate::serve_sharded`]); return the committed history
-//! plus metrics (and optionally a deterministic-replay trace).
+//! What an in-process run is configured with and how it ends
+//! ([`ServerConfig`], [`RunOutcome`], [`ServerError`]), and [`replay`],
+//! which re-executes one core's recorded trace deterministically on one
+//! thread. The run itself is [`crate::serve_sharded`], over one scheduler
+//! or N.
 
-use crate::core::{
-    run_core, Command, CoreCfg, CoreOutput, FaultPlan, Progress, ShardCoreCtx, TraceEvent,
-};
+use crate::core::{CoreCfg, TraceEvent};
 use crate::flight::Timeouts;
-use crate::metrics::ServerMetrics;
-use crate::queue::BoundedQueue;
-use crate::route::Route;
-use crate::session::{run_session, OverloadPolicy, Session, SessionError, SessionStats};
+use crate::session::{OverloadPolicy, SessionError, SessionStats};
 use relser_core::ids::{OpId, TxnId};
-use relser_core::schedule::Schedule;
-use relser_core::shard::ShardMap;
-use relser_core::txn::TxnSet;
 use relser_protocols::{Decision, Scheduler};
-use relser_simdb::metrics::DecisionLatency;
-use relser_wal::CommitLog;
-use relser_workload::stream::RequestStream;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Tunables for one [`serve`] run.
+/// Tunables for one [`crate::serve_sharded`] run.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Session (client worker) threads.
@@ -39,14 +28,6 @@ pub struct ServerConfig {
     pub block_timeout: Duration,
     /// One epoch-wait slice while blocked (upper bound).
     pub retry_slice: Duration,
-    /// Base backoff before restarting an aborted incarnation; doubles
-    /// per consecutive restart (capped at `restart_backoff_max`, with
-    /// deterministic seeded jitter — see [`crate::session::restart_backoff`]).
-    pub restart_backoff: Duration,
-    /// Cap on the exponential restart backoff.
-    pub restart_backoff_max: Duration,
-    /// Seed for the deterministic restart-backoff jitter.
-    pub backoff_seed: u64,
     /// Per-request reply watchdog: a session that hears nothing from the
     /// admission core for this long gives up with a typed
     /// [`SessionError::ReplyLost`] (degrading itself, not the service).
@@ -55,8 +36,6 @@ pub struct ServerConfig {
     /// nanoseconds — slept, not spun, so it models I/O-bound work that
     /// sessions overlap (the thing the concurrent service parallelizes).
     pub op_work_ns: u64,
-    /// Livelock guard: give up after this many incarnations of one txn.
-    pub max_attempts: u32,
     /// Record a [`TraceEvent`] log for deterministic replay.
     pub record_trace: bool,
 }
@@ -89,12 +68,8 @@ impl Default for ServerConfig {
             policy: OverloadPolicy::Wait,
             block_timeout: Duration::from_millis(100),
             retry_slice: Duration::from_millis(1),
-            restart_backoff: Duration::from_micros(200),
-            restart_backoff_max: Duration::from_millis(20),
-            backoff_seed: 0xB0FF,
             reply_timeout: Duration::from_secs(60),
             op_work_ns: 0,
-            max_attempts: 10_000,
             record_trace: false,
         }
     }
@@ -140,52 +115,17 @@ impl fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-/// A completed run: the committed history (every transaction committed
-/// exactly once), the metrics, and — when requested — the replay trace.
-#[derive(Debug)]
-pub struct ServerRun {
-    /// The committed history in grant order. Re-validate it offline with
-    /// `Rsg::build(txns, &history, spec).is_acyclic()`.
-    pub history: Schedule,
-    /// Aggregated service metrics.
-    pub metrics: ServerMetrics,
-    /// Core-order event trace (empty unless `record_trace` was set).
-    pub trace: Vec<TraceEvent>,
-}
-
-/// How a [`serve`] run ended.
+/// How a [`crate::serve_sharded`] run ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
     /// Every transaction committed.
     Completed,
-    /// The fault plan crashed the admission core; the committed prefix is
-    /// in [`ServeReport::committed`] / [`ServeReport::log`].
+    /// The fault plan (or a broken log) crashed an admission core; the
+    /// committed prefix is in [`crate::ShardedReport::committed`] /
+    /// [`crate::ShardedReport::history`].
     Crashed,
     /// A session gave up (livelock budget, or shutdown collateral).
     Failed(ServerError),
-}
-
-/// The full observable result of a (possibly fault-injected) run —
-/// returned even when the run did not complete, so harnesses can check
-/// the committed prefix against the offline oracles.
-#[derive(Debug)]
-pub struct ServeReport {
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Transactions committed, in commit order.
-    pub committed: Vec<TxnId>,
-    /// Granted operations of live/committed incarnations, grant order.
-    /// Filter to `committed` for the committed history of a partial run.
-    pub log: Vec<OpId>,
-    /// Core-order event trace (empty unless `record_trace` was set).
-    pub trace: Vec<TraceEvent>,
-    /// Aggregated service metrics.
-    pub metrics: ServerMetrics,
-    /// Injected (fault-plan) aborts the core applied.
-    pub injected_aborts: u64,
-    /// Checkpoints the core cut into the commit log (zero without a
-    /// checkpointing log).
-    pub checkpoints: u64,
 }
 
 impl RunOutcome {
@@ -221,249 +161,6 @@ impl RunOutcome {
             RunOutcome::Crashed => Err(ServerError::Shutdown),
             RunOutcome::Failed(e) => Err(e.clone()),
         }
-    }
-}
-
-impl ServeReport {
-    /// The completed run — every transaction committed, the log validated
-    /// as a [`Schedule`] — or the error that says why there is none.
-    pub fn into_run(self, txns: &TxnSet) -> Result<ServerRun, ServerError> {
-        self.outcome.completed()?;
-        let history = Schedule::new(txns, self.log)
-            .map_err(|e| ServerError::InvalidHistory(e.to_string()))?;
-        Ok(ServerRun {
-            history,
-            metrics: self.metrics,
-            trace: self.trace,
-        })
-    }
-}
-
-/// What one in-process run leaves behind, before [`serve`] or
-/// [`crate::serve_sharded`] cuts its report shape from it.
-pub(crate) struct FrontEndRun {
-    pub(crate) outcome: RunOutcome,
-    /// One per core, in shard order.
-    pub(crate) outputs: Vec<CoreOutput>,
-    /// The cores' metrics merged, session counters folded in. What only
-    /// the report shape knows is left for the caller: `committed_ops`,
-    /// and a sharded run's whole-transaction `commits`.
-    pub(crate) metrics: ServerMetrics,
-    /// Requests shed per core queue.
-    pub(crate) sheds: Vec<u64>,
-    pub(crate) map: ShardMap,
-}
-
-/// The scaffolding both in-process front-ends share: one queue, progress
-/// epoch and core thread per scheduler, `cfg.workers` session threads
-/// running the one session discipline ([`Session::run_txn`]) over all of
-/// them; join the sessions, close the queues, join the cores.
-///
-/// `faults` and `wals` are empty or one per core. `sharded` says which
-/// core the schedulers run under — shard cores ([`ShardCoreCtx`]: the
-/// shard id in each checkpoint) or the plain core — and is the only thing
-/// the two front-ends tell this function apart by. Both write the same
-/// commit records.
-///
-/// The whole stream is checked against the one ownership function first:
-/// a transaction spanning cores fails the run with
-/// [`ServerError::CrossShard`] before a thread starts or a command is
-/// enqueued.
-pub(crate) fn run_front_end<'a>(
-    txns: &TxnSet,
-    stream: &RequestStream,
-    schedulers: Vec<Box<dyn Scheduler + Send + 'a>>,
-    cfg: &ServerConfig,
-    faults: &[FaultPlan],
-    wals: Vec<&mut dyn CommitLog>,
-    sharded: bool,
-) -> FrontEndRun {
-    let cores = schedulers.len();
-    assert!(cores >= 1, "need at least one shard");
-    assert!(cfg.workers >= 1, "need at least one worker");
-    assert!(
-        faults.is_empty() || faults.len() == cores,
-        "fault plans must be absent or one per shard"
-    );
-    assert!(
-        wals.is_empty() || wals.len() == cores,
-        "commit logs must be absent or one per shard"
-    );
-    let map = ShardMap::new(cores as u32);
-    if let Some(&txn) = stream
-        .order()
-        .iter()
-        .find(|&&t| map.owner_of_txn(txns, t).is_none())
-    {
-        return FrontEndRun {
-            outcome: RunOutcome::Failed(ServerError::CrossShard(txn)),
-            outputs: (0..cores).map(|_| CoreOutput::default()).collect(),
-            metrics: ServerMetrics::default(),
-            sheds: vec![0; cores],
-            map,
-        };
-    }
-    let queues: Vec<BoundedQueue<Command>> = (0..cores)
-        .map(|_| BoundedQueue::new(cfg.queue_capacity))
-        .collect();
-    let progresses: Vec<Progress> = (0..cores).map(|_| Progress::new()).collect();
-    let sheds: Vec<AtomicU64> = (0..cores).map(|_| AtomicU64::new(0)).collect();
-    let default_fault = FaultPlan::default();
-    let session = Session {
-        route: Route {
-            txns,
-            map,
-            queues: &queues,
-            progresses: &progresses,
-            healths: None,
-        },
-        cfg,
-        sheds: &sheds,
-    };
-    let t0 = Instant::now();
-
-    let (outputs, sessions): (Vec<CoreOutput>, Vec<(SessionStats, Option<SessionError>)>) =
-        std::thread::scope(|s| {
-            let (queues, progresses) = (&queues, &progresses);
-            let session = &session;
-            let mut wals = wals.into_iter();
-            let core_threads: Vec<_> = schedulers
-                .into_iter()
-                .enumerate()
-                .map(|(shard, scheduler)| {
-                    let fault = faults.get(shard).unwrap_or(&default_fault);
-                    let wal = wals.next();
-                    let ctx = sharded.then(|| ShardCoreCtx {
-                        shard: shard as u32,
-                        sessions: None,
-                        recovered_committed: Vec::new(),
-                        recovered_events: Vec::new(),
-                    });
-                    s.spawn(move || {
-                        run_core(
-                            scheduler,
-                            &queues[shard],
-                            &progresses[shard],
-                            cfg.core(),
-                            fault,
-                            wal,
-                            ctx,
-                        )
-                    })
-                })
-                .collect();
-            let workers: Vec<_> = (0..cfg.workers)
-                .map(|_| {
-                    s.spawn(move || {
-                        run_session(
-                            stream,
-                            |txn, stats| session.run_txn(txn, stats),
-                            || queues.iter().for_each(BoundedQueue::close),
-                        )
-                    })
-                })
-                .collect();
-            let sessions = workers
-                .into_iter()
-                .map(|h| h.join().expect("session thread panicked"))
-                .collect();
-            queues.iter().for_each(BoundedQueue::close);
-            let outputs = core_threads
-                .into_iter()
-                .map(|h| h.join().expect("admission core panicked"))
-                .collect();
-            (outputs, sessions)
-        });
-    let elapsed = t0.elapsed();
-
-    // Merge the per-core views, then rebuild the decision summary exactly
-    // from the concatenated samples (merge alone is conservative on p95)
-    // and fold in the session-side counters.
-    let mut metrics = outputs
-        .iter()
-        .enumerate()
-        .map(|(shard, out)| ServerMetrics {
-            sheds: sheds[shard].load(Ordering::Relaxed),
-            ..ServerMetrics::from_core(out, queues[shard].stats(), elapsed)
-        })
-        .reduce(|mut agg, m| {
-            agg.merge(&m);
-            agg
-        })
-        .expect("at least one core")
-        .with_sessions(&sessions);
-    metrics.workers = cfg.workers;
-    let decision_samples: Vec<u64> = outputs
-        .iter()
-        .flat_map(|o| o.decision_ns.iter().copied())
-        .collect();
-    metrics.decision = DecisionLatency::from_samples(&decision_samples);
-
-    FrontEndRun {
-        outcome: RunOutcome::of(outputs.iter().any(|o| o.crashed), &sessions),
-        outputs,
-        metrics,
-        sheds: sheds.into_iter().map(AtomicU64::into_inner).collect(),
-        map,
-    }
-}
-
-/// Serves every transaction in `stream` to commit — the in-process
-/// front-end over one admission core.
-///
-/// `cfg.workers` session threads claim arrivals from the stream and run
-/// the session discipline of [`crate::session`] over the one queue; one
-/// admission core thread owns the scheduler and applies commands in queue
-/// order ([`run_core`]). The function returns when every transaction has
-/// committed (or the first session gives up, which closes the queue and
-/// unwinds the rest), and reports even a partial run, so harnesses can
-/// check the committed prefix against the offline oracles: whatever
-/// `faults` injects, the committed transactions' history must still be
-/// relatively serializable.
-/// [`ServeReport::into_run`] turns a completed run into its validated
-/// history.
-///
-/// With a commit log, every state-changing admission decision is appended
-/// to `wal` **before** it is acknowledged, so after any crash
-/// [`crate::recovery::recover`] rebuilds exactly the state the core had
-/// acknowledged (and, under [`relser_wal::FsyncPolicy::Always`], no
-/// acknowledged commit is ever lost). A crash is modelled by dropping the
-/// log without a clean close; a storage error mid-run fail-stops the core
-/// (see [`ServeReport::metrics`]'s `wal_error`). A checkpointing log such
-/// as [`relser_wal::SegmentedWal`] gets the core's live state at a batch
-/// boundary whenever it reports a checkpoint due, and rotates — keeping
-/// retained bytes (and recovery time) bounded by live state instead of
-/// history length. The caller keeps ownership of the log and can inspect
-/// its counters after the run.
-pub fn serve(
-    txns: &TxnSet,
-    stream: &RequestStream,
-    scheduler: Box<dyn Scheduler + Send + '_>,
-    cfg: &ServerConfig,
-    faults: &FaultPlan,
-    wal: Option<&mut dyn CommitLog>,
-) -> ServeReport {
-    let mut run = run_front_end(
-        txns,
-        stream,
-        vec![scheduler],
-        cfg,
-        std::slice::from_ref(faults),
-        wal.into_iter().collect(),
-        false,
-    );
-    let core_out = run.outputs.pop().expect("one core");
-    ServeReport {
-        outcome: run.outcome,
-        metrics: ServerMetrics {
-            committed_ops: core_out.committed_ops(),
-            ..run.metrics
-        },
-        committed: core_out.committed,
-        log: core_out.log,
-        trace: core_out.trace,
-        injected_aborts: core_out.injected_aborts,
-        checkpoints: core_out.checkpoints,
     }
 }
 

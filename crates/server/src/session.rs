@@ -21,8 +21,8 @@
 //! owning core, and its begin, every operation and its commit go to that
 //! core's queue — the cores share nothing ([`crate::shard`] says why, and
 //! why a transaction spanning shards is refused before any session
-//! starts). [`crate::serve`] is the N = 1 row of that table and
-//! [`crate::serve_sharded`] the N-shard row; what differs between the rows
+//! starts). [`crate::serve_sharded`] runs it over one core or N; the
+//! unsharded service is the N = 1 row, and what differs between the rows
 //! is data, not code.
 
 use crate::core::{Command, Reply};
@@ -36,6 +36,18 @@ use relser_core::ids::{OpId, TxnId};
 use relser_workload::stream::RequestStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// Livelock guard: a session gives up on a transaction
+/// ([`SessionError::Livelock`]) after this many incarnations of it.
+const MAX_ATTEMPTS: u32 = 10_000;
+/// Base backoff before restarting an aborted incarnation; doubles per
+/// consecutive restart up to [`RESTART_BACKOFF_MAX`], with deterministic
+/// jitter seeded by [`BACKOFF_SEED`] (see [`restart_backoff`]).
+const RESTART_BACKOFF: Duration = Duration::from_micros(200);
+/// Cap on the exponential restart backoff.
+const RESTART_BACKOFF_MAX: Duration = Duration::from_millis(20);
+/// Seed of the restart-backoff jitter.
+const BACKOFF_SEED: u64 = 0xB0FF;
 
 /// What a worker does when the command queue is full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,8 +99,7 @@ pub struct SessionStats {
 
 /// Everything a session needs, shared across all workers of one run: the
 /// back-end ([`Route`]), the config, and one shed counter per admission
-/// core. [`crate::serve`] hands in one-element slices,
-/// [`crate::serve_sharded`] one element per shard.
+/// core: [`crate::serve_sharded`] hands in one element per shard.
 pub(crate) struct Session<'a> {
     pub(crate) route: Route<'a>,
     pub(crate) cfg: &'a ServerConfig,
@@ -159,15 +170,15 @@ impl Session<'_> {
         loop {
             attempts += 1;
             stats.max_txn_attempts = stats.max_txn_attempts.max(attempts);
-            if attempts > self.cfg.max_attempts {
+            if attempts > MAX_ATTEMPTS {
                 return Err(SessionError::Livelock(txn));
             }
             if attempts > 1 {
                 stats.restarts += 1;
                 let pause = restart_backoff(
-                    self.cfg.restart_backoff,
-                    self.cfg.restart_backoff_max,
-                    self.cfg.backoff_seed,
+                    RESTART_BACKOFF,
+                    RESTART_BACKOFF_MAX,
+                    BACKOFF_SEED,
                     txn,
                     attempts,
                 );

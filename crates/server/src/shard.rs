@@ -6,9 +6,10 @@
 //! partitions the object space over N shard cores — each owns its shard's
 //! scheduler, progress epoch, and (optionally) WAL segment stream — and
 //! routes by [`ShardMap`]: the router is the session itself
-//! ([`crate::session`], the same code [`crate::serve`] runs over one
-//! queue), which sends a transaction's begin, operations and commit to the
-//! one core that owns it.
+//! ([`crate::session`]), which sends a transaction's begin, operations and
+//! commit to the one core that owns it. One shard is the unsharded
+//! service: [`serve_sharded`] over one scheduler is its only in-process
+//! entry point.
 //!
 //! ## The rule: one owner per transaction
 //!
@@ -62,18 +63,22 @@
 //! [`serve_sharded`]'s report and sharded recovery
 //! ([`crate::recovery::recover_sharded_segments_with_certifier`]) call.
 
-use crate::core::{CoreOutput, FaultPlan, TraceEvent};
+use crate::core::{run_core, Command, CoreOutput, FaultPlan, Progress, ShardCoreCtx, TraceEvent};
 use crate::metrics::ServerMetrics;
-use crate::server::{
-    replay, run_front_end, FrontEndRun, ReplayMismatch, RunOutcome, ServerConfig, ServerError,
-};
+use crate::queue::BoundedQueue;
+use crate::route::Route;
+use crate::server::{replay, ReplayMismatch, RunOutcome, ServerConfig, ServerError};
+use crate::session::{run_session, Session, SessionError, SessionStats};
 use relser_core::ids::{OpId, TxnId};
 use relser_core::schedule::Schedule;
 use relser_core::shard::ShardMap;
 use relser_core::txn::TxnSet;
 use relser_protocols::Scheduler;
+use relser_simdb::metrics::DecisionLatency;
 use relser_wal::CommitLog;
 use relser_workload::stream::RequestStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// The full observable result of a sharded run — returned even when the
 /// run crashed or failed, so harnesses can check the committed prefix
@@ -128,21 +133,41 @@ impl ShardedReport {
     }
 }
 
-/// Serves every transaction in `stream` over `schedulers.len()` shard
-/// cores — the in-process front-end of the sharded service. One scheduler
-/// per shard, each built over the full transaction set and spec (ids are
-/// global; a shard only ever hears about the transactions it owns). A
-/// stream holding a transaction that spans shards is refused whole:
-/// [`RunOutcome::Failed`]`(`[`ServerError::CrossShard`]`)`, nothing
-/// enqueued. Reports even a partial run;
-/// [`ShardedReport::into_run`] turns a completed one into its validated
-/// merged history.
+/// Serves every transaction in `stream` to commit — the in-process
+/// front-end, over `schedulers.len()` shard cores (one scheduler is the
+/// unsharded service: its N = 1 row). One scheduler per shard, each built
+/// over the full transaction set and spec (ids are global; a shard only
+/// ever hears about the transactions it owns).
+///
+/// `cfg.workers` session threads claim arrivals from the stream and run
+/// the one session discipline ([`crate::session`]), routing each
+/// transaction to the core that owns it; each core thread owns its
+/// scheduler and applies commands in queue order ([`run_core`]). The
+/// whole stream is checked against the one ownership function first: a
+/// transaction spanning shards fails the run with
+/// [`RunOutcome::Failed`]`(`[`ServerError::CrossShard`]`)` before a thread
+/// starts or a command is enqueued. The function returns when every
+/// transaction has committed (or the first session gives up, which closes
+/// the queues and unwinds the rest) and reports even a partial run, so
+/// harnesses can check the committed prefix against the offline oracles:
+/// whatever `faults` injects, the committed history must still be
+/// relatively serializable. [`ShardedReport::into_run`] turns a completed
+/// run into its validated merged history.
 ///
 /// `faults` is either empty (no faults) or one plan per shard; `wals` is
-/// either empty (non-durable) or one log per shard. Shard `i`'s WAL
-/// stream carries shard id `i` in its checkpoints, and
-/// [`crate::recovery::recover_sharded_segments_with_certifier`] rebuilds
-/// the merged committed history from exactly these streams after a crash.
+/// either empty (non-durable) or one log per shard, and shard `i`'s log
+/// carries shard id `i` in its checkpoints. Every state-changing
+/// admission decision is appended to its shard's log **before** it is
+/// acknowledged, so after a crash — modelled by dropping the log without
+/// a clean close — recovery rebuilds exactly what the cores acknowledged:
+/// [`crate::recovery::recover`] from one flat log,
+/// [`crate::recovery::recover_sharded_segments_with_certifier`] from the
+/// per-shard streams. A storage error mid-run fail-stops that core (see
+/// [`CoreOutput::wal_error`]). A checkpointing log such as
+/// [`relser_wal::SegmentedWal`] gets its core's live state at a batch
+/// boundary whenever it reports a checkpoint due, and rotates, keeping
+/// retained bytes bounded by live state. The caller keeps ownership of
+/// the logs and can inspect their counters after the run.
 pub fn serve_sharded<'a>(
     txns: &TxnSet,
     stream: &RequestStream,
@@ -151,25 +176,139 @@ pub fn serve_sharded<'a>(
     faults: &[FaultPlan],
     wals: Vec<&mut dyn CommitLog>,
 ) -> ShardedReport {
-    let FrontEndRun {
-        outcome,
-        outputs,
-        mut metrics,
-        sheds: shard_sheds,
-        map,
-    } = run_front_end(txns, stream, schedulers, cfg, faults, wals, true);
+    let cores = schedulers.len();
+    assert!(cores >= 1, "need at least one shard");
+    assert!(cfg.workers >= 1, "need at least one worker");
+    assert!(
+        faults.is_empty() || faults.len() == cores,
+        "fault plans must be absent or one per shard"
+    );
+    assert!(
+        wals.is_empty() || wals.len() == cores,
+        "commit logs must be absent or one per shard"
+    );
+    let map = ShardMap::new(cores as u32);
+    if let Some(&txn) = stream
+        .order()
+        .iter()
+        .find(|&&t| map.owner_of_txn(txns, t).is_none())
+    {
+        return ShardedReport {
+            outcome: RunOutcome::Failed(ServerError::CrossShard(txn)),
+            committed: Vec::new(),
+            log: Vec::new(),
+            history: Vec::new(),
+            shards: (0..cores).map(|_| CoreOutput::default()).collect(),
+            metrics: ServerMetrics::default(),
+            shard_sheds: vec![0; cores],
+            map,
+        };
+    }
+    let queues: Vec<BoundedQueue<Command>> = (0..cores)
+        .map(|_| BoundedQueue::new(cfg.queue_capacity))
+        .collect();
+    let progresses: Vec<Progress> = (0..cores).map(|_| Progress::new()).collect();
+    let sheds: Vec<AtomicU64> = (0..cores).map(|_| AtomicU64::new(0)).collect();
+    let default_fault = FaultPlan::default();
+    let session = Session {
+        route: Route {
+            txns,
+            map,
+            queues: &queues,
+            progresses: &progresses,
+            healths: None,
+        },
+        cfg,
+        sheds: &sheds,
+    };
+    let t0 = Instant::now();
+
+    let (outputs, sessions): (Vec<CoreOutput>, Vec<(SessionStats, Option<SessionError>)>) =
+        std::thread::scope(|s| {
+            let (queues, progresses) = (&queues, &progresses);
+            let session = &session;
+            let mut wals = wals.into_iter();
+            let core_threads: Vec<_> = schedulers
+                .into_iter()
+                .enumerate()
+                .map(|(shard, scheduler)| {
+                    let fault = faults.get(shard).unwrap_or(&default_fault);
+                    let wal = wals.next();
+                    let ctx = ShardCoreCtx {
+                        shard: shard as u32,
+                        ..ShardCoreCtx::default()
+                    };
+                    s.spawn(move || {
+                        run_core(
+                            scheduler,
+                            &queues[shard],
+                            &progresses[shard],
+                            cfg.core(),
+                            fault,
+                            wal,
+                            ctx,
+                        )
+                    })
+                })
+                .collect();
+            let workers: Vec<_> = (0..cfg.workers)
+                .map(|_| {
+                    s.spawn(move || {
+                        run_session(
+                            stream,
+                            |txn, stats| session.run_txn(txn, stats),
+                            || queues.iter().for_each(BoundedQueue::close),
+                        )
+                    })
+                })
+                .collect();
+            let sessions = workers
+                .into_iter()
+                .map(|h| h.join().expect("session thread panicked"))
+                .collect();
+            queues.iter().for_each(BoundedQueue::close);
+            let outputs = core_threads
+                .into_iter()
+                .map(|h| h.join().expect("admission core panicked"))
+                .collect();
+            (outputs, sessions)
+        });
+    let elapsed = t0.elapsed();
+
+    // Merge the per-core views, then rebuild the decision summary exactly
+    // from the concatenated samples (merge alone is conservative on p95)
+    // and fold in the session-side counters.
+    let mut metrics = outputs
+        .iter()
+        .enumerate()
+        .map(|(shard, out)| ServerMetrics {
+            sheds: sheds[shard].load(Ordering::Relaxed),
+            ..ServerMetrics::from_core(out, queues[shard].stats(), elapsed)
+        })
+        .reduce(|mut agg, m| {
+            agg.merge(&m);
+            agg
+        })
+        .expect("at least one core")
+        .with_sessions(&sessions);
+    metrics.workers = cfg.workers;
+    let decision_samples: Vec<u64> = outputs
+        .iter()
+        .flat_map(|o| o.decision_ns.iter().copied())
+        .collect();
+    metrics.decision = DecisionLatency::from_samples(&decision_samples);
 
     let merged = merge_shards(txns, outputs.iter().map(|o| (&o.committed[..], &o.log[..])));
     metrics.committed_ops = merged.history.len() as u64;
 
     ShardedReport {
-        outcome,
+        outcome: RunOutcome::of(outputs.iter().any(|o| o.crashed), &sessions),
         committed: merged.committed,
         log: merged.log,
         history: merged.history,
         shards: outputs,
         metrics,
-        shard_sheds,
+        shard_sheds: sheds.into_iter().map(AtomicU64::into_inner).collect(),
         map,
     }
 }

@@ -209,11 +209,13 @@ pub struct SupervisorCfg<'a> {
     pub batch_max: usize,
     /// Record replayable traces.
     pub record_trace: bool,
-    /// Give up after this many restarts (the shard is marked failed and
-    /// its queue stays closed). Guards against a deterministic
-    /// crash-on-recovery loop.
-    pub max_restarts: u64,
 }
+
+/// The restart budget of every supervised shard: after this many restarts
+/// the supervisor gives up ([`SupervisedRun::gave_up`]), marks the shard
+/// failed and leaves its queue closed. Guards against a deterministic
+/// crash-on-recovery loop.
+pub const MAX_RESTARTS: u64 = 8;
 
 /// What a supervised shard's whole lifetime produced.
 pub struct SupervisedRun {
@@ -396,7 +398,7 @@ where
                 },
                 plan,
                 Some(&mut wal),
-                Some(ctx),
+                ctx,
             )
         }));
         let output = match result {
@@ -429,7 +431,7 @@ where
             // The server is shutting down anyway; don't resurrect.
             break (output, false);
         }
-        if restarts >= cfg.max_restarts {
+        if restarts >= MAX_RESTARTS {
             health.set(STATUS_FAILED);
             break (output, true);
         }

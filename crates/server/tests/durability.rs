@@ -8,7 +8,7 @@ use relser_core::ids::TxnId;
 use relser_core::paper::Figure1;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_server::recovery::recover;
-use relser_server::{FaultPlan, ServerConfig};
+use relser_server::ServerConfig;
 use relser_wal::{scan, FileStorage, FsyncPolicy, WalRecord, WalWriter};
 use relser_workload::stream::RequestStream;
 
@@ -32,13 +32,13 @@ fn reopen_truncates_the_torn_tail_before_resuming() {
     };
     let stream = RequestStream::shuffled(&fig.txns, 5);
     let scheduler = RsgSgt::new(&fig.txns, &fig.spec);
-    let report = relser_server::serve(
+    let report = relser_server::serve_sharded(
         &fig.txns,
         &stream,
-        Box::new(scheduler),
+        vec![Box::new(scheduler)],
         &cfg,
-        &FaultPlan::default(),
-        Some(&mut wal),
+        &[],
+        vec![&mut wal],
     );
     assert!(!report.committed.is_empty());
 

@@ -313,12 +313,10 @@ fn run(
             },
             faults,
             Some(&mut wal),
-            Some(ShardCoreCtx {
-                shard: 0,
+            ShardCoreCtx {
                 sessions: Some(&table),
-                recovered_committed: Vec::new(),
-                recovered_events: Vec::new(),
-            }),
+                ..ShardCoreCtx::default()
+            },
         );
         done.store(true, Ordering::Release);
         observer.join().unwrap();
@@ -604,7 +602,7 @@ fn the_one_commit_command_picks_its_record_from_the_session_alone() {
         },
         &FaultPlan::default(),
         Some(&mut wal),
-        None,
+        ShardCoreCtx::default(),
     );
     assert_eq!(out.commits, 4);
     assert_eq!(scan(&handle.bytes()).records, expected);

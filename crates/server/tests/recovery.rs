@@ -24,7 +24,8 @@ use relser_server::recovery::{
     Recovery, RecoveryError, ShardedRecovery,
 };
 use relser_server::{
-    replay, run_core, serve, BoundedQueue, CoreCfg, FaultPlan, Progress, RunOutcome, ServerConfig,
+    replay, run_core, serve_sharded, BoundedQueue, CoreCfg, FaultPlan, Progress, RunOutcome,
+    ServerConfig, ShardCoreCtx,
 };
 use relser_wal::{
     scan, Checkpoint, CheckpointEvent, CheckpointPolicy, FsyncPolicy, MemSegmentStore, MemStorage,
@@ -89,7 +90,7 @@ proptest! {
         };
         let stream = RequestStream::shuffled(&txns, arrival_seed);
         let scheduler = RsgSgt::new(&txns, &spec);
-        let report = serve(&txns, &stream, Box::new(scheduler), &cfg, &FaultPlan::default(), Some(&mut wal));
+        let report = serve_sharded(&txns, &stream, vec![Box::new(scheduler)], &cfg, &[], vec![&mut wal]);
         prop_assert_eq!(&report.outcome, &RunOutcome::Completed);
 
         let bytes = handle.bytes();
@@ -147,7 +148,7 @@ proptest! {
         };
         let stream = RequestStream::shuffled(&txns, arrival_seed);
         let scheduler = RsgSgt::new(&txns, &spec);
-        let report = serve(&txns, &stream, Box::new(scheduler), &cfg, &FaultPlan::default(), Some(&mut wal));
+        let report = serve_sharded(&txns, &stream, vec![Box::new(scheduler)], &cfg, &[], vec![&mut wal]);
         prop_assert_eq!(&report.outcome, &RunOutcome::Completed);
 
         let bytes = handle.bytes();
@@ -482,7 +483,7 @@ fn a_checkpoint_keeps_what_a_live_transaction_pins_and_drops_what_retired() {
         },
         &FaultPlan::default(),
         Some(&mut wal),
-        None,
+        ShardCoreCtx::default(),
     );
     assert_eq!(out.committed, vec![t2, t3]);
     assert_eq!(out.checkpoints, 8, "one rotation per command");

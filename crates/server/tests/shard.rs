@@ -21,8 +21,8 @@ use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::two_pl::TwoPhaseLocking;
 use relser_protocols::{Decision, Scheduler};
 use relser_server::{
-    recover_sharded_segments_with_certifier, replay, replay_sharded, serve, serve_sharded,
-    Certifier, FaultPlan, RecoveryError, RunOutcome, ServerConfig, ServerError, ShardedRecovery,
+    recover_sharded_segments_with_certifier, replay, replay_sharded, serve_sharded, Certifier,
+    FaultPlan, RecoveryError, RunOutcome, ServerConfig, ServerError, ShardedRecovery,
     ShardedReport, ShardedRun,
 };
 use relser_wal::{
@@ -420,14 +420,13 @@ fn sharded_random_zipf_histories_are_relatively_serializable() {
     }
 }
 
-/// `serve` is the N = 1 row of the one session discipline: the same
-/// universe and arrival order through `serve` and through `serve_sharded`
-/// over one scheduler commit the same transactions, both replay and
-/// certify clean — and both write the same commit record, a plain
-/// `Commit` per transaction: a shard core stamps nothing.
+/// One shard is the unsharded service: `serve_sharded` over one scheduler
+/// owns every transaction (banking's multi-account transfers too),
+/// commits them all, replays and certifies clean, and writes one plain
+/// `Commit` record per transaction and no other commit kind: a shard core
+/// stamps nothing.
 #[test]
-fn serve_and_one_shard_serve_sharded_write_the_same_commit_records() {
-    // One shard owns everything, banking's multi-account transfers too.
+fn one_shard_serve_sharded_replays_certifies_and_writes_plain_commit_records() {
     let scenario = banking(
         &BankingConfig {
             families: 4,
@@ -445,68 +444,38 @@ fn serve_and_one_shard_serve_sharded_write_the_same_commit_records() {
         record_trace: true,
         ..ServerConfig::default()
     };
-    let durable = || {
-        let (mem, handle) = MemStorage::new();
-        let wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
-        (wal, handle)
-    };
-
-    let (mut flat_wal, flat_log) = durable();
-    let flat = serve(
-        txns,
-        &RequestStream::shuffled(txns, 3),
-        Box::new(RsgSgt::new(txns, spec)),
-        &cfg,
-        &FaultPlan::default(),
-        Some(&mut flat_wal),
-    );
-    let (mut shard_wal, shard_log) = durable();
-    let sharded = serve_sharded(
+    let (mem, handle) = MemStorage::new();
+    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+    let report = serve_sharded(
         txns,
         &RequestStream::shuffled(txns, 3),
         schedulers(txns, spec, 1),
         &cfg,
         &[],
-        vec![&mut shard_wal as &mut dyn CommitLog],
+        vec![&mut wal as &mut dyn CommitLog],
     );
-    assert_eq!(flat.outcome, RunOutcome::Completed);
-    assert_eq!(sharded.outcome, RunOutcome::Completed);
+    assert_eq!(report.outcome, RunOutcome::Completed);
+    let mut committed = report.committed.clone();
+    committed.sort_unstable();
+    assert_eq!(committed, txns.txn_ids().collect::<Vec<_>>());
 
-    let sorted = |mut v: Vec<TxnId>| {
-        v.sort_unstable();
-        v
-    };
-    assert_eq!(
-        sorted(flat.committed.clone()),
-        sorted(sharded.committed.clone()),
-        "same committed transaction set"
-    );
+    let replayed = replay(&mut RsgSgt::new(txns, spec), &report.shards[0].trace)
+        .expect("the one shard replays");
+    assert_eq!(replayed, report.shards[0].log);
+    let schedule =
+        Schedule::new(txns, report.history.clone()).expect("committed history is a schedule");
+    assert!(vclock::certify(txns, &schedule, spec).is_acyclic());
 
-    let replayed = replay(&mut RsgSgt::new(txns, spec), &flat.trace).expect("serve replays");
-    assert_eq!(replayed, flat.log);
-    let replayed = replay_sharded(
-        vec![Box::new(RsgSgt::new(txns, spec))],
-        &[sharded.shards[0].trace.clone()],
-    )
-    .expect("serve_sharded replays");
-    assert_eq!(replayed[0], sharded.shards[0].log);
-
-    for history in [flat.log.clone(), sharded.history.clone()] {
-        let schedule = Schedule::new(txns, history).expect("committed history is a schedule");
-        assert!(vclock::certify(txns, &schedule, spec).is_acyclic());
-    }
-
-    // (plain commits, sessionful commits) in a log.
-    let commit_records = |bytes: Vec<u8>| {
-        let records = scan(&bytes).records;
-        let plain = records.iter().filter(|r| matches!(r, WalRecord::Commit(_)));
-        let sessionful = records
-            .iter()
-            .filter(|r| matches!(r, WalRecord::CommitSession { .. }));
-        (plain.count(), sessionful.count())
-    };
-    assert_eq!(commit_records(flat_log.bytes()), (txns.len(), 0));
-    assert_eq!(commit_records(shard_log.bytes()), (txns.len(), 0));
+    let records = scan(&handle.bytes()).records;
+    let plain = records
+        .iter()
+        .filter(|r| matches!(r, WalRecord::Commit(_)))
+        .count();
+    let sessionful = records
+        .iter()
+        .filter(|r| matches!(r, WalRecord::CommitSession { .. }))
+        .count();
+    assert_eq!((plain, sessionful), (txns.len(), 0));
 }
 
 #[test]

@@ -13,7 +13,7 @@ use relser_core::incremental::CompactionPolicy;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{Decision, Scheduler, SchedulerKind};
 use relser_server::recovery::{recover_segments_with_certifier, Certifier};
-use relser_server::{serve, FaultPlan, RunOutcome, ServerConfig};
+use relser_server::{serve_sharded, RunOutcome, ServerConfig};
 use relser_wal::{CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, SegmentedWal};
 use relser_workload::stream::RequestStream;
 use relser_workload::{random_spec, random_txns, RandomConfig};
@@ -107,19 +107,19 @@ fn wal_bytes_stay_bounded_and_recovery_replays_only_the_suffix() {
     };
     let stream = RequestStream::shuffled(&txns, 23);
     let scheduler = RsgSgt::with_policy(&txns, &spec, CompactionPolicy::aggressive());
-    let report = serve(
+    let report = serve_sharded(
         &txns,
         &stream,
-        Box::new(scheduler),
+        vec![Box::new(scheduler)],
         &server_cfg,
-        &FaultPlan::default(),
-        Some(&mut wal),
+        &[],
+        vec![&mut wal],
     );
     assert_eq!(report.outcome, RunOutcome::Completed);
     assert!(
-        report.checkpoints >= 2,
+        report.shards[0].checkpoints >= 2,
         "soak must rotate repeatedly: {} checkpoints",
-        report.checkpoints
+        report.shards[0].checkpoints
     );
 
     let appended = wal.stats().bytes;

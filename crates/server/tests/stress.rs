@@ -15,25 +15,23 @@ use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::two_pl::TwoPhaseLocking;
 use relser_protocols::Scheduler;
-use relser_server::{
-    replay, serve, FaultPlan, OverloadPolicy, ServerConfig, ServerError, ServerRun,
-};
+use relser_server::{replay, serve_sharded, OverloadPolicy, ServerConfig, ServerError, ShardedRun};
 use relser_workload::banking::{banking, BankingConfig, BankingScenario};
 use relser_workload::stream::RequestStream;
 use std::time::Duration;
 
 const WORKERS: usize = 8;
 
-/// The plain service — no faults, no commit log — over the arrival order
+/// The one-shard service — no faults, no commit log — over the arrival order
 /// seeded by `seed`, run to completion.
 fn serve_to_completion(
     txns: &TxnSet,
     scheduler: Box<dyn Scheduler + Send + '_>,
     cfg: &ServerConfig,
     seed: u64,
-) -> Result<ServerRun, ServerError> {
+) -> Result<ShardedRun, ServerError> {
     let stream = RequestStream::shuffled(txns, seed);
-    serve(txns, &stream, scheduler, cfg, &FaultPlan::default(), None).into_run(txns)
+    serve_sharded(txns, &stream, vec![scheduler], cfg, &[], Vec::new()).into_run(txns)
 }
 
 /// 4 families × 16 customers + 4 credit audits = 68 transactions ≥ 64.
@@ -67,13 +65,16 @@ fn assert_program_order(txns: &TxnSet, history: &Schedule) {
     }
 }
 
-fn assert_run_valid(scenario: &BankingScenario, run: &ServerRun, spec: &AtomicitySpec) {
+fn assert_run_valid(scenario: &BankingScenario, run: &ShardedRun, spec: &AtomicitySpec) {
     assert_eq!(
-        run.metrics.commits,
+        run.report.metrics.commits,
         scenario.txns.len() as u64,
         "every transaction committed exactly once"
     );
-    assert_eq!(run.metrics.committed_ops, scenario.txns.total_ops() as u64);
+    assert_eq!(
+        run.report.metrics.committed_ops,
+        scenario.txns.total_ops() as u64
+    );
     assert_program_order(&scenario.txns, &run.history);
     let rsg = Rsg::build(&scenario.txns, &run.history, spec);
     assert!(
@@ -100,7 +101,8 @@ fn rsg_sgt_stress_histories_are_relatively_serializable() {
         // scheduler on one thread, reproduces every decision and the
         // exact committed history.
         let mut fresh = RsgSgt::new(&scenario.txns, &scenario.spec);
-        let log = replay(&mut fresh, &run.trace).unwrap_or_else(|m| panic!("seed {seed}: {m}"));
+        let log = replay(&mut fresh, &run.report.shards[0].trace)
+            .unwrap_or_else(|m| panic!("seed {seed}: {m}"));
         let replayed = Schedule::new(&scenario.txns, log).expect("replayed log is a schedule");
         assert_eq!(replayed, run.history, "replay reproduces the history");
     }
@@ -163,7 +165,7 @@ fn backpressure_policy_with_tiny_queue_completes() {
     };
     let run = serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg, 7)
         .expect("wait run completes");
-    assert_eq!(run.metrics.sheds, 0);
+    assert_eq!(run.report.metrics.sheds, 0);
     assert_run_valid(&scenario, &run, &scenario.spec);
 }
 
@@ -180,7 +182,10 @@ fn single_worker_degenerates_to_serial_service() {
     };
     let run = serve_to_completion(&scenario.txns, Box::new(scheduler), &cfg, 8)
         .expect("serial service run");
-    assert_eq!(run.metrics.aborts, 0, "serial service never conflicts");
-    assert_eq!(run.metrics.blocked, 0);
+    assert_eq!(
+        run.report.metrics.aborts, 0,
+        "serial service never conflicts"
+    );
+    assert_eq!(run.report.metrics.blocked, 0);
     assert_run_valid(&scenario, &run, &scenario.spec);
 }

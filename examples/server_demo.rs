@@ -4,12 +4,12 @@
 //! committed history is re-validated offline (RSG acyclicity) and the
 //! recorded trace is replayed deterministically on one thread.
 //!
-//! With `--shards N` (N > 1) the same sessions — one session discipline,
-//! `serve` being its one-queue row — route a shard-local universe over N
-//! shard cores that share nothing: every transaction is owned by one
-//! shard (one spanning shards would be refused), and the merged history
-//! gets the same offline certification plus a per-shard deterministic
-//! replay.
+//! With `--shards N` (N > 1) the same sessions, through the same entry
+//! point (`serve_sharded`, whose one-shard row is the default run), route
+//! a shard-local universe over N shard cores that share nothing: every
+//! transaction is owned by one shard (one spanning shards would be
+//! refused), and the merged history gets the same offline certification
+//! plus a per-shard deterministic replay.
 //!
 //! ```text
 //! cargo run --release --example server_demo                        # full demo
@@ -18,15 +18,12 @@
 //! ```
 
 use relative_serializability::core::rsg::Rsg;
-use relative_serializability::core::schedule::Schedule;
 use relative_serializability::core::shard::ShardMap;
 use relative_serializability::core::spec::AtomicitySpec;
 use relative_serializability::core::txn::TxnSet;
 use relative_serializability::protocols::rsg_sgt::RsgSgt;
 use relative_serializability::protocols::Scheduler;
-use relative_serializability::server::{
-    replay, replay_sharded, serve, serve_sharded, FaultPlan, ServerConfig,
-};
+use relative_serializability::server::{replay_sharded, serve_sharded, ServerConfig};
 use relative_serializability::workload::banking::{banking, BankingConfig};
 use relative_serializability::workload::random::{random_spec, shard_local_txns, RandomConfig};
 use relative_serializability::workload::stream::RequestStream;
@@ -130,55 +127,13 @@ fn main() {
     };
     let stream = RequestStream::shuffled(&txns, 7);
 
-    if shards > 1 {
-        serve_sharded_demo(&txns, &spec, &stream, &server_cfg, shards);
-        return;
-    }
-
-    let scheduler = RsgSgt::new(&txns, &spec);
-    // No faults, no commit log: the plain in-memory service.
-    let run = serve(
-        &txns,
-        &stream,
-        Box::new(scheduler),
-        &server_cfg,
-        &FaultPlan::default(),
-        None,
-    )
-    .into_run(&txns)
-    .expect("all transactions commit");
-    println!(
-        "service  (8 threads): {:.1?}, {:.0} ops/s\n",
-        run.metrics.elapsed,
-        run.metrics.ops_per_sec(),
-    );
-    println!("{}", run.metrics);
-
-    // Offline re-validation: whatever interleaving the 9 threads
-    // produced, the committed history must be relatively serializable.
-    let rsg = Rsg::build(&txns, &run.history, &spec);
-    assert!(rsg.is_acyclic(), "committed history failed the RSG test");
-    println!("\noffline check: RSG acyclic -> history is relatively serializable");
-
-    if sig::stopped() {
-        println!("\ninterrupted after the service phase: history validated, exiting cleanly");
-        return;
-    }
-
-    // Deterministic replay: the trace reproduces the run on one thread.
-    let mut fresh = RsgSgt::new(&txns, &spec);
-    let log = replay(&mut fresh, &run.trace).expect("replay agrees with the recorded decisions");
-    let replayed = Schedule::new(&txns, log).expect("replayed log is a schedule");
-    assert_eq!(replayed, run.history);
-    println!(
-        "replay: {} trace events reproduce the committed history exactly",
-        run.trace.len()
-    );
+    serve_demo(&txns, &spec, &stream, &server_cfg, shards);
 }
 
-/// The sharded variant: N shard cores behind the router, same offline
-/// certification over the merged history, per-shard deterministic replay.
-fn serve_sharded_demo(
+/// N shard cores behind the router (one is the unsharded service),
+/// offline certification of the merged history, per-shard deterministic
+/// replay.
+fn serve_demo(
     txns: &TxnSet,
     spec: &AtomicitySpec,
     stream: &RequestStream,
@@ -207,10 +162,17 @@ fn serve_sharded_demo(
         "\nrouting: every transaction ran on the one shard that owns it — {owned:?} per shard"
     );
 
-    // Offline re-validation: the merged history, certified whole.
+    // Offline re-validation: whatever interleaving the threads produced,
+    // the merged history, certified whole, must be relatively
+    // serializable.
     let rsg = Rsg::build(txns, &run.history, spec);
     assert!(rsg.is_acyclic(), "merged history failed the RSG test");
     println!("offline check: merged RSG acyclic -> history is relatively serializable");
+
+    if sig::stopped() {
+        println!("\ninterrupted after the service phase: history validated, exiting cleanly");
+        return;
+    }
 
     // Deterministic replay, shard by shard: each core's trace reproduces
     // that core's grant log on one thread.

@@ -12,7 +12,7 @@
 
 use relative_serializability::protocols::rsg_sgt::RsgSgt;
 use relative_serializability::server::recovery::recover;
-use relative_serializability::server::{serve, FaultPlan, RunOutcome, ServerConfig};
+use relative_serializability::server::{serve_sharded, RunOutcome, ServerConfig};
 use relative_serializability::wal::{scan, FileStorage, FsyncPolicy, WalWriter};
 use relative_serializability::workload::banking::{banking, BankingConfig};
 use relative_serializability::workload::stream::RequestStream;
@@ -46,13 +46,13 @@ fn main() {
     };
     let stream = RequestStream::shuffled(&sc.txns, 7);
     let scheduler = RsgSgt::new(&sc.txns, &sc.spec);
-    let report = serve(
+    let report = serve_sharded(
         &sc.txns,
         &stream,
-        Box::new(scheduler),
+        vec![Box::new(scheduler)],
         &server_cfg,
-        &FaultPlan::default(),
-        Some(&mut wal),
+        &[],
+        vec![&mut wal],
     );
     assert_eq!(report.outcome, RunOutcome::Completed);
     println!(

@@ -27,7 +27,7 @@ use relative_serializability::prelude::*;
 use relative_serializability::protocols::driver::{run, RunConfig};
 use relative_serializability::protocols::SchedulerKind;
 use relative_serializability::server::recovery::recover;
-use relative_serializability::server::{serve, FaultPlan, ServerConfig};
+use relative_serializability::server::{serve_sharded, ServerConfig};
 use relative_serializability::simdb::{execute, simulate, SimConfig};
 use relative_serializability::wal::{scan, FsyncPolicy, MemStorage, WalRecord, WalWriter};
 use relative_serializability::workload::banking::{banking, BankingConfig};
@@ -154,7 +154,7 @@ fn server_serves_figure2() {
     };
     let sched = SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec);
     let stream = RequestStream::shuffled(&fig.txns, 5);
-    let run = serve(&fig.txns, &stream, sched, &cfg, &FaultPlan::default(), None)
+    let run = serve_sharded(&fig.txns, &stream, vec![sched], &cfg, &[], Vec::new())
         .into_run(&fig.txns)
         .expect("serves");
     assert_eq!(run.history.len(), fig.txns.total_ops());
