@@ -23,7 +23,7 @@ use relser_net::{
 };
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_server::core::FaultPlan;
-use relser_wal::{FsyncPolicy, MemSegmentStore, MemSegmentsHandle, MemStorage, WalWriter};
+use relser_wal::{CheckpointPolicy, FsyncPolicy, MemSegmentStore, MemSegmentsHandle, SegmentedWal};
 use relser_workload::banking::{banking, BankingConfig};
 use relser_workload::random::random_spec;
 use relser_workload::stream::RequestStream;
@@ -94,8 +94,10 @@ fn run_once(txns: &TxnSet, spec: &AtomicitySpec, connections: usize, durable: bo
         .expect("serve_net")
     };
     let (report, stats) = if durable {
-        let (mem, _handle) = MemStorage::new();
-        let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).expect("in-memory wal");
+        let (store, _handle) = MemSegmentStore::new();
+        let ckpt = CheckpointPolicy::never();
+        let mut wal =
+            SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt).expect("in-memory wal");
         run(Some(&mut wal))
     } else {
         run(None)

@@ -112,14 +112,23 @@ mod tests {
     use super::*;
     use relser_core::paper::Figure1;
     use relser_protocols::SchedulerKind;
-    use relser_server::recovery::recover;
+    use relser_server::recovery::{recover_segments_with_certifier, Certifier};
     use relser_server::{serve_sharded, RunOutcome, ServerConfig};
-    use relser_wal::{FsyncPolicy, MemStorage, WalWriter};
+    use relser_wal::{
+        CheckpointPolicy, FsyncPolicy, MemSegmentStore, MemSegmentsHandle, SegmentedWal,
+    };
     use relser_workload::stream::RequestStream;
 
+    /// A never-rotating `Always` log and its read handle.
+    fn one_segment_log() -> (SegmentedWal, MemSegmentsHandle) {
+        let (store, handle) = MemSegmentStore::new();
+        let ckpt = CheckpointPolicy::never();
+        let wal = SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt).unwrap();
+        (wal, handle)
+    }
+
     fn clean_trace(fig: &Figure1) -> (Vec<TraceEvent>, Vec<TxnId>) {
-        let (mem, _) = MemStorage::new();
-        let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+        let (mut wal, _) = one_segment_log();
         let cfg = ServerConfig {
             workers: 3,
             record_trace: true,
@@ -141,8 +150,7 @@ mod tests {
     fn redrive_reproduces_the_run_in_full_batches() {
         let fig = Figure1::new();
         let (trace, committed) = clean_trace(&fig);
-        let (mem, handle) = MemStorage::new();
-        let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+        let (mut wal, handle) = one_segment_log();
         let redrive = redrive_preloaded(
             SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec),
             &trace,
@@ -158,11 +166,20 @@ mod tests {
             redrive.out.batches as usize,
             trace.len().div_ceil(PRELOAD_BATCH_MAX)
         );
-        // One write and at most one barrier per batch (+ the header's).
-        assert!(redrive.out.wal.appends <= redrive.out.batches + 1);
-        assert!(redrive.out.wal.syncs <= redrive.out.batches + 1);
+        // One write and at most one barrier per batch (+ the header's and
+        // the head checkpoint's).
+        assert!(redrive.out.wal.appends <= redrive.out.batches + 2);
+        assert!(redrive.out.wal.syncs <= redrive.out.batches + 2);
         let mut fresh = SchedulerKind::RsgSgt.make(&fig.txns, &fig.spec);
-        let rec = recover(&fig.txns, &fig.spec, &mut *fresh, &handle.synced_bytes()).unwrap();
+        let segments = handle.synced_segments();
+        let (_, rec) = recover_segments_with_certifier(
+            &fig.txns,
+            &fig.spec,
+            &mut *fresh,
+            &segments,
+            Certifier::VClock,
+        )
+        .unwrap();
         assert_eq!(rec.committed, committed);
     }
 
@@ -185,8 +202,7 @@ mod tests {
             granted(1),
             TraceEvent::Commit(TxnId(1)),
         ];
-        let (mem, handle) = MemStorage::new();
-        let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+        let (mut wal, handle) = one_segment_log();
         let redrive = redrive_preloaded(
             SchedulerKind::RsgSgt.make(&txns, &spec),
             &trace,
@@ -202,7 +218,15 @@ mod tests {
         assert_eq!(redrive.acked, vec![], "the batch's commit was never acked");
         assert_eq!(redrive.out.committed, vec![]);
         let mut fresh = SchedulerKind::RsgSgt.make(&txns, &spec);
-        let rec = recover(&txns, &spec, &mut *fresh, &handle.bytes()).unwrap();
+        let segments = handle.segments();
+        let (_, rec) = recover_segments_with_certifier(
+            &txns,
+            &spec,
+            &mut *fresh,
+            &segments,
+            Certifier::VClock,
+        )
+        .unwrap();
         assert_eq!(rec.committed, vec![], "and never reached storage");
     }
 }

@@ -11,7 +11,7 @@
 //!    ordinal k) cell, a durable sharded run where that shard's core
 //!    crashes after its k-th command.
 //! 2. **Recovery** — every run (crashed or clean) is recovered from its
-//!    per-shard synced logs (each a one-segment stream) via
+//!    per-shard synced logs (each one never-rotating segment) via
 //!    [`recover_sharded_segments_with_certifier`], which checks ownership
 //!    and re-certifies the merged history. Each shard's recovered
 //!    committed set must contain every commit *that shard* acknowledged
@@ -50,7 +50,10 @@ use relser_server::{
     recover_sharded_segments_with_certifier, serve_sharded, Certifier, FaultPlan, RunOutcome,
     ServerConfig, ServerError, ShardCoreCtx, ShardedRecovery, ShardedReport,
 };
-use relser_wal::{CommitLog, FsyncPolicy, MemHandle, MemStorage, WalWriter};
+use relser_wal::{
+    Checkpoint, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemSegmentsHandle,
+    SegmentedWal,
+};
 use relser_workload::stream::RequestStream;
 
 /// The sweep grid. Every combination of seed × crash shard × crash
@@ -184,7 +187,7 @@ pub fn shard_crash_sweep(
 
                 // Full-log recovery: every shard hands back every commit
                 // it acknowledged, nothing by halves.
-                let logs: Vec<Vec<u8>> = handles.iter().map(|h| h.bytes()).collect();
+                let logs = shard_logs(&handles);
                 if let Some(rec) = try_recover(txns, spec, &logs, &mut report) {
                     check_acked(&rec, &acked, |_| true, &mut report);
                     check_invariants(txns, spec, &rec, &mut report);
@@ -219,16 +222,28 @@ pub fn shard_crash_sweep(
     report
 }
 
-/// One fresh `Always` log on `MemStorage` per shard, with read handles.
-fn shard_wals(shards: usize) -> (Vec<WalWriter>, Vec<MemHandle>) {
-    (0..shards)
-        .map(|_| {
-            let (mem, handle) = MemStorage::new();
+/// One never-rotating `Always` log per shard, its head stamped with the
+/// shard's id, with read handles.
+fn shard_wals(shards: usize) -> (Vec<SegmentedWal>, Vec<MemSegmentsHandle>) {
+    (0..shards as u32)
+        .map(|shard| {
+            let (store, handle) = MemSegmentStore::new();
+            let head = Checkpoint {
+                shard,
+                ..Checkpoint::default()
+            };
+            let ckpt = CheckpointPolicy::never();
             let wal =
-                WalWriter::new(Box::new(mem), FsyncPolicy::Always).expect("MemStorage never fails");
+                SegmentedWal::resume(Box::new(store), FsyncPolicy::Always, ckpt, head, 0, &[])
+                    .expect("MemSegmentStore never fails");
             (wal, handle)
         })
         .unzip()
+}
+
+/// Each shard's one segment (the logs never rotate).
+fn shard_logs(handles: &[MemSegmentsHandle]) -> Vec<Vec<u8>> {
+    handles.iter().map(|h| h.segments().remove(0).1).collect()
 }
 
 /// Re-drives every shard of the faultless `run` from a pre-loaded queue
@@ -261,7 +276,7 @@ fn redrive_cell(
         report.preloaded_crashes += u64::from(redrive.out.crashed);
         acked.push(redrive.acked);
     }
-    let logs: Vec<Vec<u8>> = handles.iter().map(|h| h.bytes()).collect();
+    let logs = shard_logs(&handles);
     if let Some(rec) = try_recover(txns, spec, &logs, report) {
         check_acked(&rec, &acked, |_| true, report);
         check_invariants(txns, spec, &rec, report);

@@ -9,10 +9,14 @@
 //!   the bytes land, while tracking the synced watermark that models
 //!   what a real disk still holds after power loss;
 //! * [`crash_point_sweep`] — the headline harness. It runs the durable
-//!   server to completion, then crashes it *everywhere*: the log is cut
+//!   server to completion on a log that never rotates (one
+//!   [`SegmentedWal`] segment: header, empty head checkpoint, records),
+//!   then crashes it *everywhere*: the log is cut
 //!   at every byte offset (covering every record boundary and every torn
 //!   tail), bit-flipped at every byte, and re-run live against `FaultFs`
-//!   failures — once driven by live sessions and once re-driven from a
+//!   failures (handed out as segment 0 by a one-segment
+//!   [`relser_wal::SegmentStore`]) — once driven by live sessions and
+//!   once re-driven from a
 //!   pre-loaded queue in multi-command batches
 //!   ([`crate::preload::redrive_preloaded`]), so the failing write or
 //!   barrier lands inside the group-commit window (records appended,
@@ -25,8 +29,8 @@
 //! [`crate::faults`]: **no storage failure can lose an acknowledged
 //! commit or make recovery bless a non-relatively-serializable history.**
 //!
-//! [`checkpoint_crash_sweep`] runs the same discipline against the
-//! *segmented, checkpointing* log ([`relser_wal::SegmentedWal`]): cuts
+//! [`checkpoint_crash_sweep`] runs the same discipline against a log
+//! that *rotates* under an aggressive checkpoint policy: cuts
 //! and flips land across checkpoint and segment boundaries (including
 //! inside the head checkpoint frame, modelling a crash mid-rotation),
 //! live runs crash the core between rotations, and recovery must seed
@@ -38,13 +42,12 @@ use relser_core::ids::TxnId;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::SchedulerKind;
-use relser_server::recovery::{recover, recover_segments_with_certifier, Certifier, Recovery};
+use relser_server::recovery::{recover_segments_with_certifier, Certifier, Recovery};
 use relser_server::{
     serve_sharded, FaultPlan, RunOutcome, ServerConfig, ShardCoreCtx, ShardedReport,
 };
 use relser_wal::{
-    CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemStorage, SegmentedWal, Storage,
-    WalWriter,
+    CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, SegmentStore, SegmentedWal, Storage,
 };
 use relser_workload::stream::RequestStream;
 use std::io;
@@ -54,8 +57,9 @@ use std::sync::{Arc, Mutex};
 /// disables that fault.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultFsConfig {
-    /// This append call (call 0 is the file header, then one per batch)
-    /// fails. The writer (and so the core) fail-stops.
+    /// This append call (call 0 is the segment header, call 1 the head
+    /// checkpoint, then one per batch) fails. The writer (and so the
+    /// core) fail-stops.
     pub fail_append_at: Option<u64>,
     /// How many bytes of the failing append still reach the buffer
     /// before the error — the torn tail a real crash leaves behind; it
@@ -65,7 +69,8 @@ pub struct FaultFsConfig {
     /// (bit rot / a misdirected write the writer never notices).
     pub bit_flip: Option<(u64, u8)>,
     /// This sync call fails (call 0 is the header sync under `Always`,
-    /// then one per batch that logged anything).
+    /// call 1 the head checkpoint's, then one per batch that logged
+    /// anything).
     pub fail_sync_at: Option<u64>,
 }
 
@@ -74,8 +79,8 @@ struct FaultInner {
     synced: usize,
 }
 
-/// A fault-injecting in-memory [`Storage`]: behaves like
-/// [`MemStorage`] until a configured ordinal, then fails exactly the way
+/// A fault-injecting in-memory [`Storage`]: behaves like an in-memory
+/// segment until a configured ordinal, then fails exactly the way
 /// the [`FaultFsConfig`] says. The synced watermark only advances on a
 /// *successful* sync, so [`FaultFsHandle::synced_bytes`] is what a
 /// power-lossed disk still holds.
@@ -162,6 +167,20 @@ impl Storage for FaultFs {
     }
 }
 
+/// Hands one [`FaultFs`] out as segment 0 of a log that never rotates.
+struct OneSegment(Option<FaultFs>);
+
+impl SegmentStore for OneSegment {
+    fn create(&mut self, seq: u64) -> io::Result<Box<dyn Storage>> {
+        assert_eq!(seq, 0, "a never-rotating log creates segment 0 only");
+        Ok(Box::new(self.0.take().expect("segment 0 is created once")))
+    }
+
+    fn delete(&mut self, seq: u64) -> io::Result<()> {
+        unreachable!("a never-rotating log deletes nothing (asked for {seq})")
+    }
+}
+
 /// The sweep grid: which protocols/seeds to log, and which live storage
 /// faults to inject on top of the exhaustive offline cuts.
 #[derive(Clone, Debug)]
@@ -185,9 +204,9 @@ impl Default for CrashSweepConfig {
         CrashSweepConfig {
             kinds: vec![SchedulerKind::RsgSgt],
             seeds: vec![1, 2],
-            fail_appends: vec![0, 2, 5, 9],
+            fail_appends: vec![0, 1, 3, 6, 10],
             torn_bytes: vec![0, 1, 5],
-            fail_syncs: vec![0, 3, 7],
+            fail_syncs: vec![0, 1, 4, 8],
             workers: 3,
         }
     }
@@ -260,9 +279,13 @@ pub fn crash_point_sweep(
                 ..ServerConfig::default()
             };
             // One clean durable run produces the log the offline passes cut up.
-            let (mem, handle) = MemStorage::new();
-            let mut wal =
-                WalWriter::new(Box::new(mem), FsyncPolicy::Always).expect("MemStorage never fails");
+            let (store, handle) = MemSegmentStore::new();
+            let mut wal = SegmentedWal::new(
+                Box::new(store),
+                FsyncPolicy::Always,
+                CheckpointPolicy::never(),
+            )
+            .expect("MemSegmentStore never fails");
             let run = serve_one(txns, spec, kind, &server_cfg, seed, &mut wal);
             if run.outcome != RunOutcome::Completed {
                 // A failed faultless run is a server bug the plain fault
@@ -270,14 +293,15 @@ pub fn crash_point_sweep(
                 continue;
             }
             report.runs += 1;
-            let bytes = handle.bytes();
+            let bytes = handle.segments().remove(0).1;
 
             // Pass 1: cut the log at every byte — every record boundary
             // and every torn-tail length in between.
             let mut prev_commits = 0usize;
             for cut in 0..=bytes.len() {
                 report.crash_points += 1;
-                let Some(rec) = try_recover(txns, spec, kind, &bytes[..cut], &mut report) else {
+                let segs = [(0, bytes[..cut].to_vec())];
+                let Some((_, rec)) = try_recover(txns, spec, kind, &segs, &mut report) else {
                     continue;
                 };
                 if rec.committed.len() < prev_commits {
@@ -292,7 +316,8 @@ pub fn crash_point_sweep(
                 }
             }
             // The full log must recover the full run.
-            check_acked_commits(&run.committed, &bytes, txns, spec, kind, &mut report);
+            let full = [(0, bytes.clone())];
+            check_acked(&run.committed, &full, txns, spec, kind, &mut report);
 
             // Pass 2: flip one bit in every byte — recovery must survive
             // (truncating at the damage), never panic, never forge state.
@@ -300,7 +325,7 @@ pub fn crash_point_sweep(
                 report.bit_flips += 1;
                 let mut corrupt = bytes.clone();
                 corrupt[byte] ^= 1 << (byte % 8);
-                let _ = try_recover(txns, spec, kind, &corrupt, &mut report);
+                let _ = try_recover(txns, spec, kind, &[(0, corrupt)], &mut report);
             }
 
             // Pass 3: live FaultFs runs — the storage fails mid-run, the
@@ -326,13 +351,19 @@ pub fn crash_point_sweep(
                 for preloaded in [false, true] {
                     report.live_faults += 1;
                     let (fs, fs_handle) = FaultFs::new(fs_cfg);
-                    let mut wal = match WalWriter::new(Box::new(fs), FsyncPolicy::Always) {
+                    let store = Box::new(OneSegment(Some(fs)));
+                    let mut wal = match SegmentedWal::new(
+                        store,
+                        FsyncPolicy::Always,
+                        CheckpointPolicy::never(),
+                    ) {
                         Ok(w) => w,
-                        // Header append/sync already failed: nothing was
-                        // ever acknowledged, and the empty synced prefix
-                        // recovers to the empty state below.
+                        // The header or head checkpoint write or sync
+                        // already failed: nothing was ever acknowledged,
+                        // and the synced prefix recovers to the empty
+                        // state below.
                         Err(_) => {
-                            let durable = fs_handle.synced_bytes();
+                            let durable = [(0, fs_handle.synced_bytes())];
                             let _ = try_recover(txns, spec, kind, &durable, &mut report);
                             continue;
                         }
@@ -354,14 +385,8 @@ pub fn crash_point_sweep(
                     } else {
                         serve_one(txns, spec, kind, &server_cfg, seed, &mut wal).committed
                     };
-                    check_acked_commits(
-                        &acked,
-                        &fs_handle.synced_bytes(),
-                        txns,
-                        spec,
-                        kind,
-                        &mut report,
-                    );
+                    let durable = [(0, fs_handle.synced_bytes())];
+                    check_acked(&acked, &durable, txns, spec, kind, &mut report);
                 }
             }
         }
@@ -454,7 +479,7 @@ pub fn checkpoint_crash_sweep(
             let (last_seq, last_bytes) = segments.last().cloned().expect("segment 0 always exists");
 
             // The full durable set recovers the full run, nothing lost.
-            check_acked_segments(&run.committed, &segments, txns, spec, kind, &mut report);
+            check_acked(&run.committed, &segments, txns, spec, kind, &mut report);
 
             // Pass 1: cut the newest segment at every byte.
             let prior: Vec<(u64, Vec<u8>)> = segments[..segments.len() - 1].to_vec();
@@ -463,8 +488,7 @@ pub fn checkpoint_crash_sweep(
                 report.crash_points += 1;
                 let mut cut_segs = prior.clone();
                 cut_segs.push((last_seq, last_bytes[..cut].to_vec()));
-                let Some((_, rec)) = try_recover_segments(txns, spec, kind, &cut_segs, &mut report)
-                else {
+                let Some((_, rec)) = try_recover(txns, spec, kind, &cut_segs, &mut report) else {
                     continue;
                 };
                 if rec.committed.len() < prev_commits {
@@ -484,7 +508,7 @@ pub fn checkpoint_crash_sweep(
                 corrupt[byte] ^= 1 << (byte % 8);
                 let mut segs = prior.clone();
                 segs.push((last_seq, corrupt));
-                let _ = try_recover_segments(txns, spec, kind, &segs, &mut report);
+                let _ = try_recover(txns, spec, kind, &segs, &mut report);
             }
 
             // Pass 3: torn rotation — a crash after the next segment was
@@ -497,7 +521,7 @@ pub fn checkpoint_crash_sweep(
                     last_seq + 1,
                     last_bytes[..torn_len.min(last_bytes.len())].to_vec(),
                 ));
-                check_acked_segments(&run.committed, &segs, txns, spec, kind, &mut report);
+                check_acked(&run.committed, &segs, txns, spec, kind, &mut report);
             }
 
             // Pass 4: live core crashes mid-run — driven by live sessions
@@ -541,7 +565,7 @@ pub fn checkpoint_crash_sweep(
                         (crashed.committed, crashed.shards[0].checkpoints)
                     };
                     report.checkpoints += checkpoints;
-                    check_acked_segments(
+                    check_acked(
                         &acked,
                         &handle.synced_segments(),
                         txns,
@@ -556,8 +580,8 @@ pub fn checkpoint_crash_sweep(
     report
 }
 
-/// Segment-set flavor of [`try_recover`].
-fn try_recover_segments(
+/// Recovers `segments` into a fresh scheduler, counting failures.
+fn try_recover(
     txns: &TxnSet,
     spec: &AtomicitySpec,
     kind: SchedulerKind,
@@ -574,8 +598,10 @@ fn try_recover_segments(
     }
 }
 
-/// Segment-set flavor of [`check_acked_commits`].
-fn check_acked_segments(
+/// The zero-acknowledged-commit-loss check: every commit the (possibly
+/// crashed) run acknowledged must come back from recovering the durable
+/// `segments`, and the recovered state must pass the oracle suite.
+fn check_acked(
     acked: &[TxnId],
     segments: &[(u64, Vec<u8>)],
     txns: &TxnSet,
@@ -583,7 +609,7 @@ fn check_acked_segments(
     kind: SchedulerKind,
     report: &mut CrashSweepReport,
 ) {
-    let Some((_, rec)) = try_recover_segments(txns, spec, kind, segments, report) else {
+    let Some((_, rec)) = try_recover(txns, spec, kind, segments, report) else {
         report.lost_commits += acked.len() as u64;
         return;
     };
@@ -604,7 +630,7 @@ fn serve_one(
     kind: SchedulerKind,
     server_cfg: &ServerConfig,
     seed: u64,
-    wal: &mut WalWriter,
+    wal: &mut SegmentedWal,
 ) -> ShardedReport {
     let stream = RequestStream::shuffled(txns, seed);
     serve_sharded(
@@ -617,54 +643,12 @@ fn serve_one(
     )
 }
 
-/// Recovers `bytes` into a fresh scheduler, counting failures.
-fn try_recover(
-    txns: &TxnSet,
-    spec: &AtomicitySpec,
-    kind: SchedulerKind,
-    bytes: &[u8],
-    report: &mut CrashSweepReport,
-) -> Option<Recovery> {
-    let mut fresh = kind.make(txns, spec);
-    match recover(txns, spec, &mut *fresh, bytes) {
-        Ok(rec) => Some(rec),
-        Err(_) => {
-            report.failed_recoveries += 1;
-            None
-        }
-    }
-}
-
-/// The zero-acknowledged-commit-loss check: every commit the (possibly
-/// crashed) run acknowledged must come back from recovering
-/// `durable_bytes`, and the recovered state must pass the oracle suite.
-fn check_acked_commits(
-    acked: &[TxnId],
-    durable_bytes: &[u8],
-    txns: &TxnSet,
-    spec: &AtomicitySpec,
-    kind: SchedulerKind,
-    report: &mut CrashSweepReport,
-) {
-    let Some(rec) = try_recover(txns, spec, kind, durable_bytes, report) else {
-        report.lost_commits += acked.len() as u64;
-        return;
-    };
-    for t in acked {
-        report.acked_commits_checked += 1;
-        if !rec.committed.contains(t) {
-            report.lost_commits += 1;
-        }
-    }
-    oracle_check(txns, spec, kind, &rec, report);
-}
-
 /// Pushes a recovered state through the full offline oracle suite.
 ///
 /// The Theorem 1 / lattice oracles need complete per-transaction op
 /// sets, so they run over [`Recovery::certified`] — committed
-/// transactions the recovered log fully contains. Without checkpoints
-/// that is all of `committed`; with them, checkpoint-retired commits
+/// transactions the recovered log fully contains. Without a rotation
+/// that is all of `committed`; after one, checkpoint-retired commits
 /// are vouched for by the checkpoint's own pre-rotation certification.
 fn oracle_check(
     txns: &TxnSet,
@@ -700,9 +684,9 @@ mod tests {
         let fig = Figure1::new();
         let cfg = CrashSweepConfig {
             seeds: vec![1],
-            fail_appends: vec![0, 3],
+            fail_appends: vec![0, 1, 4],
             torn_bytes: vec![0, 3],
-            fail_syncs: vec![1, 4],
+            fail_syncs: vec![1, 2, 5],
             ..CrashSweepConfig::default()
         };
         let report = crash_point_sweep(&fig.txns, &fig.spec, &cfg);

@@ -21,11 +21,11 @@ use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{Scheduler, SchedulerKind};
 use relser_server::recovery::{
-    recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
+    recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
 };
 use relser_server::{serve_sharded, FaultPlan, RunOutcome, ServerConfig};
 use relser_wal::{
-    CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemStorage, SegmentedWal, WalWriter,
+    Checkpoint, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, SegmentedWal,
 };
 use relser_workload::stream::RequestStream;
 use relser_workload::{random_spec, shard_local_txns, RandomConfig};
@@ -51,16 +51,20 @@ fn assert_rsg_acyclic(
     );
 }
 
-/// Recovers one flat log into a fresh scheduler and cross-checks the
-/// result; returns whether it certified a non-empty history.
+/// Recovers one segment's bytes into a fresh scheduler and cross-checks
+/// the result; returns whether it certified a non-empty history.
 fn recover_and_check(txns: &TxnSet, spec: &AtomicitySpec, bytes: &[u8], case: &str) -> bool {
     let mut fresh = RsgSgt::new(txns, spec);
-    let rec = recover(txns, spec, &mut fresh, bytes).unwrap_or_else(|e| panic!("{case}: {e}"));
+    let segments = [(0, bytes.to_vec())];
+    let (_, rec) =
+        recover_segments_with_certifier(txns, spec, &mut fresh, &segments, Certifier::VClock)
+            .unwrap_or_else(|e| panic!("{case}: {e}"));
     assert_rsg_acyclic(txns, spec, &rec.certified, &rec.history, case);
     !rec.certified.is_empty()
 }
 
-/// One clean-or-crashed durable run's WAL bytes.
+/// One clean-or-crashed durable run's WAL bytes: the one segment of a
+/// log that never rotates.
 fn wal_bytes(
     txns: &TxnSet,
     spec: &AtomicitySpec,
@@ -68,8 +72,9 @@ fn wal_bytes(
     seed: u64,
     faults: &FaultPlan,
 ) -> Vec<u8> {
-    let (mem, handle) = MemStorage::new();
-    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+    let (store, handle) = MemSegmentStore::new();
+    let ckpt = CheckpointPolicy::never();
+    let mut wal = SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt).unwrap();
     let cfg = ServerConfig {
         workers: 3,
         record_trace: true,
@@ -84,7 +89,7 @@ fn wal_bytes(
         std::slice::from_ref(faults),
         vec![&mut wal],
     );
-    handle.bytes()
+    handle.segments().remove(0).1
 }
 
 /// Every byte-level crash point of clean and crashed runs recovers a
@@ -203,11 +208,16 @@ fn sharded_cuts_recover_a_merged_history_rsg_accepts() {
         ..ServerConfig::default()
     };
     let mut handles = Vec::new();
-    let mut wals: Vec<WalWriter> = (0..shards)
-        .map(|_| {
-            let (mem, handle) = MemStorage::new();
+    let mut wals: Vec<SegmentedWal> = (0..shards as u32)
+        .map(|shard| {
+            let (store, handle) = MemSegmentStore::new();
             handles.push(handle);
-            WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap()
+            let head = Checkpoint {
+                shard,
+                ..Checkpoint::default()
+            };
+            let ckpt = CheckpointPolicy::never();
+            SegmentedWal::resume(Box::new(store), FsyncPolicy::Always, ckpt, head, 0, &[]).unwrap()
         })
         .collect();
     let stream = RequestStream::shuffled(&txns, 7);
@@ -225,7 +235,7 @@ fn sharded_cuts_recover_a_merged_history_rsg_accepts() {
             .collect::<Vec<_>>(),
     );
     assert_eq!(report.outcome, RunOutcome::Completed);
-    let full: Vec<Vec<u8>> = handles.iter().map(|h| h.bytes()).collect();
+    let full: Vec<Vec<u8>> = handles.iter().map(|h| h.segments().remove(0).1).collect();
 
     // Full logs plus a grid of independent per-shard cuts.
     let mut cut_grid: Vec<Vec<usize>> = vec![full.iter().map(Vec::len).collect()];
@@ -239,7 +249,7 @@ fn sharded_cuts_recover_a_merged_history_rsg_accepts() {
     }
     let mut committed_seen = false;
     for cuts in &cut_grid {
-        // Each flat shard log is a one-segment stream.
+        // Each shard's log is one segment.
         let logs: Vec<Vec<(u64, Vec<u8>)>> = full
             .iter()
             .zip(cuts)

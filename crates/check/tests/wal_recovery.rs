@@ -1,8 +1,8 @@
 //! Recovery × oracle cross-validation (no features required).
 //!
 //! Durable server runs — clean, and crashed mid-run by the admission
-//! core's deterministic fault plan — write their WAL to plain
-//! `MemStorage`; recovery rebuilds the state from the bytes, and the
+//! core's deterministic fault plan — write their WAL to a never-rotating
+//! in-memory segment log; recovery rebuilds the state from the bytes, and the
 //! recovered `(committed, log, trace)` triple is pushed through the full
 //! offline oracle suite exactly like a live execution would be. Theorem 1
 //! acyclicity, lattice containments, conflict-serializability claims, and
@@ -16,24 +16,23 @@ use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{AbortReason, Decision, Scheduler, SchedulerKind};
-use relser_server::recovery::{recover, recover_segments_with_certifier, Certifier};
+use relser_server::recovery::{recover_segments_with_certifier, Certifier};
 use relser_server::{serve_sharded, FaultPlan, RunOutcome, ServerConfig};
-use relser_wal::{
-    CheckpointPolicy, FsyncPolicy, MemHandle, MemSegmentStore, MemStorage, SegmentedWal, WalWriter,
-};
+use relser_wal::{CheckpointPolicy, FsyncPolicy, MemSegmentStore, MemSegmentsHandle, SegmentedWal};
 use relser_workload::stream::RequestStream;
 
 /// One durable run; returns the committed set the server reported and
-/// the log bytes it wrote.
+/// the handle onto the log it wrote.
 fn durable_run(
     txns: &TxnSet,
     spec: &AtomicitySpec,
     kind: SchedulerKind,
     seed: u64,
     faults: &FaultPlan,
-) -> (RunOutcome, Vec<relser_core::ids::TxnId>, MemHandle) {
-    let (mem, handle) = MemStorage::new();
-    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+) -> (RunOutcome, Vec<relser_core::ids::TxnId>, MemSegmentsHandle) {
+    let (store, handle) = MemSegmentStore::new();
+    let ckpt = CheckpointPolicy::never();
+    let mut wal = SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt).unwrap();
     let cfg = ServerConfig {
         workers: 3,
         record_trace: true,
@@ -51,15 +50,18 @@ fn durable_run(
     (report.outcome, report.committed, handle)
 }
 
-/// Recovers `handle`'s bytes and runs the oracle suite over the result.
+/// Recovers `handle`'s segments and runs the oracle suite over the result.
 fn recover_and_check(
     txns: &TxnSet,
     spec: &AtomicitySpec,
     kind: SchedulerKind,
-    handle: &MemHandle,
+    handle: &MemSegmentsHandle,
 ) -> ExecutionRecord {
     let mut fresh = kind.make(txns, spec);
-    let rec = recover(txns, spec, &mut *fresh, &handle.bytes()).expect("recovery succeeds");
+    let segments = handle.segments();
+    let (_, rec) =
+        recover_segments_with_certifier(txns, spec, &mut *fresh, &segments, Certifier::VClock)
+            .expect("recovery succeeds");
     let exec = ExecutionRecord {
         path: Vec::new(),
         committed: rec.committed,

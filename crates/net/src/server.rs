@@ -184,9 +184,10 @@ fn run_front_end<'scope, R>(
 /// the acceptor stops, the reactors drain and close every connection
 /// (aborting whatever the client left live), the queue closes, and the
 /// core exits. Returns the combined [`NetReport`] plus the closure's
-/// own result. A log written through `wal` is recovered with
-/// [`relser_server::recover`] (flat) or
-/// [`relser_server::recover_segments_with_certifier`] (segmented).
+/// own result. A log written through `wal` (a
+/// [`relser_wal::SegmentedWal`], one segment under
+/// [`relser_wal::CheckpointPolicy::never`]) is recovered with
+/// [`relser_server::recover_segments_with_certifier`].
 ///
 /// The scheduler may borrow `txns` (e.g. `RsgSgt::new(&txns, &spec)`),
 /// which is why the server runs under `thread::scope` behind a closure

@@ -23,7 +23,7 @@ use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::two_pl::TwoPhaseLocking;
 use relser_server::core::FaultPlan;
 use relser_server::OverloadPolicy;
-use relser_wal::{FsyncPolicy, MemStorage, WalWriter};
+use relser_wal::{CheckpointPolicy, FsyncPolicy, MemSegmentStore, SegmentedWal};
 use relser_workload::banking::{banking, BankingConfig, BankingScenario};
 use relser_workload::stream::RequestStream;
 use std::io::{Read, Write};
@@ -151,8 +151,9 @@ fn durable_commits_time_the_fsync_stage() {
     let total = sc.txns.len();
     let scheduler = Box::new(RsgSgt::new(&sc.txns, &sc.spec));
     let stream = RequestStream::shuffled(&sc.txns, 5);
-    let (mem, _handle) = MemStorage::new();
-    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).expect("wal");
+    let (store, _handle) = MemSegmentStore::new();
+    let ckpt = CheckpointPolicy::never();
+    let mut wal = SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt).expect("wal");
     let load = final_loss(4, 2);
     let (report, stats) = serve_net(
         &sc.txns,

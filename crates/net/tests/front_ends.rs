@@ -36,12 +36,12 @@ use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::two_pl::TwoPhaseLocking;
 use relser_protocols::Scheduler;
 use relser_server::{
-    recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier,
-    serve_sharded, Certifier, FaultPlan, RunOutcome, ServerConfig,
+    recover_segments_with_certifier, recover_sharded_segments_with_certifier, serve_sharded,
+    Certifier, FaultPlan, RunOutcome, ServerConfig,
 };
 use relser_wal::{
-    scan, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemStorage, SegmentedWal,
-    WalRecord, WalWriter,
+    scan, Checkpoint, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemSegmentsHandle,
+    SegmentedWal, WalRecord,
 };
 use relser_workload::random::{random_spec, shard_local_txns, RandomConfig};
 use relser_workload::stream::RequestStream;
@@ -50,6 +50,20 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 const ARRIVAL_SEED: u64 = 7;
+
+/// A never-rotating `Always` log whose head is stamped with `shard`, and
+/// its read handle: what the unsupervised front-ends here log to.
+fn one_segment_log(shard: u32) -> (SegmentedWal, MemSegmentsHandle) {
+    let (store, handle) = MemSegmentStore::new();
+    let head = Checkpoint {
+        shard,
+        ..Checkpoint::default()
+    };
+    let ckpt = CheckpointPolicy::never();
+    let wal = SegmentedWal::resume(Box::new(store), FsyncPolicy::Always, ckpt, head, 0, &[])
+        .expect("an in-memory store opens");
+    (wal, handle)
+}
 
 /// The verdict every front-end is held to: `recovered` is every
 /// transaction exactly once and equals the live run's committed set, and
@@ -136,15 +150,21 @@ fn four_front_ends<'a>(
         ..ServerConfig::default()
     };
 
-    // `serve_sharded` (N = 1) over a flat log, recovered by `recover`.
+    // `serve_sharded` (N = 1) over one log, recovered by
+    // `recover_segments_with_certifier`.
     {
-        let (mem, handle) = MemStorage::new();
-        let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+        let (mut wal, handle) = one_segment_log(0);
         let report = serve_sharded(txns, &stream(), vec![fresh()], &cfg, &[], vec![&mut wal]);
         assert_eq!(report.outcome, RunOutcome::Completed);
         assert_blocked("serve_sharded (N = 1)", report.metrics.blocked);
-        let rec =
-            recover(txns, spec, &mut *fresh(), &handle.synced_bytes()).expect("flat log recovers");
+        let (_, rec) = recover_segments_with_certifier(
+            txns,
+            spec,
+            &mut *fresh(),
+            &handle.synced_segments(),
+            Certifier::VClock,
+        )
+        .expect("the log recovers");
         assert_verdict(
             "serve_sharded (N = 1)",
             sc,
@@ -154,16 +174,10 @@ fn four_front_ends<'a>(
         );
     }
 
-    // `serve_sharded` (N = 2) over one flat log per shard, recovered by
-    // `recover_sharded_segments_with_certifier` (one-segment streams).
+    // `serve_sharded` (N = 2) over one log per shard, recovered by
+    // `recover_sharded_segments_with_certifier`.
     {
-        let (mut wals, handles): (Vec<WalWriter>, Vec<_>) = (0..2)
-            .map(|_| {
-                let (mem, handle) = MemStorage::new();
-                let wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
-                (wal, handle)
-            })
-            .unzip();
+        let (mut wals, handles): (Vec<SegmentedWal>, Vec<_>) = (0..2).map(one_segment_log).unzip();
         let schedulers = (0..2).map(|_| fresh()).collect();
         let report = serve_sharded(
             txns,
@@ -175,10 +189,8 @@ fn four_front_ends<'a>(
         );
         assert_eq!(report.outcome, RunOutcome::Completed);
         assert_blocked("serve_sharded (N = 2)", report.metrics.blocked);
-        let streams: Vec<Vec<(u64, Vec<u8>)>> = handles
-            .iter()
-            .map(|h| vec![(0, h.synced_bytes())])
-            .collect();
+        let streams: Vec<Vec<(u64, Vec<u8>)>> =
+            handles.iter().map(|h| h.synced_segments()).collect();
         let rec = recover_sharded_segments_with_certifier(
             txns,
             spec,
@@ -187,7 +199,7 @@ fn four_front_ends<'a>(
             Certifier::VClock,
         )
         .expect("per-shard logs recover");
-        assert_eq!(rec.certified, rec.committed, "no checkpoint: all certified");
+        assert_eq!(rec.certified, rec.committed, "empty heads: all certified");
         assert_verdict(
             "serve_sharded (N = 2)",
             sc,
@@ -197,16 +209,10 @@ fn four_front_ends<'a>(
         );
     }
 
-    // `serve_net` over a segmented log (never compacted, so the whole
-    // history comes back), recovered by `recover_segments_with_certifier`.
+    // `serve_net` over one log (never compacted, so the whole history
+    // comes back), recovered by `recover_segments_with_certifier`.
     {
-        let (store, handle) = MemSegmentStore::new();
-        let mut wal = SegmentedWal::new(
-            Box::new(store),
-            FsyncPolicy::Always,
-            CheckpointPolicy::never(),
-        )
-        .unwrap();
+        let (mut wal, handle) = one_segment_log(0);
         let (report, stats) = serve_net(
             txns,
             fresh(),
@@ -265,7 +271,7 @@ fn four_front_ends<'a>(
             Certifier::VClock,
         )
         .expect("segment stream recovers");
-        assert_eq!(rec.certified, rec.committed, "no checkpoint: all certified");
+        assert_eq!(rec.certified, rec.committed, "empty heads: all certified");
         assert_verdict(
             "serve_net_supervised_in",
             sc,
@@ -444,8 +450,7 @@ fn sessionless_commits_are_plain_commit_records_on_both_tcp_entry_points() {
     let (txns, spec) = universe();
     let cfg = NetConfig::default();
 
-    let (mem, handle) = MemStorage::new();
-    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+    let (mut wal, handle) = one_segment_log(0);
     let (report, ()) = serve_net(
         &txns,
         Box::new(RsgSgt::new(&txns, &spec)),
@@ -456,7 +461,7 @@ fn sessionless_commits_are_plain_commit_records_on_both_tcp_entry_points() {
     )
     .expect("serve_net");
     assert_eq!(report.committed.len(), txns.len());
-    let plain = scan(&handle.bytes()).records;
+    let plain = scan(&handle.segments()[0].1).records;
     assert_eq!(commit_kinds(&plain), (txns.len(), 0), "serve_net");
 
     // Never compacted, so every commit record stays in the store.

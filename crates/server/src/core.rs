@@ -370,8 +370,8 @@ pub struct CoreOutput {
     /// Injected (fault-plan) aborts applied.
     pub injected_aborts: u64,
     /// Checkpoints the core cut into the commit log: rotations that
-    /// happened, not snapshots the log skipped (always zero for a log
-    /// without checkpoints).
+    /// happened, not snapshots the log skipped (zero for a log whose
+    /// checkpoint policy is [`relser_wal::CheckpointPolicy::never`]).
     pub checkpoints: u64,
     /// The replayable event trace (empty unless trace recording is on).
     pub trace: Vec<TraceEvent>,
@@ -581,8 +581,8 @@ impl CoreOutput {
 /// [`CoreOutput::wal_error`], and recovery truncates the log at the
 /// damage: acked ⇒ durable, never the converse.
 ///
-/// A checkpointing log ([`CommitLog::wants_checkpoints`]) additionally
-/// gets a live-state snapshot whenever it reports one due: the core
+/// A log additionally gets a live-state snapshot whenever it reports a
+/// checkpoint due ([`CommitLog::checkpoint_due`]): the core
 /// tracks the condensed begin/grant/commit stream of non-retired
 /// transactions and hands it over at a batch boundary (a core-order
 /// point), with the whole committed list, letting the log rotate segments
@@ -600,7 +600,6 @@ pub fn run_core(
     shard: ShardCoreCtx<'_>,
 ) -> CoreOutput {
     let mut core = Core {
-        track_live: wal.as_ref().is_some_and(|w| w.wants_checkpoints()),
         scheduler,
         wal,
         shard,
@@ -632,8 +631,6 @@ struct Core<'s, 'w, 'a> {
     shard: ShardCoreCtx<'a>,
     faults: &'a FaultPlan,
     record_trace: bool,
-    /// The log checkpoints, so the condensed live event stream is kept.
-    track_live: bool,
     out: CoreOutput,
     /// `Command::Request`s seen (the index [`FaultPlan`] keys on).
     requests_seen: u64,
@@ -647,7 +644,7 @@ struct Core<'s, 'w, 'a> {
     live: HashMap<TxnId, u32>,
     committed: HashSet<TxnId>,
     /// Condensed begin/grant/commit stream of non-retired transactions
-    /// (kept only under `track_live`): what a due checkpoint snapshots.
+    /// (kept only when the core logs): what a due checkpoint snapshots.
     live_events: Vec<CheckpointEvent>,
     /// Scheduler state changed in the current batch: bump [`Progress`].
     changed: bool,
@@ -685,7 +682,7 @@ impl Core<'_, '_, '_> {
                 // Checkpoint: the batch boundary is a core-order point, so
                 // the snapshot is exactly the state the replayed log would
                 // have here.
-                if self.track_live && self.wal.as_ref().is_some_and(|w| w.checkpoint_due()) {
+                if self.wal.as_ref().is_some_and(|w| w.checkpoint_due()) {
                     let cp = self.snapshot();
                     match self
                         .wal
@@ -815,7 +812,7 @@ impl Core<'_, '_, '_> {
     fn begin(&mut self, txn: TxnId) {
         self.scheduler.begin(txn);
         self.live.insert(txn, 0);
-        if self.track_live {
+        if self.wal.is_some() {
             self.live_events.push(CheckpointEvent::Begin(txn));
         }
     }
@@ -827,7 +824,7 @@ impl Core<'_, '_, '_> {
         self.scheduler.abort(txn);
         self.live.remove(&txn);
         self.out.log.retain(|o| o.txn != txn);
-        if self.track_live {
+        if self.wal.is_some() {
             self.live_events.retain(|e| event_txn(e) != txn);
         }
         self.changed = true;
@@ -883,7 +880,7 @@ impl Core<'_, '_, '_> {
         if let Some((session, req_id)) = session {
             self.held.sessions.push((session, req_id, txn));
         }
-        if self.track_live {
+        if self.wal.is_some() {
             self.live_events.push(CheckpointEvent::Commit(txn));
         }
         self.changed = true;
@@ -1028,7 +1025,7 @@ impl Core<'_, '_, '_> {
                 self.out.grants += 1;
                 self.out.log.push(op);
                 self.live.insert(op.txn, op.index + 1);
-                if self.track_live {
+                if self.wal.is_some() {
                     self.live_events.push(CheckpointEvent::Grant(op));
                 }
                 // A grant is a state change other waiters may care about
@@ -1122,7 +1119,7 @@ mod tests {
         use relser_core::spec::AtomicitySpec;
         use relser_core::txn::TxnSet;
         use relser_protocols::rsg_sgt::RsgSgt;
-        use relser_wal::{scan, FsyncPolicy, MemStorage, WalWriter};
+        use relser_wal::{scan, CheckpointPolicy, FsyncPolicy, MemSegmentStore, SegmentedWal};
 
         let txns = TxnSet::parse(&["r1[x] w1[x]"]).unwrap();
         let spec = AtomicitySpec::absolute(&txns);
@@ -1153,8 +1150,13 @@ mod tests {
             assert!(queue.push_wait(cmd).is_ok());
         }
         queue.close();
-        let (mem, handle) = MemStorage::new();
-        let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+        let (store, handle) = MemSegmentStore::new();
+        let mut wal = SegmentedWal::new(
+            Box::new(store),
+            FsyncPolicy::Always,
+            CheckpointPolicy::never(),
+        )
+        .unwrap();
         let out = run_core(
             Box::new(RsgSgt::new(&txns, &spec)),
             &queue,
@@ -1172,7 +1174,7 @@ mod tests {
         }
         assert_eq!((out.grants, out.duplicate_grants), (2, 1));
         assert_eq!(out.log.len(), 2, "each operation is in the log once");
-        let grants = scan(&handle.bytes())
+        let grants = scan(&handle.segments()[0].1)
             .records
             .iter()
             .filter(|r| matches!(r, WalRecord::Grant(_)))

@@ -46,11 +46,12 @@
 //!   deterministically on one thread;
 //! * [`supervisor`] — [`supervise_shard`], the restart loop the TCP
 //!   front-end (`relser-net`) runs each shard core under;
-//! * [`recovery`] — one function per log shape, each rebuilding a fresh
-//!   scheduler from the log's longest valid prefix and re-certifying the
-//!   committed history before accepting it: [`recover`] (one log's
-//!   bytes), [`recover_segments_with_certifier`] (one segmented log),
-//!   [`recover_sharded_segments_with_certifier`] (N per-shard streams).
+//! * [`recovery`] — two recoveries, each rebuilding a fresh scheduler
+//!   from the log's longest valid prefix and re-certifying the committed
+//!   history before accepting it: [`recover_segments_with_certifier`]
+//!   (one log) and [`recover_sharded_segments_with_certifier`] (N
+//!   per-shard logs). Every log is a `relser_wal::SegmentedWal`; one
+//!   that never rotated is a single segment.
 //!
 //! ## The headline invariant
 //!
@@ -104,8 +105,8 @@ pub use flight::{Flight, Step, Timeouts, Work};
 pub use metrics::ServerMetrics;
 pub use queue::{BoundedQueue, PushError, QueueStats};
 pub use recovery::{
-    recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
-    Recovery, RecoveryError, ShardedRecovery,
+    recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier, Recovery,
+    RecoveryError, ShardedRecovery,
 };
 pub use route::Route;
 pub use server::{replay, ReplayMismatch, RunOutcome, ServerConfig, ServerError};

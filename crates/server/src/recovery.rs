@@ -1,9 +1,10 @@
 //! Crash recovery: rebuild scheduler state from a write-ahead log.
 //!
 //! Recovery is the other half of the durability contract started by
-//! serving with a commit log ([`crate::serve_sharded`], [`crate::run_core`]), one
-//! function per log shape: [`recover`] for one log's bytes,
-//! [`recover_segments_with_certifier`] for one segmented log,
+//! serving with a commit log ([`crate::serve_sharded`], [`crate::run_core`]).
+//! Every log is a segmented one ([`relser_wal::SegmentedWal`]; a log that
+//! never rotated is one segment), so there are two functions:
+//! [`recover_segments_with_certifier`] for one log,
 //! [`recover_sharded_segments_with_certifier`] for N per-shard segment
 //! streams. The core logged every state-changing
 //! admission event in core order — the run's serialization point — so
@@ -35,7 +36,7 @@
 //!    live. A commit is then *certified* (its commit replayed, so all its
 //!    operations are in the log) or *vouched* (only the checkpoint lists
 //!    it: the core retired it, so it can close no cycle, and dropped its
-//!    events). Flat and sharded logs are read by this one rule.
+//!    events). One log and N per-shard logs are read by this one rule.
 //! 3. **Roll back survivors.** Transactions that began but neither
 //!    committed nor aborted before the crash lost their sessions; they
 //!    are aborted so the recovered scheduler resumes from a clean state
@@ -64,7 +65,7 @@
 //!
 //! The headline invariant, exercised by the crash-point sweep in
 //! `relser-check`: under [`relser_wal::FsyncPolicy::Always`], for a crash
-//! at *any* byte of the log, `recover` succeeds and its committed set
+//! at *any* byte of the log, recovery succeeds and its committed set
 //! contains every commit the core ever acknowledged.
 
 use crate::core::TraceEvent;
@@ -78,7 +79,8 @@ use relser_protocols::{Decision, Scheduler};
 use relser_wal::{scan, CheckpointEvent, ScanResult, SessionEntry, Truncation, WalRecord};
 use std::fmt;
 
-/// What [`recover`] rebuilt from the log's valid prefix.
+/// What [`recover_segments_with_certifier`] rebuilt from the log's valid
+/// prefix.
 ///
 /// Derives `PartialEq`/`Eq` so regression tests can assert that two
 /// recovery paths produce *identical* results, field by field.
@@ -86,9 +88,6 @@ use std::fmt;
 pub struct Recovery {
     /// Records replayed (the valid prefix length, in records).
     pub records: usize,
-    /// Length in bytes of the valid prefix; the log should be truncated
-    /// here before the recovered service appends again.
-    pub valid_bytes: usize,
     /// Why the scan stopped early (`None`: the log ended cleanly).
     pub truncation: Option<Truncation>,
     /// Transactions committed before the crash, in commit order: each
@@ -106,12 +105,13 @@ pub struct Recovery {
     /// The certified commits, in commit order: their commit replayed, so
     /// their operations are in [`Recovery::history`] and step 4 proves
     /// them. The rest of [`Recovery::committed`] the seeding checkpoint
-    /// vouches for. Without a checkpoint this equals `committed`.
+    /// vouches for. When the checkpoint lists nothing, as a log that
+    /// never rotated has it, this equals `committed`.
     pub certified: Vec<TxnId>,
     /// The committed history: [`Recovery::log`] filtered to
     /// [`Recovery::certified`]. This is what step 4 certifies: on its own
-    /// by [`recover`] and [`recover_segments_with_certifier`], as part of
-    /// the merged history by sharded recovery.
+    /// by [`recover_segments_with_certifier`], as part of the merged
+    /// history by sharded recovery.
     pub history: Vec<OpId>,
     /// Checkpoint events replayed to seed the scheduler (0 when the log
     /// has no checkpoint).
@@ -135,7 +135,7 @@ pub struct Recovery {
     pub sessions: Vec<SessionEntry>,
 }
 
-/// Why [`recover`] refused the log.
+/// Why recovery refused the log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecoveryError {
     /// A CRC-valid record the service never logs: it references a
@@ -262,22 +262,6 @@ fn recertify(txns: &TxnSet, spec: &AtomicitySpec, history: &[OpId]) -> Result<()
     Ok(())
 }
 
-/// Recovers from `bytes` (the contents of one write-ahead log) into
-/// `scheduler`, which must be fresh and built over the same `txns` /
-/// `spec` universe the crashed service ran. See the module docs for the
-/// four steps. On success the scheduler holds exactly the committed
-/// state, ready to admit new work.
-pub fn recover(
-    txns: &TxnSet,
-    spec: &AtomicitySpec,
-    scheduler: &mut dyn Scheduler,
-    bytes: &[u8],
-) -> Result<Recovery, RecoveryError> {
-    let rec = replay_scan(txns, scheduler, scan(bytes))?;
-    recertify(txns, spec, &rec.history)?;
-    Ok(rec)
-}
-
 /// Where step 2 has a transaction. A record is accepted only in the
 /// state in which the core itself logs it (the module docs' rule table).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -372,7 +356,7 @@ impl Replay<'_> {
     }
 }
 
-/// Steps 2 and 3 of [`recover`] over an already-scanned log; the caller
+/// Steps 2 and 3 of recovery over an already-scanned segment; the caller
 /// runs step 4.
 fn replay_scan(
     txns: &TxnSet,
@@ -508,7 +492,6 @@ fn replay_scan(
 
     Ok(Recovery {
         records: records.len(),
-        valid_bytes: scanned.valid_bytes,
         truncation: scanned.truncation,
         committed,
         shard,
@@ -547,15 +530,19 @@ fn dedupe_sessions(entries: Vec<SessionEntry>) -> Vec<SessionEntry> {
 /// checkpoint frame is intact (rotation forces it durable before older
 /// segments may be deleted, so if a crash tore the newest segment's head
 /// the previous segment is still on disk and wholly covers the
-/// acknowledged state), then recovers that segment like [`recover`],
-/// certifying its committed history once. Each candidate is scanned once;
-/// the chosen one's scan is what gets replayed. Returns the chosen
-/// segment's sequence number alongside the recovery.
+/// acknowledged state), then runs the four steps of the module docs on
+/// that segment, certifying its committed history once. Each candidate is
+/// scanned once; the chosen one's scan is what gets replayed. Returns the
+/// chosen segment's sequence number alongside the recovery.
 ///
 /// `segments` is `(seq, bytes)` ascending — from
 /// [`relser_wal::DirSegmentStore::list`] plus `std::fs::read`, or from
-/// [`relser_wal::MemSegmentsHandle::segments`] in tests. A flat
-/// (unsegmented) log is the one-segment stream `[(0, bytes)]`.
+/// [`relser_wal::MemSegmentsHandle::segments`] in tests. Raw bytes of a
+/// single segment are the one-segment stream `[(0, bytes)]`.
+///
+/// `scheduler` must be fresh and built over the same `txns` / `spec`
+/// universe the crashed service ran. On success it holds exactly the
+/// committed state, ready to admit new work.
 pub fn recover_segments_with_certifier(
     txns: &TxnSet,
     spec: &AtomicitySpec,
@@ -625,8 +612,8 @@ pub struct ShardedRecovery {
 
 /// Recovers a sharded service from its per-shard *segment* streams —
 /// `segments[s]` is shard `s`'s retained `(seq, bytes)` list, ascending
-/// (a flat per-shard log is the one-segment stream `[(0, bytes)]`); the
-/// shard count is `segments.len()`.
+/// (raw bytes of one segment are the one-segment stream `[(0, bytes)]`);
+/// the shard count is `segments.len()`.
 ///
 /// Each shard's stream is replayed independently, like
 /// [`recover_segments_with_certifier`] but without its step 4, into a
@@ -718,7 +705,7 @@ mod tests {
     use crate::server::{RunOutcome, ServerConfig};
     use crate::shard::serve_sharded;
     use relser_protocols::rsg_sgt::RsgSgt;
-    use relser_wal::{FsyncPolicy, MemStorage, WalWriter, MAGIC};
+    use relser_wal::{CheckpointPolicy, FsyncPolicy, MemSegmentStore, SegmentedWal, MAGIC};
     use relser_workload::stream::RequestStream;
 
     fn universe() -> (TxnSet, AtomicitySpec) {
@@ -727,30 +714,56 @@ mod tests {
         (txns, spec)
     }
 
-    /// A clean durable run recovers to the same committed state.
-    #[test]
-    fn clean_log_recovers_everything() {
-        let (txns, spec) = universe();
-        let (mem, handle) = MemStorage::new();
-        let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+    /// A durable run of `stream` over one never-rotating log; returns the
+    /// report and the log's one segment.
+    fn durable_run(
+        txns: &TxnSet,
+        spec: &AtomicitySpec,
+        stream: &RequestStream,
+    ) -> (crate::ShardedReport, Vec<u8>) {
+        let (store, handle) = MemSegmentStore::new();
+        let mut wal = SegmentedWal::new(
+            Box::new(store),
+            FsyncPolicy::Always,
+            CheckpointPolicy::never(),
+        )
+        .unwrap();
         let cfg = ServerConfig {
             workers: 2,
             ..ServerConfig::default()
         };
-        let stream = RequestStream::shuffled(&txns, 5);
-        let scheduler = RsgSgt::new(&txns, &spec);
+        let scheduler = RsgSgt::new(txns, spec);
         let report = serve_sharded(
-            &txns,
-            &stream,
+            txns,
+            stream,
             vec![Box::new(scheduler)],
             &cfg,
             &[],
             vec![&mut wal],
         );
         assert_eq!(report.outcome, RunOutcome::Completed);
+        (report, handle.segments().remove(0).1)
+    }
 
-        let mut fresh = RsgSgt::new(&txns, &spec);
-        let rec = recover(&txns, &spec, &mut fresh, &handle.bytes()).unwrap();
+    /// Recovers `bytes` as the one-segment stream `[(0, bytes)]`.
+    fn recover_bytes(
+        txns: &TxnSet,
+        spec: &AtomicitySpec,
+        bytes: &[u8],
+    ) -> Result<Recovery, RecoveryError> {
+        let mut fresh = RsgSgt::new(txns, spec);
+        let segments = [(0, bytes.to_vec())];
+        recover_segments_with_certifier(txns, spec, &mut fresh, &segments, Certifier::VClock)
+            .map(|(_, rec)| rec)
+    }
+
+    /// A clean durable run recovers to the same committed state.
+    #[test]
+    fn clean_log_recovers_everything() {
+        let (txns, spec) = universe();
+        let stream = RequestStream::shuffled(&txns, 5);
+        let (report, bytes) = durable_run(&txns, &spec, &stream);
+        let rec = recover_bytes(&txns, &spec, &bytes).unwrap();
         assert_eq!(rec.truncation, None);
         assert_eq!(rec.committed, report.committed);
         assert_eq!(rec.log, report.log);
@@ -766,28 +779,11 @@ mod tests {
     #[test]
     fn every_crash_point_recovers_a_certified_prefix() {
         let (txns, spec) = universe();
-        let (mem, handle) = MemStorage::new();
-        let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
-        let cfg = ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        };
         let stream = RequestStream::shuffled(&txns, 11);
-        let scheduler = RsgSgt::new(&txns, &spec);
-        let report = serve_sharded(
-            &txns,
-            &stream,
-            vec![Box::new(scheduler)],
-            &cfg,
-            &[],
-            vec![&mut wal],
-        );
-        assert_eq!(report.outcome, RunOutcome::Completed);
-        let bytes = handle.bytes();
+        let (report, bytes) = durable_run(&txns, &spec, &stream);
         let mut last_committed = 0;
         for cut in 0..=bytes.len() {
-            let mut fresh = RsgSgt::new(&txns, &spec);
-            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut]).unwrap();
+            let rec = recover_bytes(&txns, &spec, &bytes[..cut]).unwrap();
             // Commit monotonicity across crash points: later crashes never
             // recover fewer committed transactions.
             assert!(rec.committed.len() >= last_committed, "cut at {cut}");
@@ -806,8 +802,7 @@ mod tests {
         // unambiguous forgery.
         let mut bytes = MAGIC.to_vec();
         WalRecord::Begin(TxnId(99)).encode_into(&mut bytes).unwrap();
-        let mut fresh = RsgSgt::new(&txns, &spec);
-        let err = recover(&txns, &spec, &mut fresh, &bytes).unwrap_err();
+        let err = recover_bytes(&txns, &spec, &bytes).unwrap_err();
         assert!(matches!(err, RecoveryError::ForeignRecord { at: 0, .. }));
     }
 
@@ -830,7 +825,15 @@ mod tests {
                 r.encode_into(&mut bytes).unwrap();
             }
             let mut fresh = RsgSgt::new(&txns, &spec);
-            let err = recover(&txns, &spec, &mut fresh, &bytes).unwrap_err();
+            let segments = [(0, bytes)];
+            let err = recover_segments_with_certifier(
+                &txns,
+                &spec,
+                &mut fresh,
+                &segments,
+                Certifier::VClock,
+            )
+            .unwrap_err();
             let (at, record) = (records.len() - 1, records[records.len() - 1].clone());
             assert_eq!(err, RecoveryError::ForeignRecord { at, record });
             assert!(
@@ -846,8 +849,7 @@ mod tests {
     #[test]
     fn garbage_recovers_to_empty_state() {
         let (txns, spec) = universe();
-        let mut fresh = RsgSgt::new(&txns, &spec);
-        let rec = recover(&txns, &spec, &mut fresh, &[0xAB; 64]).unwrap();
+        let rec = recover_bytes(&txns, &spec, &[0xAB; 64]).unwrap();
         assert_eq!(rec.records, 0);
         assert_eq!(rec.truncation, Some(Truncation::BadMagic));
         assert!(rec.committed.is_empty());

@@ -160,14 +160,15 @@ impl ShardedReport {
 /// admission decision is appended to its shard's log **before** it is
 /// acknowledged, so after a crash — modelled by dropping the log without
 /// a clean close — recovery rebuilds exactly what the cores acknowledged:
-/// [`crate::recovery::recover`] from one flat log,
+/// [`crate::recovery::recover_segments_with_certifier`] from one log,
 /// [`crate::recovery::recover_sharded_segments_with_certifier`] from the
 /// per-shard streams. A storage error mid-run fail-stops that core (see
-/// [`CoreOutput::wal_error`]). A checkpointing log such as
-/// [`relser_wal::SegmentedWal`] gets its core's live state at a batch
-/// boundary whenever it reports a checkpoint due, and rotates, keeping
-/// retained bytes bounded by live state. The caller keeps ownership of
-/// the logs and can inspect their counters after the run.
+/// [`CoreOutput::wal_error`]). Each log ([`relser_wal::SegmentedWal`])
+/// gets its core's live state at a batch boundary whenever it reports a
+/// checkpoint due, and rotates, keeping retained bytes bounded by live
+/// state; under [`relser_wal::CheckpointPolicy::never`] it stays one
+/// segment. The caller keeps ownership of the logs and can inspect their
+/// counters after the run.
 pub fn serve_sharded<'a>(
     txns: &TxnSet,
     stream: &RequestStream,

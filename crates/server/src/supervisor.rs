@@ -239,7 +239,8 @@ pub struct SupervisedRun {
 /// live core's rule, [`prune_retired`]: the head vouches for the rest),
 /// and the rebuilt client-session retry table. Returns the resumed log
 /// plus that head: it is exactly the state the next incarnation starts
-/// from.
+/// from. An empty store is the empty stream: its head is this shard's
+/// empty checkpoint, written as segment 0.
 fn recover_and_resume(
     scheduler: &mut dyn Scheduler,
     store: &MemSegmentsHandle,
@@ -328,52 +329,32 @@ where
     let mut restarts: u64 = 0;
     let mut panics: u64 = 0;
     let mut scheduler = make_scheduler();
-    let mut recovered = Checkpoint::default();
-    let mut wal = if store.segment_count() == 0 {
-        // A fresh log still opens with a checkpoint head, and that head
-        // must carry *this* shard's id — sharded recovery refuses a
-        // segment stream whose checkpoint is stamped for another shard.
-        let head = Checkpoint {
-            shard,
-            ..Checkpoint::default()
+    // A fresh store replays the empty stream, whose head is this shard's
+    // empty checkpoint; a store a previous service life wrote replays
+    // what it durably committed, so acknowledged commits (and the retry
+    // table) survive a whole-service restart.
+    let resumed = store.segment_count() > 0;
+    let Ok((mut wal, mut recovered)) = recover_and_resume(&mut *scheduler, store, shard, cfg)
+    else {
+        health.set(STATUS_FAILED);
+        return SupervisedRun {
+            output: CoreOutput {
+                crashed: true,
+                ..CoreOutput::default()
+            },
+            restarts,
+            panics,
+            gave_up: true,
         };
-        SegmentedWal::resume(
-            Box::new(store.store()),
-            FsyncPolicy::Always,
-            cfg.ckpt,
-            head,
-            0,
-            &[],
-        )
-        .expect("in-memory segment store cannot fail to open")
-    } else {
-        // A previous service life wrote this store: recover it so
-        // acknowledged commits (and the retry table) survive a whole-
-        // service restart, then resume logging where it left off.
-        match recover_and_resume(&mut *scheduler, store, shard, cfg) {
-            Ok((w, head)) => {
-                sessions.seed(&head.sessions);
-                recovered = head;
-                // Seeded: lift `fence_resumed_shard`'s fence.
-                queue.reopen();
-                health.set(STATUS_LIVE);
-                progress.bump();
-                w
-            }
-            Err(()) => {
-                health.set(STATUS_FAILED);
-                return SupervisedRun {
-                    output: CoreOutput {
-                        crashed: true,
-                        ..CoreOutput::default()
-                    },
-                    restarts,
-                    panics,
-                    gave_up: true,
-                };
-            }
-        }
     };
+    if resumed {
+        // Seeded: lift `fence_resumed_shard`'s fence. A fresh shard was
+        // never fenced, and its queue may already be closed by the server.
+        sessions.seed(&recovered.sessions);
+        queue.reopen();
+        health.set(STATUS_LIVE);
+        progress.bump();
+    }
     let default_faults = FaultPlan::default();
     let (output, gave_up) = loop {
         let plan = if restarts == 0 {

@@ -14,10 +14,13 @@ use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{AbortReason, Decision};
 use relser_server::core::{self, Command, CoreOutput, Progress, Reply};
-use relser_server::recovery::recover;
+use relser_server::recovery::{recover_segments_with_certifier, Certifier};
 use relser_server::supervisor::SessionTable;
 use relser_server::{run_core, BoundedQueue, CoreCfg, FaultPlan, ShardCoreCtx};
-use relser_wal::{scan, FsyncPolicy, Storage, WalRecord, WalWriter, MAGIC};
+use relser_wal::{
+    scan, Checkpoint, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, SegmentStore,
+    SegmentedWal, Storage, WalRecord, MAGIC,
+};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -83,7 +86,8 @@ impl Watched {
 
 /// An in-memory [`Storage`] that records every call, checks the watched
 /// acknowledgments while a call is in flight, and can fail (or tear) the
-/// k-th append or fail the k-th sync.
+/// k-th append or fail the k-th sync. It is segment 0 of a log that
+/// never rotates ([`OneSegment`]).
 struct RecordingStorage {
     log: Log,
     bytes: Arc<Mutex<(Vec<u8>, usize)>>,
@@ -98,10 +102,11 @@ struct RecordingStorage {
 
 impl Storage for RecordingStorage {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        // Append 0 is the file header, append b + 1 is batch b's write.
+        // Append 0 is the file header, append 1 the head checkpoint,
+        // append b + 2 is batch b's write.
         let n = self.appends;
         self.watched
-            .check(&self.log, (n as usize).saturating_sub(1), "during append");
+            .check(&self.log, (n as usize).saturating_sub(2), "during append");
         self.appends += 1;
         record(&self.log, Event::Append { bytes: bytes.len() });
         let mut inner = self.bytes.lock().unwrap();
@@ -125,7 +130,7 @@ impl Storage for RecordingStorage {
         }
         if self.watch_syncs {
             // The barrier covers the batch written last.
-            let batch = (self.appends as usize).saturating_sub(2);
+            let batch = (self.appends as usize).saturating_sub(3);
             self.watched
                 .check(&self.log, batch, "before the covering sync returned");
         }
@@ -140,6 +145,31 @@ impl Storage for RecordingStorage {
     fn len(&self) -> u64 {
         self.bytes.lock().unwrap().0.len() as u64
     }
+}
+
+/// Hands one storage out as segment 0 of a log that never rotates.
+struct OneSegment(Option<Box<dyn Storage>>);
+
+impl SegmentStore for OneSegment {
+    fn create(&mut self, seq: u64) -> io::Result<Box<dyn Storage>> {
+        assert_eq!(seq, 0, "a never-rotating log creates segment 0 only");
+        Ok(self.0.take().expect("segment 0 is created once"))
+    }
+
+    fn delete(&mut self, seq: u64) -> io::Result<()> {
+        unreachable!("a never-rotating log deletes nothing (asked for {seq})")
+    }
+}
+
+/// A never-rotating log over `store` under `policy`.
+fn one_segment_log(store: impl SegmentStore + 'static, policy: FsyncPolicy) -> SegmentedWal {
+    SegmentedWal::new(Box::new(store), policy, CheckpointPolicy::never())
+        .expect("header and head checkpoint write")
+}
+
+/// The head checkpoint frame every log opens with.
+fn head_len() -> usize {
+    WalRecord::Checkpoint(Checkpoint::default()).frame_len()
 }
 
 /// `n` conflict-free two-write transactions, each on its own object.
@@ -271,7 +301,7 @@ fn run(
         fail_append_at,
         fail_sync_at,
     };
-    let mut wal = WalWriter::new(Box::new(storage), policy).expect("header write");
+    let mut wal = one_segment_log(OneSegment(Some(Box::new(storage))), policy);
     let queue: BoundedQueue<Command> = BoundedQueue::new(sc.commands.len().max(1));
     for cmd in sc.commands.drain(..) {
         assert!(queue.push_wait(cmd).is_ok());
@@ -371,24 +401,26 @@ fn one_batch_is_one_write_and_one_barrier_and_acks_follow_it() {
     assert_eq!(o.out.batches, 1, "the whole queue drained as one batch");
     assert_eq!(early_acks(&o.events), Vec::<&Event>::new());
 
-    // Header append + header barrier (WalWriter::new), then exactly one
-    // append carrying all 24 frames and exactly one barrier; the clean
-    // close finds nothing unsynced and adds neither.
+    // Header append + header barrier, head checkpoint append + its
+    // forced barrier (SegmentedWal::new), then exactly one append carrying
+    // all 24 frames and exactly one barrier; the clean close finds
+    // nothing unsynced and adds neither.
     let storage_calls: Vec<&Event> = o
         .events
         .iter()
         .filter(|e| matches!(e, Event::Append { .. } | Event::Sync { .. }))
         .collect();
-    assert_eq!(storage_calls.len(), 4, "{storage_calls:?}");
+    assert_eq!(storage_calls.len(), 6, "{storage_calls:?}");
     assert_eq!(storage_calls[0], &Event::Append { bytes: MAGIC.len() });
     assert_eq!(storage_calls[1], &Event::Sync { ok: true });
-    assert!(
-        matches!(storage_calls[2], Event::Append { bytes } if *bytes == o.bytes.len() - MAGIC.len())
-    );
+    assert_eq!(storage_calls[2], &Event::Append { bytes: head_len() });
     assert_eq!(storage_calls[3], &Event::Sync { ok: true });
-    assert_eq!(o.out.wal.records, 4 * n as u64);
-    assert_eq!((o.out.wal.appends, o.out.wal.syncs), (2, 2));
-    assert_eq!(scan(&o.synced).records.len(), 4 * n);
+    let batch_bytes = o.bytes.len() - MAGIC.len() - head_len();
+    assert_eq!(storage_calls[4], &Event::Append { bytes: batch_bytes });
+    assert_eq!(storage_calls[5], &Event::Sync { ok: true });
+    assert_eq!(o.out.wal.records, 4 * n as u64 + 1);
+    assert_eq!((o.out.wal.appends, o.out.wal.syncs), (3, 3));
+    assert_eq!(scan(&o.synced).records.len(), 4 * n + 1);
 
     // Every ack came after the batch's barrier, in core order, granted.
     let barrier = o
@@ -423,8 +455,9 @@ fn deferred_policy_shares_the_loop_with_a_conditional_barrier() {
     let (sc, o) = run(n, 8, FsyncPolicy::Never, &FaultPlan::default(), None, None);
     assert!(!o.out.crashed);
     assert_eq!(o.out.batches, 2, "16 commands at batch_max 8");
-    // header + one per batch; the only barrier is the one close() forces.
-    assert_eq!((o.out.wal.appends, o.out.wal.syncs), (3, 1));
+    // header + head checkpoint + one per batch; the only barriers are the
+    // ones the head checkpoint and close() force.
+    assert_eq!((o.out.wal.appends, o.out.wal.syncs), (4, 2));
     let fills = filled(&o.events);
     assert_eq!(fills.len(), sc.replies.len());
     assert!(fills.iter().all(|(_, d)| *d == Decision::Granted));
@@ -471,7 +504,10 @@ fn assert_failed_batch_unacked(sc: &Scenario, o: &Outcome, batch_max: usize, dea
     // acknowledged grant.
     let (txns, spec) = universe(sc.sessions.len());
     let mut fresh = RsgSgt::new(&txns, &spec);
-    let rec = recover(&txns, &spec, &mut fresh, &o.synced).expect("synced prefix recovers");
+    let segments = [(0, o.synced.clone())];
+    let (_, rec) =
+        recover_segments_with_certifier(&txns, &spec, &mut fresh, &segments, Certifier::VClock)
+            .expect("synced prefix recovers");
     assert_eq!(rec.committed, acked_commits);
     let durable_grants: Vec<OpId> = scan(&o.synced)
         .records
@@ -487,15 +523,16 @@ fn assert_failed_batch_unacked(sc: &Scenario, o: &Outcome, batch_max: usize, dea
 /// (d) a failing barrier in the middle of a run.
 #[test]
 fn failed_barrier_acknowledges_nothing_of_its_batch() {
-    let (n, batch_max) = (10, 8); // 40 commands, 5 batches
-                                  // Sync 0 is the header; batch i's barrier is sync i + 1.
+    // 40 commands, 5 batches. Syncs 0 and 1 are the header and the head
+    // checkpoint; batch i's barrier is sync i + 2.
+    let (n, batch_max) = (10, 8);
     let (sc, o) = run(
         n,
         batch_max,
         FsyncPolicy::Always,
         &FaultPlan::default(),
         None,
-        Some(3),
+        Some(4),
     );
     assert!(o.out.wal_error.as_deref().unwrap().contains("fsync"));
     assert!(
@@ -509,15 +546,15 @@ fn failed_barrier_acknowledges_nothing_of_its_batch() {
 #[test]
 fn failed_append_acknowledges_nothing_of_its_batch() {
     let (n, batch_max) = (10, 8);
-    // Append 0 is the header; batch i's write is append i + 1. 30 torn
-    // bytes leave whole valid frames of the dead batch on storage, past
-    // the synced watermark.
+    // Appends 0 and 1 are the header and the head checkpoint; batch i's
+    // write is append i + 2. 30 torn bytes leave whole valid frames of
+    // the dead batch on storage, past the synced watermark.
     let (sc, o) = run(
         n,
         batch_max,
         FsyncPolicy::Always,
         &FaultPlan::default(),
-        Some((3, 30)),
+        Some((4, 30)),
         None,
     );
     assert!(o.out.wal_error.as_deref().unwrap().contains("append"));
@@ -548,8 +585,6 @@ fn planned_crash_mid_batch_unwinds_the_batch_held_acks() {
 /// make.
 #[test]
 fn the_one_commit_command_picks_its_record_from_the_session_alone() {
-    use relser_wal::MemStorage;
-
     let (txns, spec) = universe(4);
     let ack = |session| {
         Some(core::Ack {
@@ -560,7 +595,7 @@ fn the_one_commit_command_picks_its_record_from_the_session_alone() {
     };
     // The ack per transaction, and the record each must produce.
     let commits = [None, ack(None), ack(Some((7, 3))), ack(Some((8, 5)))];
-    let mut expected = Vec::new();
+    let mut expected = vec![WalRecord::Checkpoint(Checkpoint::default())];
     let queue: BoundedQueue<Command> = BoundedQueue::new(32);
     for (t, ack) in commits.into_iter().enumerate() {
         let txn = TxnId(t as u32);
@@ -590,8 +625,8 @@ fn the_one_commit_command_picks_its_record_from_the_session_alone() {
     }
     queue.close();
 
-    let (mem, handle) = MemStorage::new();
-    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+    let (store, handle) = MemSegmentStore::new();
+    let mut wal = one_segment_log(store, FsyncPolicy::Always);
     let out = run_core(
         Box::new(RsgSgt::new(&txns, &spec)),
         &queue,
@@ -605,13 +640,13 @@ fn the_one_commit_command_picks_its_record_from_the_session_alone() {
         ShardCoreCtx::default(),
     );
     assert_eq!(out.commits, 4);
-    assert_eq!(scan(&handle.bytes()).records, expected);
+    assert_eq!(scan(&handle.segments()[0].1).records, expected);
 
-    let (mem, by_hand) = MemStorage::new();
-    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
-    for rec in &expected {
+    let (store, by_hand) = MemSegmentStore::new();
+    let mut wal = one_segment_log(store, FsyncPolicy::Always);
+    for rec in &expected[1..] {
         wal.append(rec).unwrap();
     }
     wal.close().unwrap();
-    assert_eq!(handle.bytes(), by_hand.bytes(), "byte for byte");
+    assert_eq!(handle.segments(), by_hand.segments(), "byte for byte");
 }

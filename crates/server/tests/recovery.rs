@@ -20,16 +20,16 @@ use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{Decision, Scheduler};
 use relser_server::core::{Command, Reply};
 use relser_server::recovery::{
-    recover, recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
-    Recovery, RecoveryError, ShardedRecovery,
+    recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier, Recovery,
+    RecoveryError, ShardedRecovery,
 };
 use relser_server::{
     replay, run_core, serve_sharded, BoundedQueue, CoreCfg, FaultPlan, Progress, RunOutcome,
     ServerConfig, ShardCoreCtx,
 };
 use relser_wal::{
-    scan, Checkpoint, CheckpointEvent, CheckpointPolicy, FsyncPolicy, MemSegmentStore, MemStorage,
-    SegmentedWal, WalRecord, WalWriter, MAGIC,
+    scan, Checkpoint, CheckpointEvent, CheckpointPolicy, FsyncPolicy, MemSegmentStore,
+    MemSegmentsHandle, SegmentedWal, WalRecord, MAGIC,
 };
 use relser_workload::stream::RequestStream;
 use relser_workload::{random_spec, random_txns, RandomConfig};
@@ -60,17 +60,41 @@ fn fold_prefix(records: &[WalRecord]) -> (Vec<TxnId>, Vec<OpId>) {
             WalRecord::Grant(op) => log.push(op),
             WalRecord::Commit(t) | WalRecord::CommitSession { txn: t, .. } => committed.push(t),
             WalRecord::Abort(t) => log.retain(|o| o.txn != t),
-            // A `WalWriter` never checkpoints.
-            WalRecord::Checkpoint(_) => unreachable!("unsegmented log"),
+            // A never-rotating log's one checkpoint is its empty head.
+            WalRecord::Checkpoint(ref cp) => assert_eq!(*cp, Checkpoint::default()),
         }
     }
     (committed, log)
 }
 
+/// A never-rotating log and its read handle.
+fn one_segment_log() -> (SegmentedWal, MemSegmentsHandle) {
+    let (store, handle) = MemSegmentStore::new();
+    let wal = SegmentedWal::new(
+        Box::new(store),
+        FsyncPolicy::Always,
+        CheckpointPolicy::never(),
+    )
+    .unwrap();
+    (wal, handle)
+}
+
+/// Recovers raw bytes as the one-segment stream `[(0, bytes)]`.
+fn recover_bytes(
+    txns: &TxnSet,
+    spec: &AtomicitySpec,
+    scheduler: &mut dyn Scheduler,
+    bytes: &[u8],
+) -> Result<Recovery, RecoveryError> {
+    let segments = [(0, bytes.to_vec())];
+    recover_segments_with_certifier(txns, spec, scheduler, &segments, Certifier::VClock)
+        .map(|(_, rec)| rec)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::default())]
 
-    /// For every crash index k, `recover(log[..k])` equals the fresh
+    /// For every crash index k, recovering `log[..k]` equals the fresh
     /// replay of the committed prefix: state and trace agree with the
     /// pure fold and with deterministic replay.
     #[test]
@@ -81,8 +105,7 @@ proptest! {
         workers in 1usize..4,
     ) {
         let (txns, spec) = universe(wl_seed, spec_seed);
-        let (mem, handle) = MemStorage::new();
-        let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+        let (mut wal, handle) = one_segment_log();
         let cfg = ServerConfig {
             workers,
             record_trace: true,
@@ -93,14 +116,14 @@ proptest! {
         let report = serve_sharded(&txns, &stream, vec![Box::new(scheduler)], &cfg, &[], vec![&mut wal]);
         prop_assert_eq!(&report.outcome, &RunOutcome::Completed);
 
-        let bytes = handle.bytes();
+        let bytes = handle.segments().remove(0).1;
         let full = scan(&bytes);
         prop_assert!(full.truncation.is_none());
 
         for k in 0..=full.records.len() {
             let cut = full.boundaries[k];
             let mut fresh = RsgSgt::new(&txns, &spec);
-            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut])
+            let rec = recover_bytes(&txns, &spec, &mut fresh, &bytes[..cut])
                 .expect("every record prefix recovers");
             prop_assert_eq!(rec.records, k, "crash index {}", k);
 
@@ -126,7 +149,7 @@ proptest! {
 
         // The full log recovers the full run.
         let mut fresh = RsgSgt::new(&txns, &spec);
-        let rec = recover(&txns, &spec, &mut fresh, &bytes).unwrap();
+        let rec = recover_bytes(&txns, &spec, &mut fresh, &bytes).unwrap();
         prop_assert_eq!(&rec.committed, &report.committed);
         prop_assert_eq!(&rec.log, &report.log);
         prop_assert!(rec.live_aborted.is_empty());
@@ -140,8 +163,7 @@ proptest! {
         arrival_seed in 0u64..50_000,
     ) {
         let (txns, spec) = universe(wl_seed, wl_seed ^ 0x5eed);
-        let (mem, handle) = MemStorage::new();
-        let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+        let (mut wal, handle) = one_segment_log();
         let cfg = ServerConfig {
             workers: 2,
             ..ServerConfig::default()
@@ -151,11 +173,11 @@ proptest! {
         let report = serve_sharded(&txns, &stream, vec![Box::new(scheduler)], &cfg, &[], vec![&mut wal]);
         prop_assert_eq!(&report.outcome, &RunOutcome::Completed);
 
-        let bytes = handle.bytes();
+        let bytes = handle.segments().remove(0).1;
         let mut prev = 0usize;
         for cut in 0..=bytes.len() {
             let mut fresh = RsgSgt::new(&txns, &spec);
-            let rec = recover(&txns, &spec, &mut fresh, &bytes[..cut])
+            let rec = recover_bytes(&txns, &spec, &mut fresh, &bytes[..cut])
                 .expect("byte cuts never make recovery fail");
             prop_assert!(rec.committed.len() >= prev, "cut {}", cut);
             prev = rec.committed.len();
@@ -267,35 +289,22 @@ fn recover_sharded(shards: u32, records: &[WalRecord]) -> Result<ShardedRecovery
     )
 }
 
-/// The log-shaped entry points, one after the other, on one log.
-fn recover_both_ways(records: &[WalRecord]) -> [Result<Recovery, RecoveryError>; 2] {
+/// One log's recovery of `records`, as the one-segment stream.
+fn recover_one_log(records: &[WalRecord]) -> Result<Recovery, RecoveryError> {
     let (txns, spec) = lost_update_universe();
-    let bytes = encode(records);
-    let flat = recover(&txns, &spec, &mut GrantAll, &bytes);
-    let segmented = recover_segments_with_certifier(
-        &txns,
-        &spec,
-        &mut GrantAll,
-        &[(0, bytes)],
-        Certifier::VClock,
-    )
-    .map(|(_, rec)| rec);
-    [flat, segmented]
+    recover_bytes(&txns, &spec, &mut GrantAll, &encode(records))
 }
 
 /// One entry point's committed and certified transactions, or its refusal.
 type Answer = Result<(Vec<TxnId>, Vec<TxnId>), RecoveryError>;
 
-/// Every entry point on one log, named: the two log-shaped ones, then
-/// sharded recovery at one and two shards.
+/// Every entry point on one log, named: one log's recovery, then sharded
+/// recovery at one and two shards.
 fn recover_every_way(records: &[WalRecord]) -> Vec<(&'static str, Answer)> {
-    let [flat, segmented] = recover_both_ways(records);
-    let flat_answer =
-        |got: Result<Recovery, RecoveryError>| got.map(|r| (r.committed, r.certified));
+    let one = recover_one_log(records).map(|r| (r.committed, r.certified));
     let sharded = |n| recover_sharded(n, records).map(|r| (r.committed, r.certified));
     vec![
-        ("recover", flat_answer(flat)),
-        ("recover_segments", flat_answer(segmented)),
+        ("recover_segments", one),
         ("sharded, 1 shard", sharded(1)),
         ("sharded, 2 shards", sharded(2)),
     ]
@@ -318,11 +327,9 @@ fn every_recovery_refuses_a_committed_lost_update() {
 /// `T2` is rolled back, and the history left is `T1` alone.
 #[test]
 fn an_uncommitted_cycle_closer_is_rolled_back_not_refused() {
-    for got in recover_both_ways(&lost_update_log(false)) {
-        let rec = got.unwrap();
-        assert_eq!(rec.committed, vec![TxnId(0)]);
-        assert_eq!(rec.live_aborted, vec![TxnId(1)]);
-    }
+    let rec = recover_one_log(&lost_update_log(false)).unwrap();
+    assert_eq!(rec.committed, vec![TxnId(0)]);
+    assert_eq!(rec.live_aborted, vec![TxnId(1)]);
     for shards in [1, 2] {
         let rec = recover_sharded(shards, &lost_update_log(false)).unwrap();
         assert!(rec.committed.contains(&TxnId(0)), "{shards} shard(s)");

@@ -26,7 +26,8 @@ use relser_server::{
     ShardedReport, ShardedRun,
 };
 use relser_wal::{
-    scan, CommitLog, FsyncPolicy, MemHandle, MemStorage, WalRecord, WalWriter, MAGIC,
+    scan, Checkpoint, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemSegmentsHandle,
+    SegmentedWal, WalRecord, MAGIC,
 };
 use relser_workload::banking::{banking, BankingConfig};
 use relser_workload::random::{random_spec, shard_local_txns, RandomConfig};
@@ -54,8 +55,8 @@ fn serve_to_completion(
     .expect("sharded run completes")
 }
 
-/// Sharded recovery of flat per-shard logs, each a one-segment stream.
-fn recover_flat(
+/// Sharded recovery of one segment per shard.
+fn recover_shard_logs(
     txns: &TxnSet,
     spec: &AtomicitySpec,
     logs: Vec<Vec<u8>>,
@@ -80,18 +81,31 @@ fn schedulers<'a>(
         .collect()
 }
 
-/// One fresh `Always` log on `MemStorage` per shard, with read handles.
-fn shard_wals(shards: usize) -> (Vec<WalWriter>, Vec<MemHandle>) {
-    (0..shards)
-        .map(|_| {
-            let (mem, handle) = MemStorage::new();
-            let wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+/// One never-rotating `Always` log per shard, its head stamped with the
+/// shard's id, with read handles.
+fn shard_wals(shards: usize) -> (Vec<SegmentedWal>, Vec<MemSegmentsHandle>) {
+    (0..shards as u32)
+        .map(|shard| {
+            let (store, handle) = MemSegmentStore::new();
+            let head = Checkpoint {
+                shard,
+                ..Checkpoint::default()
+            };
+            let ckpt = CheckpointPolicy::never();
+            let wal =
+                SegmentedWal::resume(Box::new(store), FsyncPolicy::Always, ckpt, head, 0, &[])
+                    .unwrap();
             (wal, handle)
         })
         .unzip()
 }
 
-fn as_commit_logs(wals: &mut [WalWriter]) -> Vec<&mut dyn CommitLog> {
+/// Each shard's one segment.
+fn shard_logs(handles: &[MemSegmentsHandle]) -> Vec<Vec<u8>> {
+    handles.iter().map(|h| h.segments().remove(0).1).collect()
+}
+
+fn as_commit_logs(wals: &mut [SegmentedWal]) -> Vec<&mut dyn CommitLog> {
     wals.iter_mut().map(|w| w as &mut dyn CommitLog).collect()
 }
 
@@ -327,8 +341,12 @@ fn cross_shard_transactions_are_refused_before_anything_is_enqueued() {
     assert_eq!(report.log, vec![]);
     assert_eq!(report.shards.len(), 2);
     assert!(report.shards.iter().all(|o| o.commands == 0));
-    for h in &handles {
-        assert_eq!(scan(&h.bytes()).records, vec![], "no WAL record");
+    for log in shard_logs(&handles) {
+        let records = scan(&log).records;
+        assert!(
+            matches!(records[..], [WalRecord::Checkpoint(_)]),
+            "no WAL record past the head: {records:?}"
+        );
     }
 
     let run = serve_to_completion(&txns, &spec, 1, &cfg, 1);
@@ -357,14 +375,14 @@ fn recovery_refuses_a_commit_the_shard_does_not_own() {
         let mut logs = vec![MAGIC.to_vec(), MAGIC.to_vec()];
         logs[on_shard as usize] = log_committing(t);
         assert_eq!(
-            recover_flat(&txns, &spec, logs),
+            recover_shard_logs(&txns, &spec, logs),
             Err(RecoveryError::NotOwner {
                 shard: on_shard,
                 txn: t
             })
         );
     }
-    let rec = recover_flat(&txns, &spec, vec![log_committing(l), MAGIC.to_vec()]).unwrap();
+    let rec = recover_shard_logs(&txns, &spec, vec![log_committing(l), MAGIC.to_vec()]).unwrap();
     assert_eq!(rec.committed, vec![l], "the owner's own commit recovers");
 }
 
@@ -444,15 +462,14 @@ fn one_shard_serve_sharded_replays_certifies_and_writes_plain_commit_records() {
         record_trace: true,
         ..ServerConfig::default()
     };
-    let (mem, handle) = MemStorage::new();
-    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+    let (mut wals, handles) = shard_wals(1);
     let report = serve_sharded(
         txns,
         &RequestStream::shuffled(txns, 3),
         schedulers(txns, spec, 1),
         &cfg,
         &[],
-        vec![&mut wal as &mut dyn CommitLog],
+        as_commit_logs(&mut wals),
     );
     assert_eq!(report.outcome, RunOutcome::Completed);
     let mut committed = report.committed.clone();
@@ -466,7 +483,7 @@ fn one_shard_serve_sharded_replays_certifies_and_writes_plain_commit_records() {
         Schedule::new(txns, report.history.clone()).expect("committed history is a schedule");
     assert!(vclock::certify(txns, &schedule, spec).is_acyclic());
 
-    let records = scan(&handle.bytes()).records;
+    let records = scan(&shard_logs(&handles)[0]).records;
     let plain = records
         .iter()
         .filter(|r| matches!(r, WalRecord::Commit(_)))
@@ -533,9 +550,9 @@ fn durable_sharded_run_recovers_to_the_same_committed_state() {
         as_commit_logs(&mut wals),
     );
     assert_eq!(report.outcome, RunOutcome::Completed);
-    let logs: Vec<Vec<u8>> = handles.iter().map(|h| h.bytes()).collect();
-    let rec = recover_flat(&txns, &spec, logs).expect("clean sharded logs recover");
-    assert_eq!(rec.certified, rec.committed, "no checkpoint: all certified");
+    let rec =
+        recover_shard_logs(&txns, &spec, shard_logs(&handles)).expect("clean sharded logs recover");
+    assert_eq!(rec.certified, rec.committed, "empty heads: all certified");
     assert_eq!(rec.committed, report.committed, "same commits, same order");
     let mut recovered = rec.history.clone();
     let mut live = report.history.clone();
@@ -594,21 +611,20 @@ proptest! {
         }
 
         // Cut each shard's log at an arbitrary byte and recover.
-        let logs: Vec<Vec<u8>> = handles
-            .iter()
+        let logs: Vec<Vec<u8>> = shard_logs(&handles)
+            .into_iter()
             .enumerate()
-            .map(|(s, h)| {
-                let bytes = h.bytes();
+            .map(|(s, bytes)| {
                 let cut = (cut_seeds[s % cut_seeds.len()] as usize) % (bytes.len() + 1);
                 bytes[..cut].to_vec()
             })
             .collect();
-        let rec = recover_flat(&txns, &spec, logs)
+        let rec = recover_shard_logs(&txns, &spec, logs)
             .expect("byte cuts never make sharded recovery fail");
 
         prop_assert_eq!(
             &rec.certified, &rec.committed,
-            "no checkpoint: a byte cut leaves every commit certified"
+            "empty heads: a byte cut leaves every commit certified"
         );
         for &t in &rec.committed {
             prop_assert_eq!(

@@ -11,18 +11,20 @@
 //!
 //! * [`record`] — the [`WalRecord`] vocabulary and its length-prefixed,
 //!   CRC-32-checksummed frame format;
-//! * [`storage`] — the [`Storage`] trait plus the real-file and
-//!   in-memory backends (the model checker adds a fault-injecting one);
-//! * [`writer`] — [`WalWriter`]: buffers a batch of frames and writes
-//!   and syncs it once, under a configurable [`FsyncPolicy`], at the
-//!   core's queue-batch boundaries (group commit);
+//! * [`storage`] — the [`Storage`] trait a segment is written through,
+//!   plus the real-file backend (the model checker adds a
+//!   fault-injecting one);
+//! * [`writer`] — the [`FsyncPolicy`] and [`WalStats`] of the segment
+//!   writer, which buffers a batch of frames and writes and syncs it
+//!   once at the core's queue-batch boundaries (group commit);
 //! * [`reader`] — [`scan`]: the torn-write-tolerant scanner that
 //!   recovers the longest valid record prefix from arbitrary bytes;
-//! * [`commit_log`] — the [`CommitLog`] trait the admission core drives,
-//!   implemented by both the plain writer and the segmented log;
-//! * [`segment`] — [`SegmentedWal`]: checkpoint-headed segments with
-//!   rotation and deletion, bounding log size and recovery time by live
-//!   state instead of history length.
+//! * [`commit_log`] — the [`CommitLog`] trait the admission core drives;
+//! * [`segment`] — [`SegmentedWal`], its one implementation:
+//!   checkpoint-headed segments with rotation and deletion, bounding log
+//!   size and recovery time by live state instead of history length. A
+//!   log that never rotates ([`CheckpointPolicy::never`]) is its
+//!   one-segment row; there is no second log shape.
 //!
 //! The recovery manager itself lives in `relser-server` (it needs a
 //! scheduler to replay into and the RSG oracle to re-certify); this crate
@@ -31,7 +33,7 @@
 //!
 //! ## Durability contract: ack-after-barrier
 //!
-//! [`CommitLog::append`] only adds a record to the writer's current
+//! [`CommitLog::append`] only adds a record to the current segment's
 //! batch; [`CommitLog::batch_end`] hands the whole batch to [`Storage`]
 //! in **one** `append` and — under [`FsyncPolicy::Always`], whenever
 //! anything is unsynced — issues **one** [`Storage::sync`]. The contract
@@ -69,5 +71,5 @@ pub use segment::{
     CheckpointPolicy, DirSegmentStore, MemSegmentStore, MemSegmentsHandle, SegmentStats,
     SegmentStore, SegmentedWal,
 };
-pub use storage::{FileStorage, MemHandle, MemStorage, Storage};
-pub use writer::{FsyncPolicy, WalStats, WalWriter};
+pub use storage::{FileStorage, Storage};
+pub use writer::{FsyncPolicy, WalStats};

@@ -1,4 +1,4 @@
-//! Segmented log with checkpoint-gated compaction.
+//! Segmented log with checkpoint-gated compaction — the one log shape.
 //!
 //! A single append-only file grows without bound — recovery time and disk
 //! usage scale with *history length*, not live state. [`SegmentedWal`]
@@ -6,7 +6,9 @@
 //! segment opens with a [`Checkpoint`] record** snapshotting the core's
 //! live state at rotation time, and once that checkpoint is durable every
 //! older segment is deleted. Recovery therefore reads exactly one
-//! segment: seed from its head checkpoint, replay its suffix.
+//! segment: seed from its head checkpoint, replay its suffix. A log that
+//! never rotates ([`CheckpointPolicy::never`]) is the one-segment row of
+//! the same shape: segment 0, headed by an empty checkpoint.
 //!
 //! The rotation order is what makes crashes safe at every point:
 //!
@@ -221,7 +223,7 @@ impl Default for CheckpointPolicy {
 }
 
 impl CheckpointPolicy {
-    /// Never checkpoint (a segmented log that behaves like a single one).
+    /// Never checkpoint: the log stays one segment, its whole history.
     pub fn never() -> Self {
         CheckpointPolicy {
             every_records: u64::MAX,
@@ -263,30 +265,14 @@ pub struct SegmentedWal {
 impl SegmentedWal {
     /// Opens segment 0 with an empty head checkpoint — the invariant that
     /// *every* segment starts with `MAGIC` + a checkpoint record holds
-    /// from birth.
+    /// from birth. This is [`SegmentedWal::resume`] with nothing recovered
+    /// and nothing to delete.
     pub fn new(
-        mut store: Box<dyn SegmentStore>,
+        store: Box<dyn SegmentStore>,
         policy: FsyncPolicy,
         ckpt: CheckpointPolicy,
     ) -> io::Result<SegmentedWal> {
-        let storage = store.create(0)?;
-        let mut writer = WalWriter::new(storage, policy)?;
-        writer.append(&WalRecord::Checkpoint(Checkpoint::default()))?;
-        writer.sync()?;
-        Ok(SegmentedWal {
-            store,
-            writer,
-            policy,
-            ckpt,
-            seq: 0,
-            oldest: 0,
-            since_records: 0,
-            since_bytes: 0,
-            sealed: WalStats::default(),
-            sealed_sync_ns: Vec::new(),
-            seg_stats: SegmentStats::default(),
-            broken: false,
-        })
+        SegmentedWal::resume(store, policy, ckpt, Checkpoint::default(), 0, &[])
     }
 
     /// Re-opens the log after in-place recovery: a fresh segment
@@ -433,10 +419,6 @@ impl CommitLog for SegmentedWal {
         let mut all = std::mem::take(&mut self.sealed_sync_ns);
         all.append(&mut self.writer.take_sync_ns());
         all
-    }
-
-    fn wants_checkpoints(&self) -> bool {
-        true
     }
 
     fn checkpoint_due(&self) -> bool {

@@ -1,15 +1,17 @@
-//! Log storage backends.
+//! Segment storage backends.
 //!
-//! The writer talks to storage through the [`Storage`] trait — one
-//! `append` call per batch of encoded record frames plus explicit `sync`
-//! barriers — so the same [`crate::WalWriter`] runs against a real file
-//! ([`FileStorage`]), an in-memory buffer ([`MemStorage`], used by tests
-//! and the crash-point sweep), or a fault-injecting shim (the model
-//! checker's `FaultFs`, which fails or tears the k-th batch write or the
-//! k-th barrier).
+//! A segment's writer talks to storage through the [`Storage`] trait —
+//! one `append` call per batch of encoded record frames plus explicit
+//! `sync` barriers — so the same segmented log runs against real files
+//! ([`FileStorage`], handed out by [`crate::DirSegmentStore`]), in-memory
+//! buffers (behind [`crate::MemSegmentStore`]), or a fault-injecting shim
+//! (the model checker's `FaultFs`, which fails or tears the k-th batch
+//! write or the k-th barrier). A segment is only ever created and
+//! appended to: a resumed log opens a fresh segment and deletes the old
+//! ones ([`crate::SegmentedWal::resume`]), so no backend reopens a file.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -46,23 +48,6 @@ impl FileStorage {
             written: 0,
         })
     }
-
-    /// Reopens an existing log for appending, first truncating it to
-    /// `valid_len` — the scanner's `valid_bytes` — so a torn tail left by
-    /// a crash is physically cut *before* any new frame lands after it.
-    /// Appending past a torn tail without this truncation would leave the
-    /// damage buried mid-log, where the truncate-at-first-damage scanner
-    /// would discard every record after it on the next recovery.
-    pub fn reopen(path: &Path, valid_len: u64) -> io::Result<Self> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(valid_len)?;
-        file.sync_data()?;
-        file.seek(SeekFrom::End(0))?;
-        Ok(FileStorage {
-            file,
-            written: valid_len,
-        })
-    }
 }
 
 impl Storage for FileStorage {
@@ -87,22 +72,22 @@ struct MemInner {
     synced: usize,
 }
 
-/// An in-memory log with an explicit durability watermark: `sync` moves
-/// the watermark to the end of the buffer, modelling what a crash would
-/// preserve. [`MemHandle`] (cloneable, shareable) reads the contents
-/// after the writer has been moved into the core thread.
-pub struct MemStorage {
+/// An in-memory segment with an explicit durability watermark: `sync`
+/// moves the watermark to the end of the buffer, modelling what a crash
+/// would preserve. [`MemHandle`] (cloneable, shareable) reads the
+/// contents after the writer has been moved into the core thread.
+pub(crate) struct MemStorage {
     inner: Arc<Mutex<MemInner>>,
 }
 
 /// Read side of a [`MemStorage`].
 #[derive(Clone)]
-pub struct MemHandle {
+pub(crate) struct MemHandle {
     inner: Arc<Mutex<MemInner>>,
 }
 
 impl MemStorage {
-    /// An empty in-memory log plus its read handle.
+    /// An empty in-memory segment plus its read handle.
     pub fn new() -> (MemStorage, MemHandle) {
         let inner = Arc::new(Mutex::new(MemInner::default()));
         (
@@ -147,11 +132,6 @@ impl MemHandle {
         let inner = self.inner.lock().expect("mem log lock");
         inner.buf[..inner.synced].to_vec()
     }
-
-    /// Length of the durable prefix in bytes.
-    pub fn synced_len(&self) -> usize {
-        self.inner.lock().expect("mem log lock").synced
-    }
 }
 
 #[cfg(test)]
@@ -163,30 +143,12 @@ mod tests {
         let (mut s, h) = MemStorage::new();
         s.append(b"abc").unwrap();
         assert_eq!(h.bytes(), b"abc");
-        assert_eq!(h.synced_len(), 0, "nothing durable before sync");
+        assert!(h.synced_bytes().is_empty(), "nothing durable before sync");
         s.sync().unwrap();
         s.append(b"de").unwrap();
         assert_eq!(h.synced_bytes(), b"abc");
         assert_eq!(h.bytes(), b"abcde");
         assert_eq!(s.len(), 5);
-    }
-
-    #[test]
-    fn reopen_truncates_the_torn_tail_before_appending() {
-        let path = std::env::temp_dir().join("relser_wal_storage_reopen_test.log");
-        {
-            let mut s = FileStorage::create(&path).unwrap();
-            s.append(b"goodTORN").unwrap();
-            s.sync().unwrap();
-        }
-        {
-            let mut s = FileStorage::reopen(&path, 4).unwrap();
-            assert_eq!(s.len(), 4);
-            s.append(b"new").unwrap();
-            s.sync().unwrap();
-        }
-        assert_eq!(std::fs::read(&path).unwrap(), b"goodnew");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,24 +1,21 @@
-//! The append side: [`WalWriter`] frames records onto a [`Storage`]
-//! backend under a configurable [`FsyncPolicy`].
+//! The append side of one segment: [`FsyncPolicy`], [`WalStats`], and
+//! the crate-private writer that frames records onto a [`Storage`]
+//! backend. [`crate::SegmentedWal`] owns one writer per segment; outside
+//! this crate the log is driven through [`crate::CommitLog`] only.
 //!
 //! The writer's contract is **ack-after-barrier**, not barrier-per-record.
-//! [`WalWriter::append`] only encodes the record into the writer's batch
-//! buffer — it touches no storage and makes nothing durable.
-//! [`WalWriter::batch_end`] hands the buffered frames to [`Storage`] in
-//! **one** `append` and then issues the policy's durability barrier: under
-//! `Always` one [`Storage::sync`] whenever anything is unsynced, under
-//! `Never` none. The admission core calls `append` per
-//! state-changing command and `batch_end` once per drained queue batch,
-//! holding every acknowledgment of the batch until `batch_end` returns —
-//! classic group commit: a batch of b commands costs one write and one
-//! barrier instead of b of each, and under `Always` no acknowledgment
-//! ever leaves the core before a barrier that covers its record, which is
-//! what makes "zero acknowledged commits lost" provable in the
-//! crash-point sweep.
-//!
-//! Callers outside the core that want a record on storage must end the
-//! batch themselves: [`WalWriter::batch_end`] (policy barrier),
-//! [`WalWriter::sync`] or [`WalWriter::close`] (forced barrier).
+//! `append` only encodes the record into the writer's batch buffer — it
+//! touches no storage and makes nothing durable. `batch_end` hands the
+//! buffered frames to [`Storage`] in **one** `append` and then issues the
+//! policy's durability barrier: under `Always` one [`Storage::sync`]
+//! whenever anything is unsynced, under `Never` none. The admission core
+//! calls [`crate::CommitLog::append`] per state-changing command and
+//! [`crate::CommitLog::batch_end`] once per drained queue batch, holding
+//! every acknowledgment of the batch until `batch_end` returns — classic
+//! group commit: a batch of b commands costs one write and one barrier
+//! instead of b of each, and under `Always` no acknowledgment ever leaves
+//! the core before a barrier that covers its record, which is what makes
+//! "zero acknowledged commits lost" provable in the crash-point sweep.
 
 use crate::record::{WalRecord, MAGIC};
 use crate::storage::Storage;
@@ -26,35 +23,37 @@ use std::io;
 use std::time::Instant;
 
 /// When the writer issues a durability barrier ([`Storage::sync`]).
-/// Every policy is checked at batch boundaries ([`WalWriter::batch_end`])
-/// only — never inside [`WalWriter::append`].
+/// Every policy is checked at batch boundaries
+/// ([`crate::CommitLog::batch_end`]) only — never inside
+/// [`crate::CommitLog::append`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// One barrier per batch that appended anything, issued before any
     /// acknowledgment of that batch is released. No acknowledged work is
     /// ever lost.
     Always,
-    /// Never sync mid-run; only a clean [`WalWriter::close`] syncs. A
-    /// crash may lose everything since the start of the run.
+    /// Never sync mid-run: only a segment's head checkpoint (at open and
+    /// at rotation) and a clean [`crate::CommitLog::close`] sync. A crash
+    /// may lose everything since the head checkpoint.
     Never,
 }
 
 /// Append-side counters, surfaced through the server metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// Records appended.
+    /// Records appended (head checkpoints included).
     pub records: u64,
-    /// Bytes appended (frames + file header).
+    /// Bytes appended (frames + segment headers).
     pub bytes: u64,
     /// Durability barriers issued.
     pub syncs: u64,
-    /// [`Storage::append`] calls issued (the file header plus one per
-    /// non-empty batch).
+    /// [`Storage::append`] calls issued: per segment, one for its header,
+    /// one for its head checkpoint and one per non-empty batch.
     pub appends: u64,
 }
 
-/// Frames [`WalRecord`]s onto a storage backend; see the module docs.
-pub struct WalWriter {
+/// Frames [`WalRecord`]s onto one segment's storage; see the module docs.
+pub(crate) struct WalWriter {
     storage: Box<dyn Storage>,
     policy: FsyncPolicy,
     /// The current batch's encoded frames, not yet handed to storage.
@@ -67,42 +66,32 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Starts a fresh log on `storage`: writes the file header (and, under
-    /// [`FsyncPolicy::Always`], makes it durable immediately).
+    /// Starts a fresh segment on `storage`: writes the file header (and,
+    /// under [`FsyncPolicy::Always`], makes it durable immediately).
     pub fn new(mut storage: Box<dyn Storage>, policy: FsyncPolicy) -> io::Result<WalWriter> {
         storage.append(MAGIC)?;
-        let mut w = WalWriter::resume(storage, policy);
-        w.stats.bytes = MAGIC.len() as u64;
-        w.stats.appends = 1;
+        let mut w = WalWriter {
+            storage,
+            policy,
+            batch: Vec::with_capacity(4096),
+            unsynced: 0,
+            stats: WalStats {
+                bytes: MAGIC.len() as u64,
+                appends: 1,
+                ..WalStats::default()
+            },
+            sync_ns: Vec::new(),
+            broken: false,
+        };
         if policy == FsyncPolicy::Always {
             w.sync_now()?;
         }
         Ok(w)
     }
 
-    /// Resumes appending to an existing log whose header is already on
-    /// `storage` (the reopen-after-recovery path: the caller truncates the
-    /// file to the scanner's `valid_bytes` first, then resumes). Writes
-    /// nothing; the byte counter continues from `storage.len()`.
-    pub fn resume(storage: Box<dyn Storage>, policy: FsyncPolicy) -> WalWriter {
-        let bytes = storage.len();
-        WalWriter {
-            storage,
-            policy,
-            batch: Vec::with_capacity(4096),
-            unsynced: 0,
-            stats: WalStats {
-                bytes,
-                ..WalStats::default()
-            },
-            sync_ns: Vec::new(),
-            broken: false,
-        }
-    }
-
     /// Encodes one record into the current batch. Nothing reaches storage
-    /// and nothing is durable until the batch ends ([`WalWriter::batch_end`],
-    /// [`WalWriter::sync`] or [`WalWriter::close`]) — under every policy.
+    /// and nothing is durable until the batch ends (`batch_end`, `sync` or
+    /// `close`) — under every policy.
     ///
     /// An unencodable record is a logic error upstream, but the log itself
     /// is still intact: nothing was buffered, and the record is refused
@@ -155,11 +144,6 @@ impl WalWriter {
     /// Append-side counters so far.
     pub fn stats(&self) -> WalStats {
         self.stats
-    }
-
-    /// Has a storage error poisoned the writer?
-    pub fn is_broken(&self) -> bool {
-        self.broken
     }
 
     fn check_broken(&self) -> io::Result<()> {
@@ -230,7 +214,7 @@ mod tests {
         assert_eq!(s.appends - after_header.appends, 1, "one storage append");
         assert_eq!(s.bytes as usize, handle.bytes().len());
         assert_eq!(
-            handle.synced_len(),
+            handle.synced_bytes().len(),
             handle.bytes().len(),
             "everything appended is durable once the batch ended"
         );
@@ -265,10 +249,18 @@ mod tests {
             let mut w = WalWriter::new(Box::new(mem), policy).unwrap();
             w.append(&WalRecord::Begin(TxnId(0))).unwrap();
             w.sync().unwrap();
-            assert_eq!(handle.synced_len(), handle.bytes().len(), "{policy:?}");
+            assert_eq!(
+                handle.synced_bytes().len(),
+                handle.bytes().len(),
+                "{policy:?}"
+            );
             w.append(&WalRecord::Commit(TxnId(0))).unwrap();
             w.close().unwrap();
-            assert_eq!(handle.synced_len(), handle.bytes().len(), "{policy:?}");
+            assert_eq!(
+                handle.synced_bytes().len(),
+                handle.bytes().len(),
+                "{policy:?}"
+            );
             assert_eq!(crate::scan(&handle.synced_bytes()).records.len(), 2);
         }
     }
@@ -279,30 +271,9 @@ mod tests {
         let mut w = WalWriter::new(Box::new(mem), FsyncPolicy::Never).unwrap();
         w.append(&WalRecord::Begin(TxnId(0))).unwrap();
         w.batch_end().unwrap();
-        assert_eq!(handle.synced_len(), 0);
+        assert_eq!(handle.synced_bytes().len(), 0);
         w.close().unwrap();
-        assert_eq!(handle.synced_len(), handle.bytes().len());
-    }
-
-    #[test]
-    fn resume_continues_an_existing_log_without_a_second_header() {
-        let (mem, handle) = MemStorage::new();
-        let mut w = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
-        w.append(&WalRecord::Begin(TxnId(0))).unwrap();
-        w.close().unwrap();
-        let before = handle.bytes();
-        let (mut mem2, handle2) = MemStorage::new();
-        mem2.append(&before).unwrap();
-        let mut w2 = WalWriter::resume(Box::new(mem2), FsyncPolicy::Always);
-        w2.append(&WalRecord::Commit(TxnId(0))).unwrap();
-        w2.batch_end().unwrap();
-        let bytes = handle2.bytes();
-        let scan = crate::scan(&bytes);
-        assert_eq!(scan.truncation, None);
-        assert_eq!(
-            scan.records,
-            vec![WalRecord::Begin(TxnId(0)), WalRecord::Commit(TxnId(0))]
-        );
+        assert_eq!(handle.synced_bytes().len(), handle.bytes().len());
     }
 
     #[test]
@@ -326,7 +297,7 @@ mod tests {
         let mut w = WalWriter::new(Box::new(FailingAppend(0)), FsyncPolicy::Always).unwrap();
         w.append(&WalRecord::Begin(TxnId(0))).unwrap();
         assert!(w.batch_end().is_err());
-        assert!(w.is_broken());
+        assert!(w.broken);
         assert!(w.append(&WalRecord::Begin(TxnId(1))).is_err());
         assert!(w.sync().is_err(), "a broken log refuses every later verb");
     }

@@ -25,8 +25,8 @@ use relative_serializability::net::{
     drive_resilient, serve_net, ChaosPlan, NetConfig, ResilientConfig, ResilientStats,
 };
 use relative_serializability::protocols::rsg_sgt::RsgSgt;
-use relative_serializability::server::{recover, FaultPlan};
-use relative_serializability::wal::{FsyncPolicy, MemStorage, WalWriter};
+use relative_serializability::server::{recover_segments_with_certifier, Certifier, FaultPlan};
+use relative_serializability::wal::{CheckpointPolicy, FsyncPolicy, MemSegmentStore, SegmentedWal};
 use relative_serializability::workload::banking::{banking, BankingConfig};
 use relative_serializability::workload::stream::RequestStream;
 use std::time::Duration;
@@ -88,8 +88,10 @@ fn main() {
 
     let scheduler = Box::new(RsgSgt::new(&sc.txns, &sc.spec));
     let stream = &*Box::leak(Box::new(RequestStream::shuffled(&sc.txns, 7)));
-    let (mem, handle) = MemStorage::new();
-    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).expect("in-memory wal");
+    let (store, handle) = MemSegmentStore::new();
+    let ckpt = CheckpointPolicy::never();
+    let mut wal =
+        SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt).expect("in-memory wal");
     let net_cfg = NetConfig {
         reactors: if smoke { 2 } else { 4 },
         ..NetConfig::default()
@@ -168,11 +170,17 @@ fn main() {
     );
     println!("\noffline check: RSG acyclic -> wire-driven history is relatively serializable");
 
-    // The recovery that pairs with `serve_net` over a flat log: `recover`
-    // rebuilds exactly the acknowledged commits from the synced bytes.
+    // The recovery that pairs with `serve_net`'s log: it rebuilds exactly
+    // the acknowledged commits from the synced segment.
     let mut fresh = RsgSgt::new(&sc.txns, &sc.spec);
-    let rec =
-        recover(&sc.txns, &sc.spec, &mut fresh, &handle.synced_bytes()).expect("the log recovers");
+    let (_, rec) = recover_segments_with_certifier(
+        &sc.txns,
+        &sc.spec,
+        &mut fresh,
+        &handle.synced_segments(),
+        Certifier::VClock,
+    )
+    .expect("the log recovers");
     assert_eq!(rec.committed, report.committed, "recovered == acknowledged");
     println!(
         "recovery: {} records replayed -> the same {} commits, re-certified",

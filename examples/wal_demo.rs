@@ -1,9 +1,11 @@
 //! Durability end to end: the concurrent service writes its commit log
-//! to a real file, the process "crashes" (the log is cut mid-record, the
-//! way a torn write leaves it), and recovery rebuilds the scheduler from
-//! the surviving bytes — truncating the torn tail, replaying the
-//! acknowledged prefix, and re-certifying the committed history against
-//! the paper's Theorem 1 oracle before accepting it.
+//! to a real segment directory (one `wal-*.log` file per segment; this
+//! log never rotates, so it stays one segment), the process "crashes"
+//! (the segment is cut mid-record, the way a torn write leaves it), and
+//! recovery rebuilds the scheduler from the files on disk — truncating
+//! the torn tail, replaying the acknowledged prefix, and re-certifying
+//! the committed history against the paper's Theorem 1 before accepting
+//! it.
 //!
 //! ```text
 //! cargo run --release --example wal_demo            # full demo
@@ -11,9 +13,11 @@
 //! ```
 
 use relative_serializability::protocols::rsg_sgt::RsgSgt;
-use relative_serializability::server::recovery::recover;
+use relative_serializability::server::recovery::{recover_segments_with_certifier, Certifier};
 use relative_serializability::server::{serve_sharded, RunOutcome, ServerConfig};
-use relative_serializability::wal::{scan, FileStorage, FsyncPolicy, WalWriter};
+use relative_serializability::wal::{
+    scan, CheckpointPolicy, DirSegmentStore, FsyncPolicy, SegmentedWal,
+};
 use relative_serializability::workload::banking::{banking, BankingConfig};
 use relative_serializability::workload::stream::RequestStream;
 
@@ -35,11 +39,18 @@ fn main() {
         sc.txns.total_ops()
     );
 
-    // Phase 1: a durable run against a real file: one write and one fsync
-    // per drained batch, every ack released only after its batch's fsync.
-    let path = std::env::temp_dir().join(format!("relser_wal_demo_{}.wal", std::process::id()));
-    let storage = FileStorage::create(&path).expect("create log file");
-    let mut wal = WalWriter::new(Box::new(storage), FsyncPolicy::Always).expect("write log header");
+    // Phase 1: a durable run against a real directory: one write and one
+    // fsync per drained batch, every ack released only after its batch's
+    // fsync.
+    let dir = std::env::temp_dir().join(format!("relser_wal_demo_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = DirSegmentStore::new(&dir).expect("create segment directory");
+    let mut wal = SegmentedWal::new(
+        Box::new(store),
+        FsyncPolicy::Always,
+        CheckpointPolicy::never(),
+    )
+    .expect("write segment header and head checkpoint");
     let server_cfg = ServerConfig {
         workers: 4,
         ..ServerConfig::default()
@@ -62,34 +73,52 @@ fn main() {
         report.metrics.wal.bytes,
         report.metrics.wal.appends,
         report.metrics.wal.syncs,
-        path.display()
+        dir.display()
     );
+    drop(wal);
 
-    // Phase 2: the "crash". Chop the log mid-record — the torn tail a
+    // Phase 2: the "crash". Chop the segment mid-record — the torn tail a
     // power loss leaves when a frame was half-written.
-    let mut bytes = std::fs::read(&path).expect("read log back");
+    let listed = DirSegmentStore::list(&dir).expect("list segments");
+    assert_eq!(listed.len(), 1, "a never-rotating log is one segment");
+    let path = &listed[0].1;
+    let mut bytes = std::fs::read(path).expect("read segment back");
     let full = scan(&bytes);
     assert!(full.truncation.is_none(), "clean run wrote a clean log");
     let keep_records = full.records.len() * 3 / 4;
     let torn_len = full.boundaries[keep_records] + 3; // 3 bytes of a torn frame
     bytes.truncate(torn_len.min(bytes.len()));
+    std::fs::write(path, &bytes).expect("write the torn segment");
     println!(
-        "\ncrash: log cut to {} bytes ({} of {} records + a torn frame)",
+        "\ncrash: {} cut to {} bytes ({} of {} records + a torn frame)",
+        path.display(),
         bytes.len(),
         keep_records,
         full.records.len()
     );
 
-    // Phase 3: recovery. Scan truncates at the damage, replay rebuilds a
-    // fresh scheduler, and the committed history is re-certified
-    // (Rsg::build(..).is_acyclic()) before the state is accepted.
+    // Phase 3: recovery from the directory. Scan truncates at the damage,
+    // replay rebuilds a fresh scheduler, and the committed history is
+    // re-certified by the vector-clock certifier before the state is
+    // accepted.
+    let segments: Vec<(u64, Vec<u8>)> = DirSegmentStore::list(&dir)
+        .expect("list segments")
+        .into_iter()
+        .map(|(seq, path)| (seq, std::fs::read(path).expect("read segment")))
+        .collect();
     let mut fresh = RsgSgt::new(&sc.txns, &sc.spec);
-    let rec = recover(&sc.txns, &sc.spec, &mut fresh, &bytes).expect("recovery succeeds");
+    let (_, rec) = recover_segments_with_certifier(
+        &sc.txns,
+        &sc.spec,
+        &mut fresh,
+        &segments,
+        Certifier::VClock,
+    )
+    .expect("recovery succeeds");
     println!(
-        "recovery: {} records replayed ({} valid bytes, truncated: {}), \
+        "recovery: {} records replayed (truncated: {}), \
          {} committed, {} live incarnations rolled back",
         rec.records,
-        rec.valid_bytes,
         rec.truncation
             .map(|t| format!("{t:?}"))
             .unwrap_or_else(|| "no".into()),
@@ -113,5 +142,5 @@ fn main() {
         report.committed.len()
     );
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

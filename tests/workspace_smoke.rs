@@ -26,10 +26,12 @@ use relative_serializability::net::{Request, Response};
 use relative_serializability::prelude::*;
 use relative_serializability::protocols::driver::{run, RunConfig};
 use relative_serializability::protocols::SchedulerKind;
-use relative_serializability::server::recovery::recover;
+use relative_serializability::server::recovery::{recover_segments_with_certifier, Certifier};
 use relative_serializability::server::{serve_sharded, ServerConfig};
 use relative_serializability::simdb::{execute, simulate, SimConfig};
-use relative_serializability::wal::{scan, FsyncPolicy, MemStorage, WalRecord, WalWriter};
+use relative_serializability::wal::{
+    scan, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, SegmentedWal, WalRecord,
+};
 use relative_serializability::workload::banking::{banking, BankingConfig};
 use relative_serializability::workload::stream::RequestStream;
 use relative_serializability::workload::{random_schedule, random_spec, random_txns, RandomConfig};
@@ -170,8 +172,9 @@ fn server_serves_figure2() {
 fn wal_log_scans_and_recovers() {
     let txns = TxnSet::parse(&["r1[x] w1[x]", "r2[x] w2[x]"]).unwrap();
     let spec = AtomicitySpec::absolute(&txns);
-    let (mem, handle) = MemStorage::new();
-    let mut wal = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+    let (store, handle) = MemSegmentStore::new();
+    let ckpt = CheckpointPolicy::never();
+    let mut wal = SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt).unwrap();
     for t in 0..2u32 {
         wal.append(&WalRecord::Begin(TxnId(t))).unwrap();
         for i in 0..2u32 {
@@ -184,14 +187,20 @@ fn wal_log_scans_and_recovers() {
         wal.append(&WalRecord::Commit(TxnId(t))).unwrap();
     }
     wal.batch_end().unwrap();
-    let bytes = handle.bytes();
-    let scanned = scan(&bytes);
-    assert_eq!(scanned.records.len(), 8, "2 x (begin + 2 grants + commit)");
+    let segments = handle.segments();
+    let scanned = scan(&segments[0].1);
+    assert_eq!(
+        scanned.records.len(),
+        9,
+        "head checkpoint + 2 x (begin + 2 grants + commit)"
+    );
     assert!(scanned.truncation.is_none());
     let mut sched = SchedulerKind::RsgSgt.make(&txns, &spec);
-    let rec = recover(&txns, &spec, sched.as_mut(), &bytes).expect("recovers");
+    let (_, rec) =
+        recover_segments_with_certifier(&txns, &spec, sched.as_mut(), &segments, Certifier::VClock)
+            .expect("recovers");
     assert_eq!(rec.committed, vec![TxnId(0), TxnId(1)]);
-    assert_eq!(rec.certified, rec.committed, "no checkpoint: all re-proved");
+    assert_eq!(rec.certified, rec.committed, "empty head: all re-proved");
 }
 
 /// `net`: the wire codec round-trips requests and responses.
