@@ -1,7 +1,8 @@
 //! A3 (bench form): RSG-SGT per-request rebuild vs incremental graph
 //! maintenance, the depends-on closure in isolation, the cost of
-//! building (and dropping) one scheduler on a benchmark-sized set, and
-//! the cost of one commit on such sets.
+//! building (and dropping) one scheduler on a benchmark-sized set, the
+//! cost of one commit on such sets, and the cost of one request and one
+//! abort on the benchmark's long-lived sets.
 //!
 //! Run with `cargo bench -p relser-bench --bench incremental`. Besides
 //! printing the comparison, this writes the scaling measurements to
@@ -10,15 +11,17 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relser_bench::harness::{git_commit, Harness};
+use relser_bench::streams::{long_lived_sets, LoopRun, SETS, STREAMS};
 use relser_check::RsgSgtOracle;
 use relser_core::depends::DependsOn;
 use relser_core::ids::{OpId, TxnId};
+use relser_core::incremental::{AdmitError, IncrementalRsg};
 use relser_core::op::AccessMode;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::driver::{run, RunConfig};
 use relser_protocols::rsg_sgt::RsgSgt;
-use relser_protocols::{Decision, Scheduler};
+use relser_protocols::{AbortReason, Decision, Scheduler};
 use relser_workload::longlived::{long_lived, LongLivedConfig};
 use relser_workload::zipf::Zipf;
 use relser_workload::{random_schedule, random_spec};
@@ -169,6 +172,153 @@ fn bench_commit(h: &mut Harness) {
     }
 }
 
+/// The engine behind a timing and counting [`Scheduler`] adapter: each
+/// request and each abort is timed, and the arcs of every admission
+/// (`AdmitSummary::arcs`) are kept by grant position, so an abort can
+/// count what it rolls back from `admitted()` alone.
+struct Counted {
+    engine: IncrementalRsg,
+    /// `AdmitSummary::arcs` per admitted position, as granted.
+    arcs: Vec<usize>,
+    request_ns: u64,
+    abort_ns: u64,
+    grants: u64,
+    granted_arcs: u64,
+    aborts: u64,
+    /// Arcs of the admissions an abort pops (an upper bound on the
+    /// journal entries it undoes: a merge that changes no label is not
+    /// journalled, and a retired survivor's journal is blank).
+    undone: u64,
+    /// Surviving admissions an abort puts back.
+    replayed: u64,
+}
+
+impl Counted {
+    fn new(txns: &TxnSet, spec: &AtomicitySpec) -> Self {
+        Counted {
+            engine: IncrementalRsg::new(txns, spec),
+            arcs: Vec::new(),
+            request_ns: 0,
+            abort_ns: 0,
+            grants: 0,
+            granted_arcs: 0,
+            aborts: 0,
+            undone: 0,
+            replayed: 0,
+        }
+    }
+}
+
+impl Scheduler for Counted {
+    fn name(&self) -> &'static str {
+        "RSG-SGT-counted"
+    }
+
+    fn begin(&mut self, _txn: TxnId) {}
+
+    fn request(&mut self, op: OpId) -> Decision {
+        let t0 = Instant::now();
+        let r = self.engine.try_admit(op);
+        self.request_ns += t0.elapsed().as_nanos() as u64;
+        match r {
+            Ok(summary) => {
+                self.arcs.push(summary.arcs);
+                self.grants += 1;
+                self.granted_arcs += summary.arcs as u64;
+                Decision::Granted
+            }
+            Err(AdmitError::Cycle(_)) => Decision::Aborted(AbortReason::CycleRejected),
+            Err(e) => panic!("closed-loop streams retire nothing early: {e:?}"),
+        }
+    }
+
+    fn commit(&mut self, txn: TxnId) {
+        self.engine.commit(txn);
+    }
+
+    fn abort(&mut self, txn: TxnId) {
+        let admitted = self.engine.admitted();
+        let k = admitted
+            .iter()
+            .position(|o| o.txn == txn)
+            .unwrap_or(admitted.len());
+        let survivors: Vec<usize> = (k..admitted.len())
+            .filter(|&i| admitted[i].txn != txn)
+            .map(|i| self.arcs[i])
+            .collect();
+        self.undone += self.arcs[k..].iter().sum::<usize>() as u64;
+        self.replayed += survivors.len() as u64;
+        self.aborts += 1;
+        let t0 = Instant::now();
+        self.engine.abort(txn);
+        self.abort_ns += t0.elapsed().as_nanos() as u64;
+        // A survivor keeps the count of its first grant.
+        self.arcs.truncate(k);
+        self.arcs.extend(survivors);
+    }
+}
+
+/// One request and one abort of the engine on the repository benchmark's
+/// long-lived sets (`relser_bench::streams`): every set of the pool runs
+/// to commit on six closed-loop streams, under the relative and under
+/// the absolute spec. A sample runs whole sets, cycling through the
+/// pool, until it has seen `iters` events of its kind, and reports their
+/// timed share scaled to `iters`. Beside the rows, one pass over the
+/// pool prints the requests and aborts it made (identical across builds
+/// that decide alike) and three counts: arcs handed to the graph per
+/// admission, journal entries undone per abort (bounded above by the
+/// popped admissions' arcs) and survivors replayed per abort.
+fn bench_longlived(h: &mut Harness) {
+    let mut group = h.group("rsg_sgt_longlived");
+    group.sample_size(5);
+    for (label, relative) in [("rel", true), ("abs", false)] {
+        let sets = long_lived_sets(relative);
+        let mut cursor = 0usize;
+        let mut timed = |iters: u64, pick: fn(&Counted) -> (u64, u64)| {
+            let (mut ns, mut n) = (0u64, 0u64);
+            while n < iters {
+                let set = &sets[cursor % sets.len()];
+                cursor += 1;
+                let mut c = Counted::new(&set.txns, &set.spec);
+                set.run(&mut c);
+                let (a, b) = pick(&c);
+                ns += a;
+                n += b;
+            }
+            Duration::from_nanos((ns as u128 * u128::from(iters) / u128::from(n)) as u64)
+        };
+        group.bench_function(format!("request/longlived/{label}"), |b| {
+            b.iter_custom(|iters| timed(iters, |c| (c.request_ns, c.grants + c.aborts)))
+        });
+        group.bench_function(format!("abort/longlived/{label}"), |b| {
+            b.iter_custom(|iters| timed(iters, |c| (c.abort_ns, c.aborts)))
+        });
+        let mut run = LoopRun::default();
+        let (mut grants, mut arcs, mut undone, mut replayed) = (0u64, 0u64, 0u64, 0u64);
+        for set in &sets {
+            let mut c = Counted::new(&set.txns, &set.spec);
+            let r = set.run(&mut c);
+            run.requests += r.requests;
+            run.aborts += r.aborts;
+            grants += c.grants;
+            arcs += c.granted_arcs;
+            undone += c.undone;
+            replayed += c.replayed;
+        }
+        let per = |x: u64, n: u64| x as f64 / n.max(1) as f64;
+        println!(
+            "  longlived/{label}: {SETS} sets x {STREAMS} streams: {} requests, {} aborts; \
+             {:.1} arcs/admission, <= {:.1} journal entries undone/abort, \
+             {:.1} survivors replayed/abort",
+            run.requests,
+            run.aborts,
+            per(arcs, grants),
+            per(undone, run.aborts),
+            per(replayed, run.aborts),
+        );
+    }
+}
+
 fn main() {
     let mut h = Harness::new("incremental");
     // Provenance: which code and which workload produced these figures.
@@ -182,6 +332,7 @@ fn main() {
     bench_depends_on(&mut h);
     bench_construct(&mut h);
     bench_commit(&mut h);
+    bench_longlived(&mut h);
     // Anchor at the workspace root, not the bench cwd, so the tracked
     // file is always the one that gets refreshed.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_rsg_sgt.json");

@@ -2,12 +2,18 @@
 //! no system profiler is available (this container has no `perf`).
 //!
 //! Wraps `RsgSgt`'s engine in a timing adapter that measures, per
-//! request, the delta computation (`propose`) and the full admission
-//! (`try_admit`, which recomputes the delta in scratch and applies it to
-//! the dag), plus rollback time in `abort`. `try_admit − propose` then
-//! approximates the dag batch-application share; extend the adapter with
-//! more `Instant` spans when a finer split is needed (that is how the
-//! per-head batch DFS and the scratch-buffer reuse wins were found).
+//! request, the delta computation (`propose`: the ancestor-bitset union,
+//! then the clock-skeleton pair of each moved maximum) and the full
+//! admission (`try_admit`, which recomputes the delta in scratch and
+//! applies it to the dag), plus rollback time in `abort`. `try_admit −
+//! propose` then approximates the dag batch-application share; extend
+//! the adapter with more `Instant` spans when a finer split is needed
+//! (that is how the per-head batch DFS and the scratch-buffer reuse wins
+//! were found, and how the per-ancestor arc family showed up as the
+//! long-lived regime's cost). The same split on the repository
+//! benchmark's long-lived sets, with arcs per admission and the rollback
+//! counts beside it, is the `incremental` bench's `rsg_sgt_longlived`
+//! group.
 //!
 //! Run on an idle machine (a concurrent build inflates every row), at
 //! least twice, and read the minimum — outside load only ever inflates:

@@ -25,4 +25,5 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod streams;
 pub mod table;

@@ -9,20 +9,108 @@
 //! sweep has retired exactly the transactions a full-scan fixpoint over
 //! the admitted prefix retires. A third pair runs both formulations end
 //! to end through the protocols crate's driver: the oracle's histories
-//! are relatively serializable, and both commit the same history.
+//! are relatively serializable, and both commit the same history. Every
+//! rejection the lockstep meets names a genuine RSG cycle of the extended
+//! prefix, hop by hop.
 
 use proptest::prelude::*;
 use relser_check::RsgSgtOracle;
 use relser_core::classes::is_relatively_serializable;
 use relser_core::ids::{OpId, TxnId};
-use relser_core::op::Operation;
+use relser_core::incremental::{AdmitError, IncrementalRsg};
+use relser_core::op::{AccessMode, Operation};
 use relser_core::rsg::Rsg;
 use relser_core::schedule::Schedule;
+use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::driver::{run, RunConfig};
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{Decision, Scheduler};
 use relser_workload::{random_spec, random_txns, RandomConfig};
+
+/// The RSG of an executed prefix, built by [`Rsg::build`] on a complete
+/// schedule: each operation the prefix has not executed becomes a read of
+/// an object of its own, run after the prefix in program order. Such an
+/// operation conflicts with nothing, so it depends only on its own
+/// transaction and induces no cross arc, while the I-chains, the units
+/// and every arc the prefix induces stay the original universe's.
+fn prefix_rsg(txns: &TxnSet, spec: &AtomicitySpec, prefix: &[OpId]) -> Rsg {
+    let mut executed = vec![0u32; txns.len()];
+    for op in prefix {
+        executed[op.txn.index()] = op.index + 1;
+    }
+    let mut sub = TxnSet::new();
+    for t in txns.txns() {
+        let ops: Vec<(AccessMode, String)> = t
+            .ops()
+            .iter()
+            .enumerate()
+            .map(|(j, o)| {
+                if (j as u32) < executed[t.id().index()] {
+                    (o.mode, txns.objects().name(o.object).to_string())
+                } else {
+                    (
+                        AccessMode::Read,
+                        format!("unexecuted.{}.{j}", t.id().index()),
+                    )
+                }
+            })
+            .collect();
+        let pairs: Vec<(AccessMode, &str)> = ops.iter().map(|(m, n)| (*m, n.as_str())).collect();
+        sub.add(&pairs).expect("same program lengths");
+    }
+    let mut sub_spec = AtomicitySpec::absolute(&sub);
+    for i in txns.txn_ids() {
+        for j in txns.txn_ids().filter(|&j| j != i) {
+            sub_spec
+                .set_breakpoints(i, j, spec.breakpoints(i, j))
+                .expect("same program lengths");
+        }
+    }
+    let mut order = prefix.to_vec();
+    for t in txns.txns() {
+        let id = t.id();
+        order.extend((executed[id.index()]..t.len() as u32).map(|j| OpId::new(id, j)));
+    }
+    let schedule = Schedule::new(&sub, order).expect("prefix, then the rest in program order");
+    Rsg::build(&sub, &schedule, &sub_spec)
+}
+
+/// Re-proposes the refused `op` on a copy of `engine` and checks the
+/// rejection: the closing arc and every hop of its cycle are arcs of the
+/// RSG of `admitted + op`, the closing arc with at least its kinds.
+fn assert_rejection_is_an_rsg_cycle(
+    txns: &TxnSet,
+    spec: &AtomicitySpec,
+    engine: &IncrementalRsg,
+    op: OpId,
+) {
+    let rej = match engine.clone().try_admit(op) {
+        Err(AdmitError::Cycle(rej)) => rej,
+        other => panic!("{op:?} was refused, a copy answers {other:?}"),
+    };
+    let mut prefix = engine.admitted().to_vec();
+    prefix.push(op);
+    let rsg = prefix_rsg(txns, spec, &prefix);
+    let (from, to, kinds) = rej.arc;
+    assert_eq!(
+        (rej.cycle.first(), rej.cycle.last()),
+        (Some(&to), Some(&from))
+    );
+    let closing = rsg.arc_between(from, to);
+    assert!(
+        closing.is_some_and(|k| k.contains(kinds)),
+        "closing arc {from:?} -> {to:?} ({kinds}) vs RSG {closing:?}"
+    );
+    for hop in rej.cycle.windows(2) {
+        assert!(
+            rsg.arc_between(hop[0], hop[1]).is_some(),
+            "hop {:?} -> {:?} is no RSG arc of the extended prefix",
+            hop[0],
+            hop[1]
+        );
+    }
+}
 
 proptest! {
     // The ISSUE acceptance bar: ≥ 1,000 randomized workloads.
@@ -94,6 +182,7 @@ proptest! {
                     }
                 }
                 Decision::Aborted(_) => {
+                    assert_rejection_is_an_rsg_cycle(&txns, &spec, inc.engine(), op);
                     oracle.abort(TxnId(t as u32));
                     inc.abort(TxnId(t as u32));
                     cursor[t] = 0;
@@ -238,6 +327,10 @@ proptest! {
                     committed[t] = true;
                 }
                 None | Some(Decision::Aborted(_)) => {
+                    if decision.is_some() {
+                        let op = OpId::new(id, cursor[t]);
+                        assert_rejection_is_an_rsg_cycle(&txns, &spec, inc.engine(), op);
+                    }
                     oracle.abort(id);
                     inc.abort(id);
                     cursor[t] = 0;

@@ -4,18 +4,27 @@
 //! The offline builder ([`crate::rsg::Rsg`]) recomputes the depends-on
 //! closure and every arc family from scratch; doing that per scheduler
 //! request costs O(P²) in the executed prefix length P. This module
-//! maintains the same graph *incrementally*: admitting one operation
-//! produces exactly the new D/F/B arcs it induces (an [`RsgDelta`]) in
-//! time proportional to the operation's depends-on set, with no
-//! recomputation of the closure.
+//! maintains a graph with the same cycles *incrementally*: admitting one
+//! operation produces the few new arcs it induces (an [`RsgDelta`]) from
+//! the operation's depends-on set, with no recomputation of the closure.
 //!
-//! ## Why deltas are exact
+//! ## Why the skeleton suffices
+//!
+//! Theorem 1 asks only whether the RSG is acyclic, so the engine keeps the
+//! vector-clock certifier's *clock skeleton* ([`crate::vclock`]) rather
+//! than the whole Definition 3 family: the static I-chains plus, per
+//! admitted operation and per other transaction whose maximal dependency
+//! moved past the program-order predecessor's, one F-arc and one B-arc.
+//! Why that loses no cycle is argued once, in that module's "Why one
+//! linear pass suffices" and "Only a moved maximum needs arcs": skeleton ⊆
+//! RSG ⊆ closure(skeleton), so the skeleton is acyclic iff the RSG is, and
+//! a cycle found in it is an RSG cycle hop by hop. One function,
+//! `vclock::skeleton_pair`, writes the pair for both.
 //!
 //! The depends-on relation (§2) is the transitive closure of program
 //! order and conflicts, both of which point from earlier to later
 //! schedule positions. Appending an operation `o` therefore never
-//! changes the ancestor set of an already-admitted operation: the only
-//! new depends-on pairs are `(u, o)` for
+//! changes the ancestor set of an already-admitted operation:
 //!
 //! ```text
 //! ancestors(o) = ⋃ { ancestors(p) ∪ {p} : p direct predecessor of o }
@@ -25,10 +34,12 @@
 //! every earlier admitted conflicting access to `o`'s object. The engine
 //! stores `ancestors` as one [`BitSet`] per admitted operation (indexed
 //! by *global operation id*), so the union is a word-parallel O(P/64)
-//! sweep. Each cross-transaction ancestor `u` then contributes the
-//! Definition 3 arcs: the D-arc `u → o`, the F-arc
-//! `PushForward(u, txn(o)) → o`, and the B-arc
-//! `o's PullBackward image: u → PullBackward(o, txn(u))`.
+//! sweep. Global ids are contiguous per transaction, so the walk over the
+//! union meets each ancestor transaction as one ascending run whose last
+//! member is `o`'s maximal dependency on it. That maximum moved iff the
+//! predecessor's row lacks it; a first operation has no predecessor, so
+//! every maximum of it moved. A delta is two arcs per moved maximum (one
+//! where they coincide), not three per ancestor operation.
 //!
 //! Nodes for **all** operations (and the I-arc skeleton) are installed up
 //! front from the static transaction programs — push-forward/pull-backward
@@ -41,8 +52,13 @@
 //! journalled: the graph arcs via [`relser_digraph::BatchUndo`] and the
 //! ancestor/access tables by position. An abort undoes journals
 //! newest-first down to the aborted transaction's first admission and
-//! replays the surviving suffix — replay cannot fail, because the replayed
-//! graph is a subgraph of the previously acyclic one.
+//! replays the surviving suffix. Replay need not re-create old arcs: once
+//! the aborted operations leave a survivor's ancestors, its maximum on
+//! some transaction may drop, and the pair of the lower maximum is new.
+//! It still cannot close a cycle. Every replayed arc is an RSG arc of the
+//! surviving prefix; that RSG is a subgraph of the old prefix's (fewer
+//! operations, fewer depends-on pairs), which lies in the closure of the
+//! old, acyclic skeleton. So replay is trusted to skip the cycle search.
 //!
 //! Committed transactions are *retired* once every arc into them
 //! originates from retired nodes (or their own): retired nodes are masked
@@ -50,6 +66,15 @@
 //! anything. Retirement is sound because an admission only ever targets
 //! the requester's own nodes — a committed transaction never gains new
 //! incoming arcs — so no future cycle can enter the retired region.
+//!
+//! The skeleton pins exactly what the full RSG pins. `pinned` asks for a
+//! *direct* in-arc from another unretired transaction `T_i`. In the RSG,
+//! `t` has one iff some operation of `t` depends on an operation of
+//! `T_i`. In the skeleton too: the first operation of `t` that depends on
+//! `T_i` follows a predecessor that does not, so its maximum on `T_i`
+//! moved, and its B-arc runs from `T_i` into `t`. Every skeleton arc into
+//! `t` comes from such an ancestor transaction, so retirement, and with
+//! it every later decision, is the one the full family would give.
 //!
 //! The retirement sweep works on what changed, not on all n
 //! transactions. A committed transaction's in-arcs are the arcs its own
@@ -92,16 +117,18 @@ use crate::ids::{OpId, TxnId};
 use crate::rsg::ArcKinds;
 use crate::spec::AtomicitySpec;
 use crate::txn::TxnSet;
+use crate::vclock::skeleton_pair;
 use relser_digraph::bitset::BitSet;
 use relser_digraph::incremental::ArcRejection;
 use relser_digraph::{BatchUndo, IncrementalDag, NodeIdx};
 
-/// The exact set of new arcs one admitted operation adds to the RSG.
+/// The clock-skeleton arcs one admitted operation adds (module docs).
 ///
 /// I-arcs are static (installed with the node skeleton at construction),
-/// so a delta carries only the D/F/B arcs induced by the operation's new
-/// depends-on pairs. Arcs are merged per ordered endpoint pair and sorted
-/// for determinism.
+/// so a delta carries only the F/B pairs of the operation's moved
+/// maxima, each also labelled D where it is the direct dependency arc.
+/// Every arc is an RSG arc of the admitted prefix. Arcs are merged per
+/// ordered endpoint pair and sorted for determinism.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RsgDelta {
     /// The operation whose admission induces these arcs.
@@ -129,14 +156,16 @@ impl RsgDelta {
 pub struct AdmitSummary {
     /// The admitted operation.
     pub op: OpId,
-    /// Number of D/F/B arcs the admission applied (after per-pair merging).
+    /// Number of skeleton arcs the admission handed to the graph (after
+    /// per-pair merging).
     pub arcs: usize,
     /// Number of operations `op` depends on.
     pub depends_on: usize,
 }
 
 /// Why an admission was refused: one of the delta's arcs would have
-/// closed a cycle in the RSG (Theorem 1 violated by the extended prefix).
+/// closed a cycle (Theorem 1 violated by the extended prefix). Every hop
+/// of `cycle` and the closing `arc` are RSG arcs of the extended prefix.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Rejection {
     /// The refused operation.
@@ -278,18 +307,9 @@ pub struct IncrementalRsg {
 struct Scratch {
     /// Depends-on closure of the operation being proposed.
     ancestors: BitSet,
-    /// Arc merge buffer: `((from << 32) | to, kinds)`, sorted ascending
-    /// and key-coalesced — replaces the old per-propose `HashMap`. The
-    /// packed-key order is exactly the old `(from, to)` lexicographic arc
-    /// order, so decisions and rejection reports are bit-for-bit
-    /// unchanged.
+    /// The delta being built: `((from << 32) | to, kinds)`, ascending
+    /// and key-coalesced.
     merged: Vec<(u64, ArcKinds)>,
-    /// D/B-arc stream for the merge producing `merged` (already sorted:
-    /// keys ascend with the ancestor id).
-    dbuf: Vec<(u64, ArcKinds)>,
-    /// F-arc stream for the merge (already sorted: `push_forward` targets
-    /// ascend as the ancestor walk ascends).
-    fbuf: Vec<(u64, ArcKinds)>,
     /// Node-index batch handed to the dag.
     batch: Vec<(NodeIdx, NodeIdx, ArcKinds)>,
     /// Abort replay suffix.
@@ -425,8 +445,7 @@ impl IncrementalRsg {
     pub fn propose(&self, op: OpId) -> RsgDelta {
         let mut ancestors = BitSet::with_capacity(self.total as usize);
         let mut merged = Vec::new();
-        let (mut dbuf, mut fbuf) = (Vec::new(), Vec::new());
-        self.propose_into(op, &mut ancestors, &mut merged, &mut dbuf, &mut fbuf);
+        self.propose_into(op, &mut ancestors, &mut merged);
         RsgDelta {
             op,
             arcs: merged
@@ -442,14 +461,7 @@ impl IncrementalRsg {
     /// capacity `total`; both buffers are cleared and refilled. `merged`
     /// ends sorted by packed `(from << 32) | to` key with per-pair kinds
     /// coalesced — the same deterministic arc order `propose` publishes.
-    fn propose_into(
-        &self,
-        op: OpId,
-        ancestors: &mut BitSet,
-        merged: &mut Vec<(u64, ArcKinds)>,
-        dbuf: &mut Vec<(u64, ArcKinds)>,
-        fbuf: &mut Vec<(u64, ArcKinds)>,
-    ) {
+    fn propose_into(&self, op: OpId, ancestors: &mut BitSet, merged: &mut Vec<(u64, ArcKinds)>) {
         let g = self.global(op);
         let operation = self.txns.op(op).expect("operation belongs to the set");
 
@@ -460,12 +472,13 @@ impl IncrementalRsg {
         // predecessor is `g - 1`.
         ancestors.clear();
         let base = self.offset[op.txn.index()];
+        let mut prev_row = None;
         if g > base {
-            let prev = g - 1;
-            if let Some(prev_anc) = &self.ancestors[prev as usize] {
+            prev_row = self.ancestors[g as usize - 1].as_ref();
+            if let Some(prev_anc) = prev_row {
                 ancestors.union_with(prev_anc);
             }
-            ancestors.insert(prev as usize);
+            ancestors.insert(g as usize - 1);
         }
         if let Some(accesses) = self.accesses.get(operation.object.index()) {
             for &(u, was_write) in accesses {
@@ -478,94 +491,38 @@ impl IncrementalRsg {
             }
         }
 
-        // Definition 3 arcs for every *new* depends-on pair (u, op).
+        // The skeleton pair of each moved maximum: a run's last member is
+        // the maximum, and it moved iff the predecessor's row lacks it.
+        // Runs ascend by transaction and each pair is B-then-F in key
+        // order, so `merged` comes out sorted; the only equal keys are a
+        // pair that coincides, merged in place.
         //
-        // `ancestors` iterates ascending global ids and global ids are
-        // contiguous per transaction, so same-transaction ancestors form
-        // one run: the per-ancestor `push_forward`/`pull_backward` unit
-        // searches reduce to a pointer walked monotonically through the
-        // breakpoint list, recomputed once per run instead of per
-        // ancestor. The walk emits two already-sorted packed-key streams
-        // — D/B arcs (keys ascend with `u`; within one `u` the B key
-        // `(u, pb)` precedes the D key `(u, g)` because `pb <= g`) and F
-        // arcs (`push_forward` targets are non-decreasing along the walk,
-        // with duplicates therefore adjacent) — and a linear merge with
-        // key coalescing replaces the old O(n log n) sort. The output is
-        // the identical sorted, per-pair-merged arc list.
-        //
-        // Arcs with a retired endpoint are omitted as before: every
-        // D/F/B arc has one endpoint in `op.txn`, so a retired proposer
-        // emits nothing (the abort-replay case), and arcs touching a
-        // retired ancestor transaction are dropped by skipping that run.
+        // Arcs with a retired endpoint are omitted: every pair has one
+        // endpoint in `op.txn` and the other in the run's transaction, so
+        // a retired proposer emits nothing (the abort-replay case), and a
+        // retired ancestor transaction's run is skipped.
         merged.clear();
-        dbuf.clear();
-        fbuf.clear();
-        if !self.retired[op.txn.index()] {
-            let mut anc_txn = usize::MAX;
-            let mut fwd: &[u32] = &[]; // breakpoints(anc_txn, op.txn)
-            let mut fwd_unit = 0usize;
-            let mut anc_base = 0u32;
-            let mut anc_last = 0u32; // last op index of anc_txn
-            let mut pb_g = 0u32; // global id of pull_backward(op, anc_txn)
-            let gg = u64::from(g);
-            for u in ancestors.iter() {
-                let ut = self.owner[u].index();
-                if ut == op.txn.index() || self.retired[ut] {
-                    continue; // D-arcs are cross-transaction only
-                }
-                if ut != anc_txn {
-                    anc_txn = ut;
-                    let ut_id = self.owner[u];
-                    fwd = self.spec.breakpoints(ut_id, op.txn);
-                    fwd_unit = 0;
-                    anc_base = self.offset[ut];
-                    anc_last = self.txns.txns()[ut].len() as u32 - 1;
-                    let back = self.spec.breakpoints(op.txn, ut_id);
-                    let unit = back.partition_point(|&bp| bp <= op.index);
-                    let first = if unit == 0 { 0 } else { back[unit - 1] };
-                    pb_g = base + first;
-                }
-                let u_index = u as u32 - anc_base;
-                while fwd_unit < fwd.len() && fwd[fwd_unit] <= u_index {
-                    fwd_unit += 1;
-                }
-                let last = if fwd_unit == fwd.len() {
-                    anc_last
-                } else {
-                    fwd[fwd_unit] - 1
-                };
-                let ukey = u64::from(u as u32) << 32;
-                if pb_g == g {
-                    dbuf.push((ukey | gg, ArcKinds::D | ArcKinds::B));
-                } else {
-                    dbuf.push((ukey | u64::from(pb_g), ArcKinds::B));
-                    dbuf.push((ukey | gg, ArcKinds::D));
-                }
-                let fkey = (u64::from(anc_base + last) << 32) | gg;
-                match fbuf.last_mut() {
-                    Some(prev) if prev.0 == fkey => {}
-                    _ => fbuf.push((fkey, ArcKinds::F)),
+        if self.retired[op.txn.index()] {
+            return;
+        }
+        let mut walk = ancestors.iter().peekable();
+        while let Some(u) = walk.next() {
+            let ut = self.owner[u];
+            if walk.peek().is_some_and(|&v| self.owner[v] == ut)
+                || ut == op.txn
+                || self.retired[ut.index()]
+                || prev_row.is_some_and(|row| row.contains(u))
+            {
+                continue;
+            }
+            for (from, to, kinds) in skeleton_pair(&self.spec, self.op_of(u as u32), op) {
+                let key = (u64::from(self.global(from)) << 32) | u64::from(self.global(to));
+                match merged.last_mut() {
+                    Some(last) if last.0 == key => last.1 |= kinds,
+                    _ => merged.push((key, kinds)),
                 }
             }
         }
-        let (mut i, mut j) = (0, 0);
-        while i < dbuf.len() && j < fbuf.len() {
-            let (dk, dv) = dbuf[i];
-            let (fk, fv) = fbuf[j];
-            if dk < fk {
-                merged.push((dk, dv));
-                i += 1;
-            } else if fk < dk {
-                merged.push((fk, fv));
-                j += 1;
-            } else {
-                merged.push((dk, dv | fv));
-                i += 1;
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&dbuf[i..]);
-        merged.extend_from_slice(&fbuf[j..]);
     }
 
     /// Attempts to admit `op`: applies its delta atomically. On success a
@@ -605,13 +562,7 @@ impl IncrementalRsg {
         s: &mut Scratch,
         trusted: bool,
     ) -> Result<AdmitSummary, AdmitError> {
-        self.propose_into(
-            op,
-            &mut s.ancestors,
-            &mut s.merged,
-            &mut s.dbuf,
-            &mut s.fbuf,
-        );
+        self.propose_into(op, &mut s.ancestors, &mut s.merged);
         s.batch.clear();
         for &(key, k) in s.merged.iter() {
             let (a, b) = ((key >> 32) as usize, key as u32 as usize);
@@ -877,72 +828,11 @@ impl IncrementalRsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper::Figure1;
     use crate::rsg::Rsg;
     use crate::schedule::Schedule;
-    use std::collections::HashMap;
 
     fn op(t: u32, j: u32) -> OpId {
         OpId::new(TxnId(t), j)
-    }
-
-    /// Feeds a complete schedule; panics on rejection. Returns the delta
-    /// each admission applied (proposed before admitting, since
-    /// `try_admit` itself returns only a summary).
-    fn feed(engine: &mut IncrementalRsg, schedule: &Schedule) -> Vec<RsgDelta> {
-        schedule
-            .ops()
-            .iter()
-            .map(|&o| {
-                let delta = engine.propose(o);
-                let summary = engine.try_admit(o).expect("schedule known admissible");
-                assert_eq!(summary.arcs, delta.arcs.len());
-                assert_eq!(summary.depends_on, delta.depends_on_count());
-                delta
-            })
-            .collect()
-    }
-
-    /// The union of all deltas plus the static I-skeleton is exactly the
-    /// offline RSG of the admitted schedule.
-    #[test]
-    fn delta_union_equals_offline_rsg() {
-        let fig = Figure1::new();
-        for schedule in [fig.s_ra(), fig.s_2()] {
-            let mut engine = IncrementalRsg::new(&fig.txns, &fig.spec);
-            let deltas = feed(&mut engine, &schedule);
-
-            let mut incremental: HashMap<(OpId, OpId), ArcKinds> = HashMap::new();
-            for t in fig.txns.txns() {
-                for j in 1..t.len() as u32 {
-                    incremental.insert(
-                        (
-                            op(t.id().index() as u32, j - 1),
-                            op(t.id().index() as u32, j),
-                        ),
-                        ArcKinds::I,
-                    );
-                }
-            }
-            for d in deltas {
-                for (a, b, k) in d.arcs {
-                    *incremental.entry((a, b)).or_insert_with(ArcKinds::empty) |= k;
-                }
-            }
-
-            let offline: HashMap<(OpId, OpId), ArcKinds> =
-                Rsg::build(&fig.txns, &schedule, &fig.spec)
-                    .arcs()
-                    .into_iter()
-                    .map(|(a, b, k)| ((a, b), k))
-                    .collect();
-            assert_eq!(
-                incremental,
-                offline,
-                "schedule {}",
-                schedule.display(&fig.txns)
-            );
-        }
     }
 
     #[test]
@@ -958,7 +848,10 @@ mod tests {
             other => panic!("expected cycle rejection, got {other:?}"),
         };
         assert_eq!(rej.op, op(1, 1));
-        assert!(rej.cycle.len() >= 2, "cycle witness: {:?}", rej.cycle);
+        // w2[x]'s maximum on T1 is w1[x]; its B-arc w1[x] -> r2[x] closes
+        // r2[x] -B-> r1[x] -I-> w1[x], an RSG cycle hop by hop.
+        assert_eq!(rej.arc, (op(0, 1), op(1, 0), ArcKinds::B));
+        assert_eq!(rej.cycle, vec![op(1, 0), op(0, 0), op(0, 1)]);
         // Rejection leaves the engine unchanged.
         assert_eq!(engine.admitted().len(), 3);
     }

@@ -123,6 +123,33 @@ use crate::txn::TxnSet;
 use relser_digraph::{cycle, DiGraph, NodeIdx};
 use std::collections::HashMap;
 
+/// The clock skeleton's arcs for one moved maximum: `max` is `op`'s
+/// maximal dependency on `T_i = txn(max)`, and it moved past the
+/// program-order predecessor's (module docs, "Only a moved maximum needs
+/// arcs"). The pair is the B-arc `max → PullBackward(op, T_i)` and the
+/// F-arc `PushForward(max, txn(op)) → op`, each also labelled D where it
+/// *is* the direct dependency arc `max → op`.
+///
+/// This is the one place the skeleton is written down: the certifier and
+/// [`IncrementalRsg`](crate::incremental::IncrementalRsg) both emit
+/// exactly these arcs. In global-id order the B-arc never sorts after the
+/// F-arc (`max` is at or before its unit's end in `T_i`, and
+/// `PullBackward(op, T_i)` at or before `op`), and the two coincide
+/// exactly when both carry D.
+pub(crate) fn skeleton_pair(
+    spec: &AtomicitySpec,
+    max: OpId,
+    op: OpId,
+) -> [(OpId, OpId, ArcKinds); 2] {
+    let pb = spec.pull_backward(op, max.txn);
+    let pf = spec.push_forward(max, op.txn);
+    let direct = |kinds: ArcKinds, is_d: bool| if is_d { kinds | ArcKinds::D } else { kinds };
+    [
+        (max, pb, direct(ArcKinds::B, pb == op)),
+        (pf, op, direct(ArcKinds::F, pf == max)),
+    ]
+}
+
 /// A dependency clock: one entry per transaction, `clock[i]` = number of
 /// leading operations of `T_i` in the summarized closure (0 = none).
 type Clock = Vec<u32>;
@@ -328,27 +355,12 @@ impl<'a> VClockCertifier<'a> {
                 .filter_map(|(i, (d, p))| (d != p).then_some(i)),
         );
         debug_assert!(!moved.contains(&t));
-        let to = self.gid(op);
         for &i in &moved {
-            let src = OpId::new(TxnId(i as u32), self.scratch[i] - 1);
-            // F-arc: PushForward(src, T_t) → op; it is also the D-arc when
-            // the unit end *is* the maximal dependency itself.
-            let pf = self.spec.push_forward(src, op.txn);
-            let mut kinds = ArcKinds::F;
-            if pf.index == src.index {
-                kinds |= ArcKinds::D;
+            let max = OpId::new(TxnId(i as u32), self.scratch[i] - 1);
+            for (from, to, kinds) in skeleton_pair(self.spec, max, op) {
+                let (from, to) = (self.gid(from), self.gid(to));
+                self.add_arc(from, to, kinds);
             }
-            let from = self.gid(pf);
-            self.add_arc(from, to, kinds);
-            // B-arc: src → PullBackward(op, T_i); also the D-arc when the
-            // unit of `op` starts at `op`.
-            let pb = self.spec.pull_backward(op, src.txn);
-            let mut kinds = ArcKinds::B;
-            if pb.index == op.index {
-                kinds |= ArcKinds::D;
-            }
-            let (from, to_b) = (self.gid(src), self.gid(pb));
-            self.add_arc(from, to_b, kinds);
         }
         self.moved = moved;
 

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use relser_core::classes::{classify, is_relatively_serial};
 use relser_core::depends::DependsOn;
-use relser_core::ids::TxnId;
+use relser_core::ids::{OpId, TxnId};
+use relser_core::incremental::{AdmitError, IncrementalRsg};
 use relser_core::op::AccessMode;
 use relser_core::rsg::Rsg;
 use relser_core::schedule::Schedule;
@@ -301,6 +302,84 @@ proptest! {
             text.contains("conflict serializable: yes"),
             report.conflict_serializable
         );
+    }
+}
+
+/// Feeds `schedule` to the incremental engine and checks the clock
+/// skeleton it builds against the offline RSG: every delta arc is an RSG
+/// arc carrying at least the delta's kinds (skeleton ⊆ RSG), and, when
+/// the engine admits the whole schedule, every RSG arc is a path of the
+/// static I-chains plus the deltas (RSG ⊆ closure(skeleton)). The engine
+/// admits the whole schedule iff its RSG is acyclic.
+fn assert_skeleton_sandwich(txns: &TxnSet, schedule: &Schedule, spec: &AtomicitySpec) {
+    let rsg = Rsg::build(txns, schedule, spec);
+    let mut engine = IncrementalRsg::new(txns, spec);
+    let mut skeleton: Vec<(OpId, OpId)> = Vec::new();
+    for t in txns.txns() {
+        for j in 1..t.len() as u32 {
+            skeleton.push((OpId::new(t.id(), j - 1), OpId::new(t.id(), j)));
+        }
+    }
+    for &op in schedule.ops() {
+        let delta = engine.propose(op);
+        match engine.try_admit(op) {
+            Ok(summary) => assert_eq!(summary.arcs, delta.arcs.len()),
+            Err(AdmitError::Cycle(_)) => {
+                assert!(!rsg.is_acyclic(), "engine refused an acyclic schedule");
+                return;
+            }
+            Err(e) => panic!("in-order feed: {e:?}"),
+        }
+        for (a, b, kinds) in delta.arcs {
+            let rsg_kinds = rsg
+                .arc_between(a, b)
+                .unwrap_or_else(|| panic!("skeleton arc {a:?} -> {b:?} is no RSG arc"));
+            assert!(
+                rsg_kinds.contains(kinds),
+                "{a:?} -> {b:?}: {kinds} vs {rsg_kinds}"
+            );
+            skeleton.push((a, b));
+        }
+    }
+    assert!(rsg.is_acyclic(), "engine admitted a cyclic schedule");
+    let reaches = |from: OpId, to: OpId| {
+        let (mut seen, mut stack) = (vec![from], vec![from]);
+        while let Some(v) = stack.pop() {
+            for &(a, b) in &skeleton {
+                if a == v && !seen.contains(&b) {
+                    seen.push(b);
+                    stack.push(b);
+                }
+            }
+        }
+        seen.contains(&to)
+    };
+    for (a, b, _) in rsg.arcs() {
+        assert!(
+            reaches(a, b),
+            "RSG arc {a:?} -> {b:?} outside closure(skeleton)"
+        );
+    }
+}
+
+/// The sandwich skeleton ⊆ RSG ⊆ closure(skeleton) on the paper's
+/// Figure 1 schedules.
+#[test]
+fn skeleton_is_sandwiched_on_figure1_schedules() {
+    let fig = relser_core::paper::Figure1::new();
+    for schedule in [fig.s_ra(), fig.s_rs(), fig.s_2()] {
+        assert_skeleton_sandwich(&fig.txns, &schedule, &fig.spec);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The same sandwich on random universes; a cyclic schedule is
+    /// refused, and the arcs admitted before the refusal are RSG arcs.
+    #[test]
+    fn skeleton_is_sandwiched_on_random_universes(u in arb_universe(true)) {
+        assert_skeleton_sandwich(&u.txns, &u.schedule, &u.spec);
     }
 }
 

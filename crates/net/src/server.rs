@@ -187,7 +187,9 @@ fn run_front_end<'scope, R>(
 /// own result. A log written through `wal` (a
 /// [`relser_wal::SegmentedWal`], one segment under
 /// [`relser_wal::CheckpointPolicy::never`]) is recovered with
-/// [`relser_server::recover_segments_with_certifier`].
+/// [`relser_server::recover_segments_with_certifier`]. A resumed log's
+/// head ([`relser_wal::CommitLog::head`]) seeds the core with the earlier
+/// life's commits, as under `serve_sharded`.
 ///
 /// The scheduler may borrow `txns` (e.g. `RsgSgt::new(&txns, &spec)`),
 /// which is why the server runs under `thread::scope` behind a closure

@@ -1,17 +1,22 @@
-//! End-to-end durability on a real segment directory: a service logs to
-//! [`DirSegmentStore`] files, a crash leaves a torn frame on the newest
-//! segment, recovery reads the directory back, and a second service life
-//! resumes on the same directory. A resumed log never appends to an old
-//! file: it opens a fresh segment and deletes the old ones, so the torn
-//! bytes are removed, not buried mid-log.
+//! End-to-end durability on a real segment directory, through both
+//! entry points that take a caller-owned log (`serve_sharded` and
+//! `serve_net`): a service logs to [`DirSegmentStore`] files, a crash
+//! leaves a torn frame on the newest segment, recovery reads the
+//! directory back, and a second service life resumes on the same
+//! directory. A resumed log never appends to an old file: it opens a
+//! fresh segment and deletes the old ones, so the torn bytes are removed,
+//! not buried mid-log. Both lives rotate every four records, so the
+//! second life's checkpoints must carry the first life's commits: its
+//! core seeds itself from the resumed log's head.
 
 use relser_core::ids::TxnId;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
+use relser_net::{drive_resilient, serve_net, ChaosPlan, NetConfig, ResilientConfig};
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::Decision;
 use relser_server::recovery::{recover_segments_with_certifier, Certifier, Recovery};
-use relser_server::{serve_sharded, RunOutcome, ServerConfig, ShardedReport, TraceEvent};
+use relser_server::{serve_sharded, FaultPlan, RunOutcome, ServerConfig, TraceEvent};
 use relser_wal::{
     Checkpoint, CheckpointEvent, CheckpointPolicy, CommitLog, DirSegmentStore, FsyncPolicy,
     SegmentedWal,
@@ -32,13 +37,23 @@ const SOURCES: [&str; 8] = [
     "w8[z] r8[y]",
 ];
 
-/// One service life over `scheduler` serving `stream`, logging to `wal`.
-fn serve(
+/// A checkpoint every four records: both lives rotate.
+const EVERY_FOUR: CheckpointPolicy = CheckpointPolicy {
+    every_records: 4,
+    every_bytes: u64::MAX,
+};
+
+/// One service life over `scheduler` serving `stream`, logging to `wal`;
+/// returns the commits its core reports in core order: those the log
+/// opened with, then its own.
+type Life = fn(&TxnSet, &RequestStream, RsgSgt, &mut SegmentedWal) -> Vec<TxnId>;
+
+fn life_on_serve_sharded(
     txns: &TxnSet,
     stream: &RequestStream,
     scheduler: RsgSgt,
     wal: &mut SegmentedWal,
-) -> ShardedReport {
+) -> Vec<TxnId> {
     let cfg = ServerConfig {
         workers: 3,
         ..ServerConfig::default()
@@ -52,7 +67,36 @@ fn serve(
         vec![wal as &mut dyn CommitLog],
     );
     assert_eq!(report.outcome, RunOutcome::Completed);
-    report
+    report.committed
+}
+
+fn life_on_serve_net(
+    txns: &TxnSet,
+    stream: &RequestStream,
+    scheduler: RsgSgt,
+    wal: &mut SegmentedWal,
+) -> Vec<TxnId> {
+    let (report, stats) = serve_net(
+        txns,
+        Box::new(scheduler),
+        &NetConfig::default(),
+        &FaultPlan::default(),
+        Some(wal),
+        |addr| {
+            drive_resilient(
+                addr,
+                txns,
+                stream,
+                &ResilientConfig::default(),
+                &ChaosPlan::quiet(),
+            )
+        },
+    )
+    .expect("serve_net");
+    for (t, _) in &stats.committed {
+        assert!(report.committed.contains(t), "acked {t:?} is reported");
+    }
+    report.committed
 }
 
 /// Reads the directory's segments back and recovers them.
@@ -100,36 +144,32 @@ fn head_of(rec: &Recovery) -> Checkpoint {
     }
 }
 
-/// Two service lives on one directory with a torn frame between them:
-/// every commit of both lives recovers exactly once, the torn segment is
-/// deleted by the resume, and a life under a small checkpoint policy
-/// leaves only its newest segment on disk.
-#[test]
-fn a_segment_directory_survives_a_torn_tail_and_a_second_life() {
+/// Two service lives of `life` on one directory with a torn frame
+/// between them: every commit of both lives recovers exactly once, the
+/// torn segment is deleted by the resume, and each life leaves only its
+/// newest segment on disk.
+fn two_lives_on_one_directory(life: Life, name: &str) {
     let txns = TxnSet::parse(&SOURCES).unwrap();
     let spec = AtomicitySpec::absolute(&txns);
-    let dir = std::env::temp_dir().join(format!("relser-segdir-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("relser-segdir-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Life 1 serves the first half of the universe and rotates often.
+    // Life 1 serves the first half of the universe.
     let first_half = TxnSet::parse(&SOURCES[..4]).unwrap();
     let mut wal = SegmentedWal::new(
         Box::new(DirSegmentStore::new(&dir).unwrap()),
         FsyncPolicy::Always,
-        CheckpointPolicy {
-            every_records: 4,
-            every_bytes: u64::MAX,
-        },
+        EVERY_FOUR,
     )
     .unwrap();
-    let life1 = serve(
+    let life1 = life(
         &txns,
         &RequestStream::in_order(&first_half),
         RsgSgt::new(&txns, &spec),
         &mut wal,
     );
-    assert_eq!(life1.committed.len(), 4);
-    let checkpoints = life1.shards[0].checkpoints;
+    assert_eq!(life1.len(), 4);
+    let checkpoints = wal.segment_stats().checkpoints;
     assert!(checkpoints >= 1, "a cadence of 4 records must rotate");
     drop(wal);
     let listed = DirSegmentStore::list(&dir).unwrap();
@@ -148,14 +188,15 @@ fn a_segment_directory_survives_a_torn_tail_and_a_second_life() {
 
     let (prior, rec, scheduler) = recover_dir(&txns, &spec, &dir);
     assert!(rec.truncation.is_some(), "the torn tail must be detected");
-    assert_eq!(rec.committed, life1.committed);
+    assert_eq!(rec.committed, life1);
 
-    // Life 2 resumes on the same directory and serves the second half.
+    // Life 2 resumes on the same directory, serves the second half and
+    // rotates too: its checkpoints must still carry life 1's commits.
     let next_seq = prior.last().unwrap() + 1;
     let mut wal = SegmentedWal::resume(
         Box::new(DirSegmentStore::new(&dir).unwrap()),
         FsyncPolicy::Always,
-        CheckpointPolicy::never(),
+        EVERY_FOUR,
         head_of(&rec),
         next_seq,
         &prior,
@@ -166,16 +207,31 @@ fn a_segment_directory_survives_a_torn_tail_and_a_second_life() {
     for _ in 0..first_half.len() {
         stream.next();
     }
-    let life2 = serve(&txns, &stream, scheduler, &mut wal);
-    assert_eq!(life2.committed.len(), 4);
+    let reported = life(&txns, &stream, scheduler, &mut wal);
+    let mut both = life1;
+    both.extend_from_slice(&reported[reported.len() - 4..]);
+    let stats = wal.segment_stats();
+    assert!(stats.checkpoints >= 1, "life 2 must rotate");
     drop(wal);
 
     let (seqs, rec, _) = recover_dir(&txns, &spec, &dir);
-    assert_eq!(seqs, vec![next_seq]);
+    assert_eq!(seqs, vec![stats.current_seq]);
     assert_eq!(rec.truncation, None);
-    let mut both = life1.committed.clone();
-    both.extend(&life2.committed);
     assert_eq!(rec.committed, both, "each commit of both lives, once");
+    assert_eq!(
+        reported, both,
+        "the core reports the log's commits, then its own"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_segment_directory_survives_a_torn_tail_and_a_second_life_on_serve_sharded() {
+    two_lives_on_one_directory(life_on_serve_sharded, "sharded");
+}
+
+#[test]
+fn a_segment_directory_survives_a_torn_tail_and_a_second_life_on_serve_net() {
+    two_lives_on_one_directory(life_on_serve_net, "net");
 }

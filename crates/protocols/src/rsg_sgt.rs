@@ -12,13 +12,16 @@
 //!   front from the static transaction programs, so push-forward /
 //!   pull-backward targets exist before they execute — exactly the graph
 //!   the offline Theorem 1 checker builds.
-//! * Granting one operation appends exactly the new D/F/B arcs it induces
-//!   (an [`relser_core::incremental::RsgDelta`]), derived from per-source
-//!   depends-on bitsets. Appending an operation never changes the
-//!   dependencies of already-granted operations, so arc insertion is
-//!   monotone and nothing is ever recomputed — the per-request cost is
-//!   proportional to the operation's dependency set plus one bounded
-//!   cycle search, not O(P²) like a rebuild.
+//! * Granting one operation appends the clock-skeleton arcs it induces
+//!   (an [`relser_core::incremental::RsgDelta`]): one F/B pair per
+//!   foreign transaction whose maximal dependency moved, derived from
+//!   per-source depends-on bitsets. The skeleton has the RSG's
+//!   transitive closure, so it is cyclic iff the RSG is. Appending an
+//!   operation never changes the dependencies of already-granted
+//!   operations, so arc insertion is monotone and nothing is ever
+//!   recomputed — the per-request cost is proportional to the
+//!   operation's dependency set plus one bounded cycle search, not O(P²)
+//!   like a rebuild.
 //! * The delta is applied as one **atomic batch**
 //!   ([`relser_digraph::IncrementalDag::try_add_batch_into`]): a request is
 //!   granted iff the batch keeps the graph acyclic; a rejected batch
@@ -31,8 +34,8 @@
 //! the classic SGT abort discipline. Every grant's batch journal is kept;
 //! an abort undoes journals newest-first down to the aborted
 //! transaction's first grant, then replays the surviving suffix (replay
-//! cannot fail — it re-creates a subgraph of the previously acyclic
-//! graph). Committed transactions are *retired* once no arc from a live
+//! cannot fail — every replayed arc lies in the closure of the previously
+//! acyclic graph). Committed transactions are *retired* once no arc from a live
 //! transaction points into them; retired nodes are masked out of every
 //! cycle search, so long-finished transactions stop costing anything.
 //!

@@ -434,14 +434,14 @@ pub struct CoreCfg {
     pub record_trace: bool,
 }
 
-/// What every core is told about its place in the service: its shard id,
-/// its retry table, and what a supervised restart hands its next
-/// incarnation. Every core is a shard core; an unsharded service is the
-/// N = 1 row, whose one core is the [`Default`]: shard 0, sessionless,
-/// nothing recovered. Shard cores share no admission state and no order —
-/// every transaction is owned by exactly one of them, and a merged report
-/// or recovery lists the shards in shard order, each in its own core
-/// order (see [`crate::shard`]).
+/// What every core is told about its place in the service: its shard id
+/// and its retry table. Every core is a shard core; an unsharded service
+/// is the N = 1 row, whose one core is the [`Default`]: shard 0,
+/// sessionless. What an earlier life committed comes from the log the
+/// core runs on ([`CommitLog::head`]), not from here. Shard cores share
+/// no admission state and no order — every transaction is owned by
+/// exactly one of them, and a merged report or recovery lists the shards
+/// in shard order, each in its own core order (see [`crate::shard`]).
 #[derive(Default)]
 pub struct ShardCoreCtx<'a> {
     /// This core's shard id (written into its WAL checkpoints).
@@ -451,16 +451,6 @@ pub struct ShardCoreCtx<'a> {
     /// `None` for a service whose front-end reads no retry table (the
     /// in-process sessions).
     pub sessions: Option<&'a SessionTable>,
-    /// Transactions recovered as committed by a previous incarnation of
-    /// this shard core. Seeds the commit-supremacy set so retried
-    /// commits stay idempotent and stale aborts of durably-committed
-    /// transactions are refused across a supervised restart.
-    pub recovered_committed: Vec<TxnId>,
-    /// The condensed begin/grant/commit stream of the recovered commits
-    /// the scheduler has not retired (what the resumed log's head
-    /// checkpoint holds). Seeds the checkpoint event stream, so the next
-    /// checkpoint this incarnation cuts carries them until they retire.
-    pub recovered_events: Vec<CheckpointEvent>,
 }
 
 /// Why the core stopped mid-batch. Either way the batch is not
@@ -613,14 +603,17 @@ pub fn run_core(
         changed: false,
         held: HeldAcks::default(),
     };
-    // The recovered commits also join the committed *list* and the
-    // checkpoint event stream: the next checkpoint this incarnation cuts
-    // must cover them, or rotation would delete the only segments that
-    // record them.
-    let s = &mut core.shard;
-    core.committed.extend(s.recovered_committed.iter().copied());
-    core.out.committed.append(&mut s.recovered_committed);
-    core.live_events.append(&mut s.recovered_events);
+    // A log resumed on an earlier life's state opens with it. Its
+    // commits seed commit supremacy (retried commits stay idempotent,
+    // stale aborts of durable commits are refused) and join the committed
+    // list and the checkpoint event stream: the next checkpoint this core
+    // cuts must cover them, or rotation would delete the only segments
+    // that record them.
+    if let Some(head) = core.wal.as_deref().map(|w| w.head()) {
+        core.committed.extend(head.committed.iter().copied());
+        core.out.committed.extend_from_slice(&head.committed);
+        core.live_events.extend_from_slice(&head.events);
+    }
     core.run(queue, progress, cfg.batch_max)
 }
 

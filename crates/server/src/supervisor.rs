@@ -39,8 +39,8 @@ use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::{Decision, Scheduler};
 use relser_wal::{
-    Checkpoint, CheckpointEvent, CheckpointPolicy, FsyncPolicy, MemSegmentsHandle, SegmentedWal,
-    SessionEntry,
+    Checkpoint, CheckpointEvent, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentsHandle,
+    SegmentedWal, SessionEntry,
 };
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -237,16 +237,16 @@ pub struct SupervisedRun {
 /// the recovered committed set, the condensed Begin/Grant/Commit events
 /// of the recovered commits the scheduler has not retired (pruned by the
 /// live core's rule, [`prune_retired`]: the head vouches for the rest),
-/// and the rebuilt client-session retry table. Returns the resumed log
-/// plus that head: it is exactly the state the next incarnation starts
-/// from. An empty store is the empty stream: its head is this shard's
-/// empty checkpoint, written as segment 0.
+/// and the rebuilt client-session retry table. Returns the resumed log;
+/// its head ([`CommitLog::head`]) is exactly the state the next
+/// incarnation starts from. An empty store is the empty stream: its head
+/// is this shard's empty checkpoint, written as segment 0.
 fn recover_and_resume(
     scheduler: &mut dyn Scheduler,
     store: &MemSegmentsHandle,
     shard: u32,
     cfg: &SupervisorCfg<'_>,
-) -> Result<(SegmentedWal, Checkpoint), ()> {
+) -> Result<SegmentedWal, ()> {
     let segments = store.segments();
     let (_, rec) = recover_segments_with_certifier(
         cfg.txns,
@@ -281,16 +281,15 @@ fn recover_and_resume(
     };
     let prior: Vec<u64> = segments.iter().map(|&(s, _)| s).collect();
     let next_seq = prior.iter().copied().max().map_or(0, |s| s + 1);
-    let wal = SegmentedWal::resume(
+    SegmentedWal::resume(
         Box::new(store.store()),
         FsyncPolicy::Always,
         cfg.ckpt,
-        head.clone(),
+        head,
         next_seq,
         &prior,
     )
-    .map_err(|_| ())?;
-    Ok((wal, head))
+    .map_err(|_| ())
 }
 
 /// Runs one shard core under the supervisor's restart loop. Returns when
@@ -334,8 +333,7 @@ where
     // what it durably committed, so acknowledged commits (and the retry
     // table) survive a whole-service restart.
     let resumed = store.segment_count() > 0;
-    let Ok((mut wal, mut recovered)) = recover_and_resume(&mut *scheduler, store, shard, cfg)
-    else {
+    let Ok(mut wal) = recover_and_resume(&mut *scheduler, store, shard, cfg) else {
         health.set(STATUS_FAILED);
         return SupervisedRun {
             output: CoreOutput {
@@ -350,7 +348,7 @@ where
     if resumed {
         // Seeded: lift `fence_resumed_shard`'s fence. A fresh shard was
         // never fenced, and its queue may already be closed by the server.
-        sessions.seed(&recovered.sessions);
+        sessions.seed(&wal.head().sessions);
         queue.reopen();
         health.set(STATUS_LIVE);
         progress.bump();
@@ -365,8 +363,6 @@ where
         let ctx = ShardCoreCtx {
             shard,
             sessions: Some(sessions),
-            recovered_committed: std::mem::take(&mut recovered.committed),
-            recovered_events: std::mem::take(&mut recovered.events),
         };
         let result = catch_unwind(AssertUnwindSafe(|| {
             run_core(
@@ -422,17 +418,14 @@ where
         // scheduler. A recovery failure is terminal — the log itself is
         // inconsistent, and restarting cannot fix that.
         let mut fresh = make_scheduler();
-        recovered = match recover_and_resume(&mut *fresh, store, shard, cfg) {
-            Ok((w, head)) => {
-                wal = w;
-                head
-            }
+        wal = match recover_and_resume(&mut *fresh, store, shard, cfg) {
+            Ok(w) => w,
             Err(()) => {
                 health.set(STATUS_FAILED);
                 break (output, true);
             }
         };
-        sessions.seed(&recovered.sessions);
+        sessions.seed(&wal.head().sessions);
         scheduler = fresh;
         restarts += 1;
         health.restarts.fetch_add(1, Ordering::Relaxed);

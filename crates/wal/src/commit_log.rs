@@ -52,4 +52,11 @@ pub trait CommitLog: Send {
     /// implementation sees fit). `Ok(true)` means the log rotated onto
     /// it, `Ok(false)` that it skipped the snapshot.
     fn install_checkpoint(&mut self, cp: Checkpoint) -> io::Result<bool>;
+
+    /// The checkpoint the current segment opened with: the live state a
+    /// resumed log was opened on, or the newest snapshot installed. A
+    /// core starting on the log seeds its committed set and checkpoint
+    /// events from it, so the first checkpoint it cuts still covers
+    /// what the log already holds.
+    fn head(&self) -> &Checkpoint;
 }

@@ -260,6 +260,8 @@ pub struct SegmentedWal {
     sealed_sync_ns: Vec<u64>,
     seg_stats: SegmentStats,
     broken: bool,
+    /// The checkpoint the current segment opened with.
+    head: Checkpoint,
 }
 
 impl SegmentedWal {
@@ -292,7 +294,7 @@ impl SegmentedWal {
     ) -> io::Result<SegmentedWal> {
         let storage = store.create(next_seq)?;
         let mut writer = WalWriter::new(storage, policy)?;
-        writer.append(&WalRecord::Checkpoint(head))?;
+        writer.append(&WalRecord::Checkpoint(head.clone()))?;
         writer.sync()?;
         let mut seg_stats = SegmentStats {
             checkpoints: 0,
@@ -319,6 +321,7 @@ impl SegmentedWal {
             sealed_sync_ns: Vec::new(),
             seg_stats,
             broken: false,
+            head,
         })
     }
 
@@ -438,7 +441,15 @@ impl CommitLog for SegmentedWal {
             self.since_bytes = 0;
             return Ok(false);
         }
-        self.rotate(&head).map(|()| true)
+        self.rotate(&head)?;
+        if let WalRecord::Checkpoint(cp) = head {
+            self.head = cp;
+        }
+        Ok(true)
+    }
+
+    fn head(&self) -> &Checkpoint {
+        &self.head
     }
 }
 
