@@ -47,13 +47,10 @@ use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::Scheduler;
 use relser_server::{
-    recover_sharded_segments_with_certifier, serve_sharded, Certifier, FaultPlan, RunOutcome,
-    ServerConfig, ServerError, ShardCoreCtx, ShardedRecovery, ShardedReport,
+    recover_and_resume, recover_sharded_segments_with_certifier, serve_sharded, Certifier,
+    FaultPlan, RunOutcome, ServerConfig, ServerError, ShardCoreCtx, ShardedRecovery, ShardedReport,
 };
-use relser_wal::{
-    Checkpoint, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemSegmentsHandle,
-    SegmentedWal,
-};
+use relser_wal::{CheckpointPolicy, CommitLog, MemSegmentStore, MemSegmentsHandle, SegmentedWal};
 use relser_workload::stream::RequestStream;
 
 /// The sweep grid. Every combination of seed × crash shard × crash
@@ -141,8 +138,9 @@ impl ShardSweepReport {
 }
 
 /// Runs the share-nothing crash sweep over one shard-local universe; see
-/// the module docs. Everything logs under [`FsyncPolicy::Always`], the
-/// policy whose acknowledged-commit contract is checkable pointwise.
+/// the module docs. Everything logs under
+/// [`relser_wal::FsyncPolicy::Always`], the policy whose
+/// acknowledged-commit contract is checkable pointwise.
 pub fn shard_crash_sweep(
     txns: &TxnSet,
     spec: &AtomicitySpec,
@@ -163,11 +161,11 @@ pub fn shard_crash_sweep(
                     ..ServerConfig::default()
                 };
                 let stream = RequestStream::shuffled(txns, seed);
-                let (mut wals, handles) = shard_wals(cfg.shards);
+                let (mut wals, scheds, handles) = open_shards(txns, spec, cfg.shards);
                 let run = serve_sharded(
                     txns,
                     &stream,
-                    shard_schedulers(txns, spec, cfg.shards),
+                    scheds,
                     &server_cfg,
                     &faults,
                     wals.iter_mut()
@@ -222,23 +220,31 @@ pub fn shard_crash_sweep(
     report
 }
 
-/// One never-rotating `Always` log per shard, its head stamped with the
-/// shard's id, with read handles.
-fn shard_wals(shards: usize) -> (Vec<SegmentedWal>, Vec<MemSegmentsHandle>) {
-    (0..shards as u32)
-        .map(|shard| {
-            let (store, handle) = MemSegmentStore::new();
-            let head = Checkpoint {
-                shard,
-                ..Checkpoint::default()
-            };
-            let ckpt = CheckpointPolicy::never();
-            let wal =
-                SegmentedWal::resume(Box::new(store), FsyncPolicy::Always, ckpt, head, 0, &[])
-                    .expect("MemSegmentStore never fails");
-            (wal, handle)
-        })
-        .unzip()
+/// One never-rotating log per shard, opened on an empty in-memory store
+/// (its head stamped with the shard's id), with the scheduler it pairs
+/// with and its read handle.
+fn open_shards<'a>(
+    txns: &'a TxnSet,
+    spec: &'a AtomicitySpec,
+    shards: usize,
+) -> (
+    Vec<SegmentedWal>,
+    Vec<Box<dyn Scheduler + Send + 'a>>,
+    Vec<MemSegmentsHandle>,
+) {
+    let mut opened = (Vec::new(), Vec::new(), Vec::new());
+    for shard in 0..shards as u32 {
+        let handle = MemSegmentStore::new().1;
+        let fresh = Box::new(RsgSgt::new(txns, spec));
+        let ckpt = CheckpointPolicy::never();
+        let (wal, scheduler, _) =
+            recover_and_resume(handle.clone(), fresh, txns, spec, shard, ckpt)
+                .expect("an empty in-memory store opens");
+        opened.0.push(wal);
+        opened.1.push(scheduler);
+        opened.2.push(handle);
+    }
+    opened
 }
 
 /// Each shard's one segment (the logs never rotate).
@@ -259,12 +265,12 @@ fn redrive_cell(
     report: &mut ShardSweepReport,
 ) {
     let shards = run.shards.len();
-    let (mut wals, handles) = shard_wals(shards);
+    let (mut wals, scheds, handles) = open_shards(txns, spec, shards);
     let mut acked: Vec<Vec<TxnId>> = Vec::with_capacity(shards);
     report.preloaded_runs += 1;
-    for (shard, live) in run.shards.iter().enumerate() {
+    for (shard, (live, scheduler)) in run.shards.iter().zip(scheds).enumerate() {
         let redrive = redrive_preloaded(
-            Box::new(RsgSgt::new(txns, spec)),
+            scheduler,
             &live.trace,
             &faults[shard],
             &mut wals[shard],
@@ -301,16 +307,6 @@ fn check_acked(
             }
         }
     }
-}
-
-fn shard_schedulers<'a>(
-    txns: &'a TxnSet,
-    spec: &'a AtomicitySpec,
-    shards: usize,
-) -> Vec<Box<dyn Scheduler + Send + 'a>> {
-    (0..shards)
-        .map(|_| Box::new(RsgSgt::new(txns, spec)) as Box<dyn Scheduler + Send + 'a>)
-        .collect()
 }
 
 fn try_recover(

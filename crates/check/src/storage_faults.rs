@@ -44,7 +44,8 @@ use relser_core::txn::TxnSet;
 use relser_protocols::SchedulerKind;
 use relser_server::recovery::{recover_segments_with_certifier, Certifier, Recovery};
 use relser_server::{
-    serve_sharded, FaultPlan, RunOutcome, ServerConfig, ShardCoreCtx, ShardedReport,
+    recover_and_resume, serve_sharded, FaultPlan, RunOutcome, ServerConfig, ShardCoreCtx,
+    ShardedReport,
 };
 use relser_wal::{
     CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, SegmentStore, SegmentedWal, Storage,
@@ -227,7 +228,8 @@ pub struct CrashSweepReport {
     pub oracle_checked: u64,
     /// Acknowledged commits verified present after recovery.
     pub acked_commits_checked: u64,
-    /// Acknowledged commits a recovery failed to produce (must be 0).
+    /// Acknowledged commits a recovery failed to produce exactly once
+    /// (must be 0).
     pub lost_commits: u64,
     /// Pre-loaded re-drives whose core reported a committed list other
     /// than the commits its clients were acknowledged (must be 0: after a
@@ -245,6 +247,9 @@ pub struct CrashSweepReport {
     /// Recoveries that seeded from a checkpoint rather than replaying
     /// from the start of history.
     pub seeded_recoveries: u64,
+    /// Second service lives opened on a crashed run's durable segments
+    /// (only [`checkpoint_crash_sweep`] serves any).
+    pub second_lives: u64,
     /// Oracle divergences (count; storage capped like the fault sweep).
     pub divergence_count: u64,
     /// The first divergences found.
@@ -435,7 +440,11 @@ impl Default for CheckpointSweepConfig {
 /// 3. re-runs live with the core crashing at configured command
 ///    ordinals, recovering from the durable segment prefixes,
 /// 4. replays torn-rotation states `[full segment, torn next head]`,
-///    which must fall back to the full segment and lose nothing.
+///    which must fall back to the full segment and lose nothing,
+/// 5. opens each live crash's durable segments with
+///    [`recover_and_resume`] and serves the rest of the stream on them in
+///    a second life that rotates under the same cadence: every commit
+///    either life acknowledged is recovered exactly once.
 ///
 /// Everything under [`FsyncPolicy::Always`]: zero acknowledged commits
 /// lost, every recovery oracle-clean over its certified history.
@@ -565,12 +574,17 @@ pub fn checkpoint_crash_sweep(
                         (crashed.committed, crashed.shards[0].checkpoints)
                     };
                     report.checkpoints += checkpoints;
-                    check_acked(
-                        &acked,
-                        &handle.synced_segments(),
+                    let durable = handle.synced_segments();
+                    check_acked(&acked, &durable, txns, spec, kind, &mut report);
+                    second_life(
                         txns,
                         spec,
                         kind,
+                        &server_cfg,
+                        seed,
+                        ckpt_policy,
+                        &durable,
+                        &acked,
                         &mut report,
                     );
                 }
@@ -578,6 +592,54 @@ pub fn checkpoint_crash_sweep(
         }
     }
     report
+}
+
+/// Pass 5 of [`checkpoint_crash_sweep`]: opens a store holding a crashed
+/// run's `durable` segments with the open call, serves what that first
+/// life left uncommitted in a second life rotating under `ckpt`, and
+/// recovers the second life's durable segments: every commit in `acked`
+/// (the first life's) or acknowledged by the second must come back
+/// exactly once.
+#[allow(clippy::too_many_arguments)]
+fn second_life(
+    txns: &TxnSet,
+    spec: &AtomicitySpec,
+    kind: SchedulerKind,
+    server_cfg: &ServerConfig,
+    seed: u64,
+    ckpt: CheckpointPolicy,
+    durable: &[(u64, Vec<u8>)],
+    acked: &[TxnId],
+    report: &mut CrashSweepReport,
+) {
+    let mut store = MemSegmentStore::new().1;
+    for (seq, bytes) in durable {
+        let mut segment = store.create(*seq).expect("MemSegmentStore never fails");
+        segment.append(bytes).expect("MemSegmentStore never fails");
+        segment.sync().expect("MemSegmentStore never fails");
+    }
+    let opened = recover_and_resume(store.clone(), kind.make(txns, spec), txns, spec, 0, ckpt);
+    let Ok((mut wal, scheduler, rec)) = opened else {
+        report.failed_recoveries += 1;
+        report.lost_commits += acked.len() as u64;
+        return;
+    };
+    report.second_lives += 1;
+    let rest = RequestStream::shuffled(txns, seed).without(&rec.committed);
+    let run = serve_sharded(
+        txns,
+        &rest,
+        vec![scheduler],
+        server_cfg,
+        &[],
+        vec![&mut wal as &mut dyn CommitLog],
+    );
+    report.checkpoints += run.shards[0].checkpoints;
+    // The second life reports the commits its log opened with, then its
+    // own.
+    let mut both = run.committed;
+    both.extend(acked.iter().filter(|t| !rec.committed.contains(t)));
+    check_acked(&both, &store.synced_segments(), txns, spec, kind, report);
 }
 
 /// Recovers `segments` into a fresh scheduler, counting failures.
@@ -599,8 +661,9 @@ fn try_recover(
 }
 
 /// The zero-acknowledged-commit-loss check: every commit the (possibly
-/// crashed) run acknowledged must come back from recovering the durable
-/// `segments`, and the recovered state must pass the oracle suite.
+/// crashed) run acknowledged must come back, exactly once, from
+/// recovering the durable `segments`, and the recovered state must pass
+/// the oracle suite.
 fn check_acked(
     acked: &[TxnId],
     segments: &[(u64, Vec<u8>)],
@@ -616,7 +679,7 @@ fn check_acked(
     report.seeded_recoveries += u64::from(rec.seeded_events > 0);
     for t in acked {
         report.acked_commits_checked += 1;
-        if !rec.committed.contains(t) {
+        if rec.committed.iter().filter(|&c| c == t).count() != 1 {
             report.lost_commits += 1;
         }
     }
@@ -716,6 +779,7 @@ mod tests {
         assert!(report.crash_points > 0);
         assert!(report.bit_flips > 0);
         assert!(report.live_faults > 0);
+        assert!(report.second_lives > 0, "{report:?}");
         assert!(report.acked_commits_checked > 0);
     }
 

@@ -23,10 +23,8 @@ use relser_protocols::{Scheduler, SchedulerKind};
 use relser_server::recovery::{
     recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier,
 };
-use relser_server::{serve_sharded, FaultPlan, RunOutcome, ServerConfig};
-use relser_wal::{
-    Checkpoint, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, SegmentedWal,
-};
+use relser_server::{recover_and_resume, serve_sharded, FaultPlan, RunOutcome, ServerConfig};
+use relser_wal::{CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, SegmentedWal};
 use relser_workload::stream::RequestStream;
 use relser_workload::{random_spec, shard_local_txns, RandomConfig};
 
@@ -207,23 +205,18 @@ fn sharded_cuts_recover_a_merged_history_rsg_accepts() {
         workers: 3,
         ..ServerConfig::default()
     };
-    let mut handles = Vec::new();
-    let mut wals: Vec<SegmentedWal> = (0..shards as u32)
-        .map(|shard| {
-            let (store, handle) = MemSegmentStore::new();
-            handles.push(handle);
-            let head = Checkpoint {
-                shard,
-                ..Checkpoint::default()
-            };
-            let ckpt = CheckpointPolicy::never();
-            SegmentedWal::resume(Box::new(store), FsyncPolicy::Always, ckpt, head, 0, &[]).unwrap()
-        })
-        .collect();
     let stream = RequestStream::shuffled(&txns, 7);
-    let schedulers: Vec<Box<dyn Scheduler + Send + '_>> = (0..shards)
-        .map(|_| Box::new(RsgSgt::new(&txns, &spec)) as Box<dyn Scheduler + Send + '_>)
-        .collect();
+    let (mut wals, mut schedulers, mut handles) = (Vec::new(), Vec::new(), Vec::new());
+    for shard in 0..shards as u32 {
+        let handle = MemSegmentStore::new().1;
+        let fresh = Box::new(RsgSgt::new(&txns, &spec));
+        let ckpt = CheckpointPolicy::never();
+        let (wal, scheduler, _) =
+            recover_and_resume(handle.clone(), fresh, &txns, &spec, shard, ckpt).unwrap();
+        wals.push(wal);
+        schedulers.push(scheduler);
+        handles.push(handle);
+    }
     let report = serve_sharded(
         &txns,
         &stream,

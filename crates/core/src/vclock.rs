@@ -121,7 +121,6 @@ use crate::schedule::Schedule;
 use crate::spec::AtomicitySpec;
 use crate::txn::TxnSet;
 use relser_digraph::{cycle, DiGraph, NodeIdx};
-use std::collections::HashMap;
 
 /// The clock skeleton's arcs for one moved maximum: `max` is `op`'s
 /// maximal dependency on `T_i = txn(max)`, and it moved past the
@@ -277,8 +276,10 @@ pub struct VClockCertifier<'a> {
     txn_clock: Vec<Clock>,
     write_clock: Vec<Clock>,
     read_clock: Vec<Clock>,
-    /// Cross-transaction skeleton arcs keyed by global ids, kinds merged.
-    arcs: HashMap<(u32, u32), ArcKinds>,
+    /// Cross-transaction skeleton arcs as `from << 32 | to` over global
+    /// ids, repeats included: [`VClockCertifier::seal`] sorts them once
+    /// and merges the kinds of equal keys.
+    arcs: Vec<(u64, ArcKinds)>,
     observed: usize,
     scratch: Clock,
     /// The transactions whose maximum moved at the operation being
@@ -306,7 +307,7 @@ impl<'a> VClockCertifier<'a> {
             txn_clock: vec![vec![0; k]; k],
             write_clock: vec![vec![0; k]; objects],
             read_clock: vec![vec![0; k]; objects],
-            arcs: HashMap::new(),
+            arcs: Vec::new(),
             observed: 0,
             scratch: vec![0; k],
             moved: Vec::new(),
@@ -319,7 +320,8 @@ impl<'a> VClockCertifier<'a> {
 
     fn add_arc(&mut self, from: u32, to: u32, kinds: ArcKinds) {
         debug_assert_ne!(from, to, "skeleton arcs never self-loop");
-        *self.arcs.entry((from, to)).or_insert_with(ArcKinds::empty) |= kinds;
+        self.arcs
+            .push((u64::from(from) << 32 | u64::from(to), kinds));
     }
 
     /// Observes the next executed operation. Errors if `op` does not exist
@@ -386,8 +388,19 @@ impl<'a> VClockCertifier<'a> {
     /// Builds the clock skeleton (static I-chains + collected cross arcs)
     /// and decides Theorem 1's criterion over the observed history.
     pub fn seal(self) -> Verdict {
+        // One sort in key order merges repeated arcs and fixes the edge
+        // order, so witnesses are reproducible.
+        let mut arcs = self.arcs;
+        arcs.sort_unstable_by_key(|&(key, _)| key);
+        arcs.dedup_by(|(key, kinds), (kept, kept_kinds)| {
+            let repeat = key == kept;
+            if repeat {
+                *kept_kinds |= *kinds;
+            }
+            repeat
+        });
         let mut g: DiGraph<OpId, ArcKinds> =
-            DiGraph::with_capacity(self.total_static, self.total_static + self.arcs.len());
+            DiGraph::with_capacity(self.total_static, self.total_static + arcs.len());
         for t in self.txns.txns() {
             for j in 0..t.len() as u32 {
                 g.add_node(OpId::new(t.id(), j));
@@ -399,11 +412,8 @@ impl<'a> VClockCertifier<'a> {
                 g.add_edge(NodeIdx(base + j - 1), NodeIdx(base + j), ArcKinds::I);
             }
         }
-        // Deterministic edge order for reproducible witnesses.
-        let mut sorted: Vec<((u32, u32), ArcKinds)> = self.arcs.into_iter().collect();
-        sorted.sort_by_key(|&(k, _)| k);
-        for ((a, b), kinds) in sorted {
-            g.add_edge(NodeIdx(a), NodeIdx(b), kinds);
+        for (key, kinds) in arcs {
+            g.add_edge(NodeIdx((key >> 32) as u32), NodeIdx(key as u32), kinds);
         }
 
         let stats = CertifierStats {

@@ -96,11 +96,6 @@ impl ChaosPlan {
         }
     }
 
-    /// Does the plan inject anything at all?
-    pub fn is_quiet(&self) -> bool {
-        self.reset_per_10k == 0 && self.torn_per_10k == 0 && self.stall_per_10k == 0
-    }
-
     /// The per-connection dice for connection `conn`.
     pub fn dice(&self, conn: u64) -> ChaosDice {
         ChaosDice {

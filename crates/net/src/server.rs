@@ -17,7 +17,7 @@ use relser_server::supervisor::{
     fence_resumed_shard, supervise_shard, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg,
 };
 use relser_server::{Certifier, OverloadPolicy, Route, ServerMetrics, Timeouts};
-use relser_wal::{CheckpointPolicy, CommitLog, MemSegmentsHandle};
+use relser_wal::{CheckpointPolicy, CommitLog, ReadableSegmentStore};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -187,9 +187,11 @@ fn run_front_end<'scope, R>(
 /// own result. A log written through `wal` (a
 /// [`relser_wal::SegmentedWal`], one segment under
 /// [`relser_wal::CheckpointPolicy::never`]) is recovered with
-/// [`relser_server::recover_segments_with_certifier`]. A resumed log's
-/// head ([`relser_wal::CommitLog::head`]) seeds the core with the earlier
-/// life's commits, as under `serve_sharded`.
+/// [`relser_server::recover_segments_with_certifier`]. A log opened on
+/// an earlier life's store by [`relser_server::recover_and_resume`] comes
+/// with the scheduler to serve it with; its head
+/// ([`relser_wal::CommitLog::head`]) seeds the core with that life's
+/// commits, as under `serve_sharded`.
 ///
 /// The scheduler may borrow `txns` (e.g. `RsgSgt::new(&txns, &spec)`),
 /// which is why the server runs under `thread::scope` behind a closure
@@ -298,12 +300,14 @@ pub struct SupervisedNetReport {
 /// shard cores, each under [`supervise_shard`]'s panic/fail-stop
 /// boundary, a durable client-session retry table for exactly-once
 /// commit retries, and per-shard segmented WALs — one caller-owned
-/// segment store per shard — recovered **in place** when a core dies:
-/// the process, the listener, and every other shard keep serving.
-/// Non-empty stores are recovered and resumed, so a second call with the
-/// same stores models a whole-service restart: every commit the first
-/// life acknowledged is served (and re-certified) by the second. For a
-/// fresh service pass fresh stores (`MemSegmentStore::new().1` each).
+/// readable segment store per shard, in memory or a directory — opened
+/// by [`relser_server::recover_and_resume`] and recovered **in place**
+/// when a core dies: the process, the listener, and every other shard
+/// keep serving. Non-empty stores are recovered and resumed, so a second
+/// call with the same stores is a whole-service restart: every commit the
+/// first life acknowledged is served (and re-certified) by the second.
+/// For a fresh service pass empty stores (`MemSegmentStore::new().1`
+/// each, or empty directories).
 ///
 /// `make_scheduler(shard)` must return a fresh scheduler each call (the
 /// supervisor also calls it on every restart). `faults` is one
@@ -313,16 +317,19 @@ pub struct SupervisedNetReport {
 /// A transaction is owned by exactly one shard; one whose objects span
 /// shards is answered `BadRequest` (see `relser_server::shard`).
 #[allow(clippy::too_many_arguments)]
-pub fn serve_net_supervised_in<'e, R>(
+pub fn serve_net_supervised_in<'e, R, S>(
     txns: &'e TxnSet,
     spec: &'e AtomicitySpec,
     make_scheduler: impl Fn(u32) -> Box<dyn Scheduler + Send + 'e> + Sync,
     cfg: &NetConfig,
     sup: &SuperviseNetConfig,
     faults: &[FaultPlan],
-    stores: &[MemSegmentsHandle],
+    stores: &[S],
     client: impl FnOnce(SocketAddr) -> R,
-) -> io::Result<(SupervisedNetReport, R)> {
+) -> io::Result<(SupervisedNetReport, R)>
+where
+    S: ReadableSegmentStore + Clone + Sync + 'static,
+{
     assert!(cfg.reactors >= 1, "need at least one reactor");
     assert!(sup.shards >= 1, "need at least one shard");
     assert!(
@@ -411,7 +418,10 @@ pub fn serve_net_supervised_in<'e, R>(
     // The WAL is the source of truth: merge every shard's retained
     // segment stream offline, rolling back crash orphans and
     // re-certifying the merged history.
-    let segment_streams: Vec<Vec<(u64, Vec<u8>)>> = stores.iter().map(|h| h.segments()).collect();
+    let segment_streams = stores
+        .iter()
+        .map(S::read_segments)
+        .collect::<io::Result<Vec<_>>>()?;
     let recovery = recover_sharded_segments_with_certifier(
         txns,
         spec,

@@ -36,12 +36,11 @@ use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::two_pl::TwoPhaseLocking;
 use relser_protocols::Scheduler;
 use relser_server::{
-    recover_segments_with_certifier, recover_sharded_segments_with_certifier, serve_sharded,
-    Certifier, FaultPlan, RunOutcome, ServerConfig,
+    recover_and_resume, recover_segments_with_certifier, recover_sharded_segments_with_certifier,
+    serve_sharded, Certifier, FaultPlan, RunOutcome, ServerConfig,
 };
 use relser_wal::{
-    scan, Checkpoint, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemSegmentsHandle,
-    SegmentedWal, WalRecord,
+    scan, CheckpointPolicy, CommitLog, MemSegmentStore, MemSegmentsHandle, SegmentedWal, WalRecord,
 };
 use relser_workload::random::{random_spec, shard_local_txns, RandomConfig};
 use relser_workload::stream::RequestStream;
@@ -51,18 +50,24 @@ use std::time::Duration;
 
 const ARRIVAL_SEED: u64 = 7;
 
-/// A never-rotating `Always` log whose head is stamped with `shard`, and
-/// its read handle: what the unsupervised front-ends here log to.
-fn one_segment_log(shard: u32) -> (SegmentedWal, MemSegmentsHandle) {
-    let (store, handle) = MemSegmentStore::new();
-    let head = Checkpoint {
-        shard,
-        ..Checkpoint::default()
-    };
+/// `scheduler` and a never-rotating log opened on an empty in-memory
+/// store as `shard`'s (its head stamped with the id), with the log's read
+/// handle: what the unsupervised front-ends here serve on.
+fn open_log<'a>(
+    (txns, spec): (&TxnSet, &AtomicitySpec),
+    scheduler: Box<dyn Scheduler + Send + 'a>,
+    shard: u32,
+) -> (
+    SegmentedWal,
+    Box<dyn Scheduler + Send + 'a>,
+    MemSegmentsHandle,
+) {
+    let handle = MemSegmentStore::new().1;
     let ckpt = CheckpointPolicy::never();
-    let wal = SegmentedWal::resume(Box::new(store), FsyncPolicy::Always, ckpt, head, 0, &[])
-        .expect("an in-memory store opens");
-    (wal, handle)
+    let (wal, scheduler, _) =
+        recover_and_resume(handle.clone(), scheduler, txns, spec, shard, ckpt)
+            .expect("an empty in-memory store opens");
+    (wal, scheduler, handle)
 }
 
 /// The verdict every front-end is held to: `recovered` is every
@@ -153,8 +158,8 @@ fn four_front_ends<'a>(
     // `serve_sharded` (N = 1) over one log, recovered by
     // `recover_segments_with_certifier`.
     {
-        let (mut wal, handle) = one_segment_log(0);
-        let report = serve_sharded(txns, &stream(), vec![fresh()], &cfg, &[], vec![&mut wal]);
+        let (mut wal, scheduler, handle) = open_log(sc, fresh(), 0);
+        let report = serve_sharded(txns, &stream(), vec![scheduler], &cfg, &[], vec![&mut wal]);
         assert_eq!(report.outcome, RunOutcome::Completed);
         assert_blocked("serve_sharded (N = 1)", report.metrics.blocked);
         let (_, rec) = recover_segments_with_certifier(
@@ -177,20 +182,18 @@ fn four_front_ends<'a>(
     // `serve_sharded` (N = 2) over one log per shard, recovered by
     // `recover_sharded_segments_with_certifier`.
     {
-        let (mut wals, handles): (Vec<SegmentedWal>, Vec<_>) = (0..2).map(one_segment_log).unzip();
-        let schedulers = (0..2).map(|_| fresh()).collect();
+        let [(mut w0, s0, h0), (mut w1, s1, h1)] = [0, 1].map(|shard| open_log(sc, fresh(), shard));
         let report = serve_sharded(
             txns,
             &stream(),
-            schedulers,
+            vec![s0, s1],
             &cfg,
             &[],
-            wals.iter_mut().map(|w| w as &mut dyn CommitLog).collect(),
+            vec![&mut w0 as &mut dyn CommitLog, &mut w1],
         );
         assert_eq!(report.outcome, RunOutcome::Completed);
         assert_blocked("serve_sharded (N = 2)", report.metrics.blocked);
-        let streams: Vec<Vec<(u64, Vec<u8>)>> =
-            handles.iter().map(|h| h.synced_segments()).collect();
+        let streams = [h0.synced_segments(), h1.synced_segments()];
         let rec = recover_sharded_segments_with_certifier(
             txns,
             spec,
@@ -212,10 +215,10 @@ fn four_front_ends<'a>(
     // `serve_net` over one log (never compacted, so the whole history
     // comes back), recovered by `recover_segments_with_certifier`.
     {
-        let (mut wal, handle) = one_segment_log(0);
+        let (mut wal, scheduler, handle) = open_log(sc, fresh(), 0);
         let (report, stats) = serve_net(
             txns,
-            fresh(),
+            scheduler,
             &NetConfig::default(),
             &FaultPlan::default(),
             Some(&mut wal),
@@ -450,10 +453,11 @@ fn sessionless_commits_are_plain_commit_records_on_both_tcp_entry_points() {
     let (txns, spec) = universe();
     let cfg = NetConfig::default();
 
-    let (mut wal, handle) = one_segment_log(0);
+    let fresh = Box::new(RsgSgt::new(&txns, &spec));
+    let (mut wal, scheduler, handle) = open_log((&txns, &spec), fresh, 0);
     let (report, ()) = serve_net(
         &txns,
-        Box::new(RsgSgt::new(&txns, &spec)),
+        scheduler,
         &cfg,
         &FaultPlan::default(),
         Some(&mut wal),

@@ -113,6 +113,6 @@ pub use server::{replay, ReplayMismatch, RunOutcome, ServerConfig, ServerError};
 pub use session::{restart_backoff, OverloadPolicy, SessionError, SessionStats};
 pub use shard::{replay_sharded, serve_sharded, ShardedReport, ShardedRun};
 pub use supervisor::{
-    fence_resumed_shard, supervise_shard, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg,
-    MAX_RESTARTS,
+    fence_resumed_shard, recover_and_resume, supervise_shard, SessionTable, ShardHealth,
+    SupervisedRun, SupervisorCfg, MAX_RESTARTS,
 };

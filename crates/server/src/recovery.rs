@@ -535,10 +535,10 @@ fn dedupe_sessions(entries: Vec<SessionEntry>) -> Vec<SessionEntry> {
 /// scanned once; the chosen one's scan is what gets replayed. Returns the
 /// chosen segment's sequence number alongside the recovery.
 ///
-/// `segments` is `(seq, bytes)` ascending — from
-/// [`relser_wal::DirSegmentStore::list`] plus `std::fs::read`, or from
-/// [`relser_wal::MemSegmentsHandle::segments`] in tests. Raw bytes of a
-/// single segment are the one-segment stream `[(0, bytes)]`.
+/// `segments` is `(seq, bytes)` ascending, as a
+/// [`relser_wal::ReadableSegmentStore`] reads them back (the open call,
+/// [`crate::recover_and_resume`], replays a store through this). Raw
+/// bytes of one segment are the one-segment stream `[(0, bytes)]`.
 ///
 /// `scheduler` must be fresh and built over the same `txns` / `spec`
 /// universe the crashed service ran. On success it holds exactly the

@@ -167,12 +167,12 @@ impl ShardedReport {
 /// gets its core's live state at a batch boundary whenever it reports a
 /// checkpoint due, and rotates, keeping retained bytes bounded by live
 /// state; under [`relser_wal::CheckpointPolicy::never`] it stays one
-/// segment. A log resumed on an earlier life's recovered state
-/// (`SegmentedWal::resume`) hands its core that life's commits through
-/// its head ([`relser_wal::CommitLog::head`]): they lead the report's
-/// committed list, and every checkpoint the core cuts keeps them. The
-/// caller keeps ownership of the logs and can inspect their counters
-/// after the run.
+/// segment. A log opened on an earlier life's store
+/// ([`crate::recover_and_resume`], which also hands back the scheduler
+/// to run on it) gives its core that life's commits through its head
+/// ([`relser_wal::CommitLog::head`]): they lead the report's committed
+/// list, and every checkpoint the core cuts keeps them. The caller keeps
+/// ownership of the logs and can inspect their counters after the run.
 pub fn serve_sharded<'a>(
     txns: &TxnSet,
     stream: &RequestStream,

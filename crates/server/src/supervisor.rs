@@ -19,9 +19,10 @@
 //! 4. re-seeds the client-session retry table ([`SessionTable`]) from
 //!    the recovered entries, so exactly-once commit retries survive the
 //!    crash;
-//! 5. resumes the segmented log ([`relser_wal::SegmentedWal::resume`])
-//!    with a head checkpoint covering the recovered state, reopens the
-//!    queue, and runs the next incarnation.
+//! 5. reopens the queue and runs the next incarnation on the log that
+//!    [`recover_and_resume`] resumed with a head checkpoint covering the
+//!    recovered state. Steps 3 and 5 are that one call, the only way any
+//!    log is opened, on any [`relser_wal::ReadableSegmentStore`].
 //!
 //! Crash-orphaned incarnations are rolled back by recovery (step 3) and
 //! their clients retry from `begin`; durably-committed transactions are
@@ -33,16 +34,17 @@ use crate::core::{
     Progress, ShardCoreCtx, TraceEvent,
 };
 use crate::queue::BoundedQueue;
-use crate::recovery::{recover_segments_with_certifier, Certifier};
+use crate::recovery::{recover_segments_with_certifier, Certifier, Recovery};
 use relser_core::ids::TxnId;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::{Decision, Scheduler};
 use relser_wal::{
-    Checkpoint, CheckpointEvent, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentsHandle,
-    SegmentedWal, SessionEntry,
+    Checkpoint, CheckpointEvent, CheckpointPolicy, FsyncPolicy, ReadableSegmentStore, SegmentedWal,
+    SessionEntry,
 };
 use std::collections::{HashMap, HashSet};
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -183,13 +185,14 @@ impl ShardHealth {
 /// seeded the retry table, so requests routed here are answered
 /// `Recovering` and retried, as during an in-place restart. Unfenced, a
 /// retried commit can reach the core before its entry is seeded and
-/// miss the exactly-once fast path. An empty store needs no fence.
+/// miss the exactly-once fast path. An empty store needs no fence; one
+/// that cannot be read is fenced, and its supervisor gives up on it.
 pub fn fence_resumed_shard(
-    store: &MemSegmentsHandle,
+    store: &impl ReadableSegmentStore,
     queue: &BoundedQueue<Command>,
     health: &ShardHealth,
 ) {
-    if store.segment_count() > 0 {
+    if store.read_segments().map_or(true, |segs| !segs.is_empty()) {
         queue.close();
         health.set(STATUS_RECOVERING);
     }
@@ -232,34 +235,35 @@ pub struct SupervisedRun {
     pub gave_up: bool,
 }
 
-/// Replays `store`'s retained segment stream into `scheduler` and
-/// resumes the segmented log on top of it: the head checkpoint carries
-/// the recovered committed set, the condensed Begin/Grant/Commit events
-/// of the recovered commits the scheduler has not retired (pruned by the
-/// live core's rule, [`prune_retired`]: the head vouches for the rest),
-/// and the rebuilt client-session retry table. Returns the resumed log;
-/// its head ([`CommitLog::head`]) is exactly the state the next
-/// incarnation starts from. An empty store is the empty stream: its head
-/// is this shard's empty checkpoint, written as segment 0.
-fn recover_and_resume(
-    scheduler: &mut dyn Scheduler,
-    store: &MemSegmentsHandle,
+/// Opens a log, written or empty: the one way to open one. Replays
+/// `store`'s retained segments into the fresh `scheduler`, re-certifies
+/// them against `txns` / `spec`, and resumes the log on a fresh segment
+/// (rotating under `ckpt`, syncing under [`FsyncPolicy::Always`]) headed
+/// by `shard`'s checkpoint of the recovered state: the committed set,
+/// the condensed Begin/Grant/Commit events of the recovered commits the
+/// scheduler has not retired (the live core's pruning rule: the head
+/// vouches for the rest) and the retry table. Returns that log, whose head
+/// ([`relser_wal::CommitLog::head`]) a core on it starts from, the
+/// replayed scheduler that core must run, and the [`Recovery`]. An empty
+/// store gets `shard`'s empty checkpoint as segment 0. A store recovery
+/// refuses is left untouched: the error is `InvalidData`, carrying the
+/// [`crate::RecoveryError`].
+pub fn recover_and_resume<'a, S: ReadableSegmentStore + 'static>(
+    store: S,
+    mut scheduler: Box<dyn Scheduler + Send + 'a>,
+    txns: &TxnSet,
+    spec: &AtomicitySpec,
     shard: u32,
-    cfg: &SupervisorCfg<'_>,
-) -> Result<SegmentedWal, ()> {
-    let segments = store.segments();
-    let (_, rec) = recover_segments_with_certifier(
-        cfg.txns,
-        cfg.spec,
-        scheduler,
-        &segments,
-        Certifier::VClock,
-    )
-    .map_err(|_| ())?;
+    ckpt: CheckpointPolicy,
+) -> io::Result<(SegmentedWal, Box<dyn Scheduler + Send + 'a>, Recovery)> {
+    let segments = store.read_segments()?;
+    let (_, rec) =
+        recover_segments_with_certifier(txns, spec, &mut *scheduler, &segments, Certifier::VClock)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     // The head condenses the Begin/Grant/Commit stream of the committed
     // transactions. An incarnation the log later aborted is not part of
     // it — a transaction that restarted before it committed contributes
-    // its committing incarnation only — nor is one step 3 rolled back.
+    // its committing incarnation only — nor is one recovery rolled back.
     let mut events: Vec<CheckpointEvent> = Vec::new();
     for ev in &rec.trace {
         match ev {
@@ -272,24 +276,16 @@ fn recover_and_resume(
     }
     let keep: HashSet<TxnId> = rec.committed.iter().copied().collect();
     events.retain(|e| keep.contains(&event_txn(e)));
-    prune_retired(&mut events, scheduler);
+    prune_retired(&mut events, &*scheduler);
     let head = Checkpoint {
         shard,
-        committed: rec.committed,
+        committed: rec.committed.clone(),
         events,
-        sessions: rec.sessions,
+        sessions: rec.sessions.clone(),
     };
     let prior: Vec<u64> = segments.iter().map(|&(s, _)| s).collect();
-    let next_seq = prior.iter().copied().max().map_or(0, |s| s + 1);
-    SegmentedWal::resume(
-        Box::new(store.store()),
-        FsyncPolicy::Always,
-        cfg.ckpt,
-        head,
-        next_seq,
-        &prior,
-    )
-    .map_err(|_| ())
+    let wal = SegmentedWal::resume(Box::new(store), FsyncPolicy::Always, ckpt, head, &prior)?;
+    Ok((wal, scheduler, rec))
 }
 
 /// Runs one shard core under the supervisor's restart loop. Returns when
@@ -310,12 +306,12 @@ fn recover_and_resume(
 /// `faults` applies to the first incarnation only — a kill-at-k plan
 /// kills once, not once per life.
 #[allow(clippy::too_many_arguments)]
-pub fn supervise_shard<'a, F>(
+pub fn supervise_shard<'a, F, S>(
     mut make_scheduler: F,
     queue: &BoundedQueue<Command>,
     progress: &Progress,
     faults: &FaultPlan,
-    store: &MemSegmentsHandle,
+    store: &S,
     health: &ShardHealth,
     sessions: &SessionTable,
     stop: &AtomicBool,
@@ -324,37 +320,43 @@ pub fn supervise_shard<'a, F>(
 ) -> SupervisedRun
 where
     F: FnMut() -> Box<dyn Scheduler + Send + 'a>,
+    S: ReadableSegmentStore + Clone + 'static,
 {
-    let mut restarts: u64 = 0;
-    let mut panics: u64 = 0;
-    let mut scheduler = make_scheduler();
-    // A fresh store replays the empty stream, whose head is this shard's
-    // empty checkpoint; a store a previous service life wrote replays
-    // what it durably committed, so acknowledged commits (and the retry
-    // table) survive a whole-service restart.
-    let resumed = store.segment_count() > 0;
-    let Ok(mut wal) = recover_and_resume(&mut *scheduler, store, shard, cfg) else {
-        health.set(STATUS_FAILED);
-        return SupervisedRun {
-            output: CoreOutput {
-                crashed: true,
-                ..CoreOutput::default()
-            },
-            restarts,
-            panics,
-            gave_up: true,
-        };
-    };
-    if resumed {
-        // Seeded: lift `fence_resumed_shard`'s fence. A fresh shard was
-        // never fenced, and its queue may already be closed by the server.
-        sessions.seed(&wal.head().sessions);
-        queue.reopen();
-        health.set(STATUS_LIVE);
-        progress.bump();
-    }
+    let (mut restarts, mut panics) = (0, 0);
     let default_faults = FaultPlan::default();
+    // What the last incarnation left (none has run yet).
+    let mut output = CoreOutput {
+        crashed: true,
+        ..CoreOutput::default()
+    };
     let (output, gave_up) = loop {
+        // Replay the shard's segments into a fresh scheduler: the
+        // replayed instance (orphans rolled back, committed history
+        // re-certified) is this incarnation's. A recovery refusal is
+        // terminal — restarting cannot mend the log — and its reason is
+        // the output's.
+        let (txns, spec) = (cfg.txns, cfg.spec);
+        let opened =
+            recover_and_resume(store.clone(), make_scheduler(), txns, spec, shard, cfg.ckpt);
+        let (mut wal, scheduler, rec) = match opened {
+            Ok(opened) => opened,
+            Err(e) => {
+                health.set(STATUS_FAILED);
+                output.wal_error = Some(e.to_string());
+                break (output, true);
+            }
+        };
+        if wal.segment_stats().current_seq > 0 {
+            // The store was written (by an earlier life, or before a
+            // restart) and is now seeded: readmit traffic fenced on the
+            // closed queue; blocked sessions re-check on the bump. A fresh
+            // shard was never fenced, and the server may have closed its
+            // queue already.
+            sessions.seed(&rec.sessions);
+            queue.reopen();
+            health.set(STATUS_LIVE);
+            progress.bump();
+        }
         let plan = if restarts == 0 {
             faults
         } else {
@@ -378,7 +380,7 @@ where
                 ctx,
             )
         }));
-        let output = match result {
+        output = match result {
             Ok(out) => {
                 if !out.crashed {
                     // Clean shutdown: the server closed the queue and the
@@ -412,28 +414,8 @@ where
             health.set(STATUS_FAILED);
             break (output, true);
         }
-        // Replay the shard's retained segment stream into a fresh
-        // scheduler; the replayed instance (orphans rolled back,
-        // committed history re-certified) is the next incarnation's
-        // scheduler. A recovery failure is terminal — the log itself is
-        // inconsistent, and restarting cannot fix that.
-        let mut fresh = make_scheduler();
-        wal = match recover_and_resume(&mut *fresh, store, shard, cfg) {
-            Ok(w) => w,
-            Err(()) => {
-                health.set(STATUS_FAILED);
-                break (output, true);
-            }
-        };
-        sessions.seed(&wal.head().sessions);
-        scheduler = fresh;
         restarts += 1;
         health.restarts.fetch_add(1, Ordering::Relaxed);
-        // Ready: readmit traffic. Producers fenced on the closed queue
-        // resume; blocked sessions re-check on the progress bump.
-        queue.reopen();
-        health.set(STATUS_LIVE);
-        progress.bump();
     };
     SupervisedRun {
         output,

@@ -21,13 +21,13 @@ use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::two_pl::TwoPhaseLocking;
 use relser_protocols::{Decision, Scheduler};
 use relser_server::{
-    recover_sharded_segments_with_certifier, replay, replay_sharded, serve_sharded, Certifier,
-    FaultPlan, RecoveryError, RunOutcome, ServerConfig, ServerError, ShardedRecovery,
-    ShardedReport, ShardedRun,
+    recover_and_resume, recover_sharded_segments_with_certifier, replay, replay_sharded,
+    serve_sharded, Certifier, FaultPlan, RecoveryError, RunOutcome, ServerConfig, ServerError,
+    ShardedRecovery, ShardedReport, ShardedRun,
 };
 use relser_wal::{
-    scan, Checkpoint, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemSegmentsHandle,
-    SegmentedWal, WalRecord, MAGIC,
+    scan, CheckpointPolicy, CommitLog, MemSegmentStore, MemSegmentsHandle, SegmentedWal, WalRecord,
+    MAGIC,
 };
 use relser_workload::banking::{banking, BankingConfig};
 use relser_workload::random::{random_spec, shard_local_txns, RandomConfig};
@@ -81,23 +81,31 @@ fn schedulers<'a>(
         .collect()
 }
 
-/// One never-rotating `Always` log per shard, its head stamped with the
-/// shard's id, with read handles.
-fn shard_wals(shards: usize) -> (Vec<SegmentedWal>, Vec<MemSegmentsHandle>) {
-    (0..shards as u32)
-        .map(|shard| {
-            let (store, handle) = MemSegmentStore::new();
-            let head = Checkpoint {
-                shard,
-                ..Checkpoint::default()
-            };
-            let ckpt = CheckpointPolicy::never();
-            let wal =
-                SegmentedWal::resume(Box::new(store), FsyncPolicy::Always, ckpt, head, 0, &[])
-                    .unwrap();
-            (wal, handle)
-        })
-        .unzip()
+/// One never-rotating log per shard, opened on an empty in-memory store
+/// (its head stamped with the shard's id), with the scheduler it pairs
+/// with and its read handle.
+fn open_shards<'a>(
+    txns: &'a TxnSet,
+    spec: &'a AtomicitySpec,
+    shards: usize,
+) -> (
+    Vec<SegmentedWal>,
+    Vec<Box<dyn Scheduler + Send + 'a>>,
+    Vec<MemSegmentsHandle>,
+) {
+    let mut opened = (Vec::new(), Vec::new(), Vec::new());
+    for shard in 0..shards as u32 {
+        let handle = MemSegmentStore::new().1;
+        let fresh = Box::new(RsgSgt::new(txns, spec));
+        let ckpt = CheckpointPolicy::never();
+        let (wal, scheduler, _) =
+            recover_and_resume(handle.clone(), fresh, txns, spec, shard, ckpt)
+                .expect("an empty in-memory store opens");
+        opened.0.push(wal);
+        opened.1.push(scheduler);
+        opened.2.push(handle);
+    }
+    opened
 }
 
 /// Each shard's one segment.
@@ -321,11 +329,11 @@ fn cross_shard_transactions_are_refused_before_anything_is_enqueued() {
         workers: 4,
         ..ServerConfig::default()
     };
-    let (mut wals, handles) = shard_wals(2);
+    let (mut wals, scheds, handles) = open_shards(&txns, &spec, 2);
     let report = serve_sharded(
         &txns,
         &RequestStream::in_order(&txns),
-        schedulers(&txns, &spec, 2),
+        scheds,
         &cfg,
         &[],
         as_commit_logs(&mut wals),
@@ -462,11 +470,11 @@ fn one_shard_serve_sharded_replays_certifies_and_writes_plain_commit_records() {
         record_trace: true,
         ..ServerConfig::default()
     };
-    let (mut wals, handles) = shard_wals(1);
+    let (mut wals, scheds, handles) = open_shards(txns, spec, 1);
     let report = serve_sharded(
         txns,
         &RequestStream::shuffled(txns, 3),
-        schedulers(txns, spec, 1),
+        scheds,
         &cfg,
         &[],
         as_commit_logs(&mut wals),
@@ -540,15 +548,8 @@ fn durable_sharded_run_recovers_to_the_same_committed_state() {
         ..ServerConfig::default()
     };
     let stream = RequestStream::shuffled(&txns, 9);
-    let (mut wals, handles) = shard_wals(shards);
-    let report = serve_sharded(
-        &txns,
-        &stream,
-        schedulers(&txns, &spec, shards),
-        &cfg,
-        &[],
-        as_commit_logs(&mut wals),
-    );
+    let (mut wals, scheds, handles) = open_shards(&txns, &spec, shards);
+    let report = serve_sharded(&txns, &stream, scheds, &cfg, &[], as_commit_logs(&mut wals));
     assert_eq!(report.outcome, RunOutcome::Completed);
     let rec =
         recover_shard_logs(&txns, &spec, shard_logs(&handles)).expect("clean sharded logs recover");
@@ -598,8 +599,8 @@ proptest! {
         let mut faults = vec![FaultPlan::default(); shards];
         faults[crash_shard % shards].crash_at_command = Some(crash_at);
         let stream = RequestStream::shuffled(&txns, arrival_seed);
-        let (mut wals, handles) = shard_wals(shards);
-        let report = serve_sharded(&txns, &stream, schedulers(&txns, &spec, shards), &cfg, &faults, as_commit_logs(&mut wals));
+        let (mut wals, scheds, handles) = open_shards(&txns, &spec, shards);
+        let report = serve_sharded(&txns, &stream, scheds, &cfg, &faults, as_commit_logs(&mut wals));
         // The run may complete (crash index past the command count) or
         // crash; either way every live commit is complete.
         for &t in &report.committed {

@@ -18,10 +18,13 @@ use relser_protocols::{Decision, Scheduler};
 use relser_server::core::{Ack, Command, Reply};
 use relser_server::recovery::{recover_segments_with_certifier, Certifier};
 use relser_server::{
-    supervise_shard, BoundedQueue, FaultPlan, Progress, SessionTable, ShardHealth, SupervisedRun,
-    SupervisorCfg, MAX_RESTARTS,
+    fence_resumed_shard, supervise_shard, BoundedQueue, FaultPlan, Progress, SessionTable,
+    ShardHealth, SupervisedRun, SupervisorCfg, MAX_RESTARTS,
 };
-use relser_wal::{CheckpointPolicy, MemSegmentStore, MemSegmentsHandle};
+use relser_wal::{
+    CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemSegmentsHandle, SegmentedWal,
+    WalRecord,
+};
 use relser_workload::random::{random_spec, shard_local_txns, RandomConfig};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
@@ -304,4 +307,46 @@ fn a_shard_that_keeps_panicking_is_abandoned_after_its_budget() {
     for (shard, (_, acked, recovered)) in shards.iter().enumerate() {
         assert_acked_recovered(shard, acked, recovered);
     }
+}
+
+/// A store recovery refuses — its segment begins a transaction outside
+/// the universe — is fenced, never served, and given up on before a
+/// first incarnation runs, with the refusal's reason as the output's
+/// `wal_error`.
+#[test]
+fn a_foreign_store_is_given_up_on_with_the_reason_recovery_refused_it() {
+    let (txns, spec) = universe();
+    let (store, handle) = MemSegmentStore::new();
+    let never = CheckpointPolicy::never();
+    let mut wal = SegmentedWal::new(Box::new(store), FsyncPolicy::Always, never).unwrap();
+    let foreign = WalRecord::Begin(TxnId(99));
+    wal.append(&foreign).unwrap();
+    wal.close().unwrap();
+    drop(wal);
+    let cfg = SupervisorCfg {
+        txns: &txns,
+        spec: &spec,
+        ckpt: never,
+        batch_max: 8,
+        record_trace: false,
+    };
+    let (queue, health) = (BoundedQueue::new(8), ShardHealth::new());
+    fence_resumed_shard(&handle, &queue, &health);
+    assert!(health.is_recovering(), "a written store is fenced");
+    let run = supervise_shard(
+        || Box::new(RsgSgt::new(&txns, &spec)) as Box<dyn Scheduler + Send>,
+        &queue,
+        &Progress::new(),
+        &FaultPlan::default(),
+        &handle,
+        &health,
+        &SessionTable::new(),
+        &AtomicBool::new(false),
+        0,
+        &cfg,
+    );
+    assert!(run.gave_up && health.is_failed());
+    assert_eq!((run.restarts, run.panics), (0, 0));
+    let reason = run.output.wal_error.expect("the refusal is reported");
+    assert!(reason.contains(&format!("{foreign:?}")), "{reason}");
 }

@@ -68,8 +68,8 @@ pub use record::{
     MAX_PAYLOAD,
 };
 pub use segment::{
-    CheckpointPolicy, DirSegmentStore, MemSegmentStore, MemSegmentsHandle, SegmentStats,
-    SegmentStore, SegmentedWal,
+    CheckpointPolicy, DirSegmentStore, MemSegmentStore, MemSegmentsHandle, ReadableSegmentStore,
+    SegmentStats, SegmentStore, SegmentedWal,
 };
 pub use storage::{FileStorage, Storage};
 pub use writer::{FsyncPolicy, WalStats};

@@ -44,7 +44,16 @@ pub trait SegmentStore: Send {
     fn delete(&mut self, seq: u64) -> io::Result<()>;
 }
 
+/// A [`SegmentStore`] that can read back the segments it retains: what a
+/// log is opened from (recovery replays them, the resumed log deletes
+/// them once its fresh segment is durable).
+pub trait ReadableSegmentStore: SegmentStore {
+    /// The retained segments' contents, `(seq, bytes)` ascending.
+    fn read_segments(&self) -> io::Result<Vec<(u64, Vec<u8>)>>;
+}
+
 /// Segments as files `wal-{seq:08}.log` in one directory.
+#[derive(Clone)]
 pub struct DirSegmentStore {
     dir: PathBuf,
 }
@@ -70,7 +79,6 @@ impl DirSegmentStore {
     }
 
     /// Lists the segments present in `dir`, ascending by sequence number.
-    /// Recovery reads the contents of the last one or two of these.
     pub fn list(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
         let mut found = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -105,6 +113,15 @@ impl SegmentStore for DirSegmentStore {
     }
 }
 
+impl ReadableSegmentStore for DirSegmentStore {
+    fn read_segments(&self) -> io::Result<Vec<(u64, Vec<u8>)>> {
+        Self::list(&self.dir)?
+            .into_iter()
+            .map(|(seq, path)| Ok((seq, std::fs::read(path)?)))
+            .collect()
+    }
+}
+
 #[derive(Default)]
 struct MemSegs {
     segs: BTreeMap<u64, MemHandle>,
@@ -114,11 +131,10 @@ struct MemSegs {
 /// In-memory segments for tests and the crash-point sweep, with a shared
 /// read handle ([`MemSegmentsHandle`]) that observes retained segments
 /// after the store has been moved into the core thread.
-pub struct MemSegmentStore {
-    inner: Arc<Mutex<MemSegs>>,
-}
+pub struct MemSegmentStore(MemSegmentsHandle);
 
-/// Read side of a [`MemSegmentStore`].
+/// Read side of a [`MemSegmentStore`], and a store of its own over the
+/// same segments: a log opened on it writes where the first store did.
 #[derive(Clone)]
 pub struct MemSegmentsHandle {
     inner: Arc<Mutex<MemSegs>>,
@@ -127,17 +143,24 @@ pub struct MemSegmentsHandle {
 impl MemSegmentStore {
     /// An empty segment store plus its read handle.
     pub fn new() -> (MemSegmentStore, MemSegmentsHandle) {
-        let inner = Arc::new(Mutex::new(MemSegs::default()));
-        (
-            MemSegmentStore {
-                inner: Arc::clone(&inner),
-            },
-            MemSegmentsHandle { inner },
-        )
+        let handle = MemSegmentsHandle {
+            inner: Arc::default(),
+        };
+        (MemSegmentStore(handle.clone()), handle)
     }
 }
 
 impl SegmentStore for MemSegmentStore {
+    fn create(&mut self, seq: u64) -> io::Result<Box<dyn Storage>> {
+        self.0.create(seq)
+    }
+
+    fn delete(&mut self, seq: u64) -> io::Result<()> {
+        self.0.delete(seq)
+    }
+}
+
+impl SegmentStore for MemSegmentsHandle {
     fn create(&mut self, seq: u64) -> io::Result<Box<dyn Storage>> {
         let (storage, handle) = MemStorage::new();
         self.inner
@@ -156,17 +179,13 @@ impl SegmentStore for MemSegmentStore {
     }
 }
 
-impl MemSegmentsHandle {
-    /// A fresh write handle over the same shared segment map — used when
-    /// a supervised core resumes logging into the store it just
-    /// recovered from (the original [`MemSegmentStore`] died with the
-    /// crashed core thread).
-    pub fn store(&self) -> MemSegmentStore {
-        MemSegmentStore {
-            inner: Arc::clone(&self.inner),
-        }
+impl ReadableSegmentStore for MemSegmentsHandle {
+    fn read_segments(&self) -> io::Result<Vec<(u64, Vec<u8>)>> {
+        Ok(self.segments())
     }
+}
 
+impl MemSegmentsHandle {
     /// The retained segments' full contents (durable or not), ascending.
     pub fn segments(&self) -> Vec<(u64, Vec<u8>)> {
         let inner = self.inner.lock().expect("segment lock");
@@ -182,11 +201,6 @@ impl MemSegmentsHandle {
             .iter()
             .map(|(&s, h)| (s, h.synced_bytes()))
             .collect()
-    }
-
-    /// Segments currently retained.
-    pub fn segment_count(&self) -> usize {
-        self.inner.lock().expect("segment lock").segs.len()
     }
 
     /// Segments deleted by compaction so far.
@@ -274,24 +288,24 @@ impl SegmentedWal {
         policy: FsyncPolicy,
         ckpt: CheckpointPolicy,
     ) -> io::Result<SegmentedWal> {
-        SegmentedWal::resume(store, policy, ckpt, Checkpoint::default(), 0, &[])
+        SegmentedWal::resume(store, policy, ckpt, Checkpoint::default(), &[])
     }
 
-    /// Re-opens the log after in-place recovery: a fresh segment
-    /// `next_seq` headed by `head` (the recovered live state), forced
-    /// durable, after which every segment listed in `prior` is deleted —
-    /// the same durability-before-deletion order as
-    /// [`CommitLog::install_checkpoint`], so a crash mid-resume leaves
-    /// both generations on disk and recovery prefers the newest segment
-    /// whose head checkpoint scans valid.
+    /// Re-opens the log after in-place recovery: a fresh segment past
+    /// the highest of `prior` (0 if there is none) headed by `head` (the
+    /// recovered live state), forced durable, after which every segment
+    /// listed in `prior` is deleted — the same durability-before-deletion
+    /// order as [`CommitLog::install_checkpoint`], so a crash mid-resume
+    /// leaves both generations on disk and recovery prefers the newest
+    /// segment whose head checkpoint scans valid.
     pub fn resume(
         mut store: Box<dyn SegmentStore>,
         policy: FsyncPolicy,
         ckpt: CheckpointPolicy,
         head: Checkpoint,
-        next_seq: u64,
         prior: &[u64],
     ) -> io::Result<SegmentedWal> {
+        let next_seq = prior.iter().max().map_or(0, |s| s + 1);
         let storage = store.create(next_seq)?;
         let mut writer = WalWriter::new(storage, policy)?;
         writer.append(&WalRecord::Checkpoint(head.clone()))?;
@@ -302,9 +316,6 @@ impl SegmentedWal {
             current_seq: next_seq,
         };
         for &s in prior {
-            if s >= next_seq {
-                continue;
-            }
             store.delete(s)?;
             seg_stats.segments_deleted += 1;
         }
@@ -493,7 +504,7 @@ mod tests {
             wal.append(&WalRecord::Begin(TxnId(t))).unwrap();
             wal.append(&WalRecord::Commit(TxnId(t))).unwrap();
         }
-        assert_eq!(handle.segment_count(), 1);
+        assert_eq!(handle.segments().len(), 1);
         wal.install_checkpoint(Checkpoint {
             shard: 0,
             committed: (0..4).map(TxnId).collect(),
@@ -501,7 +512,7 @@ mod tests {
             sessions: vec![],
         })
         .unwrap();
-        assert_eq!(handle.segment_count(), 1, "old segment deleted");
+        assert_eq!(handle.segments().len(), 1, "old segment deleted");
         assert_eq!(handle.deleted(), 1);
         let segs = handle.synced_segments();
         assert_eq!(segs[0].0, 1, "survivor is the new segment");
@@ -611,11 +622,10 @@ mod tests {
             sessions: vec![],
         };
         let mut wal = SegmentedWal::resume(
-            Box::new(handle.store()),
+            Box::new(handle.clone()),
             FsyncPolicy::Always,
             CheckpointPolicy::never(),
             head,
-            1,
             &prior,
         )
         .unwrap();
@@ -637,7 +647,7 @@ mod tests {
         // generation (oldest was advanced past the deleted segments).
         wal.install_checkpoint(Checkpoint::default()).unwrap();
         assert_eq!(wal.segment_stats().current_seq, 2);
-        assert_eq!(handle.segment_count(), 1);
+        assert_eq!(handle.segments().len(), 1);
     }
 
     #[test]
@@ -655,11 +665,10 @@ mod tests {
         wal.install_checkpoint(Checkpoint::default()).unwrap();
         wal.append(&WalRecord::Begin(TxnId(1))).unwrap();
         wal.close().unwrap();
-        let listed = DirSegmentStore::list(&dir).unwrap();
-        assert_eq!(listed.len(), 1, "segment 0 was deleted at rotation");
-        assert_eq!(listed[0].0, 1);
-        let bytes = std::fs::read(&listed[0].1).unwrap();
-        let s = scan(&bytes);
+        let segs = DirSegmentStore::new(&dir).unwrap().read_segments().unwrap();
+        assert_eq!(segs.len(), 1, "segment 0 was deleted at rotation");
+        assert_eq!(segs[0].0, 1);
+        let s = scan(&segs[0].1);
         assert_eq!(s.truncation, None);
         assert_eq!(s.records.len(), 2);
         std::fs::remove_dir_all(&dir).ok();

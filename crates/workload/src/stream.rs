@@ -58,6 +58,21 @@ impl RequestStream {
         }
     }
 
+    /// The arrivals of this stream's order not in `done`, in order, as a
+    /// fresh stream: what is left to serve after a life that committed
+    /// `done`.
+    pub fn without(&self, done: &[TxnId]) -> Self {
+        RequestStream {
+            order: self
+                .order
+                .iter()
+                .filter(|t| !done.contains(t))
+                .copied()
+                .collect(),
+            cursor: AtomicUsize::new(0),
+        }
+    }
+
     /// Claims the next arrival, or `None` when the stream is drained.
     /// Safe to call from any number of threads; each id is handed out
     /// exactly once.

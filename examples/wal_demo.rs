@@ -2,10 +2,11 @@
 //! to a real segment directory (one `wal-*.log` file per segment; this
 //! log never rotates, so it stays one segment), the process "crashes"
 //! (the segment is cut mid-record, the way a torn write leaves it), and
-//! recovery rebuilds the scheduler from the files on disk — truncating
-//! the torn tail, replaying the acknowledged prefix, and re-certifying
-//! the committed history against the paper's Theorem 1 before accepting
-//! it.
+//! reopening the directory rebuilds the scheduler from the files on disk
+//! — truncating the torn tail, replaying the acknowledged prefix, and
+//! re-certifying the committed history against the paper's Theorem 1
+//! before accepting it. Both the empty and the torn directory are opened
+//! by the one open call, `recover_and_resume`.
 //!
 //! ```text
 //! cargo run --release --example wal_demo            # full demo
@@ -13,11 +14,10 @@
 //! ```
 
 use relative_serializability::protocols::rsg_sgt::RsgSgt;
-use relative_serializability::server::recovery::{recover_segments_with_certifier, Certifier};
-use relative_serializability::server::{serve_sharded, RunOutcome, ServerConfig};
-use relative_serializability::wal::{
-    scan, CheckpointPolicy, DirSegmentStore, FsyncPolicy, SegmentedWal,
+use relative_serializability::server::{
+    recover_and_resume, serve_sharded, RunOutcome, ServerConfig,
 };
+use relative_serializability::wal::{scan, CheckpointPolicy, DirSegmentStore};
 use relative_serializability::workload::banking::{banking, BankingConfig};
 use relative_serializability::workload::stream::RequestStream;
 
@@ -44,23 +44,22 @@ fn main() {
     // fsync.
     let dir = std::env::temp_dir().join(format!("relser_wal_demo_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = DirSegmentStore::new(&dir).expect("create segment directory");
-    let mut wal = SegmentedWal::new(
-        Box::new(store),
-        FsyncPolicy::Always,
-        CheckpointPolicy::never(),
-    )
-    .expect("write segment header and head checkpoint");
+    let open = || {
+        let store = DirSegmentStore::new(&dir).expect("create segment directory");
+        let fresh = Box::new(RsgSgt::new(&sc.txns, &sc.spec));
+        let never = CheckpointPolicy::never();
+        recover_and_resume(store, fresh, &sc.txns, &sc.spec, 0, never).expect("the directory opens")
+    };
+    let (mut wal, scheduler, _) = open();
     let server_cfg = ServerConfig {
         workers: 4,
         ..ServerConfig::default()
     };
     let stream = RequestStream::shuffled(&sc.txns, 7);
-    let scheduler = RsgSgt::new(&sc.txns, &sc.spec);
     let report = serve_sharded(
         &sc.txns,
         &stream,
-        vec![Box::new(scheduler)],
+        vec![scheduler],
         &server_cfg,
         &[],
         vec![&mut wal],
@@ -97,24 +96,13 @@ fn main() {
         full.records.len()
     );
 
-    // Phase 3: recovery from the directory. Scan truncates at the damage,
-    // replay rebuilds a fresh scheduler, and the committed history is
+    // Phase 3: reopen the directory. Scan truncates at the damage,
+    // replay rebuilds a fresh scheduler, the committed history is
     // re-certified by the vector-clock certifier before the state is
-    // accepted.
-    let segments: Vec<(u64, Vec<u8>)> = DirSegmentStore::list(&dir)
-        .expect("list segments")
-        .into_iter()
-        .map(|(seq, path)| (seq, std::fs::read(path).expect("read segment")))
-        .collect();
-    let mut fresh = RsgSgt::new(&sc.txns, &sc.spec);
-    let (_, rec) = recover_segments_with_certifier(
-        &sc.txns,
-        &sc.spec,
-        &mut fresh,
-        &segments,
-        Certifier::VClock,
-    )
-    .expect("recovery succeeds");
+    // accepted, and the log resumes on a fresh segment (the torn one is
+    // deleted, not appended to).
+    let (wal, _, rec) = open();
+    drop(wal);
     println!(
         "recovery: {} records replayed (truncated: {}), \
          {} committed, {} live incarnations rolled back",
