@@ -1,30 +1,28 @@
 //! A3 (bench form): RSG-SGT per-request rebuild vs incremental graph
 //! maintenance, the depends-on closure in isolation, the cost of
 //! building (and dropping) one scheduler on a benchmark-sized set, the
-//! cost of one commit on such sets, and the cost of one request and one
-//! abort on the benchmark's long-lived sets.
+//! cost of one commit on such sets, the cost of one request and one
+//! abort on the benchmark's long-lived sets, and the recovery
+//! certifier's cost per operation on benchmark-shaped sets.
 //!
 //! Run with `cargo bench -p relser-bench --bench incremental`. Besides
 //! printing the comparison, this writes the scaling measurements to
 //! `BENCH_rsg_sgt.json` at the repository root (EXPERIMENTS.md A3).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use relser_bench::harness::{git_commit, Harness};
-use relser_bench::streams::{long_lived_sets, LoopRun, SETS, STREAMS};
+use relser_bench::streams::{long_lived_sets, rmw_set, LoopRun, SETS, STREAMS};
 use relser_check::RsgSgtOracle;
 use relser_core::depends::DependsOn;
 use relser_core::ids::{OpId, TxnId};
 use relser_core::incremental::{AdmitError, IncrementalRsg};
-use relser_core::op::AccessMode;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
+use relser_core::vclock::VClockCertifier;
 use relser_protocols::driver::{run, RunConfig};
 use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{AbortReason, Decision, Scheduler};
 use relser_workload::longlived::{long_lived, LongLivedConfig};
-use relser_workload::zipf::Zipf;
-use relser_workload::{random_schedule, random_spec};
+use relser_workload::random_schedule;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -93,22 +91,10 @@ fn bench_depends_on(h: &mut Harness) {
     }
 }
 
-/// The repository benchmark's `pingpong`/`saturate` set shape: `n`
-/// single-record read-modify-write transactions over `2n` Zipf(0.4)
-/// objects under a random spec (breakpoint probability 0.4).
+/// The repository benchmark's `pingpong`/`saturate` set shape
+/// ([`rmw_set`]) with `n` transactions.
 fn pingpong_set(n: usize) -> (TxnSet, AtomicitySpec) {
-    let objects = 2 * n;
-    let mut rng = StdRng::seed_from_u64(SET_SEED);
-    let zipf = Zipf::new(objects, 0.4);
-    let names: Vec<String> = (0..objects).map(|i| format!("r{i}")).collect();
-    let mut txns = TxnSet::new();
-    for _ in 0..n {
-        let record = names[zipf.sample(&mut rng)].as_str();
-        txns.add(&[(AccessMode::Read, record), (AccessMode::Write, record)])
-            .expect("non-empty transaction");
-    }
-    let spec = random_spec(&txns, 0.4, SET_SEED);
-    (txns, spec)
+    rmw_set(n, SET_SEED)
 }
 
 const CONSTRUCT_TXNS: usize = 1024;
@@ -169,6 +155,42 @@ fn bench_commit(h: &mut Harness) {
                 })
             });
         }
+    }
+}
+
+/// The recovery certifier on the `pingpong_set` shape:
+/// `VClockCertifier::new` + `observe` of every operation + `seal` on the
+/// serial feed (each transaction whole, in id order), as recovery's step
+/// 4 runs it. A sample certifies the whole set until it has observed
+/// `iters` operations, so a row is the cost per operation; three set
+/// sizes show whether it grows with n.
+fn bench_vclock_certify(h: &mut Harness) {
+    let mut group = h.group("vclock_certify");
+    group.sample_size(10);
+    for n in [256usize, 1024, 4096] {
+        let (txns, spec) = pingpong_set(n);
+        let feed: Vec<OpId> = txns
+            .txn_ids()
+            .flat_map(|t| (0..txns.txn(t).len() as u32).map(move |j| OpId::new(t, j)))
+            .collect();
+        group.bench_function(format!("certify/{n}"), |b| {
+            b.iter_custom(|iters| {
+                let (start, mut ops) = (Instant::now(), 0u64);
+                while ops < iters {
+                    let mut c = VClockCertifier::new(&txns, &spec);
+                    for &op in &feed {
+                        c.observe(op).expect("the serial feed is in program order");
+                    }
+                    assert!(
+                        black_box(c.seal()).is_acyclic(),
+                        "a serial feed is serializable"
+                    );
+                    ops += feed.len() as u64;
+                }
+                let ns = start.elapsed().as_nanos() * u128::from(iters) / u128::from(ops);
+                Duration::from_nanos(ns as u64)
+            })
+        });
     }
 }
 
@@ -333,6 +355,7 @@ fn main() {
     bench_construct(&mut h);
     bench_commit(&mut h);
     bench_longlived(&mut h);
+    bench_vclock_certify(&mut h);
     // Anchor at the workspace root, not the bench cwd, so the tracked
     // file is always the one that gets refreshed.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_rsg_sgt.json");

@@ -14,13 +14,38 @@
 //!
 //! The `incremental` bench times the engine on these runs, and the
 //! `arc_volume` test bounds the arcs the engine hands its graph.
+//! [`rmw_set`] is the shape of the other workloads' sets.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use relser_core::ids::{OpId, TxnId};
+use relser_core::op::AccessMode;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::{Decision, Scheduler};
 use relser_workload::longlived::{long_lived, LongLivedConfig};
+use relser_workload::random::random_spec;
 use relser_workload::stream::RequestStream;
+use relser_workload::zipf::Zipf;
+
+/// The repository benchmark's `pingpong`/`saturate`/`durable` set shape:
+/// `n` single-record read-modify-write transactions (`R x; W x`) over
+/// `2n` Zipf(0.4) objects under a random spec (breakpoint probability
+/// 0.4), generated and specified from `seed`.
+pub fn rmw_set(n: usize, seed: u64) -> (TxnSet, AtomicitySpec) {
+    let objects = 2 * n;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let zipf = Zipf::new(objects, 0.4);
+    let names: Vec<String> = (0..objects).map(|i| format!("r{i}")).collect();
+    let mut txns = TxnSet::new();
+    for _ in 0..n {
+        let record = names[zipf.sample(&mut rng)].as_str();
+        txns.add(&[(AccessMode::Read, record), (AccessMode::Write, record)])
+            .expect("non-empty transaction");
+    }
+    let spec = random_spec(&txns, 0.4, seed);
+    (txns, spec)
+}
 
 /// The benchmark's long-lived set: 16 long transactions × 8 read-write
 /// steps plus 240 short ones over 192 objects, θ = 0.5.

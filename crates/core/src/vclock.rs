@@ -7,10 +7,10 @@
 //! style of Mathur–Viswanathan ("Atomicity Checking in Linear Time using
 //! Vector Clocks") and RegionTrack, this module carries the same
 //! reachability information in **per-transaction vector clocks** and decides
-//! the same predicate in a single forward pass, O(K) work per operation for
-//! K transactions — the Biswas–Enea regime where checking is linear in
-//! history length once the number of transactions is a parameter, not part
-//! of the input growth.
+//! the same predicate in a single forward pass, O(|D(o)|) work per operation
+//! `o`, where |D(o)| ≤ K counts the transactions `o` depends on — the
+//! Biswas–Enea regime where checking is linear in history length once the
+//! number of transactions is a parameter, not part of the input growth.
 //!
 //! ## Clock layout
 //!
@@ -36,7 +36,15 @@
 //!
 //! Then `D(o) = txn_clock[t] ⊔ write_clock[x] ⊔ (read_clock[x] if o writes)`
 //! where `⊔` is the element-wise max, and the summaries are updated with
-//! `D(o) ⊔ {o}` afterwards. Every step is O(K).
+//! `D(o) ⊔ {o}` afterwards (a write also empties `read_clock[x]`).
+//!
+//! Every clock is stored **sparse**, as its nonzero entries: `(txn, count)`
+//! pairs sorted by transaction, an absent transaction counting 0. A new
+//! certifier holds K + 2 · objects empty clocks. `D(o)` is one merge of the
+//! three sorted runs, and each summary update is a copy or one two-run
+//! merge, so an operation costs O(|D(o)|) with |D(o)| ≤ K: the
+//! transactions `o` depends on, not all of them. The merge and swap
+//! buffers are reused, so a warm certifier allocates only to widen a clock.
 //!
 //! ## Why one linear pass suffices
 //!
@@ -149,16 +157,34 @@ pub(crate) fn skeleton_pair(
     ]
 }
 
-/// A dependency clock: one entry per transaction, `clock[i]` = number of
-/// leading operations of `T_i` in the summarized closure (0 = none).
-type Clock = Vec<u32>;
+/// A dependency clock, sparse: `(txn, count)` entries sorted by
+/// transaction, `count` = number of leading operations of `T_txn` in the
+/// summarized closure. An absent transaction counts 0.
+type DepClock = Vec<(u32, u32)>;
 
-/// Element-wise max join.
-fn join(dst: &mut [u32], src: &[u32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        if s > *d {
-            *d = s;
+/// `dst = runs[0] ⊔ runs[1] ⊔ runs[2]` (element-wise max) in one pass
+/// over the sorted runs, calling `moved(txn, count)` for every entry that
+/// ends up above `runs[0]`'s.
+fn join3(dst: &mut DepClock, runs: [&[(u32, u32)]; 3], mut moved: impl FnMut(u32, u32)) {
+    dst.clear();
+    let mut at = [0; 3];
+    loop {
+        let heads = [0, 1, 2].map(|r| runs[r].get(at[r]).copied().unwrap_or((u32::MAX, 0)));
+        let i = heads[0].0.min(heads[1].0).min(heads[2].0);
+        if i == u32::MAX {
+            return;
         }
+        let mut counts = [0; 3];
+        for r in 0..3 {
+            if heads[r].0 == i {
+                (counts[r], at[r]) = (heads[r].1, at[r] + 1);
+            }
+        }
+        let d = counts[0].max(counts[1]).max(counts[2]);
+        if d > counts[0] {
+            moved(i, d);
+        }
+        dst.push((i, d));
     }
 }
 
@@ -170,7 +196,7 @@ fn join(dst: &mut [u32], src: &[u32]) {
 pub struct CertifierStats {
     /// Operations observed.
     pub ops: usize,
-    /// Clock width = number of transactions in the universe.
+    /// Transactions in the universe: the most entries a clock can have.
     pub width: usize,
     /// Merged cross-transaction skeleton arcs (F/B, with coinciding D).
     pub cross_arcs: usize,
@@ -178,6 +204,9 @@ pub struct CertifierStats {
     pub nodes: usize,
     /// Skeleton edges including the static I-chains.
     pub edges: usize,
+    /// Entries of the widest clock `observe` built, `D(o) ⊔ {o}` over
+    /// the observed `o` (at most `width`): the per-operation work.
+    pub widest: usize,
 }
 
 /// A concrete RSG cycle extracted from the clock skeleton: `ops[k]` reaches
@@ -271,20 +300,25 @@ pub struct VClockCertifier<'a> {
     /// Global node id of `o_{t,0}` in the static skeleton.
     offsets: Vec<u32>,
     total_static: usize,
-    /// `txn_clock[t][t]` is the number of `T_t`'s operations observed,
-    /// hence the program index it must observe next.
-    txn_clock: Vec<Clock>,
-    write_clock: Vec<Clock>,
-    read_clock: Vec<Clock>,
+    /// `T_t`'s own entry in `txn_clock[t]` is the number of its
+    /// operations observed, hence the program index it must observe next.
+    txn_clock: Vec<DepClock>,
+    write_clock: Vec<DepClock>,
+    read_clock: Vec<DepClock>,
     /// Cross-transaction skeleton arcs as `from << 32 | to` over global
     /// ids, repeats included: [`VClockCertifier::seal`] sorts them once
     /// and merges the kinds of equal keys.
     arcs: Vec<(u64, ArcKinds)>,
     observed: usize,
-    scratch: Clock,
-    /// The transactions whose maximum moved at the operation being
-    /// observed (a buffer reused across operations).
-    moved: Vec<usize>,
+    widest: usize,
+    /// `D(o)` of the operation being observed, then `D(o) ⊔ {o}`; and the
+    /// buffer a read's join of `read_clock[x]` is built in. Both are
+    /// swapped with the clocks they replace, so they keep a capacity.
+    scratch: DepClock,
+    swap: DepClock,
+    /// The `(txn, count)` entries of `D(o)` whose maximum moved at the
+    /// operation being observed (a buffer reused across operations).
+    moved: Vec<(u32, u32)>,
 }
 
 impl<'a> VClockCertifier<'a> {
@@ -304,12 +338,14 @@ impl<'a> VClockCertifier<'a> {
             spec,
             offsets,
             total_static: total as usize,
-            txn_clock: vec![vec![0; k]; k],
-            write_clock: vec![vec![0; k]; objects],
-            read_clock: vec![vec![0; k]; objects],
+            txn_clock: vec![DepClock::new(); k],
+            write_clock: vec![DepClock::new(); objects],
+            read_clock: vec![DepClock::new(); objects],
             arcs: Vec::new(),
             observed: 0,
-            scratch: vec![0; k],
+            widest: 0,
+            scratch: DepClock::new(),
+            swap: DepClock::new(),
             moved: Vec::new(),
         }
     }
@@ -330,35 +366,27 @@ impl<'a> VClockCertifier<'a> {
     /// [`Error::ProgramOrderViolated`].
     pub fn observe(&mut self, op: OpId) -> Result<()> {
         let operation = self.txns.op(op)?;
-        let t = op.txn.index();
-        if op.index != self.txn_clock[t][t] {
+        let (t, txn) = (op.txn.index(), op.txn.0);
+        let clock = &self.txn_clock[t];
+        let observed = clock.binary_search_by_key(&txn, |&(i, _)| i);
+        if op.index != observed.map_or(0, |p| clock[p].1) {
             return Err(Error::ProgramOrderViolated { txn: op.txn, op });
         }
 
-        // D(op) = txn_clock[t] ⊔ write_clock[x] ⊔ (read_clock[x] if write).
-        let x = operation.object.index();
-        self.scratch.copy_from_slice(&self.txn_clock[t]);
-        join(&mut self.scratch, &self.write_clock[x]);
-        if operation.is_write() {
-            join(&mut self.scratch, &self.read_clock[x]);
-        }
-
-        // Skeleton arcs from the per-transaction maximal dependencies,
-        // for the transactions whose maximum moved past the predecessor's
-        // (an unmoved one's arcs are implied: see the module docs). `T_t`
-        // itself never moves: no clock counts an unobserved operation.
+        // D(op) = txn_clock[t] ⊔ write_clock[x] ⊔ (read_clock[x] if write),
+        // in one merge that also collects the transactions whose maximum
+        // moved past the predecessor's (an unmoved one's arcs are implied:
+        // see the module docs). `T_t` itself never moves: no clock counts
+        // an unobserved operation.
+        let (x, write) = (operation.object.index(), operation.is_write());
+        let reads: &[(u32, u32)] = if write { &self.read_clock[x] } else { &[] };
         let mut moved = std::mem::take(&mut self.moved);
         moved.clear();
-        moved.extend(
-            self.scratch
-                .iter()
-                .zip(&self.txn_clock[t])
-                .enumerate()
-                .filter_map(|(i, (d, p))| (d != p).then_some(i)),
-        );
-        debug_assert!(!moved.contains(&t));
-        for &i in &moved {
-            let max = OpId::new(TxnId(i as u32), self.scratch[i] - 1);
+        let runs = [&self.txn_clock[t][..], &self.write_clock[x], reads];
+        join3(&mut self.scratch, runs, |i, d| moved.push((i, d)));
+        debug_assert!(moved.iter().all(|&(i, _)| i != txn));
+        for &(i, d) in &moved {
+            let max = OpId::new(TxnId(i), d - 1);
             for (from, to, kinds) in skeleton_pair(self.spec, max, op) {
                 let (from, to) = (self.gid(from), self.gid(to));
                 self.add_arc(from, to, kinds);
@@ -367,15 +395,22 @@ impl<'a> VClockCertifier<'a> {
         self.moved = moved;
 
         // Fold the operation itself in and refresh the summaries (its
-        // transaction's entry was `op.index`: program order, no gaps).
-        self.scratch[t] = op.index + 1;
-        if operation.is_write() {
-            self.write_clock[x].copy_from_slice(&self.scratch);
-            self.read_clock[x].fill(0);
-        } else {
-            join(&mut self.read_clock[x], &self.scratch);
+        // transaction's entry was `op.index`, absent at 0: program order,
+        // no gaps).
+        match self.scratch.binary_search_by_key(&txn, |&(i, _)| i) {
+            Ok(p) => self.scratch[p].1 = op.index + 1,
+            Err(p) => self.scratch.insert(p, (txn, op.index + 1)),
         }
-        self.txn_clock[t].copy_from_slice(&self.scratch);
+        self.widest = self.widest.max(self.scratch.len());
+        if write {
+            self.write_clock[x].clone_from(&self.scratch);
+            self.read_clock[x].clear();
+        } else {
+            let runs = [&self.read_clock[x][..], &self.scratch, &[]];
+            join3(&mut self.swap, runs, |_, _| {});
+            std::mem::swap(&mut self.read_clock[x], &mut self.swap);
+        }
+        std::mem::swap(&mut self.txn_clock[t], &mut self.scratch);
         self.observed += 1;
         Ok(())
     }
@@ -422,6 +457,7 @@ impl<'a> VClockCertifier<'a> {
             cross_arcs: g.edge_count() - (self.total_static - self.txns.len()),
             nodes: g.node_count(),
             edges: g.edge_count(),
+            widest: self.widest,
         };
         match cycle::find_cycle(&g) {
             None => Verdict::RelativelySerializable(stats),
@@ -708,6 +744,32 @@ mod tests {
         assert_eq!(stats.nodes, 10);
         assert!(stats.cross_arcs <= 2 * stats.ops * (stats.width - 1));
         assert_eq!(stats.edges, stats.cross_arcs + 7);
+        assert!(stats.widest <= stats.width);
+    }
+
+    /// A write empties `read_clock[x]`: the reads before it are in its
+    /// own clock, so a later reader of `x` picks them up through
+    /// `write_clock[x]` alone, and the next write joins only the readers
+    /// since.
+    #[test]
+    fn a_write_resets_the_read_clock() {
+        let txns = TxnSet::parse(&["r1[x]", "r2[x]", "w3[x]", "r4[x]"]).unwrap();
+        let spec = AtomicitySpec::absolute(&txns);
+        let mut c = VClockCertifier::new(&txns, &spec);
+        for t in 0..2 {
+            c.observe(OpId::new(TxnId(t), 0)).unwrap();
+        }
+        assert_eq!(c.read_clock[0], [(0, 1), (1, 1)]);
+        c.observe(OpId::new(TxnId(2), 0)).unwrap();
+        assert!(c.read_clock[0].is_empty(), "the write resets the readers");
+        assert_eq!(c.write_clock[0], [(0, 1), (1, 1), (2, 1)]);
+        c.observe(OpId::new(TxnId(3), 0)).unwrap();
+        assert_eq!(c.read_clock[0], [(0, 1), (1, 1), (2, 1), (3, 1)]);
+        assert_eq!(
+            c.read_clock[0], c.txn_clock[3],
+            "only r4[x] read since w3[x]"
+        );
+        assert_eq!(c.seal().stats().widest, 4);
     }
 
     /// `r2[y]` depends on `w1[x]` only through `r2[x]`, whose maximal

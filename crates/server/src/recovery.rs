@@ -44,8 +44,9 @@
 //!    re-submission).
 //! 4. **Re-certify.** The committed history ([`Recovery::history`]) is
 //!    fed, in log order, to the linear-time vector-clock certifier
-//!    ([`VClockCertifier`], O(n·K) in history length n and transaction
-//!    count K) over the universe recovery was handed, which decides
+//!    ([`VClockCertifier`]: O(K + objects) to set up, then O(|D(o)|) per
+//!    history operation `o`, |D(o)| ≤ K the transactions `o` depends on)
+//!    over the universe recovery was handed, which decides
 //!    Theorem 1 on the RSG's clock skeleton. Nothing is projected: a
 //!    transaction with no operation in the history adds only its static
 //!    I-chain to the skeleton, and an I-chain lies on no cycle, so the
@@ -237,8 +238,8 @@ impl std::error::Error for RecoveryError {}
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Certifier {
     /// The linear-time vector-clock certifier (`relser_core::vclock`):
-    /// one forward pass, O(n·K) for n history operations and K
-    /// transactions.
+    /// one forward pass over sparse clocks, O(|D(o)|) per history
+    /// operation `o` for the |D(o)| ≤ K transactions it depends on.
     #[default]
     VClock,
 }

@@ -34,7 +34,7 @@ use crate::core::{
     Progress, ShardCoreCtx, TraceEvent,
 };
 use crate::queue::BoundedQueue;
-use crate::recovery::{recover_segments_with_certifier, Certifier, Recovery};
+use crate::recovery::{recover_segments_with_certifier, Certifier, Recovery, RecoveryError};
 use relser_core::ids::TxnId;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
@@ -246,8 +246,9 @@ pub struct SupervisedRun {
 /// ([`relser_wal::CommitLog::head`]) a core on it starts from, the
 /// replayed scheduler that core must run, and the [`Recovery`]. An empty
 /// store gets `shard`'s empty checkpoint as segment 0. A store recovery
-/// refuses is left untouched: the error is `InvalidData`, carrying the
-/// [`crate::RecoveryError`].
+/// refuses, or one whose head is stamped with another shard's id
+/// ([`RecoveryError::ShardMismatch`]), is left untouched: the error is
+/// `InvalidData`, carrying the [`RecoveryError`].
 pub fn recover_and_resume<'a, S: ReadableSegmentStore + 'static>(
     store: S,
     mut scheduler: Box<dyn Scheduler + Send + 'a>,
@@ -257,9 +258,18 @@ pub fn recover_and_resume<'a, S: ReadableSegmentStore + 'static>(
     ckpt: CheckpointPolicy,
 ) -> io::Result<(SegmentedWal, Box<dyn Scheduler + Send + 'a>, Recovery)> {
     let segments = store.read_segments()?;
+    let refuse = |e: RecoveryError| io::Error::new(io::ErrorKind::InvalidData, e);
     let (_, rec) =
         recover_segments_with_certifier(txns, spec, &mut *scheduler, &segments, Certifier::VClock)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            .map_err(refuse)?;
+    // A store headed by another shard's checkpoint was routed here by
+    // mistake: resuming it would re-stamp it as `shard`.
+    if let Some(found) = rec.shard.filter(|&found| found != shard) {
+        return Err(refuse(RecoveryError::ShardMismatch {
+            expected: shard,
+            found,
+        }));
+    }
     // The head condenses the Begin/Grant/Commit stream of the committed
     // transactions. An incarnation the log later aborted is not part of
     // it — a transaction that restarted before it committed contributes

@@ -18,8 +18,8 @@ use relser_protocols::{Decision, Scheduler};
 use relser_server::core::{Ack, Command, Reply};
 use relser_server::recovery::{recover_segments_with_certifier, Certifier};
 use relser_server::{
-    fence_resumed_shard, supervise_shard, BoundedQueue, FaultPlan, Progress, SessionTable,
-    ShardHealth, SupervisedRun, SupervisorCfg, MAX_RESTARTS,
+    fence_resumed_shard, recover_and_resume, supervise_shard, BoundedQueue, FaultPlan, Progress,
+    RecoveryError, SessionTable, ShardHealth, SupervisedRun, SupervisorCfg, MAX_RESTARTS,
 };
 use relser_wal::{
     CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, MemSegmentsHandle, SegmentedWal,
@@ -349,4 +349,51 @@ fn a_foreign_store_is_given_up_on_with_the_reason_recovery_refused_it() {
     assert_eq!((run.restarts, run.panics), (0, 0));
     let reason = run.output.wal_error.expect("the refusal is reported");
     assert!(reason.contains(&format!("{foreign:?}")), "{reason}");
+}
+
+/// A written store opened as another shard's is refused with
+/// `ShardMismatch` and left as it was, rather than resumed and re-stamped
+/// with the wrong shard id (which sharded recovery would only answer
+/// later, with `NotOwner`, after new commits were acknowledged on it).
+#[test]
+fn a_store_of_another_shard_is_refused_and_left_untouched() {
+    let (txns, spec) = universe();
+    let never = CheckpointPolicy::never();
+    let handle = MemSegmentStore::new().1;
+    let fresh = Box::new(RsgSgt::new(&txns, &spec)) as Box<dyn Scheduler + Send>;
+    let (mut wal, _, _) = recover_and_resume(handle.clone(), fresh, &txns, &spec, 1, never)
+        .expect("an empty store opens as shard 1");
+    let t = owned(&txns, 1)[0];
+    wal.append(&WalRecord::Begin(t)).unwrap();
+    for j in 0..txns.txn(t).len() as u32 {
+        wal.append(&WalRecord::Grant(OpId::new(t, j))).unwrap();
+    }
+    wal.append(&WalRecord::Commit(t)).unwrap();
+    wal.close().unwrap();
+    drop(wal);
+    let written = handle.segments();
+
+    let fresh = Box::new(RsgSgt::new(&txns, &spec)) as Box<dyn Scheduler + Send>;
+    let refused = match recover_and_resume(handle.clone(), fresh, &txns, &spec, 0, never) {
+        Ok(_) => panic!("shard 1's store opened as shard 0"),
+        Err(e) => e,
+    };
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
+    let reason = refused
+        .get_ref()
+        .and_then(|e| e.downcast_ref::<RecoveryError>())
+        .expect("the payload is the RecoveryError");
+    assert_eq!(
+        reason,
+        &RecoveryError::ShardMismatch {
+            expected: 0,
+            found: 1
+        }
+    );
+    assert_eq!(handle.segments(), written, "the refused store is untouched");
+
+    // Its own shard still opens it, with the commit.
+    let fresh = Box::new(RsgSgt::new(&txns, &spec)) as Box<dyn Scheduler + Send>;
+    let (_, _, rec) = recover_and_resume(handle, fresh, &txns, &spec, 1, never).unwrap();
+    assert_eq!(rec.committed, [t]);
 }

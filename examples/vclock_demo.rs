@@ -4,7 +4,8 @@
 //! Theorem 1 RSG over a batch of random universes, and time both
 //! backends across a fixed-transaction-count scaling grid — the
 //! Biswas–Enea regime in which certification is tractable and the
-//! one-pass certifier is O(n·K) in the history length.
+//! one-pass certifier is linear in the history length: O(|D(o)|) ≤ O(K)
+//! work per operation o, for the transactions o depends on.
 //!
 //! ```text
 //! cargo run --release --example vclock_demo            # full demo
