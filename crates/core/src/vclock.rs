@@ -43,8 +43,9 @@
 //! certifier holds K + 2 · objects empty clocks. `D(o)` is one merge of the
 //! three sorted runs, and each summary update is a copy or one two-run
 //! merge, so an operation costs O(|D(o)|) with |D(o)| ≤ K: the
-//! transactions `o` depends on, not all of them. The merge and swap
-//! buffers are reused, so a warm certifier allocates only to widen a clock.
+//! transactions `o` depends on, not all of them. The merge buffers are
+//! reused and every summary is copied into a buffer of its own, so a pass
+//! allocates only when a clock outgrows its buffer, not per operation.
 //!
 //! ## Why one linear pass suffices
 //!
@@ -313,9 +314,9 @@ pub struct VClockCertifier<'a> {
     widest: usize,
     /// `D(o)` of the operation being observed, then `D(o) ⊔ {o}`; and the
     /// buffer a read's join of `read_clock[x]` is built in. Both are
-    /// swapped with the clocks they replace, so they keep a capacity.
+    /// reused across operations and copied from, so they keep a capacity.
     scratch: DepClock,
-    swap: DepClock,
+    read_join: DepClock,
     /// The `(txn, count)` entries of `D(o)` whose maximum moved at the
     /// operation being observed (a buffer reused across operations).
     moved: Vec<(u32, u32)>,
@@ -345,7 +346,7 @@ impl<'a> VClockCertifier<'a> {
             observed: 0,
             widest: 0,
             scratch: DepClock::new(),
-            swap: DepClock::new(),
+            read_join: DepClock::new(),
             moved: Vec::new(),
         }
     }
@@ -407,10 +408,10 @@ impl<'a> VClockCertifier<'a> {
             self.read_clock[x].clear();
         } else {
             let runs = [&self.read_clock[x][..], &self.scratch, &[]];
-            join3(&mut self.swap, runs, |_, _| {});
-            std::mem::swap(&mut self.read_clock[x], &mut self.swap);
+            join3(&mut self.read_join, runs, |_, _| {});
+            self.read_clock[x].clone_from(&self.read_join);
         }
-        std::mem::swap(&mut self.txn_clock[t], &mut self.scratch);
+        self.txn_clock[t].clone_from(&self.scratch);
         self.observed += 1;
         Ok(())
     }
