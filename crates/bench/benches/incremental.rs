@@ -3,7 +3,9 @@
 //! building (and dropping) one scheduler on a benchmark-sized set, the
 //! cost of one commit on such sets, the cost of one request and one
 //! abort on the benchmark's long-lived sets, and the recovery
-//! certifier's cost per operation on benchmark-shaped sets.
+//! certifier's cost per operation on benchmark-shaped sets and per
+//! history, `observe` and `seal` apart, on the long-lived sets'
+//! committed histories.
 //!
 //! Run with `cargo bench -p relser-bench --bench incremental`. Besides
 //! printing the comparison, this writes the scaling measurements to
@@ -164,6 +166,12 @@ fn bench_commit(h: &mut Harness) {
 /// 4 runs it. A sample certifies the whole set until it has observed
 /// `iters` operations, so a row is the cost per operation; three set
 /// sizes show whether it grows with n.
+///
+/// Then the same pass split in two on the committed histories of the
+/// repository benchmark's long-lived sets (`relser_bench::streams`, 16
+/// sets under the relative and under the absolute spec): one iteration
+/// is one history, `new` + `observe` of its operations in the `observe`
+/// rows and `seal` alone in the `seal` rows.
 fn bench_vclock_certify(h: &mut Harness) {
     let mut group = h.group("vclock_certify");
     group.sample_size(10);
@@ -189,6 +197,47 @@ fn bench_vclock_certify(h: &mut Harness) {
                 }
                 let ns = start.elapsed().as_nanos() * u128::from(iters) / u128::from(ops);
                 Duration::from_nanos(ns as u64)
+            })
+        });
+    }
+    for (label, relative) in [("rel", true), ("abs", false)] {
+        let sets = long_lived_sets(relative);
+        let histories: Vec<Vec<OpId>> = sets.iter().map(|set| set.committed_history()).collect();
+        // Samples cycle through the pool.
+        let mut cursor = 0usize;
+        let mut observed = || {
+            let (set, history) = (
+                &sets[cursor % SETS as usize],
+                &histories[cursor % SETS as usize],
+            );
+            cursor += 1;
+            let mut c = VClockCertifier::new(&set.txns, &set.spec);
+            for &op in history {
+                c.observe(op)
+                    .expect("a committed history is in program order");
+            }
+            c
+        };
+        group.bench_function(format!("observe/longlived/{label}"), |b| {
+            b.iter_custom(|iters| {
+                let start = Instant::now();
+                for _ in 0..iters {
+                    black_box(observed());
+                }
+                start.elapsed()
+            })
+        });
+        group.bench_function(format!("seal/longlived/{label}"), |b| {
+            b.iter_custom(|iters| {
+                let mut sealing = Duration::ZERO;
+                for _ in 0..iters {
+                    let c = observed();
+                    let start = Instant::now();
+                    let verdict = black_box(c.seal());
+                    sealing += start.elapsed();
+                    assert!(verdict.is_acyclic(), "a committed history is serializable");
+                }
+                sealing
             })
         });
     }

@@ -14,6 +14,9 @@
 //!
 //! The `incremental` bench times the engine on these runs, and the
 //! `arc_volume` test bounds the arcs the engine hands its graph.
+//! [`LongLivedSet::committed_history`] is what a run's log would hold:
+//! the `incremental` bench times the recovery certifier on it, and the
+//! `clock_width` test pins the skeleton the certifier builds from it.
 //! [`rmw_set`] is the shape of the other workloads' sets.
 
 use rand::rngs::StdRng;
@@ -22,6 +25,7 @@ use relser_core::ids::{OpId, TxnId};
 use relser_core::op::AccessMode;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
+use relser_protocols::rsg_sgt::RsgSgt;
 use relser_protocols::{Decision, Scheduler};
 use relser_workload::longlived::{long_lived, LongLivedConfig};
 use relser_workload::random::random_spec;
@@ -81,6 +85,56 @@ impl LongLivedSet {
     pub fn run(&self, sched: &mut dyn Scheduler) -> LoopRun {
         let arrivals = RequestStream::shuffled(&self.txns, self.seed);
         closed_loop(&self.txns, &arrivals, STREAMS, sched)
+    }
+
+    /// The committed history a log of [`LongLivedSet::run`] under
+    /// RSG-SGT holds: grants in grant order, minus the aborted
+    /// incarnations'. Every transaction commits, so it is complete.
+    pub fn committed_history(&self) -> Vec<OpId> {
+        let mut s = Committed {
+            inner: RsgSgt::new(&self.txns, &self.spec),
+            history: Vec::new(),
+        };
+        self.run(&mut s);
+        assert_eq!(
+            s.history.len(),
+            self.txns.total_ops(),
+            "every transaction commits"
+        );
+        s.history
+    }
+}
+
+/// RSG-SGT recording its grants, less those of aborted incarnations.
+struct Committed {
+    inner: RsgSgt,
+    history: Vec<OpId>,
+}
+
+impl Scheduler for Committed {
+    fn name(&self) -> &'static str {
+        "RSG-SGT-history"
+    }
+
+    fn begin(&mut self, txn: TxnId) {
+        self.inner.begin(txn);
+    }
+
+    fn request(&mut self, op: OpId) -> Decision {
+        let d = self.inner.request(op);
+        if d == Decision::Granted {
+            self.history.push(op);
+        }
+        d
+    }
+
+    fn commit(&mut self, txn: TxnId) {
+        self.inner.commit(txn);
+    }
+
+    fn abort(&mut self, txn: TxnId) {
+        self.inner.abort(txn);
+        self.history.retain(|o| o.txn != txn);
     }
 }
 

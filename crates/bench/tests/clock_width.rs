@@ -12,12 +12,10 @@
 //! `cross_arcs` and `edges` are pinned to its figures.
 
 use relser_bench::streams::{long_lived_sets, rmw_set};
-use relser_core::ids::{OpId, TxnId};
+use relser_core::ids::OpId;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_core::vclock::{CertifierStats, VClockCertifier};
-use relser_protocols::rsg_sgt::RsgSgt;
-use relser_protocols::{Decision, Scheduler};
 use relser_workload::random_schedule;
 
 /// Certifies `feed` and returns the pass accounting; `acyclic` is the
@@ -51,56 +49,13 @@ fn rmw_feeds(seed: u64) -> (TxnSet, AtomicitySpec, [Vec<OpId>; 2]) {
     (txns, spec, [serial, shuffled])
 }
 
-/// RSG-SGT recording the committed history a log would hold: grants in
-/// grant order, minus the aborted incarnations'.
-struct Committed {
-    inner: RsgSgt,
-    history: Vec<OpId>,
-}
-
-impl Scheduler for Committed {
-    fn name(&self) -> &'static str {
-        "RSG-SGT-history"
-    }
-
-    fn begin(&mut self, txn: TxnId) {
-        self.inner.begin(txn);
-    }
-
-    fn request(&mut self, op: OpId) -> Decision {
-        let d = self.inner.request(op);
-        if d == Decision::Granted {
-            self.history.push(op);
-        }
-        d
-    }
-
-    fn commit(&mut self, txn: TxnId) {
-        self.inner.commit(txn);
-    }
-
-    fn abort(&mut self, txn: TxnId) {
-        self.inner.abort(txn);
-        self.history.retain(|o| o.txn != txn);
-    }
-}
-
 /// `(cross_arcs, edges)` of each long-lived set's committed history.
 fn long_lived_skeletons(relative: bool) -> Vec<(usize, usize)> {
     long_lived_sets(relative)
         .iter()
         .map(|set| {
-            let mut s = Committed {
-                inner: RsgSgt::new(&set.txns, &set.spec),
-                history: Vec::new(),
-            };
-            set.run(&mut s);
-            assert_eq!(
-                s.history.len(),
-                set.txns.total_ops(),
-                "every transaction commits"
-            );
-            let stats = certify(&set.txns, &set.spec, &s.history, Some(true));
+            let history = set.committed_history();
+            let stats = certify(&set.txns, &set.spec, &history, Some(true));
             (stats.cross_arcs, stats.edges)
         })
         .collect()

@@ -322,8 +322,9 @@ impl IncrementalRsg {
     /// programs.
     ///
     /// Construction is O(operations), not O(n²) in the transaction count:
-    /// the engine shares `spec`'s breakpoint matrix (an O(1)
-    /// [`AtomicitySpec`] clone) instead of copying it.
+    /// the engine shares `spec`'s breakpoint matrix and `txns`' programs
+    /// (O(1) [`AtomicitySpec`] and [`TxnSet`] clones) instead of copying
+    /// them.
     pub fn new(txns: &TxnSet, spec: &AtomicitySpec) -> Self {
         Self::with_policy(txns, spec, CompactionPolicy::default())
     }

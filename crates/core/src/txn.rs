@@ -10,6 +10,7 @@ use crate::error::{Error, Result};
 use crate::ids::{ObjectId, ObjectTable, OpId, TxnId};
 use crate::op::{AccessMode, Operation};
 use crate::schedule::Schedule;
+use std::sync::Arc;
 
 /// A transaction: a totally-ordered sequence of read/write operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,10 +65,15 @@ impl Transaction {
 /// A set of transactions sharing one object namespace — the paper's `T`.
 ///
 /// Transaction ids are dense: `TxnId(k)` is the `k`-th transaction.
+///
+/// The set is a shared, copy-on-write value: `clone` is O(1) (two
+/// reference-count bumps), so every scheduler built over one set shares
+/// its programs and object table, and the first edit of a shared set
+/// copies them once. Equality compares content, never identity.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TxnSet {
-    txns: Vec<Transaction>,
-    objects: ObjectTable,
+    txns: Arc<Vec<Transaction>>,
+    objects: Arc<ObjectTable>,
 }
 
 impl TxnSet {
@@ -81,21 +87,22 @@ impl TxnSet {
     /// an object's id before it writes a transaction over it (placement
     /// by [`crate::shard::ShardMap`]) interns its names first.
     pub fn intern_object(&mut self, name: &str) -> ObjectId {
-        self.objects.intern(name)
+        Arc::make_mut(&mut self.objects).intern(name)
     }
 
     /// Adds a transaction built from `(mode, object-name)` pairs and returns
     /// its id.
     pub fn add(&mut self, ops: &[(AccessMode, &str)]) -> Result<TxnId> {
         let id = TxnId(u32::try_from(self.txns.len()).expect("too many transactions"));
+        let objects = Arc::make_mut(&mut self.objects);
         let ops: Vec<Operation> = ops
             .iter()
             .map(|&(mode, name)| Operation {
                 mode,
-                object: self.objects.intern(name),
+                object: objects.intern(name),
             })
             .collect();
-        self.txns.push(Transaction::new(id, ops)?);
+        Arc::make_mut(&mut self.txns).push(Transaction::new(id, ops)?);
         Ok(id)
     }
 

@@ -36,9 +36,9 @@ pub fn find_cycle<N, E>(g: &DiGraph<N, E>) -> Option<Vec<NodeIdx>> {
         color[root.index()] = Color::Gray;
         stack.push((root, 0));
         while let Some(&mut (v, ref mut pos)) = stack.last_mut() {
-            let succs: Vec<NodeIdx> = g.successors(v).collect();
+            let succs = g.out_row(v);
             if *pos < succs.len() {
-                let s = succs[*pos];
+                let s = succs[*pos].0;
                 *pos += 1;
                 match color[s.index()] {
                     Color::White => {

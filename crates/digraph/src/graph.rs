@@ -257,6 +257,13 @@ impl<N, E> DiGraph<N, E> {
         self.succ[v.index()].iter().map(|&(t, _)| t)
     }
 
+    /// The outgoing adjacency row of `v` as `(target, edge)` pairs, in
+    /// insertion order: what [`DiGraph::successors`] iterates, as a slice
+    /// a traversal can index from its stack frame.
+    pub(crate) fn out_row(&self, v: NodeIdx) -> &[(NodeIdx, EdgeIdx)] {
+        &self.succ[v.index()]
+    }
+
     /// Predecessor nodes of `v` (one entry per incoming edge).
     pub fn predecessors(&self, v: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
         self.pred[v.index()].iter().map(|&(s, _)| s)

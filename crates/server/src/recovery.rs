@@ -47,7 +47,9 @@
 //!    ([`VClockCertifier`]: O(K + objects) to set up, then O(|D(o)|) per
 //!    history operation `o`, |D(o)| ≤ K the transactions `o` depends on)
 //!    over the universe recovery was handed, which decides
-//!    Theorem 1 on the RSG's clock skeleton. Nothing is projected: a
+//!    Theorem 1 on the RSG's clock skeleton: `seal` lays its arcs out in
+//!    flat rows by one counting sort and runs one DFS over them,
+//!    O(operations + arcs) with no per-step allocation. Nothing is projected: a
 //!    transaction with no operation in the history adds only its static
 //!    I-chain to the skeleton, and an I-chain lies on no cycle, so the
 //!    verdict is the verdict on the committed sub-universe. The explicit
