@@ -119,15 +119,15 @@
 //! index order and a node's successors as its I-successor first, then its
 //! row in ascending target order. The first back arc closes the witness.
 //!
-//! That order is the edge order of the general graph the certifier used
-//! to build: every node's I-arc added first, then the cross arcs in key
-//! order. With the same successor order at every node the DFS takes the
-//! same steps, so it finds the same back arc and returns the same cycle,
-//! and the accounting in [`CertifierStats`] is the same count of the same
-//! arcs. The negative-path suite re-seals its histories against that
-//! graph, kept in test code. On an acyclic skeleton, the DFS finish order
-//! reversed is a topological order of the skeleton, so a certificate of
-//! acceptance can later be read off the same pass.
+//! That order is the edge order of a general adjacency-list graph built
+//! with every node's I-arc first and then the cross arcs in key order. A
+//! DFS of that graph, scanning roots and adjacency lists in index order,
+//! takes the same steps, so it finds the same back arc and the same cycle,
+//! and [`CertifierStats`] counts the same arcs: the witness does not
+//! depend on the layout. The negative-path suite re-seals its histories
+//! against such a graph, kept in test code. On an acyclic skeleton, the
+//! DFS finish order reversed is a topological order of the skeleton, so a
+//! certificate of acceptance can later be read off the same pass.
 //!
 //! ## Partial histories
 //!
