@@ -30,7 +30,10 @@
 //! * [`preload`] — re-drives a recorded run from a pre-loaded queue in
 //!   exact multi-command batches, so the storage and shard sweeps cut
 //!   the group-commit window (records appended, barrier pending, acks
-//!   held) that live one-command-at-a-time sessions never open;
+//!   held) that live one-command-at-a-time sessions never open, and
+//!   records seeded single-threaded runs to re-drive;
+//! * [`lockstep`] — after a recovery, the scheduler it hands back and one
+//!   that replayed the log decide a continuation stream alike;
 //! * [`shard_faults`] — crash-at-k sweeps over the sharded service, whose
 //!   shards share nothing: live core crashes on a durable N-shard run of
 //!   a shard-local universe, full-log and skewed-cut recoveries, every
@@ -56,6 +59,7 @@
 
 pub mod explore;
 pub mod faults;
+pub mod lockstep;
 pub mod oracle;
 pub mod preload;
 pub mod rebuild;

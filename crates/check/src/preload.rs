@@ -16,8 +16,15 @@
 //! sweep checks the contract from the client's side of the reply:
 //! a transaction counts as acknowledged only if its reply came back
 //! `Granted`, and **acked ⇒ durable** is asserted against that set.
+//!
+//! The trace need not come from a threaded run: [`closed_loop_trace`]
+//! drives a scheduler directly, on closed-loop streams taking turns in one
+//! thread, and records the trace a core would. Re-driven, it writes the
+//! same log on every run, so a sweep over that log checks the same bytes
+//! every time.
 
-use relser_core::ids::TxnId;
+use relser_core::ids::{OpId, TxnId};
+use relser_core::txn::TxnSet;
 use relser_protocols::{Decision, Scheduler};
 use relser_server::core::{Ack, Command, CoreOutput, Progress, Reply};
 use relser_server::{run_core, BoundedQueue, CoreCfg, FaultPlan, ShardCoreCtx, TraceEvent};
@@ -37,6 +44,83 @@ pub struct PreloadedRun {
     /// Transactions whose commit reply came back `Granted`, in commit
     /// order — what a client of this run was told is committed.
     pub acked: Vec<TxnId>,
+}
+
+/// A single-threaded run of `arrivals`, in order, on `streams`
+/// closed-loop streams taking turns round-robin, straight through
+/// `scheduler`; returns the core-order trace a core would have recorded
+/// for the same commands. Each stream requests its transaction's
+/// operations one at a time, commits after the last and restarts it
+/// after an `Aborted`; a `Blocked` request asks again on its next turn.
+/// When a whole round blocks, the lowest-id transaction in flight is
+/// aborted and restarted, as a waits-for timeout would. Deterministic:
+/// the same arrivals through the same deterministic scheduler give the
+/// same trace. Panics if the run makes no progress within 100 requests
+/// per operation of the set.
+pub fn closed_loop_trace(
+    txns: &TxnSet,
+    arrivals: &[TxnId],
+    streams: usize,
+    scheduler: &mut dyn Scheduler,
+) -> Vec<TraceEvent> {
+    let mut trace = Vec::new();
+    let mut arrivals = arrivals.iter().copied();
+    // Per stream: its transaction and the index of its next operation.
+    let mut slots: Vec<Option<(TxnId, u32)>> = vec![None; streams.max(1)];
+    let cap = 100 * txns.total_ops().max(1);
+    let mut requests = 0;
+    loop {
+        let (mut busy, mut progressed) = (false, false);
+        for slot in slots.iter_mut() {
+            if slot.is_none() {
+                if let Some(t) = arrivals.next() {
+                    scheduler.begin(t);
+                    trace.push(TraceEvent::Begin(t));
+                    *slot = Some((t, 0));
+                }
+            }
+            let Some((t, next)) = slot else { continue };
+            busy = true;
+            requests += 1;
+            let op = OpId::new(*t, *next);
+            let decision = scheduler.request(op);
+            trace.push(TraceEvent::Decision(op, decision.clone()));
+            match decision {
+                Decision::Granted => {
+                    progressed = true;
+                    *next += 1;
+                    if *next as usize == txns.txn(*t).len() {
+                        scheduler.commit(*t);
+                        trace.push(TraceEvent::Commit(*t));
+                        *slot = None;
+                    }
+                }
+                Decision::Aborted(_) => {
+                    progressed = true;
+                    // The core applied the abort with the decision.
+                    scheduler.abort(*t);
+                    scheduler.begin(*t);
+                    trace.push(TraceEvent::Begin(*t));
+                    *next = 0;
+                }
+                Decision::Blocked { .. } => {}
+            }
+        }
+        if !busy {
+            return trace;
+        }
+        if !progressed {
+            let (t, next) = (slots.iter_mut().flatten())
+                .min_by_key(|(t, _)| *t)
+                .expect("a busy round has a transaction in flight");
+            scheduler.abort(*t);
+            trace.push(TraceEvent::Abort(*t));
+            scheduler.begin(*t);
+            trace.push(TraceEvent::Begin(*t));
+            *next = 0;
+        }
+        assert!(requests < cap, "closed loop made no progress");
+    }
 }
 
 /// Re-drives `trace` through a fresh core from a pre-loaded, closed

@@ -36,8 +36,12 @@
 //! sets complete in the merged history, no committed transaction with an
 //! operation in a log other than its owner's) plus the Theorem 1 oracle
 //! re-run *whole* over the merged committed history — independently of
-//! the certification sharded recovery already performs internally.
+//! the certification sharded recovery already performs internally — and
+//! to the recovery lockstep, shard by shard: a fresh scheduler and one
+//! that replayed the shard's log decide the shard's uncommitted
+//! transactions alike ([`crate::lockstep::recovery_lockstep`]).
 
+use crate::lockstep::recovery_lockstep;
 use crate::preload::redrive_preloaded;
 use relser_core::ids::{OpId, TxnId};
 use relser_core::rsg::Rsg;
@@ -45,7 +49,7 @@ use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
-use relser_protocols::Scheduler;
+use relser_protocols::{Scheduler, SchedulerKind};
 use relser_server::{
     recover_and_resume, recover_sharded_segments_with_certifier, serve_sharded, Certifier,
     FaultPlan, RunOutcome, ServerConfig, ServerError, ShardCoreCtx, ShardedRecovery, ShardedReport,
@@ -124,6 +128,13 @@ pub struct ShardSweepReport {
     /// Merged histories the independent oracle re-run found cyclic
     /// (must be 0).
     pub oracle_violations: u64,
+    /// Continuation requests a fresh and a replayed scheduler decided
+    /// alike, over every shard of every recovery.
+    pub lockstep_requests: u64,
+    /// Shard recoveries after which they did not (must be 0).
+    pub lockstep_divergences: u64,
+    /// The first such divergence.
+    pub first_lockstep_divergence: Option<String>,
 }
 
 impl ShardSweepReport {
@@ -134,6 +145,7 @@ impl ShardSweepReport {
             && self.half_committed == 0
             && self.foreign_ops == 0
             && self.oracle_violations == 0
+            && self.lockstep_divergences == 0
     }
 }
 
@@ -324,10 +336,43 @@ fn try_recover(
         &streams,
         Certifier::VClock,
     ) {
-        Ok(rec) => Some(rec),
+        Ok(rec) => {
+            lockstep_shards(txns, spec, &rec, report);
+            Some(rec)
+        }
         Err(_) => {
             report.failed_recoveries += 1;
             None
+        }
+    }
+}
+
+/// The recovery lockstep on every shard of `rec`: a fresh scheduler (what
+/// a shard core resumes with) against one that replayed the shard's log,
+/// over the transactions the shard owns and did not commit.
+fn lockstep_shards(
+    txns: &TxnSet,
+    spec: &AtomicitySpec,
+    rec: &ShardedRecovery,
+    report: &mut ShardSweepReport,
+) {
+    let map = ShardMap::new(rec.shards.len() as u32);
+    for (s, shard) in rec.shards.iter().enumerate() {
+        let pending: Vec<TxnId> = RequestStream::in_order(txns)
+            .without(&shard.committed)
+            .order()
+            .iter()
+            .copied()
+            .filter(|&t| map.owner_of_txn(txns, t) == Some(s as u32))
+            .collect();
+        let mut fresh = RsgSgt::new(txns, spec);
+        let kind = SchedulerKind::RsgSgt;
+        match recovery_lockstep(txns, spec, kind, &mut fresh, shard, &pending) {
+            Ok(requests) => report.lockstep_requests += requests,
+            Err(e) => {
+                report.lockstep_divergences += 1;
+                report.first_lockstep_divergence.get_or_insert(e);
+            }
         }
     }
 }
@@ -411,6 +456,7 @@ mod tests {
         );
         assert!(report.recoveries > report.runs, "cut recoveries ran");
         assert!(report.oracle_checked > 0);
+        assert!(report.lockstep_requests > 0, "{report:?}");
         assert!(
             report.acked_commits_checked > report.runs,
             "acknowledged commits were checked on cut recoveries too: {report:?}"

@@ -8,10 +8,11 @@
 //!   (leaving a torn tail), fails an fsync, or silently flips a bit as
 //!   the bytes land, while tracking the synced watermark that models
 //!   what a real disk still holds after power loss;
-//! * [`crash_point_sweep`] — the headline harness. It runs the durable
-//!   server to completion on a log that never rotates (one
-//!   [`SegmentedWal`] segment: header, empty head checkpoint, records),
-//!   then crashes it *everywhere*: the log is cut
+//! * [`crash_point_sweep`] — the headline harness. It writes a log that
+//!   never rotates (one [`SegmentedWal`] segment: header, empty head
+//!   checkpoint, records) from a seeded single-threaded run re-driven
+//!   through a core ([`crate::preload::closed_loop_trace`]), so the same
+//!   log on every run, then crashes it *everywhere*: the log is cut
 //!   at every byte offset (covering every record boundary and every torn
 //!   tail), bit-flipped at every byte, and re-run live against `FaultFs`
 //!   failures (handed out as segment 0 by a one-segment
@@ -21,7 +22,8 @@
 //!   ([`crate::preload::redrive_preloaded`]), so the failing write or
 //!   barrier lands inside the group-commit window (records appended,
 //!   barrier pending, acks held). Every recovery must succeed, pass the
-//!   full offline oracle suite of [`crate::oracle::check_execution`], and
+//!   full offline oracle suite of [`crate::oracle::check_execution`] and
+//!   the recovery lockstep of [`crate::lockstep::recovery_lockstep`], and
 //!   — under [`FsyncPolicy::Always`] — preserve every acknowledged
 //!   commit.
 //!
@@ -36,16 +38,17 @@
 //! live runs crash the core between rotations, and recovery must seed
 //! from the surviving checkpoint without losing an acknowledged commit.
 
+use crate::lockstep::recovery_lockstep;
 use crate::oracle::{check_execution, Divergence, ExecutionRecord};
-use crate::preload::redrive_preloaded;
+use crate::preload::{closed_loop_trace, redrive_preloaded};
 use relser_core::ids::TxnId;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::SchedulerKind;
 use relser_server::recovery::{recover_segments_with_certifier, Certifier, Recovery};
 use relser_server::{
-    recover_and_resume, serve_sharded, FaultPlan, RunOutcome, ServerConfig, ShardCoreCtx,
-    ShardedReport,
+    recover_and_resume, serve_sharded, FaultPlan, ServerConfig, ShardCoreCtx, ShardedReport,
+    TraceEvent,
 };
 use relser_wal::{
     CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, SegmentStore, SegmentedWal, Storage,
@@ -196,7 +199,8 @@ pub struct CrashSweepConfig {
     pub torn_bytes: Vec<usize>,
     /// Sync ordinals to fail live.
     pub fail_syncs: Vec<u64>,
-    /// Session worker threads per live run.
+    /// Session worker threads per live run, and streams of the seeded
+    /// single-threaded run that writes the swept log.
     pub workers: usize,
 }
 
@@ -244,9 +248,18 @@ pub struct CrashSweepReport {
     /// Checkpoints cut by the swept runs (only [`checkpoint_crash_sweep`]
     /// produces any; it requires at least one per run to be meaningful).
     pub checkpoints: u64,
-    /// Recoveries that seeded from a checkpoint rather than replaying
-    /// from the start of history.
+    /// Cuts of a swept log (pass 1) whose recovery seeded from a
+    /// checkpoint rather than replaying from the start of history. The
+    /// swept logs are written by seeded single-threaded runs, so this is
+    /// the same on every run.
     pub seeded_recoveries: u64,
+    /// Continuation requests the recovered and the replayed scheduler
+    /// decided alike ([`recovery_lockstep`], after every recovery).
+    pub lockstep_requests: u64,
+    /// Recoveries after which they did not (must be 0).
+    pub lockstep_divergences: u64,
+    /// The first such divergence.
+    pub first_lockstep_divergence: Option<String>,
     /// Second service lives opened on a crashed run's durable segments
     /// (only [`checkpoint_crash_sweep`] serves any).
     pub second_lives: u64,
@@ -260,6 +273,7 @@ impl CrashSweepReport {
     /// Did every crash point recover cleanly with nothing lost?
     pub fn clean(&self) -> bool {
         self.divergence_count == 0
+            && self.lockstep_divergences == 0
             && self.lost_commits == 0
             && self.report_ack_mismatches == 0
             && self.failed_recoveries == 0
@@ -291,12 +305,7 @@ pub fn crash_point_sweep(
                 CheckpointPolicy::never(),
             )
             .expect("MemSegmentStore never fails");
-            let run = serve_one(txns, spec, kind, &server_cfg, seed, &mut wal);
-            if run.outcome != RunOutcome::Completed {
-                // A failed faultless run is a server bug the plain fault
-                // sweep reports; the storage sweep just skips the log.
-                continue;
-            }
+            let run = first_life(txns, spec, kind, seed, cfg.workers, &mut wal);
             report.runs += 1;
             let bytes = handle.segments().remove(0).1;
 
@@ -322,7 +331,7 @@ pub fn crash_point_sweep(
             }
             // The full log must recover the full run.
             let full = [(0, bytes.clone())];
-            check_acked(&run.committed, &full, txns, spec, kind, &mut report);
+            check_acked(&run.acked, &full, txns, spec, kind, &mut report);
 
             // Pass 2: flip one bit in every byte — recovery must survive
             // (truncating at the damage), never panic, never forge state.
@@ -379,7 +388,7 @@ pub fn crash_point_sweep(
                         // a batch with appended records and held acks.
                         let redrive = redrive_preloaded(
                             kind.make(txns, spec),
-                            &run.shards[0].trace,
+                            &run.trace,
                             &FaultPlan::default(),
                             &mut wal,
                             ShardCoreCtx::default(),
@@ -468,27 +477,16 @@ pub fn checkpoint_crash_sweep(
             let (store, handle) = MemSegmentStore::new();
             let mut wal = SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt_policy)
                 .expect("MemSegmentStore never fails");
-            let stream = RequestStream::shuffled(txns, seed);
-            let run = serve_sharded(
-                txns,
-                &stream,
-                vec![kind.make(txns, spec)],
-                &server_cfg,
-                &[],
-                vec![&mut wal as &mut dyn CommitLog],
-            );
-            if run.outcome != RunOutcome::Completed {
-                continue;
-            }
+            let run = first_life(txns, spec, kind, seed, cfg.workers, &mut wal);
             report.runs += 1;
-            report.checkpoints += run.shards[0].checkpoints;
+            report.checkpoints += run.checkpoints;
             let segments = handle.synced_segments();
             // Rotation deletes covered segments, so the durable set is
             // the newest segment (plus, mid-rotation, its predecessor).
             let (last_seq, last_bytes) = segments.last().cloned().expect("segment 0 always exists");
 
             // The full durable set recovers the full run, nothing lost.
-            check_acked(&run.committed, &segments, txns, spec, kind, &mut report);
+            check_acked(&run.acked, &segments, txns, spec, kind, &mut report);
 
             // Pass 1: cut the newest segment at every byte.
             let prior: Vec<(u64, Vec<u8>)> = segments[..segments.len() - 1].to_vec();
@@ -530,7 +528,7 @@ pub fn checkpoint_crash_sweep(
                     last_seq + 1,
                     last_bytes[..torn_len.min(last_bytes.len())].to_vec(),
                 ));
-                check_acked(&run.committed, &segs, txns, spec, kind, &mut report);
+                check_acked(&run.acked, &segs, txns, spec, kind, &mut report);
             }
 
             // Pass 4: live core crashes mid-run — driven by live sessions
@@ -553,7 +551,7 @@ pub fn checkpoint_crash_sweep(
                     let (acked, checkpoints) = if preloaded {
                         let redrive = redrive_preloaded(
                             kind.make(txns, spec),
-                            &run.shards[0].trace,
+                            &run.trace,
                             &faults,
                             &mut wal,
                             ShardCoreCtx::default(),
@@ -642,7 +640,47 @@ fn second_life(
     check_acked(&both, &store.synced_segments(), txns, spec, kind, report);
 }
 
-/// Recovers `segments` into a fresh scheduler, counting failures.
+/// A swept run's first life: what it logged and acknowledged.
+struct FirstLife {
+    /// The core's trace (the seeded run's, decision for decision).
+    trace: Vec<TraceEvent>,
+    /// Commits whose reply came back `Granted`.
+    acked: Vec<TxnId>,
+    /// Checkpoints the core cut.
+    checkpoints: u64,
+}
+
+/// Writes `wal` from a seeded single-threaded run of `kind` on `streams`
+/// closed-loop streams over `seed`'s arrival order, re-driven from a
+/// pre-loaded queue through a core: the same log on every run.
+fn first_life(
+    txns: &TxnSet,
+    spec: &AtomicitySpec,
+    kind: SchedulerKind,
+    seed: u64,
+    streams: usize,
+    wal: &mut dyn CommitLog,
+) -> FirstLife {
+    let arrivals = RequestStream::shuffled(txns, seed);
+    let mut scheduler = kind.make(txns, spec);
+    let trace = closed_loop_trace(txns, arrivals.order(), streams, &mut *scheduler);
+    let redrive = redrive_preloaded(
+        kind.make(txns, spec),
+        &trace,
+        &FaultPlan::default(),
+        wal,
+        ShardCoreCtx::default(),
+    );
+    assert!(!redrive.out.crashed, "a faultless re-drive runs to the end");
+    FirstLife {
+        trace: redrive.out.trace,
+        acked: redrive.acked,
+        checkpoints: redrive.out.checkpoints,
+    }
+}
+
+/// Recovers `segments` into a fresh scheduler, counting failures, and
+/// runs the recovery lockstep on what it hands back.
 fn try_recover(
     txns: &TxnSet,
     spec: &AtomicitySpec,
@@ -652,7 +690,19 @@ fn try_recover(
 ) -> Option<(u64, Recovery)> {
     let mut fresh = kind.make(txns, spec);
     match recover_segments_with_certifier(txns, spec, &mut *fresh, segments, Certifier::VClock) {
-        Ok(out) => Some(out),
+        Ok(out) => {
+            let pending = RequestStream::in_order(txns).without(&out.1.committed);
+            let lockstep =
+                recovery_lockstep(txns, spec, kind, &mut *fresh, &out.1, pending.order());
+            match lockstep {
+                Ok(requests) => report.lockstep_requests += requests,
+                Err(e) => {
+                    report.lockstep_divergences += 1;
+                    report.first_lockstep_divergence.get_or_insert(e);
+                }
+            }
+            Some(out)
+        }
         Err(_) => {
             report.failed_recoveries += 1;
             None
@@ -676,7 +726,6 @@ fn check_acked(
         report.lost_commits += acked.len() as u64;
         return;
     };
-    report.seeded_recoveries += u64::from(rec.seeded_events > 0);
     for t in acked {
         report.acked_commits_checked += 1;
         if rec.committed.iter().filter(|&c| c == t).count() != 1 {
@@ -746,6 +795,7 @@ mod tests {
     fn figure1_crash_point_sweep_is_clean() {
         let fig = Figure1::new();
         let cfg = CrashSweepConfig {
+            kinds: vec![SchedulerKind::RsgSgt, SchedulerKind::TwoPl],
             seeds: vec![1],
             fail_appends: vec![0, 1, 4],
             torn_bytes: vec![0, 3],
@@ -754,7 +804,11 @@ mod tests {
         };
         let report = crash_point_sweep(&fig.txns, &fig.spec, &cfg);
         assert!(report.clean(), "{report:?}");
-        assert!(report.crash_points > 0);
+        // Seeded single-threaded first lives: the same two logs on every
+        // run.
+        assert_eq!(report.crash_points, 684, "{report:?}");
+        assert_eq!(report.seeded_recoveries, 0, "a never-rotating log");
+        assert!(report.lockstep_requests > 0, "{report:?}");
         assert!(report.bit_flips > 0);
         assert!(report.live_faults > 0);
         assert!(report.acked_commits_checked > 0);
@@ -764,19 +818,20 @@ mod tests {
     fn figure1_checkpoint_crash_sweep_is_clean() {
         let fig = Figure1::new();
         let cfg = CheckpointSweepConfig {
+            kinds: vec![SchedulerKind::RsgSgt, SchedulerKind::TwoPl],
             seeds: vec![1],
-            every_records: 3,
+            every_records: 4,
             crash_commands: vec![4, 9],
             ..CheckpointSweepConfig::default()
         };
         let report = checkpoint_crash_sweep(&fig.txns, &fig.spec, &cfg);
         assert!(report.clean(), "{report:?}");
-        assert!(report.checkpoints >= 2, "cadence 3 must rotate: {report:?}");
-        assert!(
-            report.seeded_recoveries > 0,
-            "recoveries must seed from checkpoints: {report:?}"
-        );
-        assert!(report.crash_points > 0);
+        assert!(report.checkpoints >= 2, "cadence 4 must rotate: {report:?}");
+        // Seeded single-threaded first lives: the same newest segments on
+        // every run, whose cuts past the head seed from its events.
+        assert_eq!(report.crash_points, 298, "{report:?}");
+        assert_eq!(report.seeded_recoveries, 96, "{report:?}");
+        assert!(report.lockstep_requests > 0, "{report:?}");
         assert!(report.bit_flips > 0);
         assert!(report.live_faults > 0);
         assert!(report.second_lives > 0, "{report:?}");

@@ -6,8 +6,9 @@
 //! — and every committed history passes the offline
 //! `Rsg::build(..).is_acyclic()` checker (Theorem 1). A second property
 //! pins retirement: after every commit and abort, the engine's worklist
-//! sweep has retired exactly the transactions a full-scan fixpoint over
-//! the admitted prefix retires. A third pair runs both formulations end
+//! sweep has retired exactly the committed transactions that a full-scan
+//! reachability fixpoint over the admitted prefix finds no live
+//! transaction reaching. A third pair runs both formulations end
 //! to end through the protocols crate's driver: the oracle's histories
 //! are relatively serializable, and both commit the same history. Every
 //! rejection the lockstep meets names a genuine RSG cycle of the extended
@@ -206,17 +207,22 @@ proptest! {
     }
 }
 
-/// The full-scan retirement fixpoint, recomputed from the admitted prefix
-/// alone — the reference the engine's worklist sweep must reproduce.
+/// The full-scan retirement reference, recomputed from the admitted
+/// prefix alone — what the engine's worklist sweep must reproduce.
 ///
 /// Every D/F/B arc a depends-on pair `(u, o)` induces runs from a node of
-/// `txn(u)` into a node of `txn(o)`, so a committed transaction is pinned
-/// exactly while one of its admitted operations depends on an admitted
-/// operation of another unretired transaction. Each pass scans all n
-/// transactions; passes repeat until nothing more retires.
+/// `txn(u)` into a node of `txn(o)`, so the transaction graph has `X → C`
+/// exactly while an admitted operation of `C` depends on an admitted
+/// operation of `X`. A committed transaction is retired iff no live
+/// transaction (uncommitted, with an admitted operation) reaches it in
+/// that graph: a search forward from every live transaction at once,
+/// over all n transactions. `retired` is overwritten, so a transaction the
+/// engine once retired must stay unreached by this independent count.
 fn reference_retire(txns: &TxnSet, admitted: &[OpId], committed: &[bool], retired: &mut [bool]) {
     assert!(admitted.len() <= 64, "reference keeps ancestors in a u64");
     let ops: Vec<Operation> = admitted.iter().map(|&o| txns.op(o).unwrap()).collect();
+    let n = txns.len();
+    let mut succ = vec![vec![false; n]; n];
     let mut ancestors = vec![0u64; admitted.len()];
     for p in 0..admitted.len() {
         for q in 0..p {
@@ -224,29 +230,24 @@ fn reference_retire(txns: &TxnSet, admitted: &[OpId], committed: &[bool], retire
                 ancestors[p] |= ancestors[q] | 1 << q;
             }
         }
+        for q in (0..p).filter(|&q| ancestors[p] >> q & 1 == 1) {
+            succ[admitted[q].txn.index()][admitted[p].txn.index()] = true;
+        }
     }
-    loop {
-        let mut changed = false;
-        for t in 0..txns.len() {
-            if !committed[t] || retired[t] {
-                continue;
-            }
-            let pinned = (0..admitted.len())
-                .filter(|&p| admitted[p].txn.index() == t)
-                .any(|p| {
-                    (0..admitted.len()).any(|q| {
-                        let s = admitted[q].txn.index();
-                        ancestors[p] >> q & 1 == 1 && s != t && !retired[s]
-                    })
-                });
-            if !pinned {
-                retired[t] = true;
-                changed = true;
-            }
+    let mut reached = vec![false; n];
+    let mut stack: Vec<usize> = admitted
+        .iter()
+        .map(|o| o.txn.index())
+        .filter(|&t| !committed[t])
+        .collect();
+    while let Some(x) = stack.pop() {
+        if std::mem::replace(&mut reached[x], true) {
+            continue;
         }
-        if !changed {
-            return;
-        }
+        stack.extend((0..n).filter(|&c| succ[x][c] && !reached[c]));
+    }
+    for t in 0..n {
+        retired[t] = committed[t] && !reached[t];
     }
 }
 
@@ -256,8 +257,8 @@ proptest! {
     /// Retirement equivalence: through grants, rejections, voluntary and
     /// forced aborts, restarts, commits and forced compactions, the
     /// engine's worklist sweep retires exactly the transactions the
-    /// full-scan fixpoint retires, after every commit and every abort,
-    /// and the admitted prefix stays the oracle's.
+    /// full-scan reachability fixpoint retires, after every commit and
+    /// every abort, and the admitted prefix stays the oracle's.
     #[test]
     fn worklist_retirement_matches_the_full_scan_fixpoint(
         wl_seed in 0u64..100_000,

@@ -60,40 +60,41 @@
 //! operations, fewer depends-on pairs), which lies in the closure of the
 //! old, acyclic skeleton. So replay is trusted to skip the cycle search.
 //!
-//! Committed transactions are *retired* once every arc into them
-//! originates from retired nodes (or their own): retired nodes are masked
-//! out of cycle searches, so long-finished transactions stop costing
-//! anything. Retirement is sound because an admission only ever targets
-//! the requester's own nodes — a committed transaction never gains new
-//! incoming arcs — so no future cycle can enter the retired region.
+//! Committed transactions are *retired* once no live transaction (begun,
+//! uncommitted, with an admission) reaches them in the *transaction*
+//! graph, where `X → C` iff an admitted operation of `C` depends on one
+//! of `X` — in the skeleton as in the full RSG, since the first such
+//! operation's maximum on `X` moved and its B-arc runs from `X` into `C`.
+//! Retired nodes are masked out of cycle searches. An admission only ever
+//! adds arcs into the requester's own transaction, so a committed
+//! transaction never gains an in-arc: if no live transaction reaches it
+//! now, none ever will, and no future cycle can pass through it. The
+//! retired set is closed under predecessors, so every depends-on ancestor
+//! of a retired operation is retired too, and the pruning below is
+//! decision-neutral. Reachability between *operations* would not be: it
+//! can retire `C` fed only by an unreached early operation `x` of a
+//! committed `X` that a live transaction reaches later on, and pruning
+//! `C` hides a later request's dependency on `x`, with the F-arc from
+//! `push_forward(x)` that closes a cycle
+//! (`tests/retirement.rs`).
 //!
-//! The skeleton pins exactly what the full RSG pins. `pinned` asks for a
-//! *direct* in-arc from another unretired transaction `T_i`. In the RSG,
-//! `t` has one iff some operation of `t` depends on an operation of
-//! `T_i`. In the skeleton too: the first operation of `t` that depends on
-//! `T_i` follows a predecessor that does not, so its maximum on `T_i`
-//! moved, and its B-arc runs from `T_i` into `t`. Every skeleton arc into
-//! `t` comes from such an ancestor transaction, so retirement, and with
-//! it every later decision, is the one the full family would give.
-//!
-//! The retirement sweep works on what changed, not on all n
-//! transactions. A committed transaction's in-arcs are the arcs its own
-//! admissions added, so it can only become retirable when it commits,
-//! when the source of one of its in-arcs retires, or when an abort
-//! rebuilds its admissions without the aborted transaction's. Those are
-//! exactly the transactions queued on a reusable worklist: `commit(t)`
-//! queues `t`, retiring `t` queues the committed owners of `t`'s
-//! successor nodes, and an abort queues the committed survivors it
-//! replayed. The retirement rule is monotone in the retired set, so
-//! popping candidates until the list is empty reaches the same fixpoint
-//! as rescanning every transaction until nothing changes.
+//! The sweep works on what changed, not on all n transactions. A
+//! committed transaction left unreached by a commit is reached from the
+//! committing transaction, and by an abort from a committed survivor it
+//! replayed (every arc the rollback removed or the replay rebuilt runs
+//! into one), over unreached transactions. Those seed a worklist; a
+//! candidate retires iff a backward walk over its unretired predecessor
+//! transactions meets no live one, and then its whole backward closure
+//! retires with it and queues its committed successors. Walk marks are
+//! per-walk epochs on a pooled buffer: a sweep costs the region it walks
+//! and allocates nothing.
 //!
 //! A retired-prefix *floor* bounds the scans over grant history: every
 //! admission below it belongs to a retired transaction, and it advances
-//! after each sweep. An aborted or retiring transaction was live, so its
-//! admissions lie at or above the floor; the abort's search for the
-//! rollback point, retirement's journal blanking and compaction's journal
-//! remap all start there. Abort replay re-enters a retired survivor's
+//! after each sweep. Each admission's position in the grant order is kept
+//! per operation, so the abort's rollback point and retirement's journal
+//! blanking are found without scanning the prefix; compaction's journal
+//! remap starts at the floor. Abort replay re-enters a retired survivor's
 //! operations with blank journals without recomputing their (empty)
 //! deltas.
 //!
@@ -104,9 +105,9 @@
 //! therefore *prunes* — the retired transaction's journals are blanked,
 //! its ancestor sets dropped, and its access-list entries removed. This
 //! is decision-neutral: a retired transaction's ancestors are themselves
-//! retired (every in-arc comes from a retired node, by the retirement
-//! rule), so any arc a pruned entry could have contributed would have had
-//! a retired endpoint and been masked from every cycle search anyway.
+//! retired (the retired set is closed under predecessors), so any arc a
+//! pruned entry could have contributed would have had a retired endpoint
+//! and been masked from every cycle search anyway.
 //! When the retired fraction of the arena crosses the
 //! [`CompactionPolicy`] threshold, the arena itself is rebuilt
 //! ([`IncrementalDag::compact`]) with an old→new index remap, dropping
@@ -255,6 +256,9 @@ pub struct IncrementalRsg {
     node_global: Vec<u32>,
     /// Granted operations in grant order.
     admitted: Vec<OpId>,
+    /// Position in `admitted` per global operation id, kept for admitted
+    /// operations of unretired transactions (the only ones read).
+    grant_at: Vec<u32>,
     /// One graph journal per admission, parallel to `admitted`. Journals
     /// of retired transactions are blanked (their arcs are masked, so
     /// undoing them is decision-neutral either way).
@@ -274,12 +278,17 @@ pub struct IncrementalRsg {
     committed: Vec<bool>,
     retired: Vec<bool>,
     /// Retirement candidates of the running sweep: committed, unretired
-    /// transactions whose in-arcs may have lost their last live source.
-    /// Drained by every sweep and reused, so it never reallocates in
-    /// steady state.
+    /// transactions that may have lost their last live reacher. Drained
+    /// by every sweep and reused, so it never reallocates in steady state.
     worklist: Vec<u32>,
     /// `queued[t]` ⟺ `t` is on `worklist` (no duplicate candidates).
     queued: Vec<bool>,
+    /// The backward walk's transactions in visit order, pooled.
+    walk: Vec<u32>,
+    /// `seen[t] == epoch` ⟺ the running walk visited `t`; `epoch` is
+    /// bumped per walk, so marks are never cleared.
+    seen: Vec<u64>,
+    epoch: u64,
     /// Retired-prefix floor: every admission below `admitted[floor]`
     /// belongs to a retired transaction, so scans for a live
     /// transaction's admissions start here.
@@ -363,6 +372,7 @@ impl IncrementalRsg {
             nodes,
             node_global: (0..acc).collect(),
             admitted: Vec::new(),
+            grant_at: vec![0; acc as usize],
             journals: Vec::new(),
             ancestors: vec![None; acc as usize],
             accesses: Vec::new(),
@@ -370,6 +380,9 @@ impl IncrementalRsg {
             retired: vec![false; txns.len()],
             worklist: Vec::new(),
             queued: vec![false; txns.len()],
+            walk: Vec::new(),
+            seen: vec![0; txns.len()],
+            epoch: 0,
             floor: 0,
             retired_txns: 0,
             retired_ops: 0,
@@ -595,6 +608,7 @@ impl IncrementalRsg {
                         self.accesses.resize_with(obj + 1, Vec::new);
                     }
                     self.accesses[obj].push((g, operation.is_write()));
+                    self.grant_at[g as usize] = self.admitted.len() as u32;
                 }
                 self.admitted.push(op);
                 self.journals.push(undo);
@@ -651,18 +665,17 @@ impl IncrementalRsg {
     /// Aborts `txn`: rolls the engine back to `txn`'s first admission and
     /// replays the surviving operations in their original grant order.
     /// Replay cannot fail — the replayed graph is a subgraph of the
-    /// previously acyclic graph.
+    /// previously acyclic graph. A retired transaction has nothing left
+    /// to roll back.
     pub fn abort(&mut self, txn: TxnId) {
-        // A live transaction's admissions all lie at or above the floor.
-        let start = if self.retired[txn.index()] {
-            0
-        } else {
-            self.floor
-        };
-        let Some(k) = self.admitted[start..].iter().position(|o| o.txn == txn) else {
-            return; // nothing of txn was admitted
-        };
-        let k = start + k;
+        // The first operation's ancestor row marks an admission, and its
+        // grant position is the rollback point. A retired transaction has
+        // no rows left: nothing of it can be rolled back.
+        let first = self.offset[txn.index()] as usize;
+        if self.ancestors[first].is_none() {
+            return;
+        }
+        let k = self.grant_at[first] as usize;
         self.floor = self.floor.min(k);
         let mut suffix = std::mem::take(&mut self.scratch.suffix);
         suffix.clear();
@@ -711,31 +724,24 @@ impl IncrementalRsg {
         }
     }
 
-    /// Retires queued candidates whose every incoming arc originates from
-    /// retired nodes or their own. Retiring one transaction may unblock
-    /// the committed owners of its successors, which are queued in turn;
-    /// the sweep ends at the same fixpoint a scan of all transactions
-    /// would reach (see the module docs). Then advances the retired-prefix
-    /// floor and compacts the arena if the policy says so.
+    /// Retires every queued candidate that no live transaction reaches,
+    /// with its backward closure; each retiree queues the committed owners
+    /// of its successor nodes. The sweep ends with every committed
+    /// transaction the event left unreached retired (see the module docs).
+    /// Then advances the retired-prefix floor and compacts the arena if
+    /// the policy says so.
     fn sweep_retirement(&mut self) {
         while let Some(t) = self.worklist.pop() {
             let t = t as usize;
             self.queued[t] = false;
-            if self.retired[t] || self.pinned(t) {
+            if self.retired[t] || self.reached_by_live(t) {
                 continue;
             }
-            self.retire_txn(t);
-            let base = self.offset[t];
-            for g in base..base + self.txns.txns()[t].len() as u32 {
-                let node = self.nodes[g as usize].expect("retired this sweep: uncompacted");
-                for s in self.dag.graph().successors(node) {
-                    let st = self.owner[self.node_global[s.index()] as usize].index();
-                    if self.committed[st] && !self.retired[st] && !self.queued[st] {
-                        self.queued[st] = true;
-                        self.worklist.push(st as u32);
-                    }
-                }
+            let walk = std::mem::take(&mut self.walk);
+            for &x in &walk {
+                self.retire_txn(x as usize);
             }
+            self.walk = walk;
         }
         while self
             .admitted
@@ -747,39 +753,63 @@ impl IncrementalRsg {
         self.maybe_compact();
     }
 
-    /// Does an arc from another unretired transaction point into `t`?
-    fn pinned(&self, t: usize) -> bool {
-        let base = self.offset[t];
-        (base..base + self.txns.txns()[t].len() as u32).any(|g| {
-            let node = self.nodes[g as usize].expect("unretired txn is uncompacted");
-            self.dag.graph().predecessors(node).any(|p| {
-                let src = self.owner[self.node_global[p.index()] as usize].index();
-                src != t && !self.retired[src]
-            })
-        })
+    /// Does a live transaction reach the committed `t` over unretired
+    /// transactions? Walks `t`'s predecessor transactions backward and
+    /// stops at the first live one. On `false` it leaves `t`'s backward
+    /// closure in `walk`: every member reaches `t`, so none is reached and
+    /// all are committed.
+    fn reached_by_live(&mut self, t: usize) -> bool {
+        self.epoch += 1;
+        self.walk.clear();
+        self.walk.push(t as u32);
+        self.seen[t] = self.epoch;
+        let mut next = 0;
+        while let Some(&x) = self.walk.get(next) {
+            next += 1;
+            let base = self.offset[x as usize];
+            for g in base..base + self.txns.txns()[x as usize].len() as u32 {
+                let node = self.nodes[g as usize].expect("unretired txn is uncompacted");
+                for p in self.dag.graph().predecessors(node) {
+                    let src = self.owner[self.node_global[p.index()] as usize].index();
+                    if src == x as usize || self.retired[src] || self.seen[src] == self.epoch {
+                        continue;
+                    }
+                    if !self.committed[src] {
+                        return true;
+                    }
+                    self.seen[src] = self.epoch;
+                    self.walk.push(src as u32);
+                }
+            }
+        }
+        false
     }
 
-    /// Masks `t`'s nodes and reclaims its per-operation state; see the
-    /// module docs for why the pruning is decision-neutral.
+    /// Masks `t`'s nodes, reclaims its per-operation state (see the module
+    /// docs for why the pruning is decision-neutral) and queues the
+    /// committed owners of its successor nodes.
     fn retire_txn(&mut self, t: usize) {
         let base = self.offset[t];
         let len = self.txns.txns()[t].len() as u32;
         for g in base..base + len {
-            self.dag
-                .retire_node(self.nodes[g as usize].expect("retiring an uncompacted txn"));
+            let node = self.nodes[g as usize].expect("retiring an uncompacted txn");
+            self.dag.retire_node(node);
+            for s in self.dag.graph().successors(node) {
+                let st = self.owner[self.node_global[s.index()] as usize].index();
+                if st != t && self.committed[st] && !self.retired[st] && !self.queued[st] {
+                    self.queued[st] = true;
+                    self.worklist.push(st as u32);
+                }
+            }
+            // An ancestor row marks an admitted operation.
             if let Some(row) = self.ancestors[g as usize].take() {
                 self.row_pool.push(row);
+                self.journals[self.grant_at[g as usize] as usize].clear();
             }
         }
         for op in self.txns.txns()[t].ops() {
             if let Some(accesses) = self.accesses.get_mut(op.object.index()) {
                 accesses.retain(|&(u, _)| !(base..base + len).contains(&u));
-            }
-        }
-        // `t` was live until now, so its admissions lie at or above the floor.
-        for i in self.floor..self.admitted.len() {
-            if self.admitted[i].txn.index() == t {
-                self.journals[i].clear();
             }
         }
         self.retired[t] = true;

@@ -35,8 +35,8 @@
 //! an abort undoes journals newest-first down to the aborted
 //! transaction's first grant, then replays the surviving suffix (replay
 //! cannot fail — every replayed arc lies in the closure of the previously
-//! acyclic graph). Committed transactions are *retired* once no arc from a live
-//! transaction points into them; retired nodes are masked out of every
+//! acyclic graph). Committed transactions are *retired* once no live
+//! transaction reaches them; retired nodes are masked out of every
 //! cycle search, so long-finished transactions stop costing anything.
 //!
 //! Because every granted prefix has an acyclic RSG, the final committed

@@ -1045,14 +1045,14 @@ impl Core<'_, '_, '_> {
 
 /// Drops the events of every transaction `scheduler` has retired: a
 /// retired commit can close no RSG cycle, so a checkpoint need not replay
-/// it. The one pruning rule for a live core's checkpoint and a resumed
-/// log's head.
-pub(crate) fn prune_retired(events: &mut Vec<CheckpointEvent>, scheduler: &dyn Scheduler) {
+/// it. A resumed log's head carries no events at all: nothing is live
+/// after recovery.
+fn prune_retired(events: &mut Vec<CheckpointEvent>, scheduler: &dyn Scheduler) {
     events.retain(|e| !scheduler.retired(event_txn(e)));
 }
 
 /// The transaction a checkpoint event concerns.
-pub(crate) fn event_txn(e: &CheckpointEvent) -> TxnId {
+fn event_txn(e: &CheckpointEvent) -> TxnId {
     match e {
         CheckpointEvent::Begin(t) | CheckpointEvent::Commit(t) => *t,
         CheckpointEvent::Grant(op) => op.txn,

@@ -46,9 +46,10 @@
 //!   deterministically on one thread;
 //! * [`supervisor`] — [`supervise_shard`], the restart loop the TCP
 //!   front-end (`relser-net`) runs each shard core under;
-//! * [`recovery`] — two recoveries, each rebuilding a fresh scheduler
+//! * [`recovery`] — two recoveries, each rebuilding the committed state
 //!   from the log's longest valid prefix and re-certifying the committed
-//!   history before accepting it: [`recover_segments_with_certifier`]
+//!   history before accepting it (a fresh scheduler is the recovered
+//!   one): [`recover_segments_with_certifier`]
 //!   (one log) and [`recover_sharded_segments_with_certifier`] (N
 //!   per-shard logs). Every log is a `relser_wal::SegmentedWal`; one
 //!   that never rotated is a single segment.

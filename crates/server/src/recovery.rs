@@ -1,4 +1,4 @@
-//! Crash recovery: rebuild scheduler state from a write-ahead log.
+//! Crash recovery: rebuild the committed state from a write-ahead log.
 //!
 //! Recovery is the other half of the durability contract started by
 //! serving with a commit log ([`crate::serve_sharded`], [`crate::run_core`]).
@@ -8,21 +8,20 @@
 //! [`recover_sharded_segments_with_certifier`] for N per-shard segment
 //! streams. The core logged every state-changing
 //! admission event in core order — the run's serialization point — so
-//! replaying the log's longest valid prefix through a **fresh** scheduler
-//! reconstructs exactly the state the crashed core had acknowledged:
+//! the log's longest valid prefix determines exactly the state the
+//! crashed core had acknowledged:
 //!
 //! 1. **Scan.** [`relser_wal::scan`] walks the bytes and truncates at the
 //!    first torn or corrupt frame (the tail of the crashed write). What
 //!    survives is the acknowledged prefix.
-//! 2. **Replay.** Records map one-to-one onto scheduler calls: `Begin` →
-//!    `begin`, `Grant` → `request` (which must come back `Granted` —
-//!    anything else is a [`RecoveryError::ReplayDivergence`], since the
-//!    log fully determines a deterministic scheduler's answer), `Commit`
-//!    and `CommitSession` → `commit` (the latter also rebuilds a
-//!    retry-table entry), `Abort` → `abort` plus a log purge, mirroring
-//!    the core. A log is outside input, so a record is accepted only in a
-//!    transaction state in which the core itself logs it; anything else
-//!    is a [`RecoveryError::ForeignRecord`]:
+//! 2. **Replay.** Records run through the core's transaction state
+//!    machine, and no scheduler is called: `Begin` starts an incarnation,
+//!    `Grant` appends to the grant log, `Commit` and `CommitSession`
+//!    commit it (the latter also rebuilds a retry-table entry), `Abort`
+//!    drops the incarnation's grants, mirroring the core. A log is outside
+//!    input, so a record is accepted only in a transaction state in which
+//!    the core itself logs it; anything else is a
+//!    [`RecoveryError::ForeignRecord`]:
 //!
 //!    | record | the transaction must be |
 //!    |---|---|
@@ -38,10 +37,14 @@
 //!    it: the core retired it, so it can close no cycle, and dropped its
 //!    events). One log and N per-shard logs are read by this one rule.
 //! 3. **Roll back survivors.** Transactions that began but neither
-//!    committed nor aborted before the crash lost their sessions; they
-//!    are aborted so the recovered scheduler resumes from a clean state
-//!    (their ids are reported in [`Recovery::live_aborted`] for
-//!    re-submission).
+//!    committed nor aborted before the crash lost their sessions; their
+//!    incarnations are dropped and reported in [`Recovery::live_aborted`]
+//!    for re-submission. Nothing is live now, so the fresh scheduler
+//!    handed in *is* the recovered one: one that replayed the log would
+//!    hold only committed transactions no live transaction reaches, all
+//!    retired by RSG-SGT and unlocked by a locking scheduler, and decide
+//!    every later request as a fresh one does. The core refuses the
+//!    committed ones from its log head's committed list.
 //! 4. **Re-certify.** The committed history ([`Recovery::history`]) is
 //!    fed, in log order, to the linear-time vector-clock certifier
 //!    ([`VClockCertifier`]: O(K + objects) to set up, then O(|D(o)|) per
@@ -127,8 +130,8 @@ pub struct Recovery {
     /// vocabulary the live core records (blocked decisions are absent:
     /// they change no state and were never logged).
     pub trace: Vec<TraceEvent>,
-    /// Live incarnations rolled back in step 3 (crash-orphaned
-    /// transactions a resumed service would re-submit).
+    /// Incarnations still live at the crash point, dropped in step 3
+    /// (crash-orphaned transactions a resumed service would re-submit).
     pub live_aborted: Vec<TxnId>,
     /// The client-session retry table rebuilt from `CommitSession`
     /// records and checkpoint session entries, each answering a
@@ -153,18 +156,6 @@ pub enum RecoveryError {
         at: usize,
         /// The offending record.
         record: WalRecord,
-    },
-    /// The scheduler answered a replayed `Grant` differently than the
-    /// original run — impossible for a deterministic scheduler on a
-    /// genuine log, so either the log was tampered with past the CRC or
-    /// the scheduler is not the one that wrote it.
-    ReplayDivergence {
-        /// Record index in the valid prefix.
-        at: usize,
-        /// The grant being replayed.
-        record: WalRecord,
-        /// What the scheduler said instead of `Granted`.
-        got: Decision,
     },
     /// The committed history failed step 4's Theorem 1 check: its RSG
     /// has a cycle, so the log certifies an execution the service must
@@ -204,10 +195,6 @@ impl fmt::Display for RecoveryError {
                 "record {at} ({record:?}) references an operation outside the \
                  universe, grants one out of program order, or comes in a \
                  transaction state in which the service never logs it"
-            ),
-            RecoveryError::ReplayDivergence { at, record, got } => write!(
-                f,
-                "replay diverged at record {at} ({record:?}): expected Granted, got {got:?}"
             ),
             RecoveryError::NotRelativelySerializable => {
                 write!(
@@ -280,15 +267,18 @@ enum TxnState {
     Vouched,
 }
 
-/// Step 2's state: the scheduler being rebuilt and the core bookkeeping
-/// mirrored record for record. Checkpoint events and log records replay
-/// through the same four transitions; `at`/`record` name the log record
-/// being replayed, for error reports.
+/// Step 2's state: the core bookkeeping mirrored record for record.
+/// Checkpoint events and log records replay through the same four
+/// transitions; `at`/`record` name the log record being replayed, for
+/// error reports.
 struct Replay<'a> {
     txns: &'a TxnSet,
-    scheduler: &'a mut dyn Scheduler,
     state: Vec<TxnState>,
+    /// Every replayed grant, aborted incarnations' included.
     log: Vec<OpId>,
+    /// `log.len()` at each transaction's latest `Begin`: its earlier
+    /// grants in `log` belong to aborted incarnations.
+    begun_at: Vec<usize>,
     trace: Vec<TraceEvent>,
 }
 
@@ -312,7 +302,7 @@ impl Replay<'_> {
             return Err(foreign(at, record));
         }
         self.state[t.index()] = TxnState::Live(0);
-        self.scheduler.begin(t);
+        self.begun_at[t.index()] = self.log.len();
         self.trace.push(TraceEvent::Begin(t));
         Ok(())
     }
@@ -324,14 +314,6 @@ impl Replay<'_> {
             _ => return Err(foreign(at, record)),
         }
         self.state[op.txn.index()] = TxnState::Live(op.index + 1);
-        let got = self.scheduler.request(op);
-        if got != Decision::Granted {
-            return Err(RecoveryError::ReplayDivergence {
-                at,
-                record: record.clone(),
-                got,
-            });
-        }
         self.log.push(op);
         self.trace.push(TraceEvent::Decision(op, Decision::Granted));
         Ok(())
@@ -342,7 +324,6 @@ impl Replay<'_> {
             return Err(foreign(at, record));
         }
         self.state[t.index()] = TxnState::Certified;
-        self.scheduler.commit(t);
         self.trace.push(TraceEvent::Commit(t));
         Ok(())
     }
@@ -352,8 +333,6 @@ impl Replay<'_> {
             return Err(foreign(at, record));
         }
         self.state[t.index()] = TxnState::Idle;
-        self.scheduler.abort(t);
-        self.log.retain(|o| o.txn != t);
         self.trace.push(TraceEvent::Abort(t));
         Ok(())
     }
@@ -361,17 +340,13 @@ impl Replay<'_> {
 
 /// Steps 2 and 3 of recovery over an already-scanned segment; the caller
 /// runs step 4.
-fn replay_scan(
-    txns: &TxnSet,
-    scheduler: &mut dyn Scheduler,
-    scanned: ScanResult,
-) -> Result<Recovery, RecoveryError> {
+fn replay_scan(txns: &TxnSet, scanned: ScanResult) -> Result<Recovery, RecoveryError> {
     let records = &scanned.records;
     let mut replay = Replay {
         txns,
-        scheduler,
         state: vec![TxnState::Idle; txns.len()],
         log: Vec::new(),
+        begun_at: vec![0; txns.len()],
         trace: Vec::with_capacity(records.len()),
     };
     let mut committed: Vec<TxnId> = Vec::new();
@@ -462,13 +437,22 @@ fn replay_scan(
             }
         }
     }
+    // The grants of committed and still-live incarnations: a grant
+    // survives iff its transaction is not idle and it follows the
+    // transaction's latest `Begin`. One pass, where purging at every abort
+    // would cost the log's length per abort.
     let Replay {
-        scheduler,
         state,
-        log,
+        mut log,
+        begun_at,
         trace,
         ..
     } = replay;
+    let mut at = 0;
+    log.retain(|o| {
+        at += 1;
+        state[o.txn.index()] != TxnState::Idle && at > begun_at[o.txn.index()]
+    });
 
     // The certified commits and their history: everything committed but
     // what the checkpoint vouches for.
@@ -484,14 +468,12 @@ fn replay_scan(
         .filter(|&t| is_certified(t))
         .collect();
 
-    // Step 3: roll back crash-orphaned incarnations.
+    // Step 3: drop crash-orphaned incarnations; `history` already leaves
+    // them out.
     let live: Vec<TxnId> = txns
         .txn_ids()
         .filter(|t| matches!(state[t.index()], TxnState::Live(_)))
         .collect();
-    for &txn in &live {
-        scheduler.abort(txn);
-    }
 
     Ok(Recovery {
         records: records.len(),
@@ -544,16 +526,18 @@ fn dedupe_sessions(entries: Vec<SessionEntry>) -> Vec<SessionEntry> {
 /// bytes of one segment are the one-segment stream `[(0, bytes)]`.
 ///
 /// `scheduler` must be fresh and built over the same `txns` / `spec`
-/// universe the crashed service ran. On success it holds exactly the
-/// committed state, ready to admit new work.
+/// universe the crashed service ran. Recovery calls none of its methods:
+/// fresh, it already decides every later request as the crashed service
+/// would after rolling back its live transactions (step 3 of the module
+/// docs), so it is the recovered scheduler, ready to admit new work.
 pub fn recover_segments_with_certifier(
     txns: &TxnSet,
     spec: &AtomicitySpec,
-    scheduler: &mut dyn Scheduler,
+    _scheduler: &mut dyn Scheduler,
     segments: &[(u64, Vec<u8>)],
     _certifier: Certifier,
 ) -> Result<(u64, Recovery), RecoveryError> {
-    let (seq, rec) = replay_segments(txns, scheduler, segments)?;
+    let (seq, rec) = replay_segments(txns, segments)?;
     recertify(txns, spec, &rec.history)?;
     Ok((seq, rec))
 }
@@ -562,7 +546,6 @@ pub fn recover_segments_with_certifier(
 /// the replay, without step 4.
 fn replay_segments(
     txns: &TxnSet,
-    scheduler: &mut dyn Scheduler,
     segments: &[(u64, Vec<u8>)],
 ) -> Result<(u64, Recovery), RecoveryError> {
     // Newest first; the newest segment itself is the fallback when no
@@ -579,7 +562,7 @@ fn replay_segments(
         }
     }
     let (seq, scanned) = pick.unwrap_or_else(|| (0, scan(&[])));
-    Ok((seq, replay_scan(txns, scheduler, scanned)?))
+    Ok((seq, replay_scan(txns, scanned)?))
 }
 
 /// What [`recover_sharded_segments_with_certifier`] rebuilt from N
@@ -619,8 +602,10 @@ pub struct ShardedRecovery {
 /// the shard count is `segments.len()`.
 ///
 /// Each shard's stream is replayed independently, like
-/// [`recover_segments_with_certifier`] but without its step 4, into a
-/// fresh scheduler from `make_scheduler(shard)`. The per-shard views are
+/// [`recover_segments_with_certifier`] but without its step 4. Replay
+/// calls no scheduler, so `make_scheduler` is never called: the parameter
+/// stays only because the repository benchmark (`benchmark/src/sut.rs`)
+/// passes it, like [`Certifier`]. The per-shard views are
 /// then merged under the ownership rule: a shard commits only
 /// transactions it wholly owns ([`ShardMap::owner_of_txn`]). A log is
 /// outside input, so the rule is checked, and a log that breaks it is
@@ -633,7 +618,7 @@ pub struct ShardedRecovery {
 pub fn recover_sharded_segments_with_certifier<'a, F>(
     txns: &TxnSet,
     spec: &AtomicitySpec,
-    mut make_scheduler: F,
+    _make_scheduler: F,
     segments: &[Vec<(u64, Vec<u8>)>],
     _certifier: Certifier,
 ) -> Result<ShardedRecovery, RecoveryError>
@@ -643,8 +628,7 @@ where
     assert!(!segments.is_empty(), "need at least one shard");
     let mut shards: Vec<Recovery> = Vec::with_capacity(segments.len());
     for (s, segs) in segments.iter().enumerate() {
-        let mut scheduler = make_scheduler(s as u32);
-        let (_, rec) = replay_segments(txns, &mut *scheduler, segs)?;
+        let (_, rec) = replay_segments(txns, segs)?;
         if let Some(found) = rec.shard {
             if found != s as u32 {
                 return Err(RecoveryError::ShardMismatch {
@@ -810,8 +794,8 @@ mod tests {
     }
 
     /// A CRC-valid grant that skips or repeats an index of its
-    /// transaction is refused before the scheduler sees it: the core
-    /// grants in program order and logs each grant once.
+    /// transaction is refused: the core grants in program order and logs
+    /// each grant once.
     #[test]
     fn out_of_order_grant_is_a_foreign_record() {
         let (txns, spec) = universe();
@@ -843,8 +827,8 @@ mod tests {
                 err.to_string().contains("program order"),
                 "the message names the cause: {err}"
             );
-            // The scheduler saw the in-order grants (records 1..at) only.
-            assert_eq!(fresh.admitted().len(), at - 1);
+            // Recovery asks the scheduler nothing.
+            assert!(fresh.admitted().is_empty());
         }
     }
 

@@ -14,8 +14,8 @@
 //! 3. replays the shard's WAL segment stream through the standard
 //!    recovery machinery
 //!    ([`crate::recovery::recover_segments_with_certifier`]),
-//!    re-certifying the committed history —
-//!    the recovered scheduler *is* the next incarnation's scheduler;
+//!    re-certifying the committed history — a fresh scheduler *is* the
+//!    recovered one, and the next incarnation's;
 //! 4. re-seeds the client-session retry table ([`SessionTable`]) from
 //!    the recovered entries, so exactly-once commit retries survive the
 //!    crash;
@@ -24,26 +24,24 @@
 //!    recovered state. Steps 3 and 5 are that one call, the only way any
 //!    log is opened, on any [`relser_wal::ReadableSegmentStore`].
 //!
-//! Crash-orphaned incarnations are rolled back by recovery (step 3) and
+//! Crash-orphaned incarnations are dropped by recovery (step 3) and
 //! their clients retry from `begin`; durably-committed transactions are
 //! seeded into the new incarnation's commit-supremacy set so a late
 //! retry or stale abort can never contradict an acknowledged commit.
 
 use crate::core::{
-    drain_after_crash, event_txn, prune_retired, run_core, Command, CoreCfg, CoreOutput, FaultPlan,
-    Progress, ShardCoreCtx, TraceEvent,
+    drain_after_crash, run_core, Command, CoreCfg, CoreOutput, FaultPlan, Progress, ShardCoreCtx,
 };
 use crate::queue::BoundedQueue;
 use crate::recovery::{recover_segments_with_certifier, Certifier, Recovery, RecoveryError};
 use relser_core::ids::TxnId;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
-use relser_protocols::{Decision, Scheduler};
+use relser_protocols::Scheduler;
 use relser_wal::{
-    Checkpoint, CheckpointEvent, CheckpointPolicy, FsyncPolicy, ReadableSegmentStore, SegmentedWal,
-    SessionEntry,
+    Checkpoint, CheckpointPolicy, FsyncPolicy, ReadableSegmentStore, SegmentedWal, SessionEntry,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -235,20 +233,19 @@ pub struct SupervisedRun {
     pub gave_up: bool,
 }
 
-/// Opens a log, written or empty: the one way to open one. Replays
-/// `store`'s retained segments into the fresh `scheduler`, re-certifies
-/// them against `txns` / `spec`, and resumes the log on a fresh segment
+/// Opens a log, written or empty: the one way to open one. Recovers
+/// `store`'s retained segments against `txns` / `spec` (re-certifying
+/// the committed history) and resumes the log on a fresh segment
 /// (rotating under `ckpt`, syncing under [`FsyncPolicy::Always`]) headed
-/// by `shard`'s checkpoint of the recovered state: the committed set,
-/// the condensed Begin/Grant/Commit events of the recovered commits the
-/// scheduler has not retired (the live core's pruning rule: the head
-/// vouches for the rest) and the retry table. Returns that log, whose head
-/// ([`relser_wal::CommitLog::head`]) a core on it starts from, the
-/// replayed scheduler that core must run, and the [`Recovery`]. An empty
-/// store gets `shard`'s empty checkpoint as segment 0. A store recovery
-/// refuses, or one whose head is stamped with another shard's id
-/// ([`RecoveryError::ShardMismatch`]), is left untouched: the error is
-/// `InvalidData`, carrying the [`RecoveryError`].
+/// by `shard`'s checkpoint of the recovered state: the committed set and
+/// the retry table, and no events, since nothing is live after recovery.
+/// Returns that log, whose head ([`relser_wal::CommitLog::head`]) a core
+/// on it starts from, the fresh `scheduler` that core must run (recovery
+/// calls none of its methods; see [`crate::recovery`], step 3), and the
+/// [`Recovery`]. An empty store gets `shard`'s empty checkpoint as
+/// segment 0. A store recovery refuses, or one whose head is stamped with
+/// another shard's id ([`RecoveryError::ShardMismatch`]), is left
+/// untouched: the error is `InvalidData`, carrying the [`RecoveryError`].
 pub fn recover_and_resume<'a, S: ReadableSegmentStore + 'static>(
     store: S,
     mut scheduler: Box<dyn Scheduler + Send + 'a>,
@@ -270,27 +267,10 @@ pub fn recover_and_resume<'a, S: ReadableSegmentStore + 'static>(
             found,
         }));
     }
-    // The head condenses the Begin/Grant/Commit stream of the committed
-    // transactions. An incarnation the log later aborted is not part of
-    // it — a transaction that restarted before it committed contributes
-    // its committing incarnation only — nor is one recovery rolled back.
-    let mut events: Vec<CheckpointEvent> = Vec::new();
-    for ev in &rec.trace {
-        match ev {
-            TraceEvent::Begin(t) => events.push(CheckpointEvent::Begin(*t)),
-            TraceEvent::Decision(op, Decision::Granted) => events.push(CheckpointEvent::Grant(*op)),
-            TraceEvent::Commit(t) => events.push(CheckpointEvent::Commit(*t)),
-            TraceEvent::Abort(t) => events.retain(|e| event_txn(e) != *t),
-            _ => {}
-        }
-    }
-    let keep: HashSet<TxnId> = rec.committed.iter().copied().collect();
-    events.retain(|e| keep.contains(&event_txn(e)));
-    prune_retired(&mut events, &*scheduler);
     let head = Checkpoint {
         shard,
         committed: rec.committed.clone(),
-        events,
+        events: Vec::new(),
         sessions: rec.sessions.clone(),
     };
     let prior: Vec<u64> = segments.iter().map(|&(s, _)| s).collect();
@@ -311,8 +291,8 @@ pub fn recover_and_resume<'a, S: ReadableSegmentStore + 'static>(
 /// lifts the fence once the retry table is seeded.
 ///
 /// `make_scheduler` must produce a *fresh* scheduler over the same
-/// universe each time it is called; recovery replays the WAL into it and
-/// the replayed instance becomes the next incarnation's scheduler.
+/// universe each time it is called; recovery certifies the WAL, and the
+/// fresh instance becomes the next incarnation's scheduler.
 /// `faults` applies to the first incarnation only — a kill-at-k plan
 /// kills once, not once per life.
 #[allow(clippy::too_many_arguments)]
@@ -340,11 +320,10 @@ where
         ..CoreOutput::default()
     };
     let (output, gave_up) = loop {
-        // Replay the shard's segments into a fresh scheduler: the
-        // replayed instance (orphans rolled back, committed history
-        // re-certified) is this incarnation's. A recovery refusal is
-        // terminal — restarting cannot mend the log — and its reason is
-        // the output's.
+        // Recover the shard's segments (orphans dropped, committed
+        // history re-certified); a fresh scheduler is this incarnation's.
+        // A recovery refusal is terminal — restarting cannot mend the
+        // log — and its reason is the output's.
         let (txns, spec) = (cfg.txns, cfg.spec);
         let opened =
             recover_and_resume(store.clone(), make_scheduler(), txns, spec, shard, cfg.ckpt);

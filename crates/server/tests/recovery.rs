@@ -17,7 +17,7 @@ use relser_core::shard::ShardMap;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 use relser_protocols::rsg_sgt::RsgSgt;
-use relser_protocols::{Decision, Scheduler};
+use relser_protocols::Scheduler;
 use relser_server::core::{Command, Reply};
 use relser_server::recovery::{
     recover_segments_with_certifier, recover_sharded_segments_with_certifier, Certifier, Recovery,
@@ -186,20 +186,70 @@ proptest! {
     }
 }
 
-/// Grants every request. Replay then never diverges, so a forged log
-/// reaches step 4; RSG-SGT would refuse the cycle-closing grant first.
-struct GrantAll;
-
-impl Scheduler for GrantAll {
-    fn name(&self) -> &'static str {
-        "grant-all"
+/// On an abort-heavy log, replay (which drops aborted incarnations in one
+/// pass at the end) leaves the `committed`, `log` and `history` of
+/// purging the log at every abort, as [`fold_prefix`] does.
+#[test]
+fn an_abort_heavy_log_recovers_as_the_purging_fold() {
+    // Disjoint objects: every interleaving certifies.
+    let programs = [
+        "w1[a] w1[b] w1[c]",
+        "w2[d] w2[e]",
+        "w3[f] w3[g] w3[h]",
+        "w4[i]",
+    ];
+    let txns = TxnSet::parse(&programs).unwrap();
+    let spec = AtomicitySpec::absolute(&txns);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut records = Vec::new();
+    let mut cursor: Vec<Option<u32>> = vec![None; txns.len()];
+    let mut done = vec![false; txns.len()];
+    let mut aborts = 0;
+    while done.contains(&false) {
+        let t = TxnId((next() % txns.len() as u64) as u32);
+        if done[t.index()] {
+            continue;
+        }
+        let len = txns.txn(t).len() as u32;
+        let slot = &mut cursor[t.index()];
+        records.push(match *slot {
+            None => {
+                *slot = Some(0);
+                WalRecord::Begin(t)
+            }
+            Some(i) if i < len && next() % 3 != 0 => {
+                *slot = Some(i + 1);
+                WalRecord::Grant(OpId::new(t, i))
+            }
+            Some(i) if i == len && next() % 64 == 0 => {
+                done[t.index()] = true;
+                WalRecord::Commit(t)
+            }
+            Some(_) => {
+                *slot = None;
+                aborts += 1;
+                WalRecord::Abort(t)
+            }
+        });
     }
-    fn begin(&mut self, _: TxnId) {}
-    fn request(&mut self, _: OpId) -> Decision {
-        Decision::Granted
-    }
-    fn commit(&mut self, _: TxnId) {}
-    fn abort(&mut self, _: TxnId) {}
+    assert!(aborts > 500, "abort-heavy: {aborts} aborts");
+    let mut fresh = RsgSgt::new(&txns, &spec);
+    let rec = recover_bytes(&txns, &spec, &mut fresh, &encode(&records)).unwrap();
+    let (committed, log) = fold_prefix(&records);
+    let history: Vec<OpId> = log
+        .iter()
+        .copied()
+        .filter(|o| committed.contains(&o.txn))
+        .collect();
+    assert_eq!(rec.committed, committed);
+    assert_eq!(rec.log, log);
+    assert_eq!(rec.history, history);
 }
 
 /// `T1 = r1[x] w1[x]`, `T2 = r2[x] w2[x]` under the absolute spec, plus
@@ -283,7 +333,7 @@ fn recover_sharded(shards: u32, records: &[WalRecord]) -> Result<ShardedRecovery
     recover_sharded_segments_with_certifier(
         &txns,
         &spec,
-        |_| Box::new(GrantAll),
+        |_| Box::new(RsgSgt::new(&txns, &spec)),
         &streams,
         Certifier::VClock,
     )
@@ -292,7 +342,12 @@ fn recover_sharded(shards: u32, records: &[WalRecord]) -> Result<ShardedRecovery
 /// One log's recovery of `records`, as the one-segment stream.
 fn recover_one_log(records: &[WalRecord]) -> Result<Recovery, RecoveryError> {
     let (txns, spec) = lost_update_universe();
-    recover_bytes(&txns, &spec, &mut GrantAll, &encode(records))
+    recover_bytes(
+        &txns,
+        &spec,
+        &mut RsgSgt::new(&txns, &spec),
+        &encode(records),
+    )
 }
 
 /// One entry point's committed and certified transactions, or its refusal.
