@@ -358,11 +358,9 @@ fn lockstep_shards(
 ) {
     let map = ShardMap::new(rec.shards.len() as u32);
     for (s, shard) in rec.shards.iter().enumerate() {
-        let pending: Vec<TxnId> = RequestStream::in_order(txns)
-            .without(&shard.committed)
-            .order()
-            .iter()
-            .copied()
+        let pending: Vec<TxnId> = txns
+            .txn_ids()
+            .filter(|t| !shard.committed.contains(t))
             .filter(|&t| map.owner_of_txn(txns, t) == Some(s as u32))
             .collect();
         let mut fresh = RsgSgt::new(txns, spec);
