@@ -29,8 +29,8 @@
 //!   on the service's path;
 //! * [`preload`] — re-drives a recorded run from a pre-loaded queue in
 //!   exact multi-command batches, so the storage and shard sweeps cut
-//!   the group-commit window (records appended, barrier pending, acks
-//!   held) that live one-command-at-a-time sessions never open, and
+//!   the group-commit window (records appended, barrier pending, commit
+//!   acks held) that live one-command-at-a-time sessions never open, and
 //!   records seeded single-threaded runs to re-drive;
 //! * [`lockstep`] — after a recovery, the scheduler it hands back and one
 //!   that replayed the log decide a continuation stream alike;

@@ -3,7 +3,8 @@
 //! A live session feeds the admission core mostly one command at a time
 //! (it waits for each reply before sending the next), so a fault sweep
 //! driven by live sessions almost never cuts the window group commit
-//! opens: *records appended, barrier pending, acknowledgments held*.
+//! opens: *records appended, barrier pending, commit acknowledgments
+//! held*.
 //! This module closes that gap deterministically. A core-order
 //! [`TraceEvent`] log fully describes a run, so turning it back into
 //! [`Command`]s, loading them all into a queue, closing it, and only then

@@ -17,12 +17,11 @@
 //!   tail), bit-flipped at every byte, and re-run live against `FaultFs`
 //!   failures (handed out as segment 0 by a one-segment
 //!   [`relser_wal::SegmentStore`]) — once driven by live sessions and
-//!   once re-driven from a
-//!   pre-loaded queue in multi-command batches
+//!   once re-driven from a pre-loaded queue in multi-command batches
 //!   ([`crate::preload::redrive_preloaded`]), so the failing write or
 //!   barrier lands inside the group-commit window (records appended,
-//!   barrier pending, acks held). Every recovery must succeed, pass the
-//!   full offline oracle suite of [`crate::oracle::check_execution`] and
+//!   barrier pending, commit acks held). Every configured fault must
+//!   fire. Every recovery must succeed, pass the full offline oracle suite of [`crate::oracle::check_execution`] and
 //!   the recovery lockstep of [`crate::lockstep::recovery_lockstep`], and
 //!   — under [`FsyncPolicy::Always`] — preserve every acknowledged
 //!   commit.
@@ -73,14 +72,16 @@ pub struct FaultFsConfig {
     /// (bit rot / a misdirected write the writer never notices).
     pub bit_flip: Option<(u64, u8)>,
     /// This sync call fails (call 0 is the header sync under `Always`,
-    /// call 1 the head checkpoint's, then one per batch that logged
-    /// anything).
+    /// call 1 the head checkpoint's, then one per batch that logged a
+    /// commit).
     pub fail_sync_at: Option<u64>,
 }
 
 struct FaultInner {
     bytes: Vec<u8>,
     synced: usize,
+    /// A configured fault has fired.
+    fired: bool,
 }
 
 /// A fault-injecting in-memory [`Storage`]: behaves like an in-memory
@@ -107,6 +108,7 @@ impl FaultFs {
         let inner = Arc::new(Mutex::new(FaultInner {
             bytes: Vec::new(),
             synced: 0,
+            fired: false,
         }));
         (
             FaultFs {
@@ -132,6 +134,13 @@ impl FaultFsHandle {
         let inner = self.inner.lock().expect("faultfs lock");
         inner.bytes[..inner.synced].to_vec()
     }
+
+    /// Has a configured fault fired (an append or sync failed, or the
+    /// flipped byte was written)? A fault whose ordinal or offset the
+    /// run never reached tested nothing.
+    pub fn fired(&self) -> bool {
+        self.inner.lock().expect("faultfs lock").fired
+    }
 }
 
 impl Storage for FaultFs {
@@ -143,6 +152,7 @@ impl Storage for FaultFs {
             let keep = self.cfg.torn_bytes.min(bytes.len());
             let slice = &bytes[..keep];
             inner.bytes.extend_from_slice(slice);
+            inner.fired = true;
             return Err(io::Error::other("injected append failure (torn tail)"));
         }
         let start = inner.bytes.len() as u64;
@@ -150,6 +160,7 @@ impl Storage for FaultFs {
         if let Some((off, bit)) = self.cfg.bit_flip {
             if off >= start && off < inner.bytes.len() as u64 {
                 inner.bytes[off as usize] ^= 1 << (bit % 8);
+                inner.fired = true;
             }
         }
         Ok(())
@@ -158,10 +169,11 @@ impl Storage for FaultFs {
     fn sync(&mut self) -> io::Result<()> {
         let n = self.syncs;
         self.syncs += 1;
+        let mut inner = self.inner.lock().expect("faultfs lock");
         if self.cfg.fail_sync_at == Some(n) {
+            inner.fired = true;
             return Err(io::Error::other("injected fsync failure"));
         }
-        let mut inner = self.inner.lock().expect("faultfs lock");
         inner.synced = inner.bytes.len();
         Ok(())
     }
@@ -228,6 +240,10 @@ pub struct CrashSweepReport {
     pub bit_flips: u64,
     /// Live [`FaultFs`] runs (each crashed the core mid-run).
     pub live_faults: u64,
+    /// Live [`FaultFs`] runs of [`crash_point_sweep`] whose configured
+    /// fault fired ([`FaultFsHandle::fired`]); a fault that never fires
+    /// leaves a clean run and checks nothing the full-log check does not.
+    pub live_faults_fired: u64,
     /// Recoveries oracle-checked through [`check_execution`].
     pub oracle_checked: u64,
     /// Acknowledged commits verified present after recovery.
@@ -377,6 +393,7 @@ pub fn crash_point_sweep(
                         // and the synced prefix recovers to the empty
                         // state below.
                         Err(_) => {
+                            report.live_faults_fired += u64::from(fs_handle.fired());
                             let durable = [(0, fs_handle.synced_bytes())];
                             let _ = try_recover(txns, spec, kind, &durable, &mut report);
                             continue;
@@ -399,6 +416,7 @@ pub fn crash_point_sweep(
                     } else {
                         serve_one(txns, spec, kind, &server_cfg, seed, &mut wal).committed
                     };
+                    report.live_faults_fired += u64::from(fs_handle.fired());
                     let durable = [(0, fs_handle.synced_bytes())];
                     check_acked(&acked, &durable, txns, spec, kind, &mut report);
                 }
@@ -797,9 +815,14 @@ mod tests {
         let cfg = CrashSweepConfig {
             kinds: vec![SchedulerKind::RsgSgt, SchedulerKind::TwoPl],
             seeds: vec![1],
-            fail_appends: vec![0, 1, 4],
+            // Appends 0 and 1 are the header and the head checkpoint, 4
+            // and 6 batch writes; sync 1 is the head checkpoint's, 2 and 3
+            // the barriers of the first two batches that logged a commit.
+            // Append 6 (under the pre-loaded driver) and sync 3 (under
+            // both) land after a commit was acknowledged.
+            fail_appends: vec![0, 1, 4, 6],
             torn_bytes: vec![0, 3],
-            fail_syncs: vec![1, 2, 5],
+            fail_syncs: vec![1, 2, 3],
             ..CrashSweepConfig::default()
         };
         let report = crash_point_sweep(&fig.txns, &fig.spec, &cfg);
@@ -810,8 +833,13 @@ mod tests {
         assert_eq!(report.seeded_recoveries, 0, "a never-rotating log");
         assert!(report.lockstep_requests > 0, "{report:?}");
         assert!(report.bit_flips > 0);
-        assert!(report.live_faults > 0);
-        assert!(report.acked_commits_checked > 0);
+        // 2 kinds x (4 appends x 2 tears + 3 syncs) x 2 drivers, and every
+        // configured fault fired.
+        assert_eq!(report.live_faults, 44, "{report:?}");
+        assert_eq!(report.live_faults_fired, report.live_faults, "{report:?}");
+        // More than the two full-log checks (3 commits each): the live
+        // faults check acknowledged commits too.
+        assert!(report.acked_commits_checked > 6, "{report:?}");
     }
 
     #[test]

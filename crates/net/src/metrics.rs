@@ -7,8 +7,13 @@
 //! | `decode` | reactor: frame → [`Request`]   | [`NetMetrics::decode`]   |
 //! | `queue`  | core: enqueue → dequeue        | `ServerMetrics::queue_wait` |
 //! | `admit`  | core: `Scheduler::request`     | [`NetReport::admit`]     |
-//! | `fsync`  | WAL: durability barrier        | `ServerMetrics::wal_sync` |
+//! | `fsync`  | WAL: durability barrier (commits only) | `ServerMetrics::wal_sync` |
 //! | `reply`  | reactor: decision → bytes sent | [`NetMetrics::reply`]    |
+//!
+//! `fsync` is a stage of commits only: an operation's verdict leaves the
+//! core before its batch's barrier (commit-after-barrier, see
+//! `relser_server::run_core`), and a batch that logged no commit issues
+//! none.
 //!
 //! plus the end-to-end `wire` histogram (request bytes read off the
 //! socket → response bytes written back to it), which bounds the sum.

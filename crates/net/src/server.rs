@@ -260,9 +260,11 @@ pub fn serve_net<R>(
 }
 
 /// Supervision tunables for one [`serve_net_supervised_in`] run. Every
-/// shard core's log syncs under `FsyncPolicy::Always`: no acknowledgment
-/// leaves a core before the barrier that covers it. Every shard restarts
-/// at most [`relser_server::MAX_RESTARTS`] times.
+/// shard core's log syncs under `FsyncPolicy::Always`, commit-after-barrier:
+/// no commit acknowledgment leaves a core before the barrier that covers
+/// its record, and operation verdicts, which promise nothing across a
+/// crash, leave before it. Every shard restarts at most
+/// [`relser_server::MAX_RESTARTS`] times.
 #[derive(Clone, Debug)]
 pub struct SuperviseNetConfig {
     /// Shard cores (the object space is partitioned across them).

@@ -43,7 +43,13 @@ pub enum Request {
     },
     /// Request the read `op` (which must name a read of `object` in the
     /// server's transaction set — the server validates, a mismatch is a
-    /// protocol error that closes the connection).
+    /// protocol error that closes the connection). The verdict leaves the
+    /// server before the write-ahead log's barrier: a
+    /// [`Response::Granted`] is not durable. If the server crashes before
+    /// the transaction's commit is durable, the grant is rolled back with
+    /// it, and the restarted server answers the transaction's next
+    /// operation and its commit `Aborted(Retired)`: restart it from
+    /// [`Request::Begin`].
     Read {
         /// Correlation id.
         req_id: ReqId,
@@ -52,7 +58,9 @@ pub enum Request {
         /// The object the client believes the operation reads.
         object: ObjectId,
     },
-    /// Request the write `op`; validated like [`Request::Read`].
+    /// Request the write `op`; validated like [`Request::Read`], and, like
+    /// it, answered before the barrier: a [`Response::Granted`] is not
+    /// durable.
     Write {
         /// Correlation id.
         req_id: ReqId,

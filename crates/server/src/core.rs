@@ -19,8 +19,9 @@
 //! The core drains commands in batches (up to `batch_max` per queue lock
 //! acquisition) so queue traffic is amortized under load, and it answers
 //! each operation request through a one-shot [`Reply`] cell. The batch is
-//! also the unit of durability: the replies of a batch are held until its
-//! one write-ahead-log barrier has returned, then released in core order
+//! also the unit of durability: its operation verdicts are released once
+//! the whole batch is applied, its commit acknowledgments only after its
+//! one write-ahead-log barrier has returned, each kind in core order
 //! (see [`run_core`]). After every batch with a state *change*
 //! (grant, abort, commit — not a mere block) it bumps the shared
 //! [`Progress`] epoch, waking the blocked operations to be resubmitted.
@@ -463,14 +464,25 @@ enum Halt {
     WalBroken(String),
 }
 
-/// The acknowledgments of the batch being applied, in core order. Nothing
-/// in here is visible outside the core until the batch's durability
-/// barrier ([`CommitLog::batch_end`]) has returned: then they are
-/// released; if the core halts first they are unwound instead, because
-/// the records they stand for may not be durable.
+/// The acknowledgments of the batch being applied, in core order within
+/// each kind. Nothing in here is visible outside the core until the whole
+/// batch has been applied; a halt before that unwinds all of it. Then the
+/// two kinds part:
+///
+/// * operation verdicts (grants, blocks, aborts, refusals of
+///   [`Command::Request`]) are released at once, before the batch's
+///   durability barrier: a `Granted` promises nothing across a crash,
+///   because recovery rolls back every transaction live at the crash;
+/// * commit verdicts and retry-table entries are released only after the
+///   barrier ([`CommitLog::batch_end`]) has returned, and unwound if it
+///   fails, because the commit records they stand for may not be durable.
 #[derive(Default)]
 struct HeldAcks {
-    replies: Vec<(Reply, Decision)>,
+    /// Verdicts of [`Command::Request`]s (and the refusal of a command
+    /// the core halted on, which a halt unwinds with the rest).
+    verdicts: Vec<(Reply, Decision)>,
+    /// Verdicts of [`Command::Commit`]s that asked for one.
+    commits: Vec<(Reply, Decision)>,
     /// `(session, req_id, txn)` retry-table entries of sessionful commits.
     sessions: Vec<(u64, u64, TxnId)>,
     /// Scratch: the distinct doorbells of the cells being filled.
@@ -478,38 +490,49 @@ struct HeldAcks {
 }
 
 impl HeldAcks {
-    /// The barrier covers the batch: publish the retry-table entries
-    /// (first, so a reply's receiver can already see its entry), then
-    /// fill the replies in core order.
-    fn release(&mut self, table: Option<&SessionTable>) {
+    /// The batch is applied: fill the operation verdicts in core order.
+    fn release_verdicts(&mut self) {
+        fill_all(&mut self.verdicts, &mut self.bells, |decision| decision);
+    }
+
+    /// The barrier covers the batch's commits: publish the retry-table
+    /// entries (first, so a reply's receiver can already see its entry),
+    /// then fill the commit verdicts in core order.
+    fn release_commits(&mut self, table: Option<&SessionTable>) {
         for (session, req_id, txn) in self.sessions.drain(..) {
             if let Some(table) = table {
                 table.record(session, req_id, txn);
             }
         }
-        self.fill_all(|decision| decision);
+        fill_all(&mut self.commits, &mut self.bells, |decision| decision);
     }
 
-    /// The batch died before its barrier: none of it was acknowledged.
+    /// The batch died: none of what is still held was acknowledged.
     fn unwind(&mut self) {
         self.sessions.clear();
-        self.fill_all(|_| Decision::Aborted(AbortReason::Injected));
+        let injected = |_| Decision::Aborted(AbortReason::Injected);
+        fill_all(&mut self.verdicts, &mut self.bells, injected);
+        fill_all(&mut self.commits, &mut self.bells, injected);
     }
+}
 
-    /// Fills every held cell in core order, then rings each reactor that
-    /// owns one of them — once, after the last fill, so a reactor wakes
-    /// to the whole batch and not to its first reply.
-    fn fill_all(&mut self, verdict: impl Fn(Decision) -> Decision) {
-        for (reply, decision) in self.replies.drain(..) {
-            reply.fill(verdict(decision));
-            if let Some(bell) = &reply.cell.bell {
-                if !self.bells.iter().any(|b| Arc::ptr_eq(b, bell)) {
-                    self.bells.push(Arc::clone(bell));
-                }
+/// Fills every cell of `replies` in order, then rings each reactor that
+/// owns one of them — once, after the last fill, so a reactor wakes to
+/// the whole list and not to its first reply. `bells` is scratch.
+fn fill_all(
+    replies: &mut Vec<(Reply, Decision)>,
+    bells: &mut Vec<Arc<Doorbell>>,
+    verdict: impl Fn(Decision) -> Decision,
+) {
+    for (reply, decision) in replies.drain(..) {
+        reply.fill(verdict(decision));
+        if let Some(bell) = &reply.cell.bell {
+            if !bells.iter().any(|b| Arc::ptr_eq(b, bell)) {
+                bells.push(Arc::clone(bell));
             }
         }
-        self.bells.drain(..).for_each(|b| b.ring());
     }
+    bells.drain(..).for_each(|b| b.ring());
 }
 
 impl CoreOutput {
@@ -538,8 +561,8 @@ impl CoreOutput {
 /// one shard core to another. With an empty [`FaultPlan`], no log and the
 /// default context this is the in-memory core.
 ///
-/// The durability contract is **ack-after-barrier**. Per drained queue
-/// batch the core
+/// The durability contract is **commit-after-barrier**. Per drained
+/// queue batch the core
 ///
 /// 1. applies the commands in core order — the run's serialization
 ///    point — appending the record of every state-*changing* event
@@ -547,27 +570,40 @@ impl CoreOutput {
 ///    logged) to the log's batch **before** applying it, and *holding*
 ///    every acknowledgment it would give: each [`Reply`], each
 ///    [`SessionTable`] entry of a sessionful commit;
-/// 2. ends the batch once ([`CommitLog::batch_end`]): one storage write
+/// 2. releases the operation verdicts — the replies of
+///    [`Command::Request`]s: grants, blocks, aborts, refusals — in core
+///    order;
+/// 3. ends the batch once ([`CommitLog::batch_end`]): one storage write
 ///    and, under `FsyncPolicy::Always`, one barrier whenever the batch
-///    logged anything;
-/// 3. releases the held acknowledgments in core order, then bumps
-///    [`Progress`]. A reactor front-end parked in `poll(2)` learns of both
-///    through its doorbell ([`Reply::with_doorbell`],
-///    [`Progress::attach`]): rung once after the batch's last fill and
+///    logged a commit;
+/// 4. releases the commit acknowledgments — retry-table entries first,
+///    then the replies of [`Command::Commit`]s — in core order, then
+///    bumps [`Progress`]. A reactor front-end parked in `poll(2)` learns
+///    of these through its doorbell ([`Reply::with_doorbell`],
+///    [`Progress::attach`]): rung once after each release's last fill and
 ///    once with the bump, never per reply — a ring of a reactor that is
 ///    not parked is one atomic swap.
 ///
-/// So under `Always` nothing anyone can observe — a granted operation, a
-/// `Committed` response, a retry-table entry, a commit in
-/// [`CoreOutput::committed`] — precedes a barrier that covers its record,
-/// and a batch of b commands costs one write and one barrier, not b.
+/// So under `Always` no commit acknowledgment — a `Committed` response, a
+/// retry-table entry, a commit in [`CoreOutput::committed`] — precedes a
+/// barrier that covers its record, and a batch of b commands costs one
+/// write and at most one barrier, not b. A granted operation does not
+/// wait for the disk: it promises nothing across a crash, because
+/// recovery rolls back every transaction live at the crash, and the
+/// resumed core answers that transaction's next operation and its commit
+/// `Aborted(Retired)` (it is not live there), which sends the client back
+/// to its begin. An acknowledged commit stays durable all the same: its
+/// barrier covers every earlier record in core order, including every
+/// grant it depends on.
 ///
-/// A halt inside a batch — a planned crash fault, a failed append, a
-/// failed barrier — acknowledges **none** of it: the held replies are
-/// unwound `Aborted(Injected)`, the held retry-table entries dropped, and
-/// the batch's commits cut from [`CoreOutput::committed`], because its
-/// records may not be durable. The core then fail-stops (queue closed,
-/// backlog unwound), a storage error is reported in
+/// A halt while the batch is applied — a planned crash fault, a failed
+/// [`CommitLog::append`] — acknowledges **none** of it: the held replies
+/// are unwound `Aborted(Injected)`. A failed `batch_end` (the storage
+/// write or the barrier) comes after step 2, so it unwinds the batch's
+/// commit acknowledgments only. Either way the held retry-table entries are
+/// dropped and the batch's commits cut from [`CoreOutput::committed`],
+/// because their records may not be durable. The core then fail-stops
+/// (queue closed, backlog unwound), a storage error is reported in
 /// [`CoreOutput::wal_error`], and recovery truncates the log at the
 /// damage: acked ⇒ durable, never the converse.
 ///
@@ -662,16 +698,21 @@ impl Core<'_, '_, '_> {
             self.changed = false;
             let mut pending = batch.drain(..);
             let mut applied = pending.by_ref().try_for_each(|cmd| self.apply(cmd));
-            // Group commit: one write and one durability barrier for the
-            // whole batch, *before* any of its acknowledgments is released.
             if applied.is_ok() {
+                // The operation verdicts leave before the barrier: nothing
+                // uncommitted survives a crash, so none of them waits for
+                // the disk.
+                self.held.release_verdicts();
+                // Group commit: one write and at most one durability
+                // barrier for the whole batch, *before* any of its commit
+                // acknowledgments is released.
                 if let Some(w) = self.wal.as_mut() {
                     applied = w.batch_end().map_err(|e| Halt::WalBroken(e.to_string()));
                 }
             }
             if applied.is_ok() {
                 acked_commits = self.out.committed.len();
-                self.held.release(self.shard.sessions);
+                self.held.release_commits(self.shard.sessions);
                 // Checkpoint: the batch boundary is a core-order point, so
                 // the snapshot is exactly the state the replayed log would
                 // have here.
@@ -689,11 +730,12 @@ impl Core<'_, '_, '_> {
                 }
             }
             if let Err(halt) = applied {
-                // Crash path — planned fault or broken WAL. Nothing of this
-                // batch was acknowledged: cut its commits, unwind its held
-                // replies, close the queue so sessions stop submitting, and
-                // unwind everything still in flight (this batch's remainder
-                // and the backlog) so no session hangs on an unfilled cell.
+                // Crash path — planned fault or broken WAL. No commit of
+                // this batch was acknowledged: cut its commits, unwind its
+                // held replies, close the queue so sessions stop
+                // submitting, and unwind everything still in flight (this
+                // batch's remainder and the backlog) so no session hangs
+                // on an unfilled cell.
                 self.out.crashed = true;
                 if let Halt::WalBroken(err) = halt {
                     self.out.wal_error = Some(err);
@@ -756,7 +798,8 @@ impl Core<'_, '_, '_> {
 
     /// Applies one command of the batch. Every acknowledgment goes into
     /// `held`, never straight to its receiver: [`Core::run`] releases the
-    /// batch's acks after its durability barrier. `Err(halt)` means the
+    /// batch's operation verdicts once the batch is applied and its commit
+    /// acks after its durability barrier. `Err(halt)` means the
     /// core must crash without acknowledging the batch; the halting
     /// command is not counted in [`CoreOutput::commands`].
     fn apply(&mut self, cmd: Command) -> Result<(), Halt> {
@@ -771,9 +814,9 @@ impl Core<'_, '_, '_> {
         Ok(())
     }
 
-    /// Holds `Aborted(reason)` for `reply`.
+    /// Holds the operation verdict `Aborted(reason)` for `reply`.
     fn refuse(&mut self, reply: Reply, reason: AbortReason) {
-        self.held.replies.push((reply, Decision::Aborted(reason)));
+        self.held.verdicts.push((reply, Decision::Aborted(reason)));
     }
 
     /// WAL-before-apply: appends `rec` to the log's batch (a no-op
@@ -788,7 +831,7 @@ impl Core<'_, '_, '_> {
         w.append(&rec).map_err(|e| {
             if let Some(reply) = reply {
                 self.held
-                    .replies
+                    .verdicts
                     .push((reply.clone(), Decision::Aborted(AbortReason::Injected)));
             }
             Halt::WalBroken(e.to_string())
@@ -920,7 +963,7 @@ impl Core<'_, '_, '_> {
             Decision::Aborted(AbortReason::Retired)
         };
         if let Some(reply) = reply {
-            self.held.replies.push((reply, verdict));
+            self.held.commits.push((reply, verdict));
         }
         Ok(())
     }
@@ -1000,7 +1043,7 @@ impl Core<'_, '_, '_> {
         // its program.
         if op.index < granted {
             self.out.duplicate_grants += 1;
-            self.held.replies.push((reply, Decision::Granted));
+            self.held.verdicts.push((reply, Decision::Granted));
             return Ok(());
         }
         self.out
@@ -1038,7 +1081,7 @@ impl Core<'_, '_, '_> {
                 .trace
                 .push(TraceEvent::Decision(op, decision.clone()));
         }
-        self.held.replies.push((reply, decision));
+        self.held.verdicts.push((reply, decision));
         Ok(())
     }
 }

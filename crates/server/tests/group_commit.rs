@@ -1,7 +1,9 @@
-//! The ack-after-barrier contract of `FsyncPolicy::Always`, observed from
-//! outside the core: a drained batch costs **one** storage append and
-//! **one** barrier, and nothing the batch acknowledges — a `Reply`, a
-//! `SessionTable` entry — is visible before that barrier has returned.
+//! The commit-after-barrier contract of `FsyncPolicy::Always`, observed
+//! from outside the core: a drained batch costs **one** storage append
+//! and, when it logged a commit, **one** barrier; nothing a commit
+//! acknowledges — its `Reply`, its `SessionTable` entry — is visible
+//! before that barrier has returned; and the operation verdicts of a batch
+//! are visible before its write and its barrier even begin.
 //!
 //! Every scenario pre-loads the queue and closes it before the core
 //! starts, so the batch boundaries are exact: batch `i` is commands
@@ -16,7 +18,7 @@ use relser_protocols::{AbortReason, Decision};
 use relser_server::core::{self, Command, CoreOutput, Progress, Reply};
 use relser_server::recovery::{recover_segments_with_certifier, Certifier};
 use relser_server::supervisor::SessionTable;
-use relser_server::{run_core, BoundedQueue, CoreCfg, FaultPlan, ShardCoreCtx};
+use relser_server::{recover_and_resume, run_core, BoundedQueue, CoreCfg, FaultPlan, ShardCoreCtx};
 use relser_wal::{
     scan, Checkpoint, CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, SegmentStore,
     SegmentedWal, Storage, WalRecord, MAGIC,
@@ -24,7 +26,7 @@ use relser_wal::{
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What the recording storage and the reply observer saw, in the order
 /// they saw it (one shared list, so the order across both is real).
@@ -37,13 +39,15 @@ enum Event {
     Sync {
         ok: bool,
     },
-    /// A reply cell or session entry was visible while the storage call
+    /// A commit reply or session entry was visible while the storage call
     /// covering its record was still in flight.
     EarlyAck(String),
+    /// An operation verdict was still held while its batch was being
+    /// written or synced.
+    HeldVerdict(String),
     /// The observer found reply `index` filled.
     Filled {
         index: usize,
-        decision: Decision,
     },
 }
 
@@ -53,32 +57,39 @@ fn record(log: &Log, event: Event) {
     log.lock().unwrap().push(event);
 }
 
+/// Is `reply` filled? Looks without taking the decision.
+fn is_filled(reply: &Reply) -> bool {
+    reply.wait_filled(Duration::ZERO)
+}
+
 /// The acknowledgments the storage watches, each with the batch its
-/// record belongs to: inside batch `b`'s `append` and at the very end of
-/// its `sync` — the last instant before the barrier returns — no ack of
-/// batch `b` or later may be visible yet.
+/// command belongs to: inside batch `b`'s `append` and at the very end of
+/// its `sync` — the last instant before the barrier returns — no commit
+/// ack of batch `b` or later may be visible yet, and every operation
+/// verdict of batch `b` or earlier must be.
 #[derive(Clone, Default)]
 struct Watched {
-    replies: Vec<(usize, Reply)>,
+    commits: Vec<(usize, Reply)>,
     sessions: Vec<(usize, u64)>,
+    verdicts: Vec<(usize, Reply)>,
     table: Arc<SessionTable>,
 }
 
 impl Watched {
     fn check(&self, log: &Log, batch: usize, during: &str) {
-        for (i, (_, reply)) in self
-            .replies
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.0 >= batch)
-        {
-            if let Some(d) = reply.try_take() {
-                record(log, Event::EarlyAck(format!("reply {i} = {d:?} {during}")));
+        for (i, (b, reply)) in self.commits.iter().enumerate() {
+            if *b >= batch && is_filled(reply) {
+                record(log, Event::EarlyAck(format!("commit {i} {during}")));
             }
         }
         for &(_, s) in self.sessions.iter().filter(|s| s.0 >= batch) {
             if self.table.lookup(s).is_some() {
                 record(log, Event::EarlyAck(format!("session {s} {during}")));
+            }
+        }
+        for (i, (b, reply)) in self.verdicts.iter().enumerate() {
+            if *b <= batch && !is_filled(reply) {
+                record(log, Event::HeldVerdict(format!("verdict {i} {during}")));
             }
         }
     }
@@ -105,8 +116,10 @@ impl Storage for RecordingStorage {
         // Append 0 is the file header, append 1 the head checkpoint,
         // append b + 2 is batch b's write.
         let n = self.appends;
-        self.watched
-            .check(&self.log, (n as usize).saturating_sub(2), "during append");
+        if n >= 2 {
+            self.watched
+                .check(&self.log, n as usize - 2, "during append");
+        }
         self.appends += 1;
         record(&self.log, Event::Append { bytes: bytes.len() });
         let mut inner = self.bytes.lock().unwrap();
@@ -128,9 +141,9 @@ impl Storage for RecordingStorage {
             let mut inner = self.bytes.lock().unwrap();
             inner.1 = inner.0.len();
         }
-        if self.watch_syncs {
+        if self.watch_syncs && self.appends >= 3 {
             // The barrier covers the batch written last.
-            let batch = (self.appends as usize).saturating_sub(3);
+            let batch = self.appends as usize - 3;
             self.watched
                 .check(&self.log, batch, "before the covering sync returned");
         }
@@ -194,105 +207,133 @@ enum Ack {
     Commit(TxnId),
 }
 
+#[derive(Default)]
 struct Scenario {
     commands: Vec<Command>,
-    replies: Vec<Reply>,
-    acks: Vec<Ack>,
-    sessions: Vec<u64>,
+    /// Per reply: the queue position of its command, its cell, and what
+    /// it acknowledges.
+    replies: Vec<(usize, Reply, Ack)>,
+    /// Per sessionful commit: the queue position of its command and its
+    /// session id.
+    sessions: Vec<(usize, u64)>,
+}
+
+impl Scenario {
+    fn begin(&mut self, txn: TxnId) {
+        self.commands.push(Command::Begin(txn));
+    }
+
+    fn request(&mut self, op: OpId) {
+        let reply = Reply::new();
+        self.replies
+            .push((self.commands.len(), reply.clone(), Ack::Grant(op)));
+        self.commands.push(Command::Request {
+            op,
+            enqueued: Instant::now(),
+            reply,
+        });
+    }
+
+    /// A two-operation commit asking for its verdict, through the session
+    /// table when `session` is given.
+    fn commit(&mut self, txn: TxnId, session: Option<u64>) {
+        let reply = Reply::new();
+        self.replies
+            .push((self.commands.len(), reply.clone(), Ack::Commit(txn)));
+        if let Some(s) = session {
+            self.sessions.push((self.commands.len(), s));
+        }
+        self.commands.push(Command::Commit {
+            txn,
+            ops: 2,
+            ack: Some(core::Ack {
+                enqueued: Instant::now(),
+                reply,
+                session: session.map(|s| (s, 1)),
+            }),
+        });
+    }
+
+    /// The whole life of `txn`: begin, both writes, a sessionful commit
+    /// (session id = 100 + txn).
+    fn txn(&mut self, txn: TxnId) {
+        self.begin(txn);
+        for index in 0..2 {
+            self.request(OpId { txn, index });
+        }
+        self.commit(txn, Some(100 + u64::from(txn.0)));
+    }
+
+    /// Transactions the scenario touches (the universe it runs on).
+    fn txn_count(&self) -> usize {
+        let last = self.replies.iter().map(|(_, _, ack)| match ack {
+            Ack::Grant(op) => op.txn.0,
+            Ack::Commit(t) => t.0,
+        });
+        last.max().map_or(0, |t| t as usize + 1)
+    }
 }
 
 /// `begin, w, w, commit` per transaction: four state-changing commands,
 /// three of them acknowledged through a `Reply`, the commit also through
 /// the session table (session id = 100 + txn).
 fn scenario(n: usize) -> Scenario {
-    let mut sc = Scenario {
-        commands: Vec::new(),
-        replies: Vec::new(),
-        acks: Vec::new(),
-        sessions: Vec::new(),
-    };
+    let mut sc = Scenario::default();
     for t in 0..n as u32 {
-        let txn = TxnId(t);
-        sc.commands.push(Command::Begin(txn));
-        for index in 0..2 {
-            let reply = Reply::new();
-            let op = OpId { txn, index };
-            sc.commands.push(Command::Request {
-                op,
-                enqueued: Instant::now(),
-                reply: reply.clone(),
-            });
-            sc.replies.push(reply);
-            sc.acks.push(Ack::Grant(op));
-        }
-        let reply = Reply::new();
-        let session = 100 + t as u64;
-        sc.commands.push(Command::Commit {
-            txn,
-            ops: 2,
-            ack: Some(core::Ack {
-                enqueued: Instant::now(),
-                reply: reply.clone(),
-                session: Some((session, 1)),
-            }),
-        });
-        sc.replies.push(reply);
-        sc.acks.push(Ack::Commit(txn));
-        sc.sessions.push(session);
+        sc.txn(TxnId(t));
     }
     sc
-}
-
-/// Position in the queue of the command reply `r` answers (per
-/// transaction: one unanswered `Begin`, then three answered commands).
-fn command_of_reply(r: usize) -> usize {
-    r / 3 * 4 + r % 3 + 1
 }
 
 struct Outcome {
     out: CoreOutput,
     events: Vec<Event>,
+    /// Each reply's decision, taken after the run.
+    decisions: Vec<Option<Decision>>,
     /// Everything written / the synced prefix.
     bytes: Vec<u8>,
     synced: Vec<u8>,
     table: Arc<SessionTable>,
 }
 
-/// Runs one shard core over the pre-loaded, already-closed queue while an
-/// observer thread sweeps the reply cells. The observer sweeps from the
-/// highest index down: replies are released in ascending order, so a cell
-/// found filled implies every lower one is too by the time the sweep
-/// reaches it — a sweep that takes `i` but misses some `j < i` has seen an
-/// out-of-order release, and shows up as a descending `Filled` pair.
+/// Runs one shard core over `sc` pre-loaded into an already-closed queue
+/// while an observer thread sweeps the reply cells. The observer looks
+/// (without taking) from the highest index down: each kind of reply is
+/// released in ascending order, so a cell found filled implies every
+/// lower one of its kind is too by the time the sweep reaches it — a
+/// sweep that finds `i` but misses some `j < i` of the same kind has seen
+/// an out-of-order release, and shows up as a descending `Filled` pair
+/// within that kind.
 fn run(
-    n: usize,
+    mut sc: Scenario,
     batch_max: usize,
     policy: FsyncPolicy,
     faults: &FaultPlan,
     fail_append_at: Option<(u64, usize)>,
     fail_sync_at: Option<u64>,
 ) -> (Scenario, Outcome) {
-    let (txns, spec) = universe(n);
-    let mut sc = scenario(n);
+    let (txns, spec) = universe(sc.txn_count());
     let log: Log = Arc::default();
     let table = Arc::new(SessionTable::new());
     let bytes = Arc::new(Mutex::new((Vec::new(), 0)));
+    let of_kind = |grant: bool| {
+        sc.replies
+            .iter()
+            .filter(|(_, _, ack)| matches!(ack, Ack::Grant(_)) == grant)
+            .map(|(pos, reply, _)| (pos / batch_max, reply.clone()))
+            .collect()
+    };
     let storage = RecordingStorage {
         log: Arc::clone(&log),
         bytes: Arc::clone(&bytes),
         watched: Watched {
-            replies: sc
-                .replies
-                .iter()
-                .enumerate()
-                .map(|(r, reply)| (command_of_reply(r) / batch_max, reply.clone()))
-                .collect(),
+            commits: of_kind(false),
             sessions: sc
                 .sessions
                 .iter()
-                .enumerate()
-                .map(|(t, &s)| ((4 * t + 3) / batch_max, s))
+                .map(|&(pos, s)| (pos / batch_max, s))
                 .collect(),
+            verdicts: of_kind(true),
             table: Arc::clone(&table),
         },
         watch_syncs: policy == FsyncPolicy::Always,
@@ -312,20 +353,18 @@ fn run(
 
     let out = std::thread::scope(|s| {
         let observer = s.spawn(|| {
-            let mut taken = vec![false; sc.replies.len()];
+            let mut seen = vec![false; sc.replies.len()];
             loop {
                 let last = done.load(Ordering::Acquire);
-                let mut found: Vec<(usize, Decision)> = Vec::new();
+                let mut found: Vec<usize> = Vec::new();
                 for i in (0..sc.replies.len()).rev() {
-                    if !taken[i] {
-                        if let Some(d) = sc.replies[i].try_take() {
-                            taken[i] = true;
-                            found.push((i, d));
-                        }
+                    if !seen[i] && is_filled(&sc.replies[i].1) {
+                        seen[i] = true;
+                        found.push(i);
                     }
                 }
-                for (index, decision) in found.into_iter().rev() {
-                    record(&log, Event::Filled { index, decision });
+                for index in found.into_iter().rev() {
+                    record(&log, Event::Filled { index });
                 }
                 if last {
                     break;
@@ -359,6 +398,7 @@ fn run(
     let outcome = Outcome {
         out,
         events: log.lock().unwrap().clone(),
+        decisions: sc.replies.iter().map(|(_, r, _)| r.try_take()).collect(),
         bytes: all,
         synced,
         table,
@@ -366,31 +406,51 @@ fn run(
     (sc, outcome)
 }
 
-fn early_acks(events: &[Event]) -> Vec<&Event> {
+/// Every breach of the contract the storage saw.
+fn breaches(events: &[Event]) -> Vec<&Event> {
     events
         .iter()
-        .filter(|e| matches!(e, Event::EarlyAck(_)))
+        .filter(|e| matches!(e, Event::EarlyAck(_) | Event::HeldVerdict(_)))
         .collect()
 }
 
-fn filled(events: &[Event]) -> Vec<(usize, Decision)> {
+/// The reply indices in the order the observer found them filled.
+fn filled(events: &[Event]) -> Vec<usize> {
     events
         .iter()
         .filter_map(|e| match e {
-            Event::Filled { index, decision } => Some((*index, decision.clone())),
+            Event::Filled { index } => Some(*index),
             _ => None,
         })
         .collect()
 }
 
-/// (a) + (b) + (c): one pre-filled batch of `b` state-changing commands is
-/// one append and one barrier; no acknowledgment precedes the barrier;
-/// the replies come out in core order.
+/// Every reply was filled, and each kind in core order.
+fn assert_released_in_core_order_within_each_kind(sc: &Scenario, o: &Outcome) {
+    let fills = filled(&o.events);
+    assert_eq!(fills.len(), sc.replies.len(), "no reply left hanging");
+    for grant in [true, false] {
+        let kind: Vec<usize> = fills
+            .iter()
+            .copied()
+            .filter(|&i| matches!(sc.replies[i].2, Ack::Grant(_)) == grant)
+            .collect();
+        assert!(
+            kind.windows(2).all(|w| w[0] < w[1]),
+            "replies released out of core order: {kind:?}"
+        );
+    }
+}
+
+/// (a) + (b) + (c): one pre-filled batch of `b` state-changing commands,
+/// commits among them, is one append and one barrier; no commit ack
+/// precedes the barrier, no operation verdict waits for the write; each
+/// kind of reply comes out in core order.
 #[test]
 fn one_batch_is_one_write_and_one_barrier_and_acks_follow_it() {
     let n = 6; // 24 state-changing commands, one batch
     let (sc, o) = run(
-        n,
+        scenario(n),
         64,
         FsyncPolicy::Always,
         &FaultPlan::default(),
@@ -399,7 +459,7 @@ fn one_batch_is_one_write_and_one_barrier_and_acks_follow_it() {
     );
     assert!(!o.out.crashed, "wal error: {:?}", o.out.wal_error);
     assert_eq!(o.out.batches, 1, "the whole queue drained as one batch");
-    assert_eq!(early_acks(&o.events), Vec::<&Event>::new());
+    assert_eq!(breaches(&o.events), Vec::<&Event>::new());
 
     // Header append + header barrier, head checkpoint append + its
     // forced barrier (SegmentedWal::new), then exactly one append carrying
@@ -422,71 +482,128 @@ fn one_batch_is_one_write_and_one_barrier_and_acks_follow_it() {
     assert_eq!((o.out.wal.appends, o.out.wal.syncs), (3, 3));
     assert_eq!(scan(&o.synced).records.len(), 4 * n + 1);
 
-    // Every ack came after the batch's barrier, in core order, granted.
+    // Every commit ack came after the batch's barrier; every reply is
+    // granted.
     let barrier = o
         .events
         .iter()
         .rposition(|e| matches!(e, Event::Sync { .. }))
         .unwrap();
-    let first_fill = o
+    let first_commit_fill = o
         .events
         .iter()
-        .position(|e| matches!(e, Event::Filled { .. }))
+        .position(|e| {
+            matches!(e, Event::Filled { index } if matches!(sc.replies[*index].2, Ack::Commit(_)))
+        })
         .unwrap();
-    assert!(barrier < first_fill, "{:?}", o.events);
-    let fills = filled(&o.events);
-    assert_eq!(fills.len(), sc.replies.len());
-    for (k, (index, decision)) in fills.iter().enumerate() {
-        assert_eq!(*index, k, "replies released out of core order: {fills:?}");
-        assert_eq!(*decision, Decision::Granted);
-    }
-    for (t, &s) in sc.sessions.iter().enumerate() {
+    assert!(barrier < first_commit_fill, "{:?}", o.events);
+    assert_released_in_core_order_within_each_kind(&sc, &o);
+    assert!(o.decisions.iter().all(|d| *d == Some(Decision::Granted)));
+    for (t, &(_, s)) in sc.sessions.iter().enumerate() {
         assert_eq!(o.table.lookup(s), Some((1, TxnId(t as u32))));
     }
     assert_eq!(o.out.committed.len(), n);
 }
 
+/// A batch that logged no commit is written once and not synced; its
+/// records ride to disk under the next commit's barrier. At batch_max 3,
+/// two transactions are the batches `[B0 w0.0 w0.1] [C0 B1 w1.0]
+/// [w1.1 C1]`: three appends, two barriers.
+#[test]
+fn a_batch_without_a_commit_is_written_and_not_synced() {
+    let (sc, o) = run(
+        scenario(2),
+        3,
+        FsyncPolicy::Always,
+        &FaultPlan::default(),
+        None,
+        None,
+    );
+    assert!(!o.out.crashed, "wal error: {:?}", o.out.wal_error);
+    assert_eq!(o.out.batches, 3);
+    assert_eq!(breaches(&o.events), Vec::<&Event>::new());
+    let storage_calls: Vec<&Event> = o
+        .events
+        .iter()
+        .filter(|e| matches!(e, Event::Append { .. } | Event::Sync { .. }))
+        .collect();
+    let shape: Vec<&str> = storage_calls
+        .iter()
+        .map(|e| match e {
+            Event::Append { .. } => "append",
+            _ => "sync",
+        })
+        .collect();
+    // Header and head checkpoint (each forced durable), then batch 0's
+    // write alone, batches 1 and 2 each a write and a barrier.
+    let expected = [
+        "append", "sync", "append", "sync", "append", "append", "sync", "append", "sync",
+    ];
+    assert_eq!(shape, expected);
+    assert_eq!((o.out.wal.appends, o.out.wal.syncs), (5, 4));
+    assert_eq!(o.bytes, o.synced, "the last commit's barrier covers it all");
+    assert_released_in_core_order_within_each_kind(&sc, &o);
+    assert!(o.decisions.iter().all(|d| *d == Some(Decision::Granted)));
+    assert_eq!(o.out.committed, vec![TxnId(0), TxnId(1)]);
+}
+
 /// Deferred policies go through the same hold-then-release loop; their
 /// barrier is just conditional. `Never`: one append per batch, no barrier
-/// until the clean close, every reply still released after its batch.
+/// until the clean close, every commit reply still released after its
+/// batch's write and every operation verdict before it.
 #[test]
 fn deferred_policy_shares_the_loop_with_a_conditional_barrier() {
     let n = 4;
-    let (sc, o) = run(n, 8, FsyncPolicy::Never, &FaultPlan::default(), None, None);
+    let (sc, o) = run(
+        scenario(n),
+        8,
+        FsyncPolicy::Never,
+        &FaultPlan::default(),
+        None,
+        None,
+    );
     assert!(!o.out.crashed);
     assert_eq!(o.out.batches, 2, "16 commands at batch_max 8");
     // header + head checkpoint + one per batch; the only barriers are the
     // ones the head checkpoint and close() force.
     assert_eq!((o.out.wal.appends, o.out.wal.syncs), (4, 2));
-    let fills = filled(&o.events);
-    assert_eq!(fills.len(), sc.replies.len());
-    assert!(fills.iter().all(|(_, d)| *d == Decision::Granted));
-    assert!(fills.windows(2).all(|w| w[0].0 < w[1].0), "{fills:?}");
+    assert_eq!(breaches(&o.events), Vec::<&Event>::new());
+    assert_released_in_core_order_within_each_kind(&sc, &o);
+    assert!(o.decisions.iter().all(|d| *d == Some(Decision::Granted)));
 }
 
 /// What the run's client was told, split at the first batch that died.
-fn assert_failed_batch_unacked(sc: &Scenario, o: &Outcome, batch_max: usize, dead_batch: usize) {
+/// `verdicts_left` says whether that batch's operation verdicts had left
+/// before it died: a failed write or barrier comes after them, a planned
+/// crash in the middle of the batch before.
+fn assert_failed_batch_unacked(
+    sc: &Scenario,
+    o: &Outcome,
+    batch_max: usize,
+    dead_batch: usize,
+    verdicts_left: bool,
+) {
     assert!(o.out.crashed);
-    assert_eq!(early_acks(&o.events), Vec::<&Event>::new());
-    let fills = filled(&o.events);
-    assert_eq!(fills.len(), sc.replies.len(), "no reply left hanging");
+    assert_eq!(breaches(&o.events), Vec::<&Event>::new());
+    assert_released_in_core_order_within_each_kind(sc, o);
     let mut acked_commits: Vec<TxnId> = Vec::new();
     let mut acked_grants: Vec<OpId> = Vec::new();
-    for (index, decision) in &fills {
-        if command_of_reply(*index) / batch_max < dead_batch {
-            assert_eq!(
-                *decision,
-                Decision::Granted,
-                "reply {index} of a durable batch"
-            );
-            match sc.acks[*index] {
+    for (index, ((pos, _, ack), decision)) in sc.replies.iter().zip(&o.decisions).enumerate() {
+        let batch = pos / batch_max;
+        let acked = match ack {
+            Ack::Grant(_) => batch < dead_batch || (batch == dead_batch && verdicts_left),
+            Ack::Commit(_) => batch < dead_batch,
+        };
+        if acked {
+            assert_eq!(*decision, Some(Decision::Granted), "reply {index}");
+            match *ack {
                 Ack::Grant(op) => acked_grants.push(op),
                 Ack::Commit(t) => acked_commits.push(t),
             }
         } else {
             assert_eq!(
                 *decision,
-                Decision::Aborted(AbortReason::Injected),
+                Some(Decision::Aborted(AbortReason::Injected)),
                 "reply {index} of the failed batch (or later) must not be an ack"
             );
         }
@@ -494,21 +611,22 @@ fn assert_failed_batch_unacked(sc: &Scenario, o: &Outcome, batch_max: usize, dea
     assert!(!acked_commits.is_empty(), "the fault must land mid-run");
     assert!(acked_commits.len() < sc.sessions.len());
     assert_eq!(o.out.committed, acked_commits, "the core reports acks only");
-    for (t, &s) in sc.sessions.iter().enumerate() {
+    for (t, &(_, s)) in sc.sessions.iter().enumerate() {
         let acked = acked_commits.contains(&TxnId(t as u32));
         assert_eq!(o.table.lookup(s).is_some(), acked, "session {s}");
     }
 
     // Recovery of the synced prefix: exactly the acknowledged commits —
     // none the client was never acked, every one it was — and every
-    // acknowledged grant.
-    let (txns, spec) = universe(sc.sessions.len());
+    // acknowledged grant of a recovered commit is durable.
+    let (txns, spec) = universe(sc.txn_count());
     let mut fresh = RsgSgt::new(&txns, &spec);
     let segments = [(0, o.synced.clone())];
     let (_, rec) =
         recover_segments_with_certifier(&txns, &spec, &mut fresh, &segments, Certifier::VClock)
             .expect("synced prefix recovers");
     assert_eq!(rec.committed, acked_commits);
+    let of_recovered = |op: &OpId| rec.committed.contains(&op.txn);
     let durable_grants: Vec<OpId> = scan(&o.synced)
         .records
         .iter()
@@ -516,18 +634,20 @@ fn assert_failed_batch_unacked(sc: &Scenario, o: &Outcome, batch_max: usize, dea
             WalRecord::Grant(op) => Some(*op),
             _ => None,
         })
+        .filter(of_recovered)
         .collect();
+    acked_grants.retain(of_recovered);
     assert_eq!(durable_grants, acked_grants);
 }
 
 /// (d) a failing barrier in the middle of a run.
 #[test]
 fn failed_barrier_acknowledges_nothing_of_its_batch() {
-    // 40 commands, 5 batches. Syncs 0 and 1 are the header and the head
-    // checkpoint; batch i's barrier is sync i + 2.
+    // 40 commands, 5 batches, each logging two commits. Syncs 0 and 1 are
+    // the header and the head checkpoint; batch i's barrier is sync i + 2.
     let (n, batch_max) = (10, 8);
     let (sc, o) = run(
-        n,
+        scenario(n),
         batch_max,
         FsyncPolicy::Always,
         &FaultPlan::default(),
@@ -539,7 +659,7 @@ fn failed_barrier_acknowledges_nothing_of_its_batch() {
         o.bytes.len() > o.synced.len(),
         "the batch was written, not synced"
     );
-    assert_failed_batch_unacked(&sc, &o, batch_max, 2);
+    assert_failed_batch_unacked(&sc, &o, batch_max, 2, true);
 }
 
 /// (d) a failing (torn) append in the middle of a run.
@@ -550,7 +670,7 @@ fn failed_append_acknowledges_nothing_of_its_batch() {
     // write is append i + 2. 30 torn bytes leave whole valid frames of
     // the dead batch on storage, past the synced watermark.
     let (sc, o) = run(
-        n,
+        scenario(n),
         batch_max,
         FsyncPolicy::Always,
         &FaultPlan::default(),
@@ -559,12 +679,12 @@ fn failed_append_acknowledges_nothing_of_its_batch() {
     );
     assert!(o.out.wal_error.as_deref().unwrap().contains("append"));
     assert_eq!(o.bytes.len(), o.synced.len() + 30);
-    assert_failed_batch_unacked(&sc, &o, batch_max, 2);
+    assert_failed_batch_unacked(&sc, &o, batch_max, 2, true);
 }
 
 /// A planned crash in the middle of a batch: the commands of that batch
-/// applied before the crash point die with it — records appended, barrier
-/// pending, acks held is exactly the window the crash cuts.
+/// applied before the crash point die with it — records appended, batch
+/// not yet applied, every ack held is exactly the window the crash cuts.
 #[test]
 fn planned_crash_mid_batch_unwinds_the_batch_held_acks() {
     let (n, batch_max) = (10, 8);
@@ -572,11 +692,123 @@ fn planned_crash_mid_batch_unwinds_the_batch_held_acks() {
         crash_at_command: Some(21), // batch 2 = commands 16..24
         ..FaultPlan::default()
     };
-    let (sc, o) = run(n, batch_max, FsyncPolicy::Always, &faults, None, None);
+    let (sc, o) = run(
+        scenario(n),
+        batch_max,
+        FsyncPolicy::Always,
+        &faults,
+        None,
+        None,
+    );
     assert_eq!(o.out.wal_error, None);
     assert_eq!(o.out.commands, 21);
     assert_eq!(o.bytes, o.synced, "the dead batch never reached storage");
-    assert_failed_batch_unacked(&sc, &o, batch_max, 2);
+    assert_failed_batch_unacked(&sc, &o, batch_max, 2, false);
+}
+
+/// The obligation of releasing grants early: a grant released before a
+/// barrier that then fails is lost with the uncommitted prefix, and the
+/// client observes that as an abort. At batch_max 3, two transactions are the batches
+/// `[B0 w0.0 w0.1] [C0 B1 w1.0] [w1.1 C1]`; batch 0 logs no commit and is
+/// not synced, batch 1's barrier fails after `w0.1` and `w1.0` were
+/// granted. Reopened on the synced prefix, the resumed core answers each
+/// early-granted transaction's next command — T1's next operation, both
+/// commits — `Aborted(Retired)`, and a restart from `Begin` commits each
+/// exactly once.
+#[test]
+fn a_lost_uncommitted_prefix_is_an_abort_the_client_observes() {
+    let (sc, o) = run(
+        scenario(2),
+        3,
+        FsyncPolicy::Always,
+        &FaultPlan::default(),
+        None,
+        Some(2),
+    );
+    assert!(o.out.wal_error.as_deref().unwrap().contains("fsync"));
+    assert_eq!(breaches(&o.events), Vec::<&Event>::new());
+    let granted = Some(Decision::Granted);
+    let injected = Some(Decision::Aborted(AbortReason::Injected));
+    let told: Vec<(Ack, Option<Decision>)> = sc
+        .replies
+        .iter()
+        .map(|(_, _, ack)| *ack)
+        .zip(o.decisions.iter().cloned())
+        .collect();
+    let (t0, t1) = (TxnId(0), TxnId(1));
+    let op = |txn, index| Ack::Grant(OpId { txn, index });
+    assert_eq!(
+        told,
+        vec![
+            (op(t0, 0), granted.clone()),
+            (op(t0, 1), granted.clone()),
+            (Ack::Commit(t0), injected.clone()),
+            (op(t1, 0), granted),
+            (op(t1, 1), injected.clone()),
+            (Ack::Commit(t1), injected),
+        ],
+        "the grants left before the barrier, the commit did not"
+    );
+    assert!(o.out.committed.is_empty());
+    assert!(o.bytes.len() > o.synced.len(), "the grants were not synced");
+
+    // Reopen the synced prefix: nothing committed, nothing live.
+    let store = MemSegmentStore::new().1;
+    let mut segment = store.clone().create(0).unwrap();
+    segment.append(&o.synced).unwrap();
+    segment.sync().unwrap();
+    let (txns, spec) = universe(2);
+    let scheduler = Box::new(RsgSgt::new(&txns, &spec));
+    let never = CheckpointPolicy::never();
+    let (mut wal, scheduler, rec) =
+        recover_and_resume(store.clone(), scheduler, &txns, &spec, 0, never).unwrap();
+    assert!(rec.committed.is_empty());
+
+    // The client resumes where its acks left it, then restarts.
+    let mut second = Scenario::default();
+    second.request(OpId { txn: t1, index: 1 });
+    second.commit(t0, None);
+    second.commit(t1, None);
+    second.txn(t0);
+    second.txn(t1);
+    let queue: BoundedQueue<Command> = BoundedQueue::new(second.commands.len());
+    for cmd in second.commands.drain(..) {
+        assert!(queue.push_wait(cmd).is_ok());
+    }
+    queue.close();
+    let table = SessionTable::new();
+    let out = run_core(
+        scheduler,
+        &queue,
+        &Progress::new(),
+        CoreCfg {
+            batch_max: 3,
+            record_trace: false,
+        },
+        &FaultPlan::default(),
+        Some(&mut wal),
+        ShardCoreCtx {
+            sessions: Some(&table),
+            ..ShardCoreCtx::default()
+        },
+    );
+    assert!(!out.crashed, "wal error: {:?}", out.wal_error);
+    let retired = Some(Decision::Aborted(AbortReason::Retired));
+    let decisions: Vec<Option<Decision>> = second.replies.iter().map(|r| r.1.try_take()).collect();
+    assert_eq!(decisions[..3], [retired.clone(), retired.clone(), retired]);
+    assert!(decisions[3..].iter().all(|d| *d == Some(Decision::Granted)));
+    assert_eq!(out.committed, vec![t0, t1]);
+
+    // Each commit is recovered exactly once.
+    let (_, rec) = recover_segments_with_certifier(
+        &txns,
+        &spec,
+        &mut RsgSgt::new(&txns, &spec),
+        &store.synced_segments(),
+        Certifier::VClock,
+    )
+    .unwrap();
+    assert_eq!(rec.committed, vec![t0, t1]);
 }
 
 /// The one `Command::Commit` picks its commit record from the session

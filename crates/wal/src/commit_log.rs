@@ -4,7 +4,7 @@
 //!
 //! The core drives the log with exactly four verbs — append a record
 //! (buffered, WAL-before-ack), end a batch (one write + the policy's
-//! barrier; acknowledgments are released only after it), close cleanly,
+//! barrier; commit acknowledgments are released only after it), close cleanly,
 //! read counters — plus the checkpoint protocol: the *log* decides when a
 //! checkpoint is due (`checkpoint_due`), the *core* supplies the state
 //! snapshot (`install_checkpoint`), because only the core knows its live
@@ -19,19 +19,23 @@ use std::io;
 pub trait CommitLog: Send {
     /// Adds one record to the current batch. The record is **not**
     /// durable — not even written — when this returns, under any policy:
-    /// the caller must hold the acknowledgment it stands for until
-    /// [`CommitLog::batch_end`] has returned `Ok`. Any error means the
-    /// caller must fail-stop.
+    /// the caller must hold a commit acknowledgment until a
+    /// [`CommitLog::batch_end`] has returned `Ok` after its record was
+    /// appended. Any error means the caller must fail-stop.
     fn append(&mut self, rec: &WalRecord) -> io::Result<()>;
 
     /// Ends the batch: one storage write of everything appended since the
-    /// last call, then the policy's durability barrier (under
-    /// [`crate::FsyncPolicy::Always`]: one barrier whenever anything is unsynced,
-    /// so on `Ok` every appended record is durable and its acknowledgment
-    /// may be released). Called once per drained queue batch; an empty
-    /// batch costs nothing.
+    /// last call, then the policy's durability barrier. Under
+    /// [`crate::FsyncPolicy::Always`] that is one barrier whenever a
+    /// commit record (`Commit` or `CommitSession`) is unsynced, so on
+    /// `Ok` every record appended up to the batch's last commit is
+    /// durable and the batch's commit acknowledgments may be released
+    /// (commit-after-barrier). A batch that logged no commit is written
+    /// and not synced: its begin, grant and abort records ride to disk
+    /// under the next commit's barrier, which covers a prefix of the log.
+    /// Called once per drained queue batch; an empty batch costs nothing.
     /// Any error means the batch may not be durable: fail-stop without
-    /// acknowledging it.
+    /// acknowledging its commits.
     fn batch_end(&mut self) -> io::Result<()>;
 
     /// Clean shutdown: a final durability barrier.

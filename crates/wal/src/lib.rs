@@ -31,23 +31,31 @@
 //! stays a pure log so it can be hammered byte-level by the storage
 //! fault injector in `relser-check`.
 //!
-//! ## Durability contract: ack-after-barrier
+//! ## Durability contract: commit-after-barrier
 //!
 //! [`CommitLog::append`] only adds a record to the current segment's
 //! batch; [`CommitLog::batch_end`] hands the whole batch to [`Storage`]
-//! in **one** `append` and — under [`FsyncPolicy::Always`], whenever
-//! anything is unsynced — issues **one** [`Storage::sync`]. The contract
-//! of `Always` is therefore *no acknowledgment leaves the core before a
-//! barrier that covers its record*, not *one barrier per record*: the
-//! admission core holds every reply (and every other externally visible
-//! acknowledgment) of a drained queue batch until `batch_end` returns,
-//! and unwinds them un-acknowledged if it fails. A crash at *any* point
-//! loses no acknowledged commit, and a batch of b commands costs one
-//! write and one barrier instead of b of each. `Never` (tests and the
-//! benchmark's append probe) goes through the same hold-then-release loop
-//! with no barrier but the clean close's; the scanner's
-//! truncate-at-first-damage rule keeps the recovered prefix consistent in
-//! every case.
+//! in **one** `append` and — under [`FsyncPolicy::Always`], whenever a
+//! commit record (`Commit` or `CommitSession`) is unsynced — issues
+//! **one** [`Storage::sync`]. The contract of `Always` is therefore *no
+//! commit acknowledgment leaves the core before a barrier that covers
+//! its record*, not *one barrier per record*: the admission core holds
+//! the commit replies and retry-table entries of a drained queue batch
+//! until `batch_end` returns, and unwinds them un-acknowledged if it
+//! fails. Operation verdicts (grants, blocks, aborts) leave as soon as
+//! the batch is applied, before `batch_end`: a `Granted` promises nothing
+//! across a crash, because recovery rolls back every transaction that is
+//! live at the crash and the resumed core answers its next operation and
+//! its commit `Aborted(Retired)`. Begin, grant and abort records ride to
+//! disk under the next commit's barrier, which covers every earlier
+//! record in core order — including every grant the commit depends on.
+//! A crash at *any* point loses no acknowledged commit, a batch of b
+//! commands costs one write and at most one barrier instead of b of each,
+//! and a batch that logged no commit pays no barrier at all. `Never`
+//! (tests and the benchmark's append probe) goes through the same
+//! hold-then-release loop with no barrier but the clean close's; the
+//! scanner's truncate-at-first-damage rule keeps the recovered prefix
+//! consistent in every case.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,18 +3,23 @@
 //! backend. [`crate::SegmentedWal`] owns one writer per segment; outside
 //! this crate the log is driven through [`crate::CommitLog`] only.
 //!
-//! The writer's contract is **ack-after-barrier**, not barrier-per-record.
-//! `append` only encodes the record into the writer's batch buffer — it
-//! touches no storage and makes nothing durable. `batch_end` hands the
-//! buffered frames to [`Storage`] in **one** `append` and then issues the
-//! policy's durability barrier: under `Always` one [`Storage::sync`]
-//! whenever anything is unsynced, under `Never` none. The admission core
-//! calls [`crate::CommitLog::append`] per state-changing command and
-//! [`crate::CommitLog::batch_end`] once per drained queue batch, holding
-//! every acknowledgment of the batch until `batch_end` returns — classic
-//! group commit: a batch of b commands costs one write and one barrier
-//! instead of b of each, and under `Always` no acknowledgment ever leaves
-//! the core before a barrier that covers its record, which is what makes
+//! The writer's contract is **commit-after-barrier**, not
+//! barrier-per-record. `append` only encodes the record into the
+//! writer's batch buffer — it touches no storage and makes nothing
+//! durable. `batch_end` hands the buffered frames to [`Storage`] in
+//! **one** `append` and then issues the policy's durability barrier:
+//! under `Always` one [`Storage::sync`] whenever a commit record
+//! (`Commit` or `CommitSession`) is unsynced, under `Never` none. The
+//! admission core calls [`crate::CommitLog::append`] per state-changing
+//! command and [`crate::CommitLog::batch_end`] once per drained queue
+//! batch, holding every commit acknowledgment of the batch until
+//! `batch_end` returns — classic group commit: a batch of b commands
+//! costs one write and at most one barrier instead of b of each. Begin,
+//! grant and abort records need no barrier of their own: nothing
+//! uncommitted survives recovery, so they only have to be durable by the
+//! time a commit that depends on them is, and a barrier covers a prefix
+//! of the log. Under `Always` no commit acknowledgment ever leaves the
+//! core before a barrier that covers its record, which is what makes
 //! "zero acknowledged commits lost" provable in the crash-point sweep.
 
 use crate::record::{WalRecord, MAGIC};
@@ -28,9 +33,11 @@ use std::time::Instant;
 /// [`crate::CommitLog::append`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// One barrier per batch that appended anything, issued before any
-    /// acknowledgment of that batch is released. No acknowledged work is
-    /// ever lost.
+    /// One barrier per batch that logged a commit, issued before any
+    /// commit acknowledgment of that batch is released; a batch that
+    /// logged no commit is written but not synced, and rides to disk
+    /// under the next commit's barrier. No acknowledged commit is ever
+    /// lost.
     Always,
     /// Never sync mid-run: only a segment's head checkpoint (at open and
     /// at rotation) and a clean [`crate::CommitLog::close`] sync. A crash
@@ -60,6 +67,9 @@ pub(crate) struct WalWriter {
     batch: Vec<u8>,
     /// Records appended since the last barrier (buffered or written).
     unsynced: u64,
+    /// One of them is a commit (`Commit` or `CommitSession`): the next
+    /// `batch_end` under [`FsyncPolicy::Always`] owes a barrier.
+    unsynced_commit: bool,
     stats: WalStats,
     sync_ns: Vec<u64>,
     broken: bool,
@@ -75,6 +85,7 @@ impl WalWriter {
             policy,
             batch: Vec::with_capacity(4096),
             unsynced: 0,
+            unsynced_commit: false,
             stats: WalStats {
                 bytes: MAGIC.len() as u64,
                 appends: 1,
@@ -104,21 +115,25 @@ impl WalWriter {
         self.stats.records += 1;
         self.stats.bytes += (self.batch.len() - before) as u64;
         self.unsynced += 1;
+        self.unsynced_commit |=
+            matches!(rec, WalRecord::Commit(_) | WalRecord::CommitSession { .. });
         Ok(())
     }
 
     /// Ends the batch: hands the buffered frames to storage in one
     /// [`Storage::append`], then, under [`FsyncPolicy::Always`], one
-    /// barrier if anything is unsynced — so on `Ok` every record appended
-    /// so far is durable. A batch that appended nothing costs nothing.
-    /// The admission core calls this once per drained queue batch.
+    /// barrier if a commit record is unsynced — so on `Ok` every record
+    /// appended up to the last commit is durable (a barrier covers a
+    /// prefix). A batch that logged no commit is written and not synced;
+    /// one that appended nothing costs nothing. The admission core calls
+    /// this once per drained queue batch.
     ///
     /// Any error marks the writer broken: the log tail is in an unknown
     /// state, so the caller must fail-stop (crash the core) and let
     /// recovery truncate at the damage.
     pub fn batch_end(&mut self) -> io::Result<()> {
         self.flush()?;
-        if self.policy == FsyncPolicy::Always && self.unsynced > 0 {
+        if self.policy == FsyncPolicy::Always && self.unsynced_commit {
             self.sync_now()?;
         }
         Ok(())
@@ -180,6 +195,7 @@ impl WalWriter {
         self.sync_ns.push(t0.elapsed().as_nanos() as u64);
         self.stats.syncs += 1;
         self.unsynced = 0;
+        self.unsynced_commit = false;
         Ok(())
     }
 
@@ -196,7 +212,7 @@ impl WalWriter {
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
-    use relser_core::ids::TxnId;
+    use relser_core::ids::{OpId, TxnId};
 
     #[test]
     fn always_policy_pays_one_write_and_one_barrier_per_batch() {
@@ -204,20 +220,58 @@ mod tests {
         let mut w = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
         let after_header = w.stats();
         assert_eq!((after_header.syncs, after_header.appends), (1, 1));
+        // A batch that logs no commit is written once and not synced.
         for t in 0..5 {
             w.append(&WalRecord::Begin(TxnId(t))).unwrap();
         }
         w.batch_end().unwrap();
         let s = w.stats();
         assert_eq!(s.records, 5);
-        assert_eq!(s.syncs - after_header.syncs, 1, "one barrier per batch");
+        assert_eq!(s.syncs, after_header.syncs, "no commit, no barrier");
         assert_eq!(s.appends - after_header.appends, 1, "one storage append");
         assert_eq!(s.bytes as usize, handle.bytes().len());
+        assert!(handle.synced_bytes().len() < handle.bytes().len());
+        // A batch that logs a commit pays one write and one barrier, and
+        // the barrier covers the earlier batch too.
+        w.append(&WalRecord::Grant(OpId::new(TxnId(0), 0))).unwrap();
+        w.append(&WalRecord::Commit(TxnId(0))).unwrap();
+        w.batch_end().unwrap();
+        let s = w.stats();
+        assert_eq!(
+            s.syncs - after_header.syncs,
+            1,
+            "one barrier per commit batch"
+        );
+        assert_eq!(s.appends - after_header.appends, 2, "one append per batch");
         assert_eq!(
             handle.synced_bytes().len(),
             handle.bytes().len(),
-            "everything appended is durable once the batch ended"
+            "everything appended is durable once a commit batch ended"
         );
+        assert_eq!(crate::scan(&handle.synced_bytes()).records.len(), 7);
+    }
+
+    #[test]
+    fn only_a_commit_record_owes_a_barrier() {
+        let t = TxnId(3);
+        let commit_session = WalRecord::CommitSession {
+            txn: t,
+            session: 1,
+            req_id: 2,
+        };
+        for (rec, barrier) in [
+            (WalRecord::Begin(t), false),
+            (WalRecord::Grant(OpId::new(t, 0)), false),
+            (WalRecord::Abort(t), false),
+            (WalRecord::Commit(t), true),
+            (commit_session, true),
+        ] {
+            let (mem, _handle) = MemStorage::new();
+            let mut w = WalWriter::new(Box::new(mem), FsyncPolicy::Always).unwrap();
+            w.append(&rec).unwrap();
+            w.batch_end().unwrap();
+            assert_eq!(w.stats().syncs, 1 + u64::from(barrier), "{rec:?}");
+        }
     }
 
     #[test]
