@@ -2,8 +2,7 @@
 //! on ≥ 1,000 randomized workloads, the incremental [`RsgSgt`] makes
 //! **byte-identical** per-request decisions to the retained full-rebuild
 //! [`RsgSgtOracle`] — through grants, rejections, aborts, restarts,
-//! commits, **and arena compactions interleaved at pseudo-random points**
-//! — and every committed history passes the offline
+//! commits and retirement — and every committed history passes the offline
 //! `Rsg::build(..).is_acyclic()` checker (Theorem 1). A second property
 //! pins retirement: after every commit and abort, the engine's worklist
 //! sweep has retired exactly the committed transactions that a full-scan
@@ -129,9 +128,6 @@ proptest! {
         n_txns in 2usize..6,
         objects in 2usize..5,
         write_pct in 0u32..=100,
-        // Force a compaction roughly every `compact_every` steps (0 off);
-        // the oracle has no arena, so decisions must stay identical.
-        compact_every in 0usize..6,
     ) {
         let cfg = RandomConfig {
             txns: n_txns,
@@ -162,9 +158,6 @@ proptest! {
         let mut steps = 0;
         while done.iter().any(|d| !d) && steps < 2000 {
             steps += 1;
-            if compact_every > 0 && steps % compact_every == 0 {
-                inc.force_compact();
-            }
             let mut t = (next() as usize) % n;
             while done[t] {
                 t = (t + 1) % n;
@@ -255,10 +248,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(500))]
 
     /// Retirement equivalence: through grants, rejections, voluntary and
-    /// forced aborts, restarts, commits and forced compactions, the
-    /// engine's worklist sweep retires exactly the transactions the
-    /// full-scan reachability fixpoint retires, after every commit and
-    /// every abort, and the admitted prefix stays the oracle's.
+    /// forced aborts, restarts and commits, the engine's worklist sweep
+    /// retires exactly the transactions the full-scan reachability
+    /// fixpoint retires, after every commit and every abort, and the
+    /// admitted prefix stays the oracle's.
     #[test]
     fn worklist_retirement_matches_the_full_scan_fixpoint(
         wl_seed in 0u64..100_000,
@@ -267,7 +260,6 @@ proptest! {
         n_txns in 2usize..9,
         objects in 1usize..5,
         write_pct in 0u32..=100,
-        compact_every in 0usize..6,
     ) {
         let cfg = RandomConfig {
             txns: n_txns,
@@ -299,9 +291,6 @@ proptest! {
         let mut steps = 0;
         while committed.iter().any(|c| !c) && steps < 2000 {
             steps += 1;
-            if compact_every > 0 && steps % compact_every == 0 {
-                inc.force_compact();
-            }
             let mut t = (next() as usize) % n;
             while committed[t] {
                 t = (t + 1) % n;

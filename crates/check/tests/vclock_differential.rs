@@ -8,9 +8,8 @@
 //!
 //! * [`Rsg::build`] — the offline Definition 3 graph (ground truth);
 //! * [`RsgSgt`]/[`RsgSgtOracle`] — the online incremental engine and its
-//!   full-rebuild oracle, in lockstep, with arena compactions forced at
-//!   pseudo-random points and a fresh certifier re-deciding every single
-//!   grant/reject;
+//!   full-rebuild oracle, in lockstep, with a fresh certifier re-deciding
+//!   every single grant/reject;
 //! * sub-universe feeds — the operations of a random transaction subset,
 //!   fed to a certifier over the *whole* universe (as recovery feeds a
 //!   committed history), decide as [`Rsg::build`] over
@@ -161,8 +160,7 @@ proptest! {
 
     /// Three-way lockstep: the incremental engine, its full-rebuild
     /// oracle, and a fresh vector-clock certifier re-deciding every
-    /// grant/reject — with arena compactions forced at pseudo-random
-    /// points, which must not change any answer.
+    /// grant/reject.
     #[test]
     fn lockstep_decisions_match_a_fresh_certifier(
         wl_seed in 0u64..100_000,
@@ -170,7 +168,6 @@ proptest! {
         feed_seed in 0u64..100_000,
         n_txns in 2usize..5,
         objects in 2usize..4,
-        compact_every in 0usize..6,
     ) {
         let cfg = RandomConfig {
             txns: n_txns,
@@ -210,9 +207,6 @@ proptest! {
         let mut steps = 0;
         while done.iter().any(|d| !d) && steps < 2000 {
             steps += 1;
-            if compact_every > 0 && steps % compact_every == 0 {
-                inc.force_compact();
-            }
             let mut t = (next() as usize) % n;
             while done[t] {
                 t = (t + 1) % n;

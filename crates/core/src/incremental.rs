@@ -89,30 +89,31 @@
 //! per-walk epochs on a pooled buffer: a sweep costs the region it walks
 //! and allocates nothing.
 //!
-//! A retired-prefix *floor* bounds the scans over grant history: every
-//! admission below it belongs to a retired transaction, and it advances
-//! after each sweep. Each admission's position in the grant order is kept
-//! per operation, so the abort's rollback point and retirement's journal
-//! blanking are found without scanning the prefix; compaction's journal
-//! remap starts at the floor. Abort replay re-enters a retired survivor's
-//! operations with blank journals without recomputing their (empty)
-//! deltas.
+//! Each admission's position in the grant order is kept per operation,
+//! so the abort's rollback point and retirement's journal blanking are
+//! found without scanning the prefix. Abort replay re-enters a retired
+//! survivor's operations with blank journals without recomputing their
+//! (empty) deltas.
 //!
-//! ## Reclamation and compaction
+//! ## Reclamation
 //!
-//! Masking alone leaves memory O(total history): retired nodes keep their
-//! arcs, journals, ancestor bitsets and access-list entries. Retirement
-//! therefore *prunes* — the retired transaction's journals are blanked,
-//! its ancestor sets dropped, and its access-list entries removed. This
-//! is decision-neutral: a retired transaction's ancestors are themselves
+//! The universe is closed, so memory is bounded by it by construction:
+//! the arena holds one node per operation of the universe from the start,
+//! node `g` is global operation `g` for the engine's whole life, and every
+//! other per-operation or per-transaction table is universe-sized too.
+//! The grant order and its journals hold each operation at most once (an
+//! abort trims them), and the graph keeps at most one merged arc per
+//! ordered node pair, so neither grows with history length either.
+//!
+//! Within that bound, retirement *prunes* what admission appends: the
+//! retired transaction's journals are blanked, its ancestor rows return
+//! to the pool, and its access-list entries are removed, so later
+//! admissions union fewer rows and scan shorter access lists. This is
+//! decision-neutral: a retired transaction's ancestors are themselves
 //! retired (the retired set is closed under predecessors), so any arc a
 //! pruned entry could have contributed would have had a retired endpoint
-//! and been masked from every cycle search anyway.
-//! When the retired fraction of the arena crosses the
-//! [`CompactionPolicy`] threshold, the arena itself is rebuilt
-//! ([`IncrementalDag::compact`]) with an old→new index remap, dropping
-//! retired nodes and their arcs and translating the outstanding live
-//! journals — so arena size tracks the live window, not total history.
+//! and been masked from every cycle search anyway. A retired node keeps
+//! its arcs, masked.
 
 use crate::ids::{OpId, TxnId};
 use crate::rsg::ArcKinds;
@@ -191,50 +192,6 @@ pub enum AdmitError {
     ProgramOrder(OpId),
 }
 
-/// When [`IncrementalRsg`] rebuilds its arena to drop retired state.
-///
-/// Compaction runs after a retirement sweep once **both** bounds hold:
-/// at least `min_retired_ops` operation nodes are retired, and they make
-/// up more than `retired_fraction_pct` percent of the arena. The first
-/// bound stops tiny universes from compacting constantly; the second
-/// keeps the amortized cost O(1) per retired node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompactionPolicy {
-    /// Minimum retired operation nodes before compaction is considered.
-    pub min_retired_ops: usize,
-    /// Retired percentage of the arena (0–100) that triggers compaction.
-    pub retired_fraction_pct: u8,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy {
-            min_retired_ops: 256,
-            retired_fraction_pct: 50,
-        }
-    }
-}
-
-impl CompactionPolicy {
-    /// Never compact automatically (callers may still
-    /// [`IncrementalRsg::force_compact`]).
-    pub fn never() -> Self {
-        CompactionPolicy {
-            min_retired_ops: usize::MAX,
-            retired_fraction_pct: 100,
-        }
-    }
-
-    /// Compact as soon as anything at all is retired — used by tests to
-    /// exercise the remap machinery on every sweep.
-    pub fn aggressive() -> Self {
-        CompactionPolicy {
-            min_retired_ops: 1,
-            retired_fraction_pct: 0,
-        }
-    }
-}
-
 /// Incrementally maintained relative serialization graph over the full
 /// (static) operation set, supporting admission, rollback, and
 /// retirement. See the module docs for the invariants.
@@ -247,13 +204,8 @@ pub struct IncrementalRsg {
     /// Owning transaction per global operation id.
     owner: Vec<TxnId>,
     total: u32,
+    /// One node per global operation id: node `g` is `NodeIdx(g)`.
     dag: IncrementalDag<ArcKinds>,
-    /// Arena node per global operation id; `None` once the operation's
-    /// transaction retired and a compaction dropped the node.
-    nodes: Vec<Option<NodeIdx>>,
-    /// Global operation id per arena node (the inverse of `nodes`),
-    /// rebuilt at each compaction.
-    node_global: Vec<u32>,
     /// Granted operations in grant order.
     admitted: Vec<OpId>,
     /// Position in `admitted` per global operation id, kept for admitted
@@ -289,16 +241,8 @@ pub struct IncrementalRsg {
     /// bumped per walk, so marks are never cleared.
     seen: Vec<u64>,
     epoch: u64,
-    /// Retired-prefix floor: every admission below `admitted[floor]`
-    /// belongs to a retired transaction, so scans for a live
-    /// transaction's admissions start here.
-    floor: usize,
     /// Running count of retired transactions (O(1) `retired_count`).
     retired_txns: usize,
-    /// Running count of retired operation nodes still in the arena.
-    retired_ops: usize,
-    policy: CompactionPolicy,
-    compactions: u64,
     /// Reusable per-admission working memory; see [`Scratch`].
     scratch: Scratch,
     /// Recycled ancestor rows (uniform capacity `total`): rows released by
@@ -326,21 +270,14 @@ struct Scratch {
 }
 
 impl IncrementalRsg {
-    /// Creates the engine with the default [`CompactionPolicy`]; nodes and
-    /// the I-arc skeleton are installed up front from the transaction
-    /// programs.
+    /// Creates the engine; nodes and the I-arc skeleton are installed up
+    /// front from the transaction programs.
     ///
     /// Construction is O(operations), not O(n²) in the transaction count:
     /// the engine shares `spec`'s breakpoint matrix and `txns`' programs
     /// (O(1) [`AtomicitySpec`] and [`TxnSet`] clones) instead of copying
     /// them.
     pub fn new(txns: &TxnSet, spec: &AtomicitySpec) -> Self {
-        Self::with_policy(txns, spec, CompactionPolicy::default())
-    }
-
-    /// Creates the engine with an explicit [`CompactionPolicy`]; same cost
-    /// as [`IncrementalRsg::new`].
-    pub fn with_policy(txns: &TxnSet, spec: &AtomicitySpec, policy: CompactionPolicy) -> Self {
         let mut offset = Vec::with_capacity(txns.len());
         let mut owner = Vec::with_capacity(txns.total_ops());
         let mut acc = 0u32;
@@ -350,15 +287,14 @@ impl IncrementalRsg {
             owner.extend(std::iter::repeat_n(t.id(), t.len()));
         }
         let mut dag: IncrementalDag<ArcKinds> = IncrementalDag::new();
-        let nodes: Vec<Option<NodeIdx>> = (0..acc).map(|_| Some(dag.add_node())).collect();
+        for g in 0..acc {
+            let node = dag.add_node();
+            debug_assert_eq!(node, NodeIdx(g));
+        }
         for t in txns.txns() {
             let base = offset[t.id().index()];
-            for j in 1..t.len() as u32 {
-                let r = dag.try_add_labeled_edge(
-                    nodes[(base + j - 1) as usize].unwrap(),
-                    nodes[(base + j) as usize].unwrap(),
-                    ArcKinds::I,
-                );
+            for g in base + 1..base + t.len() as u32 {
+                let r = dag.try_add_labeled_edge(NodeIdx(g - 1), NodeIdx(g), ArcKinds::I);
                 debug_assert!(matches!(r, relser_digraph::AddEdge::Added));
             }
         }
@@ -369,8 +305,6 @@ impl IncrementalRsg {
             owner,
             total: acc,
             dag,
-            nodes,
-            node_global: (0..acc).collect(),
             admitted: Vec::new(),
             grant_at: vec![0; acc as usize],
             journals: Vec::new(),
@@ -383,11 +317,7 @@ impl IncrementalRsg {
             walk: Vec::new(),
             seen: vec![0; txns.len()],
             epoch: 0,
-            floor: 0,
             retired_txns: 0,
-            retired_ops: 0,
-            policy,
-            compactions: 0,
             scratch: Scratch {
                 ancestors: BitSet::with_capacity(acc as usize),
                 ..Scratch::default()
@@ -423,20 +353,9 @@ impl IncrementalRsg {
     }
 
     /// Number of merged arcs currently in the graph (including the static
-    /// I-skeleton and any not-yet-compacted arcs of retired transactions).
+    /// I-skeleton and the masked arcs of retired transactions).
     pub fn arc_count(&self) -> usize {
         self.dag.graph().edge_count()
-    }
-
-    /// Nodes currently in the arena (live plus retired-but-uncompacted).
-    /// After a soak this is bounded by the live window, not total history.
-    pub fn dag_node_count(&self) -> usize {
-        self.dag.node_count()
-    }
-
-    /// Number of arena compactions performed so far.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
     }
 
     #[inline]
@@ -579,12 +498,8 @@ impl IncrementalRsg {
         self.propose_into(op, &mut s.ancestors, &mut s.merged);
         s.batch.clear();
         for &(key, k) in s.merged.iter() {
-            let (a, b) = ((key >> 32) as usize, key as u32 as usize);
-            s.batch.push((
-                self.nodes[a].expect("delta endpoints belong to uncompacted transactions"),
-                self.nodes[b].expect("delta endpoints belong to uncompacted transactions"),
-                k,
-            ));
+            s.batch
+                .push((NodeIdx((key >> 32) as u32), NodeIdx(key as u32), k));
         }
         let mut undo = self.journal_pool.pop().unwrap_or_default();
         let applied = if trusted {
@@ -624,19 +539,16 @@ impl IncrementalRsg {
                 let arc = (self.op_of((key >> 32) as u32), self.op_of(key as u32), k);
                 match rej.cause {
                     ArcRejection::WouldCycle(path) => {
-                        let cycle = path
-                            .iter()
-                            .map(|v| self.op_of(self.node_global[v.index()]))
-                            .collect::<Vec<OpId>>();
+                        let cycle = path.iter().map(|v| self.op_of(v.0)).collect::<Vec<OpId>>();
                         Err(AdmitError::Cycle(Rejection { op, arc, cycle }))
                     }
                     // `propose` filters arcs whose endpoints lie in retired
                     // transactions, so the dag can only see a retired endpoint
                     // if the owner retired between propose and apply — which
                     // cannot happen single-threaded. Surface it typed anyway.
-                    ArcRejection::RetiredEndpoint(v) => Err(AdmitError::Retired(
-                        self.owner[self.node_global[v.index()] as usize],
-                    )),
+                    ArcRejection::RetiredEndpoint(v) => {
+                        Err(AdmitError::Retired(self.owner[v.index()]))
+                    }
                 }
             }
         }
@@ -676,7 +588,6 @@ impl IncrementalRsg {
             return;
         }
         let k = self.grant_at[first] as usize;
-        self.floor = self.floor.min(k);
         let mut suffix = std::mem::take(&mut self.scratch.suffix);
         suffix.clear();
         suffix.extend_from_slice(&self.admitted[k..]);
@@ -728,8 +639,6 @@ impl IncrementalRsg {
     /// with its backward closure; each retiree queues the committed owners
     /// of its successor nodes. The sweep ends with every committed
     /// transaction the event left unreached retired (see the module docs).
-    /// Then advances the retired-prefix floor and compacts the arena if
-    /// the policy says so.
     fn sweep_retirement(&mut self) {
         while let Some(t) = self.worklist.pop() {
             let t = t as usize;
@@ -743,14 +652,6 @@ impl IncrementalRsg {
             }
             self.walk = walk;
         }
-        while self
-            .admitted
-            .get(self.floor)
-            .is_some_and(|op| self.retired[op.txn.index()])
-        {
-            self.floor += 1;
-        }
-        self.maybe_compact();
     }
 
     /// Does a live transaction reach the committed `t` over unretired
@@ -768,9 +669,8 @@ impl IncrementalRsg {
             next += 1;
             let base = self.offset[x as usize];
             for g in base..base + self.txns.txns()[x as usize].len() as u32 {
-                let node = self.nodes[g as usize].expect("unretired txn is uncompacted");
-                for p in self.dag.graph().predecessors(node) {
-                    let src = self.owner[self.node_global[p.index()] as usize].index();
+                for p in self.dag.graph().predecessors(NodeIdx(g)) {
+                    let src = self.owner[p.index()].index();
                     if src == x as usize || self.retired[src] || self.seen[src] == self.epoch {
                         continue;
                     }
@@ -792,10 +692,10 @@ impl IncrementalRsg {
         let base = self.offset[t];
         let len = self.txns.txns()[t].len() as u32;
         for g in base..base + len {
-            let node = self.nodes[g as usize].expect("retiring an uncompacted txn");
+            let node = NodeIdx(g);
             self.dag.retire_node(node);
             for s in self.dag.graph().successors(node) {
-                let st = self.owner[self.node_global[s.index()] as usize].index();
+                let st = self.owner[s.index()].index();
                 if st != t && self.committed[st] && !self.retired[st] && !self.queued[st] {
                     self.queued[st] = true;
                     self.worklist.push(st as u32);
@@ -814,45 +714,6 @@ impl IncrementalRsg {
         }
         self.retired[t] = true;
         self.retired_txns += 1;
-        self.retired_ops += len as usize;
-    }
-
-    /// Compacts when the policy's thresholds are met.
-    fn maybe_compact(&mut self) {
-        let arena = self.dag.node_count();
-        if arena == 0 || self.retired_ops < self.policy.min_retired_ops {
-            return;
-        }
-        if self.retired_ops * 100 > self.policy.retired_fraction_pct as usize * arena {
-            self.force_compact();
-        }
-    }
-
-    /// Rebuilds the arena dropping retired nodes and their arcs,
-    /// remapping the node tables and outstanding journals. Decisions are
-    /// bit-for-bit unchanged: retired nodes were already masked from
-    /// every cycle search, so the compacted arena answers every
-    /// reachability query identically.
-    pub fn force_compact(&mut self) {
-        let map = self.dag.compact();
-        for slot in self.nodes.iter_mut() {
-            *slot = slot.and_then(|n| map.node(n));
-        }
-        let mut node_global = vec![0u32; self.dag.node_count()];
-        for (g, slot) in self.nodes.iter().enumerate() {
-            if let Some(n) = slot {
-                node_global[n.index()] = g as u32;
-            }
-        }
-        self.node_global = node_global;
-        // Journals below the floor belong to retired transactions and
-        // were blanked at retirement: nothing in them to translate.
-        for j in self.journals[self.floor..].iter_mut() {
-            let old = std::mem::take(j);
-            *j = map.remap_undo(old);
-        }
-        self.retired_ops = 0;
-        self.compactions += 1;
     }
 }
 
@@ -990,7 +851,6 @@ mod tests {
         engine.try_admit(op(0, 1)).unwrap();
         engine.commit(TxnId(0));
         assert_eq!(engine.retired_count(), 3, "one sweep retires the chain");
-        assert_eq!(engine.floor, engine.admitted().len());
     }
 
     #[test]
@@ -1007,7 +867,6 @@ mod tests {
         engine.abort(TxnId(0));
         assert!(engine.is_retired(TxnId(1)));
         assert_eq!(engine.admitted(), &[op(1, 0)]);
-        assert_eq!(engine.floor, 1);
     }
 
     #[test]
@@ -1061,73 +920,5 @@ mod tests {
         engine.try_admit(op(0, 0)).unwrap();
         engine.try_admit(op(0, 1)).unwrap();
         assert_eq!(engine.admitted(), &[op(0, 0), op(0, 1)]);
-    }
-
-    #[test]
-    fn compaction_shrinks_arena_and_preserves_decisions() {
-        // Sequential committed transactions retire immediately; under the
-        // aggressive policy every sweep compacts. A lockstep engine that
-        // never compacts must make identical decisions throughout.
-        let programs = ["r1[x] w1[x]", "r2[x] w2[x]", "r3[x] w3[x]", "r4[x] w4[x]"];
-        let txns = TxnSet::parse(&programs).unwrap();
-        let spec = AtomicitySpec::absolute(&txns);
-        let mut compacting =
-            IncrementalRsg::with_policy(&txns, &spec, CompactionPolicy::aggressive());
-        let mut plain = IncrementalRsg::with_policy(&txns, &spec, CompactionPolicy::never());
-        for t in 0..4u32 {
-            for j in 0..2u32 {
-                let a = compacting.try_admit(op(t, j));
-                let b = plain.try_admit(op(t, j));
-                assert_eq!(a.is_ok(), b.is_ok(), "op {t}:{j}");
-            }
-            compacting.commit(TxnId(t));
-            plain.commit(TxnId(t));
-            assert_eq!(compacting.admitted(), plain.admitted());
-        }
-        assert!(compacting.compactions() >= 2, "policy forced compactions");
-        assert_eq!(compacting.retired_count(), 4);
-        assert_eq!(
-            compacting.dag_node_count(),
-            0,
-            "everything retired: arena fully reclaimed"
-        );
-        assert_eq!(plain.dag_node_count(), 8, "masking alone keeps all nodes");
-    }
-
-    #[test]
-    fn abort_replay_is_exact_across_a_compaction() {
-        // T1 commits, retires, and is compacted away; T2 and T3 interleave
-        // and T2 aborts. The rollback walks journals that were written
-        // before the compaction — they must have been remapped.
-        let txns = TxnSet::parse(&["r1[x] w1[x]", "r2[x] w2[y]", "r3[y] w3[x]"]).unwrap();
-        let spec = AtomicitySpec::free(&txns);
-        let mut engine = IncrementalRsg::with_policy(&txns, &spec, CompactionPolicy::aggressive());
-        engine.try_admit(op(0, 0)).unwrap();
-        engine.try_admit(op(0, 1)).unwrap();
-        engine.commit(TxnId(0));
-        assert!(engine.compactions() >= 1, "T1 compacted away");
-        engine.try_admit(op(1, 0)).unwrap();
-        engine.try_admit(op(2, 0)).unwrap();
-        engine.try_admit(op(1, 1)).unwrap();
-        engine.try_admit(op(2, 1)).unwrap();
-        engine.abort(TxnId(1));
-
-        // Reference: fresh engine fed the survivors only.
-        let mut fresh = IncrementalRsg::with_policy(&txns, &spec, CompactionPolicy::never());
-        fresh.try_admit(op(0, 0)).unwrap();
-        fresh.try_admit(op(0, 1)).unwrap();
-        fresh.commit(TxnId(0));
-        fresh.try_admit(op(2, 0)).unwrap();
-        fresh.try_admit(op(2, 1)).unwrap();
-        assert_eq!(engine.admitted(), fresh.admitted());
-        // And both accept T2's restart identically.
-        engine.try_admit(op(1, 0)).unwrap();
-        fresh.try_admit(op(1, 0)).unwrap();
-        engine.try_admit(op(1, 1)).unwrap();
-        fresh.try_admit(op(1, 1)).unwrap();
-        engine.commit(TxnId(1));
-        engine.commit(TxnId(2));
-        assert_eq!(engine.retired_count(), 3);
-        assert_eq!(engine.dag_node_count(), 0);
     }
 }

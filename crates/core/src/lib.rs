@@ -99,7 +99,7 @@ pub mod prelude {
     pub use crate::depends::DependsOn;
     pub use crate::error::{Error, Result};
     pub use crate::ids::{ObjectId, OpId, TxnId};
-    pub use crate::incremental::{AdmitError, CompactionPolicy, IncrementalRsg, RsgDelta};
+    pub use crate::incremental::{AdmitError, IncrementalRsg, RsgDelta};
     pub use crate::op::{AccessMode, Operation};
     pub use crate::project::Projection;
     pub use crate::rsg::{ArcKinds, Rsg};

@@ -21,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use relser_core::ids::{OpId, TxnId};
-use relser_core::incremental::{CompactionPolicy, IncrementalRsg};
+use relser_core::incremental::IncrementalRsg;
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 
@@ -61,17 +61,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// One round: admit every operation serially (a serial schedule is always
-/// admissible), then abort every transaction — the first abort rolls the
-/// whole prefix back and replays the survivors, exercising the rollback
-/// and replay paths as hard as the admit path.
-fn round(engine: &mut IncrementalRsg, txns: &TxnSet) {
+/// admissible), then abort every transaction in `order` and check the
+/// prefix is empty. Oldest first, the first abort rolls the whole prefix
+/// back and replays the survivors, exercising the rollback and replay
+/// paths as hard as the admit path; newest first, each abort pops only
+/// its own admissions, so a round over a large set stays one pass.
+fn round(engine: &mut IncrementalRsg, txns: &TxnSet, order: impl Iterator<Item = u32>) {
     for t in txns.txns() {
         for j in 0..t.len() as u32 {
             let r = engine.try_admit(OpId::new(t.id(), j));
             assert!(r.is_ok());
         }
     }
-    for t in 0..txns.len() as u32 {
+    for t in order {
         engine.abort(TxnId(t));
     }
     assert!(engine.admitted().is_empty());
@@ -106,17 +108,18 @@ fn steady_state_admit_rollback_and_retiring_commit_allocate_nothing() {
     ])
     .unwrap();
     let spec = AtomicitySpec::absolute(&txns);
-    let mut engine = IncrementalRsg::with_policy(&txns, &spec, CompactionPolicy::never());
+    let mut engine = IncrementalRsg::new(&txns, &spec);
 
     // Warm-up: grow every buffer to its steady capacity.
+    let n = txns.len() as u32;
     for _ in 0..4 {
-        round(&mut engine, &txns);
+        round(&mut engine, &txns, 0..n);
     }
 
     ALLOCS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     for _ in 0..8 {
-        round(&mut engine, &txns);
+        round(&mut engine, &txns, 0..n);
     }
     COUNTING.store(false, Ordering::SeqCst);
 
@@ -128,9 +131,11 @@ fn steady_state_admit_rollback_and_retiring_commit_allocate_nothing() {
 
     // Retiring commits. Commits are final, so warm-up and the counted
     // phase use disjoint pairs of one transaction set. One admit-all /
-    // abort-all round first grows the prefix, journal pool, access row and
-    // every node's adjacency past what the pairs need.
-    const PAIRS: u32 = 48;
+    // abort-all round (newest first) first grows the prefix, journal
+    // pool, access row and every node's adjacency past what the pairs
+    // need. The counted pairs retire 992 of the 1 024 operations, and
+    // retirement's pruning must stay allocation-free all the way.
+    const PAIRS: u32 = 256;
     const WARM_PAIRS: u32 = 8;
     let programs: Vec<String> = (1..=2 * PAIRS)
         .map(|i| format!("r{i}[x] w{i}[x]"))
@@ -138,8 +143,8 @@ fn steady_state_admit_rollback_and_retiring_commit_allocate_nothing() {
     let programs: Vec<&str> = programs.iter().map(String::as_str).collect();
     let txns = TxnSet::parse(&programs).unwrap();
     let spec = AtomicitySpec::absolute(&txns);
-    let mut engine = IncrementalRsg::with_policy(&txns, &spec, CompactionPolicy::never());
-    round(&mut engine, &txns);
+    let mut engine = IncrementalRsg::new(&txns, &spec);
+    round(&mut engine, &txns, (0..2 * PAIRS).rev());
     for pair in 0..WARM_PAIRS {
         pinned_pair(&mut engine, 2 * pair);
     }

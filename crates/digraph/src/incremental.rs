@@ -18,12 +18,7 @@
 //!   transaction aborts;
 //! * `retire_node` — mask a node (a committed transaction whose
 //!   information is no longer needed) so its edges stop participating in
-//!   searches;
-//! * `compact` — rebuild the live nodes into a fresh arena, dropping
-//!   retired nodes and their edges, so memory is bounded by the live
-//!   window instead of total history. The returned [`CompactionMap`]
-//!   translates old indices (and outstanding [`BatchUndo`] journals) into
-//!   the new arena.
+//!   searches. A node keeps its index for the graph's whole life.
 //!
 //! The cycle check is a bounded DFS from the edge's head towards its tail,
 //! restricted to live nodes — the standard "naive" incremental algorithm,
@@ -52,9 +47,6 @@ impl EdgeLabel for () {
 pub struct IncrementalDag<L: EdgeLabel = ()> {
     g: DiGraph<(), L>,
     live: Vec<bool>,
-    /// Running count of `true` entries in `live`; kept in lockstep so
-    /// [`IncrementalDag::live_count`] is O(1) (it gates compaction).
-    live_nodes: usize,
     /// Epoch-stamped DFS scratch for the per-arc cycle check: `dfs_seen[v]
     /// == dfs_epoch` means "visited this search". Bumping the epoch resets
     /// the whole array in O(1), so the steady-state check allocates
@@ -142,59 +134,6 @@ pub struct BatchRejected {
     pub cause: ArcRejection,
 }
 
-/// Old-arena → new-arena index translation produced by
-/// [`IncrementalDag::compact`].
-///
-/// Retired nodes map to `None`; their edges were dropped. Dropped edges
-/// are decision-neutral: an edge with a retired endpoint is already
-/// masked out of every cycle check, so forgetting it cannot change any
-/// future accept/reject decision.
-#[derive(Clone, Debug)]
-pub struct CompactionMap {
-    remap: Vec<Option<NodeIdx>>,
-    /// Retired nodes dropped by the compaction.
-    pub dropped_nodes: usize,
-    /// Edges dropped because an endpoint was retired.
-    pub dropped_edges: usize,
-}
-
-impl CompactionMap {
-    /// The new index of old node `old`, or `None` if it was retired.
-    pub fn node(&self, old: NodeIdx) -> Option<NodeIdx> {
-        self.remap.get(old.index()).copied().flatten()
-    }
-
-    /// Number of nodes in the *old* arena (valid inputs to
-    /// [`CompactionMap::node`]).
-    pub fn old_len(&self) -> usize {
-        self.remap.len()
-    }
-
-    /// Translates an outstanding undo journal into the new arena.
-    ///
-    /// Journal entries whose edges were dropped by the compaction (an
-    /// endpoint retired) are discarded: the edge no longer exists, and —
-    /// being masked — removing or relabelling it could not have changed
-    /// any decision anyway.
-    pub fn remap_undo<L>(&self, undo: BatchUndo<L>) -> BatchUndo<L> {
-        let ops = undo
-            .ops
-            .into_iter()
-            .filter_map(|op| match op {
-                UndoOp::Inserted(from, to) => match (self.node(from), self.node(to)) {
-                    (Some(f), Some(t)) => Some(UndoOp::Inserted(f, t)),
-                    _ => None,
-                },
-                UndoOp::Relabeled(from, to, prev) => match (self.node(from), self.node(to)) {
-                    (Some(f), Some(t)) => Some(UndoOp::Relabeled(f, t, prev)),
-                    _ => None,
-                },
-            })
-            .collect();
-        BatchUndo { ops }
-    }
-}
-
 impl<L: EdgeLabel> IncrementalDag<L> {
     /// Creates an empty DAG.
     pub fn new() -> Self {
@@ -204,19 +143,12 @@ impl<L: EdgeLabel> IncrementalDag<L> {
     /// Adds a fresh live node.
     pub fn add_node(&mut self) -> NodeIdx {
         self.live.push(true);
-        self.live_nodes += 1;
         self.g.add_node(())
     }
 
-    /// Number of nodes in the current arena (live plus retired-but-not-yet
-    /// compacted).
+    /// Number of nodes ever added, live and retired.
     pub fn node_count(&self) -> usize {
         self.g.node_count()
-    }
-
-    /// Number of live (non-retired) nodes. O(1) — a running counter.
-    pub fn live_count(&self) -> usize {
-        self.live_nodes
     }
 
     /// Is `v` still live?
@@ -230,44 +162,7 @@ impl<L: EdgeLabel> IncrementalDag<L> {
     /// Retirement corresponds to forgetting a committed transaction in SGT
     /// once no live transaction can form a cycle through it.
     pub fn retire_node(&mut self, v: NodeIdx) {
-        if std::mem::replace(&mut self.live[v.index()], false) {
-            self.live_nodes -= 1;
-        }
-    }
-
-    /// Rebuilds the arena keeping only live nodes (in their old relative
-    /// order) and the edges between them, and returns the old→new index
-    /// translation.
-    ///
-    /// Every decision the DAG can make afterwards is identical to what it
-    /// would have made without compacting: retired nodes and their edges
-    /// were already masked out of `live_path`, so dropping them removes
-    /// only state no search could reach. Outstanding [`BatchUndo`]
-    /// journals must be translated with [`CompactionMap::remap_undo`]
-    /// before being replayed against the compacted arena.
-    pub fn compact(&mut self) -> CompactionMap {
-        let old_n = self.g.node_count();
-        let mut g = DiGraph::with_capacity(self.live_nodes, self.g.edge_count());
-        let remap: Vec<Option<NodeIdx>> = self.live[..old_n]
-            .iter()
-            .map(|&live| live.then(|| g.add_node(())))
-            .collect();
-        let mut dropped_edges = 0;
-        for e in self.g.edge_refs() {
-            match (remap[e.from.index()], remap[e.to.index()]) {
-                (Some(f), Some(t)) => {
-                    g.add_edge(f, t, e.weight.clone());
-                }
-                _ => dropped_edges += 1,
-            }
-        }
-        self.g = g;
-        self.live = vec![true; self.live_nodes];
-        CompactionMap {
-            remap,
-            dropped_nodes: old_n - self.live_nodes,
-            dropped_edges,
-        }
+        self.live[v.index()] = false;
     }
 
     /// Does a *live-node* edge `from -> to` exist?
@@ -870,80 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_live_structure_and_labels() {
-        // a -> b -> c with labels, d retired with edges in both directions.
-        let mut d = IncrementalDag::<Mask>::new();
-        let a = d.add_node();
-        let b = d.add_node();
-        let c = d.add_node();
-        let r = d.add_node();
-        d.try_add_labeled_edge(a, b, Mask(1));
-        d.try_add_labeled_edge(b, c, Mask(2));
-        d.try_add_labeled_edge(a, r, Mask(4));
-        d.try_add_labeled_edge(r, c, Mask(4));
-        d.retire_node(r);
-        let map = d.compact();
-        assert_eq!(map.dropped_nodes, 1);
-        assert_eq!(map.dropped_edges, 2);
-        assert_eq!(map.node(r), None);
-        assert_eq!(d.node_count(), 3, "arena shrank to live nodes");
-        assert_eq!(d.live_count(), 3);
-        let (na, nb, nc) = (
-            map.node(a).unwrap(),
-            map.node(b).unwrap(),
-            map.node(c).unwrap(),
-        );
-        assert_eq!(d.edge_label(na, nb), Some(&Mask(1)));
-        assert_eq!(d.edge_label(nb, nc), Some(&Mask(2)));
-        assert_eq!(d.graph().edge_count(), 2);
-        // Decisions are unchanged: c -> a still closes a cycle with the
-        // same witness path (in new indices).
-        match d.try_add_edge(nc, na) {
-            AddEdge::WouldCycle(path) => assert_eq!(path, vec![na, nb, nc]),
-            other => panic!("expected rejection, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn compaction_remaps_outstanding_undo_journals() {
-        let mut d = IncrementalDag::<Mask>::new();
-        let a = d.add_node();
-        let b = d.add_node();
-        let r = d.add_node();
-        d.try_add_labeled_edge(a, b, Mask(1));
-        // A live batch: one label merge on a live edge, one fresh edge to a
-        // node that will retire before the undo runs.
-        let mut undo = BatchUndo::default();
-        d.try_add_batch_into(&[(a, b, Mask(2)), (a, r, Mask(1))], &mut undo)
-            .unwrap();
-        d.retire_node(r);
-        let map = d.compact();
-        let mut undo = map.remap_undo(undo);
-        d.undo_batch_into(&mut undo);
-        let (na, nb) = (map.node(a).unwrap(), map.node(b).unwrap());
-        assert_eq!(
-            d.edge_label(na, nb),
-            Some(&Mask(1)),
-            "label merge undone in the new arena; dropped-edge entry skipped"
-        );
-        assert_eq!(d.graph().edge_count(), 1);
-    }
-
-    #[test]
-    fn compaction_of_fully_live_arena_is_identity_shaped() {
-        let mut d = IncrementalDag::<()>::new();
-        let a = d.add_node();
-        let b = d.add_node();
-        d.try_add_edge(a, b);
-        let map = d.compact();
-        assert_eq!(map.dropped_nodes, 0);
-        assert_eq!(map.dropped_edges, 0);
-        assert_eq!(map.node(a), Some(a));
-        assert_eq!(map.node(b), Some(b));
-        assert!(d.has_edge(a, b));
-    }
-
-    #[test]
     fn reaches_respects_liveness() {
         let mut d = IncrementalDag::<()>::new();
         let a = d.add_node();
@@ -957,16 +778,18 @@ mod tests {
     }
 
     #[test]
-    fn live_count_tracks_retirement() {
+    fn retirement_masks_only_its_node_and_is_idempotent() {
         let mut d = IncrementalDag::<()>::new();
         let a = d.add_node();
-        let _b = d.add_node();
-        assert_eq!(d.live_count(), 2);
+        let b = d.add_node();
+        assert!(d.is_live(a) && d.is_live(b));
         d.retire_node(a);
-        assert_eq!(d.live_count(), 1);
         assert!(!d.is_live(a));
+        assert!(d.is_live(b));
         d.retire_node(a); // idempotent
-        assert_eq!(d.live_count(), 1);
+        assert!(!d.is_live(a));
+        assert!(d.is_live(b));
+        assert_eq!(d.node_count(), 2, "a retired node keeps its index");
     }
 
     #[test]

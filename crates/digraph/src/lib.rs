@@ -64,6 +64,4 @@ pub mod topo;
 pub mod visit;
 
 pub use graph::{DiGraph, EdgeIdx, EdgeRef, NodeIdx};
-pub use incremental::{
-    AddEdge, ArcRejection, BatchRejected, BatchUndo, CompactionMap, EdgeLabel, IncrementalDag,
-};
+pub use incremental::{AddEdge, ArcRejection, BatchRejected, BatchUndo, EdgeLabel, IncrementalDag};

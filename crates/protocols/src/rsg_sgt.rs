@@ -37,7 +37,10 @@
 //! cannot fail — every replayed arc lies in the closure of the previously
 //! acyclic graph). Committed transactions are *retired* once no live
 //! transaction reaches them; retired nodes are masked out of every
-//! cycle search, so long-finished transactions stop costing anything.
+//! cycle search and their journals, ancestor rows and access entries
+//! are pruned, so long-finished transactions stop costing anything. The
+//! arena itself never shrinks: it holds the closed universe's nodes from
+//! construction on, and that bounds its memory.
 //!
 //! Because every granted prefix has an acyclic RSG, the final committed
 //! history's RSG is acyclic, i.e. **every history this scheduler produces
@@ -50,13 +53,13 @@
 //! from scratch per request — lives on in `relser_check::rebuild`, in
 //! test and dev code only. That crate's
 //! `incremental_equivalence` suite drives both through identical
-//! randomized request sequences (including aborts, restarts and forced
-//! compactions) and asserts identical decisions; ablation A3 and the
+//! randomized request sequences (including aborts, restarts and
+//! retirement) and asserts identical decisions; ablation A3 and the
 //! `incremental` bench measure the speedup.
 
 use crate::{AbortReason, Decision, Scheduler};
 use relser_core::ids::{OpId, TxnId};
-use relser_core::incremental::{AdmitError, CompactionPolicy, IncrementalRsg};
+use relser_core::incremental::{AdmitError, IncrementalRsg};
 use relser_core::spec::AtomicitySpec;
 use relser_core::txn::TxnSet;
 
@@ -67,8 +70,7 @@ pub struct RsgSgt {
 }
 
 impl RsgSgt {
-    /// Creates a scheduler over a fixed transaction set and specification,
-    /// with the engine's default [`CompactionPolicy`].
+    /// Creates a scheduler over a fixed transaction set and specification.
     ///
     /// Construction is O(operations), not O(n²) in the transaction count:
     /// the scheduler shares `spec`'s breakpoint matrix rather than copying
@@ -76,13 +78,6 @@ impl RsgSgt {
     pub fn new(txns: &TxnSet, spec: &AtomicitySpec) -> Self {
         RsgSgt {
             engine: IncrementalRsg::new(txns, spec),
-        }
-    }
-
-    /// Creates a scheduler with an explicit arena [`CompactionPolicy`].
-    pub fn with_policy(txns: &TxnSet, spec: &AtomicitySpec, policy: CompactionPolicy) -> Self {
-        RsgSgt {
-            engine: IncrementalRsg::with_policy(txns, spec, policy),
         }
     }
 
@@ -94,12 +89,6 @@ impl RsgSgt {
     /// The underlying incremental engine (for inspection / experiments).
     pub fn engine(&self) -> &IncrementalRsg {
         &self.engine
-    }
-
-    /// Forces an arena compaction now, regardless of policy (tests use
-    /// this to interleave compactions at arbitrary points).
-    pub fn force_compact(&mut self) {
-        self.engine.force_compact();
     }
 }
 

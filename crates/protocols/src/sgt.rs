@@ -206,11 +206,13 @@ mod tests {
         assert_eq!(s.request(op(0, 0)), Decision::Granted);
         s.commit(TxnId(0));
         // T1 committed with no predecessors: retired immediately.
-        assert_eq!(s.dag.live_count(), 0);
+        let t1 = s.node_of[&TxnId(0)];
+        assert!(!s.dag.is_live(t1));
         s.begin(TxnId(1));
         assert_eq!(s.request(op(1, 0)), Decision::Granted);
         s.commit(TxnId(1));
-        assert_eq!(s.dag.live_count(), 0);
+        let t2 = s.node_of[&TxnId(1)];
+        assert!(!s.dag.is_live(t1) && !s.dag.is_live(t2));
     }
 
     #[test]
