@@ -36,6 +36,15 @@
 //! inside the head checkpoint frame, modelling a crash mid-rotation),
 //! live runs crash the core between rotations, and recovery must seed
 //! from the surviving checkpoint without losing an acknowledged commit.
+//!
+//! Both sweeps run their live passes on either write path of the core:
+//! with [`FaultFsConfig::sync_service`] zero the barrier is in-memory and
+//! the core writes inline; with a service time longer than a thread
+//! wake-up (the benchmark's modelled 200 µs) the core hands its writes to
+//! its log-writer thread after the first slow barrier and admits during
+//! the next one, so faults land on writes that cover several batches.
+//! The swept logs themselves are written inline, so they and the pins
+//! counted over them are the same on both paths.
 
 use crate::lockstep::recovery_lockstep;
 use crate::oracle::{check_execution, Divergence, ExecutionRecord};
@@ -53,15 +62,17 @@ use relser_wal::{
     CheckpointPolicy, CommitLog, FsyncPolicy, MemSegmentStore, SegmentStore, SegmentedWal, Storage,
 };
 use relser_workload::stream::RequestStream;
+use std::collections::BTreeMap;
 use std::io;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Knobs for one [`FaultFs`] instance. Ordinals are 0-based; `None`
 /// disables that fault.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultFsConfig {
     /// This append call (call 0 is the segment header, call 1 the head
-    /// checkpoint, then one per batch) fails. The writer (and so the
+    /// checkpoint, then one per write) fails. The writer (and so the
     /// core) fail-stops.
     pub fail_append_at: Option<u64>,
     /// How many bytes of the failing append still reach the buffer
@@ -72,9 +83,15 @@ pub struct FaultFsConfig {
     /// (bit rot / a misdirected write the writer never notices).
     pub bit_flip: Option<(u64, u8)>,
     /// This sync call fails (call 0 is the header sync under `Always`,
-    /// call 1 the head checkpoint's, then one per batch that logged a
+    /// call 1 the head checkpoint's, then one per write that logged a
     /// commit).
     pub fail_sync_at: Option<u64>,
+    /// How long every sync takes (slept, then it succeeds or fails). Zero
+    /// is an in-memory barrier, which the core writes inline; one longer
+    /// than a parked thread's wake-up makes the core hand its writes to
+    /// its log-writer thread and admit during the barrier, where batches
+    /// queued behind a barrier share the next write.
+    pub sync_service: Duration,
 }
 
 struct FaultInner {
@@ -169,6 +186,9 @@ impl Storage for FaultFs {
     fn sync(&mut self) -> io::Result<()> {
         let n = self.syncs;
         self.syncs += 1;
+        if !self.cfg.sync_service.is_zero() {
+            std::thread::sleep(self.cfg.sync_service);
+        }
         let mut inner = self.inner.lock().expect("faultfs lock");
         if self.cfg.fail_sync_at == Some(n) {
             inner.fired = true;
@@ -197,6 +217,37 @@ impl SegmentStore for OneSegment {
     }
 }
 
+/// Segments on [`FaultFs`], one per sequence number, every one under the
+/// same [`FaultFsConfig`] (its ordinals count per segment); deleted
+/// segments are dropped like [`MemSegmentStore`]'s. What a rotating log
+/// runs on in a live pass of [`checkpoint_crash_sweep`].
+#[derive(Clone, Default)]
+struct FaultSegments {
+    cfg: FaultFsConfig,
+    segs: Arc<Mutex<BTreeMap<u64, FaultFsHandle>>>,
+}
+
+impl FaultSegments {
+    /// The retained segments' durable prefixes, ascending.
+    fn synced_segments(&self) -> Vec<(u64, Vec<u8>)> {
+        let segs = self.segs.lock().expect("segment lock");
+        segs.iter().map(|(&s, h)| (s, h.synced_bytes())).collect()
+    }
+}
+
+impl SegmentStore for FaultSegments {
+    fn create(&mut self, seq: u64) -> io::Result<Box<dyn Storage>> {
+        let (fs, handle) = FaultFs::new(self.cfg);
+        self.segs.lock().expect("segment lock").insert(seq, handle);
+        Ok(Box::new(fs))
+    }
+
+    fn delete(&mut self, seq: u64) -> io::Result<()> {
+        self.segs.lock().expect("segment lock").remove(&seq);
+        Ok(())
+    }
+}
+
 /// The sweep grid: which protocols/seeds to log, and which live storage
 /// faults to inject on top of the exhaustive offline cuts.
 #[derive(Clone, Debug)]
@@ -214,6 +265,11 @@ pub struct CrashSweepConfig {
     /// Session worker threads per live run, and streams of the seeded
     /// single-threaded run that writes the swept log.
     pub workers: usize,
+    /// [`FaultFsConfig::sync_service`] of every live run: zero drives the
+    /// inline write step, a longer one the log-writer thread. The swept
+    /// log itself is always written inline, so it is the same on every
+    /// run.
+    pub sync_service: Duration,
 }
 
 impl Default for CrashSweepConfig {
@@ -225,6 +281,7 @@ impl Default for CrashSweepConfig {
             torn_bytes: vec![0, 1, 5],
             fail_syncs: vec![0, 1, 4, 8],
             workers: 3,
+            sync_service: Duration::ZERO,
         }
     }
 }
@@ -367,6 +424,7 @@ pub fn crash_point_sweep(
                     live.push(FaultFsConfig {
                         fail_append_at: Some(a),
                         torn_bytes: t,
+                        sync_service: cfg.sync_service,
                         ..FaultFsConfig::default()
                     });
                 }
@@ -374,6 +432,7 @@ pub fn crash_point_sweep(
             for &s in &cfg.fail_syncs {
                 live.push(FaultFsConfig {
                     fail_sync_at: Some(s),
+                    sync_service: cfg.sync_service,
                     ..FaultFsConfig::default()
                 });
             }
@@ -442,6 +501,9 @@ pub struct CheckpointSweepConfig {
     pub crash_commands: Vec<u64>,
     /// Session worker threads per live run.
     pub workers: usize,
+    /// [`FaultFsConfig::sync_service`] of the live runs' segments (see
+    /// [`CrashSweepConfig::sync_service`]).
+    pub sync_service: Duration,
 }
 
 impl Default for CheckpointSweepConfig {
@@ -452,6 +514,7 @@ impl Default for CheckpointSweepConfig {
             every_records: 4,
             crash_commands: vec![3, 7, 13, 21],
             workers: 3,
+            sync_service: Duration::ZERO,
         }
     }
 }
@@ -558,10 +621,19 @@ pub fn checkpoint_crash_sweep(
             for &at in &cfg.crash_commands {
                 for preloaded in [false, true] {
                     report.live_faults += 1;
-                    let (store, handle) = MemSegmentStore::new();
-                    let mut wal =
-                        SegmentedWal::new(Box::new(store), FsyncPolicy::Always, ckpt_policy)
-                            .expect("MemSegmentStore never fails");
+                    let store = FaultSegments {
+                        cfg: FaultFsConfig {
+                            sync_service: cfg.sync_service,
+                            ..FaultFsConfig::default()
+                        },
+                        ..FaultSegments::default()
+                    };
+                    let mut wal = SegmentedWal::new(
+                        Box::new(store.clone()),
+                        FsyncPolicy::Always,
+                        ckpt_policy,
+                    )
+                    .expect("a faultless FaultFs never fails");
                     let faults = FaultPlan {
                         crash_at_command: Some(at),
                         ..FaultPlan::default()
@@ -590,7 +662,7 @@ pub fn checkpoint_crash_sweep(
                         (crashed.committed, crashed.shards[0].checkpoints)
                     };
                     report.checkpoints += checkpoints;
-                    let durable = handle.synced_segments();
+                    let durable = store.synced_segments();
                     check_acked(&acked, &durable, txns, spec, kind, &mut report);
                     second_life(
                         txns,
@@ -809,24 +881,38 @@ mod tests {
     use super::*;
     use relser_core::paper::Figure1;
 
+    /// Both write paths: an in-memory barrier (the core writes inline)
+    /// and the benchmark's modelled 200 µs sync (the log-writer thread).
+    const SYNC_SERVICES: [Duration; 2] = [Duration::ZERO, Duration::from_micros(200)];
+
     #[test]
     fn figure1_crash_point_sweep_is_clean() {
+        for sync_service in SYNC_SERVICES {
+            figure1_crash_point_sweep(sync_service);
+        }
+    }
+
+    fn figure1_crash_point_sweep(sync_service: Duration) {
         let fig = Figure1::new();
         let cfg = CrashSweepConfig {
             kinds: vec![SchedulerKind::RsgSgt, SchedulerKind::TwoPl],
             seeds: vec![1],
             // Appends 0 and 1 are the header and the head checkpoint, 4
             // and 6 batch writes; sync 1 is the head checkpoint's, 2 and 3
-            // the barriers of the first two batches that logged a commit.
+            // the barriers of the first two writes that logged a commit.
             // Append 6 (under the pre-loaded driver) and sync 3 (under
-            // both) land after a commit was acknowledged.
+            // both) land after a commit was acknowledged. On the staged
+            // path too: the core writes inline up to the first slow
+            // barrier (sync 2), and the pre-loaded batches behind it
+            // share one write (append 6) and one barrier (sync 3).
             fail_appends: vec![0, 1, 4, 6],
             torn_bytes: vec![0, 3],
             fail_syncs: vec![1, 2, 3],
+            sync_service,
             ..CrashSweepConfig::default()
         };
         let report = crash_point_sweep(&fig.txns, &fig.spec, &cfg);
-        assert!(report.clean(), "{report:?}");
+        assert!(report.clean(), "{sync_service:?}: {report:?}");
         // Seeded single-threaded first lives: the same two logs on every
         // run.
         assert_eq!(report.crash_points, 684, "{report:?}");
@@ -844,16 +930,23 @@ mod tests {
 
     #[test]
     fn figure1_checkpoint_crash_sweep_is_clean() {
+        for sync_service in SYNC_SERVICES {
+            figure1_checkpoint_crash_sweep(sync_service);
+        }
+    }
+
+    fn figure1_checkpoint_crash_sweep(sync_service: Duration) {
         let fig = Figure1::new();
         let cfg = CheckpointSweepConfig {
             kinds: vec![SchedulerKind::RsgSgt, SchedulerKind::TwoPl],
             seeds: vec![1],
             every_records: 4,
             crash_commands: vec![4, 9],
+            sync_service,
             ..CheckpointSweepConfig::default()
         };
         let report = checkpoint_crash_sweep(&fig.txns, &fig.spec, &cfg);
-        assert!(report.clean(), "{report:?}");
+        assert!(report.clean(), "{sync_service:?}: {report:?}");
         assert!(report.checkpoints >= 2, "cadence 4 must rotate: {report:?}");
         // Seeded single-threaded first lives: the same newest segments on
         // every run, whose cuts past the head seed from its events.

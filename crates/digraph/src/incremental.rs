@@ -146,11 +146,6 @@ impl<L: EdgeLabel> IncrementalDag<L> {
         self.g.add_node(())
     }
 
-    /// Number of nodes ever added, live and retired.
-    pub fn node_count(&self) -> usize {
-        self.g.node_count()
-    }
-
     /// Is `v` still live?
     pub fn is_live(&self, v: NodeIdx) -> bool {
         self.live[v.index()]
@@ -168,11 +163,6 @@ impl<L: EdgeLabel> IncrementalDag<L> {
     /// Does a *live-node* edge `from -> to` exist?
     pub fn has_edge(&self, from: NodeIdx, to: NodeIdx) -> bool {
         self.live[from.index()] && self.live[to.index()] && self.g.has_edge(from, to)
-    }
-
-    /// The label of edge `from -> to`, live or retired, if present.
-    pub fn edge_label(&self, from: NodeIdx, to: NodeIdx) -> Option<&L> {
-        self.g.find_edge(from, to).map(|e| self.g.edge_weight(e))
     }
 
     /// Attempts to insert `from -> to` with the default label, keeping the
@@ -508,44 +498,6 @@ impl<L: EdgeLabel> IncrementalDag<L> {
         }
     }
 
-    /// Is `to` reachable from `from` through live nodes (non-empty path)?
-    pub fn reaches(&self, from: NodeIdx, to: NodeIdx) -> bool {
-        self.live_path(from, to).is_some()
-    }
-
-    /// Finds a live path `from ~> to` (returned inclusive of endpoints).
-    fn live_path(&self, from: NodeIdx, to: NodeIdx) -> Option<Vec<NodeIdx>> {
-        if !self.live[from.index()] || !self.live[to.index()] {
-            return None;
-        }
-        let n = self.g.node_count();
-        let mut parent: Vec<Option<NodeIdx>> = vec![None; n];
-        let mut visited = vec![false; n];
-        visited[from.index()] = true;
-        let mut stack = vec![from];
-        while let Some(v) = stack.pop() {
-            for s in self.g.successors(v) {
-                if !self.live[s.index()] || visited[s.index()] {
-                    continue;
-                }
-                visited[s.index()] = true;
-                parent[s.index()] = Some(v);
-                if s == to {
-                    let mut path = vec![s];
-                    let mut cur = s;
-                    while let Some(p) = parent[cur.index()] {
-                        path.push(p);
-                        cur = p;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                stack.push(s);
-            }
-        }
-        None
-    }
-
     /// Read-only view of the underlying graph (includes retired nodes and
     /// their edges; callers must filter by liveness).
     pub fn graph(&self) -> &DiGraph<(), L> {
@@ -565,6 +517,12 @@ mod tests {
         fn merge(&mut self, other: &Self) {
             self.0 |= other.0;
         }
+    }
+
+    /// The label of edge `from -> to`, live or retired, if present.
+    fn label<L: EdgeLabel>(d: &IncrementalDag<L>, from: NodeIdx, to: NodeIdx) -> Option<&L> {
+        let g = d.graph();
+        g.find_edge(from, to).map(|e| g.edge_weight(e))
     }
 
     #[test]
@@ -618,7 +576,7 @@ mod tests {
         let b = d.add_node();
         assert_eq!(d.try_add_labeled_edge(a, b, Mask(0b01)), AddEdge::Added);
         assert_eq!(d.try_add_labeled_edge(a, b, Mask(0b10)), AddEdge::Duplicate);
-        assert_eq!(d.edge_label(a, b), Some(&Mask(0b11)));
+        assert_eq!(label(&d, a, b), Some(&Mask(0b11)));
         // No parallel edge was created.
         assert_eq!(d.graph().edge_count(), 1);
     }
@@ -647,11 +605,7 @@ mod tests {
         assert_eq!(rejected.arc, 2);
         assert_eq!(rejected.cause, ArcRejection::WouldCycle(vec![a, b, c]));
         assert!(!d.has_edge(b, c), "fresh arc rolled back");
-        assert_eq!(
-            d.edge_label(a, b),
-            Some(&Mask(1)),
-            "label merge rolled back"
-        );
+        assert_eq!(label(&d, a, b), Some(&Mask(1)), "label merge rolled back");
         assert_eq!(d.graph().edge_count(), 1);
     }
 
@@ -670,11 +624,11 @@ mod tests {
         .unwrap();
         assert!(!undo.is_noop());
         assert_eq!(d.graph().edge_count(), 3);
-        assert_eq!(d.edge_label(a, b), Some(&Mask(3)));
+        assert_eq!(label(&d, a, b), Some(&Mask(3)));
         d.undo_batch_into(&mut undo);
         assert!(undo.is_noop(), "the journal is drained");
         assert_eq!(d.graph().edge_count(), 1);
-        assert_eq!(d.edge_label(a, b), Some(&Mask(1)));
+        assert_eq!(label(&d, a, b), Some(&Mask(1)));
         assert!(!d.has_edge(b, c) && !d.has_edge(a, c));
     }
 
@@ -688,7 +642,7 @@ mod tests {
         let mut undo = BatchUndo::default();
         d.try_add_batch_into(&[(a, b, Mask(1))], &mut undo).unwrap();
         assert!(undo.is_noop());
-        assert_eq!(d.edge_label(a, b), Some(&Mask(3)));
+        assert_eq!(label(&d, a, b), Some(&Mask(3)));
     }
 
     #[test]
@@ -714,7 +668,7 @@ mod tests {
         d.try_add_batch_into(&[(a, b, Mask(2)), (b, c, Mask(1))], &mut u2)
             .unwrap();
         d.undo_batch_into(&mut u2);
-        assert_eq!(d.edge_label(a, b), Some(&Mask(1)));
+        assert_eq!(label(&d, a, b), Some(&Mask(1)));
         assert!(!d.has_edge(b, c));
         d.undo_batch_into(&mut u1);
         assert_eq!(d.graph().edge_count(), 0);
@@ -765,19 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn reaches_respects_liveness() {
-        let mut d = IncrementalDag::<()>::new();
-        let a = d.add_node();
-        let b = d.add_node();
-        let c = d.add_node();
-        d.try_add_edge(a, b);
-        d.try_add_edge(b, c);
-        assert!(d.reaches(a, c));
-        d.retire_node(b);
-        assert!(!d.reaches(a, c));
-    }
-
-    #[test]
     fn retirement_masks_only_its_node_and_is_idempotent() {
         let mut d = IncrementalDag::<()>::new();
         let a = d.add_node();
@@ -789,7 +730,7 @@ mod tests {
         d.retire_node(a); // idempotent
         assert!(!d.is_live(a));
         assert!(d.is_live(b));
-        assert_eq!(d.node_count(), 2, "a retired node keeps its index");
+        assert_eq!(d.graph().node_count(), 2, "a retired node keeps its index");
     }
 
     #[test]

@@ -11,9 +11,14 @@
 //! | `reply`  | reactor: decision → bytes sent | [`NetMetrics::reply`]    |
 //!
 //! `fsync` is a stage of commits only: an operation's verdict leaves the
-//! core before its batch's barrier (commit-after-barrier, see
-//! `relser_server::run_core`), and a batch that logged no commit issues
-//! none.
+//! core once its batch is applied, before any barrier
+//! (commit-after-barrier, see `relser_server::run_core`), and a write
+//! that logged no commit issues none. `queue` no longer contains a
+//! barrier either: a core on a slow log hands its barriers to its
+//! log-writer thread and keeps popping, so a command waits in the queue
+//! only behind the commands ahead of it, and a commit waits for the
+//! barrier after its verdict — between `admit` and `reply` — on the
+//! writer thread, whose timings are the ones `fsync` reports.
 //!
 //! plus the end-to-end `wire` histogram (request bytes read off the
 //! socket → response bytes written back to it), which bounds the sum.

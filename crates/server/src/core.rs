@@ -20,11 +20,13 @@
 //! acquisition) so queue traffic is amortized under load, and it answers
 //! each operation request through a one-shot [`Reply`] cell. The batch is
 //! also the unit of durability: its operation verdicts are released once
-//! the whole batch is applied, its commit acknowledgments only after its
-//! one write-ahead-log barrier has returned, each kind in core order
-//! (see [`run_core`]). After every batch with a state *change*
-//! (grant, abort, commit — not a mere block) it bumps the shared
-//! [`Progress`] epoch, waking the blocked operations to be resubmitted.
+//! the whole batch is applied, its commit acknowledgments only after a
+//! write-ahead-log barrier covering it has returned, each kind in core
+//! order (see [`run_core`]). A core with a slow log hands those barriers
+//! to a log-writer thread and admits the next batch meanwhile. After
+//! every batch with a state *change* (grant, abort, commit — not a mere
+//! block) it bumps the shared [`Progress`] epoch, waking the blocked
+//! operations to be resubmitted.
 
 use crate::queue::BoundedQueue;
 use crate::supervisor::SessionTable;
@@ -34,8 +36,9 @@ use relser_protocols::{AbortReason, Decision, Scheduler};
 use relser_simdb::metrics::LatencyHistogram;
 use relser_wal::{Checkpoint, CheckpointEvent, CommitLog, WalRecord, WalStats};
 use std::collections::{HashMap, HashSet};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One client-visible event in core order — the unit of deterministic
@@ -277,10 +280,10 @@ pub enum Command {
 }
 
 /// The acknowledgment a [`Command::Commit`] asks for. The reply is filled
-/// only after the batch's durability barrier has covered the commit
-/// record — so under `FsyncPolicy::Always` the acknowledgment is durable,
-/// and the fsync is *inside* the wire front-end's wire-to-wire latency,
-/// not after it.
+/// only after a durability barrier has covered the commit record — so
+/// under `FsyncPolicy::Always` the acknowledgment is durable, and the
+/// fsync is *inside* the wire front-end's wire-to-wire latency, not after
+/// it.
 pub struct Ack {
     /// When the submitter enqueued the command (queue-wait stage
     /// measurement).
@@ -325,6 +328,8 @@ pub struct FaultPlan {
     /// Commands of the *same batch* applied before it die with it: their
     /// records never reached a barrier, so their held acknowledgments are
     /// unwound the same way (acked ⇒ durable, never the converse).
+    /// Batches already handed to the log writer are still written, and
+    /// their commits acknowledged once a barrier covers them.
     pub crash_at_command: Option<u64>,
     /// Request commands (0-based, counted over `Command::Request` only)
     /// whose reply cell is silently dropped: the scheduler is never
@@ -464,18 +469,21 @@ enum Halt {
     WalBroken(String),
 }
 
-/// The acknowledgments of the batch being applied, in core order within
-/// each kind. Nothing in here is visible outside the core until the whole
-/// batch has been applied; a halt before that unwinds all of it. Then the
-/// two kinds part:
+/// The acknowledgments a batch holds, in core order within each kind.
+/// Nothing in here is visible outside the core until the whole batch
+/// has been applied; a halt before that unwinds all of it. Then the two
+/// kinds part:
 ///
 /// * operation verdicts (grants, blocks, aborts, refusals of
-///   [`Command::Request`]) are released at once, before the batch's
-///   durability barrier: a `Granted` promises nothing across a crash,
-///   because recovery rolls back every transaction live at the crash;
-/// * commit verdicts and retry-table entries are released only after the
-///   barrier ([`CommitLog::batch_end`]) has returned, and unwound if it
-///   fails, because the commit records they stand for may not be durable.
+///   [`Command::Request`]) are released at once, before the batch is
+///   written: a `Granted` promises nothing across a crash, because
+///   recovery rolls back every transaction live at the crash;
+/// * commit verdicts and retry-table entries travel with the batch's
+///   records to whichever thread writes them ([`Run`]) and are released
+///   only after a barrier covering those records
+///   ([`CommitLog::batch_end`]) has returned, and unwound if it fails or
+///   if any earlier write failed, because the commit records they stand
+///   for may not be durable.
 #[derive(Default)]
 struct HeldAcks {
     /// Verdicts of [`Command::Request`]s (and the refusal of a command
@@ -535,6 +543,281 @@ fn fill_all(
     bells.drain(..).for_each(|b| b.ring());
 }
 
+/// A barrier that took less than this costs less than handing the write
+/// to the log-writer thread, whose wake-up from a parked wait is about
+/// this long on the 2-vCPU guest the benchmark runs on (`pingpong`, one
+/// request in flight, reads `server.queue.wait_p50_us` 9.2: one parked
+/// core woken per request). So a core whose log's previous barrier came
+/// in under it writes inline, on its own thread — every in-memory log —
+/// and one on a disk-shaped log (the modelled 200 µs sync) hands the
+/// writes over and admits the next batch meanwhile.
+const INLINE_BARRIER: Duration = Duration::from_micros(10);
+
+/// What one write of the log covers: the records and held commit
+/// acknowledgments of one or more consecutive batches, in core order,
+/// and a checkpoint cut behind the last of them.
+#[derive(Default)]
+struct Run {
+    /// State-changing records, in core order.
+    records: Vec<WalRecord>,
+    /// The acknowledgments held behind `records`. Operation verdicts stay
+    /// with the core (released when their batch is applied); commit
+    /// verdicts and retry-table entries travel with the run.
+    acks: HeldAcks,
+    /// [`CoreOutput::committed`]'s length after the run's last batch: the
+    /// prefix a barrier covering the run acknowledges.
+    committed: usize,
+    /// A checkpoint cut at the run's last batch boundary, installed once
+    /// the run's commits are acknowledged.
+    checkpoint: Option<Checkpoint>,
+}
+
+impl Run {
+    fn is_empty(&self) -> bool {
+        self.records.is_empty()
+            && self.acks.commits.is_empty()
+            && self.acks.sessions.is_empty()
+            && self.checkpoint.is_none()
+    }
+
+    /// Moves `batch`'s records and commit acknowledgments behind this
+    /// run's, keeping both runs' buffers.
+    fn absorb(&mut self, batch: &mut Run) {
+        self.records.append(&mut batch.records);
+        self.acks.commits.append(&mut batch.acks.commits);
+        self.acks.sessions.append(&mut batch.acks.sessions);
+        self.committed = batch.committed;
+    }
+
+    /// The run will never be written: nothing it holds was acknowledged.
+    fn unwind(&mut self) {
+        self.records.clear();
+        self.checkpoint = None;
+        self.acks.unwind();
+    }
+}
+
+/// What the writes so far established, carried by whichever thread
+/// writes.
+#[derive(Clone, Copy)]
+struct Marks {
+    /// The prefix of [`CoreOutput::committed`] a returned barrier covers:
+    /// what a crash keeps.
+    acked: usize,
+    /// Checkpoints the log rotated onto.
+    checkpoints: u64,
+    /// How long the log's previous barrier took (decides inline writes).
+    barrier: Duration,
+}
+
+/// The write step — the one on both threads. Appends the run's records,
+/// ends the log's batch (one storage write and, when a commit is among
+/// them, one barrier), releases the run's commit acknowledgments in core
+/// order, then installs its checkpoint, whose retry-table entries are the
+/// table's as of that release. An error leaves whatever the run still
+/// holds unacknowledged, for the caller to unwind.
+fn write_run(
+    log: &mut dyn CommitLog,
+    run: &mut Run,
+    table: Option<&SessionTable>,
+    marks: &mut Marks,
+) -> io::Result<()> {
+    if run.is_empty() {
+        return Ok(());
+    }
+    for rec in run.records.drain(..) {
+        log.append(&rec)?;
+    }
+    let syncs = log.stats().syncs;
+    let t0 = Instant::now();
+    log.batch_end()?;
+    if log.stats().syncs > syncs {
+        marks.barrier = t0.elapsed();
+    }
+    run.acks.release_commits(table);
+    marks.acked = run.committed;
+    if let Some(mut cp) = run.checkpoint.take() {
+        if let Some(table) = table {
+            // Filtered to this shard's commits: the filter recovery
+            // re-applies when it rebuilds the table.
+            let committed: HashSet<TxnId> = cp.committed.iter().copied().collect();
+            cp.sessions = table.snapshot();
+            cp.sessions.retain(|e| committed.contains(&e.txn));
+        }
+        marks.checkpoints += u64::from(log.install_checkpoint(cp)?);
+    }
+    Ok(())
+}
+
+/// The hand-off between a durable core and its log writer.
+struct Stage<'w> {
+    state: Mutex<StageState<'w>>,
+    /// The writer parks here while nothing is handed over.
+    work: Condvar,
+    /// A halting core waits here for the writer to stop.
+    stopped: Condvar,
+}
+
+struct StageState<'w> {
+    /// The log; `None` while the writer has it out.
+    log: Option<&'w mut dyn CommitLog>,
+    /// Handed over and not yet taken, in core order: `next`, then
+    /// `behind` — the batches admitted after `next`'s checkpoint was cut.
+    next: Run,
+    behind: Run,
+    marks: Marks,
+    /// The log reported a checkpoint due after its last write, and none
+    /// is handed over yet.
+    due: bool,
+    /// The write that failed: the core fail-stops.
+    failed: Option<String>,
+    /// The core is done: write what is handed over, then stop.
+    closing: bool,
+    /// The writer waits on [`Stage::work`].
+    parked: bool,
+    /// The writer has stopped: nothing handed over is left unwritten or
+    /// un-unwound.
+    done: bool,
+}
+
+impl<'w> Stage<'w> {
+    fn new(log: &'w mut dyn CommitLog, marks: Marks) -> Stage<'w> {
+        Stage {
+            state: Mutex::new(StageState {
+                log: Some(log),
+                next: Run::default(),
+                behind: Run::default(),
+                marks,
+                due: false,
+                failed: None,
+                closing: false,
+                parked: false,
+                done: false,
+            }),
+            work: Condvar::new(),
+            stopped: Condvar::new(),
+        }
+    }
+
+    /// The state, also after a panic on the other thread (the panic is
+    /// what ends the run then; the state stays consistent, because no
+    /// lock is held across a partial update).
+    fn lock(&self) -> MutexGuard<'_, StageState<'w>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The log-writer thread. Whenever it is free, it takes everything
+    /// handed over since its last write and writes it with [`write_run`]:
+    /// batches that queued up behind a barrier share the next one. A
+    /// failed write fail-stops the core: every commit acknowledgment held
+    /// behind it is unwound, the queue is closed, and waiters are woken.
+    fn write_behind(
+        &self,
+        table: Option<&SessionTable>,
+        queue: &BoundedQueue<Command>,
+        progress: &Progress,
+    ) {
+        let _fail_stop = FailStop {
+            stage: self,
+            queue,
+            progress,
+        };
+        let mut runs = [Run::default(), Run::default()];
+        let mut st = self.lock();
+        loop {
+            if st.failed.is_none() && !st.next.is_empty() {
+                std::mem::swap(&mut runs[0], &mut st.next);
+                std::mem::swap(&mut runs[1], &mut st.behind);
+                let log = st.log.take().expect("the log is home between writes");
+                let mut marks = st.marks;
+                drop(st);
+                let written = runs
+                    .iter_mut()
+                    .try_for_each(|run| write_run(&mut *log, run, table, &mut marks));
+                st = self.lock();
+                st.marks = marks;
+                st.due = log.checkpoint_due() && st.next.checkpoint.is_none();
+                st.log = Some(log);
+                if let Err(e) = written {
+                    runs.iter_mut().for_each(Run::unwind);
+                    st.failed = Some(e.to_string());
+                    drop(st);
+                    return;
+                }
+            } else if st.closing || st.failed.is_some() {
+                return;
+            } else {
+                st.parked = true;
+                st = self.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st.parked = false;
+            }
+        }
+    }
+
+    /// The core is done (or unwinding): the writer writes what it was
+    /// handed, then stops.
+    fn close(&self) {
+        self.lock().closing = true;
+        self.work.notify_one();
+    }
+
+    /// [`Stage::close`], then waits until the writer has stopped — every
+    /// batch handed over is written and acknowledged, or unwound — so a
+    /// halting core unwinds its own batch and backlog behind them, in
+    /// core order.
+    fn settle(&self) {
+        self.close();
+        let mut st = self.lock();
+        while !st.done {
+            st = self
+                .stopped
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Drops with the core's side of the scope, also when it unwinds.
+struct Closing<'a, 'w>(&'a Stage<'w>);
+
+impl Drop for Closing<'_, '_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// Drops with the writer, marking it stopped. If it failed (or
+/// panicked), nothing handed over after the failure is ever written, so
+/// its acknowledgments are unwound, and the core is stopped — the queue
+/// closes, waiters wake.
+struct FailStop<'a, 'w> {
+    stage: &'a Stage<'w>,
+    queue: &'a BoundedQueue<Command>,
+    progress: &'a Progress,
+}
+
+impl Drop for FailStop<'_, '_> {
+    fn drop(&mut self) {
+        let mut st = self.stage.lock();
+        if std::thread::panicking() {
+            st.failed
+                .get_or_insert_with(|| "the log writer panicked".into());
+        }
+        let failed = st.failed.is_some();
+        if failed {
+            st.next.unwind();
+            st.behind.unwind();
+        }
+        st.done = true;
+        drop(st);
+        self.stage.stopped.notify_all();
+        if failed {
+            self.queue.close();
+            self.progress.bump();
+        }
+    }
+}
+
 impl CoreOutput {
     /// Operations of [`CoreOutput::log`] whose transaction committed: the
     /// length of this core's committed history.
@@ -544,6 +827,15 @@ impl CoreOutput {
             .iter()
             .filter(|o| committed.contains(&o.txn))
             .count() as u64
+    }
+
+    /// A crashed core reports the commits a barrier acknowledged, the
+    /// first `acked`, and no others.
+    fn cut_unacked(&mut self, acked: usize) {
+        if self.crashed {
+            self.commits -= (self.committed.len() - acked) as u64;
+            self.committed.truncate(acked);
+        }
     }
 }
 
@@ -565,57 +857,77 @@ impl CoreOutput {
 /// queue batch the core
 ///
 /// 1. applies the commands in core order — the run's serialization
-///    point — appending the record of every state-*changing* event
-///    (begin, grant, commit, abort; blocks change nothing and are not
-///    logged) to the log's batch **before** applying it, and *holding*
-///    every acknowledgment it would give: each [`Reply`], each
+///    point — recording every state-*changing* event (begin, grant,
+///    commit, abort; blocks change nothing and are not logged) in the
+///    batch's records **before** applying it, and *holding* every
+///    acknowledgment it would give: each [`Reply`], each
 ///    [`SessionTable`] entry of a sessionful commit;
 /// 2. releases the operation verdicts — the replies of
 ///    [`Command::Request`]s: grants, blocks, aborts, refusals — in core
-///    order;
-/// 3. ends the batch once ([`CommitLog::batch_end`]): one storage write
-///    and, under `FsyncPolicy::Always`, one barrier whenever the batch
-///    logged a commit;
-/// 4. releases the commit acknowledgments — retry-table entries first,
-///    then the replies of [`Command::Commit`]s — in core order, then
-///    bumps [`Progress`]. A reactor front-end parked in `poll(2)` learns
-///    of these through its doorbell ([`Reply::with_doorbell`],
-///    [`Progress::attach`]): rung once after each release's last fill and
-///    once with the bump, never per reply — a ring of a reactor that is
-///    not parked is one atomic swap.
+///    order: verdicts leave when their batch is applied;
+/// 3. hands the records and the held commit acknowledgments to the write
+///    step, which appends the records, ends the log's batch
+///    ([`CommitLog::batch_end`]: one storage write and, under
+///    `FsyncPolicy::Always`, one barrier whenever a commit is among
+///    them), and only then releases the commit acknowledgments —
+///    retry-table entries first, then the replies of
+///    [`Command::Commit`]s — in core order: commit acks leave when a
+///    barrier covering them returns, on whichever thread ran it;
+/// 4. bumps [`Progress`] if the batch changed scheduler state. A reactor
+///    front-end parked in `poll(2)` learns of all this through its
+///    doorbell ([`Reply::with_doorbell`], [`Progress::attach`]): rung once
+///    after each release's last fill and once with the bump, never per
+///    reply — a ring of a reactor that is not parked is one atomic swap.
+///
+/// Where step 3 runs is the one thing a slow log changes. A core with a
+/// log runs a log-writer thread beside it (a core without one spawns
+/// none). While the log's previous barrier took less than a parked
+/// thread's wake-up (`INLINE_BARRIER`, 10 µs — every in-memory log), the
+/// core runs the write step inline, on its own thread, and the writer
+/// never wakes. Otherwise the core hands the batch over and goes straight
+/// on to pop, admit and release the verdicts of the next batch while the
+/// barrier runs; the writer takes everything handed over since its last
+/// write, in core order, and writes it as one — batches queued behind a
+/// barrier share the next one. A checkpoint (below) is cut at a batch
+/// boundary and written behind that batch.
 ///
 /// So under `Always` no commit acknowledgment — a `Committed` response, a
 /// retry-table entry, a commit in [`CoreOutput::committed`] — precedes a
-/// barrier that covers its record, and a batch of b commands costs one
-/// write and at most one barrier, not b. A granted operation does not
+/// barrier that covers its record, and a batch of b commands costs at
+/// most one write and one barrier, not b. A granted operation does not
 /// wait for the disk: it promises nothing across a crash, because
 /// recovery rolls back every transaction live at the crash, and the
 /// resumed core answers that transaction's next operation and its commit
 /// `Aborted(Retired)` (it is not live there), which sends the client back
 /// to its begin. An acknowledged commit stays durable all the same: its
 /// barrier covers every earlier record in core order, including every
-/// grant it depends on.
+/// grant it depends on. A resent commit of a transaction whose commit is
+/// still in flight is held like the original and released behind it.
 ///
-/// A halt while the batch is applied — a planned crash fault, a failed
-/// [`CommitLog::append`] — acknowledges **none** of it: the held replies
-/// are unwound `Aborted(Injected)`. A failed `batch_end` (the storage
-/// write or the barrier) comes after step 2, so it unwinds the batch's
-/// commit acknowledgments only. Either way the held retry-table entries are
-/// dropped and the batch's commits cut from [`CoreOutput::committed`],
-/// because their records may not be durable. The core then fail-stops
-/// (queue closed, backlog unwound), a storage error is reported in
+/// A planned crash fault while the batch is applied acknowledges **none**
+/// of that batch: its held replies are unwound `Aborted(Injected)`, its
+/// records never reach the log; what was handed over before it is still
+/// written. A failed write step (an append, the storage write, the
+/// barrier or a checkpoint) comes after step 2, so it unwinds commit
+/// acknowledgments only — those of its own write and of every batch
+/// admitted behind it. Either way the held retry-table entries are
+/// dropped and every commit no barrier covered is cut from
+/// [`CoreOutput::committed`]. The core then fail-stops (queue closed,
+/// backlog unwound), a storage error is reported in
 /// [`CoreOutput::wal_error`], and recovery truncates the log at the
 /// damage: acked ⇒ durable, never the converse.
 ///
 /// A log additionally gets a live-state snapshot whenever it reports a
 /// checkpoint due ([`CommitLog::checkpoint_due`]): the core
 /// tracks the condensed begin/grant/commit stream of non-retired
-/// transactions and hands it over at a batch boundary (a core-order
-/// point), with the whole committed list, letting the log rotate segments
-/// and delete history the checkpoint covers. Every core, sharded or not,
-/// prunes by the same rule: a retired commit's events go, and recovery
-/// counts it committed on the checkpoint's word ([`crate::recovery`]).
-/// [`CoreOutput::checkpoints`] counts only the rotations that happened.
+/// transactions and cuts it at a batch boundary (a core-order point),
+/// with the whole committed list; the write step installs it behind that
+/// batch's commit acknowledgments, with the retry table they completed,
+/// letting the log rotate segments and delete history the checkpoint
+/// covers. Every core, sharded or not, prunes by the same rule: a
+/// retired commit's events go, and recovery counts it committed on the
+/// checkpoint's word ([`crate::recovery`]). [`CoreOutput::checkpoints`]
+/// counts only the rotations that happened.
 pub fn run_core(
     scheduler: Box<dyn Scheduler + Send + '_>,
     queue: &BoundedQueue<Command>,
@@ -625,9 +937,10 @@ pub fn run_core(
     wal: Option<&mut dyn CommitLog>,
     shard: ShardCoreCtx<'_>,
 ) -> CoreOutput {
+    let table = shard.sessions;
     let mut core = Core {
         scheduler,
-        wal,
+        stage: None,
         shard,
         faults,
         record_trace: cfg.record_trace,
@@ -637,7 +950,13 @@ pub fn run_core(
         committed: HashSet::new(),
         live_events: Vec::new(),
         changed: false,
-        held: HeldAcks::default(),
+        batch: Run::default(),
+        acked: 0,
+    };
+    let Some(wal) = wal else {
+        let (mut out, acked) = core.run(queue, progress, cfg.batch_max);
+        out.cut_unacked(acked);
+        return out;
     };
     // A log resumed on an earlier life's state opens with it. Its
     // commits seed commit supremacy (retried commits stay idempotent,
@@ -645,18 +964,53 @@ pub fn run_core(
     // list and the checkpoint event stream: the next checkpoint this core
     // cuts must cover them, or rotation would delete the only segments
     // that record them.
-    if let Some(head) = core.wal.as_deref().map(|w| w.head()) {
-        core.committed.extend(head.committed.iter().copied());
-        core.out.committed.extend_from_slice(&head.committed);
-        core.live_events.extend_from_slice(&head.events);
+    let head = wal.head();
+    core.committed.extend(head.committed.iter().copied());
+    core.out.committed.extend_from_slice(&head.committed);
+    core.live_events.extend_from_slice(&head.events);
+    // The first batches are written inline, up to the first barrier that
+    // tells otherwise.
+    let marks = Marks {
+        acked: core.out.committed.len(),
+        checkpoints: 0,
+        barrier: Duration::ZERO,
+    };
+    let stage = Stage::new(wal, marks);
+    let mut out = std::thread::scope(|s| {
+        s.spawn(|| stage.write_behind(table, queue, progress));
+        let _closing = Closing(&stage);
+        core.stage = Some(&stage);
+        core.run(queue, progress, cfg.batch_max).0
+    });
+    let st = stage
+        .state
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some(err) = st.failed {
+        out.crashed = true;
+        out.wal_error.get_or_insert(err);
     }
-    core.run(queue, progress, cfg.batch_max)
+    out.cut_unacked(st.marks.acked);
+    out.checkpoints = st.marks.checkpoints;
+    let log = st.log.expect("the writer hands the log back");
+    // Clean shutdown gets a final barrier; a crashed core died before
+    // reaching it (that is what the crash-point sweep recovers from).
+    if !out.crashed {
+        if let Err(e) = log.close() {
+            out.wal_error = Some(e.to_string());
+        }
+    }
+    out.wal = log.stats();
+    out.wal_sync_ns = log.take_sync_ns();
+    out
 }
 
 /// The per-run state of one admission core; see [`run_core`].
-struct Core<'s, 'w, 'a> {
+struct Core<'s, 'a, 'w> {
     scheduler: Box<dyn Scheduler + Send + 's>,
-    wal: Option<&'w mut dyn CommitLog>,
+    /// The hand-off to the log writer (`None`: the core runs without a
+    /// log).
+    stage: Option<&'a Stage<'w>>,
     shard: ShardCoreCtx<'a>,
     faults: &'a FaultPlan,
     record_trace: bool,
@@ -677,73 +1031,50 @@ struct Core<'s, 'w, 'a> {
     live_events: Vec<CheckpointEvent>,
     /// Scheduler state changed in the current batch: bump [`Progress`].
     changed: bool,
-    /// The current batch's acknowledgments.
-    held: HeldAcks,
+    /// The current batch's records and acknowledgments.
+    batch: Run,
+    /// Without a log: the prefix of [`CoreOutput::committed`] released
+    /// (a log's writes keep theirs in [`Marks::acked`]).
+    acked: usize,
 }
 
 impl Core<'_, '_, '_> {
+    /// The admission loop; returns what it accumulated and, for a core
+    /// without a log, how many of its commits it acknowledged.
     fn run(
         mut self,
         queue: &BoundedQueue<Command>,
         progress: &Progress,
         batch_max: usize,
-    ) -> CoreOutput {
+    ) -> (CoreOutput, usize) {
         let mut batch: Vec<Command> = Vec::with_capacity(batch_max);
-        // How much of the commit list the last successful barrier covered
-        // (what a halt keeps).
-        let mut acked_commits = self.out.committed.len();
+        self.acked = self.out.committed.len();
         while queue.pop_batch(batch_max, &mut batch) {
             self.out.batches += 1;
             self.out.max_batch = self.out.max_batch.max(batch.len());
             self.changed = false;
             let mut pending = batch.drain(..);
-            let mut applied = pending.by_ref().try_for_each(|cmd| self.apply(cmd));
-            if applied.is_ok() {
-                // The operation verdicts leave before the barrier: nothing
-                // uncommitted survives a crash, so none of them waits for
-                // the disk.
-                self.held.release_verdicts();
-                // Group commit: one write and at most one durability
-                // barrier for the whole batch, *before* any of its commit
-                // acknowledgments is released.
-                if let Some(w) = self.wal.as_mut() {
-                    applied = w.batch_end().map_err(|e| Halt::WalBroken(e.to_string()));
-                }
-            }
-            if applied.is_ok() {
-                acked_commits = self.out.committed.len();
-                self.held.release_commits(self.shard.sessions);
-                // Checkpoint: the batch boundary is a core-order point, so
-                // the snapshot is exactly the state the replayed log would
-                // have here.
-                if self.wal.as_ref().is_some_and(|w| w.checkpoint_due()) {
-                    let cp = self.snapshot();
-                    match self
-                        .wal
-                        .as_mut()
-                        .expect("a checkpointing log")
-                        .install_checkpoint(cp)
-                    {
-                        Ok(rotated) => self.out.checkpoints += u64::from(rotated),
-                        Err(e) => applied = Err(Halt::WalBroken(e.to_string())),
-                    }
-                }
-            }
+            let applied = pending
+                .by_ref()
+                .try_for_each(|cmd| self.apply(cmd))
+                .and_then(|()| self.end_batch());
             if let Err(halt) = applied {
-                // Crash path — planned fault or broken WAL. No commit of
-                // this batch was acknowledged: cut its commits, unwind its
-                // held replies, close the queue so sessions stop
-                // submitting, and unwind everything still in flight (this
-                // batch's remainder and the backlog) so no session hangs
-                // on an unfilled cell.
+                // Crash path — planned fault or broken WAL. Close the queue
+                // so sessions stop submitting, let the writer finish (or
+                // unwind) what it was handed, then unwind the batch's held
+                // replies and everything still in flight (this batch's
+                // remainder and the backlog) so no session hangs on an
+                // unfilled cell. The commits no barrier covered are cut
+                // from the report once the writes have stopped.
                 self.out.crashed = true;
                 if let Halt::WalBroken(err) = halt {
                     self.out.wal_error = Some(err);
                 }
-                self.out.commits -= (self.out.committed.len() - acked_commits) as u64;
-                self.out.committed.truncate(acked_commits);
                 queue.close();
-                self.held.unwind();
+                if let Some(stage) = self.stage {
+                    stage.settle();
+                }
+                self.batch.unwind();
                 drain_after_crash(pending.collect(), queue, batch_max);
                 progress.bump();
                 break;
@@ -755,19 +1086,58 @@ impl Core<'_, '_, '_> {
                 progress.bump();
             }
         }
-        if let Some(w) = self.wal {
-            // Clean shutdown gets a final barrier; a crashed core died
-            // before reaching it (that is what the crash-point sweep
-            // recovers from).
-            if !self.out.crashed {
-                if let Err(e) = w.close() {
-                    self.out.wal_error = Some(e.to_string());
-                }
-            }
-            self.out.wal = w.stats();
-            self.out.wal_sync_ns = w.take_sync_ns();
+        (self.out, self.acked)
+    }
+
+    /// The batch is applied: release its operation verdicts, then write
+    /// it — inline, or handed to the log writer (see [`run_core`]).
+    fn end_batch(&mut self) -> Result<(), Halt> {
+        // The operation verdicts leave before the write: nothing
+        // uncommitted survives a crash, so none of them waits for the
+        // disk.
+        self.batch.acks.release_verdicts();
+        let table = self.shard.sessions;
+        let Some(stage) = self.stage else {
+            self.batch.acks.release_commits(table);
+            self.acked = self.out.committed.len();
+            return Ok(());
+        };
+        if self.batch.is_empty() {
+            return Ok(());
         }
-        self.out
+        self.batch.committed = self.out.committed.len();
+        let mut st = stage.lock();
+        if let Some(err) = &st.failed {
+            return Err(Halt::WalBroken(err.clone()));
+        }
+        let st = &mut *st;
+        let inline = st.next.is_empty() && st.marks.barrier < INLINE_BARRIER;
+        if let (true, Some(log)) = (inline, st.log.as_deref_mut()) {
+            let mut written = write_run(log, &mut self.batch, table, &mut st.marks);
+            // Checkpoint: the batch boundary is a core-order point, so
+            // the snapshot is exactly the state the replayed log would
+            // have here.
+            if written.is_ok() && log.checkpoint_due() {
+                self.batch.checkpoint = Some(self.snapshot());
+                written = write_run(log, &mut self.batch, table, &mut st.marks);
+            }
+            st.due = false;
+            return written.map_err(|e| Halt::WalBroken(e.to_string()));
+        }
+        let cut = st.due && st.next.checkpoint.is_none();
+        if st.next.checkpoint.is_some() {
+            st.behind.absorb(&mut self.batch);
+        } else {
+            st.next.absorb(&mut self.batch);
+        }
+        if cut {
+            st.due = false;
+            st.next.checkpoint = Some(self.snapshot());
+        }
+        if st.parked {
+            stage.work.notify_one();
+        }
+        Ok(())
     }
 
     /// The live-state snapshot a due checkpoint installs. Retired
@@ -775,33 +1145,26 @@ impl Core<'_, '_, '_> {
     /// ([`prune_retired`]): their arcs can no longer matter, which is what
     /// keeps the snapshot (and therefore every segment) bounded by live
     /// state. A retired commit stays in the `committed` list, and the
-    /// checkpoint vouches for it in recovery ([`crate::recovery`]).
+    /// checkpoint vouches for it in recovery ([`crate::recovery`]). Its
+    /// retry-table entries are filled in by the write step that installs
+    /// it, once the commits before it are acknowledged ([`write_run`]).
     fn snapshot(&mut self) -> Checkpoint {
         prune_retired(&mut self.live_events, &*self.scheduler);
-        // Session entries ride in the checkpoint so the retry table
-        // survives segment rotation; filtered to this shard's committed
-        // set, which is exactly the filter recovery re-applies when
-        // rebuilding it.
-        let mut sessions = self
-            .shard
-            .sessions
-            .map(SessionTable::snapshot)
-            .unwrap_or_default();
-        sessions.retain(|e| self.committed.contains(&e.txn));
         Checkpoint {
             shard: self.shard.shard,
             committed: self.out.committed.clone(),
             events: self.live_events.clone(),
-            sessions,
+            sessions: Vec::new(),
         }
     }
 
-    /// Applies one command of the batch. Every acknowledgment goes into
-    /// `held`, never straight to its receiver: [`Core::run`] releases the
-    /// batch's operation verdicts once the batch is applied and its commit
-    /// acks after its durability barrier. `Err(halt)` means the
-    /// core must crash without acknowledging the batch; the halting
-    /// command is not counted in [`CoreOutput::commands`].
+    /// Applies one command of the batch. Every acknowledgment is held in
+    /// the batch, never sent straight to its receiver: [`Core::end_batch`]
+    /// releases the batch's operation verdicts once the batch is applied,
+    /// and the write step its commit acks after a barrier covering them.
+    /// `Err(halt)` means the core must crash without acknowledging the
+    /// batch; the halting command is not counted in
+    /// [`CoreOutput::commands`].
     fn apply(&mut self, cmd: Command) -> Result<(), Halt> {
         if self.faults.crash_at_command == Some(self.out.commands) {
             if let Some(reply) = cmd.into_reply() {
@@ -809,33 +1172,27 @@ impl Core<'_, '_, '_> {
             }
             return Err(Halt::PlannedCrash);
         }
-        self.dispatch(cmd)?;
+        self.dispatch(cmd);
         self.out.commands += 1;
         Ok(())
     }
 
     /// Holds the operation verdict `Aborted(reason)` for `reply`.
     fn refuse(&mut self, reply: Reply, reason: AbortReason) {
-        self.held.verdicts.push((reply, Decision::Aborted(reason)));
+        self.batch
+            .acks
+            .verdicts
+            .push((reply, Decision::Aborted(reason)));
     }
 
-    /// WAL-before-apply: appends `rec` to the log's batch (a no-op
-    /// without a log). On failure the event is *not* applied or
-    /// acknowledged — `reply`, if the command carries one, is held
-    /// `Aborted(Injected)` — and the state change dies with the core, so
-    /// recovery never sees an unlogged event.
-    fn log(&mut self, rec: WalRecord, reply: Option<&Reply>) -> Result<(), Halt> {
-        let Some(w) = self.wal.as_mut() else {
-            return Ok(());
-        };
-        w.append(&rec).map_err(|e| {
-            if let Some(reply) = reply {
-                self.held
-                    .verdicts
-                    .push((reply.clone(), Decision::Aborted(AbortReason::Injected)));
-            }
-            Halt::WalBroken(e.to_string())
-        })
+    /// Log-before-apply: records `rec` in the batch's records (a no-op
+    /// without a log), in core order, before the event is applied. No
+    /// acknowledgment that depends on it leaves before the write step has
+    /// appended it and a barrier has covered it.
+    fn log(&mut self, rec: WalRecord) {
+        if self.stage.is_some() {
+            self.batch.records.push(rec);
+        }
     }
 
     fn trace(&mut self, event: TraceEvent) {
@@ -848,7 +1205,7 @@ impl Core<'_, '_, '_> {
     fn begin(&mut self, txn: TxnId) {
         self.scheduler.begin(txn);
         self.live.insert(txn, 0);
-        if self.wal.is_some() {
+        if self.stage.is_some() {
             self.live_events.push(CheckpointEvent::Begin(txn));
         }
     }
@@ -860,7 +1217,7 @@ impl Core<'_, '_, '_> {
         self.scheduler.abort(txn);
         self.live.remove(&txn);
         self.out.log.retain(|o| o.txn != txn);
-        if self.wal.is_some() {
+        if self.stage.is_some() {
             self.live_events.retain(|e| event_txn(e) != txn);
         }
         self.changed = true;
@@ -870,19 +1227,18 @@ impl Core<'_, '_, '_> {
     /// transaction (orphan cleanup racing a reconnecting client's ack)
     /// must NOT purge durable state; an abort of an already-retired
     /// incarnation has nothing left to undo. Both are no-ops.
-    fn abort_on_demand(&mut self, txn: TxnId) -> Result<(), Halt> {
+    fn abort_on_demand(&mut self, txn: TxnId) {
         if self.committed.contains(&txn) {
             self.out.retired_refusals += 1;
-            return Ok(());
+            return;
         }
         if !self.live.contains_key(&txn) {
-            return Ok(());
+            return;
         }
-        self.log(WalRecord::Abort(txn), None)?;
+        self.log(WalRecord::Abort(txn));
         self.abort(txn);
         self.trace(TraceEvent::Abort(txn));
         self.out.timeout_aborts += 1;
-        Ok(())
     }
 
     /// Logs and applies the commit of live `txn`. `session` is the
@@ -893,12 +1249,7 @@ impl Core<'_, '_, '_> {
     /// [`WalRecord::Commit`]. The commit record is in the batch before the
     /// commit is applied and counted: an acknowledged commit can never be
     /// lost, an unlogged one is never acknowledged.
-    fn commit(
-        &mut self,
-        txn: TxnId,
-        session: Option<(u64, u64)>,
-        reply: Option<&Reply>,
-    ) -> Result<(), Halt> {
+    fn commit(&mut self, txn: TxnId, session: Option<(u64, u64)>) {
         let rec = match session {
             Some((session, req_id)) => WalRecord::CommitSession {
                 txn,
@@ -907,16 +1258,16 @@ impl Core<'_, '_, '_> {
             },
             None => WalRecord::Commit(txn),
         };
-        self.log(rec, reply)?;
+        self.log(rec);
         self.scheduler.commit(txn);
         self.out.commits += 1;
         self.out.committed.push(txn);
         self.live.remove(&txn);
         self.committed.insert(txn);
         if let Some((session, req_id)) = session {
-            self.held.sessions.push((session, req_id, txn));
+            self.batch.acks.sessions.push((session, req_id, txn));
         }
-        if self.wal.is_some() {
+        if self.stage.is_some() {
             self.live_events.push(CheckpointEvent::Commit(txn));
         }
         self.changed = true;
@@ -924,12 +1275,11 @@ impl Core<'_, '_, '_> {
         // applies it via fire-and-forget `commit` — the ack is a liveness
         // detail, not a state transition.
         self.trace(TraceEvent::Commit(txn));
-        Ok(())
     }
 
     /// Applies a [`Command::Commit`] under commit supremacy; the verdict
     /// is held for `ack`'s reply when one was asked for.
-    fn commit_on_demand(&mut self, txn: TxnId, ops: u32, ack: Option<Ack>) -> Result<(), Halt> {
+    fn commit_on_demand(&mut self, txn: TxnId, ops: u32, ack: Option<Ack>) {
         let (reply, session) = match ack {
             Some(ack) => {
                 self.out
@@ -944,14 +1294,15 @@ impl Core<'_, '_, '_> {
             // transaction re-sends the original verdict and re-applies
             // nothing. The session table is refreshed so the connection
             // fast-path catches the next retry without reaching the core
-            // at all.
+            // at all. Both are held behind the original's commit record:
+            // released by the barrier covering it, or by a later one.
             if let Some((session, req_id)) = session {
-                self.held.sessions.push((session, req_id, txn));
+                self.batch.acks.sessions.push((session, req_id, txn));
             }
             self.out.duplicate_commit_acks += u64::from(reply.is_some());
             Decision::Granted
         } else if self.live.get(&txn).is_some_and(|&granted| granted >= ops) {
-            self.commit(txn, session, reply.as_ref())?;
+            self.commit(txn, session);
             Decision::Granted
         } else {
             // The incarnation was rolled back (crash recovery or orphan
@@ -963,12 +1314,11 @@ impl Core<'_, '_, '_> {
             Decision::Aborted(AbortReason::Retired)
         };
         if let Some(reply) = reply {
-            self.held.commits.push((reply, verdict));
+            self.batch.acks.commits.push((reply, verdict));
         }
-        Ok(())
     }
 
-    fn dispatch(&mut self, cmd: Command) -> Result<(), Halt> {
+    fn dispatch(&mut self, cmd: Command) {
         match cmd {
             Command::Begin(txn) => {
                 // A begin for a transaction that already committed (client
@@ -978,9 +1328,9 @@ impl Core<'_, '_, '_> {
                 // client's next operation gets a typed verdict instead.
                 if self.committed.contains(&txn) || self.live.contains_key(&txn) {
                     self.out.retired_refusals += 1;
-                    return Ok(());
+                    return;
                 }
-                self.log(WalRecord::Begin(txn), None)?;
+                self.log(WalRecord::Begin(txn));
                 self.begin(txn);
                 self.trace(TraceEvent::Begin(txn));
             }
@@ -988,15 +1338,14 @@ impl Core<'_, '_, '_> {
                 op,
                 enqueued,
                 reply,
-            } => self.request(op, enqueued, reply)?,
-            Command::Commit { txn, ops, ack } => self.commit_on_demand(txn, ops, ack)?,
-            Command::Abort(txn) => self.abort_on_demand(txn)?,
+            } => self.request(op, enqueued, reply),
+            Command::Commit { txn, ops, ack } => self.commit_on_demand(txn, ops, ack),
+            Command::Abort(txn) => self.abort_on_demand(txn),
         }
-        Ok(())
     }
 
     /// Applies one operation request.
-    fn request(&mut self, op: OpId, enqueued: Instant, reply: Reply) -> Result<(), Halt> {
+    fn request(&mut self, op: OpId, enqueued: Instant, reply: Reply) {
         let request_index = self.requests_seen;
         self.requests_seen += 1;
         // Commit supremacy: an operation for a transaction that already
@@ -1012,7 +1361,7 @@ impl Core<'_, '_, '_> {
             _ => {
                 self.out.retired_refusals += 1;
                 self.refuse(reply, AbortReason::Retired);
-                return Ok(());
+                return;
             }
         };
         if self.faults.drop_replies.contains(&request_index) {
@@ -1021,19 +1370,19 @@ impl Core<'_, '_, '_> {
             // state change, no log, no trace: to recovery and replay this
             // request never happened.
             self.out.dropped_replies += 1;
-            return Ok(());
+            return;
         }
         if self.faults.abort_requests.contains(&request_index) {
             // Injected abort: the scheduler is never asked; the abort is
             // applied exactly like a scheduler-initiated one. The trace
             // records a plain `Abort` (not a `Decision`) so replay does
             // not expect a real scheduler to answer `Aborted` here.
-            self.log(WalRecord::Abort(op.txn), Some(&reply))?;
+            self.log(WalRecord::Abort(op.txn));
             self.out.injected_aborts += 1;
             self.abort(op.txn);
             self.trace(TraceEvent::Abort(op.txn));
             self.refuse(reply, AbortReason::Injected);
-            return Ok(());
+            return;
         }
         // Exactly-once for operations: a request for an operation this
         // incarnation was already granted (a client resending after a
@@ -1043,8 +1392,8 @@ impl Core<'_, '_, '_> {
         // its program.
         if op.index < granted {
             self.out.duplicate_grants += 1;
-            self.held.verdicts.push((reply, Decision::Granted));
-            return Ok(());
+            self.batch.acks.verdicts.push((reply, Decision::Granted));
+            return;
         }
         self.out
             .queue_wait
@@ -1057,11 +1406,11 @@ impl Core<'_, '_, '_> {
             .record(enqueued.elapsed().as_nanos() as u64);
         match &decision {
             Decision::Granted => {
-                self.log(WalRecord::Grant(op), Some(&reply))?;
+                self.log(WalRecord::Grant(op));
                 self.out.grants += 1;
                 self.out.log.push(op);
                 self.live.insert(op.txn, op.index + 1);
-                if self.wal.is_some() {
+                if self.stage.is_some() {
                     self.live_events.push(CheckpointEvent::Grant(op));
                 }
                 // A grant is a state change other waiters may care about
@@ -1071,7 +1420,7 @@ impl Core<'_, '_, '_> {
             }
             Decision::Blocked { .. } => self.out.blocked += 1,
             Decision::Aborted(_) => {
-                self.log(WalRecord::Abort(op.txn), Some(&reply))?;
+                self.log(WalRecord::Abort(op.txn));
                 self.out.aborts += 1;
                 self.abort(op.txn);
             }
@@ -1081,8 +1430,7 @@ impl Core<'_, '_, '_> {
                 .trace
                 .push(TraceEvent::Decision(op, decision.clone()));
         }
-        self.held.verdicts.push((reply, decision));
-        Ok(())
+        self.batch.acks.verdicts.push((reply, decision));
     }
 }
 

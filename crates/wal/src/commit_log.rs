@@ -9,7 +9,10 @@
 //! checkpoint is due (`checkpoint_due`), the *core* supplies the state
 //! snapshot (`install_checkpoint`), because only the core knows its live
 //! state and only the log knows its segment sizes. A log that never
-//! checkpoints is one under [`crate::CheckpointPolicy::never`].
+//! checkpoints is one under [`crate::CheckpointPolicy::never`]. The verbs
+//! may come from the admission core's thread or from its log-writer
+//! thread — one at a time, in core order, whichever holds the log
+//! (`Send` is all the log needs).
 
 use crate::record::{Checkpoint, WalRecord};
 use crate::writer::WalStats;
@@ -33,9 +36,11 @@ pub trait CommitLog: Send {
     /// (commit-after-barrier). A batch that logged no commit is written
     /// and not synced: its begin, grant and abort records ride to disk
     /// under the next commit's barrier, which covers a prefix of the log.
-    /// Called once per drained queue batch; an empty batch costs nothing.
-    /// Any error means the batch may not be durable: fail-stop without
-    /// acknowledging its commits.
+    /// Called once per write the core's write step makes — one drained
+    /// queue batch inline, or every batch that queued up behind the
+    /// previous barrier on the log-writer thread; an empty batch costs
+    /// nothing. Any error means the batch may not be durable: fail-stop
+    /// without acknowledging its commits, nor any appended after them.
     fn batch_end(&mut self) -> io::Result<()>;
 
     /// Clean shutdown: a final durability barrier.

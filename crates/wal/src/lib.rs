@@ -16,7 +16,7 @@
 //!   fault-injecting one);
 //! * [`writer`] — the [`FsyncPolicy`] and [`WalStats`] of the segment
 //!   writer, which buffers a batch of frames and writes and syncs it
-//!   once at the core's queue-batch boundaries (group commit);
+//!   once per write of the core's write step (group commit);
 //! * [`reader`] — [`scan`]: the torn-write-tolerant scanner that
 //!   recovers the longest valid record prefix from arbitrary bytes;
 //! * [`commit_log`] — the [`CommitLog`] trait the admission core drives;
@@ -41,8 +41,11 @@
 //! commit acknowledgment leaves the core before a barrier that covers
 //! its record*, not *one barrier per record*: the admission core holds
 //! the commit replies and retry-table entries of a drained queue batch
-//! until `batch_end` returns, and unwinds them un-acknowledged if it
-//! fails. Operation verdicts (grants, blocks, aborts) leave as soon as
+//! until a `batch_end` covering its records returns, and unwinds them
+//! un-acknowledged if it (or any earlier one) fails. On a log whose
+//! barrier is slower than a thread wake-up that `batch_end` runs on the
+//! core's log-writer thread, which writes every batch admitted during
+//! the previous barrier at once. Operation verdicts (grants, blocks, aborts) leave as soon as
 //! the batch is applied, before `batch_end`: a `Granted` promises nothing
 //! across a crash, because recovery rolls back every transaction that is
 //! live at the crash and the resumed core answers its next operation and
@@ -50,8 +53,8 @@
 //! disk under the next commit's barrier, which covers every earlier
 //! record in core order — including every grant the commit depends on.
 //! A crash at *any* point loses no acknowledged commit, a batch of b
-//! commands costs one write and at most one barrier instead of b of each,
-//! and a batch that logged no commit pays no barrier at all. `Never`
+//! commands costs at most one write and one barrier instead of b of
+//! each, and a write that logged no commit pays no barrier at all. `Never`
 //! (tests and the benchmark's append probe) goes through the same
 //! hold-then-release loop with no barrier but the clean close's; the
 //! scanner's truncate-at-first-damage rule keeps the recovered prefix

@@ -10,11 +10,15 @@
 //! **one** `append` and then issues the policy's durability barrier:
 //! under `Always` one [`Storage::sync`] whenever a commit record
 //! (`Commit` or `CommitSession`) is unsynced, under `Never` none. The
-//! admission core calls [`crate::CommitLog::append`] per state-changing
-//! command and [`crate::CommitLog::batch_end`] once per drained queue
-//! batch, holding every commit acknowledgment of the batch until
+//! admission core's write step calls [`crate::CommitLog::append`] per
+//! state-changing command and [`crate::CommitLog::batch_end`] once per
+//! write, holding every commit acknowledgment of the write until
 //! `batch_end` returns — classic group commit: a batch of b commands
-//! costs one write and at most one barrier instead of b of each. Begin,
+//! costs one write and at most one barrier instead of b of each. A write
+//! is one drained queue batch when the core writes inline, or every batch
+//! admitted during the previous barrier when its log-writer thread does
+//! (the core hands a slow log's writes over and keeps admitting), so the
+//! writer may run on either thread, one call at a time. Begin,
 //! grant and abort records need no barrier of their own: nothing
 //! uncommitted survives recovery, so they only have to be durable by the
 //! time a commit that depends on them is, and a barrier covers a prefix
@@ -125,8 +129,8 @@ impl WalWriter {
     /// barrier if a commit record is unsynced — so on `Ok` every record
     /// appended up to the last commit is durable (a barrier covers a
     /// prefix). A batch that logged no commit is written and not synced;
-    /// one that appended nothing costs nothing. The admission core calls
-    /// this once per drained queue batch.
+    /// one that appended nothing costs nothing. The admission core's
+    /// write step calls this once per write.
     ///
     /// Any error marks the writer broken: the log tail is in an unknown
     /// state, so the caller must fail-stop (crash the core) and let
