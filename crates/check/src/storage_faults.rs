@@ -40,11 +40,14 @@
 //! Both sweeps run their live passes on either write path of the core:
 //! with [`FaultFsConfig::sync_service`] zero the barrier is in-memory and
 //! the core writes inline; with a service time longer than a thread
-//! wake-up (the benchmark's modelled 200 µs) the core hands its writes to
-//! its log-writer thread after the first slow barrier and admits during
-//! the next one, so faults land on writes that cover several batches.
-//! The swept logs themselves are written inline, so they and the pins
-//! counted over them are the same on both paths.
+//! wake-up (the benchmark's modelled 200 µs) the core writes its first
+//! commit barrier inline — the third barrier of its write-path probe,
+//! after the log's two opening ones — then hands its writes to its
+//! log-writer thread and admits during the barrier, so later faults land
+//! on writes that cover several batches
+//! ([`CrashSweepReport::staged_writes`] counts those writes). The swept
+//! logs themselves are written inline, so they and the pins counted over
+//! them are the same on both paths.
 
 use crate::lockstep::recovery_lockstep;
 use crate::oracle::{check_execution, Divergence, ExecutionRecord};
@@ -88,9 +91,10 @@ pub struct FaultFsConfig {
     pub fail_sync_at: Option<u64>,
     /// How long every sync takes (slept, then it succeeds or fails). Zero
     /// is an in-memory barrier, which the core writes inline; one longer
-    /// than a parked thread's wake-up makes the core hand its writes to
-    /// its log-writer thread and admit during the barrier, where batches
-    /// queued behind a barrier share the next write.
+    /// than a parked thread's wake-up makes the core hand its writes after
+    /// the first commit barrier to its log-writer thread, and admit during
+    /// the barrier, where batches queued behind a barrier share the next
+    /// write.
     pub sync_service: Duration,
 }
 
@@ -301,6 +305,10 @@ pub struct CrashSweepReport {
     /// fault fired ([`FaultFsHandle::fired`]); a fault that never fires
     /// leaves a clean run and checks nothing the full-log check does not.
     pub live_faults_fired: u64,
+    /// Writes the live runs' log-writer threads ran
+    /// ([`relser_server::core::CoreOutput::staged_writes`]): zero unless
+    /// their barriers were slow.
+    pub staged_writes: u64,
     /// Recoveries oracle-checked through [`check_execution`].
     pub oracle_checked: u64,
     /// Acknowledged commits verified present after recovery.
@@ -354,6 +362,17 @@ impl CrashSweepReport {
     }
 }
 
+/// The queue batches of [`crash_point_sweep`]'s live-session runs. Their
+/// sessions commit together, at whatever moment their threads get to
+/// it: at the default batch size one queue batch, written by one write
+/// under one barrier, can carry every commit of a small universe, and
+/// the storage ordinals past that barrier then never come. Two commands
+/// a batch leave the first commit barrier — written inline, the last of
+/// the core's write-path probe — at most two commits, so a universe of
+/// three or more has a later commit barrier on every run, whatever the
+/// sessions' timing and the log writer's coalescing.
+const LIVE_BATCH_MAX: usize = 2;
+
 /// Runs the crash-point sweep over one universe; see the module docs.
 /// Everything uses [`FsyncPolicy::Always`], the policy whose contract
 /// ("zero acknowledged commits lost, ever") is checkable pointwise.
@@ -368,6 +387,7 @@ pub fn crash_point_sweep(
             let server_cfg = ServerConfig {
                 workers: cfg.workers,
                 record_trace: true,
+                batch_max: LIVE_BATCH_MAX,
                 ..ServerConfig::default()
             };
             // One clean durable run produces the log the offline passes cut up.
@@ -471,9 +491,12 @@ pub fn crash_point_sweep(
                         );
                         report.report_ack_mismatches +=
                             u64::from(redrive.out.committed != redrive.acked);
+                        report.staged_writes += redrive.out.staged_writes;
                         redrive.acked
                     } else {
-                        serve_one(txns, spec, kind, &server_cfg, seed, &mut wal).committed
+                        let served = serve_one(txns, spec, kind, &server_cfg, seed, &mut wal);
+                        report.staged_writes += served.shards[0].staged_writes;
+                        served.committed
                     };
                     report.live_faults_fired += u64::from(fs_handle.fired());
                     let durable = [(0, fs_handle.synced_bytes())];
@@ -648,6 +671,7 @@ pub fn checkpoint_crash_sweep(
                         );
                         report.report_ack_mismatches +=
                             u64::from(redrive.out.committed != redrive.acked);
+                        report.staged_writes += redrive.out.staged_writes;
                         (redrive.acked, redrive.out.checkpoints)
                     } else {
                         let stream = RequestStream::shuffled(txns, seed);
@@ -659,6 +683,7 @@ pub fn checkpoint_crash_sweep(
                             std::slice::from_ref(&faults),
                             vec![&mut wal as &mut dyn CommitLog],
                         );
+                        report.staged_writes += crashed.shards[0].staged_writes;
                         (crashed.committed, crashed.shards[0].checkpoints)
                     };
                     report.checkpoints += checkpoints;
@@ -885,6 +910,13 @@ mod tests {
     /// and the benchmark's modelled 200 µs sync (the log-writer thread).
     const SYNC_SERVICES: [Duration; 2] = [Duration::ZERO, Duration::from_micros(200)];
 
+    /// On the slow barrier the live runs did drive the log-writer thread.
+    fn assert_staged_if_slow(sync_service: Duration, report: &CrashSweepReport) {
+        if !sync_service.is_zero() {
+            assert!(report.staged_writes > 0, "{report:?}");
+        }
+    }
+
     #[test]
     fn figure1_crash_point_sweep_is_clean() {
         for sync_service in SYNC_SERVICES {
@@ -902,9 +934,9 @@ mod tests {
             // the barriers of the first two writes that logged a commit.
             // Append 6 (under the pre-loaded driver) and sync 3 (under
             // both) land after a commit was acknowledged. On the staged
-            // path too: the core writes inline up to the first slow
-            // barrier (sync 2), and the pre-loaded batches behind it
-            // share one write (append 6) and one barrier (sync 3).
+            // path too: syncs 0, 1 and 2 are the core's write-path probe,
+            // sync 2 written inline, and the batches behind it share one
+            // write (append 6) and one barrier (sync 3) on the log writer.
             fail_appends: vec![0, 1, 4, 6],
             torn_bytes: vec![0, 3],
             fail_syncs: vec![1, 2, 3],
@@ -913,6 +945,7 @@ mod tests {
         };
         let report = crash_point_sweep(&fig.txns, &fig.spec, &cfg);
         assert!(report.clean(), "{sync_service:?}: {report:?}");
+        assert_staged_if_slow(sync_service, &report);
         // Seeded single-threaded first lives: the same two logs on every
         // run.
         assert_eq!(report.crash_points, 684, "{report:?}");
@@ -941,12 +974,18 @@ mod tests {
             kinds: vec![SchedulerKind::RsgSgt, SchedulerKind::TwoPl],
             seeds: vec![1],
             every_records: 4,
-            crash_commands: vec![4, 9],
+            // Commits come late in both Figure 1 traces (19 and 27
+            // commands): only a crash at 21 lands behind the first commit
+            // barrier, where the slow-barrier pass writes on the log
+            // writer (2PL's pre-loaded re-drive; RSG-SGT's trace ends
+            // before it and runs to completion on the writer).
+            crash_commands: vec![4, 9, 21],
             sync_service,
             ..CheckpointSweepConfig::default()
         };
         let report = checkpoint_crash_sweep(&fig.txns, &fig.spec, &cfg);
         assert!(report.clean(), "{sync_service:?}: {report:?}");
+        assert_staged_if_slow(sync_service, &report);
         assert!(report.checkpoints >= 2, "cadence 4 must rotate: {report:?}");
         // Seeded single-threaded first lives: the same newest segments on
         // every run, whose cuts past the head seed from its events.

@@ -409,6 +409,12 @@ pub struct CoreOutput {
     /// Wall-clock nanoseconds of each WAL fsync the commit log performed,
     /// harvested via [`CommitLog::take_sync_ns`] (empty without a log).
     pub wal_sync_ns: Vec<u64>,
+    /// Writes of logged records: one storage write each, and one barrier
+    /// when a commit was among the records (zero without a log).
+    pub writes: u64,
+    /// Of [`CoreOutput::writes`], those the log-writer thread ran; the
+    /// rest ran inline, on the core's thread (see [`run_core`]).
+    pub staged_writes: u64,
     /// Replies dropped by [`FaultPlan::drop_replies`].
     pub dropped_replies: u64,
     /// Commands refused under commit supremacy: operations and commits
@@ -547,11 +553,22 @@ fn fill_all(
 /// to the log-writer thread, whose wake-up from a parked wait is about
 /// this long on the 2-vCPU guest the benchmark runs on (`pingpong`, one
 /// request in flight, reads `server.queue.wait_p50_us` 9.2: one parked
-/// core woken per request). So a core whose log's previous barrier came
-/// in under it writes inline, on its own thread — every in-memory log —
-/// and one on a disk-shaped log (the modelled 200 µs sync) hands the
-/// writes over and admits the next batch meanwhile.
+/// core woken per request). Handing over costs more than it saves on an
+/// in-memory log: with every write handed over, `saturate`'s
+/// `commit_p50_us` rose from 36 to 56 µs (EXPERIMENTS.md A7). So a core
+/// writes inline while its log's barriers come in under this — every
+/// in-memory log — and one on a disk-shaped log (the modelled 200 µs
+/// sync) hands the writes over and admits the next batch meanwhile.
 const INLINE_BARRIER: Duration = Duration::from_micros(10);
+
+/// Barriers a log must have shown before its core hands a write over,
+/// counting those it ran while opening (its header's and its head
+/// checkpoint's, read through [`CommitLog::take_sync_ns`]): one sample
+/// cannot tell a slow log from a fast one whose thread was preempted
+/// mid-barrier, and a preemption only ever lengthens a sample, so the
+/// fastest of several is the log's cost. Three: a freshly opened log's
+/// two and the core's first commit barrier, written inline.
+const PROBE_BARRIERS: u32 = 3;
 
 /// What one write of the log covers: the records and held commit
 /// acknowledgments of one or more consecutive batches, in core order,
@@ -606,8 +623,40 @@ struct Marks {
     acked: usize,
     /// Checkpoints the log rotated onto.
     checkpoints: u64,
-    /// How long the log's previous barrier took (decides inline writes).
-    barrier: Duration,
+    /// Barriers timed so far, and the fastest of them.
+    timed: u32,
+    fastest: Duration,
+    /// [`CoreOutput::writes`] and [`CoreOutput::staged_writes`].
+    writes: u64,
+    staged: u64,
+}
+
+impl Marks {
+    fn new(acked: usize) -> Marks {
+        Marks {
+            acked,
+            checkpoints: 0,
+            timed: 0,
+            fastest: Duration::MAX,
+            writes: 0,
+            staged: 0,
+        }
+    }
+
+    /// One barrier took `took`.
+    fn time(&mut self, took: Duration) {
+        self.timed = self.timed.saturating_add(1);
+        self.fastest = self.fastest.min(took);
+    }
+
+    /// Does the core write inline? Until the log has shown
+    /// [`PROBE_BARRIERS`] barriers, yes; after that, while the fastest
+    /// of them came in under [`INLINE_BARRIER`]. So a fast log hands a
+    /// write over only if each of its first barriers was preempted past
+    /// the threshold, and is back inline for good at its first fast one.
+    fn inline(&self) -> bool {
+        self.timed < PROBE_BARRIERS || self.fastest < INLINE_BARRIER
+    }
 }
 
 /// The write step — the one on both threads. Appends the run's records,
@@ -625,6 +674,7 @@ fn write_run(
     if run.is_empty() {
         return Ok(());
     }
+    marks.writes += u64::from(!run.records.is_empty());
     for rec in run.records.drain(..) {
         log.append(&rec)?;
     }
@@ -632,7 +682,7 @@ fn write_run(
     let t0 = Instant::now();
     log.batch_end()?;
     if log.stats().syncs > syncs {
-        marks.barrier = t0.elapsed();
+        marks.time(t0.elapsed());
     }
     run.acks.release_commits(table);
     marks.acked = run.committed;
@@ -731,9 +781,11 @@ impl<'w> Stage<'w> {
                 let log = st.log.take().expect("the log is home between writes");
                 let mut marks = st.marks;
                 drop(st);
+                let before = marks.writes;
                 let written = runs
                     .iter_mut()
                     .try_for_each(|run| write_run(&mut *log, run, table, &mut marks));
+                marks.staged += marks.writes - before;
                 st = self.lock();
                 st.marks = marks;
                 st.due = log.checkpoint_due() && st.next.checkpoint.is_none();
@@ -881,15 +933,19 @@ impl CoreOutput {
 ///
 /// Where step 3 runs is the one thing a slow log changes. A core with a
 /// log runs a log-writer thread beside it (a core without one spawns
-/// none). While the log's previous barrier took less than a parked
-/// thread's wake-up (`INLINE_BARRIER`, 10 µs — every in-memory log), the
-/// core runs the write step inline, on its own thread, and the writer
-/// never wakes. Otherwise the core hands the batch over and goes straight
+/// none). The core runs the write step inline, on its own thread, until
+/// the log has shown `PROBE_BARRIERS` (3) barriers — the two it ran
+/// while opening and the core's first, each timed — and from then on
+/// while the fastest of them took less than a parked thread's wake-up
+/// (`INLINE_BARRIER`, 10 µs — every in-memory log); the writer then
+/// never wakes. Otherwise (a disk-shaped log: the modelled 200 µs sync)
+/// the core hands the batch over and goes straight
 /// on to pop, admit and release the verdicts of the next batch while the
 /// barrier runs; the writer takes everything handed over since its last
 /// write, in core order, and writes it as one — batches queued behind a
 /// barrier share the next one. A checkpoint (below) is cut at a batch
-/// boundary and written behind that batch.
+/// boundary and written behind that batch. [`CoreOutput::writes`] counts
+/// the writes, [`CoreOutput::staged_writes`] the ones handed over.
 ///
 /// So under `Always` no commit acknowledgment — a `Committed` response, a
 /// retry-table entry, a commit in [`CoreOutput::committed`] — precedes a
@@ -968,13 +1024,13 @@ pub fn run_core(
     core.committed.extend(head.committed.iter().copied());
     core.out.committed.extend_from_slice(&head.committed);
     core.live_events.extend_from_slice(&head.events);
-    // The first batches are written inline, up to the first barrier that
-    // tells otherwise.
-    let marks = Marks {
-        acked: core.out.committed.len(),
-        checkpoints: 0,
-        barrier: Duration::ZERO,
-    };
+    // The barriers the log ran while opening are the first samples of
+    // the write-path probe.
+    let opened = wal.take_sync_ns();
+    let mut marks = Marks::new(core.out.committed.len());
+    for &ns in &opened {
+        marks.time(Duration::from_nanos(ns));
+    }
     let stage = Stage::new(wal, marks);
     let mut out = std::thread::scope(|s| {
         s.spawn(|| stage.write_behind(table, queue, progress));
@@ -992,6 +1048,8 @@ pub fn run_core(
     }
     out.cut_unacked(st.marks.acked);
     out.checkpoints = st.marks.checkpoints;
+    out.writes = st.marks.writes;
+    out.staged_writes = st.marks.staged;
     let log = st.log.expect("the writer hands the log back");
     // Clean shutdown gets a final barrier; a crashed core died before
     // reaching it (that is what the crash-point sweep recovers from).
@@ -1001,7 +1059,8 @@ pub fn run_core(
         }
     }
     out.wal = log.stats();
-    out.wal_sync_ns = log.take_sync_ns();
+    out.wal_sync_ns = opened;
+    out.wal_sync_ns.append(&mut log.take_sync_ns());
     out
 }
 
@@ -1111,7 +1170,7 @@ impl Core<'_, '_, '_> {
             return Err(Halt::WalBroken(err.clone()));
         }
         let st = &mut *st;
-        let inline = st.next.is_empty() && st.marks.barrier < INLINE_BARRIER;
+        let inline = st.next.is_empty() && st.marks.inline();
         if let (true, Some(log)) = (inline, st.log.as_deref_mut()) {
             let mut written = write_run(log, &mut self.batch, table, &mut st.marks);
             // Checkpoint: the batch boundary is a core-order point, so

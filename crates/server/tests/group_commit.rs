@@ -154,11 +154,11 @@ struct Knobs {
     feeds: Vec<(u64, usize)>,
 }
 
-/// A barrier slower than the core's inline threshold (10 µs): the core
-/// writes its first batches inline up to the first such barrier (sync 2
-/// of a log whose first batch logged a commit; 0 and 1 are the header's
-/// and the head checkpoint's), then hands every write to its log-writer
-/// thread.
+/// A barrier slower than the core's inline threshold (10 µs). The core
+/// writes inline until the log has shown three barriers: syncs 0 and 1,
+/// the header's and the head checkpoint's, and sync 2, the first commit
+/// barrier. All three slow, it hands every later write to its
+/// log-writer thread.
 const SLOW_SYNC: Duration = Duration::from_millis(1);
 
 /// An in-memory [`Storage`] that records every call, checks the watched
@@ -822,13 +822,25 @@ fn assert_failed_batch_unacked(
     }
 }
 
+/// Every grant of the first `batches` batches was answered `Granted`:
+/// those batches were applied before the failed write, on either path,
+/// so their verdicts had left.
+fn assert_batches_granted(sc: &Scenario, o: &Outcome, batch_max: usize, batches: usize) {
+    for (index, ((pos, _, ack), decision)) in sc.replies.iter().zip(&o.decisions).enumerate() {
+        if matches!(ack, Ack::Grant(_)) && pos / batch_max < batches {
+            assert_eq!(*decision, Some(Decision::Granted), "reply {index}");
+        }
+    }
+}
+
 /// (d) a failing barrier in the middle of a run. 40 commands, 5 batches,
 /// each logging two commits. Syncs 0 and 1 are the header and the head
-/// checkpoint's, sync 2 batch 0's barrier — always run inline, the core
-/// has seen no slow barrier yet — and sync 3 the next write's: batch 1's
-/// inline, or batches queued behind sync 2 sharing one write on the
-/// log-writer thread if sync 2 came in slow. On both paths the acks are
-/// exactly batch 0's commits.
+/// checkpoint's, sync 2 batch 0's barrier — always run inline, the third
+/// barrier the core's write-path probe needs — and sync 3 the next
+/// write's: batch 1's inline, or batches queued behind sync 2 sharing
+/// one write on the log-writer thread if all three probe barriers came
+/// in slow. On both paths the acks are exactly batch 0's commits, and
+/// every verdict of batches 0 and 1 had left.
 #[test]
 fn failed_barrier_acknowledges_nothing_of_its_batch() {
     let (n, batch_max) = (10, 8);
@@ -849,6 +861,7 @@ fn failed_barrier_acknowledges_nothing_of_its_batch() {
     );
     let (acked, _) = assert_acks_are_the_durable_commits(&sc, &o);
     assert_eq!(acked, [TxnId(0), TxnId(1)]);
+    assert_batches_granted(&sc, &o, batch_max, 2);
 }
 
 /// (d) a failing (torn) append in the middle of a run: appends 0 and 1
@@ -873,6 +886,7 @@ fn failed_append_acknowledges_nothing_of_its_batch() {
     assert_eq!(o.bytes.len(), o.synced.len() + 30);
     let (acked, _) = assert_acks_are_the_durable_commits(&sc, &o);
     assert_eq!(acked, [TxnId(0), TxnId(1)]);
+    assert_batches_granted(&sc, &o, batch_max, 2);
 }
 
 /// A planned crash in the middle of a batch: the commands of that batch
@@ -1057,8 +1071,10 @@ fn a_batch_is_admitted_while_the_previous_barrier_runs() {
     assert_released_in_core_order_within_each_kind(&sc, &o);
     assert!(o.decisions.iter().all(|d| *d == Some(Decision::Granted)));
     assert_eq!(o.out.committed, [TxnId(0), TxnId(1), TxnId(2)]);
-    // Header, head checkpoint, then one write and one barrier per batch.
+    // Header, head checkpoint, then one write and one barrier per batch,
+    // the last two on the writer.
     assert_eq!((o.out.wal.appends, o.out.wal.syncs), (5, 5));
+    assert_eq!((o.out.writes, o.out.staged_writes), (3, 2));
     assert_eq!(o.bytes, o.synced);
 }
 
@@ -1090,6 +1106,7 @@ fn a_failed_barrier_unwinds_every_batch_admitted_behind_it() {
     let (acked, granted) = assert_acks_are_the_durable_commits(&sc, &o);
     assert_eq!(acked, [TxnId(0)]);
     assert_eq!(granted.len(), 8, "every grant of T0..T3 left");
+    assert_eq!((o.out.writes, o.out.staged_writes), (2, 1));
 
     let overlapped = [TxnId(1), TxnId(2), TxnId(3)];
     let mut second = Scenario::default();
@@ -1146,6 +1163,7 @@ fn a_resent_commit_is_not_acked_before_its_originals_barrier() {
     assert_released_in_core_order_within_each_kind(&sc, &o);
     assert!(o.decisions.iter().all(|d| *d == Some(Decision::Granted)));
     assert_eq!(o.out.duplicate_commit_acks, 1);
+    assert!(o.out.staged_writes >= 2, "T1's write and the fed ones");
     assert_eq!(o.out.committed, [TxnId(0), TxnId(1), TxnId(2)]);
     assert_eq!(o.table.lookup(101), Some((1, TxnId(1))));
     let commit_records = scan(&o.synced)
