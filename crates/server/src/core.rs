@@ -553,12 +553,14 @@ fn fill_all(
 /// to the log-writer thread, whose wake-up from a parked wait is about
 /// this long on the 2-vCPU guest the benchmark runs on (`pingpong`, one
 /// request in flight, reads `server.queue.wait_p50_us` 9.2: one parked
-/// core woken per request). Handing over costs more than it saves on an
-/// in-memory log: with every write handed over, `saturate`'s
-/// `commit_p50_us` rose from 36 to 56 µs (EXPERIMENTS.md A7). So a core
-/// writes inline while its log's barriers come in under this — every
-/// in-memory log — and one on a disk-shaped log (the modelled 200 µs
-/// sync) hands the writes over and admits the next batch meanwhile.
+/// core woken per request). On a busy in-memory log handing over costs
+/// more than it saves: with every write handed over, `saturate`'s
+/// `commit_p50_us` rose from 37 to 57 µs over ten alternating pairs,
+/// outside its 25 % bound (`pingpong` went the other way, 8.0 → 11.3 k
+/// txn/s; EXPERIMENTS.md A7). So a core writes inline while its log's
+/// barriers come in under this — every in-memory log — and one on a
+/// disk-shaped log (the modelled 200 µs sync) hands the writes over and
+/// admits the next batch meanwhile.
 const INLINE_BARRIER: Duration = Duration::from_micros(10);
 
 /// Barriers a log must have shown before its core hands a write over,
